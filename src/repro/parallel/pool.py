@@ -12,8 +12,8 @@ CPU-bound Python/numpy, so threads would serialize on the GIL):
 * :meth:`encode_rows` — per-row Reed-Solomon NTT encodes, chunked by row
   range,
 * :meth:`stream_encode_hash` — the tiled commit pipeline: row tiles are
-  encoded into a shared ring buffer and folded straight into per-column
-  hash chains, so the full codeword matrix is never materialized,
+  encoded into a shared ring buffer, copied into the codeword matrix and
+  folded into per-column hash chains, so transients stay one tile wide,
 * :meth:`run` — the generic ordered fan-out used by
   :func:`repro.snark.api.prove_many` for independent proof jobs.
 
@@ -77,6 +77,7 @@ from ..errors import ProverTimeoutError, WorkerCrashError
 from ..hashing import fieldhash
 from ..obs.events import FLIGHT as _FLIGHT
 from ..obs.metrics import METRICS as _METRICS
+from ..pcs.orion import STREAM_TILE_ROWS, encode_fold_tiles
 from . import kernels, shm
 from .deadline import check_deadline
 from .deadline import remaining as _deadline_remaining
@@ -104,11 +105,7 @@ EST_ENCODE_S_PER_CELL = 2.5e-7    # per message matrix cell (NTT amortized)
 EST_HASH_S_PER_CELL = 3.0e-7      # per matrix cell hashed into a leaf
 EST_LAYER_S_PER_NODE = 1.2e-6     # per Merkle combine output node
 
-#: Row tiles of the streaming commit pipeline (multiple of the 4-element
-#: hash word so chain folds never straddle a tile boundary; sized so the
-#: NTT's transient temporaries stay far below the avoided matrix).
-STREAM_TILE_ROWS = 16
-#: Ring slots reused across tiles (allocate-once, stream-forever).
+#: Ring slots reused across the tiled commit's tiles (allocate once).
 STREAM_RING_SLOTS = 2
 
 
@@ -752,62 +749,56 @@ class ProverPool:
 
     # -- streaming commit pipeline -----------------------------------------
     def stream_encode_hash(self, code, matrix: np.ndarray,
-                           tile_rows: int = STREAM_TILE_ROWS) -> bytes:
-        """Tiled RS-encode + column-hash without the full codeword matrix.
+                           codewords: np.ndarray) -> bytes:
+        """The tiled commit (:func:`repro.pcs.orion.encode_fold_tiles`)
+        with each tile's encode and fold fanned out across workers.
 
-        Encodes ``tile_rows``-row tiles of the message matrix into a
-        shared ring buffer (slots reused round-robin) and folds each tile
-        straight into per-column hash chains; returns the flat leaf
-        digests :func:`~repro.hashing.fieldhash.hash_columns` would have
-        produced for the full codeword matrix.  Peak transient memory is
-        ``O(ring slots * tile bytes + 32 bytes/column)`` regardless of
-        the committed table size.
-
-        Serial pools run the identical tile loop inline (no shm); either
-        way the digests are byte-identical to the one-shot path.
+        Tiles are encoded into a shared ring buffer (slots reused
+        round-robin), copied out into the preallocated ``codewords`` and
+        folded into per-column hash chains; returns the flat leaf digests
+        :func:`~repro.hashing.fieldhash.hash_columns` gives for
+        ``codewords``.  Shared memory held is
+        ``O(ring slots * tile bytes + 32 bytes/column)`` at any table
+        size.  Serial pools run the in-process loop; either way codewords
+        and digests are byte-identical to the one-shot path.
         """
-        matrix = np.asarray(matrix, dtype=np.uint64)
-        rows, msg_cols = matrix.shape
-        cw_len = code.codeword_length(msg_cols)
-        tile_rows = max(fieldhash.ELEMENTS_PER_WORD,
-                        (tile_rows // fieldhash.ELEMENTS_PER_WORD)
-                        * fieldhash.ELEMENTS_PER_WORD)
-        chains = fieldhash.ColumnChainHasher(cw_len, rows)
-        tile_bytes = tile_rows * cw_len * 8
-        _METRICS.gauge("pcs.stream_tile_bytes", tile_bytes)
+        rows, cw_len = codewords.shape
+        _METRICS.gauge("pcs.stream_tile_bytes", STREAM_TILE_ROWS * cw_len * 8)
         if self.is_serial or not self.use_shm:
-            for lo in range(0, rows, tile_rows):
-                hi = min(rows, lo + tile_rows)
-                chains.update(code.encode_rows(matrix[lo:hi]))
-            return chains.finalize()
+            return encode_fold_tiles(code, matrix, codewords)
         try:
             self.warm()
             arena = self.arena()
-            slots = [arena.alloc_array((tile_rows, cw_len), "uint64")
+            chains = fieldhash.ColumnChainHasher(cw_len, rows)
+            slots = [arena.alloc_array((STREAM_TILE_ROWS, cw_len), "uint64")
                      for _ in range(STREAM_RING_SLOTS)]
             state_desc = arena.alloc_array((cw_len, fieldhash.DIGEST_BYTES),
                                            "uint8")
             try:
                 col_ranges = self.chunk_ranges(cw_len,
                                                MIN_HASH_COLS_PER_CHUNK)
-                for t, lo in enumerate(range(0, rows, tile_rows)):
-                    hi = min(rows, lo + tile_rows)
+                for t, lo in enumerate(range(0, rows, STREAM_TILE_ROWS)):
+                    hi = min(rows, lo + STREAM_TILE_ROWS)
                     slot = slots[t % STREAM_RING_SLOTS]
                     # Encode the tile's rows into the ring slot...
                     row_ranges = self.chunk_ranges(hi - lo,
                                                    MIN_ENCODE_ROWS_PER_CHUNK)
                     in_desc = arena.share_array(matrix[lo:hi])
                     try:
-                        self.run(kernels.encode_chunk_shm,
-                                 [(code, in_desc, slot, rlo, rhi)
-                                  for rlo, rhi in row_ranges])
+                        with obs.span("rs.encode", "rs_encode", rows=hi - lo):
+                            self.run(kernels.encode_chunk_shm,
+                                     [(code, in_desc, slot, rlo, rhi)
+                                      for rlo, rhi in row_ranges])
+                            codewords[lo:hi] = arena.view(slot)[: hi - lo]
                     finally:
                         arena.free(in_desc)
                     # ...and fold it into the shared chain state by columns.
-                    self.run(kernels.fold_chunk_shm,
-                             [(slot, state_desc, clo, chi, hi - lo,
-                               chains.words_done) for clo, chi in col_ranges])
-                    chains.state[...] = arena.view(state_desc)
+                    with obs.span("merkle.fold", "merkle", rows=hi - lo):
+                        self.run(kernels.fold_chunk_shm,
+                                 [(slot, state_desc, clo, chi, hi - lo,
+                                   chains.words_done)
+                                  for clo, chi in col_ranges])
+                        chains.state[...] = arena.view(state_desc)
                     chains.rows_fed += hi - lo
                     chains.words_done += -(-(hi - lo)
                                            // fieldhash.ELEMENTS_PER_WORD)
@@ -818,14 +809,10 @@ class ProverPool:
                 arena.free(state_desc)
         except (WorkerCrashError, shm.ShmError) as exc:
             # A chain fold may have been half-applied when the fleet
-            # died, so the partial state is unusable: restart from a
-            # fresh hasher and run the identical tile loop in-process.
+            # died, so the partial state is unusable: rerun the whole
+            # tile loop in-process (it overwrites every codeword row).
             self._degraded("stream_commit", exc)
-            chains = fieldhash.ColumnChainHasher(cw_len, rows)
-            for lo in range(0, rows, tile_rows):
-                hi = min(rows, lo + tile_rows)
-                chains.update(code.encode_rows(matrix[lo:hi]))
-            return chains.finalize()
+            return encode_fold_tiles(code, matrix, codewords)
 
 
 # ---------------------------------------------------------------------------

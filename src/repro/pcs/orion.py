@@ -55,16 +55,33 @@ from ..obs.metrics import METRICS as _METRICS
 DEFAULT_ROWS = 128
 DEFAULT_PROXIMITY_VECTORS = 4
 
-#: Codeword matrices at or above this many cells are committed with the
-#: streaming (tiled) pipeline instead of materializing the full matrix —
-#: at paper geometry this kicks in around 2^19 constraints, keeping the
-#: 2^20 bench sweep's peak RSS bounded.
+#: Codeword matrices at or above this many cells are encoded and hashed
+#: tile by tile.  At paper geometry (129 rows, blowup 4) 2^19 constraints
+#: commit 129 x 8192 = 1.06 M cells, so the first tiled size is 2^20.
 DEFAULT_STREAMING_CELLS = 1 << 21
 
-#: Message rows per streaming tile (multiple of the 4-element hash word;
-#: small enough that the NTT's ~3-4x transient temporaries stay well
-#: under the codeword matrix the streaming path avoids).
+#: Message rows per tile (a multiple of the 4-element hash word): the
+#: NTT's ~3-4x temporaries and the leaf-hash packing stay one tile wide
+#: instead of one codeword matrix wide.
 STREAM_TILE_ROWS = 16
+
+
+def encode_fold_tiles(code: LinearCode, matrix: np.ndarray,
+                      codewords: np.ndarray) -> bytes:
+    """The tiled commit's serial loop: encode ``STREAM_TILE_ROWS``-row
+    tiles of ``matrix`` into the preallocated ``codewords`` and fold each
+    into per-column hash chains.  Returns the flat leaf digests, byte for
+    byte what ``hash_columns(codewords)`` gives
+    (:class:`~repro.hashing.fieldhash.ColumnChainHasher`)."""
+    total_rows, cw_len = codewords.shape
+    chains = ColumnChainHasher(cw_len, total_rows)
+    for lo in range(0, total_rows, STREAM_TILE_ROWS):
+        hi = min(total_rows, lo + STREAM_TILE_ROWS)
+        with _span("rs.encode", "rs_encode", rows=hi - lo):
+            codewords[lo:hi] = code.encode_rows(matrix[lo:hi])
+        with _span("merkle.fold", "merkle", rows=hi - lo):
+            chains.update(codewords[lo:hi])
+    return chains.finalize()
 
 
 @dataclass
@@ -96,10 +113,9 @@ class OrionCommitment:
 @dataclass
 class _ProverState:
     matrix: np.ndarray                  # (rows [+1 mask], cols) message matrix
-    codewords: Optional[np.ndarray]     # (rows [+1 mask], blowup*cols);
-    tree: MerkleTree                    # None when committed streaming
+    codewords: np.ndarray               # (rows [+1 mask], blowup*cols)
+    tree: MerkleTree
     has_mask: bool
-    streaming: bool = False
 
 
 @dataclass
@@ -143,9 +159,9 @@ class OrionPCS:
         #: commit-side hot kernels (row encodes, column/layer hashing) fan
         #: out across its workers.  Proof bytes do not depend on it.
         self.pool = pool
-        #: Codeword-cell threshold above which :meth:`commit` streams row
-        #: tiles instead of materializing the codeword matrix (tests set
-        #: this low to exercise the path at small sizes).
+        #: Codeword-cell threshold at or above which :meth:`commit` tiles
+        #: the encode (tests set this low to exercise the path at small
+        #: sizes).
         self.streaming_cells = streaming_cells
 
     # -- commit ---------------------------------------------------------------
@@ -169,61 +185,35 @@ class OrionPCS:
                 matrix = np.vstack([matrix, mask])
             cw_len = self.code.codeword_length(cols)
             if matrix.shape[0] * cw_len >= self.streaming_cells:
-                return self._commit_streaming(matrix, n, rows, cols, pool)
-            with _span("rs.encode", "rs_encode",
-                       rows=matrix.shape[0], cols=cols):
-                codewords = self.code.encode_rows(matrix, pool=pool)
-            with _span("merkle.build", "merkle", leaves=codewords.shape[1]):
-                tree = MerkleTree.from_columns(codewords, pool=pool)
+                # Tiled: same codewords and leaf digests as below, but the
+                # NTT and leaf-hash transients stay one tile wide.
+                _METRICS.inc("pcs.streaming_commits")
+                codewords = np.empty((matrix.shape[0], cw_len),
+                                     dtype=np.uint64)
+                if pool is not None:
+                    leaves = pool.stream_encode_hash(self.code, matrix,
+                                                     codewords)
+                else:
+                    leaves = encode_fold_tiles(self.code, matrix, codewords)
+                with _span("merkle.build", "merkle", leaves=cw_len):
+                    tree = MerkleTree(leaves, pool=pool)
+            else:
+                with _span("rs.encode", "rs_encode",
+                           rows=matrix.shape[0], cols=cols):
+                    codewords = self.code.encode_rows(matrix, pool=pool)
+                with _span("merkle.build", "merkle",
+                           leaves=codewords.shape[1]):
+                    tree = MerkleTree.from_columns(codewords, pool=pool)
         commitment = OrionCommitment(
             root=tree.root, table_len=n, num_rows=rows, num_cols=cols)
         return commitment, _ProverState(matrix, codewords, tree,
                                         self.params.zk_mask)
 
-    def _commit_streaming(self, matrix: np.ndarray, n: int, rows: int,
-                          cols: int,
-                          pool) -> tuple[OrionCommitment, _ProverState]:
-        """Tiled commit: encode row tiles and fold them straight into
-        per-column hash chains, never materializing the codeword matrix.
-
-        Peak transient memory is one tile of codeword rows (two shared
-        ring slots on the pooled path) plus 32 bytes of chain state per
-        column, so the bench sweep's peak RSS stays bounded as the table
-        grows to 2^20 and beyond.  The leaf digests — and therefore the
-        root and the proof bytes — are byte-identical to the one-shot
-        path (:class:`~repro.hashing.fieldhash.ColumnChainHasher`).
-        """
-        total_rows = matrix.shape[0]
-        cw_len = self.code.codeword_length(cols)
-        _METRICS.inc("pcs.streaming_commits")
-        with _span("pcs.commit.stream", "rs_encode",
-                   rows=total_rows, cw_len=cw_len):
-            if pool is not None:
-                leaves = pool.stream_encode_hash(self.code, matrix)
-            else:
-                chains = ColumnChainHasher(cw_len, total_rows)
-                for lo in range(0, total_rows, STREAM_TILE_ROWS):
-                    hi = min(total_rows, lo + STREAM_TILE_ROWS)
-                    chains.update(self.code.encode_rows(matrix[lo:hi]))
-                leaves = chains.finalize()
-        with _span("merkle.build", "merkle", leaves=cw_len):
-            tree = MerkleTree(leaves, pool=pool)
-        commitment = OrionCommitment(
-            root=tree.root, table_len=n, num_rows=rows, num_cols=cols)
-        return commitment, _ProverState(matrix, None, tree,
-                                        self.params.zk_mask, streaming=True)
-
     # -- open -----------------------------------------------------------------
     def open(self, state: _ProverState, commitment: OrionCommitment,
-             point: Sequence[int], transcript: Transcript,
-             pool=None) -> OrionEvalProof:
-        """Produce an evaluation proof for P~(point); mutates the transcript.
-
-        For a streaming commitment (no materialized codeword matrix) the
-        queried columns are regenerated by re-encoding row tiles — one
-        extra encode pass traded for never holding the full matrix.
-        """
-        pool = pool if pool is not None else self.pool
+             point: Sequence[int],
+             transcript: Transcript) -> OrionEvalProof:
+        """Produce an evaluation proof for P~(point); mutates the transcript."""
         rows, cols = commitment.num_rows, commitment.num_cols
         if (1 << len(point)) != commitment.table_len:
             raise ValueError("point dimension does not match committed table")
@@ -258,31 +248,11 @@ class OrionPCS:
                 b"pcs/queries", self.code.num_queries, codeword_len)
             with _span("merkle.open", "merkle", queries=len(indices)):
                 multiproof = open_many(state.tree, indices)
-                if state.codewords is not None:
-                    opened = state.codewords[:, multiproof.indices]
-                else:
-                    opened = self._gather_columns_streaming(
-                        state.matrix, multiproof.indices, pool)
+                opened = state.codewords[:, multiproof.indices]
                 columns = [np.ascontiguousarray(opened[:, k])
                            for k in range(opened.shape[1])]
         return OrionEvalProof(proximity_rows, eval_row, indices, columns,
                               multiproof)
-
-    def _gather_columns_streaming(self, matrix: np.ndarray,
-                                  indices: Sequence[int],
-                                  pool) -> np.ndarray:
-        """Queried codeword columns of a streaming commitment, regenerated
-        tile by tile (bit-identical to slicing the materialized matrix)."""
-        total_rows = matrix.shape[0]
-        qidx = np.asarray(indices, dtype=np.int64)
-        out = np.empty((total_rows, len(qidx)), dtype=np.uint64)
-        with _span("pcs.open.stream_gather", "rs_encode",
-                   rows=total_rows, queries=len(qidx)):
-            for lo in range(0, total_rows, STREAM_TILE_ROWS):
-                hi = min(total_rows, lo + STREAM_TILE_ROWS)
-                tile = self.code.encode_rows(matrix[lo:hi], pool=pool)
-                out[lo:hi] = tile[:, qidx]
-        return out
 
     def evaluate_from_row(self, eval_row: np.ndarray,
                           point: Sequence[int], num_rows: int) -> int:

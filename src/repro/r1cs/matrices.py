@@ -16,6 +16,24 @@ import numpy as np
 from ..field import vector as fv
 from ..field.goldilocks import MODULUS
 
+#: Row segments per :meth:`SparseMatrix.matvec` block.  A block's gather,
+#: product and half-sum temporaries (~40 B per non-zero) stay ~10 MB at
+#: any matrix size; whole-vector passes (58 MB per temporary at 2^20)
+#: would set the prover's peak RSS.  2^17 also keeps every stacked system
+#: up to 2^15 constraints (3 * 2^15 segments) in one block.
+MATVEC_BLOCK_SEGMENTS = 1 << 17
+
+
+def _segment_sums(prods: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Exact mod-p sum of each ``starts``-delimited run of ``prods``: the
+    32-bit halves accumulate separately (uint64 holds up to 2^32 such
+    terms), then :func:`repro.field.vector.combine_halves` recombines the
+    raw half-sums — no per-half canonicalization needed."""
+    lo_half, hi_half = fv.halves(prods)
+    lo = np.add.reduceat(lo_half, starts, dtype=np.uint64)
+    hi = np.add.reduceat(hi_half, starts, dtype=np.uint64)
+    return fv.combine_halves(lo, hi)
+
 
 class SparseMatrix:
     """COO sparse matrix over GF(p) with fast modular SpMV."""
@@ -111,8 +129,7 @@ class SparseMatrix:
             else:
                 order = np.argsort(rows, kind="stable")
                 sorted_rows = rows[order]
-            new_group = np.empty(len(sorted_rows), dtype=bool)
-            new_group[0] = True
+            new_group = np.ones(len(sorted_rows), dtype=bool)
             new_group[1:] = np.diff(sorted_rows) != 0
             starts = np.flatnonzero(new_group)
             self._groups = (order, starts, sorted_rows[starts])
@@ -121,27 +138,39 @@ class SparseMatrix:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Exact y = M x over GF(p).
 
-        The scatter-add is a segmented ``np.add.reduceat`` over the
-        row-sorted products: the 32-bit halves of each product are
-        accumulated separately (uint64 holds up to 2^32 such terms), then
-        recombined by :func:`repro.field.vector.combine_halves` (exact for
-        the raw half-sums — no per-half canonicalization needed).
+        The scatter-add is a segmented reduction over the row-sorted
+        products (:func:`_segment_sums`).  Matrices with more than
+        :data:`MATVEC_BLOCK_SEGMENTS` non-empty rows are walked in blocks
+        of that many row segments — output-stationary, like NoCap's SpMV
+        unit (Sec. V-A): gather, multiply and reduce one block's entries
+        into its output slice before touching the next, so temporaries
+        are block-sized instead of nnz-sized.
         """
         x = np.asarray(x, dtype=np.uint64)
         if x.shape[0] != self.num_cols:
             raise ValueError(f"vector length {x.shape[0]} != num_cols {self.num_cols}")
         if self.nnz == 0:
             return np.zeros(self.num_rows, dtype=np.uint64)
-        # Non-canonical representatives are fine: the split-accumulate
-        # below is exact for any uint64 terms.
-        prods = fv.mul(self.vals, x[self.cols], canonical=False)
         order, starts, row_ids = self._group_plan()
-        if order is not None:
-            prods = prods[order]
-        lo_half, hi_half = fv.halves(prods)
-        lo = np.add.reduceat(lo_half, starts, dtype=np.uint64)
-        hi = np.add.reduceat(hi_half, starts, dtype=np.uint64)
-        combined = fv.combine_halves(lo, hi)
+        # Non-canonical representatives are fine: the split-accumulate
+        # is exact for any uint64 terms.
+        if len(starts) <= MATVEC_BLOCK_SEGMENTS:
+            prods = fv.mul(self.vals, x[self.cols], canonical=False)
+            if order is not None:
+                prods = prods[order]
+            combined = _segment_sums(prods, starts)
+        else:
+            combined = np.empty(len(starts), dtype=np.uint64)
+            for s0 in range(0, len(starts), MATVEC_BLOCK_SEGMENTS):
+                s1 = min(len(starts), s0 + MATVEC_BLOCK_SEGMENTS)
+                e0 = starts[s0]
+                e1 = starts[s1] if s1 < len(starts) else self.nnz
+                # The plan's permutation picks the block's entries; no
+                # full-length permuted copy is ever made.
+                sel = slice(e0, e1) if order is None else order[e0:e1]
+                prods = fv.mul(self.vals[sel], x[self.cols[sel]],
+                               canonical=False)
+                combined[s0:s1] = _segment_sums(prods, starts[s0:s1] - e0)
         if len(row_ids) == self.num_rows:
             # Every row has at least one entry: row_ids is 0..num_rows-1
             # in order, so the segment sums ARE the output.
@@ -222,6 +251,10 @@ class StackedMatrices:
         # product (see scaled_transpose_matvec).
         self._transposed = SparseMatrix(n_cols, self.count * n_rows,
                                         cols, offset_rows, vals)
+        # Both gather plans are built here, so the transposed plan's
+        # argsort never runs between a prover's commit and its first open.
+        self._forward._group_plan()
+        self._transposed._group_plan()
 
     def matvec_all(self, x: np.ndarray) -> List[np.ndarray]:
         """[M_0 x, M_1 x, ...] in ONE fused SpMV pass."""

@@ -229,6 +229,37 @@ class TestSupervisedRecovery:
         assert verify(vk, bundle)
         assert _repro_segments() == before
 
+    def test_tiled_commit_degrades_mid_stream(self):
+        """Losing a ring slot between tiles leaves half-folded chains and
+        a partly filled codeword array; the degraded serial rerun must
+        overwrite both."""
+        from repro import obs
+        from repro.pcs.orion import OrionPCS, PCSParams
+
+        def pcs(cells):
+            return OrionPCS(params=PCSParams(num_rows=16),
+                            rng=np.random.default_rng(3),
+                            streaming_cells=cells)
+
+        table = np.random.default_rng(46).integers(
+            0, 1 << 63, size=1 << 10, dtype=np.uint64)
+        com_ref, state_ref = pcs(1 << 60).commit(table)
+        before = _repro_segments()
+        plan = faults.FaultPlan(kind="shm_unlink", site="fold", hits=2,
+                                token="t_fold")
+        with faults.injected(plan):
+            with ProverPool(workers=2, auto_chunk=False,
+                            fault_policy=QUICK_POLICY) as p:
+                with obs.tracing():
+                    com, state = pcs(1).commit(table, pool=p)
+                    counters = obs.METRICS.counters()
+            fired = os.path.exists(plan.claim_path)
+        if fired:  # non-Linux: segment kinds cannot fire
+            assert counters["parallel.degradations.stream_commit"] == 1
+        assert com.root == com_ref.root
+        assert np.array_equal(state.codewords, state_ref.codewords)
+        assert _repro_segments() == before
+
     def test_unrecoverable_corruption_raises_workercrash(self):
         """At the pool layer (no serial fallback above it), shm damage
         surfaces as a typed WorkerCrashError after zero retries."""

@@ -489,6 +489,23 @@ class TestBenchDiff:
         bad = [f for f in findings if f["regression"]]
         assert bad and bad[0]["metric"] == "noop_overhead_frac"
 
+    def test_growth_per_doubling_gate(self):
+        bd = _load_bench_diff()
+
+        def sweep(growth_at_20):
+            return {"results": [
+                {"log_size": s, "prove_s": 1.0, "verify_s": 0.5,
+                 "proof_size_bytes": 10, "growth_per_doubling": g}
+                for s, g in ((12, 3.0), (19, 2.1), (20, growth_at_20))]}
+
+        # 2^11 -> 2^12 is outside the gated range, whatever it reads.
+        smooth = bd.compare_prover(sweep(2.3), sweep(2.3), calibrate=True)
+        assert not [f for f in smooth if f["regression"]]
+        cliff = bd.compare_prover(sweep(2.3), sweep(2.73), calibrate=True)
+        bad = [f for f in cliff if f["regression"]]
+        assert [(f["metric"], f["log_size"]) for f in bad] \
+            == [("growth_per_doubling", 20)]
+
     def test_calibration_forgives_uniformly_slow_machine(self):
         bd = _load_bench_diff()
         base = {"results": [

@@ -486,56 +486,94 @@ class TestStreamingCommit:
         with pytest.raises(ValueError):
             chains.finalize()  # not all rows fed
 
-    def test_streaming_commit_matches_materialized(self):
+    def _prover(self, r1cs, streaming_cells, pool=None, repetitions=1):
+        from repro.spartan.protocol import SpartanParams, SpartanProver
+
+        return SpartanProver(r1cs, self._pcs(streaming_cells, pool=pool),
+                             SpartanParams(repetitions=repetitions),
+                             pool=pool)
+
+    def test_streaming_commit_matches_materialized(self, pool):
+        """Tiled and one-shot commits hold the same codeword matrix under
+        the same root, serial and pooled."""
         rng = np.random.default_rng(43)
         table = rng.integers(0, 1 << 63, size=1 << 10, dtype=np.uint64)
-        materialized = self._pcs(streaming_cells=1 << 60)
-        streaming = self._pcs(streaming_cells=1)
-        com_a, state_a = materialized.commit(table)
-        com_b, state_b = streaming.commit(table)
-        assert state_a.codewords is not None and not state_a.streaming
-        assert state_b.codewords is None and state_b.streaming
-        assert com_a.root == com_b.root
+        com_a, state_a = self._pcs(streaming_cells=1 << 60).commit(table)
+        for pcs_pool in (None, pool):
+            with obs.tracing():
+                com_b, state_b = self._pcs(1, pool=pcs_pool).commit(table)
+                assert obs.METRICS.counters()["pcs.streaming_commits"] == 1
+            assert com_a.root == com_b.root
+            assert np.array_equal(state_a.codewords, state_b.codewords)
+            assert np.array_equal(state_a.matrix, state_b.matrix)
 
     def test_streaming_proof_bytes_identical(self, instance, pool):
-        """End-to-end: a prover whose PCS streams produces the same proof
-        bytes, and the verifier accepts them."""
-        from repro.hashing.transcript import Transcript
+        """End-to-end: a prover whose PCS tiles its commit produces the
+        same proof bytes at workers {0, 2}, and the verifier accepts."""
+        from repro.snark.serialize import proof_to_bytes
+        from repro.spartan.protocol import SpartanParams, SpartanVerifier
 
-        rng = np.random.default_rng(47)
-        table = rng.integers(0, 1 << 63, size=1 << 10, dtype=np.uint64)
-        point = [int(x) for x in rng.integers(0, 1 << 61, size=10)]
-        com_m, st_m = self._pcs(1 << 60).commit(table)
-        proof_m = self._pcs(1 << 60).open(st_m, com_m, point, Transcript())
-        for pcs_pool in (None, pool):
-            pcs = self._pcs(1, pool=pcs_pool)
-            com_s, st_s = pcs.commit(table)
-            proof_s = pcs.open(st_s, com_s, point, Transcript())
-            assert com_s.root == com_m.root
-            assert np.array_equal(proof_s.eval_row, proof_m.eval_row)
-            assert all(np.array_equal(a, b) for a, b in
-                       zip(proof_s.columns, proof_m.columns))
-            value = pcs.evaluate_from_row(proof_s.eval_row, point,
-                                          com_s.num_rows)
-            assert pcs.verify(com_s, point, value, proof_s, Transcript())
+        r1cs, public, witness = instance
+        reference = proof_to_bytes(
+            self._prover(r1cs, 1 << 60).prove(public, witness))
+        for prover_pool in (None, pool):
+            proof = self._prover(r1cs, 1, pool=prover_pool).prove(public,
+                                                                  witness)
+            assert proof_to_bytes(proof) == reference
+            assert SpartanVerifier(r1cs, self._pcs(1 << 60),
+                                   SpartanParams(repetitions=1)).verify(
+                                       public, proof)
+
+    def test_tiled_prove_encodes_each_row_once(self, instance, pool):
+        """One RS encode per proof: the opens gather from the codewords
+        the commit kept, whatever the repetition count."""
+        r1cs, public, witness = instance
+        rows = 16
+        for prover_pool in (None, pool):
+            with obs.tracing():
+                self._prover(r1cs, 1, pool=prover_pool,
+                             repetitions=3).prove(public, witness)
+                counters = obs.METRICS.counters()
+            assert counters["pcs.streaming_commits"] == 1
+            assert counters["rs.rows_encoded"] == rows + 1
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_tiled_commit_phase_families(self, pool, pooled):
+        """Tile encodes are charged to rs_encode and tile folds to merkle,
+        so a profile does not change shape at the tiling threshold."""
+        r1cs, public, witness = synthetic_r1cs(log_size=12, seed=9)
+        seconds = {}
+        for cells in (1, 1 << 60):
+            with obs.tracing() as tracer:
+                self._prover(r1cs, cells, pool=pool if pooled else None
+                             ).prove(public, witness)
+            seconds[cells] = tracer.family_seconds()
+        assert set(seconds[1]) == set(seconds[1 << 60])
+        assert seconds[1]["merkle"] > 0 and seconds[1 << 60]["merkle"] > 0
+        assert seconds[1]["rs_encode"] > 0 and seconds[1 << 60]["rs_encode"] > 0
 
     def test_streaming_bounds_peak_memory_at_2_18(self):
-        """At 2^18 the streaming commit must allocate well under the full
-        codeword matrix it avoids materializing."""
+        """Tiling bounds the commit's transients, not the codeword it
+        keeps: at 2^18 the tiled commit peaks under 2x the codeword bytes
+        where the one-shot commit needs more than 3x."""
         import tracemalloc
 
         rng = np.random.default_rng(53)
         table = rng.integers(0, 1 << 63, size=1 << 18, dtype=np.uint64)
-        pcs = self._pcs(streaming_cells=1, num_rows=128, seed=5)
         rows = 128 + 1  # + zk mask row
-        cw_bytes = rows * pcs.code.codeword_length((1 << 18) // 128) * 8
-        tracemalloc.start()
-        _, state = pcs.commit(table)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert state.codewords is None
-        assert peak < 0.75 * cw_bytes, \
-            f"streaming peak {peak} not bounded vs {cw_bytes}"
+        peaks = {}
+        for cells in (1, 1 << 60):
+            pcs = self._pcs(streaming_cells=cells, num_rows=128, seed=5)
+            cw_bytes = rows * pcs.code.codeword_length((1 << 18) // 128) * 8
+            tracemalloc.start()
+            _, state = pcs.commit(table)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert state.codewords.nbytes == cw_bytes
+            peaks[cells] = peak / cw_bytes
+            del state
+        assert 1.0 <= peaks[1] < 2.0, f"tiled peak {peaks[1]:.2f}x codeword"
+        assert peaks[1 << 60] > 3.0, f"one-shot peak {peaks[1 << 60]:.2f}x"
 
 
 class TestPersistentPool:

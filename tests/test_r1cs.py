@@ -1,5 +1,7 @@
 """Tests for sparse matrices, R1CS systems, and the circuit builder."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,9 +9,29 @@ from hypothesis import strategies as st
 
 from repro.field import vector as fv
 from repro.field.goldilocks import MODULUS, inv
-from repro.r1cs import Circuit, R1CS, SparseMatrix, pad_r1cs
+from repro.r1cs import Circuit, R1CS, SparseMatrix, matrices, pad_r1cs
+from repro.r1cs.matrices import StackedMatrices
 
 felt = st.integers(0, MODULUS - 1)
+
+
+@st.composite
+def coo_matrices(draw):
+    """Raw coordinate arrays as the constructor takes them: rows unsorted,
+    coordinates repeated, some rows (and columns) left empty."""
+    num_rows = draw(st.integers(1, 12))
+    num_cols = draw(st.integers(1, 12))
+    entries = draw(st.lists(
+        st.tuples(st.integers(0, num_rows - 1), st.integers(0, num_cols - 1),
+                  felt), max_size=60))
+    rows, cols, vals = (list(t) for t in zip(*entries)) if entries \
+        else ([], [], [])
+    return SparseMatrix(num_rows, num_cols, rows, cols, vals)
+
+
+def dense_matvec(dense, x):
+    return [sum(int(a) * int(b) for a, b in zip(row, x)) % MODULUS
+            for row in dense]
 
 
 class TestSparseMatrix:
@@ -50,6 +72,37 @@ class TestSparseMatrix:
         want = [(sum(int(dense[i, j]) * int(x[i]) for i in range(4))) % MODULUS
                 for j in range(6)]
         assert m.transpose_matvec(x).tolist() == want
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    @given(m=coo_matrices(), seed=st.integers(0, 2**32 - 1))
+    def test_blocked_matvec_matches_dense(self, block, m, seed):
+        """Every block ends on a segment end, so block=1 puts a boundary
+        after each row and block=3 after each third non-empty row."""
+        rng = np.random.default_rng(seed)
+        x, xt = fv.rand_vector(m.num_cols, rng), fv.rand_vector(m.num_rows,
+                                                                rng)
+        dense = m.to_dense()
+        with mock.patch.object(matrices, "MATVEC_BLOCK_SEGMENTS", block):
+            assert m.matvec(x).tolist() == dense_matvec(dense, x)
+            assert m.transpose_matvec(xt).tolist() == dense_matvec(dense.T,
+                                                                   xt)
+
+    def test_blocked_matvec_equals_one_block(self, rng):
+        """A banded matrix spanning several blocks, checked against the
+        single-block statements on the same plan."""
+        n = 64
+        rows = np.repeat(np.arange(n), 3)
+        cols = (rows + np.tile([0, 1, 5], n)) % n
+        m = SparseMatrix(n, n, rows, cols, fv.rand_vector(3 * n, rng))
+        x = fv.rand_vector(n, rng)
+        want, want_t = m.matvec(x), m.transpose_matvec(x)
+        with mock.patch.object(matrices, "MATVEC_BLOCK_SEGMENTS", 16):
+            assert (m.matvec(x) == want).all()
+            assert (m.transpose_matvec(x) == want_t).all()
+
+    def test_empty_matrix_plan_is_well_formed(self):
+        order, starts, row_ids = SparseMatrix(4, 4)._group_plan()
+        assert order is None and len(starts) == 0 and len(row_ids) == 0
 
     def test_out_of_bounds_entry_rejected(self):
         with pytest.raises(IndexError):
@@ -120,6 +173,29 @@ class TestR1CSSystem:
         n = r1cs.shape.num_constraints
         assert n & (n - 1) == 0
         assert r1cs.a.num_rows == r1cs.a.num_cols == n
+
+    def test_empty_c_matrix(self, rng):
+        """Constraints of the form a * b = 0 leave C with no entries; the
+        stacked plans (built eagerly) must take an empty member."""
+        a = SparseMatrix.from_entries(4, 4, [(0, 0, 1), (1, 2, 5)])
+        b = SparseMatrix.from_entries(4, 4, [(0, 3, 2), (1, 1, 7)])
+        c = SparseMatrix(4, 4)
+        stacked = StackedMatrices([a, b, c])
+        z = np.array([1, 0, 9, 0], dtype=np.uint64)
+        assert stacked.matvec_all(z)[2].tolist() == [0, 0, 0, 0]
+        r1cs = R1CS(a, b, c, 1, 1)
+        az, bz, cz = r1cs.products(z)
+        assert az.tolist() == [1, 45, 0, 0] and bz.tolist() == [0, 0, 0, 0]
+        assert cz.tolist() == [0, 0, 0, 0] and r1cs.is_satisfied(z)
+        x = fv.rand_vector(4, rng)
+        want = fv.add(fv.mul_scalar(a.transpose_matvec(x), 3),
+                      fv.mul_scalar(b.transpose_matvec(x), 5))
+        got = r1cs.combined_transpose_matvec((3, 5, 11), x)
+        assert got.tolist() == want.tolist()
+        # All three empty: every plan is the empty plan.
+        empty = R1CS(c, c, c, 1, 1)
+        assert [p.tolist() for p in empty.products(z)] == [[0] * 4] * 3
+        assert empty.combined_transpose_matvec((1, 2, 3), x).tolist() == [0] * 4
 
     def test_non_square_rejected(self):
         a = SparseMatrix.from_entries(4, 8, [])

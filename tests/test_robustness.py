@@ -196,6 +196,73 @@ class TestMutators:
             assert not _vr(vk, bundle.public, proof)
 
 
+class TestTiledCommitSoundness:
+    """The verifier's rejections on the commit path large proofs take
+    (``streaming_cells`` forced down so a 2^12 statement tiles)."""
+
+    @pytest.fixture(scope="class")
+    def tiled(self):
+        from repro import obs
+        from repro.pcs.orion import OrionPCS, PCSParams
+        from repro.spartan.protocol import (SpartanParams, SpartanProver,
+                                            SpartanVerifier)
+        from repro.workloads import synthetic_r1cs
+
+        params = SpartanParams(repetitions=1)
+
+        def pcs(seed):
+            return OrionPCS(params=PCSParams(num_rows=16), streaming_cells=1,
+                            rng=np.random.default_rng(seed))
+
+        proofs = []
+        for seed in (1, 2):
+            r1cs, public, witness = synthetic_r1cs(log_size=12, seed=seed)
+            with obs.tracing():
+                proof = SpartanProver(r1cs, pcs(seed), params).prove(
+                    public, witness)
+                assert obs.METRICS.counters()["pcs.streaming_commits"] == 1
+            verifier = SpartanVerifier(r1cs, pcs(0), params)
+            assert verifier.verify(public, proof)
+            proofs.append((verifier, public, proof))
+        return proofs
+
+    def _mutated(self, tiled, mutate) -> bool:
+        import copy
+
+        (verifier, public, proof), (_, _, other) = tiled
+        mutant = copy.deepcopy(proof)
+        mutate(mutant.repetitions[0].pcs_proof,
+               other.repetitions[0].pcs_proof)
+        return verifier.verify(public, mutant)
+
+    def test_flipped_column_element_rejected(self, tiled):
+        def flip(pcs_proof, _other):
+            pcs_proof.columns[3][5] ^= np.uint64(1)
+
+        assert not self._mutated(tiled, flip)
+
+    def test_swapped_columns_rejected(self, tiled):
+        def swap(pcs_proof, _other):
+            cols = pcs_proof.columns
+            assert not np.array_equal(cols[0], cols[1])
+            cols[0], cols[1] = cols[1], cols[0]
+
+        assert not self._mutated(tiled, swap)
+
+    def test_spliced_multiproof_rejected(self, tiled):
+        def whole(pcs_proof, other):
+            pcs_proof.merkle = other.merkle
+
+        def nodes_only(pcs_proof, other):
+            # Same opened positions, the other tree's sibling digests.
+            assert pcs_proof.merkle.nodes and other.merkle.nodes
+            n = len(pcs_proof.merkle.nodes)
+            pcs_proof.merkle.nodes = (other.merkle.nodes * n)[:n]
+
+        assert not self._mutated(tiled, whole)
+        assert not self._mutated(tiled, nodes_only)
+
+
 class TestNoCapValidation:
     def test_bad_lane_counts(self):
         with pytest.raises(ConfigError, match="mul_lanes"):

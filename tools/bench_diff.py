@@ -18,8 +18,9 @@ Two comparison modes:
   median ``current/baseline`` prove_s ratio across all shared rows, so
   a uniformly faster or slower machine cancels out and only *shape*
   anomalies (one size regressing while the rest track) trip the gate.
-  Machine-independent metrics — ``proof_size_bytes`` (exact) and the
-  ``noop_overhead_frac`` ceiling — are enforced unscaled in both modes.
+  Machine-independent metrics — ``proof_size_bytes`` (exact), the
+  ``noop_overhead_frac`` ceiling and the ``growth_per_doubling`` ceiling
+  across 2^16..2^20 — are enforced unscaled in both modes.
   This is what CI uses: its runners share nothing with the machine that
   produced the committed baseline.
 
@@ -65,6 +66,15 @@ MAX_HIT_RATE_DROP = 0.05
 #: (mirroring the in-bench assertion), not against the baseline value —
 #: the projection is already a ratio of two measurements on one machine.
 MAX_NOOP_OVERHEAD_FRAC = 0.02
+
+
+#: ``growth_per_doubling`` (a row's prove_s over the previous size's, as
+#: recorded by bench_prover) may not exceed this on any step between
+#: these sizes: prove time is ~n log n, so a doubling that costs more
+#: means some layer fell off a cliff (the 2^20 re-encode cost 2.73x).
+#: Smaller sizes are fixed-overhead dominated and too noisy to gate.
+MAX_GROWTH_PER_DOUBLING = 2.4
+GROWTH_GATED_LOG_SIZES = range(17, 21)
 
 
 def load(path: Path) -> dict:
@@ -143,6 +153,19 @@ def compare_prover(baseline: dict, current: dict, calibrate: bool) -> list:
                            "ceiling" if ovh >= MAX_NOOP_OVERHEAD_FRAC
                            else ""),
             })
+    for size in GROWTH_GATED_LOG_SIZES:
+        growth = cur_rows.get(size, {}).get("growth_per_doubling")
+        if growth is None:
+            continue
+        steep = growth > MAX_GROWTH_PER_DOUBLING
+        findings.append({
+            "metric": "growth_per_doubling", "log_size": size,
+            "current": growth, "limit": MAX_GROWTH_PER_DOUBLING,
+            "regression": bool(steep),
+            "detail": (f"2^{size - 1} -> 2^{size} prove_s grew {growth:.2f}x "
+                       f"> {MAX_GROWTH_PER_DOUBLING}x per doubling"
+                       if steep else ""),
+        })
     return findings
 
 
@@ -303,6 +326,7 @@ def main(argv=None) -> int:
             "calibrate": args.calibrate,
             "tolerances": TOLERANCES,
             "max_noop_overhead_frac": MAX_NOOP_OVERHEAD_FRAC,
+            "max_growth_per_doubling": MAX_GROWTH_PER_DOUBLING,
             "regressions": len(regressions),
             "findings": findings,
         }, indent=2) + "\n")

@@ -34,6 +34,9 @@ and bytes shared through :mod:`repro.parallel.shm` vs bytes pickled
 through the executor pipe.  The harness asserts ``prove_many`` with
 workers stays at or above ``--min-batch-speedup`` (default 0.95) of the
 serial batch — the regression guard for the zero-copy dispatch path.
+Rows after the first also carry ``growth_per_doubling`` (this row's
+``prove_s`` over the previous size's), which ``tools/bench_diff.py``
+holds under 2.4x across 2^16..2^20: the scaling curve must stay smooth.
 
 Run:  PYTHONPATH=src python tools/bench_prover.py --json BENCH_prover.json
 """
@@ -392,6 +395,9 @@ def main(argv=None) -> int:
     for log_size in range(args.min_log, args.max_log + 1):
         row = bench_size(log_size, args.num_rows, args.repeats,
                          args.repetitions, unit_costs)
+        if results:
+            row["growth_per_doubling"] = round(
+                row["prove_s"] / results[-1]["prove_s"], 4)
         results.append(row)
         print(f"  2^{log_size:<3} {row['prove_s']:>10.4f} "
               f"{row['verify_s']:>10.4f} {row['proof_size_bytes']:>10} "
