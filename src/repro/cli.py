@@ -7,8 +7,7 @@ simulate     Simulate one NoCap proof (size, breakdowns, power).
 area         Print the Table II area breakdown.
 sensitivity  Print the Fig. 7 sensitivity sweep.
 prove        Build, prove and verify a demo workload circuit; ``--out``
-             writes the proof as a self-describing envelope, ``--workers``
-             fans the prover kernels across processes.
+             writes the proof as a self-describing envelope.
 verify       Verify a proof envelope written by ``prove --out`` (exit
              codes per docs/ROBUSTNESS.md).
 trace        Prove a workload under the tracer, simulate it on NoCap, and
@@ -189,18 +188,6 @@ def _print_metrics(snapshot: dict) -> None:
         print(f"  {name:<28} {value:>14,}")
 
 
-def _make_pool(args: argparse.Namespace):
-    """The persistent ProverPool when ``--workers N>1`` was given, else
-    None.  The pool is process-wide (repro.parallel.get_pool) and is torn
-    down by its atexit hook — commands must not close it mid-process."""
-    workers = getattr(args, "workers", None)
-    if workers is None or workers <= 1:
-        return None
-    from .parallel import get_pool
-
-    return get_pool(workers)
-
-
 def _cmd_prove(args: argparse.Namespace) -> int:
     from .snark import preset_by_name, prove, setup, verify
 
@@ -209,7 +196,6 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     print(f"{name}: {circuit.num_constraints} constraints")
     r1cs, public, witness = circuit.compile()
     pk, vk = setup(r1cs, preset)
-    pool = _make_pool(args)
     if args.flight_log:
         from .obs import FLIGHT
 
@@ -217,7 +203,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 
     def run():
         t0 = time.perf_counter()
-        bundle = prove(pk, public, witness, pool=pool, circuit_id=name,
+        bundle = prove(pk, public, witness, circuit_id=name,
                        timeout_s=args.timeout, attach_report=True)
         t1 = time.perf_counter()
         ok = verify(vk, bundle)
@@ -315,13 +301,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(f"{name}: {circuit.num_constraints} constraints")
     r1cs, public, witness = circuit.compile()
     pk, vk = setup(r1cs, preset)
-    pool = _make_pool(args)
     if args.flight_log:
         from .obs import FLIGHT
 
         FLIGHT.spool_to(args.flight_log)
     with obs.tracing() as tracer:
-        bundle = prove(pk, public, witness, pool=pool, circuit_id=name,
+        bundle = prove(pk, public, witness, circuit_id=name,
                        timeout_s=args.timeout)
         ok = verify(vk, bundle)
     if args.metrics_out:
@@ -480,8 +465,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     kwargs = dict(
         host=args.host, port=args.port, unix_socket=args.unix_socket,
         queue_depth=args.queue_depth, max_per_client=args.max_per_client,
-        job_slots=args.job_slots, workers=args.workers,
-        preset=args.preset,
+        job_slots=args.job_slots, preset=args.preset,
         key_cache_bytes=args.key_cache_mb * 1024 * 1024,
         proof_cache_bytes=args.proof_cache_mb * 1024 * 1024)
     if args.timeout is not None:
@@ -559,11 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     preset_p.add_argument("--preset", choices=sorted(PRESETS),
                           default="test-fast",
                           help="security preset (default %(default)s)")
-    workers_p = argparse.ArgumentParser(add_help=False)
-    workers_p.add_argument("--workers", type=int, default=None, metavar="N",
-                           help="fan prover kernels out across N worker "
-                                "processes (proof bytes are identical at "
-                                "any N)")
     timeout_p = argparse.ArgumentParser(add_help=False)
     timeout_p.add_argument("--timeout", type=float, default=None,
                            metavar="SECS",
@@ -622,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     prove = sub.add_parser(
         "prove", help="prove+verify a demo workload",
-        parents=[preset_p, workers_p, timeout_p, telemetry_p])
+        parents=[preset_p, timeout_p, telemetry_p])
     prove.add_argument("workload", choices=_workload_choices())
     prove.add_argument("--out", metavar="PATH", default=None,
                        help="write the proof as a self-describing envelope "
@@ -650,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="prove under the tracer + simulate on NoCap, export Chrome "
              "trace and per-phase breakdown",
-        parents=[preset_p, workers_p, timeout_p, telemetry_p])
+        parents=[preset_p, timeout_p, telemetry_p])
     trace.add_argument("workload", choices=_workload_choices())
     trace.add_argument("--trace-out", metavar="PATH", default="trace.json",
                        help="Chrome trace-event JSON output path "
@@ -666,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run the proving service daemon (docs/SERVICE.md)",
-        parents=[preset_p, workers_p, timeout_p, telemetry_p])
+        parents=[preset_p, timeout_p, telemetry_p])
     serve.add_argument("--host", default="127.0.0.1",
                        help="TCP bind address (default %(default)s)")
     serve.add_argument("--port", type=int, default=7464,
@@ -682,8 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-client fairness cap on queued jobs "
                             "(default %(default)s)")
     serve.add_argument("--job-slots", type=int, default=1, metavar="N",
-                       help="concurrent proving jobs; must stay 1 when "
-                            "--workers > 1 (default %(default)s)")
+                       help="concurrent proving jobs, one thread each "
+                            "(default %(default)s)")
     serve.add_argument("--key-cache-mb", type=int, default=256,
                        metavar="MB",
                        help="proving/verifying-key cache budget "

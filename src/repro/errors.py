@@ -100,9 +100,8 @@ class WorkerCrashError(ReproError, RuntimeError):
 
     Raised after the supervisor has exhausted its restart/retry budget
     (worker death, hung dispatches, torn shared memory, poisoned
-    broadcast blobs).  Kernel callers catch this and *degrade* to the
-    bit-identical in-process serial path; job-level callers surface it
-    per job (:func:`repro.snark.api.prove_many` partial results).
+    broadcast blobs).  :func:`repro.snark.api.prove_many` answers it by
+    re-proving the job in the calling process, which is bit-identical.
     """
 
     def __init__(self, message: str, *, retries: int = 0,

@@ -2,14 +2,17 @@
 
 The chaos harness (``tools/chaos_harness.py``) needs to reproduce the
 failure modes a long-running prover actually sees — a worker SIGKILLed
-mid-chunk, a dispatch that hangs, a shared-memory segment unlinked from
+mid-job, a dispatch that hangs, a shared-memory segment unlinked from
 under a reader, a poisoned pickle in the broadcast blob — at *seeded,
 repeatable* points, across process boundaries.
 
 The mechanism is a single JSON :class:`FaultPlan` carried in the
-``REPRO_FAULTS`` environment variable.  Instrumented sites (the worker
-kernels in :mod:`repro.parallel.kernels`, the broadcast path in
-:mod:`repro.parallel.pool`) call :func:`maybe_fault(site)`; the call is
+``REPRO_FAULTS`` environment variable.  Three instrumented sites call
+:func:`maybe_fault(site)` — ``prove_job`` (a worker entering
+:func:`repro.parallel.kernels.prove_job`, with the broadcast key blob's
+descriptor), ``broadcast`` (the parent, right after
+:meth:`repro.parallel.ProverPool.broadcast` places the key) and
+``service_job`` (a ``repro serve`` job body); the call is
 a no-op unless a plan is installed, names that site, and the site's
 per-process arrival counter has reached ``hits``.  A cross-process
 *claim file* (``O_CREAT|O_EXCL``) arbitrates so each plan fires exactly

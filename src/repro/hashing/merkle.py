@@ -44,7 +44,7 @@ class MerkleTree:
     is the single root digest.
     """
 
-    def __init__(self, leaf_digests: Sequence[bytes], pool=None):
+    def __init__(self, leaf_digests: Sequence[bytes]):
         if isinstance(leaf_digests, (bytes, bytearray, memoryview)):
             raw = bytes(leaf_digests)
             if len(raw) == 0 or len(raw) % DIGEST_BYTES:
@@ -67,14 +67,6 @@ class MerkleTree:
         _sha3 = hashlib.sha3_256
         current = raw
         while len(current) > DIGEST_BYTES:
-            # Wide layers fan out across pool workers (hash_layer returns
-            # None below its threshold); the combine order is fixed, so
-            # the layer bytes are identical at any worker count.
-            pooled = pool.hash_layer(current) if pool is not None else None
-            if pooled is not None:
-                current = pooled
-                self.layers.append(current)
-                continue
             nxt = bytearray(len(current) // 2)
             for i in range(0, len(nxt), DIGEST_BYTES):
                 nxt[i : i + DIGEST_BYTES] = _sha3(
@@ -86,20 +78,17 @@ class MerkleTree:
             _METRICS.inc("merkle.hashes", self.total_hashes())
 
     @classmethod
-    def from_columns(cls, matrix: np.ndarray, pool=None) -> "MerkleTree":
+    def from_columns(cls, matrix: np.ndarray) -> "MerkleTree":
         """Commit to the columns of a 2-D field matrix (one leaf per column).
 
         This is how Orion commits to a Reed-Solomon-encoded coefficient
         matrix: each codeword column becomes one leaf.  Leaves are hashed
         with the batched :func:`hash_columns` kernel (one packing pass for
-        the whole matrix); with a :class:`~repro.parallel.ProverPool` the
-        columns are hashed in worker-count-independent chunks.
+        the whole matrix).
         """
         matrix = np.asarray(matrix, dtype=np.uint64)
         if matrix.ndim != 2:
             raise ValueError("from_columns expects a 2-D matrix")
-        if pool is not None:
-            return cls(pool.hash_columns(matrix), pool=pool)
         return cls(hash_columns(matrix))
 
     def node(self, level: int, index: int) -> bytes:

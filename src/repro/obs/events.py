@@ -53,7 +53,7 @@ EVENT_KINDS = (
     "dispatch_stall",   # watchdog fired: nothing completed in the window
     "task_error",       # an in-task exception surfaced from a worker
     "retry",            # failed chunks resubmitted after a fault
-    "degradation",      # kernel fell back to the in-process serial path
+    "degradation",      # a job was re-proved in-process after its worker failed
     "timeout",          # a cooperative deadline expired
     "janitor",          # orphaned shm segments reclaimed
 )
@@ -92,7 +92,7 @@ class JobReport:
     preset: str = ""
     circuit_id: str = ""
     workers: int = 1
-    dispatch: str = "serial"        # "serial" | "shm" | "pickle"
+    dispatch: str = "serial"        # "serial" | "shm"
     jobs: int = 1                   # batch size (1 for single prove)
     duration_s: float = 0.0
     proof_size_bytes: int = 0

@@ -1,32 +1,31 @@
 """Process-pool parallelism for the functional prover.
 
-The prover's hot kernels — Merkle column/layer hashing, per-row
-Reed-Solomon NTT encodes, and whole independent proof jobs — are
-embarrassingly parallel (the very structure NoCap's vector FUs exploit).
-:class:`ProverPool` fans them out over worker processes with zero-copy
-shared-memory dispatch (:mod:`repro.parallel.shm`) and a serial fallback
-that is bit-identical at any worker count; :func:`get_pool` returns the
-persistent process-wide pool that stays warm across ``prove`` /
-``prove_many`` calls.  See ``docs/API.md`` for usage and
-``docs/PERFORMANCE.md`` for the dispatch model.
+Independent proof jobs share nothing, so :class:`ProverPool` proves a
+batch of them on worker processes — the proving key broadcast once and
+the jobs' inputs stacked in shared memory (:mod:`repro.parallel.shm`) —
+with proof bytes bit-identical to proving them one by one on the caller;
+:func:`get_pool` returns the persistent process-wide pool that stays
+warm across ``prove_many`` calls.  A single proof is one job and always
+runs on the caller.  See ``docs/API.md`` for usage and
+``docs/PERFORMANCE.md`` for the dispatch flow and the decision record.
 """
 
 from . import deadline, kernels, shm
 from .deadline import check_deadline, deadline_scope
-from .pool import FaultPolicy, ProverPool, get_pool, shutdown
+from .pool import FaultPolicy, ProverPool, get_pool, shutdown, usable_cpus
 from .shm import (ArrayDesc, BlobDesc, ShmArena, ShmError, reclaim_orphans,
-                  scan_orphans, shm_enabled)
+                  scan_orphans)
 
 __all__ = [
     "ProverPool",
     "FaultPolicy",
     "get_pool",
     "shutdown",
+    "usable_cpus",
     "ShmArena",
     "ShmError",
     "ArrayDesc",
     "BlobDesc",
-    "shm_enabled",
     "scan_orphans",
     "reclaim_orphans",
     "check_deadline",

@@ -1,36 +1,23 @@
-"""Worker-side kernel entry points for :class:`~repro.parallel.pool.ProverPool`.
+"""The worker-side entry point of :class:`~repro.parallel.pool.ProverPool`.
 
-Every function here is a module-level callable (so it pickles by reference)
-that computes one *chunk* of an embarrassingly parallel prover kernel —
-the three hot paths the paper's vector FUs exploit (Sec. IV/V):
-
-* :func:`hash_columns_chunk` — Merkle leaf hashing for a column slice,
-* :func:`hash_layer_chunk` — one contiguous slice of a Merkle layer,
-* :func:`encode_chunk` — per-row Reed-Solomon NTT encodes for a row slice,
-* :func:`prove_job` — one complete independent proof (the
-  :func:`repro.snark.api.prove_many` batch path).
-
-Chunks are pure functions of their arguments, so assembling their results
-in submission order is bit-identical to the serial computation at any
-worker count.  Each kernel opens an observability span; when the parent
-process is tracing, the pool runs the chunk under a worker-local tracer
-and merges the resulting spans and counters back into the main
-:class:`~repro.obs.tracer.Tracer` (the worker appears as an extra pid in
-the exported Chrome trace).
+A pool ships exactly one kind of work to a worker process: a whole proof
+job (:func:`prove_job`).  The function is module-level (so it pickles by
+reference) and a pure function of its arguments plus the shared segments
+they name, so results assembled in submission order are bit-identical to
+proving the same jobs one after another on the caller.  When the parent
+is tracing, the pool runs the job under a worker-local tracer and merges
+its spans, counters and histograms back into the parent
+(:meth:`~repro.parallel.pool.ProverPool.run`); the worker appears as an
+extra pid in the exported Chrome trace.
 """
 
 from __future__ import annotations
 
-import hashlib
+import os as _os
 from collections import OrderedDict
-from typing import List
 
 import numpy as np
 
-import os as _os
-
-from .. import obs
-from ..hashing.fieldhash import DIGEST_BYTES, fold_chunk, hash_columns
 from . import shm
 
 
@@ -39,142 +26,13 @@ def _maybe_fault(site: str, desc=None) -> None:
 
     Deliberately one env-dict lookup on the no-fault path: the faults
     module is only imported once a plan is actually armed, so production
-    kernels pay nothing.
+    jobs pay nothing.
     """
     if "REPRO_FAULTS" not in _os.environ:
         return
     from ..fuzz import faults
 
     faults.maybe_fault(site, desc=desc)
-
-
-def hash_columns_chunk(matrix: np.ndarray) -> List[bytes]:
-    """Merkle leaf digests for a contiguous slice of codeword columns."""
-    _maybe_fault("hash_columns")
-    with obs.span("worker.merkle_leaves", "merkle", cols=matrix.shape[1]):
-        return hash_columns(matrix)
-
-
-def hash_layer_chunk(pairs: bytes) -> bytes:
-    """Hash a contiguous run of sibling pairs from one Merkle layer.
-
-    ``pairs`` is a 64-byte-aligned slice of the layer's flat digest
-    buffer; the result is the corresponding slice of the next layer.
-    Byte-identical to the serial loop in
-    :class:`~repro.hashing.merkle.MerkleTree`.
-    """
-    _maybe_fault("hash_layer")
-    with obs.span("worker.merkle_layer", "merkle",
-                  nodes=len(pairs) // (2 * DIGEST_BYTES)):
-        _sha3 = hashlib.sha3_256
-        out = bytearray(len(pairs) // 2)
-        for i in range(0, len(out), DIGEST_BYTES):
-            out[i : i + DIGEST_BYTES] = _sha3(
-                pairs[2 * i : 2 * i + 2 * DIGEST_BYTES]).digest()
-        return bytes(out)
-
-
-def encode_chunk(code, rows: np.ndarray) -> np.ndarray:
-    """Reed-Solomon-encode a contiguous slice of message rows.
-
-    ``code`` is the (picklable) :class:`~repro.code.base.LinearCode`;
-    per-row encodes are independent, so a row slice encodes exactly as it
-    would inside the full-matrix batched call.
-    """
-    _maybe_fault("encode")
-    with obs.span("worker.rs_encode", "rs_encode", rows=rows.shape[0]):
-        return code.encode_rows(rows)
-
-
-def prove_job(r1cs, preset, public, witness, seed_seq, circuit_id: str,
-              timeout_s=None) -> bytes:
-    """Generate one complete proof and return its envelope wire bytes.
-
-    The job-level parallel path of :func:`repro.snark.api.prove_many`:
-    each worker proves one statement end to end with *serial* kernels
-    (no nested pools) and ships the self-describing envelope back, so
-    the parent only pays one deserialization per job and the bytes are
-    exactly what :meth:`ProofBundle.to_bytes` would produce in-process.
-
-    ``seed_seq`` is a :class:`numpy.random.SeedSequence` derived
-    deterministically in the parent, making the zk-mask — the proof's
-    only randomness — independent of the worker count.  ``timeout_s``
-    installs a per-job cooperative deadline inside the worker
-    (:mod:`repro.parallel.deadline`), so one runaway statement cannot
-    stall a whole batch from the inside.
-    """
-    from ..snark.api import ProvingKey, prove
-
-    _maybe_fault("prove_job")
-    pk = ProvingKey(r1cs=r1cs, preset=preset)
-    bundle = prove(pk, public, witness,
-                   rng=np.random.default_rng(seed_seq),
-                   circuit_id=circuit_id, timeout_s=timeout_s)
-    return bundle.to_bytes()
-
-
-# ---------------------------------------------------------------------------
-# Zero-copy (shared-memory) kernel variants
-# ---------------------------------------------------------------------------
-#
-# Same computations as above, but operands arrive as shm *descriptors* and
-# results are written into preallocated shared output buffers — the only
-# bytes crossing the executor pipe are the descriptors themselves.  Each
-# returns None; the parent reads the output segment after the fan-out.
-
-def probe_noop() -> int:
-    """Dispatch-cost probe body: measures pure round-trip overhead."""
-    return 0
-
-
-def encode_chunk_shm(code, in_desc, out_desc, lo: int, hi: int) -> None:
-    """RS-encode message rows ``lo:hi`` of the shared input matrix into
-    the same row range of the shared codeword buffer."""
-    _maybe_fault("encode", desc=in_desc)
-    with obs.span("worker.rs_encode", "rs_encode", rows=hi - lo):
-        with shm.attached(in_desc) as msg, shm.attached(out_desc) as out:
-            out[lo:hi] = code.encode_rows(np.ascontiguousarray(msg[lo:hi]))
-
-
-def hash_columns_chunk_shm(in_desc, out_desc, lo: int, hi: int) -> None:
-    """Merkle leaf digests for columns ``lo:hi``, written into the shared
-    ``(cols, 32)`` uint8 digest buffer."""
-    _maybe_fault("hash_columns", desc=in_desc)
-    with obs.span("worker.merkle_leaves", "merkle", cols=hi - lo):
-        with shm.attached(in_desc) as matrix, shm.attached(out_desc) as out:
-            digests = hash_columns(np.ascontiguousarray(matrix[:, lo:hi]))
-            out[lo:hi] = np.frombuffer(b"".join(digests),
-                                       dtype=np.uint8).reshape(hi - lo,
-                                                               DIGEST_BYTES)
-
-
-def hash_layer_chunk_shm(in_desc, out_desc, lo: int, hi: int) -> None:
-    """One Merkle layer combine for output nodes ``lo:hi`` (byte views)."""
-    _maybe_fault("hash_layer", desc=in_desc)
-    with obs.span("worker.merkle_layer", "merkle", nodes=hi - lo):
-        pair = 2 * DIGEST_BYTES
-        with shm.attached(in_desc) as raw_in, shm.attached(out_desc) as raw_out:
-            pairs = raw_in[lo * pair : hi * pair].tobytes()
-            _sha3 = hashlib.sha3_256
-            out = bytearray((hi - lo) * DIGEST_BYTES)
-            for i in range(0, len(out), DIGEST_BYTES):
-                out[i : i + DIGEST_BYTES] = _sha3(
-                    pairs[2 * i : 2 * i + 2 * DIGEST_BYTES]).digest()
-            raw_out[lo * DIGEST_BYTES : hi * DIGEST_BYTES] = \
-                np.frombuffer(bytes(out), dtype=np.uint8)
-
-
-def fold_chunk_shm(tile_desc, state_desc, lo: int, hi: int,
-                   tile_rows: int, words_done: int) -> None:
-    """Streaming column-hash fold: chain columns ``lo:hi`` of a codeword
-    row tile into the shared per-column chain state (see
-    :class:`~repro.hashing.fieldhash.ColumnChainHasher`)."""
-    _maybe_fault("fold", desc=tile_desc)
-    with obs.span("worker.merkle_fold", "merkle", cols=hi - lo):
-        with shm.attached(tile_desc) as tile, shm.attached(state_desc) as st:
-            fold_chunk(st[lo:hi],
-                       np.ascontiguousarray(tile[:tile_rows, lo:hi]),
-                       words_done)
 
 
 #: Worker-resident proving keys, keyed by broadcast token.  A key is
@@ -196,14 +54,23 @@ def _cached_pk(token: str, blob_desc):
     return pk
 
 
-def prove_job_shm(token: str, blob_desc, pub_desc, wit_desc, job: int,
-                  seed_seq, circuit_id: str, timeout_s=None) -> bytes:
-    """Zero-copy variant of :func:`prove_job`.
+def prove_job(token: str, blob_desc, pub_desc, wit_desc, job: int,
+              seed_seq, circuit_id: str, timeout_s=None) -> bytes:
+    """Generate one complete proof and return its envelope wire bytes.
 
     The proving key arrives as a shared pickled blob broadcast once per
     batch (and cached per worker across batches); the job's public inputs
-    and witness are rows of two stacked shared matrices.  Only the
-    envelope bytes travel back through the pipe.
+    and witness are row ``job`` of two stacked shared matrices.  Only the
+    envelope bytes travel back through the pipe, so the parent pays one
+    deserialization per job and the bytes are exactly what
+    :meth:`ProofBundle.to_bytes` would produce in-process.
+
+    ``seed_seq`` is a :class:`numpy.random.SeedSequence` derived
+    deterministically in the parent, making the zk-mask — the proof's
+    only randomness — independent of the worker count.  ``timeout_s``
+    installs a per-job cooperative deadline inside the worker
+    (:mod:`repro.parallel.deadline`), so one runaway statement cannot
+    stall a whole batch from the inside.
     """
     from ..snark.api import prove
 

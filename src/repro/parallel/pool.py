@@ -1,62 +1,43 @@
-"""Process-pool executor for the prover's embarrassingly parallel kernels.
+"""Process pool that proves independent proof jobs in parallel.
 
-The paper's whole acceleration argument (Sec. IV/V) rests on the
-Spartan+Orion workload being data-parallel: Merkle column hashes are
-independent, per-row RS encodes are independent, and whole proof jobs
-share nothing.  :class:`ProverPool` exploits the same structure in the
-functional layer with a pool of worker *processes* (the kernels are
-CPU-bound Python/numpy, so threads would serialize on the GIL):
+The functional prover's one unit of parallelism is the **proof job**:
+whole proofs share nothing, so :func:`repro.snark.api.prove_many` hands
+a batch to a :class:`ProverPool` and each worker *process* (the prover
+is CPU-bound Python/numpy, so threads would serialize on the GIL) proves
+one statement end to end with the ordinary serial kernels.  Fan-out
+*inside* one proof — chunked RS encodes, Merkle hashing, a tiled commit
+pipeline — was measured on 2 and 4 cores, never paid, and is gone
+(decision record in ``docs/PERFORMANCE.md``).
 
-* :meth:`hash_columns` / :meth:`hash_layer` — Merkle leaf and layer
-  hashing, chunked by column / node range,
-* :meth:`encode_rows` — per-row Reed-Solomon NTT encodes, chunked by row
-  range,
-* :meth:`stream_encode_hash` — the tiled commit pipeline: row tiles are
-  encoded into a shared ring buffer, copied into the codeword matrix and
-  folded into per-column hash chains, so transients stay one tile wide,
-* :meth:`run` — the generic ordered fan-out used by
-  :func:`repro.snark.api.prove_many` for independent proof jobs.
-
-Dispatch is **zero-copy** by default: operands live in named
-shared-memory segments (:mod:`repro.parallel.shm`) and workers attach by
-``(name, shape, dtype)`` descriptor, writing results into preallocated
-shared output buffers.  ``REPRO_PARALLEL_NO_SHM=1`` falls back to the
-original pickled dispatch (for platforms without usable POSIX shm); both
-paths are bit-identical.
+* :meth:`ProverPool.prove_batch` stages one batch: the proving key is
+  broadcast into shared memory once (:mod:`repro.parallel.shm`), the
+  jobs' public inputs and witnesses are stacked into two shared arrays,
+  and workers attach by ``(name, shape, dtype)`` descriptor — only
+  descriptors go down the pipe and only envelope bytes come back.
+* :meth:`ProverPool.run` is the ordered, supervised fan-out under it.
 
 Pools are meant to be **persistent**: :func:`get_pool` returns a lazily
-created process-wide pool that stays warm across ``prove`` /
-``prove_many`` / bench runs (module :func:`shutdown` and an ``atexit``
-hook tear it down).  A pool calibrates itself with a one-shot per-worker
-dispatch-cost probe and then *auto-selects chunk sizes*: a kernel call
-whose estimated serial time cannot amortize at least
-:data:`BREAK_EVEN_DISPATCHES` probe round-trips per chunk simply runs
-inline — fan-out never makes a call slower than serial by more than the
-probe's own noise.
+created process-wide pool that stays warm across ``prove_many`` / bench
+runs (module :func:`shutdown` and an ``atexit`` hook tear it down).
 
-Determinism contract: every kernel chunk is a pure function and results
-are assembled in submission order, so outputs — and therefore proof
-bytes — are **bit-identical at any worker count**, including the serial
-fallback taken when ``workers <= 1`` and the auto-chunk inline fallback.
+Determinism contract: a job is a pure function of its arguments and
+results are assembled in submission order, so proof bytes are
+**bit-identical at any worker count**, including the in-process path
+taken when there is no pool, one job, or no usable shared memory.
 
 Dispatch is **supervised** (see :class:`FaultPolicy` and
 ``docs/ROBUSTNESS.md``): worker death, hung dispatches, and in-task
 exceptions are detected by :meth:`ProverPool._supervised_map`, which
 restarts the executor with capped exponential backoff and retries the
-failed chunks.  When the retry budget is exhausted the kernel entry
-points *degrade* — they rerun the whole call on the in-process serial
-path, which is bit-identical, so a crashing worker fleet costs latency
-but never correctness.  Deadlines (:mod:`repro.parallel.deadline`) are
-the one thing degradation never overrides: an expired budget raises
+failed jobs.  A job that still fails comes back to ``prove_many`` as its
+exception and is re-proved *in the calling process*, which is
+bit-identical, so a crashing worker fleet costs latency but never
+correctness.  Deadlines (:mod:`repro.parallel.deadline`) are the one
+thing that recovery never overrides: an expired budget raises
 :class:`~repro.errors.ProverTimeoutError` and stops the engine.
 Orphaned shared-memory segments left by SIGKILLed former selves are
 reclaimed by a janitor sweep (:func:`repro.parallel.shm.reclaim_orphans`)
 every time an executor is (re)built.
-
-When the parent is tracing (:func:`repro.obs.tracing`), each chunk runs
-under a worker-local tracer; its spans and counter deltas are shipped
-back with the result and merged into the parent tracer, where the worker
-appears as an extra pid in the exported Chrome trace.
 """
 
 from __future__ import annotations
@@ -74,51 +55,33 @@ import numpy as np
 
 from .. import obs
 from ..errors import ProverTimeoutError, WorkerCrashError
-from ..hashing import fieldhash
 from ..obs.events import FLIGHT as _FLIGHT
 from ..obs.metrics import METRICS as _METRICS
-from ..pcs.orion import STREAM_TILE_ROWS, encode_fold_tiles
 from . import kernels, shm
 from .deadline import check_deadline
 from .deadline import remaining as _deadline_remaining
 
-#: Smallest per-chunk work units below which fan-out overhead (descriptor
-#: dispatch, attach) exceeds the kernel time; chunks never shrink below
-#: these even when the dispatch probe suggests smaller.
-MIN_ENCODE_ROWS_PER_CHUNK = 4
-MIN_HASH_COLS_PER_CHUNK = 64
-#: Minimum *output* nodes for a Merkle layer to be worth fanning out.
-MIN_LAYER_NODES = 2048
 
-#: A dispatched chunk must carry at least this many dispatch round-trips
-#: worth of estimated kernel work, or the call stays serial (break-even
-#: model; see docs/PERFORMANCE.md).
-BREAK_EVEN_DISPATCHES = 4.0
-
-#: Fallback dispatch cost before the probe has run (a conservative 1 ms).
-DEFAULT_DISPATCH_COST_S = 1e-3
-
-#: Calibration constants for the break-even model: rough serial cost per
-#: item element on commodity CPUs.  Order-of-magnitude is all the model
-#: needs — the measured dispatch cost is the precise side of the ratio.
-EST_ENCODE_S_PER_CELL = 2.5e-7    # per message matrix cell (NTT amortized)
-EST_HASH_S_PER_CELL = 3.0e-7      # per matrix cell hashed into a leaf
-EST_LAYER_S_PER_NODE = 1.2e-6     # per Merkle combine output node
-
-#: Ring slots reused across the tiled commit's tiles (allocate once).
-STREAM_RING_SLOTS = 2
+def usable_cpus() -> int:
+    """CPUs this process may run on: the affinity mask where the platform
+    has one (a container pinned to 1 CPU of 64 reads 1, not 64), else
+    ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
 class FaultPolicy:
     """How the pool supervisor reacts to worker failures.
 
-    ``max_retries`` bounds how many times a failed chunk batch is
+    ``max_retries`` bounds how many times a failed batch of jobs is
     resubmitted (each broken-executor round costs one restart with
     ``min(backoff_cap_s, backoff_base_s * 2**attempt)`` of backoff)
     before the failure escalates as
-    :class:`~repro.errors.WorkerCrashError` and the kernel wrappers
-    degrade to serial.  ``dispatch_timeout_s`` is the stall watchdog: if
+    :class:`~repro.errors.WorkerCrashError` and ``prove_many`` re-proves
+    the job in-process.  ``dispatch_timeout_s`` is the stall watchdog: if
     *nothing* completes for that long the outstanding workers are
     presumed hung and killed.  It is deliberately generous — any single
     completion resets the clock, so a slow-but-progressing batch is
@@ -138,11 +101,11 @@ DEFAULT_FAULT_POLICY = FaultPolicy()
 
 
 def _worker_init(root_sizes: Tuple[int, ...]) -> None:
-    """Warm a worker: import kernel modules and prime NTT root caches.
+    """Warm a worker: import the prover and prime NTT root caches.
 
     Under ``fork`` this is mostly a no-op (state is inherited); under
     ``spawn`` it front-loads the import and twiddle-table cost so the
-    first real chunk is not an outlier.
+    first real job is not an outlier.
     """
     from ..ntt import roots
 
@@ -172,77 +135,38 @@ def _call_task(payload):
 
 
 class ProverPool:
-    """A pool of prover worker processes with a bit-identical serial fallback.
+    """A pool of prover worker processes, one whole proof job per task.
 
     Long-lived use goes through :func:`get_pool` (process-wide warm pool);
     scoped use works as a context manager::
 
         with ProverPool(workers=4) as pool:
-            bundle = prove(pk, public, witness, pool=pool)
+            bundles = prove_many(pk, jobs, pool=pool)
 
-    ``workers=None`` uses ``os.cpu_count()``; ``workers <= 1`` makes
-    every method execute inline on the calling process — the exact serial
-    code path, byte for byte.  ``auto_chunk=False`` disables the
-    break-even model so every eligible call fans out (tests use this to
-    force worker traffic at small sizes).
+    ``workers=None`` uses :func:`usable_cpus`; with ``workers <= 1``
+    :meth:`run` executes inline on the calling process and
+    :meth:`prove_batch` hands the batch back to the caller.
     """
 
     def __init__(self, workers: Optional[int] = None,
                  start_method: Optional[str] = None,
                  warm_root_sizes: Tuple[int, ...] = (1 << 10, 1 << 12),
-                 auto_chunk: bool = True,
                  fault_policy: Optional[FaultPolicy] = None):
         if workers is None:
-            workers = os.cpu_count() or 1
+            workers = usable_cpus()
         self.workers = max(1, int(workers))
-        self.auto_chunk = auto_chunk
         self.fault_policy = (fault_policy if fault_policy is not None
                              else DEFAULT_FAULT_POLICY)
         self._start_method = start_method
         self._warm_root_sizes = tuple(warm_root_sizes)
         self._executor: Optional[ProcessPoolExecutor] = None
         self._arena: Optional[shm.ShmArena] = None
-        self._dispatch_cost_s: Optional[float] = None
-        self._warm_s: Optional[float] = None
         self._broadcasts: dict = {}   # id(obj) -> (obj, token, BlobDesc)
 
     # -- lifecycle ---------------------------------------------------------
     @property
     def is_serial(self) -> bool:
         return self.workers <= 1
-
-    @property
-    def job_fanout_pays(self) -> bool:
-        """Whether dispatching whole proof jobs to workers can win here.
-
-        Proof jobs are CPU-bound, so job-level fan-out needs real cores:
-        on a single-core host concurrent resident provers just
-        time-slice the one core and pay context-switch plus
-        cache-interference costs (measured ~15-20% at 2^20), so
-        ``prove_many`` stays inline there.  ``auto_chunk=False`` forces
-        fan-out regardless, mirroring its meaning for kernel chunking
-        (tests use it to exercise the dispatch machinery on any host).
-        """
-        if self.is_serial:
-            return False
-        return not self.auto_chunk or (os.cpu_count() or 1) >= 2
-
-    @property
-    def use_shm(self) -> bool:
-        """True when this pool dispatches via shared memory (re-read per
-        call so ``REPRO_PARALLEL_NO_SHM`` can flip at runtime)."""
-        return shm.shm_enabled()
-
-    @property
-    def dispatch_cost_s(self) -> float:
-        """Measured per-task round-trip cost (probe), or the default."""
-        return (self._dispatch_cost_s if self._dispatch_cost_s is not None
-                else DEFAULT_DISPATCH_COST_S)
-
-    @property
-    def warm_s(self) -> Optional[float]:
-        """Wall seconds the one-time warm-up (spawn + probe) took."""
-        return self._warm_s
 
     def _mp_context(self):
         import multiprocessing as mp
@@ -274,7 +198,7 @@ class ProverPool:
         a graceful ``shutdown(wait=True)`` would block forever on a
         stalled worker.  The arena (and any broadcast blobs in it) is
         deliberately preserved: in-flight descriptors must stay valid so
-        the retry path can resubmit the same chunks.
+        the retry path can resubmit the same jobs.
         """
         ex, self._executor = self._executor, None
         if ex is None:
@@ -313,31 +237,6 @@ class ProverPool:
             self._arena = shm.ShmArena(prefix="repro_pool")
         return self._arena
 
-    def warm(self) -> None:
-        """Spawn the workers and run the one-shot dispatch-cost probe.
-
-        Idempotent; a warm pool answers its first real kernel call at
-        steady-state cost.  The probe times ``2 * workers`` no-op tasks
-        round-trip and records the per-task cost that the break-even
-        chunk model divides against.
-        """
-        if self.is_serial or self._dispatch_cost_s is not None:
-            return
-        t0 = time.perf_counter()
-        ex = self._ensure_executor()
-        n_tasks = 2 * self.workers
-        list(ex.map(_call_task,
-                    [(kernels.probe_noop, (), False)] * n_tasks))
-        elapsed = time.perf_counter() - t0
-        # First tasks pay process spawn; probe again on the warm workers.
-        t0 = time.perf_counter()
-        list(ex.map(_call_task,
-                    [(kernels.probe_noop, (), False)] * n_tasks))
-        self._dispatch_cost_s = max(1e-6,
-                                    (time.perf_counter() - t0) / n_tasks)
-        self._warm_s = elapsed + (time.perf_counter() - t0)
-        _METRICS.gauge("parallel.dispatch_cost_s", self._dispatch_cost_s)
-
     def close(self) -> None:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
@@ -346,8 +245,6 @@ class ProverPool:
             self._arena.close()
             self._arena = None
         self._broadcasts.clear()
-        self._dispatch_cost_s = None
-        self._warm_s = None
 
     #: Alias used by the lifecycle docs; identical to :meth:`close`.
     shutdown = close
@@ -361,47 +258,6 @@ class ProverPool:
         self.close()
         return False
 
-    # -- chunk selection ---------------------------------------------------
-    def chunk_ranges(self, n: int, min_per_chunk: int = 1
-                     ) -> List[Tuple[int, int]]:
-        """Split ``range(n)`` into at most ``workers`` contiguous,
-        near-equal ranges of at least ``min_per_chunk`` items."""
-        if n <= 0:
-            return []
-        num = min(self.workers, max(1, n // max(1, min_per_chunk)))
-        base, extra = divmod(n, num)
-        ranges, lo = [], 0
-        for k in range(num):
-            hi = lo + base + (1 if k < extra else 0)
-            ranges.append((lo, hi))
-            lo = hi
-        return ranges
-
-    def auto_chunk_ranges(self, n: int, item_cost_s: float,
-                          min_per_chunk: int = 1
-                          ) -> Optional[List[Tuple[int, int]]]:
-        """Break-even chunking: ranges worth dispatching, or ``None``.
-
-        Using the probe's measured dispatch cost ``d``, the call fans out
-        only if the estimated serial time ``n * item_cost_s`` funds at
-        least two chunks each carrying :data:`BREAK_EVEN_DISPATCHES`
-        dispatches' worth of work; below that, ``None`` tells the caller
-        to run inline.  The chunk count is monotone non-decreasing in
-        ``n`` (for fixed costs), so growing inputs never fan out *less*.
-        """
-        if n <= 0:
-            return []
-        if not self.auto_chunk:
-            return self.chunk_ranges(n, min_per_chunk)
-        self.warm()
-        budget = BREAK_EVEN_DISPATCHES * self.dispatch_cost_s
-        max_chunks = int(n * max(item_cost_s, 1e-12) // budget)
-        if max_chunks < 2:
-            return None
-        num = min(self.workers, max_chunks)
-        per_chunk = max(min_per_chunk, -(-n // num))
-        return self.chunk_ranges(n, per_chunk)
-
     # -- generic fan-out ---------------------------------------------------
     def run(self, fn: Callable, tasks: Sequence[tuple],
             return_exceptions: bool = False) -> List:
@@ -410,7 +266,7 @@ class ProverPool:
 
         Serial pools — and single-task calls, where fan-out buys nothing —
         execute inline so the active tracer and metrics registry see the
-        work directly.  Parallel execution ships each chunk's worker-side
+        work directly.  Parallel execution ships each task's worker-side
         spans/counters back and merges them into the active tracer.
 
         Dispatch is supervised (worker death, stalls, and in-task
@@ -473,21 +329,23 @@ class ProverPool:
 
         * **broken executor** (a worker died — SIGKILL, OOM, segfault):
           every in-flight future fails with ``BrokenProcessPool``; the
-          executor is killed, rebuilt after backoff, and the lost chunks
+          executor is killed, rebuilt after backoff, and the lost tasks
           are resubmitted.
         * **stall**: nothing at all completes within
           ``fault_policy.dispatch_timeout_s`` (any single completion
           resets the watchdog).  The outstanding workers are presumed
-          hung, killed, and the chunks retried on a fresh fleet.
-        * **in-task exception**: the chunk itself raised.  Retried
+          hung, killed, and the tasks retried on a fresh fleet.
+        * **in-task exception**: the task itself raised.  Retried
           without a restart (transient faults — and the chaos harness's
           injected ones — fire once); a *persistent* exception exhausts
-          the retry budget and escalates.
+          the retry budget and escalates.  A task's own
+          ``ProverTimeoutError`` is never retried: it is that task's
+          result.
 
         Escalation wraps the last underlying failure in
-        :class:`~repro.errors.WorkerCrashError` so kernel wrappers can
-        catch one type and degrade to serial.  An active deadline clamps
-        every wait; expiry kills the executor (abandoned chunks must not
+        :class:`~repro.errors.WorkerCrashError` so callers catch one
+        type before re-proving in-process.  An active deadline clamps
+        every wait; expiry kills the executor (abandoned tasks must not
         linger) and raises :class:`~repro.errors.ProverTimeoutError`.
         """
         policy = self.fault_policy
@@ -544,6 +402,14 @@ class ProverPool:
                         broken = True
                         last_exc[i] = exc
                         failed.append(i)
+                    except ProverTimeoutError as exc:
+                        # The task's own budget is spent: no retry can
+                        # honor it, so it is this task's final answer.
+                        if not return_exceptions:
+                            for f in pending:
+                                f.cancel()
+                            raise
+                        results[i] = exc
                     except (shm.ShmError, pickle.PickleError) as exc:
                         # Deterministic data-path damage (torn segment,
                         # poisoned blob): retrying replays the failure,
@@ -592,12 +458,11 @@ class ProverPool:
             results[i] = exc
         return results
 
-    def _degraded(self, kernel: str, exc: BaseException) -> None:
-        """Account one graceful degradation to the in-process serial path
-        (the serial rerun is bit-identical, so this costs latency only)."""
+    def _degraded(self, exc: BaseException) -> None:
+        """Account one job re-proved in the calling process after its
+        worker failed (the rerun is bit-identical: latency only)."""
         _METRICS.inc("parallel.degradations")
-        _METRICS.inc(f"parallel.degradations.{kernel}")
-        _FLIGHT.record("degradation", kernel=kernel,
+        _FLIGHT.record("degradation", kernel="prove_job",
                        error=type(exc).__name__)
 
     # -- broadcast (amortized keygen) --------------------------------------
@@ -631,188 +496,37 @@ class ProverPool:
         if entry is not None and self._arena is not None:
             self._arena.free(entry[2])
 
-    # -- kernel-specific entry points --------------------------------------
-    def encode_rows(self, code, matrix: np.ndarray) -> np.ndarray:
-        """Reed-Solomon-encode every matrix row, chunked across workers.
+    # -- the one thing a pool proves: a batch of jobs ---------------------
+    def prove_batch(self, pk, publics: Sequence[np.ndarray],
+                    witnesses: Sequence[np.ndarray], seeds: Sequence,
+                    circuit_id: str = "",
+                    timeout_s: Optional[float] = None) -> Optional[List]:
+        """Prove job ``j = (publics[j], witnesses[j], seeds[j])`` of one
+        batch on the workers; returns, in job order, each job's envelope
+        bytes or the exception it ended with after supervision.
 
-        Falls back to the in-process batched encode when the pool is
-        serial or the break-even model says the matrix is too small to
-        amortize the fan-out.  The shm path shares the message matrix
-        once and has workers write into a preallocated shared codeword
-        buffer; only descriptors cross the pipe.
+        ``pk`` is broadcast once (cached across batches) and the jobs'
+        inputs are stacked into two shared arrays that live exactly as
+        long as the call.  Returns ``None`` — "prove it yourself" — when
+        fan-out has nothing to offer: a serial pool, fewer than two jobs,
+        or a platform without shared memory (the in-process path is the
+        fallback, not a second way to dispatch).
         """
-        matrix = np.asarray(matrix, dtype=np.uint64)
-        rows = matrix.shape[0] if matrix.ndim == 2 else 0
-        if self.is_serial or rows < 2 * MIN_ENCODE_ROWS_PER_CHUNK:
-            return code.encode_rows(matrix)
-        ranges = self.auto_chunk_ranges(
-            rows, EST_ENCODE_S_PER_CELL * matrix.shape[1],
-            MIN_ENCODE_ROWS_PER_CHUNK)
-        if ranges is None:
-            return code.encode_rows(matrix)
-        try:
-            if not self.use_shm:
-                _METRICS.inc("parallel.bytes_pickled",
-                             matrix.nbytes + code.blowup * matrix.nbytes)
-                parts = self.run(kernels.encode_chunk,
-                                 [(code, matrix[lo:hi])
-                                  for lo, hi in ranges])
-                return np.vstack(parts)
-            arena = self.arena()
-            in_desc = arena.share_array(matrix)
-            out_desc = arena.alloc_array(
-                (rows, code.codeword_length(matrix.shape[1])), "uint64")
-            try:
-                self.run(kernels.encode_chunk_shm,
-                         [(code, in_desc, out_desc, lo, hi)
-                          for lo, hi in ranges])
-                return np.array(arena.view(out_desc))
-            finally:
-                arena.free(in_desc)
-                arena.free(out_desc)
-        except (WorkerCrashError, shm.ShmError) as exc:
-            self._degraded("rs_encode", exc)
-            return code.encode_rows(matrix)
-
-    def hash_columns(self, matrix: np.ndarray) -> List[bytes]:
-        """Merkle leaf digests of every matrix column, chunked by column."""
-        matrix = np.asarray(matrix, dtype=np.uint64)
-        cols = matrix.shape[1] if matrix.ndim == 2 else 0
-        if self.is_serial or cols < 2 * MIN_HASH_COLS_PER_CHUNK:
-            return fieldhash.hash_columns(matrix)
-        ranges = self.auto_chunk_ranges(
-            cols, EST_HASH_S_PER_CELL * matrix.shape[0],
-            MIN_HASH_COLS_PER_CHUNK)
-        if ranges is None:
-            return fieldhash.hash_columns(matrix)
-        try:
-            if not self.use_shm:
-                _METRICS.inc("parallel.bytes_pickled", matrix.nbytes)
-                parts = self.run(kernels.hash_columns_chunk,
-                                 [(np.ascontiguousarray(matrix[:, lo:hi]),)
-                                  for lo, hi in ranges])
-                return [d for part in parts for d in part]
-            arena = self.arena()
-            in_desc = arena.share_array(matrix)
-            out_desc = arena.alloc_array((cols, fieldhash.DIGEST_BYTES),
-                                         "uint8")
-            try:
-                self.run(kernels.hash_columns_chunk_shm,
-                         [(in_desc, out_desc, lo, hi) for lo, hi in ranges])
-                raw = arena.view(out_desc).tobytes()
-            finally:
-                arena.free(in_desc)
-                arena.free(out_desc)
-            return [raw[i : i + fieldhash.DIGEST_BYTES]
-                    for i in range(0, len(raw), fieldhash.DIGEST_BYTES)]
-        except (WorkerCrashError, shm.ShmError) as exc:
-            self._degraded("merkle_leaves", exc)
-            return fieldhash.hash_columns(matrix)
-
-    def hash_layer(self, raw: bytes) -> Optional[bytes]:
-        """One Merkle layer combine step, chunked by output-node range.
-
-        Returns ``None`` when the layer is below the fan-out threshold so
-        the caller's serial loop (which also does the metrics accounting)
-        handles it.
-        """
-        out_nodes = len(raw) // (2 * fieldhash.DIGEST_BYTES)
-        if self.is_serial or out_nodes < MIN_LAYER_NODES:
+        if self.is_serial or len(seeds) < 2 or not shm.shm_supported():
             return None
-        ranges = self.auto_chunk_ranges(out_nodes, EST_LAYER_S_PER_NODE,
-                                        MIN_LAYER_NODES // self.workers)
-        if ranges is None:
-            return None
-        pair = 2 * fieldhash.DIGEST_BYTES
+        token, blob_desc = self.broadcast(pk)
+        arena = self.arena()
+        pub_desc = arena.share_array(np.stack(publics))
+        wit_desc = arena.share_array(np.stack(witnesses))
         try:
-            if not self.use_shm:
-                _METRICS.inc("parallel.bytes_pickled", len(raw) * 3 // 2)
-                parts = self.run(kernels.hash_layer_chunk,
-                                 [(raw[lo * pair : hi * pair],)
-                                  for lo, hi in ranges])
-                return b"".join(parts)
-            arena = self.arena()
-            in_desc = arena.share_array(np.frombuffer(raw, dtype=np.uint8))
-            out_desc = arena.alloc_array((len(raw) // 2,), "uint8")
-            try:
-                self.run(kernels.hash_layer_chunk_shm,
-                         [(in_desc, out_desc, lo, hi) for lo, hi in ranges])
-                return arena.view(out_desc).tobytes()
-            finally:
-                arena.free(in_desc)
-                arena.free(out_desc)
-        except (WorkerCrashError, shm.ShmError) as exc:
-            # None = "caller's serial loop handles this layer" — the
-            # same degradation contract the size threshold already uses.
-            self._degraded("merkle_layer", exc)
-            return None
-
-    # -- streaming commit pipeline -----------------------------------------
-    def stream_encode_hash(self, code, matrix: np.ndarray,
-                           codewords: np.ndarray) -> bytes:
-        """The tiled commit (:func:`repro.pcs.orion.encode_fold_tiles`)
-        with each tile's encode and fold fanned out across workers.
-
-        Tiles are encoded into a shared ring buffer (slots reused
-        round-robin), copied out into the preallocated ``codewords`` and
-        folded into per-column hash chains; returns the flat leaf digests
-        :func:`~repro.hashing.fieldhash.hash_columns` gives for
-        ``codewords``.  Shared memory held is
-        ``O(ring slots * tile bytes + 32 bytes/column)`` at any table
-        size.  Serial pools run the in-process loop; either way codewords
-        and digests are byte-identical to the one-shot path.
-        """
-        rows, cw_len = codewords.shape
-        _METRICS.gauge("pcs.stream_tile_bytes", STREAM_TILE_ROWS * cw_len * 8)
-        if self.is_serial or not self.use_shm:
-            return encode_fold_tiles(code, matrix, codewords)
-        try:
-            self.warm()
-            arena = self.arena()
-            chains = fieldhash.ColumnChainHasher(cw_len, rows)
-            slots = [arena.alloc_array((STREAM_TILE_ROWS, cw_len), "uint64")
-                     for _ in range(STREAM_RING_SLOTS)]
-            state_desc = arena.alloc_array((cw_len, fieldhash.DIGEST_BYTES),
-                                           "uint8")
-            try:
-                col_ranges = self.chunk_ranges(cw_len,
-                                               MIN_HASH_COLS_PER_CHUNK)
-                for t, lo in enumerate(range(0, rows, STREAM_TILE_ROWS)):
-                    hi = min(rows, lo + STREAM_TILE_ROWS)
-                    slot = slots[t % STREAM_RING_SLOTS]
-                    # Encode the tile's rows into the ring slot...
-                    row_ranges = self.chunk_ranges(hi - lo,
-                                                   MIN_ENCODE_ROWS_PER_CHUNK)
-                    in_desc = arena.share_array(matrix[lo:hi])
-                    try:
-                        with obs.span("rs.encode", "rs_encode", rows=hi - lo):
-                            self.run(kernels.encode_chunk_shm,
-                                     [(code, in_desc, slot, rlo, rhi)
-                                      for rlo, rhi in row_ranges])
-                            codewords[lo:hi] = arena.view(slot)[: hi - lo]
-                    finally:
-                        arena.free(in_desc)
-                    # ...and fold it into the shared chain state by columns.
-                    with obs.span("merkle.fold", "merkle", rows=hi - lo):
-                        self.run(kernels.fold_chunk_shm,
-                                 [(slot, state_desc, clo, chi, hi - lo,
-                                   chains.words_done)
-                                  for clo, chi in col_ranges])
-                        chains.state[...] = arena.view(state_desc)
-                    chains.rows_fed += hi - lo
-                    chains.words_done += -(-(hi - lo)
-                                           // fieldhash.ELEMENTS_PER_WORD)
-                return chains.finalize()
-            finally:
-                for slot in slots:
-                    arena.free(slot)
-                arena.free(state_desc)
-        except (WorkerCrashError, shm.ShmError) as exc:
-            # A chain fold may have been half-applied when the fleet
-            # died, so the partial state is unusable: rerun the whole
-            # tile loop in-process (it overwrites every codeword row).
-            self._degraded("stream_commit", exc)
-            return encode_fold_tiles(code, matrix, codewords)
+            return self.run(kernels.prove_job,
+                            [(token, blob_desc, pub_desc, wit_desc, j, seed,
+                              circuit_id, timeout_s)
+                             for j, seed in enumerate(seeds)],
+                            return_exceptions=True)
+        finally:
+            arena.free(pub_desc)
+            arena.free(wit_desc)
 
 
 # ---------------------------------------------------------------------------
@@ -826,18 +540,15 @@ def get_pool(workers: Optional[int] = None) -> Optional[ProverPool]:
     """The process-wide warm :class:`ProverPool`, created lazily.
 
     Successive calls with the same effective worker count return the SAME
-    pool — worker processes, NTT caches, the dispatch-probe calibration,
-    and broadcast proving keys all stay warm across ``prove`` /
-    ``prove_many`` / bench invocations.  Asking for a different count
-    shuts the old pool down and builds a new one.  ``workers`` of 0 or 1
-    returns ``None`` (the serial path needs no pool).  Tear down
-    explicitly with :func:`shutdown`; an ``atexit`` hook guarantees it
-    regardless.
+    pool — worker processes, NTT caches and broadcast proving keys all
+    stay warm across ``prove_many`` / bench invocations.  Asking for a
+    different count shuts the old pool down and builds a new one.
+    ``workers`` of 0 or 1 returns ``None`` (the in-process path needs no
+    pool); ``None`` means every usable CPU.  Tear down explicitly with
+    :func:`shutdown`; an ``atexit`` hook guarantees it regardless.
     """
     global _GLOBAL_POOL
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = max(1, int(workers))
+    workers = usable_cpus() if workers is None else int(workers)
     if workers <= 1:
         return None
     if _GLOBAL_POOL is not None and _GLOBAL_POOL.workers == workers:

@@ -1,33 +1,29 @@
 """Zero-copy transfer between prover processes via POSIX shared memory.
 
-The pickled-dispatch path that :class:`~repro.parallel.pool.ProverPool`
-originally used serialized whole witness and codeword matrices into the
-executor pipe for every chunk — at 2^16 constraints a single
-``prove_many`` job shipped a ~27 MB proving key, and the batch path
-measured a 0.32x *slowdown* against serial.  This module replaces the
-pipe with named ``multiprocessing.shared_memory`` segments:
+Pickling a proving key into the executor pipe once per job is what made
+batch proving lose to serial (at 2^16 constraints one ``prove_many`` job
+shipped a ~27 MB key and the batch measured 0.32x).  This module
+replaces the pipe with named ``multiprocessing.shared_memory`` segments:
 
 * the parent places an ndarray (or a pickled blob) in a segment ONCE and
   hands workers a tiny :class:`ArrayDesc`/:class:`BlobDesc` —
   ``(name, shape, dtype)`` — instead of the data;
-* workers attach by name (:func:`attached` / :func:`read_blob`), compute
-  on a view of the same physical pages, and write results into
-  preallocated shared *output* buffers, so neither direction pays a copy
-  beyond the initial placement;
+* workers attach by name (:func:`attached` / :func:`read_blob`) and read
+  the same physical pages, so the only copy is the initial placement;
 * every segment is owned by a :class:`ShmArena` whose cleanup is
   guaranteed three ways — explicit :meth:`ShmArena.close` (also the
   context-manager exit), a module ``atexit`` hook, and a chained SIGTERM
   handler — so the test suite and a killed prover both leave ``/dev/shm``
   empty.
 
-Set ``REPRO_PARALLEL_NO_SHM=1`` to disable the shared-memory path
-entirely (platforms without ``/dev/shm`` semantics); the pool then falls
-back to the original pickled dispatch, which remains bit-identical.
+Where :func:`shm_supported` is false there is no second way to ship a
+job: batches are simply proved in the calling process.
 """
 
 from __future__ import annotations
 
 import atexit
+import itertools
 import os
 import pickle
 import re
@@ -42,10 +38,6 @@ import numpy as np
 from ..obs.events import FLIGHT as _FLIGHT
 from ..obs.metrics import METRICS as _METRICS
 
-#: Environment switch for the pickled-dispatch fallback.
-NO_SHM_ENV = "REPRO_PARALLEL_NO_SHM"
-
-
 class ShmError(RuntimeError):
     """A shared-memory segment could not be created, attached, or mapped
     (most commonly: attaching a descriptor whose segment was torn down)."""
@@ -58,14 +50,6 @@ def shm_supported() -> bool:
     except ImportError:  # pragma: no cover - exotic platforms
         return False
     return True
-
-
-def shm_enabled() -> bool:
-    """True when the zero-copy path should be used (read per call, so
-    tests and deployments can flip ``REPRO_PARALLEL_NO_SHM`` at runtime)."""
-    if os.environ.get(NO_SHM_ENV, "") == "1":
-        return False
-    return shm_supported()
 
 
 @dataclass(frozen=True)
@@ -171,16 +155,20 @@ class ShmArena:
     """Owner of a family of named shared-memory segments.
 
     One arena per :class:`~repro.parallel.pool.ProverPool`: it creates
-    input/output segments for kernel calls, hands out descriptors, and
+    the segments a batch of jobs reads, hands out descriptors, and
     guarantees every segment is closed *and unlinked* — via
     :meth:`close`, the context-manager protocol, ``atexit``, or SIGTERM.
     """
+
+    #: Segment serial numbers are drawn process-wide, not per arena: two
+    #: live arenas with one prefix (the process-wide pool next to a
+    #: caller's own) must never mint the same ``<prefix>_<pid>_<n>``.
+    _serial = itertools.count(1)
 
     def __init__(self, prefix: str = "repro"):
         if not shm_supported():
             raise ShmError("shared memory is not available on this platform")
         self._prefix = f"{prefix}_{os.getpid()}"
-        self._counter = 0
         self._segments: Dict[str, object] = {}  # name -> SharedMemory
         self._closed = False
         _LIVE_ARENAS.add(self)
@@ -190,8 +178,7 @@ class ShmArena:
     def _new_segment(self, nbytes: int):
         from multiprocessing import shared_memory
 
-        self._counter += 1
-        name = f"{self._prefix}_{self._counter}"
+        name = f"{self._prefix}_{next(self._serial)}"
         try:
             shm = shared_memory.SharedMemory(name=name, create=True,
                                              size=max(1, nbytes))
@@ -201,14 +188,6 @@ class ShmArena:
         _METRICS.inc("parallel.shm_bytes_shared", nbytes)
         _METRICS.gauge("parallel.shm_in_use_bytes", self.bytes_in_use)
         return shm
-
-    def alloc_array(self, shape: Tuple[int, ...],
-                    dtype: str = "uint64") -> ArrayDesc:
-        """Preallocate a zero-initialized shared output buffer."""
-        desc = ArrayDesc(name="", shape=tuple(int(s) for s in shape),
-                         dtype=str(np.dtype(dtype)))
-        shm = self._new_segment(desc.nbytes)
-        return ArrayDesc(shm.name.lstrip("/"), desc.shape, desc.dtype)
 
     def share_array(self, arr: np.ndarray) -> ArrayDesc:
         """Place one ndarray into a fresh segment (the single copy the
@@ -231,14 +210,7 @@ class ShmArena:
     def share_pickle(self, obj) -> BlobDesc:
         return self.share_blob(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
 
-    # -- parent-side access ------------------------------------------------
-    def view(self, desc: ArrayDesc) -> np.ndarray:
-        """Writable parent-side view of an arena-owned segment."""
-        shm = self._segments.get(desc.name)
-        if shm is None:
-            raise ShmError(f"segment {desc.name!r} is not owned by this arena")
-        return np.ndarray(desc.shape, dtype=desc.dtype, buffer=shm.buf)
-
+    # -- release -----------------------------------------------------------
     @staticmethod
     def _release(shm) -> None:
         """Close and unlink one SharedMemory handle, tolerating every
@@ -254,7 +226,11 @@ class ShmArena:
         try:
             shm.unlink()
         except FileNotFoundError:
-            pass
+            # unlink() raised before telling the resource tracker, which
+            # would report the already-gone segment as leaked at exit.
+            from multiprocessing import resource_tracker
+
+            resource_tracker.unregister(shm._name, "shared_memory")
         except OSError:  # pragma: no cover - platform-specific teardown
             pass
 

@@ -150,37 +150,27 @@ class OrionPCS:
     def __init__(self, code: Optional[LinearCode] = None,
                  params: Optional[PCSParams] = None,
                  rng: Optional[np.random.Generator] = None,
-                 pool=None,
                  streaming_cells: int = DEFAULT_STREAMING_CELLS):
         self.code = code or ReedSolomonCode()
         self.params = params or PCSParams()
         self._rng = rng or np.random.default_rng()
-        #: Optional :class:`~repro.parallel.ProverPool`; when set, the
-        #: commit-side hot kernels (row encodes, column/layer hashing) fan
-        #: out across its workers.  Proof bytes do not depend on it.
-        self.pool = pool
         #: Codeword-cell threshold at or above which :meth:`commit` tiles
         #: the encode (tests set this low to exercise the path at small
         #: sizes).
         self.streaming_cells = streaming_cells
 
     # -- commit ---------------------------------------------------------------
-    def commit(self, table: np.ndarray,
-               pool=None) -> tuple[OrionCommitment, _ProverState]:
-        pool = pool if pool is not None else self.pool
+    def commit(self, table: np.ndarray
+               ) -> tuple[OrionCommitment, _ProverState]:
         table = np.asarray(table, dtype=np.uint64)
         n = len(table)
         if n == 0 or n & (n - 1):
             raise ValueError("table length must be a power of two")
         rows = self.params.rows_for(n)
         cols = n // rows
-        workers = getattr(pool, "workers", 1)
-        with _span("pcs.commit", "other", n=n, rows=rows, cols=cols,
-                   workers=workers):
+        with _span("pcs.commit", "other", n=n, rows=rows, cols=cols):
             matrix = table.reshape(rows, cols)
             if self.params.zk_mask:
-                # The mask is drawn on the main process *before* any
-                # fan-out, so randomness never depends on worker count.
                 mask = fv.rand_vector(cols, self._rng).reshape(1, cols)
                 matrix = np.vstack([matrix, mask])
             cw_len = self.code.codeword_length(cols)
@@ -190,20 +180,16 @@ class OrionPCS:
                 _METRICS.inc("pcs.streaming_commits")
                 codewords = np.empty((matrix.shape[0], cw_len),
                                      dtype=np.uint64)
-                if pool is not None:
-                    leaves = pool.stream_encode_hash(self.code, matrix,
-                                                     codewords)
-                else:
-                    leaves = encode_fold_tiles(self.code, matrix, codewords)
+                leaves = encode_fold_tiles(self.code, matrix, codewords)
                 with _span("merkle.build", "merkle", leaves=cw_len):
-                    tree = MerkleTree(leaves, pool=pool)
+                    tree = MerkleTree(leaves)
             else:
                 with _span("rs.encode", "rs_encode",
                            rows=matrix.shape[0], cols=cols):
-                    codewords = self.code.encode_rows(matrix, pool=pool)
+                    codewords = self.code.encode_rows(matrix)
                 with _span("merkle.build", "merkle",
                            leaves=codewords.shape[1]):
-                    tree = MerkleTree.from_columns(codewords, pool=pool)
+                    tree = MerkleTree.from_columns(codewords)
         commitment = OrionCommitment(
             root=tree.root, table_len=n, num_rows=rows, num_cols=cols)
         return commitment, _ProverState(matrix, codewords, tree,

@@ -1,9 +1,8 @@
 """Proving-as-a-service: daemon, client, protocol, queue, and caches.
 
 The long-running complement to the one-shot lifecycle API
-(:mod:`repro.snark`): ``repro serve`` keeps proving keys, a proof
-cache, and a warm :class:`~repro.parallel.ProverPool` resident across
-requests, and :class:`ServiceClient` (also exported from :mod:`repro`)
+(:mod:`repro.snark`): ``repro serve`` keeps proving keys and a proof
+cache resident across requests, and :class:`ServiceClient` (also exported from :mod:`repro`)
 talks to it over a unix or TCP socket.  See ``docs/SERVICE.md``.
 """
 

@@ -1,4 +1,4 @@
-"""The proving service daemon: asyncio front end, pooled prover back end.
+"""The proving service daemon: asyncio front end, threaded prover back end.
 
 Architecture (see ``docs/SERVICE.md`` for the operator view)::
 
@@ -10,26 +10,27 @@ Architecture (see ``docs/SERVICE.md`` for the operator view)::
                           ▼
                  run_in_executor ──▶ _run_job (worker thread)
                           │            KeyCache / ProofCache
-                          │            prove() / verify()  [ProverPool]
+                          │            prove() / verify()
                           ▼
                  job done/failed → per-job asyncio.Event → result frames
 
 The event loop only ever shuffles frames and queue entries; proving runs
 on a small :class:`~concurrent.futures.ThreadPoolExecutor` so a 30 s
-paper-preset proof never blocks a ``status`` poll.  Job bodies call the
-ordinary lifecycle API, which means PR 6's supervision (worker restarts,
-serial degradation, cooperative deadlines) and PR 7's telemetry (flight
-recorder, latency histograms) apply to service traffic unchanged — a
-killed pool worker becomes a recovered job, not a dropped one, and every
-job leaves a :class:`~repro.obs.events.JobReport` behind.
+paper-preset proof never blocks a ``status`` poll.  ``job_slots`` — the
+number of executor threads — is the daemon's one concurrency model: a
+request is one proof job and runs on the thread that picked it up.  Job
+bodies call the ordinary lifecycle API, which means cooperative
+deadlines and the telemetry (flight recorder, latency histograms) apply
+to service traffic unchanged and every job leaves a
+:class:`~repro.obs.events.JobReport` behind.
 
 Failure contract: a job that fails carries a typed error (name +
 message) in its ``status``/``result`` responses; the connection never
 hangs.  Submissions past the queue bound are rejected with the
 429-style :data:`~repro.service.protocol.E_QUEUE_FULL` before any work
 is queued.  On shutdown the daemon stops accepting, fails queued jobs
-with :data:`~repro.service.protocol.E_SHUTTING_DOWN`, waits for running
-jobs, then tears down the prover pool (shared memory included).
+with :data:`~repro.service.protocol.E_SHUTTING_DOWN` and waits for
+running jobs.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ class ServiceConfig:
     queue_depth: int = DEFAULT_MAX_DEPTH
     max_per_client: int = DEFAULT_MAX_PER_CLIENT
     job_slots: int = 1               # concurrent executor threads
-    workers: Optional[int] = None    # ProverPool fan-out inside a job
     preset: str = "test-fast"        # default preset for prove jobs
     key_cache_bytes: int = DEFAULT_KEY_CACHE_BYTES
     proof_cache_bytes: int = DEFAULT_PROOF_CACHE_BYTES
@@ -79,13 +79,6 @@ class ServiceConfig:
         if self.job_slots < 1:
             raise ConfigError(
                 f"job_slots must be >= 1, got {self.job_slots}")
-        if self.workers is not None and self.workers > 1 \
-                and self.job_slots > 1:
-            # The ProverPool is not thread-safe: with intra-job fan-out
-            # the pool is the parallelism, so jobs must serialize.
-            raise ConfigError(
-                "job_slots must be 1 when workers > 1 (the prover pool "
-                "serializes dispatch; parallelism comes from the pool)")
 
 
 @dataclass
@@ -145,7 +138,6 @@ class ProvingService:
         self._server: Optional[asyncio.AbstractServer] = None
         self._dispatchers: list = []
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._pool = None
         self._accepting = False
         self._stopping = False
         self._stopped = asyncio.Event()
@@ -161,10 +153,6 @@ class ProvingService:
         _METRICS.enabled = True
         self._executor = ThreadPoolExecutor(
             max_workers=cfg.job_slots, thread_name_prefix="repro-job")
-        if cfg.workers is not None and cfg.workers > 1:
-            from ..parallel import get_pool
-
-            self._pool = get_pool(cfg.workers)
         if cfg.unix_socket:
             with contextlib.suppress(OSError):
                 os.unlink(cfg.unix_socket)
@@ -219,10 +207,6 @@ class ProvingService:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        from ..parallel import shutdown as pool_shutdown
-
-        pool_shutdown()
-        self._pool = None
         if self.config.unix_socket:
             with contextlib.suppress(OSError):
                 os.unlink(self.config.unix_socket)
@@ -495,8 +479,7 @@ class ProvingService:
             job.cached = True
             return
         bundle = prove(entry.pk, entry.public, entry.witness,
-                       seed=job.seed, pool=self._pool,
-                       circuit_id=job.circuit_id,
+                       seed=job.seed, circuit_id=job.circuit_id,
                        timeout_s=job.timeout_s, attach_report=True)
         job.envelope = bundle.to_bytes()
         if bundle.report is not None:
@@ -533,7 +516,6 @@ class ProvingService:
             "proof_cache": self.proof_cache.stats(),
             "config": {
                 "job_slots": self.config.job_slots,
-                "workers": self.config.workers,
                 "preset": self.config.preset,
                 "queue_depth": self.config.queue_depth,
                 "max_per_client": self.config.max_per_client,

@@ -20,15 +20,15 @@ them — it serializes to a versioned envelope
 :mod:`repro.snark.envelope`) carrying the preset id, the public inputs,
 and the proof payload over the paper's 10 MB/s link.
 
-Throughput comes from :mod:`repro.parallel`: pass ``workers=N`` (or a
-long-lived :class:`~repro.parallel.ProverPool`) to :func:`prove` to fan
-the commit-side kernels out across processes, or :func:`prove_many` to
-run independent proof jobs in parallel.  Proof bytes are bit-identical
-at any worker count.
+Throughput comes from :mod:`repro.parallel`: :func:`prove_many` runs
+independent proof jobs on worker processes (``workers=N`` or a
+long-lived :class:`~repro.parallel.ProverPool`).  A single
+:func:`prove` is one job and runs on the caller.  Proof bytes are
+bit-identical at any worker count.
 
 A long-running process serves this API over a socket via
-:mod:`repro.service` (``repro serve``), which keeps keys and a warm
-worker pool resident across requests.
+:mod:`repro.service` (``repro serve``), which keeps keys resident across
+requests.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from ..obs import JobReport
 from ..obs import span as _span
 from ..obs.events import FLIGHT as _FLIGHT
 from ..obs.metrics import METRICS as _METRICS
+from ..parallel import get_pool, usable_cpus
 from ..parallel.deadline import deadline_scope
 from ..r1cs.system import R1CS
 from ..spartan.protocol import SpartanProof, SpartanProver, SpartanVerifier
@@ -101,12 +102,12 @@ class ProvingKey:
     r1cs: R1CS
     preset: SecurityPreset
 
-    def prover(self, rng: Optional[np.random.Generator] = None,
-               pool=None) -> SpartanProver:
+    def prover(self, rng: Optional[np.random.Generator] = None
+               ) -> SpartanProver:
         """Instantiate the underlying protocol prover (``rng`` feeds the
-        zk-mask; ``pool`` fans out the commit-side kernels)."""
+        zk-mask)."""
         return SpartanProver(self.r1cs, self.preset.make_pcs(rng=rng),
-                             self.preset.make_spartan_params(), pool=pool)
+                             self.preset.make_spartan_params())
 
 
 @dataclass(frozen=True)
@@ -137,13 +138,6 @@ def setup(r1cs: R1CS, preset: SecurityPreset = TEST
     return ProvingKey(r1cs, preset), VerifyingKey(r1cs, preset)
 
 
-def _dispatch_mode(pool) -> str:
-    """Which dispatch path a pool implies (for flight-recorder reports)."""
-    if pool is None or pool.is_serial:
-        return "serial"
-    return "shm" if pool.use_shm else "pickle"
-
-
 def _observe_phases(tracer, rec0: int, root: str) -> None:
     """Record per-family phase seconds for the spans opened since
     ``rec0`` into the ``phase_seconds`` histogram (one labeled series
@@ -158,7 +152,7 @@ def _observe_phases(tracer, rec0: int, root: str) -> None:
 def prove(pk: ProvingKey, public: np.ndarray, witness: np.ndarray, *,
           rng: Optional[np.random.Generator] = None,
           seed: Optional[int] = None,
-          pool=None, workers: Optional[int] = None,
+          workers: Optional[int] = None,
           circuit_id: str = "",
           timeout_s: Optional[float] = None,
           attach_report: bool = False) -> ProofBundle:
@@ -168,12 +162,12 @@ def prove(pk: ProvingKey, public: np.ndarray, witness: np.ndarray, *,
     with ``seed``; fresh OS entropy when both are omitted).  Fixing the
     seed makes proof bytes fully deterministic.
 
-    Parallelism: pass a live :class:`~repro.parallel.ProverPool` as
-    ``pool``, or ``workers=N`` to use the persistent process-wide pool
-    (:func:`repro.parallel.get_pool` — created once, kept warm across
-    calls, torn down by :func:`repro.parallel.shutdown` or atexit).
-    ``workers<=1`` — the default — is the exact serial path; proof bytes
-    are identical either way.
+    Parallelism: none — a single proof is one job and runs on the
+    caller; batches fan out through :func:`prove_many`.  ``workers`` is
+    accepted and **ignored**: a vestige kept only because the repo
+    benchmark (``bench/layers.py::probe_kernel_fanout``) still calls
+    ``prove(..., workers=2)`` as a counted operation; it goes when that
+    probe does.
 
     ``timeout_s`` bounds the call with a cooperative deadline
     (:mod:`repro.parallel.deadline`): once the budget is spent, the next
@@ -191,10 +185,6 @@ def prove(pk: ProvingKey, public: np.ndarray, witness: np.ndarray, *,
     """
     if rng is None:
         rng = np.random.default_rng(seed)
-    if pool is None and workers is not None and workers > 1:
-        from ..parallel import get_pool
-
-        pool = get_pool(workers)
     job_id = _FLIGHT.next_job_id()
     seq0 = _FLIGHT.seq
     rss0 = obs.peak_rss_bytes()
@@ -203,17 +193,15 @@ def prove(pk: ProvingKey, public: np.ndarray, witness: np.ndarray, *,
     t0 = time.perf_counter()
     try:
         with deadline_scope(timeout_s, label="prove"):
-            prover = pk.prover(rng=rng, pool=pool)
+            prover = pk.prover(rng=rng)
             with _span("snark.prove", "other",
                        constraints=pk.r1cs.shape.num_constraints,
-                       repetitions=pk.preset.sumcheck_repetitions,
-                       workers=getattr(pool, "workers", 1)):
+                       repetitions=pk.preset.sumcheck_repetitions):
                 proof = prover.prove(public, witness, Transcript())
     except BaseException as exc:
         _FLIGHT.record_job(JobReport(
             job_id=job_id, op="prove", preset=pk.preset.name,
-            circuit_id=circuit_id, workers=getattr(pool, "workers", 1),
-            dispatch=_dispatch_mode(pool), jobs=1,
+            circuit_id=circuit_id, jobs=1,
             duration_s=time.perf_counter() - t0,
             peak_rss_delta_bytes=max(0, obs.peak_rss_bytes() - rss0),
             ok=False, error=type(exc).__name__,
@@ -228,8 +216,7 @@ def prove(pk: ProvingKey, public: np.ndarray, witness: np.ndarray, *,
                          circuit_id=circuit_id)
     report = JobReport(
         job_id=job_id, op="prove", preset=pk.preset.name,
-        circuit_id=circuit_id, workers=getattr(pool, "workers", 1),
-        dispatch=_dispatch_mode(pool), jobs=1, duration_s=duration,
+        circuit_id=circuit_id, jobs=1, duration_s=duration,
         proof_size_bytes=bundle.size_bytes(),
         peak_rss_delta_bytes=max(0, obs.peak_rss_bytes() - rss0),
         ok=True, events=_FLIGHT.fault_deltas(seq0))
@@ -269,36 +256,31 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
                attach_report: bool = False):
     """Prove a batch of independent ``(public, witness)`` jobs.
 
-    Jobs share nothing, so each runs end to end on one worker process
-    (serial kernels inside — no nested pools); results return in job
-    order.  Each job's zk-mask generator is seeded from a
-    ``SeedSequence(base_seed).spawn`` child derived on the calling
+    Jobs share nothing, so each runs end to end on one worker process;
+    results return in job order.  Each job's zk-mask generator is seeded
+    from a ``SeedSequence(base_seed).spawn`` child derived on the calling
     process, so the bundle bytes for a fixed ``base_seed`` are identical
-    at any worker count (``workers<=1`` runs the same code inline).
-    Workers ship each bundle back in envelope form, which the caller
-    re-parses — so every batched proof also round-trips the wire format.
+    at any worker count.  Every bundle — proved on a worker or here — is
+    re-parsed from its envelope bytes, so every batched proof also
+    round-trips the wire format.
 
-    Keygen is amortized: with workers the batch broadcasts ``pk`` into
-    shared memory ONCE (cached across batches on the persistent pool
-    from :func:`repro.parallel.get_pool`) and stacks the jobs' public
-    inputs and witnesses into two shared arrays, so per-job dispatch
-    ships only a few descriptors instead of re-pickling the key.  Set
-    ``REPRO_PARALLEL_NO_SHM=1`` for the legacy pickled dispatch.
+    Fan-out: a ``pool`` the caller constructed is always used;
+    otherwise ``workers=N`` (default: every usable CPU) resolves through
+    the persistent :func:`repro.parallel.get_pool`, unless fewer than 2
+    CPUs are usable — CPU-bound jobs would only time-slice the one core
+    — or ``workers`` is 0 or 1, in which case the process-wide pool is
+    never touched.  The pool broadcasts ``pk`` into shared memory ONCE
+    (cached across batches) and stacks the jobs' inputs into two shared
+    arrays (:meth:`~repro.parallel.ProverPool.prove_batch`); with no
+    pool, one job, or no usable shared memory the same loop proves every
+    job in this process.
 
-    Fan-out is skipped when it cannot pay — no pool, one job, or a
-    single-core host where CPU-bound jobs would only time-slice
-    (``ProverPool.job_fanout_pays``); the batch then runs the identical
-    serial path inline.  An *explicit* ``workers`` of 0 or 1 (with no
-    ``pool``) short-circuits straight to that serial path without
-    touching the process-wide pool at all — no worker spawn, no
-    dispatch-cost probe.
-
-    Fault handling: jobs that fail on workers (crash, torn shared
-    memory, a poisoned broadcast blob) are retried *serially in this
-    process* — the parent holds the pristine ``pk``, so even broadcast
-    corruption recovers, and the retried bytes are bit-identical because
-    the job's seed is unchanged.  ``timeout_s`` is a per-job cooperative
-    budget (:class:`~repro.errors.ProverTimeoutError`; never retried).
+    Fault handling: a job that fails on its worker (crash, torn shared
+    memory, a poisoned broadcast blob) is re-proved *in this process* —
+    the parent holds the pristine ``pk``, so even broadcast corruption
+    recovers, and the bytes are bit-identical because the job's seed is
+    unchanged.  ``timeout_s`` is a per-job cooperative budget
+    (:class:`~repro.errors.ProverTimeoutError`; never retried).
     ``on_error`` selects the failure contract: ``"raise"`` (default)
     re-raises the first unrecovered error, all-or-nothing;
     ``"return"`` yields a :class:`JobResult` per job so one poisoned
@@ -322,165 +304,84 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
     jobs = list(jobs)
     if not jobs:
         return []
-    from ..obs.metrics import METRICS
-    from ..parallel import kernels
-
     seeds = np.random.SeedSequence(base_seed).spawn(len(jobs))
     pubs = [np.asarray(pub, dtype=np.uint64) for pub, _ in jobs]
     wits = [np.asarray(wit, dtype=np.uint64) for _, wit in jobs]
-
-    def _serial_job(j):
-        return ProofBundle.from_bytes(
-            kernels.prove_job(pk.r1cs, pk.preset, pubs[j], wits[j],
-                              seeds[j], circuit_id, timeout_s=timeout_s))
+    if pool is None and (workers is None or workers > 1) \
+            and usable_cpus() >= 2:
+        pool = get_pool(workers)
 
     job_id = _FLIGHT.next_job_id()
     seq0 = _FLIGHT.seq
     rss0 = obs.peak_rss_bytes()
     t0 = time.perf_counter()
-
-    def _batch_report(outcomes, pool, error: str = "") -> JobReport:
-        bundles = [out for out in outcomes if isinstance(out, ProofBundle)]
-        failures = [out for out in outcomes
-                    if isinstance(out, JobResult) and not out.ok]
-        if not error and failures:
-            error = type(failures[0].error).__name__
-        return JobReport(
+    used_workers, dispatch = 1, "serial"
+    results, error = [], ""
+    try:
+        with _span("snark.prove_many", "other", jobs=len(jobs)):
+            envelopes = None if pool is None else pool.prove_batch(
+                pk, pubs, wits, seeds, circuit_id, timeout_s)
+            if envelopes is not None:
+                used_workers, dispatch = pool.workers, "shm"
+            for j, seed in enumerate(seeds):
+                blob = None if envelopes is None else envelopes[j]
+                tj = time.perf_counter()
+                try:
+                    if isinstance(blob, ProverTimeoutError):
+                        raise blob  # a spent budget is final: no retry
+                    if not isinstance(blob, bytes):
+                        if blob is not None:
+                            # The worker failed: recover here, where the
+                            # pristine pk lives, and drop the cached
+                            # broadcast so the next batch ships a clean
+                            # blob instead of replaying the damage.
+                            pool.drop_broadcast(pk)
+                            pool._degraded(blob)
+                        blob = prove(pk, pubs[j], wits[j],
+                                     rng=np.random.default_rng(seed),
+                                     circuit_id=circuit_id,
+                                     timeout_s=timeout_s).to_bytes()
+                    results.append(JobResult(
+                        ok=True, bundle=ProofBundle.from_bytes(blob)))
+                except Exception as exc:  # noqa: BLE001 - per-job contract
+                    if on_error == "raise":
+                        raise
+                    # The structured error a caller (or the proving
+                    # service) can surface without re-deriving it.
+                    error = error or type(exc).__name__
+                    report = JobReport(
+                        job_id=_FLIGHT.next_job_id(), op="prove",
+                        preset=pk.preset.name, circuit_id=circuit_id,
+                        workers=used_workers, dispatch=dispatch, jobs=1,
+                        duration_s=time.perf_counter() - tj,
+                        ok=False, error=type(exc).__name__)
+                    _FLIGHT.record_job(report)
+                    results.append(JobResult(ok=False, error=exc,
+                                             report=report))
+    except BaseException as exc:
+        error = type(exc).__name__
+        raise
+    finally:
+        batch_report = JobReport(
             job_id=job_id, op="prove_many", preset=pk.preset.name,
-            circuit_id=circuit_id, workers=getattr(pool, "workers", 1),
-            dispatch=_dispatch_mode(pool), jobs=len(jobs),
+            circuit_id=circuit_id, workers=used_workers,
+            dispatch=dispatch, jobs=len(jobs),
             duration_s=time.perf_counter() - t0,
-            proof_size_bytes=sum(b.size_bytes() for b in bundles),
+            proof_size_bytes=sum(res.bundle.size_bytes()
+                                 for res in results if res.ok),
             peak_rss_delta_bytes=max(0, obs.peak_rss_bytes() - rss0),
             ok=not error, error=error,
             events=_FLIGHT.fault_deltas(seq0))
-
-    def _fail(exc: BaseException, pool, duration_s: float = 0.0) -> JobResult:
-        """A failed job's result, with its own flight-recorder report —
-        the structured error a caller (or the proving service) can
-        surface without re-deriving what went wrong."""
-        report = JobReport(
-            job_id=_FLIGHT.next_job_id(), op="prove",
-            preset=pk.preset.name, circuit_id=circuit_id,
-            workers=getattr(pool, "workers", 1),
-            dispatch=_dispatch_mode(pool), jobs=1, duration_s=duration_s,
-            ok=False, error=type(exc).__name__)
-        _FLIGHT.record_job(report)
-        return JobResult(ok=False, error=exc, report=report)
-
-    def _finish(outcomes, pool):
-        report = _batch_report(outcomes, pool)
-        _FLIGHT.record_job(report)
-        if on_error == "return":
-            results = [out if isinstance(out, JobResult)
-                       else JobResult(ok=True, bundle=out)
-                       for out in outcomes]
-        else:
-            for out in outcomes:
-                if isinstance(out, JobResult) and not out.ok:
-                    raise out.error
-            results = list(outcomes)
-        if attach_report:
-            for out in results:
-                bundle = out.bundle if isinstance(out, JobResult) else out
-                if bundle is not None:
-                    bundle.report = report
-                if isinstance(out, JobResult) and out.report is None:
-                    out.report = report
+        _FLIGHT.record_job(batch_report)
+    if attach_report:
+        for res in results:
+            if res.ok:
+                res.bundle.report = batch_report
+            if res.report is None:
+                res.report = batch_report
+    if on_error == "return":
         return results
-
-    explicit_serial = (pool is None and workers is not None and workers <= 1)
-    if pool is None and not explicit_serial:
-        from ..parallel import get_pool
-
-        pool = get_pool(workers)
-    try:
-        if (pool is None or pool.is_serial or len(jobs) == 1
-                or not pool.job_fanout_pays):
-            outcomes = []
-            with _span("snark.prove_many", "other", jobs=len(jobs),
-                       workers=1):
-                for j in range(len(jobs)):
-                    tj = time.perf_counter()
-                    try:
-                        outcomes.append(_serial_job(j))
-                    except Exception as exc:  # noqa: BLE001 - per-job
-                        if on_error == "raise":
-                            raise
-                        outcomes.append(_fail(
-                            exc, None, time.perf_counter() - tj))
-            return _finish(outcomes, None)
-    except BaseException as exc:
-        _FLIGHT.record_job(_batch_report([], None,
-                                         error=type(exc).__name__))
-        raise
-    try:
-        return _prove_many_pooled(pk, pool, jobs, seeds, pubs, wits,
-                                  circuit_id, timeout_s, on_error,
-                                  _serial_job, _finish, _fail, METRICS,
-                                  kernels)
-    except BaseException as exc:
-        _FLIGHT.record_job(_batch_report([], pool,
-                                         error=type(exc).__name__))
-        raise
-
-
-def _prove_many_pooled(pk, pool, jobs, seeds, pubs, wits, circuit_id,
-                       timeout_s, on_error, _serial_job, _finish, _fail,
-                       METRICS, kernels):
-    """The fan-out body of :func:`prove_many` (split for readability)."""
-    with _span("snark.prove_many", "other", jobs=len(jobs),
-               workers=pool.workers):
-        if pool.use_shm:
-            arena = pool.arena()
-            token, blob_desc = pool.broadcast(pk)
-            pub_desc = arena.share_array(np.stack(pubs))
-            wit_desc = arena.share_array(np.stack(wits))
-            try:
-                tasks = [(token, blob_desc, pub_desc, wit_desc, j, seed,
-                          circuit_id, timeout_s)
-                         for j, seed in enumerate(seeds)]
-                blobs = pool.run(kernels.prove_job_shm, tasks,
-                                 return_exceptions=True)
-            finally:
-                arena.free(pub_desc)
-                arena.free(wit_desc)
-        else:
-            tasks = [(pk.r1cs, pk.preset, pub, wit, seed, circuit_id,
-                      timeout_s)
-                     for pub, wit, seed in zip(pubs, wits, seeds)]
-            import pickle
-
-            METRICS.inc("parallel.bytes_pickled",
-                        len(jobs) * len(pickle.dumps(pk)))
-            blobs = pool.run(kernels.prove_job, tasks,
-                             return_exceptions=True)
-        outcomes = []
-        for j, blob in enumerate(blobs):
-            if not isinstance(blob, BaseException):
-                outcomes.append(ProofBundle.from_bytes(blob))
-                continue
-            if isinstance(blob, ProverTimeoutError):
-                # A spent budget is final: no retry can honor it.
-                if on_error == "raise":
-                    raise blob
-                outcomes.append(_fail(blob, pool))
-                continue
-            # Worker-side failure: recover serially in the parent, which
-            # holds the pristine pk (immune to broadcast corruption).
-            # Drop the cached broadcast first so the *next* batch
-            # re-broadcasts a clean blob instead of replaying the damage.
-            pool.drop_broadcast(pk)
-            pool._degraded("prove_job", blob)
-            tj = time.perf_counter()
-            try:
-                outcomes.append(_serial_job(j))
-            except Exception as exc:  # noqa: BLE001 - per-job contract
-                if on_error == "raise":
-                    raise
-                outcomes.append(_fail(exc, pool,
-                                      time.perf_counter() - tj))
-    return _finish(outcomes, pool)
+    return [res.bundle for res in results]
 
 
 def verify(vk: VerifyingKey, bundle: ProofBundle) -> bool:

@@ -92,13 +92,10 @@ class SpartanProver:
     """Generates Spartan+Orion proofs for a fixed R1CS instance."""
 
     def __init__(self, r1cs: R1CS, pcs: Optional[OrionPCS] = None,
-                 params: Optional[SpartanParams] = None, pool=None):
+                 params: Optional[SpartanParams] = None):
         self.r1cs = r1cs
         self.pcs = pcs or OrionPCS()
         self.params = params or SpartanParams()
-        #: Optional :class:`~repro.parallel.ProverPool` for the commit-side
-        #: kernels (RS encodes, Merkle hashing).  Never affects proof bytes.
-        self.pool = pool
 
     def prove(self, public: np.ndarray, witness: np.ndarray,
               transcript: Optional[Transcript] = None) -> SpartanProof:
@@ -124,7 +121,7 @@ class SpartanProver:
 
         tr.absorb_array(b"spartan/public", np.asarray(public, dtype=np.uint64))
         check_deadline("pcs.commit")
-        commitment, state = self.pcs.commit(wit_half, pool=self.pool)
+        commitment, state = self.pcs.commit(wit_half)
         tr.absorb_digest(b"spartan/witness-commitment", commitment.root)
         reps: List[RepetitionProof] = []
         for rep in range(self.params.repetitions):

@@ -36,10 +36,9 @@ class TestParser:
 
     def test_prove_new_flags(self):
         args = build_parser().parse_args(
-            ["prove", "litmus", "--out", "p.bin", "--workers", "4",
+            ["prove", "litmus", "--out", "p.bin",
              "--preset", "paper-128bit"])
         assert args.out == "p.bin"
-        assert args.workers == 4
         assert args.preset == "paper-128bit"
         assert build_parser().parse_args(["prove", "litmus"]).out is None
 
@@ -165,9 +164,15 @@ class TestCommands:
         code = main(["verify", str(tampered)])
         assert code in (EXIT_DESERIALIZATION_ERROR, EXIT_VERIFICATION_ERROR)
 
-    def test_prove_workers_flag_runs(self, capsys):
-        assert main(["prove", "litmus", "--workers", "2"]) == 0
-        assert "valid: True" in capsys.readouterr().out
+    @pytest.mark.parametrize("command", ["prove", "trace", "serve"])
+    def test_workers_flag_is_gone(self, command):
+        """One unit of parallelism, the proof job: no subcommand fans a
+        single proof out, so none takes ``--workers``."""
+        argv = [command] + ([] if command == "serve" else ["litmus"])
+        assert not hasattr(build_parser().parse_args(argv), "workers")
+        with pytest.raises(SystemExit) as ei:
+            build_parser().parse_args(argv + ["--workers", "2"])
+        assert ei.value.code == 2
 
     def test_trace_command(self, tmp_path, capsys):
         import json

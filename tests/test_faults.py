@@ -14,7 +14,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from repro.errors import ProverTimeoutError, ReproError, WorkerCrashError
@@ -56,18 +55,18 @@ def _repro_segments():
 
 class TestFaultPlan:
     def test_env_round_trip(self):
-        plan = faults.FaultPlan(kind="stall", site="encode", hits=3,
+        plan = faults.FaultPlan(kind="stall", site="prove_job", hits=3,
                                 stall_s=1.5, token="t42")
         clone = faults.FaultPlan.from_env(plan.to_env())
         assert clone == plan
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
-            faults.FaultPlan(kind="meteor_strike", site="encode")
+            faults.FaultPlan(kind="meteor_strike", site="prove_job")
 
     def test_hits_must_be_positive(self):
         with pytest.raises(ValueError, match="hits"):
-            faults.FaultPlan(kind="error", site="encode", hits=0)
+            faults.FaultPlan(kind="error", site="prove_job", hits=0)
 
     def test_injected_scope_arms_and_disarms(self):
         plan = faults.FaultPlan(kind="error", site="nowhere", token="scope")
@@ -185,6 +184,21 @@ class TestProveTimeout:
             prove_many(pk, [(public, witness)], workers=1,
                        base_seed=5, timeout_s=1e-6)
 
+    def test_pooled_timeout_is_final(self, instance, keys):
+        """A budget spent inside a worker is that job's answer: not
+        retried on the fleet, not re-proved in the parent."""
+        from repro.obs.events import FLIGHT
+
+        _, public, witness = instance
+        pk, _ = keys
+        seq0 = FLIGHT.seq
+        with ProverPool(workers=2, fault_policy=QUICK_POLICY) as p:
+            results = prove_many(pk, [(public, witness)] * 2, pool=p,
+                                 base_seed=5, timeout_s=1e-6,
+                                 on_error="return")
+        assert all(isinstance(r.error, ProverTimeoutError) for r in results)
+        assert FLIGHT.fault_deltas(seq0) == {}
+
     def test_on_error_validated(self, instance, keys):
         _, public, witness = instance
         pk, _ = keys
@@ -196,79 +210,53 @@ class TestProveTimeout:
 class TestSupervisedRecovery:
     """Injected faults against a live pool: bytes must stay identical."""
 
-    def test_injected_error_is_retried(self, instance, keys):
-        r1cs, public, witness = instance
+    def _faulted_batch(self, instance, keys, plan, base_seed):
+        """(reference bytes, bytes under ``plan``, fired, incidents) of a
+        2-job batch on a fresh supervised pool."""
+        from repro.obs.events import FLIGHT
+
+        _, public, witness = instance
         pk, vk = keys
-        reference = prove(pk, public, witness, seed=44).to_bytes()
+        jobs = [(public, witness)] * 2
+        reference = [b.to_bytes() for b in
+                     prove_many(pk, jobs, workers=0, base_seed=base_seed)]
         before = _repro_segments()
-        plan = faults.FaultPlan(kind="error", site="encode",
-                                token="t_retry")
+        seq0 = FLIGHT.seq
         with faults.injected(plan):
-            with ProverPool(workers=2, auto_chunk=False,
-                            fault_policy=QUICK_POLICY) as p:
-                bundle = prove(pk, public, witness, seed=44, pool=p)
-            assert os.path.exists(plan.claim_path), "fault never fired"
-        assert bundle.to_bytes() == reference
-        assert verify(vk, bundle)
+            with ProverPool(workers=2, fault_policy=QUICK_POLICY) as p:
+                bundles = prove_many(pk, jobs, pool=p, base_seed=base_seed)
+            fired = os.path.exists(plan.claim_path)
+        assert all(verify(vk, b) for b in bundles)
         assert _repro_segments() == before
+        return (reference, [b.to_bytes() for b in bundles], fired,
+                FLIGHT.fault_deltas(seq0))
+
+    def test_injected_error_is_retried(self, instance, keys):
+        plan = faults.FaultPlan(kind="error", site="prove_job",
+                                token="t_retry")
+        reference, got, fired, incidents = self._faulted_batch(
+            instance, keys, plan, base_seed=44)
+        assert fired, "fault never fired"
+        assert got == reference
+        assert incidents.get("retry") and not incidents.get("degradation")
 
     def test_shm_unlink_degrades_to_serial(self, instance, keys):
-        r1cs, public, witness = instance
-        pk, vk = keys
-        reference = prove(pk, public, witness, seed=45).to_bytes()
-        before = _repro_segments()
-        plan = faults.FaultPlan(kind="shm_unlink", site="encode",
+        plan = faults.FaultPlan(kind="shm_unlink", site="prove_job",
                                 token="t_unlink")
-        with faults.injected(plan):
-            with ProverPool(workers=2, auto_chunk=False,
-                            fault_policy=QUICK_POLICY) as p:
-                bundle = prove(pk, public, witness, seed=45, pool=p)
-            fired = os.path.exists(plan.claim_path)
+        reference, got, fired, incidents = self._faulted_batch(
+            instance, keys, plan, base_seed=45)
         if fired:  # non-Linux: segment kinds cannot fire
-            assert bundle.to_bytes() == reference
-        assert verify(vk, bundle)
-        assert _repro_segments() == before
-
-    def test_tiled_commit_degrades_mid_stream(self):
-        """Losing a ring slot between tiles leaves half-folded chains and
-        a partly filled codeword array; the degraded serial rerun must
-        overwrite both."""
-        from repro import obs
-        from repro.pcs.orion import OrionPCS, PCSParams
-
-        def pcs(cells):
-            return OrionPCS(params=PCSParams(num_rows=16),
-                            rng=np.random.default_rng(3),
-                            streaming_cells=cells)
-
-        table = np.random.default_rng(46).integers(
-            0, 1 << 63, size=1 << 10, dtype=np.uint64)
-        com_ref, state_ref = pcs(1 << 60).commit(table)
-        before = _repro_segments()
-        plan = faults.FaultPlan(kind="shm_unlink", site="fold", hits=2,
-                                token="t_fold")
-        with faults.injected(plan):
-            with ProverPool(workers=2, auto_chunk=False,
-                            fault_policy=QUICK_POLICY) as p:
-                with obs.tracing():
-                    com, state = pcs(1).commit(table, pool=p)
-                    counters = obs.METRICS.counters()
-            fired = os.path.exists(plan.claim_path)
-        if fired:  # non-Linux: segment kinds cannot fire
-            assert counters["parallel.degradations.stream_commit"] == 1
-        assert com.root == com_ref.root
-        assert np.array_equal(state.codewords, state_ref.codewords)
-        assert _repro_segments() == before
+            assert got == reference
+            assert incidents.get("degradation")
 
     def test_unrecoverable_corruption_raises_workercrash(self):
         """At the pool layer (no serial fallback above it), shm damage
         surfaces as a typed WorkerCrashError after zero retries."""
         import pickle
 
-        if not shm.shm_enabled():
+        if not shm.shm_supported():
             pytest.skip("no shared memory on this platform")
-        with ProverPool(workers=2, auto_chunk=False,
-                        fault_policy=QUICK_POLICY) as p:
+        with ProverPool(workers=2, fault_policy=QUICK_POLICY) as p:
 
             with pytest.raises(WorkerCrashError) as ei:
                 p.run(_boom_shm, [(0, 4), (4, 8)])
@@ -322,8 +310,7 @@ class TestJanitor:
         with open(orphan, "wb") as fh:
             fh.write(b"\x00" * 16)
         try:
-            with ProverPool(workers=2, auto_chunk=False) as p:
-                p.warm()
+            with ProverPool(workers=2):
                 assert not os.path.exists(orphan), \
                     "pool startup left the orphan behind"
         finally:
@@ -352,9 +339,9 @@ class TestProveManyPartialFailure:
         assert all(verify(vk, r.bundle) for r in results)
 
     def test_workers_zero_short_circuits_global_pool(self, instance, keys):
-        """workers=0 must run inline without probing dispatch cost or
-        warming the process-wide pool (regression: the old path built a
-        pool just to discover it would not use it)."""
+        """workers=0 must run inline without building the process-wide
+        pool (regression: the old path built a pool just to discover it
+        would not use it)."""
         from repro.parallel import pool as pool_mod
         from repro.parallel import shutdown
 
@@ -372,7 +359,7 @@ class TestProveManyPartialFailure:
         """Poisoning the broadcast pk blob mid-batch must not change a
         single proof byte: the parent retries serially with its pristine
         key and evicts the damaged blob."""
-        if not shm.shm_enabled():
+        if not shm.shm_supported():
             pytest.skip("broadcast poisoning needs shared memory")
         _, public, witness = instance
         pk, vk = keys
@@ -383,8 +370,7 @@ class TestProveManyPartialFailure:
         plan = faults.FaultPlan(kind="poison_pickle", site="broadcast",
                                 token="t_poison")
         with faults.injected(plan):
-            with ProverPool(workers=2, auto_chunk=False,
-                            fault_policy=QUICK_POLICY) as p:
+            with ProverPool(workers=2, fault_policy=QUICK_POLICY) as p:
                 bundles = prove_many(pk, jobs, pool=p, base_seed=29)
             assert os.path.exists(plan.claim_path), "fault never fired"
         assert [b.to_bytes() for b in bundles] == reference

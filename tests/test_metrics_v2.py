@@ -358,8 +358,7 @@ class TestProveTelemetry:
         pk, _, public, witness = workload
         jobs = [(public, witness)] * 3
         METRICS.enabled = True
-        pool = (ProverPool(workers=workers, auto_chunk=False)
-                if workers > 1 else None)
+        pool = ProverPool(workers=workers) if workers > 1 else None
         try:
             t0 = time.perf_counter()
             bundles = prove_many(pk, jobs, pool=pool, workers=workers,

@@ -1,10 +1,10 @@
 """Tests for the parallel proving engine (:mod:`repro.parallel`).
 
-The load-bearing property is the determinism contract: every pooled
-kernel and the batch prover must produce bytes **identical** to the
-serial path at any worker count.  Worker counts are kept small (2) so the
-suite stays fast on small CI machines; the contract is count-independent
-by construction (pure chunks, submission-order assembly).
+The load-bearing property is the determinism contract: the batch prover
+must produce bytes **identical** to the in-process path at any worker
+count.  Worker counts are kept small (2) so the suite stays fast on small
+CI machines; the contract is count-independent by construction (pure
+jobs, submission-order assembly).
 """
 
 import os
@@ -13,10 +13,8 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.code.reed_solomon import ReedSolomonCode
 from repro.hashing import fieldhash
-from repro.hashing.merkle import MerkleTree
-from repro.parallel import ProverPool, shm
+from repro.parallel import ProverPool, get_pool, shm, shutdown, usable_cpus
 from repro.snark import TEST, prove, prove_many, setup, verify
 from repro.workloads import synthetic_r1cs
 
@@ -28,10 +26,7 @@ def instance():
 
 @pytest.fixture(scope="module")
 def pool():
-    # auto_chunk off: these tests exercise the fan-out machinery itself,
-    # so the break-even model must not inline the (deliberately tiny)
-    # workloads.
-    with ProverPool(workers=2, auto_chunk=False) as p:
+    with ProverPool(workers=2) as p:
         yield p
 
 
@@ -44,24 +39,6 @@ def _repro_segments():
         return []
 
 
-class TestChunking:
-    def test_ranges_cover_exactly(self):
-        pool = ProverPool(workers=4)
-        for n in (1, 3, 7, 64, 1000):
-            ranges = pool.chunk_ranges(n)
-            assert ranges[0][0] == 0 and ranges[-1][1] == n
-            for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
-                assert hi == lo
-
-    def test_min_per_chunk_limits_fanout(self):
-        pool = ProverPool(workers=8)
-        assert len(pool.chunk_ranges(10, min_per_chunk=5)) == 2
-        assert len(pool.chunk_ranges(4, min_per_chunk=8)) == 1
-
-    def test_empty(self):
-        assert ProverPool(workers=4).chunk_ranges(0) == []
-
-
 class TestSerialFallback:
     def test_serial_pool_never_spawns(self):
         pool = ProverPool(workers=1)
@@ -70,55 +47,44 @@ class TestSerialFallback:
         assert pool._executor is None
 
     def test_workers_default_is_cpu_count(self):
-        import os
+        assert ProverPool().workers == usable_cpus()
 
-        assert ProverPool().workers == (os.cpu_count() or 1)
+    def test_cpu_counting_respects_affinity(self, instance, monkeypatch):
+        """Pinned to 1 CPU of many, the default is one prover, not one per
+        installed core, and ``prove_many`` stays on the caller."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert usable_cpus() == 1
+        assert ProverPool().workers == 1
+        assert get_pool() is None
+        r1cs, public, witness = instance
+        pk, _ = setup(r1cs, TEST)
+        shutdown()
+        bundles = prove_many(pk, [(public, witness)] * 2, workers=8,
+                             base_seed=1, attach_report=True)
+        assert bundles[0].report.dispatch == "serial"
+        from repro.parallel import pool as pool_mod
 
-
-class TestKernelEquivalence:
-    def test_encode_rows_matches_serial(self, pool):
-        code = ReedSolomonCode(blowup=4, num_queries=8)
-        rng = np.random.default_rng(5)
-        matrix = rng.integers(0, 1 << 32, size=(16, 64), dtype=np.uint64)
-        assert np.array_equal(code.encode_rows(matrix, pool=pool),
-                              code.encode_rows(matrix))
-
-    def test_encode_rows_small_matrix_stays_inline(self, pool):
-        code = ReedSolomonCode(blowup=4, num_queries=8)
-        matrix = np.arange(2 * 8, dtype=np.uint64).reshape(2, 8)
-        assert np.array_equal(code.encode_rows(matrix, pool=pool),
-                              code.encode_rows(matrix))
-
-    def test_hash_columns_matches_serial(self, pool):
-        rng = np.random.default_rng(6)
-        matrix = rng.integers(0, 1 << 32, size=(4, 400), dtype=np.uint64)
-        assert pool.hash_columns(matrix) == fieldhash.hash_columns(matrix)
-
-    def test_merkle_tree_matches_serial(self, pool):
-        rng = np.random.default_rng(7)
-        matrix = rng.integers(0, 1 << 32, size=(4, 256), dtype=np.uint64)
-        assert (MerkleTree.from_columns(matrix, pool=pool).root
-                == MerkleTree.from_columns(matrix).root)
-
-    def test_hash_layer_chunk_matches_serial_loop(self):
-        from repro.parallel.kernels import hash_layer_chunk
-
-        rng = np.random.default_rng(8)
-        digests = [bytes(rng.integers(0, 256, 32, dtype=np.uint8))
-                   for _ in range(8)]
-        raw = b"".join(digests)
-        expected = b"".join(
-            fieldhash.hash_pair(digests[i], digests[i + 1])
-            for i in range(0, 8, 2))
-        assert hash_layer_chunk(raw) == expected
+        assert pool_mod._GLOBAL_POOL is None
 
 
 class TestProofDeterminism:
-    def test_pooled_prove_bytes_identical(self, instance, pool):
+    def test_pooled_prove_bytes_identical(self, instance):
+        """A single proof is one job: with the process-wide pool up,
+        ``prove(workers=2)`` still runs on the caller — no worker process
+        is started, no segment created — and gives the serial bytes."""
         r1cs, public, witness = instance
         pk, vk = setup(r1cs, TEST)
         serial = prove(pk, public, witness, seed=21)
-        pooled = prove(pk, public, witness, seed=21, pool=pool)
+        before = _repro_segments()
+        try:
+            warm = get_pool(2)
+            pooled = prove(pk, public, witness, seed=21, workers=2)
+            assert warm._executor is None and warm._arena is None
+            assert _repro_segments() == before
+        finally:
+            shutdown()
         assert pooled.to_bytes() == serial.to_bytes()
         assert verify(vk, pooled)
 
@@ -149,11 +115,11 @@ class TestWorkerTraceMerge:
         r1cs, public, witness = instance
         pk, _ = setup(r1cs, TEST)
         with obs.tracing() as tracer:
-            prove(pk, public, witness, seed=2, pool=pool)
+            prove_many(pk, [(public, witness)] * 2, pool=pool, base_seed=2)
         workers = tracer.worker_records()
-        assert workers, "pooled prove produced no worker records"
+        assert workers, "pooled prove_many produced no worker records"
         for records in workers.values():
-            assert all(rec.name.startswith("worker.") for rec in records)
+            assert any(rec.name == "snark.prove" for rec in records)
             assert all(rec.wall_s >= 0 for rec in records)
         # NTT butterflies run inside the workers; their counter deltas
         # must land in the parent registry.
@@ -166,7 +132,7 @@ class TestWorkerTraceMerge:
         r1cs, public, witness = instance
         pk, _ = setup(r1cs, TEST)
         with obs.tracing() as tracer:
-            prove(pk, public, witness, seed=2, pool=pool)
+            prove_many(pk, [(public, witness)] * 2, pool=pool, base_seed=2)
         doc = chrome_trace(tracer.records(),
                            worker_records=tracer.worker_records())
         pids = {ev["pid"] for ev in doc["traceEvents"]}
@@ -175,8 +141,10 @@ class TestWorkerTraceMerge:
     def test_untraced_pooled_run_merges_nothing(self, instance, pool):
         r1cs, public, witness = instance
         pk, vk = setup(r1cs, TEST)
-        bundle = prove(pk, public, witness, seed=2, pool=pool)
-        assert verify(vk, bundle)  # no tracer active: plain results only
+        bundles = prove_many(pk, [(public, witness)] * 2, pool=pool,
+                             base_seed=2)
+        # no tracer active: plain results only
+        assert all(verify(vk, b) for b in bundles)
 
 
 class TestShmRoundTrip:
@@ -196,16 +164,21 @@ class TestShmRoundTrip:
                     assert view.shape == arr.shape
                     assert view.dtype == arr.dtype
                     assert np.array_equal(view, arr)
-                assert np.array_equal(arena.view(desc), arr)
+
+    def test_two_arenas_never_mint_the_same_name(self):
+        with shm.ShmArena("repro_pool") as a, shm.ShmArena("repro_pool") as b:
+            names = [arena.share_blob(b"x").name
+                     for arena in (a, b, a, b)]
+        assert len(set(names)) == 4
 
     def test_worker_writes_are_visible_to_parent(self):
         with shm.ShmArena() as arena:
-            desc = arena.alloc_array((4, 4), "uint64")
+            desc = arena.share_array(np.zeros((4, 4), dtype=np.uint64))
             with shm.attached(desc) as view:
                 view[...] = np.arange(16, dtype=np.uint64).reshape(4, 4)
-            assert np.array_equal(
-                arena.view(desc),
-                np.arange(16, dtype=np.uint64).reshape(4, 4))
+            with shm.attached(desc) as again:
+                assert np.array_equal(
+                    again, np.arange(16, dtype=np.uint64).reshape(4, 4))
 
     def test_blob_and_pickle_round_trip(self):
         payload = {"key": np.arange(5, dtype=np.uint64), "n": 42}
@@ -277,10 +250,8 @@ class TestShmRoundTrip:
         assert _repro_segments() == before
 
     def test_pool_close_twice_and_shutdown_twice(self):
-        from repro.parallel import get_pool, shutdown
-
-        with ProverPool(workers=2, auto_chunk=False) as p:
-            p.warm()
+        with ProverPool(workers=2) as p:
+            assert p.run(divmod, [(7, 2), (9, 4)]) == [(3, 1), (2, 1)]
             p.close()  # __exit__ will close again: must be idempotent
         p.close()
         assert get_pool(2) is not None
@@ -335,60 +306,11 @@ class TestShmRoundTrip:
         before = _repro_segments()
         r1cs, public, witness = instance
         pk, vk = setup(r1cs, TEST)
-        with ProverPool(workers=2, auto_chunk=False) as p:
-            bundle = prove(pk, public, witness, seed=4, pool=p)
-        assert verify(vk, bundle)
+        with ProverPool(workers=2) as p:
+            bundles = prove_many(pk, [(public, witness)] * 2, pool=p,
+                                 base_seed=4)
+        assert all(verify(vk, b) for b in bundles)
         assert _repro_segments() == before
-
-
-class TestAutoChunk:
-    def _calibrated(self, workers=4, dispatch_cost=1e-3):
-        pool = ProverPool(workers=workers)
-        pool._dispatch_cost_s = dispatch_cost  # skip the live probe
-        return pool
-
-    def test_below_break_even_stays_serial(self):
-        pool = self._calibrated()
-        # 10 items at 10 us each cannot fund two 4 ms chunks.
-        assert pool.auto_chunk_ranges(10, 1e-5) is None
-
-    def test_chunk_count_monotone_in_n(self):
-        pool = self._calibrated()
-        counts = []
-        for n in (10, 100, 1_000, 10_000, 100_000, 1_000_000):
-            ranges = pool.auto_chunk_ranges(n, 1e-5)
-            counts.append(len(ranges) if ranges is not None else 1)
-        assert counts == sorted(counts), counts
-        assert counts[0] == 1 and counts[-1] == pool.workers
-
-    def test_chunk_count_monotone_in_item_cost(self):
-        pool = self._calibrated()
-        counts = []
-        for cost in (1e-8, 1e-7, 1e-6, 1e-5, 1e-4):
-            ranges = pool.auto_chunk_ranges(10_000, cost)
-            counts.append(len(ranges) if ranges is not None else 1)
-        assert counts == sorted(counts), counts
-
-    def test_auto_chunk_off_always_fans_out(self):
-        pool = ProverPool(workers=4, auto_chunk=False)
-        ranges = pool.auto_chunk_ranges(8, 1e-9)
-        assert ranges is not None and len(ranges) > 1
-
-    def test_job_fanout_policy(self):
-        # Serial pools never fan out jobs; auto_chunk=False always does;
-        # with the cost model on, job fan-out needs real cores (the
-        # CPU-bound jobs would only time-slice a single one).
-        assert not ProverPool(workers=1).job_fanout_pays
-        assert ProverPool(workers=2, auto_chunk=False).job_fanout_pays
-        expected = (os.cpu_count() or 1) >= 2
-        assert ProverPool(workers=2).job_fanout_pays is expected
-
-    def test_ranges_still_cover_exactly(self):
-        pool = self._calibrated()
-        ranges = pool.auto_chunk_ranges(100_000, 1e-5, min_per_chunk=7)
-        assert ranges[0][0] == 0 and ranges[-1][1] == 100_000
-        for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
-            assert hi == lo
 
 
 class TestWorkerCountInvariance:
@@ -398,13 +320,9 @@ class TestWorkerCountInvariance:
         r1cs, public, witness = instance
         pk, vk = setup(r1cs, TEST)
         reference = prove(pk, public, witness, seed=77).to_bytes()
-        for w in (0, 1):
+        for w in (0, 1, 2, 4):
             assert prove(pk, public, witness, seed=77,
                          workers=w).to_bytes() == reference
-        for w in (2, 4):
-            with ProverPool(workers=w, auto_chunk=False) as p:
-                assert prove(pk, public, witness, seed=77,
-                             pool=p).to_bytes() == reference
         assert verify(vk, prove(pk, public, witness, seed=77))
 
     def test_prove_many_bytes_identical_across_worker_counts(self, instance):
@@ -417,53 +335,40 @@ class TestWorkerCountInvariance:
             assert [b.to_bytes() for b in
                     prove_many(pk, jobs, workers=w, base_seed=13)] == reference
         for w in (2, 4):
-            with ProverPool(workers=w, auto_chunk=False) as p:
+            with ProverPool(workers=w) as p:
                 assert [b.to_bytes() for b in
                         prove_many(pk, jobs, pool=p,
                                    base_seed=13)] == reference
 
-
-class TestNoShmFallback:
-    def test_env_flag_disables_shm(self, monkeypatch):
-        monkeypatch.setenv(shm.NO_SHM_ENV, "1")
-        assert not shm.shm_enabled()
-        monkeypatch.delenv(shm.NO_SHM_ENV)
-        assert shm.shm_enabled() == shm.shm_supported()
-
-    def test_pickled_fallback_bytes_identical(self, instance, monkeypatch):
+    def test_no_shared_memory_means_inline(self, instance, pool,
+                                           monkeypatch):
+        """Where shared memory is unavailable a live pool is not a second
+        dispatcher: the batch runs on the caller, says so in its report,
+        and the bytes do not move."""
         r1cs, public, witness = instance
-        pk, vk = setup(r1cs, TEST)
+        pk, _ = setup(r1cs, TEST)
         jobs = [(public, witness)] * 2
         reference = [b.to_bytes()
                      for b in prove_many(pk, jobs, workers=0, base_seed=21)]
-        monkeypatch.setenv(shm.NO_SHM_ENV, "1")
-        with ProverPool(workers=2, auto_chunk=False) as p:
-            assert not p.use_shm
-            bundles = prove_many(pk, jobs, pool=p, base_seed=21)
-        assert [b.to_bytes() for b in bundles] == reference
-        assert all(verify(vk, b) for b in bundles)
-
-    def test_fallback_kernels_bytes_identical(self, monkeypatch):
-        code = ReedSolomonCode(blowup=4, num_queries=8)
-        rng = np.random.default_rng(31)
-        matrix = rng.integers(0, 1 << 32, size=(16, 128), dtype=np.uint64)
-        with ProverPool(workers=2, auto_chunk=False) as p:
-            shared = p.encode_rows(code, matrix)
-            shared_digests = p.hash_columns(shared)
-            monkeypatch.setenv(shm.NO_SHM_ENV, "1")
-            pickled = p.encode_rows(code, matrix)
-            pickled_digests = p.hash_columns(pickled)
-        assert np.array_equal(shared, pickled)
-        assert shared_digests == pickled_digests
+        fanned = prove_many(pk, jobs, pool=pool, base_seed=21,
+                            attach_report=True)
+        assert fanned[0].report.dispatch == "shm"
+        monkeypatch.setattr(shm, "shm_supported", lambda: False)
+        inline = prove_many(pk, jobs, pool=pool, base_seed=21,
+                            attach_report=True)
+        assert inline[0].report.dispatch == "serial"
+        assert inline[0].report.workers == 1
+        assert ([b.to_bytes() for b in inline]
+                == [b.to_bytes() for b in fanned] == reference)
 
 
 class TestStreamingCommit:
-    def _pcs(self, streaming_cells, num_rows=16, pool=None, seed=3):
+    def _pcs(self, streaming_cells, num_rows=16, seed=3):
         from repro.pcs.orion import OrionPCS, PCSParams
 
         return OrionPCS(params=PCSParams(num_rows=num_rows),
                         rng=np.random.default_rng(seed),
-                        pool=pool, streaming_cells=streaming_cells)
+                        streaming_cells=streaming_cells)
 
     def test_chain_hasher_matches_hash_columns(self):
         rng = np.random.default_rng(41)
@@ -486,67 +391,60 @@ class TestStreamingCommit:
         with pytest.raises(ValueError):
             chains.finalize()  # not all rows fed
 
-    def _prover(self, r1cs, streaming_cells, pool=None, repetitions=1):
+    def _prover(self, r1cs, streaming_cells, repetitions=1):
         from repro.spartan.protocol import SpartanParams, SpartanProver
 
-        return SpartanProver(r1cs, self._pcs(streaming_cells, pool=pool),
-                             SpartanParams(repetitions=repetitions),
-                             pool=pool)
+        return SpartanProver(r1cs, self._pcs(streaming_cells),
+                             SpartanParams(repetitions=repetitions))
 
-    def test_streaming_commit_matches_materialized(self, pool):
+    def test_streaming_commit_matches_materialized(self):
         """Tiled and one-shot commits hold the same codeword matrix under
-        the same root, serial and pooled."""
+        the same root."""
         rng = np.random.default_rng(43)
         table = rng.integers(0, 1 << 63, size=1 << 10, dtype=np.uint64)
         com_a, state_a = self._pcs(streaming_cells=1 << 60).commit(table)
-        for pcs_pool in (None, pool):
-            with obs.tracing():
-                com_b, state_b = self._pcs(1, pool=pcs_pool).commit(table)
-                assert obs.METRICS.counters()["pcs.streaming_commits"] == 1
-            assert com_a.root == com_b.root
-            assert np.array_equal(state_a.codewords, state_b.codewords)
-            assert np.array_equal(state_a.matrix, state_b.matrix)
+        with obs.tracing():
+            com_b, state_b = self._pcs(1).commit(table)
+            assert obs.METRICS.counters()["pcs.streaming_commits"] == 1
+        assert com_a.root == com_b.root
+        assert np.array_equal(state_a.codewords, state_b.codewords)
+        assert np.array_equal(state_a.matrix, state_b.matrix)
 
-    def test_streaming_proof_bytes_identical(self, instance, pool):
+    def test_streaming_proof_bytes_identical(self, instance):
         """End-to-end: a prover whose PCS tiles its commit produces the
-        same proof bytes at workers {0, 2}, and the verifier accepts."""
+        same proof bytes as the one-shot commit, and the verifier
+        accepts."""
         from repro.snark.serialize import proof_to_bytes
         from repro.spartan.protocol import SpartanParams, SpartanVerifier
 
         r1cs, public, witness = instance
         reference = proof_to_bytes(
             self._prover(r1cs, 1 << 60).prove(public, witness))
-        for prover_pool in (None, pool):
-            proof = self._prover(r1cs, 1, pool=prover_pool).prove(public,
-                                                                  witness)
-            assert proof_to_bytes(proof) == reference
-            assert SpartanVerifier(r1cs, self._pcs(1 << 60),
-                                   SpartanParams(repetitions=1)).verify(
-                                       public, proof)
+        proof = self._prover(r1cs, 1).prove(public, witness)
+        assert proof_to_bytes(proof) == reference
+        assert SpartanVerifier(r1cs, self._pcs(1 << 60),
+                               SpartanParams(repetitions=1)).verify(
+                                   public, proof)
 
-    def test_tiled_prove_encodes_each_row_once(self, instance, pool):
+    def test_tiled_prove_encodes_each_row_once(self, instance):
         """One RS encode per proof: the opens gather from the codewords
         the commit kept, whatever the repetition count."""
         r1cs, public, witness = instance
         rows = 16
-        for prover_pool in (None, pool):
-            with obs.tracing():
-                self._prover(r1cs, 1, pool=prover_pool,
-                             repetitions=3).prove(public, witness)
-                counters = obs.METRICS.counters()
-            assert counters["pcs.streaming_commits"] == 1
-            assert counters["rs.rows_encoded"] == rows + 1
+        with obs.tracing():
+            self._prover(r1cs, 1, repetitions=3).prove(public, witness)
+            counters = obs.METRICS.counters()
+        assert counters["pcs.streaming_commits"] == 1
+        assert counters["rs.rows_encoded"] == rows + 1
 
-    @pytest.mark.parametrize("pooled", [False, True])
-    def test_tiled_commit_phase_families(self, pool, pooled):
+    def test_tiled_commit_phase_families(self):
         """Tile encodes are charged to rs_encode and tile folds to merkle,
         so a profile does not change shape at the tiling threshold."""
         r1cs, public, witness = synthetic_r1cs(log_size=12, seed=9)
         seconds = {}
         for cells in (1, 1 << 60):
             with obs.tracing() as tracer:
-                self._prover(r1cs, cells, pool=pool if pooled else None
-                             ).prove(public, witness)
+                self._prover(r1cs, cells).prove(public, witness)
             seconds[cells] = tracer.family_seconds()
         assert set(seconds[1]) == set(seconds[1 << 60])
         assert seconds[1]["merkle"] > 0 and seconds[1 << 60]["merkle"] > 0
@@ -578,8 +476,6 @@ class TestStreamingCommit:
 
 class TestPersistentPool:
     def test_get_pool_reuses_and_shutdown_clears(self):
-        from repro.parallel import get_pool, shutdown
-
         assert get_pool(1) is None
         a = get_pool(2)
         try:
@@ -602,13 +498,6 @@ class TestPersistentPool:
             other = {"weights": np.arange(64, dtype=np.uint64)}
             t3, _ = p.broadcast(other)
             assert t3 != t1
-
-    def test_dispatch_probe_sets_cost(self):
-        with ProverPool(workers=2) as p:
-            p.warm()
-            assert p._dispatch_cost_s is not None
-            assert 0 < p.dispatch_cost_s < 1.0
-            assert p.warm_s is not None and p.warm_s > 0
 
     def test_proving_key_pickle_drops_caches(self, instance):
         import pickle

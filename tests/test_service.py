@@ -461,11 +461,16 @@ class TestServiceConfig:
         with pytest.raises(ConfigError):
             ServiceConfig(job_slots=0)
 
-    def test_pool_fanout_forces_single_slot(self):
-        with pytest.raises(ConfigError, match="job_slots must be 1"):
+    def test_job_slots_is_the_only_concurrency_knob(self):
+        """No field interacts with ``job_slots``: any positive count is a
+        valid config, and there is no pool to configure beside it."""
+        import dataclasses
+
+        assert ServiceConfig(job_slots=2).job_slots == 2
+        assert "workers" not in {f.name for f in
+                                 dataclasses.fields(ServiceConfig)}
+        with pytest.raises(TypeError):
             ServiceConfig(job_slots=2, workers=4)
-        ServiceConfig(job_slots=2, workers=1)  # serial jobs may overlap
-        ServiceConfig(job_slots=1, workers=4)  # pool is the parallelism
 
 
 # ---------------------------------------------------------------------------

@@ -18,22 +18,22 @@ observed instrumentation-event counts — stays under 2% of the proving
 time, so the observability layer cannot silently tax the hot path.
 
 Since schema_version 3 the payload also records a ``workers_sweep`` at
-the largest size: per-proof kernel parallelism (the same statement proved
-through a :class:`~repro.parallel.ProverPool` at each worker count, with
-a byte-identity check against the serial proof) and job-level batch
-throughput via :func:`repro.snark.prove_many`.  Speedups are measured,
-not assumed — on a single-core machine they will sit at or below 1.0 and
-the JSON says so; the sweep exists to track the trajectory on real
-multicore hardware.
+the largest size: job-level batch throughput via
+:func:`repro.snark.prove_many` at each worker count.  Speedups are
+measured, not assumed — on a single-core machine they will sit at or
+below 1.0 and the JSON says so (``cpu_count``); the sweep exists to
+track the trajectory on real multicore hardware.
 
 Since schema_version 4 every size row records the process peak RSS (the
 streaming commit keeps it bounded through the 2^20 sweep), and the
-workers sweep carries a ``dispatch`` block per worker count: pool warm-up
-wall time, the measured per-task dispatch cost from the one-shot probe,
-and bytes shared through :mod:`repro.parallel.shm` vs bytes pickled
-through the executor pipe.  The harness asserts ``prove_many`` with
-workers stays at or above ``--min-batch-speedup`` (default 0.95) of the
-serial batch — the regression guard for the zero-copy dispatch path.
+workers sweep carries a ``dispatch`` block per worker count (tasks
+dispatched, bytes shared through :mod:`repro.parallel.shm`).  The
+harness asserts ``prove_many`` with workers stays at or above
+``--min-batch-speedup`` (default 0.95) of the serial batch — the
+regression guard for the zero-copy dispatch path.  Schema_version 5
+dropped the ``kernel_parallel`` rows and the probe / pickled-bytes
+fields along with kernel-level fan-out itself (docs/PERFORMANCE.md has
+the decision record).
 Rows after the first also carry ``growth_per_doubling`` (this row's
 ``prove_s`` over the previous size's), which ``tools/bench_diff.py``
 holds under 2.4x across 2^16..2^20: the scaling curve must stay smooth.
@@ -189,79 +189,34 @@ def bench_size(log_size: int, num_rows: int, repeats: int,
     }
 
 
-def _dispatch_snapshot(pool, shared0: int, pickled0: int) -> dict:
-    """Dispatch-overhead block for one worker count (schema v4)."""
+def _dispatch_snapshot() -> dict:
+    """What the timed batches shipped, for one worker count."""
     counters = METRICS.counters()
     return {
-        "pool_warm_s": round(pool.warm_s or 0.0, 6),
-        "dispatch_probe_s": round(pool.dispatch_cost_s, 9),
-        "shm_enabled": pool.use_shm,
-        "bytes_shared": int(counters.get("parallel.shm_bytes_shared", 0)
-                            - shared0),
-        "bytes_pickled": int(counters.get("parallel.bytes_pickled", 0)
-                             - pickled0),
+        "bytes_shared": int(counters.get("parallel.shm_bytes_shared", 0)),
         "dispatches": int(counters.get("parallel.dispatches", 0)),
     }
 
 
-def bench_workers(log_size: int, num_rows: int, repeats: int,
-                  repetitions: int, worker_counts,
+def bench_workers(log_size: int, repeats: int, worker_counts,
                   min_batch_speedup: float) -> dict:
-    """Workers sweep at one size: in-proof kernel fan-out and job-level
-    batch throughput, each against its own serial baseline.
+    """Workers sweep at one size: ``prove_many`` batch throughput at each
+    worker count against the serial batch.
 
-    Pools are warmed (spawn + dispatch probe + proving-key broadcast)
-    before the timed region, mirroring how the persistent process-wide
-    pool amortizes those costs in real use; the dispatch block records
-    what the warm-up cost and what the timed runs actually shipped.
+    Pools are warmed (spawn + proving-key broadcast) before the timed
+    region, mirroring how the persistent process-wide pool amortizes
+    those costs in real use; the dispatch block records what the timed
+    runs actually shipped.
     """
-    from repro.parallel import ProverPool
-    from repro.snark import TEST, proof_to_bytes, prove_many, setup, verify
+    from repro.parallel import ProverPool, usable_cpus
+    from repro.snark import TEST, prove_many, setup, verify
 
     # Serial baselines divide the other rows, so 1 leads the sweep.
     worker_counts = sorted(set(worker_counts) | {1})
     r1cs, public, witness = synthetic_r1cs(log_size, band=16, seed=log_size)
-    params = SpartanParams(repetitions=repetitions)
 
-    def pooled_prove(pool):
-        # Fresh seeded rng per call so proof bytes are comparable.
-        pcs = OrionPCS(params=PCSParams(num_rows=num_rows),
-                       rng=np.random.default_rng(1))
-        return SpartanProver(r1cs, pcs, params, pool=pool).prove(
-            public, witness, Transcript())
-
-    kernel_rows = []
-    serial_bytes = proof_to_bytes(pooled_prove(None))
-    serial_s = None
-    for w in worker_counts:
-        with ProverPool(w) as pool:
-            pool.warm()
-            pooled_prove(pool)  # warm-up (primes worker caches)
-            METRICS.enabled = True
-            METRICS.reset()
-            try:
-                prove_s = min_wall(repeats, lambda: pooled_prove(pool))
-                dispatch = _dispatch_snapshot(pool, 0, 0)
-            finally:
-                METRICS.enabled = False
-                METRICS.reset()
-            identical = proof_to_bytes(pooled_prove(pool)) == serial_bytes
-        if not identical:
-            raise SystemExit(
-                f"pooled proof at {w} workers diverged from serial bytes")
-        if w == 1:
-            serial_s = prove_s
-        kernel_rows.append({
-            "workers": w,
-            "prove_s": round(prove_s, 6),
-            "speedup_vs_serial": round(serial_s / prove_s, 4),
-            "bytes_identical_to_serial": identical,
-            "dispatch": dispatch,
-        })
-
-    # Job-level throughput: a batch of independent statements.  Uses the
-    # registry TEST preset so workers can rebuild the full pipeline from
-    # the broadcast proving key.
+    # A batch of independent statements under the registry TEST preset,
+    # so workers can rebuild the full pipeline from the broadcast key.
     pk, vk = setup(r1cs, TEST)
     num_jobs = max(worker_counts)
     jobs = [(public, witness)] * num_jobs
@@ -269,7 +224,6 @@ def bench_workers(log_size: int, num_rows: int, repeats: int,
     batch_serial_s = None
     for w in worker_counts:
         with ProverPool(w) as pool:
-            pool.warm()
             # Warm-up with one job per worker so the batch path is primed
             # like a warm pool: pk broadcast, every worker's unpickle
             # cache, and every worker's NTT root tables at this size.
@@ -300,7 +254,7 @@ def bench_workers(log_size: int, num_rows: int, repeats: int,
                 batch_s = pooled_best
                 ratios.sort()
                 median_ratio = ratios[len(ratios) // 2]
-                dispatch = _dispatch_snapshot(pool, 0, 0)
+                dispatch = _dispatch_snapshot()
             finally:
                 METRICS.enabled = False
                 METRICS.reset()
@@ -329,15 +283,12 @@ def bench_workers(log_size: int, num_rows: int, repeats: int,
                     f"prove_many at {w} workers ran at {speedup:.2f}x "
                     f"serial, below the {min_batch_speedup:.2f}x floor: the "
                     "zero-copy dispatch path regressed")
-    import os
-
     return {
         "log_size": log_size,
-        "cpu_count": os.cpu_count(),
+        "cpu_count": usable_cpus(),
         "min_batch_speedup": min_batch_speedup,
         "guard_enforced": bool(min_batch_speedup > 0
                                and batch_serial_s >= MIN_GUARD_BATCH_S),
-        "kernel_parallel": kernel_rows,
         "prove_many": batch_rows,
     }
 
@@ -408,28 +359,19 @@ def main(argv=None) -> int:
     if worker_counts != [0]:
         print(f"workers sweep at 2^{args.max_log} "
               f"(counts: {sorted(set(worker_counts) | {1})}):")
-        workers_sweep = bench_workers(args.max_log, args.num_rows,
-                                      args.repeats, args.repetitions,
+        workers_sweep = bench_workers(args.max_log, args.repeats,
                                       worker_counts,
                                       args.min_batch_speedup)
-        for row in workers_sweep["kernel_parallel"]:
-            d = row["dispatch"]
-            print(f"  kernels   w={row['workers']}: {row['prove_s']:.4f} s "
-                  f"({row['speedup_vs_serial']:.2f}x, "
-                  f"shared {d['bytes_shared']:,} B, "
-                  f"pickled {d['bytes_pickled']:,} B)")
         for row in workers_sweep["prove_many"]:
-            d = row["dispatch"]
             print(f"  batch x{row['jobs']} w={row['workers']}: "
                   f"{row['batch_s']:.4f} s "
                   f"({row['speedup_vs_serial']:.2f}x, "
-                  f"shared {d['bytes_shared']:,} B, "
-                  f"pickled {d['bytes_pickled']:,} B)")
+                  f"shared {row['dispatch']['bytes_shared']:,} B)")
 
     payload = {
         "benchmark": "spartan_orion_functional_prover",
         "schema": "repro/bench-prover",
-        "schema_version": 4,
+        "schema_version": 5,
         "workload": "synthetic_r1cs(band=16)",
         "num_rows": args.num_rows,
         "repetitions": args.repetitions,

@@ -3,14 +3,14 @@
 
 Where ``tools/soundness_harness.py`` attacks proof *bytes*, this harness
 attacks the proving *machinery*: it arms one :class:`repro.fuzz.faults.
-FaultPlan` per scenario — a worker SIGKILLed mid-chunk, a dispatch that
+FaultPlan` per scenario — a worker SIGKILLed mid-job, a dispatch that
 hangs, a shared-memory segment unlinked under a reader, a poisoned
 broadcast blob, a generic in-task exception, a spent deadline — builds a
-fresh supervised pool inside the armed scope, runs a real proving
-workload through it, and asserts the fault contract on every scenario:
+fresh supervised pool inside the armed scope, runs a real ``prove_many``
+batch through it, and asserts the fault contract on every scenario:
 
-* the run **completes with byte-identical proofs** (supervisor retried,
-  restarted, or degraded to the serial path), or
+* the run **completes with byte-identical proofs** (supervisor retried
+  or restarted, or the parent re-proved the job in-process), or
 * it raises a **typed** :class:`repro.errors.ReproError`, and
 * either way **zero** ``repro*`` segments are leaked in ``/dev/shm``, and
 * every fired fault left at least one matching event in the
@@ -43,8 +43,6 @@ from typing import Dict, List, Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import numpy as np
-
 from repro.errors import ProverTimeoutError, ReproError
 from repro.fuzz import faults
 from repro.obs.events import FLIGHT
@@ -55,7 +53,6 @@ from repro.workloads import synthetic_r1cs
 #: Everything below is deterministic: fixed workload seed, fixed zk-mask
 #: seeds, fixed fault injection points.  Two runs produce the same bytes.
 WORKLOAD_SEED = 9
-PROVE_RNG_SEED = 7
 BATCH_BASE_SEED = 42
 BATCH_JOBS = 3
 
@@ -89,7 +86,7 @@ class Scenario:
     """One cell of the injection matrix."""
 
     name: str
-    op: str                       # "prove" | "prove_many" | "deadline"
+    op: str                       # "prove_many" | "deadline"
     kind: Optional[str] = None    # fault kind, None = no plan (control)
     site: str = ""
     workers: int = 2
@@ -101,30 +98,24 @@ class Scenario:
 SCENARIOS: List[Scenario] = [
     # Controls: no fault, must complete identically (and at every worker
     # count the determinism contract names).
-    Scenario("control_workers2", "prove", None, quick=True,
+    Scenario("control_workers2", "prove_many", None, quick=True,
              expect_fired=False),
-    Scenario("control_workers4", "prove", None, workers=4,
+    Scenario("control_workers4", "prove_many", None, workers=4,
              expect_fired=False),
-    # Worker death (uncatchable SIGKILL) at each kernel family.
-    Scenario("worker_kill_encode", "prove", "worker_kill", "encode",
-             quick=True),
-    Scenario("worker_kill_hash", "prove", "worker_kill", "hash_columns"),
+    # Worker death (uncatchable SIGKILL) mid-job.
     Scenario("worker_kill_job", "prove_many", "worker_kill", "prove_job",
              quick=True),
     # Hung dispatch: the watchdog must detect and re-drive.
-    Scenario("stall_encode", "prove", "stall", "encode", quick=True,
+    Scenario("stall_job", "prove_many", "stall", "prove_job", quick=True,
              extra={"stall_s": STALL_S}),
-    Scenario("stall_job", "prove_many", "stall", "prove_job",
-             extra={"stall_s": STALL_S}),
-    # Torn shared memory: segment unlinked from under a worker.
-    Scenario("shm_unlink_encode", "prove", "shm_unlink", "encode",
+    # Torn shared memory: the key blob unlinked from under a worker; the
+    # parent re-proves in-process.
+    Scenario("shm_unlink_job", "prove_many", "shm_unlink", "prove_job",
              quick=True),
-    Scenario("shm_unlink_hash", "prove", "shm_unlink", "hash_columns"),
     # Corrupted broadcast blob (the pickled proving key).
     Scenario("poison_broadcast", "prove_many", "poison_pickle", "broadcast",
              quick=True),
     # Generic in-task exception.
-    Scenario("error_encode", "prove", "error", "encode"),
     Scenario("error_job", "prove_many", "error", "prove_job", quick=True),
     # Spent deadline: must raise ProverTimeoutError, never degrade.
     Scenario("deadline_expiry", "deadline", None, quick=True,
@@ -143,46 +134,26 @@ def repro_segments() -> List[str]:
 class Workload:
     """The fixed statement every scenario proves, plus serial baselines."""
 
-    def __init__(self, log_size: int = 10):
+    def __init__(self, log_size: int = 10, jobs: int = BATCH_JOBS):
         self.r1cs, self.public, self.witness = synthetic_r1cs(
             log_size=log_size, seed=WORKLOAD_SEED)
         self.pk, self.vk = setup(self.r1cs, TEST)
+        self.jobs = [(self.public, self.witness)] * jobs
         t0 = time.perf_counter()
-        self.prove_baseline = prove(
-            self.pk, self.public, self.witness,
-            rng=np.random.default_rng(PROVE_RNG_SEED)).to_bytes()
-        self.prove_baseline_s = time.perf_counter() - t0
-        jobs = [(self.public, self.witness)] * BATCH_JOBS
-        t0 = time.perf_counter()
-        self.batch_baseline = [
-            b.to_bytes() for b in prove_many(self.pk, jobs, workers=0,
-                                             base_seed=BATCH_BASE_SEED)]
+        self.batch_baseline = self.run_op("prove_many", None)
         self.batch_baseline_s = time.perf_counter() - t0
 
     def run_op(self, op: str, pool: Optional[ProverPool]) -> List[bytes]:
-        if op == "prove":
-            return [prove(self.pk, self.public, self.witness,
-                          rng=np.random.default_rng(PROVE_RNG_SEED),
-                          pool=pool).to_bytes()]
-        if op == "prove_many":
-            jobs = [(self.public, self.witness)] * BATCH_JOBS
-            return [b.to_bytes()
-                    for b in prove_many(self.pk, jobs, pool=pool,
-                                        base_seed=BATCH_BASE_SEED)]
+        """The batch through ``pool`` (``None``: in-process, no pool), or
+        for the deadline op one proof with a budget it cannot meet."""
         if op == "deadline":
-            prove(self.pk, self.public, self.witness,
-                  rng=np.random.default_rng(PROVE_RNG_SEED),
-                  pool=pool, timeout_s=1e-4)
+            prove(self.pk, self.public, self.witness, seed=BATCH_BASE_SEED,
+                  timeout_s=1e-4)
             raise AssertionError("a 0.1 ms deadline cannot be met")
-        raise ValueError(f"unknown op {op!r}")
-
-    def expected(self, op: str) -> List[bytes]:
-        return ([self.prove_baseline] if op == "prove"
-                else self.batch_baseline)
-
-    def baseline_s(self, op: str) -> float:
-        return (self.prove_baseline_s if op == "prove"
-                else self.batch_baseline_s)
+        return [b.to_bytes()
+                for b in prove_many(self.pk, self.jobs, pool=pool,
+                                    workers=0 if pool is None else None,
+                                    base_seed=BATCH_BASE_SEED)]
 
 
 def run_scenario(sc: Scenario, wl: Workload) -> dict:
@@ -198,13 +169,12 @@ def run_scenario(sc: Scenario, wl: Workload) -> dict:
     t0 = time.perf_counter()
     try:
         # The pool is built INSIDE the armed scope so forked workers
-        # inherit the plan; auto_chunk=False forces real fan-out even on
-        # a single-core CI box.
-        pool = ProverPool(workers=sc.workers, auto_chunk=False,
-                          fault_policy=CHAOS_POLICY)
+        # inherit the plan; a pool handed to prove_many is always used,
+        # even on a single-core CI box.
+        pool = ProverPool(workers=sc.workers, fault_policy=CHAOS_POLICY)
         try:
             blobs = wl.run_op(sc.op, pool)
-            if blobs != wl.expected(sc.op):
+            if blobs != wl.batch_baseline:
                 outcome = "completed_WRONG_BYTES"
         finally:
             pool.close()
@@ -251,7 +221,7 @@ def run_scenario(sc: Scenario, wl: Workload) -> dict:
         "flight_events": flight,
         "leaked_segments": leaked,
         "elapsed_s": round(elapsed, 4),
-        "recovery_latency_s": round(max(0.0, elapsed - wl.baseline_s(sc.op)),
+        "recovery_latency_s": round(max(0.0, elapsed - wl.batch_baseline_s),
                                     4),
         "ok": ok,
     }
@@ -261,37 +231,37 @@ def worker_count_sweep(wl: Workload) -> dict:
     """Determinism contract: identical bytes at workers {0, 1, 2, 4}."""
     byts = {}
     for workers in (0, 1, 2, 4):
-        pool = (ProverPool(workers=workers, auto_chunk=False)
-                if workers > 1 else None)
+        pool = ProverPool(workers=workers) if workers > 1 else None
         try:
-            byts[workers] = wl.run_op("prove", pool)[0]
+            byts[workers] = tuple(wl.run_op("prove_many", pool))
         finally:
             if pool is not None:
                 pool.close()
     identical = len(set(byts.values())) == 1
     return {"worker_counts": sorted(byts), "identical": identical,
-            "matches_serial_baseline": byts[0] == wl.prove_baseline}
+            "matches_serial_baseline":
+                list(byts[0]) == wl.batch_baseline}
 
 
 def recovery_overhead(log_size: int = 16) -> dict:
-    """Single worker kill at 2^``log_size``: recovery must cost < 2x the
-    no-fault parallel prove (the degraded serial rerun dominates)."""
-    wl = Workload(log_size=log_size)
-    pool = ProverPool(workers=2, auto_chunk=False, fault_policy=CHAOS_POLICY)
+    """Single worker kill in a 2-job batch at 2^``log_size``: recovery
+    must cost < 2x the no-fault batch (restart plus the lost jobs'
+    rerun dominate)."""
+    wl = Workload(log_size=log_size, jobs=2)
+    pool = ProverPool(workers=2, fault_policy=CHAOS_POLICY)
     try:
         t0 = time.perf_counter()
-        nofault = wl.run_op("prove", pool)[0]
+        nofault = wl.run_op("prove_many", pool)
         nofault_s = time.perf_counter() - t0
     finally:
         pool.close()
-    plan = faults.FaultPlan(kind="worker_kill", site="encode",
+    plan = faults.FaultPlan(kind="worker_kill", site="prove_job",
                             token="chaos_overhead")
     with faults.injected(plan):
-        pool = ProverPool(workers=2, auto_chunk=False,
-                          fault_policy=CHAOS_POLICY)
+        pool = ProverPool(workers=2, fault_policy=CHAOS_POLICY)
         try:
             t0 = time.perf_counter()
-            faulted = wl.run_op("prove", pool)[0]
+            faulted = wl.run_op("prove_many", pool)
             faulted_s = time.perf_counter() - t0
         finally:
             fired = os.path.exists(plan.claim_path)
@@ -302,7 +272,7 @@ def recovery_overhead(log_size: int = 16) -> dict:
         "nofault_prove_s": round(nofault_s, 3),
         "faulted_prove_s": round(faulted_s, 3),
         "overhead_ratio": round(ratio, 3),
-        "bytes_identical": faulted == nofault == wl.prove_baseline,
+        "bytes_identical": faulted == nofault == wl.batch_baseline,
         "fired": fired,
         "ok": fired and ratio < 2.0 and faulted == nofault,
     }
@@ -321,8 +291,8 @@ def main(argv=None) -> int:
     t_start = time.perf_counter()
     print("building workload and serial baselines (2^10, TEST preset) ...")
     wl = Workload()
-    print(f"  prove baseline {wl.prove_baseline_s:.2f}s | "
-          f"batch baseline ({BATCH_JOBS} jobs) {wl.batch_baseline_s:.2f}s")
+    print(f"  batch baseline ({BATCH_JOBS} jobs) "
+          f"{wl.batch_baseline_s:.2f}s")
 
     results = []
     width = max(len(s.name) for s in scenarios)
