@@ -13,8 +13,6 @@ verify       Verify a proof envelope written by ``prove --out`` (exit
 trace        Prove a workload under the tracer, simulate it on NoCap, and
              export a Chrome trace plus a per-phase breakdown
              (see docs/OBSERVABILITY.md).
-doctor       Inspect /dev/shm for repro-owned shared-memory segments and
-             reclaim orphans left by killed provers.
 metrics      Render the process metrics registry as OpenMetrics text
              (counters, gauges, latency histograms).
 report       Dump the flight recorder's recent job reports and
@@ -415,49 +413,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_doctor(args: argparse.Namespace) -> int:
-    """Scan /dev/shm for repro-owned segments; reclaim orphans.
-
-    A prover that dies by SIGKILL (OOM killer, ``kill -9``) cannot run
-    its cleanup hooks, leaving named segments behind to eat host memory.
-    Segment names embed the owning pid, so orphans are identifiable and
-    safe to unlink.  ``--dry-run`` reports without unlinking.
-    """
-    import os
-
-    from .parallel import shm
-
-    try:
-        names = sorted(os.listdir(shm.SHM_DIR))
-    except OSError:
-        print(f"{shm.SHM_DIR} is not available on this platform; "
-              "nothing to inspect")
-        return 0
-    owned = [n for n in names if shm.segment_owner_pid(n) is not None]
-    orphans = set(shm.scan_orphans())
-    live = [n for n in owned if n not in orphans]
-    print(f"{shm.SHM_DIR}: {len(owned)} repro segment(s) "
-          f"({len(live)} owned by live processes, {len(orphans)} orphaned)")
-    for name in live:
-        path = os.path.join(shm.SHM_DIR, name)
-        try:
-            size = os.path.getsize(path)
-        except OSError:
-            size = 0
-        print(f"  live    {name}  pid={shm.segment_owner_pid(name)} "
-              f"{size:,} bytes")
-    for name in sorted(orphans):
-        print(f"  orphan  {name}  pid={shm.segment_owner_pid(name)} (dead)")
-    if not orphans:
-        return 0
-    if args.dry_run:
-        print(f"dry run: {len(orphans)} orphan(s) left in place")
-        return 0
-    reclaimed = shm.reclaim_orphans()
-    print(f"reclaimed {len(reclaimed)} orphaned segment(s)")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the proving service daemon (see docs/SERVICE.md)."""
     from .service import ServiceConfig, serve_forever
@@ -713,14 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
         "shutdown", help="ask the daemon to drain and exit",
         parents=[connect_p])
     cshutdown.set_defaults(func=_cmd_client)
-
-    doctor = sub.add_parser(
-        "doctor",
-        help="list repro shared-memory segments and reclaim orphans "
-             "left by killed provers")
-    doctor.add_argument("--dry-run", action="store_true",
-                        help="report orphans without unlinking them")
-    doctor.set_defaults(func=_cmd_doctor)
 
     metrics = sub.add_parser(
         "metrics",

@@ -96,19 +96,10 @@ class ProverTimeoutError(ReproError, TimeoutError):
 
 
 class WorkerCrashError(ReproError, RuntimeError):
-    """A pooled dispatch could not be completed by worker processes.
+    """A proof job could not be completed by worker processes.
 
-    Raised after the supervisor has exhausted its restart/retry budget
-    (worker death, hung dispatches, torn shared memory, poisoned
-    broadcast blobs).  :func:`repro.snark.api.prove_many` answers it by
-    re-proving the job in the calling process, which is bit-identical.
+    What :meth:`repro.parallel.ProverPool.prove_batch` returns for a job
+    whose worker died or hung in both of its rounds.
+    :func:`repro.snark.api.prove_many` answers it by re-proving the job
+    in the calling process, which is bit-identical.
     """
-
-    def __init__(self, message: str, *, retries: int = 0,
-                 cause: Optional[BaseException] = None):
-        self.retries = retries
-        if retries:
-            message = f"{message} (after {retries} retries)"
-        super().__init__(message)
-        if cause is not None:
-            self.__cause__ = cause

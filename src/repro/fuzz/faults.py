@@ -2,18 +2,14 @@
 
 The chaos harness (``tools/chaos_harness.py``) needs to reproduce the
 failure modes a long-running prover actually sees — a worker SIGKILLed
-mid-job, a dispatch that hangs, a shared-memory segment unlinked from
-under a reader, a poisoned pickle in the broadcast blob — at *seeded,
+mid-job, a dispatch that hangs, a job that raises — at *seeded,
 repeatable* points, across process boundaries.
 
 The mechanism is a single JSON :class:`FaultPlan` carried in the
-``REPRO_FAULTS`` environment variable.  Three instrumented sites call
+``REPRO_FAULTS`` environment variable.  Two instrumented sites call
 :func:`maybe_fault(site)` — ``prove_job`` (a worker entering
-:func:`repro.parallel.kernels.prove_job`, with the broadcast key blob's
-descriptor), ``broadcast`` (the parent, right after
-:meth:`repro.parallel.ProverPool.broadcast` places the key) and
-``service_job`` (a ``repro serve`` job body); the call is
-a no-op unless a plan is installed, names that site, and the site's
+:func:`repro.parallel.kernels.prove_job`) and ``service_job`` (a
+``repro serve`` job body); the call is a no-op unless a plan is installed, names that site, and the site's
 per-process arrival counter has reached ``hits``.  A cross-process
 *claim file* (``O_CREAT|O_EXCL``) arbitrates so each plan fires exactly
 once no matter how many workers race to it — the injection point is
@@ -22,19 +18,14 @@ whichever worker gets there first.
 
 Because the plan rides the environment, it must be installed **before**
 the worker processes are started (workers snapshot the environment at
-fork/spawn).  The harness therefore builds a fresh pool per scenario
-inside a ``with faults.injected(plan):`` block.
+fork/spawn): run the batch inside a ``with faults.injected(plan):``
+block.
 
 Fault kinds
 -----------
 ``worker_kill``    SIGKILL the calling process (uncatchable worker death).
 ``stall``          sleep ``stall_s`` seconds (a hung dispatch; the pool's
                    watchdog must detect and recover).
-``shm_unlink``     unlink the segment named by the site's descriptor
-                   before it is used (the janitor-vs-reader race); the
-                   subsequent attach raises ``ShmError``.
-``poison_pickle``  flip bytes of the segment named by the descriptor
-                   (a corrupted broadcast blob; ``pickle.loads`` fails).
 ``error``          raise ``RuntimeError("injected fault")`` (a generic
                    in-task exception).
 """
@@ -54,8 +45,7 @@ from typing import Dict, Iterator, Optional
 FAULTS_ENV = "REPRO_FAULTS"
 
 #: Every kind maybe_fault knows how to fire.
-FAULT_KINDS = ("worker_kill", "stall", "shm_unlink", "poison_pickle",
-               "error")
+FAULT_KINDS = ("worker_kill", "stall", "error")
 
 
 @dataclass(frozen=True)
@@ -116,7 +106,7 @@ def clear() -> None:
 def injected(plan: FaultPlan) -> Iterator[FaultPlan]:
     """``with faults.injected(plan):`` — scoped arm/disarm.
 
-    Build pools *inside* the block so workers inherit the armed
+    Run batches *inside* the block so workers inherit the armed
     environment.
     """
     install(plan)
@@ -168,13 +158,8 @@ def _claim(plan: FaultPlan) -> bool:
     return True
 
 
-def maybe_fault(site: str, desc=None) -> None:
-    """Injection point: fire the armed plan if this is its moment.
-
-    ``desc`` is the shm descriptor in scope at segment-targeting sites
-    (``shm_unlink`` / ``poison_pickle`` need a victim segment; those
-    kinds are no-ops at sites that pass none).
-    """
+def maybe_fault(site: str) -> None:
+    """Injection point: fire the armed plan if this is its moment."""
     plan = _current_plan()
     if plan is None or plan.site not in (site, "any"):
         return
@@ -182,47 +167,12 @@ def maybe_fault(site: str, desc=None) -> None:
     _counters[site] = count
     if count < plan.hits:
         return
-    if plan.kind in ("shm_unlink", "poison_pickle") and desc is None:
-        return
     if not _claim(plan):
         return
-    _fire(plan, desc)
-
-
-def _segment_path(name: str) -> str:
-    return os.path.join("/dev/shm", name)
-
-
-def _fire(plan: FaultPlan, desc) -> None:
     if plan.kind == "worker_kill":
         os.kill(os.getpid(), signal.SIGKILL)
     elif plan.kind == "stall":
         time.sleep(plan.stall_s)
-    elif plan.kind == "shm_unlink":
-        try:
-            os.unlink(_segment_path(desc.name))
-        except OSError:
-            pass
-    elif plan.kind == "poison_pickle":
-        poison_segment(desc.name)
     elif plan.kind == "error":
         raise RuntimeError(f"injected fault at site {plan.site!r}")
 
-
-def poison_segment(name: str) -> bool:
-    """Flip bytes of a named /dev/shm segment in place (deterministic
-    offsets), so a pickled blob stored there can no longer be loaded.
-    Returns False when the segment could not be opened (non-Linux)."""
-    path = _segment_path(name)
-    try:
-        size = os.path.getsize(path)
-        with open(path, "r+b") as fh:
-            for off in {0, 1, size // 3, size // 2, size - 1} - {size}:
-                fh.seek(max(0, off))
-                byte = fh.read(1)
-                if byte:
-                    fh.seek(max(0, off))
-                    fh.write(bytes([byte[0] ^ 0xFF]))
-    except OSError:
-        return False
-    return True

@@ -3,7 +3,7 @@
 Where the tracer answers "where did *this* run's time go", the flight
 recorder answers "what has this *process* been doing" — the last N
 proving jobs and every supervision incident (worker restart, dispatch
-stall, degradation to serial, retry, spent deadline) in one bounded,
+stall, degradation to serial, spent deadline) in one bounded,
 always-on log.  It is the service-grade complement to per-run tracing:
 a long-running prover keeps the recorder warm across thousands of jobs
 at O(1) memory, and a post-mortem reads the tail instead of re-running.
@@ -49,17 +49,15 @@ DEFAULT_CAPACITY = 512
 #: the rest are supervision incidents from :mod:`repro.parallel`.
 EVENT_KINDS = (
     "job",              # one completed/failed prove or verify job
-    "worker_restart",   # supervisor rebuilt a broken/hung executor
+    "worker_restart",   # lost jobs got their second round on fresh workers
     "dispatch_stall",   # watchdog fired: nothing completed in the window
     "task_error",       # an in-task exception surfaced from a worker
-    "retry",            # failed chunks resubmitted after a fault
     "degradation",      # a job was re-proved in-process after its worker failed
     "timeout",          # a cooperative deadline expired
-    "janitor",          # orphaned shm segments reclaimed
 )
 
 #: Incident kinds summed into JobReport per-job fault deltas.
-_FAULT_KINDS = ("worker_restart", "dispatch_stall", "task_error", "retry",
+_FAULT_KINDS = ("worker_restart", "dispatch_stall", "task_error",
                 "degradation", "timeout")
 
 
@@ -82,7 +80,7 @@ class JobReport:
     """Structured telemetry for one proving (or verification) job.
 
     ``events`` holds the per-job *deltas* of supervision incidents — how
-    many worker restarts, stalls, degradations, retries, and timeouts
+    many worker restarts, stalls, task errors, degradations, and timeouts
     fired while this job ran — computed by diffing recorder sequence
     numbers, so reports never inherit a previous batch's incidents.
     """
@@ -92,7 +90,7 @@ class JobReport:
     preset: str = ""
     circuit_id: str = ""
     workers: int = 1
-    dispatch: str = "serial"        # "serial" | "shm"
+    dispatch: str = "serial"        # "serial" | "pool"
     jobs: int = 1                   # batch size (1 for single prove)
     duration_s: float = 0.0
     proof_size_bytes: int = 0

@@ -3,9 +3,8 @@
 A proof has no natural preemption points a supervisor could interrupt —
 the kernels are long numpy calls — so cancellation is *cooperative*: the
 caller opens a :func:`deadline_scope`, and instrumented chokepoints
-(phase boundaries in :mod:`repro.spartan.protocol`, every pooled kernel
-entry, every dispatch wait in :class:`~repro.parallel.pool.ProverPool`)
-call :func:`check_deadline`, which raises
+(phase boundaries in :mod:`repro.spartan.protocol`, every dispatch wait
+in :class:`~repro.parallel.pool.ProverPool`) call :func:`check_deadline`, which raises
 :class:`~repro.errors.ProverTimeoutError` once the budget is spent.
 
 The active deadline is module state, matching the single-threaded
@@ -14,9 +13,10 @@ prover.  Scopes nest: an inner scope can only *tighten* the deadline
 a batch budget never extends the batch.
 
 The fast path is one ``is None`` check — proving without a deadline pays
-nothing.  Worker processes inherit no deadline; the parent enforces
-dispatch-level budgets by bounding its waits with :func:`remaining`
-(see ``ProverPool._supervised_map``) and killing workers that overrun.
+nothing.  A worker gets its job's own budget as an argument; the parent
+enforces dispatch-level budgets by bounding its waits with
+:func:`remaining` (see ``ProverPool.prove_batch``) and killing workers
+that overrun.
 """
 
 from __future__ import annotations

@@ -1,27 +1,23 @@
 """The worker-side entry point of :class:`~repro.parallel.pool.ProverPool`.
 
 A pool ships exactly one kind of work to a worker process: a whole proof
-job (:func:`prove_job`).  The function is module-level (so it pickles by
-reference) and a pure function of its arguments plus the shared segments
-they name, so results assembled in submission order are bit-identical to
-proving the same jobs one after another on the caller.  When the parent
-is tracing, the pool runs the job under a worker-local tracer and merges
-its spans, counters and histograms back into the parent
-(:meth:`~repro.parallel.pool.ProverPool.run`); the worker appears as an
-extra pid in the exported Chrome trace.
+job (:func:`prove_job`).  The batch it belongs to — proving key, public
+inputs, witnesses — is parked in a module global by the executor's
+initializer (:func:`park_batch`): inherited under ``fork``, unpickled
+once per worker under ``spawn``, never sent with a task.  A job is a
+pure function of that batch and its arguments, so results assembled in
+submission order are bit-identical to proving the same jobs one after
+another on the caller.
 """
 
 from __future__ import annotations
 
 import os as _os
-from collections import OrderedDict
 
 import numpy as np
 
-from . import shm
 
-
-def _maybe_fault(site: str, desc=None) -> None:
+def _maybe_fault(site: str) -> None:
     """Chaos-harness injection point (see :mod:`repro.fuzz.faults`).
 
     Deliberately one env-dict lookup on the no-fault path: the faults
@@ -32,37 +28,26 @@ def _maybe_fault(site: str, desc=None) -> None:
         return
     from ..fuzz import faults
 
-    faults.maybe_fault(site, desc=desc)
+    faults.maybe_fault(site)
 
 
-#: Worker-resident proving keys, keyed by broadcast token.  A key is
-#: unpickled from its shared blob ONCE per worker and reused for every
-#: job of every batch that broadcasts the same key (amortized keygen).
-_PK_CACHE: "OrderedDict[str, object]" = OrderedDict()
-_PK_CACHE_MAX = 4
+#: ``(pk, publics, witnesses)`` of the batch this worker was started for.
+_BATCH = None
 
 
-def _cached_pk(token: str, blob_desc):
-    pk = _PK_CACHE.get(token)
-    if pk is None:
-        pk = shm.read_pickle(blob_desc)
-        _PK_CACHE[token] = pk
-        while len(_PK_CACHE) > _PK_CACHE_MAX:
-            _PK_CACHE.popitem(last=False)
-    else:
-        _PK_CACHE.move_to_end(token)
-    return pk
+def park_batch(pk, publics, witnesses) -> None:
+    """Executor initializer: keep the batch where :func:`prove_job`
+    finds it."""
+    global _BATCH
+    _BATCH = (pk, publics, witnesses)
 
 
-def prove_job(token: str, blob_desc, pub_desc, wit_desc, job: int,
-              seed_seq, circuit_id: str, timeout_s=None) -> bytes:
-    """Generate one complete proof and return its envelope wire bytes.
+def prove_job(job: int, seed_seq, circuit_id: str, timeout_s=None) -> bytes:
+    """Generate proof ``job`` of the parked batch and return its envelope
+    wire bytes.
 
-    The proving key arrives as a shared pickled blob broadcast once per
-    batch (and cached per worker across batches); the job's public inputs
-    and witness are row ``job`` of two stacked shared matrices.  Only the
-    envelope bytes travel back through the pipe, so the parent pays one
-    deserialization per job and the bytes are exactly what
+    Only the envelope bytes travel back through the pipe, so the parent
+    pays one deserialization per job and the bytes are exactly what
     :meth:`ProofBundle.to_bytes` would produce in-process.
 
     ``seed_seq`` is a :class:`numpy.random.SeedSequence` derived
@@ -74,12 +59,9 @@ def prove_job(token: str, blob_desc, pub_desc, wit_desc, job: int,
     """
     from ..snark.api import prove
 
-    _maybe_fault("prove_job", desc=blob_desc)
-    pk = _cached_pk(token, blob_desc)
-    with shm.attached(pub_desc) as pubs, shm.attached(wit_desc) as wits:
-        public = np.array(pubs[job])
-        witness = np.array(wits[job])
-    bundle = prove(pk, public, witness,
+    _maybe_fault("prove_job")
+    pk, publics, witnesses = _BATCH
+    bundle = prove(pk, publics[job], witnesses[job],
                    rng=np.random.default_rng(seed_seq),
                    circuit_id=circuit_id, timeout_s=timeout_s)
     return bundle.to_bytes()

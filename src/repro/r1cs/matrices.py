@@ -57,8 +57,8 @@ class SparseMatrix:
 
         The matvec gather plan and the transposed view are derived caches
         a receiver can rebuild lazily; dropping them roughly halves the
-        pickled size of a proving key, which matters when keys are
-        broadcast to worker processes (see ProverPool.broadcast).
+        pickled size of a proving key, which matters where batch workers
+        must be spawned rather than forked (see ProverPool.prove_batch).
         """
         state = self.__dict__.copy()
         state["_groups"] = None

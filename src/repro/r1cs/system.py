@@ -65,7 +65,7 @@ class R1CS:
     def __getstate__(self):
         """Drop the fused-SpMV cache from pickles (rebuilt lazily by the
         receiver); with SparseMatrix's own cache trimming this keeps a
-        broadcast proving key to the raw coordinate arrays."""
+        pickled proving key to the raw coordinate arrays."""
         state = self.__dict__.copy()
         state["_stacked_cache"] = None
         return state

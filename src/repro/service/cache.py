@@ -129,8 +129,7 @@ class KeyCache:
     """``(circuit_id, preset_name)`` → :class:`KeyEntry`, LRU by bytes.
 
     Entry size is estimated by pickling the proving key — the dominant
-    object, and exactly what :func:`repro.snark.prove_many` ships to
-    workers, so the estimate matches real broadcast cost.
+    object.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_KEY_CACHE_BYTES):

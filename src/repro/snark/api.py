@@ -22,7 +22,7 @@ and the proof payload over the paper's 10 MB/s link.
 
 Throughput comes from :mod:`repro.parallel`: :func:`prove_many` runs
 independent proof jobs on worker processes (``workers=N`` or a
-long-lived :class:`~repro.parallel.ProverPool`).  A single
+:class:`~repro.parallel.ProverPool`).  A single
 :func:`prove` is one job and runs on the caller.  Proof bytes are
 bit-identical at any worker count.
 
@@ -46,7 +46,7 @@ from ..obs import JobReport
 from ..obs import span as _span
 from ..obs.events import FLIGHT as _FLIGHT
 from ..obs.metrics import METRICS as _METRICS
-from ..parallel import get_pool, usable_cpus
+from ..parallel import ProverPool, usable_cpus
 from ..parallel.deadline import deadline_scope
 from ..r1cs.system import R1CS
 from ..spartan.protocol import SpartanProof, SpartanProver, SpartanVerifier
@@ -96,8 +96,9 @@ class ProofBundle:
 @dataclass(frozen=True)
 class ProvingKey:
     """Everything a prover needs for one R1CS instance: the constraint
-    system plus the protocol parameters.  Hold one per circuit; it is
-    picklable, so :func:`prove_many` can ship it to worker processes."""
+    system plus the protocol parameters.  Hold one per circuit; forked
+    :func:`prove_many` workers inherit it, and it is picklable for
+    platforms that must spawn them."""
 
     r1cs: R1CS
     preset: SecurityPreset
@@ -232,7 +233,7 @@ class JobResult:
 
     Exactly one of ``bundle`` (``ok=True``) and ``error`` (``ok=False``)
     is set; ``error`` is the typed exception the job ended with after
-    every recovery path (retry, serial degradation) was exhausted.
+    every recovery path (second round, serial degradation) was exhausted.
 
     ``report`` is the per-job :class:`~repro.obs.events.JobReport`:
     failed jobs always carry one (also recorded to the flight recorder,
@@ -265,21 +266,21 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
     round-trips the wire format.
 
     Fan-out: a ``pool`` the caller constructed is always used;
-    otherwise ``workers=N`` (default: every usable CPU) resolves through
-    the persistent :func:`repro.parallel.get_pool`, unless fewer than 2
-    CPUs are usable — CPU-bound jobs would only time-slice the one core
-    — or ``workers`` is 0 or 1, in which case the process-wide pool is
-    never touched.  The pool broadcasts ``pk`` into shared memory ONCE
-    (cached across batches) and stacks the jobs' inputs into two shared
-    arrays (:meth:`~repro.parallel.ProverPool.prove_batch`); with no
-    pool, one job, or no usable shared memory the same loop proves every
-    job in this process.
+    otherwise ``workers=N`` (default: every usable CPU) means
+    ``ProverPool(N)``, unless fewer than 2 CPUs are usable — CPU-bound
+    jobs would only time-slice the one core — or ``workers`` is 0 or 1.
+    The pool forks its workers for this one batch
+    (:meth:`~repro.parallel.ProverPool.prove_batch`): they inherit
+    ``pk`` and the jobs' inputs, send envelope bytes back and are gone
+    when the call returns; with no pool or one job the same loop proves
+    every job in this process.  Because a batch forks, call this from a
+    thread that holds no locks other threads need.
 
-    Fault handling: a job that fails on its worker (crash, torn shared
-    memory, a poisoned broadcast blob) is re-proved *in this process* —
-    the parent holds the pristine ``pk``, so even broadcast corruption
-    recovers, and the bytes are bit-identical because the job's seed is
-    unchanged.  ``timeout_s`` is a per-job cooperative budget
+    Fault handling: a job whose worker died or hung gets one more round
+    on fresh workers; a job that still has no proof — or that raised on
+    its worker — is re-proved *in this process*, and the bytes are
+    bit-identical because the job's seed is unchanged.  ``timeout_s``
+    is a per-job cooperative budget
     (:class:`~repro.errors.ProverTimeoutError`; never retried).
     ``on_error`` selects the failure contract: ``"raise"`` (default)
     re-raises the first unrecovered error, all-or-nothing;
@@ -291,7 +292,7 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
     supervision incidents *of this batch only* — deltas of the recorder's
     sequence numbers, not absolute counter values, so back-to-back
     batches in one process never inherit each other's degradation or
-    retry counts.  ``attach_report=True`` hangs that batch report off
+    restart counts.  ``attach_report=True`` hangs that batch report off
     every returned bundle.  Under ``on_error="return"`` every *failed*
     job additionally records — and carries, via
     :attr:`JobResult.report` — its own per-job report naming the typed
@@ -309,7 +310,7 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
     wits = [np.asarray(wit, dtype=np.uint64) for _, wit in jobs]
     if pool is None and (workers is None or workers > 1) \
             and usable_cpus() >= 2:
-        pool = get_pool(workers)
+        pool = ProverPool(workers)
 
     job_id = _FLIGHT.next_job_id()
     seq0 = _FLIGHT.seq
@@ -322,7 +323,7 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
             envelopes = None if pool is None else pool.prove_batch(
                 pk, pubs, wits, seeds, circuit_id, timeout_s)
             if envelopes is not None:
-                used_workers, dispatch = pool.workers, "shm"
+                used_workers, dispatch = pool.workers, "pool"
             for j, seed in enumerate(seeds):
                 blob = None if envelopes is None else envelopes[j]
                 tj = time.perf_counter()
@@ -331,12 +332,7 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
                         raise blob  # a spent budget is final: no retry
                     if not isinstance(blob, bytes):
                         if blob is not None:
-                            # The worker failed: recover here, where the
-                            # pristine pk lives, and drop the cached
-                            # broadcast so the next batch ships a clean
-                            # blob instead of replaying the damage.
-                            pool.drop_broadcast(pk)
-                            pool._degraded(blob)
+                            pool._degraded(blob)  # the worker failed
                         blob = prove(pk, pubs[j], wits[j],
                                      rng=np.random.default_rng(seed),
                                      circuit_id=circuit_id,

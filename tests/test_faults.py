@@ -1,37 +1,33 @@
 """Tests for the fault-tolerance layer: deterministic fault injection
 (:mod:`repro.fuzz.faults`), cooperative deadlines
-(:mod:`repro.parallel.deadline`), the supervised dispatch/recovery paths
-in :class:`repro.parallel.ProverPool`, the shm janitor, and the
-per-job failure contract of :func:`repro.snark.prove_many`.
+(:mod:`repro.parallel.deadline`), the one supervision rule of
+:meth:`repro.parallel.ProverPool.prove_batch`, and the per-job failure
+contract of :func:`repro.snark.prove_many`.
 
 The invariant under test throughout: an injected fault either leaves the
 proof bytes **identical** to the no-fault run (recovered) or surfaces as
-a typed :class:`repro.errors.ReproError` — and never leaks a /dev/shm
-segment either way.
+a typed :class:`repro.errors.ReproError` — and never leaves a child
+process or a /dev/shm entry behind either way.
 """
 
+import contextlib
+import multiprocessing
 import os
-import subprocess
-import sys
+import signal
 
 import pytest
 
-from repro.errors import ProverTimeoutError, ReproError, WorkerCrashError
+from repro.errors import ProverTimeoutError, ReproError
 from repro.fuzz import faults
-from repro.parallel import (
-    FaultPolicy,
-    ProverPool,
-    check_deadline,
-    deadline_scope,
-    shm,
-)
+from repro.obs.events import FLIGHT
+from repro.parallel import ProverPool, check_deadline, deadline_scope, kernels
 from repro.parallel.deadline import active_deadline, remaining
+from repro.parallel.shm import segment_owner_pid
 from repro.snark import TEST, JobResult, prove, prove_many, setup, verify
 from repro.workloads import synthetic_r1cs
 
-#: Fast supervision for tests: short backoff, short stall watchdog.
-QUICK_POLICY = FaultPolicy(max_retries=2, backoff_base_s=0.01,
-                           backoff_cap_s=0.1, dispatch_timeout_s=2.0)
+#: Fast supervision for tests: a short stall watchdog.
+QUICK_STALL_S = 2.0
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +41,9 @@ def keys(instance):
     return setup(r1cs, TEST)
 
 
-def _repro_segments():
+def _shm_entries():
     try:
-        return sorted(n for n in os.listdir("/dev/shm")
-                      if n.startswith("repro"))
+        return sorted(os.listdir("/dev/shm"))
     except FileNotFoundError:
         return []
 
@@ -103,13 +98,6 @@ class TestFaultPlan:
 
     def test_no_plan_is_a_noop(self):
         faults.maybe_fault("anything")  # must not raise
-
-    def test_segment_kinds_need_a_descriptor(self):
-        plan = faults.FaultPlan(kind="shm_unlink", site="unit",
-                                token="nodesc")
-        with faults.injected(plan):
-            faults.maybe_fault("unit", desc=None)  # no victim: no-op
-            assert not os.path.exists(plan.claim_path)
 
 
 class TestDeadline:
@@ -187,15 +175,12 @@ class TestProveTimeout:
     def test_pooled_timeout_is_final(self, instance, keys):
         """A budget spent inside a worker is that job's answer: not
         retried on the fleet, not re-proved in the parent."""
-        from repro.obs.events import FLIGHT
-
         _, public, witness = instance
         pk, _ = keys
         seq0 = FLIGHT.seq
-        with ProverPool(workers=2, fault_policy=QUICK_POLICY) as p:
-            results = prove_many(pk, [(public, witness)] * 2, pool=p,
-                                 base_seed=5, timeout_s=1e-6,
-                                 on_error="return")
+        results = prove_many(pk, [(public, witness)] * 2,
+                             pool=ProverPool(workers=2), base_seed=5,
+                             timeout_s=1e-6, on_error="return")
         assert all(isinstance(r.error, ProverTimeoutError) for r in results)
         assert FLIGHT.fault_deltas(seq0) == {}
 
@@ -208,120 +193,106 @@ class TestProveTimeout:
 
 
 class TestSupervisedRecovery:
-    """Injected faults against a live pool: bytes must stay identical."""
+    """The one supervision rule, driven through real ``prove_many``
+    batches: bytes stay identical and nothing outlives the call."""
 
-    def _faulted_batch(self, instance, keys, plan, base_seed):
-        """(reference bytes, bytes under ``plan``, fired, incidents) of a
-        2-job batch on a fresh supervised pool."""
-        from repro.obs.events import FLIGHT
-
+    def _batch(self, instance, keys, base_seed, plan=None, jobs=2):
+        """(reference bytes, bytes from a 2-worker pool, incidents) of one
+        batch, run under ``plan`` when given."""
         _, public, witness = instance
         pk, vk = keys
-        jobs = [(public, witness)] * 2
+        batch = [(public, witness)] * jobs
         reference = [b.to_bytes() for b in
-                     prove_many(pk, jobs, workers=0, base_seed=base_seed)]
-        before = _repro_segments()
+                     prove_many(pk, batch, workers=0, base_seed=base_seed)]
+        before = _shm_entries()
         seq0 = FLIGHT.seq
-        with faults.injected(plan):
-            with ProverPool(workers=2, fault_policy=QUICK_POLICY) as p:
-                bundles = prove_many(pk, jobs, pool=p, base_seed=base_seed)
-            fired = os.path.exists(plan.claim_path)
+        pool = ProverPool(workers=2, stall_timeout_s=QUICK_STALL_S)
+        with (faults.injected(plan) if plan is not None
+              else contextlib.nullcontext()):
+            bundles = prove_many(pk, batch, pool=pool, base_seed=base_seed)
+            assert plan is None or os.path.exists(plan.claim_path), \
+                "fault never fired"
         assert all(verify(vk, b) for b in bundles)
-        assert _repro_segments() == before
-        return (reference, [b.to_bytes() for b in bundles], fired,
+        assert multiprocessing.active_children() == []
+        assert _shm_entries() == before
+        return (reference, [b.to_bytes() for b in bundles],
                 FLIGHT.fault_deltas(seq0))
 
-    def test_injected_error_is_retried(self, instance, keys):
-        plan = faults.FaultPlan(kind="error", site="prove_job",
-                                token="t_retry")
-        reference, got, fired, incidents = self._faulted_batch(
-            instance, keys, plan, base_seed=44)
-        assert fired, "fault never fired"
+    def test_clean_batch_leaves_nothing(self, instance, keys):
+        reference, got, incidents = self._batch(instance, keys, 43)
+        assert got == reference and incidents == {}
+
+    def test_kill_is_recovered_by_the_second_round(self, instance, keys):
+        plan = faults.FaultPlan(kind="worker_kill", site="prove_job",
+                                token="t_kill")
+        reference, got, incidents = self._batch(instance, keys, 46, plan)
         assert got == reference
-        assert incidents.get("retry") and not incidents.get("degradation")
+        assert incidents == {"worker_restart": 1}
 
-    def test_shm_unlink_degrades_to_serial(self, instance, keys):
-        plan = faults.FaultPlan(kind="shm_unlink", site="prove_job",
-                                token="t_unlink")
-        reference, got, fired, incidents = self._faulted_batch(
-            instance, keys, plan, base_seed=45)
-        if fired:  # non-Linux: segment kinds cannot fire
-            assert got == reference
-            assert incidents.get("degradation")
+    def test_stall_is_recovered_by_the_second_round(self, instance, keys):
+        plan = faults.FaultPlan(kind="stall", site="prove_job",
+                                stall_s=30.0, token="t_stall")
+        reference, got, incidents = self._batch(instance, keys, 47, plan)
+        assert got == reference
+        assert incidents == {"dispatch_stall": 1, "worker_restart": 1}
 
-    def test_unrecoverable_corruption_raises_workercrash(self):
-        """At the pool layer (no serial fallback above it), shm damage
-        surfaces as a typed WorkerCrashError after zero retries."""
-        import pickle
+    def test_injected_error_is_proved_at_most_twice(self, instance, keys,
+                                                    tmp_path, monkeypatch):
+        """A job that raised is not re-run on workers: one attempt there,
+        one in the caller."""
+        log = tmp_path / "arrivals"
 
-        if not shm.shm_supported():
-            pytest.skip("no shared memory on this platform")
-        with ProverPool(workers=2, fault_policy=QUICK_POLICY) as p:
+        def always_raise(site):
+            with open(log, "a") as fh:
+                fh.write(f"{site}\n")
+            raise RuntimeError("injected: every worker attempt raises")
 
-            with pytest.raises(WorkerCrashError) as ei:
-                p.run(_boom_shm, [(0, 4), (4, 8)])
-            assert isinstance(ei.value.__cause__, (shm.ShmError,
-                                                   pickle.PickleError))
-            assert ei.value.retries == 0  # fail-fast: no pointless retry
+        monkeypatch.setattr(kernels, "_maybe_fault", always_raise)
+        reference, got, incidents = self._batch(instance, keys, 44, jobs=3)
+        assert got == reference
+        assert log.read_text().splitlines() == ["prove_job"] * 3
+        assert incidents == {"task_error": 3, "degradation": 3}
 
+    def test_kill_in_both_rounds_is_recovered_by_the_caller(
+            self, instance, keys, monkeypatch):
+        """Every worker that takes a job dies, in both rounds: the caller
+        proves the lost jobs, one ``degradation`` each."""
+        monkeypatch.setattr(
+            kernels, "_maybe_fault",
+            lambda site: os.kill(os.getpid(), signal.SIGKILL))
+        reference, got, incidents = self._batch(instance, keys, 48)
+        assert got == reference
+        assert incidents == {"worker_restart": 1, "degradation": 2}
 
-def _boom_shm(lo, hi):
-    """Module-level so it pickles into workers; always tears."""
-    raise shm.ShmError(f"synthetic torn segment [{lo}:{hi})")
+    def test_deadline_expiry_kills_the_workers(self, instance, keys):
+        """An enclosing deadline clamps the dispatch wait: expiry raises
+        and no worker is left sleeping."""
+        _, public, witness = instance
+        pk, _ = keys
+        plan = faults.FaultPlan(kind="stall", site="prove_job",
+                                stall_s=30.0, token="t_deadline")
+        with faults.injected(plan):
+            with pytest.raises(ProverTimeoutError):
+                with deadline_scope(1.0, label="batch budget"):
+                    prove_many(pk, [(public, witness)] * 2,
+                               pool=ProverPool(workers=2), base_seed=49)
+        assert multiprocessing.active_children() == []
 
 
 class TestJanitor:
-    def _dead_pid(self):
-        """A pid guaranteed dead: a subprocess we already reaped."""
-        proc = subprocess.Popen([sys.executable, "-c", "pass"])
-        proc.wait()
-        return proc.pid
+    """The janitor is gone; its name parser is a bench vestige."""
 
     def test_segment_owner_pid_parses_our_names(self):
-        assert shm.segment_owner_pid("repro_12345_0") == 12345
-        assert shm.segment_owner_pid("repro_sigterm_99_7") == 99
-        assert shm.segment_owner_pid("psm_abcdef") is None
-        assert shm.segment_owner_pid("some_other_tool_1_2") is None
+        assert segment_owner_pid("repro_12345_0") == 12345
+        assert segment_owner_pid("repro_sigterm_99_7") == 99
+        assert segment_owner_pid("psm_abcdef") is None
+        assert segment_owner_pid("some_other_tool_1_2") is None
 
-    def test_scan_and_reclaim_orphan(self, tmp_path):
-        dead = self._dead_pid()
-        fake_dir = tmp_path / "shm"
-        fake_dir.mkdir()
-        orphan = f"repro_{dead}_0"
-        live = f"repro_{os.getpid()}_0"
-        foreign = "definitely_not_ours"
-        for name in (orphan, live, foreign):
-            (fake_dir / name).write_bytes(b"\x00" * 16)
-        assert shm.scan_orphans(str(fake_dir)) == [orphan]
-        assert shm.reclaim_orphans(str(fake_dir)) == [orphan]
-        assert sorted(os.listdir(fake_dir)) == sorted([live, foreign])
-        # second pass: nothing left to reclaim
-        assert shm.reclaim_orphans(str(fake_dir)) == []
+    def test_doctor_cli_is_gone(self):
+        from repro.cli import build_parser
 
-    def test_missing_dir_is_empty(self):
-        assert shm.scan_orphans("/no/such/dir") == []
-        assert shm.reclaim_orphans("/no/such/dir") == []
-
-    @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
-                        reason="needs a real /dev/shm")
-    def test_pool_startup_sweeps_orphans(self, keys, instance):
-        dead = self._dead_pid()
-        orphan = os.path.join("/dev/shm", f"repro_{dead}_0")
-        with open(orphan, "wb") as fh:
-            fh.write(b"\x00" * 16)
-        try:
-            with ProverPool(workers=2):
-                assert not os.path.exists(orphan), \
-                    "pool startup left the orphan behind"
-        finally:
-            if os.path.exists(orphan):
-                os.unlink(orphan)
-
-    def test_doctor_cli_reclaims(self, tmp_path):
-        from repro.cli import main
-
-        rc = main(["doctor"])
-        assert rc == 0
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["doctor"])
 
 
 class TestProveManyPartialFailure:
@@ -338,41 +309,15 @@ class TestProveManyPartialFailure:
         assert [r.bundle.to_bytes() for r in results] == reference
         assert all(verify(vk, r.bundle) for r in results)
 
-    def test_workers_zero_short_circuits_global_pool(self, instance, keys):
-        """workers=0 must run inline without building the process-wide
-        pool (regression: the old path built a pool just to discover it
-        would not use it)."""
-        from repro.parallel import pool as pool_mod
-        from repro.parallel import shutdown
+    def test_workers_zero_short_circuits_global_pool(self, instance, keys,
+                                                     monkeypatch):
+        """workers=0 or 1 must run inline without building a pool."""
+        from repro.snark import api
 
-        shutdown()
+        monkeypatch.setattr(api, "ProverPool", None)  # calling it raises
         _, public, witness = instance
         pk, _ = keys
         for w in (0, 1):
-            bundles = prove_many(pk, [(public, witness)], workers=w,
-                                 base_seed=3)
-            assert len(bundles) == 1
-            assert pool_mod._GLOBAL_POOL is None, \
-                f"workers={w} spun up the global pool"
-
-    def test_parallel_poisoned_broadcast_recovers(self, instance, keys):
-        """Poisoning the broadcast pk blob mid-batch must not change a
-        single proof byte: the parent retries serially with its pristine
-        key and evicts the damaged blob."""
-        if not shm.shm_supported():
-            pytest.skip("broadcast poisoning needs shared memory")
-        _, public, witness = instance
-        pk, vk = keys
-        jobs = [(public, witness)] * 3
-        reference = [b.to_bytes() for b in
-                     prove_many(pk, jobs, workers=1, base_seed=29)]
-        before = _repro_segments()
-        plan = faults.FaultPlan(kind="poison_pickle", site="broadcast",
-                                token="t_poison")
-        with faults.injected(plan):
-            with ProverPool(workers=2, fault_policy=QUICK_POLICY) as p:
-                bundles = prove_many(pk, jobs, pool=p, base_seed=29)
-            assert os.path.exists(plan.claim_path), "fault never fired"
-        assert [b.to_bytes() for b in bundles] == reference
-        assert all(verify(vk, b) for b in bundles)
-        assert _repro_segments() == before
+            bundles = prove_many(pk, [(public, witness)] * 2, workers=w,
+                                 base_seed=3, attach_report=True)
+            assert bundles[0].report.dispatch == "serial"

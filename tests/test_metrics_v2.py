@@ -271,7 +271,7 @@ class TestFlightRecorder:
     def test_ring_is_bounded_and_seq_monotonic(self):
         rec = FlightRecorder(capacity=4)
         for i in range(10):
-            rec.record("retry", attempt=i)
+            rec.record("worker_restart", attempt=i)
         events = rec.events()
         assert len(events) == 4
         assert [e.data["attempt"] for e in events] == [6, 7, 8, 9]
@@ -280,7 +280,7 @@ class TestFlightRecorder:
     def test_disabled_records_nothing(self):
         rec = FlightRecorder()
         rec.enabled = False
-        assert rec.record("retry") is None
+        assert rec.record("worker_restart") is None
         assert rec.record_job(JobReport(job_id="x", op="prove")) is None
         assert rec.events() == []
 
@@ -288,39 +288,39 @@ class TestFlightRecorder:
         rec = FlightRecorder()
         rec.record("degradation", kernel="encode")
         seq0 = rec.seq
-        rec.record("retry", attempt=1)
-        rec.record("retry", attempt=2)
+        rec.record("worker_restart", attempt=1)
+        rec.record("worker_restart", attempt=2)
         rec.record_job(JobReport(job_id="j", op="prove"))  # not a fault
         # Only events inside the window; "job" records never count.
-        assert rec.fault_deltas(seq0) == {"retry": 2}
+        assert rec.fault_deltas(seq0) == {"worker_restart": 2}
         assert rec.fault_deltas(rec.seq) == {}
 
     def test_job_reports_roundtrip(self):
         rec = FlightRecorder()
         rec.record_job(JobReport(job_id="a-1", op="prove", preset="test-fast",
-                                 workers=2, dispatch="shm",
+                                 workers=2, dispatch="pool",
                                  proof_size_bytes=123, ok=True,
-                                 events={"retry": 1}))
+                                 events={"worker_restart": 1}))
         reports = rec.job_reports()
         assert len(reports) == 1
         assert reports[0].job_id == "a-1"
-        assert reports[0].dispatch == "shm"
-        assert reports[0].events == {"retry": 1}
+        assert reports[0].dispatch == "pool"
+        assert reports[0].events == {"worker_restart": 1}
 
     def test_spool_and_read_back_with_torn_line(self, tmp_path):
         path = tmp_path / "flight.jsonl"
         rec = FlightRecorder(spool_path=str(path))
-        rec.record("retry", attempt=1)
+        rec.record("worker_restart", attempt=1)
         rec.record("timeout", label="x")
         with open(path, "a") as fh:
             fh.write('{"torn": ')  # simulated crash mid-append
         events = read_spool(str(path))
-        assert [e["kind"] for e in events] == ["retry", "timeout"]
+        assert [e["kind"] for e in events] == ["worker_restart", "timeout"]
         assert read_spool(str(path), last=1)[0]["kind"] == "timeout"
 
     def test_broken_spool_never_raises(self, tmp_path):
         rec = FlightRecorder(spool_path=str(tmp_path / "nodir" / "f.jsonl"))
-        assert rec.record("retry") is not None  # ring keeps the record
+        assert rec.record("timeout") is not None  # ring keeps the record
 
     def test_next_job_id_unique(self):
         rec = FlightRecorder()
@@ -330,10 +330,10 @@ class TestFlightRecorder:
     def test_format_events_renders_jobs_and_incidents(self):
         rec = FlightRecorder()
         rec.record_job(JobReport(job_id="p-1", op="prove", ok=True,
-                                 events={"retry": 2}))
+                                 events={"worker_restart": 2}))
         rec.record("dispatch_stall", pending=3)
         text = format_events([e.to_dict() for e in rec.events()])
-        assert "p-1" in text and "retry:2" in text
+        assert "p-1" in text and "worker_restart:2" in text
         assert "dispatch_stall" in text and "pending=3" in text
 
 
@@ -359,14 +359,10 @@ class TestProveTelemetry:
         jobs = [(public, witness)] * 3
         METRICS.enabled = True
         pool = ProverPool(workers=workers) if workers > 1 else None
-        try:
-            t0 = time.perf_counter()
-            bundles = prove_many(pk, jobs, pool=pool, workers=workers,
-                                 base_seed=5)
-            wall = time.perf_counter() - t0
-        finally:
-            if pool is not None:
-                pool.close()
+        t0 = time.perf_counter()
+        bundles = prove_many(pk, jobs, pool=pool, workers=workers,
+                             base_seed=5)
+        wall = time.perf_counter() - t0
         assert len(bundles) == 3
         hist = METRICS.histogram("prove_seconds")
         assert hist is not None
@@ -411,7 +407,7 @@ class TestProveTelemetry:
         b1 = prove_many(pk, [(public, witness)], workers=0, base_seed=1,
                         attach_report=True)
         assert b1[0].report.events == {}
-        FLIGHT.record("retry", attempt=1)  # incident between batches
+        FLIGHT.record("worker_restart", attempt=1)  # incident between batches
         b2 = prove_many(pk, [(public, witness)], workers=0, base_seed=2,
                         attach_report=True)
         assert b2[0].report.events == {}

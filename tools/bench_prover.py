@@ -27,13 +27,14 @@ track the trajectory on real multicore hardware.
 Since schema_version 4 every size row records the process peak RSS (the
 streaming commit keeps it bounded through the 2^20 sweep), and the
 workers sweep carries a ``dispatch`` block per worker count (tasks
-dispatched, bytes shared through :mod:`repro.parallel.shm`).  The
-harness asserts ``prove_many`` with workers stays at or above
-``--min-batch-speedup`` (default 0.95) of the serial batch — the
-regression guard for the zero-copy dispatch path.  Schema_version 5
-dropped the ``kernel_parallel`` rows and the probe / pickled-bytes
-fields along with kernel-level fan-out itself (docs/PERFORMANCE.md has
-the decision record).
+dispatched).  The harness asserts ``prove_many`` with workers stays at
+or above ``--min-batch-speedup`` (default 0.95) of the serial batch —
+the regression guard for the dispatch path.  Schema_version 5 dropped
+the ``kernel_parallel`` rows and the probe / pickled-bytes fields along
+with kernel-level fan-out itself, and schema_version 6 dropped
+``dispatch.bytes_shared`` along with the shared-memory transport: a
+batch's workers are forked for it and inherit the key
+(docs/PERFORMANCE.md has both decision records).
 Rows after the first also carry ``growth_per_doubling`` (this row's
 ``prove_s`` over the previous size's), which ``tools/bench_diff.py``
 holds under 2.4x across 2^16..2^20: the scaling curve must stay smooth.
@@ -69,7 +70,7 @@ DEFAULT_NUM_ROWS = 128
 MAX_NOOP_OVERHEAD_FRAC = 0.02
 
 #: Batch proving with workers must stay within this fraction of serial
-#: (the zero-copy dispatch regression guard; override with
+#: (the dispatch regression guard; override with
 #: ``--min-batch-speedup``, 0 disables).
 DEFAULT_MIN_BATCH_SPEEDUP = 0.95
 
@@ -105,7 +106,7 @@ def measure_instrumentation_unit_costs(iters: int = 200_000) -> dict:
     try:
         t0 = time.perf_counter()
         for _ in range(iters):
-            FLIGHT.record("janitor")
+            FLIGHT.record("timeout")
         flight_s = (time.perf_counter() - t0) / iters
     finally:
         FLIGHT.enabled = flight_prev
@@ -189,24 +190,14 @@ def bench_size(log_size: int, num_rows: int, repeats: int,
     }
 
 
-def _dispatch_snapshot() -> dict:
-    """What the timed batches shipped, for one worker count."""
-    counters = METRICS.counters()
-    return {
-        "bytes_shared": int(counters.get("parallel.shm_bytes_shared", 0)),
-        "dispatches": int(counters.get("parallel.dispatches", 0)),
-    }
-
-
 def bench_workers(log_size: int, repeats: int, worker_counts,
                   min_batch_speedup: float) -> dict:
     """Workers sweep at one size: ``prove_many`` batch throughput at each
     worker count against the serial batch.
 
-    Pools are warmed (spawn + proving-key broadcast) before the timed
-    region, mirroring how the persistent process-wide pool amortizes
-    those costs in real use; the dispatch block records what the timed
-    runs actually shipped.
+    Every pooled batch pays for its own workers (forked per batch), so
+    that cost is inside the timed region; the dispatch block records how
+    many jobs the timed runs shipped.
     """
     from repro.parallel import ProverPool, usable_cpus
     from repro.snark import TEST, prove_many, setup, verify
@@ -215,49 +206,48 @@ def bench_workers(log_size: int, repeats: int, worker_counts,
     worker_counts = sorted(set(worker_counts) | {1})
     r1cs, public, witness = synthetic_r1cs(log_size, band=16, seed=log_size)
 
-    # A batch of independent statements under the registry TEST preset,
-    # so workers can rebuild the full pipeline from the broadcast key.
+    # A batch of independent statements under the registry TEST preset.
     pk, vk = setup(r1cs, TEST)
     num_jobs = max(worker_counts)
     jobs = [(public, witness)] * num_jobs
     batch_rows = []
     batch_serial_s = None
     for w in worker_counts:
-        with ProverPool(w) as pool:
-            # Warm-up with one job per worker so the batch path is primed
-            # like a warm pool: pk broadcast, every worker's unpickle
-            # cache, and every worker's NTT root tables at this size.
-            prove_many(pk, jobs[: min(w, num_jobs)], pool=pool, base_seed=0)
-            METRICS.enabled = True
+        pool = ProverPool(w)
+        # One untimed batch: lazy imports, and the caller's NTT root
+        # tables at this size, which forked workers inherit.
+        prove_many(pk, jobs[: min(w, num_jobs)], pool=pool, base_seed=0)
+        METRICS.enabled = True
+        METRICS.reset()
+        try:
+            # The speedup a multi-second batch is guarded on must be
+            # robust to this-machine noise: pair every pooled shot
+            # with a serial shot taken seconds earlier (cancels slow
+            # drift — frequency scaling, page cache, allocator
+            # state), then take the MEDIAN of the per-round ratios
+            # (discards the heavy-tailed steal-time spikes a shared
+            # vCPU lands on individual shots, which a ratio of two
+            # independent minima amplifies instead).
+            bundles = None
+            ratios = []
+            pooled_best = float("inf")
+            for _ in range(max(1, repeats)):
+                t0 = time.perf_counter()
+                prove_many(pk, jobs, workers=1, base_seed=5)
+                serial_i = time.perf_counter() - t0
+                t0 = time.perf_counter()
+                bundles = prove_many(pk, jobs, pool=pool, base_seed=5)
+                pooled_i = time.perf_counter() - t0
+                ratios.append(serial_i / pooled_i)
+                pooled_best = min(pooled_best, pooled_i)
+            batch_s = pooled_best
+            ratios.sort()
+            median_ratio = ratios[len(ratios) // 2]
+            dispatch = {"dispatches": int(
+                METRICS.counters().get("parallel.dispatches", 0))}
+        finally:
+            METRICS.enabled = False
             METRICS.reset()
-            try:
-                # The speedup a multi-second batch is guarded on must be
-                # robust to this-machine noise: pair every pooled shot
-                # with a serial shot taken seconds earlier (cancels slow
-                # drift — frequency scaling, page cache, allocator
-                # state), then take the MEDIAN of the per-round ratios
-                # (discards the heavy-tailed steal-time spikes a shared
-                # vCPU lands on individual shots, which a ratio of two
-                # independent minima amplifies instead).
-                bundles = None
-                ratios = []
-                pooled_best = float("inf")
-                for _ in range(max(1, repeats)):
-                    t0 = time.perf_counter()
-                    prove_many(pk, jobs, workers=1, base_seed=5)
-                    serial_i = time.perf_counter() - t0
-                    t0 = time.perf_counter()
-                    bundles = prove_many(pk, jobs, pool=pool, base_seed=5)
-                    pooled_i = time.perf_counter() - t0
-                    ratios.append(serial_i / pooled_i)
-                    pooled_best = min(pooled_best, pooled_i)
-                batch_s = pooled_best
-                ratios.sort()
-                median_ratio = ratios[len(ratios) // 2]
-                dispatch = _dispatch_snapshot()
-            finally:
-                METRICS.enabled = False
-                METRICS.reset()
         if not all(verify(vk, b) for b in bundles):
             raise SystemExit(f"prove_many batch at {w} workers "
                              "produced an invalid proof")
@@ -282,7 +272,7 @@ def bench_workers(log_size: int, repeats: int, worker_counts,
                 raise SystemExit(
                     f"prove_many at {w} workers ran at {speedup:.2f}x "
                     f"serial, below the {min_batch_speedup:.2f}x floor: the "
-                    "zero-copy dispatch path regressed")
+                    "dispatch path regressed")
     return {
         "log_size": log_size,
         "cpu_count": usable_cpus(),
@@ -366,12 +356,12 @@ def main(argv=None) -> int:
             print(f"  batch x{row['jobs']} w={row['workers']}: "
                   f"{row['batch_s']:.4f} s "
                   f"({row['speedup_vs_serial']:.2f}x, "
-                  f"shared {row['dispatch']['bytes_shared']:,} B)")
+                  f"{row['dispatch']['dispatches']} jobs dispatched)")
 
     payload = {
         "benchmark": "spartan_orion_functional_prover",
         "schema": "repro/bench-prover",
-        "schema_version": 5,
+        "schema_version": 6,
         "workload": "synthetic_r1cs(band=16)",
         "num_rows": args.num_rows,
         "repetitions": args.repetitions,

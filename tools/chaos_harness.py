@@ -4,23 +4,23 @@
 Where ``tools/soundness_harness.py`` attacks proof *bytes*, this harness
 attacks the proving *machinery*: it arms one :class:`repro.fuzz.faults.
 FaultPlan` per scenario — a worker SIGKILLed mid-job, a dispatch that
-hangs, a shared-memory segment unlinked under a reader, a poisoned
-broadcast blob, a generic in-task exception, a spent deadline — builds a
-fresh supervised pool inside the armed scope, runs a real ``prove_many``
-batch through it, and asserts the fault contract on every scenario:
+hangs, a generic in-task exception, a spent deadline — runs a real
+``prove_many`` batch through a pool inside the armed scope, and asserts
+the fault contract on every scenario:
 
-* the run **completes with byte-identical proofs** (supervisor retried
-  or restarted, or the parent re-proved the job in-process), or
+* the run **completes with byte-identical proofs** (the lost jobs got
+  their second round, or the parent re-proved them in-process), or
 * it raises a **typed** :class:`repro.errors.ReproError`, and
-* either way **zero** ``repro*`` segments are leaked in ``/dev/shm``, and
+* either way **no child process** is left and ``/dev/shm`` is unchanged,
+  and
 * every fired fault left at least one matching event in the
   :data:`repro.obs.FLIGHT` flight recorder (kill -> ``worker_restart``,
   stall -> ``dispatch_stall``, spent deadline -> ``timeout``, ...), so
   no recovery is invisible to an operator reading ``repro report``.
 
-Anything else — wrong bytes, an untyped exception, a leaked segment, or
-a plan that never fired — fails the scenario and the process exits
-nonzero.  A machine-readable injection matrix (scenario x outcome x
+Anything else — wrong bytes, an untyped exception, a leaked process or
+segment, or a plan that never fired — fails the scenario and the process
+exits nonzero.  A machine-readable injection matrix (scenario x outcome x
 recovery latency) is written to ``BENCH_faults.json``.
 
 Usage::
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -46,7 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.errors import ProverTimeoutError, ReproError
 from repro.fuzz import faults
 from repro.obs.events import FLIGHT
-from repro.parallel import FaultPolicy, ProverPool
+from repro.parallel import ProverPool
 from repro.snark import TEST, prove, prove_many, setup
 from repro.workloads import synthetic_r1cs
 
@@ -56,27 +57,23 @@ WORKLOAD_SEED = 9
 BATCH_BASE_SEED = 42
 BATCH_JOBS = 3
 
-#: Supervision policy for chaos pools: fast backoff so the matrix runs in
-#: seconds, and a short stall watchdog so the stall scenario converges.
-CHAOS_POLICY = FaultPolicy(max_retries=2, backoff_base_s=0.01,
-                           backoff_cap_s=0.2, dispatch_timeout_s=1.5)
+#: Stall watchdog for chaos pools: short, so the stall scenario converges
+#: in seconds.
+CHAOS_STALL_TIMEOUT_S = 1.5
 
 #: How long an injected stall sleeps — comfortably past the watchdog.
 STALL_S = 6.0
 
 #: Flight-recorder visibility contract: every injected fault must leave
 #: at least one event of a matching kind in the parent's ring (first
-#: entry = the canonical kind; the rest are acceptable recovery paths,
-#: e.g. a kill whose retries exhaust ends in ``degradation`` rather than
-#: ``worker_restart``).  A recovery the recorder cannot see is an outage
+#: entry = the canonical kind; the rest are acceptable recovery paths).
+#: A recovery the recorder cannot see is an outage
 #: an operator cannot see, so invisibility fails the scenario even when
 #: the proof bytes came out right.
 FAULT_VISIBILITY = {
-    "worker_kill": ("worker_restart", "retry", "degradation"),
+    "worker_kill": ("worker_restart", "degradation"),
     "stall": ("dispatch_stall", "worker_restart", "degradation"),
-    "shm_unlink": ("degradation", "task_error", "retry", "worker_restart"),
-    "poison_pickle": ("degradation", "task_error", "retry"),
-    "error": ("task_error", "retry", "degradation"),
+    "error": ("task_error", "degradation"),
     "deadline": ("timeout",),
 }
 
@@ -108,14 +105,7 @@ SCENARIOS: List[Scenario] = [
     # Hung dispatch: the watchdog must detect and re-drive.
     Scenario("stall_job", "prove_many", "stall", "prove_job", quick=True,
              extra={"stall_s": STALL_S}),
-    # Torn shared memory: the key blob unlinked from under a worker; the
-    # parent re-proves in-process.
-    Scenario("shm_unlink_job", "prove_many", "shm_unlink", "prove_job",
-             quick=True),
-    # Corrupted broadcast blob (the pickled proving key).
-    Scenario("poison_broadcast", "prove_many", "poison_pickle", "broadcast",
-             quick=True),
-    # Generic in-task exception.
+    # Generic in-task exception: the parent re-proves in-process.
     Scenario("error_job", "prove_many", "error", "prove_job", quick=True),
     # Spent deadline: must raise ProverTimeoutError, never degrade.
     Scenario("deadline_expiry", "deadline", None, quick=True,
@@ -123,12 +113,18 @@ SCENARIOS: List[Scenario] = [
 ]
 
 
-def repro_segments() -> List[str]:
+def shm_entries() -> List[str]:
     try:
-        return sorted(n for n in os.listdir("/dev/shm")
-                      if n.startswith("repro"))
+        return sorted(os.listdir("/dev/shm"))
     except OSError:
         return []
+
+
+def leaks(shm_before: List[str]) -> List[str]:
+    """What a batch left behind: child processes still alive, and
+    ``/dev/shm`` entries that were not there before it."""
+    children = [f"pid {p.pid}" for p in multiprocessing.active_children()]
+    return children + sorted(set(shm_entries()) - set(shm_before))
 
 
 class Workload:
@@ -158,7 +154,7 @@ class Workload:
 
 def run_scenario(sc: Scenario, wl: Workload) -> dict:
     """Execute one scenario and classify its outcome."""
-    before = set(repro_segments())
+    before = shm_entries()
     seq0 = FLIGHT.seq
     plan = None
     if sc.kind is not None:
@@ -168,16 +164,13 @@ def run_scenario(sc: Scenario, wl: Workload) -> dict:
     outcome, error = "completed_identical", None
     t0 = time.perf_counter()
     try:
-        # The pool is built INSIDE the armed scope so forked workers
+        # The batch runs INSIDE the armed scope so its forked workers
         # inherit the plan; a pool handed to prove_many is always used,
         # even on a single-core CI box.
-        pool = ProverPool(workers=sc.workers, fault_policy=CHAOS_POLICY)
-        try:
-            blobs = wl.run_op(sc.op, pool)
-            if blobs != wl.batch_baseline:
-                outcome = "completed_WRONG_BYTES"
-        finally:
-            pool.close()
+        blobs = wl.run_op(sc.op, ProverPool(
+            workers=sc.workers, stall_timeout_s=CHAOS_STALL_TIMEOUT_S))
+        if blobs != wl.batch_baseline:
+            outcome = "completed_WRONG_BYTES"
     except ProverTimeoutError as exc:
         outcome, error = "timeout_error", f"{type(exc).__name__}: {exc}"
     except ReproError as exc:
@@ -188,7 +181,7 @@ def run_scenario(sc: Scenario, wl: Workload) -> dict:
     fired = plan is not None and os.path.exists(plan.claim_path)
     if plan is not None:
         faults.clear()
-    leaked = sorted(set(repro_segments()) - before)
+    leaked = leaks(before)
 
     if sc.op == "deadline":
         ok = outcome == "timeout_error"
@@ -219,7 +212,7 @@ def run_scenario(sc: Scenario, wl: Workload) -> dict:
         "error": error,
         "fired": fired,
         "flight_events": flight,
-        "leaked_segments": leaked,
+        "leaked": leaked,
         "elapsed_s": round(elapsed, 4),
         "recovery_latency_s": round(max(0.0, elapsed - wl.batch_baseline_s),
                                     4),
@@ -232,49 +225,45 @@ def worker_count_sweep(wl: Workload) -> dict:
     byts = {}
     for workers in (0, 1, 2, 4):
         pool = ProverPool(workers=workers) if workers > 1 else None
-        try:
-            byts[workers] = tuple(wl.run_op("prove_many", pool))
-        finally:
-            if pool is not None:
-                pool.close()
+        byts[workers] = tuple(wl.run_op("prove_many", pool))
     identical = len(set(byts.values())) == 1
     return {"worker_counts": sorted(byts), "identical": identical,
             "matches_serial_baseline":
                 list(byts[0]) == wl.batch_baseline}
 
 
-def recovery_overhead(log_size: int = 16) -> dict:
+def recovery_overhead(log_size: int = 16, rounds: int = 5) -> dict:
     """Single worker kill in a 2-job batch at 2^``log_size``: recovery
-    must cost < 2x the no-fault batch (restart plus the lost jobs'
-    rerun dominate)."""
+    must cost < 2x the no-fault batch (the lost jobs' second round
+    dominates).  The batch is a few tenths of a second, so one shot
+    swings 0.8x-1.7x on scheduler noise: the reported ratio is the
+    median of ``rounds`` (no-fault, faulted) pairs."""
     wl = Workload(log_size=log_size, jobs=2)
-    pool = ProverPool(workers=2, fault_policy=CHAOS_POLICY)
-    try:
+    pool = ProverPool(workers=2, stall_timeout_s=CHAOS_STALL_TIMEOUT_S)
+    pairs, fired, identical = [], True, True
+    for n in range(rounds):
         t0 = time.perf_counter()
         nofault = wl.run_op("prove_many", pool)
         nofault_s = time.perf_counter() - t0
-    finally:
-        pool.close()
-    plan = faults.FaultPlan(kind="worker_kill", site="prove_job",
-                            token="chaos_overhead")
-    with faults.injected(plan):
-        pool = ProverPool(workers=2, fault_policy=CHAOS_POLICY)
-        try:
+        plan = faults.FaultPlan(kind="worker_kill", site="prove_job",
+                                token=f"chaos_overhead_{n}")
+        with faults.injected(plan):
             t0 = time.perf_counter()
             faulted = wl.run_op("prove_many", pool)
             faulted_s = time.perf_counter() - t0
-        finally:
-            fired = os.path.exists(plan.claim_path)
-            pool.close()
-    ratio = faulted_s / nofault_s if nofault_s > 0 else float("inf")
+            fired = fired and os.path.exists(plan.claim_path)
+        identical = identical and faulted == nofault == wl.batch_baseline
+        pairs.append((faulted_s / nofault_s, nofault_s, faulted_s))
+    ratio, nofault_s, faulted_s = sorted(pairs)[len(pairs) // 2]
     return {
         "log_size": log_size,
+        "rounds": rounds,
         "nofault_prove_s": round(nofault_s, 3),
         "faulted_prove_s": round(faulted_s, 3),
         "overhead_ratio": round(ratio, 3),
-        "bytes_identical": faulted == nofault == wl.batch_baseline,
+        "bytes_identical": identical,
         "fired": fired,
-        "ok": fired and ratio < 2.0 and faulted == nofault,
+        "ok": fired and ratio < 2.0 and identical,
     }
 
 
@@ -306,8 +295,7 @@ def main(argv=None) -> int:
               f"fired={str(res['fired']):<5} "
               f"recovery={res['recovery_latency_s']:.2f}s "
               f"flight={flight}"
-              + (f"  leaked={res['leaked_segments']}"
-                 if res["leaked_segments"] else ""))
+              + (f"  leaked={res['leaked']}" if res["leaked"] else ""))
 
     print("worker-count determinism sweep {0, 1, 2, 4} ...")
     sweep = worker_count_sweep(wl)
@@ -329,15 +317,10 @@ def main(argv=None) -> int:
           and (overhead is None or overhead["ok"]))
     report = {
         "schema": "repro/faults",
-        "schema_version": 1,
+        "schema_version": 2,
         "quick": args.quick,
         "workload": f"synthetic_r1cs(log_size=10, seed={WORKLOAD_SEED})",
-        "policy": {
-            "max_retries": CHAOS_POLICY.max_retries,
-            "backoff_base_s": CHAOS_POLICY.backoff_base_s,
-            "backoff_cap_s": CHAOS_POLICY.backoff_cap_s,
-            "dispatch_timeout_s": CHAOS_POLICY.dispatch_timeout_s,
-        },
+        "stall_timeout_s": CHAOS_STALL_TIMEOUT_S,
         "scenarios": results,
         "worker_count_sweep": sweep,
         "recovery_overhead": overhead,
@@ -353,8 +336,8 @@ def main(argv=None) -> int:
         print(f"FAIL: {', '.join(bad)}")
         return 1
     print("OK: every injected fault ended in byte-identical proofs or a "
-          "typed error, with zero leaked segments and a matching "
-          "flight-recorder event")
+          "typed error, with no child process or segment left and a "
+          "matching flight-recorder event")
     return 0
 
 
