@@ -13,8 +13,6 @@ verify       Verify a proof envelope written by ``prove --out`` (exit
 trace        Prove a workload under the tracer, simulate it on NoCap, and
              export a Chrome trace plus a per-phase breakdown
              (see docs/OBSERVABILITY.md).
-metrics      Render the process metrics registry as OpenMetrics text
-             (counters, gauges, latency histograms).
 report       Dump the flight recorder's recent job reports and
              supervision events (reads the in-memory ring, or a JSONL
              spool written via ``prove --flight-log`` / REPRO_FLIGHT_LOG).
@@ -209,7 +207,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
         return bundle, ok, t0, t1, t2
 
     tracer = None
-    if args.trace or args.trace_out or args.metrics or args.metrics_out:
+    if args.trace or args.trace_out or args.metrics:
         from . import obs
 
         with obs.tracing() as tracer:
@@ -223,11 +221,6 @@ def _cmd_prove(args: argparse.Namespace) -> int:
         print(f"job {bundle.report.job_id}: dispatch="
               f"{bundle.report.dispatch}"
               + (f" incidents={ev}" if ev else ""))
-    if args.metrics_out:
-        from .obs.openmetrics import write_openmetrics
-
-        write_openmetrics(args.metrics_out)
-        print(f"OpenMetrics exposition written to {args.metrics_out}")
     if tracer is not None and (args.trace or args.trace_out):
         print("\nphase tree:")
         print(tracer.format_tree())
@@ -307,11 +300,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         bundle = prove(pk, public, witness, circuit_id=name,
                        timeout_s=args.timeout)
         ok = verify(vk, bundle)
-    if args.metrics_out:
-        from .obs.openmetrics import write_openmetrics
-
-        write_openmetrics(args.metrics_out)
-        print(f"OpenMetrics exposition written to {args.metrics_out}")
     if not ok:
         print("proof failed to verify", file=sys.stderr)
         return 1
@@ -358,25 +346,6 @@ EXIT_CONFIG_ERROR = 3
 EXIT_DESERIALIZATION_ERROR = 4
 EXIT_VERIFICATION_ERROR = 5
 EXIT_TIMEOUT = 6
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    """Render the process metrics registry as OpenMetrics text.
-
-    The registry is process-local, so in a fresh CLI process the
-    exposition is empty until something records into it; long-running
-    embedders (or tests) call :func:`repro.obs.openmetrics.render`
-    directly after proving.  ``prove --metrics-out`` is the one-shot
-    equivalent: prove, then snapshot.
-    """
-    from .obs.openmetrics import render, write_openmetrics
-
-    if args.out:
-        write_openmetrics(args.out)
-        print(f"OpenMetrics exposition written to {args.out}")
-        return 0
-    sys.stdout.write(render())
-    return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -504,9 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="cooperative proving deadline; on expiry "
                                 f"exit {EXIT_TIMEOUT} (ProverTimeoutError)")
     telemetry_p = argparse.ArgumentParser(add_help=False)
-    telemetry_p.add_argument("--metrics-out", metavar="PATH", default=None,
-                             help="write counters/gauges/latency histograms "
-                                  "as OpenMetrics text")
     telemetry_p.add_argument("--flight-log", metavar="PATH", default=None,
                              help="append flight-recorder records to PATH "
                                   "as JSON lines (read back with `repro "
@@ -634,8 +600,11 @@ def build_parser() -> argparse.ArgumentParser:
     csub = client.add_subparsers(dest="action", required=True)
     cprove = csub.add_parser(
         "prove", help="prove a workload on the service",
-        parents=[connect_p, preset_p, timeout_p])
+        parents=[connect_p, timeout_p])
     cprove.add_argument("workload", choices=_workload_choices())
+    cprove.add_argument("--preset", choices=sorted(PRESETS), default=None,
+                        help="security preset (default: the daemon's "
+                             "--preset)")
     cprove.add_argument("--seed", type=int, default=None,
                         help="zk-mask seed (fixed seed => deterministic, "
                              "cacheable proof bytes)")
@@ -668,13 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
         "shutdown", help="ask the daemon to drain and exit",
         parents=[connect_p])
     cshutdown.set_defaults(func=_cmd_client)
-
-    metrics = sub.add_parser(
-        "metrics",
-        help="render the process metrics registry as OpenMetrics text")
-    metrics.add_argument("--out", metavar="PATH", default=None,
-                         help="write to PATH instead of stdout")
-    metrics.set_defaults(func=_cmd_metrics)
 
     report = sub.add_parser(
         "report",

@@ -1,9 +1,14 @@
-"""Unified tracing & metrics for the functional prover and the simulator.
+"""Telemetry for the functional prover and the simulator: three stores,
+each fact booked once.
 
-Zero-dependency observability layer (ISSUE 3): nested wall/CPU-time spans
-labeled with the paper's task families, a process-wide counter/gauge
-registry, and exporters to Chrome trace-event JSON (Perfetto-loadable)
-plus the machine-readable ``BENCH_phases.json`` breakdown.
+* the **span tree** (:mod:`.tracer`) — one run's profile: nested
+  wall/CPU-time spans labeled with the paper's task families, exported
+  as Chrome trace-event JSON and the ``BENCH_phases.json`` breakdown
+  (:mod:`.export`);
+* the **kernel counters** (:mod:`.metrics`) — operation counts, on
+  exactly while a trace is on;
+* the **flight log** (:mod:`.events`) — one :class:`JobReport` per
+  prove / prove_many / verify job plus supervision incidents, always on.
 
 Instrumented code uses the module-level helpers::
 
@@ -19,7 +24,8 @@ registry) until a trace is started::
         snark.prove()
     print(tracer.format_tree())
 
-See ``docs/OBSERVABILITY.md`` for the span taxonomy and counter list.
+See ``docs/OBSERVABILITY.md`` for every span, counter and event kind and
+the reader of each.
 """
 
 from __future__ import annotations
@@ -27,13 +33,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Optional
 
-from .metrics import (  # noqa: F401
-    DEFAULT_LATENCY_BOUNDS,
-    METRICS,
-    Histogram,
-    MetricsRegistry,
-    peak_rss_bytes,
-)
+from .metrics import METRICS, MetricsRegistry, peak_rss_bytes  # noqa: F401
 from .events import FLIGHT, FlightEvent, FlightRecorder, JobReport  # noqa: F401
 from .tracer import (  # noqa: F401
     FAMILIES,
@@ -44,7 +44,6 @@ from .tracer import (  # noqa: F401
 )
 from . import events  # noqa: F401
 from . import export  # noqa: F401
-from . import openmetrics  # noqa: F401
 
 #: The active tracer: module state, single-threaded like the prover.
 _active = NULL_TRACER
@@ -66,12 +65,11 @@ def set_tracer(tracer) -> None:
     _active = tracer if tracer is not None else NULL_TRACER
 
 
-def start_trace(metrics: bool = True) -> Tracer:
-    """Begin recording: install a fresh Tracer, optionally enabling and
-    resetting the metrics registry."""
-    if metrics:
-        METRICS.reset()
-        METRICS.enabled = True
+def start_trace() -> Tracer:
+    """Begin recording: reset and enable the kernel counters and install
+    a fresh Tracer."""
+    METRICS.reset()
+    METRICS.enabled = True
     tracer = Tracer(METRICS)
     set_tracer(tracer)
     return tracer
@@ -88,25 +86,18 @@ def stop_trace() -> Optional[Tracer]:
 
 
 @contextmanager
-def tracing(metrics: bool = True):
+def tracing():
     """``with obs.tracing() as tracer:`` — scoped start/stop."""
-    tracer = start_trace(metrics=metrics)
+    tracer = start_trace()
     try:
         yield tracer
     finally:
         stop_trace()
 
 
-def observe(name: str, value, **labels) -> None:
-    """Record one histogram observation (no-op when metrics disabled)."""
-    METRICS.observe(name, value, **labels)
-
-
 __all__ = [
-    "DEFAULT_LATENCY_BOUNDS", "FAMILIES", "FLIGHT", "FlightEvent",
-    "FlightRecorder", "Histogram", "JobReport", "METRICS",
-    "MetricsRegistry", "NullTracer", "NULL_TRACER", "SpanRecord", "Tracer",
-    "events", "export", "get_tracer", "observe", "openmetrics",
-    "peak_rss_bytes", "set_tracer", "span", "start_trace", "stop_trace",
-    "tracing",
+    "FAMILIES", "FLIGHT", "FlightEvent", "FlightRecorder", "JobReport",
+    "METRICS", "MetricsRegistry", "NullTracer", "NULL_TRACER", "SpanRecord",
+    "Tracer", "events", "export", "get_tracer", "peak_rss_bytes",
+    "set_tracer", "span", "start_trace", "stop_trace", "tracing",
 ]

@@ -210,7 +210,9 @@ class FlightRecorder:
 
 
 def read_spool(path: str, last: Optional[int] = None) -> List[dict]:
-    """Parse a JSONL spool file back into event dicts (oldest first).
+    """Parse a JSONL spool file back into event dicts (oldest first);
+    ``last`` keeps the most recent N, none for ``N <= 0`` — the contract
+    of :meth:`FlightRecorder.last`.
 
     Malformed lines (a crash mid-append) are skipped, not fatal.
     """
@@ -226,7 +228,9 @@ def read_spool(path: str, last: Optional[int] = None) -> List[dict]:
                 continue
             if isinstance(obj, dict) and "kind" in obj:
                 events.append(obj)
-    return events if last is None else events[-last:]
+    if last is None:
+        return events
+    return events[-last:] if last > 0 else []
 
 
 def format_events(events: Iterable[dict]) -> str:

@@ -166,8 +166,7 @@ class Tracer:
     # -- worker merge ------------------------------------------------------
     def absorb_worker(self, worker_pid: int, records: List[SpanRecord],
                       counters: Optional[Dict[str, Any]] = None,
-                      start_abs: Optional[float] = None,
-                      histograms: Optional[List[Any]] = None) -> None:
+                      start_abs: Optional[float] = None) -> None:
         """Merge one worker-process trace fragment into this tracer.
 
         ``records`` come from a worker-local :class:`Tracer` (spans
@@ -180,11 +179,6 @@ class Tracer:
         count and land in whichever span is currently open.
         ``start_abs`` (the worker tracer's absolute start instant) shifts
         the fragment onto this tracer's timeline.
-        ``histograms`` are worker-side histogram snapshots as
-        ``(name, labels, data)`` triples (see
-        :meth:`~repro.obs.metrics.Histogram.to_dict`); they merge
-        bucket-wise into this tracer's registry, same enabled gate as
-        the counter deltas.
         """
         offset = (start_abs - self._t0) if start_abs is not None else 0.0
         shifted = []
@@ -194,9 +188,6 @@ class Tracer:
         self._worker_records.setdefault(int(worker_pid), []).extend(shifted)
         for name, delta in (counters or {}).items():
             self.metrics.inc(name, delta)
-        for name, labels, data in (histograms or []):
-            self.metrics.merge_histogram(
-                name, tuple((str(k), str(v)) for k, v in labels), data)
 
     def worker_records(self) -> Dict[int, List[SpanRecord]]:
         """Span fragments merged from worker processes, keyed by OS pid."""
@@ -206,13 +197,6 @@ class Tracer:
     # -- aggregation -------------------------------------------------------
     def records(self) -> List[SpanRecord]:
         return list(self._records)
-
-    def record_index(self) -> int:
-        """Number of records so far.  Snapshot it before a job, then pass
-        it as ``start_index`` to :meth:`family_seconds` to aggregate only
-        that job's spans — a whole-trace roll-up would double count when
-        several proves share one trace."""
-        return len(self._records)
 
     def _descendant_mask(self, root_name: Optional[str]) -> List[bool]:
         """Which records sit at-or-under a span named ``root_name``
@@ -228,19 +212,15 @@ class Tracer:
                 hit = True
         return mask if hit else [True] * len(self._records)
 
-    def family_seconds(self, root_name: Optional[str] = None,
-                       start_index: int = 0) -> Dict[str, float]:
+    def family_seconds(self, root_name: Optional[str] = None
+                       ) -> Dict[str, float]:
         """Exclusive ("self") wall seconds per family.
 
         Each span's own time is its wall time minus its children's, so
         families never double count nested work.  ``root_name`` restricts
-        the roll-up to one subtree (e.g. ``"snark.prove"``);
-        ``start_index`` (see :meth:`record_index`) restricts it to spans
-        opened at or after that record index.
+        the roll-up to one subtree (e.g. ``"snark.prove"``).
         """
         mask = self._descendant_mask(root_name)
-        if start_index > 0:
-            mask = [m and i >= start_index for i, m in enumerate(mask)]
         child_wall = [0.0] * len(self._records)
         for rec in self._records:
             if rec.parent is not None and rec.wall_s is not None:

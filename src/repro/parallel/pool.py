@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
                                 ProcessPoolExecutor, wait)
 from typing import List, Optional, Sequence
@@ -52,7 +51,6 @@ import numpy as np
 from .. import obs
 from ..errors import ProverTimeoutError, WorkerCrashError
 from ..obs.events import FLIGHT as _FLIGHT
-from ..obs.metrics import METRICS as _METRICS
 from . import kernels
 from .deadline import check_deadline
 from .deadline import remaining as _deadline_remaining
@@ -70,7 +68,7 @@ def usable_cpus() -> int:
 
 def _traced_job(trace: bool, *job):
     """Run :func:`kernels.prove_job`, under a worker-local tracer when the
-    parent wants telemetry back.
+    parent is tracing and wants the job's spans and counters back.
 
     ``start_trace`` resets the worker's registry first: a forked worker
     was born with the parent's counts in memory, and one worker runs
@@ -84,26 +82,8 @@ def _traced_job(trace: bool, *job):
     finally:
         obs.stop_trace()
     counters = tracer.metrics_snapshot.get("counters", {})
-    hists = [(name, list(labels), hist.to_dict())
-             for (name, labels), hist in obs.METRICS.histograms().items()]
     return result, (os.getpid(), tracer.records(), counters,
-                    tracer.start_abs, hists)
-
-
-def _absorb(meta) -> None:
-    """Merge one job's worker-side spans, counters and histograms into
-    the parent's tracer (or, metrics-only, straight into the registry)."""
-    worker_pid, records, counters, t0_abs, hists = meta
-    tracer = obs.get_tracer()
-    if tracer is not None:
-        tracer.absorb_worker(worker_pid, records, counters,
-                             start_abs=t0_abs, histograms=hists)
-    elif _METRICS.enabled:
-        for name, delta in counters.items():
-            _METRICS.inc(name, delta)
-        for name, labels, data in hists:
-            _METRICS.merge_histogram(
-                name, tuple((str(k), str(v)) for k, v in labels), data)
+                    tracer.start_abs)
 
 
 def _kill_workers(executor: ProcessPoolExecutor) -> None:
@@ -146,7 +126,6 @@ class ProverPool:
     def _degraded(self, exc: BaseException) -> None:
         """Account one job re-proved in the calling process after its
         worker failed (the rerun is bit-identical: latency only)."""
-        _METRICS.inc("parallel.degradations")
         _FLIGHT.record("degradation", kernel="prove_job",
                        error=type(exc).__name__)
 
@@ -167,17 +146,14 @@ class ProverPool:
         # Build the key's gather plans here, once: every worker of this
         # and later batches inherits them instead of rebuilding its own.
         pk.r1cs._stacked()
-        trace = obs.get_tracer() is not None or _METRICS.enabled
+        tracer = obs.get_tracer()
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn")
         results: List = [None] * len(seeds)
         lost = list(range(len(seeds)))
-        _METRICS.inc("parallel.dispatches", len(seeds))
-        t0 = time.perf_counter()
         for second_round in (False, True):
             if second_round:
-                _METRICS.inc("parallel.worker_restarts")
                 _FLIGHT.record("worker_restart", jobs=len(lost),
                                workers=self.workers)
             jobs, lost = lost, []
@@ -185,8 +161,9 @@ class ProverPool:
                     max_workers=min(self.workers, len(jobs)), mp_context=ctx,
                     initializer=kernels.park_batch,
                     initargs=(pk, publics, witnesses)) as executor:
-                pending = {executor.submit(_traced_job, trace, j, seeds[j],
-                                           circuit_id, timeout_s): j
+                pending = {executor.submit(_traced_job, tracer is not None,
+                                           j, seeds[j], circuit_id,
+                                           timeout_s): j
                            for j in jobs}
                 while pending:
                     timeout = self.stall_timeout_s
@@ -200,7 +177,6 @@ class ProverPool:
                         check_deadline("parallel.dispatch")
                         # Nothing finished inside the watchdog window:
                         # presume the workers hung.
-                        _METRICS.inc("parallel.dispatch_stalls")
                         _FLIGHT.record("dispatch_stall", pending=len(pending),
                                        window_s=self.stall_timeout_s)
                         lost.extend(pending.values())
@@ -220,13 +196,12 @@ class ProverPool:
                                                error=type(exc).__name__)
                         else:
                             if meta is not None:
-                                _absorb(meta)
+                                tracer.absorb_worker(*meta)
             if not lost:
                 break
         for j in lost:
             results[j] = WorkerCrashError(
                 "proof job lost to worker death or stall in both rounds")
-        _METRICS.observe("dispatch_seconds", time.perf_counter() - t0)
         return results
 
 

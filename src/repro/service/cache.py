@@ -21,8 +21,8 @@ Two caches keep the daemon hot across requests:
 
 Both are LRU-bounded **by bytes**, not entry count, because one
 paper-preset key dwarfs a hundred test-preset envelopes.  Hit/miss/
-eviction counters and byte gauges land in the metrics registry under
-``service.pk_cache.*`` / ``service.proof_cache.*``.
+eviction counts and byte totals are plain attributes, read by the
+daemon's ``stats`` op (``pk_cache`` / ``proof_cache``).
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from typing import Any, Optional, Tuple
 
 import numpy as np
 
-from ..obs.metrics import METRICS as _METRICS
-
 #: Default byte budgets (overridable via ServiceConfig / CLI flags).
 DEFAULT_KEY_CACHE_BYTES = 256 * 1024 * 1024
 DEFAULT_PROOF_CACHE_BYTES = 64 * 1024 * 1024
@@ -48,16 +46,13 @@ class LRUBytesCache:
     ``get`` refreshes recency; ``put`` evicts least-recently-used
     entries until the new value fits.  A value larger than the whole
     budget is simply not cached (callers still hold the object they
-    built).  Counters are mirrored into METRICS under
-    ``service.<label>.hits/misses/evictions`` with a
-    ``service.<label>.bytes`` gauge.
+    built).
     """
 
-    def __init__(self, max_bytes: int, label: str):
+    def __init__(self, max_bytes: int):
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
         self.max_bytes = int(max_bytes)
-        self.label = label
         self._entries: "OrderedDict[Any, Tuple[Any, int]]" = OrderedDict()
         self.bytes = 0
         self.hits = 0
@@ -71,11 +66,9 @@ class LRUBytesCache:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
-            _METRICS.inc(f"service.{self.label}.misses")
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        _METRICS.inc(f"service.{self.label}.hits")
         return entry[0]
 
     def peek(self, key: Any) -> Optional[Any]:
@@ -98,11 +91,8 @@ class LRUBytesCache:
             _k, (_v, sz) = self._entries.popitem(last=False)
             self.bytes -= sz
             self.evictions += 1
-            _METRICS.inc(f"service.{self.label}.evictions")
         self._entries[key] = (value, size_bytes)
         self.bytes += size_bytes
-        _METRICS.gauge(f"service.{self.label}.bytes", self.bytes)
-        _METRICS.gauge(f"service.{self.label}.entries", len(self._entries))
 
     def stats(self) -> dict:
         return {
@@ -133,7 +123,7 @@ class KeyCache:
     """
 
     def __init__(self, max_bytes: int = DEFAULT_KEY_CACHE_BYTES):
-        self._lru = LRUBytesCache(max_bytes, "pk_cache")
+        self._lru = LRUBytesCache(max_bytes)
 
     def get_or_build(self, circuit_id: str, preset_name: str) -> KeyEntry:
         """The cached entry, or build-compile-setup-insert on miss.
@@ -189,7 +179,7 @@ class ProofCache:
     """Content-addressed envelope store: hex digest → NCPE bytes."""
 
     def __init__(self, max_bytes: int = DEFAULT_PROOF_CACHE_BYTES):
-        self._lru = LRUBytesCache(max_bytes, "proof_cache")
+        self._lru = LRUBytesCache(max_bytes)
 
     def get(self, key: str) -> Optional[bytes]:
         return self._lru.get(key)

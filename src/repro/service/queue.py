@@ -30,7 +30,6 @@ import heapq
 import itertools
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..obs.metrics import METRICS as _METRICS
 from .protocol import QueueFullError
 
 #: Default bounds; services usually override via ServiceConfig.
@@ -60,7 +59,7 @@ class BoundedJobQueue:
         self._queued_per_client: Dict[str, int] = {}
         self._seq = itertools.count()
         self._not_empty = asyncio.Event()
-        #: Lifetime stats (also mirrored into METRICS counters/gauges).
+        #: Lifetime stats, reported by :meth:`stats` (the ``stats`` op).
         self.peak_depth = 0
         self.rejected_full = 0
         self.rejected_client = 0
@@ -82,14 +81,12 @@ class BoundedJobQueue:
         """
         if len(self._heap) >= self.max_depth:
             self.rejected_full += 1
-            _METRICS.inc("service.queue.rejected_full")
             raise QueueFullError(
                 f"job queue full ({self.max_depth} queued); retry with "
                 "backoff")
         mine = self._queued_per_client.get(client, 0)
         if mine >= self.max_per_client:
             self.rejected_client += 1
-            _METRICS.inc("service.queue.rejected_client")
             raise QueueFullError(
                 f"client {client or '<anonymous>'!s} already has {mine} "
                 f"jobs queued (cap {self.max_per_client}); await results "
@@ -101,9 +98,6 @@ class BoundedJobQueue:
                        (int(priority), mine, next(self._seq), (client, item)))
         self.enqueued += 1
         self.peak_depth = max(self.peak_depth, len(self._heap))
-        _METRICS.inc("service.queue.enqueued")
-        _METRICS.gauge("service.queue.depth", len(self._heap))
-        _METRICS.gauge("service.queue.peak_depth", self.peak_depth)
         self._not_empty.set()
 
     async def get(self) -> Any:
@@ -112,14 +106,7 @@ class BoundedJobQueue:
         while not self._heap:
             self._not_empty.clear()
             await self._not_empty.wait()
-        _prio, _pos, _seq, (client, item) = heapq.heappop(self._heap)
-        left = self._queued_per_client.get(client, 1) - 1
-        if left > 0:
-            self._queued_per_client[client] = left
-        else:
-            self._queued_per_client.pop(client, None)
-        _METRICS.gauge("service.queue.depth", len(self._heap))
-        return item
+        return self.get_nowait()
 
     def get_nowait(self) -> Optional[Any]:
         """Pop without waiting; None when empty (drain-on-shutdown path)."""
@@ -131,7 +118,6 @@ class BoundedJobQueue:
             self._queued_per_client[client] = left
         else:
             self._queued_per_client.pop(client, None)
-        _METRICS.gauge("service.queue.depth", len(self._heap))
         return item
 
     def stats(self) -> dict:

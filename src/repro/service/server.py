@@ -20,9 +20,13 @@ paper-preset proof never blocks a ``status`` poll.  ``job_slots`` — the
 number of executor threads — is the daemon's one concurrency model: a
 request is one proof job and runs on the thread that picked it up.  Job
 bodies call the ordinary lifecycle API, which means cooperative
-deadlines and the telemetry (flight recorder, latency histograms) apply
-to service traffic unchanged and every job leaves a
-:class:`~repro.obs.events.JobReport` behind.
+deadlines apply to service traffic unchanged and every job leaves a
+:class:`~repro.obs.events.JobReport` in the flight log (``repro serve
+--flight-log``).  The daemon's in-band scrape is the ``stats`` op — plain
+attributes of the queue, the caches and the job table; a job's own
+latency is ``wait_s`` (submit → start) and ``run_s`` (start → finish) in
+its ``status``/``result`` replies.  Nothing here touches the kernel
+counter registry.
 
 Failure contract: a job that fails carries a typed error (name +
 message) in its ``status``/``result`` responses; the connection never
@@ -46,7 +50,6 @@ from typing import Any, Dict, Optional
 
 from ..errors import ConfigError
 from ..obs.events import FLIGHT as _FLIGHT
-from ..obs.metrics import METRICS as _METRICS
 from ..parallel.kernels import _maybe_fault
 from . import protocol
 from .cache import (
@@ -110,8 +113,10 @@ class Job:
             "circuit_id": self.circuit_id, "preset": self.preset,
             "cached": self.cached,
         }
-        if self.finished_at is not None and self.started_at is not None:
-            out["run_s"] = round(self.finished_at - self.started_at, 6)
+        if self.started_at is not None:
+            out["wait_s"] = round(self.started_at - self.submitted_at, 6)
+            if self.finished_at is not None:
+                out["run_s"] = round(self.finished_at - self.started_at, 6)
         if self.state == "failed" and self.error is not None:
             out["error"] = type(self.error).__name__
             out["message"] = str(self.error)
@@ -150,7 +155,6 @@ class ProvingService:
 
     async def start(self) -> None:
         cfg = self.config
-        _METRICS.enabled = True
         self._executor = ThreadPoolExecutor(
             max_workers=cfg.job_slots, thread_name_prefix="repro-job")
         if cfg.unix_socket:
@@ -246,7 +250,6 @@ class ProvingService:
 
     async def _handle_request(self, request: dict,
                               default_client: str) -> dict:
-        t0 = time.perf_counter()
         op = str(request.get("op", ""))
         try:
             if self._stopping and op not in ("ping", "stats", "status",
@@ -274,8 +277,6 @@ class ProvingService:
                     f"unknown op {op!r}", code=protocol.E_BAD_REQUEST)
         except Exception as exc:  # noqa: BLE001 - wire boundary
             response = protocol.error_from_exception(exc)
-        _METRICS.observe("service_request_seconds",
-                         time.perf_counter() - t0, op=op or "unknown")
         return response
 
     async def _shutdown_soon(self) -> None:
@@ -357,7 +358,6 @@ class ProvingService:
         hit = self.proof_cache._lru.peek(key)
         if hit is not None:
             self.proof_cache._lru.hits += 1
-            _METRICS.inc("service.proof_cache.hits")
         return hit
 
     def _op_status(self, request: dict) -> dict:
@@ -421,13 +421,9 @@ class ProvingService:
             job.error = error
             job.state = "failed"
             self._jobs_failed += 1
-            _METRICS.inc("service.jobs_failed")
         else:
             job.state = "done"
             self._jobs_done += 1
-            _METRICS.inc("service.jobs_done")
-        _METRICS.observe("service_job_seconds",
-                         job.finished_at - job.submitted_at, kind=job.kind)
         job.done.set()
 
     # -- dispatch ----------------------------------------------------------

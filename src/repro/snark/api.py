@@ -45,7 +45,6 @@ from ..hashing.transcript import Transcript
 from ..obs import JobReport
 from ..obs import span as _span
 from ..obs.events import FLIGHT as _FLIGHT
-from ..obs.metrics import METRICS as _METRICS
 from ..parallel import ProverPool, usable_cpus
 from ..parallel.deadline import deadline_scope
 from ..r1cs.system import R1CS
@@ -139,17 +138,6 @@ def setup(r1cs: R1CS, preset: SecurityPreset = TEST
     return ProvingKey(r1cs, preset), VerifyingKey(r1cs, preset)
 
 
-def _observe_phases(tracer, rec0: int, root: str) -> None:
-    """Record per-family phase seconds for the spans opened since
-    ``rec0`` into the ``phase_seconds`` histogram (one labeled series
-    per family).  Slicing by record index keeps multi-prove traces from
-    double counting earlier jobs."""
-    if tracer is None:
-        return
-    for fam, secs in tracer.family_seconds(root, start_index=rec0).items():
-        _METRICS.observe("phase_seconds", secs, family=fam)
-
-
 def prove(pk: ProvingKey, public: np.ndarray, witness: np.ndarray, *,
           rng: Optional[np.random.Generator] = None,
           seed: Optional[int] = None,
@@ -177,9 +165,9 @@ def prove(pk: ProvingKey, public: np.ndarray, witness: np.ndarray, *,
     an enclosing scope the effective budget is the tighter of the two.
 
     Telemetry: every call appends a :class:`~repro.obs.events.JobReport`
-    to the flight recorder (``repro report`` dumps the tail) and, when
-    the metrics registry is enabled, one observation each into the
-    ``prove_seconds`` and per-family ``phase_seconds`` histograms.
+    to the flight recorder (``repro report`` dumps the tail) — its
+    ``duration_s`` is the job's latency; under a tracer the
+    ``snark.prove`` span tree holds the per-family breakdown.
     ``attach_report=True`` additionally hangs the report off the
     returned bundle (:attr:`ProofBundle.report`; local-only, never
     serialized).
@@ -189,8 +177,6 @@ def prove(pk: ProvingKey, public: np.ndarray, witness: np.ndarray, *,
     job_id = _FLIGHT.next_job_id()
     seq0 = _FLIGHT.seq
     rss0 = obs.peak_rss_bytes()
-    tracer = obs.get_tracer()
-    rec0 = tracer.record_index() if tracer is not None else 0
     t0 = time.perf_counter()
     try:
         with deadline_scope(timeout_s, label="prove"):
@@ -209,8 +195,6 @@ def prove(pk: ProvingKey, public: np.ndarray, witness: np.ndarray, *,
             events=_FLIGHT.fault_deltas(seq0)))
         raise
     duration = time.perf_counter() - t0
-    _METRICS.observe("prove_seconds", duration)
-    _observe_phases(tracer, rec0, "snark.prove")
     bundle = ProofBundle(proof=proof,
                          public=np.asarray(public, dtype=np.uint64),
                          preset_name=pk.preset.name,
@@ -392,23 +376,32 @@ def verify(vk: VerifyingKey, bundle: ProofBundle) -> bool:
         return False
     if bundle.preset_name and bundle.preset_name != vk.preset.name:
         return False  # proved under different parameters than this key
-    return _verify_parts(vk, bundle.public, bundle.proof)
+    return _verify_parts(vk, bundle.public, bundle.proof, bundle.circuit_id)
 
 
-def _verify_parts(vk: VerifyingKey, public, proof) -> bool:
-    """Boolean verification of raw (public, proof) parts."""
-    try:
-        public = np.asarray(public, dtype=np.uint64)
-    except (TypeError, ValueError, OverflowError):
-        return False
+def _verify_parts(vk: VerifyingKey, public, proof, circuit_id: str) -> bool:
+    """Boolean verification of raw (public, proof) parts.
+
+    Whatever the verdict, the call leaves one ``op="verify"``
+    :class:`~repro.obs.events.JobReport` in the flight recorder: ``ok``
+    is the verdict and ``error`` names the typed rejection, if any.
+    """
     t0 = time.perf_counter()
+    ok, error = False, ""
     try:
-        with _span("snark.verify", "other"):
-            return vk.verifier().verify(public, proof, Transcript())
-    except ReproError:
+        try:
+            public = np.asarray(public, dtype=np.uint64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            error = type(exc).__name__
+        else:
+            with _span("snark.verify", "other"):
+                ok = vk.verifier().verify(public, proof, Transcript())
+    except ReproError as exc:
         # Typed rejection from a lower layer: the proof is invalid.
-        return False
+        error = type(exc).__name__
     finally:
-        _METRICS.observe("verify_seconds", time.perf_counter() - t0)
-
-
+        _FLIGHT.record_job(JobReport(
+            job_id=_FLIGHT.next_job_id(), op="verify",
+            preset=vk.preset.name, circuit_id=circuit_id,
+            duration_s=time.perf_counter() - t0, ok=ok, error=error))
+    return ok

@@ -1,12 +1,10 @@
-"""Tests for Metrics v2: latency histograms, the OpenMetrics exposition
-round-trip, the flight recorder, per-job reports, and the bench_diff
-perf-regression gate."""
+"""Tests for the flight recorder, per-job reports (prove, prove_many,
+verify) and the bench_diff perf-regression gate."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
-import math
 import time
 from pathlib import Path
 
@@ -22,16 +20,7 @@ from repro.obs.events import (
     format_events,
     read_spool,
 )
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BOUNDS,
-    Histogram,
-    MetricsRegistry,
-    labels_key,
-    render_hist_key,
-)
-from repro.obs.openmetrics import parse, render, sanitize_name, write_openmetrics
-from repro.parallel import ProverPool
-from repro.snark import TEST, prove, prove_many, setup, verify
+from repro.snark import TEST, ProofBundle, prove, prove_many, setup, verify
 from repro.workloads import synthetic_r1cs
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -60,211 +49,6 @@ def workload():
     r1cs, public, witness = synthetic_r1cs(log_size=8, seed=3)
     pk, vk = setup(r1cs, TEST)
     return pk, vk, public, witness
-
-
-class TestHistogram:
-    def test_le_bucket_semantics(self):
-        hist = Histogram(bounds=(1.0, 2.0, 4.0))
-        for v in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 100.0):
-            hist.observe(v)
-        # le semantics: a value equal to a bound lands in that bucket.
-        assert hist.counts == [2, 2, 2, 1]  # (..1], (1..2], (2..4], +Inf
-        assert hist.count == 7
-        assert hist.sum == pytest.approx(0.5 + 1.0 + 1.5 + 2.0 + 3.0
-                                         + 4.0 + 100.0)
-
-    def test_cumulative_ends_at_total_count(self):
-        hist = Histogram(bounds=(1.0, 2.0))
-        for v in (0.5, 1.5, 99.0):
-            hist.observe(v)
-        cum = hist.cumulative()
-        assert cum == [(1.0, 1), (2.0, 2), (math.inf, 3)]
-
-    def test_nan_dropped(self):
-        hist = Histogram()
-        hist.observe(float("nan"))
-        assert hist.count == 0 and hist.sum == 0.0
-
-    def test_default_bounds_cover_latency_range(self):
-        assert DEFAULT_LATENCY_BOUNDS[0] == pytest.approx(1e-5)
-        assert DEFAULT_LATENCY_BOUNDS[-1] == pytest.approx(1000.0)
-        assert list(DEFAULT_LATENCY_BOUNDS) == sorted(DEFAULT_LATENCY_BOUNDS)
-
-    def test_merge_adds_bucketwise(self):
-        a, b = Histogram(bounds=(1.0, 2.0)), Histogram(bounds=(1.0, 2.0))
-        a.observe(0.5)
-        b.observe(1.5)
-        b.observe(10.0)
-        a.merge(b)
-        assert a.counts == [1, 1, 1]
-        assert a.count == 3
-        assert a.sum == pytest.approx(12.0)
-
-    def test_merge_rejects_mismatched_bounds(self):
-        with pytest.raises(ValueError, match="different bucket bounds"):
-            Histogram(bounds=(1.0,)).merge(Histogram(bounds=(2.0,)))
-
-    def test_bounds_must_strictly_increase(self):
-        with pytest.raises(ValueError):
-            Histogram(bounds=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            Histogram(bounds=(2.0, 1.0))
-
-    def test_quantile_upper_bound_semantics(self):
-        hist = Histogram(bounds=(1.0, 2.0, 4.0))
-        for v in (0.5, 0.6, 1.5, 3.0):
-            hist.observe(v)
-        assert hist.quantile(0.5) == 1.0   # 2nd of 4 obs is in le=1.0
-        assert hist.quantile(1.0) == 4.0
-        assert Histogram().quantile(0.5) == 0.0  # empty
-        hist.observe(999.0)
-        assert hist.quantile(1.0) == math.inf  # overflow bucket
-
-    def test_dict_roundtrip_and_validation(self):
-        hist = Histogram(bounds=(1.0, 2.0))
-        hist.observe(1.5)
-        clone = Histogram.from_dict(json.loads(json.dumps(hist.to_dict())))
-        assert clone.counts == hist.counts
-        assert clone.count == hist.count
-        assert clone.sum == hist.sum
-        bad = hist.to_dict()
-        bad["counts"] = [1]  # wrong arity for the bounds
-        with pytest.raises(ValueError):
-            Histogram.from_dict(bad)
-        bad = hist.to_dict()
-        bad["counts"] = [-1, 0, 0]
-        with pytest.raises(ValueError):
-            Histogram.from_dict(bad)
-
-
-class TestRegistryHistograms:
-    def test_observe_disabled_is_noop(self):
-        METRICS.observe("prove_seconds", 1.0)
-        assert METRICS.histograms() == {}
-
-    def test_observe_with_labels_separates_series(self):
-        reg = MetricsRegistry()
-        reg.enabled = True
-        reg.observe("phase_seconds", 0.1, family="merkle")
-        reg.observe("phase_seconds", 0.2, family="merkle")
-        reg.observe("phase_seconds", 0.9, family="spmv")
-        merkle = reg.histogram("phase_seconds", family="merkle")
-        spmv = reg.histogram("phase_seconds", family="spmv")
-        assert merkle.count == 2 and spmv.count == 1
-        assert reg.histogram("phase_seconds") is None  # unlabeled distinct
-
-    def test_merge_histogram_wire_form(self):
-        worker = MetricsRegistry()
-        worker.enabled = True
-        worker.observe("prove_seconds", 0.5)
-        parent = MetricsRegistry()
-        parent.enabled = True
-        parent.observe("prove_seconds", 0.1)
-        for (name, labels), hist in worker.histograms().items():
-            parent.merge_histogram(name, labels, hist.to_dict())
-        merged = parent.histogram("prove_seconds")
-        assert merged.count == 2
-        assert merged.sum == pytest.approx(0.6)
-
-    def test_snapshot_render_key(self):
-        assert render_hist_key("h", ()) == "h"
-        assert render_hist_key("h", (("family", "spmv"),)) \
-            == 'h{family="spmv"}'
-        assert labels_key({"b": 1, "a": "x"}) == (("a", "x"), ("b", "1"))
-
-
-class TestOpenMetrics:
-    def _populated(self):
-        reg = MetricsRegistry()
-        reg.enabled = True
-        reg.inc("merkle.hashes", 1023)
-        reg.gauge("process.peak_rss_bytes", 1 << 20)
-        reg.observe("prove_seconds", 0.05)
-        reg.observe("prove_seconds", 0.2)
-        reg.observe("phase_seconds", 0.01, family="merkle")
-        reg.observe("phase_seconds", 0.04, family="spmv")
-        return reg
-
-    def test_empty_registry_renders_eof_only(self):
-        text = render(MetricsRegistry())
-        assert text == "# EOF\n"
-        assert parse(text) == {}
-
-    def test_roundtrip_through_strict_parser(self):
-        text = render(self._populated())
-        metrics = parse(text)
-        assert metrics["repro_merkle_hashes"]["type"] == "counter"
-        hist = metrics["repro_prove_seconds"]
-        assert hist["type"] == "histogram"
-        assert hist["samples"][("repro_prove_seconds_count", ())] == 2.0
-        assert hist["samples"][("repro_prove_seconds_sum", ())] \
-            == pytest.approx(0.25)
-        # Labeled histogram series survive with their labels.
-        phases = metrics["repro_phase_seconds"]
-        fams = {dict(labels).get("family")
-                for (sname, labels) in phases["samples"]
-                if sname.endswith("_count")}
-        assert fams == {"merkle", "spmv"}
-
-    def test_write_openmetrics_file(self, tmp_path):
-        out = tmp_path / "metrics.prom"
-        write_openmetrics(out, self._populated())
-        text = out.read_text()
-        assert text.endswith("# EOF\n")
-        parse(text)
-
-    def test_sanitize_name(self):
-        assert sanitize_name("field.mul_batches") == "field_mul_batches"
-        assert sanitize_name("9weird name!") == "_9weird_name_"
-
-    def test_deterministic_output(self):
-        reg = self._populated()
-        assert render(reg) == render(reg)
-
-    @pytest.mark.parametrize("mutate, msg", [
-        (lambda t: t.replace("# EOF\n", ""), "EOF"),
-        (lambda t: t.rstrip("\n"), "newline"),
-        (lambda t: t.replace("# EOF", "x_no_type 1\n# EOF"), "TYPE"),
-        (lambda t: "\n" + t, "blank"),
-    ])
-    def test_parser_rejects_structural_corruption(self, mutate, msg):
-        text = render(self._populated())
-        with pytest.raises(ValueError):
-            parse(mutate(text))
-
-    def test_parser_rejects_noncumulative_buckets(self):
-        text = ('# TYPE h histogram\n'
-                'h_bucket{le="1.0"} 5\n'
-                'h_bucket{le="+Inf"} 3\n'
-                'h_count 3\n'
-                'h_sum 1.0\n'
-                '# EOF\n')
-        with pytest.raises(ValueError, match="cumulative"):
-            parse(text)
-
-    def test_parser_rejects_inf_count_mismatch(self):
-        text = ('# TYPE h histogram\n'
-                'h_bucket{le="+Inf"} 3\n'
-                'h_count 4\n'
-                'h_sum 1.0\n'
-                '# EOF\n')
-        with pytest.raises(ValueError):
-            parse(text)
-
-    def test_parser_rejects_duplicate_series(self):
-        text = ('# TYPE c counter\n'
-                'c_total 1\n'
-                'c_total 2\n'
-                '# EOF\n')
-        with pytest.raises(ValueError, match="duplicate"):
-            parse(text)
-
-    def test_parser_rejects_negative_counter(self):
-        text = ('# TYPE c counter\n'
-                'c_total -1\n'
-                '# EOF\n')
-        with pytest.raises(ValueError):
-            parse(text)
 
 
 class TestFlightRecorder:
@@ -318,6 +102,21 @@ class TestFlightRecorder:
         assert [e["kind"] for e in events] == ["worker_restart", "timeout"]
         assert read_spool(str(path), last=1)[0]["kind"] == "timeout"
 
+    @pytest.mark.parametrize("source", ["ring", "spool"])
+    @pytest.mark.parametrize("last, kept", [(2, ["b", "c"]), (0, []),
+                                            (-1, [])])
+    def test_last_agrees_across_ring_and_spool(self, tmp_path, source,
+                                               last, kept):
+        """``repro report --last N`` reads either source: a non-positive
+        N is no records from both, never the whole file."""
+        path = tmp_path / "flight.jsonl"
+        rec = FlightRecorder(spool_path=str(path))
+        for label in "abc":
+            rec.record("timeout", label=label)
+        events = ([e.to_dict() for e in rec.last(last)] if source == "ring"
+                  else read_spool(str(path), last=last))
+        assert [e["data"]["label"] for e in events] == kept
+
     def test_broken_spool_never_raises(self, tmp_path):
         rec = FlightRecorder(spool_path=str(tmp_path / "nodir" / "f.jsonl"))
         assert rec.record("timeout") is not None  # ring keeps the record
@@ -339,41 +138,16 @@ class TestFlightRecorder:
 
 class TestProveTelemetry:
     def test_prove_observes_latency_and_phases(self, workload):
+        """A prove's latency is its JobReport's, its per-family breakdown
+        the span tree's: each fact has one home."""
         pk, vk, public, witness = workload
-        with obs.tracing():
+        with obs.tracing() as tracer:
             t0 = time.perf_counter()
-            bundle = prove(pk, public, witness, seed=1)
+            bundle = prove(pk, public, witness, seed=1, attach_report=True)
             wall = time.perf_counter() - t0
             assert verify(vk, bundle)
-        hist = METRICS.histogram("prove_seconds")
-        assert hist is not None and hist.count == 1
-        assert 0 < hist.sum <= wall
-        assert METRICS.histogram("verify_seconds").count == 1
-        phase_keys = [key for key in METRICS.histograms()
-                      if key[0] == "phase_seconds"]
-        assert phase_keys  # per-family attribution was recorded
-
-    @pytest.mark.parametrize("workers", [0, 1, 2, 4])
-    def test_prove_many_count_matches_jobs(self, workload, workers):
-        pk, _, public, witness = workload
-        jobs = [(public, witness)] * 3
-        METRICS.enabled = True
-        pool = ProverPool(workers=workers) if workers > 1 else None
-        t0 = time.perf_counter()
-        bundles = prove_many(pk, jobs, pool=pool, workers=workers,
-                             base_seed=5)
-        wall = time.perf_counter() - t0
-        assert len(bundles) == 3
-        hist = METRICS.histogram("prove_seconds")
-        assert hist is not None
-        # Exactly one observation per job at every worker count: workers
-        # observe locally and ship their histograms to the parent.
-        assert hist.count == 3
-        assert hist.sum > 0
-        if workers <= 1:
-            assert hist.sum <= wall * 1.05
-        if workers > 1:
-            assert METRICS.histogram("dispatch_seconds") is not None
+        assert 0 < bundle.report.duration_s <= wall
+        assert tracer.family_seconds("snark.prove")
 
     def test_attach_report(self, workload):
         pk, _, public, witness = workload
@@ -423,6 +197,37 @@ class TestProveTelemetry:
                   if e.kind == "job" and not e.data["ok"]]
         assert len(failed) == 1
         assert failed[0].data["error"] == "ProverTimeoutError"
+
+    @pytest.mark.parametrize("case, ok, error", [
+        ("valid", True, ""),
+        ("tampered", False, ""),
+        ("garbage", False, ""),
+        ("garbage_public", False, "ValueError"),
+    ])
+    def test_verify_leaves_one_job_record(self, workload, capsys, case, ok,
+                                          error):
+        from repro.cli import main
+        pk, vk, public, witness = workload
+        bundle = prove(pk, public, witness, seed=4, circuit_id="synth8")
+        if case == "tampered":
+            bundle.public = bundle.public.copy()
+            bundle.public[0] ^= np.uint64(1)
+        elif case == "garbage":
+            bundle = ProofBundle(proof=b"garbage", public=public,
+                                 circuit_id="synth8")
+        elif case == "garbage_public":
+            bundle.public = "not field elements"
+        seq0 = FLIGHT.seq
+        assert verify(vk, bundle) is ok
+        records = FLIGHT.since(seq0)
+        assert [(e.kind, e.data["op"]) for e in records] == [("job", "verify")]
+        data = records[0].data
+        assert data["ok"] is ok and data["error"] == error
+        assert data["duration_s"] > 0 and data["circuit_id"] == "synth8"
+        assert main(["report", "--last", "1"]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert "verify" in line and "synth8" in line
+        assert ("ok" if ok else "FAIL") in line
 
     def test_telemetry_does_not_perturb_proof_bytes(self, workload):
         pk, _, public, witness = workload
@@ -557,27 +362,49 @@ class TestBenchDiff:
         assert not [f for f in findings if f["regression"]]
 
 
+    def test_committed_service_baseline_gates_itself(self):
+        """bench-service-v2 reports exact quantiles (no bucket blobs); the
+        p99 gate reads them with its tolerance unchanged."""
+        bd = _load_bench_diff()
+        payload = json.loads((REPO_ROOT / "BENCH_service.json").read_text())
+        assert payload["schema"] == "bench-service-v2"
+        summary = payload["latency"]["all"]
+        assert set(summary) == {"count", "p50_s", "p99_s", "mean_s"}
+        assert summary["p50_s"] <= summary["p99_s"]
+        assert not [f for f in bd.compare_service(payload, payload)
+                    if f["regression"]]
+        slow = json.loads(json.dumps(payload))
+        slow["latency"]["all"]["p99_s"] = summary["p99_s"] * 2.01
+        assert [f["metric"] for f in bd.compare_service(payload, slow)
+                if f["regression"]] == ["service_p99_s"]
+
+
 class TestCLI:
-    def test_metrics_out_and_report(self, tmp_path, capsys):
+    def test_flight_log_and_report(self, tmp_path, capsys):
         from repro.cli import main
-        prom = tmp_path / "metrics.prom"
         flight = tmp_path / "flight.jsonl"
-        rc = main(["prove", "litmus", "--metrics-out", str(prom),
-                   "--flight-log", str(flight)])
-        assert rc == 0
-        metrics = parse(prom.read_text())
-        assert "repro_prove_seconds" in metrics
-        assert "repro_verify_seconds" in metrics
+        assert main(["prove", "litmus", "--flight-log", str(flight)]) == 0
+        jobs = [e["data"] for e in read_spool(str(flight))]
+        assert [j["op"] for j in jobs] == ["prove", "verify"]
+        assert all(j["ok"] and j["duration_s"] > 0 for j in jobs)
         capsys.readouterr()
         assert main(["report", "--log", str(flight)]) == 0
         out = capsys.readouterr().out
-        assert "prove" in out and "litmus" in out
+        assert "prove" in out and "verify" in out and "litmus" in out
 
-    def test_metrics_command_renders_registry(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["metrics"],
+        ["prove", "litmus", "--metrics-out", "m.prom"],
+        ["trace", "litmus", "--metrics-out", "m.prom"],
+        ["serve", "--metrics-out", "m.prom"],
+    ])
+    def test_retired_metrics_surfaces_are_usage_errors(self, argv):
+        """The exposition had no reader (and ``serve`` silently dropped the
+        flag): none of its spellings may come back as a no-op."""
         from repro.cli import main
-        assert main(["metrics"]) == 0
-        out = capsys.readouterr().out
-        assert out.endswith("# EOF\n")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_report_empty_ring(self, capsys):
         from repro.cli import main

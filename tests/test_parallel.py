@@ -257,23 +257,48 @@ class TestWorkerTraceMerge:
             with obs.tracing() as tracer:
                 for base_seed in (2, 3):
                     prove_many(pk, jobs, base_seed=base_seed, **kwargs)
-                hist = obs.METRICS.histogram("prove_seconds")
+                records = tracer.records() + [
+                    rec for recs in tracer.worker_records().values()
+                    for rec in recs]
                 totals[label] = (
-                    hist.count,
+                    sum(rec.name == "snark.prove" for rec in records),
                     obs.METRICS.counters()["ntt.butterflies"],
                     obs.METRICS.counters()["rs.rows_encoded"])
             if label == "pooled":
                 assert tracer.worker_records()
-        assert totals["serial"][0] == 4
+        assert totals["serial"][0] == 4  # one snark.prove span per job
         assert totals["pooled"] == totals["serial"]
 
-    def test_untraced_pooled_run_merges_nothing(self, instance, pool):
+    def test_untraced_pooled_run_merges_nothing(self, instance, pool,
+                                                monkeypatch):
+        """Workers ship telemetry iff a tracer is active: an enabled
+        registry alone gets no tuple back and stays as it was."""
+        from repro.parallel import pool as pool_mod
+
+        trace_flags = []
+
+        class SpyExecutor(pool_mod.ProcessPoolExecutor):
+            def submit(self, fn, trace, *job):
+                trace_flags.append(trace)
+                return super().submit(fn, trace, *job)
+
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", SpyExecutor)
         r1cs, public, witness = instance
         pk, vk = setup(r1cs, TEST)
-        bundles = prove_many(pk, [(public, witness)] * 2, pool=pool,
-                             base_seed=2)
-        # no tracer active: plain results only
-        assert all(verify(vk, b) for b in bundles)
+        for metrics_on in (False, True):
+            obs.METRICS.reset()
+            obs.METRICS.enabled = metrics_on
+            try:
+                obs.METRICS.inc("sentinel", 7)
+                before = obs.METRICS.snapshot()
+                bundles = prove_many(pk, [(public, witness)] * 2, pool=pool,
+                                     base_seed=2)
+                assert obs.METRICS.snapshot() == before
+            finally:
+                obs.METRICS.enabled = False
+                obs.METRICS.reset()
+            assert all(verify(vk, b) for b in bundles)
+        assert trace_flags == [False] * 4
 
 
 class TestShmRoundTrip:

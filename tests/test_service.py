@@ -25,6 +25,7 @@ from repro.errors import (
     DeserializationError,
     ProverTimeoutError,
 )
+from repro.obs import METRICS
 from repro.service import (
     BoundedJobQueue,
     ProvingService,
@@ -157,7 +158,7 @@ class TestBoundedJobQueue:
 
 class TestLRUBytesCache:
     def test_evicts_lru_by_bytes(self):
-        c = LRUBytesCache(max_bytes=100, label="t")
+        c = LRUBytesCache(max_bytes=100)
         c.put("a", "A", 40)
         c.put("b", "B", 40)
         assert c.get("a") == "A"       # refresh a
@@ -167,12 +168,12 @@ class TestLRUBytesCache:
         assert c.evictions == 1
 
     def test_oversized_value_skipped(self):
-        c = LRUBytesCache(max_bytes=10, label="t")
+        c = LRUBytesCache(max_bytes=10)
         c.put("big", "x", 1000)
         assert c.get("big") is None
 
     def test_peek_counts_nothing(self):
-        c = LRUBytesCache(max_bytes=100, label="t")
+        c = LRUBytesCache(max_bytes=100)
         c.put("k", "v", 1)
         hits, misses = c.hits, c.misses
         assert c.peek("k") == "v" and c.peek("nope") is None
@@ -197,7 +198,11 @@ class TestLRUBytesCache:
 class TestServiceEndToEnd:
     def test_mixed_jobs_roundtrip(self, sock_path):
         """Mixed prove/verify jobs through the live daemon; the proved
-        envelope verifies both through the service and locally."""
+        envelope verifies both through the service and locally.  The
+        daemon answers from its own attributes (``stats``): the kernel
+        counter registry of its process stays off and empty."""
+        METRICS.enabled = False
+        METRICS.reset()
         with running_service(sock_path) as live:
             with ServiceClient(sock_path) as svc:
                 pong = svc.ping()
@@ -206,6 +211,7 @@ class TestServiceEndToEnd:
                 env_a = svc.prove("litmus", seed=7)
                 env_b = svc.prove("sha", seed=3)
                 assert env_a[:4] == b"NCPE" and env_b[:4] == b"NCPE"
+                assert svc.prove("litmus", seed=7) == env_a  # cached repeat
                 assert svc.verify(env_a)
                 assert svc.verify(env_b)
 
@@ -223,18 +229,32 @@ class TestServiceEndToEnd:
                 stats = svc.stats()
                 assert stats["jobs_done"] >= 4
                 assert stats["jobs_failed"] == 0
+                assert stats["proof_cache"]["hits"] == 1
             assert live.service._jobs_failed == 0
+            assert not METRICS.enabled
+            assert METRICS.snapshot() == {"counters": {}, "gauges": {}}
 
     def test_status_lifecycle_and_unknown_job(self, sock_path):
         with running_service(sock_path) as live:
             with ServiceClient(sock_path) as svc:
+                t0 = time.monotonic()
                 job_id = svc.submit("prove", circuit_id="litmus", seed=1)
+                queued_id = svc.submit("prove", circuit_id="litmus", seed=2)
                 result = svc.result(job_id, wait_s=60)
+                wall = time.monotonic() - t0
                 assert result["state"] == "done"
                 status = svc.status(job_id)
                 assert status["state"] == "done"
                 assert status["circuit_id"] == "litmus"
-                assert "run_s" in status
+                # Queue wait and run time are reported apart and nest
+                # inside what the client measured, submit to reply.
+                for reply in (result, status):
+                    assert reply["wait_s"] >= 0 and reply["run_s"] > 0
+                    assert reply["wait_s"] + reply["run_s"] <= wall
+                # One job slot: the second job waited out the first.
+                queued = svc.result(queued_id, wait_s=60)
+                assert queued["wait_s"] > 0
+                assert queued["wait_s"] >= status["run_s"] * 0.5
                 with pytest.raises(ServiceError) as ei:
                     svc.status("svc-999999")
                 assert ei.value.code == protocol.E_NOT_FOUND
@@ -494,7 +514,25 @@ class TestServeClientParsers:
              "--seed", "9", "--preset", "test-fast"])
         assert args.unix_socket == "/tmp/x.sock"
         assert args.action == "prove" and args.workload == "sha"
-        assert args.seed == 9
+        assert args.seed == 9 and args.preset == "test-fast"
+
+    def test_client_prove_defers_to_daemon_preset(self, sock_path, tmp_path):
+        """``client prove`` without ``--preset`` sends none, so the
+        daemon's ``--preset`` applies; an explicit one overrides it."""
+        from repro import ProofBundle
+        from repro.cli import build_parser, main
+
+        args = build_parser().parse_args(["client", "prove", "litmus"])
+        assert args.preset is None
+        out = tmp_path / "proof.bin"
+        argv = ["client", "prove", "litmus", "--unix-socket", sock_path,
+                "--out", str(out)]
+        with running_service(sock_path, preset="paper-128bit"):
+            for extra, preset in (([], "paper-128bit"),
+                                  (["--preset", "test-fast"], "test-fast")):
+                assert main(argv + extra) == 0
+                bundle = ProofBundle.from_bytes(out.read_bytes())
+                assert bundle.preset_name == preset
 
     def test_exit_code_table_documented(self):
         from repro.cli import EXIT_CODE_TABLE, build_parser

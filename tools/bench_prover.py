@@ -34,7 +34,10 @@ the ``kernel_parallel`` rows and the probe / pickled-bytes fields along
 with kernel-level fan-out itself, and schema_version 6 dropped
 ``dispatch.bytes_shared`` along with the shared-memory transport: a
 batch's workers are forked for it and inherit the key
-(docs/PERFORMANCE.md has both decision records).
+(docs/PERFORMANCE.md has both decision records).  Schema_version 7
+dropped ``disabled_observe_s`` / ``observes_est`` with the histogram
+layer, and ``dispatch.dispatches`` is read off the batch's
+:class:`~repro.obs.events.JobReport` instead of a registry counter.
 Rows after the first also carry ``growth_per_doubling`` (this row's
 ``prove_s`` over the previous size's), which ``tools/bench_diff.py``
 holds under 2.4x across 2^16..2^20: the scaling curve must stay smooth.
@@ -84,9 +87,8 @@ MIN_GUARD_BATCH_S = 1.0
 
 def measure_instrumentation_unit_costs(iters: int = 200_000) -> dict:
     """Per-event cost of *disabled* instrumentation: a null span, a
-    disabled counter increment, a disabled histogram observation, and a
-    disabled flight-recorder append, measured by tight-loop amortization.
-    Covers everything metrics v2 compiled into the hot path."""
+    disabled counter increment and a disabled flight-recorder append,
+    measured by tight-loop amortization."""
     assert obs.get_tracer() is None and not METRICS.enabled
     t0 = time.perf_counter()
     for _ in range(iters):
@@ -97,10 +99,6 @@ def measure_instrumentation_unit_costs(iters: int = 200_000) -> dict:
     for _ in range(iters):
         METRICS.inc("bench.noop")
     inc_s = (time.perf_counter() - t0) / iters
-    t0 = time.perf_counter()
-    for _ in range(iters):
-        METRICS.observe("bench.noop_seconds", 1e-3)
-    observe_s = (time.perf_counter() - t0) / iters
     flight_prev = FLIGHT.enabled
     FLIGHT.enabled = False
     try:
@@ -111,20 +109,15 @@ def measure_instrumentation_unit_costs(iters: int = 200_000) -> dict:
     finally:
         FLIGHT.enabled = flight_prev
     return {"null_span_s": span_s, "disabled_inc_s": inc_s,
-            "disabled_observe_s": observe_s,
             "disabled_flight_record_s": flight_s}
 
 
 def noop_overhead_frac(prove_s: float, num_spans: int, num_incs: int,
-                       unit_costs: dict, num_observes: int = 0) -> float:
-    """Projected fraction of ``prove_s`` spent in disabled instrumentation.
-
-    ``num_observes`` covers the v2 histogram observations (latency and
-    per-family phase seconds); each proof also books one flight-recorder
-    job append."""
+                       unit_costs: dict) -> float:
+    """Projected fraction of ``prove_s`` spent in disabled instrumentation
+    (each proof also books one flight-recorder job append)."""
     cost = (num_spans * unit_costs["null_span_s"]
             + num_incs * unit_costs["disabled_inc_s"]
-            + num_observes * unit_costs.get("disabled_observe_s", 0.0)
             + unit_costs.get("disabled_flight_record_s", 0.0))
     return cost / prove_s if prove_s else 0.0
 
@@ -159,11 +152,7 @@ def bench_size(log_size: int, num_rows: int, repeats: int,
     # sumcheck instances, encode calls) is O(10) per proof.
     num_incs = (counters.get("field.mul_batches", 0)
                 + counters.get("field.scale_add_batches", 0) + 64)
-    # Histogram observations per proof: one latency sample plus one
-    # phase_seconds sample per task family, padded for verify/dispatch.
-    num_observes = len(tracer.family_seconds()) + 8
-    overhead = noop_overhead_frac(prove_s, num_spans, num_incs, unit_costs,
-                                  num_observes)
+    overhead = noop_overhead_frac(prove_s, num_spans, num_incs, unit_costs)
     if overhead >= MAX_NOOP_OVERHEAD_FRAC:
         raise SystemExit(
             f"disabled-tracer overhead projection at 2^{log_size} is "
@@ -184,7 +173,6 @@ def bench_size(log_size: int, num_rows: int, repeats: int,
         "instrumentation": {
             "spans": num_spans,
             "counter_incs_est": num_incs,
-            "observes_est": num_observes,
             "noop_overhead_frac": round(overhead, 6),
         },
     }
@@ -217,37 +205,34 @@ def bench_workers(log_size: int, repeats: int, worker_counts,
         # One untimed batch: lazy imports, and the caller's NTT root
         # tables at this size, which forked workers inherit.
         prove_many(pk, jobs[: min(w, num_jobs)], pool=pool, base_seed=0)
-        METRICS.enabled = True
-        METRICS.reset()
-        try:
-            # The speedup a multi-second batch is guarded on must be
-            # robust to this-machine noise: pair every pooled shot
-            # with a serial shot taken seconds earlier (cancels slow
-            # drift — frequency scaling, page cache, allocator
-            # state), then take the MEDIAN of the per-round ratios
-            # (discards the heavy-tailed steal-time spikes a shared
-            # vCPU lands on individual shots, which a ratio of two
-            # independent minima amplifies instead).
-            bundles = None
-            ratios = []
-            pooled_best = float("inf")
-            for _ in range(max(1, repeats)):
-                t0 = time.perf_counter()
-                prove_many(pk, jobs, workers=1, base_seed=5)
-                serial_i = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                bundles = prove_many(pk, jobs, pool=pool, base_seed=5)
-                pooled_i = time.perf_counter() - t0
-                ratios.append(serial_i / pooled_i)
-                pooled_best = min(pooled_best, pooled_i)
-            batch_s = pooled_best
-            ratios.sort()
-            median_ratio = ratios[len(ratios) // 2]
-            dispatch = {"dispatches": int(
-                METRICS.counters().get("parallel.dispatches", 0))}
-        finally:
-            METRICS.enabled = False
-            METRICS.reset()
+        # The speedup a multi-second batch is guarded on must be robust
+        # to this-machine noise: pair every pooled shot with a serial
+        # shot taken seconds earlier (cancels slow drift — frequency
+        # scaling, page cache, allocator state), then take the MEDIAN of
+        # the per-round ratios (discards the heavy-tailed steal-time
+        # spikes a shared vCPU lands on individual shots, which a ratio
+        # of two independent minima amplifies instead).
+        bundles = None
+        ratios = []
+        pooled_best = float("inf")
+        dispatched = 0
+        for _ in range(max(1, repeats)):
+            t0 = time.perf_counter()
+            prove_many(pk, jobs, workers=1, base_seed=5)
+            serial_i = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            bundles = prove_many(pk, jobs, pool=pool, base_seed=5,
+                                 attach_report=True)
+            pooled_i = time.perf_counter() - t0
+            ratios.append(serial_i / pooled_i)
+            pooled_best = min(pooled_best, pooled_i)
+            report = bundles[0].report
+            if report.dispatch == "pool":
+                dispatched += report.jobs
+        batch_s = pooled_best
+        ratios.sort()
+        median_ratio = ratios[len(ratios) // 2]
+        dispatch = {"dispatches": dispatched}
         if not all(verify(vk, b) for b in bundles):
             raise SystemExit(f"prove_many batch at {w} workers "
                              "produced an invalid proof")
@@ -326,7 +311,6 @@ def main(argv=None) -> int:
     print(f"disabled instrumentation: null span "
           f"{unit_costs['null_span_s'] * 1e9:.0f} ns, "
           f"disabled inc {unit_costs['disabled_inc_s'] * 1e9:.0f} ns, "
-          f"disabled observe {unit_costs['disabled_observe_s'] * 1e9:.0f} ns, "
           f"disabled flight {unit_costs['disabled_flight_record_s'] * 1e9:.0f}"
           " ns")
 
@@ -361,7 +345,7 @@ def main(argv=None) -> int:
     payload = {
         "benchmark": "spartan_orion_functional_prover",
         "schema": "repro/bench-prover",
-        "schema_version": 6,
+        "schema_version": 7,
         "workload": "synthetic_r1cs(band=16)",
         "num_rows": args.num_rows,
         "repetitions": args.repetitions,

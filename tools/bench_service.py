@@ -6,13 +6,13 @@ Spawns a real ``repro serve`` daemon (its own process, unix socket),
 replays a mixed request stream from concurrent clients, then replays the
 prove set a second time to measure the proof cache and assert that every
 cached envelope is **byte-identical** to its first-run counterpart.
-Per-request latencies land in the fixed-bucket
-:class:`repro.obs.metrics.Histogram` (one per thread, merged at the
-end), so the recorded p50/p99 share bucket edges with every other bench
-artifact and ``tools/bench_diff.py`` can gate them.
+Per-request latencies are kept as plain lists (one per thread,
+concatenated at the end) and reported as exact quantiles
+(``statistics.quantiles``, method ``inclusive``), which
+``tools/bench_diff.py`` gates.
 
-Writes ``BENCH_service.json`` (schema ``bench-service-v1``) with
-latency quantiles per job kind, throughput, queue high-water marks, and
+Writes ``BENCH_service.json`` (schema ``bench-service-v2``: exact
+quantiles, no bucket blobs) with latency quantiles per job kind, throughput, queue high-water marks, and
 cache hit rates.  Exit status is nonzero if any job was dropped — a
 submission that neither completed nor failed typed — or a cached repeat
 came back with different bytes.
@@ -28,6 +28,7 @@ import argparse
 import itertools
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -38,7 +39,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.obs.metrics import Histogram  # noqa: E402
 from repro.service import QueueFullError, ServiceClient  # noqa: E402
 
 #: Workloads in the request mix (small enough for the test preset to
@@ -62,7 +62,7 @@ class Worker(threading.Thread):
         self.requests = requests
         self.lock = lock
         self.results = results
-        self.hist = {"prove": Histogram(), "verify": Histogram()}
+        self.latencies = {"prove": [], "verify": []}
         self.failures = []
         self.backpressure_retries = 0
 
@@ -103,7 +103,7 @@ class Worker(threading.Thread):
                 self.failures.append(
                     (kind, workload, seed, f"{type(exc).__name__}: {exc}"))
                 break
-        self.hist[kind].observe(time.perf_counter() - t0)
+        self.latencies[kind].append(time.perf_counter() - t0)
 
 
 def start_daemon(sock_path, preset, queue_depth):
@@ -137,7 +137,7 @@ def start_daemon(sock_path, preset, queue_depth):
 
 def run_phase(sock_path, requests, concurrency, results):
     """Drive ``requests`` through ``concurrency`` clients; returns
-    (merged histograms, failures, backpressure retries, wall seconds)."""
+    (latencies by kind, failures, backpressure retries, wall seconds)."""
     pending = list(requests)
     lock = threading.Lock()
     workers = [Worker(i, sock_path, pending, lock, results)
@@ -148,24 +148,23 @@ def run_phase(sock_path, requests, concurrency, results):
     for w in workers:
         w.join()
     wall = time.perf_counter() - t0
-    hist = {"prove": Histogram(), "verify": Histogram()}
+    latencies = {"prove": [], "verify": []}
     failures, retries = [], 0
     for w in workers:
-        for kind in hist:
-            hist[kind].merge(w.hist[kind])
+        for kind in latencies:
+            latencies[kind] += w.latencies[kind]
         failures.extend(w.failures)
         retries += w.backpressure_retries
-    return hist, failures, retries, wall
+    return latencies, failures, retries, wall
 
 
-def hist_summary(hist):
-    return {
-        "count": hist.count,
-        "p50_s": hist.quantile(0.5),
-        "p99_s": hist.quantile(0.99),
-        "mean_s": round(hist.sum / hist.count, 6) if hist.count else 0.0,
-        "histogram": hist.to_dict(),
-    }
+def latency_summary(samples):
+    """Count, mean and exact p50/p99 of one list of latencies (every
+    list this bench summarizes has at least one sample per workload)."""
+    cuts = statistics.quantiles(samples, n=100, method="inclusive")
+    return {"count": len(samples), "p50_s": round(cuts[49], 6),
+            "p99_s": round(cuts[98], 6),
+            "mean_s": round(statistics.fmean(samples), 6)}
 
 
 def main(argv=None) -> int:
@@ -202,7 +201,7 @@ def main(argv=None) -> int:
         # Seed one envelope per workload for the verify mix, serially,
         # so every verify request has a real proof to check.
         results = {}
-        seed_hist, seed_fail, _, _ = run_phase(
+        seed_lat, seed_fail, _, _ = run_phase(
             sock_path, [("prove", w, SEEDS[0], None) for w in WORKLOADS],
             1, results)
         if seed_fail:
@@ -223,18 +222,19 @@ def main(argv=None) -> int:
         print(f"bench_service: mixed phase — {len(mixed)} requests "
               f"({proves} prove / {len(mixed) - proves} verify) across "
               f"{args.concurrency} clients ...")
-        hist, failures, retries, wall = run_phase(
+        lat, failures, retries, wall = run_phase(
             sock_path, mixed, args.concurrency, results)
-        for kind in hist:
-            hist[kind].merge(seed_hist[kind])
-        done = hist["prove"].count + hist["verify"].count - len(failures)
+        for kind in lat:
+            lat[kind] += seed_lat[kind]
+        all_lat = lat["prove"] + lat["verify"]
+        done = len(all_lat) - len(failures)
 
         # -- repeat phase: every prove again, expecting cached bytes -----
         repeat_results = {}
         repeat = [("prove", w, s, None) for (w, s) in sorted(results)]
         print(f"bench_service: repeat phase — {len(repeat)} cached "
               "proves ...")
-        rep_hist, rep_fail, _, rep_wall = run_phase(
+        rep_lat, rep_fail, _, rep_wall = run_phase(
             sock_path, repeat, args.concurrency, repeat_results)
         byte_identical = not rep_fail and all(
             repeat_results.get(k) == results[k] for k in results)
@@ -261,13 +261,11 @@ def main(argv=None) -> int:
 
     proof_hits = stats["proof_cache"]["hits"]
     proof_lookups = proof_hits + stats["proof_cache"]["misses"]
-    all_hist = Histogram()
-    all_hist.merge(hist["prove"])
-    all_hist.merge(hist["verify"])
-    total_requests = all_hist.count + rep_hist["prove"].count
+    repeat_summary = latency_summary(rep_lat["prove"])
+    total_requests = len(all_lat) + repeat_summary["count"]
 
     report = {
-        "schema": "bench-service-v1",
+        "schema": "bench-service-v2",
         "quick": bool(args.quick),
         "preset": args.preset,
         "config": {
@@ -277,17 +275,17 @@ def main(argv=None) -> int:
         },
         "totals": {
             "requests": total_requests,
-            "completed": done + rep_hist["prove"].count - len(rep_fail),
+            "completed": done + repeat_summary["count"] - len(rep_fail),
             "failed": len(failures) + len(rep_fail),
             "dropped_on_crash": 0 if proc.returncode == 0 else None,
             "backpressure_retries": retries,
         },
         "latency": {
-            "prove": hist_summary(hist["prove"]),
-            "verify": hist_summary(hist["verify"]),
-            "all": hist_summary(all_hist),
+            "prove": latency_summary(lat["prove"]),
+            "verify": latency_summary(lat["verify"]),
+            "all": latency_summary(all_lat),
         },
-        "throughput_rps": round(all_hist.count / wall, 3) if wall else 0.0,
+        "throughput_rps": round(len(all_lat) / wall, 3) if wall else 0.0,
         "wall_s": round(wall, 3),
         "queue": stats["queue"],
         "pk_cache": stats["pk_cache"],
@@ -295,20 +293,21 @@ def main(argv=None) -> int:
                             hit_rate=round(proof_hits / proof_lookups, 4)
                             if proof_lookups else 0.0),
         "repeat": {
-            "requests": rep_hist["prove"].count,
+            "requests": repeat_summary["count"],
             "byte_identical": byte_identical,
-            "p50_s": rep_hist["prove"].quantile(0.5),
+            "p50_s": repeat_summary["p50_s"],
             "wall_s": round(rep_wall, 3),
         },
         "failures": [list(f) for f in failures + rep_fail][:20],
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
 
-    lat = report["latency"]["all"]
+    overall = report["latency"]["all"]
     print(f"bench_service: {total_requests} requests, "
           f"{report['totals']['failed']} failed, "
           f"{retries} backpressure retries")
-    print(f"  latency p50 {lat['p50_s']:.4g}s  p99 {lat['p99_s']:.4g}s  "
+    print(f"  latency p50 {overall['p50_s']:.4g}s  "
+          f"p99 {overall['p99_s']:.4g}s  "
           f"throughput {report['throughput_rps']:.1f} req/s")
     print(f"  queue peak {stats['queue']['peak_depth']}/"
           f"{stats['queue']['max_depth']}  proof-cache hit rate "
