@@ -2,11 +2,9 @@
 
 from .fieldhash import (
     DIGEST_BYTES,
-    ELEMENTS_PER_WORD,
-    elements_to_words,
+    LEAF_TAG,
     hash_elements,
     hash_pair,
-    sha3,
 )
 from .keccak import keccak_f1600
 from .keccak import sha3_256 as sha3_256_from_scratch
@@ -24,11 +22,9 @@ from . import poseidon
 
 __all__ = [
     "DIGEST_BYTES",
-    "ELEMENTS_PER_WORD",
-    "elements_to_words",
+    "LEAF_TAG",
     "hash_elements",
     "hash_pair",
-    "sha3",
     "keccak_f1600",
     "sha3_256_from_scratch",
     "MerkleMultiProof",

@@ -1,10 +1,16 @@
-"""SHA3-256 hashing of field elements, mirroring NoCap's Hash FU semantics.
+"""SHA3-256 hashing of field elements: packed leaves and pair nodes.
 
-The paper's hash unit (Sec. IV-B) reinterprets each group of four
-consecutive 64-bit field elements as one 256-bit value, and hashes pairs of
-256-bit values into one 256-bit digest.  We reproduce that packing exactly
-so the number of compression calls the functional layer performs matches
-what the performance model charges the Hash FU for.
+The paper's Hash FU (Sec. IV-B) absorbs *packed* leaves at 1 KB (128
+field elements) per cycle and combines 256-bit digests pairwise up the
+tree.  A Merkle leaf here is ONE domain-tagged sponge call over the
+column's little-endian bytes::
+
+    leaf = SHA3-256(LEAF_TAG || LE64(column))
+
+so no leaf preimage can be read as a 64-byte inner-node preimage.  The
+performance model charges the Hash FU per element absorbed
+(``TaskCost.hash_elements``), which is what a packed sponge does: every
+element costs 8 bytes of rate, with no per-word call and no padding words.
 """
 
 from __future__ import annotations
@@ -15,13 +21,15 @@ from typing import List
 import numpy as np
 
 DIGEST_BYTES = 32
-#: Field elements per 256-bit hash word (4 x 64-bit).
-ELEMENTS_PER_WORD = 4
-
-
-def sha3(data: bytes) -> bytes:
-    """SHA3-256 of raw bytes."""
-    return hashlib.sha3_256(data).digest()
+#: Domain tag opening every leaf preimage.  Its length is odd, so a leaf
+#: preimage (tag + 8 bytes per element) is never the 64 bytes of a pair
+#: node's.
+LEAF_TAG = b"ncpe/orion-leaf/v2\0"
+#: Bytes one Keccak-f[1600] permutation absorbs in SHA3-256.
+SHA3_256_RATE_BYTES = 136
+#: Columns transposed and hashed per pass of :func:`hash_columns`: the
+#: packed transient is one block (~1 MB at 129 rows), not one matrix.
+COLUMN_BLOCK = 1024
 
 
 def hash_pair(left: bytes, right: bytes) -> bytes:
@@ -29,189 +37,77 @@ def hash_pair(left: bytes, right: bytes) -> bytes:
     return hashlib.sha3_256(left + right).digest()
 
 
-def elements_to_words(elements: np.ndarray) -> List[bytes]:
-    """Pack field elements into 32-byte words (4 elements per word).
-
-    The tail is zero-padded, matching how vectors are padded into hash
-    lanes on the accelerator.
-    """
-    arr = np.asarray(elements, dtype=np.uint64).ravel()
-    pad = (-len(arr)) % ELEMENTS_PER_WORD
-    if pad:
-        arr = np.concatenate([arr, np.zeros(pad, dtype=np.uint64)])
-    raw = arr.astype("<u8").tobytes()
-    return [raw[i : i + DIGEST_BYTES] for i in range(0, len(raw), DIGEST_BYTES)]
-
-
 def hash_elements(elements: np.ndarray) -> bytes:
-    """Hash a vector of field elements down to a single 256-bit digest.
+    """The leaf digest of one vector of field elements (one column)."""
+    arr = np.asarray(elements, dtype=np.uint64).ravel()
+    return hashlib.sha3_256(LEAF_TAG + arr.astype("<u8").tobytes()).digest()
 
-    Words are combined left-to-right with the pairwise primitive — the
-    sequential chaining a hash lane performs when a leaf spans multiple
-    256-bit words.
-    """
-    words = elements_to_words(elements)
-    if not words:
-        return sha3(b"")
-    acc = words[0]
-    if len(words) == 1:
-        # Single word still passes through the FU once (paired with zero).
-        return hash_pair(acc, b"\x00" * DIGEST_BYTES)
-    for word in words[1:]:
-        acc = hash_pair(acc, word)
-    return acc
+
+def _packed_columns(block: np.ndarray) -> List[memoryview]:
+    """The little-endian bytes of each column of a ``(rows, n)`` block."""
+    stride = 8 * block.shape[0]
+    raw = memoryview(np.ascontiguousarray(block.T, dtype="<u8").tobytes())
+    return [raw[j * stride : (j + 1) * stride] for j in range(block.shape[1])]
 
 
 def hash_columns(matrix: np.ndarray) -> List[bytes]:
-    """Hash every column of a 2-D field matrix to one digest per column.
+    """Leaf digests of every column of a 2-D field matrix.
 
-    Byte-for-byte equivalent to ``[hash_elements(matrix[:, j]) for j]`` —
-    same packing, same left-to-right compression chaining — but the whole
-    matrix is packed with ONE transpose + ``tobytes`` pass, and the chain
-    walks a flat byte buffer.  This is the batched leaf-hashing kernel the
-    Merkle commitment uses (all leaves of a layer stream through the Hash
-    FU together, Sec. IV-B).
+    Equal to ``[hash_elements(matrix[:, j]) for j]``, computed as a
+    blocked transpose plus one ``hashlib`` call per column.  This is the
+    leaf-hashing kernel of the Merkle commitment (all leaves of a layer
+    stream through the Hash FU together, Sec. IV-B).
     """
     matrix = np.asarray(matrix, dtype=np.uint64)
     if matrix.ndim != 2:
         raise ValueError("hash_columns expects a 2-D matrix")
-    rows, cols = matrix.shape
-    if rows == 0:
-        return [sha3(b"")] * cols
-    pad = (-rows) % ELEMENTS_PER_WORD
-    packed = np.zeros((cols, rows + pad), dtype="<u8")
-    packed[:, :rows] = matrix.T
-    raw = packed.tobytes()
-    words = (rows + pad) // ELEMENTS_PER_WORD
-    stride = words * DIGEST_BYTES
     _sha3 = hashlib.sha3_256
     out: List[bytes] = []
-    if words == 1:
-        zero = b"\x00" * DIGEST_BYTES
-        for base in range(0, cols * stride, stride):
-            out.append(_sha3(raw[base : base + DIGEST_BYTES] + zero).digest())
-        return out
-    for base in range(0, cols * stride, stride):
-        acc = _sha3(raw[base : base + 2 * DIGEST_BYTES]).digest()
-        for off in range(base + 2 * DIGEST_BYTES, base + stride, DIGEST_BYTES):
-            acc = _sha3(acc + raw[off : off + DIGEST_BYTES]).digest()
-        out.append(acc)
+    for lo in range(0, matrix.shape[1], COLUMN_BLOCK):
+        out.extend(_sha3(LEAF_TAG + column).digest() for column in
+                   _packed_columns(matrix[:, lo : lo + COLUMN_BLOCK]))
     return out
 
 
 class ColumnChainHasher:
-    """Incremental, tile-at-a-time version of :func:`hash_columns`.
+    """Tile-at-a-time :func:`hash_columns`: one incremental sponge per
+    column, fed row tiles of any height in order.
 
-    :func:`hash_columns` chains each column's 256-bit words (4 field
-    elements per word) left to right.  That chain is *sequential in the
-    row direction*, so a commitment can stream row tiles — encode a tile,
-    fold it into the per-column accumulators, discard the tile — and
-    never materialize the full matrix.  Feeding the same rows through
-    :meth:`update` in order and calling :meth:`finalize` is byte-for-byte
-    identical to ``hash_columns`` on the stacked matrix (property-tested
-    in ``tests/test_parallel.py``).
-
-    The chain rule per column: the first word is stashed; every later
-    word ``w`` folds as ``acc = sha3(acc + w)`` (the stashed first word
-    plays the role of ``acc`` for the second word); a column that only
-    ever sees one word finalizes as ``sha3(w0 + zeros)``.  State is
-    exactly 32 bytes per column plus one shared word counter, so it also
-    ships cheaply through shared memory when tiles are folded on worker
-    processes.
+    Nothing in ``src/`` uses it (``commit`` keeps its codewords and
+    hashes them once); it survives, under its old name, because the
+    benchmark's staged commit imports it.
     """
 
     def __init__(self, num_cols: int, total_rows: int):
         if total_rows < 1 or num_cols < 1:
             raise ValueError("need at least one row and one column")
-        self.num_cols = num_cols
         self.total_rows = total_rows
-        #: Rows including the zero padding hash_columns applies.
-        self.padded_rows = total_rows + ((-total_rows) % ELEMENTS_PER_WORD)
         self.rows_fed = 0
-        self.words_done = 0
-        # 32 bytes per column: the pending first word, then the chain acc.
-        self.state = np.zeros((num_cols, DIGEST_BYTES), dtype=np.uint8)
+        self._sponges = [hashlib.sha3_256(LEAF_TAG) for _ in range(num_cols)]
 
     def update(self, tile: np.ndarray) -> None:
-        """Fold a ``(tile_rows, num_cols)`` row tile into the chains.
-
-        Every tile except the last must carry a multiple of
-        ``ELEMENTS_PER_WORD`` rows (word boundaries cannot straddle
-        tiles); the final tile is zero-padded internally, exactly like
-        :func:`hash_columns` pads the full matrix.
-        """
+        """Absorb a ``(tile_rows, num_cols)`` row tile."""
         tile = np.asarray(tile, dtype=np.uint64)
-        if tile.ndim != 2 or tile.shape[1] != self.num_cols:
-            raise ValueError("tile shape does not match the chain geometry")
-        t_rows = tile.shape[0]
-        if self.rows_fed + t_rows > self.total_rows:
-            raise ValueError("more rows than the chain was sized for")
-        self.rows_fed += t_rows
-        pad = (-t_rows) % ELEMENTS_PER_WORD
-        if pad and self.rows_fed != self.total_rows:
-            raise ValueError("only the final tile may be a partial word")
-        fold_chunk(self.state, tile, self.words_done)
-        self.words_done += (t_rows + pad) // ELEMENTS_PER_WORD
+        if tile.ndim != 2 or tile.shape[1] != len(self._sponges):
+            raise ValueError("tile shape does not match the column count")
+        if self.rows_fed + tile.shape[0] > self.total_rows:
+            raise ValueError("more rows than the hasher was sized for")
+        self.rows_fed += tile.shape[0]
+        for sponge, column in zip(self._sponges, _packed_columns(tile)):
+            sponge.update(column)
 
     def finalize(self) -> bytes:
         """Flat ``num_cols * 32`` leaf-digest bytes (hash_columns order)."""
         if self.rows_fed != self.total_rows:
             raise ValueError(
-                f"chain fed {self.rows_fed} of {self.total_rows} rows")
-        if self.words_done == 1:
-            # Single-word columns pair with a zero word, per hash_elements.
-            zero = b"\x00" * DIGEST_BYTES
-            raw = self.state.tobytes()
-            _sha3 = hashlib.sha3_256
-            return b"".join(
-                _sha3(raw[off : off + DIGEST_BYTES] + zero).digest()
-                for off in range(0, len(raw), DIGEST_BYTES))
-        return self.state.tobytes()
-
-
-def fold_chunk(state: np.ndarray, tile: np.ndarray, words_done: int) -> None:
-    """Fold one row tile into a slice of chain state, in place.
-
-    ``state`` is ``(cols, 32)`` uint8; ``tile`` is ``(tile_rows, cols)``
-    uint64 with ``tile_rows`` padded to a word boundary by the caller's
-    geometry (a trailing partial word is zero-padded here).  This is the
-    worker-side kernel of the streaming commit: both arguments may be
-    views into shared memory, so chunks of columns fold concurrently with
-    no data shipped beyond their descriptors.
-    """
-    cols = state.shape[0]
-    t_rows = tile.shape[0]
-    pad = (-t_rows) % ELEMENTS_PER_WORD
-    packed = np.zeros((cols, t_rows + pad), dtype="<u8")
-    packed[:, :t_rows] = tile.T
-    words = (t_rows + pad) // ELEMENTS_PER_WORD
-    stride = words * DIGEST_BYTES
-    _sha3 = hashlib.sha3_256
-    state_bytes = state.tobytes()
-    out = bytearray(state_bytes)
-    for col in range(cols):
-        # Per-column byte conversion: one stride-sized buffer at a time
-        # keeps the transient footprint at O(stride), not O(tile).
-        raw = packed[col].tobytes()
-        soff = col * DIGEST_BYTES
-        acc = state_bytes[soff : soff + DIGEST_BYTES]
-        done = words_done
-        for w in range(words):
-            word = raw[w * DIGEST_BYTES : (w + 1) * DIGEST_BYTES]
-            if done == 0:
-                acc = word  # stash the first word; nothing to fold yet
-            else:
-                acc = _sha3(acc + word).digest()
-            done += 1
-        out[soff : soff + DIGEST_BYTES] = acc
-    state[...] = np.frombuffer(bytes(out), dtype=np.uint8).reshape(cols,
-                                                                   DIGEST_BYTES)
+                f"hasher fed {self.rows_fed} of {self.total_rows} rows")
+        return b"".join(sponge.digest() for sponge in self._sponges)
 
 
 def compression_calls_for_elements(n_elements: int) -> int:
-    """Number of Hash-FU pair operations :func:`hash_elements` performs.
+    """Keccak-f permutations one packed leaf of ``n_elements`` costs
+    (SHA3 pads with at least one byte, hence the ``+ 1``).
 
     Used by unit tests to pin the functional layer to the cost model.
     """
-    words = max(1, (n_elements + ELEMENTS_PER_WORD - 1) // ELEMENTS_PER_WORD)
-    return max(1, words - 1) if words > 1 else 1
+    return (len(LEAF_TAG) + 8 * n_elements) // SHA3_256_RATE_BYTES + 1

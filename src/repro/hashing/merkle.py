@@ -82,9 +82,8 @@ class MerkleTree:
         """Commit to the columns of a 2-D field matrix (one leaf per column).
 
         This is how Orion commits to a Reed-Solomon-encoded coefficient
-        matrix: each codeword column becomes one leaf.  Leaves are hashed
-        with the batched :func:`hash_columns` kernel (one packing pass for
-        the whole matrix).
+        matrix: each codeword column becomes one leaf, hashed by
+        :func:`hash_columns` (one tagged SHA3 call per column).
         """
         matrix = np.asarray(matrix, dtype=np.uint64)
         if matrix.ndim != 2:

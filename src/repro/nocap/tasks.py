@@ -32,7 +32,10 @@ class TaskCost:
     family: str
     mul_ops: float = 0.0
     add_ops: float = 0.0
-    hash_elements: float = 0.0      # elements through the 1 KB/cycle hash FU
+    #: Elements through the 1 KB/cycle hash FU.  Charged per element
+    #: absorbed, which is what the functional layer's packed leaf sponge
+    #: does (``hashing/fieldhash.py``: 8 bytes of rate per element).
+    hash_elements: float = 0.0
     shuffle_elements: float = 0.0   # elements routed through the Benes network
     ntt_element_passes: float = 0.0 # elements x four-step passes through NTT FU
     mem_bytes: float = 0.0

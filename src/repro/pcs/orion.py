@@ -45,7 +45,7 @@ from ..hashing.merkle import (
     open_many,
     verify_many,
 )
-from ..hashing.fieldhash import ColumnChainHasher, hash_columns
+from ..hashing.fieldhash import hash_columns
 from ..hashing.transcript import Transcript
 from ..multilinear.mle import combine_rows, eq_table
 from ..obs import span as _span
@@ -55,33 +55,14 @@ from ..obs.metrics import METRICS as _METRICS
 DEFAULT_ROWS = 128
 DEFAULT_PROXIMITY_VECTORS = 4
 
-#: Codeword matrices at or above this many cells are encoded and hashed
-#: tile by tile.  At paper geometry (129 rows, blowup 4) 2^19 constraints
+#: Codeword matrices at or above this many cells are encoded tile by
+#: tile.  At paper geometry (129 rows, blowup 4) 2^19 constraints
 #: commit 129 x 8192 = 1.06 M cells, so the first tiled size is 2^20.
 DEFAULT_STREAMING_CELLS = 1 << 21
 
-#: Message rows per tile (a multiple of the 4-element hash word): the
-#: NTT's ~3-4x temporaries and the leaf-hash packing stay one tile wide
+#: Message rows per tile: the NTT's ~3-4x temporaries stay one tile wide
 #: instead of one codeword matrix wide.
 STREAM_TILE_ROWS = 16
-
-
-def encode_fold_tiles(code: LinearCode, matrix: np.ndarray,
-                      codewords: np.ndarray) -> bytes:
-    """The tiled commit's serial loop: encode ``STREAM_TILE_ROWS``-row
-    tiles of ``matrix`` into the preallocated ``codewords`` and fold each
-    into per-column hash chains.  Returns the flat leaf digests, byte for
-    byte what ``hash_columns(codewords)`` gives
-    (:class:`~repro.hashing.fieldhash.ColumnChainHasher`)."""
-    total_rows, cw_len = codewords.shape
-    chains = ColumnChainHasher(cw_len, total_rows)
-    for lo in range(0, total_rows, STREAM_TILE_ROWS):
-        hi = min(total_rows, lo + STREAM_TILE_ROWS)
-        with _span("rs.encode", "rs_encode", rows=hi - lo):
-            codewords[lo:hi] = code.encode_rows(matrix[lo:hi])
-        with _span("merkle.fold", "merkle", rows=hi - lo):
-            chains.update(codewords[lo:hi])
-    return chains.finalize()
 
 
 @dataclass
@@ -175,21 +156,22 @@ class OrionPCS:
                 matrix = np.vstack([matrix, mask])
             cw_len = self.code.codeword_length(cols)
             if matrix.shape[0] * cw_len >= self.streaming_cells:
-                # Tiled: same codewords and leaf digests as below, but the
-                # NTT and leaf-hash transients stay one tile wide.
+                # Tiled: the same codewords as below, but the NTT's
+                # transients stay one tile wide.
                 _METRICS.inc("pcs.streaming_commits")
                 codewords = np.empty((matrix.shape[0], cw_len),
                                      dtype=np.uint64)
-                leaves = encode_fold_tiles(self.code, matrix, codewords)
-                with _span("merkle.build", "merkle", leaves=cw_len):
-                    tree = MerkleTree(leaves)
+                for lo in range(0, matrix.shape[0], STREAM_TILE_ROWS):
+                    tile = matrix[lo : lo + STREAM_TILE_ROWS]
+                    with _span("rs.encode", "rs_encode", rows=len(tile)):
+                        codewords[lo : lo + len(tile)] = (
+                            self.code.encode_rows(tile))
             else:
                 with _span("rs.encode", "rs_encode",
                            rows=matrix.shape[0], cols=cols):
                     codewords = self.code.encode_rows(matrix)
-                with _span("merkle.build", "merkle",
-                           leaves=codewords.shape[1]):
-                    tree = MerkleTree.from_columns(codewords)
+            with _span("merkle.build", "merkle", leaves=cw_len):
+                tree = MerkleTree.from_columns(codewords)
         commitment = OrionCommitment(
             root=tree.root, table_len=n, num_rows=rows, num_cols=cols)
         return commitment, _ProverState(matrix, codewords, tree,

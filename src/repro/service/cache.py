@@ -35,6 +35,8 @@ from typing import Any, Optional, Tuple
 
 import numpy as np
 
+from ..snark.envelope import VERSION as ENVELOPE_VERSION
+
 #: Default byte budgets (overridable via ServiceConfig / CLI flags).
 DEFAULT_KEY_CACHE_BYTES = 256 * 1024 * 1024
 DEFAULT_PROOF_CACHE_BYTES = 64 * 1024 * 1024
@@ -162,10 +164,12 @@ def proof_cache_key(preset_name: str, circuit_id: str, public: np.ndarray,
     collide only when they would provably produce identical envelopes.
     ``seed=None`` hashes as its own marker, so unseeded requests dedup
     against each other (the first proof's bytes are what every repeat
-    gets back) but never against an explicitly seeded one.
+    gets back) but never against an explicitly seeded one.  The prefix
+    carries the envelope format version, so envelopes of two formats
+    never share a key.
     """
     h = hashlib.sha256()
-    h.update(b"ncpe-proof-v1\0")
+    h.update(b"ncpe-proof-v%d\0" % ENVELOPE_VERSION)
     h.update(preset_name.encode("utf-8") + b"\0")
     h.update(circuit_id.encode("utf-8") + b"\0")
     h.update(b"none" if seed is None else str(int(seed)).encode("ascii"))

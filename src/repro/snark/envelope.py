@@ -25,7 +25,10 @@ from ..errors import DeserializationError
 from .serialize import _Reader, _Writer, proof_from_bytes, proof_to_bytes
 
 MAGIC = b"NCPE"
-VERSION = 1
+#: v2: a Merkle leaf is one tagged SHA3 over the packed column
+#: (:data:`repro.hashing.fieldhash.LEAF_TAG`), so every root differs from
+#: v1's word-chain leaves; a v1 proof cannot verify and is refused here.
+VERSION = 2
 
 #: Preset ids are short registry keys; circuit ids are free-form labels.
 MAX_PRESET_ID_BYTES = 64

@@ -29,6 +29,8 @@ from ..spartan.protocol import RepetitionProof, SpartanProof
 
 MAGIC = b"NCAP"
 #: v2: column openings carry one Merkle multiproof instead of per-query paths.
+#: The envelope's v2 (packed leaf hash) changed digests, not this layout,
+#: so the payload version did not move with it.
 VERSION = 2
 
 #: Structural caps.  The field has 64-bit indices, so no sumcheck runs more

@@ -1,17 +1,23 @@
 """Tests for field hashing, Merkle trees, and the Fiat-Shamir transcript."""
 
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.field import vector as fv
 from repro.field.goldilocks import MODULUS
+from repro.hashing.fieldhash import (
+    COLUMN_BLOCK,
+    ColumnChainHasher,
+    hash_columns,
+)
 from repro.hashing import (
-    DIGEST_BYTES,
+    LEAF_TAG,
     MerkleTree,
     Transcript,
-    elements_to_words,
     hash_elements,
     hash_pair,
     verify_column,
@@ -20,19 +26,29 @@ from repro.hashing import (
 
 
 class TestFieldHash:
-    def test_word_packing(self):
+    def test_leaf_is_one_tagged_sha3(self):
         elems = np.arange(8, dtype=np.uint64)
-        words = elements_to_words(elems)
-        assert len(words) == 2
-        assert all(len(w) == DIGEST_BYTES for w in words)
-        # little-endian u64 packing
-        assert words[0][:8] == (0).to_bytes(8, "little")
-        assert words[1][:8] == (4).to_bytes(8, "little")
+        packed = b"".join(int(x).to_bytes(8, "little") for x in elems)
+        assert hash_elements(elems) == hashlib.sha3_256(
+            LEAF_TAG + packed).digest()
 
-    def test_word_packing_pads_tail(self):
-        words = elements_to_words(np.array([1, 2, 3, 4, 5], dtype=np.uint64))
-        assert len(words) == 2
-        assert words[1][8:] == b"\x00" * 24
+    def test_leaf_binds_its_length(self):
+        """No zero padding: a column and its zero-extended copy differ (the
+        word chain hashed them alike)."""
+        short = np.array([1, 2, 3, 4, 5], dtype=np.uint64)
+        padded = np.array([1, 2, 3, 4, 5, 0, 0, 0], dtype=np.uint64)
+        assert hash_elements(short) != hash_elements(padded)
+
+    def test_leaf_is_never_a_pair_node(self):
+        """Leaf/node separation: an 8-row column is 64 bytes, the size of
+        a pair-node preimage, and must not hash like one; and no column
+        height gives a 64-byte leaf preimage at all."""
+        column = np.arange(1, 9, dtype=np.uint64)
+        raw = column.astype("<u8").tobytes()
+        as_node = hash_pair(raw[:32], raw[32:])
+        assert hash_elements(column) != as_node
+        assert hash_columns(column.reshape(8, 1)) != [as_node]
+        assert (64 - len(LEAF_TAG)) % 8 != 0
 
     def test_hash_elements_deterministic(self, rng):
         v = fv.rand_vector(16, rng)
@@ -45,8 +61,6 @@ class TestFieldHash:
         assert hash_elements(v) != hash_elements(w)
 
     def test_hash_pair_is_sha3(self):
-        import hashlib
-
         a, b = b"x" * 32, b"y" * 32
         assert hash_pair(a, b) == hashlib.sha3_256(a + b).digest()
 
@@ -285,11 +299,134 @@ class TestMerkleMultiProof:
 
 
 class TestCompressionAccounting:
-    """Pin the functional hash packing to the Hash-FU cost accounting."""
+    """Pin the functional leaf packing to the Hash-FU cost accounting:
+    one Keccak-f permutation per 136 bytes of tag + packed elements."""
 
     @pytest.mark.parametrize("n,calls", [(1, 1), (4, 1), (5, 1), (8, 1),
-                                         (9, 2), (12, 2), (16, 3), (128, 31)])
+                                         (9, 1), (12, 1), (14, 1), (15, 2),
+                                         (16, 2), (128, 8), (129, 8)])
     def test_call_counts(self, n, calls):
         from repro.hashing.fieldhash import compression_calls_for_elements
 
         assert compression_calls_for_elements(n) == calls
+
+    @pytest.mark.parametrize("n", [0, 1, 14, 15, 129])
+    def test_counts_match_the_from_scratch_sponge(self, n, monkeypatch):
+        """The formula is the number of permutations a real SHA3-256 runs
+        on the leaf preimage (counted on the repo's own Keccak)."""
+        from repro.hashing import keccak
+        from repro.hashing.fieldhash import compression_calls_for_elements
+
+        calls = []
+        real = keccak.keccak_f1600
+        monkeypatch.setattr(keccak, "keccak_f1600",
+                            lambda state: calls.append(1) or real(state))
+        column = np.arange(n, dtype=np.uint64)
+        digest = keccak.sha3_256(LEAF_TAG + column.astype("<u8").tobytes())
+        assert digest == hash_elements(column)
+        assert len(calls) == compression_calls_for_elements(n)
+
+
+@pytest.fixture
+def sha3_calls(monkeypatch):
+    """Every ``hashlib.sha3_256(...)`` construction while the test runs,
+    as the list of first arguments (counted here, not by a counter in
+    ``src/``)."""
+    calls = []
+    real = hashlib.sha3_256
+
+    def counting(data=b"", **kwargs):
+        calls.append(data)
+        return real(data, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha3_256", counting)
+    return calls
+
+
+class TestOneSha3PerLeaf:
+    def test_paper_geometry_makes_one_call_per_column(self, sha3_calls):
+        """129 x 8192 is the 2^19 PAPER commit: 8,192 leaf hashes, where
+        the word chain made 32 per column (262,144)."""
+        matrix = np.random.default_rng(7).integers(
+            0, MODULUS, size=(129, 8192), dtype=np.uint64)
+        leaves = hash_columns(matrix)
+        assert len(leaves) == len(sha3_calls) == 8192
+        assert all(len(data) == len(LEAF_TAG) + 8 * 129
+                   and bytes(data[:len(LEAF_TAG)]) == LEAF_TAG
+                   for data in sha3_calls)
+
+    @pytest.mark.parametrize("streaming_cells", [1, 1 << 60])
+    def test_commit_hashes_once_tiled_or_not(self, sha3_calls,
+                                             streaming_cells):
+        """A commit is cw_len leaf calls + cw_len - 1 node calls on both
+        sides of the tiling threshold: no hash call in the tile loop."""
+        from repro.pcs.orion import OrionPCS, PCSParams
+
+        pcs = OrionPCS(params=PCSParams(num_rows=16),
+                       rng=np.random.default_rng(3),
+                       streaming_cells=streaming_cells)
+        table = np.arange(1 << 10, dtype=np.uint64)
+        _, state = pcs.commit(table)
+        cw_len = state.codewords.shape[1]
+        assert len(sha3_calls) == cw_len + (cw_len - 1)
+
+
+def _reference_leaf(column) -> bytes:
+    """Byte-at-a-time leaf: the definition, with no numpy packing."""
+    return hashlib.sha3_256(LEAF_TAG + b"".join(
+        int(x).to_bytes(8, "little") for x in column)).digest()
+
+
+_LAYOUTS = ("c", "fortran", "transposed_view", "fancy_gather")
+
+
+class TestPackedLeafDifferential:
+    """`hash_columns` (blocked transpose), `hash_elements` (one column) and
+    `ColumnChainHasher` (incremental, any tile split) are one function."""
+
+    @given(rows=st.integers(0, 40),
+           cols=st.integers(1, 2 * COLUMN_BLOCK + 3),
+           layout=st.sampled_from(_LAYOUTS),
+           seed=st.integers(0, 2**32 - 1),
+           cuts=st.lists(st.integers(0, 40), max_size=8))
+    @example(rows=0, cols=3, layout="c", seed=1, cuts=[])
+    @example(rows=1, cols=1, layout="fortran", seed=2, cuts=[0, 1])
+    @example(rows=9, cols=COLUMN_BLOCK, layout="transposed_view", seed=3,
+             cuts=[3])
+    @example(rows=9, cols=COLUMN_BLOCK + 1, layout="fancy_gather", seed=4,
+             cuts=[4, 8])
+    @example(rows=40, cols=2 * COLUMN_BLOCK + 3, layout="fancy_gather",
+             seed=5, cuts=list(range(1, 40)))  # every tile one row high
+    def test_every_path_equals_the_bytewise_reference(
+            self, rows, cols, layout, seed, cuts):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, MODULUS, size=(rows, cols), dtype=np.uint64)
+        if values.size:
+            values.flat[0] = MODULUS - 1
+            values.flat[-1] = 0
+        if layout == "c":
+            m = values
+        elif layout == "fortran":
+            m = np.asfortranarray(values)
+        elif layout == "transposed_view":
+            m = np.ascontiguousarray(values.T).T
+        else:
+            # codewords[:, idx], the gather `OrionPCS.open` / `verify` feed
+            # hash_columns: numpy hands back a non-C-contiguous array.
+            wide = np.zeros((rows, 2 * cols), dtype=np.uint64)
+            idx = rng.permutation(2 * cols)[:cols]
+            wide[:, idx] = values
+            m = wide[:, idx]
+        assert np.array_equal(m, values)
+
+        leaves = hash_columns(m)
+        assert len(leaves) == cols
+        assert leaves == [_reference_leaf(values[:, j]) for j in range(cols)]
+        assert leaves == [hash_elements(m[:, j]) for j in range(cols)]
+
+        if rows:
+            cuts = sorted(min(c, rows) for c in cuts)
+            chains = ColumnChainHasher(cols, rows)
+            for lo, hi in zip([0] + cuts, cuts + [rows]):
+                chains.update(m[lo:hi])
+            assert chains.finalize() == b"".join(leaves)

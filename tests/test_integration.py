@@ -55,13 +55,17 @@ class TestPaperPreset:
 
 class TestCrossLayerConsistency:
     def test_functional_hash_packing_matches_hash_fu_model(self):
-        """The functional layer's hash packing (4 elements per 256-bit
-        word) matches the Hash FU's 128-elements-per-cycle model: one
-        1 KB line is 128 elements = 32 words."""
-        from repro.hashing.fieldhash import ELEMENTS_PER_WORD
+        """The model charges the Hash FU per element absorbed, 128
+        elements (one 1 KB line) per cycle; a packed leaf absorbs exactly
+        8 bytes per element behind its tag, with no padding words."""
+        import hashlib
 
-        assert 128 * 8 == 1024  # 1 KB/cycle
-        assert ELEMENTS_PER_WORD == 4
+        from repro.hashing.fieldhash import LEAF_TAG, hash_elements
+
+        line = np.arange(128, dtype=np.uint64)
+        preimage = LEAF_TAG + line.astype("<u8").tobytes()
+        assert len(preimage) - len(LEAF_TAG) == 1024  # 1 KB/cycle
+        assert hash_elements(line) == hashlib.sha3_256(preimage).digest()
 
     def test_cost_model_query_params_match_functional_defaults(self):
         """The PAPER preset and the cost-model constants agree."""

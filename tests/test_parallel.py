@@ -366,9 +366,15 @@ class TestStreamingCommit:
     def test_chain_hasher_rejects_bad_geometry(self):
         chains = fieldhash.ColumnChainHasher(4, 16)
         with pytest.raises(ValueError):
-            chains.update(np.zeros((3, 4), dtype=np.uint64))  # partial word
+            chains.update(np.zeros((3, 5), dtype=np.uint64))  # wrong width
+        chains.update(np.zeros((3, 4), dtype=np.uint64))  # any tile height
         with pytest.raises(ValueError):
-            chains.finalize()  # not all rows fed
+            chains.finalize()  # under-fed: 3 of 16 rows
+        with pytest.raises(ValueError):
+            chains.update(np.zeros((14, 4), dtype=np.uint64))  # over-fed
+        chains.update(np.zeros((13, 4), dtype=np.uint64))
+        assert chains.finalize() == b"".join(
+            fieldhash.hash_columns(np.zeros((16, 4), dtype=np.uint64)))
 
     def _prover(self, r1cs, streaming_cells, repetitions=1):
         from repro.spartan.protocol import SpartanParams, SpartanProver

@@ -190,6 +190,20 @@ class TestLRUBytesCache:
         assert base != proof_cache_key("test-fast", "aes", pub, 1)
         assert base != proof_cache_key("paper-128bit", "sha", pub, 1)
 
+    def test_proof_cache_key_follows_envelope_version(self, monkeypatch):
+        """Envelopes of two formats never alias: the key prefix is derived
+        from the envelope's VERSION, not spelled beside it."""
+        import numpy as np
+
+        from repro.service import cache
+        from repro.snark import envelope
+
+        assert cache.ENVELOPE_VERSION == envelope.VERSION
+        pub = np.arange(4, dtype=np.uint64)
+        current = proof_cache_key("test-fast", "sha", pub, 1)
+        monkeypatch.setattr(cache, "ENVELOPE_VERSION", envelope.VERSION + 1)
+        assert proof_cache_key("test-fast", "sha", pub, 1) != current
+
 
 # ---------------------------------------------------------------------------
 # End-to-end over the unix socket

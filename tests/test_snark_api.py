@@ -148,10 +148,16 @@ class TestEnvelope:
             ProofBundle.from_bytes(b"XXXX" + bundle.to_bytes()[4:])
 
     def test_unknown_version(self, bundle):
+        """Version 1 (word-chain leaves) is as foreign as version 99: its
+        roots cannot verify under the packed leaf hash, so it is refused
+        at the version byte instead of failing verification later."""
         data = bytearray(bundle.to_bytes())
-        data[4] = 99
-        with pytest.raises(DeserializationError):
-            ProofBundle.from_bytes(bytes(data))
+        assert data[4] == 2
+        for version in (1, 99):
+            data[4] = version
+            with pytest.raises(DeserializationError) as ei:
+                ProofBundle.from_bytes(bytes(data))
+            assert ei.value.offset == 4
 
     def test_unknown_preset_id(self, compiled, keys):
         r1cs, public, witness = compiled
