@@ -37,6 +37,41 @@ def test_vector_inner_product(benchmark):
     assert isinstance(out, int)
 
 
+@pytest.mark.parametrize("n,max_ratio", [
+    (64, 1.0), (1 << 10, 1.0), (1 << 14, 1.0),
+    (1 << 16, 1 / 1.2), (1 << 20, 1 / 1.2),
+])
+def test_dot_deferred_reduction_pays(n, max_ratio):
+    """``fv.dot`` against the reduce-every-term form it replaced: never
+    slower, small vectors included (a per-call overhead would show there),
+    and at least 1.2x faster once the passes dominate.  Interleaved
+    median-of-5, each sample the mean over enough calls to fill ~10 ms.
+    No ``benchmark`` fixture: CI's bench-gate job runs this one test with
+    plain pytest."""
+    import time
+
+    a = fv.rand_vector(n, RNG)
+    b = fv.rand_vector(n, RNG)
+
+    def reduced_terms():
+        return fv.vsum(fv.mul(a, b, canonical=False))
+
+    def deferred():
+        return fv.dot(a, b)
+
+    assert deferred() == reduced_terms()
+    calls = max(1, (1 << 18) // n)
+    samples = {reduced_terms: [], deferred: []}
+    for _ in range(5):
+        for fn, out in samples.items():
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            out.append((time.perf_counter() - t0) / calls)
+    old_s, new_s = (sorted(v)[2] for v in samples.values())
+    assert new_s <= max_ratio * old_s, (n, old_s, new_s)
+
+
 @pytest.mark.parametrize("log_n", [10, 14, 16])
 def test_ntt_radix2(benchmark, log_n):
     x = VEC[: 1 << log_n]

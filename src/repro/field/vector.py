@@ -340,10 +340,49 @@ def combine_halves(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return s
 
 
+def _product_total(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> int:
+    """Exact integer sum of the 64-bit products x[i] * y[i] (operands
+    < 2^32, at most ``_TILE`` of them; ``t`` is scratch).
+
+    The sum S can pass 2^64, so it is read off two contiguous uint64
+    reductions: the wrapped total w = S mod 2^64, and the sum H of the
+    products' high halves (< 2^32 each, so H < 2^46).  The low halves sum
+    to L = S - H * 2^32 < 2^46, which w - H * 2^32 (mod 2^64) recovers.
+    """
+    np.multiply(x, y, out=t)
+    w = int(np.add.reduce(t))
+    np.right_shift(t, _SHIFT32, out=t)
+    h = int(np.add.reduce(t)) << 32
+    return h + ((w - h) & 0xFFFFFFFFFFFFFFFF)
+
+
 def dot(a: np.ndarray, b: np.ndarray) -> int:
-    """Inner product <a, b> in GF(p), returned as a Python int."""
-    prods = mul(a, b)
-    return vsum(prods)
+    """Inner product <a, b> in GF(p), returned as a Python int.
+
+    Deferred reduction: no term is reduced on its own.  Per tile the four
+    32x32->64 partial products of every pair are summed exactly
+    (:func:`_product_total`; a tile has <= 2^14 terms), the tile sums
+    accumulate as Python ints, and one ``% p`` ends the call.  Exact for
+    any uint64 inputs, canonical or not, contiguous or strided.
+    """
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"dot expects two equal-length vectors, got shapes "
+                         f"{a.shape} and {b.shape}")
+    ll = mid = hh = 0
+    for start in range(0, len(a), _TILE):
+        xa = a[start:start + _TILE]
+        ya = b[start:start + _TILE]
+        al, ah, bl, bh, t = [s[:len(xa)] for s in _MUL_SCRATCH[:5]]
+        np.bitwise_and(xa, _MASK32, out=al)
+        np.right_shift(xa, _SHIFT32, out=ah)
+        np.bitwise_and(ya, _MASK32, out=bl)
+        np.right_shift(ya, _SHIFT32, out=bh)
+        ll += _product_total(al, bl, t)
+        mid += _product_total(al, bh, t) + _product_total(ah, bl, t)
+        hh += _product_total(ah, bh, t)
+    return (ll + (mid << 32) + (hh << 64)) % MODULUS
 
 
 @_wrapping

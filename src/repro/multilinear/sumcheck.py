@@ -15,6 +15,7 @@ Goldilocks field is obtained by running independent repetitions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, factorial
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -56,16 +57,19 @@ class SumcheckResult:
 
 
 def _product_sum(factors: Sequence[np.ndarray]) -> int:
-    """vsum(prod_j factors[j]) — one fused pass over the factor vectors.
+    """sum_x prod_j factors[j][x] mod p.
 
     Intermediate products stay non-canonical (any uint64 representative):
-    the multiply kernel is exact for arbitrary uint64 inputs and ``vsum``'s
-    split accumulation never needs values below p.
+    the multiply kernel is exact for arbitrary uint64 inputs, and the last
+    factor goes in through ``fv.dot``, whose terms are never reduced on
+    their own.
     """
+    if len(factors) == 1:
+        return fv.vsum(factors[0])
     prod = factors[0]
-    for vals in factors[1:]:
+    for vals in factors[1:-1]:
         prod = fv.mul(prod, vals, canonical=False)
-    return fv.vsum(prod)
+    return fv.dot(prod, factors[-1])
 
 
 def prove_sumcheck(tables: Sequence[np.ndarray], transcript: Transcript,
@@ -77,11 +81,14 @@ def prove_sumcheck(tables: Sequence[np.ndarray], transcript: Transcript,
     protocol steps).  Tables are not modified.
 
     Allocation-lean round structure: each round computes the top-bottom
-    difference of every factor ONCE and reuses it for (a) every t >= 2
-    extension point — reached incrementally by adding the difference, one
-    vector add instead of a scalar multiply — and (b) the fold to the next
-    round's (half-size) tables.  No full-table copies are made; the input
-    tables are only ever read.
+    difference of every factor ONCE and reuses it for (a) every extension
+    point 2 <= t < degree — reached incrementally by adding the
+    difference, one vector add instead of a scalar multiply — (b) the
+    round polynomial's leading coefficient sum_x prod_j diff_j(x), which
+    stands in for the last sample point t = degree, and (c) the fold to
+    the next round's (half-size) tables.  For degree 2 no sample is
+    materialised at all.  No full-table copies are made; the input tables
+    are only ever read.
 
     The round polynomial's value at 0 is never computed directly: the
     sumcheck invariant g(0) + g(1) = claim pins it to claim - g(1), and the
@@ -114,10 +121,18 @@ def prove_sumcheck(tables: Sequence[np.ndarray], transcript: Transcript,
         # and each further t adds diff to the previous samples.
         g1 = _product_sum(tops)
         evals = [(current - g1) % MODULUS, g1]
-        samples = tops
-        for _t_val in range(2, degree + 1):
-            samples = [fv.add(s, d) for s, d in zip(samples, diffs)]
-            evals.append(_product_sum(samples))
+        if degree >= 2:
+            samples = tops
+            for _t_val in range(2, degree):
+                samples = [fv.add(s, d) for s, d in zip(samples, diffs)]
+                evals.append(_product_sum(samples))
+            # g has degree d with leading coefficient sum_x prod_j diff_j,
+            # so its d-th finite difference sum_k (-1)^(d-k) C(d,k) g(k)
+            # is d! times that: solve for g(d).
+            known = sum((-1) ** (degree - k) * comb(degree, k) * g
+                        for k, g in enumerate(evals))
+            evals.append((factorial(degree) * _product_sum(diffs) - known)
+                         % MODULUS)
         transcript.absorb_fields(label + b"/round%d" % rnd, evals)
         r = transcript.challenge_field(label + b"/r%d" % rnd)
         challenges.append(r)
@@ -209,6 +224,13 @@ def verify_sumcheck(claim: int, proof: SumcheckProof, degree: int,
 def sumcheck_cost(n: int, degree: int):
     """Operation counts of one sumcheck over a size-n table with
     ``degree`` factors (performance-model hook).
+
+    This counts the paper's sample-point algorithm (Listing 1 generalized:
+    every round polynomial evaluated at t = 0..degree), on purpose: it is
+    what the NoCap model schedules.  :func:`prove_sumcheck` computes the
+    same field elements with fewer vector passes (claim-derived g(0),
+    leading coefficient instead of the last sample), which is a property
+    of this host implementation, not of the modelled hardware.
 
     Per round over m remaining entries: for each of (degree+1) sample
     points and each factor, one mul + adds on m/2 entries, plus the

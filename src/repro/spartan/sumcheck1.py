@@ -46,11 +46,14 @@ def prove_constraint_sumcheck(
 
     i.e. a running scalar prefix, a degree-1 scalar factor in the sample
     point t, and a STATIC suffix table that needs no per-round fold.  The
-    remaining cubic g(t) is the scalar factor times a QUADRATIC inner sum,
-    so only two vector evaluations (t = 1, 2) are needed per round: the
-    t = 0 value follows from the running-claim invariant g(0) + g(1) =
-    claim, and t = 3 by quadratic extrapolation.  The wire format (four
-    evaluations per round) is unchanged.
+    remaining cubic g(t) is the scalar factor times a QUADRATIC inner sum
+    inner(t) = sum_x suffix(x) * (az(t,x) * bz(t,x) - cz(t,x)).  One
+    vector evaluation (t = 1) plus the leading coefficient
+    sum_x suffix(x) * dA(x) * dB(x) (cz is linear in t and drops out of
+    it) pin the quadratic per round: the t = 0 value follows from the
+    running-claim invariant g(0) + g(1) = claim, and t = 2, 3 by
+    extrapolation.  No table is ever extended to a sample point.  The
+    wire format (four evaluations per round) is unchanged.
     """
     tables = [np.asarray(t, dtype=np.uint64) for t in (az, bz, cz)]
     n = len(tables[0])
@@ -91,10 +94,10 @@ def prove_constraint_sumcheck(
         t_r = taus[rnd]
 
         def inner(az_t, bz_t, cz_t):
-            # Non-canonical intermediates are exact: mul accepts any uint64
-            # inputs and vsum's split accumulation tolerates values >= p.
+            # Non-canonical intermediates are exact: mul and dot accept
+            # any uint64 inputs, and sub tolerates a non-canonical minuend.
             h = fv.sub(fv.mul(az_t, bz_t, canonical=False), cz_t)
-            return fv.vsum(fv.mul(suffix, h, canonical=False))
+            return fv.dot(suffix, h)
 
         inner1 = inner(*tops)
         g1 = c_prefix * t_r % MODULUS * inner1 % MODULUS
@@ -102,14 +105,14 @@ def prove_constraint_sumcheck(
         denom = c_prefix * (1 - t_r) % MODULUS
         if denom:
             # g(0) = denom * inner(0), so inner(0) comes for free from the
-            # claim invariant instead of a third vector evaluation.
+            # claim invariant instead of a second vector evaluation.
             inner0 = g0 * pow(denom, MODULUS - 2, MODULUS) % MODULUS
         else:
             inner0 = inner(*bottoms)
-        samples = [fv.add(tp, df) for tp, df in zip(tops, diffs)]
-        inner2 = inner(*samples)
-        # The inner sum is quadratic in t: extrapolate the fourth point.
-        inner3 = (inner0 - 3 * inner1 + 3 * inner2) % MODULUS
+        lead = fv.dot(suffix, fv.mul(diffs[0], diffs[1], canonical=False))
+        # inner(t) = inner0 + (inner1 - inner0 - lead) * t + lead * t^2.
+        inner2 = (2 * inner1 - inner0 + 2 * lead) % MODULUS
+        inner3 = (3 * inner1 - 2 * inner0 + 6 * lead) % MODULUS
         evals = [g0, g1,
                  c_prefix * _eq_scalar(t_r, 2) % MODULUS * inner2 % MODULUS,
                  c_prefix * _eq_scalar(t_r, 3) % MODULUS * inner3 % MODULUS]

@@ -334,8 +334,10 @@ def _reference_constraint_sumcheck(eq, az, bz, cz, transcript, label):
 
 
 class TestGruenConstraintSumcheck:
-    @pytest.mark.parametrize("log_n", [1, 3, 6])
-    def test_matches_reference_prover(self, rng, log_n):
+    @staticmethod
+    def _assert_matches_reference(rng, log_n, pinned=()):
+        """Both provers on one satisfied system (claim 0) and one tau, with
+        the ``pinned`` (index, value) coordinates of tau overwritten."""
         from repro.hashing.transcript import Transcript
         from repro.multilinear.mle import eq_table
         from repro.spartan.sumcheck1 import prove_constraint_sumcheck
@@ -343,11 +345,28 @@ class TestGruenConstraintSumcheck:
         n = 1 << log_n
         az = random_field(rng, n)
         bz = random_field(rng, n)
-        cz = fv.mul(az, bz)  # satisfied system: claim is 0
+        cz = fv.mul(az, bz)
         tau = [int(t) for t in rng.integers(0, MODULUS, size=log_n,
                                             dtype=np.uint64)]
+        for j, value in pinned:
+            tau[j] = value
         got = prove_constraint_sumcheck(tau, az, bz, cz, Transcript(),
                                         b"test/sc1")
         want = _reference_constraint_sumcheck(eq_table(tau), az, bz, cz,
                                               Transcript(), b"test/sc1")
         assert got == want
+
+    @pytest.mark.parametrize("log_n", [1, 3, 6])
+    def test_matches_reference_prover(self, rng, log_n):
+        self._assert_matches_reference(rng, log_n)
+
+    @pytest.mark.parametrize("pinned", [
+        {0: 1}, {2: 1}, {4: 1}, {0: 0}, {2: 0}, {4: 0},
+        {0: 1, 1: 0, 4: 1}, dict.fromkeys(range(5), 1),
+        dict.fromkeys(range(5), 0),
+    ], ids=lambda d: ",".join(f"tau{j}={bit}" for j, bit in d.items()))
+    def test_boolean_tau_coordinates(self, rng, pinned):
+        """tau_j = 1 zeroes the round's g(0) scalar, so inner(0) cannot be
+        read off the claim invariant (the ``denom == 0`` branch evaluates
+        it); tau_j = 0 zeroes g(1) instead."""
+        self._assert_matches_reference(rng, 5, pinned.items())

@@ -179,3 +179,52 @@ class TestVectorized:
         a = np.array(xs[:n], dtype=np.uint64)
         b = np.array(ys[:n], dtype=np.uint64)
         assert (fv.mul(a, b) == fv.mul(b, a)).all()
+
+
+def _naive_dot(a, b) -> int:
+    return sum(int(x) * int(y) for x, y in zip(a, b)) % gl.MODULUS
+
+
+class TestDeferredReductionDot:
+    """``fv.dot`` sums unreduced 32x32 partial products per tile and
+    reduces once: exact for ANY uint64 inputs, whatever their layout."""
+
+    TILE = fv._TILE
+    word = st.integers(0, 2**64 - 1)  # includes non-canonical values >= p
+
+    @given(st.lists(st.tuples(word, word), max_size=40))
+    def test_matches_bigint_sum(self, pairs):
+        a = np.array([x for x, _ in pairs], dtype=np.uint64)
+        b = np.array([y for _, y in pairs], dtype=np.uint64)
+        assert fv.dot(a, b) == _naive_dot(a, b)
+
+    @pytest.mark.parametrize("n", [0, 1, TILE - 1, TILE, TILE + 1, 3 * TILE + 5])
+    def test_tile_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+        b = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+        assert fv.dot(a, b) == _naive_dot(a, b)
+
+    @pytest.mark.parametrize("n", [1, TILE, 3 * TILE + 5])
+    def test_accumulator_bound(self, n):
+        # All-(2^64 - 1) vectors put every partial product, and so every
+        # per-tile sum, at its maximum.
+        top = np.full(n, 2**64 - 1, dtype=np.uint64)
+        assert fv.dot(top, top) == n * (2**64 - 1) ** 2 % gl.MODULUS
+
+    def test_strided_and_reversed_views(self):
+        rng = np.random.default_rng(11)
+        n = self.TILE + 37
+        a = rng.integers(0, 2**64, size=3 * n, dtype=np.uint64)
+        b = rng.integers(0, 2**64, size=3 * n, dtype=np.uint64)
+        for va, vb in ((a[::3], b[::3]), (a[:n][::-1], b[:n]),
+                       (a[1::3], b[:n][::-1])):
+            assert not va.flags["C_CONTIGUOUS"]
+            assert fv.dot(va, vb) == _naive_dot(va, vb)
+
+    def test_unequal_lengths_raise(self):
+        a = np.arange(4, dtype=np.uint64)
+        for x, y in ((a, a[:1]), (a[:1], a), (a, a[:0]),
+                     (a.reshape(2, 2), a.reshape(2, 2))):
+            with pytest.raises(ValueError):
+                fv.dot(x, y)

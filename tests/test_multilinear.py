@@ -109,6 +109,35 @@ class TestSumcheck:
         for table, v in zip(tables, proof.final_values):
             assert mle_eval(table, chal) == v
 
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("log_n", [1, 2, 3, 6])
+    def test_round_polynomials_match_naive_sampling(self, degree, log_n, rng):
+        """The prover never samples t = degree (the leading coefficient
+        stands in for it), yet every round must carry exactly the values a
+        sample-at-t = 0..d prover computes."""
+        tables = [fv.rand_vector(1 << log_n, rng) for _ in range(degree)]
+        proof, chal = prove_sumcheck(tables, Transcript())
+        folded = [[int(v) for v in t] for t in tables]
+        for evals, r in zip(proof.round_evals, chal):
+            half = len(folded[0]) // 2
+
+            def at(t):
+                return [[(f[i] + t * (f[half + i] - f[i])) % MODULUS
+                         for i in range(half)] for f in folded]
+
+            naive = []
+            for t in range(degree + 1):
+                total = 0
+                for terms in zip(*at(t)):
+                    prod = 1
+                    for v in terms:
+                        prod = prod * v % MODULUS
+                    total += prod
+                naive.append(total % MODULUS)
+            assert evals == naive
+            folded = at(r)
+        assert proof.final_values == [f[0] for f in folded]
+
     def test_wrong_claim_rejected(self, rng):
         tables = [fv.rand_vector(16, rng)]
         claim = fv.vsum(tables[0])

@@ -120,6 +120,9 @@ class TestCounters:
         for _ in range(7):
             fv.mul(a, a)
         assert METRICS.counters()["field.mul_batches"] == 7
+        # dot forms its own partial products and books nothing.
+        fv.dot(a, a)
+        assert METRICS.counters() == {"field.mul_batches": 7}
 
     def test_ntt_butterfly_count(self):
         from repro.code.reed_solomon import ReedSolomonCode

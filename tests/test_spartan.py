@@ -90,6 +90,36 @@ class TestMatrixEval:
         with pytest.raises(ValueError):
             matrix_mle_eval(r1cs.a, [1, 2], [1, 2, 3, 4])
 
+    @pytest.mark.parametrize("rx_len,ry_len", [(5, 4), (4, 5), (3, 4), (4, 0)])
+    def test_combined_dimension_check(self, rx_len, ry_len):
+        """An over-long point used to evaluate a bigger eq table silently
+        and a short one died with IndexError in the gather."""
+        r1cs, _, _ = synthetic_r1cs(4, seed=4)
+        with pytest.raises(ValueError):
+            combined_matrix_eval(r1cs.a, r1cs.b, r1cs.c, 3, 5, 7,
+                                 [2] * rx_len, [3] * ry_len)
+
+    @pytest.mark.parametrize("nnz", [0, 1, 3, 7, 9, 10])
+    def test_blocked_entry_loop_matches_dense(self, rng, monkeypatch, nnz):
+        """Blocks of 3 entries: an empty matrix, a single short block, exact
+        multiples of the block (3, 9) and ragged tails (7, 10)."""
+        from repro.r1cs.matrices import SparseMatrix
+        from repro.spartan import matrixeval
+
+        monkeypatch.setattr(matrixeval, "ENTRY_BLOCK", 3)
+        m = SparseMatrix(8, 4, rng.integers(0, 8, size=nnz),
+                         rng.integers(0, 4, size=nnz),
+                         fv.rand_vector(nnz, rng))
+        rx = [int(x) for x in fv.rand_vector(3, rng)]
+        ry = [int(x) for x in fv.rand_vector(2, rng)]
+        eq_rows, eq_cols = eq_table(rx), eq_table(ry)
+        dense = m.to_dense()
+        want = sum(int(dense[i, j]) * int(eq_rows[i]) * int(eq_cols[j])
+                   for i in range(8) for j in range(4)) % MODULUS
+        assert matrix_mle_eval(m, rx, ry) == want
+        assert combined_matrix_eval(m, m, m, 3, 5, 7, rx, ry) \
+            == 15 * want % MODULUS
+
 
 class TestSpartanEndToEnd:
     def test_cubic_circuit(self):
