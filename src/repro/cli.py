@@ -388,8 +388,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     kwargs = dict(
         host=args.host, port=args.port, unix_socket=args.unix_socket,
-        queue_depth=args.queue_depth, max_per_client=args.max_per_client,
-        job_slots=args.job_slots, preset=args.preset,
+        queue_depth=args.queue_depth, job_slots=args.job_slots,
+        preset=args.preset,
         key_cache_bytes=args.key_cache_mb * 1024 * 1024,
         proof_cache_bytes=args.proof_cache_mb * 1024 * 1024)
     if args.timeout is not None:
@@ -418,8 +418,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
     with _client_from(args) as svc:
         if args.action == "prove":
             envelope = svc.prove(args.workload, preset=args.preset,
-                                 seed=args.seed, priority=args.priority,
-                                 timeout_s=args.timeout)
+                                 seed=args.seed, timeout_s=args.timeout)
             print(f"proof: {len(envelope)} bytes")
             if args.out:
                 with open(args.out, "wb") as fh:
@@ -574,13 +573,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default %(default)s)")
     serve.add_argument("--unix-socket", metavar="PATH", default=None,
                        help="listen on a unix socket instead of TCP")
-    serve.add_argument("--queue-depth", type=int, default=64, metavar="N",
+    serve.add_argument("--queue-depth", type=int, default=16, metavar="N",
                        help="bounded job-queue depth; submissions past it "
                             "are rejected with the 429-style queue-full "
                             "error (default %(default)s)")
-    serve.add_argument("--max-per-client", type=int, default=16, metavar="N",
-                       help="per-client fairness cap on queued jobs "
-                            "(default %(default)s)")
     serve.add_argument("--job-slots", type=int, default=1, metavar="N",
                        help="concurrent proving jobs, one thread each "
                             "(default %(default)s)")
@@ -608,9 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
     cprove.add_argument("--seed", type=int, default=None,
                         help="zk-mask seed (fixed seed => deterministic, "
                              "cacheable proof bytes)")
-    cprove.add_argument("--priority", type=int, default=0,
-                        help="queue priority, lower runs sooner "
-                             "(default %(default)s)")
     cprove.add_argument("--out", metavar="PATH", default=None,
                         help="write the returned proof envelope "
                              "(verify with `repro verify PATH`)")

@@ -1,4 +1,4 @@
-"""Proving-as-a-service: daemon, client, protocol, queue, and caches.
+"""Proving-as-a-service: daemon, client, protocol, and caches.
 
 The long-running complement to the one-shot lifecycle API
 (:mod:`repro.snark`): ``repro serve`` keeps proving keys and a proof
@@ -15,11 +15,9 @@ from .protocol import (
     QueueFullError,
     ServiceError,
 )
-from .queue import BoundedJobQueue
 from .server import Job, ProvingService, ServiceConfig, serve_forever
 
 __all__ = [
-    "BoundedJobQueue",
     "FrameError",
     "Job",
     "KeyCache",

@@ -28,7 +28,6 @@ daemon's ``stats`` op (``pk_cache`` / ``proof_cache``).
 from __future__ import annotations
 
 import hashlib
-import pickle
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
@@ -120,12 +119,16 @@ class KeyEntry:
 class KeyCache:
     """``(circuit_id, preset_name)`` → :class:`KeyEntry`, LRU by bytes.
 
-    Entry size is estimated by pickling the proving key — the dominant
-    object.
+    Entry size is the coordinate arrays of the three constraint
+    matrices — the dominant object — plus the assignment.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_KEY_CACHE_BYTES):
         self._lru = LRUBytesCache(max_bytes)
+
+    def peek(self, circuit_id: str, preset_name: str) -> Optional[KeyEntry]:
+        """The cached entry or None: never builds, counts nothing."""
+        return self._lru.peek((circuit_id, preset_name))
 
     def get_or_build(self, circuit_id: str, preset_name: str) -> KeyEntry:
         """The cached entry, or build-compile-setup-insert on miss.
@@ -147,7 +150,9 @@ class KeyCache:
         entry = KeyEntry(pk=pk, vk=vk,
                          public=np.asarray(public, dtype=np.uint64),
                          witness=np.asarray(witness, dtype=np.uint64))
-        size = len(pickle.dumps(pk)) + public.nbytes + witness.nbytes
+        size = entry.public.nbytes + entry.witness.nbytes + sum(
+            arr.nbytes for m in (r1cs.a, r1cs.b, r1cs.c)
+            for arr in (m.rows, m.cols, m.vals))
         self._lru.put(key, entry, size)
         return entry
 
@@ -187,6 +192,14 @@ class ProofCache:
 
     def get(self, key: str) -> Optional[bytes]:
         return self._lru.get(key)
+
+    def probe(self, key: str) -> Optional[bytes]:
+        """Admission-time lookup: a found envelope counts as the hit it
+        is; a miss counts nothing (the job body's :meth:`get` will)."""
+        hit = self._lru.peek(key)
+        if hit is not None:
+            self._lru.hits += 1
+        return hit
 
     def put(self, key: str, envelope: bytes) -> None:
         self._lru.put(key, envelope, len(envelope))

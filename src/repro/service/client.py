@@ -48,10 +48,8 @@ class ServiceClient:
     """One connection to a running ``repro serve`` daemon."""
 
     def __init__(self, address: Union[str, Tuple[str, int]],
-                 *, connect_timeout_s: float = 10.0,
-                 client_id: str = ""):
+                 *, connect_timeout_s: float = 10.0):
         self._kind, self._host, self._port = _parse_address(address)
-        self.client_id = client_id
         self._lock = threading.Lock()
         if self._kind == "unix":
             self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -95,12 +93,12 @@ class ServiceClient:
 
     def submit(self, kind: str, *, circuit_id: str = "",
                preset: Optional[str] = None, seed: Optional[int] = None,
-               envelope: Optional[bytes] = None, priority: int = 0,
+               envelope: Optional[bytes] = None,
                timeout_s: Optional[float] = None) -> str:
         """Submit one job; returns its id (may already be done on a
         proof-cache hit).  Raises
         :class:`~repro.service.protocol.QueueFullError` on backpressure."""
-        payload = {"op": "submit", "kind": kind, "priority": priority}
+        payload = {"op": "submit", "kind": kind}
         if circuit_id:
             payload["circuit_id"] = circuit_id
         if preset is not None:
@@ -111,8 +109,6 @@ class ServiceClient:
             payload["envelope"] = protocol.encode_blob(envelope)
         if timeout_s is not None:
             payload["timeout_s"] = float(timeout_s)
-        if self.client_id:
-            payload["client"] = self.client_id
         return str(self.request(payload)["job_id"])
 
     def status(self, job_id: str) -> dict:
@@ -142,13 +138,12 @@ class ServiceClient:
     # -- convenience -------------------------------------------------------
 
     def prove(self, circuit_id: str, *, preset: Optional[str] = None,
-              seed: Optional[int] = None, priority: int = 0,
+              seed: Optional[int] = None,
               timeout_s: Optional[float] = None,
               wait_s: Optional[float] = None) -> bytes:
         """Submit a prove job and wait for its NCPE envelope bytes."""
         job_id = self.submit("prove", circuit_id=circuit_id, preset=preset,
-                             seed=seed, priority=priority,
-                             timeout_s=timeout_s)
+                             seed=seed, timeout_s=timeout_s)
         response = self.result(job_id, wait_s=wait_s)
         if response.get("state") != "done":
             raise protocol.ServiceError(
@@ -157,12 +152,11 @@ class ServiceClient:
         return protocol.decode_blob(str(response["envelope"]))
 
     def verify(self, envelope: bytes, *, circuit_id: str = "",
-               priority: int = 0, timeout_s: Optional[float] = None,
+               timeout_s: Optional[float] = None,
                wait_s: Optional[float] = None) -> bool:
         """Submit a verify job; True iff the proof is valid."""
         job_id = self.submit("verify", envelope=envelope,
-                             circuit_id=circuit_id, priority=priority,
-                             timeout_s=timeout_s)
+                             circuit_id=circuit_id, timeout_s=timeout_s)
         response = self.result(job_id, wait_s=wait_s)
         if response.get("state") != "done":
             raise protocol.ServiceError(

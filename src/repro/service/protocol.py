@@ -46,6 +46,11 @@ LEN_STRUCT = struct.Struct(">I")
 #: a malicious length prefix from allocating unbounded memory.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
+#: Seconds a peer has to deliver a frame's body once its length prefix
+#: arrived (a full 64 MiB frame at ~2 MB/s).  Idle time *between* frames
+#: is unbounded: clients hold persistent connections.
+FRAME_READ_TIMEOUT_S = 30.0
+
 #: Protocol revision, echoed by ``ping`` so clients can detect skew.
 PROTOCOL_VERSION = 1
 
@@ -54,7 +59,7 @@ E_BAD_REQUEST = 400     # malformed JSON, unknown op, invalid field
 E_NOT_FOUND = 404       # unknown job id
 E_TIMEOUT = 408         # job deadline expired (ProverTimeoutError)
 E_TOO_LARGE = 413       # frame exceeds MAX_FRAME_BYTES
-E_QUEUE_FULL = 429      # bounded queue (or per-client cap) rejected the job
+E_QUEUE_FULL = 429      # bounded queue rejected the job
 E_INTERNAL = 500        # unexpected server-side failure
 E_SHUTTING_DOWN = 503   # server is draining; retry elsewhere/later
 
@@ -78,8 +83,8 @@ class ServiceError(ReproError):
 
 
 class QueueFullError(ServiceError):
-    """429-style backpressure: the bounded job queue (or the caller's
-    per-client fairness cap) refused the submission.  Retry with backoff."""
+    """429-style backpressure: the bounded job queue refused the
+    submission.  Retry with backoff."""
 
     def __init__(self, message: str):
         super().__init__(message, code=E_QUEUE_FULL)
@@ -87,7 +92,7 @@ class QueueFullError(ServiceError):
 
 class FrameError(DeserializationError):
     """A malformed protocol frame (bad length prefix, oversized payload,
-    non-JSON body).  Subclasses DeserializationError so the CLI's
+    non-JSON or stalled body).  Subclasses DeserializationError so the CLI's
     exit-code mapping (4) applies unchanged."""
 
 
@@ -135,14 +140,21 @@ def _checked_length(prefix: bytes) -> int:
 
 
 async def read_frame_async(reader: asyncio.StreamReader) -> Optional[dict]:
-    """Read one frame from an asyncio stream; None on clean EOF."""
+    """Read one frame from an asyncio stream; None on clean EOF.  The
+    wait for a frame to begin is unbounded, the wait for its body is
+    :data:`FRAME_READ_TIMEOUT_S`."""
     try:
         prefix = await reader.readexactly(LEN_STRUCT.size)
     except (asyncio.IncompleteReadError, ConnectionError):
         return None
     length = _checked_length(prefix)
     try:
-        raw = await reader.readexactly(length)
+        raw = await asyncio.wait_for(reader.readexactly(length),
+                                     FRAME_READ_TIMEOUT_S)
+    except asyncio.TimeoutError:
+        raise FrameError(f"frame body stalled: {length} bytes announced, "
+                         f"not received within {FRAME_READ_TIMEOUT_S} s"
+                         ) from None
     except (asyncio.IncompleteReadError, ConnectionError):
         raise FrameError("connection closed mid-frame") from None
     return _parse_payload(raw)

@@ -3,27 +3,26 @@
 Architecture (see ``docs/SERVICE.md`` for the operator view)::
 
     client ──frames──▶ asyncio connection handler
-                          │  submit: admission control
-                          ▼
-                 BoundedJobQueue (priority + per-client fairness)
-                          │  dispatcher task, one per job slot
+                          │  submit: admit while fewer than
+                          │  queue_depth jobs wait, else the typed 429
                           ▼
                  run_in_executor ──▶ _run_job (worker thread)
                           │            KeyCache / ProofCache
                           │            prove() / verify()
                           ▼
-                 job done/failed → per-job asyncio.Event → result frames
+                 future done → _finish_job (on the loop) → result frames
 
-The event loop only ever shuffles frames and queue entries; proving runs
-on a small :class:`~concurrent.futures.ThreadPoolExecutor` so a 30 s
-paper-preset proof never blocks a ``status`` poll.  ``job_slots`` — the
-number of executor threads — is the daemon's one concurrency model: a
-request is one proof job and runs on the thread that picked it up.  Job
-bodies call the ordinary lifecycle API, which means cooperative
+The event loop only ever shuffles frames; proving runs on a small
+:class:`~concurrent.futures.ThreadPoolExecutor` so a 30 s paper-preset
+proof never blocks a ``status`` poll.  The executor's FIFO is the
+daemon's one queue — jobs start in submission order whichever connection
+sent them — and ``job_slots``, its thread count, the one concurrency
+model: a request is one proof job and runs on the thread that picked it
+up.  Job bodies call the ordinary lifecycle API, so cooperative
 deadlines apply to service traffic unchanged and every job leaves a
 :class:`~repro.obs.events.JobReport` in the flight log (``repro serve
 --flight-log``).  The daemon's in-band scrape is the ``stats`` op — plain
-attributes of the queue, the caches and the job table; a job's own
+attributes of the service, its caches and the job table; a job's own
 latency is ``wait_s`` (submit → start) and ``run_s`` (start → finish) in
 its ``status``/``result`` replies.  Nothing here touches the kernel
 counter registry.
@@ -34,7 +33,10 @@ hangs.  Submissions past the queue bound are rejected with the
 429-style :data:`~repro.service.protocol.E_QUEUE_FULL` before any work
 is queued.  On shutdown the daemon stops accepting, fails queued jobs
 with :data:`~repro.service.protocol.E_SHUTTING_DOWN` and waits for
-running jobs.
+running jobs.  A finished job holds at most one envelope (a prove
+result; a verify input is dropped) and is forgotten oldest-first once
+finished jobs together pass :data:`RESULT_RETENTION_BYTES` or
+:data:`MAX_FINISHED_JOBS`.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ import contextlib
 import os
 import signal
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Deque, Dict, Optional, Set
 
 from ..errors import ConfigError
 from ..obs.events import FLIGHT as _FLIGHT
@@ -59,7 +62,13 @@ from .cache import (
     ProofCache,
     proof_cache_key,
 )
-from .queue import DEFAULT_MAX_DEPTH, DEFAULT_MAX_PER_CLIENT, BoundedJobQueue
+
+#: Default bound on admitted-but-unstarted jobs (``--queue-depth``).
+DEFAULT_MAX_DEPTH = 16
+#: Finished jobs are forgotten oldest-first once their envelopes together
+#: exceed this many bytes, or they number more than MAX_FINISHED_JOBS.
+RESULT_RETENTION_BYTES = 64 * 1024 * 1024
+MAX_FINISHED_JOBS = 1024
 
 
 @dataclass
@@ -70,18 +79,17 @@ class ServiceConfig:
     port: int = 0                    # 0 = OS-assigned (reported on start)
     unix_socket: Optional[str] = None
     queue_depth: int = DEFAULT_MAX_DEPTH
-    max_per_client: int = DEFAULT_MAX_PER_CLIENT
     job_slots: int = 1               # concurrent executor threads
     preset: str = "test-fast"        # default preset for prove jobs
     key_cache_bytes: int = DEFAULT_KEY_CACHE_BYTES
     proof_cache_bytes: int = DEFAULT_PROOF_CACHE_BYTES
     timeout_s: Optional[float] = 120.0   # default per-job deadline
-    max_results: int = 1024          # finished jobs kept for `result`
 
     def __post_init__(self) -> None:
-        if self.job_slots < 1:
-            raise ConfigError(
-                f"job_slots must be >= 1, got {self.job_slots}")
+        for name in ("job_slots", "queue_depth"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -90,11 +98,9 @@ class Job:
 
     job_id: str
     kind: str                        # "prove" | "verify"
-    client: str
     circuit_id: str = ""
     preset: str = ""
     seed: Optional[int] = None
-    priority: int = 0
     timeout_s: Optional[float] = None
     envelope: Optional[bytes] = None     # verify input / prove output
     state: str = "queued"
@@ -105,7 +111,7 @@ class Job:
     valid: Optional[bool] = None         # verify outcome
     error: Optional[BaseException] = None
     report: Optional[dict] = None        # JobReport.to_dict() of the job
-    done: asyncio.Event = field(default_factory=asyncio.Event)
+    future: Optional[asyncio.Future] = None  # None: answered at submit
 
     def status_dict(self) -> dict:
         out = {
@@ -134,14 +140,18 @@ class ProvingService:
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
-        self.queue = BoundedJobQueue(self.config.queue_depth,
-                                     self.config.max_per_client)
         self.key_cache = KeyCache(self.config.key_cache_bytes)
         self.proof_cache = ProofCache(self.config.proof_cache_bytes)
         self.jobs: "Dict[str, Job]" = {}
-        self._job_order: list = []       # insertion order, for retention
+        # Admitted-but-unstarted job ids: added on the loop at submit,
+        # discarded by the worker thread that starts the job.
+        self._waiting: Set[str] = set()
+        self._finished: Deque[Job] = deque()   # oldest first, for retention
+        self._finished_bytes = 0
+        self.enqueued = 0
+        self.peak_depth = 0
+        self.rejected_full = 0
         self._server: Optional[asyncio.AbstractServer] = None
-        self._dispatchers: list = []
         self._executor: Optional[ThreadPoolExecutor] = None
         self._accepting = False
         self._stopping = False
@@ -168,9 +178,6 @@ class ProvingService:
                 self._handle_connection, host=cfg.host, port=cfg.port)
             sock = self._server.sockets[0]
             self.address = sock.getsockname()[:2]
-        self._dispatchers = [
-            asyncio.ensure_future(self._dispatch_loop())
-            for _ in range(cfg.job_slots)]
         self._accepting = True
         self._started_at = time.monotonic()
 
@@ -186,31 +193,20 @@ class ProvingService:
         self._stopping = True
         self._accepting = False
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        # Fail whatever never started; clients polling `result` get a
-        # typed 503, not silence.
-        while True:
-            job = self.queue.get_nowait()
-            if job is None:
-                break
-            self._finish_job(job, error=protocol.ServiceError(
-                "server shutting down before job started",
-                code=protocol.E_SHUTTING_DOWN))
-        # Let running jobs finish: cancel the dispatch loops (they are
-        # either awaiting the queue or awaiting an executor future — the
-        # latter shields the job body, which runs to completion).
-        running = [j for j in self.jobs.values() if j.state == "running"]
-        for task in self._dispatchers:
-            task.cancel()
-        for task in self._dispatchers:
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
-        for job in running:
-            await job.done.wait()
+            self._server.close()  # no new connections; open ones stay
+        # Cancel whatever never started (the future's callback fails the
+        # job with a typed 503, so a client polling `result` gets an
+        # answer, not silence) and let running jobs finish — off the
+        # loop, which keeps answering `status` meanwhile.
         if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+            await asyncio.to_thread(self._executor.shutdown, wait=True,
+                                    cancel_futures=True)
+        unfinished = [job.future for job in self.jobs.values()
+                      if job.finished_at is None]
+        if unfinished:
+            await asyncio.wait(unfinished)
+        if self._server is not None:
+            await self._server.wait_closed()
         if self.config.unix_socket:
             with contextlib.suppress(OSError):
                 os.unlink(self.config.unix_socket)
@@ -220,8 +216,6 @@ class ProvingService:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        peer = writer.get_extra_info("peername") or "unix"
-        default_client = f"{peer}" if peer else "unix"
         try:
             while True:
                 try:
@@ -235,8 +229,7 @@ class ProvingService:
                     break
                 if request is None:
                     break
-                response = await self._handle_request(request,
-                                                      default_client)
+                response = await self._handle_request(request)
                 writer.write(protocol.pack_frame(response))
                 await writer.drain()
                 if request.get("op") == "shutdown":
@@ -248,8 +241,7 @@ class ProvingService:
                 writer.close()
                 await writer.wait_closed()
 
-    async def _handle_request(self, request: dict,
-                              default_client: str) -> dict:
+    async def _handle_request(self, request: dict) -> dict:
         op = str(request.get("op", ""))
         try:
             if self._stopping and op not in ("ping", "stats", "status",
@@ -261,7 +253,7 @@ class ProvingService:
                 response = protocol.ok_response(
                     version=protocol.PROTOCOL_VERSION, pid=os.getpid())
             elif op == "submit":
-                response = self._op_submit(request, default_client)
+                response = self._op_submit(request)
             elif op == "status":
                 response = self._op_status(request)
             elif op == "result":
@@ -286,19 +278,17 @@ class ProvingService:
 
     # -- ops ---------------------------------------------------------------
 
-    def _op_submit(self, request: dict, default_client: str) -> dict:
+    def _op_submit(self, request: dict) -> dict:
         kind = str(request.get("kind", ""))
         if kind not in protocol.JOB_KINDS:
             raise protocol.ServiceError(
                 f"kind must be one of {protocol.JOB_KINDS}, got {kind!r}",
                 code=protocol.E_BAD_REQUEST)
-        client = str(request.get("client") or default_client)
-        priority = int(request.get("priority", 0))
         timeout_s = request.get("timeout_s", self.config.timeout_s)
         if timeout_s is not None:
             timeout_s = float(timeout_s)
         job = Job(job_id=f"svc-{_FLIGHT.next_job_id()}", kind=kind,
-                  client=client, priority=priority, timeout_s=timeout_s)
+                  timeout_s=timeout_s)
         if kind == "prove":
             job.circuit_id = str(request.get("circuit_id", ""))
             if not job.circuit_id:
@@ -314,8 +304,8 @@ class ProvingService:
             preset_by_name(job.preset)  # fail fast on unknown presets
             seed = request.get("seed")
             job.seed = None if seed is None else int(seed)
-            # Proof-cache fast path: answer at submit time, skip the
-            # queue entirely.  Key inputs are resolved lazily in the job
+            # Proof-cache fast path: answer at submit time, occupy no
+            # slot.  Key inputs are resolved lazily in the job
             # body on a miss; here we can only consult the cache when
             # the statement's keys are already cached (no compile work
             # on the event loop).
@@ -323,7 +313,7 @@ class ProvingService:
             if hit is not None:
                 job.envelope = hit
                 job.cached = True
-                self._register_job(job)
+                self.jobs[job.job_id] = job
                 self._finish_job(job)
                 return protocol.ok_response(job_id=job.job_id,
                                             state=job.state, cached=True)
@@ -335,30 +325,30 @@ class ProvingService:
                     code=protocol.E_BAD_REQUEST)
             job.envelope = protocol.decode_blob(str(blob))
             job.circuit_id = str(request.get("circuit_id", ""))
-        self._register_job(job)
-        try:
-            self.queue.put(job, priority=priority, client=client)
-        except protocol.QueueFullError:
-            self._forget_job(job)
-            raise
+        if len(self._waiting) >= self.config.queue_depth:
+            self.rejected_full += 1
+            raise protocol.QueueFullError(
+                f"job queue full ({self.config.queue_depth} queued); retry "
+                "with backoff")
+        self.jobs[job.job_id] = job
+        self._waiting.add(job.job_id)
+        self.enqueued += 1
+        self.peak_depth = max(self.peak_depth, len(self._waiting))
+        job.future = asyncio.get_running_loop().run_in_executor(
+            self._executor, self._run_job, job)
+        job.future.add_done_callback(
+            lambda future: self._job_returned(job, future))
         return protocol.ok_response(job_id=job.job_id, state=job.state,
                                     cached=False)
 
     def _proof_cache_probe(self, job: Job) -> Optional[bytes]:
         """Cache lookup that never compiles: only when the statement's
-        keys are hot can we form the content address cheaply.  Uses
-        counter-neutral peeks (a probe miss falls through to the counted
-        lookup inside the job body); a probe *hit* is a real
-        proof-cache hit and is counted as one."""
-        entry = self.key_cache._lru.peek((job.circuit_id, job.preset))
+        keys are hot can we form the content address cheaply."""
+        entry = self.key_cache.peek(job.circuit_id, job.preset)
         if entry is None:
             return None
-        key = proof_cache_key(job.preset, job.circuit_id, entry.public,
-                              job.seed)
-        hit = self.proof_cache._lru.peek(key)
-        if hit is not None:
-            self.proof_cache._lru.hits += 1
-        return hit
+        return self.proof_cache.probe(proof_cache_key(
+            job.preset, job.circuit_id, entry.public, job.seed))
 
     def _op_status(self, request: dict) -> dict:
         job = self._find_job(request)
@@ -367,11 +357,9 @@ class ProvingService:
     async def _op_result(self, request: dict) -> dict:
         job = self._find_job(request)
         wait_s = float(request.get("wait_s", 0.0) or 0.0)
-        if not job.done.is_set() and wait_s > 0:
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(
-                    asyncio.shield(job.done.wait()), timeout=wait_s)
-        if not job.done.is_set():
+        if job.finished_at is None and wait_s > 0:
+            await asyncio.wait([job.future], timeout=wait_s)
+        if job.finished_at is None:
             # Long-poll expired with the job still in flight: report the
             # state; the client polls again.  Not an error.
             return protocol.ok_response(**job.status_dict())
@@ -394,25 +382,16 @@ class ProvingService:
 
     # -- job bookkeeping ---------------------------------------------------
 
-    def _register_job(self, job: Job) -> None:
-        self.jobs[job.job_id] = job
-        self._job_order.append(job.job_id)
-        # Bounded retention: forget the oldest *finished* jobs once over
-        # budget, so a long-lived daemon cannot leak envelopes.
-        while len(self._job_order) > self.config.max_results:
-            for i, jid in enumerate(self._job_order):
-                old = self.jobs.get(jid)
-                if old is None or old.done.is_set():
-                    del self._job_order[i]
-                    self.jobs.pop(jid, None)
-                    break
-            else:
-                break  # everything live; retention resumes later
-
-    def _forget_job(self, job: Job) -> None:
-        self.jobs.pop(job.job_id, None)
-        with contextlib.suppress(ValueError):
-            self._job_order.remove(job.job_id)
+    def _job_returned(self, job: Job, future: asyncio.Future) -> None:
+        """Done-callback of the job's executor future (on the loop)."""
+        if future.cancelled():  # shutdown, before any thread picked it up
+            self._waiting.discard(job.job_id)
+            error: Optional[BaseException] = protocol.ServiceError(
+                "server shutting down before job started",
+                code=protocol.E_SHUTTING_DOWN)
+        else:
+            error = future.exception() or future.result()
+        self._finish_job(job, error)
 
     def _finish_job(self, job: Job,
                     error: Optional[BaseException] = None) -> None:
@@ -424,32 +403,31 @@ class ProvingService:
         else:
             job.state = "done"
             self._jobs_done += 1
-        job.done.set()
+        if job.kind == "verify":
+            job.envelope = None  # the input; `result` never returns it
+        # Bounded retention, oldest finished first; the newest always
+        # stays so its submitter can fetch it.
+        self._finished.append(job)
+        self._finished_bytes += len(job.envelope or b"")
+        while len(self._finished) > 1 and (
+                self._finished_bytes > RESULT_RETENTION_BYTES
+                or len(self._finished) > MAX_FINISHED_JOBS):
+            old = self._finished.popleft()
+            self._finished_bytes -= len(old.envelope or b"")
+            del self.jobs[old.job_id]
 
-    # -- dispatch ----------------------------------------------------------
+    # -- job body ----------------------------------------------------------
 
-    async def _dispatch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            job = await self.queue.get()
-            job.state = "running"
-            job.started_at = time.monotonic()
-            # shield: a cancelled dispatcher (shutdown) must not abandon
-            # a job the executor thread is still running — the body
-            # completes and finishes the job via call_soon_threadsafe.
-            with contextlib.suppress(Exception):
-                await asyncio.shield(
-                    loop.run_in_executor(self._executor,
-                                         self._run_job, job, loop))
-
-    def _run_job(self, job: Job, loop: asyncio.AbstractEventLoop) -> None:
+    def _run_job(self, job: Job) -> Optional[BaseException]:
         """Job body (worker thread): lifecycle API + caches.
 
-        Always finishes the job — the per-job Event is the contract that
-        keeps clients from hanging.  Completion is marshalled back onto
-        the event loop (asyncio events are not thread-safe to set).
+        Never raises: a failure is *returned*, typed, for the future's
+        done-callback to attach to the job on the loop — the contract
+        that keeps clients from hanging.
         """
-        error: Optional[BaseException] = None
+        self._waiting.discard(job.job_id)
+        job.state = "running"
+        job.started_at = time.monotonic()
         try:
             # Chaos-harness injection point: `REPRO_FAULTS` plans naming
             # site "service_job" fire here, inside the failure contract —
@@ -460,8 +438,8 @@ class ProvingService:
             else:
                 self._run_verify(job)
         except Exception as exc:  # noqa: BLE001 - typed error to client
-            error = exc
-        loop.call_soon_threadsafe(self._finish_job, job, error)
+            return exc
+        return None
 
     def _run_prove(self, job: Job) -> None:
         from ..snark import prove
@@ -507,14 +485,22 @@ class ProvingService:
             "jobs_done": self._jobs_done,
             "jobs_failed": self._jobs_failed,
             "jobs_tracked": len(self.jobs),
-            "queue": self.queue.stats(),
+            "queue": {
+                "depth": len(self._waiting),
+                "peak_depth": self.peak_depth,
+                "max_depth": self.config.queue_depth,
+                "enqueued": self.enqueued,
+                "rejected_full": self.rejected_full,
+                # Vestige: nothing rejects per client any more, but
+                # bench/layers.py sums this key (ROADMAP item 2a).
+                "rejected_client": 0,
+            },
             "pk_cache": self.key_cache.stats(),
             "proof_cache": self.proof_cache.stats(),
             "config": {
                 "job_slots": self.config.job_slots,
                 "preset": self.config.preset,
                 "queue_depth": self.config.queue_depth,
-                "max_per_client": self.config.max_per_client,
             },
         }
 

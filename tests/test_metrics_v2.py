@@ -362,23 +362,6 @@ class TestBenchDiff:
         assert not [f for f in findings if f["regression"]]
 
 
-    def test_committed_service_baseline_gates_itself(self):
-        """bench-service-v2 reports exact quantiles (no bucket blobs); the
-        p99 gate reads them with its tolerance unchanged."""
-        bd = _load_bench_diff()
-        payload = json.loads((REPO_ROOT / "BENCH_service.json").read_text())
-        assert payload["schema"] == "bench-service-v2"
-        summary = payload["latency"]["all"]
-        assert set(summary) == {"count", "p50_s", "p99_s", "mean_s"}
-        assert summary["p50_s"] <= summary["p99_s"]
-        assert not [f for f in bd.compare_service(payload, payload)
-                    if f["regression"]]
-        slow = json.loads(json.dumps(payload))
-        slow["latency"]["all"]["p99_s"] = summary["p99_s"] * 2.01
-        assert [f["metric"] for f in bd.compare_service(payload, slow)
-                if f["regression"]] == ["service_p99_s"]
-
-
 class TestCLI:
     def test_flight_log_and_report(self, tmp_path, capsys):
         from repro.cli import main

@@ -1,11 +1,11 @@
-"""End-to-end tests for the proving service (daemon, queue, caches,
-client) over a real unix socket.
+"""End-to-end tests for the proving service (daemon, caches, client)
+over a real unix socket.
 
 The daemon runs in-process on a background thread's event loop — real
 frames, real sockets, real executor threads — so these tests exercise
 the exact dispatch path ``repro serve`` uses while keeping direct access
 to the :class:`~repro.service.server.ProvingService` internals (to plug
-the executor for deterministic backpressure, and to arm ``REPRO_FAULTS``
+the job slot for deterministic backpressure, and to arm ``REPRO_FAULTS``
 plans the worker thread will see).
 """
 
@@ -15,6 +15,7 @@ import asyncio
 import contextlib
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -27,7 +28,6 @@ from repro.errors import (
 )
 from repro.obs import METRICS
 from repro.service import (
-    BoundedJobQueue,
     ProvingService,
     QueueFullError,
     ServiceClient,
@@ -36,6 +36,7 @@ from repro.service import (
     proof_cache_key,
     protocol,
 )
+from repro.service import server
 from repro.service.cache import LRUBytesCache
 
 
@@ -100,56 +101,33 @@ def sock_path(tmp_path):
     return str(tmp_path / "repro.sock")
 
 
-# ---------------------------------------------------------------------------
-# Queue unit tests (bounds, priority, fairness)
-# ---------------------------------------------------------------------------
+@contextlib.contextmanager
+def plugged(service):
+    """Hold every prove job inside its body — started, its slot taken —
+    until the yielded event is set."""
+    release = threading.Event()
+    real_run_prove = service._run_prove
 
-class TestBoundedJobQueue:
-    def _drain(self, q, n):
-        async def pop():
-            return [await q.get() for _ in range(n)]
-        return asyncio.run(pop())
+    def plugged_run_prove(job):
+        release.wait(30)
+        real_run_prove(job)
 
-    def test_depth_bound_rejects(self):
-        q = BoundedJobQueue(max_depth=2, max_per_client=8)
-        q.put("a", client="c1")
-        q.put("b", client="c2")
-        with pytest.raises(QueueFullError, match="queue full"):
-            q.put("c", client="c3")
-        assert q.rejected_full == 1 and len(q) == 2
+    service._run_prove = plugged_run_prove
+    try:
+        yield release
+    finally:
+        release.set()
 
-    def test_per_client_cap_rejects(self):
-        q = BoundedJobQueue(max_depth=16, max_per_client=2)
-        q.put("a", client="greedy")
-        q.put("b", client="greedy")
-        with pytest.raises(QueueFullError, match="cap 2"):
-            q.put("c", client="greedy")
-        q.put("d", client="polite")  # other clients unaffected
-        assert q.rejected_client == 1
 
-    def test_priority_order(self):
-        q = BoundedJobQueue()
-        q.put("normal", priority=0, client="a")
-        q.put("urgent", priority=-1, client="b")
-        q.put("batch", priority=5, client="c")
-        assert self._drain(q, 3) == ["urgent", "normal", "batch"]
+def wait_running(svc, job_id):
+    deadline = time.monotonic() + 10
+    while svc.status(job_id)["state"] != "running":
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
 
-    def test_fair_interleave_across_clients(self):
-        """A 3-job burst from one client must not park another client's
-        single job behind the whole burst."""
-        q = BoundedJobQueue()
-        q.put("h1", client="hog")
-        q.put("h2", client="hog")
-        q.put("h3", client="hog")
-        q.put("solo", client="other")
-        order = self._drain(q, 4)
-        assert order.index("solo") < order.index("h2")
 
-    def test_caps_released_after_get(self):
-        q = BoundedJobQueue(max_depth=16, max_per_client=1)
-        q.put("a", client="c")
-        assert self._drain(q, 1) == ["a"]
-        q.put("b", client="c")  # cap counts queued, not lifetime
+def prove_job(svc, seed, **extra):
+    return svc.submit("prove", circuit_id="litmus", seed=seed, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -265,65 +243,87 @@ class TestServiceEndToEnd:
                 for reply in (result, status):
                     assert reply["wait_s"] >= 0 and reply["run_s"] > 0
                     assert reply["wait_s"] + reply["run_s"] <= wall
-                # One job slot: the second job waited out the first.
+                # One job slot: the second job started after the first.
                 queued = svc.result(queued_id, wait_s=60)
                 assert queued["wait_s"] > 0
-                assert queued["wait_s"] >= status["run_s"] * 0.5
+                jobs = live.service.jobs
+                assert jobs[queued_id].started_at > jobs[job_id].started_at
                 with pytest.raises(ServiceError) as ei:
                     svc.status("svc-999999")
                 assert ei.value.code == protocol.E_NOT_FOUND
-            del live
 
     def test_backpressure_and_fairness_caps(self, sock_path):
-        """With the lone executor slot plugged, submissions past the
-        bounds are rejected with the typed 429 — distinct messages for
-        queue-full vs per-client — and drain once the slot frees."""
-        with running_service(sock_path, queue_depth=4,
-                             max_per_client=2) as live:
-            release = threading.Event()
-            service = live.service
-            real_run_job = service._run_job
+        """One cap, the depth bound, and FIFO is the fairness: with the
+        lone job slot plugged, three anonymous connections on the one
+        unix socket are admitted alike up to the bound; the submission
+        past it gets the typed 429; once the slot frees, jobs start in
+        submission order whichever connection sent them — a request still
+        carrying the retired ``priority`` / ``client`` fields is served
+        in its turn."""
+        with running_service(sock_path, queue_depth=4) as live, \
+                plugged(live.service) as release, \
+                ServiceClient(sock_path) as ann, \
+                ServiceClient(sock_path) as bob, \
+                ServiceClient(sock_path) as cat:
+            ids = [prove_job(ann, 1)]
+            wait_running(ann, ids[0])  # holds the slot, not the queue
+            ids.append(prove_job(bob, 2))
+            ids.append(cat.request({
+                "op": "submit", "kind": "prove", "circuit_id": "litmus",
+                "seed": 3, "priority": -5, "client": "hog"})["job_id"])
+            ids.append(prove_job(ann, 4))
+            ids.append(prove_job(cat, 5))
+            with pytest.raises(QueueFullError, match="queue full"):
+                prove_job(bob, 6)
 
-            def plugged_run_job(job, loop):
-                release.wait(30)
-                real_run_job(job, loop)
+            queue = cat.stats()["queue"]
+            assert queue["rejected_full"] == 1
+            assert queue["rejected_client"] == 0
+            assert queue["depth"] == queue["peak_depth"] == 4
+            assert queue["max_depth"] == 4 and queue["enqueued"] == 5
 
-            service._run_job = plugged_run_job
-            try:
-                with ServiceClient(sock_path, client_id="hog") as hog, \
-                        ServiceClient(sock_path, client_id="bee") as bee, \
-                        ServiceClient(sock_path, client_id="cat") as cat:
-                    first = hog.submit("prove", circuit_id="litmus", seed=1)
-                    # Wait for the dispatcher to pop it into the plugged
-                    # executor so queue occupancy is deterministic.
-                    deadline = time.monotonic() + 10
-                    while hog.status(first)["state"] != "running":
-                        assert time.monotonic() < deadline
-                        time.sleep(0.01)
+            release.set()
+            for job_id in ids:
+                assert bob.result(job_id, wait_s=60)["state"] == "done"
+            started = [live.service.jobs[j].started_at for j in ids]
+            assert started == sorted(set(started))
+            assert bob.stats()["queue"]["depth"] == 0
 
-                    hog.submit("prove", circuit_id="litmus", seed=2)
-                    hog.submit("prove", circuit_id="litmus", seed=3)
-                    # hog now has 2 queued = its fairness cap (depth 2/4).
-                    with pytest.raises(QueueFullError, match="cap 2"):
-                        hog.submit("prove", circuit_id="litmus", seed=4)
-                    # bee fills the remaining global depth.
-                    bee.submit("prove", circuit_id="litmus", seed=5)
-                    bee.submit("prove", circuit_id="litmus", seed=6)
-                    # cat is under its own cap, but the queue (depth 4)
-                    # is full: global backpressure.
-                    with pytest.raises(QueueFullError, match="queue full"):
-                        cat.submit("prove", circuit_id="litmus", seed=7)
+    def test_finished_jobs_retained_by_bytes(self, sock_path, monkeypatch):
+        """Finished jobs are forgotten oldest-first once their envelopes
+        pass the byte budget; a verify job drops its input when it
+        finishes; queued and running jobs are never forgotten."""
+        with running_service(sock_path) as live, \
+                ServiceClient(sock_path) as svc:
+            first = prove_job(svc, 1)
+            envelope = protocol.decode_blob(
+                svc.result(first, wait_s=60)["envelope"])
+            monkeypatch.setattr(server, "RESULT_RETENTION_BYTES",
+                                2 * len(envelope))
+            checked = svc.submit("verify", envelope=envelope)
+            assert svc.result(checked, wait_s=60)["valid"] is True
+            assert live.service.jobs[checked].envelope is None
 
-                    qstats = cat.stats()["queue"]
-                    assert qstats["rejected_client"] == 1
-                    assert qstats["rejected_full"] == 1
-                    assert qstats["depth"] == 4
-
-                    release.set()
-                    done = hog.result(first, wait_s=60)
-                    assert done["state"] == "done"
-            finally:
+            with plugged(live.service) as release:
+                running = prove_job(svc, 2)
+                wait_running(svc, running)
+                queued = prove_job(svc, 3)
+                # Cached repeats finish at admission, slot plugged or not:
+                # three more copies of the envelope, budget two.
+                repeats = [prove_job(svc, 1) for _ in range(3)]
+                for gone in (first, checked, repeats[0]):
+                    with pytest.raises(ServiceError) as ei:
+                        svc.status(gone)
+                    assert ei.value.code == protocol.E_NOT_FOUND
+                newest = svc.result(repeats[-1])
+                assert protocol.decode_blob(newest["envelope"]) == envelope
+                assert svc.status(running)["state"] == "running"
+                assert svc.status(queued)["state"] == "queued"
                 release.set()
+                assert svc.result(queued, wait_s=60)["state"] == "done"
+            service = live.service
+            assert service._finished_bytes <= 2 * len(envelope)
+            assert len(service.jobs) == len(service._finished)
 
     def test_proof_cache_hits_byte_identical(self, sock_path):
         with running_service(sock_path) as live:
@@ -350,11 +350,70 @@ class TestServiceEndToEnd:
         with running_service(sock_path) as live:
             with ServiceClient(sock_path) as svc:
                 svc.prove("litmus", seed=5)
-                enqueued_before = live.service.queue.enqueued
+                enqueued_before = live.service.enqueued
                 job_id = svc.submit("prove", circuit_id="litmus", seed=5)
                 status = svc.status(job_id)
                 assert status["state"] == "done" and status["cached"]
-                assert live.service.queue.enqueued == enqueued_before
+                assert live.service.enqueued == enqueued_before
+
+    def test_concurrent_clients_mixed_load(self, sock_path):
+        """Four closed-loop clients share nine statements: each is proved
+        and verified, then every prove is replayed.  Every request is
+        answered, nothing fails, and each replay is a cache hit with the
+        bytes its first answer had.  Runs with a short thread switch
+        interval: the loop and the job thread share the waiting set, and
+        a lost update would leave the depth off zero."""
+        statements = [(circuit, seed) for circuit in ("litmus", "sha", "aes")
+                      for seed in (1, 2, 3)]
+        first, valid, replayed, errors = {}, [], [], []
+
+        def prove_then_verify(svc, circuit, seed):
+            first[circuit, seed] = svc.prove(circuit, seed=seed)
+            valid.append(svc.verify(first[circuit, seed]))
+
+        def replay(svc, circuit, seed):
+            reply = svc.result(svc.submit("prove", circuit_id=circuit,
+                                          seed=seed), wait_s=60)
+            assert reply["cached"]
+            assert protocol.decode_blob(reply["envelope"]) == \
+                first[circuit, seed]
+            replayed.append((circuit, seed))
+
+        def drain(step, work):
+            try:
+                with ServiceClient(sock_path) as svc:
+                    while True:
+                        step(svc, *work.pop())
+            except IndexError:
+                pass  # the shared list is drained
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with running_service(sock_path) as live:
+                for step in (prove_then_verify, replay):
+                    work = list(statements)
+                    clients = [
+                        threading.Thread(target=drain, args=(step, work))
+                        for _ in range(4)]
+                    for thread in clients:
+                        thread.start()
+                    for thread in clients:
+                        thread.join(120)
+                    assert not any(t.is_alive() for t in clients)
+                    assert not errors, errors
+                stats = live.service.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(first) == 9 and valid == [True] * 9
+        assert sorted(replayed) == sorted(statements)
+        assert stats["jobs_done"] == 27 and stats["jobs_failed"] == 0
+        assert stats["proof_cache"]["hits"] >= 9
+        queue = stats["queue"]
+        assert queue["rejected_full"] == 0 and queue["depth"] == 0
+        assert queue["enqueued"] == 18 and 1 <= queue["peak_depth"] <= 4
 
     def test_fault_surfaces_as_typed_error_not_hang(self, sock_path):
         """An injected mid-job fault (`REPRO_FAULTS`) becomes a typed
@@ -443,32 +502,48 @@ class TestServiceEndToEnd:
             with ServiceClient(sock_path) as svc:
                 assert svc.ping()["ok"]
 
+    def test_stalled_frame_body_is_dropped(self, sock_path, monkeypatch):
+        """A peer that sends a length prefix and then stalls mid-body is
+        answered the typed FrameError and dropped once the body deadline
+        passes; it pins nothing, and idle clean clients are unaffected."""
+        monkeypatch.setattr(protocol, "FRAME_READ_TIMEOUT_S", 0.2)
+        with running_service(sock_path), ServiceClient(sock_path) as idle:
+            raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            raw.settimeout(10)
+            raw.connect(sock_path)
+            t0 = time.monotonic()
+            raw.sendall(struct.pack(">I", 1000) + b"x" * 10)
+            response = protocol.read_frame_sync(raw)
+            assert response["ok"] is False
+            assert response["error"] == "FrameError"
+            assert "stalled" in response["message"]
+            assert protocol.read_frame_sync(raw) is None  # connection gone
+            assert 0.2 <= time.monotonic() - t0 < 5
+            raw.close()
+            # Only a frame's body is on the clock: a connection idle
+            # between frames for longer than the deadline still answers.
+            assert idle.ping()["ok"]
+
     def test_shutdown_fails_queued_jobs_typed(self, sock_path):
         """In-band shutdown: queued-but-unstarted jobs fail with the
-        503-style typed error instead of leaving clients polling."""
+        503-style typed error instead of leaving clients polling, the
+        running job finishes, and open connections are answered while
+        the daemon drains."""
         with running_service(sock_path, queue_depth=8) as live:
-            release = threading.Event()
-            service = live.service
-            real_run_job = service._run_job
-
-            def plugged_run_job(job, loop):
-                release.wait(30)
-                real_run_job(job, loop)
-
-            service._run_job = plugged_run_job
-            try:
-                with ServiceClient(sock_path) as svc:
-                    running = svc.submit("prove", circuit_id="litmus",
-                                         seed=1)
-                    deadline = time.monotonic() + 10
-                    while svc.status(running)["state"] != "running":
-                        assert time.monotonic() < deadline
-                        time.sleep(0.01)
-                    queued = svc.submit("prove", circuit_id="litmus",
-                                        seed=2)
-                    svc.shutdown_server()
-                    release.set()
-            finally:
+            with plugged(live.service) as release, \
+                    ServiceClient(sock_path) as svc, \
+                    ServiceClient(sock_path) as watcher:
+                running = prove_job(svc, 1)
+                wait_running(svc, running)
+                queued = prove_job(svc, 2)
+                svc.shutdown_server()
+                with pytest.raises(ServiceError) as ei:
+                    watcher.result(queued, wait_s=30)
+                assert ei.value.code == protocol.E_SHUTTING_DOWN
+                assert watcher.status(running)["state"] == "running"
+                with pytest.raises(ServiceError) as ei:
+                    prove_job(watcher, 3)
+                assert ei.value.code == protocol.E_SHUTTING_DOWN
                 release.set()
             live.stop()
             job = live.service.jobs[queued]
@@ -495,6 +570,28 @@ class TestServiceConfig:
         with pytest.raises(ConfigError):
             ServiceConfig(job_slots=0)
 
+    def test_queue_depth_must_be_positive(self):
+        with pytest.raises(ConfigError, match="queue_depth"):
+            ServiceConfig(queue_depth=0)
+
+    def test_retired_knobs_are_gone(self, sock_path):
+        """Nine fields; the per-client cap, the retention count, the
+        client id and job priorities are not accepted anywhere."""
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
+            "host", "port", "unix_socket", "queue_depth", "job_slots",
+            "preset", "key_cache_bytes", "proof_cache_bytes", "timeout_s"]
+        for retired in ("max_per_client", "max_results"):
+            with pytest.raises(TypeError):
+                ServiceConfig(**{retired: 4})
+        with pytest.raises(TypeError):
+            ServiceClient(sock_path, client_id="hog")
+        with running_service(sock_path), ServiceClient(sock_path) as svc:
+            with pytest.raises(TypeError):
+                svc.prove("litmus", priority=1)
+            assert "max_per_client" not in svc.stats()["queue"]
+
     def test_job_slots_is_the_only_concurrency_knob(self):
         """No field interacts with ``job_slots``: any positive count is a
         valid config, and there is no pool to configure beside it."""
@@ -517,8 +614,19 @@ class TestServeClientParsers:
 
         args = build_parser().parse_args(["serve"])
         assert args.port == 7464 and args.host == "127.0.0.1"
-        assert args.queue_depth == 64 and args.max_per_client == 16
+        assert args.queue_depth == server.DEFAULT_MAX_DEPTH == 16
         assert args.job_slots == 1 and args.preset == "test-fast"
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--max-per-client", "4"],
+        ["client", "prove", "litmus", "--priority", "1"],
+    ])
+    def test_retired_queue_flags_are_usage_errors(self, argv):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_client_shares_connect_vocabulary(self):
         from repro.cli import build_parser

@@ -53,14 +53,7 @@ TOLERANCES = {
     "proof_size_bytes": 0.0,      # proof bytes are deterministic: exact
     "peak_rss_bytes": 0.30,
     "recovery_overhead": 0.50,    # BENCH_faults kill-recovery ratio
-    "service_p99_s": 1.00,        # daemon p99 latency: CI runners queue
-    "service_throughput_rps": 0.50,   # floor: current < base/(1+tol) fails
 }
-
-#: Proof-cache hit rate may drop at most this much (absolute) below the
-#: baseline — the request mix is deterministic, so a real drop means the
-#: content addressing broke, not that the machine was slow.
-MAX_HIT_RATE_DROP = 0.05
 
 #: ``noop_overhead_frac`` is checked against this *absolute* ceiling
 #: (mirroring the in-bench assertion), not against the baseline value —
@@ -200,70 +193,6 @@ def compare_faults(baseline: dict, current: dict) -> list:
     return findings
 
 
-def compare_service(baseline: dict, current: dict) -> list:
-    """Compare BENCH_service payloads (``tools/bench_service.py``).
-
-    Two classes of check: **invariants** that hold on any machine —
-    zero dropped jobs, byte-identical cached repeats, the >= 50-request
-    floor, the proof-cache hit rate — and **wall-clock** metrics (p99
-    latency, throughput) gated with wide tolerances because CI runners
-    share nothing with the baseline machine."""
-    findings = []
-
-    def check(metric, regressed, detail):
-        findings.append({"metric": metric, "regression": bool(regressed),
-                         "detail": detail if regressed else ""})
-
-    totals = current.get("totals", {})
-    check("service_dropped", totals.get("dropped_on_crash") != 0,
-          f"dropped_on_crash = {totals.get('dropped_on_crash')!r} "
-          "(must be exactly 0)")
-    check("service_failed", totals.get("failed", 1) != 0,
-          f"{totals.get('failed')} service jobs failed")
-    check("service_request_floor", totals.get("requests", 0) < 50,
-          f"only {totals.get('requests')} requests; the gate needs a "
-          ">= 50-request mixed run")
-    repeat = current.get("repeat", {})
-    check("service_repeat_identical",
-          repeat.get("byte_identical") is not True,
-          "cached repeat envelopes were not byte-identical")
-
-    base_rate = (baseline.get("proof_cache") or {}).get("hit_rate")
-    cur_rate = (current.get("proof_cache") or {}).get("hit_rate")
-    if base_rate is not None and cur_rate is not None:
-        floor = float(base_rate) - MAX_HIT_RATE_DROP
-        check("service_hit_rate", float(cur_rate) < floor,
-              f"proof-cache hit rate {cur_rate:.0%} fell below "
-              f"{floor:.0%} (baseline {float(base_rate):.0%})")
-
-    base_p99 = ((baseline.get("latency") or {}).get("all") or {}).get("p99_s")
-    cur_p99 = ((current.get("latency") or {}).get("all") or {}).get("p99_s")
-    if base_p99 and cur_p99:
-        tol = TOLERANCES["service_p99_s"]
-        limit = float(base_p99) * (1.0 + tol)
-        findings.append({
-            "metric": "service_p99_s", "baseline": base_p99,
-            "current": cur_p99, "limit": round(limit, 6), "tolerance": tol,
-            "regression": bool(float(cur_p99) > limit),
-            "detail": (f"service p99 latency {cur_p99:.4g}s vs limit "
-                       f"{limit:.4g}s" if float(cur_p99) > limit else ""),
-        })
-    base_rps = baseline.get("throughput_rps")
-    cur_rps = current.get("throughput_rps")
-    if base_rps and cur_rps:
-        tol = TOLERANCES["service_throughput_rps"]
-        floor = float(base_rps) / (1.0 + tol)
-        findings.append({
-            "metric": "service_throughput_rps", "baseline": base_rps,
-            "current": cur_rps, "limit": round(floor, 3), "tolerance": tol,
-            "regression": bool(float(cur_rps) < floor),
-            "detail": (f"service throughput {cur_rps:.1f} req/s fell "
-                       f"below floor {floor:.1f}"
-                       if float(cur_rps) < floor else ""),
-        })
-    return findings
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--current", metavar="PATH",
@@ -276,11 +205,6 @@ def main(argv=None) -> int:
     ap.add_argument("--faults-baseline", metavar="PATH",
                     default=str(REPO_ROOT / "BENCH_faults.json"),
                     help="committed faults baseline (default: %(default)s)")
-    ap.add_argument("--service-current", metavar="PATH",
-                    help="fresh BENCH_service.json (optional)")
-    ap.add_argument("--service-baseline", metavar="PATH",
-                    default=str(REPO_ROOT / "BENCH_service.json"),
-                    help="committed service baseline (default: %(default)s)")
     ap.add_argument("--calibrate", action="store_true",
                     help="normalize wall-clock metrics by the median "
                          "current/baseline prove_s ratio (for CI runners "
@@ -289,9 +213,8 @@ def main(argv=None) -> int:
                     help="write the full finding list as JSON")
     args = ap.parse_args(argv)
 
-    if not (args.current or args.faults_current or args.service_current):
-        ap.error("nothing to gate: pass --current, --faults-current, "
-                 "and/or --service-current")
+    if not (args.current or args.faults_current):
+        ap.error("nothing to gate: pass --current and/or --faults-current")
 
     findings = []
     if args.current:
@@ -300,9 +223,6 @@ def main(argv=None) -> int:
     if args.faults_current:
         findings += compare_faults(load(Path(args.faults_baseline)),
                                    load(Path(args.faults_current)))
-    if args.service_current:
-        findings += compare_service(load(Path(args.service_baseline)),
-                                    load(Path(args.service_current)))
 
     regressions = [f for f in findings if f["regression"]]
     checked = [f for f in findings if f.get("metric") != "calibration"]
@@ -319,10 +239,6 @@ def main(argv=None) -> int:
         Path(args.report).write_text(json.dumps({
             "baseline": str(args.baseline) if args.current else None,
             "current": str(args.current) if args.current else None,
-            "service_baseline": (str(args.service_baseline)
-                                 if args.service_current else None),
-            "service_current": (str(args.service_current)
-                                if args.service_current else None),
             "calibrate": args.calibrate,
             "tolerances": TOLERANCES,
             "max_noop_overhead_frac": MAX_NOOP_OVERHEAD_FRAC,
