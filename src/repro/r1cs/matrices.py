@@ -35,6 +35,14 @@ def _segment_sums(prods: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return fv.combine_halves(lo, hi)
 
 
+def _sort_order(keys: np.ndarray) -> np.ndarray | None:
+    """The stable permutation sorting ``keys``; None when they already are
+    non-decreasing (the :meth:`SparseMatrix.from_arrays` invariant)."""
+    if len(keys) == 0 or np.all(keys[:-1] <= keys[1:]):
+        return None
+    return np.argsort(keys, kind="stable")
+
+
 class SparseMatrix:
     """COO sparse matrix over GF(p) with fast modular SpMV."""
 
@@ -49,6 +57,15 @@ class SparseMatrix:
         self.vals = np.asarray(vals if vals is not None else [], dtype=np.uint64)
         if not (len(self.rows) == len(self.cols) == len(self.vals)):
             raise ValueError("rows, cols, vals must have equal length")
+        # Every gather below trusts these: a negative column would wrap
+        # silently in ``x[cols]``.
+        if len(self.rows) and (
+                self.rows.min() < 0 or self.rows.max() >= num_rows
+                or self.cols.min() < 0 or self.cols.max() >= num_cols):
+            bad = np.flatnonzero((self.rows < 0) | (self.rows >= num_rows)
+                                 | (self.cols < 0) | (self.cols >= num_cols))[0]
+            raise IndexError(f"entry ({self.rows[bad]},{self.cols[bad]}) "
+                             f"outside {num_rows}x{num_cols}")
         self._groups: tuple | None = None      # lazy matvec gather plan
         self._transposed: "SparseMatrix | None" = None
 
@@ -91,12 +108,6 @@ class SparseMatrix:
         rows = np.array(row_list, dtype=np.int64)
         cols = np.array(col_list, dtype=np.int64)
         vals = np.array([v % MODULUS for v in val_list], dtype=np.uint64)
-        if rows.min() < 0 or rows.max() >= num_rows or \
-                cols.min() < 0 or cols.max() >= num_cols:
-            bad = np.flatnonzero((rows < 0) | (rows >= num_rows)
-                                 | (cols < 0) | (cols >= num_cols))[0]
-            raise IndexError(f"entry ({rows[bad]},{cols[bad]}) outside "
-                             f"{num_rows}x{num_cols}")
         order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
         # Group duplicates and sum their 32-bit halves exactly (uint64
@@ -123,12 +134,8 @@ class SparseMatrix:
         already row-sorted (the :meth:`from_arrays` invariant), skipping
         the permutation pass entirely."""
         if self._groups is None:
-            rows = self.rows
-            if len(rows) == 0 or np.all(rows[:-1] <= rows[1:]):
-                order, sorted_rows = None, rows
-            else:
-                order = np.argsort(rows, kind="stable")
-                sorted_rows = rows[order]
+            order = _sort_order(self.rows)
+            sorted_rows = self.rows if order is None else self.rows[order]
             new_group = np.ones(len(sorted_rows), dtype=bool)
             new_group[1:] = np.diff(sorted_rows) != 0
             starts = np.flatnonzero(new_group)
@@ -215,16 +222,237 @@ class SparseMatrix:
         return int(np.max(np.abs(self.rows - self.cols)))
 
 
+#: Elements per kernel tile of a plane group: the seven ``(L, T)`` tile
+#: temporaries (gathered operand, two halves, three limbs, one product)
+#: are 8 B * 2^15 each, ~1.8 MB together — cache-sized, like
+#: :data:`repro.field.vector._TILE`.  It is also the residual rule: a row
+#: population with fewer entries than one tile (L * m < PLANE_TILE) cannot
+#: amortize its ~70 numpy calls and goes to :meth:`SparseMatrix.matvec`.
+PLANE_TILE = 1 << 15
+#: Most planes a group may have, i.e. products summed into one set of limb
+#: accumulators; a longer row is cut into pieces (:func:`_group_rows`).
+#: Overflow bound: a half of ``vals`` is < 2^32 and a limb of the gathered
+#: operand is < 2^22, so a product is < 2^54 and 2^9 of them sum to < 2^63.
+#: :func:`_reduce_rows` relies on every accumulator being < 2^63.
+PLANE_CAP = 1 << 9
+#: Rows per Goldilocks reduction: per-call overhead is ~60 numpy calls, so
+#: it is paid once per 2^14 rows, not once per tile.
+REDUCE_ROWS = 1 << 14
+
+_MASK32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_MASK22, _SHIFT22, _SHIFT44 = np.uint64((1 << 22) - 1), np.uint64(22), np.uint64(44)
+_MASK10, _SHIFT10 = np.uint64((1 << 10) - 1), np.uint64(10)
+_MASK20, _SHIFT20, _SHIFT12 = np.uint64((1 << 20) - 1), np.uint64(20), np.uint64(12)
+#: Entries gathered per step while the planes are built: bounds the build's
+#: index temporaries at 2 MB however many non-zeros a group has.
+_BUILD_ELEMENTS = 1 << 18
+#: Keeps the low half of :func:`_reduce_rows` non-negative: the terms
+#: subtracted from it total < 2^53 + 2^44 + 2^32 < 2^54.
+_LO_OFFSET = np.uint64(1 << 54)
+
+
+def _reduce_rows(acc: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """ONE Goldilocks reduction per row of six limb accumulators.
+
+    ``acc[k]`` (each < 2^63, clobbered) carries weight 2^w_k with
+    w = (0, 22, 44, 32, 54, 76): the sums of ``lo(a) * b_j`` and
+    ``hi(a) * b_j`` over a row, b = b_0 + 2^22 b_1 + 2^44 b_2.  Every
+    term is split at a 32-bit boundary and folded with 2^64 = 2^32 - 1
+    and 2^96 = -1 (mod p) into ``lo + 2^32 * hi``:
+
+    ====  ==========================  =================================
+    acc   into ``lo``                 into ``hi``
+    ====  ==========================  =================================
+    s0    + s0
+    s1    + (s1 & m10) << 22          + s1 >> 10
+    s2    - s2 >> 20                  + (s2 & m20) << 12  + s2 >> 20
+    s3                                + s3
+    s4    - s4 >> 10                  + (s4 & m10) << 22  + s4 >> 10
+    s5    - (s5 & m20) << 12          + (s5 & m20) << 12
+          - s5 >> 20
+    ====  ==========================  =================================
+
+    ``hi`` < 2^63 + 2^54 + 2^44 + 2^34 and ``lo`` + 2^54 stays inside
+    [0, 2^64), so :func:`repro.field.vector.combine_halves` (exact for
+    any uint64 halves) and one subtraction of the offset finish it.
+    """
+    s0, s1, s2, s3, s4, s5 = acc
+    lo, hi = s0, s3
+    lo += _LO_OFFSET
+    np.bitwise_and(s1, _MASK10, out=t)
+    t <<= _SHIFT22
+    lo += t
+    s1 >>= _SHIFT10
+    hi += s1
+    np.bitwise_and(s4, _MASK10, out=t)
+    t <<= _SHIFT22
+    hi += t
+    s4 >>= _SHIFT10
+    hi += s4
+    lo -= s4
+    np.bitwise_and(s2, _MASK20, out=t)
+    t <<= _SHIFT12
+    hi += t
+    s2 >>= _SHIFT20
+    hi += s2
+    lo -= s2
+    np.bitwise_and(s5, _MASK20, out=t)
+    t <<= _SHIFT12
+    hi += t
+    lo -= t
+    s5 >>= _SHIFT20
+    lo -= s5
+    return fv.sub(fv.combine_halves(lo, hi), _LO_OFFSET)
+
+
+def _plane_matvec(idx: np.ndarray, vals: np.ndarray, x: np.ndarray,
+                  tile: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """Exact canonical column sums ``sum_j vals[j, r] * x[idx[j, r]]`` of
+    one plane group (at most :data:`PLANE_CAP` planes), for ANY uint64
+    ``vals`` and ``x``.
+
+    Limb-deferred: per ``(L, T)`` tile the operand is gathered once, the
+    six 32 x 22-bit partial products are each summed down the plane axis
+    with a contiguous add (no ``reduceat``, no per-product reduction), and
+    :func:`_reduce_rows` runs once per :data:`REDUCE_ROWS` rows.  ``tile``
+    (7 rows of a tile's elements) and ``acc`` (7 rows of
+    :data:`REDUCE_ROWS`) are the caller's scratch.
+    """
+    height, m = idx.shape
+    if height == 1:
+        return fv.mul(vals[0], x[idx[0]])
+    out = np.empty(m, dtype=np.uint64)
+    width = max(1, PLANE_TILE // height)
+    for r0 in range(0, m, REDUCE_ROWS):
+        r1 = min(m, r0 + REDUCE_ROWS)
+        for t0 in range(r0, r1, width):
+            t1 = min(r1, t0 + width)
+            b, al, ah, b0, b1, b2, prod = (
+                s[:height * (t1 - t0)].reshape(height, t1 - t0) for s in tile)
+            # Bounds were checked when the matrices were constructed.
+            np.take(x, idx[:, t0:t1], out=b, mode="clip")
+            np.bitwise_and(vals[:, t0:t1], _MASK32, out=al)
+            np.right_shift(vals[:, t0:t1], _SHIFT32, out=ah)
+            np.bitwise_and(b, _MASK22, out=b0)
+            np.right_shift(b, _SHIFT22, out=b1)
+            np.bitwise_and(b1, _MASK22, out=b1)
+            np.right_shift(b, _SHIFT44, out=b2)
+            for k, (half, limb) in enumerate(((al, b0), (al, b1), (al, b2),
+                                              (ah, b0), (ah, b1), (ah, b2))):
+                np.multiply(half, limb, out=prod)
+                np.add.reduce(prod, axis=0, out=acc[k, t0 - r0:t1 - r0])
+        out[r0:r1] = _reduce_rows(acc[:6, :r1 - r0], acc[6, :r1 - r0])
+    return out
+
+
+def _group_rows(out_ids: np.ndarray, gather: np.ndarray, vals: np.ndarray,
+                num_out: int, out_offset: int = 0):
+    """Split COO entries (output row, gather index, value) by row population.
+
+    Returns ``(groups, residual)``.  ``groups`` holds one ``(rows, pieces,
+    idx, vals)`` per population L whose entries fill a kernel tile:
+    ``rows`` the m output ids (ascending, so a banded gather stays local;
+    a slice when they are consecutive) and ``idx`` / ``vals`` C-contiguous
+    planes — plane j is the j-th entry of every row, in final order.  A
+    row longer than :data:`PLANE_CAP` is cut into ``pieces`` equal runs
+    laid side by side (piece k of row r is column ``r * pieces + k``; the
+    last piece is padded with zero values), so no group is higher than
+    the cap and a long thin population still fills its tiles.  ``residual`` is
+    the ``(rows, gather, vals)`` of every other entry, row-sorted.  The
+    stable sort permutation lives only inside this call.
+    """
+    order = _sort_order(out_ids)
+    counts = np.bincount(out_ids, minlength=num_out)
+    hist = np.bincount(counts)
+    planar = np.arange(len(hist)) * hist >= PLANE_TILE
+    if not planar.any():
+        if order is not None:
+            out_ids, gather, vals = out_ids[order], gather[order], vals[order]
+        return [], (out_ids + out_offset, gather, vals)
+    starts = np.cumsum(counts) - counts
+    groups = []
+    for length in np.flatnonzero(planar):
+        rows = np.flatnonzero(counts == length)
+        m, first = len(rows), starts[rows]
+        pieces = -(-length // PLANE_CAP)
+        height = -(-length // pieces)
+        idx = np.zeros((height, pieces * m), dtype=np.int64)
+        plane_vals = np.zeros((height, pieces * m), dtype=np.uint64)
+        step = max(1, _BUILD_ELEMENTS // m)
+        for k in range(pieces):
+            piece = slice(k, None, pieces)
+            j_end = min(length, (k + 1) * height)
+            for j0 in range(k * height, j_end, step):
+                j1 = min(j_end, j0 + step)
+                at = first + np.arange(j0, j1)[:, None]
+                if order is not None:
+                    at = order[at]
+                into = slice(j0 - k * height, j1 - k * height)
+                np.take(gather, at, out=idx[into, piece], mode="clip")
+                np.take(vals, at, out=plane_vals[into, piece], mode="clip")
+        rows += out_offset
+        if rows[-1] - rows[0] == m - 1:     # a run: write, don't scatter
+            rows = slice(rows[0], rows[-1] + 1)
+        groups.append((rows, pieces, idx, plane_vals))
+    left = np.flatnonzero(~planar[counts] & (counts > 0))
+    sizes = counts[left]
+    # Entry runs of the leftover rows, flattened: each run's start minus
+    # the number of leftover entries before it, plus a running index.
+    at = np.arange(sizes.sum()) \
+        + np.repeat(starts[left] - (np.cumsum(sizes) - sizes), sizes)
+    if order is not None:
+        at = order[at]
+    return groups, (np.repeat(left + out_offset, sizes), gather[at], vals[at])
+
+
+class _PlaneLayout:
+    """One direction of :class:`StackedMatrices`: plane groups plus ONE
+    row-sorted residual :class:`SparseMatrix` (None when nothing is left
+    over)."""
+
+    def __init__(self, num_out: int, num_in: int, groups, residual):
+        self.num_out, self.num_in = num_out, num_in
+        self.groups = groups
+        rows, gather, vals = residual
+        self.residual = None
+        if len(rows):
+            self.residual = SparseMatrix(num_out, num_in, rows, gather, vals)
+            self.residual._group_plan()
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.uint64)
+        if x.shape[0] != self.num_in:
+            raise ValueError(f"vector length {x.shape[0]} != num_cols {self.num_in}")
+        out = self.residual.matvec(x) if self.residual is not None \
+            else np.zeros(self.num_out, dtype=np.uint64)
+        if self.groups:
+            # Per call, not per object: two threads may share a key.
+            tile = np.empty((7, max(PLANE_TILE, PLANE_CAP)), dtype=np.uint64)
+            acc = np.empty((7, REDUCE_ROWS), dtype=np.uint64)
+            for rows, pieces, idx, vals in self.groups:
+                sums = _plane_matvec(idx, vals, x, tile, acc)
+                if pieces > 1:      # a long row's pieces sit side by side
+                    sums = _segment_sums(sums,
+                                         np.arange(0, len(sums), pieces))
+                out[rows] = sums
+        return out
+
+
 class StackedMatrices:
-    """The A, B, C matrices of an R1CS stacked for fused SpMV passes.
+    """The A, B, C matrices of an R1CS laid out for fused SpMV passes.
 
     Spartan's prover needs all three products A z, B z, C z (sumcheck #1)
     and the random combination (r_a A + r_b B + r_c C)^T eq (sumcheck #2).
-    Issuing them as three separate SpMVs streams the input vector and the
-    scatter/reduce machinery three times; stacking the coordinate arrays
-    once turns each into a single gather + multiply + segmented-reduce
-    pass — the same batching NoCap gets by time-multiplexing the three
-    matrices through one output-stationary SpMV unit (Sec. V-A).
+    R1CS rows carry O(1) non-zeros (Sec. V-A), so per direction the rows
+    are grouped by population: rows with L non-zeros become ``(L, m)``
+    index/value planes whose row sum is a contiguous add with ONE modular
+    reduction per row (:func:`_plane_matvec`) — output-stationary like
+    NoCap's SpMV unit, with the row length as the tile height.  Groups too
+    small to fill a kernel tile (:data:`PLANE_TILE`) share one residual
+    :class:`SparseMatrix` per direction, so a small circuit still runs one
+    fused segmented-sum pass.  Resident: ``idx`` + ``vals``, 16 B per
+    non-zero per direction; no stacked COO copy and no sort permutation
+    outlives construction.
     """
 
     def __init__(self, mats: List[SparseMatrix]):
@@ -235,26 +463,29 @@ class StackedMatrices:
             raise ValueError("stacked matrices must share a shape")
         self.count = len(mats)
         self.num_rows, self.num_cols = n_rows, n_cols
-        offset_rows = np.concatenate(
-            [m.rows + np.int64(i * n_rows) for i, m in enumerate(mats)])
-        cols = np.concatenate([m.cols for m in mats])
-        vals = np.concatenate([m.vals for m in mats])
-        # Forward: one (count*n_rows) x n_cols matrix whose output slices
-        # are the individual products.  Each member's rows are sorted, and
-        # the offsets keep the concatenation sorted, so the matvec gather
-        # plan needs no permutation.
-        self._forward = SparseMatrix(self.count * n_rows, n_cols,
-                                     offset_rows, cols, vals)
-        # Transposed: output rows are the original columns; the gather
-        # index points into a stack of ``count`` scaled copies of the
-        # input vector, which folds per-matrix coefficients into the
-        # product (see scaled_transpose_matvec).
-        self._transposed = SparseMatrix(n_cols, self.count * n_rows,
-                                        cols, offset_rows, vals)
-        # Both gather plans are built here, so the transposed plan's
-        # argsort never runs between a prover's commit and its first open.
-        self._forward._group_plan()
-        self._transposed._group_plan()
+        # Transposed first: output rows are the original columns and the
+        # gather index points into a stack of ``count`` scaled copies of
+        # the input (see scaled_transpose_matvec).  The concatenated
+        # coordinates and their argsort are the build's peak; they are
+        # gone before the forward planes are allocated.
+        self._transposed = _PlaneLayout(
+            n_cols, self.count * n_rows,
+            *_group_rows(np.concatenate([m.cols for m in mats]),
+                         np.concatenate([m.rows + np.int64(i * n_rows)
+                                         for i, m in enumerate(mats)]),
+                         np.concatenate([m.vals for m in mats]), n_cols))
+        # Forward: one (count*n_rows) x n_cols system whose output slices
+        # are the individual products, grouped per member straight from
+        # its own arrays; only the leftovers are concatenated.
+        groups, leftovers = [], []
+        for i, m in enumerate(mats):
+            member_groups, residual = _group_rows(m.rows, m.cols, m.vals,
+                                                  n_rows, i * n_rows)
+            groups += member_groups
+            leftovers.append(residual)
+        self._forward = _PlaneLayout(
+            self.count * n_rows, n_cols, groups,
+            [np.concatenate(part) for part in zip(*leftovers)])
 
     def matvec_all(self, x: np.ndarray) -> List[np.ndarray]:
         """[M_0 x, M_1 x, ...] in ONE fused SpMV pass."""
@@ -272,8 +503,8 @@ class StackedMatrices:
         """
         if len(coeffs) != self.count:
             raise ValueError("need one coefficient per stacked matrix")
-        # The scaled copies only feed the matvec's gather-multiply, which
-        # accepts any uint64 representative — skip canonicalization.
+        # The scaled copies only feed the gather-multiply, which accepts
+        # any uint64 representative — skip canonicalization.
         scaled = np.concatenate(
             [fv.mul_scalar(x, int(c), canonical=False) for c in coeffs])
         return self._transposed.matvec(scaled)

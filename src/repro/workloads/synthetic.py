@@ -65,10 +65,11 @@ def synthetic_r1cs(log_size: int, band: int = 64, nnz_per_row: int = 3,
 
     # C: one entry per row at a witness column with a non-zero z value;
     # use column half + (i mod half), whose z entry is never zero.
+    # Each witness value serves two rows: invert the half once.
     rows_c = np.arange(n, dtype=np.int64)
-    cols_c = half + (rows_c % half)
-    z_at = z[cols_c]
-    vals_c = fv.mul(target, fv.inv_vector(z_at))
+    wit_at = rows_c % half
+    cols_c = half + wit_at
+    vals_c = fv.mul(target, fv.inv_vector(wit)[wit_at])
     c = SparseMatrix(n, n, rows_c, cols_c, vals_c)
 
     r1cs = R1CS(a, b, c, num_public=num_public, num_witness=half)

@@ -235,6 +235,56 @@ class TestStackedMatrices:
         assert fv.to_ints(m.matvec(x)) == expected
 
 
+class TestPlaneLayoutSaturation:
+    """The limb accumulators' overflow bound, at the shipped constants:
+    2^9 products of a 32-bit half and a 22-bit limb must sum below 2^63
+    with every operand bit set, and a row one entry past the plane cap
+    must be cut in two pieces whose sums fold exactly."""
+
+    @pytest.mark.parametrize("value", [2**64 - 1, P_MINUS_1])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_all_ones_rows_at_and_past_the_plane_cap(self, value, extra):
+        from repro.r1cs import matrices
+
+        length = matrices.PLANE_CAP + extra
+        n = matrices.PLANE_TILE // matrices.PLANE_CAP   # just fills a tile
+        rows = np.repeat(np.arange(n), length)
+        # Circulant: every column carries ``length`` entries too.
+        cols = (rows + np.tile(np.arange(length), n)) % n
+        mat = SparseMatrix(n, n, rows, cols,
+                           np.full(n * length, value, dtype=np.uint64))
+        stacked = StackedMatrices([mat])
+        for side in (stacked._forward, stacked._transposed):
+            assert side.residual is None
+            # At the cap: one piece of 512 planes.  One past it: two
+            # pieces of 257 side by side, the second padded by one zero.
+            want_shape = (1, (length, n)) if not extra \
+                else (2, ((length + 1) // 2, 2 * n))
+            assert [(g[1], g[2].shape) for g in side.groups] == [want_shape]
+        x = np.full(n, value, dtype=np.uint64)
+        want = length * value * value % MODULUS
+        assert fv.to_ints(stacked.matvec_all(x)[0]) == [want] * n
+        # scaled_transpose_matvec would canonicalize nothing but still
+        # multiply by a coefficient; feed the transposed planes directly.
+        assert fv.to_ints(stacked._transposed.matvec(x)) == [want] * n
+
+    def test_saturated_values_against_random_noncanonical_vector(self, rng):
+        from repro.r1cs import matrices
+
+        length, n = matrices.PLANE_CAP, 64
+        rows = np.repeat(np.arange(n), length)
+        cols = rng.integers(0, n, size=n * length)
+        mat = SparseMatrix(n, n, rows, cols,
+                           np.full(n * length, 2**64 - 1, dtype=np.uint64))
+        x = random_u64(rng, n)
+        got = StackedMatrices([mat]).matvec_all(x)[0]
+        hits = np.zeros((n, n), dtype=object)
+        np.add.at(hits, (rows, cols), 1)
+        want = [(2**64 - 1) * sum(int(h) * int(v) for h, v in zip(row, x))
+                % MODULUS for row in hits]
+        assert fv.to_ints(got) == want
+
+
 # ---------------------------------------------------------------------------
 # Merkle multiproof round-trip property (satellite: open_many/verify_many)
 # ---------------------------------------------------------------------------

@@ -108,6 +108,19 @@ class TestSparseMatrix:
         with pytest.raises(IndexError):
             SparseMatrix.from_entries(2, 2, [(2, 0, 1)])
 
+    @pytest.mark.parametrize("row,col", [(0, -1), (-1, 0), (0, 4), (4, 0)])
+    def test_constructor_validates_coordinates(self, row, col):
+        """A negative column would wrap silently in ``x[cols]``; an
+        over-range one used to surface deep inside ``matvec``."""
+        with pytest.raises(IndexError, match=rf"\({row},{col}\) outside 4x4"):
+            SparseMatrix(4, 4, [1, row], [2, col], [7, 5])
+
+    def test_constructor_accepts_the_empty_matrix(self):
+        m = SparseMatrix(4, 4)
+        assert m.nnz == 0 and m.matvec(np.ones(4, dtype=np.uint64)).tolist() \
+            == [0, 0, 0, 0]
+        assert SparseMatrix(4, 4, [], [], []).nnz == 0
+
     def test_shape_mismatch_rejected(self, rng):
         m = SparseMatrix.from_entries(2, 3, [(0, 0, 1)])
         with pytest.raises(ValueError):
@@ -201,6 +214,133 @@ class TestR1CSSystem:
         a = SparseMatrix.from_entries(4, 8, [])
         with pytest.raises(ValueError):
             R1CS(a, a, a, 1, 1)
+
+
+@st.composite
+def stacked_systems(draw):
+    """Three square COO matrices mixing what the plane layout has to sort
+    out: whole populations of equal-length rows (plane groups, L = 1
+    included), a few long rows (longer than a patched plane cap), stray
+    entries (residual), duplicate coordinates, empty rows and columns."""
+    n = draw(st.sampled_from([4, 8, 16]))
+    mats = []
+    for _ in range(3):
+        rows, cols, vals = [], [], []
+        for length in draw(st.lists(st.integers(0, 6), max_size=2)):
+            for r in draw(st.lists(st.integers(0, n - 1), unique=True,
+                                   max_size=n)):
+                rows += [r] * length
+                cols += draw(st.lists(st.integers(0, n - 1), min_size=length,
+                                      max_size=length))
+                vals += draw(st.lists(felt, min_size=length, max_size=length))
+        for r, c, v in draw(st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), felt),
+                max_size=12)):
+            rows.append(r), cols.append(c), vals.append(v)
+        perm = draw(st.permutations(range(len(rows)))) \
+            if draw(st.booleans()) else sorted(range(len(rows)),
+                                               key=rows.__getitem__)
+        mats.append(SparseMatrix(n, n, [rows[i] for i in perm],
+                                 [cols[i] for i in perm],
+                                 [vals[i] for i in perm]))
+    return mats
+
+
+def patched_planes(tile, cap, reduce_rows):
+    """Kernel constants small enough that multi-tile groups, chunk
+    folding and multi-chunk reductions occur on test-sized matrices."""
+    return mock.patch.multiple(matrices, PLANE_TILE=tile, PLANE_CAP=cap,
+                               REDUCE_ROWS=reduce_rows)
+
+
+class TestPlaneLayout:
+    """The row-length-grouped layout under ``R1CS.products`` and
+    ``combined_transpose_matvec`` against ``to_dense()`` arithmetic."""
+
+    @pytest.mark.parametrize("tile,cap,reduce_rows", [
+        (1, 2, 1),          # everything planar, every row its own tile
+        (4, 3, 2),          # multi-tile groups, rows past the cap
+        (8, 512, 3),        # a small residual beside the groups
+        (1 << 15, 512, 1 << 14),    # the shipped constants: all residual
+    ])
+    @given(mats=stacked_systems(), seed=st.integers(0, 2**32 - 1))
+    def test_both_directions_match_dense(self, tile, cap, reduce_rows, mats,
+                                         seed):
+        rng = np.random.default_rng(seed)
+        n = mats[0].num_rows
+        # Non-canonical on purpose: any uint64 is a valid operand.
+        x = rng.integers(0, 1 << 63, size=n, dtype=np.uint64) << np.uint64(1)
+        coeffs = [int(c) for c in fv.rand_vector(3, rng)]
+        dense = [m.to_dense() for m in mats]
+        with patched_planes(tile, cap, reduce_rows):
+            stacked = StackedMatrices(mats)
+            got = stacked.matvec_all(x)
+            got_t = stacked.scaled_transpose_matvec(coeffs, x)
+        for d, g in zip(dense, got):
+            assert g.tolist() == dense_matvec(d, x)
+        want_t = [sum(c * w for c, w in zip(coeffs, col)) % MODULUS
+                  for col in zip(*(dense_matvec(d.T, x) for d in dense))]
+        assert got_t.tolist() == want_t
+
+    @pytest.mark.parametrize("tile,expect_planes", [(1, True),
+                                                    (1 << 15, False)])
+    def test_split_depends_only_on_the_matrix(self, tile, expect_planes):
+        """A population that fills a tile becomes planes; one that does
+        not stays in the one residual SparseMatrix."""
+        n = 8
+        rows = np.repeat(np.arange(n), 2)
+        a = SparseMatrix(n, n, rows, (rows * 3 + np.tile([0, 1], n)) % n,
+                         np.arange(1, 2 * n + 1))
+        with patched_planes(tile, 512, 4):
+            stacked = StackedMatrices([a, a, SparseMatrix(n, n)])
+        for side in (stacked._forward, stacked._transposed):
+            assert bool(side.groups) is expect_planes
+            assert (side.residual is None) is expect_planes
+            for _rows, _pieces, idx, vals in side.groups:
+                assert idx.flags["C_CONTIGUOUS"] and idx.dtype == np.int64
+                assert vals.flags["C_CONTIGUOUS"] and idx.shape == vals.shape
+            if side.residual is not None:
+                assert side.residual._group_plan()[0] is None   # row-sorted
+
+    def test_nothing_but_planes_and_residual_is_retained(self):
+        """No stacked COO copy and no sort permutation outlive the build."""
+        with patched_planes(1, 512, 4):
+            a = SparseMatrix(4, 4, [3, 0, 1, 2], [0, 1, 2, 3], [1, 2, 3, 4])
+            stacked = StackedMatrices([a, a, a])
+        for side in (stacked._forward, stacked._transposed):
+            assert set(vars(side)) == {"num_out", "num_in", "groups",
+                                       "residual"}
+        assert set(vars(stacked)) == {"count", "num_rows", "num_cols",
+                                      "_forward", "_transposed"}
+
+    def test_pickle_round_trip_rebuilds_the_layout(self, rng):
+        import pickle
+        from repro.workloads import synthetic_r1cs
+
+        with patched_planes(64, 512, 16):
+            r1cs, public, witness = synthetic_r1cs(7, band=4, seed=11)
+            z = r1cs.assemble_z(public, witness)
+            x = fv.rand_vector(len(z), rng)
+            want = r1cs.products(z), r1cs.combined_transpose_matvec((3, 5, 7),
+                                                                    x)
+            assert r1cs._stacked()._forward.groups      # planes in play
+            clone = pickle.loads(pickle.dumps(r1cs))
+            assert clone._stacked_cache is None
+            got = clone.products(z), clone.combined_transpose_matvec((3, 5, 7),
+                                                                     x)
+            assert clone._stacked()._forward.groups
+        for w, g in zip(want[0], got[0]):
+            assert np.array_equal(w, g)
+        assert np.array_equal(want[1], got[1])
+
+    def test_wrong_length_vector_rejected(self):
+        a = SparseMatrix(4, 4, [0], [0], [1])
+        stacked = StackedMatrices([a, a, a])
+        with pytest.raises(ValueError):
+            stacked.matvec_all(np.ones(5, dtype=np.uint64))
+        with pytest.raises(ValueError):
+            stacked.scaled_transpose_matvec((1, 2, 3),
+                                            np.ones(3, dtype=np.uint64))
 
 
 class TestBuilderGadgets:
