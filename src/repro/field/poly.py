@@ -8,7 +8,8 @@ schoolbook multiply covers the small degrees on protocol critical paths.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 from .goldilocks import MODULUS, batch_inv
 
@@ -142,27 +143,38 @@ def evaluate_on_range(poly: Polynomial, count: int) -> List[int]:
     return [poly.evaluate(x) for x in range(count)]
 
 
+@lru_cache(maxsize=64)
+def _inv_denoms(xs: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Inverse barycentric denominators 1 / prod_{j != i} (x_i - x_j).
+
+    Cached per node tuple: sumchecks interpolate on the nodes 0..d for a
+    handful of degrees d.  Repeated nodes raise ``ZeroDivisionError``
+    (which ``lru_cache`` does not store).
+    """
+    denoms = []
+    for i, xi in enumerate(xs):
+        d = 1
+        for j, xj in enumerate(xs):
+            if i != j:
+                d = d * (xi - xj) % MODULUS
+        denoms.append(d)
+    return tuple(batch_inv(denoms))
+
+
 def interpolate_eval(xs: Sequence[int], ys: Sequence[int], x: int) -> int:
     """Evaluate, at ``x``, the unique polynomial through (xs[i], ys[i]).
 
     This is the verifier-side primitive for checking sumcheck round
-    polynomials sent as evaluations: O(n^2) scalar work for tiny n.
+    polynomials sent as evaluations: O(n^2) scalar work for tiny n, with
+    the one field inversion paid once per node tuple, not per call.
     """
     x %= MODULUS
-    n = len(xs)
-    denoms = []
-    for i in range(n):
-        d = 1
-        for j in range(n):
-            if i != j:
-                d = d * (xs[i] - xs[j]) % MODULUS
-        denoms.append(d)
-    denom_invs = batch_inv(denoms)
+    xs = tuple(xs)
     total = 0
-    for i in range(n):
+    for i, dinv in enumerate(_inv_denoms(xs)):
         num = ys[i] % MODULUS
-        for j in range(n):
+        for j, xj in enumerate(xs):
             if i != j:
-                num = num * (x - xs[j]) % MODULUS
-        total = (total + num * denom_invs[i]) % MODULUS
+                num = num * (x - xj) % MODULUS
+        total = (total + num * dinv) % MODULUS
     return total

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..field import vector as fv
 from ..field.goldilocks import MODULUS
+from . import table as tb
 
 
 def num_vars(table: np.ndarray) -> int:
@@ -30,10 +31,7 @@ def fold(table: np.ndarray, r: int) -> np.ndarray:
     The output is the MLE table of the remaining L-1 variables.
     """
     table = np.asarray(table, dtype=np.uint64)
-    half = len(table) // 2
-    bottom, top = table[:half], table[half:]
-    # bottom + r * (top - bottom), fused multiply-accumulate.
-    return fv.scale_add(bottom, fv.sub(top, bottom), r)
+    return np.asarray(tb.fold(table, int(r) % MODULUS), dtype=np.uint64)
 
 
 def mle_eval(table: np.ndarray, point: Sequence[int]) -> int:
@@ -42,28 +40,33 @@ def mle_eval(table: np.ndarray, point: Sequence[int]) -> int:
     if len(table) != 1 << len(point):
         raise ValueError("point dimension does not match table size")
     for r in point:
-        table = fold(table, int(r))
+        table = tb.fold(table, int(r) % MODULUS)
     return int(table[0])
 
 
-def eq_table(point: Sequence[int]) -> np.ndarray:
-    """Evaluation table of eq(point, .): out[b] = prod_i eq(point_i, b_i).
+def eq_suffix_tables(point: Sequence[int]):
+    """Yield the eq tables of ``point[k:]`` for k = len(point) down to 0
+    (lengths 1, 2, 4, ...), each in its :func:`table.fit` representation.
 
-    eq(r, b) = r*b + (1-r)*(1-b).  Built by iterative doubling: O(2^L)
-    multiplies, which is also what the cost model charges.
+    eq(r, b) = r*b + (1-r)*(1-b).  Built back to front by doubling — the
+    next variable out becomes the most significant bit — so the O(2^L)
+    multiplies that build the full table pass through every suffix table
+    on the way; Spartan's first sumcheck keeps them all.
     """
-    table = np.ones(1, dtype=np.uint64)
-    for r in point:
-        r = int(r) % MODULUS
-        hi = fv.mul_scalar(table, r)
-        lo = fv.sub(table, hi)  # table * (1 - r)
-        new = np.empty(2 * len(table), dtype=np.uint64)
-        # Earlier variables are more significant bits, so each newly bound
-        # variable becomes the least significant: interleave lo/hi.
-        new[0::2] = lo
-        new[1::2] = hi
-        table = new
-    return table
+    table = tb.fit([1])
+    yield table
+    for r in reversed(point):
+        table = tb.eq_extend(table, int(r) % MODULUS)
+        yield table
+
+
+def eq_table(point: Sequence[int]) -> np.ndarray:
+    """Evaluation table of eq(point, .): out[b] = prod_i eq(point_i, b_i),
+    variable 0 the most significant bit of b.  O(2^L) multiplies, which is
+    also what the cost model charges."""
+    for table in eq_suffix_tables(point):
+        pass                    # the last suffix is the whole point
+    return np.asarray(table, dtype=np.uint64)
 
 
 def eq_eval(a: Sequence[int], b: Sequence[int]) -> int:

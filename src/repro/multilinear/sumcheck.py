@@ -20,11 +20,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..field import vector as fv
 from ..field.goldilocks import MODULUS
 from ..field.poly import interpolate_eval
 from ..hashing.transcript import Transcript
 from ..obs.metrics import METRICS as _METRICS
+from . import table as tb
 
 #: The field has 64-bit indices: no honest sumcheck runs more rounds.
 MAX_VERIFY_ROUNDS = 64
@@ -56,20 +56,19 @@ class SumcheckResult:
     reason: str = ""
 
 
-def _product_sum(factors: Sequence[np.ndarray]) -> int:
+def _product_sum(factors) -> int:
     """sum_x prod_j factors[j][x] mod p.
 
-    Intermediate products stay non-canonical (any uint64 representative):
-    the multiply kernel is exact for arbitrary uint64 inputs, and the last
-    factor goes in through ``fv.dot``, whose terms are never reduced on
-    their own.
+    Intermediate products stay non-canonical (any representative): the
+    multiply is exact for arbitrary inputs, and the last factor goes in
+    through ``dot``, whose terms are never reduced on their own.
     """
     if len(factors) == 1:
-        return fv.vsum(factors[0])
+        return tb.vsum(factors[0])
     prod = factors[0]
     for vals in factors[1:-1]:
-        prod = fv.mul(prod, vals, canonical=False)
-    return fv.dot(prod, factors[-1])
+        prod = tb.mul(prod, vals)
+    return tb.dot(prod, factors[-1])
 
 
 def prove_sumcheck(tables: Sequence[np.ndarray], transcript: Transcript,
@@ -113,10 +112,9 @@ def prove_sumcheck(tables: Sequence[np.ndarray], transcript: Transcript,
     round_evals: List[List[int]] = []
     challenges: List[int] = []
     for rnd in range(num_rounds):
-        half = len(tables[0]) // 2
-        bottoms = [t[:half] for t in tables]
-        tops = [t[half:] for t in tables]
-        diffs = [fv.sub(tp, bt) for tp, bt in zip(tops, bottoms)]
+        # Lists of ints once a half fits table.SCALAR_TAIL: same formulas.
+        bottoms, tops = zip(*(tb.halves(t) for t in tables))
+        diffs = [tb.sub(tp, bt) for tp, bt in zip(tops, bottoms)]
         # Factor value at (t, b) is bottom + t*diff; t = 1 is a free read
         # and each further t adds diff to the previous samples.
         g1 = _product_sum(tops)
@@ -124,7 +122,7 @@ def prove_sumcheck(tables: Sequence[np.ndarray], transcript: Transcript,
         if degree >= 2:
             samples = tops
             for _t_val in range(2, degree):
-                samples = [fv.add(s, d) for s, d in zip(samples, diffs)]
+                samples = [tb.add(s, d) for s, d in zip(samples, diffs)]
                 evals.append(_product_sum(samples))
             # g has degree d with leading coefficient sum_x prod_j diff_j,
             # so its d-th finite difference sum_k (-1)^(d-k) C(d,k) g(k)
@@ -138,7 +136,7 @@ def prove_sumcheck(tables: Sequence[np.ndarray], transcript: Transcript,
         challenges.append(r)
         current = interpolate_eval(xs, evals, r)
         # Fold with the precomputed diffs: bottom + r*diff, one fused pass.
-        tables = [fv.scale_add(bt, df, r) for bt, df in zip(bottoms, diffs)]
+        tables = [tb.scale_add(bt, df, r) for bt, df in zip(bottoms, diffs)]
         round_evals.append(evals)
 
     final_values = [int(t[0]) for t in tables]

@@ -36,11 +36,26 @@ def _segment_sums(prods: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def _sort_order(keys: np.ndarray) -> np.ndarray | None:
-    """The stable permutation sorting ``keys``; None when they already are
-    non-decreasing (the :meth:`SparseMatrix.from_arrays` invariant)."""
-    if len(keys) == 0 or np.all(keys[:-1] <= keys[1:]):
+    """The stable permutation sorting ``keys`` (non-negative); None when
+    they already are non-decreasing (the :meth:`SparseMatrix.from_arrays`
+    invariant).
+
+    Sorts the packed words ``(key << b) | entry_index`` in place: they are
+    unique, so numpy's vectorized unstable sort yields the stable
+    permutation in its low ``b`` bits, ~3x faster than a stable argsort.
+    """
+    n = len(keys)
+    if n == 0 or np.all(keys[:-1] <= keys[1:]):
         return None
-    return np.argsort(keys, kind="stable")
+    b = n.bit_length()                      # entry indices are < n < 2^b
+    if int(keys.max()).bit_length() + b > 64:
+        return np.argsort(keys, kind="stable")
+    packed = keys.astype(np.uint64)
+    packed <<= np.uint64(b)
+    packed |= np.arange(n, dtype=np.uint64)
+    packed.sort()
+    packed &= np.uint64((1 << b) - 1)
+    return packed.view(np.int64)
 
 
 class SparseMatrix:

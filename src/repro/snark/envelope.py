@@ -27,8 +27,13 @@ from .serialize import _Reader, _Writer, proof_from_bytes, proof_to_bytes
 MAGIC = b"NCPE"
 #: v2: a Merkle leaf is one tagged SHA3 over the packed column
 #: (:data:`repro.hashing.fieldhash.LEAF_TAG`), so every root differs from
-#: v1's word-chain leaves; a v1 proof cannot verify and is refused here.
-VERSION = 2
+#: v1's word-chain leaves.  v3: the PCS proximity coefficients come from
+#: one transcript absorb per vector
+#: (:meth:`repro.hashing.transcript.Transcript.challenge_vector`), so
+#: every gamma — and every byte derived after it — differs from v2's.
+#: The layout never moved; an older proof cannot verify and is refused
+#: here, at the version byte.
+VERSION = 3
 
 #: Preset ids are short registry keys; circuit ids are free-form labels.
 MAX_PRESET_ID_BYTES = 64

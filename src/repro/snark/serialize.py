@@ -29,8 +29,9 @@ from ..spartan.protocol import RepetitionProof, SpartanProof
 
 MAGIC = b"NCAP"
 #: v2: column openings carry one Merkle multiproof instead of per-query paths.
-#: The envelope's v2 (packed leaf hash) changed digests, not this layout,
-#: so the payload version did not move with it.
+#: The envelope's v2 (packed leaf hash) and v3 (one absorb per gamma
+#: vector) changed digests and challenges, not this layout, so the payload
+#: version did not move with them.
 VERSION = 2
 
 #: Structural caps.  The field has 64-bit indices, so no sumcheck runs more
@@ -146,6 +147,41 @@ class _Reader:
                 f"non-canonical element in {what}", offset=self.pos - 8 * n)
         return arr
 
+    def array_run(self, what: str, n: int, heights) -> List[np.ndarray]:
+        """Read ``n`` length-prefixed field arrays that all share ONE
+        length, which must be in ``heights`` — the same bytes ``n`` calls
+        of :meth:`array` read, parsed as one block.  Errors carry the
+        offset of the first prefix or element at fault."""
+        if n == 0:
+            return []
+        start = self.pos
+        h = self.u32()
+        self.pos = start
+        if h not in heights:
+            raise self.fail(f"{what} length {h} is not one of "
+                            f"{sorted(heights)}")
+        stride = 4 + 8 * h
+        # Length prefixes wholly inside the buffer are checked before the
+        # run's extent, so a short column reads as what it is, not as a
+        # truncated file.
+        inside = min(n, (len(self.data) - start + 8 * h) // stride)
+        prefixes = np.ndarray((inside,), "<u4", self.data, start, (stride,))
+        odd = np.flatnonzero(prefixes != h)
+        if odd.size:
+            raise DeserializationError(
+                f"{what} length {prefixes[odd[0]]} differs from the first "
+                f"one's {h}", offset=start + int(odd[0]) * stride)
+        self._take(n * stride)
+        values = np.ndarray((n, h), "<u8", self.data, start + 4,
+                            (stride, 8)).astype(np.uint64)
+        if int(values.max()) >= MODULUS:
+            first = np.argmax(values.ravel() >= np.uint64(MODULUS))
+            i, k = divmod(int(first), h)
+            raise DeserializationError(
+                f"non-canonical element in {what}",
+                offset=start + i * stride + 4 + 8 * k)
+        return list(values)
+
     def done(self) -> bool:
         return self.pos == len(self.data)
 
@@ -184,13 +220,9 @@ def _read_pcs_proof(r: _Reader, c: OrionCommitment) -> OrionEvalProof:
     if num_cols_opened != len(distinct):
         raise r.fail(f"opened column count {num_cols_opened} does not match "
                      f"{len(distinct)} distinct query indices")
-    columns = []
-    for _ in range(num_cols_opened):
-        col = r.array("opened column")
-        if col.size not in (c.num_rows, c.num_rows + 1):
-            raise r.fail(f"opened column height {col.size} does not match "
-                         f"commitment rows {c.num_rows} (+1 mask)")
-        columns.append(col)
+    # Equal heights: commitment rows, +1 with the zk mask row.
+    columns = r.array_run("opened column", num_cols_opened,
+                          (c.num_rows, c.num_rows + 1))
     num_nodes = r.count("Merkle node", 32,
                         cap=max(1, num_queries) * MAX_TREE_DEPTH)
     nodes = [r.digest() for _ in range(num_nodes)]

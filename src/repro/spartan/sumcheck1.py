@@ -13,10 +13,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..field import vector as fv
 from ..field.goldilocks import MODULUS
 from ..field.poly import interpolate_eval
 from ..hashing.transcript import Transcript
+from ..multilinear import table as tb
+from ..multilinear.mle import eq_suffix_tables
 from ..obs.metrics import METRICS as _METRICS
 
 DEGREE = 3
@@ -66,16 +67,10 @@ def prove_constraint_sumcheck(
     _METRICS.inc("sumcheck.instances")
     _METRICS.inc("sumcheck.rounds", num_rounds)
 
-    # Suffix eq tables, back to front: suffixes[rnd] = eq_table(tau[rnd+1:])
-    # (variable rnd+1 most significant, matching the fold order).  Total
-    # cost ~n/2 multiplies — half of building the full eq table once.
-    suffixes: List[np.ndarray] = [None] * max(num_rounds, 1)
-    s = np.ones(1, dtype=np.uint64)
-    for rnd in range(num_rounds - 1, -1, -1):
-        suffixes[rnd] = s
-        if rnd:
-            hi = fv.mul_scalar(s, taus[rnd])
-            s = np.concatenate([fv.sub(s, hi), hi])
+    # suffixes[rnd] = eq_table(tau[rnd+1:]) (variable rnd+1 most
+    # significant, matching the fold order): the tables eq_table(tau[1:])
+    # passes through anyway, ~n/2 multiplies for all of them.
+    suffixes = list(eq_suffix_tables(taus[1:]))[::-1]
 
     round_evals: List[List[int]] = []
     challenges: List[int] = []
@@ -86,18 +81,17 @@ def prove_constraint_sumcheck(
     c_prefix = 1
     xs = list(range(DEGREE + 1))
     for rnd in range(num_rounds):
-        half = len(tables[0]) // 2
-        bottoms = [t[:half] for t in tables]
-        tops = [t[half:] for t in tables]
-        diffs = [fv.sub(tp, bt) for tp, bt in zip(tops, bottoms)]
+        # Lists of ints once a half fits table.SCALAR_TAIL (the suffix
+        # table of the same length already is one): same formulas.
+        bottoms, tops = zip(*(tb.halves(t) for t in tables))
+        diffs = [tb.sub(tp, bt) for tp, bt in zip(tops, bottoms)]
         suffix = suffixes[rnd]
         t_r = taus[rnd]
 
         def inner(az_t, bz_t, cz_t):
             # Non-canonical intermediates are exact: mul and dot accept
-            # any uint64 inputs, and sub tolerates a non-canonical minuend.
-            h = fv.sub(fv.mul(az_t, bz_t, canonical=False), cz_t)
-            return fv.dot(suffix, h)
+            # any representative, and sub tolerates one as minuend.
+            return tb.dot(suffix, tb.sub(tb.mul(az_t, bz_t), cz_t))
 
         inner1 = inner(*tops)
         g1 = c_prefix * t_r % MODULUS * inner1 % MODULUS
@@ -109,7 +103,7 @@ def prove_constraint_sumcheck(
             inner0 = g0 * pow(denom, MODULUS - 2, MODULUS) % MODULUS
         else:
             inner0 = inner(*bottoms)
-        lead = fv.dot(suffix, fv.mul(diffs[0], diffs[1], canonical=False))
+        lead = tb.dot(suffix, tb.mul(diffs[0], diffs[1]))
         # inner(t) = inner0 + (inner1 - inner0 - lead) * t + lead * t^2.
         inner2 = (2 * inner1 - inner0 + 2 * lead) % MODULUS
         inner3 = (3 * inner1 - 2 * inner0 + 6 * lead) % MODULUS
@@ -120,7 +114,7 @@ def prove_constraint_sumcheck(
         r = transcript.challenge_field(label + b"/r%d" % rnd)
         challenges.append(r)
         current = interpolate_eval(xs, evals, r)
-        tables = [fv.scale_add(bt, df, r) for bt, df in zip(bottoms, diffs)]
+        tables = [tb.scale_add(bt, df, r) for bt, df in zip(bottoms, diffs)]
         c_prefix = c_prefix * _eq_scalar(t_r, r) % MODULUS
         round_evals.append(evals)
 

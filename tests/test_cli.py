@@ -164,13 +164,14 @@ class TestCommands:
         code = main(["verify", str(tampered)])
         assert code in (EXIT_DESERIALIZATION_ERROR, EXIT_VERIFICATION_ERROR)
 
-        raw = bytearray(bundle.read_bytes())
-        raw[4] = 1  # a valid envelope relabelled as the retired v1 format
-        v1 = tmp_path / "v1.proof"
-        v1.write_bytes(bytes(raw))
-        capsys.readouterr()
-        assert main(["verify", str(v1)]) == EXIT_DESERIALIZATION_ERROR
-        assert "version 1" in capsys.readouterr().err
+        for retired in (1, 2):  # a valid envelope relabelled as an old format
+            raw = bytearray(bundle.read_bytes())
+            raw[4] = retired
+            old = tmp_path / f"v{retired}.proof"
+            old.write_bytes(bytes(raw))
+            capsys.readouterr()
+            assert main(["verify", str(old)]) == EXIT_DESERIALIZATION_ERROR
+            assert f"version {retired}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["prove", "trace", "serve"])
     def test_workers_flag_is_gone(self, command):

@@ -253,6 +253,22 @@ def patched_planes(tile, cap, reduce_rows):
                                REDUCE_ROWS=reduce_rows)
 
 
+class TestSortOrder:
+    @given(st.lists(st.integers(0, 40), max_size=80),
+           st.sampled_from([0, 1 << 40, (1 << 62) - 41]))
+    def test_packed_key_sort_is_the_stable_argsort(self, keys, base):
+        """Unique ``(key << b) | index`` words sorted unstably give the
+        stable permutation; keys too wide to pack (the last ``base``)
+        take ``np.argsort`` itself."""
+        keys = np.asarray(keys, dtype=np.int64) + np.int64(base)
+        order = matrices._sort_order(keys)
+        if order is None:
+            assert (keys[:-1] <= keys[1:]).all()
+        else:
+            assert order.dtype == np.int64
+            assert order.tolist() == np.argsort(keys, kind="stable").tolist()
+
+
 class TestPlaneLayout:
     """The row-length-grouped layout under ``R1CS.products`` and
     ``combined_transpose_matvec`` against ``to_dense()`` arithmetic."""

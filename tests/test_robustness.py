@@ -24,6 +24,7 @@ from repro.errors import (
     TranscriptError,
     VerificationError,
 )
+from repro.field.goldilocks import MODULUS
 from repro.fuzz.mutate import (
     random_mutants,
     splice_mutants,
@@ -132,6 +133,80 @@ class TestStrictParserProperties:
         _, _, wire = baseline
         with pytest.raises(DeserializationError, match="trailing"):
             proof_from_bytes(wire + b"\x00")
+
+
+class TestOpenedColumnBlock:
+    """The opened columns of a PCS opening parse as one block; the
+    error still names the first offending byte."""
+
+    @staticmethod
+    def _run(columns):
+        from repro.snark.serialize import _Writer
+
+        w = _Writer()
+        w.u32(0xABCD)                      # something before the run
+        for col in columns:
+            w.array(np.asarray(col, dtype=np.uint64))
+        return w.getvalue()
+
+    @staticmethod
+    def _read(data, n, heights=(3, 4)):
+        from repro.snark.serialize import _Reader
+
+        r = _Reader(data)
+        r.u32()
+        cols = r.array_run("opened column", n, heights)
+        return r, cols
+
+    def test_block_equals_column_at_a_time(self):
+        from repro.snark.serialize import _Reader
+
+        columns = [[1, 2, 3, 4], [5, 6, 7, MODULUS - 1], [0, 0, 0, 0]]
+        data = self._run(columns)
+        r, cols = self._read(data, 3)
+        assert r.done()
+        one = _Reader(data)
+        one.u32()
+        for got in cols:
+            want = one.array("opened column")
+            assert got.dtype == np.uint64 and got.tolist() == want.tolist()
+        assert self._read(data, 0)[1] == []
+
+    def test_mixed_heights_refused_at_the_odd_prefix(self):
+        data = self._run([[1, 2, 3, 4], [5, 6, 7, 8], [9, 9, 9]])
+        with pytest.raises(DeserializationError) as ei:
+            self._read(data, 3)
+        assert ei.value.offset == 4 + 2 * (4 + 8 * 4)
+
+    def test_height_outside_the_geometry_refused(self):
+        data = self._run([[1, 2], [3, 4]])
+        with pytest.raises(DeserializationError) as ei:
+            self._read(data, 2)
+        assert ei.value.offset == 4
+
+    def test_non_canonical_element_reports_its_own_offset(self):
+        data = self._run([[1, 2, 3], [4, MODULUS, 2**64 - 1], [7, 8, 9]])
+        with pytest.raises(DeserializationError) as ei:
+            self._read(data, 3)
+        assert ei.value.offset == 4 + (4 + 8 * 3) + 4 + 8 * 1
+
+    def test_truncated_run(self):
+        data = self._run([[1, 2, 3], [4, 5, 6]])
+        for cut in range(4, len(data)):
+            with pytest.raises(DeserializationError) as ei:
+                self._read(data[:cut], 2)
+            assert ei.value.offset <= cut
+
+    def test_proof_with_mixed_column_heights_fails_to_parse(self, baseline):
+        """Dropping the mask row from one opened column used to parse and
+        then fail ``OrionPCS.verify``; it is a parse error now."""
+        _, bundle, wire = baseline
+        proof = proof_from_bytes(wire)
+        cols = proof.repetitions[0].pcs_proof.columns
+        assert len(cols) > 1
+        cols[-1] = cols[-1][:-1]
+        with pytest.raises(DeserializationError, match="differs"):
+            proof_from_bytes(proof_to_bytes(proof))
 
 
 class TestDomainSeparation:

@@ -1,0 +1,147 @@
+"""Small tables are Python ints (``multilinear/table.py``): every value
+of ``SCALAR_TAIL`` computes the same field elements.
+
+At 0 every table is a numpy array (the vector path as it was before the
+scalar tail existed); at 2^30 every table is a list of ints, which makes
+the sumchecks below loop-and-``%`` implementations — the slow,
+obviously-right oracle the tiled kernels are held to.
+"""
+
+import hashlib
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro import PAPER, prove, setup, verify
+from repro.field import vector as fv
+from repro.field.goldilocks import MODULUS
+from repro.hashing import Transcript
+from repro.multilinear import eq_eval, eq_table, mle_eval, prove_sumcheck, table
+from repro.spartan import prove_constraint_sumcheck
+
+TAILS = (0, table.SCALAR_TAIL, 1 << 30)
+P = np.uint64(MODULUS)
+
+
+def with_tail(tail, fn):
+    with mock.patch.object(table, "SCALAR_TAIL", tail):
+        return fn()
+
+
+def all_equal(results):
+    return all(r == results[0] for r in results[1:])
+
+
+def edgy(rng, n, noncanonical_tops=False):
+    """n field elements, a quarter of them boundary values; optionally the
+    top half (the minuends of round 0) holds representatives >= p, which
+    the vector kernels accept there."""
+    v = fv.rand_vector(n, rng)
+    edges = np.array([0, 1, 2, MODULUS - 1, MODULUS - 2, 1 << 32],
+                     dtype=np.uint64)
+    pick = rng.random(n) < 0.25
+    v[pick] = rng.choice(edges, size=int(pick.sum()))
+    if noncanonical_tops and n > 1:
+        top = v[n // 2:]
+        lift = (rng.random(len(top)) < 0.25) & (top < np.uint64(2**32 - 1))
+        top[lift] += P                       # same residue, >= p, < 2^64
+    return v
+
+
+def bits(b, width):
+    return [(b >> (width - 1 - i)) & 1 for i in range(width)]
+
+
+class TestSumcheckDifferential:
+    @given(st.integers(1, 4), st.integers(1, 9), st.integers(0, 2**32),
+           st.booleans())
+    def test_prove_sumcheck(self, degree, log_n, seed, with_claim):
+        rng = np.random.default_rng(seed)
+        # add() in the degree >= 3 sample loop takes one non-canonical
+        # operand, not two, so only degrees 1-2 get representatives >= p.
+        tables = [edgy(rng, 1 << log_n, noncanonical_tops=degree <= 2)
+                  for _ in range(degree)]
+        claim = None
+        if with_claim:
+            claim = sum(int(np.prod([int(t[i]) for t in tables], dtype=object))
+                        for i in range(1 << log_n)) % MODULUS
+
+        def run():
+            tr = Transcript()
+            proof, challenges = prove_sumcheck(tables, tr, b"sc", claim=claim)
+            return (proof.round_evals, proof.final_values, challenges,
+                    tr._state, tr._counter)
+
+        results = [with_tail(t, run) for t in TAILS]
+        assert all_equal(results)
+        evals = results[0][0]
+        assert len(evals) == log_n and all(len(e) == degree + 1 for e in evals)
+
+    @given(st.integers(1, 9), st.integers(0, 2**32),
+           st.lists(st.sampled_from([0, 1, None]), min_size=9, max_size=9))
+    def test_prove_constraint_sumcheck(self, log_n, seed, tau_shape):
+        """Boolean tau coordinates put the ``denom == 0`` branch (inner(0)
+        by a second vector evaluation) on scalar rounds too."""
+        rng = np.random.default_rng(seed)
+        n = 1 << log_n
+        az = edgy(rng, n, noncanonical_tops=True)
+        bz = edgy(rng, n, noncanonical_tops=True)
+        cz = fv.mul(az, bz)
+        tau = [int(fv.rand_vector(1, rng)[0]) if t is None else t
+               for t in tau_shape[:log_n]]
+
+        def run():
+            tr = Transcript()
+            out = prove_constraint_sumcheck(tau, az, bz, cz, tr)
+            return out + (tr._state, tr._counter)
+
+        results = [with_tail(t, run) for t in TAILS]
+        assert all_equal(results)
+
+
+class TestEqAndMleAgainstTheDefinition:
+    @given(st.integers(0, 12), st.integers(0, 2**32))
+    def test_eq_table_is_the_product(self, num_vars, seed):
+        rng = np.random.default_rng(seed)
+        point = [int(x) for x in edgy(rng, num_vars)]
+        tables = [with_tail(t, lambda: eq_table(point)) for t in TAILS]
+        for tbl in tables:
+            assert tbl.dtype == np.uint64 and tbl.shape == (1 << num_vars,)
+            assert (tbl == tables[0]).all()
+        for b in rng.integers(0, 1 << num_vars, size=64):
+            assert int(tables[0][b]) == eq_eval(point, bits(int(b), num_vars))
+
+    @given(st.integers(0, 12), st.integers(0, 2**32))
+    def test_mle_eval_is_the_eq_weighted_sum(self, num_vars, seed):
+        rng = np.random.default_rng(seed)
+        point = [int(x) for x in edgy(rng, num_vars)]
+        tbl = edgy(rng, 1 << num_vars, noncanonical_tops=True)
+        expected = sum(int(v) * eq_eval(point, bits(b, num_vars))
+                       for b, v in enumerate(tbl)) % MODULUS
+        if num_vars == 0:
+            expected = int(tbl[0])          # no fold: the entry as given
+        for tail in TAILS:
+            assert with_tail(tail, lambda: mle_eval(tbl, point)) == expected
+
+
+class TestWholeProofBytes:
+    @pytest.mark.parametrize("name", ["litmus", "synthetic-2p12"])
+    def test_proof_bytes_do_not_depend_on_the_tail(self, name):
+        from repro.workloads import synthetic_r1cs
+        from repro.workloads.registry import build_workload
+
+        if name == "litmus":
+            r1cs, public, witness = build_workload(name)[1].compile()
+        else:
+            r1cs, public, witness = synthetic_r1cs(12)
+        pk, vk = setup(r1cs, PAPER)
+
+        def run():
+            bundle = prove(pk, public, witness, seed=7, circuit_id=name)
+            assert verify(vk, bundle)
+            return hashlib.sha256(bundle.to_bytes()).hexdigest()
+
+        assert len({with_tail(t, run) for t in TAILS}) == 1

@@ -176,10 +176,13 @@ class TestLRUBytesCache:
         from repro.service import cache
         from repro.snark import envelope
 
-        assert cache.ENVELOPE_VERSION == envelope.VERSION
+        assert cache.ENVELOPE_VERSION == envelope.VERSION == 3
         pub = np.arange(4, dtype=np.uint64)
         current = proof_cache_key("test-fast", "sha", pub, 1)
         monkeypatch.setattr(cache, "ENVELOPE_VERSION", envelope.VERSION + 1)
+        assert proof_cache_key("test-fast", "sha", pub, 1) != current
+        # A v2 daemon's key for the same request is not this daemon's.
+        monkeypatch.setattr(cache, "ENVELOPE_VERSION", 2)
         assert proof_cache_key("test-fast", "sha", pub, 1) != current
 
 

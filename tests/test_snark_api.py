@@ -150,12 +150,13 @@ class TestEnvelope:
             ProofBundle.from_bytes(b"XXXX" + bundle.to_bytes()[4:])
 
     def test_unknown_version(self, bundle):
-        """Version 1 (word-chain leaves) is as foreign as version 99: its
-        roots cannot verify under the packed leaf hash, so it is refused
-        at the version byte instead of failing verification later."""
+        """Versions 1 (word-chain leaves) and 2 (one transcript absorb per
+        gamma coefficient) are as foreign as version 99: their roots or
+        challenges cannot verify here, so they are refused at the version
+        byte instead of failing verification later."""
         data = bytearray(bundle.to_bytes())
-        assert data[4] == 2
-        for version in (1, 99):
+        assert data[4] == 3
+        for version in (1, 2, 99):
             data[4] = version
             with pytest.raises(DeserializationError) as ei:
                 ProofBundle.from_bytes(bytes(data))
@@ -224,9 +225,11 @@ class TestGoldenProofBytes:
     """Proof bytes are a fixed point across commits: a change to a kernel,
     a sumcheck prover or the commit path that moves one byte fails here.
 
-    The digests pin the NCPE v2 envelope (a format change regenerates them
-    on purpose) and were recorded on the commit before ``fv.dot`` deferred
-    its reduction.  Their only dependency outside this repo is numpy's
+    The digests pin the NCPE v3 envelope (a format change regenerates them
+    on purpose; v3 re-pinned them when ``Transcript.challenge_vector``
+    became one absorb per vector — with the v2 derivation patched back in,
+    the same code reproduced the v2 digests for every value of
+    ``table.SCALAR_TAIL``).  Their only dependency outside this repo is numpy's
     ``Generator`` stream (``default_rng(seed)`` draws the zk mask and the
     synthetic instance), which numpy keeps stable across releases.
     """
@@ -243,13 +246,13 @@ class TestGoldenProofBytes:
 
         circuit_id, circuit = build_workload("litmus")
         assert self._digest(*circuit.compile(), circuit_id) == (
-            "aa80b0f5ed6f2927e2f96d153e9e4e8bff9f2365070dac1890d9e741b6dd12e4")
+            "954f8e704a80cb5be333adfcb26029d2bfdd96469efdfe81cefc592afd806e65")
 
     def test_synthetic_2p12(self):
         from repro.workloads import synthetic_r1cs
 
         assert self._digest(*synthetic_r1cs(12), "synthetic-2p12") == (
-            "fd0f0e45775efb8232e1f31385365db1e34b5431cecbc6cec7e05b0479ea1418")
+            "90ed7fb533f379d837d6b77e8b089d24be7b3040e2465e9c1f39098980ed6f74")
 
 
 class TestSerialization:
