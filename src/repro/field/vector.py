@@ -340,6 +340,75 @@ def combine_halves(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return s
 
 
+#: Most products one set of limb accumulators may sum before
+#: :func:`_reduce_rows`: a 32-bit half times a 22-bit limb is < 2^54, so
+#: 2^9 of them stay < 2^63, the bound the reduction relies on.
+LIMB_SUM_CAP = 1 << 9
+
+_MASK22, _SHIFT22, _SHIFT44 = np.uint64((1 << 22) - 1), np.uint64(22), np.uint64(44)
+_MASK10, _SHIFT10 = np.uint64((1 << 10) - 1), np.uint64(10)
+_MASK20, _SHIFT20, _SHIFT12 = np.uint64((1 << 20) - 1), np.uint64(20), np.uint64(12)
+#: Keeps the low half of :func:`_reduce_rows` non-negative: the terms
+#: subtracted from it total < 2^53 + 2^44 + 2^32 < 2^54.
+_LO_OFFSET = np.uint64(1 << 54)
+
+
+def _reduce_rows(acc: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """ONE Goldilocks reduction per row of six limb accumulators — the
+    end of every limb-deferred kernel (the grouped-plane SpMV of
+    :mod:`repro.r1cs.matrices`, :func:`vecmat`).
+
+    ``acc[k]`` (each < 2^63, clobbered) carries weight 2^w_k with
+    w = (0, 22, 44, 32, 54, 76): the sums of ``lo(a) * b_j`` and
+    ``hi(a) * b_j`` over a row, b = b_0 + 2^22 b_1 + 2^44 b_2.  Every
+    term is split at a 32-bit boundary and folded with 2^64 = 2^32 - 1
+    and 2^96 = -1 (mod p) into ``lo + 2^32 * hi``:
+
+    ====  ==========================  =================================
+    acc   into ``lo``                 into ``hi``
+    ====  ==========================  =================================
+    s0    + s0
+    s1    + (s1 & m10) << 22          + s1 >> 10
+    s2    - s2 >> 20                  + (s2 & m20) << 12  + s2 >> 20
+    s3                                + s3
+    s4    - s4 >> 10                  + (s4 & m10) << 22  + s4 >> 10
+    s5    - (s5 & m20) << 12          + (s5 & m20) << 12
+          - s5 >> 20
+    ====  ==========================  =================================
+
+    ``hi`` < 2^63 + 2^54 + 2^44 + 2^34 and ``lo`` + 2^54 stays inside
+    [0, 2^64), so :func:`combine_halves` (exact for any uint64 halves)
+    and one subtraction of the offset finish it.
+    """
+    s0, s1, s2, s3, s4, s5 = acc
+    lo, hi = s0, s3
+    lo += _LO_OFFSET
+    np.bitwise_and(s1, _MASK10, out=t)
+    t <<= _SHIFT22
+    lo += t
+    s1 >>= _SHIFT10
+    hi += s1
+    np.bitwise_and(s4, _MASK10, out=t)
+    t <<= _SHIFT22
+    hi += t
+    s4 >>= _SHIFT10
+    hi += s4
+    lo -= s4
+    np.bitwise_and(s2, _MASK20, out=t)
+    t <<= _SHIFT12
+    hi += t
+    s2 >>= _SHIFT20
+    hi += s2
+    lo -= s2
+    np.bitwise_and(s5, _MASK20, out=t)
+    t <<= _SHIFT12
+    hi += t
+    lo -= t
+    s5 >>= _SHIFT20
+    lo -= s5
+    return sub(combine_halves(lo, hi), _LO_OFFSET)
+
+
 def _product_total(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> int:
     """Exact integer sum of the 64-bit products x[i] * y[i] (operands
     < 2^32, at most ``_TILE`` of them; ``t`` is scratch).
@@ -479,29 +548,53 @@ def powers(base: int, n: int) -> np.ndarray:
     return out
 
 
-@_wrapping
-def vecmat(coeffs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Exact coeffs^T @ matrix over GF(p) (row combination kernel).
+#: Cells per column tile of :func:`vecmat`: the two halves and one product
+#: of a tile (8 B * 2^15 each) stay cache-resident, like ``_TILE``.
+_VECMAT_TILE = 1 << 15
 
-    One vectorized multiply, then a column reduction that accumulates the
-    32-bit halves of every product separately (exact for up to 2^32 rows)
-    before recombining mod p — the split-accumulate trick from
-    ``SparseMatrix.matvec`` applied to dense row combinations.
+
+def vecmat(coeffs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Exact canonical coeffs^T @ matrix over GF(p) (row combination
+    kernel), for ANY uint64 inputs, contiguous or strided.
+
+    Limb-deferred, like the grouped-plane SpMV: no cell's product is
+    reduced on its own.  Per column tile the matrix is split into 32-bit
+    halves and each row's coefficient into three 22-bit limbs (scalars
+    per row); the six partial products are each summed down the row axis
+    with a contiguous add, and :func:`_reduce_rows` runs ONCE per column.
+    More than :data:`LIMB_SUM_CAP` (512) rows are processed in chunks of
+    at most that many, whose canonical results are added.
     """
     matrix = np.asarray(matrix, dtype=np.uint64)
     coeffs = np.asarray(coeffs, dtype=np.uint64)
     if matrix.ndim != 2:
         raise ValueError("vecmat expects a 2-D matrix")
-    if coeffs.shape != (matrix.shape[0],):
+    rows, cols = matrix.shape
+    if coeffs.shape != (rows,):
         raise ValueError("coefficient count must equal row count")
-    if matrix.shape[0] == 0:
-        return zeros(matrix.shape[1])
-    prods = mul(matrix, coeffs[:, None], canonical=False)
-    # Half-sums stay below rows * (2^32 - 1) <= (2^32 - 1)^2 < p: no
-    # overflow and already canonical.
-    lo = np.add.reduce(prods & _MASK32, axis=0)
-    hi = np.add.reduce(prods >> _SHIFT32, axis=0)
-    return add(lo, mul(hi, np.uint64((1 << 32) % MODULUS)))
+    if rows > LIMB_SUM_CAP:
+        return functools.reduce(add, (
+            vecmat(coeffs[r0:r0 + LIMB_SUM_CAP], matrix[r0:r0 + LIMB_SUM_CAP])
+            for r0 in range(0, rows, LIMB_SUM_CAP)))
+    if rows == 0:
+        return zeros(cols)
+    limbs = [(coeffs & _MASK22)[:, None],
+             ((coeffs >> _SHIFT22) & _MASK22)[:, None],
+             (coeffs >> _SHIFT44)[:, None]]
+    width = max(1, _VECMAT_TILE // rows)
+    tile = np.empty((3, rows * width), dtype=np.uint64)
+    acc = np.empty((7, cols), dtype=np.uint64)
+    for c0 in range(0, cols, width):
+        c1 = min(cols, c0 + width)
+        lo, hi, prod = (s[:rows * (c1 - c0)].reshape(rows, c1 - c0)
+                        for s in tile)
+        np.bitwise_and(matrix[:, c0:c1], _MASK32, out=lo)
+        np.right_shift(matrix[:, c0:c1], _SHIFT32, out=hi)
+        for k, (half, limb) in enumerate((h, b) for h in (lo, hi)
+                                         for b in limbs):
+            np.multiply(half, limb, out=prod)
+            np.add.reduce(prod, axis=0, out=acc[k, c0:c1])
+    return _reduce_rows(acc[:6], acc[6])
 
 
 def to_ints(a: np.ndarray) -> list:

@@ -8,6 +8,7 @@ from .mle import (
     fold,
     hypercube_sum,
     mle_eval,
+    mle_eval_head,
     num_vars,
     tensor_split_eval,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "fold",
     "hypercube_sum",
     "mle_eval",
+    "mle_eval_head",
     "num_vars",
     "tensor_split_eval",
     "SumcheckProof",

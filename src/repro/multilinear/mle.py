@@ -44,6 +44,29 @@ def mle_eval(table: np.ndarray, point: Sequence[int]) -> int:
     return int(table[0])
 
 
+def mle_eval_head(head: np.ndarray, point: Sequence[int]) -> int:
+    """:func:`mle_eval` of the 2^len(point) table that is ``head`` followed
+    by zeros, in O(len(head)) instead of O(2^len(point)).
+
+    With 2^k >= len(head), every non-zero entry has its L - k leading
+    index bits at 0, so the value is prod_{j < L-k} (1 - point_j) times
+    the MLE of the zero-padded 2^k head at ``point[L-k:]``.
+    """
+    head = np.asarray(head, dtype=np.uint64)
+    if head.ndim != 1 or len(head) > 1 << len(point):
+        raise ValueError("head does not fit the point's table")
+    if len(head) == 0:
+        return 0
+    k = (len(head) - 1).bit_length()
+    lead = len(point) - k
+    table = np.zeros(1 << k, dtype=np.uint64)
+    table[:len(head)] = head
+    acc = mle_eval(table, point[lead:])
+    for r in point[:lead]:
+        acc = acc * (1 - int(r)) % MODULUS
+    return acc
+
+
 def eq_suffix_tables(point: Sequence[int]):
     """Yield the eq tables of ``point[k:]`` for k = len(point) down to 0
     (lengths 1, 2, 4, ...), each in its :func:`table.fit` representation.
@@ -102,9 +125,9 @@ def tensor_split_eval(table: np.ndarray, row_point: Sequence[int],
 def combine_rows(matrix: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Return coeffs^T @ matrix over GF(p) (random row combination).
 
-    Delegates to the batched :func:`repro.field.vector.vecmat` kernel —
-    one vectorized multiply plus an exact split-accumulate column sum,
-    instead of a Python loop over rows.
+    Delegates to the :func:`repro.field.vector.vecmat` kernel: exact for
+    any uint64 inputs, one modular reduction per column, more than 512
+    rows combined in chunks of at most that many.
     """
     matrix = np.asarray(matrix, dtype=np.uint64)
     coeffs = np.asarray(coeffs, dtype=np.uint64)

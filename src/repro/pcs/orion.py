@@ -178,13 +178,40 @@ class OrionPCS:
                                         self.params.zk_mask)
 
     # -- open -----------------------------------------------------------------
+    def eval_row(self, state: _ProverState, commitment: OrionCommitment,
+                 point: Sequence[int]) -> np.ndarray:
+        """The opening's evaluation row u = eq(q_row)^T M (mask excluded:
+        coefficient 0).  :meth:`evaluate_from_row` turns it into P~(point),
+        and :meth:`open` takes it back as ``eval_row=`` so a caller that
+        needs the value first pays for one row combination, not two."""
+        if (1 << len(point)) != commitment.table_len:
+            raise ValueError("point dimension does not match committed table")
+        with _span("pcs.open.eval_row", "polyarith"):
+            row_point, _col_point = self._split_point(point,
+                                                      commitment.num_rows)
+            coeffs = self._with_mask(eq_table(row_point), state.has_mask,
+                                     mask_coeff=0)
+            return combine_rows(state.matrix, coeffs)
+
     def open(self, state: _ProverState, commitment: OrionCommitment,
-             point: Sequence[int],
-             transcript: Transcript) -> OrionEvalProof:
-        """Produce an evaluation proof for P~(point); mutates the transcript."""
+             point: Sequence[int], transcript: Transcript, *,
+             eval_row: Optional[np.ndarray] = None) -> OrionEvalProof:
+        """Produce an evaluation proof for P~(point); mutates the transcript.
+
+        ``eval_row`` (optional) is :meth:`eval_row`'s result for this
+        state and point, computed by the caller beforehand; it must be a
+        uint64 array of shape ``(cols,)`` (``ValueError`` otherwise) and
+        is trusted to be that row — a wrong one yields a proof
+        :meth:`verify` rejects.
+        """
         rows, cols = commitment.num_rows, commitment.num_cols
         if (1 << len(point)) != commitment.table_len:
             raise ValueError("point dimension does not match committed table")
+        if eval_row is not None and not (
+                isinstance(eval_row, np.ndarray)
+                and eval_row.dtype == np.uint64 and eval_row.shape == (cols,)):
+            raise ValueError(f"eval_row must be a uint64 array of shape "
+                             f"({cols},)")
         transcript.absorb_digest(b"pcs/root", commitment.root)
 
         with _span("pcs.open", "other", rows=rows, cols=cols):
@@ -201,13 +228,9 @@ class OrionPCS:
                     transcript.absorb_array(b"pcs/prox%d" % k, u)
                     proximity_rows.append(u)
 
-            # Evaluation row (mask excluded: coefficient 0).
-            with _span("pcs.open.eval_row", "polyarith"):
-                row_point, _col_point = self._split_point(point, rows)
-                r = eq_table(row_point)
-                coeffs = self._with_mask(r, state.has_mask, mask_coeff=0)
-                eval_row = combine_rows(state.matrix, coeffs)
-                transcript.absorb_array(b"pcs/eval-row", eval_row)
+            if eval_row is None:
+                eval_row = self.eval_row(state, commitment, point)
+            transcript.absorb_array(b"pcs/eval-row", eval_row)
 
             # Column queries, shared by all tests; one multiproof for all
             # paths.
@@ -224,7 +247,10 @@ class OrionPCS:
 
     def evaluate_from_row(self, eval_row: np.ndarray,
                           point: Sequence[int], num_rows: int) -> int:
-        """P~(point) = <eval_row, eq(q_col)> — used by prover and verifier."""
+        """P~(point) = <eval_row, eq(q_col)>: the one definition of how an
+        evaluation row determines the value.  The prover derives its claim
+        from :meth:`eval_row` with it and :meth:`verify` checks the claim
+        with it."""
         _row_point, col_point = self._split_point(point, num_rows)
         return fv.dot(eval_row, eq_table(col_point))
 
@@ -300,7 +326,7 @@ class OrionPCS:
         codes = self.code.encode_rows(stacked)
         prox_codes, eval_code = codes[:-1], codes[-1]
 
-        row_point, col_point = self._split_point(point, rows)
+        row_point, _col_point = self._split_point(point, rows)
         r = eq_table(row_point)
 
         qidx = np.asarray(proof.merkle.indices, dtype=np.int64)
@@ -319,7 +345,7 @@ class OrionPCS:
         # Finally, the claimed value must follow from the evaluation row.
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
             return False
-        expected = fv.dot(eval_row, eq_table(col_point))
+        expected = self.evaluate_from_row(eval_row, point, rows)
         return expected == int(value) % MODULUS
 
     # -- helpers ---------------------------------------------------------------

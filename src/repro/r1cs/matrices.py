@@ -15,6 +15,8 @@ import numpy as np
 
 from ..field import vector as fv
 from ..field.goldilocks import MODULUS
+from ..field.vector import (_MASK22, _MASK32, _SHIFT22, _SHIFT32, _SHIFT44,
+                            _reduce_rows)
 
 #: Row segments per :meth:`SparseMatrix.matvec` block.  A block's gather,
 #: product and half-sum temporaries (~40 B per non-zero) stay ~10 MB at
@@ -246,78 +248,15 @@ class SparseMatrix:
 PLANE_TILE = 1 << 15
 #: Most planes a group may have, i.e. products summed into one set of limb
 #: accumulators; a longer row is cut into pieces (:func:`_group_rows`).
-#: Overflow bound: a half of ``vals`` is < 2^32 and a limb of the gathered
-#: operand is < 2^22, so a product is < 2^54 and 2^9 of them sum to < 2^63.
-#: :func:`_reduce_rows` relies on every accumulator being < 2^63.
-PLANE_CAP = 1 << 9
+#: It is :func:`repro.field.vector._reduce_rows`' overflow bound.
+PLANE_CAP = fv.LIMB_SUM_CAP
 #: Rows per Goldilocks reduction: per-call overhead is ~60 numpy calls, so
 #: it is paid once per 2^14 rows, not once per tile.
 REDUCE_ROWS = 1 << 14
 
-_MASK32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-_MASK22, _SHIFT22, _SHIFT44 = np.uint64((1 << 22) - 1), np.uint64(22), np.uint64(44)
-_MASK10, _SHIFT10 = np.uint64((1 << 10) - 1), np.uint64(10)
-_MASK20, _SHIFT20, _SHIFT12 = np.uint64((1 << 20) - 1), np.uint64(20), np.uint64(12)
 #: Entries gathered per step while the planes are built: bounds the build's
 #: index temporaries at 2 MB however many non-zeros a group has.
 _BUILD_ELEMENTS = 1 << 18
-#: Keeps the low half of :func:`_reduce_rows` non-negative: the terms
-#: subtracted from it total < 2^53 + 2^44 + 2^32 < 2^54.
-_LO_OFFSET = np.uint64(1 << 54)
-
-
-def _reduce_rows(acc: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """ONE Goldilocks reduction per row of six limb accumulators.
-
-    ``acc[k]`` (each < 2^63, clobbered) carries weight 2^w_k with
-    w = (0, 22, 44, 32, 54, 76): the sums of ``lo(a) * b_j`` and
-    ``hi(a) * b_j`` over a row, b = b_0 + 2^22 b_1 + 2^44 b_2.  Every
-    term is split at a 32-bit boundary and folded with 2^64 = 2^32 - 1
-    and 2^96 = -1 (mod p) into ``lo + 2^32 * hi``:
-
-    ====  ==========================  =================================
-    acc   into ``lo``                 into ``hi``
-    ====  ==========================  =================================
-    s0    + s0
-    s1    + (s1 & m10) << 22          + s1 >> 10
-    s2    - s2 >> 20                  + (s2 & m20) << 12  + s2 >> 20
-    s3                                + s3
-    s4    - s4 >> 10                  + (s4 & m10) << 22  + s4 >> 10
-    s5    - (s5 & m20) << 12          + (s5 & m20) << 12
-          - s5 >> 20
-    ====  ==========================  =================================
-
-    ``hi`` < 2^63 + 2^54 + 2^44 + 2^34 and ``lo`` + 2^54 stays inside
-    [0, 2^64), so :func:`repro.field.vector.combine_halves` (exact for
-    any uint64 halves) and one subtraction of the offset finish it.
-    """
-    s0, s1, s2, s3, s4, s5 = acc
-    lo, hi = s0, s3
-    lo += _LO_OFFSET
-    np.bitwise_and(s1, _MASK10, out=t)
-    t <<= _SHIFT22
-    lo += t
-    s1 >>= _SHIFT10
-    hi += s1
-    np.bitwise_and(s4, _MASK10, out=t)
-    t <<= _SHIFT22
-    hi += t
-    s4 >>= _SHIFT10
-    hi += s4
-    lo -= s4
-    np.bitwise_and(s2, _MASK20, out=t)
-    t <<= _SHIFT12
-    hi += t
-    s2 >>= _SHIFT20
-    hi += s2
-    lo -= s2
-    np.bitwise_and(s5, _MASK20, out=t)
-    t <<= _SHIFT12
-    hi += t
-    lo -= t
-    s5 >>= _SHIFT20
-    lo -= s5
-    return fv.sub(fv.combine_halves(lo, hi), _LO_OFFSET)
 
 
 def _plane_matvec(idx: np.ndarray, vals: np.ndarray, x: np.ndarray,

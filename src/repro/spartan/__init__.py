@@ -10,7 +10,11 @@ from .protocol import (
     SpartanProver,
     SpartanVerifier,
 )
-from .sumcheck1 import finish_constraint_sumcheck, prove_constraint_sumcheck
+from .sumcheck1 import (
+    SatisfiedRound0,
+    finish_constraint_sumcheck,
+    prove_constraint_sumcheck,
+)
 
 __all__ = [
     "memcheck",
@@ -23,6 +27,7 @@ __all__ = [
     "SpartanProof",
     "SpartanProver",
     "SpartanVerifier",
+    "SatisfiedRound0",
     "finish_constraint_sumcheck",
     "prove_constraint_sumcheck",
 ]

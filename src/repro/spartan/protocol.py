@@ -25,10 +25,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..field import vector as fv
 from ..field.goldilocks import MODULUS
 from ..hashing.transcript import Transcript
-from ..multilinear.mle import eq_eval, eq_table, mle_eval
+from ..multilinear.mle import eq_eval, eq_table, mle_eval_head
 from ..multilinear.sumcheck import (
     SumcheckProof,
     prove_sumcheck,
@@ -40,6 +39,7 @@ from ..pcs.orion import OrionCommitment, OrionEvalProof, OrionPCS
 from ..r1cs.system import R1CS
 from .matrixeval import combined_matrix_eval
 from .sumcheck1 import (
+    SatisfiedRound0,
     finish_constraint_sumcheck,
     prove_constraint_sumcheck,
 )
@@ -115,9 +115,11 @@ class SpartanProver:
         check_deadline("spartan.spmv")
         with _span("spartan.spmv", "spmv", n=1 << log_n):
             az, bz, cz = r1cs.products(z)
-        if (fv.mul(az, bz) != cz).any():
-            raise ValueError("witness does not satisfy the constraint system")
-        pub_half, wit_half = r1cs.split_z(z)
+        # Raises on an unsatisfying witness, before any transcript absorb;
+        # what round 0 of sumcheck #1 reads off (az, bz, cz) is the same in
+        # every repetition, so it is built here, once.
+        round0 = SatisfiedRound0(az, bz, cz)
+        wit_half = r1cs.split_z(z)[1]
 
         tr.absorb_array(b"spartan/public", np.asarray(public, dtype=np.uint64))
         check_deadline("pcs.commit")
@@ -134,7 +136,7 @@ class SpartanProver:
                 # the full 2^L eq table is never materialized.
                 with _span("spartan.sumcheck1", "sumcheck", rounds=log_n):
                     sc1_rounds, (va, vb, vc), rx = prove_constraint_sumcheck(
-                        tau, az, bz, cz, tr, label + b"/sc1")
+                        tau, az, bz, cz, tr, label + b"/sc1", round0=round0)
 
                 r_a = tr.challenge_field(label + b"/ra")
                 r_b = tr.challenge_field(label + b"/rb")
@@ -151,13 +153,18 @@ class SpartanProver:
                     sc2, ry = prove_sumcheck([m_row, z], tr, label + b"/sc2",
                                              claim=claim2)
 
-                # Open w~ at ry[1:] (ry[0] selects the witness half).
+                # Open w~ at ry[1:] (ry[0] selects the witness half).  One
+                # row combination gives both the claimed value and the
+                # opening's evaluation row.
                 check_deadline("pcs.open")
                 w_point = ry[1:]
-                w_eval = mle_eval(wit_half, w_point)
+                row = self.pcs.eval_row(state, commitment, w_point)
+                w_eval = self.pcs.evaluate_from_row(row, w_point,
+                                                    commitment.num_rows)
                 tr.absorb_field(label + b"/w-eval", w_eval)
                 pcs_proof = self.pcs.open(state, commitment, w_point,
-                                          tr.fork(label + b"/pcs"))
+                                          tr.fork(label + b"/pcs"),
+                                          eval_row=row)
                 reps.append(RepetitionProof(sc1_rounds, va, vb, vc, sc2,
                                             w_eval, pcs_proof))
         return SpartanProof(commitment, reps)
@@ -193,10 +200,6 @@ class SpartanVerifier:
             return False
         if not self._proof_well_formed(proof, log_n):
             return False
-
-        # Reconstruct the public half of z for direct evaluation.
-        pub_half = np.zeros(r1cs.shape.half, dtype=np.uint64)
-        pub_half[: len(public)] = public
 
         tr.absorb_array(b"spartan/public", public)
         tr.absorb_digest(b"spartan/witness-commitment",
@@ -247,7 +250,7 @@ class SpartanVerifier:
             w_point = ry[1:]
             w_eval = int(rp.w_eval)
             tr.absorb_field(label + b"/w-eval", w_eval)
-            pub_eval = mle_eval(pub_half, w_point)
+            pub_eval = mle_eval_head(public, w_point)
             ry0 = ry[0] % MODULUS
             expected_z = ((1 - ry0) * pub_eval + ry0 * w_eval) % MODULUS
             if z_val % MODULUS != expected_z:

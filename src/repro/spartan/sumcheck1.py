@@ -9,10 +9,11 @@ plus recomputation optimization targets.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..field import vector as fv
 from ..field.goldilocks import MODULUS
 from ..field.poly import interpolate_eval
 from ..hashing.transcript import Transcript
@@ -28,14 +29,60 @@ def _eq_scalar(a: int, t: int) -> int:
     return (a * t + (1 - a) * (1 - t)) % MODULUS
 
 
+def _checked_tables(az, bz, cz) -> List[np.ndarray]:
+    """The three tables as uint64 arrays (the same objects when they
+    already are), or ``ValueError``."""
+    tables = [np.asarray(t, dtype=np.uint64) for t in (az, bz, cz)]
+    n = len(tables[0])
+    if any(len(t) != n for t in tables) or n & (n - 1):
+        raise ValueError("tables must share a power-of-two length")
+    return tables
+
+
+def _round_terms(tables):
+    """What a round reads off its three tables: the halves with the
+    leading variable at 0 and at 1, the ``top - bottom`` differences and
+    dA o dB (the terms of the quadratic's leading coefficient)."""
+    bottoms, tops = zip(*(tb.halves(t) for t in tables))
+    diffs = [tb.sub(tp, bt) for tp, bt in zip(tops, bottoms)]
+    return bottoms, tops, diffs, tb.mul(diffs[0], diffs[1])
+
+
+class SatisfiedRound0:
+    """Round 0's terms of a SATISFIED system, built once per proof.
+
+    Every repetition of sumcheck 1 starts from the same ``az, bz, cz``
+    (Sec. VII-A runs the sumchecks 3 times over ONE witness), so what
+    round 0 derives from them before any challenge exists is shared.
+    Construction performs the satisfaction check and raises ``ValueError``
+    when ``az o bz != cz``: holding an instance is therefore the licence
+    for round 0's shortcut ``inner(1) = <suffix, 0> = 0``, i.e.
+    ``g(0) = g(1) = 0``, without the mul + sub + dot over n/2 entries.
+    Holds 2n words beyond the tables (three differences and dA o dB).
+    """
+
+    def __init__(self, az: np.ndarray, bz: np.ndarray, cz: np.ndarray):
+        self.tables = _checked_tables(az, bz, cz)
+        a, b, c = self.tables
+        if (fv.mul(a, b) != c).any():
+            raise ValueError("witness does not satisfy the constraint system")
+        self.terms = _round_terms(self.tables)
+
+
 def prove_constraint_sumcheck(
     tau: Sequence[int], az: np.ndarray, bz: np.ndarray, cz: np.ndarray,
-    transcript: Transcript, label: bytes = b"spartan/sc1",
+    transcript: Transcript, label: bytes = b"spartan/sc1", *,
+    round0: Optional[SatisfiedRound0] = None,
 ) -> Tuple[List[List[int]], Tuple[int, int, int], List[int]]:
     """Prover for sum_x eq(tau, x) * (az(x)*bz(x) - cz(x)) (claim = 0).
 
     Returns (round_evals, (va, vb, vc), challenges) where va/vb/vc are the
     claimed MLE values of Az, Bz, Cz at the challenge point rx.
+
+    ``round0`` (optional) is a :class:`SatisfiedRound0` built from these
+    same three arrays; with it round 0 reuses the shared terms and sends
+    ``g(0) = g(1) = 0`` unevaluated.  Without it the call takes arbitrary
+    tables and builds the same terms itself; the messages are identical.
 
     The eq factor is never carried as a fourth folded table.  Because
     eq(tau, x) tensors over the variables, in round ``rnd`` (with earlier
@@ -56,11 +103,11 @@ def prove_constraint_sumcheck(
     extrapolation.  No table is ever extended to a sample point.  The
     wire format (four evaluations per round) is unchanged.
     """
-    tables = [np.asarray(t, dtype=np.uint64) for t in (az, bz, cz)]
-    n = len(tables[0])
-    if any(len(t) != n for t in tables) or n & (n - 1):
-        raise ValueError("tables must share a power-of-two length")
-    num_rounds = n.bit_length() - 1
+    tables = _checked_tables(az, bz, cz)
+    if round0 is not None and not all(
+            t is held for t, held in zip(tables, round0.tables)):
+        raise ValueError("round0 was built from other tables")
+    num_rounds = len(tables[0]).bit_length() - 1
     taus = [int(t) % MODULUS for t in tau]
     if len(taus) != num_rounds:
         raise ValueError(f"need {num_rounds} eq coordinates, got {len(taus)}")
@@ -83,8 +130,9 @@ def prove_constraint_sumcheck(
     for rnd in range(num_rounds):
         # Lists of ints once a half fits table.SCALAR_TAIL (the suffix
         # table of the same length already is one): same formulas.
-        bottoms, tops = zip(*(tb.halves(t) for t in tables))
-        diffs = [tb.sub(tp, bt) for tp, bt in zip(tops, bottoms)]
+        shared = rnd == 0 and round0 is not None
+        bottoms, tops, diffs, lead_terms = (round0.terms if shared
+                                            else _round_terms(tables))
         suffix = suffixes[rnd]
         t_r = taus[rnd]
 
@@ -93,7 +141,8 @@ def prove_constraint_sumcheck(
             # any representative, and sub tolerates one as minuend.
             return tb.dot(suffix, tb.sub(tb.mul(az_t, bz_t), cz_t))
 
-        inner1 = inner(*tops)
+        # A satisfied system has az o bz == cz pointwise: <suffix, 0>.
+        inner1 = 0 if shared else inner(*tops)
         g1 = c_prefix * t_r % MODULUS * inner1 % MODULUS
         g0 = (current - g1) % MODULUS
         denom = c_prefix * (1 - t_r) % MODULUS
@@ -103,7 +152,7 @@ def prove_constraint_sumcheck(
             inner0 = g0 * pow(denom, MODULUS - 2, MODULUS) % MODULUS
         else:
             inner0 = inner(*bottoms)
-        lead = tb.dot(suffix, tb.mul(diffs[0], diffs[1]))
+        lead = tb.dot(suffix, lead_terms)
         # inner(t) = inner0 + (inner1 - inner0 - lead) * t + lead * t^2.
         inner2 = (2 * inner1 - inner0 + 2 * lead) % MODULUS
         inner3 = (3 * inner1 - 2 * inner0 + 6 * lead) % MODULUS

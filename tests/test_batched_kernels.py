@@ -197,6 +197,66 @@ class TestFieldKernels:
 
 
 # ---------------------------------------------------------------------------
+# Limb-deferred row combination vs a Python-int sum of products
+# ---------------------------------------------------------------------------
+
+def _vecmat_reference(coeffs, matrix):
+    return [sum(int(c) * int(v) for c, v in zip(coeffs, matrix[:, j]))
+            % MODULUS for j in range(matrix.shape[1])]
+
+
+class TestVecmat:
+    """``fv.vecmat`` reduces once per column; the oracle reduces once per
+    column too, but in Python ints.  The row counts sit on both sides of
+    ``LIMB_SUM_CAP`` (one chunk, exactly one, two, three)."""
+
+    @given(st.sampled_from([1, 2, 129, 512, 513, 1100]), st.integers(0, 9),
+           st.sampled_from(["canonical", "u64", "saturated"]),
+           st.sampled_from(["contiguous", "row-slice", "strided",
+                            "transposed"]),
+           st.integers(0, 2**32))
+    def test_matches_python_int_reference(self, rows, cols, values, layout,
+                                          seed):
+        rng = np.random.default_rng(seed)
+        make = {"canonical": random_field, "u64": random_u64,
+                "saturated": lambda _r, n: np.full(n, 2**64 - 1,
+                                                   dtype=np.uint64)}[values]
+        coeffs = make(rng, rows)
+        if layout == "contiguous":
+            matrix = make(rng, rows * cols).reshape(rows, cols)
+        elif layout == "row-slice":     # the verifier's cols_mat[:rows]
+            matrix = make(rng, (rows + 1) * cols).reshape(rows + 1, cols)[:rows]
+        elif layout == "strided":
+            matrix = make(rng, 2 * rows * 3 * cols).reshape(
+                2 * rows, 3 * cols)[::2, 1::3]
+        else:                           # F-ordered, like an m[:, idx] gather
+            matrix = make(rng, rows * cols).reshape(cols, rows).T
+        got = fv.vecmat(coeffs, matrix)
+        assert got.dtype == np.uint64 and got.shape == (cols,)
+        assert fv.to_ints(got) == _vecmat_reference(coeffs, matrix)
+
+    def test_many_column_tiles(self, rng):
+        coeffs, matrix = random_u64(rng, 129), random_u64(rng, 129 * 700)
+        matrix = matrix.reshape(129, 700)       # 254 columns per tile
+        assert fv.to_ints(fv.vecmat(coeffs, matrix)) == \
+            _vecmat_reference(coeffs, matrix)
+
+    def test_contract_edges(self, rng):
+        assert fv.vecmat(fv.zeros(0), np.zeros((0, 5), dtype=np.uint64)
+                         ).tolist() == [0] * 5
+        with pytest.raises(ValueError, match="2-D"):
+            fv.vecmat(fv.zeros(4), fv.zeros(4))
+        with pytest.raises(ValueError, match="coefficient count"):
+            fv.vecmat(fv.zeros(3), np.zeros((4, 2), dtype=np.uint64))
+
+    def test_makes_no_field_multiply(self, rng, monkeypatch):
+        """No cell is reduced on its own: the kernel never enters ``mul``."""
+        monkeypatch.setattr(fv, "mul", None)
+        fv.vecmat(random_field(rng, 600), random_field(rng, 600 * 4)
+                  .reshape(600, 4))
+
+
+# ---------------------------------------------------------------------------
 # Stacked SpMV == per-matrix reference
 # ---------------------------------------------------------------------------
 

@@ -18,6 +18,7 @@ from repro.multilinear import (
     fold,
     hypercube_sum,
     mle_eval,
+    mle_eval_head,
     num_vars,
     prove_sumcheck,
     sumcheck_cost,
@@ -80,6 +81,23 @@ class TestMLE:
         table = fv.rand_vector(64, rng)
         r = [int(x) for x in fv.rand_vector(6, rng)]
         assert tensor_split_eval(table, r[:2], r[2:]) == mle_eval(table, r)
+
+    @given(st.integers(0, 40), st.integers(2, 12), st.integers(0, 2**32))
+    def test_mle_eval_head_is_mle_eval_of_the_padded_table(self, count,
+                                                           num_vars, seed):
+        """The verifier's public half: ``count`` leading entries, zeros
+        after.  Same field element as folding all 2^num_vars entries."""
+        rng = np.random.default_rng(seed)
+        count = min(count, 1 << num_vars)
+        head = fv.rand_vector(count, rng)
+        point = [int(x) for x in fv.rand_vector(num_vars, rng)]
+        padded = np.zeros(1 << num_vars, dtype=np.uint64)
+        padded[:count] = head
+        assert mle_eval_head(head, point) == mle_eval(padded, point)
+
+    def test_mle_eval_head_rejects_a_head_longer_than_the_table(self, rng):
+        with pytest.raises(ValueError):
+            mle_eval_head(fv.rand_vector(5, rng), [1, 2])
 
     def test_combine_rows(self, rng):
         mat = fv.rand_vector(4 * 8, rng).reshape(4, 8)

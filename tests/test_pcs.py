@@ -47,6 +47,42 @@ class TestCommitOpenVerify:
         assert pcs.verify(com, point, mle_eval(table, point), proof,
                           Transcript())
 
+    @pytest.mark.parametrize("zk", [True, False])
+    @pytest.mark.parametrize("log_n", [4, 7, 10, 14])
+    def test_eval_row_gives_the_value_and_the_opening(self, log_n, zk):
+        """One row combination serves both: ``evaluate_from_row`` of it is
+        the MLE value, and handing it to ``open`` changes nothing."""
+        pcs, table, _ = _setup(log_n, 16, zk=zk)
+        com, state = pcs.commit(table)
+        rng = np.random.default_rng(log_n)
+        for _ in range(3):
+            point = [int(x) for x in fv.rand_vector(log_n, rng)]
+            row = pcs.eval_row(state, com, point)
+            assert row.dtype == np.uint64 and row.shape == (com.num_cols,)
+            value = pcs.evaluate_from_row(row, point, com.num_rows)
+            assert value == mle_eval(table, point)
+            reused = pcs.open(state, com, point, Transcript(), eval_row=row)
+            plain = pcs.open(state, com, point, Transcript())
+            assert reused.query_indices == plain.query_indices
+            assert reused.merkle == plain.merkle
+            for got, want in zip(
+                    [reused.eval_row] + reused.proximity_rows + reused.columns,
+                    [plain.eval_row] + plain.proximity_rows + plain.columns,
+                    strict=True):
+                assert np.array_equal(got, want)
+            assert pcs.verify(com, point, value, reused, Transcript())
+
+    def test_eval_row_keyword_is_validated(self):
+        pcs, table, point = _setup(8, 16)
+        com, state = pcs.commit(table)
+        row = pcs.eval_row(state, com, point)
+        for bad in (row[:-1], row.astype(np.int64), row.tolist(),
+                    row.reshape(1, -1)):
+            with pytest.raises(ValueError, match="eval_row"):
+                pcs.open(state, com, point, Transcript(), eval_row=bad)
+        with pytest.raises(ValueError, match="point dimension"):
+            pcs.eval_row(state, com, point[:-1])
+
     def test_non_power_of_two_rejected(self):
         pcs, _, _ = _setup()
         with pytest.raises(ValueError):

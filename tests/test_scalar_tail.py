@@ -20,7 +20,7 @@ from repro.field import vector as fv
 from repro.field.goldilocks import MODULUS
 from repro.hashing import Transcript
 from repro.multilinear import eq_eval, eq_table, mle_eval, prove_sumcheck, table
-from repro.spartan import prove_constraint_sumcheck
+from repro.spartan import SatisfiedRound0, prove_constraint_sumcheck, protocol
 
 TAILS = (0, table.SCALAR_TAIL, 1 << 30)
 P = np.uint64(MODULUS)
@@ -81,24 +81,34 @@ class TestSumcheckDifferential:
         assert len(evals) == log_n and all(len(e) == degree + 1 for e in evals)
 
     @given(st.integers(1, 9), st.integers(0, 2**32),
-           st.lists(st.sampled_from([0, 1, None]), min_size=9, max_size=9))
-    def test_prove_constraint_sumcheck(self, log_n, seed, tau_shape):
+           st.lists(st.sampled_from([0, 1, None]), min_size=9, max_size=9),
+           st.booleans())
+    def test_prove_constraint_sumcheck(self, log_n, seed, tau_shape,
+                                       satisfied):
         """Boolean tau coordinates put the ``denom == 0`` branch (inner(0)
-        by a second vector evaluation) on scalar rounds too."""
+        by a second vector evaluation) on scalar rounds too.  The generic
+        call takes arbitrary tables (``cz`` random: the claim 0 is then
+        false, the messages are still a function of the tables alone); on
+        satisfied ones the shared round-0 object must change nothing."""
         rng = np.random.default_rng(seed)
         n = 1 << log_n
         az = edgy(rng, n, noncanonical_tops=True)
         bz = edgy(rng, n, noncanonical_tops=True)
-        cz = fv.mul(az, bz)
+        cz = fv.mul(az, bz) if satisfied else edgy(rng, n)
         tau = [int(fv.rand_vector(1, rng)[0]) if t is None else t
                for t in tau_shape[:log_n]]
 
-        def run():
+        def run(shared=False):
             tr = Transcript()
-            out = prove_constraint_sumcheck(tau, az, bz, cz, tr)
+            round0 = SatisfiedRound0(az, bz, cz) if shared else None
+            out = prove_constraint_sumcheck(tau, az, bz, cz, tr,
+                                            round0=round0)
             return out + (tr._state, tr._counter)
 
         results = [with_tail(t, run) for t in TAILS]
+        if satisfied:
+            results += [with_tail(t, lambda: run(shared=True)) for t in TAILS]
+            assert results[0][0][0][:2] == [0, 0]       # g(0) = g(1) = 0
         assert all_equal(results)
 
 
@@ -127,16 +137,19 @@ class TestEqAndMleAgainstTheDefinition:
             assert with_tail(tail, lambda: mle_eval(tbl, point)) == expected
 
 
+def _statement(name):
+    from repro.workloads import synthetic_r1cs
+    from repro.workloads.registry import build_workload
+
+    if name == "synthetic-2p12":
+        return synthetic_r1cs(12)
+    return build_workload(name)[1].compile()
+
+
 class TestWholeProofBytes:
     @pytest.mark.parametrize("name", ["litmus", "synthetic-2p12"])
     def test_proof_bytes_do_not_depend_on_the_tail(self, name):
-        from repro.workloads import synthetic_r1cs
-        from repro.workloads.registry import build_workload
-
-        if name == "litmus":
-            r1cs, public, witness = build_workload(name)[1].compile()
-        else:
-            r1cs, public, witness = synthetic_r1cs(12)
+        r1cs, public, witness = _statement(name)
         pk, vk = setup(r1cs, PAPER)
 
         def run():
@@ -145,3 +158,21 @@ class TestWholeProofBytes:
             return hashlib.sha256(bundle.to_bytes()).hexdigest()
 
         assert len({with_tail(t, run) for t in TAILS}) == 1
+
+    @pytest.mark.parametrize("name", ["litmus", "sha", "synthetic-2p12"])
+    def test_proof_bytes_do_not_depend_on_the_round0_object(self, name):
+        """``prove`` hands every repetition one ``SatisfiedRound0``; with
+        the keyword dropped each repetition builds round 0 itself."""
+        r1cs, public, witness = _statement(name)
+        pk, _vk = setup(r1cs, PAPER)
+        calls = []
+
+        def generic(*args, round0):
+            calls.append(round0)
+            return prove_constraint_sumcheck(*args)
+
+        shared = prove(pk, public, witness, seed=7).to_bytes()
+        with mock.patch.object(protocol, "prove_constraint_sumcheck", generic):
+            assert prove(pk, public, witness, seed=7).to_bytes() == shared
+        assert len(calls) == 3 and calls[0] is not None
+        assert all(c is calls[0] for c in calls)

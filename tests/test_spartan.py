@@ -12,12 +12,14 @@ from repro.multilinear import eq_table
 from repro.pcs import OrionPCS, PCSParams
 from repro.r1cs import Circuit
 from repro.spartan import (
+    SatisfiedRound0,
     SpartanParams,
     SpartanProver,
     SpartanVerifier,
     combined_matrix_eval,
     combined_matrix_row,
     matrix_mle_eval,
+    prove_constraint_sumcheck,
 )
 from repro.workloads import synthetic_r1cs
 
@@ -146,12 +148,33 @@ class TestSpartanEndToEnd:
         assert not strict.verify(pub, proof, Transcript())
 
     def test_invalid_witness_raises(self):
+        """... before the transcript has absorbed anything."""
         r1cs, pub, wit = _cubic_circuit()
         bad = wit.copy()
         bad[0] = 4
         prover = SpartanProver(r1cs, _pcs(), SpartanParams(repetitions=1))
-        with pytest.raises(ValueError):
-            prover.prove(pub, bad, Transcript())
+        tr = Transcript()
+        fresh = (tr._state, tr._counter)
+        with pytest.raises(ValueError, match="does not satisfy"):
+            prover.prove(pub, bad, tr)
+        assert (tr._state, tr._counter) == fresh
+
+    def test_round0_object_only_exists_for_satisfied_tables(self, rng):
+        """The ``g(1) = 0`` shortcut is reachable only through an object
+        whose construction checked ``az o bz == cz`` on the very arrays the
+        sumcheck is then given."""
+        az, bz = fv.rand_vector(16, rng), fv.rand_vector(16, rng)
+        cz = fv.mul(az, bz)
+        round0 = SatisfiedRound0(az, bz, cz)
+        off_by_one = cz.copy()
+        off_by_one[-1] ^= np.uint64(1)
+        with pytest.raises(ValueError, match="does not satisfy"):
+            SatisfiedRound0(az, bz, off_by_one)
+        with pytest.raises(ValueError, match="other tables"):
+            prove_constraint_sumcheck([1, 2, 3, 4], az, bz, off_by_one,
+                                      Transcript(), round0=round0)
+        with pytest.raises(ValueError, match="power-of-two"):
+            SatisfiedRound0(az[:12], bz[:12], cz[:12])
 
     def test_wrong_public_input_rejected(self):
         r1cs, pub, wit = _cubic_circuit()
@@ -234,3 +257,23 @@ class TestProofSize:
         p1, _ = _prove(r1cs, pub, wit, reps=1)
         p3, _ = _prove(r1cs, pub, wit, reps=3)
         assert p3.size_bytes() > 2.5 * p1.size_bytes()
+
+
+class TestPerProofWork:
+    """Kernel batches of one traced PAPER prove of ``synthetic_r1cs(12)``:
+    what the three repetitions share is done once.  Round 0 of sumcheck 1
+    (three differences, dA o dB, inner(1)) and the witness evaluation left
+    the repetition loop and ``vecmat`` makes no field multiply, so the
+    counts read 70 / 75 where the parent read 105 / 87.  The ceilings ARE
+    the measured counts: they depend on the protocol, not on the seed."""
+
+    def test_mul_and_scale_add_batches_per_prove(self):
+        from repro import PAPER, obs, prove, setup
+
+        r1cs, pub, wit = synthetic_r1cs(12)
+        pk, _vk = setup(r1cs, PAPER)
+        with obs.tracing():
+            prove(pk, pub, wit, seed=7)
+            counters = obs.METRICS.counters()
+        assert 0 < counters["field.mul_batches"] <= 70, counters
+        assert 0 < counters["field.scale_add_batches"] <= 75, counters
