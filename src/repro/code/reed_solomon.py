@@ -63,6 +63,9 @@ class ReedSolomonCode(LinearCode):
         (rows, cols) message matrix goes through a single length-4*cols NTT
         — no per-row Python dispatch (the paper's NTT FU processes 64 such
         rows per pass; here one numpy call covers them all).
+        :meth:`repro.pcs.orion.OrionPCS.commit` hands it row tiles of
+        ``ENCODE_TILE_CELLS`` codeword cells, so each call's temporaries
+        stay cache-resident.
         """
         return self.encode(np.asarray(matrix, dtype=np.uint64))
 

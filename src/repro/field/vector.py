@@ -12,12 +12,13 @@ dtype ``uint64``.  Scalars may be passed wherever an array is accepted.
 
 from __future__ import annotations
 
+import functools
+import threading
+
 import numpy as np
 
 from .goldilocks import MODULUS
 from ..obs.metrics import METRICS as _METRICS
-
-import functools
 
 
 def _wrapping(fn):
@@ -146,47 +147,49 @@ def neg(a: np.ndarray) -> np.ndarray:
 #: register-file tiles rather than whole vectors (Sec. IV-A).
 _TILE = 16384
 
-#: Reusable per-tile scratch (single-threaded module state; the kernel
-#: never calls back into user code while a tile is in flight).
-_MUL_SCRATCH = [np.empty(_TILE, dtype=np.uint64) for _ in range(10)]
+_LOCAL = threading.local()
 
 
-def _mul_tiles(x: np.ndarray, y, out: np.ndarray,
-               canonical: bool = True, addend: np.ndarray | None = None) -> None:
+def _scratch() -> list:
+    """This thread's ten ``_TILE``-long scratch vectors, made on first use
+    and shared by :func:`_mul_tiles`, :func:`_scale_tiles` and :func:`dot`.
+
+    Per thread, not per module: numpy releases the GIL inside every
+    ufunc, so kernels running on two threads (``repro serve --job-slots
+    2``) interleave their tile passes and would overwrite each other's
+    intermediates in shared buffers.
+    """
+    bufs = getattr(_LOCAL, "bufs", None)
+    if bufs is None:
+        bufs = _LOCAL.bufs = [np.empty(_TILE, dtype=np.uint64)
+                              for _ in range(10)]
+    return bufs
+
+
+def _mul_tiles(x: np.ndarray, y: np.ndarray, out: np.ndarray,
+               canonical: bool = True) -> None:
     """Tiled branch-free Goldilocks multiply: out[i] = x[i] * y[i] mod p.
 
-    ``x`` and ``out`` are 1-D contiguous uint64; ``y`` is either the same
-    or a 0-d uint64 scalar (broadcast across the tile).  The 128-bit
-    product is assembled from four 32x32->64 partial products; the high
-    word is folded in via 2^64 = 2^32 - 1 (mod p) and 2^96 = -1 (mod p).
-    Every step writes into preallocated tile scratch — no allocations, no
+    ``x``, ``y`` and ``out`` are 1-D contiguous uint64 of one length (a
+    0-d operand goes to :func:`_scale_tiles`).  The 128-bit product is
+    assembled from four 32x32->64 partial products; the high word is
+    folded in via 2^64 = 2^32 - 1 (mod p) and 2^96 = -1 (mod p).  Every
+    step writes into preallocated tile scratch — no allocations, no
     ``np.where`` (whose masked inner loop is ~10x a plain pass); carry
     bits land directly in uint64 scratch (comparison ufuncs with an
     unsafe-cast ``out``) and are folded in arithmetically.
-
-    ``addend`` (canonical-mode only) fuses out[i] = addend[i] + x[i]*y[i]
-    mod p into the same tile pass while the product is still cache-warm —
-    the sumcheck fold's multiply-accumulate.  Any uint64 addend is
-    accepted (the add corrects one 2^64 wrap, and the sum is < 2p after
-    it, so a single conditional subtract canonicalizes).
     """
-    y_scalar = np.ndim(y) == 0
-    if y_scalar:
-        b_lo_s = y & _MASK32
-        b_hi_s = y >> _SHIFT32
+    scratch = _scratch()
     for start in range(0, len(x), _TILE):
         end = min(start + _TILE, len(x))
         m = end - start
-        al, ah, bl, bh, t0, t1, t2, t3, tc, td = [s[:m] for s in _MUL_SCRATCH]
+        al, ah, bl, bh, t0, t1, t2, t3, tc, td = [s[:m] for s in scratch]
         xa = x[start:end]
+        ya = y[start:end]
         np.bitwise_and(xa, _MASK32, out=al)
         np.right_shift(xa, _SHIFT32, out=ah)
-        if y_scalar:
-            bl, bh = b_lo_s, b_hi_s
-        else:
-            ya = y[start:end]
-            np.bitwise_and(ya, _MASK32, out=bl)
-            np.right_shift(ya, _SHIFT32, out=bh)
+        np.bitwise_and(ya, _MASK32, out=bl)
+        np.right_shift(ya, _SHIFT32, out=bh)
         np.multiply(al, bh, out=t0)                 # lh
         np.multiply(ah, bl, out=t1)                 # hl
         np.add(t0, t1, out=t1)                      # mid (may wrap)
@@ -217,50 +220,113 @@ def _mul_tiles(x: np.ndarray, y, out: np.ndarray,
             np.add(t2, tc, out=t2)
             np.less_equal(_P, t2, out=tc, casting="unsafe")  # conditional -p
             np.multiply(tc, _P, out=tc)
-            if addend is None:
-                np.subtract(t2, tc, out=out[start:end])
-            else:
-                np.subtract(t2, tc, out=t2)          # canonical product
-                np.add(t2, addend[start:end], out=t0)
-                np.less(t0, t2, out=tc, casting="unsafe")  # 2^64 wrap
-                np.multiply(tc, _EPS, out=tc)
-                np.add(t0, tc, out=t0)
-                np.less_equal(_P, t0, out=tc, casting="unsafe")
-                np.multiply(tc, _P, out=tc)
-                np.subtract(t0, tc, out=out[start:end])
+            np.subtract(t2, tc, out=out[start:end])
         else:
             # Caller accepts any uint64 representative (mod p): skip the
             # final conditional subtract of p.
             np.add(t2, tc, out=out[start:end])
 
 
+def _scale_tiles(x: np.ndarray, s: int, out: np.ndarray,
+                 canonical: bool = True,
+                 addend: np.ndarray | None = None) -> None:
+    """Tiled Goldilocks multiply by ONE constant: out[i] = x[i] * s mod p.
+
+    ``x`` and ``out`` are 1-D contiguous uint64; ``s`` is any integer.
+    Because s is fixed, the limb weights can live in precomputed
+    constants: with x = x_0 + 2^22 x_1 + 2^44 x_2 (22/22/20-bit limbs)
+    and c_k = s * 2^(22k) mod p = a_k + 2^32 b_k,
+
+        x * s = sum_k x_k c_k = lo + 2^32 hi,
+        lo = sum_k x_k a_k,  hi = sum_k x_k b_k      (each < 3 * 2^54).
+
+    With hi = 2^32 h_1 + h_0, 2^32 hi = 2^32 h_0 + 2^64 h_1 and
+    2^64 = 2^32 - 1 (mod p), so x * s = (h_0 << 32) + [lo + h_1 (2^32 - 1)]
+    where the bracket is < 2^57: one add with one 2^64-wrap credit leaves
+    a representative < 2^64, and one conditional subtract of p (here a
+    ``minimum`` with the wrapped difference) makes it canonical.  That is
+    24 passes against :func:`_mul_tiles`' 31, and 30 with ``addend`` where
+    the vector kernel's fused form took 37; exact for ANY uint64 x and any
+    s.
+
+    ``addend`` (canonical-mode only) fuses out[i] = addend[i] + x[i] * s
+    mod p into the same tile pass while the product is cache-warm — the
+    sumcheck fold's multiply-accumulate.  Any uint64 addend is accepted
+    (the add corrects one 2^64 wrap, and the sum is < 2p after it).
+    """
+    consts = [int(s) * (1 << (22 * k)) % MODULUS for k in range(3)]
+    lows = [np.uint64(c & 0xFFFFFFFF) for c in consts]
+    highs = [np.uint64(c >> 32) for c in consts]
+    scratch = _scratch()
+    for start in range(0, len(x), _TILE):
+        end = min(start + _TILE, len(x))
+        x0, x1, x2, lo, hi, t = [b[:end - start] for b in scratch[:6]]
+        xa = x[start:end]
+        np.bitwise_and(xa, _MASK22, out=x0)
+        np.right_shift(xa, _SHIFT22, out=x1)
+        x1 &= _MASK22
+        np.right_shift(xa, _SHIFT44, out=x2)
+        for acc, (c0, c1, c2) in ((lo, lows), (hi, highs)):
+            np.multiply(x0, c0, out=acc)
+            np.multiply(x1, c1, out=t)
+            acc += t
+            np.multiply(x2, c2, out=t)
+            acc += t
+        np.right_shift(hi, _SHIFT32, out=t)
+        t *= _EPS
+        lo += t                                      # the bracket, < 2^57
+        hi <<= _SHIFT32
+        hi += lo                                     # may wrap once
+        np.less(hi, lo, out=t, casting="unsafe")
+        t *= _EPS
+        if not canonical:
+            np.add(hi, t, out=out[start:end])
+            continue
+        hi += t
+        # v >= p exactly when v - p (mod 2^64) < v: min() picks the
+        # canonical one of the two.
+        np.subtract(hi, _P, out=t)
+        if addend is None:
+            np.minimum(hi, t, out=out[start:end])
+            continue
+        np.minimum(hi, t, out=hi)
+        np.add(hi, addend[start:end], out=lo)
+        np.less(lo, hi, out=t, casting="unsafe")     # 2^64 wrap
+        t *= _EPS
+        lo += t
+        np.subtract(lo, _P, out=t)
+        np.minimum(lo, t, out=out[start:end])
+
+
 @_wrapping
 def mul(a: np.ndarray, b: np.ndarray, canonical: bool = True) -> np.ndarray:
     """Element-wise (a * b) mod p using the Goldilocks 128-bit reduction.
 
-    Dispatches to the tiled branch-free kernel (:func:`_mul_tiles`);
-    broadcasting operands are materialized first so the kernel only ever
-    sees equal-length contiguous vectors (or a true scalar second operand).
+    A 0-d operand goes to the constant-operand kernel
+    (:func:`_scale_tiles`), two vectors to :func:`_mul_tiles`;
+    broadcasting operands are materialized first so the vector kernel
+    only ever sees equal-length contiguous vectors.
 
-    The kernel is exact for ANY uint64 inputs (not just canonical ones).
-    ``canonical=False`` skips the output's final conditional subtract of p,
-    returning a representative < 2^64 — valid only when the result feeds a
-    consumer that tolerates it (``vsum``, another ``mul``, the
-    split-accumulate reductions), never ``add``/``sub``-style kernels that
-    assume operands < p.
+    Both kernels are exact for ANY uint64 inputs (not just canonical
+    ones).  ``canonical=False`` skips the output's final conditional
+    subtract of p, returning a representative < 2^64 — valid only when the
+    result feeds a consumer that tolerates it (``vsum``, another ``mul``,
+    the split-accumulate reductions), never ``add``/``sub``-style kernels
+    that assume operands < p.
     """
     _METRICS.inc("field.mul_batches")
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     if a.ndim == 0 and b.ndim == 0:
         return np.uint64(int(a) * int(b) % MODULUS)
-    if b.ndim == 0:
-        vec = a if a.flags["C_CONTIGUOUS"] else np.ascontiguousarray(a)
-        other = np.uint64(b)
-    elif a.ndim == 0:
-        vec = b if b.flags["C_CONTIGUOUS"] else np.ascontiguousarray(b)
-        other = np.uint64(a)
-    elif a.shape == b.shape:
+    if a.ndim == 0 or b.ndim == 0:
+        vec, s = (a, b) if b.ndim == 0 else (b, a)
+        if not vec.flags["C_CONTIGUOUS"]:
+            vec = np.ascontiguousarray(vec)
+        out = np.empty(vec.shape, dtype=np.uint64)
+        _scale_tiles(vec.ravel(), s, out.ravel(), canonical)
+        return out
+    if a.shape == b.shape:
         vec = a if a.flags["C_CONTIGUOUS"] else np.ascontiguousarray(a)
         other = b if b.flags["C_CONTIGUOUS"] else np.ascontiguousarray(b)
     else:
@@ -268,8 +334,7 @@ def mul(a: np.ndarray, b: np.ndarray, canonical: bool = True) -> np.ndarray:
         vec = np.ascontiguousarray(np.broadcast_to(a, shape))
         other = np.ascontiguousarray(np.broadcast_to(b, shape))
     out = np.empty(vec.shape, dtype=np.uint64)
-    _mul_tiles(vec.ravel(), other if np.ndim(other) == 0 else other.ravel(),
-               out.ravel(), canonical)
+    _mul_tiles(vec.ravel(), other.ravel(), out.ravel(), canonical)
     return out
 
 
@@ -286,10 +351,11 @@ def mul_scalar(a: np.ndarray, s: int, canonical: bool = True) -> np.ndarray:
 def scale_add(base: np.ndarray, diff: np.ndarray, s: int) -> np.ndarray:
     """Fused (base + s * diff) mod p — the sumcheck fold's multiply-accumulate.
 
-    One tiled pass: the scalar product is formed and the addend folded in
-    while the tile is still in cache, instead of writing the product out
-    and streaming it back through :func:`add`.  ``base`` may be any uint64
-    representative; the result is canonical.
+    One tiled pass of the constant-operand kernel (:func:`_scale_tiles`):
+    the scalar product is formed and the addend folded in while the tile
+    is still in cache, instead of writing the product out and streaming it
+    back through :func:`add`.  ``base`` may be any uint64 representative;
+    the result is canonical.
     """
     _METRICS.inc("field.scale_add_batches")
     base = np.asarray(base, dtype=np.uint64)
@@ -301,8 +367,7 @@ def scale_add(base: np.ndarray, diff: np.ndarray, s: int) -> np.ndarray:
     if not diff.flags["C_CONTIGUOUS"]:
         diff = np.ascontiguousarray(diff)
     out = np.empty(base.shape, dtype=np.uint64)
-    _mul_tiles(diff.ravel(), np.uint64(int(s) % MODULUS), out.ravel(),
-               canonical=True, addend=base.ravel())
+    _scale_tiles(diff.ravel(), s, out.ravel(), addend=base.ravel())
     return out
 
 
@@ -440,10 +505,11 @@ def dot(a: np.ndarray, b: np.ndarray) -> int:
         raise ValueError(f"dot expects two equal-length vectors, got shapes "
                          f"{a.shape} and {b.shape}")
     ll = mid = hh = 0
+    scratch = _scratch()
     for start in range(0, len(a), _TILE):
         xa = a[start:start + _TILE]
         ya = b[start:start + _TILE]
-        al, ah, bl, bh, t = [s[:len(xa)] for s in _MUL_SCRATCH[:5]]
+        al, ah, bl, bh, t = [s[:len(xa)] for s in scratch[:5]]
         np.bitwise_and(xa, _MASK32, out=al)
         np.right_shift(xa, _SHIFT32, out=ah)
         np.bitwise_and(ya, _MASK32, out=bl)
@@ -489,46 +555,37 @@ def pow_vector(a: np.ndarray, e: int) -> np.ndarray:
     return result
 
 
-def _scan_products(a: np.ndarray) -> np.ndarray:
-    """Inclusive prefix products of ``a`` via a Hillis-Steele doubling scan.
-
-    O(n log n) multiplies, but every pass is one vectorized ``mul`` — much
-    faster than the O(n) Python loop it replaces.
-    """
-    out = a.copy()
-    shift = 1
-    n = len(out)
-    while shift < n:
-        out[shift:] = mul(out[shift:], out[:-shift])
-        shift <<= 1
-    return out
-
-
 @_wrapping
 def inv_vector(a: np.ndarray) -> np.ndarray:
     """Element-wise inverse via batch inversion (one modular exponentiation).
 
-    inv(a[i]) = (prod_{j<i} a_j) * (prod_{j>i} a_j) * (prod_j a_j)^-1, with
-    both exclusive products built from vectorized doubling scans.
+    A product tree: the input (padded with ones to a power of two) is
+    multiplied up in halves, ``level[:h] * level[h:]``, to one root; the
+    root is inverted once; on the way down each half's inverse is its
+    parent's inverse times the other half.  About 3n multiplies, every one
+    a contiguous vector ``mul``.
 
-    Raises ZeroDivisionError if any element is zero.
+    Raises ZeroDivisionError if any element is zero mod p.
     """
     a = np.asarray(a, dtype=np.uint64)
-    if (a == _ZERO).any():
-        raise ZeroDivisionError("inverse of zero in GF(p)")
     n = len(a)
     if n == 0:
         return a.copy()
-    prefix = _scan_products(a)
-    suffix = _scan_products(a[::-1])[::-1]
-    exc_prefix = np.empty_like(prefix)
-    exc_prefix[0] = _ONE
-    exc_prefix[1:] = prefix[:-1]
-    exc_suffix = np.empty_like(suffix)
-    exc_suffix[-1] = _ONE
-    exc_suffix[:-1] = suffix[1:]
-    total_inv = np.uint64(pow(int(prefix[-1]), MODULUS - 2, MODULUS))
-    return mul(mul(exc_prefix, exc_suffix), total_inv)
+    level = np.ones(1 << (n - 1).bit_length(), dtype=np.uint64)
+    level[:n] = a
+    levels = [level]
+    while len(level) > 1:
+        h = len(level) // 2
+        level = mul(level[:h], level[h:])
+        levels.append(level)
+    root = int(level[0]) % MODULUS
+    if root == 0:
+        raise ZeroDivisionError("inverse of zero in GF(p)")
+    inv = np.array([pow(root, MODULUS - 2, MODULUS)], dtype=np.uint64)
+    for level in reversed(levels[:-1]):
+        h = len(level) // 2
+        inv = np.concatenate([mul(inv, level[h:]), mul(inv, level[:h])])
+    return inv[:n]
 
 
 def powers(base: int, n: int) -> np.ndarray:

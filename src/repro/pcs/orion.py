@@ -49,19 +49,23 @@ from ..hashing.fieldhash import hash_columns
 from ..hashing.transcript import Transcript
 from ..multilinear.mle import combine_rows, eq_table
 from ..obs import span as _span
-from ..obs.metrics import METRICS as _METRICS
 
 #: Paper parameters (Sec. VII-A).
 DEFAULT_ROWS = 128
 DEFAULT_PROXIMITY_VECTORS = 4
 
-#: Codeword matrices at or above this many cells are encoded tile by
-#: tile.  At paper geometry (129 rows, blowup 4) 2^19 constraints
-#: commit 129 x 8192 = 1.06 M cells, so the first tiled size is 2^20.
-DEFAULT_STREAMING_CELLS = 1 << 21
+#: Codeword cells per encode tile.  :meth:`OrionPCS.commit` encodes its
+#: matrix a few rows at a time, like NoCap's NTT FU working out of the
+#: register file: 2^16 cells (512 KB) keep every butterfly stage's
+#: temporaries inside a 2 MB L2, where a one-shot encode of the 2^19
+#: PAPER commit (129 x 8192) streams ~4 MB per stage through it.  That is
+#: 8 rows at 2^19, 4 at 2^20, and one tile for every small registry
+#: circuit.  Proof bytes do not depend on it.
+ENCODE_TILE_CELLS = 1 << 16
 
-#: Message rows per tile: the NTT's ~3-4x temporaries stay one tile wide
-#: instead of one codeword matrix wide.
+#: Read by ``bench/`` only (its staged commit and kernel probes); nothing
+#: in ``src/`` uses them.  The commit has one tiled path at every size.
+DEFAULT_STREAMING_CELLS = 1 << 21
 STREAM_TILE_ROWS = 16
 
 
@@ -128,17 +132,15 @@ class OrionEvalProof:
 class OrionPCS:
     """Commit/open/verify for multilinear polynomials given as MLE tables."""
 
+    #: Read by ``bench/`` only (see :data:`DEFAULT_STREAMING_CELLS`).
+    streaming_cells = DEFAULT_STREAMING_CELLS
+
     def __init__(self, code: Optional[LinearCode] = None,
                  params: Optional[PCSParams] = None,
-                 rng: Optional[np.random.Generator] = None,
-                 streaming_cells: int = DEFAULT_STREAMING_CELLS):
+                 rng: Optional[np.random.Generator] = None):
         self.code = code or ReedSolomonCode()
         self.params = params or PCSParams()
         self._rng = rng or np.random.default_rng()
-        #: Codeword-cell threshold at or above which :meth:`commit` tiles
-        #: the encode (tests set this low to exercise the path at small
-        #: sizes).
-        self.streaming_cells = streaming_cells
 
     # -- commit ---------------------------------------------------------------
     def commit(self, table: np.ndarray
@@ -155,21 +157,16 @@ class OrionPCS:
                 mask = fv.rand_vector(cols, self._rng).reshape(1, cols)
                 matrix = np.vstack([matrix, mask])
             cw_len = self.code.codeword_length(cols)
-            if matrix.shape[0] * cw_len >= self.streaming_cells:
-                # Tiled: the same codewords as below, but the NTT's
-                # transients stay one tile wide.
-                _METRICS.inc("pcs.streaming_commits")
-                codewords = np.empty((matrix.shape[0], cw_len),
-                                     dtype=np.uint64)
-                for lo in range(0, matrix.shape[0], STREAM_TILE_ROWS):
-                    tile = matrix[lo : lo + STREAM_TILE_ROWS]
-                    with _span("rs.encode", "rs_encode", rows=len(tile)):
-                        codewords[lo : lo + len(tile)] = (
-                            self.code.encode_rows(tile))
-            else:
-                with _span("rs.encode", "rs_encode",
-                           rows=matrix.shape[0], cols=cols):
-                    codewords = self.code.encode_rows(matrix)
+            total = matrix.shape[0]
+            codewords = np.empty((total, cw_len), dtype=np.uint64)
+            # Balanced tiles of at most ENCODE_TILE_CELLS cells: 129 rows
+            # in two tiles are 64 + 65, never 128 + 1.
+            tiles = -(-total // max(1, ENCODE_TILE_CELLS // cw_len))
+            bounds = [total * k // tiles for k in range(tiles + 1)]
+            for lo, hi in zip(bounds, bounds[1:]):
+                with _span("rs.encode", "rs_encode", rows=hi - lo,
+                           cols=cols):
+                    codewords[lo:hi] = self.code.encode_rows(matrix[lo:hi])
             with _span("merkle.build", "merkle", leaves=cw_len):
                 tree = MerkleTree.from_columns(codewords)
         commitment = OrionCommitment(

@@ -59,9 +59,17 @@ def synthetic_r1cs(log_size: int, band: int = 64, nnz_per_row: int = 3,
     a = SparseMatrix(n, n, rows_a, cols_a, vals_a)
     b = SparseMatrix(n, n, rows_b, cols_b, vals_b)
 
-    az = a.matvec(z)
-    bz = b.matvec(z)
-    target = fv.mul(az, bz)
+    def fixed_width_matvec(cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        # Row i owns entries [i*k, (i+1)*k) by construction, so the row
+        # sums are one reshape: exact 32-bit half sums, one combine.
+        # (SparseMatrix.matvec would cache a gather plan nothing reads.)
+        lo, hi = (half.reshape(n, nnz_per_row).sum(axis=1, dtype=np.uint64)
+                  for half in fv.halves(fv.mul(vals, z[cols],
+                                               canonical=False)))
+        return fv.combine_halves(lo, hi)
+
+    target = fv.mul(fixed_width_matvec(cols_a, vals_a),
+                    fixed_width_matvec(cols_b, vals_b))
 
     # C: one entry per row at a witness column with a non-zero z value;
     # use column half + (i mod half), whose z entry is never zero.

@@ -430,16 +430,18 @@ class TestOneSha3PerLeaf:
                    and bytes(data[:len(LEAF_TAG)]) == LEAF_TAG
                    for data in sha3_calls)
 
-    @pytest.mark.parametrize("streaming_cells", [1, 1 << 60])
-    def test_commit_hashes_once_tiled_or_not(self, sha3_calls,
-                                             streaming_cells):
-        """A commit is cw_len leaf calls + cw_len - 1 node calls on both
-        sides of the tiling threshold: no hash call in the tile loop."""
+    @pytest.mark.parametrize("tile_cells", [1, 1 << 60])
+    def test_commit_hashes_once_tiled_or_not(self, sha3_calls, monkeypatch,
+                                             tile_cells):
+        """A commit is cw_len leaf calls + cw_len - 1 node calls whatever
+        the encode tile (one row per tile, or the whole matrix): no hash
+        call in the tile loop."""
+        from repro.pcs import orion
         from repro.pcs.orion import OrionPCS, PCSParams
 
+        monkeypatch.setattr(orion, "ENCODE_TILE_CELLS", tile_cells)
         pcs = OrionPCS(params=PCSParams(num_rows=16),
-                       rng=np.random.default_rng(3),
-                       streaming_cells=streaming_cells)
+                       rng=np.random.default_rng(3))
         table = np.arange(1 << 10, dtype=np.uint64)
         _, state = pcs.commit(table)
         cw_len = state.codewords.shape[1]

@@ -9,6 +9,7 @@ jobs, submission-order assembly).
 
 import multiprocessing
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from repro import obs
 from repro.hashing import fieldhash
 from repro.parallel import ProverPool, get_pool, usable_cpus
+from repro.pcs import orion
 from repro.snark import TEST, ProvingKey, prove, prove_many, setup, verify
 from repro.workloads import synthetic_r1cs
 
@@ -341,13 +343,21 @@ class TestWorkerCountInvariance:
                                 base_seed=13) == reference
 
 
+def _encode_tile(cells):
+    """Patch the commit's encode tile (``1``: one row per tile; ``1 << 60``:
+    the whole matrix in one)."""
+    return mock.patch.object(orion, "ENCODE_TILE_CELLS", cells)
+
+
 class TestStreamingCommit:
-    def _pcs(self, streaming_cells, num_rows=16, seed=3):
+    """The commit streams its rows through the encoder in tiles at every
+    size; the tile constant changes no codeword, root or proof byte."""
+
+    def _pcs(self, num_rows=16, seed=3):
         from repro.pcs.orion import OrionPCS, PCSParams
 
         return OrionPCS(params=PCSParams(num_rows=num_rows),
-                        rng=np.random.default_rng(seed),
-                        streaming_cells=streaming_cells)
+                        rng=np.random.default_rng(seed))
 
     def test_chain_hasher_matches_hash_columns(self):
         rng = np.random.default_rng(41)
@@ -376,87 +386,97 @@ class TestStreamingCommit:
         assert chains.finalize() == b"".join(
             fieldhash.hash_columns(np.zeros((16, 4), dtype=np.uint64)))
 
-    def _prover(self, r1cs, streaming_cells, repetitions=1):
+    def _prover(self, r1cs, repetitions=1):
         from repro.spartan.protocol import SpartanParams, SpartanProver
 
-        return SpartanProver(r1cs, self._pcs(streaming_cells),
+        return SpartanProver(r1cs, self._pcs(),
                              SpartanParams(repetitions=repetitions))
 
     def test_streaming_commit_matches_materialized(self):
-        """Tiled and one-shot commits hold the same codeword matrix under
-        the same root."""
+        """Commits encoded one row per tile and in one whole-matrix tile
+        hold the codeword matrix ``encode_rows`` makes, under one root."""
         rng = np.random.default_rng(43)
         table = rng.integers(0, 1 << 63, size=1 << 10, dtype=np.uint64)
-        com_a, state_a = self._pcs(streaming_cells=1 << 60).commit(table)
-        with obs.tracing():
-            com_b, state_b = self._pcs(1).commit(table)
-            assert obs.METRICS.counters()["pcs.streaming_commits"] == 1
+        commits = []
+        for cells in (1, 1 << 60):
+            with _encode_tile(cells):
+                commits.append(self._pcs().commit(table))
+        (com_a, state_a), (com_b, state_b) = commits
         assert com_a.root == com_b.root
         assert np.array_equal(state_a.codewords, state_b.codewords)
         assert np.array_equal(state_a.matrix, state_b.matrix)
+        assert np.array_equal(state_a.codewords,
+                              self._pcs().code.encode_rows(state_a.matrix))
 
     def test_streaming_proof_bytes_identical(self, instance):
-        """End-to-end: a prover whose PCS tiles its commit produces the
-        same proof bytes as the one-shot commit, and the verifier
+        """End-to-end: proofs whose commit took one row per tile and one
+        tile for everything are the same bytes, and the verifier
         accepts."""
         from repro.snark.serialize import proof_to_bytes
         from repro.spartan.protocol import SpartanParams, SpartanVerifier
 
         r1cs, public, witness = instance
-        reference = proof_to_bytes(
-            self._prover(r1cs, 1 << 60).prove(public, witness))
-        proof = self._prover(r1cs, 1).prove(public, witness)
+        with _encode_tile(1 << 60):
+            reference = proof_to_bytes(
+                self._prover(r1cs).prove(public, witness))
+        with _encode_tile(1):
+            proof = self._prover(r1cs).prove(public, witness)
         assert proof_to_bytes(proof) == reference
-        assert SpartanVerifier(r1cs, self._pcs(1 << 60),
+        assert SpartanVerifier(r1cs, self._pcs(),
                                SpartanParams(repetitions=1)).verify(
                                    public, proof)
 
     def test_tiled_prove_encodes_each_row_once(self, instance):
         """One RS encode per proof: the opens gather from the codewords
-        the commit kept, whatever the repetition count."""
+        the commit kept, whatever the tile or the repetition count."""
         r1cs, public, witness = instance
         rows = 16
-        with obs.tracing():
-            self._prover(r1cs, 1, repetitions=3).prove(public, witness)
-            counters = obs.METRICS.counters()
-        assert counters["pcs.streaming_commits"] == 1
-        assert counters["rs.rows_encoded"] == rows + 1
+        for cells in (1, 1 << 60):
+            with obs.tracing(), _encode_tile(cells):
+                self._prover(r1cs, repetitions=3).prove(public, witness)
+                counters = obs.METRICS.counters()
+            assert counters["rs.rows_encoded"] == rows + 1
 
     def test_tiled_commit_phase_families(self):
-        """Tile encodes are charged to rs_encode and tile folds to merkle,
-        so a profile does not change shape at the tiling threshold."""
+        """Tile encodes are charged to rs_encode and the tree to merkle,
+        so a profile keeps its shape whatever the tile count."""
         r1cs, public, witness = synthetic_r1cs(log_size=12, seed=9)
         seconds = {}
         for cells in (1, 1 << 60):
-            with obs.tracing() as tracer:
-                self._prover(r1cs, cells).prove(public, witness)
+            with obs.tracing() as tracer, _encode_tile(cells):
+                self._prover(r1cs).prove(public, witness)
             seconds[cells] = tracer.family_seconds()
         assert set(seconds[1]) == set(seconds[1 << 60])
         assert seconds[1]["merkle"] > 0 and seconds[1 << 60]["merkle"] > 0
         assert seconds[1]["rs_encode"] > 0 and seconds[1 << 60]["rs_encode"] > 0
 
     def test_streaming_bounds_peak_memory_at_2_18(self):
-        """Tiling bounds the commit's transients, not the codeword it
-        keeps: at 2^18 the tiled commit peaks under 2x the codeword bytes
-        where the one-shot commit needs more than 3x."""
+        """Tiles bound the commit's transients, not the codeword it keeps:
+        at 2^18 the commit peaks under 2x the codeword bytes, where one
+        whole-matrix ``encode_rows`` of the same matrix needs more than
+        3x — the memory half of why the tiles exist (the other half is
+        NTT stages whose temporaries fit the L2)."""
         import tracemalloc
 
         rng = np.random.default_rng(53)
         table = rng.integers(0, 1 << 63, size=1 << 18, dtype=np.uint64)
-        rows = 128 + 1  # + zk mask row
-        peaks = {}
-        for cells in (1, 1 << 60):
-            pcs = self._pcs(streaming_cells=cells, num_rows=128, seed=5)
-            cw_bytes = rows * pcs.code.codeword_length((1 << 18) // 128) * 8
+        pcs = self._pcs(num_rows=128, seed=5)
+        cw_bytes = (128 + 1) * pcs.code.codeword_length((1 << 18) // 128) * 8
+
+        def peak_ratio(run):
             tracemalloc.start()
-            _, state = pcs.commit(table)
+            out = run()
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
-            assert state.codewords.nbytes == cw_bytes
-            peaks[cells] = peak / cw_bytes
-            del state
-        assert 1.0 <= peaks[1] < 2.0, f"tiled peak {peaks[1]:.2f}x codeword"
-        assert peaks[1 << 60] > 3.0, f"one-shot peak {peaks[1 << 60]:.2f}x"
+            return out, peak / cw_bytes
+
+        (_, state), commit_peak = peak_ratio(lambda: pcs.commit(table))
+        assert state.codewords.nbytes == cw_bytes
+        whole, encode_peak = peak_ratio(
+            lambda: pcs.code.encode_rows(state.matrix))
+        assert np.array_equal(whole, state.codewords)
+        assert 1.0 <= commit_peak < 2.0, f"commit peak {commit_peak:.2f}x"
+        assert encode_peak > 3.0, f"whole-matrix encode {encode_peak:.2f}x"
 
 
 class TestPersistentPool:

@@ -272,12 +272,15 @@ class TestMutators:
 
 
 class TestTiledCommitSoundness:
-    """The verifier's rejections on the commit path large proofs take
-    (``streaming_cells`` forced down so a 2^12 statement tiles)."""
+    """The verifier's rejections on a commit encoded in many tiles (the
+    encode tile forced down to one row, so a 2^12 statement takes 17)."""
 
     @pytest.fixture(scope="class")
     def tiled(self):
+        from unittest import mock
+
         from repro import obs
+        from repro.pcs import orion
         from repro.pcs.orion import OrionPCS, PCSParams
         from repro.spartan.protocol import (SpartanParams, SpartanProver,
                                             SpartanVerifier)
@@ -286,16 +289,18 @@ class TestTiledCommitSoundness:
         params = SpartanParams(repetitions=1)
 
         def pcs(seed):
-            return OrionPCS(params=PCSParams(num_rows=16), streaming_cells=1,
+            return OrionPCS(params=PCSParams(num_rows=16),
                             rng=np.random.default_rng(seed))
 
         proofs = []
         for seed in (1, 2):
             r1cs, public, witness = synthetic_r1cs(log_size=12, seed=seed)
-            with obs.tracing():
+            with obs.tracing() as tracer, mock.patch.object(
+                    orion, "ENCODE_TILE_CELLS", 1):
                 proof = SpartanProver(r1cs, pcs(seed), params).prove(
                     public, witness)
-                assert obs.METRICS.counters()["pcs.streaming_commits"] == 1
+            assert sum(r.name == "rs.encode"
+                       for r in tracer.records()) == 16 + 1
             verifier = SpartanVerifier(r1cs, pcs(0), params)
             assert verifier.verify(public, proof)
             proofs.append((verifier, public, proof))

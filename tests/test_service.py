@@ -229,6 +229,32 @@ class TestServiceEndToEnd:
             assert not METRICS.enabled
             assert METRICS.snapshot() == {"counters": {}, "gauges": {}}
 
+    def test_two_job_slots_return_the_serial_envelopes(self, tmp_path):
+        """``--job-slots 2`` proves on two executor threads at once; the
+        field kernels' scratch is per thread, so both envelopes are the
+        bytes one slot produces, and both verify."""
+        jobs = [("sha", 11), ("sha", 12)]
+        with running_service(tmp_path / "serial.sock"):
+            with ServiceClient(str(tmp_path / "serial.sock")) as svc:
+                serial = [svc.prove(c, seed=s) for c, s in jobs]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with running_service(tmp_path / "two.sock", job_slots=2) as live:
+                with ServiceClient(str(tmp_path / "two.sock")) as svc:
+                    with plugged(live.service) as release:
+                        ids = [svc.submit("prove", circuit_id=c, seed=s)
+                               for c, s in jobs]
+                        for i in ids:       # both slots taken: they overlap
+                            wait_running(svc, i)
+                        release.set()
+                    envelopes = [protocol.decode_blob(str(
+                        svc.result(i, wait_s=120)["envelope"])) for i in ids]
+                    assert envelopes == serial
+                    assert all(svc.verify(e) for e in envelopes)
+        finally:
+            sys.setswitchinterval(old)
+
     def test_status_lifecycle_and_unknown_job(self, sock_path):
         with running_service(sock_path) as live:
             with ServiceClient(sock_path) as svc:
