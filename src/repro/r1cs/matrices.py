@@ -25,6 +25,11 @@ from ..field.vector import (_MASK22, _MASK32, _SHIFT22, _SHIFT32, _SHIFT44,
 #: up to 2^15 constraints (3 * 2^15 segments) in one block.
 MATVEC_BLOCK_SEGMENTS = 1 << 17
 
+#: Entries handled per step while a layout is built or a sort key packed:
+#: bounds the per-entry temporaries (about seven arrays of this many
+#: words) at ~2 MB however many non-zeros a matrix has.
+_BUILD_ELEMENTS = 1 << 15
+
 
 def _segment_sums(prods: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Exact mod-p sum of each ``starts``-delimited run of ``prods``: the
@@ -37,6 +42,10 @@ def _segment_sums(prods: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return fv.combine_halves(lo, hi)
 
 
+def _is_sorted(keys: np.ndarray) -> bool:
+    return len(keys) == 0 or bool(np.all(keys[:-1] <= keys[1:]))
+
+
 def _sort_order(keys: np.ndarray) -> np.ndarray | None:
     """The stable permutation sorting ``keys`` (non-negative); None when
     they already are non-decreasing (the :meth:`SparseMatrix.from_arrays`
@@ -45,23 +54,34 @@ def _sort_order(keys: np.ndarray) -> np.ndarray | None:
     Sorts the packed words ``(key << b) | entry_index`` in place: they are
     unique, so numpy's vectorized unstable sort yields the stable
     permutation in its low ``b`` bits, ~3x faster than a stable argsort.
+    The indices are or-ed in a step at a time, so the result is the one
+    n-word array the sort allocates.
     """
     n = len(keys)
-    if n == 0 or np.all(keys[:-1] <= keys[1:]):
+    if _is_sorted(keys):
         return None
     b = n.bit_length()                      # entry indices are < n < 2^b
     if int(keys.max()).bit_length() + b > 64:
         return np.argsort(keys, kind="stable")
     packed = keys.astype(np.uint64)
     packed <<= np.uint64(b)
-    packed |= np.arange(n, dtype=np.uint64)
+    for s in range(0, n, _BUILD_ELEMENTS):
+        packed[s:s + _BUILD_ELEMENTS] |= np.arange(
+            s, min(n, s + _BUILD_ELEMENTS), dtype=np.uint64)
     packed.sort()
     packed &= np.uint64((1 << b) - 1)
     return packed.view(np.int64)
 
 
 class SparseMatrix:
-    """COO sparse matrix over GF(p) with fast modular SpMV."""
+    """COO sparse matrix over GF(p) with fast modular SpMV.
+
+    Instances are immutable, and that is load-bearing: the cached gather
+    plan and transposed view assume the arrays never change, and
+    :class:`StackedMatrices` keeps forward planes that are views of
+    ``cols`` / ``vals`` (no copy), so writing to them after a layout was
+    built would silently change every later product.
+    """
 
     def __init__(self, num_rows: int, num_cols: int,
                  rows: np.ndarray | None = None,
@@ -254,10 +274,6 @@ PLANE_CAP = fv.LIMB_SUM_CAP
 #: it is paid once per 2^14 rows, not once per tile.
 REDUCE_ROWS = 1 << 14
 
-#: Entries gathered per step while the planes are built: bounds the build's
-#: index temporaries at 2 MB however many non-zeros a group has.
-_BUILD_ELEMENTS = 1 << 18
-
 
 def _plane_matvec(idx: np.ndarray, vals: np.ndarray, x: np.ndarray,
                   tile: np.ndarray, acc: np.ndarray) -> np.ndarray:
@@ -299,79 +315,164 @@ def _plane_matvec(idx: np.ndarray, vals: np.ndarray, x: np.ndarray,
     return out
 
 
-def _group_rows(out_ids: np.ndarray, gather: np.ndarray, vals: np.ndarray,
-                num_out: int, out_offset: int = 0):
+def _group_rows(blocks, block_rows: int):
     """Split COO entries (output row, gather index, value) by row population.
 
-    Returns ``(groups, residual)``.  ``groups`` holds one ``(rows, pieces,
-    idx, vals)`` per population L whose entries fill a kernel tile:
-    ``rows`` the m output ids (ascending, so a banded gather stays local;
-    a slice when they are consecutive) and ``idx`` / ``vals`` C-contiguous
-    planes — plane j is the j-th entry of every row, in final order.  A
-    row longer than :data:`PLANE_CAP` is cut into ``pieces`` equal runs
-    laid side by side (piece k of row r is column ``r * pieces + k``; the
-    last piece is padded with zero values), so no group is higher than
-    the cap and a long thin population still fills its tiles.  ``residual`` is
-    the ``(rows, gather, vals)`` of every other entry, row-sorted.  The
-    stable sort permutation lives only inside this call.
+    ``blocks[b]`` lists members ``(out_ids, gather, vals, offset)`` whose
+    entries land in output rows ``b * block_rows + out_ids`` and gather
+    from ``gather + offset``.  A row holds its members' entries in member
+    order, each member's in its own order (a stable sort); populations are
+    counted per block.
+
+    Returns ``(groups, residual, owned)``.  ``groups`` holds one ``(rows,
+    pieces, idx, vals)`` per block and population L whose entries fill a
+    kernel tile: ``rows`` the m output ids (ascending, so a banded gather
+    stays local; a slice when they are consecutive) and ``idx`` / ``vals``
+    ``(L, m)`` planes — plane j is the j-th entry of every row, in final
+    order.  A row longer than :data:`PLANE_CAP` is cut into ``pieces``
+    equal runs laid side by side (piece k of row r is column ``r * pieces
+    + k``; the last piece is padded with zero values), so no group is
+    higher than the cap and a long thin population still fills its tiles.
+    ``residual`` is the ``(rows, gather, vals)`` of every other entry,
+    row-sorted.  ``owned`` is the bytes of the arrays allocated here.
+
+    Where a block is one row-sorted member with no offset, a one-piece
+    population whose rows are one run IS one run of that member's entries:
+    its planes are strided views of ``gather`` / ``vals`` and cost nothing.
+    Every other plane and the residual share one buffer per array, which
+    each member's entries are scattered into straight from its own arrays
+    (:func:`_place`), so nothing is stacked.
     """
+    groups, fills, lefts, size = [], [], [], 0
+    for b, members in enumerate(blocks):
+        lo = b * block_rows
+        counts = sum(np.bincount(out_ids, minlength=block_rows)
+                     for out_ids, *_ in members)
+        out_ids, gather, vals, offset = members[0]
+        viewable = len(members) == 1 and not offset and _is_sorted(out_ids)
+        first = np.cumsum(counts) - counts if viewable else None
+        hist = np.bincount(counts)
+        planar = np.arange(len(hist)) * hist >= PLANE_TILE
+        copied, views = [], []
+        for length in np.flatnonzero(planar):
+            local = np.flatnonzero(counts == length)
+            m = len(local)
+            pieces = -(-length // PLANE_CAP)
+            rows = local + lo
+            if rows[-1] - rows[0] == m - 1:     # a run: write, don't scatter
+                rows = slice(rows[0], rows[-1] + 1)
+            if viewable and pieces == 1 and isinstance(rows, slice):
+                e0 = first[local[0]]
+                e1 = e0 + m * length
+                groups.append((rows, 1, gather[e0:e1].reshape(m, length).T,
+                               vals[e0:e1].reshape(m, length).T))
+                views.append((e0, e1))
+                continue
+            height = -(-length // pieces)
+            copied.append((len(groups), local, size, height, pieces))
+            groups.append((rows, pieces))       # planes attached below
+            size += height * pieces * m
+        left = np.flatnonzero(~planar[counts] & (counts > 0))
+        fills.append((members, copied, sorted(views), left, counts[left]))
+        lefts.append(left + lo)
+    del counts, first           # not held while the planes are filled
+
+    residual_rows = np.repeat(np.concatenate(lefts),
+                              np.concatenate([fill[-1] for fill in fills]))
+    idx_all = np.zeros(size + len(residual_rows), dtype=np.int64)
+    vals_all = np.zeros(size + len(residual_rows), dtype=np.uint64)
+    at = size
+    for members, copied, views, left, sizes in fills:
+        base = np.zeros(block_rows, dtype=np.int64)
+        stride = np.ones(block_rows, dtype=np.int64)
+        heights = None
+        for g, local, start, height, pieces in copied:
+            width = pieces * len(local)
+            span = slice(start, start + height * width)
+            groups[g] += (idx_all[span].reshape(height, width),
+                          vals_all[span].reshape(height, width))
+            base[local] = np.arange(start, start + width, pieces)
+            stride[local] = width
+            if pieces > 1:
+                if heights is None:
+                    heights = np.full(block_rows, np.iinfo(np.int64).max)
+                heights[local] = height
+        base[left] = at + np.cumsum(sizes) - sizes
+        at += int(sizes.sum())
+        if copied or len(left):
+            before = np.zeros(block_rows, dtype=np.int64)
+            for member in members:
+                _place(member, before, base, stride, heights, views,
+                       idx_all, vals_all)
+    owned = idx_all.nbytes + vals_all.nbytes + residual_rows.nbytes + sum(
+        g[0].nbytes for g in groups if isinstance(g[0], np.ndarray))
+    return groups, (residual_rows, idx_all[size:], vals_all[size:]), owned
+
+
+def _place(member, before, base, stride, heights, views, idx_out, vals_out):
+    """Scatter one member's entries into the plane/residual buffers.
+
+    Row r's j-th entry goes to ``base[r] + j * stride[r]``; where rows
+    are cut into pieces (``heights`` not None), to ``base[r] + (j %
+    heights[r]) * stride[r] + j // heights[r]``.  The member is walked in
+    its stable row order, :data:`_BUILD_ELEMENTS` entries at a time: its
+    k-th entry is entry ``before[r] + k - first[r]`` of row r, where
+    ``first[r]`` is the member's first entry in r and ``before`` counts
+    earlier members' entries (updated here).  Entry ranges in ``views``
+    are planes already and are skipped.
+    """
+    out_ids, gather, vals, offset = member
+    counts = np.bincount(out_ids, minlength=len(base))
+    before += counts
+    rank = np.cumsum(counts, out=counts)    # first[r] + counts[r]
+    np.subtract(before, rank, out=rank)     # entry in r of the member's k = 0
+    if heights is None:                     # ... and its slot
+        rank *= stride
+        rank += base
     order = _sort_order(out_ids)
-    counts = np.bincount(out_ids, minlength=num_out)
-    hist = np.bincount(counts)
-    planar = np.arange(len(hist)) * hist >= PLANE_TILE
-    if not planar.any():
-        if order is not None:
-            out_ids, gather, vals = out_ids[order], gather[order], vals[order]
-        return [], (out_ids + out_offset, gather, vals)
-    starts = np.cumsum(counts) - counts
-    groups = []
-    for length in np.flatnonzero(planar):
-        rows = np.flatnonzero(counts == length)
-        m, first = len(rows), starts[rows]
-        pieces = -(-length // PLANE_CAP)
-        height = -(-length // pieces)
-        idx = np.zeros((height, pieces * m), dtype=np.int64)
-        plane_vals = np.zeros((height, pieces * m), dtype=np.uint64)
-        step = max(1, _BUILD_ELEMENTS // m)
-        for k in range(pieces):
-            piece = slice(k, None, pieces)
-            j_end = min(length, (k + 1) * height)
-            for j0 in range(k * height, j_end, step):
-                j1 = min(j_end, j0 + step)
-                at = first + np.arange(j0, j1)[:, None]
-                if order is not None:
-                    at = order[at]
-                into = slice(j0 - k * height, j1 - k * height)
-                np.take(gather, at, out=idx[into, piece], mode="clip")
-                np.take(vals, at, out=plane_vals[into, piece], mode="clip")
-        rows += out_offset
-        if rows[-1] - rows[0] == m - 1:     # a run: write, don't scatter
-            rows = slice(rows[0], rows[-1] + 1)
-        groups.append((rows, pieces, idx, plane_vals))
-    left = np.flatnonzero(~planar[counts] & (counts > 0))
-    sizes = counts[left]
-    # Entry runs of the leftover rows, flattened: each run's start minus
-    # the number of leftover entries before it, plus a running index.
-    at = np.arange(sizes.sum()) \
-        + np.repeat(starts[left] - (np.cumsum(sizes) - sizes), sizes)
-    if order is not None:
-        at = order[at]
-    return groups, (np.repeat(left + out_offset, sizes), gather[at], vals[at])
+    done = 0
+    for e0, e1 in views + [(len(out_ids), len(out_ids))]:
+        for k0 in range(done, e0, _BUILD_ELEMENTS):
+            k1 = min(e0, k0 + _BUILD_ELEMENTS)
+            if order is None:
+                row, idx, val = (a[k0:k1] for a in (out_ids, gather, vals))
+            else:
+                row, idx, val = (np.take(a, order[k0:k1])
+                                 for a in (out_ids, gather, vals))
+            dest = np.arange(k0, k1)
+            if heights is None:
+                dest *= np.take(stride, row)
+                dest += np.take(rank, row)
+            else:
+                dest += np.take(rank, row)
+                height = np.take(heights, row)
+                piece = dest // height
+                dest -= piece * height
+                dest *= np.take(stride, row)
+                dest += np.take(base, row)
+                dest += piece
+            idx_out[dest] = idx + offset if offset else idx
+            vals_out[dest] = val
+        done = e1
 
 
 class _PlaneLayout:
     """One direction of :class:`StackedMatrices`: plane groups plus ONE
     row-sorted residual :class:`SparseMatrix` (None when nothing is left
-    over)."""
+    over), built by :func:`_group_rows` from ``blocks`` of members.
+    ``nbytes`` counts the arrays the layout owns; planes that are views of
+    a member's arrays count 0."""
 
-    def __init__(self, num_out: int, num_in: int, groups, residual):
-        self.num_out, self.num_in = num_out, num_in
-        self.groups = groups
-        rows, gather, vals = residual
+    def __init__(self, blocks, block_rows: int, num_in: int):
+        self.num_out, self.num_in = len(blocks) * block_rows, num_in
+        self.groups, (rows, gather, vals), self.nbytes = \
+            _group_rows(blocks, block_rows)
         self.residual = None
         if len(rows):
-            self.residual = SparseMatrix(num_out, num_in, rows, gather, vals)
-            self.residual._group_plan()
+            self.residual = SparseMatrix(self.num_out, num_in, rows, gather,
+                                         vals)
+            _order, starts, row_ids = self.residual._group_plan()
+            self.nbytes += starts.nbytes + row_ids.nbytes
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.uint64)
@@ -404,9 +505,18 @@ class StackedMatrices:
     NoCap's SpMV unit, with the row length as the tile height.  Groups too
     small to fill a kernel tile (:data:`PLANE_TILE`) share one residual
     :class:`SparseMatrix` per direction, so a small circuit still runs one
-    fused segmented-sum pass.  Resident: ``idx`` + ``vals``, 16 B per
-    non-zero per direction; no stacked COO copy and no sort permutation
-    outlives construction.
+    fused segmented-sum pass.
+
+    One copy of each matrix.  A forward group of a row-sorted member
+    (the :meth:`SparseMatrix.from_arrays` and synthetic invariant) whose
+    rows are one run is a strided view of that member's ``cols`` /
+    ``vals`` and costs nothing — every forward group of
+    ``synthetic_r1cs`` is one — which is why the members must never be
+    written to.  A copied group costs 16 B per non-zero (``idx`` +
+    ``vals``) plus 8 B per output row where its rows are not one run; the
+    residual costs 24 B per non-zero plus its gather plan.  Building
+    stacks nothing but one member's sort keys at a time
+    (:func:`_group_rows`); :attr:`nbytes` is what the layout owns.
     """
 
     def __init__(self, mats: List[SparseMatrix]):
@@ -417,29 +527,23 @@ class StackedMatrices:
             raise ValueError("stacked matrices must share a shape")
         self.count = len(mats)
         self.num_rows, self.num_cols = n_rows, n_cols
-        # Transposed first: output rows are the original columns and the
-        # gather index points into a stack of ``count`` scaled copies of
-        # the input (see scaled_transpose_matvec).  The concatenated
-        # coordinates and their argsort are the build's peak; they are
-        # gone before the forward planes are allocated.
+        # Transposed: output rows are the original columns and the gather
+        # index points into a stack of ``count`` scaled copies of the
+        # input (see scaled_transpose_matvec), so member i gathers at an
+        # offset of i * n_rows.
         self._transposed = _PlaneLayout(
-            n_cols, self.count * n_rows,
-            *_group_rows(np.concatenate([m.cols for m in mats]),
-                         np.concatenate([m.rows + np.int64(i * n_rows)
-                                         for i, m in enumerate(mats)]),
-                         np.concatenate([m.vals for m in mats]), n_cols))
+            [[(m.cols, m.rows, m.vals, i * n_rows)
+              for i, m in enumerate(mats)]], n_cols, self.count * n_rows)
         # Forward: one (count*n_rows) x n_cols system whose output slices
-        # are the individual products, grouped per member straight from
-        # its own arrays; only the leftovers are concatenated.
-        groups, leftovers = [], []
-        for i, m in enumerate(mats):
-            member_groups, residual = _group_rows(m.rows, m.cols, m.vals,
-                                                  n_rows, i * n_rows)
-            groups += member_groups
-            leftovers.append(residual)
-        self._forward = _PlaneLayout(
-            self.count * n_rows, n_cols, groups,
-            [np.concatenate(part) for part in zip(*leftovers)])
+        # are the individual products, one block per member.
+        self._forward = _PlaneLayout([[(m.rows, m.cols, m.vals, 0)]
+                                      for m in mats], n_rows, n_cols)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays this layout owns, both directions; planes
+        that are views of the members' arrays count 0."""
+        return self._forward.nbytes + self._transposed.nbytes
 
     def matvec_all(self, x: np.ndarray) -> List[np.ndarray]:
         """[M_0 x, M_1 x, ...] in ONE fused SpMV pass."""
@@ -451,14 +555,20 @@ class StackedMatrices:
         """sum_i coeffs[i] * M_i^T x in ONE fused SpMV pass.
 
         The coefficients are folded into ``count`` scalar-scaled copies of
-        ``x``; the stacked transpose then gathers each matrix's entries
-        from its own copy, so the combination costs no extra pass over the
-        non-zeros.
+        ``x``, written side by side into one buffer; the stacked transpose
+        then gathers each matrix's entries from its own copy, so the
+        combination costs no extra pass over the non-zeros.
         """
         if len(coeffs) != self.count:
             raise ValueError("need one coefficient per stacked matrix")
+        x = np.ascontiguousarray(x, dtype=np.uint64)
+        n = self.num_rows
+        if x.shape != (n,):
+            raise ValueError(f"vector shape {x.shape} != ({n},)")
         # The scaled copies only feed the gather-multiply, which accepts
         # any uint64 representative — skip canonicalization.
-        scaled = np.concatenate(
-            [fv.mul_scalar(x, int(c), canonical=False) for c in coeffs])
+        scaled = np.empty(self.count * n, dtype=np.uint64)
+        for i, c in enumerate(coeffs):
+            fv._scale_tiles(x, int(c), scaled[i * n:(i + 1) * n],
+                            canonical=False)
         return self._transposed.matvec(scaled)

@@ -121,6 +121,17 @@ class R1CS:
     def nnz(self) -> int:
         return self.a.nnz + self.b.nnz + self.c.nnz
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes this system holds: the coordinate arrays of A, B, C (each
+        array once) plus, once built, the SpMV layout
+        (:attr:`StackedMatrices.nbytes`, where views of those arrays count
+        0)."""
+        coo = {id(arr): arr.nbytes for m in (self.a, self.b, self.c)
+               for arr in (m.rows, m.cols, m.vals)}
+        layout = self._stacked_cache
+        return sum(coo.values()) + (layout.nbytes if layout is not None else 0)
+
     def __repr__(self) -> str:
         s = self.shape
         return (f"R1CS(n={s.num_constraints}, public={s.num_public}, "

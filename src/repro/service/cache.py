@@ -119,8 +119,9 @@ class KeyEntry:
 class KeyCache:
     """``(circuit_id, preset_name)`` → :class:`KeyEntry`, LRU by bytes.
 
-    Entry size is the coordinate arrays of the three constraint
-    matrices — the dominant object — plus the assignment.
+    An entry is sized by what it holds: :attr:`R1CS.nbytes` (the three
+    constraint matrices' coordinate arrays plus their SpMV layout, built
+    here at insert rather than on the first prove) plus the assignment.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_KEY_CACHE_BYTES):
@@ -147,12 +148,11 @@ class KeyCache:
         preset = preset_by_name(preset_name)
         r1cs, public, witness = circuit.compile()
         pk, vk = setup(r1cs, preset)
+        r1cs._stacked()
         entry = KeyEntry(pk=pk, vk=vk,
                          public=np.asarray(public, dtype=np.uint64),
                          witness=np.asarray(witness, dtype=np.uint64))
-        size = entry.public.nbytes + entry.witness.nbytes + sum(
-            arr.nbytes for m in (r1cs.a, r1cs.b, r1cs.c)
-            for arr in (m.rows, m.cols, m.vals))
+        size = entry.public.nbytes + entry.witness.nbytes + r1cs.nbytes
         self._lru.put(key, entry, size)
         return entry
 

@@ -221,10 +221,23 @@ def stacked_systems(draw):
     """Three square COO matrices mixing what the plane layout has to sort
     out: whole populations of equal-length rows (plane groups, L = 1
     included), a few long rows (longer than a patched plane cap), stray
-    entries (residual), duplicate coordinates, empty rows and columns."""
+    entries (residual), duplicate coordinates, empty rows and columns —
+    and fixed-width row-sorted members over a run of rows, the synthetic
+    shape whose forward groups are views of the member's arrays."""
     n = draw(st.sampled_from([4, 8, 16]))
     mats = []
     for _ in range(3):
+        if draw(st.booleans()):
+            length = draw(st.integers(1, 6))
+            r0 = draw(st.integers(0, n - 1))
+            r1 = draw(st.integers(r0 + 1, n))
+            count = (r1 - r0) * length
+            mats.append(SparseMatrix(
+                n, n, np.repeat(np.arange(r0, r1), length),
+                draw(st.lists(st.integers(0, n - 1), min_size=count,
+                              max_size=count)),
+                draw(st.lists(felt, min_size=count, max_size=count))))
+            continue
         rows, cols, vals = [], [], []
         for length in draw(st.lists(st.integers(0, 6), max_size=2)):
             for r in draw(st.lists(st.integers(0, n - 1), unique=True,
@@ -302,7 +315,8 @@ class TestPlaneLayout:
                                                     (1 << 15, False)])
     def test_split_depends_only_on_the_matrix(self, tile, expect_planes):
         """A population that fills a tile becomes planes; one that does
-        not stays in the one residual SparseMatrix."""
+        not stays in the one residual SparseMatrix.  A plane is a
+        C-contiguous copy, or a view of the member's own arrays."""
         n = 8
         rows = np.repeat(np.arange(n), 2)
         a = SparseMatrix(n, n, rows, (rows * 3 + np.tile([0, 1], n)) % n,
@@ -313,10 +327,54 @@ class TestPlaneLayout:
             assert bool(side.groups) is expect_planes
             assert (side.residual is None) is expect_planes
             for _rows, _pieces, idx, vals in side.groups:
-                assert idx.flags["C_CONTIGUOUS"] and idx.dtype == np.int64
-                assert vals.flags["C_CONTIGUOUS"] and idx.shape == vals.shape
+                assert idx.dtype == np.int64 and idx.shape == vals.shape
+                assert (idx.flags["C_CONTIGUOUS"]
+                        and vals.flags["C_CONTIGUOUS"]) or (
+                    np.shares_memory(idx, a.cols)
+                    and np.shares_memory(vals, a.vals))
             if side.residual is not None:
                 assert side.residual._group_plan()[0] is None   # row-sorted
+
+    def test_synthetic_forward_groups_are_views(self):
+        """Every forward group of a synthetic instance (L = 3, 3, 1) is a
+        strided view of its member's ``cols`` / ``vals``: the layout owns
+        only the transposed side."""
+        from repro.workloads import synthetic_r1cs
+
+        with patched_planes(64, 512, 16):
+            r1cs, _public, _witness = synthetic_r1cs(8, band=4, seed=11)
+            stacked = r1cs._stacked()
+        members = (r1cs.a, r1cs.b, r1cs.c)
+        assert [idx.shape[0] for _r, _p, idx, _v in stacked._forward.groups] \
+            == [3, 3, 1]
+        assert stacked._forward.residual is None
+        for (_rows, _p, idx, vals), m in zip(stacked._forward.groups,
+                                              members):
+            assert np.shares_memory(idx, m.cols)
+            assert np.shares_memory(vals, m.vals)
+        assert stacked._forward.nbytes == 0
+        assert stacked.nbytes == stacked._transposed.nbytes > 0
+
+    def test_rows_that_are_not_one_run_stay_a_copy(self):
+        """A population with a gap in its rows (or an unsorted member) is
+        gathered into C-contiguous planes that share nothing with the
+        member, and is counted in ``nbytes``."""
+        n = 8
+        rows = np.repeat([0, 1, 2, 4, 5, 6, 7], 2)         # row 3 is empty
+        gapped = SparseMatrix(n, n, rows, (rows + np.tile([0, 1], 7)) % n,
+                              np.arange(1, 15))
+        rows = np.repeat(np.arange(n), 2)[::-1]             # one run, reversed
+        unsorted = SparseMatrix(n, n, rows, (rows + np.tile([0, 1], n)) % n,
+                                np.arange(1, 2 * n + 1))
+        for m in (gapped, unsorted):
+            with patched_planes(1, 512, 4):
+                stacked = StackedMatrices([m])
+            [(rows_out, _p, idx, vals)] = stacked._forward.groups
+            assert idx.flags["C_CONTIGUOUS"] and vals.flags["C_CONTIGUOUS"]
+            assert not np.shares_memory(idx, m.cols)
+            assert not np.shares_memory(vals, m.vals)
+            assert stacked._forward.nbytes == idx.nbytes + vals.nbytes \
+                + (rows_out.nbytes if isinstance(rows_out, np.ndarray) else 0)
 
     def test_nothing_but_planes_and_residual_is_retained(self):
         """No stacked COO copy and no sort permutation outlive the build."""
@@ -325,7 +383,7 @@ class TestPlaneLayout:
             stacked = StackedMatrices([a, a, a])
         for side in (stacked._forward, stacked._transposed):
             assert set(vars(side)) == {"num_out", "num_in", "groups",
-                                       "residual"}
+                                       "residual", "nbytes"}
         assert set(vars(stacked)) == {"count", "num_rows", "num_cols",
                                       "_forward", "_transposed"}
 
@@ -357,6 +415,69 @@ class TestPlaneLayout:
         with pytest.raises(ValueError):
             stacked.scaled_transpose_matvec((1, 2, 3),
                                             np.ones(3, dtype=np.uint64))
+
+
+def _traced(run):
+    """(result, bytes still allocated, peak bytes) of ``run()`` under
+    tracemalloc, counted from zero."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        out = run()
+        resident, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, resident, peak
+
+
+class TestResidentSetOfAKey:
+    """Memory pins on ``synthetic_r1cs(16)``: one copy of each matrix.
+    The layout build stacks nothing but one member's sort keys, and the
+    transposed SpMV writes its scaled inputs into one buffer instead of
+    concatenating copies."""
+
+    @pytest.fixture(scope="class")
+    def r1cs(self):
+        from repro.workloads import synthetic_r1cs
+
+        return synthetic_r1cs(16)[0]
+
+    def test_build_peaks_at_owned_bytes_plus_one_sort_key(self, r1cs):
+        """Peak <= owned layout bytes + 8 B per non-zero + 4 MB (the
+        stacked-coordinate build peaked 12 B per non-zero above that),
+        and ``nbytes`` is what the build leaves allocated."""
+        stacked, resident, peak = _traced(
+            lambda: StackedMatrices([r1cs.a, r1cs.b, r1cs.c]))
+        assert stacked._forward.nbytes == 0          # views of the members
+        assert abs(resident - stacked.nbytes) < 64 << 10
+        assert peak <= stacked.nbytes + 8 * r1cs.nnz + (4 << 20), \
+            (peak - stacked.nbytes) / r1cs.nnz
+
+    def test_scaled_transpose_makes_one_buffer_of_copies(self, r1cs, rng):
+        """The scaled copies are one ``count * n`` buffer when the SpMV
+        starts (a concatenation would hold two), and the whole call peaks
+        at <= (count + 1) * n * 8 B + 4 MB."""
+        import tracemalloc
+
+        stacked = r1cs._stacked()
+        n = r1cs.shape.num_constraints
+        x = fv.rand_vector(n, rng)
+        want = stacked.scaled_transpose_matvec((3, 5, 7), x)  # warm scratch
+        spmv = stacked._transposed.matvec
+        at_spmv = []
+
+        def recorded(scaled):
+            at_spmv.append(tracemalloc.get_traced_memory()[1])
+            return spmv(scaled)
+
+        with mock.patch.object(stacked._transposed, "matvec", recorded):
+            got, _resident, peak = _traced(
+                lambda: stacked.scaled_transpose_matvec((3, 5, 7), x))
+        assert np.array_equal(got, want)
+        copies = stacked.count * n * 8
+        assert at_spmv[0] <= copies + n * 8, at_spmv[0] / copies
+        assert peak <= copies + n * 8 + (4 << 20), peak / copies
 
 
 class TestBuilderGadgets:

@@ -186,6 +186,75 @@ class TestLRUBytesCache:
         assert proof_cache_key("test-fast", "sha", pub, 1) != current
 
 
+def _owned_by_walk(r1cs):
+    """Bytes of the distinct buffers under ``r1cs``'s SpMV layout that are
+    not the coordinate arrays themselves (a view counts 0)."""
+    import numpy as np
+
+    def root(arr):
+        while arr.base is not None:
+            arr = arr.base
+        return arr
+
+    coo = {id(root(arr)) for m in (r1cs.a, r1cs.b, r1cs.c)
+           for arr in (m.rows, m.cols, m.vals)}
+    stacked, arrays = r1cs._stacked(), []
+    for side in (stacked._forward, stacked._transposed):
+        for rows, _pieces, idx, vals in side.groups:
+            arrays += [idx, vals] + ([rows] if isinstance(rows, np.ndarray)
+                                     else [])
+        if side.residual is not None:
+            res = side.residual
+            arrays += [res.rows, res.cols, res.vals, *res._group_plan()[1:]]
+    roots = {id(root(arr)): root(arr) for arr in arrays}
+    return sum(r.nbytes for key, r in roots.items() if key not in coo)
+
+
+class TestKeyCacheSizing:
+    """A KeyCache entry is sized by what the key holds: the coordinate
+    arrays plus the SpMV layout, built at insert."""
+
+    def test_sha_entry_is_a_hand_count(self):
+        import numpy as np
+
+        from repro.service import KeyCache
+
+        cache = KeyCache()
+        entry = cache.get_or_build("sha", "test-fast")
+        r1cs = entry.pk.r1cs
+        assert r1cs._stacked_cache is not None        # built at insert
+        mats = (r1cs.a, r1cs.b, r1cs.c)
+        # sha is all residual: per direction one row-sorted copy of the
+        # triples (24 B per non-zero) plus a 16 B gather plan per
+        # non-empty output row (stacked rows forward, columns transposed).
+        out_rows = sum(len(np.unique(m.rows)) for m in mats)
+        out_cols = len(np.unique(np.concatenate([m.cols for m in mats])))
+        layout = 2 * 24 * r1cs.nnz + 16 * (out_rows + out_cols)
+        assert r1cs.nbytes == 24 * r1cs.nnz + layout
+        assert cache.stats()["bytes"] == r1cs.nbytes + entry.public.nbytes \
+            + entry.witness.nbytes
+
+    def test_aes_entry_counts_each_buffer_once(self):
+        from repro.service import KeyCache
+
+        cache = KeyCache()
+        entry = cache.get_or_build("aes", "test-fast")
+        r1cs = entry.pk.r1cs
+        layout = r1cs._stacked()
+        assert layout.nbytes == _owned_by_walk(r1cs)
+        assert cache.stats()["bytes"] == 24 * r1cs.nnz + layout.nbytes \
+            + entry.public.nbytes + entry.witness.nbytes
+
+    def test_synthetic_forward_views_are_not_double_counted(self):
+        from repro.workloads import synthetic_r1cs
+
+        r1cs = synthetic_r1cs(15)[0]      # C's L = 1 group fills a tile
+        layout = r1cs._stacked()
+        assert layout._forward.nbytes == 0 == _owned_by_walk(r1cs) \
+            - layout._transposed.nbytes
+        assert r1cs.nbytes == 24 * r1cs.nnz + layout._transposed.nbytes
+
+
 # ---------------------------------------------------------------------------
 # End-to-end over the unix socket
 # ---------------------------------------------------------------------------
