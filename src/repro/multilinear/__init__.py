@@ -15,10 +15,13 @@ from .mle import (
 from .sumcheck import (
     SumcheckProof,
     SumcheckResult,
+    evaluate_terms,
+    product_terms,
     prove_sumcheck,
     sumcheck_cost,
     verify_sumcheck,
     verify_sumcheck_rounds,
+    wire_degree,
 )
 
 __all__ = [
@@ -36,8 +39,11 @@ __all__ = [
     "tensor_split_eval",
     "SumcheckProof",
     "SumcheckResult",
+    "evaluate_terms",
+    "product_terms",
     "prove_sumcheck",
     "sumcheck_cost",
     "verify_sumcheck",
     "verify_sumcheck_rounds",
+    "wire_degree",
 ]

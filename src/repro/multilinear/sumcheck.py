@@ -1,22 +1,20 @@
-"""The sumcheck protocol for products of multilinear polynomials.
+"""The sumcheck protocol: one engine for every sum of products of tables.
 
-This is the kernel NoCap spends ~70% of its time on (Fig. 6a).  The prover
-convinces the verifier that  sum_{b in {0,1}^L} prod_j P_j(b) = claim,
-one variable per round, sending a degree-k univariate polynomial each
-round (as k+1 evaluations) and folding the tables by the verifier's
-challenge — the dynamic-programming structure of Listing 1 generalized to
-products (Spartan's first sumcheck has k = 3).
-
-Fiat-Shamir makes it non-interactive; 128-bit soundness over the 64-bit
-Goldilocks field is obtained by running independent repetitions
-(Sec. VII-A: "we run all sumchecks 3 times").
+NoCap spends ~70% of its time here (Fig. 6a) on one sumcheck unit; one
+prover runs every instance.  It proves, one variable per round,
+sum_b [eq(tau, b)] * sum_k coef_k * prod_{j in F_k} P_j(b) = claim for a
+term list ``[(coef_k, F_k), ...]`` (Listing 1's DP generalized): each round
+sends its polynomial's values at t = 0..D and folds the tables by the
+challenge.  Sumcheck 2 is one product term, sumcheck 1 eq * (A*B - C).
+128-bit soundness over the 64-bit field comes from repetition (Sec.
+VII-A: "we run all sumchecks 3 times").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
-from typing import List, Sequence, Tuple
+from math import comb, factorial, prod
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,22 +23,22 @@ from ..field.poly import interpolate_eval
 from ..hashing.transcript import Transcript
 from ..obs.metrics import METRICS as _METRICS
 from . import table as tb
+from .mle import eq_eval, eq_suffix_tables, eq_table
 
 #: The field has 64-bit indices: no honest sumcheck runs more rounds.
 MAX_VERIFY_ROUNDS = 64
+
+#: ``[(coef, (table index, ...)), ...]``: sum_k coef_k * prod_j tables[j].
+Terms = Sequence[Tuple[int, Tuple[int, ...]]]
 
 
 @dataclass
 class SumcheckProof:
     """Round polynomials (each as evaluations at t = 0..degree) plus the
-    prover's claimed factor values at the final random point."""
+    prover's claimed table values at the final random point."""
 
     round_evals: List[List[int]]
     final_values: List[int]
-
-    @property
-    def num_rounds(self) -> int:
-        return len(self.round_evals)
 
     def size_bytes(self) -> int:
         return 8 * (sum(len(r) for r in self.round_evals) + len(self.final_values))
@@ -56,88 +54,157 @@ class SumcheckResult:
     reason: str = ""
 
 
-def _product_sum(factors) -> int:
-    """sum_x prod_j factors[j][x] mod p.
+def product_terms(count: int) -> Terms:
+    """The term list of the plain product of ``count`` tables."""
+    return ((1, tuple(range(count))),)
 
-    Intermediate products stay non-canonical (any representative): the
-    multiply is exact for arbitrary inputs, and the last factor goes in
-    through ``dot``, whose terms are never reduced on their own.
-    """
-    if len(factors) == 1:
-        return tb.vsum(factors[0])
-    prod = factors[0]
-    for vals in factors[1:-1]:
-        prod = tb.mul(prod, vals)
-    return tb.dot(prod, factors[-1])
+
+def wire_degree(terms: Terms, eq: bool = False) -> int:
+    """Round-polynomial degree: the widest term, plus one for eq."""
+    return max(len(factors) for _, factors in terms) + bool(eq)
+
+
+def evaluate_terms(terms: Terms, values, eq_value: int = 1) -> int:
+    """Every sumcheck's final check: the term list at the claimed final
+    values, times eq(tau, r) when the sum has an eq factor."""
+    total = sum(c * prod(int(values[j]) for j in f) for c, f in terms)
+    return eq_value * total % MODULUS
+
+
+def as_tables(tables) -> List[np.ndarray]:
+    """The tables as uint64 arrays (the same objects when they already
+    are), or ``ValueError`` unless they share a power-of-two length."""
+    tables = [np.asarray(t, dtype=np.uint64) for t in tables]
+    n = len(tables[0])
+    if any(len(t) != n for t in tables) or n == 0 or n & (n - 1):
+        raise ValueError("tables must share a power-of-two length")
+    return tables
+
+
+def split_round(tables):
+    """(bottoms, tops, diffs): a round's reads — the halves with the
+    leading variable at 0 and 1, and top - bottom (``table.fit`` form)."""
+    bottoms, tops = zip(*(tb.halves(t) for t in tables))
+    return bottoms, tops, [tb.sub(tp, bt) for tp, bt in zip(tops, bottoms)]
+
+
+def _pointwise(vectors):
+    """Element-wise product, any representative: every consumer reduces."""
+    out = vectors[0]
+    for v in vectors[1:]:
+        out = tb.mul(out, v)
+    return out
+
+
+def _combine(terms: Terms, tables):
+    """(c, fs): the term sum over ``tables`` is c * prod_j fs[j].  One
+    term keeps its factors apart; more are summed into one vector relative
+    to the first coefficient — a lone table at +-1 by add / sub (exact on
+    a non-canonical sum and a canonical table), the rest by scale_add."""
+    (c0, first), rest = terms[0], terms[1:]
+    if not rest:
+        return c0, [tables[j] for j in first]
+    acc, inv = _pointwise([tables[j] for j in first]), pow(c0, -1, MODULUS)
+    for coef, f in rest:
+        rel, term = coef * inv % MODULUS, _pointwise([tables[j] for j in f])
+        if len(f) == 1 and rel in (1, MODULUS - 1):
+            acc = (tb.add if rel == 1 else tb.sub)(acc, term)
+        else:
+            acc = tb.scale_add(acc, term, rel)
+    return c0, [acc]
+
+
+def _weighted(combined, weight) -> int:
+    """sum_x weight(x) * c * prod_j fs[j](x), ``combined = (c, fs)``; the
+    last vector enters through ``dot``, which reduces no term alone."""
+    c, fs = combined
+    *fs, z = list(fs) + ([] if weight is None else [weight])
+    return c * (tb.dot(_pointwise(fs), z) if fs else tb.vsum(z)) % MODULUS
 
 
 def prove_sumcheck(tables: Sequence[np.ndarray], transcript: Transcript,
-                   label: bytes = b"sumcheck",
-                   claim: int | None = None) -> Tuple[SumcheckProof, List[int]]:
-    """Run the prover for sum over the hypercube of prod_j tables[j].
+                   label: bytes = b"sumcheck", claim: int | None = None, *,
+                   terms: Optional[Terms] = None,
+                   eq: Optional[Sequence[int]] = None,
+                   round0=None) -> Tuple[SumcheckProof, List[int]]:
+    """Prove the hypercube sum of [eq(``eq``, .)] times the term list over
+    ``tables`` (default: their product).  Returns the proof (``final_values``
+    = the folded tables, in order) and the challenges; tables are not
+    modified.  A round takes each top - bottom difference ONCE and uses it
+    for the inner sum at 2 <= t < d (d = the widest term), for its leading
+    coefficient (the top-degree terms over the differences, standing in
+    for t = d: a degree-d polynomial's d-th finite difference is d! times
+    it) and for the fold.  inner(1) is one evaluation; inner(0) follows
+    from the running claim g(0) + g(1) (``claim`` saves a pass).
 
-    Returns the proof and the challenge vector (for chaining into later
-    protocol steps).  Tables are not modified.
+    ``eq=tau`` is never built or folded: in round ``rnd`` eq(tau, (r, t,
+    x)) = [prod_{j<rnd} eq(tau_j, r_j)] * eq(tau_rnd, t) * eq(tau_{rnd+1:},
+    x), a scalar prefix, a degree-1 scalar in t and a STATIC suffix table
+    (``eq_suffix_tables``) weighting the inner sum.  inner(0) is g(0) over
+    that scalar, or an evaluation when it is 0 (a boolean tau coordinate);
+    g has degree d + 1, one more extrapolated point.
 
-    Allocation-lean round structure: each round computes the top-bottom
-    difference of every factor ONCE and reuses it for (a) every extension
-    point 2 <= t < degree — reached incrementally by adding the
-    difference, one vector add instead of a scalar multiply — (b) the
-    round polynomial's leading coefficient sum_x prod_j diff_j(x), which
-    stands in for the last sample point t = degree, and (c) the fold to
-    the next round's (half-size) tables.  For degree 2 no sample is
-    materialised at all.  No full-table copies are made; the input tables
-    are only ever read.
-
-    The round polynomial's value at 0 is never computed directly: the
-    sumcheck invariant g(0) + g(1) = claim pins it to claim - g(1), and the
-    reduced claim for the next round follows by interpolating g at the
-    challenge.  Callers that already know the total (``claim``) therefore
-    save one full evaluation pass per round; when omitted it costs one
-    product-sum over the input tables.
+    ``round0 = (bottoms, tops, diffs, lead, inner1)`` supplies round 0's
+    reads shared between calls: :func:`split_round` of the tables, the
+    top-degree terms over ``diffs`` as ``(c, fs)`` (c * prod_j fs[j]), and
+    inner(1).
     """
-    tables = [np.asarray(t, dtype=np.uint64) for t in tables]
-    n = len(tables[0])
-    if any(len(t) != n for t in tables):
-        raise ValueError("all factor tables must have equal length")
-    if n == 0 or n & (n - 1):
-        raise ValueError("table length must be a power of two")
-    num_rounds = n.bit_length() - 1
-    degree = len(tables)
+    tables = as_tables(tables)
+    rounds = len(tables[0]).bit_length() - 1
+    terms = product_terms(len(tables)) if terms is None else terms
+    if not terms or not all(c % MODULUS and f and all(
+            0 <= j < len(tables) for j in f) for c, f in terms):
+        raise ValueError("each term needs a non-zero coefficient and tables")
+    taus = None if eq is None else [int(t) % MODULUS for t in eq]
+    if taus is not None and len(taus) != rounds:
+        raise ValueError(f"need {rounds} eq coordinates, got {len(taus)}")
+    d, degree = wire_degree(terms), wire_degree(terms, eq is not None)
+    top_terms = [t for t in terms if len(t[1]) == d]
+    # suffixes[rnd] = eq_table(tau[rnd+1:]), variable rnd+1 most
+    # significant: the tables eq_table(tau[1:]) passes through anyway.
+    suffixes = ([None] * rounds if taus is None
+                else list(eq_suffix_tables(taus[1:]))[::-1])
     _METRICS.inc("sumcheck.instances")
-    _METRICS.inc("sumcheck.rounds", num_rounds)
-    current = (claim if claim is not None else _product_sum(tables)) % MODULUS
-
-    xs = list(range(degree + 1))
-    round_evals: List[List[int]] = []
-    challenges: List[int] = []
-    for rnd in range(num_rounds):
-        # Lists of ints once a half fits table.SCALAR_TAIL: same formulas.
-        bottoms, tops = zip(*(tb.halves(t) for t in tables))
-        diffs = [tb.sub(tp, bt) for tp, bt in zip(tops, bottoms)]
-        # Factor value at (t, b) is bottom + t*diff; t = 1 is a free read
-        # and each further t adds diff to the previous samples.
-        g1 = _product_sum(tops)
-        evals = [(current - g1) % MODULUS, g1]
-        if degree >= 2:
-            samples = tops
-            for _t_val in range(2, degree):
-                samples = [tb.add(s, d) for s, d in zip(samples, diffs)]
-                evals.append(_product_sum(samples))
-            # g has degree d with leading coefficient sum_x prod_j diff_j,
-            # so its d-th finite difference sum_k (-1)^(d-k) C(d,k) g(k)
-            # is d! times that: solve for g(d).
-            known = sum((-1) ** (degree - k) * comb(degree, k) * g
-                        for k, g in enumerate(evals))
-            evals.append((factorial(degree) * _product_sum(diffs) - known)
-                         % MODULUS)
+    _METRICS.inc("sumcheck.rounds", rounds)
+    if claim is None:
+        claim = _weighted(_combine(terms, tables),
+                          None if taus is None else eq_table(taus))
+    current, prefix = claim % MODULUS, 1    # prefix: prod eq(tau_j, r_j)
+    round_evals, challenges = [], []
+    for rnd, weight in enumerate(suffixes):
+        if rnd == 0 and round0 is not None:
+            bottoms, tops, diffs, lead, inner1 = round0
+        else:
+            (bottoms, tops, diffs), lead = split_round(tables), None
+            inner1 = _weighted(_combine(terms, tops), weight)
+        # g(t) = scale[t] * inner(t): eq's prefix and degree-1 factor.
+        scale = [1 if taus is None else prefix * eq_eval([taus[rnd]], [t])
+                 % MODULUS for t in range(degree + 1)]
+        g1 = scale[1] * inner1 % MODULUS
+        g0 = (current - g1) % MODULUS
+        inner = [g0 * pow(scale[0], -1, MODULUS) % MODULUS if scale[0]
+                 else _weighted(_combine(terms, bottoms), weight), inner1]
+        samples = tops
+        for _t in range(2, d):
+            samples = [tb.add(s, df) for s, df in zip(samples, diffs)]
+            inner.append(_weighted(_combine(terms, samples), weight))
+        # inner's m-th finite difference, sum_k (-1)^(m-k) C(m,k) inner(k),
+        # is d! * lead at m = d and 0 at m = d + 1: solve for inner(m).
+        for m in range(len(inner), degree + 1):
+            top = 0 if m > d else factorial(d) * _weighted(
+                lead or _combine(top_terms, diffs), weight)
+            inner.append((top - sum((-1) ** (m - k) * comb(m, k) * v
+                                    for k, v in enumerate(inner))) % MODULUS)
+        evals = [g0, g1] + [scale[t] * inner[t] % MODULUS
+                            for t in range(2, degree + 1)]
         transcript.absorb_fields(label + b"/round%d" % rnd, evals)
         r = transcript.challenge_field(label + b"/r%d" % rnd)
         challenges.append(r)
-        current = interpolate_eval(xs, evals, r)
-        # Fold with the precomputed diffs: bottom + r*diff, one fused pass.
-        tables = [tb.scale_add(bt, df, r) for bt, df in zip(bottoms, diffs)]
         round_evals.append(evals)
+        current = interpolate_eval(range(degree + 1), evals, r)
+        tables = [tb.scale_add(bt, df, r) for bt, df in zip(bottoms, diffs)]
+        if taus is not None:
+            prefix = prefix * eq_eval([taus[rnd]], [r]) % MODULUS
 
     final_values = [int(t[0]) for t in tables]
     transcript.absorb_fields(label + b"/final", final_values)
@@ -145,25 +212,19 @@ def prove_sumcheck(tables: Sequence[np.ndarray], transcript: Transcript,
 
 
 def _well_formed_evals(evals, expected_len: int) -> bool:
-    """True when ``evals`` is a sequence of ``expected_len`` canonical
-    field elements — the precondition for arithmetic and transcript
-    absorption on the verify path."""
-    if not isinstance(evals, (list, tuple)):
-        return False
-    if len(evals) != expected_len:
-        return False
-    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-               and 0 <= v < MODULUS for v in evals)
+    """``evals`` is a list of ``expected_len`` canonical field elements —
+    the precondition for arithmetic and absorption on the verify path."""
+    return (isinstance(evals, (list, tuple)) and len(evals) == expected_len
+            and all(isinstance(v, (int, np.integer)) and type(v) is not bool
+                    and 0 <= v < MODULUS for v in evals))
 
 
 def verify_sumcheck_rounds(claim: int, round_evals: Sequence[Sequence[int]],
                            degree: int, transcript: Transcript,
                            label: bytes = b"sumcheck") -> SumcheckResult:
-    """Check round-polynomial consistency only, reducing ``claim`` to a
-    claimed evaluation at the random point.  The caller finishes the proof
-    by checking that reduced claim against oracles (MLE evaluations, PCS
-    openings, or a composite expression as in Spartan's first sumcheck).
-    """
+    """Check round consistency only, reducing ``claim`` to a claimed
+    evaluation at the random point, which the caller checks against
+    oracles, openings or :func:`evaluate_terms` at claimed values."""
     if not isinstance(round_evals, (list, tuple)):
         return SumcheckResult(False, [], 0, "round evaluations not a list")
     if len(round_evals) > MAX_VERIFY_ROUNDS:
@@ -171,7 +232,6 @@ def verify_sumcheck_rounds(claim: int, round_evals: Sequence[Sequence[int]],
                               f"{len(round_evals)} rounds exceeds the cap")
     current = claim % MODULUS
     challenges: List[int] = []
-    xs = list(range(degree + 1))
     for rnd, evals in enumerate(round_evals):
         if not _well_formed_evals(evals, degree + 1):
             return SumcheckResult(False, challenges, 0,
@@ -182,18 +242,18 @@ def verify_sumcheck_rounds(claim: int, round_evals: Sequence[Sequence[int]],
         transcript.absorb_fields(label + b"/round%d" % rnd, evals)
         r = transcript.challenge_field(label + b"/r%d" % rnd)
         challenges.append(r)
-        current = interpolate_eval(xs, evals, r)
+        current = interpolate_eval(range(degree + 1), evals, r)
     return SumcheckResult(True, challenges, current)
 
 
 def verify_sumcheck(claim: int, proof: SumcheckProof, degree: int,
-                    transcript: Transcript,
-                    label: bytes = b"sumcheck") -> SumcheckResult:
-    """Verify round consistency and reduce the claim to a point evaluation.
-
-    On success, ``final_claim`` equals the claimed value of the product at
-    the challenge point; the caller must still check it against
-    ``proof.final_values`` (or an oracle/PCS opening of each factor).
+                    transcript: Transcript, label: bytes = b"sumcheck", *,
+                    terms: Optional[Terms] = None,
+                    eq: Optional[Sequence[int]] = None) -> SumcheckResult:
+    """Verify the rounds and the final check: the term list (default: the
+    product of all final values) at ``proof.final_values``, times
+    eq(``eq``, challenges) when given, must equal the reduced claim.  The
+    caller still ties each final value to its table (oracle or opening).
     """
     if not isinstance(proof, SumcheckProof):
         return SumcheckResult(False, [], 0, "not a SumcheckProof")
@@ -202,47 +262,36 @@ def verify_sumcheck(claim: int, proof: SumcheckProof, degree: int,
     if not rounds.ok:
         return rounds
     challenges, current = rounds.challenges, rounds.final_claim
-
-    if (not isinstance(proof.final_values, (list, tuple))
-            or not _well_formed_evals(proof.final_values,
-                                      len(proof.final_values))):
+    values = proof.final_values
+    if not _well_formed_evals(values, len(values) if isinstance(
+            values, (list, tuple)) else -1):
         return SumcheckResult(False, challenges, current,
                               "malformed final values")
-    transcript.absorb_fields(label + b"/final", proof.final_values)
-    # The factor-product at the challenge point must match the reduced claim.
-    prod = 1
-    for v in proof.final_values:
-        prod = prod * (v % MODULUS) % MODULUS
-    if prod != current:
+    transcript.absorb_fields(label + b"/final", values)
+    terms = product_terms(len(values)) if terms is None else terms
+    if (max((j for _, f in terms for j in f), default=-1) >= len(values)
+            or eq is not None and len(eq) != len(challenges)):
         return SumcheckResult(False, challenges, current,
-                              "final product mismatch")
+                              "final values do not fit the terms")
+    eq_value = 1 if eq is None else eq_eval(eq, challenges)
+    if evaluate_terms(terms, values, eq_value) != current:
+        return SumcheckResult(False, challenges, current,
+                              "final check mismatch")
     return SumcheckResult(True, challenges, current)
 
 
 def sumcheck_cost(n: int, degree: int):
-    """Operation counts of one sumcheck over a size-n table with
-    ``degree`` factors (performance-model hook).
-
-    This counts the paper's sample-point algorithm (Listing 1 generalized:
-    every round polynomial evaluated at t = 0..degree), on purpose: it is
-    what the NoCap model schedules.  :func:`prove_sumcheck` computes the
-    same field elements with fewer vector passes (claim-derived g(0),
-    leading coefficient instead of the last sample), which is a property
-    of this host implementation, not of the modelled hardware.
-
-    Per round over m remaining entries: for each of (degree+1) sample
-    points and each factor, one mul + adds on m/2 entries, plus the
-    product across factors and the reduction sum.  Folding costs one mul
-    per entry per factor.  Traffic: each factor table is streamed once per
-    round (read) and half is written back.
-    """
+    """Operation counts of one ``degree``-factor sumcheck over n entries
+    (performance-model hook): on purpose the paper's algorithm, sampling
+    every round at t = 0..degree, as NoCap schedules it — the host prover's
+    shortcuts (claim-derived g(0), the leading coefficient) are not the
+    hardware's.  Each table is read once per round, half written back."""
     from ..opcount import OpCount
 
     cost = OpCount()
     m = n
     while m > 1:
-        half = m // 2
-        samples = degree + 1
+        half, samples = m // 2, degree + 1
         # factor evaluations at the sample points (t=0,1 are free reads)
         cost.mul += (samples - 2) * degree * half
         cost.add += (samples - 2) * degree * half * 2
@@ -252,7 +301,6 @@ def sumcheck_cost(n: int, degree: int):
         # folding each factor table
         cost.mul += degree * half
         cost.add += degree * half * 2
-        # traffic: read all factor tables, write back folded halves
         cost.mem_read_bytes += degree * m * 8
         cost.mem_write_bytes += degree * half * 8
         m = half

@@ -7,10 +7,11 @@ caller opens a :func:`deadline_scope`, and instrumented chokepoints
 in :class:`~repro.parallel.pool.ProverPool`) call :func:`check_deadline`, which raises
 :class:`~repro.errors.ProverTimeoutError` once the budget is spent.
 
-The active deadline is module state, matching the single-threaded
-prover.  Scopes nest: an inner scope can only *tighten* the deadline
-(its expiry is clamped to the enclosing one), so a per-job budget inside
-a batch budget never extends the batch.
+The active deadline is per context (a :class:`contextvars.ContextVar`):
+each thread — each job of a ``repro serve --job-slots 2`` daemon — sees
+only the scopes it opened.  Scopes nest: an inner scope can only
+*tighten* the deadline (its expiry is clamped to the enclosing one), so a
+per-job budget inside a batch budget never extends the batch.
 
 The fast path is one ``is None`` check — proving without a deadline pays
 nothing.  A worker gets its job's own budget as an argument; the parent
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator, Optional
 
 from ..errors import ProverTimeoutError
@@ -67,25 +69,28 @@ class Deadline:
                                      budget_s=self.budget_s, phase=phase)
 
 
-#: The active deadline (None = unbounded); module state like the tracer.
-_ACTIVE: Optional[Deadline] = None
+#: The active deadline (None = unbounded), one per thread / context.
+_ACTIVE: ContextVar[Optional[Deadline]] = ContextVar("repro_deadline",
+                                                     default=None)
 
 
 def active_deadline() -> Optional[Deadline]:
     """The deadline currently in force, or None."""
-    return _ACTIVE
+    return _ACTIVE.get()
 
 
 def remaining() -> Optional[float]:
     """Seconds left on the active deadline, or None when unbounded."""
-    return None if _ACTIVE is None else _ACTIVE.remaining()
+    deadline = _ACTIVE.get()
+    return None if deadline is None else deadline.remaining()
 
 
 def check_deadline(phase: str = "") -> None:
     """Cooperative cancellation point: no-op when no deadline is active,
     raises :class:`~repro.errors.ProverTimeoutError` once expired."""
-    if _ACTIVE is not None:
-        _ACTIVE.check(phase)
+    deadline = _ACTIVE.get()
+    if deadline is not None:
+        deadline.check(phase)
 
 
 @contextmanager
@@ -96,19 +101,18 @@ def deadline_scope(budget_s: Optional[float],
     ``budget_s=None`` is a no-op scope (unbounded).  Nested scopes clamp:
     the effective expiry is the *earlier* of the new budget and any
     enclosing deadline, so callers cannot accidentally extend a budget
-    set above them.  The previous deadline is restored on exit even when
-    the block raises.
+    set above them.  The previous deadline is restored on exit, by token,
+    even when the block raises.
     """
-    global _ACTIVE
+    prev = _ACTIVE.get()
     if budget_s is None:
-        yield _ACTIVE
+        yield prev
         return
     deadline = Deadline(budget_s, label=label)
-    prev = _ACTIVE
     if prev is not None and prev.expires_at < deadline.expires_at:
         deadline.expires_at = prev.expires_at
-    _ACTIVE = deadline
+    token = _ACTIVE.set(deadline)
     try:
         yield deadline
     finally:
-        _ACTIVE = prev
+        _ACTIVE.reset(token)

@@ -30,8 +30,11 @@ from ..hashing.transcript import Transcript
 from ..multilinear.mle import eq_eval, eq_table, mle_eval_head
 from ..multilinear.sumcheck import (
     SumcheckProof,
+    product_terms,
     prove_sumcheck,
+    verify_sumcheck,
     verify_sumcheck_rounds,
+    wire_degree,
 )
 from ..obs import span as _span
 from ..parallel.deadline import check_deadline
@@ -39,6 +42,7 @@ from ..pcs.orion import OrionCommitment, OrionEvalProof, OrionPCS
 from ..r1cs.system import R1CS
 from .matrixeval import combined_matrix_eval
 from .sumcheck1 import (
+    CONSTRAINT_TERMS,
     SatisfiedRound0,
     finish_constraint_sumcheck,
     prove_constraint_sumcheck,
@@ -46,6 +50,9 @@ from .sumcheck1 import (
 
 #: Paper value (Sec. VII-A): "we run all sumchecks 3 times".
 DEFAULT_REPETITIONS = 3
+
+#: Sumcheck 2's term list: M~(rx, y) * z~(y) over the tables (m_row, z).
+SUMCHECK2_TERMS = product_terms(2)
 
 
 @dataclass
@@ -151,7 +158,8 @@ class SpartanProver:
                                                            eq_table(rx))
                 with _span("spartan.sumcheck2", "sumcheck", rounds=log_n):
                     sc2, ry = prove_sumcheck([m_row, z], tr, label + b"/sc2",
-                                             claim=claim2)
+                                             claim=claim2,
+                                             terms=SUMCHECK2_TERMS)
 
                 # Open w~ at ry[1:] (ry[0] selects the witness half).  One
                 # row combination gives both the claimed value and the
@@ -210,9 +218,10 @@ class SpartanVerifier:
             va, vb, vc = int(rp.va), int(rp.vb), int(rp.vc)
             tau = tr.challenge_fields(label + b"/tau", log_n)
 
-            # Sumcheck 1: claim 0, degree 3.
-            res1 = verify_sumcheck_rounds(0, rp.sc1_round_evals, 3, tr,
-                                          label + b"/sc1")
+            # Sumcheck 1: claim 0, eq(tau, x) times its term list.
+            res1 = verify_sumcheck_rounds(
+                0, rp.sc1_round_evals, wire_degree(CONSTRAINT_TERMS, eq=True),
+                tr, label + b"/sc1")
             if not res1.ok or len(res1.challenges) != log_n:
                 return False
             rx = res1.challenges
@@ -227,18 +236,16 @@ class SpartanVerifier:
             r_c = tr.challenge_field(label + b"/rc")
             claim2 = (r_a * va + r_b * vb + r_c * vc) % MODULUS
 
-            # Sumcheck 2: degree 2; final factor values are (m_val, z_val).
-            res2 = verify_sumcheck_rounds(claim2, rp.sc2.round_evals, 2, tr,
-                                          label + b"/sc2")
-            if not res2.ok or len(res2.challenges) != log_n:
+            # Sumcheck 2, final check included: its term list at the final
+            # table values (m_val, z_val).
+            res2 = verify_sumcheck(
+                claim2, rp.sc2, wire_degree(SUMCHECK2_TERMS), tr,
+                label + b"/sc2", terms=SUMCHECK2_TERMS)
+            if (not res2.ok or len(res2.challenges) != log_n
+                    or len(rp.sc2.final_values) != 2):
                 return False
             ry = res2.challenges
-            tr.absorb_fields(label + b"/sc2/final", rp.sc2.final_values)
-            if len(rp.sc2.final_values) != 2:
-                return False
             m_val, z_val = (int(v) for v in rp.sc2.final_values)
-            if m_val * z_val % MODULUS != res2.final_claim:
-                return False
 
             # Check m_val directly against the public matrices.
             expected_m = combined_matrix_eval(r1cs.a, r1cs.b, r1cs.c,

@@ -14,6 +14,7 @@ import contextlib
 import multiprocessing
 import os
 import signal
+import threading
 
 import pytest
 
@@ -144,6 +145,40 @@ class TestDeadline:
                 pass
             assert active_deadline() is outer
         assert active_deadline() is None
+
+    def test_interleaved_scopes_on_two_threads_stay_apart(self):
+        """Two jobs on two threads (``repro serve --job-slots 2``), forced
+        into the order enter A, enter B, exit A, exit B.  A module-global
+        deadline let B clamp to A's spent budget, A's exit uninstall B's
+        deadline, and B's exit reinstall A's for every later job."""
+        a_entered, b_entered, a_exited = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def job_a():
+            with deadline_scope(0.0, label="job a"):
+                a_entered.set()
+                b_entered.wait(10)
+            a_exited.set()
+
+        def job_b():
+            a_entered.wait(10)
+            with deadline_scope(60.0, label="job b") as mine:
+                b_entered.set()
+                a_exited.wait(10)
+                seen["b_remaining"] = mine.remaining()
+                seen["b_active"] = active_deadline() is mine
+            seen["b_after"] = active_deadline()
+
+        threads = [threading.Thread(target=job) for job in (job_a, job_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(20)
+        assert not any(t.is_alive() for t in threads)
+        assert seen["b_active"] and seen["b_remaining"] > 30
+        assert seen["b_after"] is None
+        assert active_deadline() is None
+        check_deadline("a later job")            # nothing stale left over
 
 
 class TestProveTimeout:

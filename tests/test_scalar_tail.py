@@ -8,6 +8,7 @@ obviously-right oracle the tiled kernels are held to.
 """
 
 import hashlib
+from math import prod
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,9 @@ from repro import PAPER, prove, setup, verify
 from repro.field import vector as fv
 from repro.field.goldilocks import MODULUS
 from repro.hashing import Transcript
-from repro.multilinear import eq_eval, eq_table, mle_eval, prove_sumcheck, table
+from repro.multilinear import (SumcheckProof, eq_eval, eq_table, mle_eval,
+                               prove_sumcheck, table, verify_sumcheck,
+                               wire_degree)
 from repro.spartan import SatisfiedRound0, prove_constraint_sumcheck, protocol
 
 TAILS = (0, table.SCALAR_TAIL, 1 << 30)
@@ -53,6 +56,57 @@ def edgy(rng, n, noncanonical_tops=False):
 
 def bits(b, width):
     return [(b >> (width - 1 - i)) & 1 for i in range(width)]
+
+
+#: 1-3 terms of 1-3 factors over three tables, coefficients +-1.
+term_lists = st.lists(
+    st.tuples(st.sampled_from([1, -1]),
+              st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple)),
+    min_size=1, max_size=3)
+
+#: tau coordinates: 0 / 1 put the ``denom == 0`` branch on that round.
+tau_shapes = st.lists(st.sampled_from([0, 1, None]), min_size=9, max_size=9)
+
+
+def draw_tau(rng, tau_shape, log_n):
+    return [int(fv.rand_vector(1, rng)[0]) if t is None else t
+            for t in tau_shape[:log_n]]
+
+
+def term_sum(terms, values):
+    """sum_k coef_k * prod_{j in F_k} values[j], a Python int."""
+    return sum(c * prod(int(values[j]) for j in f) for c, f in terms)
+
+
+def hypercube_claim(tables, terms, tau):
+    """The sum a term list proves, [eq(tau, x)] included, in Python ints."""
+    log_n = len(tables[0]).bit_length() - 1
+    return sum((1 if tau is None else eq_eval(tau, bits(x, log_n)))
+               * term_sum(terms, [t[x] for t in tables])
+               for x in range(1 << log_n)) % MODULUS
+
+
+def hypercube_rounds(tables, terms, tau, challenges):
+    """Every round's g(0..D) of eq(tau, x) * terms as Python-int sums over
+    the hypercube, the tables (eq's included) folded by the definition."""
+    log_n = len(challenges)
+    folded = [[int(v) for v in t] for t in tables]
+    folded.append([eq_eval(tau, bits(x, log_n)) for x in range(1 << log_n)])
+    rounds = []
+    for r in challenges:
+        half = len(folded[0]) // 2
+
+        def at(t):
+            return [[(f[i] + t * (f[half + i] - f[i])) % MODULUS
+                     for i in range(half)] for f in folded]
+
+        rounds.append([])
+        for t in range(wire_degree(terms, eq=True) + 1):
+            *vals, eq = at(t)
+            rounds[-1].append(sum(eq[i] * term_sum(terms, [v[i] for v in vals])
+                                  for i in range(half)) % MODULUS)
+        folded = at(r)
+    return rounds
 
 
 class TestSumcheckDifferential:
@@ -110,6 +164,77 @@ class TestSumcheckDifferential:
             results += [with_tail(t, lambda: run(shared=True)) for t in TAILS]
             assert results[0][0][0][:2] == [0, 0]       # g(0) = g(1) = 0
         assert all_equal(results)
+
+    @given(term_lists, st.integers(1, 7), st.integers(0, 2**32),
+           st.booleans(), tau_shapes)
+    def test_term_lists(self, terms, log_n, seed, with_eq, tau_shape):
+        """Any term list, with and without an eq factor, runs through the
+        one engine; its claim (computed by the engine) and rounds are
+        accepted by ``verify_sumcheck`` given the same terms."""
+        rng = np.random.default_rng(seed)
+        tables = [edgy(rng, 1 << log_n) for _ in range(3)]
+        tau = draw_tau(rng, tau_shape, log_n) if with_eq else None
+
+        def run():
+            tr = Transcript()
+            proof, challenges = prove_sumcheck(tables, tr, b"sc",
+                                               terms=terms, eq=tau)
+            return (proof.round_evals, proof.final_values, challenges,
+                    tr._state, tr._counter)
+
+        results = [with_tail(t, run) for t in TAILS]
+        assert all_equal(results)
+        evals, finals, challenges = results[0][:3]
+        degree = wire_degree(terms, eq=with_eq)
+        assert all(len(e) == degree + 1 for e in evals)
+        assert finals == [mle_eval(t, challenges) for t in tables]
+        res = verify_sumcheck(hypercube_claim(tables, terms, tau),
+                              SumcheckProof(evals, finals), degree,
+                              Transcript(), b"sc", terms=terms, eq=tau)
+        assert res.ok and res.challenges == challenges, res.reason
+
+
+class TestTensorSplitOracle:
+    """The engine's eq factor (scalar prefix x degree-1 scalar x static
+    suffix tables) against ``eq_table(tau)`` carried as one more table in
+    every term, and against the hypercube sums."""
+
+    @given(term_lists, st.integers(1, 6), st.integers(0, 2**32), tau_shapes)
+    def test_split_eq_equals_a_materialised_eq_table(self, terms, log_n,
+                                                     seed, tau_shape):
+        rng = np.random.default_rng(seed)
+        tables = [edgy(rng, 1 << log_n) for _ in range(3)]
+        tau = draw_tau(rng, tau_shape, log_n)
+        split, rx = prove_sumcheck(tables, Transcript(), b"sc", terms=terms,
+                                   eq=tau)
+        full, rx_full = prove_sumcheck(
+            tables + [eq_table(tau)], Transcript(), b"sc",
+            terms=[(c, f + (3,)) for c, f in terms])
+        assert split.round_evals == full.round_evals and rx == rx_full
+        assert full.final_values == split.final_values + [eq_eval(tau, rx)]
+        assert split.round_evals == hypercube_rounds(tables, terms, tau, rx)
+
+
+class TestGrandProductLayer:
+    @pytest.mark.parametrize("log_n", [3, 9])
+    def test_eq_left_right_is_a_term_list(self, log_n):
+        """A grand-product layer, sum_x eq(tau, x) * left(x) * right(x),
+        proves and verifies with nothing but its term list."""
+        rng = np.random.default_rng(log_n)
+        left, right = (fv.rand_vector(1 << log_n, rng) for _ in range(2))
+        tau = [int(t) for t in fv.rand_vector(log_n, rng)]
+        terms = [(1, (0, 1))]
+        claim = mle_eval(fv.mul(left, right), tau)
+        proof, rx = prove_sumcheck([left, right], Transcript(), b"gp",
+                                   claim=claim, terms=terms, eq=tau)
+        assert proof.final_values == [mle_eval(left, rx), mle_eval(right, rx)]
+
+        def check(c):
+            return verify_sumcheck(c, proof, wire_degree(terms, eq=True),
+                                   Transcript(), b"gp", terms=terms, eq=tau)
+
+        assert check(claim).ok and check(claim).challenges == rx
+        assert not check((claim + 1) % MODULUS).ok
 
 
 class TestEqAndMleAgainstTheDefinition:
