@@ -26,6 +26,8 @@ import sys
 import time
 from typing import List, Optional
 
+from .workloads.registry import build_workload, workload_choices
+
 
 def _cmd_tables(args: argparse.Namespace) -> int:
     from .analysis import gmean, table1_rows, table5_rows
@@ -164,18 +166,6 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     return 0
 
 
-def _workload_choices() -> List[str]:
-    from .workloads.registry import workload_choices
-
-    return workload_choices()
-
-
-def _build_workload(name: str):
-    from .workloads.registry import build_workload
-
-    return build_workload(name)
-
-
 def _print_metrics(snapshot: dict) -> None:
     print("metrics:")
     for name, value in sorted(snapshot.get("counters", {}).items()):
@@ -188,14 +178,10 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     from .snark import preset_by_name, prove, setup, verify
 
     preset = preset_by_name(args.preset)
-    name, circuit = _build_workload(args.workload)
+    name, circuit = build_workload(args.workload)
     print(f"{name}: {circuit.num_constraints} constraints")
     r1cs, public, witness = circuit.compile()
     pk, vk = setup(r1cs, preset)
-    if args.flight_log:
-        from .obs import FLIGHT
-
-        FLIGHT.spool_to(args.flight_log)
 
     def run():
         t0 = time.perf_counter()
@@ -267,7 +253,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "bundle carries no circuit id; pass --workload to name the "
             "statement it proves")
     # Unknown ids raise ConfigError -> exit 3 via main().
-    name, circuit = _build_workload(workload)
+    name, circuit = build_workload(workload)
     r1cs, _, _ = circuit.compile()
     _, vk = setup(r1cs, preset_by_name(bundle.preset_name))
     print(f"{args.bundle}: preset {bundle.preset_name}, circuit {name}, "
@@ -288,14 +274,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from .snark import preset_by_name, prove, setup, verify
 
     preset = preset_by_name(args.preset)
-    name, circuit = _build_workload(args.workload)
+    name, circuit = build_workload(args.workload)
     print(f"{name}: {circuit.num_constraints} constraints")
     r1cs, public, witness = circuit.compile()
     pk, vk = setup(r1cs, preset)
-    if args.flight_log:
-        from .obs import FLIGHT
-
-        FLIGHT.spool_to(args.flight_log)
     with obs.tracing() as tracer:
         bundle = prove(pk, public, witness, circuit_id=name,
                        timeout_s=args.timeout)
@@ -388,18 +370,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     kwargs = dict(
         host=args.host, port=args.port, unix_socket=args.unix_socket,
-        queue_depth=args.queue_depth, job_slots=args.job_slots,
-        preset=args.preset,
+        queue_depth=args.queue_depth, preset=args.preset,
         key_cache_bytes=args.key_cache_mb * 1024 * 1024,
         proof_cache_bytes=args.proof_cache_mb * 1024 * 1024)
     if args.timeout is not None:
         kwargs["timeout_s"] = args.timeout  # else keep the config default
-    config = ServiceConfig(**kwargs)
-    if args.flight_log:
-        from .obs import FLIGHT
-
-        FLIGHT.spool_to(args.flight_log)
-    return serve_forever(config)
+    return serve_forever(ServiceConfig(**kwargs))
 
 
 def _client_from(args: argparse.Namespace):
@@ -522,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     prove = sub.add_parser(
         "prove", help="prove+verify a demo workload",
         parents=[preset_p, timeout_p, telemetry_p])
-    prove.add_argument("workload", choices=_workload_choices())
+    prove.add_argument("workload", choices=workload_choices())
     prove.add_argument("--out", metavar="PATH", default=None,
                        help="write the proof as a self-describing envelope "
                             "(verify it with `repro verify PATH`)")
@@ -540,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify a proof bundle written by `repro prove --out`")
     ver.add_argument("bundle", metavar="BUNDLE",
                      help="path to a serialized proof envelope")
-    ver.add_argument("--workload", choices=_workload_choices(), default=None,
+    ver.add_argument("--workload", choices=workload_choices(), default=None,
                      help="statement the proof claims (default: the circuit "
                           "id embedded in the envelope)")
     ver.set_defaults(func=_cmd_verify)
@@ -550,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="prove under the tracer + simulate on NoCap, export Chrome "
              "trace and per-phase breakdown",
         parents=[preset_p, timeout_p, telemetry_p])
-    trace.add_argument("workload", choices=_workload_choices())
+    trace.add_argument("workload", choices=workload_choices())
     trace.add_argument("--trace-out", metavar="PATH", default="trace.json",
                        help="Chrome trace-event JSON output path "
                             "(default trace.json)")
@@ -577,9 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bounded job-queue depth; submissions past it "
                             "are rejected with the 429-style queue-full "
                             "error (default %(default)s)")
-    serve.add_argument("--job-slots", type=int, default=1, metavar="N",
-                       help="concurrent proving jobs, one thread each "
-                            "(default %(default)s)")
     serve.add_argument("--key-cache-mb", type=int, default=256,
                        metavar="MB",
                        help="proving/verifying-key cache budget "
@@ -597,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     cprove = csub.add_parser(
         "prove", help="prove a workload on the service",
         parents=[connect_p, timeout_p])
-    cprove.add_argument("workload", choices=_workload_choices())
+    cprove.add_argument("workload", choices=workload_choices())
     cprove.add_argument("--preset", choices=sorted(PRESETS), default=None,
                         help="security preset (default: the daemon's "
                              "--preset)")
@@ -613,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[connect_p, timeout_p])
     cverify.add_argument("bundle", metavar="BUNDLE",
                          help="path to a serialized proof envelope")
-    cverify.add_argument("--workload", choices=_workload_choices(),
+    cverify.add_argument("--workload", choices=workload_choices(),
                          default=None,
                          help="statement the proof claims (default: the "
                               "circuit id embedded in the envelope)")
@@ -660,6 +633,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     args = build_parser().parse_args(argv)
+    if getattr(args, "flight_log", None):   # prove / trace / serve
+        from .obs import FLIGHT
+
+        FLIGHT.spool_to(args.flight_log)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -155,9 +155,9 @@ def _scratch() -> list:
     and shared by :func:`_mul_tiles`, :func:`_scale_tiles` and :func:`dot`.
 
     Per thread, not per module: numpy releases the GIL inside every
-    ufunc, so kernels running on two threads (``repro serve --job-slots
-    2``) interleave their tile passes and would overwrite each other's
-    intermediates in shared buffers.
+    ufunc, so kernels running on two threads (two threads calling
+    ``prove()``) interleave their tile passes and would overwrite each
+    other's intermediates in shared buffers.
     """
     bufs = getattr(_LOCAL, "bufs", None)
     if bufs is None:

@@ -8,8 +8,7 @@ in :class:`~repro.parallel.pool.ProverPool`) call :func:`check_deadline`, which 
 :class:`~repro.errors.ProverTimeoutError` once the budget is spent.
 
 The active deadline is per context (a :class:`contextvars.ContextVar`):
-each thread — each job of a ``repro serve --job-slots 2`` daemon — sees
-only the scopes it opened.  Scopes nest: an inner scope can only
+of two threads calling ``prove()``, each sees only the scopes it opened.  Scopes nest: an inner scope can only
 *tighten* the deadline (its expiry is clamped to the enclosing one), so a
 per-job budget inside a batch budget never extends the batch.
 

@@ -15,9 +15,8 @@ Two caches keep the daemon hot across requests:
   NCPE envelope of the earlier proof without touching the prover.
   Deterministic proving (fixed seed ⇒ fixed bytes, PR 4) is what makes
   this sound: same key ⇒ same statement and randomness ⇒ same proof.
-  Unseeded requests hash the seed's absence, so they also dedup against
-  each other (the first proof's bytes serve every repeat), while
-  distinct explicit seeds keep distinct entries.
+  Only seeded requests have a key: an unseeded one draws fresh masks, so
+  the daemon neither looks it up nor stores its proof.
 
 Both are LRU-bounded **by bytes**, not entry count, because one
 paper-preset key dwarfs a hundred test-preset envelopes.  Hit/miss/
@@ -73,13 +72,14 @@ class LRUBytesCache:
         return entry[0]
 
     def peek(self, key: Any) -> Optional[Any]:
-        """Like :meth:`get` but without touching the hit/miss counters —
-        for probe paths whose miss falls through to a counted lookup."""
+        """Like :meth:`get` but a pure read: no counter, no reordering.
+
+        Probes run on the event loop while the job thread's ``put`` may
+        evict the same key at any moment, so a probe reads once and never
+        reorders: a reorder after the read could find the key gone.
+        """
         entry = self._entries.get(key)
-        if entry is None:
-            return None
-        self._entries.move_to_end(key)
-        return entry[0]
+        return None if entry is None else entry[0]
 
     def put(self, key: Any, value: Any, size_bytes: int) -> None:
         size_bytes = int(size_bytes)
@@ -161,24 +161,20 @@ class KeyCache:
 
 
 def proof_cache_key(preset_name: str, circuit_id: str, public: np.ndarray,
-                    seed: Optional[int]) -> str:
-    """Content address of a prove request: sha256 over the statement and
-    the randomness choice.
+                    seed: int) -> str:
+    """Content address of a seeded prove request: sha256 over the
+    statement and the seed.
 
     The seed participates because proof bytes depend on it: two requests
     collide only when they would provably produce identical envelopes.
-    ``seed=None`` hashes as its own marker, so unseeded requests dedup
-    against each other (the first proof's bytes are what every repeat
-    gets back) but never against an explicitly seeded one.  The prefix
-    carries the envelope format version, so envelopes of two formats
-    never share a key.
+    The prefix carries the envelope format version, so envelopes of two
+    formats never share a key.
     """
     h = hashlib.sha256()
     h.update(b"ncpe-proof-v%d\0" % ENVELOPE_VERSION)
     h.update(preset_name.encode("utf-8") + b"\0")
     h.update(circuit_id.encode("utf-8") + b"\0")
-    h.update(b"none" if seed is None else str(int(seed)).encode("ascii"))
-    h.update(b"\0")
+    h.update(b"%d\0" % int(seed))
     h.update(np.ascontiguousarray(
         np.asarray(public, dtype=np.uint64)).tobytes())
     return h.hexdigest()

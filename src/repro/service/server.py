@@ -12,13 +12,12 @@ Architecture (see ``docs/SERVICE.md`` for the operator view)::
                           ▼
                  future done → _finish_job (on the loop) → result frames
 
-The event loop only ever shuffles frames; proving runs on a small
-:class:`~concurrent.futures.ThreadPoolExecutor` so a 30 s paper-preset
-proof never blocks a ``status`` poll.  The executor's FIFO is the
-daemon's one queue — jobs start in submission order whichever connection
-sent them — and ``job_slots``, its thread count, the one concurrency
-model: a request is one proof job and runs on the thread that picked it
-up.  Job bodies call the ordinary lifecycle API, so cooperative
+The event loop only shuffles frames, and one thread proves: a
+single-worker :class:`~concurrent.futures.ThreadPoolExecutor` runs every
+job body, so a 30 s paper-preset proof never blocks a ``status`` poll and
+no two proofs share the process.  The executor's FIFO is the daemon's one
+queue — jobs start in submission order whichever connection sent them.
+Job bodies call the ordinary lifecycle API, so cooperative
 deadlines apply to service traffic unchanged and every job leaves a
 :class:`~repro.obs.events.JobReport` in the flight log (``repro serve
 --flight-log``).  The daemon's in-band scrape is the ``stats`` op — plain
@@ -79,17 +78,15 @@ class ServiceConfig:
     port: int = 0                    # 0 = OS-assigned (reported on start)
     unix_socket: Optional[str] = None
     queue_depth: int = DEFAULT_MAX_DEPTH
-    job_slots: int = 1               # concurrent executor threads
     preset: str = "test-fast"        # default preset for prove jobs
     key_cache_bytes: int = DEFAULT_KEY_CACHE_BYTES
     proof_cache_bytes: int = DEFAULT_PROOF_CACHE_BYTES
     timeout_s: Optional[float] = 120.0   # default per-job deadline
 
     def __post_init__(self) -> None:
-        for name in ("job_slots", "queue_depth"):
-            if getattr(self, name) < 1:
-                raise ConfigError(
-                    f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.queue_depth < 1:
+            raise ConfigError(
+                f"queue_depth must be >= 1, got {self.queue_depth}")
 
 
 @dataclass
@@ -166,7 +163,7 @@ class ProvingService:
     async def start(self) -> None:
         cfg = self.config
         self._executor = ThreadPoolExecutor(
-            max_workers=cfg.job_slots, thread_name_prefix="repro-job")
+            max_workers=1, thread_name_prefix="repro-job")
         if cfg.unix_socket:
             with contextlib.suppress(OSError):
                 os.unlink(cfg.unix_socket)
@@ -305,11 +302,12 @@ class ProvingService:
             seed = request.get("seed")
             job.seed = None if seed is None else int(seed)
             # Proof-cache fast path: answer at submit time, occupy no
-            # slot.  Key inputs are resolved lazily in the job
+            # queue slot.  Key inputs are resolved lazily in the job
             # body on a miss; here we can only consult the cache when
             # the statement's keys are already cached (no compile work
-            # on the event loop).
-            hit = self._proof_cache_probe(job)
+            # on the event loop).  An unseeded request draws fresh masks,
+            # so it is never answered from the cache.
+            hit = None if job.seed is None else self._proof_cache_probe(job)
             if hit is not None:
                 job.envelope = hit
                 job.cached = True
@@ -445,9 +443,9 @@ class ProvingService:
         from ..snark import prove
 
         entry = self.key_cache.get_or_build(job.circuit_id, job.preset)
-        key = proof_cache_key(job.preset, job.circuit_id, entry.public,
-                              job.seed)
-        cached = self.proof_cache.get(key)
+        key = None if job.seed is None else proof_cache_key(
+            job.preset, job.circuit_id, entry.public, job.seed)
+        cached = None if key is None else self.proof_cache.get(key)
         if cached is not None:
             job.envelope = cached
             job.cached = True
@@ -458,7 +456,8 @@ class ProvingService:
         job.envelope = bundle.to_bytes()
         if bundle.report is not None:
             job.report = bundle.report.to_dict()
-        self.proof_cache.put(key, job.envelope)
+        if key is not None:
+            self.proof_cache.put(key, job.envelope)
 
     def _run_verify(self, job: Job) -> None:
         from ..snark import ProofBundle, verify
@@ -498,7 +497,6 @@ class ProvingService:
             "pk_cache": self.key_cache.stats(),
             "proof_cache": self.proof_cache.stats(),
             "config": {
-                "job_slots": self.config.job_slots,
                 "preset": self.config.preset,
                 "queue_depth": self.config.queue_depth,
             },
@@ -512,7 +510,7 @@ async def _serve(config: ServiceConfig) -> None:
              else "%s:%d" % tuple(service.address))
     print(f"repro serve: listening on {where} "
           f"(pid {os.getpid()}, queue {config.queue_depth}, "
-          f"job slots {config.job_slots}, preset {config.preset})",
+          f"preset {config.preset})",
           flush=True)
     loop = asyncio.get_running_loop()
     stop_signal = asyncio.Event()

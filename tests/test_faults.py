@@ -147,8 +147,8 @@ class TestDeadline:
         assert active_deadline() is None
 
     def test_interleaved_scopes_on_two_threads_stay_apart(self):
-        """Two jobs on two threads (``repro serve --job-slots 2``), forced
-        into the order enter A, enter B, exit A, exit B.  A module-global
+        """Two threads calling ``prove()``, forced into the order enter A,
+        enter B, exit A, exit B.  A module-global
         deadline let B clamp to A's spent budget, A's exit uninstall B's
         deadline, and B's exit reinstall A's for every later job."""
         a_entered, b_entered, a_exited = (threading.Event() for _ in range(3))

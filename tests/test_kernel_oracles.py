@@ -3,8 +3,8 @@
 * The constant-operand multiply (``fv._scale_tiles``, under ``mul`` with a
   0-d operand, ``mul_scalar`` and ``scale_add``) against Python ints, and
   against the vector kernel fed a broadcast copy of the constant.
-* Kernel scratch is per thread: threads running the tiled kernels at
-  once get exactly the single-threaded results.
+* Kernel scratch is per thread: threads running the tiled kernels, or
+  whole proofs, at once get exactly the single-threaded results.
 * The commit's encode tiles: codewords equal one whole-matrix
   ``encode_rows``, tiles are balanced, and proof bytes do not depend on
   ``ENCODE_TILE_CELLS``.
@@ -155,6 +155,40 @@ class TestKernelScratchPerThread:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert wrong == [0] * len(operands)
+
+    def test_two_threads_prove_the_serial_envelopes(self):
+        """Two threads calling ``prove()`` on ``sha`` at once get the bytes
+        a serial caller gets, and both verify (the shared scratch turned
+        such a pair into "witness does not satisfy the constraint
+        system")."""
+        from repro.workloads.registry import build_workload
+
+        r1cs, public, witness = build_workload("sha")[1].compile()
+        pk, vk = setup(r1cs, PAPER)
+        seeds = (11, 12)
+        serial = [prove(pk, public, witness, seed=s).to_bytes()
+                  for s in seeds]
+        start = threading.Barrier(len(seeds))
+        got = {}
+
+        def worker(seed):
+            start.wait(30)
+            got[seed] = prove(pk, public, witness, seed=seed)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,))
+                       for s in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert [got[s].to_bytes() for s in seeds] == serial
+        assert all(verify(vk, got[s]) for s in seeds)
 
 
 def _rs_encode_rows(tracer):

@@ -2,11 +2,11 @@
 over a real unix socket.
 
 The daemon runs in-process on a background thread's event loop — real
-frames, real sockets, real executor threads — so these tests exercise
+frames, real sockets, the real job thread — so these tests exercise
 the exact dispatch path ``repro serve`` uses while keeping direct access
 to the :class:`~repro.service.server.ProvingService` internals (to plug
-the job slot for deterministic backpressure, and to arm ``REPRO_FAULTS``
-plans the worker thread will see).
+the job thread for deterministic backpressure, and to arm
+``REPRO_FAULTS`` plans the job thread will see).
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ def sock_path(tmp_path):
 
 @contextlib.contextmanager
 def plugged(service):
-    """Hold every prove job inside its body — started, its slot taken —
-    until the yielded event is set."""
+    """Hold every prove job inside its body — started, the job thread
+    taken — until the yielded event is set."""
     release = threading.Event()
     real_run_prove = service._run_prove
 
@@ -157,6 +157,30 @@ class TestLRUBytesCache:
         assert c.peek("k") == "v" and c.peek("nope") is None
         assert (c.hits, c.misses) == (hits, misses)
 
+    def test_peek_survives_eviction_between_calls(self):
+        """``peek`` runs on the event loop while the job thread's ``put``
+        may evict the same LRU-oldest key at any moment.  The ``_entries``
+        stand-in deletes a key as it returns it — the eviction landing
+        between lookup and reorder — and ``peek`` must still answer; nor
+        may it refresh recency, so the probed key stays next to go."""
+        from collections import OrderedDict
+
+        class EvictedOnRead(OrderedDict):
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                self.pop(key, None)
+                return value
+
+        c = LRUBytesCache(max_bytes=100)
+        c.put("old", "O", 40)
+        c.put("new", "N", 40)
+        entries = c._entries
+        c._entries = EvictedOnRead(entries)
+        assert c.peek("old") == "O"
+        c._entries = entries
+        assert c.peek("old") == "O"
+        assert list(c._entries) == ["old", "new"]
+
     def test_proof_cache_key_separates_inputs(self):
         import numpy as np
 
@@ -164,7 +188,6 @@ class TestLRUBytesCache:
         base = proof_cache_key("test-fast", "sha", pub, 1)
         assert base == proof_cache_key("test-fast", "sha", pub, 1)
         assert base != proof_cache_key("test-fast", "sha", pub, 2)
-        assert base != proof_cache_key("test-fast", "sha", pub, None)
         assert base != proof_cache_key("test-fast", "aes", pub, 1)
         assert base != proof_cache_key("paper-128bit", "sha", pub, 1)
 
@@ -298,32 +321,6 @@ class TestServiceEndToEnd:
             assert not METRICS.enabled
             assert METRICS.snapshot() == {"counters": {}, "gauges": {}}
 
-    def test_two_job_slots_return_the_serial_envelopes(self, tmp_path):
-        """``--job-slots 2`` proves on two executor threads at once; the
-        field kernels' scratch is per thread, so both envelopes are the
-        bytes one slot produces, and both verify."""
-        jobs = [("sha", 11), ("sha", 12)]
-        with running_service(tmp_path / "serial.sock"):
-            with ServiceClient(str(tmp_path / "serial.sock")) as svc:
-                serial = [svc.prove(c, seed=s) for c, s in jobs]
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with running_service(tmp_path / "two.sock", job_slots=2) as live:
-                with ServiceClient(str(tmp_path / "two.sock")) as svc:
-                    with plugged(live.service) as release:
-                        ids = [svc.submit("prove", circuit_id=c, seed=s)
-                               for c, s in jobs]
-                        for i in ids:       # both slots taken: they overlap
-                            wait_running(svc, i)
-                        release.set()
-                    envelopes = [protocol.decode_blob(str(
-                        svc.result(i, wait_s=120)["envelope"])) for i in ids]
-                    assert envelopes == serial
-                    assert all(svc.verify(e) for e in envelopes)
-        finally:
-            sys.setswitchinterval(old)
-
     def test_status_lifecycle_and_unknown_job(self, sock_path):
         with running_service(sock_path) as live:
             with ServiceClient(sock_path) as svc:
@@ -341,7 +338,7 @@ class TestServiceEndToEnd:
                 for reply in (result, status):
                     assert reply["wait_s"] >= 0 and reply["run_s"] > 0
                     assert reply["wait_s"] + reply["run_s"] <= wall
-                # One job slot: the second job started after the first.
+                # One job thread: the second job started after the first.
                 queued = svc.result(queued_id, wait_s=60)
                 assert queued["wait_s"] > 0
                 jobs = live.service.jobs
@@ -350,11 +347,11 @@ class TestServiceEndToEnd:
                     svc.status("svc-999999")
                 assert ei.value.code == protocol.E_NOT_FOUND
 
-    def test_backpressure_and_fairness_caps(self, sock_path):
+    def test_backpressure_and_fifo_order(self, sock_path):
         """One cap, the depth bound, and FIFO is the fairness: with the
-        lone job slot plugged, three anonymous connections on the one
+        job thread plugged, three anonymous connections on the one
         unix socket are admitted alike up to the bound; the submission
-        past it gets the typed 429; once the slot frees, jobs start in
+        past it gets the typed 429; once the thread frees, jobs start in
         submission order whichever connection sent them — a request still
         carrying the retired ``priority`` / ``client`` fields is served
         in its turn."""
@@ -364,7 +361,7 @@ class TestServiceEndToEnd:
                 ServiceClient(sock_path) as bob, \
                 ServiceClient(sock_path) as cat:
             ids = [prove_job(ann, 1)]
-            wait_running(ann, ids[0])  # holds the slot, not the queue
+            wait_running(ann, ids[0])  # holds the thread, not the queue
             ids.append(prove_job(bob, 2))
             ids.append(cat.request({
                 "op": "submit", "kind": "prove", "circuit_id": "litmus",
@@ -406,7 +403,7 @@ class TestServiceEndToEnd:
                 running = prove_job(svc, 2)
                 wait_running(svc, running)
                 queued = prove_job(svc, 3)
-                # Cached repeats finish at admission, slot plugged or not:
+                # Cached repeats finish at admission, thread plugged or not:
                 # three more copies of the envelope, budget two.
                 repeats = [prove_job(svc, 1) for _ in range(3)]
                 for gone in (first, checked, repeats[0]):
@@ -424,23 +421,24 @@ class TestServiceEndToEnd:
             assert len(service.jobs) == len(service._finished)
 
     def test_proof_cache_hits_byte_identical(self, sock_path):
-        with running_service(sock_path) as live:
-            with ServiceClient(sock_path) as svc:
-                first = svc.prove("litmus", seed=11)
-                again = svc.prove("litmus", seed=11)
-                assert again == first  # byte-identical envelope
+        with running_service(sock_path), ServiceClient(sock_path) as svc:
+            first = svc.prove("litmus", seed=11)
+            again = svc.prove("litmus", seed=11)
+            assert again == first  # byte-identical envelope
 
-                # Unseeded repeats dedup to the first proof's bytes too
-                # (seed-absence is part of the content address).
-                free_a = svc.prove("litmus")
-                free_b = svc.prove("litmus")
-                assert free_a == free_b
-                assert free_a != first
+            # An unseeded request draws fresh masks: it is never answered
+            # from the cache and its proof is never stored.
+            free = [svc.result(svc.submit("prove", circuit_id="litmus"),
+                               wait_s=60) for _ in range(2)]
+            assert [reply["cached"] for reply in free] == [False, False]
+            free_a, free_b = (protocol.decode_blob(reply["envelope"])
+                              for reply in free)
+            assert free_a != free_b and first not in (free_a, free_b)
 
-                stats = svc.stats()
-                assert stats["proof_cache"]["hits"] >= 2
-                assert stats["pk_cache"]["entries"] == 1  # keys built once
-            del live
+            stats = svc.stats()
+            assert stats["proof_cache"]["hits"] == 1
+            assert stats["proof_cache"]["entries"] == 1
+            assert stats["pk_cache"]["entries"] == 1  # keys built once
 
     def test_cached_submit_skips_queue(self, sock_path):
         """A submit whose proof is already cached is answered at
@@ -665,41 +663,57 @@ class TestServiceEndToEnd:
 
 class TestServiceConfig:
     def test_job_slots_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            ServiceConfig(job_slots=0)
+        """There is no job-slot count left to validate: zero, one and
+        two are all refused, by the config and by ``repro serve``."""
+        from repro.cli import build_parser
+
+        for slots in (0, 1, 2):
+            with pytest.raises(TypeError):
+                ServiceConfig(job_slots=slots)
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["serve", "--job-slots", str(slots)])
+            assert exc.value.code == 2
+
+    def test_job_slots_is_the_only_concurrency_knob(self, sock_path):
+        """No concurrency knob is left: neither a slot count nor a worker
+        pool configures the daemon, which proves on one executor thread
+        and reports no slot count in its config."""
+        with pytest.raises(TypeError):
+            ServiceConfig(job_slots=2, workers=4)
+        with running_service(sock_path) as live, \
+                ServiceClient(sock_path) as svc:
+            assert live.service._executor._max_workers == 1
+            config = svc.stats()["config"]
+            assert "job_slots" not in config and "workers" not in config
 
     def test_queue_depth_must_be_positive(self):
         with pytest.raises(ConfigError, match="queue_depth"):
             ServiceConfig(queue_depth=0)
 
     def test_retired_knobs_are_gone(self, sock_path):
-        """Nine fields; the per-client cap, the retention count, the
-        client id and job priorities are not accepted anywhere."""
+        """Eight fields: the per-client cap, the retention count, the
+        job-slot count, a worker pool, the client id and job priorities
+        are not accepted anywhere."""
         import dataclasses
 
+        from repro.cli import main
+
         assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
-            "host", "port", "unix_socket", "queue_depth", "job_slots",
-            "preset", "key_cache_bytes", "proof_cache_bytes", "timeout_s"]
-        for retired in ("max_per_client", "max_results"):
+            "host", "port", "unix_socket", "queue_depth", "preset",
+            "key_cache_bytes", "proof_cache_bytes", "timeout_s"]
+        for retired in ("max_per_client", "max_results", "job_slots",
+                        "workers"):
             with pytest.raises(TypeError):
-                ServiceConfig(**{retired: 4})
+                ServiceConfig(**{retired: 2})
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--job-slots", "2"])
+        assert exc.value.code == 2
         with pytest.raises(TypeError):
             ServiceClient(sock_path, client_id="hog")
         with running_service(sock_path), ServiceClient(sock_path) as svc:
             with pytest.raises(TypeError):
                 svc.prove("litmus", priority=1)
             assert "max_per_client" not in svc.stats()["queue"]
-
-    def test_job_slots_is_the_only_concurrency_knob(self):
-        """No field interacts with ``job_slots``: any positive count is a
-        valid config, and there is no pool to configure beside it."""
-        import dataclasses
-
-        assert ServiceConfig(job_slots=2).job_slots == 2
-        assert "workers" not in {f.name for f in
-                                 dataclasses.fields(ServiceConfig)}
-        with pytest.raises(TypeError):
-            ServiceConfig(job_slots=2, workers=4)
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +727,7 @@ class TestServeClientParsers:
         args = build_parser().parse_args(["serve"])
         assert args.port == 7464 and args.host == "127.0.0.1"
         assert args.queue_depth == server.DEFAULT_MAX_DEPTH == 16
-        assert args.job_slots == 1 and args.preset == "test-fast"
+        assert args.preset == "test-fast"
 
     @pytest.mark.parametrize("argv", [
         ["serve", "--max-per-client", "4"],
