@@ -14,8 +14,8 @@ trace        Prove a workload under the tracer, simulate it on NoCap, and
              export a Chrome trace plus a per-phase breakdown
              (see docs/OBSERVABILITY.md).
 report       Dump the flight recorder's recent job reports and
-             supervision events (reads the in-memory ring, or a JSONL
-             spool written via ``prove --flight-log`` / REPRO_FLIGHT_LOG).
+             supervision events from a JSONL spool written via
+             ``prove --flight-log`` / REPRO_FLIGHT_LOG.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     def run():
         t0 = time.perf_counter()
         bundle = prove(pk, public, witness, circuit_id=name,
-                       timeout_s=args.timeout, attach_report=True)
+                       timeout_s=args.timeout)
         t1 = time.perf_counter()
         ok = verify(vk, bundle)
         t2 = time.perf_counter()
@@ -202,11 +202,8 @@ def _cmd_prove(args: argparse.Namespace) -> int:
         bundle, ok, t0, t1, t2 = run()
     print(f"prove: {t1 - t0:.2f} s | verify: {t2 - t1:.2f} s | "
           f"proof: {bundle.size_bytes()} bytes | valid: {ok}")
-    if bundle.report is not None:
-        ev = bundle.report.events
-        print(f"job {bundle.report.job_id}: dispatch="
-              f"{bundle.report.dispatch}"
-              + (f" incidents={ev}" if ev else ""))
+    ev = bundle.report.events
+    print(f"job {bundle.report.job_id}" + (f" incidents={ev}" if ev else ""))
     if tracer is not None and (args.trace or args.trace_out):
         print("\nphase tree:")
         print(tracer.format_tree())
@@ -331,34 +328,30 @@ EXIT_TIMEOUT = 6
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    """Dump recent flight-recorder records (jobs + supervision events).
-
-    Reads the JSONL spool when one is named (``--log``, or the
-    ``REPRO_FLIGHT_LOG`` environment variable — the recorder in any
-    prover process with that variable set appends every record there);
-    otherwise falls back to this process's in-memory ring.
+    """Dump recent flight-recorder records (jobs + supervision events)
+    from a JSONL spool: ``--log``, or the ``REPRO_FLIGHT_LOG`` environment
+    variable (the recorder in any prover process with that variable set
+    appends every record there).  This process has proved nothing, so
+    with neither there is nothing to read: ``ConfigError`` (exit 3).
     """
     import os
 
-    from .obs import FLIGHT
+    from .errors import ConfigError
     from .obs.events import FLIGHT_LOG_ENV, format_events, read_spool
 
     path = args.log or os.environ.get(FLIGHT_LOG_ENV)
-    if path:
-        try:
-            events = read_spool(path, last=args.last)
-        except OSError as exc:
-            print(f"cannot read flight log {path}: {exc}", file=sys.stderr)
-            return 1
-        source = path
-    else:
-        events = [e.to_dict() for e in FLIGHT.last(args.last)]
-        source = "in-memory ring (set REPRO_FLIGHT_LOG or pass --log for "\
-                 "cross-process history)"
+    if not path:
+        raise ConfigError(f"no flight log to read: pass --log PATH or set "
+                          f"{FLIGHT_LOG_ENV}")
+    try:
+        events = read_spool(path, last=args.last)
+    except OSError as exc:
+        print(f"cannot read flight log {path}: {exc}", file=sys.stderr)
+        return 1
     if args.json:
         print(json.dumps(events, indent=2))
         return 0
-    print(f"flight recorder: {len(events)} record(s) from {source}")
+    print(f"flight recorder: {len(events)} record(s) from {path}")
     if events:
         print(format_events(events))
     return 0
@@ -616,8 +609,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "one-line-per-event rendering")
     report.add_argument("--log", metavar="PATH", default=None,
                         help="read records from a JSONL flight log "
-                             "(default: $REPRO_FLIGHT_LOG, else the "
-                             "in-memory ring)")
+                             "(default: $REPRO_FLIGHT_LOG; one of the "
+                             "two is required)")
     report.set_defaults(func=_cmd_report)
     return parser
 

@@ -21,13 +21,13 @@ Two record shapes share the ring:
   numbers spanning the job — never from absolute counter values, so a
   second batch in the same process starts its report at zero).
 
-The recorder is cheap enough to leave on — one small object append per
-*job* or *incident*, nothing per kernel call — but it honors a
-``disabled`` switch so the bench harness can assert the fully-disabled
-configuration too.  Set ``REPRO_FLIGHT_LOG=PATH`` (or
-:meth:`FlightRecorder.spool_to`) to append each record as a JSON line,
-giving ``repro report`` a cross-process view; the in-memory ring is
-otherwise private to the process.
+Every report is built by one constructor, :meth:`FlightRecorder.job`,
+which ``prove``, ``prove_many`` and ``verify`` each open exactly once
+per call.  The recorder is always on and cheap enough to be — one small
+object append per *job* or *incident*, nothing per kernel call.  Set
+``REPRO_FLIGHT_LOG=PATH`` (or :meth:`FlightRecorder.spool_to`) to append
+each record as a JSON line; that spool is what ``repro report`` reads,
+since the in-memory ring dies with its process.
 """
 
 from __future__ import annotations
@@ -36,8 +36,11 @@ import json
 import os
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
+
+from .metrics import peak_rss_bytes
 
 #: Environment variable naming the JSONL spool file (optional).
 FLIGHT_LOG_ENV = "REPRO_FLIGHT_LOG"
@@ -117,7 +120,6 @@ class FlightRecorder:
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
                  spool_path: Optional[str] = None):
-        self.enabled = True
         self._ring: "deque[FlightEvent]" = deque(maxlen=max(1, capacity))
         self._seq = 0
         self._job_counter = 0
@@ -142,10 +144,8 @@ class FlightRecorder:
         return f"{os.getpid()}-{self._job_counter}"
 
     # -- write side --------------------------------------------------------
-    def record(self, kind: str, **data: Any) -> Optional[FlightEvent]:
-        """Append one incident (no-op while disabled)."""
-        if not self.enabled:
-            return None
+    def record(self, kind: str, **data: Any) -> FlightEvent:
+        """Append one incident."""
         event = FlightEvent(kind=kind, seq=self._seq, ts=time.time(),
                             data=data)
         self._seq += 1
@@ -153,11 +153,35 @@ class FlightRecorder:
         self._spool(event)
         return event
 
-    def record_job(self, report: JobReport) -> Optional[FlightEvent]:
+    def record_job(self, report: JobReport) -> FlightEvent:
         """Append one :class:`JobReport` as a ``kind="job"`` event."""
-        if not self.enabled:
-            return None
         return self.record("job", **report.to_dict())
+
+    @contextmanager
+    def job(self, op: str, preset: str, circuit_id: str,
+            jobs: int = 1) -> Iterator[JobReport]:
+        """Book one job: ``with FLIGHT.job("prove", ...) as report:``.
+
+        Mints the job id and snapshots the sequence number, peak RSS and
+        clock on entry; the block fills in what only it knows (proof
+        size, dispatch, a verdict).  On exit the report gets its
+        duration, RSS delta and the incidents recorded inside the
+        window, ``ok=False`` and the error's class name if an exception
+        escapes (it is re-raised, never swallowed), and is recorded once.
+        """
+        report = JobReport(job_id=self.next_job_id(), op=op, preset=preset,
+                           circuit_id=circuit_id, jobs=jobs)
+        seq0, rss0, t0 = self._seq, peak_rss_bytes(), time.perf_counter()
+        try:
+            yield report
+        except BaseException as exc:
+            report.ok, report.error = False, type(exc).__name__
+            raise
+        finally:
+            report.duration_s = time.perf_counter() - t0
+            report.peak_rss_delta_bytes = max(0, peak_rss_bytes() - rss0)
+            report.events = self.fault_deltas(seq0)
+            self.record_job(report)
 
     def _spool(self, event: FlightEvent) -> None:
         path = self.spool_path
@@ -174,12 +198,6 @@ class FlightRecorder:
     # -- read side ---------------------------------------------------------
     def events(self) -> List[FlightEvent]:
         return list(self._ring)
-
-    def last(self, n: int) -> List[FlightEvent]:
-        """The most recent ``n`` events, oldest first."""
-        if n <= 0:
-            return []
-        return list(self._ring)[-n:]
 
     def since(self, seq: int) -> List[FlightEvent]:
         """Events recorded at or after sequence number ``seq``.
@@ -199,20 +217,13 @@ class FlightRecorder:
                 deltas[event.kind] = deltas.get(event.kind, 0) + 1
         return deltas
 
-    def job_reports(self, n: Optional[int] = None) -> List[JobReport]:
-        """The last ``n`` job reports (all when ``n`` is None)."""
-        reports = [JobReport(**{k: v for k, v in e.data.items()})
-                   for e in self._ring if e.kind == "job"]
-        return reports if n is None else reports[-n:]
-
     def clear(self) -> None:
         self._ring.clear()
 
 
 def read_spool(path: str, last: Optional[int] = None) -> List[dict]:
     """Parse a JSONL spool file back into event dicts (oldest first);
-    ``last`` keeps the most recent N, none for ``N <= 0`` — the contract
-    of :meth:`FlightRecorder.last`.
+    ``last`` keeps the most recent N, none for ``N <= 0``.
 
     Malformed lines (a crash mid-append) are skipped, not fatal.
     """

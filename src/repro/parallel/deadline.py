@@ -43,7 +43,8 @@ class Deadline:
     __slots__ = ("expires_at", "budget_s", "label")
 
     def __init__(self, budget_s: float, label: str = ""):
-        if budget_s is None or budget_s < 0:
+        # ``not >=`` also refuses NaN, which would never expire.
+        if budget_s is None or not budget_s >= 0:
             raise ValueError(f"deadline budget must be >= 0, got {budget_s}")
         self.budget_s = float(budget_s)
         self.expires_at = time.monotonic() + self.budget_s

@@ -87,6 +87,8 @@ class ServiceConfig:
         if self.queue_depth < 1:
             raise ConfigError(
                 f"queue_depth must be >= 1, got {self.queue_depth}")
+        if self.timeout_s is not None and not self.timeout_s >= 0:
+            raise ConfigError(f"timeout_s must be >= 0, got {self.timeout_s}")
 
 
 @dataclass
@@ -283,7 +285,11 @@ class ProvingService:
                 code=protocol.E_BAD_REQUEST)
         timeout_s = request.get("timeout_s", self.config.timeout_s)
         if timeout_s is not None:
-            timeout_s = float(timeout_s)
+            timeout_s = float(timeout_s)  # not a number: a typed 400
+            if not timeout_s >= 0:  # NaN would disable the deadline
+                raise protocol.ServiceError(
+                    f"timeout_s must be >= 0, got {timeout_s}",
+                    code=protocol.E_BAD_REQUEST)
         job = Job(job_id=f"svc-{_FLIGHT.next_job_id()}", kind=kind,
                   timeout_s=timeout_s)
         if kind == "prove":
@@ -452,10 +458,9 @@ class ProvingService:
             return
         bundle = prove(entry.pk, entry.public, entry.witness,
                        seed=job.seed, circuit_id=job.circuit_id,
-                       timeout_s=job.timeout_s, attach_report=True)
+                       timeout_s=job.timeout_s)
         job.envelope = bundle.to_bytes()
-        if bundle.report is not None:
-            job.report = bundle.report.to_dict()
+        job.report = bundle.report.to_dict()
         if key is not None:
             self.proof_cache.put(key, job.envelope)
 

@@ -33,13 +33,11 @@ requests.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import obs
 from ..errors import ProverTimeoutError, ReproError
 from ..hashing.transcript import Transcript
 from ..obs import JobReport
@@ -61,11 +59,10 @@ class ProofBundle:
     legacy API may leave them empty, in which case :meth:`to_bytes` is
     unavailable and preset binding is skipped at verification.
 
-    ``report`` is local-only telemetry (the flight-recorder
-    :class:`~repro.obs.events.JobReport` for the job that produced this
-    bundle), populated when :func:`prove` / :func:`prove_many` is called
-    with ``attach_report=True``.  It never serializes into the envelope:
-    proof bytes stay bit-identical with or without it.
+    ``report`` is local-only telemetry: the flight-recorder
+    :class:`~repro.obs.events.JobReport` of the :func:`prove` or
+    :func:`prove_many` call that produced this bundle (``None`` on a
+    bundle parsed from bytes).  It never serializes into the envelope.
     """
 
     proof: SpartanProof
@@ -143,8 +140,7 @@ def prove(pk: ProvingKey, public: np.ndarray, witness: np.ndarray, *,
           seed: Optional[int] = None,
           workers: Optional[int] = None,
           circuit_id: str = "",
-          timeout_s: Optional[float] = None,
-          attach_report: bool = False) -> ProofBundle:
+          timeout_s: Optional[float] = None) -> ProofBundle:
     """Generate a proof that ``witness`` satisfies ``pk.r1cs`` on ``public``.
 
     Randomness: the zk-mask draws from ``rng`` (or a generator seeded
@@ -164,50 +160,28 @@ def prove(pk: ProvingKey, public: np.ndarray, witness: np.ndarray, *,
     :class:`~repro.errors.ProverTimeoutError`.  Deadlines nest — inside
     an enclosing scope the effective budget is the tighter of the two.
 
-    Telemetry: every call appends a :class:`~repro.obs.events.JobReport`
-    to the flight recorder (``repro report`` dumps the tail) — its
-    ``duration_s`` is the job's latency; under a tracer the
-    ``snark.prove`` span tree holds the per-family breakdown.
-    ``attach_report=True`` additionally hangs the report off the
-    returned bundle (:attr:`ProofBundle.report`; local-only, never
-    serialized).
+    Telemetry: every call books one :class:`~repro.obs.events.JobReport`
+    in the flight recorder, failed or not, and a returned bundle carries
+    it as :attr:`ProofBundle.report` — its ``duration_s`` is the job's
+    latency; under a tracer the ``snark.prove`` span tree holds the
+    per-family breakdown.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
-    job_id = _FLIGHT.next_job_id()
-    seq0 = _FLIGHT.seq
-    rss0 = obs.peak_rss_bytes()
-    t0 = time.perf_counter()
-    try:
+    # The job window encloses the deadline scope, so a spent budget's
+    # ``timeout`` incident is counted in the report.
+    with _FLIGHT.job("prove", pk.preset.name, circuit_id) as report:
         with deadline_scope(timeout_s, label="prove"):
             prover = pk.prover(rng=rng)
             with _span("snark.prove", "other",
                        constraints=pk.r1cs.shape.num_constraints,
                        repetitions=pk.preset.sumcheck_repetitions):
                 proof = prover.prove(public, witness, Transcript())
-    except BaseException as exc:
-        _FLIGHT.record_job(JobReport(
-            job_id=job_id, op="prove", preset=pk.preset.name,
-            circuit_id=circuit_id, jobs=1,
-            duration_s=time.perf_counter() - t0,
-            peak_rss_delta_bytes=max(0, obs.peak_rss_bytes() - rss0),
-            ok=False, error=type(exc).__name__,
-            events=_FLIGHT.fault_deltas(seq0)))
-        raise
-    duration = time.perf_counter() - t0
-    bundle = ProofBundle(proof=proof,
-                         public=np.asarray(public, dtype=np.uint64),
-                         preset_name=pk.preset.name,
-                         circuit_id=circuit_id)
-    report = JobReport(
-        job_id=job_id, op="prove", preset=pk.preset.name,
-        circuit_id=circuit_id, jobs=1, duration_s=duration,
-        proof_size_bytes=bundle.size_bytes(),
-        peak_rss_delta_bytes=max(0, obs.peak_rss_bytes() - rss0),
-        ok=True, events=_FLIGHT.fault_deltas(seq0))
-    _FLIGHT.record_job(report)
-    if attach_report:
-        bundle.report = report
+        bundle = ProofBundle(proof=proof,
+                             public=np.asarray(public, dtype=np.uint64),
+                             preset_name=pk.preset.name,
+                             circuit_id=circuit_id, report=report)
+        report.proof_size_bytes = bundle.size_bytes()
     return bundle
 
 
@@ -218,18 +192,11 @@ class JobResult:
     Exactly one of ``bundle`` (``ok=True``) and ``error`` (``ok=False``)
     is set; ``error`` is the typed exception the job ended with after
     every recovery path (second round, serial degradation) was exhausted.
-
-    ``report`` is the per-job :class:`~repro.obs.events.JobReport`:
-    failed jobs always carry one (also recorded to the flight recorder,
-    so structured errors survive the batch — what the proving service
-    returns to clients); successful jobs carry the batch report when the
-    call passed ``attach_report=True``.
     """
 
     ok: bool
     bundle: Optional[ProofBundle] = None
     error: Optional[BaseException] = None
-    report: Optional[JobReport] = None
 
 
 def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
@@ -237,8 +204,7 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
                base_seed: Optional[int] = None,
                circuit_id: str = "",
                timeout_s: Optional[float] = None,
-               on_error: str = "raise",
-               attach_report: bool = False):
+               on_error: str = "raise"):
     """Prove a batch of independent ``(public, witness)`` jobs.
 
     Jobs share nothing, so each runs end to end on one worker process;
@@ -271,17 +237,14 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
     ``"return"`` yields a :class:`JobResult` per job so one poisoned
     statement cannot sink a batch.
 
-    Telemetry: the batch appends one :class:`~repro.obs.events.JobReport`
-    (``op="prove_many"``) to the flight recorder whose ``events`` are the
-    supervision incidents *of this batch only* — deltas of the recorder's
-    sequence numbers, not absolute counter values, so back-to-back
-    batches in one process never inherit each other's degradation or
-    restart counts.  ``attach_report=True`` hangs that batch report off
-    every returned bundle.  Under ``on_error="return"`` every *failed*
-    job additionally records — and carries, via
-    :attr:`JobResult.report` — its own per-job report naming the typed
-    error, so partial results stay structured (the proving service
-    relays exactly these to clients).
+    Telemetry: the batch books one :class:`~repro.obs.events.JobReport`
+    (``op="prove_many"``) whose ``events`` are the supervision incidents
+    *of this batch only* — deltas of the recorder's sequence numbers, not
+    absolute counter values, so back-to-back batches in one process
+    never inherit each other's degradation or restart counts.  Every
+    returned bundle carries that batch report.  Each job's own ``prove``
+    record is booked by the process that ran it (a forked worker
+    inherits the spool); a failed job is not booked a second time here.
     """
     if on_error not in ("raise", "return"):
         raise ValueError(f"on_error must be 'raise' or 'return', "
@@ -296,69 +259,37 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
             and usable_cpus() >= 2:
         pool = ProverPool(workers)
 
-    job_id = _FLIGHT.next_job_id()
-    seq0 = _FLIGHT.seq
-    rss0 = obs.peak_rss_bytes()
-    t0 = time.perf_counter()
-    used_workers, dispatch = 1, "serial"
-    results, error = [], ""
-    try:
-        with _span("snark.prove_many", "other", jobs=len(jobs)):
-            envelopes = None if pool is None else pool.prove_batch(
-                pk, pubs, wits, seeds, circuit_id, timeout_s)
-            if envelopes is not None:
-                used_workers, dispatch = pool.workers, "pool"
-            for j, seed in enumerate(seeds):
-                blob = None if envelopes is None else envelopes[j]
-                tj = time.perf_counter()
-                try:
-                    if isinstance(blob, ProverTimeoutError):
-                        raise blob  # a spent budget is final: no retry
-                    if not isinstance(blob, bytes):
-                        if blob is not None:
-                            pool._degraded(blob)  # the worker failed
-                        blob = prove(pk, pubs[j], wits[j],
-                                     rng=np.random.default_rng(seed),
-                                     circuit_id=circuit_id,
-                                     timeout_s=timeout_s).to_bytes()
-                    results.append(JobResult(
-                        ok=True, bundle=ProofBundle.from_bytes(blob)))
-                except Exception as exc:  # noqa: BLE001 - per-job contract
-                    if on_error == "raise":
-                        raise
-                    # The structured error a caller (or the proving
-                    # service) can surface without re-deriving it.
-                    error = error or type(exc).__name__
-                    report = JobReport(
-                        job_id=_FLIGHT.next_job_id(), op="prove",
-                        preset=pk.preset.name, circuit_id=circuit_id,
-                        workers=used_workers, dispatch=dispatch, jobs=1,
-                        duration_s=time.perf_counter() - tj,
-                        ok=False, error=type(exc).__name__)
-                    _FLIGHT.record_job(report)
-                    results.append(JobResult(ok=False, error=exc,
-                                             report=report))
-    except BaseException as exc:
-        error = type(exc).__name__
-        raise
-    finally:
-        batch_report = JobReport(
-            job_id=job_id, op="prove_many", preset=pk.preset.name,
-            circuit_id=circuit_id, workers=used_workers,
-            dispatch=dispatch, jobs=len(jobs),
-            duration_s=time.perf_counter() - t0,
-            proof_size_bytes=sum(res.bundle.size_bytes()
-                                 for res in results if res.ok),
-            peak_rss_delta_bytes=max(0, obs.peak_rss_bytes() - rss0),
-            ok=not error, error=error,
-            events=_FLIGHT.fault_deltas(seq0))
-        _FLIGHT.record_job(batch_report)
-    if attach_report:
-        for res in results:
-            if res.ok:
-                res.bundle.report = batch_report
-            if res.report is None:
-                res.report = batch_report
+    results = []
+    with _FLIGHT.job("prove_many", pk.preset.name, circuit_id,
+                     jobs=len(jobs)) as report, \
+            _span("snark.prove_many", "other", jobs=len(jobs)):
+        envelopes = None if pool is None else pool.prove_batch(
+            pk, pubs, wits, seeds, circuit_id, timeout_s)
+        if envelopes is not None:
+            report.workers, report.dispatch = pool.workers, "pool"
+        for j, seed in enumerate(seeds):
+            blob = None if envelopes is None else envelopes[j]
+            try:
+                if isinstance(blob, ProverTimeoutError):
+                    raise blob  # a spent budget is final: no retry
+                if not isinstance(blob, bytes):
+                    if blob is not None:
+                        pool._degraded(blob)  # the worker failed
+                    blob = prove(pk, pubs[j], wits[j],
+                                 rng=np.random.default_rng(seed),
+                                 circuit_id=circuit_id,
+                                 timeout_s=timeout_s).to_bytes()
+                bundle = ProofBundle.from_bytes(blob)
+            except Exception as exc:  # noqa: BLE001 - per-job contract
+                if on_error == "raise":
+                    raise
+                if report.ok:  # the batch names its first failure
+                    report.ok, report.error = False, type(exc).__name__
+                results.append(JobResult(ok=False, error=exc))
+                continue
+            bundle.report = report
+            report.proof_size_bytes += bundle.size_bytes()
+            results.append(JobResult(ok=True, bundle=bundle))
     if on_error == "return":
         return results
     return [res.bundle for res in results]
@@ -371,37 +302,28 @@ def verify(vk: VerifyingKey, bundle: ProofBundle) -> bool:
     broken structure, a preset id that does not match the key, a typed
     :class:`~repro.errors.ReproError` from a lower layer — is a
     rejection (``False``), never a crash.
+
+    Whatever the verdict, a bundle that reaches the verifier leaves one
+    ``op="verify"`` :class:`~repro.obs.events.JobReport` in the flight
+    recorder: ``ok`` is the verdict and ``error`` names the typed
+    rejection, if any.
     """
     if not isinstance(vk, VerifyingKey) or not isinstance(bundle, ProofBundle):
         return False
     if bundle.preset_name and bundle.preset_name != vk.preset.name:
         return False  # proved under different parameters than this key
-    return _verify_parts(vk, bundle.public, bundle.proof, bundle.circuit_id)
-
-
-def _verify_parts(vk: VerifyingKey, public, proof, circuit_id: str) -> bool:
-    """Boolean verification of raw (public, proof) parts.
-
-    Whatever the verdict, the call leaves one ``op="verify"``
-    :class:`~repro.obs.events.JobReport` in the flight recorder: ``ok``
-    is the verdict and ``error`` names the typed rejection, if any.
-    """
-    t0 = time.perf_counter()
-    ok, error = False, ""
-    try:
+    with _FLIGHT.job("verify", vk.preset.name, bundle.circuit_id) as report:
+        report.ok = False
         try:
-            public = np.asarray(public, dtype=np.uint64)
+            public = np.asarray(bundle.public, dtype=np.uint64)
         except (TypeError, ValueError, OverflowError) as exc:
-            error = type(exc).__name__
-        else:
+            report.error = type(exc).__name__  # not field elements
+            return False
+        try:
             with _span("snark.verify", "other"):
-                ok = vk.verifier().verify(public, proof, Transcript())
-    except ReproError as exc:
-        # Typed rejection from a lower layer: the proof is invalid.
-        error = type(exc).__name__
-    finally:
-        _FLIGHT.record_job(JobReport(
-            job_id=_FLIGHT.next_job_id(), op="verify",
-            preset=vk.preset.name, circuit_id=circuit_id,
-            duration_s=time.perf_counter() - t0, ok=ok, error=error))
-    return ok
+                report.ok = vk.verifier().verify(public, bundle.proof,
+                                                 Transcript())
+        except ReproError as exc:
+            # Typed rejection from a lower layer: the proof is invalid.
+            report.error = type(exc).__name__
+    return report.ok

@@ -22,7 +22,7 @@ from repro.errors import ProverTimeoutError, ReproError
 from repro.fuzz import faults
 from repro.obs.events import FLIGHT
 from repro.parallel import ProverPool, check_deadline, deadline_scope, kernels
-from repro.parallel.deadline import active_deadline, remaining
+from repro.parallel.deadline import Deadline, active_deadline, remaining
 from repro.parallel.shm import segment_owner_pid
 from repro.snark import TEST, JobResult, prove, prove_many, setup, verify
 from repro.workloads import synthetic_r1cs
@@ -127,6 +127,17 @@ class TestDeadline:
     def test_none_budget_is_noop_scope(self):
         with deadline_scope(None):
             assert active_deadline() is None
+
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0])
+    def test_nan_or_negative_budget_is_refused(self, budget):
+        """A NaN budget compares false against every clock reading, so it
+        would never expire: refused like a negative one."""
+        with pytest.raises(ValueError, match="budget"):
+            Deadline(budget)
+        with pytest.raises(ValueError):
+            with deadline_scope(budget):
+                pass
+        assert active_deadline() is None
 
     def test_nested_scope_clamps_to_outer(self):
         with deadline_scope(0.0):
@@ -354,5 +365,5 @@ class TestProveManyPartialFailure:
         pk, _ = keys
         for w in (0, 1):
             bundles = prove_many(pk, [(public, witness)] * 2, workers=w,
-                                 base_seed=3, attach_report=True)
+                                 base_seed=3)
             assert bundles[0].report.dispatch == "serial"

@@ -32,14 +32,12 @@ def _clean_obs_state():
     obs.set_tracer(None)
     METRICS.enabled = False
     METRICS.reset()
-    FLIGHT.enabled = True
     FLIGHT.clear()
     FLIGHT.spool_to(None)
     yield
     obs.set_tracer(None)
     METRICS.enabled = False
     METRICS.reset()
-    FLIGHT.enabled = True
     FLIGHT.clear()
     FLIGHT.spool_to(None)
 
@@ -61,13 +59,6 @@ class TestFlightRecorder:
         assert [e.data["attempt"] for e in events] == [6, 7, 8, 9]
         assert rec.seq == 10  # sequence numbers never reused
 
-    def test_disabled_records_nothing(self):
-        rec = FlightRecorder()
-        rec.enabled = False
-        assert rec.record("worker_restart") is None
-        assert rec.record_job(JobReport(job_id="x", op="prove")) is None
-        assert rec.events() == []
-
     def test_fault_deltas_are_per_window(self):
         rec = FlightRecorder()
         rec.record("degradation", kernel="encode")
@@ -80,16 +71,38 @@ class TestFlightRecorder:
         assert rec.fault_deltas(rec.seq) == {}
 
     def test_job_reports_roundtrip(self):
+        """A ``job`` record's data is the report, field for field."""
         rec = FlightRecorder()
-        rec.record_job(JobReport(job_id="a-1", op="prove", preset="test-fast",
-                                 workers=2, dispatch="pool",
-                                 proof_size_bytes=123, ok=True,
-                                 events={"worker_restart": 1}))
-        reports = rec.job_reports()
-        assert len(reports) == 1
-        assert reports[0].job_id == "a-1"
-        assert reports[0].dispatch == "pool"
-        assert reports[0].events == {"worker_restart": 1}
+        report = JobReport(job_id="a-1", op="prove", preset="test-fast",
+                           workers=2, dispatch="pool", proof_size_bytes=123,
+                           ok=True, events={"worker_restart": 1})
+        rec.record_job(report)
+        (event,) = rec.events()
+        assert event.kind == "job"
+        assert JobReport(**event.data) == report
+
+    def test_job_context_books_one_record(self):
+        rec = FlightRecorder()
+        rec.record("degradation")  # before the window: not this job's
+        with rec.job("prove", "test-fast", "c1") as report:
+            rec.record("worker_restart")
+            report.proof_size_bytes = 7
+        jobs = [e.data for e in rec.events() if e.kind == "job"]
+        assert jobs == [report.to_dict()]
+        assert report.ok and report.error == "" and report.duration_s > 0
+        assert report.events == {"worker_restart": 1}
+        assert (report.op, report.preset, report.circuit_id, report.jobs) \
+            == ("prove", "test-fast", "c1", 1)
+
+    def test_job_context_books_the_escaping_error(self):
+        rec = FlightRecorder()
+        with pytest.raises(KeyboardInterrupt):
+            with rec.job("prove_many", "p", "c", jobs=3) as report:
+                raise KeyboardInterrupt  # never swallowed, even BaseException
+        (event,) = rec.events()
+        assert event.data["ok"] is False
+        assert event.data["error"] == "KeyboardInterrupt"
+        assert event.data["jobs"] == 3 and not report.ok
 
     def test_spool_and_read_back_with_torn_line(self, tmp_path):
         path = tmp_path / "flight.jsonl"
@@ -102,19 +115,24 @@ class TestFlightRecorder:
         assert [e["kind"] for e in events] == ["worker_restart", "timeout"]
         assert read_spool(str(path), last=1)[0]["kind"] == "timeout"
 
-    @pytest.mark.parametrize("source", ["ring", "spool"])
+    @pytest.mark.parametrize("source", ["report", "spool"])
     @pytest.mark.parametrize("last, kept", [(2, ["b", "c"]), (0, []),
                                             (-1, [])])
-    def test_last_agrees_across_ring_and_spool(self, tmp_path, source,
-                                               last, kept):
-        """``repro report --last N`` reads either source: a non-positive
-        N is no records from both, never the whole file."""
+    def test_last_agrees_across_ring_and_spool(self, tmp_path, capsys,
+                                               source, last, kept):
+        """``repro report --last N`` and ``read_spool`` agree: a
+        non-positive N is no records, never the whole file."""
+        from repro.cli import main
         path = tmp_path / "flight.jsonl"
         rec = FlightRecorder(spool_path=str(path))
         for label in "abc":
             rec.record("timeout", label=label)
-        events = ([e.to_dict() for e in rec.last(last)] if source == "ring"
-                  else read_spool(str(path), last=last))
+        if source == "spool":
+            events = read_spool(str(path), last=last)
+        else:
+            assert main(["report", "--log", str(path), "--last", str(last),
+                         "--json"]) == 0
+            events = json.loads(capsys.readouterr().out)
         assert [e["data"]["label"] for e in events] == kept
 
     def test_broken_spool_never_raises(self, tmp_path):
@@ -143,23 +161,32 @@ class TestProveTelemetry:
         pk, vk, public, witness = workload
         with obs.tracing() as tracer:
             t0 = time.perf_counter()
-            bundle = prove(pk, public, witness, seed=1, attach_report=True)
+            bundle = prove(pk, public, witness, seed=1)
             wall = time.perf_counter() - t0
             assert verify(vk, bundle)
         assert 0 < bundle.report.duration_s <= wall
         assert tracer.family_seconds("snark.prove")
 
     def test_attach_report(self, workload):
+        """Every bundle carries its report: the opt-in keyword is gone."""
         pk, _, public, witness = workload
-        bundle = prove(pk, public, witness, seed=2, attach_report=True)
+        seq0 = FLIGHT.seq
+        bundle = prove(pk, public, witness, seed=2)
         report = bundle.report
         assert report is not None and report.ok
         assert report.op == "prove"
         assert report.proof_size_bytes == bundle.size_bytes()
         assert report.dispatch == "serial"
         assert report.events == {}
+        (record,) = FLIGHT.since(seq0)
+        assert record.data == report.to_dict()  # the one booked record
         # The report is diagnostic state, never part of the wire format.
         assert b"job_id" not in bundle.to_bytes()
+        with pytest.raises(TypeError):
+            prove(pk, public, witness, seed=2, attach_report=True)
+        with pytest.raises(TypeError):
+            prove_many(pk, [(public, witness)], workers=0,
+                       attach_report=True)
 
     def test_flight_recorder_gets_job_records(self, workload):
         pk, _, public, witness = workload
@@ -178,13 +205,51 @@ class TestProveTelemetry:
         so incidents recorded before a batch never leak into its report."""
         pk, _, public, witness = workload
         FLIGHT.record("degradation", kernel="stale")
-        b1 = prove_many(pk, [(public, witness)], workers=0, base_seed=1,
-                        attach_report=True)
+        b1 = prove_many(pk, [(public, witness)], workers=0, base_seed=1)
         assert b1[0].report.events == {}
         FLIGHT.record("worker_restart", attempt=1)  # incident between batches
-        b2 = prove_many(pk, [(public, witness)], workers=0, base_seed=2,
-                        attach_report=True)
+        b2 = prove_many(pk, [(public, witness)], workers=0, base_seed=2)
         assert b2[0].report.events == {}
+
+    def test_failed_batch_job_is_booked_once(self, workload):
+        """A serial 2-job batch whose budget is spent: each job's failure
+        is booked by its ``prove`` alone, plus one batch record naming
+        the first failure."""
+        pk, _, public, witness = workload
+        seq0 = FLIGHT.seq
+        results = prove_many(pk, [(public, witness)] * 2, workers=0,
+                             base_seed=5, timeout_s=1e-6, on_error="return")
+        assert [r.ok for r in results] == [False, False]
+        jobs = [e.data for e in FLIGHT.since(seq0) if e.kind == "job"]
+        assert [(j["op"], j["ok"], j["error"]) for j in jobs] == [
+            ("prove", False, "ProverTimeoutError"),
+            ("prove", False, "ProverTimeoutError"),
+            ("prove_many", False, "ProverTimeoutError")]
+        assert jobs[-1]["events"] == {"timeout": 2}
+
+    def test_pooled_batch_books_one_record_per_prove(self, workload,
+                                                     tmp_path):
+        """Forked workers inherit the spool: a clean 2-job pooled batch
+        leaves one ``prove`` line per worker job and one batch line,
+        and every bundle carries that batch record."""
+        from repro.parallel import ProverPool
+        pk, vk, public, witness = workload
+        spool = tmp_path / "flight.jsonl"
+        FLIGHT.spool_to(str(spool))
+        bundles = prove_many(pk, [(public, witness)] * 2,
+                             pool=ProverPool(2), base_seed=7)
+        FLIGHT.spool_to(None)
+        lines = [e["data"] for e in read_spool(str(spool))]
+        workers = [j for j in lines if j["op"] == "prove"]
+        (batch,) = [j for j in lines if j["op"] == "prove_many"]
+        assert len(lines) == 3 and len(workers) == 2
+        assert {j["job_id"].split("-")[0] for j in workers} \
+            .isdisjoint({batch["job_id"].split("-")[0]})
+        assert batch["dispatch"] == "pool" and batch["jobs"] == 2
+        assert batch["proof_size_bytes"] == sum(b.size_bytes()
+                                                for b in bundles)
+        assert all(b.report.to_dict() == batch for b in bundles)
+        assert all(verify(vk, b) for b in bundles)
 
     def test_timeout_leaves_flight_trail(self, workload):
         pk, _, public, witness = workload
@@ -204,8 +269,8 @@ class TestProveTelemetry:
         ("garbage", False, ""),
         ("garbage_public", False, "ValueError"),
     ])
-    def test_verify_leaves_one_job_record(self, workload, capsys, case, ok,
-                                          error):
+    def test_verify_leaves_one_job_record(self, workload, capsys, tmp_path,
+                                          case, ok, error):
         from repro.cli import main
         pk, vk, public, witness = workload
         bundle = prove(pk, public, witness, seed=4, circuit_id="synth8")
@@ -217,14 +282,16 @@ class TestProveTelemetry:
                                  circuit_id="synth8")
         elif case == "garbage_public":
             bundle.public = "not field elements"
-        seq0 = FLIGHT.seq
+        spool = tmp_path / "flight.jsonl"
+        FLIGHT.spool_to(str(spool))
         assert verify(vk, bundle) is ok
-        records = FLIGHT.since(seq0)
-        assert [(e.kind, e.data["op"]) for e in records] == [("job", "verify")]
-        data = records[0].data
+        records = read_spool(str(spool))
+        assert [(e["kind"], e["data"]["op"]) for e in records] \
+            == [("job", "verify")]
+        data = records[0]["data"]
         assert data["ok"] is ok and data["error"] == error
         assert data["duration_s"] > 0 and data["circuit_id"] == "synth8"
-        assert main(["report", "--last", "1"]) == 0
+        assert main(["report", "--log", str(spool), "--last", "1"]) == 0
         line = capsys.readouterr().out.splitlines()[-1]
         assert "verify" in line and "synth8" in line
         assert ("ok" if ok else "FAIL") in line
@@ -233,8 +300,7 @@ class TestProveTelemetry:
         pk, _, public, witness = workload
         plain = prove(pk, public, witness, seed=11).to_bytes()
         with obs.tracing():
-            traced = prove(pk, public, witness, seed=11,
-                           attach_report=True).to_bytes()
+            traced = prove(pk, public, witness, seed=11).to_bytes()
         assert plain == traced
 
 
@@ -389,7 +455,12 @@ class TestCLI:
             main(argv)
         assert exc.value.code == 2
 
-    def test_report_empty_ring(self, capsys):
+    def test_report_empty_ring(self, capsys, monkeypatch):
+        """A fresh CLI process's ring is always empty, so ``report``
+        reads a spool only: with none named it is a config error."""
         from repro.cli import main
-        FLIGHT.clear()
-        assert main(["report"]) == 0
+        from repro.obs.events import FLIGHT_LOG_ENV
+        monkeypatch.delenv(FLIGHT_LOG_ENV, raising=False)
+        assert main(["report"]) == 3
+        err = capsys.readouterr().err
+        assert "--log" in err and FLIGHT_LOG_ENV in err

@@ -88,7 +88,7 @@ class TestSerialFallback:
         r1cs, public, witness = instance
         pk, _ = setup(r1cs, TEST)
         bundles = prove_many(pk, [(public, witness)] * 2, workers=8,
-                             base_seed=1, attach_report=True)
+                             base_seed=1)
         assert bundles[0].report.dispatch == "serial"
 
     def test_batch_forks_no_more_workers_than_jobs(self, instance,
@@ -98,8 +98,7 @@ class TestSerialFallback:
         r1cs, public, witness = instance
         pk, _ = setup(r1cs, TEST)
         jobs = [(public, witness)] * 2
-        got = prove_many(pk, jobs, pool=ProverPool(workers=16), base_seed=1,
-                         attach_report=True)
+        got = prove_many(pk, jobs, pool=ProverPool(workers=16), base_seed=1)
         assert fleet_sizes == [2]
         assert got[0].report.dispatch == "pool"
         assert ([b.to_bytes() for b in got]
@@ -156,8 +155,7 @@ class TestProofDeterminism:
             raise AssertionError("the proving key was pickled")
 
         monkeypatch.setattr(ProvingKey, "__reduce_ex__", refuse)
-        got = prove_many(pk, jobs, pool=pool, base_seed=8,
-                         attach_report=True)
+        got = prove_many(pk, jobs, pool=pool, base_seed=8)
         assert got[0].report.dispatch == "pool"
         assert got[0].report.events == {}
         assert [b.to_bytes() for b in got] == reference
@@ -196,8 +194,7 @@ class TestProofDeterminism:
         forked = _batch_bytes(pk, jobs, pool=pool, base_seed=9)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
-        spawned = prove_many(pk, jobs, pool=pool, base_seed=9,
-                             attach_report=True)
+        spawned = prove_many(pk, jobs, pool=pool, base_seed=9)
         assert spawned[0].report.dispatch == "pool"
         assert spawned[0].report.events == {}
         assert [b.to_bytes() for b in spawned] == forked == reference

@@ -569,6 +569,28 @@ class TestServiceEndToEnd:
                 with pytest.raises(DeserializationError):
                     svc.verify(b"NCPEgarbage")  # parse error crosses wire
 
+    @pytest.mark.parametrize("timeout_s", [float("nan"), "nan", -1.0, "soon",
+                                           [1]])
+    def test_bad_timeout_is_refused_at_submit(self, sock_path, timeout_s):
+        """A NaN budget never expires, so it would silently lift the
+        daemon's default deadline: NaN, negative and non-numeric budgets
+        are a 400 before anything is queued."""
+        with running_service(sock_path) as live:
+            raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            raw.settimeout(10)
+            raw.connect(sock_path)
+            # json.dumps writes float("nan") as the bare NaN token, which
+            # the daemon's json.loads accepts.
+            raw.sendall(protocol.pack_frame({
+                "op": "submit", "kind": "prove", "circuit_id": "litmus",
+                "seed": 3, "timeout_s": timeout_s}))
+            response = protocol.read_frame_sync(raw)
+            raw.close()
+            assert response["ok"] is False
+            assert response["code"] == protocol.E_BAD_REQUEST
+            assert live.service.stats()["queue"]["enqueued"] == 0
+            assert live.service.jobs == {}
+
     def test_malformed_frames_answered_then_dropped(self, sock_path):
         with running_service(sock_path):
             # Oversized length prefix: typed 413, then the server hangs up.
@@ -689,6 +711,13 @@ class TestServiceConfig:
     def test_queue_depth_must_be_positive(self):
         with pytest.raises(ConfigError, match="queue_depth"):
             ServiceConfig(queue_depth=0)
+
+    @pytest.mark.parametrize("timeout_s", [float("nan"), -1.0])
+    def test_default_timeout_must_be_a_budget(self, timeout_s):
+        """``repro serve --timeout nan`` would otherwise turn every
+        submit that relies on the default into a 400."""
+        with pytest.raises(ConfigError, match="timeout_s"):
+            ServiceConfig(timeout_s=timeout_s)
 
     def test_retired_knobs_are_gone(self, sock_path):
         """Eight fields: the per-client cap, the retention count, the

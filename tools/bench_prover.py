@@ -38,7 +38,8 @@ batch's workers are forked for it and inherit the key
 dropped ``disabled_observe_s`` / ``observes_est`` with the histogram
 layer, and ``dispatch.dispatches`` is read off the batch's
 :class:`~repro.obs.events.JobReport` instead of a registry counter.
-Rows after the first also carry ``growth_per_doubling`` (this row's
+The flight-recorder unit cost, ``flight_record_s``, is the job record
+every proof books (the recorder has no off switch).  Rows after the first also carry ``growth_per_doubling`` (this row's
 ``prove_s`` over the previous size's), which ``tools/bench_diff.py``
 holds under 2.4x across 2^16..2^20: the scaling curve must stay smooth.
 
@@ -60,7 +61,7 @@ import numpy as np
 
 from repro import obs
 from repro.hashing import Transcript
-from repro.obs.events import FLIGHT
+from repro.obs.events import FlightRecorder
 from repro.obs.metrics import METRICS, peak_rss_bytes
 from repro.pcs import OrionPCS, PCSParams
 from repro.spartan import SpartanParams, SpartanProver, SpartanVerifier
@@ -86,9 +87,10 @@ MIN_GUARD_BATCH_S = 1.0
 
 
 def measure_instrumentation_unit_costs(iters: int = 200_000) -> dict:
-    """Per-event cost of *disabled* instrumentation: a null span, a
-    disabled counter increment and a disabled flight-recorder append,
-    measured by tight-loop amortization."""
+    """Per-event cost of untraced instrumentation: a null span, a
+    disabled counter increment, and the flight-recorder job record every
+    proof books (measured on a private recorder, so the process-wide one
+    and its spool stay untouched), by tight-loop amortization."""
     assert obs.get_tracer() is None and not METRICS.enabled
     t0 = time.perf_counter()
     for _ in range(iters):
@@ -99,26 +101,24 @@ def measure_instrumentation_unit_costs(iters: int = 200_000) -> dict:
     for _ in range(iters):
         METRICS.inc("bench.noop")
     inc_s = (time.perf_counter() - t0) / iters
-    flight_prev = FLIGHT.enabled
-    FLIGHT.enabled = False
-    try:
-        t0 = time.perf_counter()
-        for _ in range(iters):
-            FLIGHT.record("timeout")
-        flight_s = (time.perf_counter() - t0) / iters
-    finally:
-        FLIGHT.enabled = flight_prev
+    recorder = FlightRecorder()
+    jobs = max(1, iters // 20)
+    t0 = time.perf_counter()
+    for _ in range(jobs):
+        with recorder.job("prove", "bench", "noop"):
+            pass
+    flight_s = (time.perf_counter() - t0) / jobs
     return {"null_span_s": span_s, "disabled_inc_s": inc_s,
-            "disabled_flight_record_s": flight_s}
+            "flight_record_s": flight_s}
 
 
 def noop_overhead_frac(prove_s: float, num_spans: int, num_incs: int,
                        unit_costs: dict) -> float:
-    """Projected fraction of ``prove_s`` spent in disabled instrumentation
-    (each proof also books one flight-recorder job append)."""
+    """Projected fraction of ``prove_s`` spent in untraced instrumentation
+    (each proof also books one flight-recorder job record)."""
     cost = (num_spans * unit_costs["null_span_s"]
             + num_incs * unit_costs["disabled_inc_s"]
-            + unit_costs.get("disabled_flight_record_s", 0.0))
+            + unit_costs["flight_record_s"])
     return cost / prove_s if prove_s else 0.0
 
 
@@ -221,8 +221,7 @@ def bench_workers(log_size: int, repeats: int, worker_counts,
             prove_many(pk, jobs, workers=1, base_seed=5)
             serial_i = time.perf_counter() - t0
             t0 = time.perf_counter()
-            bundles = prove_many(pk, jobs, pool=pool, base_seed=5,
-                                 attach_report=True)
+            bundles = prove_many(pk, jobs, pool=pool, base_seed=5)
             pooled_i = time.perf_counter() - t0
             ratios.append(serial_i / pooled_i)
             pooled_best = min(pooled_best, pooled_i)
@@ -308,11 +307,10 @@ def main(argv=None) -> int:
         ap.error("--repeats must be at least 1")
 
     unit_costs = measure_instrumentation_unit_costs()
-    print(f"disabled instrumentation: null span "
+    print(f"untraced instrumentation: null span "
           f"{unit_costs['null_span_s'] * 1e9:.0f} ns, "
           f"disabled inc {unit_costs['disabled_inc_s'] * 1e9:.0f} ns, "
-          f"disabled flight {unit_costs['disabled_flight_record_s'] * 1e9:.0f}"
-          " ns")
+          f"flight job record {unit_costs['flight_record_s'] * 1e9:.0f} ns")
 
     results = []
     print(f"{'size':>6} {'prove (s)':>10} {'verify (s)':>10} {'proof (B)':>10}"
