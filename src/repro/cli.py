@@ -2,20 +2,21 @@
 
 Commands
 --------
-tables       Print Tables I, IV and V (end-to-end, proving, speedups).
+tables       Print every paper table the performance model lands: Tables
+             I, II, IV and V and the Fig. 7 sensitivity sweep.
 simulate     Simulate one NoCap proof (size, breakdowns, power).
-area         Print the Table II area breakdown.
-sensitivity  Print the Fig. 7 sensitivity sweep.
 prove        Build, prove and verify a demo workload circuit; ``--out``
              writes the proof as a self-describing envelope.
 verify       Verify a proof envelope written by ``prove --out`` (exit
              codes per docs/ROBUSTNESS.md).
-trace        Prove a workload under the tracer, simulate it on NoCap, and
-             export a Chrome trace plus a per-phase breakdown
-             (see docs/OBSERVABILITY.md).
+trace        Prove a workload under the tracer, print its phase tree,
+             simulate it on NoCap, and export a Chrome trace plus a
+             per-phase breakdown (see docs/OBSERVABILITY.md).
+serve        Run the proving service daemon (docs/SERVICE.md).
+client       Submit work to a running ``repro serve`` daemon.
 report       Dump the flight recorder's recent job reports and
              supervision events from a JSONL spool written via
-             ``prove --flight-log`` / REPRO_FLIGHT_LOG.
+             ``--flight-log`` / REPRO_FLIGHT_LOG.
 """
 
 from __future__ import annotations
@@ -26,14 +27,32 @@ import sys
 import time
 from typing import List, Optional
 
+from .errors import (
+    ConfigError,
+    DeserializationError,
+    ProverTimeoutError,
+    ReproError,
+    TranscriptError,
+    VerificationError,
+)
 from .workloads.registry import build_workload, workload_choices
+
+#: Distinct exit codes per error class, so scripted callers can tell a
+#: malformed proof from a bad configuration without parsing stderr.
+EXIT_CONFIG_ERROR = 3
+EXIT_DESERIALIZATION_ERROR = 4
+EXIT_VERIFICATION_ERROR = 5
+EXIT_TIMEOUT = 6
+_EXIT_CODES = ((ConfigError, EXIT_CONFIG_ERROR),
+               (DeserializationError, EXIT_DESERIALIZATION_ERROR),
+               (ProverTimeoutError, EXIT_TIMEOUT),
+               ((VerificationError, TranscriptError), EXIT_VERIFICATION_ERROR))
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    from .analysis import gmean, table1_rows, table5_rows
+    from .analysis import estimate, gmean, table1_rows, table5_rows
     from .analysis.tables import format_table
-    from .baselines import DEFAULT_CPU, PipeZkModel
-    from .nocap.simulator import prover_seconds
+    from .nocap import area_model, sensitivity_sweep
     from .workloads.spec import PAPER_WORKLOADS
 
     rows = table1_rows()
@@ -42,12 +61,17 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         [(r.label, r.prover_s, r.send_s, r.verifier_s, r.total_s) for r in rows],
         "Table I: end-to-end, 16M constraints, 10 MB/s link"))
 
-    pipezk = PipeZkModel()
+    print()
+    print(format_table(
+        ["Component", "Area (mm^2)"],
+        [(name, f"{mm2:.2f}") for name, mm2 in area_model().as_table().items()],
+        "Table II: NoCap area breakdown"))
+
     t4 = []
     for w in PAPER_WORKLOADS:
-        t = prover_seconds(w.raw_constraints)
-        t4.append((w.name, t, DEFAULT_CPU.prover_seconds(w.raw_constraints) / t,
-                   pipezk.prover_seconds(w.raw_constraints) / t))
+        e = estimate(w.raw_constraints)
+        t4.append((w.name, e.nocap_seconds, e.speedup_vs_cpu,
+                   e.pipezk_seconds / e.nocap_seconds))
     print()
     print(format_table(["Workload", "NoCap (s)", "vs CPU", "vs PipeZK"], t4,
                        "Table IV: proving time and speedups"))
@@ -61,7 +85,21 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         [(r.workload, r.total_s, r.speedup_vs_pipezk) for r in t5],
         "Table V: end-to-end vs PipeZK"))
     print(f"gmean: {gmean([r.speedup_vs_pipezk for r in t5]):.1f}x")
+
+    factors = (0.25, 0.5, 1.0, 2.0, 4.0)
+    perf = {}
+    for p in sensitivity_sweep(factors=factors):
+        perf.setdefault(p.resource, {})[p.factor] = p.relative_performance
+    print()
+    print(format_table(
+        ["Resource"] + [f"x{f}" for f in factors],
+        [(res,) + tuple(perf[res][f] for f in factors) for res in perf],
+        "Fig. 7: relative gmean performance"))
     return 0
+
+
+#: Resources ``simulate`` can scale (one ``--<resource> FACTOR`` each).
+_RESOURCES = ("arith", "hash", "ntt", "hbm", "rf")
 
 
 def _simulate_payload(report, power, log_n: int) -> dict:
@@ -101,17 +139,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from .nocap import DEFAULT_CONFIG, NoCapSimulator, power_model
     from .obs import FAMILIES
 
-    cfg = DEFAULT_CONFIG
-    scales = {}
-    for resource in ("arith", "hash", "ntt", "hbm", "rf"):
-        factor = getattr(args, resource)
-        if factor != 1.0:
-            scales[resource] = factor
-    if scales:
-        cfg = cfg.scale(**scales)
-    sim = NoCapSimulator(cfg)
-    report = sim.simulate(1 << args.log_n, recompute=not args.no_recompute)
+    scales = {resource: getattr(args, resource) for resource in _RESOURCES
+              if getattr(args, resource) != 1.0}
+    cfg = DEFAULT_CONFIG.scale(**scales) if scales else DEFAULT_CONFIG
+    report = NoCapSimulator(cfg).simulate(1 << args.log_n,
+                                          recompute=not args.no_recompute)
     power = power_model(report)
+    payload = _simulate_payload(report, power, args.log_n)
     if args.trace_out:
         from .obs.export import write_chrome_trace
 
@@ -119,8 +153,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                            metadata={"command": "simulate",
                                      "log_n": args.log_n})
     if args.json:
-        print(json.dumps(_simulate_payload(report, power, args.log_n),
-                         indent=2))
+        print(json.dumps(payload, indent=2))
         return 0
     print(f"NoCap proof of 2^{args.log_n} constraints: "
           f"{report.total_seconds * 1e3:.2f} ms")
@@ -130,101 +163,50 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"  power: {power.total_watts:.1f} W "
           f"(FUs {power.fu_watts:.1f}, RF {power.rf_watts:.1f}, "
           f"HBM {power.hbm_watts:.1f})")
-    # Stable FAMILIES ordering so successive runs diff cleanly.
-    time_fracs = report.time_fractions()
-    traffic_fracs = report.traffic_fractions()
     print(f"  {'family':<10} {'time':>7} {'traffic':>8}")
     for fam in FAMILIES:
-        print(f"    {fam:<10} {time_fracs.get(fam, 0.0):6.1%} "
-              f"{traffic_fracs.get(fam, 0.0):7.1%}")
+        print(f"    {fam:<10} {payload['time_fractions'][fam]:6.1%} "
+              f"{payload['traffic_fractions'][fam]:7.1%}")
     if args.trace_out:
         print(f"  task timeline written to {args.trace_out}")
     return 0
 
 
-def _cmd_area(args: argparse.Namespace) -> int:
-    from .nocap import area_model
+def _keys(workload: str, preset_name: str):
+    """Build, compile and set up ``workload`` under ``preset_name``: the
+    one path from a workload name to keys, shared by ``prove``,
+    ``verify`` and ``trace``.  Returns ``(name, circuit, public,
+    witness, pk, vk)``; an unknown name is a ``ConfigError`` (exit 3)."""
+    from .snark import preset_by_name, setup
 
-    for name, mm2 in area_model().as_table().items():
-        print(f"  {name:<35} {mm2:6.2f} mm^2")
-    return 0
-
-
-def _cmd_sensitivity(args: argparse.Namespace) -> int:
-    from .analysis.tables import format_table
-    from .nocap import sensitivity_sweep
-
-    factors = (0.25, 0.5, 1.0, 2.0, 4.0)
-    points = sensitivity_sweep(factors=factors)
-    perf = {}
-    for p in points:
-        perf.setdefault(p.resource, {})[p.factor] = p.relative_performance
-    print(format_table(
-        ["Resource"] + [f"x{f}" for f in factors],
-        [(res,) + tuple(perf[res][f] for f in factors) for res in perf],
-        "Fig. 7: relative gmean performance"))
-    return 0
-
-
-def _print_metrics(snapshot: dict) -> None:
-    print("metrics:")
-    for name, value in sorted(snapshot.get("counters", {}).items()):
-        print(f"  {name:<28} {value:>14,}")
-    for name, value in sorted(snapshot.get("gauges", {}).items()):
-        print(f"  {name:<28} {value:>14,}")
+    name, circuit = build_workload(workload)
+    r1cs, public, witness = circuit.compile()
+    pk, vk = setup(r1cs, preset_by_name(preset_name))
+    return name, circuit, public, witness, pk, vk
 
 
 def _cmd_prove(args: argparse.Namespace) -> int:
-    from .snark import preset_by_name, prove, setup, verify
+    from .analysis import estimate
+    from .snark import prove, verify
 
-    preset = preset_by_name(args.preset)
-    name, circuit = build_workload(args.workload)
+    name, circuit, public, witness, pk, vk = _keys(args.workload, args.preset)
     print(f"{name}: {circuit.num_constraints} constraints")
-    r1cs, public, witness = circuit.compile()
-    pk, vk = setup(r1cs, preset)
-
-    def run():
-        t0 = time.perf_counter()
-        bundle = prove(pk, public, witness, circuit_id=name,
-                       timeout_s=args.timeout)
-        t1 = time.perf_counter()
-        ok = verify(vk, bundle)
-        t2 = time.perf_counter()
-        return bundle, ok, t0, t1, t2
-
-    tracer = None
-    if args.trace or args.trace_out or args.metrics:
-        from . import obs
-
-        with obs.tracing() as tracer:
-            bundle, ok, t0, t1, t2 = run()
-    else:
-        bundle, ok, t0, t1, t2 = run()
+    t0 = time.perf_counter()
+    bundle = prove(pk, public, witness, circuit_id=name,
+                   timeout_s=args.timeout)
+    t1 = time.perf_counter()
+    ok = verify(vk, bundle)
+    t2 = time.perf_counter()
     print(f"prove: {t1 - t0:.2f} s | verify: {t2 - t1:.2f} s | "
           f"proof: {bundle.size_bytes()} bytes | valid: {ok}")
     ev = bundle.report.events
     print(f"job {bundle.report.job_id}" + (f" incidents={ev}" if ev else ""))
-    if tracer is not None and (args.trace or args.trace_out):
-        print("\nphase tree:")
-        print(tracer.format_tree())
-    if tracer is not None and args.metrics:
-        print()
-        _print_metrics(tracer.metrics_snapshot)
-    if tracer is not None and args.trace_out:
-        from .obs.export import write_chrome_trace
-
-        write_chrome_trace(args.trace_out, records=tracer.records(),
-                           metadata={"command": "prove", "workload": name},
-                           worker_records=tracer.worker_records())
-        print(f"\ntrace written to {args.trace_out}")
     if args.out:
         raw = bundle.to_bytes()
         with open(args.out, "wb") as fh:
             fh.write(raw)
-        print(f"proof bundle ({len(raw)} bytes, preset {preset.name}) "
+        print(f"proof bundle ({len(raw)} bytes, preset {pk.preset.name}) "
               f"written to {args.out}")
-    from .analysis import estimate
-
     print("\nprojection at paper parameters:")
     print(estimate(circuit).summary())
     return 0 if ok else 1
@@ -237,8 +219,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     (DeserializationError), 5 proof invalid, 3 configuration problems
     (unknown preset / unresolvable circuit id).
     """
-    from .errors import ConfigError
-    from .snark import ProofBundle, preset_by_name, setup, verify
+    from .snark import ProofBundle, verify
 
     with open(args.bundle, "rb") as fh:
         raw = fh.read()
@@ -249,10 +230,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(
             "bundle carries no circuit id; pass --workload to name the "
             "statement it proves")
-    # Unknown ids raise ConfigError -> exit 3 via main().
-    name, circuit = build_workload(workload)
-    r1cs, _, _ = circuit.compile()
-    _, vk = setup(r1cs, preset_by_name(bundle.preset_name))
+    name, _, _, _, _, vk = _keys(workload, bundle.preset_name)
     print(f"{args.bundle}: preset {bundle.preset_name}, circuit {name}, "
           f"{len(bundle.public)} public inputs, {len(raw)} bytes")
     if verify(vk, bundle):
@@ -263,18 +241,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    """Prove under the tracer, simulate the same statement on NoCap, and
-    emit Chrome trace + BENCH_phases.json with a drift table."""
+    """Prove under the tracer, print the phase tree, simulate the same
+    statement on NoCap, and emit Chrome trace + BENCH_phases.json with a
+    drift table."""
     from . import obs
     from .nocap import NoCapSimulator
     from .obs.export import write_chrome_trace, write_phases
-    from .snark import preset_by_name, prove, setup, verify
+    from .snark import prove, verify
 
-    preset = preset_by_name(args.preset)
-    name, circuit = build_workload(args.workload)
+    name, circuit, public, witness, pk, vk = _keys(args.workload, args.preset)
     print(f"{name}: {circuit.num_constraints} constraints")
-    r1cs, public, witness = circuit.compile()
-    pk, vk = setup(r1cs, preset)
     with obs.tracing() as tracer:
         bundle = prove(pk, public, witness, circuit_id=name,
                        timeout_s=args.timeout)
@@ -282,23 +258,23 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if not ok:
         print("proof failed to verify", file=sys.stderr)
         return 1
+    print("\nphase tree:")
+    print(tracer.format_tree())
 
-    padded = 1 << r1cs.shape.log_size
-    report = NoCapSimulator().simulate(padded)
+    log_size = pk.r1cs.shape.log_size
+    report = NoCapSimulator().simulate(1 << log_size)
 
     write_chrome_trace(args.trace_out, records=tracer.records(),
                        report=report,
                        metadata={"command": "trace", "workload": name,
-                                 "padded_constraints": padded},
-                       worker_records=tracer.worker_records())
+                                 "padded_constraints": 1 << log_size})
     payload = write_phases(args.phases_out, tracer=tracer, report=report,
                            workload=name)
 
     func = payload["functional"]
     sim = payload["simulated"]
-    print(f"functional prove: {func['total_s'] * 1e3:.1f} ms (measured) | "
-          f"NoCap: {sim['total_s'] * 1e3:.3f} ms (simulated, 2^"
-          f"{r1cs.shape.log_size})")
+    print(f"\nfunctional prove: {func['total_s'] * 1e3:.1f} ms (measured) | "
+          f"NoCap: {sim['total_s'] * 1e3:.3f} ms (simulated, 2^{log_size})")
     print(f"\n  {'family':<10} {'measured':>10} {'meas %':>7} "
           f"{'sim %':>7} {'drift':>7}")
     for fam in obs.FAMILIES:
@@ -311,20 +287,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
           "values mark phases where\n the software prover is slower than "
           "the hardware model expects)")
     if args.metrics:
-        print()
-        _print_metrics(tracer.metrics_snapshot)
+        print("\nmetrics:")
+        for group in ("counters", "gauges"):
+            for key, value in sorted(tracer.metrics_snapshot[group].items()):
+                print(f"  {key:<28} {value:>14,}")
     print(f"\ntrace written to {args.trace_out} "
           f"(open in https://ui.perfetto.dev)")
     print(f"phase breakdown written to {args.phases_out}")
     return 0
-
-
-#: Distinct exit codes per error class, so scripted callers can tell a
-#: malformed proof from a bad configuration without parsing stderr.
-EXIT_CONFIG_ERROR = 3
-EXIT_DESERIALIZATION_ERROR = 4
-EXIT_VERIFICATION_ERROR = 5
-EXIT_TIMEOUT = 6
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -336,7 +306,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     """
     import os
 
-    from .errors import ConfigError
     from .obs.events import FLIGHT_LOG_ENV, format_events, read_spool
 
     path = args.log or os.environ.get(FLIGHT_LOG_ENV)
@@ -372,49 +341,56 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _client_from(args: argparse.Namespace):
+    """A client for the daemon ``args`` names.  Server-side failures
+    surface as the same typed errors local commands raise, so the
+    exit-code table (docs/API.md) applies unchanged."""
     from .service import ServiceClient
 
-    address = args.unix_socket if args.unix_socket else args.connect
-    return ServiceClient(address)
+    return ServiceClient(args.unix_socket or args.connect)
 
 
-def _cmd_client(args: argparse.Namespace) -> int:
-    """Talk to a running ``repro serve`` daemon.
-
-    Server-side failures surface as the same typed errors local commands
-    raise, so the exit-code table (docs/API.md) applies unchanged.
-    """
+def _client_prove(args: argparse.Namespace) -> int:
     with _client_from(args) as svc:
-        if args.action == "prove":
-            envelope = svc.prove(args.workload, preset=args.preset,
-                                 seed=args.seed, timeout_s=args.timeout)
-            print(f"proof: {len(envelope)} bytes")
-            if args.out:
-                with open(args.out, "wb") as fh:
-                    fh.write(envelope)
-                print(f"proof bundle written to {args.out}")
-            return 0
-        if args.action == "verify":
-            with open(args.bundle, "rb") as fh:
-                envelope = fh.read()
-            ok = svc.verify(envelope, circuit_id=args.workload or "",
-                            timeout_s=args.timeout)
-            if ok:
-                print("proof valid")
-                return 0
-            print("proof INVALID", file=sys.stderr)
-            return EXIT_VERIFICATION_ERROR
-        if args.action == "status":
-            print(json.dumps(svc.status(args.job_id), indent=2))
-            return 0
-        if args.action == "stats":
-            print(json.dumps(svc.stats(), indent=2))
-            return 0
-        if args.action == "shutdown":
-            svc.shutdown_server()
-            print("server draining")
-            return 0
-    raise AssertionError(f"unhandled client action {args.action!r}")
+        envelope = svc.prove(args.workload, preset=args.preset,
+                             seed=args.seed, timeout_s=args.timeout)
+    print(f"proof: {len(envelope)} bytes")
+    if args.out:
+        with open(args.out, "wb") as fh:
+            fh.write(envelope)
+        print(f"proof bundle written to {args.out}")
+    return 0
+
+
+def _client_verify(args: argparse.Namespace) -> int:
+    with open(args.bundle, "rb") as fh:
+        envelope = fh.read()
+    with _client_from(args) as svc:
+        ok = svc.verify(envelope, circuit_id=args.workload or "",
+                        timeout_s=args.timeout)
+    if ok:
+        print("proof valid")
+        return 0
+    print("proof INVALID", file=sys.stderr)
+    return EXIT_VERIFICATION_ERROR
+
+
+def _client_status(args: argparse.Namespace) -> int:
+    with _client_from(args) as svc:
+        print(json.dumps(svc.status(args.job_id), indent=2))
+    return 0
+
+
+def _client_stats(args: argparse.Namespace) -> int:
+    with _client_from(args) as svc:
+        print(json.dumps(svc.stats(), indent=2))
+    return 0
+
+
+def _client_shutdown(args: argparse.Namespace) -> int:
+    with _client_from(args) as svc:
+        svc.shutdown_server()
+    print("server draining")
+    return 0
 
 
 #: One exit-code contract for every command, local or via the service.
@@ -445,6 +421,15 @@ def build_parser() -> argparse.ArgumentParser:
                              help="append flight-recorder records to PATH "
                                   "as JSON lines (read back with `repro "
                                   "report --log PATH`)")
+    workload_p = argparse.ArgumentParser(add_help=False)
+    workload_p.add_argument("workload", choices=workload_choices())
+    bundle_p = argparse.ArgumentParser(add_help=False)
+    bundle_p.add_argument("bundle", metavar="BUNDLE",
+                          help="path to a serialized proof envelope")
+    bundle_p.add_argument("--workload", choices=workload_choices(),
+                          default=None,
+                          help="statement the proof claims (default: the "
+                               "circuit id embedded in the envelope)")
     connect_p = argparse.ArgumentParser(add_help=False)
     connect_p.add_argument("--connect", metavar="HOST:PORT",
                            default="127.0.0.1:7464",
@@ -457,23 +442,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="NoCap (MICRO 2024) reproduction: hash-based ZKPs with "
                     "a co-designed accelerator model",
-        epilog=EXIT_CODE_TABLE + "  Pass --strict to re-raise typed input "
-               "errors with a full traceback instead of the one-line "
-               "message.")
+        epilog=EXIT_CODE_TABLE)
     parser.add_argument("--strict", action="store_true",
                         help="re-raise typed input errors with a traceback "
                              "instead of the one-line message")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("tables", help="print Tables I/IV/V").set_defaults(
-        func=_cmd_tables)
+    sub.add_parser("tables", help="print Tables I/II/IV/V and Fig. 7"
+                   ).set_defaults(func=_cmd_tables)
 
     sim = sub.add_parser("simulate", help="simulate one NoCap proof")
     sim.add_argument("--log-n", type=int, default=24,
                      help="log2 of the padded constraint count (default 24)")
     sim.add_argument("--no-recompute", action="store_true",
                      help="disable the sumcheck recomputation optimization")
-    for resource in ("arith", "hash", "ntt", "hbm", "rf"):
+    for resource in _RESOURCES:
         sim.add_argument(f"--{resource}", type=float, default=1.0,
                          help=f"scale factor for {resource} (default 1.0)")
     sim.add_argument("--json", action="store_true",
@@ -483,43 +466,23 @@ def build_parser() -> argparse.ArgumentParser:
                           "trace-event JSON")
     sim.set_defaults(func=_cmd_simulate)
 
-    sub.add_parser("area", help="print the Table II area breakdown"
-                   ).set_defaults(func=_cmd_area)
-    sub.add_parser("sensitivity", help="print the Fig. 7 sweep"
-                   ).set_defaults(func=_cmd_sensitivity)
-
     prove = sub.add_parser(
         "prove", help="prove+verify a demo workload",
-        parents=[preset_p, timeout_p, telemetry_p])
-    prove.add_argument("workload", choices=workload_choices())
+        parents=[workload_p, preset_p, timeout_p, telemetry_p])
     prove.add_argument("--out", metavar="PATH", default=None,
                        help="write the proof as a self-describing envelope "
                             "(verify it with `repro verify PATH`)")
-    prove.add_argument("--trace", action="store_true",
-                       help="record prover phase spans and print the tree")
-    prove.add_argument("--trace-out", metavar="PATH", default=None,
-                       help="write the span tree as Chrome trace-event JSON "
-                            "(implies --trace)")
-    prove.add_argument("--metrics", action="store_true",
-                       help="print kernel counters (hashes, butterflies, ...)")
     prove.set_defaults(func=_cmd_prove)
 
-    ver = sub.add_parser(
-        "verify",
-        help="verify a proof bundle written by `repro prove --out`")
-    ver.add_argument("bundle", metavar="BUNDLE",
-                     help="path to a serialized proof envelope")
-    ver.add_argument("--workload", choices=workload_choices(), default=None,
-                     help="statement the proof claims (default: the circuit "
-                          "id embedded in the envelope)")
-    ver.set_defaults(func=_cmd_verify)
+    sub.add_parser(
+        "verify", help="verify a proof bundle written by `repro prove --out`",
+        parents=[bundle_p]).set_defaults(func=_cmd_verify)
 
     trace = sub.add_parser(
         "trace",
-        help="prove under the tracer + simulate on NoCap, export Chrome "
-             "trace and per-phase breakdown",
-        parents=[preset_p, timeout_p, telemetry_p])
-    trace.add_argument("workload", choices=workload_choices())
+        help="prove under the tracer (phase tree) + simulate on NoCap, "
+             "export Chrome trace and per-phase breakdown",
+        parents=[workload_p, preset_p, timeout_p, telemetry_p])
     trace.add_argument("--trace-out", metavar="PATH", default="trace.json",
                        help="Chrome trace-event JSON output path "
                             "(default trace.json)")
@@ -528,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-phase breakdown output path "
                             "(default BENCH_phases.json)")
     trace.add_argument("--metrics", action="store_true",
-                       help="also print kernel counters")
+                       help="also print kernel counters (hashes, "
+                            "butterflies, ...)")
     trace.set_defaults(func=_cmd_trace)
 
     serve = sub.add_parser(
@@ -562,8 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     csub = client.add_subparsers(dest="action", required=True)
     cprove = csub.add_parser(
         "prove", help="prove a workload on the service",
-        parents=[connect_p, timeout_p])
-    cprove.add_argument("workload", choices=workload_choices())
+        parents=[workload_p, connect_p, timeout_p])
     cprove.add_argument("--preset", choices=sorted(PRESETS), default=None,
                         help="security preset (default: the daemon's "
                              "--preset)")
@@ -573,29 +536,21 @@ def build_parser() -> argparse.ArgumentParser:
     cprove.add_argument("--out", metavar="PATH", default=None,
                         help="write the returned proof envelope "
                              "(verify with `repro verify PATH`)")
-    cprove.set_defaults(func=_cmd_client)
-    cverify = csub.add_parser(
+    cprove.set_defaults(func=_client_prove)
+    csub.add_parser(
         "verify", help="verify a proof envelope on the service",
-        parents=[connect_p, timeout_p])
-    cverify.add_argument("bundle", metavar="BUNDLE",
-                         help="path to a serialized proof envelope")
-    cverify.add_argument("--workload", choices=workload_choices(),
-                         default=None,
-                         help="statement the proof claims (default: the "
-                              "circuit id embedded in the envelope)")
-    cverify.set_defaults(func=_cmd_client)
+        parents=[bundle_p, connect_p, timeout_p]
+    ).set_defaults(func=_client_verify)
     cstatus = csub.add_parser(
         "status", help="query one job's state", parents=[connect_p])
     cstatus.add_argument("job_id", metavar="JOB_ID")
-    cstatus.set_defaults(func=_cmd_client)
-    cstats = csub.add_parser(
+    cstatus.set_defaults(func=_client_status)
+    csub.add_parser(
         "stats", help="dump service queue/cache/job statistics",
-        parents=[connect_p])
-    cstats.set_defaults(func=_cmd_client)
-    cshutdown = csub.add_parser(
+        parents=[connect_p]).set_defaults(func=_client_stats)
+    csub.add_parser(
         "shutdown", help="ask the daemon to drain and exit",
-        parents=[connect_p])
-    cshutdown.set_defaults(func=_cmd_client)
+        parents=[connect_p]).set_defaults(func=_client_shutdown)
 
     report = sub.add_parser(
         "report",
@@ -616,15 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from .errors import (
-        ConfigError,
-        DeserializationError,
-        ProverTimeoutError,
-        ReproError,
-        TranscriptError,
-        VerificationError,
-    )
-
     args = build_parser().parse_args(argv)
     if getattr(args, "flight_log", None):   # prove / trace / serve
         from .obs import FLIGHT
@@ -642,18 +588,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # relayed from a `repro serve` daemon by `repro client`.
         if args.strict:
             raise
-        if isinstance(exc, ConfigError):
-            code = EXIT_CONFIG_ERROR
-        elif isinstance(exc, DeserializationError):
-            code = EXIT_DESERIALIZATION_ERROR
-        elif isinstance(exc, ProverTimeoutError):
-            code = EXIT_TIMEOUT
-        elif isinstance(exc, (VerificationError, TranscriptError)):
-            code = EXIT_VERIFICATION_ERROR
-        else:
-            # Service/transport errors (queue full, server unreachable):
-            # transient operational failures, not input errors.
-            code = 1
+        # Service/transport errors (queue full, server unreachable) are
+        # transient operational failures, not input errors: exit 1.
+        code = next((code for types, code in _EXIT_CODES
+                     if isinstance(exc, types)), 1)
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return code
 

@@ -65,39 +65,27 @@ def set_tracer(tracer) -> None:
     _active = tracer if tracer is not None else NULL_TRACER
 
 
-def start_trace() -> Tracer:
-    """Begin recording: reset and enable the kernel counters and install
-    a fresh Tracer."""
+@contextmanager
+def tracing():
+    """``with obs.tracing() as tracer:`` — reset and enable the kernel
+    counters and install a fresh :class:`Tracer` for the block; on exit
+    snapshot the counters into ``tracer.metrics_snapshot`` and restore
+    the no-op path."""
     METRICS.reset()
     METRICS.enabled = True
     tracer = Tracer(METRICS)
     set_tracer(tracer)
-    return tracer
-
-
-def stop_trace() -> Optional[Tracer]:
-    """Finish the active trace (snapshot metrics, restore the no-op path)."""
-    tracer = get_tracer()
-    if tracer is not None:
-        tracer.finish()
-    METRICS.enabled = False
-    set_tracer(None)
-    return tracer
-
-
-@contextmanager
-def tracing():
-    """``with obs.tracing() as tracer:`` — scoped start/stop."""
-    tracer = start_trace()
     try:
         yield tracer
     finally:
-        stop_trace()
+        tracer.finish()
+        METRICS.enabled = False
+        set_tracer(None)
 
 
 __all__ = [
     "FAMILIES", "FLIGHT", "FlightEvent", "FlightRecorder", "JobReport",
     "METRICS", "MetricsRegistry", "NullTracer", "NULL_TRACER", "SpanRecord",
     "Tracer", "events", "export", "get_tracer", "peak_rss_bytes",
-    "set_tracer", "span", "start_trace", "stop_trace", "tracing",
+    "set_tracer", "span", "tracing",
 ]

@@ -29,9 +29,6 @@ PHASES_SCHEMA_VERSION = 1
 #: pid labels in the combined Chrome trace.
 FUNCTIONAL_PID = 1
 SIMULATED_PID = 2
-#: Worker-process span fragments get pids from this base upward, one per
-#: worker (see :meth:`repro.obs.tracer.Tracer.absorb_worker`).
-WORKER_PID_BASE = 100
 
 
 # -- Chrome trace events -----------------------------------------------------
@@ -110,24 +107,11 @@ def report_to_trace_events(report, pid: int = SIMULATED_PID) -> List[dict]:
 
 def chrome_trace(records: Optional[Iterable[SpanRecord]] = None,
                  report=None,
-                 metadata: Optional[dict] = None,
-                 worker_records: Optional[Dict[int, List[SpanRecord]]] = None,
-                 ) -> dict:
-    """Assemble the combined Chrome trace object (JSON Object Format).
-
-    ``worker_records`` maps worker OS pids to the span fragments merged
-    back by :meth:`~repro.obs.tracer.Tracer.absorb_worker`; each worker
-    renders as its own process (pid ``WORKER_PID_BASE + k``) alongside
-    the main prover timeline.
-    """
+                 metadata: Optional[dict] = None) -> dict:
+    """Assemble the combined Chrome trace object (JSON Object Format)."""
     events: List[dict] = []
     if records is not None:
         events += spans_to_trace_events(records)
-    for k, (os_pid, recs) in enumerate(sorted((worker_records or {}).items())):
-        events += spans_to_trace_events(
-            recs, pid=WORKER_PID_BASE + k, tid=1,
-            process_label=f"repro prover worker (os pid {os_pid})",
-            thread_label=f"pool worker {k}")
     if report is not None:
         events += report_to_trace_events(report)
     return {
@@ -137,11 +121,10 @@ def chrome_trace(records: Optional[Iterable[SpanRecord]] = None,
     }
 
 
-def write_chrome_trace(path, records=None, report=None, metadata=None,
-                       worker_records=None) -> dict:
+def write_chrome_trace(path, records=None, report=None, metadata=None
+                       ) -> dict:
     """Write :func:`chrome_trace` output to ``path``; returns the object."""
-    obj = chrome_trace(records=records, report=report, metadata=metadata,
-                       worker_records=worker_records)
+    obj = chrome_trace(records=records, report=report, metadata=metadata)
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=1)
         fh.write("\n")

@@ -7,11 +7,11 @@ calls ``METRICS.inc`` / ``METRICS.gauge`` unconditionally; when the
 registry is disabled (the default) each call returns after one attribute
 check, so the hot loops stay within noise of the uninstrumented code.
 
-The registry is on exactly while a trace is: :func:`repro.obs.start_trace`
-resets and enables it, :func:`repro.obs.stop_trace` disables it, and
-nothing else in ``src/`` writes ``METRICS.enabled``.  Its readers are the
-tracer (per-span counter deltas), ``--metrics`` on ``repro prove`` /
-``repro trace``, ``BENCH_phases.json`` and the op-count tests.  Latency
+The registry is on exactly while a trace is: :func:`repro.obs.tracing`
+resets and enables it on entry and disables it on exit, and nothing
+else in ``src/`` writes ``METRICS.enabled``.  Its readers are the
+tracer (per-span counter deltas), ``repro trace --metrics``,
+``BENCH_phases.json`` and the op-count tests.  Latency
 is not booked here: a run's time is its span tree, a job's is its
 :class:`~repro.obs.events.JobReport` (``docs/OBSERVABILITY.md``).
 """

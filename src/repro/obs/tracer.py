@@ -110,8 +110,6 @@ _NULL_SPAN = _NullSpan()
 class NullTracer:
     """Tracer stand-in whose spans cost two empty method calls."""
 
-    enabled = False
-
     def span(self, name: str, family: str = "other", **attrs) -> _NullSpan:
         return _NULL_SPAN
 
@@ -122,26 +120,12 @@ NULL_TRACER = NullTracer()
 class Tracer:
     """Records a tree of spans relative to its own start instant."""
 
-    enabled = True
-
     def __init__(self, metrics: Optional[MetricsRegistry] = None):
         self.metrics = metrics if metrics is not None else METRICS
         self._records: List[SpanRecord] = []
         self._stack: List[int] = []
         self._t0 = time.perf_counter()
-        self._worker_records: Dict[int, List[SpanRecord]] = {}
         self.metrics_snapshot: Dict[str, Dict[str, Any]] = {}
-
-    @property
-    def start_abs(self) -> float:
-        """Absolute ``perf_counter`` instant this tracer started at.
-
-        On Linux ``perf_counter`` is CLOCK_MONOTONIC — one epoch for all
-        processes — so worker-tracer records can be aligned onto this
-        tracer's timeline by shifting with the difference of start
-        instants (see :meth:`absorb_worker`).
-        """
-        return self._t0
 
     def span(self, name: str, family: str = "other", **attrs) -> _Span:
         """Open a nested span; use as ``with tracer.span("pcs.commit"): ...``."""
@@ -162,37 +146,6 @@ class Tracer:
         self.metrics.gauge("process.peak_rss_bytes", peak_rss_bytes())
         self.metrics_snapshot = self.metrics.snapshot()
         return self
-
-    # -- worker merge ------------------------------------------------------
-    def absorb_worker(self, worker_pid: int, records: List[SpanRecord],
-                      counters: Optional[Dict[str, Any]] = None,
-                      start_abs: Optional[float] = None) -> None:
-        """Merge one worker-process trace fragment into this tracer.
-
-        ``records`` come from a worker-local :class:`Tracer` (spans
-        shipped back by :class:`~repro.parallel.pool.ProverPool`); they
-        are kept in a per-worker side table — not the main span tree, to
-        avoid double counting the wall time the parent span already
-        covers — and rendered as extra pids by the Chrome-trace exporter.
-        ``counters`` (the worker's metric deltas) are added to this
-        tracer's registry, so kernel counts stay exact at any worker
-        count and land in whichever span is currently open.
-        ``start_abs`` (the worker tracer's absolute start instant) shifts
-        the fragment onto this tracer's timeline.
-        """
-        offset = (start_abs - self._t0) if start_abs is not None else 0.0
-        shifted = []
-        for rec in records:
-            rec.start_s += offset
-            shifted.append(rec)
-        self._worker_records.setdefault(int(worker_pid), []).extend(shifted)
-        for name, delta in (counters or {}).items():
-            self.metrics.inc(name, delta)
-
-    def worker_records(self) -> Dict[int, List[SpanRecord]]:
-        """Span fragments merged from worker processes, keyed by OS pid."""
-        return {pid: list(recs)
-                for pid, recs in self._worker_records.items()}
 
     # -- aggregation -------------------------------------------------------
     def records(self) -> List[SpanRecord]:

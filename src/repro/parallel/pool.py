@@ -48,7 +48,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .. import obs
 from ..errors import ProverTimeoutError, WorkerCrashError
 from ..obs.events import FLIGHT as _FLIGHT
 from . import kernels
@@ -64,26 +63,6 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0)) or 1
     except (AttributeError, OSError):
         return os.cpu_count() or 1
-
-
-def _traced_job(trace: bool, *job):
-    """Run :func:`kernels.prove_job`, under a worker-local tracer when the
-    parent is tracing and wants the job's spans and counters back.
-
-    ``start_trace`` resets the worker's registry first: a forked worker
-    was born with the parent's counts in memory, and one worker runs
-    several jobs, so each job must ship its own deltas only.
-    """
-    if not trace:
-        return kernels.prove_job(*job), None
-    tracer = obs.start_trace()
-    try:
-        result = kernels.prove_job(*job)
-    finally:
-        obs.stop_trace()
-    counters = tracer.metrics_snapshot.get("counters", {})
-    return result, (os.getpid(), tracer.records(), counters,
-                    tracer.start_abs)
 
 
 def _kill_workers(executor: ProcessPoolExecutor) -> None:
@@ -146,7 +125,6 @@ class ProverPool:
         # Build the key's gather plans here, once: every worker of this
         # and later batches inherits them instead of rebuilding its own.
         pk.r1cs._stacked()
-        tracer = obs.get_tracer()
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn")
@@ -161,9 +139,8 @@ class ProverPool:
                     max_workers=min(self.workers, len(jobs)), mp_context=ctx,
                     initializer=kernels.park_batch,
                     initargs=(pk, publics, witnesses)) as executor:
-                pending = {executor.submit(_traced_job, tracer is not None,
-                                           j, seeds[j], circuit_id,
-                                           timeout_s): j
+                pending = {executor.submit(kernels.prove_job, j, seeds[j],
+                                           circuit_id, timeout_s): j
                            for j in jobs}
                 while pending:
                     timeout = self.stall_timeout_s
@@ -184,7 +161,7 @@ class ProverPool:
                     for fut in done:
                         j = pending.pop(fut)
                         try:
-                            results[j], meta = fut.result()
+                            results[j] = fut.result()
                         except BrokenExecutor:
                             lost.append(j)  # a worker died under the fleet
                         except Exception as exc:  # noqa: BLE001 - per job
@@ -194,9 +171,6 @@ class ProverPool:
                             if not isinstance(exc, ProverTimeoutError):
                                 _FLIGHT.record("task_error",
                                                error=type(exc).__name__)
-                        else:
-                            if meta is not None:
-                                tracer.absorb_worker(*meta)
             if not lost:
                 break
         for j in lost:

@@ -53,6 +53,7 @@ from typing import Any, Deque, Dict, Optional, Set
 from ..errors import ConfigError
 from ..obs.events import FLIGHT as _FLIGHT
 from ..parallel.kernels import _maybe_fault
+from ..workloads.registry import resolve_workload
 from . import protocol
 from .cache import (
     DEFAULT_KEY_CACHE_BYTES,
@@ -89,6 +90,10 @@ class ServiceConfig:
                 f"queue_depth must be >= 1, got {self.queue_depth}")
         if self.timeout_s is not None and not self.timeout_s >= 0:
             raise ConfigError(f"timeout_s must be >= 0, got {self.timeout_s}")
+        for name in ("key_cache_bytes", "proof_cache_bytes"):
+            if getattr(self, name) < 0:
+                raise ConfigError(
+                    f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -292,15 +297,16 @@ class ProvingService:
                     code=protocol.E_BAD_REQUEST)
         job = Job(job_id=f"svc-{_FLIGHT.next_job_id()}", kind=kind,
                   timeout_s=timeout_s)
+        circuit_id = str(request.get("circuit_id", ""))
+        if circuit_id:
+            # Aliases fold to one cache key; an unknown id is a 400 here,
+            # before anything is queued.
+            job.circuit_id = resolve_workload(circuit_id)
         if kind == "prove":
-            job.circuit_id = str(request.get("circuit_id", ""))
             if not job.circuit_id:
                 raise protocol.ServiceError(
                     "prove requires circuit_id",
                     code=protocol.E_BAD_REQUEST)
-            from ..workloads.registry import resolve_workload
-
-            job.circuit_id = resolve_workload(job.circuit_id)
             job.preset = str(request.get("preset") or self.config.preset)
             from ..snark import preset_by_name
 
@@ -328,7 +334,6 @@ class ProvingService:
                     "verify requires envelope",
                     code=protocol.E_BAD_REQUEST)
             job.envelope = protocol.decode_blob(str(blob))
-            job.circuit_id = str(request.get("circuit_id", ""))
         if len(self._waiting) >= self.config.queue_depth:
             self.rejected_full += 1
             raise protocol.QueueFullError(
@@ -473,9 +478,9 @@ class ProvingService:
             raise ConfigError(
                 "envelope carries no circuit id; pass circuit_id to name "
                 "the statement it proves")
-        job.circuit_id = circuit_id
+        job.circuit_id = resolve_workload(circuit_id)
         job.preset = bundle.preset_name
-        entry = self.key_cache.get_or_build(circuit_id, bundle.preset_name)
+        entry = self.key_cache.get_or_build(job.circuit_id, job.preset)
         job.valid = verify(entry.vk, bundle)
 
     # -- introspection -----------------------------------------------------

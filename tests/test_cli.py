@@ -62,21 +62,34 @@ class TestCommands:
         assert "W" in base
 
     def test_area(self, capsys):
-        assert main(["area"]) == 0
+        """The Table II area breakdown is a section of ``tables``."""
+        assert main(["tables"]) == 0
         out = capsys.readouterr().out
+        assert "Table II" in out
         assert "Total NoCap" in out
         assert "45.8" in out
 
     def test_tables(self, capsys):
         assert main(["tables"]) == 0
         out = capsys.readouterr().out
-        assert "Table I" in out and "Table IV" in out and "Table V" in out
-        assert "586x" in out
+        titles = ["Table I:", "Table II:", "Table IV:", "Table V:", "Fig. 7:"]
+        positions = [out.index(title) for title in titles]
+        assert positions == sorted(positions)
+        assert "586x" in out and "45.8" in out
 
     def test_sensitivity(self, capsys):
-        assert main(["sensitivity"]) == 0
-        out = capsys.readouterr().out
-        assert "arith" in out and "hbm" in out
+        """The Fig. 7 sweep is a section of ``tables``: one row per
+        scaled resource."""
+        assert main(["tables"]) == 0
+        fig7 = capsys.readouterr().out.split("Fig. 7:")[1]
+        rows = [line.split("|")[0].strip() for line in fig7.splitlines()[3:]]
+        assert rows == ["arith", "hash", "ntt", "hbm", "rf"]
+
+    @pytest.mark.parametrize("command", ["area", "sensitivity"])
+    def test_table_commands_folded_into_tables(self, command):
+        with pytest.raises(SystemExit) as ei:
+            main([command])
+        assert ei.value.code == 2
 
     def test_prove(self, capsys):
         assert main(["prove", "auction"]) == 0
@@ -117,16 +130,25 @@ class TestCommands:
         obj = json.loads(path.read_text())
         assert validate_chrome_trace(obj) == []
 
-    def test_prove_trace_flags(self, tmp_path, capsys):
+    def test_prove_trace_flags(self):
+        """``repro trace`` is the one traced prove: ``prove`` takes none
+        of the tracing flags."""
+        for flags in (["--trace"], ["--trace-out", "x"], ["--metrics"]):
+            with pytest.raises(SystemExit) as ei:
+                main(["prove", "litmus"] + flags)
+            assert ei.value.code == 2
+
+    def test_trace_metrics_prints_tree_and_counters(self, tmp_path, capsys):
         import json
 
         from repro.obs.export import validate_chrome_trace
 
         path = tmp_path / "trace.json"
-        assert main(["prove", "auction", "--trace-out", str(path),
-                     "--metrics"]) == 0
+        assert main(["trace", "auction", "--metrics", "--trace-out",
+                     str(path), "--phases-out",
+                     str(tmp_path / "phases.json")]) == 0
         out = capsys.readouterr().out
-        assert "phase tree" in out
+        assert out.index("phase tree") < out.index("drift")
         assert "snark.prove" in out
         assert "merkle.hashes" in out
         assert validate_chrome_trace(json.loads(path.read_text())) == []
@@ -193,7 +215,7 @@ class TestCommands:
         assert main(["trace", "sha256", "--trace-out", str(trace),
                      "--phases-out", str(phases)]) == 0
         out = capsys.readouterr().out
-        assert "drift" in out
+        assert "phase tree" in out and "drift" in out
         assert validate_chrome_trace(json.loads(trace.read_text())) == []
         payload = json.loads(phases.read_text())
         assert validate_phases(payload) == []

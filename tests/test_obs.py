@@ -253,28 +253,6 @@ class TestExportEdgeCases:
         payload = phases_payload(tracer=tracer, workload="unicode")
         assert validate_phases(json.loads(json.dumps(payload))) == []
 
-    def test_merged_multi_worker_trace(self):
-        parent = Tracer()
-        with parent.span("snark.prove", "other"):
-            pass
-        for fake_pid in (11111, 22222):
-            worker = Tracer()
-            with worker.span("kernels.encode", "rs_encode"):
-                pass
-            parent.absorb_worker(fake_pid, worker.records(),
-                                 counters={"ntt.butterflies": 192},
-                                 start_abs=worker.start_abs)
-        parent.finish()
-        obj = chrome_trace(records=parent.records(),
-                           worker_records=parent.worker_records())
-        assert validate_chrome_trace(obj) == []
-        x_events = [e for e in obj["traceEvents"] if e["ph"] == "X"]
-        pids = {e["pid"] for e in x_events}
-        assert len(pids) == 3  # main lane + one lane per worker
-        worker_names = [e["name"] for e in x_events if e["pid"] != 1]
-        assert worker_names.count("kernels.encode") == 2
-        assert validate_chrome_trace(json.loads(json.dumps(obj))) == []
-
 
 class TestTaskRecord:
     def test_tuple_compat(self):

@@ -215,89 +215,20 @@ class TestProofDeterminism:
                     for pk, jobs in keys] == reference
 
 
-class TestWorkerTraceMerge:
-    def test_worker_spans_and_counters_merge(self, instance, pool):
-        r1cs, public, witness = instance
-        pk, _ = setup(r1cs, TEST)
-        with obs.tracing() as tracer:
-            prove_many(pk, [(public, witness)] * 2, pool=pool, base_seed=2)
-        workers = tracer.worker_records()
-        assert workers, "pooled prove_many produced no worker records"
-        for records in workers.values():
-            assert any(rec.name == "snark.prove" for rec in records)
-            assert all(rec.wall_s >= 0 for rec in records)
-        # NTT butterflies run inside the workers; their counter deltas
-        # must land in the parent registry.
-        counters = tracer.metrics_snapshot.get("counters", {})
-        assert counters.get("ntt.butterflies", 0) > 0
-
-    def test_workers_render_as_extra_pids(self, instance, pool):
-        from repro.obs.export import WORKER_PID_BASE, chrome_trace
-
-        r1cs, public, witness = instance
-        pk, _ = setup(r1cs, TEST)
-        with obs.tracing() as tracer:
-            prove_many(pk, [(public, witness)] * 2, pool=pool, base_seed=2)
-        doc = chrome_trace(tracer.records(),
-                           worker_records=tracer.worker_records())
-        pids = {ev["pid"] for ev in doc["traceEvents"]}
-        assert any(p >= WORKER_PID_BASE for p in pids)
-
-    def test_totals_exact_over_two_traced_batches(self, instance, pool):
-        """Workers are forked mid-trace with the parent's registry —
-        first batch already merged — in memory; each job resets it before
-        proving, so the second batch's jobs ship their own deltas only."""
+class TestTracedBatch:
+    def test_traced_pooled_batch_gives_serial_bytes(self, instance, pool):
+        """Tracing never changes proof bytes: a pooled 2-job batch under
+        ``obs.tracing()`` returns the untraced serial batch's envelopes,
+        and the caller's tracer holds the batch span."""
         r1cs, public, witness = instance
         pk, _ = setup(r1cs, TEST)
         jobs = [(public, witness)] * 2
-        totals = {}
-        for label, kwargs in (("serial", {"workers": 0}),
-                              ("pooled", {"pool": pool})):
-            with obs.tracing() as tracer:
-                for base_seed in (2, 3):
-                    prove_many(pk, jobs, base_seed=base_seed, **kwargs)
-                records = tracer.records() + [
-                    rec for recs in tracer.worker_records().values()
-                    for rec in recs]
-                totals[label] = (
-                    sum(rec.name == "snark.prove" for rec in records),
-                    obs.METRICS.counters()["ntt.butterflies"],
-                    obs.METRICS.counters()["rs.rows_encoded"])
-            if label == "pooled":
-                assert tracer.worker_records()
-        assert totals["serial"][0] == 4  # one snark.prove span per job
-        assert totals["pooled"] == totals["serial"]
-
-    def test_untraced_pooled_run_merges_nothing(self, instance, pool,
-                                                monkeypatch):
-        """Workers ship telemetry iff a tracer is active: an enabled
-        registry alone gets no tuple back and stays as it was."""
-        from repro.parallel import pool as pool_mod
-
-        trace_flags = []
-
-        class SpyExecutor(pool_mod.ProcessPoolExecutor):
-            def submit(self, fn, trace, *job):
-                trace_flags.append(trace)
-                return super().submit(fn, trace, *job)
-
-        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", SpyExecutor)
-        r1cs, public, witness = instance
-        pk, vk = setup(r1cs, TEST)
-        for metrics_on in (False, True):
-            obs.METRICS.reset()
-            obs.METRICS.enabled = metrics_on
-            try:
-                obs.METRICS.inc("sentinel", 7)
-                before = obs.METRICS.snapshot()
-                bundles = prove_many(pk, [(public, witness)] * 2, pool=pool,
-                                     base_seed=2)
-                assert obs.METRICS.snapshot() == before
-            finally:
-                obs.METRICS.enabled = False
-                obs.METRICS.reset()
-            assert all(verify(vk, b) for b in bundles)
-        assert trace_flags == [False] * 4
+        reference = _batch_bytes(pk, jobs, workers=0, base_seed=2)
+        with obs.tracing() as tracer:
+            bundles = prove_many(pk, jobs, pool=pool, base_seed=2)
+        assert bundles[0].report.dispatch == "pool"
+        assert [b.to_bytes() for b in bundles] == reference
+        assert [rec.name for rec in tracer.records()] == ["snark.prove_many"]
 
 
 class TestShmRoundTrip:

@@ -440,6 +440,38 @@ class TestServiceEndToEnd:
             assert stats["proof_cache"]["entries"] == 1
             assert stats["pk_cache"]["entries"] == 1  # keys built once
 
+    def test_verify_resolves_circuit_alias(self, sock_path):
+        """A verify naming the statement by its paper alias reuses the
+        keys its prove built: one cache entry, one hit."""
+        with running_service(sock_path) as live, \
+                ServiceClient(sock_path) as svc:
+            envelope = svc.prove("sha", seed=5)
+            assert svc.verify(envelope, circuit_id="sha256")
+            assert [job.circuit_id for job in live.service.jobs.values()
+                    if job.kind == "verify"] == ["sha"]
+            pk_cache = svc.stats()["pk_cache"]
+            assert pk_cache["entries"] == 1 and pk_cache["hits"] == 1
+
+    def test_verify_unknown_circuit_refused_at_submit(self, sock_path):
+        """An unknown verify circuit id is a 400 before anything is
+        queued, as it is for a prove."""
+        with running_service(sock_path) as live:
+            with ServiceClient(sock_path) as svc:
+                envelope = svc.prove("litmus", seed=5)
+            enqueued = live.service.stats()["queue"]["enqueued"]
+            raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            raw.settimeout(10)
+            raw.connect(sock_path)
+            raw.sendall(protocol.pack_frame({
+                "op": "submit", "kind": "verify", "circuit_id": "nonsense",
+                "envelope": protocol.encode_blob(envelope)}))
+            response = protocol.read_frame_sync(raw)
+            raw.close()
+            assert response["ok"] is False
+            assert response["code"] == protocol.E_BAD_REQUEST
+            assert response["error"] == "ConfigError"
+            assert live.service.stats()["queue"]["enqueued"] == enqueued
+
     def test_cached_submit_skips_queue(self, sock_path):
         """A submit whose proof is already cached is answered at
         admission time: the job is born done and flagged cached."""
@@ -712,6 +744,19 @@ class TestServiceConfig:
         with pytest.raises(ConfigError, match="queue_depth"):
             ServiceConfig(queue_depth=0)
 
+    @pytest.mark.parametrize("flag, field", [
+        ("--key-cache-mb", "key_cache_bytes"),
+        ("--proof-cache-mb", "proof_cache_bytes"),
+    ])
+    def test_negative_cache_budget_is_a_config_error(self, flag, field):
+        """A negative budget is refused like ``--queue-depth 0``: exit 3,
+        no traceback."""
+        from repro.cli import EXIT_CONFIG_ERROR, main
+
+        with pytest.raises(ConfigError, match=field):
+            ServiceConfig(**{field: -1})
+        assert main(["serve", flag, "-1"]) == EXIT_CONFIG_ERROR
+
     @pytest.mark.parametrize("timeout_s", [float("nan"), -1.0])
     def test_default_timeout_must_be_a_budget(self, timeout_s):
         """``repro serve --timeout nan`` would otherwise turn every
@@ -796,6 +841,33 @@ class TestServeClientParsers:
                 assert main(argv + extra) == 0
                 bundle = ProofBundle.from_bytes(out.read_bytes())
                 assert bundle.preset_name == preset
+
+    def test_every_client_action_through_main(self, sock_path, tmp_path,
+                                              capsys):
+        """All five ``repro client`` actions dispatch through ``main()``
+        against a live daemon; ``shutdown`` leaves it draining."""
+        import json
+
+        from repro.cli import main
+
+        out = tmp_path / "proof.bin"
+        connect = ["--unix-socket", sock_path]
+        with running_service(sock_path) as live:
+            assert main(["client", "prove", "litmus", "--seed", "3",
+                         "--out", str(out)] + connect) == 0
+            assert main(["client", "verify", str(out)] + connect) == 0
+            assert "proof valid" in capsys.readouterr().out
+            job_id, = [job.job_id for job in live.service.jobs.values()
+                       if job.kind == "prove"]
+            assert main(["client", "status", job_id] + connect) == 0
+            status = json.loads(capsys.readouterr().out)
+            assert status["job_id"] == job_id and status["state"] == "done"
+            assert main(["client", "stats"] + connect) == 0
+            assert json.loads(capsys.readouterr().out)["jobs_done"] == 2
+            assert main(["client", "shutdown"] + connect) == 0
+            assert "server draining" in capsys.readouterr().out
+            live.thread.join(30)
+            assert live.service._stopping and not live.thread.is_alive()
 
     def test_exit_code_table_documented(self):
         from repro.cli import EXIT_CODE_TABLE, build_parser
