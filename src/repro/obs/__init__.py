@@ -34,7 +34,7 @@ from contextlib import contextmanager
 from typing import Optional
 
 from .metrics import METRICS, MetricsRegistry, peak_rss_bytes  # noqa: F401
-from .events import FLIGHT, FlightEvent, FlightRecorder, JobReport  # noqa: F401
+from .events import FLIGHT, FlightRecorder, JobReport  # noqa: F401
 from .tracer import (  # noqa: F401
     FAMILIES,
     NULL_TRACER,
@@ -84,8 +84,8 @@ def tracing():
 
 
 __all__ = [
-    "FAMILIES", "FLIGHT", "FlightEvent", "FlightRecorder", "JobReport",
-    "METRICS", "MetricsRegistry", "NullTracer", "NULL_TRACER", "SpanRecord",
-    "Tracer", "events", "export", "get_tracer", "peak_rss_bytes",
-    "set_tracer", "span", "tracing",
+    "FAMILIES", "FLIGHT", "FlightRecorder", "JobReport", "METRICS",
+    "MetricsRegistry", "NullTracer", "NULL_TRACER", "SpanRecord", "Tracer",
+    "events", "export", "get_tracer", "peak_rss_bytes", "set_tracer", "span",
+    "tracing",
 ]

@@ -1,33 +1,30 @@
-"""Flight recorder: a bounded ring buffer of structured prover events.
+"""Flight recorder: what this process has been doing, one record per fact.
 
 Where the tracer answers "where did *this* run's time go", the flight
-recorder answers "what has this *process* been doing" — the last N
-proving jobs and every supervision incident (worker restart, dispatch
-stall, degradation to serial, spent deadline) in one bounded,
-always-on log.  It is the service-grade complement to per-run tracing:
-a long-running prover keeps the recorder warm across thousands of jobs
-at O(1) memory, and a post-mortem reads the tail instead of re-running.
+recorder answers "what has this *process* been doing" — every proving
+job and every supervision incident (worker restart, dispatch stall,
+degradation to serial, spent deadline), always on.  It keeps two things:
 
-Two record shapes share the ring:
+* per-kind incident totals in memory — what a job's report diffs to
+  count the incidents of its own window, exactly, however many fired;
+* an optional JSONL spool (``REPRO_FLIGHT_LOG=PATH`` or
+  :meth:`FlightRecorder.spool_to`) that gets every record as one
+  ``{kind, ts, data}`` line — what ``repro report`` reads.
 
-* :class:`FlightEvent` — one incident: ``kind`` (see
-  :data:`EVENT_KINDS`), a monotonic sequence number, a wall-clock
-  timestamp, and a small ``data`` dict.
-* :class:`JobReport` — one completed (or failed) prove/verify job,
-  recorded as a ``kind="job"`` event whose ``data`` is the report: job
-  id, operation, preset, circuit id, worker count, dispatch mode,
-  duration, proof size, peak-RSS delta, outcome, and the *per-job
-  deltas* of supervision incidents (computed from the event sequence
-  numbers spanning the job — never from absolute counter values, so a
-  second batch in the same process starts its report at zero).
+A ``kind="job"`` record's ``data`` is a :class:`JobReport`: job id,
+operation, preset, circuit id, worker count, dispatch mode, duration,
+proof size, peak-RSS delta, outcome, and the *per-job deltas* of
+supervision incidents (the totals at exit minus the totals at entry,
+so a second batch in the same process starts its report at zero).  Any
+other kind is an incident.
 
 Every report is built by one constructor, :meth:`FlightRecorder.job`,
 which ``prove``, ``prove_many`` and ``verify`` each open exactly once
-per call.  The recorder is always on and cheap enough to be — one small
-object append per *job* or *incident*, nothing per kernel call.  Set
-``REPRO_FLIGHT_LOG=PATH`` (or :meth:`FlightRecorder.spool_to`) to append
-each record as a JSON line; that spool is what ``repro report`` reads,
-since the in-memory ring dies with its process.
+per call.  A daemon job runs its body with its own id set as private
+per-job context, so the id ``submit`` returned is the report's.  The
+recorder is cheap enough to stay on — two dict copies and a spool line
+per *job*, one counter bump and a spool line per *incident*, nothing
+per kernel call.
 """
 
 from __future__ import annotations
@@ -35,8 +32,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections import deque
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
@@ -45,11 +42,8 @@ from .metrics import peak_rss_bytes
 #: Environment variable naming the JSONL spool file (optional).
 FLIGHT_LOG_ENV = "REPRO_FLIGHT_LOG"
 
-#: Default ring capacity (events + job reports combined).
-DEFAULT_CAPACITY = 512
-
-#: Every kind the recorder emits.  ``job`` wraps a :class:`JobReport`;
-#: the rest are supervision incidents from :mod:`repro.parallel`.
+#: Every kind the recorder emits.  ``job`` is a :class:`JobReport`; the
+#: rest are supervision incidents from :mod:`repro.parallel`.
 EVENT_KINDS = (
     "job",              # one completed/failed prove or verify job
     "worker_restart",   # lost jobs got their second round on fresh workers
@@ -59,23 +53,10 @@ EVENT_KINDS = (
     "timeout",          # a cooperative deadline expired
 )
 
-#: Incident kinds summed into JobReport per-job fault deltas.
-_FAULT_KINDS = ("worker_restart", "dispatch_stall", "task_error",
-                "degradation", "timeout")
-
-
-@dataclass
-class FlightEvent:
-    """One ring-buffer record."""
-
-    kind: str
-    seq: int
-    ts: float                      # wall clock (time.time)
-    data: Dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "seq": self.seq, "ts": self.ts,
-                "data": dict(self.data)}
+#: The id the next :meth:`FlightRecorder.job` opened in this context
+#: takes instead of minting one (a daemon job's, set around its body).
+_JOB_ID: ContextVar[Optional[str]] = ContextVar("repro_job_id",
+                                                default=None)
 
 
 @dataclass
@@ -84,8 +65,8 @@ class JobReport:
 
     ``events`` holds the per-job *deltas* of supervision incidents — how
     many worker restarts, stalls, task errors, degradations, and timeouts
-    fired while this job ran — computed by diffing recorder sequence
-    numbers, so reports never inherit a previous batch's incidents.
+    fired while this job ran — computed by diffing the recorder's
+    incident totals, so reports never inherit a previous batch's.
     """
 
     job_id: str
@@ -116,23 +97,12 @@ class JobReport:
 
 
 class FlightRecorder:
-    """Bounded, append-only event ring with an optional JSONL spool."""
+    """Per-kind incident totals plus an optional JSONL spool."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 spool_path: Optional[str] = None):
-        self._ring: "deque[FlightEvent]" = deque(maxlen=max(1, capacity))
-        self._seq = 0
+    def __init__(self, spool_path: Optional[str] = None):
+        self._incidents: Dict[str, int] = {}
         self._job_counter = 0
         self.spool_path = spool_path
-
-    @property
-    def capacity(self) -> int:
-        return self._ring.maxlen or 0
-
-    @property
-    def seq(self) -> int:
-        """Sequence number of the next event (monotonic, never reused)."""
-        return self._seq
 
     def spool_to(self, path: Optional[str]) -> None:
         """Start (or with None, stop) appending records to a JSONL file."""
@@ -143,82 +113,66 @@ class FlightRecorder:
         self._job_counter += 1
         return f"{os.getpid()}-{self._job_counter}"
 
-    # -- write side --------------------------------------------------------
-    def record(self, kind: str, **data: Any) -> FlightEvent:
-        """Append one incident."""
-        event = FlightEvent(kind=kind, seq=self._seq, ts=time.time(),
-                            data=data)
-        self._seq += 1
-        self._ring.append(event)
-        self._spool(event)
-        return event
+    def incidents(self) -> Dict[str, int]:
+        """Snapshot of the per-kind incident totals; hand it to
+        :meth:`fault_deltas` to count what a window added."""
+        return dict(self._incidents)
 
-    def record_job(self, report: JobReport) -> FlightEvent:
-        """Append one :class:`JobReport` as a ``kind="job"`` event."""
-        return self.record("job", **report.to_dict())
+    def fault_deltas(self, before: Dict[str, int]) -> Dict[str, int]:
+        """Incidents recorded since the :meth:`incidents` snapshot
+        ``before`` — exact however many, and never a previous window's."""
+        return {kind: n - before.get(kind, 0)
+                for kind, n in self._incidents.items()
+                if n > before.get(kind, 0)}
+
+    def record(self, kind: str, **data: Any) -> None:
+        """Count one incident and spool it."""
+        self._incidents[kind] = self._incidents.get(kind, 0) + 1
+        self._spool(kind, data)
 
     @contextmanager
     def job(self, op: str, preset: str, circuit_id: str,
             jobs: int = 1) -> Iterator[JobReport]:
         """Book one job: ``with FLIGHT.job("prove", ...) as report:``.
 
-        Mints the job id and snapshots the sequence number, peak RSS and
-        clock on entry; the block fills in what only it knows (proof
-        size, dispatch, a verdict).  On exit the report gets its
-        duration, RSS delta and the incidents recorded inside the
-        window, ``ok=False`` and the error's class name if an exception
-        escapes (it is re-raised, never swallowed), and is recorded once.
+        Takes the id a daemon job set for its body, else mints one, and
+        snapshots the incident totals, peak RSS and clock on entry; the
+        block fills in what only it knows (proof size, dispatch, a
+        verdict).  Jobs the block opens mint their own ids.  On exit the
+        report gets its duration, RSS delta and the incidents recorded
+        inside the window, ``ok=False`` and the error's class name if an
+        exception escapes (it is re-raised, never swallowed), and is
+        spooled once as a ``kind="job"`` record.
         """
-        report = JobReport(job_id=self.next_job_id(), op=op, preset=preset,
-                           circuit_id=circuit_id, jobs=jobs)
-        seq0, rss0, t0 = self._seq, peak_rss_bytes(), time.perf_counter()
+        report = JobReport(job_id=_JOB_ID.get() or self.next_job_id(),
+                           op=op, preset=preset, circuit_id=circuit_id,
+                           jobs=jobs)
+        token = _JOB_ID.set(None)
+        before, rss0 = self.incidents(), peak_rss_bytes()
+        t0 = time.perf_counter()
         try:
             yield report
         except BaseException as exc:
             report.ok, report.error = False, type(exc).__name__
             raise
         finally:
+            _JOB_ID.reset(token)
             report.duration_s = time.perf_counter() - t0
             report.peak_rss_delta_bytes = max(0, peak_rss_bytes() - rss0)
-            report.events = self.fault_deltas(seq0)
-            self.record_job(report)
+            report.events = self.fault_deltas(before)
+            self._spool("job", report.to_dict())
 
-    def _spool(self, event: FlightEvent) -> None:
+    def _spool(self, kind: str, data: Dict[str, Any]) -> None:
         path = self.spool_path
         if path is None:
             return
+        line = json.dumps({"kind": kind, "ts": time.time(), "data": data},
+                          sort_keys=True)
         try:
             with open(path, "a") as fh:
-                fh.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
+                fh.write(line + "\n")
         except OSError:
-            # A broken spool must never take the prover down; the
-            # in-memory ring still has the record.
-            pass
-
-    # -- read side ---------------------------------------------------------
-    def events(self) -> List[FlightEvent]:
-        return list(self._ring)
-
-    def since(self, seq: int) -> List[FlightEvent]:
-        """Events recorded at or after sequence number ``seq``.
-
-        The per-job delta primitive: snapshot :attr:`seq` when a job
-        starts, then count what arrived while it ran.  Correct even for
-        back-to-back batches in one process — unlike reading absolute
-        counter values, which accumulate for the process lifetime.
-        """
-        return [e for e in self._ring if e.seq >= seq]
-
-    def fault_deltas(self, seq: int) -> Dict[str, int]:
-        """Count supervision incidents recorded at or after ``seq``."""
-        deltas: Dict[str, int] = {}
-        for event in self.since(seq):
-            if event.kind in _FAULT_KINDS:
-                deltas[event.kind] = deltas.get(event.kind, 0) + 1
-        return deltas
-
-    def clear(self) -> None:
-        self._ring.clear()
+            pass  # a broken spool must never take the prover down
 
 
 def read_spool(path: str, last: Optional[int] = None) -> List[dict]:

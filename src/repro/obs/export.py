@@ -8,7 +8,8 @@ Two render targets from one instrumentation layer:
   so model-vs-reality drift is visible on a single timeline.
 * :func:`phases_payload` — the machine-readable per-phase breakdown
   (``BENCH_phases.json``): family-labeled seconds/fractions on both
-  sides, counters, gauges, and the raw span list.
+  sides, counters and gauges (the spans themselves are the Chrome
+  trace's events: each is booked once).
 
 Both formats ship with lightweight validators (:func:`validate_chrome_trace`,
 :func:`validate_phases`) used by the tests and the CI trace step — no
@@ -24,7 +25,7 @@ from .tracer import FAMILIES, SpanRecord, Tracer
 
 #: Version of the ``BENCH_phases.json`` schema.
 PHASES_SCHEMA = "repro/bench-phases"
-PHASES_SCHEMA_VERSION = 1
+PHASES_SCHEMA_VERSION = 2
 
 #: pid labels in the combined Chrome trace.
 FUNCTIONAL_PID = 1
@@ -211,20 +212,6 @@ def phases_payload(tracer: Optional[Tracer] = None,
             "fractions_by_family": _fractions(fam_s),
             "counters": snapshot.get("counters", {}),
             "gauges": snapshot.get("gauges", {}),
-            "spans": [
-                {
-                    "name": r.name,
-                    "family": r.family,
-                    "depth": r.depth,
-                    "parent": r.parent,
-                    "start_s": r.start_s,
-                    "wall_s": r.wall_s,
-                    "cpu_s": r.cpu_s,
-                    "attrs": dict(r.attrs),
-                    "counters": dict(r.counters),
-                }
-                for r in tracer.records() if r.wall_s is not None
-            ],
         }
     if report is not None:
         time_by_family = _full_family_map(report.time_by_family)
@@ -289,19 +276,4 @@ def validate_phases(obj) -> List[str]:
             total_frac = sum(fracs.values())
             if total_frac and abs(total_frac - 1.0) > 1e-6:
                 errs.append(f"{section}.fractions_by_family must sum to 1")
-    func = obj.get("functional")
-    if isinstance(func, dict):
-        spans = func.get("spans")
-        if not isinstance(spans, list):
-            errs.append("functional.spans must be a list")
-        else:
-            for i, s in enumerate(spans):
-                if not isinstance(s, dict) or not isinstance(
-                        s.get("name"), str):
-                    errs.append(f"functional.spans[{i}] malformed")
-                    break
-                if s.get("family") not in FAMILIES:
-                    errs.append(
-                        f"functional.spans[{i}] family not in FAMILIES")
-                    break
     return errs

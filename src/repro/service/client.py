@@ -22,6 +22,7 @@ it in submit-then-wait convenience.
 
 from __future__ import annotations
 
+import operator
 import socket
 import threading
 import time
@@ -104,7 +105,7 @@ class ServiceClient:
         if preset is not None:
             payload["preset"] = preset
         if seed is not None:
-            payload["seed"] = int(seed)
+            payload["seed"] = operator.index(seed)  # 1.5: TypeError
         if envelope is not None:
             payload["envelope"] = protocol.encode_blob(envelope)
         if timeout_s is not None:

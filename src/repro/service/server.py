@@ -18,13 +18,15 @@ job body, so a 30 s paper-preset proof never blocks a ``status`` poll and
 no two proofs share the process.  The executor's FIFO is the daemon's one
 queue — jobs start in submission order whichever connection sent them.
 Job bodies call the ordinary lifecycle API, so cooperative
-deadlines apply to service traffic unchanged and every job leaves a
-:class:`~repro.obs.events.JobReport` in the flight log (``repro serve
---flight-log``).  The daemon's in-band scrape is the ``stats`` op — plain
-attributes of the service, its caches and the job table; a job's own
-latency is ``wait_s`` (submit → start) and ``run_s`` (start → finish) in
-its ``status``/``result`` replies.  Nothing here touches the kernel
-counter registry.
+deadlines apply to service traffic unchanged, and every job that proves
+or verifies leaves one :class:`~repro.obs.events.JobReport` in the
+flight log (``repro serve --flight-log``) under the id ``submit``
+returned; a proof-cache hit proves nothing and books nothing.  The
+daemon's in-band scrape is the ``stats`` op — plain attributes of the
+service, its caches and the job table; a job's own latency is
+``wait_s`` (submit → start) and ``run_s`` (start → finish) in its
+``status``/``result`` replies.  Nothing here touches the kernel counter
+registry.
 
 Failure contract: a job that fails carries a typed error (name +
 message) in its ``status``/``result`` responses; the connection never
@@ -51,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Optional, Set
 
 from ..errors import ConfigError
-from ..obs.events import FLIGHT as _FLIGHT
+from ..obs.events import _JOB_ID, FLIGHT as _FLIGHT
 from ..parallel.kernels import _maybe_fault
 from ..workloads.registry import resolve_workload
 from . import protocol
@@ -295,7 +297,7 @@ class ProvingService:
                 raise protocol.ServiceError(
                     f"timeout_s must be >= 0, got {timeout_s}",
                     code=protocol.E_BAD_REQUEST)
-        job = Job(job_id=f"svc-{_FLIGHT.next_job_id()}", kind=kind,
+        job = Job(job_id=_FLIGHT.next_job_id(), kind=kind,
                   timeout_s=timeout_s)
         circuit_id = str(request.get("circuit_id", ""))
         if circuit_id:
@@ -312,7 +314,13 @@ class ProvingService:
 
             preset_by_name(job.preset)  # fail fast on unknown presets
             seed = request.get("seed")
-            job.seed = None if seed is None else int(seed)
+            if seed is not None and not (type(seed) is int and seed >= 0):
+                # A float, string or negative seed (what a local prove()
+                # refuses) or a bool is a 400 here, never coerced.
+                raise protocol.ServiceError(
+                    f"seed must be an integer >= 0, got {seed!r}",
+                    code=protocol.E_BAD_REQUEST)
+            job.seed = seed
             # Proof-cache fast path: answer at submit time, occupy no
             # queue slot.  Key inputs are resolved lazily in the job
             # body on a miss; here we can only consult the cache when
@@ -437,6 +445,8 @@ class ProvingService:
         self._waiting.discard(job.job_id)
         job.state = "running"
         job.started_at = time.monotonic()
+        # The prove / verify below books its JobReport under this job's id.
+        token = _JOB_ID.set(job.job_id)
         try:
             # Chaos-harness injection point: `REPRO_FAULTS` plans naming
             # site "service_job" fire here, inside the failure contract —
@@ -448,6 +458,8 @@ class ProvingService:
                 self._run_verify(job)
         except Exception as exc:  # noqa: BLE001 - typed error to client
             return exc
+        finally:
+            _JOB_ID.reset(token)
         return None
 
     def _run_prove(self, job: Job) -> None:

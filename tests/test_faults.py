@@ -223,12 +223,12 @@ class TestProveTimeout:
         retried on the fleet, not re-proved in the parent."""
         _, public, witness = instance
         pk, _ = keys
-        seq0 = FLIGHT.seq
+        incidents0 = FLIGHT.incidents()
         results = prove_many(pk, [(public, witness)] * 2,
                              pool=ProverPool(workers=2), base_seed=5,
                              timeout_s=1e-6, on_error="return")
         assert all(isinstance(r.error, ProverTimeoutError) for r in results)
-        assert FLIGHT.fault_deltas(seq0) == {}
+        assert FLIGHT.fault_deltas(incidents0) == {}
 
     def test_on_error_validated(self, instance, keys):
         _, public, witness = instance
@@ -251,7 +251,7 @@ class TestSupervisedRecovery:
         reference = [b.to_bytes() for b in
                      prove_many(pk, batch, workers=0, base_seed=base_seed)]
         before = _shm_entries()
-        seq0 = FLIGHT.seq
+        incidents0 = FLIGHT.incidents()
         pool = ProverPool(workers=2, stall_timeout_s=QUICK_STALL_S)
         with (faults.injected(plan) if plan is not None
               else contextlib.nullcontext()):
@@ -262,7 +262,7 @@ class TestSupervisedRecovery:
         assert multiprocessing.active_children() == []
         assert _shm_entries() == before
         return (reference, [b.to_bytes() for b in bundles],
-                FLIGHT.fault_deltas(seq0))
+                FLIGHT.fault_deltas(incidents0))
 
     def test_clean_batch_leaves_nothing(self, instance, keys):
         reference, got, incidents = self._batch(instance, keys, 43)

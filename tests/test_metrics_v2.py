@@ -28,17 +28,15 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
-    """Every test starts and ends on the no-op path with empty state."""
+    """Every test starts and ends on the no-op path with no spool."""
     obs.set_tracer(None)
     METRICS.enabled = False
     METRICS.reset()
-    FLIGHT.clear()
     FLIGHT.spool_to(None)
     yield
     obs.set_tracer(None)
     METRICS.enabled = False
     METRICS.reset()
-    FLIGHT.clear()
     FLIGHT.spool_to(None)
 
 
@@ -49,60 +47,94 @@ def workload():
     return pk, vk, public, witness
 
 
-class TestFlightRecorder:
-    def test_ring_is_bounded_and_seq_monotonic(self):
-        rec = FlightRecorder(capacity=4)
-        for i in range(10):
-            rec.record("worker_restart", attempt=i)
-        events = rec.events()
-        assert len(events) == 4
-        assert [e.data["attempt"] for e in events] == [6, 7, 8, 9]
-        assert rec.seq == 10  # sequence numbers never reused
+@pytest.fixture
+def spooled(tmp_path):
+    """Spool the process-wide recorder to a fresh file; yields a reader
+    of the records booked since."""
+    path = str(tmp_path / "flight.jsonl")
+    FLIGHT.spool_to(path)
+    yield lambda: read_spool(path)
+    FLIGHT.spool_to(None)
 
+
+class TestFlightRecorder:
     def test_fault_deltas_are_per_window(self):
         rec = FlightRecorder()
         rec.record("degradation", kernel="encode")
-        seq0 = rec.seq
+        before = rec.incidents()
         rec.record("worker_restart", attempt=1)
         rec.record("worker_restart", attempt=2)
-        rec.record_job(JobReport(job_id="j", op="prove"))  # not a fault
-        # Only events inside the window; "job" records never count.
-        assert rec.fault_deltas(seq0) == {"worker_restart": 2}
-        assert rec.fault_deltas(rec.seq) == {}
+        with rec.job("prove", "p", "c"):  # a job is not an incident
+            pass
+        # Only incidents inside the window count.
+        assert rec.fault_deltas(before) == {"worker_restart": 2}
+        assert rec.fault_deltas(rec.incidents()) == {}
+        assert rec.incidents() == {"degradation": 1, "worker_restart": 2}
 
-    def test_job_reports_roundtrip(self):
-        """A ``job`` record's data is the report, field for field."""
-        rec = FlightRecorder()
-        report = JobReport(job_id="a-1", op="prove", preset="test-fast",
-                           workers=2, dispatch="pool", proof_size_bytes=123,
-                           ok=True, events={"worker_restart": 1})
-        rec.record_job(report)
-        (event,) = rec.events()
-        assert event.kind == "job"
-        assert JobReport(**event.data) == report
+    def test_incidents_in_one_window_are_counted_exactly(self):
+        """However many incidents fire inside one job window, its report
+        counts every one (a bounded ring of records capped the count)."""
+        with FLIGHT.job("prove_many", "p", "c") as report:
+            for _ in range(600):
+                FLIGHT.record("task_error", error="ValueError")
+        assert report.events == {"task_error": 600}
 
-    def test_job_context_books_one_record(self):
-        rec = FlightRecorder()
+    def test_job_reports_roundtrip(self, tmp_path):
+        """A ``job`` line's data is the report, field for field."""
+        path = tmp_path / "flight.jsonl"
+        rec = FlightRecorder(spool_path=str(path))
+        with rec.job("prove", "test-fast", "c1") as report:
+            report.workers, report.dispatch = 2, "pool"
+            report.proof_size_bytes = 123
+            rec.record("worker_restart")
+        (_, line) = read_spool(str(path))
+        assert set(line) == {"kind", "ts", "data"} and line["kind"] == "job"
+        assert JobReport(**line["data"]).to_dict() == report.to_dict()
+        assert report.events == {"worker_restart": 1}
+
+    def test_job_context_books_one_record(self, tmp_path):
+        path = tmp_path / "flight.jsonl"
+        rec = FlightRecorder(spool_path=str(path))
         rec.record("degradation")  # before the window: not this job's
         with rec.job("prove", "test-fast", "c1") as report:
             rec.record("worker_restart")
             report.proof_size_bytes = 7
-        jobs = [e.data for e in rec.events() if e.kind == "job"]
+        jobs = [e["data"] for e in read_spool(str(path))
+                if e["kind"] == "job"]
         assert jobs == [report.to_dict()]
         assert report.ok and report.error == "" and report.duration_s > 0
         assert report.events == {"worker_restart": 1}
         assert (report.op, report.preset, report.circuit_id, report.jobs) \
             == ("prove", "test-fast", "c1", 1)
 
-    def test_job_context_books_the_escaping_error(self):
-        rec = FlightRecorder()
+    def test_job_context_books_the_escaping_error(self, tmp_path):
+        path = tmp_path / "flight.jsonl"
+        rec = FlightRecorder(spool_path=str(path))
         with pytest.raises(KeyboardInterrupt):
             with rec.job("prove_many", "p", "c", jobs=3) as report:
                 raise KeyboardInterrupt  # never swallowed, even BaseException
-        (event,) = rec.events()
-        assert event.data["ok"] is False
-        assert event.data["error"] == "KeyboardInterrupt"
-        assert event.data["jobs"] == 3 and not report.ok
+        (event,) = read_spool(str(path))
+        assert event["data"]["ok"] is False
+        assert event["data"]["error"] == "KeyboardInterrupt"
+        assert event["data"]["jobs"] == 3 and not report.ok
+
+    def test_job_takes_the_id_set_for_its_context(self):
+        """A daemon job sets its submit id around its body: the first job
+        opened there is booked under it, the jobs inside mint their own,
+        and after the reset the recorder mints again."""
+        from repro.obs.events import _JOB_ID
+        rec = FlightRecorder()
+        token = _JOB_ID.set("42-7")
+        try:
+            with rec.job("prove_many", "p", "c") as outer:
+                with rec.job("prove", "p", "c") as inner:
+                    pass
+        finally:
+            _JOB_ID.reset(token)
+        with rec.job("verify", "p", "c") as after:
+            pass
+        assert outer.job_id == "42-7"
+        assert len({outer.job_id, inner.job_id, after.job_id}) == 3
 
     def test_spool_and_read_back_with_torn_line(self, tmp_path):
         path = tmp_path / "flight.jsonl"
@@ -137,20 +169,25 @@ class TestFlightRecorder:
 
     def test_broken_spool_never_raises(self, tmp_path):
         rec = FlightRecorder(spool_path=str(tmp_path / "nodir" / "f.jsonl"))
-        assert rec.record("timeout") is not None  # ring keeps the record
+        rec.record("timeout")
+        with rec.job("prove", "p", "c") as report:
+            pass
+        assert rec.incidents() == {"timeout": 1} and report.ok
 
     def test_next_job_id_unique(self):
         rec = FlightRecorder()
         ids = {rec.next_job_id() for _ in range(5)}
         assert len(ids) == 5
 
-    def test_format_events_renders_jobs_and_incidents(self):
-        rec = FlightRecorder()
-        rec.record_job(JobReport(job_id="p-1", op="prove", ok=True,
-                                 events={"worker_restart": 2}))
+    def test_format_events_renders_jobs_and_incidents(self, tmp_path):
+        path = tmp_path / "flight.jsonl"
+        rec = FlightRecorder(spool_path=str(path))
+        with rec.job("prove", "p", "c") as report:
+            rec.record("worker_restart")
+            rec.record("worker_restart")
         rec.record("dispatch_stall", pending=3)
-        text = format_events([e.to_dict() for e in rec.events()])
-        assert "p-1" in text and "worker_restart:2" in text
+        text = format_events(read_spool(str(path)))
+        assert report.job_id in text and "worker_restart:2" in text
         assert "dispatch_stall" in text and "pending=3" in text
 
 
@@ -167,10 +204,27 @@ class TestProveTelemetry:
         assert 0 < bundle.report.duration_s <= wall
         assert tracer.family_seconds("snark.prove")
 
-    def test_attach_report(self, workload):
+    @pytest.mark.parametrize("name", ["litmus", "sha", "synthetic-2p16"])
+    def test_phase_time_closes_on_the_job_record(self, name):
+        """Phase closure as a flight-record invariant: a traced PAPER
+        prove's per-family span seconds account for its JobReport's
+        duration (on a 2-CPU host: litmus 0.993-0.995, sha 0.997, 2^16
+        0.999); what is left is the job window's own bookkeeping."""
+        from repro.snark import PAPER
+        from repro.workloads.registry import build_workload
+        if name == "synthetic-2p16":
+            r1cs, public, witness = synthetic_r1cs(16)
+        else:
+            r1cs, public, witness = build_workload(name)[1].compile()
+        pk, _ = setup(r1cs, PAPER)
+        with obs.tracing() as tracer:
+            bundle = prove(pk, public, witness, seed=1, circuit_id=name)
+        phases = sum(tracer.family_seconds("snark.prove").values())
+        assert 0.95 <= phases / bundle.report.duration_s <= 1.0 + 1e-6
+
+    def test_attach_report(self, workload, spooled):
         """Every bundle carries its report: the opt-in keyword is gone."""
         pk, _, public, witness = workload
-        seq0 = FLIGHT.seq
         bundle = prove(pk, public, witness, seed=2)
         report = bundle.report
         assert report is not None and report.ok
@@ -178,8 +232,8 @@ class TestProveTelemetry:
         assert report.proof_size_bytes == bundle.size_bytes()
         assert report.dispatch == "serial"
         assert report.events == {}
-        (record,) = FLIGHT.since(seq0)
-        assert record.data == report.to_dict()  # the one booked record
+        (record,) = spooled()
+        assert record["data"] == report.to_dict()  # the one booked record
         # The report is diagnostic state, never part of the wire format.
         assert b"job_id" not in bundle.to_bytes()
         with pytest.raises(TypeError):
@@ -188,17 +242,15 @@ class TestProveTelemetry:
             prove_many(pk, [(public, witness)], workers=0,
                        attach_report=True)
 
-    def test_flight_recorder_gets_job_records(self, workload):
+    def test_flight_recorder_gets_job_records(self, workload, spooled):
         pk, _, public, witness = workload
-        seq0 = FLIGHT.seq
         prove(pk, public, witness, seed=3)
         prove_many(pk, [(public, witness)] * 2, workers=0, base_seed=9)
-        kinds = [e.kind for e in FLIGHT.since(seq0)]
+        records = spooled()
         # prove_many spawns per-job prove records plus one batch record.
-        assert kinds.count("job") == 4
-        batch = [e for e in FLIGHT.since(seq0)
-                 if e.data.get("op") == "prove_many"]
-        assert len(batch) == 1 and batch[0].data["jobs"] == 2
+        assert [e["kind"] for e in records].count("job") == 4
+        batch = [e for e in records if e["data"].get("op") == "prove_many"]
+        assert len(batch) == 1 and batch[0]["data"]["jobs"] == 2
 
     def test_successive_batches_do_not_inherit_events(self, workload):
         """Satellite regression test: job reports carry per-window deltas,
@@ -211,16 +263,15 @@ class TestProveTelemetry:
         b2 = prove_many(pk, [(public, witness)], workers=0, base_seed=2)
         assert b2[0].report.events == {}
 
-    def test_failed_batch_job_is_booked_once(self, workload):
+    def test_failed_batch_job_is_booked_once(self, workload, spooled):
         """A serial 2-job batch whose budget is spent: each job's failure
         is booked by its ``prove`` alone, plus one batch record naming
         the first failure."""
         pk, _, public, witness = workload
-        seq0 = FLIGHT.seq
         results = prove_many(pk, [(public, witness)] * 2, workers=0,
                              base_seed=5, timeout_s=1e-6, on_error="return")
         assert [r.ok for r in results] == [False, False]
-        jobs = [e.data for e in FLIGHT.since(seq0) if e.kind == "job"]
+        jobs = [e["data"] for e in spooled() if e["kind"] == "job"]
         assert [(j["op"], j["ok"], j["error"]) for j in jobs] == [
             ("prove", False, "ProverTimeoutError"),
             ("prove", False, "ProverTimeoutError"),
@@ -251,17 +302,18 @@ class TestProveTelemetry:
         assert all(b.report.to_dict() == batch for b in bundles)
         assert all(verify(vk, b) for b in bundles)
 
-    def test_timeout_leaves_flight_trail(self, workload):
+    def test_timeout_leaves_flight_trail(self, workload, spooled):
         pk, _, public, witness = workload
-        seq0 = FLIGHT.seq
+        incidents0 = FLIGHT.incidents()
         with pytest.raises(ProverTimeoutError):
             prove(pk, public, witness, seed=1, timeout_s=1e-5)
-        deltas = FLIGHT.fault_deltas(seq0)
+        deltas = FLIGHT.fault_deltas(incidents0)
         assert deltas.get("timeout", 0) >= 1
-        failed = [e for e in FLIGHT.since(seq0)
-                  if e.kind == "job" and not e.data["ok"]]
+        failed = [e["data"] for e in spooled()
+                  if e["kind"] == "job" and not e["data"]["ok"]]
         assert len(failed) == 1
-        assert failed[0].data["error"] == "ProverTimeoutError"
+        assert failed[0]["error"] == "ProverTimeoutError"
+        assert failed[0]["events"] == deltas
 
     @pytest.mark.parametrize("case, ok, error", [
         ("valid", True, ""),

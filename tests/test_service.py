@@ -344,7 +344,7 @@ class TestServiceEndToEnd:
                 jobs = live.service.jobs
                 assert jobs[queued_id].started_at > jobs[job_id].started_at
                 with pytest.raises(ServiceError) as ei:
-                    svc.status("svc-999999")
+                    svc.status("no-such-job")
                 assert ei.value.code == protocol.E_NOT_FOUND
 
     def test_backpressure_and_fifo_order(self, sock_path):
@@ -484,6 +484,31 @@ class TestServiceEndToEnd:
                 assert status["state"] == "done" and status["cached"]
                 assert live.service.enqueued == enqueued_before
 
+    def test_one_id_from_submit_to_flight_log(self, sock_path, tmp_path):
+        """A daemon job's id is its JobReport's: the spool's job records
+        carry exactly the ids ``submit`` returned, and a cached repeat of
+        the prove proves nothing and books nothing."""
+        from repro.obs import FLIGHT
+        from repro.obs.events import read_spool
+        spool = str(tmp_path / "svc.jsonl")
+        FLIGHT.spool_to(spool)
+        try:
+            with running_service(sock_path), ServiceClient(sock_path) as svc:
+                prove_id = prove_job(svc, 9)
+                reply = svc.result(prove_id, wait_s=60)
+                verify_id = svc.submit(
+                    "verify", envelope=protocol.decode_blob(reply["envelope"]))
+                assert svc.result(verify_id, wait_s=60)["valid"] is True
+                repeat_id = prove_job(svc, 9)
+                assert svc.result(repeat_id, wait_s=60)["cached"] is True
+        finally:
+            FLIGHT.spool_to(None)
+        jobs = [e["data"] for e in read_spool(spool)]
+        assert [(j["op"], j["job_id"]) for j in jobs] == [
+            ("prove", prove_id), ("verify", verify_id)]
+        assert reply["report"]["job_id"] == prove_id
+        assert not any("svc-" in i for i in (prove_id, verify_id, repeat_id))
+
     def test_concurrent_clients_mixed_load(self, sock_path):
         """Four closed-loop clients share nine statements: each is proved
         and verified, then every prove is replayed.  Every request is
@@ -622,6 +647,29 @@ class TestServiceEndToEnd:
             assert response["code"] == protocol.E_BAD_REQUEST
             assert live.service.stats()["queue"]["enqueued"] == 0
             assert live.service.jobs == {}
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+    def test_bad_seed_is_refused_at_submit(self, sock_path, seed):
+        """The daemon takes the seeds a local ``prove`` takes, a JSON
+        integer >= 0; anything else is a 400 before anything is queued,
+        never coerced (1.5 and true were both proved as seed 1)."""
+        with running_service(sock_path) as live, \
+                ServiceClient(sock_path) as svc:
+            with pytest.raises(ServiceError) as err:
+                svc.request({"op": "submit", "kind": "prove",
+                             "circuit_id": "litmus", "seed": seed})
+            assert err.value.code == protocol.E_BAD_REQUEST
+            assert live.service.stats()["queue"]["enqueued"] == 0
+
+    def test_client_seed_is_an_index(self, sock_path):
+        """``ServiceClient.submit`` passes an integer-like seed (a numpy
+        integer) and refuses a float as a local ``prove`` does."""
+        import numpy as np
+        with running_service(sock_path), ServiceClient(sock_path) as svc:
+            with pytest.raises(TypeError):
+                svc.submit("prove", circuit_id="litmus", seed=1.5)
+            job_id = prove_job(svc, np.int64(3))
+            assert svc.result(job_id, wait_s=60)["state"] == "done"
 
     def test_malformed_frames_answered_then_dropped(self, sock_path):
         with running_service(sock_path):

@@ -65,7 +65,7 @@ CHAOS_STALL_TIMEOUT_S = 1.5
 STALL_S = 6.0
 
 #: Flight-recorder visibility contract: every injected fault must leave
-#: at least one event of a matching kind in the parent's ring (first
+#: at least one incident of a matching kind in the parent's counts (first
 #: entry = the canonical kind; the rest are acceptable recovery paths).
 #: A recovery the recorder cannot see is an outage
 #: an operator cannot see, so invisibility fails the scenario even when
@@ -155,7 +155,7 @@ class Workload:
 def run_scenario(sc: Scenario, wl: Workload) -> dict:
     """Execute one scenario and classify its outcome."""
     before = shm_entries()
-    seq0 = FLIGHT.seq
+    incidents0 = FLIGHT.incidents()
     plan = None
     if sc.kind is not None:
         plan = faults.FaultPlan(kind=sc.kind, site=sc.site,
@@ -195,7 +195,7 @@ def run_scenario(sc: Scenario, wl: Workload) -> dict:
 
     # Fault-visibility contract: the flight recorder must have at least
     # one matching event for every injected (and fired) fault.
-    flight = FLIGHT.fault_deltas(seq0)
+    flight = FLIGHT.fault_deltas(incidents0)
     visible_kinds = FAULT_VISIBILITY.get(
         sc.kind or ("deadline" if sc.op == "deadline" else ""))
     if visible_kinds is not None and (fired or sc.op == "deadline"):
