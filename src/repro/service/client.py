@@ -6,10 +6,12 @@
         envelope = svc.prove("sha", seed=7)          # submit + wait
         assert svc.verify(envelope)                  # round-trip check
 
-:class:`ServiceClient` speaks the length-prefixed JSON protocol
+:class:`ServiceClient` speaks the framed protocol
 (:mod:`repro.service.protocol`) over one persistent connection — strict
-request/response, so a plain lock makes it thread-safe.  Server-side
-failures come back as the same typed exceptions local calls raise
+request/response, so a plain lock makes it thread-safe, and a request
+that fails mid-round-trip closes the connection (a late reply must not
+answer the next request).  Server-side failures come back as the same
+typed exceptions local calls raise
 (:class:`~repro.errors.ConfigError`,
 :class:`~repro.errors.ProverTimeoutError`,
 :class:`~repro.service.protocol.QueueFullError`, ...), which is what
@@ -17,7 +19,8 @@ lets ``repro client`` reuse the CLI's exit-code mapping unchanged.
 
 The low-level surface mirrors the job lifecycle — :meth:`submit`,
 :meth:`status`, :meth:`result` — and :meth:`prove` / :meth:`verify` wrap
-it in submit-then-wait convenience.
+it in submit-then-wait convenience.  Envelopes are bytes throughout,
+except in :meth:`result`'s JSON-shaped reply (base64 text).
 """
 
 from __future__ import annotations
@@ -62,17 +65,28 @@ class ServiceClient:
         # Job waits are long-poll round trips; the socket timeout only
         # needs to catch a dead server, not bound the job.
         self._sock.settimeout(max(connect_timeout_s, _POLL_WAIT_S * 4))
+        self._lost = False
 
     # -- plumbing ----------------------------------------------------------
 
     def request(self, payload: dict) -> dict:
         """One raw request/response round trip (typed errors raised)."""
+        frame = protocol.pack_frame(payload)
         with self._lock:
-            self._sock.sendall(protocol.pack_frame(payload))
-            response = protocol.read_frame_sync(self._sock)
-        if response is None:
-            raise protocol.ServiceError(
-                "server closed the connection mid-request")
+            if self._lost:
+                raise protocol.ServiceError(
+                    "connection lost mid-request; open a new client")
+            try:
+                self._sock.sendall(frame)
+                response = protocol.read_frame_sync(self._sock)
+                if response is None:
+                    raise protocol.ServiceError(
+                        "server closed the connection mid-request")
+            except BaseException:
+                # A late reply would answer the next request: hang up.
+                self._lost = True
+                self.close()
+                raise
         return protocol.raise_for_error(response)
 
     def close(self) -> None:
@@ -107,7 +121,7 @@ class ServiceClient:
         if seed is not None:
             payload["seed"] = operator.index(seed)  # 1.5: TypeError
         if envelope is not None:
-            payload["envelope"] = protocol.encode_blob(envelope)
+            payload["envelope"] = bytes(envelope)  # the frame's blob
         if timeout_s is not None:
             payload["timeout_s"] = float(timeout_s)
         return str(self.request(payload)["job_id"])
@@ -121,8 +135,15 @@ class ServiceClient:
 
         ``wait_s`` bounds the total wait (None = wait forever); on
         expiry with the job still running, returns its status dict
-        (``state`` != done).  A failed job raises its typed error.
+        (``state`` != done).  A failed job raises its typed error.  The
+        reply is JSON-shaped: a prove's ``envelope`` is base64 text.
         """
+        response = self._wait(job_id, wait_s)
+        if isinstance(response.get("envelope"), bytes):
+            response["envelope"] = protocol.encode_blob(response["envelope"])
+        return response
+
+    def _wait(self, job_id: str, wait_s: Optional[float]) -> dict:
         t_end = None if wait_s is None else time.monotonic() + wait_s
         while True:
             step = _POLL_WAIT_S
@@ -136,6 +157,14 @@ class ServiceClient:
             if response.get("state") in ("done", "failed"):
                 return response
 
+    def _done(self, job_id: str, wait_s: Optional[float]) -> dict:
+        response = self._wait(job_id, wait_s)
+        if response.get("state") != "done":
+            raise protocol.ServiceError(
+                f"job {job_id} still {response.get('state')} after wait",
+                code=protocol.E_TIMEOUT)
+        return response
+
     # -- convenience -------------------------------------------------------
 
     def prove(self, circuit_id: str, *, preset: Optional[str] = None,
@@ -145,12 +174,7 @@ class ServiceClient:
         """Submit a prove job and wait for its NCPE envelope bytes."""
         job_id = self.submit("prove", circuit_id=circuit_id, preset=preset,
                              seed=seed, timeout_s=timeout_s)
-        response = self.result(job_id, wait_s=wait_s)
-        if response.get("state") != "done":
-            raise protocol.ServiceError(
-                f"job {job_id} still {response.get('state')} after wait",
-                code=protocol.E_TIMEOUT)
-        return protocol.decode_blob(str(response["envelope"]))
+        return self._done(job_id, wait_s)["envelope"]
 
     def verify(self, envelope: bytes, *, circuit_id: str = "",
                timeout_s: Optional[float] = None,
@@ -158,12 +182,7 @@ class ServiceClient:
         """Submit a verify job; True iff the proof is valid."""
         job_id = self.submit("verify", envelope=envelope,
                              circuit_id=circuit_id, timeout_s=timeout_s)
-        response = self.result(job_id, wait_s=wait_s)
-        if response.get("state") != "done":
-            raise protocol.ServiceError(
-                f"job {job_id} still {response.get('state')} after wait",
-                code=protocol.E_TIMEOUT)
-        return bool(response.get("valid"))
+        return bool(self._done(job_id, wait_s).get("valid"))
 
     def stats(self) -> dict:
         return dict(self.request({"op": "stats"})["stats"])

@@ -1,15 +1,17 @@
-"""Wire protocol of the proving service: length-prefixed JSON frames.
+"""Wire protocol of the proving service: a JSON header plus a raw blob.
 
-One frame is ``u32 big-endian payload length | utf-8 JSON object``.  The
-connection is strictly request/response — the client writes one request
-frame and reads exactly one response frame before sending the next — so
-framing never needs message ids, and a synchronous client stays a loop
-of two blocking calls.  Binary blobs (proof envelopes) travel base64'd
-inside the JSON.
+One frame is ``u32 json_len | u32 blob_len | utf-8 JSON object | blob``,
+both lengths big-endian.  A non-empty blob is the frame's ``envelope``
+field: proof envelopes cross the socket as raw bytes, never as text, so
+neither side pays a base64 or JSON pass over them.  The connection is
+strictly request/response — the client writes one request frame and
+reads exactly one response frame before sending the next — so framing
+never needs message ids, and a synchronous client stays a loop of two
+blocking calls.
 
 Parsing follows the envelope parser's posture (``docs/ROBUSTNESS.md``):
-every length is bounds-checked before allocation
-(:data:`MAX_FRAME_BYTES`), payloads must decode to a JSON *object*, and
+both lengths are bounds-checked before allocation
+(:data:`MAX_FRAME_BYTES`), the JSON part must decode to an *object*, and
 a malformed frame is answered with a typed error response — never a
 crash, never a hang.
 
@@ -38,21 +40,22 @@ from ..errors import (
     VerificationError,
 )
 
-#: Frame length prefix: one unsigned 32-bit big-endian integer.
-LEN_STRUCT = struct.Struct(">I")
+#: Frame header: the JSON and blob lengths, unsigned 32-bit big-endian.
+HEADER_STRUCT = struct.Struct(">II")
 
-#: Hard cap on a single frame's JSON payload.  A base64'd paper-preset
-#: envelope is ~2 MB; 64 MiB leaves room for large batches while keeping
-#: a malicious length prefix from allocating unbounded memory.
+#: Hard cap on a single frame's JSON plus blob.  A paper-preset envelope
+#: is ~1.5 MB; 64 MiB leaves room for large batches while keeping a
+#: malicious header from allocating unbounded memory.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: Seconds a peer has to deliver a frame's body once its length prefix
+#: Seconds a peer has to deliver a frame's body once its header
 #: arrived (a full 64 MiB frame at ~2 MB/s).  Idle time *between* frames
 #: is unbounded: clients hold persistent connections.
 FRAME_READ_TIMEOUT_S = 30.0
 
-#: Protocol revision, echoed by ``ping`` so clients can detect skew.
-PROTOCOL_VERSION = 1
+#: Protocol revision, echoed by ``ping`` so clients can detect skew
+#: (1 carried envelopes base64'd inside the JSON).
+PROTOCOL_VERSION = 2
 
 # -- error codes (HTTP-flavored; see docs/SERVICE.md) -----------------------
 E_BAD_REQUEST = 400     # malformed JSON, unknown op, invalid field
@@ -91,12 +94,17 @@ class QueueFullError(ServiceError):
 
 
 class FrameError(DeserializationError):
-    """A malformed protocol frame (bad length prefix, oversized payload,
-    non-JSON or stalled body).  Subclasses DeserializationError so the CLI's
-    exit-code mapping (4) applies unchanged."""
+    """A malformed protocol frame (oversized, non-JSON, stalled or cut
+    short).  Subclasses DeserializationError so the CLI's exit-code
+    mapping (4) applies unchanged; ``code`` is its wire code (413 for an
+    oversized frame, else 400)."""
+
+    def __init__(self, message: str, *, code: int = E_BAD_REQUEST):
+        self.code = code
+        super().__init__(message)
 
 
-# -- blob helpers -----------------------------------------------------------
+# -- blob helpers (only `ServiceClient.result`'s JSON-shaped reply) --------
 
 def encode_blob(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
@@ -111,32 +119,40 @@ def decode_blob(text: str) -> bytes:
 
 # -- frame codec ------------------------------------------------------------
 
+def _check_size(json_len: int, blob_len: int) -> None:
+    if json_len + blob_len > MAX_FRAME_BYTES:
+        raise FrameError(f"frame of {json_len} + {blob_len} bytes exceeds "
+                         f"cap {MAX_FRAME_BYTES}", code=E_TOO_LARGE)
+
+
 def pack_frame(payload: dict) -> bytes:
-    """Serialize one JSON object to its wire frame."""
+    """Serialize one JSON object to its wire frame; a ``bytes`` value
+    under ``envelope`` becomes the blob."""
+    blob = payload.get("envelope")
+    if isinstance(blob, bytes):
+        payload = {k: v for k, v in payload.items() if k != "envelope"}
+    else:
+        blob = b""
     raw = json.dumps(payload, sort_keys=True).encode("utf-8")
-    if len(raw) > MAX_FRAME_BYTES:
-        raise FrameError(f"frame payload {len(raw)} bytes exceeds cap "
-                         f"{MAX_FRAME_BYTES}")
-    return LEN_STRUCT.pack(len(raw)) + raw
+    _check_size(len(raw), len(blob))
+    return b"".join((HEADER_STRUCT.pack(len(raw), len(blob)), raw, blob))
 
 
-def _parse_payload(raw: bytes) -> dict:
+def _parse_body(body: bytes, json_len: int) -> dict:
+    view = memoryview(body)
     try:
-        obj = json.loads(raw.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+        obj = json.loads(bytes(view[:json_len]).decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # RecursionError: "[[[["
         raise FrameError(f"frame payload is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise FrameError("frame payload must be a JSON object, got "
                          f"{type(obj).__name__}")
+    if len(body) > json_len:
+        if "envelope" in obj:
+            raise FrameError("frame carries an envelope both in its JSON "
+                             "and as its blob")
+        obj["envelope"] = bytes(view[json_len:])
     return obj
-
-
-def _checked_length(prefix: bytes) -> int:
-    (length,) = LEN_STRUCT.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(f"frame length {length} exceeds cap "
-                         f"{MAX_FRAME_BYTES}")
-    return length
 
 
 async def read_frame_async(reader: asyncio.StreamReader) -> Optional[dict]:
@@ -144,46 +160,49 @@ async def read_frame_async(reader: asyncio.StreamReader) -> Optional[dict]:
     wait for a frame to begin is unbounded, the wait for its body is
     :data:`FRAME_READ_TIMEOUT_S`."""
     try:
-        prefix = await reader.readexactly(LEN_STRUCT.size)
+        header = await reader.readexactly(HEADER_STRUCT.size)
     except (asyncio.IncompleteReadError, ConnectionError):
         return None
-    length = _checked_length(prefix)
+    json_len, blob_len = HEADER_STRUCT.unpack(header)
+    _check_size(json_len, blob_len)
     try:
-        raw = await asyncio.wait_for(reader.readexactly(length),
-                                     FRAME_READ_TIMEOUT_S)
+        body = await asyncio.wait_for(
+            reader.readexactly(json_len + blob_len), FRAME_READ_TIMEOUT_S)
     except asyncio.TimeoutError:
-        raise FrameError(f"frame body stalled: {length} bytes announced, "
-                         f"not received within {FRAME_READ_TIMEOUT_S} s"
-                         ) from None
+        raise FrameError(f"frame body stalled: {json_len + blob_len} bytes "
+                         f"announced, not received within "
+                         f"{FRAME_READ_TIMEOUT_S} s") from None
     except (asyncio.IncompleteReadError, ConnectionError):
         raise FrameError("connection closed mid-frame") from None
-    return _parse_payload(raw)
+    return _parse_body(body, json_len)
 
 
 def read_frame_sync(sock: socket.socket) -> Optional[dict]:
     """Read one frame from a blocking socket; None on clean EOF."""
-    prefix = _recv_exact(sock, LEN_STRUCT.size)
-    if prefix is None:
+    header = _recv_exact(sock, HEADER_STRUCT.size)
+    if header is None:
         return None
-    length = _checked_length(prefix)
-    raw = _recv_exact(sock, length)
-    if raw is None:
+    json_len, blob_len = HEADER_STRUCT.unpack(header)
+    _check_size(json_len, blob_len)
+    body = _recv_exact(sock, json_len + blob_len)
+    if body is None:
         raise FrameError("connection closed mid-frame")
-    return _parse_payload(raw)
+    return _parse_body(body, json_len)
 
 
-def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
-    """``n`` bytes from a blocking socket; None on EOF at a frame
-    boundary, :class:`FrameError` on EOF mid-read."""
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
+def _recv_exact(sock: socket.socket, n: int) -> Optional[bytearray]:
+    """``n`` bytes from a blocking socket, received into one buffer; None
+    on EOF at a frame boundary, :class:`FrameError` on EOF mid-read."""
+    buf = bytearray(n)
+    view, got = memoryview(buf), 0
+    while got < n:
+        chunk = sock.recv_into(view[got:])
         if not chunk:
-            if not buf:
+            if not got:
                 return None
             raise FrameError("connection closed mid-frame")
-        buf.extend(chunk)
-    return bytes(buf)
+        got += chunk
+    return buf
 
 
 # -- response shaping -------------------------------------------------------
@@ -201,17 +220,13 @@ def error_response(code: int, error: str, message: str) -> dict:
 def error_from_exception(exc: BaseException) -> dict:
     """Map a server-side exception to its wire error response."""
     name = type(exc).__name__
-    if isinstance(exc, QueueFullError):
-        code = E_QUEUE_FULL
+    if isinstance(exc, (ServiceError, FrameError)):  # each carries its code
+        code = exc.code
     elif isinstance(exc, ProverTimeoutError):
         code = E_TIMEOUT
-    elif isinstance(exc, FrameError):
-        code = E_TOO_LARGE if "exceeds cap" in str(exc) else E_BAD_REQUEST
     elif isinstance(exc, (DeserializationError, ConfigError, ValueError,
                           TypeError, KeyError)):
         code = E_BAD_REQUEST
-    elif isinstance(exc, ServiceError):
-        code = exc.code
     else:
         code = E_INTERNAL
     return error_response(code, name, str(exc))
@@ -238,10 +253,6 @@ def raise_for_error(response: dict) -> dict:
     message = str(response.get("message", "service request failed"))
     code = int(response.get("code", E_INTERNAL))
     exc_type = _ERROR_TYPES.get(name)
-    if exc_type is QueueFullError:
-        raise QueueFullError(message)
-    if exc_type is ProverTimeoutError:
-        raise ProverTimeoutError(message)
     if exc_type is not None:
         raise exc_type(message)
     raise ServiceError(f"{name}: {message}", code=code)

@@ -336,12 +336,12 @@ class ProvingService:
                 return protocol.ok_response(job_id=job.job_id,
                                             state=job.state, cached=True)
         else:
-            blob = request.get("envelope")
-            if not blob:
+            # The frame's blob only: base64 text (protocol 1) is a 400.
+            job.envelope = request.get("envelope")
+            if not isinstance(job.envelope, bytes):
                 raise protocol.ServiceError(
-                    "verify requires envelope",
+                    "verify requires envelope bytes as the frame's blob",
                     code=protocol.E_BAD_REQUEST)
-            job.envelope = protocol.decode_blob(str(blob))
         if len(self._waiting) >= self.config.queue_depth:
             self.rejected_full += 1
             raise protocol.QueueFullError(
@@ -384,7 +384,7 @@ class ProvingService:
             return protocol.error_from_exception(job.error)
         fields = job.status_dict()
         if job.kind == "prove" and job.envelope is not None:
-            fields["envelope"] = protocol.encode_blob(job.envelope)
+            fields["envelope"] = job.envelope  # travels as the blob
         if job.report is not None:
             fields["report"] = job.report
         return protocol.ok_response(**fields)

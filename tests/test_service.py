@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import json
 import socket
 import struct
 import sys
@@ -20,6 +21,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.errors import (
     ConfigError,
@@ -124,6 +127,14 @@ def wait_running(svc, job_id):
     while svc.status(job_id)["state"] != "running":
         assert time.monotonic() < deadline
         time.sleep(0.01)
+
+
+def raw_socket(sock_path):
+    """A bare connection to the daemon, for hand-built frames."""
+    raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    raw.settimeout(10)
+    raw.connect(sock_path)
+    return raw
 
 
 def prove_job(svc, seed, **extra):
@@ -459,12 +470,10 @@ class TestServiceEndToEnd:
             with ServiceClient(sock_path) as svc:
                 envelope = svc.prove("litmus", seed=5)
             enqueued = live.service.stats()["queue"]["enqueued"]
-            raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            raw.settimeout(10)
-            raw.connect(sock_path)
+            raw = raw_socket(sock_path)
             raw.sendall(protocol.pack_frame({
                 "op": "submit", "kind": "verify", "circuit_id": "nonsense",
-                "envelope": protocol.encode_blob(envelope)}))
+                "envelope": envelope}))
             response = protocol.read_frame_sync(raw)
             raw.close()
             assert response["ok"] is False
@@ -633,9 +642,7 @@ class TestServiceEndToEnd:
         daemon's default deadline: NaN, negative and non-numeric budgets
         are a 400 before anything is queued."""
         with running_service(sock_path) as live:
-            raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            raw.settimeout(10)
-            raw.connect(sock_path)
+            raw = raw_socket(sock_path)
             # json.dumps writes float("nan") as the bare NaN token, which
             # the daemon's json.loads accepts.
             raw.sendall(protocol.pack_frame({
@@ -673,11 +680,9 @@ class TestServiceEndToEnd:
 
     def test_malformed_frames_answered_then_dropped(self, sock_path):
         with running_service(sock_path):
-            # Oversized length prefix: typed 413, then the server hangs up.
-            raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            raw.settimeout(10)
-            raw.connect(sock_path)
-            raw.sendall(struct.pack(">I", protocol.MAX_FRAME_BYTES + 1))
+            # Oversized header: typed 413, then the server hangs up.
+            raw = raw_socket(sock_path)
+            raw.sendall(struct.pack(">II", protocol.MAX_FRAME_BYTES + 1, 0))
             response = protocol.read_frame_sync(raw)
             assert response["ok"] is False
             assert response["code"] == protocol.E_TOO_LARGE
@@ -685,11 +690,9 @@ class TestServiceEndToEnd:
             raw.close()
 
             # Non-JSON payload: typed 400, connection also dropped.
-            raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            raw.settimeout(10)
-            raw.connect(sock_path)
+            raw = raw_socket(sock_path)
             body = b"\xffnot json\xff"
-            raw.sendall(struct.pack(">I", len(body)) + body)
+            raw.sendall(struct.pack(">II", len(body), 0) + body)
             response = protocol.read_frame_sync(raw)
             assert response["ok"] is False
             assert response["code"] == protocol.E_BAD_REQUEST
@@ -706,11 +709,9 @@ class TestServiceEndToEnd:
         passes; it pins nothing, and idle clean clients are unaffected."""
         monkeypatch.setattr(protocol, "FRAME_READ_TIMEOUT_S", 0.2)
         with running_service(sock_path), ServiceClient(sock_path) as idle:
-            raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            raw.settimeout(10)
-            raw.connect(sock_path)
+            raw = raw_socket(sock_path)
             t0 = time.monotonic()
-            raw.sendall(struct.pack(">I", 1000) + b"x" * 10)
+            raw.sendall(struct.pack(">II", 1000, 0) + b"x" * 10)
             response = protocol.read_frame_sync(raw)
             assert response["ok"] is False
             assert response["error"] == "FrameError"
@@ -721,6 +722,93 @@ class TestServiceEndToEnd:
             # Only a frame's body is on the clock: a connection idle
             # between frames for longer than the deadline still answers.
             assert idle.ping()["ok"]
+
+    @pytest.mark.parametrize("frame", [
+        struct.pack(">II", 0, protocol.MAX_FRAME_BYTES + 1),
+        # A protocol-1 frame: its JSON's first bytes land in `blob_len`.
+        struct.pack(">I", 14) + b'{"op": "ping"}',
+    ], ids=["blob_len", "v1_frame"])
+    def test_oversized_frame_is_a_typed_413(self, sock_path, frame):
+        """A header announcing more than the cap is answered 413 on the
+        header alone (no body follows), then the connection is dropped.
+        An oversized ``json_len`` is
+        ``test_malformed_frames_answered_then_dropped``'s first case."""
+        with running_service(sock_path):
+            raw = raw_socket(sock_path)
+            raw.sendall(frame)
+            response = protocol.read_frame_sync(raw)
+            assert response["ok"] is False
+            assert response["code"] == protocol.E_TOO_LARGE
+            assert response["error"] == "FrameError"
+            assert protocol.read_frame_sync(raw) is None  # connection gone
+            raw.close()
+
+    def test_truncated_blob_is_dropped(self, sock_path):
+        with running_service(sock_path):
+            raw = raw_socket(sock_path)
+            head = b'{"op": "ping"}'
+            raw.sendall(struct.pack(">II", len(head), 100) + head + b"x" * 10)
+            raw.shutdown(socket.SHUT_WR)
+            response = protocol.read_frame_sync(raw)
+            assert response["error"] == "FrameError"
+            assert "closed mid-frame" in response["message"]
+            assert protocol.read_frame_sync(raw) is None
+            raw.close()
+
+    def test_envelopes_travel_as_bytes(self, sock_path, monkeypatch):
+        """With every base64 routine made to raise, a prove and a verify
+        through the daemon still succeed, and the service envelope is the
+        bytes a local ``prove`` with the same seed returns."""
+        import base64
+
+        from repro import prove, setup
+        from repro.snark import preset_by_name
+        from repro.workloads.registry import build_workload
+
+        _, circuit = build_workload("litmus")
+        r1cs, public, witness = circuit.compile()
+        pk, _ = setup(r1cs, preset_by_name("test-fast"))
+        local = prove(pk, public, witness, seed=7,
+                      circuit_id="litmus").to_bytes()
+
+        def no_base64(*args, **kwargs):
+            raise AssertionError("base64 on the envelope path")
+
+        with running_service(sock_path) as live, \
+                ServiceClient(sock_path) as svc:
+            with monkeypatch.context() as patch:
+                for owner, name in ((protocol, "encode_blob"),
+                                    (protocol, "decode_blob"),
+                                    (base64, "b64encode"),
+                                    (base64, "b64decode")):
+                    patch.setattr(owner, name, no_base64)
+                envelope = svc.prove("litmus", seed=7)
+                assert envelope == local
+                assert svc.verify(envelope) is True
+            # The JSON-shaped `result()` still carries base64 text.
+            reply = svc.result(prove_job(svc, 7), wait_s=60)
+            assert reply["cached"] is True
+            assert isinstance(reply["envelope"], str)
+            assert protocol.decode_blob(reply["envelope"]) == local
+
+            # A base64 envelope is not a second input path: 400, unqueued.
+            enqueued = live.service.stats()["queue"]["enqueued"]
+            with pytest.raises(ServiceError) as err:
+                svc.request({"op": "submit", "kind": "verify",
+                             "envelope": reply["envelope"]})
+            assert err.value.code == protocol.E_BAD_REQUEST
+            assert live.service.stats()["queue"]["enqueued"] == enqueued
+
+    def test_envelope_in_json_and_blob_is_refused(self, sock_path):
+        with running_service(sock_path) as live:
+            raw = raw_socket(sock_path)
+            head = b'{"envelope": "TkNQRQ==", "kind": "verify", "op": "submit"}'
+            raw.sendall(struct.pack(">II", len(head), 4) + head + b"NCPE")
+            response = protocol.read_frame_sync(raw)
+            raw.close()
+            assert response["code"] == protocol.E_BAD_REQUEST
+            assert response["error"] == "FrameError"
+            assert live.service.stats()["queue"]["enqueued"] == 0
 
     def test_shutdown_fails_queued_jobs_typed(self, sock_path):
         """In-band shutdown: queued-but-unstarted jobs fail with the
@@ -757,6 +845,103 @@ class TestServiceEndToEnd:
         with running_service(sock_path):
             assert os.path.exists(sock_path)
         assert not os.path.exists(sock_path)
+
+
+# ---------------------------------------------------------------------------
+# Frame codec and client connection
+# ---------------------------------------------------------------------------
+
+def _read_fed(data: bytes):
+    """`read_frame_sync` on a socket fed ``data`` and then closed."""
+    a, b = socket.socketpair()
+    with a, b:
+        b.settimeout(10)
+        sender = threading.Thread(target=lambda: (a.sendall(data),
+                                                  a.shutdown(socket.SHUT_WR)))
+        sender.start()
+        try:
+            return protocol.read_frame_sync(b)
+        finally:
+            sender.join()
+
+
+class TestFrameCodec:
+    @pytest.mark.parametrize("envelope", [b"NCPE\x00\xff" * 1000, None,
+                                          "text stays JSON"])
+    def test_roundtrip(self, envelope):
+        payload = {"op": "result", "state": "done", "envelope": envelope}
+        assert _read_fed(protocol.pack_frame(payload)) == payload
+
+    def test_oversize_code_is_typed_not_worded(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 64)
+        with pytest.raises(protocol.FrameError) as err:
+            protocol.pack_frame({"envelope": bytes(63)})
+        assert err.value.code == protocol.E_TOO_LARGE
+        assert protocol.error_from_exception(err.value)["code"] == 413
+        # The message no longer decides the code.
+        reworded = protocol.FrameError("frame exceeds cap")
+        assert protocol.error_from_exception(reworded)["code"] == 400
+
+    @given(header=st.one_of(
+               st.binary(min_size=8, max_size=8),
+               st.tuples(st.integers(0, 300), st.integers(0, 300)).map(
+                   lambda lens: struct.pack(">II", *lens))),
+           body=st.one_of(st.binary(max_size=300),
+                          st.dictionaries(st.text(max_size=8),
+                                          st.integers(), max_size=4).map(
+                              lambda d: json.dumps(d).encode())))
+    @example(header=struct.pack(">II", 100_000, 0), body=b"[" * 100_000)
+    def test_arbitrary_bytes_parse_or_raise_frame_error(self, header, body):
+        """Whatever arrives, the reader returns a dict or None, or raises
+        the typed FrameError — nothing else."""
+        try:
+            frame = _read_fed(header + body)
+        except protocol.FrameError:
+            return
+        assert frame is None or isinstance(frame, dict)
+
+    @pytest.mark.parametrize("failure", ["timeout", "malformed"])
+    def test_failed_request_never_returns_a_stale_reply(self, tmp_path,
+                                                        failure):
+        """A request that fails between send and a whole reply closes the
+        client: its reply may still arrive, and the next request must not
+        read it as its own."""
+        path = str(tmp_path / "fake.sock")
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener.bind(path)
+        listener.listen(1)
+        late = protocol.pack_frame(protocol.ok_response(job_id="FIRST"))
+
+        def fake_daemon():
+            conn, _ = listener.accept()
+            # The client hangs up after its failed request: sends may fail.
+            with conn, contextlib.suppress(protocol.FrameError, OSError):
+                protocol.read_frame_sync(conn)
+                if failure == "timeout":
+                    time.sleep(0.5)  # past the client's socket timeout
+                    conn.sendall(late)
+                else:  # a reply that is not a frame, then a valid one
+                    conn.sendall(struct.pack(">II", 3, 0) + b"???" + late)
+                if protocol.read_frame_sync(conn) is not None:
+                    conn.sendall(protocol.pack_frame(
+                        protocol.ok_response(job_id="SECOND")))
+
+        daemon = threading.Thread(target=fake_daemon)
+        daemon.start()
+        try:
+            svc = ServiceClient(path)
+            svc._sock.settimeout(0.2)
+            with pytest.raises((TimeoutError, protocol.FrameError)):
+                svc.submit("prove", circuit_id="litmus")
+            time.sleep(0.6)  # the late reply has landed
+            with pytest.raises(ServiceError) as err:
+                svc.submit("prove", circuit_id="litmus")
+            assert "connection lost" in str(err.value)
+            svc.close()
+        finally:
+            daemon.join(10)
+            listener.close()
+        assert not daemon.is_alive()
 
 
 # ---------------------------------------------------------------------------
