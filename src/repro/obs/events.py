@@ -29,6 +29,7 @@ per kernel call.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
@@ -101,7 +102,7 @@ class FlightRecorder:
 
     def __init__(self, spool_path: Optional[str] = None):
         self._incidents: Dict[str, int] = {}
-        self._job_counter = 0
+        self._job_ids = itertools.count(1)  # next() is one atomic step
         self.spool_path = spool_path
 
     def spool_to(self, path: Optional[str]) -> None:
@@ -110,8 +111,7 @@ class FlightRecorder:
 
     def next_job_id(self) -> str:
         """A process-unique job id: ``<pid>-<n>``."""
-        self._job_counter += 1
-        return f"{os.getpid()}-{self._job_counter}"
+        return f"{os.getpid()}-{next(self._job_ids)}"
 
     def incidents(self) -> Dict[str, int]:
         """Snapshot of the per-kind incident totals; hand it to

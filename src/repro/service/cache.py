@@ -74,7 +74,7 @@ class LRUBytesCache:
     def peek(self, key: Any) -> Optional[Any]:
         """Like :meth:`get` but a pure read: no counter, no reordering.
 
-        Probes run on the event loop while the job thread's ``put`` may
+        Probes run on connection threads while the job thread's ``put`` may
         evict the same key at any moment, so a probe reads once and never
         reorders: a reorder after the read could find the key gone.
         """

@@ -31,6 +31,7 @@ import threading
 import time
 from typing import Optional, Tuple, Union
 
+from ..errors import ConfigError
 from . import protocol
 
 #: Seconds between `result` long-polls while waiting for a job.
@@ -39,13 +40,17 @@ _POLL_WAIT_S = 5.0
 
 def _parse_address(address: Union[str, Tuple[str, int]]):
     """``(host, port)``, ``"host:port"``, or a unix socket path."""
-    if isinstance(address, tuple):
-        return ("tcp", address[0], int(address[1]))
     text = str(address)
-    if ":" in text and not text.startswith(("/", ".")):
+    if isinstance(address, tuple):
+        host, port = address
+    elif ":" in text and not text.startswith(("/", ".")):
         host, _, port = text.rpartition(":")
-        return ("tcp", host or "127.0.0.1", int(port))
-    return ("unix", text, None)
+    else:
+        return ("unix", text, None)
+    port = int(port) if str(port).isdecimal() else 0
+    if not 0 < port < 65536:
+        raise ConfigError(f"daemon address {text!r} needs a port 1-65535")
+    return ("tcp", host or "127.0.0.1", port)
 
 
 class ServiceClient:
@@ -53,15 +58,24 @@ class ServiceClient:
 
     def __init__(self, address: Union[str, Tuple[str, int]],
                  *, connect_timeout_s: float = 10.0):
-        self._kind, self._host, self._port = _parse_address(address)
+        kind, host, port = _parse_address(address)
+        sock = None
+        try:
+            if kind == "unix":
+                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                sock.settimeout(connect_timeout_s)
+                sock.connect(host)
+            else:
+                sock = socket.create_connection((host, port),
+                                                timeout=connect_timeout_s)
+        except OSError as exc:
+            if sock is not None:
+                sock.close()
+            raise protocol.DaemonUnreachableError(
+                f"cannot reach daemon at {address}: "
+                f"{exc.strerror or exc}") from None
+        self._sock = sock
         self._lock = threading.Lock()
-        if self._kind == "unix":
-            self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._sock.settimeout(connect_timeout_s)
-            self._sock.connect(self._host)
-        else:
-            self._sock = socket.create_connection(
-                (self._host, self._port), timeout=connect_timeout_s)
         # Job waits are long-poll round trips; the socket timeout only
         # needs to catch a dead server, not bound the job.
         self._sock.settimeout(max(connect_timeout_s, _POLL_WAIT_S * 4))
@@ -82,10 +96,13 @@ class ServiceClient:
                 if response is None:
                     raise protocol.ServiceError(
                         "server closed the connection mid-request")
-            except BaseException:
+            except BaseException as exc:
                 # A late reply would answer the next request: hang up.
                 self._lost = True
                 self.close()
+                if isinstance(exc, ConnectionError):  # reset, broken pipe
+                    raise protocol.ServiceError(
+                        f"connection to daemon lost: {exc}") from None
                 raise
         return protocol.raise_for_error(response)
 

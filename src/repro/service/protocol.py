@@ -6,8 +6,9 @@ field: proof envelopes cross the socket as raw bytes, never as text, so
 neither side pays a base64 or JSON pass over them.  The connection is
 strictly request/response — the client writes one request frame and
 reads exactly one response frame before sending the next — so framing
-never needs message ids, and a synchronous client stays a loop of two
-blocking calls.
+never needs message ids, and either end is a loop of two blocking
+calls: the daemon's connection threads and the client read with the one
+:func:`read_frame_sync`.
 
 Parsing follows the envelope parser's posture (``docs/ROBUSTNESS.md``):
 both lengths are bounds-checked before allocation
@@ -25,7 +26,6 @@ exit codes (``docs/API.md``) carry through the socket unchanged.
 
 from __future__ import annotations
 
-import asyncio
 import base64
 import json
 import socket
@@ -48,9 +48,9 @@ HEADER_STRUCT = struct.Struct(">II")
 #: malicious header from allocating unbounded memory.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: Seconds a peer has to deliver a frame's body once its header
-#: arrived (a full 64 MiB frame at ~2 MB/s).  Idle time *between* frames
-#: is unbounded: clients hold persistent connections.
+#: Seconds a peer has to deliver a frame's body once its header arrived
+#: (a full 64 MiB frame at ~2 MB/s).  The wait for a header is unbounded
+#: on a daemon connection: clients hold persistent connections.
 FRAME_READ_TIMEOUT_S = 30.0
 
 #: Protocol revision, echoed by ``ping`` so clients can detect skew
@@ -91,6 +91,11 @@ class QueueFullError(ServiceError):
 
     def __init__(self, message: str):
         super().__init__(message, code=E_QUEUE_FULL)
+
+
+class DaemonUnreachableError(ServiceError, ConnectionError):
+    """No daemon answered a client's connect.  Also a ConnectionError, so
+    callers that retry ``OSError`` while a daemon starts keep working."""
 
 
 class FrameError(DeserializationError):
@@ -155,36 +160,24 @@ def _parse_body(body: bytes, json_len: int) -> dict:
     return obj
 
 
-async def read_frame_async(reader: asyncio.StreamReader) -> Optional[dict]:
-    """Read one frame from an asyncio stream; None on clean EOF.  The
-    wait for a frame to begin is unbounded, the wait for its body is
-    :data:`FRAME_READ_TIMEOUT_S`."""
-    try:
-        header = await reader.readexactly(HEADER_STRUCT.size)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
-    json_len, blob_len = HEADER_STRUCT.unpack(header)
-    _check_size(json_len, blob_len)
-    try:
-        body = await asyncio.wait_for(
-            reader.readexactly(json_len + blob_len), FRAME_READ_TIMEOUT_S)
-    except asyncio.TimeoutError:
-        raise FrameError(f"frame body stalled: {json_len + blob_len} bytes "
-                         f"announced, not received within "
-                         f"{FRAME_READ_TIMEOUT_S} s") from None
-    except (asyncio.IncompleteReadError, ConnectionError):
-        raise FrameError("connection closed mid-frame") from None
-    return _parse_body(body, json_len)
-
-
 def read_frame_sync(sock: socket.socket) -> Optional[dict]:
-    """Read one frame from a blocking socket; None on clean EOF."""
+    """Read one frame from a blocking socket; None on clean EOF.  The
+    frame's body must arrive within :data:`FRAME_READ_TIMEOUT_S`."""
     header = _recv_exact(sock, HEADER_STRUCT.size)
     if header is None:
         return None
     json_len, blob_len = HEADER_STRUCT.unpack(header)
     _check_size(json_len, blob_len)
-    body = _recv_exact(sock, json_len + blob_len)
+    idle_timeout = sock.gettimeout()
+    sock.settimeout(FRAME_READ_TIMEOUT_S)
+    try:
+        body = _recv_exact(sock, json_len + blob_len)
+    except TimeoutError:
+        raise FrameError(f"frame body stalled: {json_len + blob_len} bytes "
+                         f"announced, not received within "
+                         f"{FRAME_READ_TIMEOUT_S} s") from None
+    finally:
+        sock.settimeout(idle_timeout)
     if body is None:
         raise FrameError("connection closed mid-frame")
     return _parse_body(body, json_len)

@@ -1,54 +1,46 @@
-"""The proving service daemon: asyncio front end, threaded prover back end.
+"""The proving service daemon: a thread per connection, one job thread.
 
 Architecture (see ``docs/SERVICE.md`` for the operator view)::
 
-    client ──frames──▶ asyncio connection handler
-                          │  submit: admit while fewer than
-                          │  queue_depth jobs wait, else the typed 429
+    client ──frames──▶ connection thread (socketserver, one per connection)
+                          │  submit: put_nowait, queue.Full is the typed 429
                           ▼
-                 run_in_executor ──▶ _run_job (worker thread)
-                          │            KeyCache / ProofCache
-                          │            prove() / verify()
+                 queue.Queue ──▶ the job thread: KeyCache / ProofCache,
+                          │      prove() / verify()
                           ▼
-                 future done → _finish_job (on the loop) → result frames
+                 _finish_job → job.done → result frames
 
-The event loop only shuffles frames, and one thread proves: a
-single-worker :class:`~concurrent.futures.ThreadPoolExecutor` runs every
-job body, so a 30 s paper-preset proof never blocks a ``status`` poll and
-no two proofs share the process.  The executor's FIFO is the daemon's one
-queue — jobs start in submission order whichever connection sent them.
-Job bodies call the ordinary lifecycle API, so cooperative
-deadlines apply to service traffic unchanged, and every job that proves
-or verifies leaves one :class:`~repro.obs.events.JobReport` in the
-flight log (``repro serve --flight-log``) under the id ``submit``
-returned; a proof-cache hit proves nothing and books nothing.  The
-daemon's in-band scrape is the ``stats`` op — plain attributes of the
-service, its caches and the job table; a job's own latency is
-``wait_s`` (submit → start) and ``run_s`` (start → finish) in its
-``status``/``result`` replies.  Nothing here touches the kernel counter
-registry.
+Connection threads only shuffle frames and one thread proves, so a 30 s
+paper-preset proof never blocks a ``status`` poll and no two proofs
+share the process.  The queue's FIFO is the start order, whichever
+connection submitted; one lock guards the job table, retention and
+counters.  Job bodies call the lifecycle API, so deadlines apply and
+each prove or verify books one :class:`~repro.obs.events.JobReport`
+under the id ``submit`` returned (a proof-cache hit books nothing).
+``stats`` is the in-band scrape, ``wait_s`` / ``run_s`` in a job's
+replies its latency; nothing here touches the kernel counter registry.
 
-Failure contract: a job that fails carries a typed error (name +
-message) in its ``status``/``result`` responses; the connection never
-hangs.  Submissions past the queue bound are rejected with the
-429-style :data:`~repro.service.protocol.E_QUEUE_FULL` before any work
-is queued.  On shutdown the daemon stops accepting, fails queued jobs
-with :data:`~repro.service.protocol.E_SHUTTING_DOWN` and waits for
-running jobs.  A finished job holds at most one envelope (a prove
-result; a verify input is dropped) and is forgotten oldest-first once
-finished jobs together pass :data:`RESULT_RETENTION_BYTES` or
+Failure contract: a failed job carries a typed error in its replies and
+no connection hangs; a submission past the queue bound is the 429-style
+:data:`~repro.service.protocol.E_QUEUE_FULL`.  :meth:`ProvingService.stop`
+fails queued jobs with :data:`~repro.service.protocol.E_SHUTTING_DOWN`,
+waits for the running one, then hangs up every connection.  A finished
+job keeps at most one envelope (a prove's result) and is forgotten
+oldest-first past :data:`RESULT_RETENTION_BYTES` or
 :data:`MAX_FINISHED_JOBS`.
 """
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import os
+import queue
 import signal
+import socket
+import socketserver
+import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Optional, Set
 
@@ -117,7 +109,7 @@ class Job:
     valid: Optional[bool] = None         # verify outcome
     error: Optional[BaseException] = None
     report: Optional[dict] = None        # JobReport.to_dict() of the job
-    future: Optional[asyncio.Future] = None  # None: answered at submit
+    done: threading.Event = field(default_factory=threading.Event)
 
     def status_dict(self) -> dict:
         out = {
@@ -137,31 +129,41 @@ class Job:
         return out
 
 
-class ProvingService:
-    """The daemon behind ``repro serve``.
+class _TCPServer(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True  # rebind a port whose old sockets linger
 
-    Use :meth:`start` / :meth:`stop` from an event loop, or
-    :func:`serve_forever` as the blocking entry point.
-    """
+
+def _shutting_down(message: str) -> protocol.ServiceError:
+    return protocol.ServiceError(message, code=protocol.E_SHUTTING_DOWN)
+
+
+class ProvingService:
+    """The daemon behind ``repro serve``: :meth:`start` returns once it
+    listens, :meth:`stop` once it has drained and no thread of it is
+    left.  :func:`serve_forever` is the blocking entry point."""
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
         self.key_cache = KeyCache(self.config.key_cache_bytes)
         self.proof_cache = ProofCache(self.config.proof_cache_bytes)
         self.jobs: "Dict[str, Job]" = {}
-        # Admitted-but-unstarted job ids: added on the loop at submit,
-        # discarded by the worker thread that starts the job.
-        self._waiting: Set[str] = set()
+        # Admitted-but-unstarted jobs; None ends the job thread.
+        self._queue: "queue.Queue[Optional[Job]]" = queue.Queue(
+            self.config.queue_depth)
+        # Guards the job table, retention, counters and connections.
+        self._lock = threading.Lock()
+        self._connections: Set[socket.socket] = set()
         self._finished: Deque[Job] = deque()   # oldest first, for retention
         self._finished_bytes = 0
         self.enqueued = 0
         self.peak_depth = 0
         self.rejected_full = 0
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._accepting = False
+        self._server: Optional[socketserver.BaseServer] = None
+        self._job_thread = threading.Thread(target=self._work,
+                                            name="repro-job")
+        self._accept_thread: Optional[threading.Thread] = None
         self._stopping = False
-        self._stopped = asyncio.Event()
+        self._stopped = threading.Event()
         self._started_at = 0.0
         self._jobs_done = 0
         self._jobs_failed = 0
@@ -169,92 +171,104 @@ class ProvingService:
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def start(self) -> None:
+    def start(self) -> None:
         cfg = self.config
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-job")
         if cfg.unix_socket:
             with contextlib.suppress(OSError):
                 os.unlink(cfg.unix_socket)
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=cfg.unix_socket)
+            self._server = socketserver.ThreadingUnixStreamServer(
+                cfg.unix_socket, self._converse)
             self.address = cfg.unix_socket
         else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, host=cfg.host, port=cfg.port)
-            sock = self._server.sockets[0]
-            self.address = sock.getsockname()[:2]
-        self._accepting = True
+            self._server = _TCPServer((cfg.host, cfg.port), self._converse)
+            self.address = self._server.server_address[:2]
+        # socketserver calls verify_request on its accept thread, then
+        # self._converse(sock, address, server) on the connection's own
+        # thread: tracked before that thread starts, none escapes stop().
+        self._server.verify_request = self._track
+        self._accept_thread = threading.Thread(
+            target=self._server.serve_forever, name="repro-accept")
+        self._accept_thread.start()
+        self._job_thread.start()
         self._started_at = time.monotonic()
 
-    async def stop(self) -> None:
-        """Graceful shutdown: drain, tear down, leave nothing behind.
-
-        Idempotent: concurrent callers (in-band ``shutdown`` op plus a
-        signal) all wait for the one real teardown to complete.
-        """
-        if self._stopping:
-            await self._stopped.wait()
+    def stop(self) -> None:
+        """Drain, tear down, leave nothing behind.  Concurrent callers
+        (a ``shutdown`` op and a signal) all wait for the one teardown."""
+        with self._lock:
+            stopping, self._stopping = self._stopping, True
+        if stopping:
+            self._stopped.wait()
             return
-        self._stopping = True
-        self._accepting = False
-        if self._server is not None:
-            self._server.close()  # no new connections; open ones stay
-        # Cancel whatever never started (the future's callback fails the
-        # job with a typed 503, so a client polling `result` gets an
-        # answer, not silence) and let running jobs finish — off the
-        # loop, which keeps answering `status` meanwhile.
-        if self._executor is not None:
-            await asyncio.to_thread(self._executor.shutdown, wait=True,
-                                    cancel_futures=True)
-        unfinished = [job.future for job in self.jobs.values()
-                      if job.finished_at is None]
-        if unfinished:
-            await asyncio.wait(unfinished)
-        if self._server is not None:
-            await self._server.wait_closed()
+        # Fail what never started (a client polling `result` gets a typed
+        # 503, not silence); connections are answered while jobs drain.
+        with contextlib.suppress(queue.Empty):
+            while True:
+                self._finish_job(self._queue.get_nowait(), _shutting_down(
+                    "server shutting down before job started"))
+        self._queue.put(None)
+        self._job_thread.join()
+        # Stop accepting (shutting the listener wakes the accept loop),
+        # then hang up: with its read side shut, each connection thread
+        # sends any reply in flight and ends at its next read.
+        self._server.socket.shutdown(socket.SHUT_RDWR)
+        self._server.shutdown()
+        self._accept_thread.join()
+        with self._lock:
+            for sock in self._connections:
+                with contextlib.suppress(OSError):
+                    sock.shutdown(socket.SHUT_RD)
+        self._server.server_close()  # joins the connection threads
         if self.config.unix_socket:
             with contextlib.suppress(OSError):
                 os.unlink(self.config.unix_socket)
         self._stopped.set()
 
+    def _stop_soon(self) -> None:
+        """:meth:`stop` for a signal handler or a connection thread."""
+        threading.Thread(target=self.stop, name="repro-stop").start()
+
     # -- connection handling ----------------------------------------------
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
+    def _track(self, sock: socket.socket, _address) -> bool:
+        with self._lock:
+            self._connections.add(sock)
+        return True  # serve it
+
+    def _converse(self, sock: socket.socket, _address, _server) -> None:
+        """One connection, on its own thread: a request frame in, one
+        reply out, until the peer hangs up or :meth:`stop` does."""
         try:
             while True:
                 try:
-                    request = await protocol.read_frame_async(reader)
+                    request = protocol.read_frame_sync(sock)
                 except protocol.FrameError as exc:
-                    # Framing is broken; answer once, then drop the
-                    # connection (we can no longer find frame boundaries).
-                    writer.write(protocol.pack_frame(
+                    # Framing is broken: answer once and drop the
+                    # connection, half-closed and drained to EOF first (a
+                    # close on unread input would reset the reply away).
+                    sock.sendall(protocol.pack_frame(
                         protocol.error_from_exception(exc)))
-                    await writer.drain()
-                    break
+                    sock.shutdown(socket.SHUT_WR)
+                    sock.settimeout(protocol.FRAME_READ_TIMEOUT_S)
+                    while sock.recv(1 << 16):
+                        pass
+                    return
                 if request is None:
-                    break
-                response = await self._handle_request(request)
-                writer.write(protocol.pack_frame(response))
-                await writer.drain()
-                if request.get("op") == "shutdown":
-                    break
-        except (ConnectionError, asyncio.CancelledError):
-            pass
+                    return
+                sock.sendall(protocol.pack_frame(
+                    self._handle_request(request)))
+        except OSError:
+            pass  # the peer hung up, or went quiet after a FrameError
         finally:
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
+            with self._lock:
+                self._connections.discard(sock)
 
-    async def _handle_request(self, request: dict) -> dict:
+    def _handle_request(self, request: dict) -> dict:
         op = str(request.get("op", ""))
         try:
             if self._stopping and op not in ("ping", "stats", "status",
                                              "result"):
-                raise protocol.ServiceError(
-                    "server is shutting down",
-                    code=protocol.E_SHUTTING_DOWN)
+                raise _shutting_down("server is shutting down")
             if op == "ping":
                 response = protocol.ok_response(
                     version=protocol.PROTOCOL_VERSION, pid=os.getpid())
@@ -263,12 +277,11 @@ class ProvingService:
             elif op == "status":
                 response = self._op_status(request)
             elif op == "result":
-                response = await self._op_result(request)
+                response = self._op_result(request)
             elif op == "stats":
                 response = protocol.ok_response(stats=self.stats())
             elif op == "shutdown":
-                asyncio.get_running_loop().create_task(
-                    self._shutdown_soon())
+                self._stop_soon()
                 response = protocol.ok_response(stopping=True)
             else:
                 raise protocol.ServiceError(
@@ -276,11 +289,6 @@ class ProvingService:
         except Exception as exc:  # noqa: BLE001 - wire boundary
             response = protocol.error_from_exception(exc)
         return response
-
-    async def _shutdown_soon(self) -> None:
-        # A beat of delay lets the shutdown response flush first.
-        await asyncio.sleep(0)
-        await self.stop()
 
     # -- ops ---------------------------------------------------------------
 
@@ -325,16 +333,11 @@ class ProvingService:
             # queue slot.  Key inputs are resolved lazily in the job
             # body on a miss; here we can only consult the cache when
             # the statement's keys are already cached (no compile work
-            # on the event loop).  An unseeded request draws fresh masks,
-            # so it is never answered from the cache.
-            hit = None if job.seed is None else self._proof_cache_probe(job)
-            if hit is not None:
-                job.envelope = hit
-                job.cached = True
-                self.jobs[job.job_id] = job
-                self._finish_job(job)
-                return protocol.ok_response(job_id=job.job_id,
-                                            state=job.state, cached=True)
+            # on a connection thread).  An unseeded request draws fresh
+            # masks, so it is never answered from the cache.
+            if job.seed is not None:
+                job.envelope = self._proof_cache_probe(job)
+                job.cached = job.envelope is not None
         else:
             # The frame's blob only: base64 text (protocol 1) is a 400.
             job.envelope = request.get("envelope")
@@ -342,21 +345,24 @@ class ProvingService:
                 raise protocol.ServiceError(
                     "verify requires envelope bytes as the frame's blob",
                     code=protocol.E_BAD_REQUEST)
-        if len(self._waiting) >= self.config.queue_depth:
-            self.rejected_full += 1
-            raise protocol.QueueFullError(
-                f"job queue full ({self.config.queue_depth} queued); retry "
-                "with backoff")
-        self.jobs[job.job_id] = job
-        self._waiting.add(job.job_id)
-        self.enqueued += 1
-        self.peak_depth = max(self.peak_depth, len(self._waiting))
-        job.future = asyncio.get_running_loop().run_in_executor(
-            self._executor, self._run_job, job)
-        job.future.add_done_callback(
-            lambda future: self._job_returned(job, future))
+        with self._lock:
+            if self._stopping:  # stop() began after the check above
+                raise _shutting_down("server is shutting down")
+            if not job.cached:
+                try:
+                    self._queue.put_nowait(job)
+                except queue.Full:
+                    self.rejected_full += 1
+                    raise protocol.QueueFullError(
+                        f"job queue full ({self.config.queue_depth} "
+                        "queued); retry with backoff") from None
+                self.enqueued += 1
+                self.peak_depth = max(self.peak_depth, self._queue.qsize())
+            self.jobs[job.job_id] = job
+        if job.cached:
+            self._finish_job(job)
         return protocol.ok_response(job_id=job.job_id, state=job.state,
-                                    cached=False)
+                                    cached=job.cached)
 
     def _proof_cache_probe(self, job: Job) -> Optional[bytes]:
         """Cache lookup that never compiles: only when the statement's
@@ -364,19 +370,21 @@ class ProvingService:
         entry = self.key_cache.peek(job.circuit_id, job.preset)
         if entry is None:
             return None
-        return self.proof_cache.probe(proof_cache_key(
-            job.preset, job.circuit_id, entry.public, job.seed))
+        key = proof_cache_key(job.preset, job.circuit_id, entry.public,
+                              job.seed)
+        with self._lock:  # counts a hit: a read-modify-write
+            return self.proof_cache.probe(key)
 
     def _op_status(self, request: dict) -> dict:
         job = self._find_job(request)
         return protocol.ok_response(**job.status_dict())
 
-    async def _op_result(self, request: dict) -> dict:
+    def _op_result(self, request: dict) -> dict:
         job = self._find_job(request)
         wait_s = float(request.get("wait_s", 0.0) or 0.0)
-        if job.finished_at is None and wait_s > 0:
-            await asyncio.wait([job.future], timeout=wait_s)
-        if job.finished_at is None:
+        if wait_s > 0:  # Event.wait refuses inf
+            job.done.wait(min(wait_s, threading.TIMEOUT_MAX))
+        if not job.done.is_set():
             # Long-poll expired with the job still in flight: report the
             # state; the client polls again.  Not an error.
             return protocol.ok_response(**job.status_dict())
@@ -399,52 +407,45 @@ class ProvingService:
 
     # -- job bookkeeping ---------------------------------------------------
 
-    def _job_returned(self, job: Job, future: asyncio.Future) -> None:
-        """Done-callback of the job's executor future (on the loop)."""
-        if future.cancelled():  # shutdown, before any thread picked it up
-            self._waiting.discard(job.job_id)
-            error: Optional[BaseException] = protocol.ServiceError(
-                "server shutting down before job started",
-                code=protocol.E_SHUTTING_DOWN)
-        else:
-            error = future.exception() or future.result()
-        self._finish_job(job, error)
+    def _work(self) -> None:
+        """The job thread: run queued jobs in submission order until the
+        None that :meth:`stop` enqueues."""
+        for job in iter(self._queue.get, None):
+            self._finish_job(job, self._run_job(job))
 
     def _finish_job(self, job: Job,
                     error: Optional[BaseException] = None) -> None:
-        job.finished_at = time.monotonic()
-        if error is not None:
-            job.error = error
-            job.state = "failed"
-            self._jobs_failed += 1
-        else:
-            job.state = "done"
-            self._jobs_done += 1
-        if job.kind == "verify":
-            job.envelope = None  # the input; `result` never returns it
-        # Bounded retention, oldest finished first; the newest always
-        # stays so its submitter can fetch it.
-        self._finished.append(job)
-        self._finished_bytes += len(job.envelope or b"")
-        while len(self._finished) > 1 and (
-                self._finished_bytes > RESULT_RETENTION_BYTES
-                or len(self._finished) > MAX_FINISHED_JOBS):
-            old = self._finished.popleft()
-            self._finished_bytes -= len(old.envelope or b"")
-            del self.jobs[old.job_id]
+        with self._lock:
+            job.finished_at = time.monotonic()
+            if error is not None:
+                job.error = error
+                job.state = "failed"
+                self._jobs_failed += 1
+            else:
+                job.state = "done"
+                self._jobs_done += 1
+            if job.kind == "verify":
+                job.envelope = None  # the input; `result` never returns it
+            # Bounded retention, oldest finished first; the newest always
+            # stays so its submitter can fetch it.
+            self._finished.append(job)
+            self._finished_bytes += len(job.envelope or b"")
+            while len(self._finished) > 1 and (
+                    self._finished_bytes > RESULT_RETENTION_BYTES
+                    or len(self._finished) > MAX_FINISHED_JOBS):
+                old = self._finished.popleft()
+                self._finished_bytes -= len(old.envelope or b"")
+                del self.jobs[old.job_id]
+        job.done.set()
 
     # -- job body ----------------------------------------------------------
 
     def _run_job(self, job: Job) -> Optional[BaseException]:
-        """Job body (worker thread): lifecycle API + caches.
-
-        Never raises: a failure is *returned*, typed, for the future's
-        done-callback to attach to the job on the loop — the contract
-        that keeps clients from hanging.
-        """
-        self._waiting.discard(job.job_id)
+        """Job body (the job thread).  Never raises: a failure is
+        *returned*, typed, for :meth:`_finish_job` to attach to the job —
+        the contract that keeps clients from hanging."""
+        job.started_at = time.monotonic()  # before the state a poll reads
         job.state = "running"
-        job.started_at = time.monotonic()
         # The prove / verify below books its JobReport under this job's id.
         token = _JOB_ID.set(job.job_id)
         try:
@@ -468,7 +469,8 @@ class ProvingService:
         entry = self.key_cache.get_or_build(job.circuit_id, job.preset)
         key = None if job.seed is None else proof_cache_key(
             job.preset, job.circuit_id, entry.public, job.seed)
-        cached = None if key is None else self.proof_cache.get(key)
+        with self._lock:
+            cached = None if key is None else self.proof_cache.get(key)
         if cached is not None:
             job.envelope = cached
             job.cached = True
@@ -479,7 +481,8 @@ class ProvingService:
         job.envelope = bundle.to_bytes()
         job.report = bundle.report.to_dict()
         if key is not None:
-            self.proof_cache.put(key, job.envelope)
+            with self._lock:
+                self.proof_cache.put(key, job.envelope)
 
     def _run_verify(self, job: Job) -> None:
         from ..snark import ProofBundle, verify
@@ -502,12 +505,12 @@ class ProvingService:
             "uptime_s": round(time.monotonic() - self._started_at, 3)
             if self._started_at else 0.0,
             "pid": os.getpid(),
-            "accepting": self._accepting,
+            "accepting": bool(self._started_at) and not self._stopping,
             "jobs_done": self._jobs_done,
             "jobs_failed": self._jobs_failed,
             "jobs_tracked": len(self.jobs),
             "queue": {
-                "depth": len(self._waiting),
+                "depth": self._queue.qsize(),
                 "peak_depth": self.peak_depth,
                 "max_depth": self.config.queue_depth,
                 "enqueued": self.enqueued,
@@ -525,34 +528,20 @@ class ProvingService:
         }
 
 
-async def _serve(config: ServiceConfig) -> None:
+def serve_forever(config: ServiceConfig) -> int:
+    """Blocking entry point for ``repro serve``: serve until SIGINT,
+    SIGTERM (it takes over both handlers) or an in-band ``shutdown``,
+    then drain and return 0."""
     service = ProvingService(config)
-    await service.start()
+    service.start()
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, lambda *_: service._stop_soon())
     where = (service.address if isinstance(service.address, str)
              else "%s:%d" % tuple(service.address))
     print(f"repro serve: listening on {where} "
           f"(pid {os.getpid()}, queue {config.queue_depth}, "
           f"preset {config.preset})",
           flush=True)
-    loop = asyncio.get_running_loop()
-    stop_signal = asyncio.Event()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        with contextlib.suppress(NotImplementedError, RuntimeError):
-            loop.add_signal_handler(sig, stop_signal.set)
-    # Either a signal or an in-band `shutdown` op ends the daemon.
-    while not service._stopping:
-        with contextlib.suppress(asyncio.TimeoutError):
-            await asyncio.wait_for(stop_signal.wait(), timeout=0.2)
-        if stop_signal.is_set():
-            break
-    await service.stop()
+    service._stopped.wait()
     print("repro serve: drained and stopped", flush=True)
-
-
-def serve_forever(config: ServiceConfig) -> int:
-    """Blocking entry point for ``repro serve``."""
-    try:
-        asyncio.run(_serve(config))
-    except KeyboardInterrupt:  # pragma: no cover - signal race
-        pass
     return 0

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -178,6 +180,29 @@ class TestFlightRecorder:
         rec = FlightRecorder()
         ids = {rec.next_job_id() for _ in range(5)}
         assert len(ids) == 5
+
+    def test_next_job_id_unique_across_threads(self):
+        """The daemon mints a submit's id on that connection's thread, so
+        ids minted on several threads at once must never repeat."""
+        rec = FlightRecorder()
+        minted = []
+
+        def mint():
+            minted.append([rec.next_job_id() for _ in range(20_000)])
+
+        threads = [threading.Thread(target=mint) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        ids = [job_id for batch in minted for job_id in batch]
+        assert len(ids) == len(set(ids)) == 80_000
 
     def test_format_events_renders_jobs_and_incidents(self, tmp_path):
         path = tmp_path / "flight.jsonl"

@@ -1,17 +1,16 @@
 """End-to-end tests for the proving service (daemon, caches, client)
 over a real unix socket.
 
-The daemon runs in-process on a background thread's event loop — real
-frames, real sockets, the real job thread — so these tests exercise
-the exact dispatch path ``repro serve`` uses while keeping direct access
-to the :class:`~repro.service.server.ProvingService` internals (to plug
-the job thread for deterministic backpressure, and to arm
-``REPRO_FAULTS`` plans the job thread will see).
+The daemon runs in-process, started and stopped directly — real
+frames, real sockets, its real connection and job threads — so these
+tests exercise the exact dispatch path ``repro serve`` uses while
+keeping direct access to the :class:`~repro.service.server.ProvingService`
+internals (to plug the job thread for deterministic backpressure, and to
+arm ``REPRO_FAULTS`` plans the job thread will see).
 """
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import json
 import socket
@@ -44,55 +43,37 @@ from repro.service.cache import LRUBytesCache
 
 
 # ---------------------------------------------------------------------------
-# Harness: run a ProvingService on a background event-loop thread
+# Harness: run a ProvingService in-process
 # ---------------------------------------------------------------------------
 
 class _LiveService:
-    """A started service plus the loop thread driving it."""
+    """A started service; ``thread`` is its job thread, which ends once
+    the service has drained."""
 
-    def __init__(self, service, loop, thread):
+    def __init__(self, service):
         self.service = service
-        self.loop = loop
-        self.thread = thread
+        self.thread = service._job_thread
 
     @property
     def address(self):
         return self.service.address
 
     def stop(self, timeout=30.0):
-        if not self.service._stopping:
-            asyncio.run_coroutine_threadsafe(
-                self.service.stop(), self.loop).result(timeout)
-        self.thread.join(timeout)
-        assert not self.thread.is_alive(), "service loop thread leaked"
+        # stop() waits for a stop already under way.
+        stopper = threading.Thread(target=self.service.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout)
+        assert not stopper.is_alive(), "service did not stop"
+        assert not self.thread.is_alive(), "service job thread leaked"
 
 
 @contextlib.contextmanager
 def running_service(sock_path, **overrides):
     overrides.setdefault("unix_socket", str(sock_path))
     overrides.setdefault("preset", "test-fast")
-    config = ServiceConfig(**overrides)
-    service = ProvingService(config)
-    started = threading.Event()
-
-    async def _main():
-        await service.start()
-        started.set()
-        await service._stopped.wait()
-
-    loop = asyncio.new_event_loop()
-
-    def _run():
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(_main())
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=_run, name="svc-loop", daemon=True)
-    thread.start()
-    assert started.wait(15), "service failed to start"
-    live = _LiveService(service, loop, thread)
+    service = ProvingService(ServiceConfig(**overrides))
+    service.start()
+    live = _LiveService(service)
     try:
         yield live
     finally:
@@ -963,13 +944,14 @@ class TestServiceConfig:
 
     def test_job_slots_is_the_only_concurrency_knob(self, sock_path):
         """No concurrency knob is left: neither a slot count nor a worker
-        pool configures the daemon, which proves on one executor thread
+        pool configures the daemon, which proves on exactly one job thread
         and reports no slot count in its config."""
         with pytest.raises(TypeError):
             ServiceConfig(job_slots=2, workers=4)
         with running_service(sock_path) as live, \
                 ServiceClient(sock_path) as svc:
-            assert live.service._executor._max_workers == 1
+            assert [t for t in threading.enumerate()
+                    if t.name == "repro-job"] == [live.thread]
             config = svc.stats()["config"]
             assert "job_slots" not in config and "workers" not in config
 
