@@ -3,7 +3,7 @@
 The A, B, C matrices of an R1CS mostly encode permutations — O(1) non-zeros
 per row, concentrated near the diagonal — which is what makes NoCap's
 output-stationary SpMV mapping effective (Sec. V-A).  This module stores
-them in coordinate form with numpy index arrays and provides exact
+them in coordinate form with int32 index arrays and provides exact
 modular sparse matrix-vector products.
 """
 
@@ -25,6 +25,11 @@ from ..field.vector import (_MASK22, _MASK32, _SHIFT22, _SHIFT32, _SHIFT44,
 #: up to 2^15 constraints (3 * 2^15 segments) in one block.
 MATVEC_BLOCK_SEGMENTS = 1 << 17
 
+#: Exclusive bound on a dimension, a non-zero count and every stacked
+#: gather range: each index a key stores (coordinates, plane ``idx``,
+#: output rows, gather-plan offsets) is int32, half the bytes of int64.
+INDEX_LIMIT = 1 << 31
+
 #: Entries handled per step while a layout is built or a sort key packed:
 #: bounds the per-entry temporaries (about seven arrays of this many
 #: words) at ~2 MB however many non-zeros a matrix has.
@@ -40,6 +45,28 @@ def _segment_sums(prods: np.ndarray, starts: np.ndarray) -> np.ndarray:
     lo = np.add.reduceat(lo_half, starts, dtype=np.uint64)
     hi = np.add.reduceat(hi_half, starts, dtype=np.uint64)
     return fv.combine_halves(lo, hi)
+
+
+def _int32_coords(rows, cols, num_rows: int, num_cols: int):
+    """``rows`` / ``cols`` as the int32 arrays a key stores, checked as
+    given before they are narrowed: a float would truncate and an
+    over-range integer would wrap into range on the cast, and every gather
+    trusts the bounds (a negative column would wrap silently in
+    ``x[cols]``)."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    if len(rows) != len(cols):
+        raise ValueError("rows, cols, vals must have equal length")
+    if len(rows):
+        if rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu":
+            raise TypeError(f"coordinates must be integers, not "
+                            f"{rows.dtype} / {cols.dtype}")
+        if (rows.min() < 0 or rows.max() >= num_rows
+                or cols.min() < 0 or cols.max() >= num_cols):
+            bad = np.flatnonzero((rows < 0) | (rows >= num_rows)
+                                 | (cols < 0) | (cols >= num_cols))[0]
+            raise IndexError(f"entry ({rows[bad]},{cols[bad]}) "
+                             f"outside {num_rows}x{num_cols}")
+    return rows.astype(np.int32, copy=False), cols.astype(np.int32, copy=False)
 
 
 def _is_sorted(keys: np.ndarray) -> bool:
@@ -87,22 +114,19 @@ class SparseMatrix:
                  rows: np.ndarray | None = None,
                  cols: np.ndarray | None = None,
                  vals: np.ndarray | None = None):
+        if num_rows >= INDEX_LIMIT or num_cols >= INDEX_LIMIT:
+            raise ValueError(f"a {num_rows}x{num_cols} matrix exceeds int32 "
+                             f"indices")
         self.num_rows = num_rows
         self.num_cols = num_cols
-        self.rows = np.asarray(rows if rows is not None else [], dtype=np.int64)
-        self.cols = np.asarray(cols if cols is not None else [], dtype=np.int64)
+        self.rows, self.cols = _int32_coords(
+            rows if rows is not None else [],
+            cols if cols is not None else [], num_rows, num_cols)
         self.vals = np.asarray(vals if vals is not None else [], dtype=np.uint64)
-        if not (len(self.rows) == len(self.cols) == len(self.vals)):
+        if len(self.vals) != len(self.rows):
             raise ValueError("rows, cols, vals must have equal length")
-        # Every gather below trusts these: a negative column would wrap
-        # silently in ``x[cols]``.
-        if len(self.rows) and (
-                self.rows.min() < 0 or self.rows.max() >= num_rows
-                or self.cols.min() < 0 or self.cols.max() >= num_cols):
-            bad = np.flatnonzero((self.rows < 0) | (self.rows >= num_rows)
-                                 | (self.cols < 0) | (self.cols >= num_cols))[0]
-            raise IndexError(f"entry ({self.rows[bad]},{self.cols[bad]}) "
-                             f"outside {num_rows}x{num_cols}")
+        if len(self.vals) >= INDEX_LIMIT:
+            raise ValueError(f"{len(self.vals)} entries exceed int32 offsets")
         self._groups: tuple | None = None      # lazy matvec gather plan
         self._transposed: "SparseMatrix | None" = None
 
@@ -139,11 +163,12 @@ class SparseMatrix:
     def from_arrays(cls, num_rows: int, num_cols: int,
                     row_list, col_list, val_list) -> "SparseMatrix":
         """Build from parallel row/col/value lists (the fast path used by
-        :meth:`repro.r1cs.builder.Circuit.compile`); duplicates sum."""
+        :meth:`repro.r1cs.builder.Circuit.compile`); duplicates sum.  The
+        coordinates are checked and narrowed first, so the sort and the
+        duplicate pass run on int32."""
         if not row_list:
             return cls(num_rows, num_cols)
-        rows = np.array(row_list, dtype=np.int64)
-        cols = np.array(col_list, dtype=np.int64)
+        rows, cols = _int32_coords(row_list, col_list, num_rows, num_cols)
         vals = np.array([v % MODULUS for v in val_list], dtype=np.uint64)
         order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
@@ -175,8 +200,8 @@ class SparseMatrix:
             sorted_rows = self.rows if order is None else self.rows[order]
             new_group = np.ones(len(sorted_rows), dtype=bool)
             new_group[1:] = np.diff(sorted_rows) != 0
-            starts = np.flatnonzero(new_group)
-            self._groups = (order, starts, sorted_rows[starts])
+            starts = np.flatnonzero(new_group).astype(np.int32)
+            self._groups = (order, starts, np.take(sorted_rows, starts))
         return self._groups
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -199,7 +224,8 @@ class SparseMatrix:
         # Non-canonical representatives are fine: the split-accumulate
         # is exact for any uint64 terms.
         if len(starts) <= MATVEC_BLOCK_SEGMENTS:
-            prods = fv.mul(self.vals, x[self.cols], canonical=False)
+            prods = fv.mul(self.vals, np.take(x, self.cols, mode="clip"),
+                           canonical=False)
             if order is not None:
                 prods = prods[order]
             combined = _segment_sums(prods, starts)
@@ -212,7 +238,8 @@ class SparseMatrix:
                 # The plan's permutation picks the block's entries; no
                 # full-length permuted copy is ever made.
                 sel = slice(e0, e1) if order is None else order[e0:e1]
-                prods = fv.mul(self.vals[sel], x[self.cols[sel]],
+                prods = fv.mul(self.vals[sel],
+                               np.take(x, self.cols[sel], mode="clip"),
                                canonical=False)
                 combined[s0:s1] = _segment_sums(prods, starts[s0:s1] - e0)
         if len(row_ids) == self.num_rows:
@@ -290,7 +317,7 @@ def _plane_matvec(idx: np.ndarray, vals: np.ndarray, x: np.ndarray,
     """
     height, m = idx.shape
     if height == 1:
-        return fv.mul(vals[0], x[idx[0]])
+        return fv.mul(vals[0], np.take(x, idx[0], mode="clip"))
     out = np.empty(m, dtype=np.uint64)
     width = max(1, PLANE_TILE // height)
     for r0 in range(0, m, REDUCE_ROWS):
@@ -334,7 +361,9 @@ def _group_rows(blocks, block_rows: int):
     + k``; the last piece is padded with zero values), so no group is
     higher than the cap and a long thin population still fills its tiles.
     ``residual`` is the ``(rows, gather, vals)`` of every other entry,
-    row-sorted.  ``owned`` is the bytes of the arrays allocated here.
+    row-sorted.  Output rows and gather indices are stored int32, so
+    ``owned``, the bytes of the arrays allocated here, is what stays
+    resident.
 
     Where a block is one row-sorted member with no offset, a one-piece
     population whose rows are one run IS one run of that member's entries:
@@ -358,7 +387,7 @@ def _group_rows(blocks, block_rows: int):
             local = np.flatnonzero(counts == length)
             m = len(local)
             pieces = -(-length // PLANE_CAP)
-            rows = local + lo
+            rows = (local + lo).astype(np.int32)
             if rows[-1] - rows[0] == m - 1:     # a run: write, don't scatter
                 rows = slice(rows[0], rows[-1] + 1)
             if viewable and pieces == 1 and isinstance(rows, slice):
@@ -374,12 +403,12 @@ def _group_rows(blocks, block_rows: int):
             size += height * pieces * m
         left = np.flatnonzero(~planar[counts] & (counts > 0))
         fills.append((members, copied, sorted(views), left, counts[left]))
-        lefts.append(left + lo)
+        lefts.append((left + lo).astype(np.int32))
     del counts, first           # not held while the planes are filled
 
     residual_rows = np.repeat(np.concatenate(lefts),
                               np.concatenate([fill[-1] for fill in fills]))
-    idx_all = np.zeros(size + len(residual_rows), dtype=np.int64)
+    idx_all = np.zeros(size + len(residual_rows), dtype=np.int32)
     vals_all = np.zeros(size + len(residual_rows), dtype=np.uint64)
     at = size
     for members, copied, views, left, sizes in fills:
@@ -512,9 +541,10 @@ class StackedMatrices:
     rows are one run is a strided view of that member's ``cols`` /
     ``vals`` and costs nothing — every forward group of
     ``synthetic_r1cs`` is one — which is why the members must never be
-    written to.  A copied group costs 16 B per non-zero (``idx`` +
-    ``vals``) plus 8 B per output row where its rows are not one run; the
-    residual costs 24 B per non-zero plus its gather plan.  Building
+    written to.  Every stored index is int32 (:data:`INDEX_LIMIT`): a
+    copied group costs 12 B per non-zero (4 B ``idx`` + 8 B ``vals``) plus
+    4 B per output row where its rows are not one run; the residual costs
+    16 B per non-zero plus its gather plan (8 B per output row).  Building
     stacks nothing but one member's sort keys at a time
     (:func:`_group_rows`); :attr:`nbytes` is what the layout owns.
     """
@@ -525,6 +555,10 @@ class StackedMatrices:
         n_rows, n_cols = mats[0].num_rows, mats[0].num_cols
         if any(m.num_rows != n_rows or m.num_cols != n_cols for m in mats):
             raise ValueError("stacked matrices must share a shape")
+        if len(mats) * n_rows >= INDEX_LIMIT:
+            # The transposed gather indexes ``count`` stacked input copies.
+            raise ValueError(f"{len(mats)} x {n_rows} stacked rows exceed "
+                             f"int32 indices")
         self.count = len(mats)
         self.num_rows, self.num_cols = n_rows, n_cols
         # Transposed: output rows are the original columns and the gather

@@ -124,7 +124,8 @@ class R1CS:
     @property
     def nbytes(self) -> int:
         """Bytes this system holds: the coordinate arrays of A, B, C (each
-        array once) plus, once built, the SpMV layout
+        array once; 16 B per non-zero, int32 ``rows`` / ``cols`` and
+        uint64 ``vals``) plus, once built, the SpMV layout
         (:attr:`StackedMatrices.nbytes`, where views of those arrays count
         0)."""
         coo = {id(arr): arr.nbytes for m in (self.a, self.b, self.c)

@@ -41,7 +41,9 @@ def _weighted_entry_sum(matrix: SparseMatrix, eq_rows: np.ndarray,
     acc = 0
     for e0 in range(0, matrix.nnz, ENTRY_BLOCK):
         e1 = e0 + ENTRY_BLOCK
-        w = fv.mul(eq_rows[matrix.rows[e0:e1]], eq_cols[matrix.cols[e0:e1]],
+        # Bounds were checked when the matrix was constructed.
+        w = fv.mul(np.take(eq_rows, matrix.rows[e0:e1], mode="clip"),
+                   np.take(eq_cols, matrix.cols[e0:e1], mode="clip"),
                    canonical=False)
         acc += fv.dot(matrix.vals[e0:e1], w)
     return acc % MODULUS

@@ -46,10 +46,13 @@ def synthetic_r1cs(log_size: int, band: int = 64, nnz_per_row: int = 3,
     z[half:] = wit
 
     def banded_cols(count: int) -> np.ndarray:
-        rows = np.repeat(np.arange(n, dtype=np.int64), count)
-        offsets = rng.integers(-band, band + 1, size=rows.size)
-        cols = np.clip(rows + offsets, 0, n - 1)
-        return rows, cols
+        # The key stores int32 indices: the rng draws stay the int64 ones
+        # (same instance), and the columns are narrowed once.
+        rows = np.repeat(np.arange(n, dtype=np.int32), count)
+        cols = rng.integers(-band, band + 1, size=rows.size)
+        cols += rows
+        np.clip(cols, 0, n - 1, out=cols)
+        return rows, cols.astype(np.int32)
 
     rows_a, cols_a = banded_cols(nnz_per_row)
     rows_b, cols_b = banded_cols(nnz_per_row)
@@ -64,7 +67,7 @@ def synthetic_r1cs(log_size: int, band: int = 64, nnz_per_row: int = 3,
         # sums are one reshape: exact 32-bit half sums, one combine.
         # (SparseMatrix.matvec would cache a gather plan nothing reads.)
         lo, hi = (half.reshape(n, nnz_per_row).sum(axis=1, dtype=np.uint64)
-                  for half in fv.halves(fv.mul(vals, z[cols],
+                  for half in fv.halves(fv.mul(vals, np.take(z, cols),
                                                canonical=False)))
         return fv.combine_halves(lo, hi)
 
@@ -74,10 +77,10 @@ def synthetic_r1cs(log_size: int, band: int = 64, nnz_per_row: int = 3,
     # C: one entry per row at a witness column with a non-zero z value;
     # use column half + (i mod half), whose z entry is never zero.
     # Each witness value serves two rows: invert the half once.
-    rows_c = np.arange(n, dtype=np.int64)
+    rows_c = np.arange(n, dtype=np.int32)
     wit_at = rows_c % half
     cols_c = half + wit_at
-    vals_c = fv.mul(target, fv.inv_vector(wit)[wit_at])
+    vals_c = fv.mul(target, np.take(fv.inv_vector(wit), wit_at))
     c = SparseMatrix(n, n, rows_c, cols_c, vals_c)
 
     r1cs = R1CS(a, b, c, num_public=num_public, num_witness=half)

@@ -268,7 +268,8 @@ class TestBatchInversion:
 
 class TestSyntheticGenerator:
     #: sha256 over (rows, cols, vals) of A, B, C, then public and witness,
-    #: recorded while A z and B z still went through SparseMatrix.matvec.
+    #: recorded while A z and B z still went through SparseMatrix.matvec
+    #: and the indices were int64 (hashed as such, so the digests hold).
     DIGESTS = {
         4: "06858967efebcc21cf033c52ebe3792f977d5d19190b672ca026f1112e346f9b",
         12: "a3ddd6cbda03f03894d59e45fcf49eeec2481178e0e0fd855c50e21247f675a2",
@@ -283,7 +284,7 @@ class TestSyntheticGenerator:
         h = hashlib.sha256()
         for m in (r1cs.a, r1cs.b, r1cs.c):
             for arr in (m.rows, m.cols, m.vals):
-                h.update(np.ascontiguousarray(arr).tobytes())
+                h.update(np.asarray(arr, dtype="<i8").tobytes())
         h.update(public.tobytes())
         h.update(witness.tobytes())
         assert h.hexdigest() == self.DIGESTS[log_size]

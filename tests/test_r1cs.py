@@ -115,6 +115,31 @@ class TestSparseMatrix:
         with pytest.raises(IndexError, match=rf"\({row},{col}\) outside 4x4"):
             SparseMatrix(4, 4, [1, row], [2, col], [7, 5])
 
+    @pytest.mark.parametrize("row,error", [
+        (1.5, TypeError),                   # used to truncate to row 1
+        (True, TypeError),
+        (np.array([2**32 + 1]), IndexError),    # would wrap to 1 in int32
+        (-1, IndexError),
+    ])
+    def test_constructor_checks_coordinates_before_narrowing(self, row,
+                                                             error):
+        with pytest.raises(error):
+            SparseMatrix(4, 4, np.atleast_1d(row), [0], [1])
+        with pytest.raises(error):
+            SparseMatrix.from_arrays(4, 4, list(np.atleast_1d(row)), [0],
+                                     [1])
+
+    def test_coordinates_are_stored_int32(self):
+        m = SparseMatrix(4, 4, np.array([3], dtype=np.uint64), [2], [1])
+        assert m.rows.dtype == m.cols.dtype == np.int32
+        assert m.entries() == [(3, 2, 1)]
+        assert SparseMatrix(4, 4, [], [], []).rows.dtype == np.int32
+
+    @pytest.mark.parametrize("shape", [(1 << 31, 4), (4, 1 << 31)])
+    def test_dimensions_must_fit_int32(self, shape):
+        with pytest.raises(ValueError, match="int32"):
+            SparseMatrix(*shape)
+
     def test_constructor_accepts_the_empty_matrix(self):
         m = SparseMatrix(4, 4)
         assert m.nnz == 0 and m.matvec(np.ones(4, dtype=np.uint64)).tolist() \
@@ -327,7 +352,7 @@ class TestPlaneLayout:
             assert bool(side.groups) is expect_planes
             assert (side.residual is None) is expect_planes
             for _rows, _pieces, idx, vals in side.groups:
-                assert idx.dtype == np.int64 and idx.shape == vals.shape
+                assert idx.dtype == np.int32 and idx.shape == vals.shape
                 assert (idx.flags["C_CONTIGUOUS"]
                         and vals.flags["C_CONTIGUOUS"]) or (
                     np.shares_memory(idx, a.cols)
@@ -406,6 +431,18 @@ class TestPlaneLayout:
         for w, g in zip(want[0], got[0]):
             assert np.array_equal(w, g)
         assert np.array_equal(want[1], got[1])
+
+    def test_stacked_rows_must_fit_int32(self):
+        """The transposed gather indexes ``count`` stacked copies of the
+        input: 3 x 2^30 rows is refused before any per-row allocation
+        (an 8 GB ``bincount``)."""
+        import time
+
+        empty = SparseMatrix(1 << 30, 1 << 30)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="int32"):
+            StackedMatrices([empty, empty, empty])
+        assert time.perf_counter() - t0 < 0.5
 
     def test_wrong_length_vector_rejected(self):
         a = SparseMatrix(4, 4, [0], [0], [1])

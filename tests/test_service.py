@@ -225,6 +225,42 @@ def _owned_by_walk(r1cs):
     return sum(r.nbytes for key, r in roots.items() if key not in coo)
 
 
+class TestKeyStoresInt32Indices:
+    """A key stores int32 indices: every index array under an ``R1CS``
+    and its SpMV layout (coordinates, plane ``idx``, output rows, the
+    residual's gather plan) is int32, and ``R1CS.nbytes`` counts them at
+    4 B each: 16 B per non-zero of COO plus the walked layout."""
+
+    @staticmethod
+    def _index_arrays(r1cs):
+        stacked, arrays = r1cs._stacked(), []
+        for m in (r1cs.a, r1cs.b, r1cs.c):
+            arrays += [m.rows, m.cols]
+        for side in (stacked._forward, stacked._transposed):
+            for rows, _pieces, idx, _vals in side.groups:
+                arrays += [idx] + ([rows] if not isinstance(rows, slice)
+                                   else [])
+            if side.residual is not None:
+                res = side.residual
+                order, starts, row_ids = res._group_plan()
+                assert order is None                    # row-sorted
+                arrays += [res.rows, res.cols, starts, row_ids]
+        return arrays
+
+    @pytest.mark.parametrize("name", ["synthetic", "aes", "sha"])
+    def test_every_index_is_int32_and_nbytes_is_a_hand_count(self, name):
+        import numpy as np
+
+        from repro.workloads import synthetic_r1cs
+        from repro.workloads.registry import build_workload
+
+        r1cs = synthetic_r1cs(16)[0] if name == "synthetic" \
+            else build_workload(name)[1].compile()[0]
+        arrays = self._index_arrays(r1cs)
+        assert {arr.dtype for arr in arrays} == {np.dtype(np.int32)}
+        assert r1cs.nbytes == 16 * r1cs.nnz + _owned_by_walk(r1cs)
+
+
 class TestKeyCacheSizing:
     """A KeyCache entry is sized by what the key holds: the coordinate
     arrays plus the SpMV layout, built at insert."""
@@ -240,12 +276,13 @@ class TestKeyCacheSizing:
         assert r1cs._stacked_cache is not None        # built at insert
         mats = (r1cs.a, r1cs.b, r1cs.c)
         # sha is all residual: per direction one row-sorted copy of the
-        # triples (24 B per non-zero) plus a 16 B gather plan per
-        # non-empty output row (stacked rows forward, columns transposed).
+        # triples (16 B per non-zero: int32 row and column, uint64 value)
+        # plus an 8 B gather plan (int32 start and row id) per non-empty
+        # output row (stacked rows forward, columns transposed).
         out_rows = sum(len(np.unique(m.rows)) for m in mats)
         out_cols = len(np.unique(np.concatenate([m.cols for m in mats])))
-        layout = 2 * 24 * r1cs.nnz + 16 * (out_rows + out_cols)
-        assert r1cs.nbytes == 24 * r1cs.nnz + layout
+        layout = 2 * 16 * r1cs.nnz + 8 * (out_rows + out_cols)
+        assert r1cs.nbytes == 16 * r1cs.nnz + layout
         assert cache.stats()["bytes"] == r1cs.nbytes + entry.public.nbytes \
             + entry.witness.nbytes
 
@@ -257,7 +294,7 @@ class TestKeyCacheSizing:
         r1cs = entry.pk.r1cs
         layout = r1cs._stacked()
         assert layout.nbytes == _owned_by_walk(r1cs)
-        assert cache.stats()["bytes"] == 24 * r1cs.nnz + layout.nbytes \
+        assert cache.stats()["bytes"] == 16 * r1cs.nnz + layout.nbytes \
             + entry.public.nbytes + entry.witness.nbytes
 
     def test_synthetic_forward_views_are_not_double_counted(self):
@@ -267,7 +304,7 @@ class TestKeyCacheSizing:
         layout = r1cs._stacked()
         assert layout._forward.nbytes == 0 == _owned_by_walk(r1cs) \
             - layout._transposed.nbytes
-        assert r1cs.nbytes == 24 * r1cs.nnz + layout._transposed.nbytes
+        assert r1cs.nbytes == 16 * r1cs.nnz + layout._transposed.nbytes
 
 
 # ---------------------------------------------------------------------------
