@@ -123,13 +123,15 @@ def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @_wrapping
-def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Element-wise (a - b) mod p (branch-free, see :func:`add`)."""
+def sub(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+        ) -> np.ndarray:
+    """Element-wise (a - b) mod p (branch-free, see :func:`add`), into
+    ``out`` when given (``a`` itself is allowed)."""
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
-    d = a - b
     borrow = (a < b).astype(np.uint64)
     borrow *= _EPS
+    d = np.subtract(a, b, out=out)
     d -= borrow
     return d
 

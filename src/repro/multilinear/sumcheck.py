@@ -144,10 +144,13 @@ def prove_sumcheck(tables: Sequence[np.ndarray], transcript: Transcript,
     that scalar, or an evaluation when it is 0 (a boolean tau coordinate);
     g has degree d + 1, one more extrapolated point.
 
-    ``round0 = (bottoms, tops, diffs, lead, inner1)`` supplies round 0's
-    reads shared between calls: :func:`split_round` of the tables, the
-    top-degree terms over ``diffs`` as ``(c, fs)`` (c * prod_j fs[j]), and
-    inner(1).
+    ``round0 = (bottoms, diffs, lead, inner1)`` supplies round 0's reads
+    shared between calls: the bottoms and differences of
+    :func:`split_round`, the top-degree terms over ``diffs`` as ``(c, fs)``
+    (c * prod_j fs[j]), and inner(1).  It needs a degree-2 term list
+    (d = 2) and ``claim``: then round 0 reads no top half and no whole
+    table, so a caller may have overwritten the tops (as
+    :class:`repro.spartan.SatisfiedRound0` does with the differences).
     """
     tables = as_tables(tables)
     rounds = len(tables[0]).bit_length() - 1
@@ -159,6 +162,8 @@ def prove_sumcheck(tables: Sequence[np.ndarray], transcript: Transcript,
     if taus is not None and len(taus) != rounds:
         raise ValueError(f"need {rounds} eq coordinates, got {len(taus)}")
     d, degree = wire_degree(terms), wire_degree(terms, eq is not None)
+    if round0 is not None and (d != 2 or claim is None):
+        raise ValueError("round0 needs a degree-2 term list and a claim")
     top_terms = [t for t in terms if len(t[1]) == d]
     # suffixes[rnd] = eq_table(tau[rnd+1:]), variable rnd+1 most
     # significant: the tables eq_table(tau[1:]) passes through anyway.
@@ -173,7 +178,7 @@ def prove_sumcheck(tables: Sequence[np.ndarray], transcript: Transcript,
     round_evals, challenges = [], []
     for rnd, weight in enumerate(suffixes):
         if rnd == 0 and round0 is not None:
-            bottoms, tops, diffs, lead, inner1 = round0
+            (bottoms, diffs, lead, inner1), tops = round0, None   # d = 2
         else:
             (bottoms, tops, diffs), lead = split_round(tables), None
             inner1 = _weighted(_combine(terms, tops), weight)

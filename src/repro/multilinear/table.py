@@ -53,6 +53,14 @@ def sub(a, b):
     return fv.sub(a, b)
 
 
+def sub_into(a, b):
+    """a - b, written over ``a`` when it is an array (a list is not
+    shared: the result is a new one)."""
+    if isinstance(a, list):
+        return sub(a, b)
+    return fv.sub(a, b, out=a)
+
+
 def mul(a, b):
     """Element-wise product as ANY representative mod p — unreduced ints
     or ``canonical=False`` words — for consumers that reduce

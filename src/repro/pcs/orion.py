@@ -97,10 +97,25 @@ class OrionCommitment:
 
 @dataclass
 class _ProverState:
-    matrix: np.ndarray                  # (rows [+1 mask], cols) message matrix
+    """What :meth:`OrionPCS.commit` keeps for the openings.  ``rows`` is
+    the committed table itself, reshaped (a view: the witness is not
+    copied, so the caller must not write to the table while it opens),
+    and ``mask`` the zk mask row alone (None without one); every row
+    combination takes the mask by its coefficient
+    (:meth:`OrionPCS._combine`), never a stacked matrix."""
+
+    rows: np.ndarray                    # (rows, cols) view of the table
+    mask: Optional[np.ndarray]          # (cols,) zk mask row, or None
     codewords: np.ndarray               # (rows [+1 mask], blowup*cols)
     tree: MerkleTree
-    has_mask: bool
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The message matrix, mask row last — stacked on each read, for
+        tests and oracles."""
+        if self.mask is None:
+            return self.rows
+        return np.vstack([self.rows, self.mask])
 
 
 @dataclass
@@ -153,26 +168,27 @@ class OrionPCS:
         cols = n // rows
         with _span("pcs.commit", "other", n=n, rows=rows, cols=cols):
             matrix = table.reshape(rows, cols)
-            if self.params.zk_mask:
-                mask = fv.rand_vector(cols, self._rng).reshape(1, cols)
-                matrix = np.vstack([matrix, mask])
+            mask = (fv.rand_vector(cols, self._rng) if self.params.zk_mask
+                    else None)
             cw_len = self.code.codeword_length(cols)
-            total = matrix.shape[0]
+            total = rows + (mask is not None)
             codewords = np.empty((total, cw_len), dtype=np.uint64)
             # Balanced tiles of at most ENCODE_TILE_CELLS cells: 129 rows
-            # in two tiles are 64 + 65, never 128 + 1.
+            # in two tiles are 64 + 65, never 128 + 1.  Only the tile that
+            # holds the mask row is stacked.
             tiles = -(-total // max(1, ENCODE_TILE_CELLS // cw_len))
             bounds = [total * k // tiles for k in range(tiles + 1)]
             for lo, hi in zip(bounds, bounds[1:]):
+                tile = matrix[lo:hi] if hi <= rows else np.vstack(
+                    [matrix[lo:], mask[None]])
                 with _span("rs.encode", "rs_encode", rows=hi - lo,
                            cols=cols):
-                    codewords[lo:hi] = self.code.encode_rows(matrix[lo:hi])
+                    codewords[lo:hi] = self.code.encode_rows(tile)
             with _span("merkle.build", "merkle", leaves=cw_len):
                 tree = MerkleTree.from_columns(codewords)
         commitment = OrionCommitment(
             root=tree.root, table_len=n, num_rows=rows, num_cols=cols)
-        return commitment, _ProverState(matrix, codewords, tree,
-                                        self.params.zk_mask)
+        return commitment, _ProverState(matrix, mask, codewords, tree)
 
     # -- open -----------------------------------------------------------------
     def eval_row(self, state: _ProverState, commitment: OrionCommitment,
@@ -186,9 +202,7 @@ class OrionPCS:
         with _span("pcs.open.eval_row", "polyarith"):
             row_point, _col_point = self._split_point(point,
                                                       commitment.num_rows)
-            coeffs = self._with_mask(eq_table(row_point), state.has_mask,
-                                     mask_coeff=0)
-            return combine_rows(state.matrix, coeffs)
+            return self._combine(state, eq_table(row_point), mask_coeff=0)
 
     def open(self, state: _ProverState, commitment: OrionCommitment,
              point: Sequence[int], transcript: Transcript, *,
@@ -219,9 +233,7 @@ class OrionPCS:
                 for k in range(self.params.num_proximity_vectors):
                     gamma = transcript.challenge_vector(
                         b"pcs/gamma%d" % k, rows)
-                    coeffs = self._with_mask(gamma, state.has_mask,
-                                             mask_coeff=1)
-                    u = combine_rows(state.matrix, coeffs)
+                    u = self._combine(state, gamma, mask_coeff=1)
                     transcript.absorb_array(b"pcs/prox%d" % k, u)
                     proximity_rows.append(u)
 
@@ -353,10 +365,14 @@ class OrionPCS:
         return pt[:log_rows], pt[log_rows:]
 
     @staticmethod
-    def _with_mask(coeffs: np.ndarray, has_mask: bool, mask_coeff: int) -> np.ndarray:
-        if not has_mask:
-            return coeffs
-        return np.concatenate([coeffs, np.array([mask_coeff], dtype=np.uint64)])
+    def _combine(state: _ProverState, coeffs: np.ndarray,
+                 mask_coeff: int) -> np.ndarray:
+        """coeffs^T rows + mask_coeff * mask (``mask_coeff`` 0 or 1): the
+        combination of the stacked message matrix, without stacking it."""
+        u = combine_rows(state.rows, coeffs)
+        if state.mask is None or not mask_coeff:
+            return u
+        return fv.add(u, state.mask)
 
     @staticmethod
     def _mask_present(proof: OrionEvalProof, rows: int) -> bool:

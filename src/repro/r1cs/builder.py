@@ -11,6 +11,7 @@ one R1CS constraint — the cost model the paper's benchmarks are sized in.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -291,14 +292,18 @@ class Circuit:
         m = len(self._constraints)
 
         def build(which: int) -> SparseMatrix:
-            rows, cols, vals = [], [], []
-            for row, cons in enumerate(self._constraints):
-                for var, coeff in cons[which].terms.items():
-                    rows.append(row)
-                    cols.append(var)
-                    vals.append(coeff)
-            return SparseMatrix.from_arrays(m, num_public + num_witness,
-                                            rows, cols, vals)
+            # Terms go straight into arrays (coefficients are canonical, so
+            # they fit uint64); a row id is one repeat per constraint.
+            terms = [cons[which].terms for cons in self._constraints]
+            counts = np.fromiter(map(len, terms), dtype=np.int64, count=m)
+            nnz = int(counts.sum())
+            cols = np.fromiter(chain.from_iterable(terms), dtype=np.int64,
+                               count=nnz)
+            vals = np.fromiter(chain.from_iterable(t.values() for t in terms),
+                               dtype=np.uint64, count=nnz)
+            return SparseMatrix.from_arrays(
+                m, num_public + num_witness,
+                np.repeat(np.arange(m, dtype=np.int64), counts), cols, vals)
 
         r1cs = pad_r1cs(build(0), build(1), build(2),
                         num_public, num_witness, min_size=min_size)

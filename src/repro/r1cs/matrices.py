@@ -3,13 +3,13 @@
 The A, B, C matrices of an R1CS mostly encode permutations — O(1) non-zeros
 per row, concentrated near the diagonal — which is what makes NoCap's
 output-stationary SpMV mapping effective (Sec. V-A).  This module stores
-them in coordinate form with int32 index arrays and provides exact
-modular sparse matrix-vector products.
+them in compressed sparse row form (int32 row offsets and columns, uint64
+values) and provides exact modular sparse matrix-vector products.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from ..field.vector import (_MASK22, _MASK32, _SHIFT22, _SHIFT32, _SHIFT44,
 MATVEC_BLOCK_SEGMENTS = 1 << 17
 
 #: Exclusive bound on a dimension, a non-zero count and every stacked
-#: gather range: each index a key stores (coordinates, plane ``idx``,
-#: output rows, gather-plan offsets) is int32, half the bytes of int64.
+#: gather range: each index a key stores (row offsets, columns, plane
+#: ``idx``, output rows) is int32, half the bytes of int64.
 INDEX_LIMIT = 1 << 31
 
 #: Entries handled per step while a layout is built or a sort key packed:
@@ -69,14 +69,34 @@ def _int32_coords(rows, cols, num_rows: int, num_cols: int):
     return rows.astype(np.int32, copy=False), cols.astype(np.int32, copy=False)
 
 
-def _is_sorted(keys: np.ndarray) -> bool:
-    return len(keys) == 0 or bool(np.all(keys[:-1] <= keys[1:]))
+def _field_values(values) -> np.ndarray:
+    """``values`` reduced mod p as a new uint64 array: one vectorized pass
+    when they are integers in [0, 2^64), exact Python ints for anything
+    else (negative, past 64 bits)."""
+    try:
+        if isinstance(values, np.ndarray) and values.dtype.kind == "i" \
+                and values.size and values.min() < 0:
+            raise OverflowError("negative values")
+        vals = np.array(values, dtype=np.uint64)
+    except OverflowError:
+        return np.array([int(v) % MODULUS for v in values], dtype=np.uint64)
+    vals[vals >= MODULUS] -= np.uint64(MODULUS)     # 2^64 - 1 < 2p
+    return vals
+
+
+def _row_offsets(rows: np.ndarray, num_rows: int) -> np.ndarray:
+    """The int32 CSR offsets (``num_rows + 1``) of row-sorted ``rows``.
+    An empty matrix's offsets are ``np.zeros`` alone, pages the OS has
+    not yet handed out however many rows there are."""
+    indptr = np.zeros(num_rows + 1, dtype=np.int32)
+    if len(rows):
+        np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
+    return indptr
 
 
 def _sort_order(keys: np.ndarray) -> np.ndarray | None:
     """The stable permutation sorting ``keys`` (non-negative); None when
-    they already are non-decreasing (the :meth:`SparseMatrix.from_arrays`
-    invariant).
+    they already are non-decreasing.
 
     Sorts the packed words ``(key << b) | entry_index`` in place: they are
     unique, so numpy's vectorized unstable sort yields the stable
@@ -85,7 +105,7 @@ def _sort_order(keys: np.ndarray) -> np.ndarray | None:
     n-word array the sort allocates.
     """
     n = len(keys)
-    if _is_sorted(keys):
+    if n == 0 or bool(np.all(keys[:-1] <= keys[1:])):
         return None
     b = n.bit_length()                      # entry indices are < n < 2^b
     if int(keys.max()).bit_length() + b > 64:
@@ -100,8 +120,26 @@ def _sort_order(keys: np.ndarray) -> np.ndarray | None:
     return packed.view(np.int64)
 
 
+def _check_shape(num_rows: int, num_cols: int) -> None:
+    if num_rows >= INDEX_LIMIT or num_cols >= INDEX_LIMIT:
+        raise ValueError(f"a {num_rows}x{num_cols} matrix exceeds int32 "
+                         f"indices")
+
+
 class SparseMatrix:
-    """COO sparse matrix over GF(p) with fast modular SpMV.
+    """Sparse matrix over GF(p) in compressed sparse row (CSR) form, with
+    fast modular SpMV.
+
+    CSR is the one stored form: row r's entries are ``cols[indptr[r]:
+    indptr[r + 1]]`` and ``vals[...]``, so a matrix holds 12 B per
+    non-zero (int32 column, uint64 value) plus 4 B per row (the int32
+    ``indptr``, monotone from 0 to ``nnz`` < :data:`INDEX_LIMIT`), not a
+    row id per non-zero.  The constructor takes coordinates in any order
+    and sorts them by row once (stably: a row keeps its entries' given
+    order, and duplicate coordinates stay separate entries that every
+    product sums); :meth:`from_csr` adopts row offsets as they are.
+    :attr:`rows`, one row id per non-zero, is derived on each read for
+    tests and oracles; no product reads it.
 
     Instances are immutable, and that is load-bearing: the cached gather
     plan and transposed view assume the arrays never change, and
@@ -114,28 +152,60 @@ class SparseMatrix:
                  rows: np.ndarray | None = None,
                  cols: np.ndarray | None = None,
                  vals: np.ndarray | None = None):
-        if num_rows >= INDEX_LIMIT or num_cols >= INDEX_LIMIT:
-            raise ValueError(f"a {num_rows}x{num_cols} matrix exceeds int32 "
-                             f"indices")
-        self.num_rows = num_rows
-        self.num_cols = num_cols
-        self.rows, self.cols = _int32_coords(
+        _check_shape(num_rows, num_cols)
+        rows, cols = _int32_coords(
             rows if rows is not None else [],
             cols if cols is not None else [], num_rows, num_cols)
-        self.vals = np.asarray(vals if vals is not None else [], dtype=np.uint64)
-        if len(self.vals) != len(self.rows):
+        vals = np.asarray(vals if vals is not None else [], dtype=np.uint64)
+        if len(vals) != len(rows):
             raise ValueError("rows, cols, vals must have equal length")
-        if len(self.vals) >= INDEX_LIMIT:
-            raise ValueError(f"{len(self.vals)} entries exceed int32 offsets")
+        order = _sort_order(rows)
+        if order is not None:
+            rows, cols, vals = (np.take(a, order) for a in (rows, cols, vals))
+        self._adopt(num_rows, num_cols, _row_offsets(rows, num_rows), cols,
+                    vals)
+
+    def _adopt(self, num_rows: int, num_cols: int, indptr: np.ndarray,
+               cols: np.ndarray, vals: np.ndarray) -> None:
+        if len(vals) >= INDEX_LIMIT:
+            raise ValueError(f"{len(vals)} entries exceed int32 offsets")
+        self.num_rows = num_rows
+        self.num_cols = num_cols
+        self.indptr, self.cols, self.vals = indptr, cols, vals
         self._groups: tuple | None = None      # lazy matvec gather plan
         self._transposed: "SparseMatrix | None" = None
 
+    @classmethod
+    def from_csr(cls, num_rows: int, num_cols: int, indptr, cols,
+                 vals) -> "SparseMatrix":
+        """Adopt CSR arrays (not copied where they already are int32 /
+        uint64): ``indptr`` has ``num_rows + 1`` entries rising from 0 to
+        ``len(cols)``, and every column is in range."""
+        _check_shape(num_rows, num_cols)
+        indptr = np.asarray(indptr)
+        vals = np.asarray(vals, dtype=np.uint64)
+        if not (indptr.dtype.kind in "iu" and indptr.shape == (num_rows + 1,)
+                and indptr[0] == 0 and indptr[-1] == len(vals)
+                and bool(np.all(indptr[:-1] <= indptr[1:]))):
+            raise ValueError(f"indptr must rise from 0 to {len(vals)} in "
+                             f"{num_rows + 1} entries")
+        cols = np.asarray(cols)
+        if len(cols) != len(vals):
+            raise ValueError("cols, vals must have equal length")
+        if len(cols) and (cols.dtype.kind not in "iu" or cols.min() < 0
+                          or cols.max() >= num_cols):
+            raise IndexError(f"columns must be integers in 0..{num_cols - 1}")
+        self = cls.__new__(cls)
+        self._adopt(num_rows, num_cols, indptr.astype(np.int32, copy=False),
+                    cols.astype(np.int32, copy=False), vals)
+        return self
+
     def __getstate__(self):
-        """Pickle only the coordinate arrays.
+        """Pickle only the CSR arrays.
 
         The matvec gather plan and the transposed view are derived caches
-        a receiver can rebuild lazily; dropping them roughly halves the
-        pickled size of a proving key, which matters where batch workers
+        a receiver can rebuild lazily; dropping them keeps a pickled
+        proving key to what it stores, which matters where batch workers
         must be spawned rather than forked (see ProverPool.prove_batch).
         """
         state = self.__dict__.copy()
@@ -146,11 +216,7 @@ class SparseMatrix:
     @classmethod
     def from_entries(cls, num_rows: int, num_cols: int,
                      entries: Iterable[Tuple[int, int, int]]) -> "SparseMatrix":
-        """Build from (row, col, value) triples; duplicate coordinates sum.
-
-        Vectorized (lexsort + grouped reduction) so that circuits with
-        millions of matrix entries compile in seconds.
-        """
+        """Build from (row, col, value) triples; duplicate coordinates sum."""
         entries = list(entries)
         if not entries:
             return cls(num_rows, num_cols)
@@ -162,14 +228,18 @@ class SparseMatrix:
     @classmethod
     def from_arrays(cls, num_rows: int, num_cols: int,
                     row_list, col_list, val_list) -> "SparseMatrix":
-        """Build from parallel row/col/value lists (the fast path used by
-        :meth:`repro.r1cs.builder.Circuit.compile`); duplicates sum.  The
-        coordinates are checked and narrowed first, so the sort and the
-        duplicate pass run on int32."""
-        if not row_list:
+        """Build from parallel row/col/value sequences or arrays (the fast
+        path used by :meth:`repro.r1cs.builder.Circuit.compile`):
+        duplicate coordinates sum, zero sums drop, and each row's entries
+        are ordered by column.  Vectorized throughout — coordinates
+        checked and narrowed to int32 first, values reduced in one pass,
+        one lexsort, a grouped reduction — and built as CSR directly."""
+        if len(row_list) == 0:
             return cls(num_rows, num_cols)
         rows, cols = _int32_coords(row_list, col_list, num_rows, num_cols)
-        vals = np.array([v % MODULUS for v in val_list], dtype=np.uint64)
+        vals = _field_values(val_list)
+        if len(vals) != len(rows):
+            raise ValueError("rows, cols, vals must have equal length")
         order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
         # Group duplicates and sum their 32-bit halves exactly (uint64
@@ -182,32 +252,39 @@ class SparseMatrix:
         hi = np.add.reduceat(vals >> np.uint64(32), starts)
         summed = fv.combine_halves(lo, hi)
         keep = summed != 0
-        return cls(num_rows, num_cols,
-                   rows[starts][keep], cols[starts][keep], summed[keep])
+        rows = rows[starts][keep]
+        return cls.from_csr(num_rows, num_cols, _row_offsets(rows, num_rows),
+                            cols[starts][keep], summed[keep])
 
     @property
     def nnz(self) -> int:
         return len(self.vals)
 
+    @property
+    def rows(self) -> np.ndarray:
+        """Row id of each non-zero (int32), derived from ``indptr`` on
+        every read: for tests and oracles."""
+        return np.repeat(np.arange(self.num_rows, dtype=np.int32),
+                         np.diff(self.indptr))
+
     def _group_plan(self):
-        """Lazy gather plan for :meth:`matvec`: a permutation bringing the
-        entries into row order, segment starts for ``np.add.reduceat``, and
-        the distinct row ids.  ``order`` is None when the entries are
-        already row-sorted (the :meth:`from_arrays` invariant), skipping
-        the permutation pass entirely."""
+        """Lazy gather plan for :meth:`matvec`: ``(starts, row_ids)``, the
+        first entry of each non-empty row (``np.add.reduceat`` segments)
+        and those rows' ids.  When no row is empty it is ``(indptr[:-1],
+        None)``: a view, nothing stored."""
         if self._groups is None:
-            order = _sort_order(self.rows)
-            sorted_rows = self.rows if order is None else self.rows[order]
-            new_group = np.ones(len(sorted_rows), dtype=bool)
-            new_group[1:] = np.diff(sorted_rows) != 0
-            starts = np.flatnonzero(new_group).astype(np.int32)
-            self._groups = (order, starts, np.take(sorted_rows, starts))
+            counts = np.diff(self.indptr)
+            if counts.all():
+                self._groups = (self.indptr[:-1], None)
+            else:
+                row_ids = np.flatnonzero(counts).astype(np.int32)
+                self._groups = (np.take(self.indptr, row_ids), row_ids)
         return self._groups
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Exact y = M x over GF(p).
 
-        The scatter-add is a segmented reduction over the row-sorted
+        The scatter-add is a segmented reduction over the row-ordered
         products (:func:`_segment_sums`).  Matrices with more than
         :data:`MATVEC_BLOCK_SEGMENTS` non-empty rows are walked in blocks
         of that many row segments — output-stationary, like NoCap's SpMV
@@ -220,31 +297,20 @@ class SparseMatrix:
             raise ValueError(f"vector length {x.shape[0]} != num_cols {self.num_cols}")
         if self.nnz == 0:
             return np.zeros(self.num_rows, dtype=np.uint64)
-        order, starts, row_ids = self._group_plan()
+        starts, row_ids = self._group_plan()
         # Non-canonical representatives are fine: the split-accumulate
         # is exact for any uint64 terms.
-        if len(starts) <= MATVEC_BLOCK_SEGMENTS:
-            prods = fv.mul(self.vals, np.take(x, self.cols, mode="clip"),
+        combined = np.empty(len(starts), dtype=np.uint64)
+        for s0 in range(0, len(starts), MATVEC_BLOCK_SEGMENTS):
+            s1 = min(len(starts), s0 + MATVEC_BLOCK_SEGMENTS)
+            e0 = starts[s0]
+            e1 = starts[s1] if s1 < len(starts) else self.nnz
+            prods = fv.mul(self.vals[e0:e1],
+                           np.take(x, self.cols[e0:e1], mode="clip"),
                            canonical=False)
-            if order is not None:
-                prods = prods[order]
-            combined = _segment_sums(prods, starts)
-        else:
-            combined = np.empty(len(starts), dtype=np.uint64)
-            for s0 in range(0, len(starts), MATVEC_BLOCK_SEGMENTS):
-                s1 = min(len(starts), s0 + MATVEC_BLOCK_SEGMENTS)
-                e0 = starts[s0]
-                e1 = starts[s1] if s1 < len(starts) else self.nnz
-                # The plan's permutation picks the block's entries; no
-                # full-length permuted copy is ever made.
-                sel = slice(e0, e1) if order is None else order[e0:e1]
-                prods = fv.mul(self.vals[sel],
-                               np.take(x, self.cols[sel], mode="clip"),
-                               canonical=False)
-                combined[s0:s1] = _segment_sums(prods, starts[s0:s1] - e0)
-        if len(row_ids) == self.num_rows:
-            # Every row has at least one entry: row_ids is 0..num_rows-1
-            # in order, so the segment sums ARE the output.
+            combined[s0:s1] = _segment_sums(prods, starts[s0:s1] - e0)
+        if row_ids is None:
+            # Every row has an entry: the segment sums ARE the output.
             return combined
         out = np.zeros(self.num_rows, dtype=np.uint64)
         out[row_ids] = combined
@@ -253,8 +319,8 @@ class SparseMatrix:
     def transpose_matvec(self, x: np.ndarray) -> np.ndarray:
         """Exact y = M^T x over GF(p).
 
-        The transposed view (and its matvec gather plan) is built once and
-        cached — SparseMatrix instances are treated as immutable.
+        The transposed matrix (and its matvec gather plan) is built once
+        and cached — SparseMatrix instances are treated as immutable.
         """
         if self._transposed is None:
             self._transposed = SparseMatrix(self.num_cols, self.num_rows,
@@ -273,10 +339,14 @@ class SparseMatrix:
                 for r, c, v in zip(self.rows, self.cols, self.vals)]
 
     def pad_to(self, num_rows: int, num_cols: int) -> "SparseMatrix":
-        """Embed into a larger zero matrix (R1CS power-of-two padding)."""
+        """Embed into a larger zero matrix (R1CS power-of-two padding);
+        shares ``cols`` / ``vals``."""
         if num_rows < self.num_rows or num_cols < self.num_cols:
             raise ValueError("pad_to cannot shrink a matrix")
-        return SparseMatrix(num_rows, num_cols, self.rows, self.cols, self.vals)
+        indptr = np.concatenate([self.indptr, np.full(
+            num_rows - self.num_rows, self.nnz, dtype=np.int32)])
+        return SparseMatrix.from_csr(num_rows, num_cols, indptr, self.cols,
+                                     self.vals)
 
     def bandwidth(self) -> int:
         """Max |row - col| over non-zeros: the paper's 'limited-bandwidth'
@@ -342,14 +412,39 @@ def _plane_matvec(idx: np.ndarray, vals: np.ndarray, x: np.ndarray,
     return out
 
 
-def _group_rows(blocks, block_rows: int):
-    """Split COO entries (output row, gather index, value) by row population.
+class _Member(NamedTuple):
+    """One matrix's entries as a layout member.  Forward, an entry's
+    output row is its row and it gathers its column; transposed, the
+    reverse.  Gathers add ``offset``."""
 
-    ``blocks[b]`` lists members ``(out_ids, gather, vals, offset)`` whose
-    entries land in output rows ``b * block_rows + out_ids`` and gather
-    from ``gather + offset``.  A row holds its members' entries in member
-    order, each member's in its own order (a stable sort); populations are
-    counted per block.
+    matrix: SparseMatrix
+    transposed: bool
+    offset: int
+
+    def counts(self, num_out: int) -> np.ndarray:
+        """Entries per output row (int64)."""
+        if self.transposed:
+            return np.bincount(self.matrix.cols, minlength=num_out)
+        return np.diff(self.matrix.indptr).astype(np.int64)
+
+    def entries(self):
+        """``(out_ids, gather, vals, order)``, ``order`` the stable sort of
+        ``out_ids`` (None: CSR order already is).  The row ids are
+        materialised here, for one member at a time."""
+        m = self.matrix
+        if self.transposed:
+            return m.cols, m.rows, m.vals, _sort_order(m.cols)
+        return m.rows, m.cols, m.vals, None
+
+
+def _group_rows(blocks, block_rows: int):
+    """Split the entries of ``blocks`` of :class:`_Member` by row
+    population.
+
+    The entries of ``blocks[b]`` land in output rows ``b * block_rows +
+    out_id``.  A row holds its members' entries in member order, each
+    member's in its own stable row order; populations are counted per
+    block.
 
     Returns ``(groups, residual, owned)``.  ``groups`` holds one ``(rows,
     pieces, idx, vals)`` per block and population L whose entries fill a
@@ -360,26 +455,26 @@ def _group_rows(blocks, block_rows: int):
     equal runs laid side by side (piece k of row r is column ``r * pieces
     + k``; the last piece is padded with zero values), so no group is
     higher than the cap and a long thin population still fills its tiles.
-    ``residual`` is the ``(rows, gather, vals)`` of every other entry,
-    row-sorted.  Output rows and gather indices are stored int32, so
-    ``owned``, the bytes of the arrays allocated here, is what stays
-    resident.
+    ``residual`` is ``(rows, indptr, gather, vals)``: every other entry in
+    CSR form over just the output rows that hold one (``rows``, int32).
+    Every stored index is int32, so ``owned``, the bytes of the arrays
+    allocated here, is what stays resident.
 
-    Where a block is one row-sorted member with no offset, a one-piece
-    population whose rows are one run IS one run of that member's entries:
-    its planes are strided views of ``gather`` / ``vals`` and cost nothing.
-    Every other plane and the residual share one buffer per array, which
-    each member's entries are scattered into straight from its own arrays
-    (:func:`_place`), so nothing is stacked.
+    Where a block is one forward member with no offset, a one-piece
+    population whose rows are one run IS one run of that member's CSR
+    entries: its planes are strided views of its ``cols`` / ``vals`` and
+    cost nothing.  Every other plane and the residual share one buffer per
+    array, which each member's entries are scattered into straight from
+    its own arrays (:func:`_place`), so nothing is stacked.
     """
     groups, fills, lefts, size = [], [], [], 0
     for b, members in enumerate(blocks):
         lo = b * block_rows
-        counts = sum(np.bincount(out_ids, minlength=block_rows)
-                     for out_ids, *_ in members)
-        out_ids, gather, vals, offset = members[0]
-        viewable = len(members) == 1 and not offset and _is_sorted(out_ids)
-        first = np.cumsum(counts) - counts if viewable else None
+        counts = sum(member.counts(block_rows) for member in members)
+        first = None
+        if len(members) == 1 and not members[0].transposed \
+                and not members[0].offset:
+            first = members[0].matrix.indptr
         hist = np.bincount(counts)
         planar = np.arange(len(hist)) * hist >= PLANE_TILE
         copied, views = [], []
@@ -390,11 +485,12 @@ def _group_rows(blocks, block_rows: int):
             rows = (local + lo).astype(np.int32)
             if rows[-1] - rows[0] == m - 1:     # a run: write, don't scatter
                 rows = slice(rows[0], rows[-1] + 1)
-            if viewable and pieces == 1 and isinstance(rows, slice):
+            if first is not None and pieces == 1 and isinstance(rows, slice):
                 e0 = first[local[0]]
                 e1 = e0 + m * length
-                groups.append((rows, 1, gather[e0:e1].reshape(m, length).T,
-                               vals[e0:e1].reshape(m, length).T))
+                mat = members[0].matrix
+                groups.append((rows, 1, mat.cols[e0:e1].reshape(m, length).T,
+                               mat.vals[e0:e1].reshape(m, length).T))
                 views.append((e0, e1))
                 continue
             height = -(-length // pieces)
@@ -406,10 +502,11 @@ def _group_rows(blocks, block_rows: int):
         lefts.append((left + lo).astype(np.int32))
     del counts, first           # not held while the planes are filled
 
-    residual_rows = np.repeat(np.concatenate(lefts),
-                              np.concatenate([fill[-1] for fill in fills]))
-    idx_all = np.zeros(size + len(residual_rows), dtype=np.int32)
-    vals_all = np.zeros(size + len(residual_rows), dtype=np.uint64)
+    sizes = np.concatenate([fill[-1] for fill in fills])
+    indptr = np.zeros(len(sizes) + 1, dtype=np.int32)
+    np.cumsum(sizes, out=indptr[1:])
+    idx_all = np.zeros(size + int(indptr[-1]), dtype=np.int32)
+    vals_all = np.zeros(size + int(indptr[-1]), dtype=np.uint64)
     at = size
     for members, copied, views, left, sizes in fills:
         base = np.zeros(block_rows, dtype=np.int64)
@@ -433,9 +530,10 @@ def _group_rows(blocks, block_rows: int):
             for member in members:
                 _place(member, before, base, stride, heights, views,
                        idx_all, vals_all)
-    owned = idx_all.nbytes + vals_all.nbytes + residual_rows.nbytes + sum(
+    owned = idx_all.nbytes + vals_all.nbytes + sum(
         g[0].nbytes for g in groups if isinstance(g[0], np.ndarray))
-    return groups, (residual_rows, idx_all[size:], vals_all[size:]), owned
+    return groups, (np.concatenate(lefts), indptr, idx_all[size:],
+                    vals_all[size:]), owned
 
 
 def _place(member, before, base, stride, heights, views, idx_out, vals_out):
@@ -450,15 +548,15 @@ def _place(member, before, base, stride, heights, views, idx_out, vals_out):
     earlier members' entries (updated here).  Entry ranges in ``views``
     are planes already and are skipped.
     """
-    out_ids, gather, vals, offset = member
-    counts = np.bincount(out_ids, minlength=len(base))
+    counts = member.counts(len(base))
+    out_ids, gather, vals, order = member.entries()
+    offset = member.offset
     before += counts
     rank = np.cumsum(counts, out=counts)    # first[r] + counts[r]
     np.subtract(before, rank, out=rank)     # entry in r of the member's k = 0
     if heights is None:                     # ... and its slot
         rank *= stride
         rank += base
-    order = _sort_order(out_ids)
     done = 0
     for e0, e1 in views + [(len(out_ids), len(out_ids))]:
         for k0 in range(done, e0, _BUILD_ELEMENTS):
@@ -487,28 +585,38 @@ def _place(member, before, base, stride, heights, views, idx_out, vals_out):
 
 class _PlaneLayout:
     """One direction of :class:`StackedMatrices`: plane groups plus ONE
-    row-sorted residual :class:`SparseMatrix` (None when nothing is left
-    over), built by :func:`_group_rows` from ``blocks`` of members.
-    ``nbytes`` counts the arrays the layout owns; planes that are views of
-    a member's arrays count 0."""
+    residual ``(rows, SparseMatrix)`` (None when nothing is left over): a
+    CSR matrix over just the output rows that hold a residual entry, and
+    those rows' ids (None when they are every output row).  Built by
+    :func:`_group_rows` from ``blocks`` of :class:`_Member`.  ``nbytes``
+    counts the arrays the layout owns; planes that are views of a member's
+    arrays count 0."""
 
     def __init__(self, blocks, block_rows: int, num_in: int):
         self.num_out, self.num_in = len(blocks) * block_rows, num_in
-        self.groups, (rows, gather, vals), self.nbytes = \
+        self.groups, (rows, indptr, gather, vals), self.nbytes = \
             _group_rows(blocks, block_rows)
         self.residual = None
-        if len(rows):
-            self.residual = SparseMatrix(self.num_out, num_in, rows, gather,
-                                         vals)
-            _order, starts, row_ids = self.residual._group_plan()
-            self.nbytes += starts.nbytes + row_ids.nbytes
+        if len(vals):
+            self.nbytes += indptr.nbytes
+            if len(rows) == self.num_out:
+                rows = None
+            else:
+                self.nbytes += rows.nbytes
+            self.residual = (rows, SparseMatrix.from_csr(
+                len(indptr) - 1, num_in, indptr, gather, vals))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.uint64)
         if x.shape[0] != self.num_in:
             raise ValueError(f"vector length {x.shape[0]} != num_cols {self.num_in}")
-        out = self.residual.matvec(x) if self.residual is not None \
-            else np.zeros(self.num_out, dtype=np.uint64)
+        if self.residual is None:
+            out = np.zeros(self.num_out, dtype=np.uint64)
+        elif self.residual[0] is None:      # every output row
+            out = self.residual[1].matvec(x)
+        else:
+            out = np.zeros(self.num_out, dtype=np.uint64)
+            out[self.residual[0]] = self.residual[1].matvec(x)
         if self.groups:
             # Per call, not per object: two threads may share a key.
             tile = np.empty((7, max(PLANE_TILE, PLANE_CAP)), dtype=np.uint64)
@@ -536,17 +644,17 @@ class StackedMatrices:
     :class:`SparseMatrix` per direction, so a small circuit still runs one
     fused segmented-sum pass.
 
-    One copy of each matrix.  A forward group of a row-sorted member
-    (the :meth:`SparseMatrix.from_arrays` and synthetic invariant) whose
-    rows are one run is a strided view of that member's ``cols`` /
-    ``vals`` and costs nothing — every forward group of
+    One copy of each matrix.  A forward group of a member (CSR, so
+    row-sorted) whose rows are one run is a strided view of that member's
+    ``cols`` / ``vals`` and costs nothing — every forward group of
     ``synthetic_r1cs`` is one — which is why the members must never be
     written to.  Every stored index is int32 (:data:`INDEX_LIMIT`): a
     copied group costs 12 B per non-zero (4 B ``idx`` + 8 B ``vals``) plus
     4 B per output row where its rows are not one run; the residual costs
-    16 B per non-zero plus its gather plan (8 B per output row).  Building
-    stacks nothing but one member's sort keys at a time
-    (:func:`_group_rows`); :attr:`nbytes` is what the layout owns.
+    12 B per non-zero plus 8 B per output row it holds (a CSR offset and
+    the row's id; 4 B when it holds every row).  Building materialises
+    one member's row ids and sort keys at a time (:func:`_group_rows`);
+    :attr:`nbytes` is what the layout owns.
     """
 
     def __init__(self, mats: List[SparseMatrix]):
@@ -566,12 +674,12 @@ class StackedMatrices:
         # input (see scaled_transpose_matvec), so member i gathers at an
         # offset of i * n_rows.
         self._transposed = _PlaneLayout(
-            [[(m.cols, m.rows, m.vals, i * n_rows)
-              for i, m in enumerate(mats)]], n_cols, self.count * n_rows)
+            [[_Member(m, True, i * n_rows) for i, m in enumerate(mats)]],
+            n_cols, self.count * n_rows)
         # Forward: one (count*n_rows) x n_cols system whose output slices
         # are the individual products, one block per member.
-        self._forward = _PlaneLayout([[(m.rows, m.cols, m.vals, 0)]
-                                      for m in mats], n_rows, n_cols)
+        self._forward = _PlaneLayout([[_Member(m, False, 0)] for m in mats],
+                                     n_rows, n_cols)
 
     @property
     def nbytes(self) -> int:

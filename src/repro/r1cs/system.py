@@ -65,7 +65,7 @@ class R1CS:
     def __getstate__(self):
         """Drop the fused-SpMV cache from pickles (rebuilt lazily by the
         receiver); with SparseMatrix's own cache trimming this keeps a
-        pickled proving key to the raw coordinate arrays."""
+        pickled proving key to the CSR arrays."""
         state = self.__dict__.copy()
         state["_stacked_cache"] = None
         return state
@@ -107,8 +107,8 @@ class R1CS:
     def products(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (A z, B z, C z) — the inputs to Spartan's first sumcheck.
 
-        All three SpMVs run as one fused pass over the stacked coordinate
-        arrays (:class:`StackedMatrices`)."""
+        All three SpMVs run as one fused pass over the stacked layout
+        (:class:`StackedMatrices`)."""
         az, bz, cz = self._stacked().matvec_all(z)
         return az, bz, cz
 
@@ -123,15 +123,15 @@ class R1CS:
 
     @property
     def nbytes(self) -> int:
-        """Bytes this system holds: the coordinate arrays of A, B, C (each
-        array once; 16 B per non-zero, int32 ``rows`` / ``cols`` and
-        uint64 ``vals``) plus, once built, the SpMV layout
+        """Bytes this system holds: the CSR arrays of A, B, C (each array
+        once; 12 B per non-zero, int32 ``cols`` and uint64 ``vals``, plus
+        4 B per row of int32 ``indptr``) plus, once built, the SpMV layout
         (:attr:`StackedMatrices.nbytes`, where views of those arrays count
         0)."""
-        coo = {id(arr): arr.nbytes for m in (self.a, self.b, self.c)
-               for arr in (m.rows, m.cols, m.vals)}
+        csr = {id(arr): arr.nbytes for m in (self.a, self.b, self.c)
+               for arr in (m.indptr, m.cols, m.vals)}
         layout = self._stacked_cache
-        return sum(coo.values()) + (layout.nbytes if layout is not None else 0)
+        return sum(csr.values()) + (layout.nbytes if layout is not None else 0)
 
     def __repr__(self) -> str:
         s = self.shape
@@ -160,6 +160,7 @@ def pad_r1cs(a: SparseMatrix, b: SparseMatrix, c: SparseMatrix,
         cols = m.cols.copy()
         wit = cols >= num_public
         cols[wit] = cols[wit] - num_public + half
-        return SparseMatrix(n, n, m.rows, cols, m.vals)
+        return SparseMatrix.from_csr(n, n, m.pad_to(n, m.num_cols).indptr,
+                                     cols, m.vals)
 
     return R1CS(relocate(a), relocate(b), relocate(c), num_public, num_witness)

@@ -120,9 +120,9 @@ class KeyCache:
     """``(circuit_id, preset_name)`` → :class:`KeyEntry`, LRU by bytes.
 
     An entry is sized by what it holds: :attr:`R1CS.nbytes` (the three
-    constraint matrices' coordinate arrays, 16 B per non-zero with int32
-    indices, plus their SpMV layout, built here at insert rather than on
-    the first prove) plus the assignment.
+    constraint matrices in CSR, 12 B per non-zero plus 4 B per row, plus
+    their SpMV layout, built here at insert rather than on the first
+    prove) plus the assignment.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_KEY_CACHE_BYTES):

@@ -24,9 +24,10 @@ Failure contract: a failed job carries a typed error in its replies and
 no connection hangs; a submission past the queue bound is the 429-style
 :data:`~repro.service.protocol.E_QUEUE_FULL`.  :meth:`ProvingService.stop`
 fails queued jobs with :data:`~repro.service.protocol.E_SHUTTING_DOWN`,
-waits for the running one, then hangs up every connection.  A finished
-job keeps at most one envelope (a prove's result) and is forgotten
-oldest-first past :data:`RESULT_RETENTION_BYTES` or
+waits for the running one, then hangs up every connection (a peer that
+stops reading its replies is dropped after :data:`HANGUP_SEND_STALL_S`).
+A finished job keeps at most one envelope (a prove's result) and is
+forgotten oldest-first past :data:`RESULT_RETENTION_BYTES` or
 :data:`MAX_FINISHED_JOBS`.
 """
 
@@ -63,6 +64,12 @@ DEFAULT_MAX_DEPTH = 16
 #: exceed this many bytes, or they number more than MAX_FINISHED_JOBS.
 RESULT_RETENTION_BYTES = 64 * 1024 * 1024
 MAX_FINISHED_JOBS = 1024
+#: Once :meth:`ProvingService.stop` hangs up, a reply waits at most this
+#: long for its peer to take another byte before the connection is
+#: dropped: a peer that pipelines requests and never reads would
+#: otherwise hold its connection thread in a send, and ``stop()`` with
+#: it, for good.  A peer still reading its reply takes bytes sooner.
+HANGUP_SEND_STALL_S = 1.0
 
 
 @dataclass
@@ -163,6 +170,7 @@ class ProvingService:
                                             name="repro-job")
         self._accept_thread: Optional[threading.Thread] = None
         self._stopping = False
+        self._hanging_up = False        # set once the job thread drained
         self._stopped = threading.Event()
         self._started_at = 0.0
         self._jobs_done = 0
@@ -210,10 +218,12 @@ class ProvingService:
         self._job_thread.join()
         # Stop accepting (shutting the listener wakes the accept loop),
         # then hang up: with its read side shut, each connection thread
-        # sends any reply in flight and ends at its next read.
+        # sends any reply in flight and ends at its next read, or drops a
+        # peer that takes no byte of it for HANGUP_SEND_STALL_S (_send).
         self._server.socket.shutdown(socket.SHUT_RDWR)
         self._server.shutdown()
         self._accept_thread.join()
+        self._hanging_up = True
         with self._lock:
             for sock in self._connections:
                 with contextlib.suppress(OSError):
@@ -246,7 +256,7 @@ class ProvingService:
                     # Framing is broken: answer once and drop the
                     # connection, half-closed and drained to EOF first (a
                     # close on unread input would reset the reply away).
-                    sock.sendall(protocol.pack_frame(
+                    self._send(sock, protocol.pack_frame(
                         protocol.error_from_exception(exc)))
                     sock.shutdown(socket.SHUT_WR)
                     sock.settimeout(protocol.FRAME_READ_TIMEOUT_S)
@@ -255,13 +265,32 @@ class ProvingService:
                     return
                 if request is None:
                     return
-                sock.sendall(protocol.pack_frame(
+                self._send(sock, protocol.pack_frame(
                     self._handle_request(request)))
         except OSError:
-            pass  # the peer hung up, or went quiet after a FrameError
+            # The peer hung up, went quiet after a FrameError, or stopped
+            # reading while the daemon hangs up.
+            pass
         finally:
             with self._lock:
                 self._connections.discard(sock)
+
+    def _send(self, sock: socket.socket, frame: bytes) -> None:
+        """``sock.sendall(frame)`` in steps that each wait at most
+        :data:`HANGUP_SEND_STALL_S` for the peer to take a byte.  A step
+        that times out is retried, unless :meth:`stop` is hanging up:
+        then the ``TimeoutError`` drops the connection."""
+        view, idle_timeout = memoryview(frame), sock.gettimeout()
+        sock.settimeout(HANGUP_SEND_STALL_S)
+        try:
+            while view:
+                try:
+                    view = view[sock.send(view):]
+                except TimeoutError:
+                    if self._hanging_up:
+                        raise
+        finally:
+            sock.settimeout(idle_timeout)
 
     def _handle_request(self, request: dict) -> dict:
         op = str(request.get("op", ""))

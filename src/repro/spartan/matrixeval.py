@@ -21,10 +21,10 @@ from ..field.goldilocks import MODULUS
 from ..multilinear.mle import eq_table
 from ..r1cs.matrices import SparseMatrix
 
-#: Non-zeros per block of the entry loop: the two gathers and their
-#: product are ~2 MB each instead of nnz-sized (25 MB at 2^20), so they
-#: stay cache-resident between the multiply and the dot that consumes
-#: them.
+#: Non-zeros per block of the entry loop: the row weights, the column
+#: gather and their product are ~2 MB each instead of nnz-sized (25 MB at
+#: 2^20), so they stay cache-resident between the multiply and the dot
+#: that consumes them.
 ENTRY_BLOCK = 1 << 18
 
 
@@ -37,12 +37,23 @@ def _check_point(matrix: SparseMatrix, rx: Sequence[int],
 def _weighted_entry_sum(matrix: SparseMatrix, eq_rows: np.ndarray,
                         eq_cols: np.ndarray) -> int:
     """sum over non-zeros v at (i, j) of v * eq_rows[i] * eq_cols[j] mod p,
-    one :data:`ENTRY_BLOCK` of entries at a time."""
-    acc = 0
+    one :data:`ENTRY_BLOCK` of entries at a time.
+
+    The walk is row by row, like NoCap's output-stationary SpMV (Sec.
+    V-A): a block's entries belong to rows r0..r1-1 of the CSR form, and
+    each row's weight is repeated over its entries in the block — no row
+    id per non-zero is read."""
+    acc, indptr = 0, matrix.indptr
     for e0 in range(0, matrix.nnz, ENTRY_BLOCK):
-        e1 = e0 + ENTRY_BLOCK
-        # Bounds were checked when the matrix was constructed.
-        w = fv.mul(np.take(eq_rows, matrix.rows[e0:e1], mode="clip"),
+        e1 = min(matrix.nnz, e0 + ENTRY_BLOCK)
+        # An int32 needle: a Python int would cast all of indptr first.
+        r0 = int(indptr.searchsorted(np.int32(e0), side="right")) - 1
+        r1 = int(indptr.searchsorted(np.int32(e1), side="left"))
+        counts = np.diff(indptr[r0:r1 + 1])
+        counts[0] -= e0 - indptr[r0]        # the block's part of its edge
+        counts[-1] -= indptr[r1] - e1       # rows
+        # Column bounds were checked when the matrix was constructed.
+        w = fv.mul(np.repeat(eq_rows[r0:r1], counts),
                    np.take(eq_cols, matrix.cols[e0:e1], mode="clip"),
                    canonical=False)
         acc += fv.dot(matrix.vals[e0:e1], w)

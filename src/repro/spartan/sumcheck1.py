@@ -14,8 +14,7 @@ from ..field import vector as fv
 from ..field.goldilocks import MODULUS
 from ..hashing.transcript import Transcript
 from ..multilinear import table as tb
-from ..multilinear.sumcheck import (as_tables, evaluate_terms, prove_sumcheck,
-                                    split_round)
+from ..multilinear.sumcheck import as_tables, evaluate_terms, prove_sumcheck
 
 #: Az * Bz - Cz over the tables (Az, Bz, Cz), under an eq(tau, x) factor.
 CONSTRAINT_TERMS = ((1, (0, 1)), (-1, (2,)))
@@ -28,7 +27,15 @@ class SatisfiedRound0:
     Construction performs the satisfaction check (``ValueError`` when
     ``az o bz != cz``), so an instance licenses round 0's ``inner(1) =
     <suffix, 0> = 0``, i.e. ``g(0) = g(1) = 0``, without the mul + sub +
-    dot over n/2 entries.  Holds 2n words: three differences and dA o dB.
+    dot over n/2 entries.
+
+    The instance owns the three products from then on: each difference
+    top - bottom is written over its table's top half, which round 0 of a
+    degree-2 term list never reads again (it reads the bottoms, the
+    differences and the fold's inputs only).  So the one new array is
+    dA o dB, n/2 words; the caller must not read ``az`` / ``bz`` / ``cz``
+    afterwards except through :func:`prove_constraint_sumcheck` with this
+    object.
     """
 
     def __init__(self, az: np.ndarray, bz: np.ndarray, cz: np.ndarray):
@@ -36,11 +43,11 @@ class SatisfiedRound0:
         a, b, c = self.tables
         if (fv.mul(a, b) != c).any():
             raise ValueError("witness does not satisfy the constraint system")
-        bottoms, tops, diffs = split_round(self.tables)
+        bottoms, tops = zip(*(tb.halves(t) for t in self.tables))
+        diffs = [tb.sub_into(tp, bt) for tp, bt in zip(tops, bottoms)]
         # The engine's round 0: the reads, the one top-degree term's
         # differences dA o dB, and inner(1) = 0.
-        self.terms = (bottoms, tops, diffs,
-                      (1, [tb.mul(diffs[0], diffs[1])]), 0)
+        self.terms = (bottoms, diffs, (1, [tb.mul(diffs[0], diffs[1])]), 0)
 
 
 def prove_constraint_sumcheck(
@@ -50,8 +57,9 @@ def prove_constraint_sumcheck(
 ) -> Tuple[List[List[int]], Tuple[int, int, int], List[int]]:
     """A wrapper: :data:`CONSTRAINT_TERMS` with ``eq=tau`` and claim 0 on
     the engine.  Returns (round_evals, (va, vb, vc), rx).  ``round0``, a
-    :class:`SatisfiedRound0` of these same arrays, shares round 0's reads;
-    without it the call takes any tables and sends the same messages."""
+    :class:`SatisfiedRound0` of these same arrays (whose top halves it has
+    overwritten), shares round 0's reads; without it the call takes any
+    tables and sends the same messages."""
     tables = as_tables((az, bz, cz))
     if round0 is not None and not all(
             t is held for t, held in zip(tables, round0.tables)):

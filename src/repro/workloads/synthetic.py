@@ -47,20 +47,22 @@ def synthetic_r1cs(log_size: int, band: int = 64, nnz_per_row: int = 3,
 
     def banded_cols(count: int) -> np.ndarray:
         # The key stores int32 indices: the rng draws stay the int64 ones
-        # (same instance), and the columns are narrowed once.
-        rows = np.repeat(np.arange(n, dtype=np.int32), count)
-        cols = rng.integers(-band, band + 1, size=rows.size)
-        cols += rows
+        # (same instance), and the columns are narrowed once.  Row i owns
+        # entries [i*count, (i+1)*count), so no row id is materialised.
+        cols = rng.integers(-band, band + 1, size=n * count)
+        cols.reshape(n, count)[:] += np.arange(n)[:, None]
         np.clip(cols, 0, n - 1, out=cols)
-        return rows, cols.astype(np.int32)
+        return cols.astype(np.int32)
 
-    rows_a, cols_a = banded_cols(nnz_per_row)
-    rows_b, cols_b = banded_cols(nnz_per_row)
-    vals_a = fv.rand_vector(rows_a.size, rng)
-    vals_b = fv.rand_vector(rows_b.size, rng)
+    cols_a = banded_cols(nnz_per_row)
+    cols_b = banded_cols(nnz_per_row)
+    vals_a = fv.rand_vector(cols_a.size, rng)
+    vals_b = fv.rand_vector(cols_b.size, rng)
 
-    a = SparseMatrix(n, n, rows_a, cols_a, vals_a)
-    b = SparseMatrix(n, n, rows_b, cols_b, vals_b)
+    # CSR directly: fixed-width rows are one arithmetic offset sequence.
+    indptr = np.arange(0, n * nnz_per_row + 1, nnz_per_row, dtype=np.int32)
+    a = SparseMatrix.from_csr(n, n, indptr, cols_a, vals_a)
+    b = SparseMatrix.from_csr(n, n, indptr, cols_b, vals_b)
 
     def fixed_width_matvec(cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
         # Row i owns entries [i*k, (i+1)*k) by construction, so the row
@@ -77,11 +79,11 @@ def synthetic_r1cs(log_size: int, band: int = 64, nnz_per_row: int = 3,
     # C: one entry per row at a witness column with a non-zero z value;
     # use column half + (i mod half), whose z entry is never zero.
     # Each witness value serves two rows: invert the half once.
-    rows_c = np.arange(n, dtype=np.int32)
-    wit_at = rows_c % half
+    wit_at = np.arange(n, dtype=np.int32) % half
     cols_c = half + wit_at
     vals_c = fv.mul(target, np.take(fv.inv_vector(wit), wit_at))
-    c = SparseMatrix(n, n, rows_c, cols_c, vals_c)
+    c = SparseMatrix.from_csr(n, n, np.arange(n + 1, dtype=np.int32), cols_c,
+                              vals_c)
 
     r1cs = R1CS(a, b, c, num_public=num_public, num_witness=half)
     public = z[:num_public].copy()

@@ -101,8 +101,8 @@ class TestSparseMatrix:
             assert (m.transpose_matvec(x) == want_t).all()
 
     def test_empty_matrix_plan_is_well_formed(self):
-        order, starts, row_ids = SparseMatrix(4, 4)._group_plan()
-        assert order is None and len(starts) == 0 and len(row_ids) == 0
+        starts, row_ids = SparseMatrix(4, 4)._group_plan()
+        assert len(starts) == 0 and len(row_ids) == 0
 
     def test_out_of_bounds_entry_rejected(self):
         with pytest.raises(IndexError):
@@ -131,7 +131,7 @@ class TestSparseMatrix:
 
     def test_coordinates_are_stored_int32(self):
         m = SparseMatrix(4, 4, np.array([3], dtype=np.uint64), [2], [1])
-        assert m.rows.dtype == m.cols.dtype == np.int32
+        assert m.indptr.dtype == m.rows.dtype == m.cols.dtype == np.int32
         assert m.entries() == [(3, 2, 1)]
         assert SparseMatrix(4, 4, [], [], []).rows.dtype == np.int32
 
@@ -162,6 +162,64 @@ class TestSparseMatrix:
         m = SparseMatrix.from_entries(8, 8, [(0, 0, 1), (3, 5, 1)])
         assert m.bandwidth() == 2
         assert SparseMatrix(2, 2).bandwidth() == 0
+
+
+class TestCSR:
+    """CSR is the one stored form: int32 ``indptr`` (one entry per row
+    plus one) instead of a row id per non-zero."""
+
+    @given(m=coo_matrices())
+    def test_indptr_is_monotone_int32_and_rows_are_derived(self, m):
+        assert m.indptr.dtype == np.int32
+        assert m.indptr.shape == (m.num_rows + 1,)
+        assert m.indptr[0] == 0 and m.indptr[-1] == m.nnz < matrices.INDEX_LIMIT
+        assert (np.diff(m.indptr) >= 0).all()
+        assert "rows" not in vars(m)
+        assert m.rows.tolist() == sorted(m.rows.tolist())
+        assert np.diff(m.indptr).tolist() == np.bincount(
+            m.rows, minlength=m.num_rows).tolist()
+
+    @given(entries=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4),
+                                      felt), max_size=30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_unsorted_and_duplicate_input_is_accepted(self, entries, seed):
+        """Any order, repeated coordinates included: the constructor
+        sorts by row once (stably) and keeps duplicates, which sum in
+        ``to_dense()`` and in every product alike."""
+        rng = np.random.default_rng(seed)
+        entries = entries + entries[:3]             # duplicates on purpose
+        rows, cols, vals = (list(t) for t in zip(*entries)) if entries \
+            else ([], [], [])
+        m = SparseMatrix(6, 5, rows, cols, vals)
+        dense = np.zeros((6, 5), dtype=object)
+        for r, c, v in entries:
+            dense[r, c] = (dense[r, c] + v) % MODULUS
+        assert (m.to_dense() == dense).all()
+        assert m.nnz == len(entries)
+        for r in range(6):      # each row keeps its entries' given order
+            assert m.cols[m.indptr[r]:m.indptr[r + 1]].tolist() == [
+                c for rr, c, _v in entries if rr == r]
+        x = fv.rand_vector(5, rng)
+        assert m.matvec(x).tolist() == dense_matvec(dense, x)
+
+    def test_from_csr_adopts_and_checks(self):
+        cols = np.array([1, 0, 2], dtype=np.int32)
+        vals = np.array([5, 6, 7], dtype=np.uint64)
+        m = SparseMatrix.from_csr(3, 3, np.array([0, 1, 1, 3], np.int32),
+                                  cols, vals)
+        assert m.cols is cols and m.vals is vals
+        assert m.entries() == [(0, 1, 5), (2, 0, 6), (2, 2, 7)]
+        for bad in ([0, 2, 1, 3], [1, 1, 1, 3], [0, 1, 1, 2], [0, 1, 3]):
+            with pytest.raises(ValueError, match="indptr"):
+                SparseMatrix.from_csr(3, 3, bad, cols, vals)
+        with pytest.raises(IndexError):
+            SparseMatrix.from_csr(3, 2, [0, 1, 1, 3], cols, vals)
+
+    def test_pad_to_shares_the_entries(self):
+        m = SparseMatrix.from_entries(2, 2, [(1, 1, 5), (0, 1, 2)])
+        p = m.pad_to(4, 8)
+        assert p.indptr.tolist() == [0, 1, 2, 2, 2]
+        assert p.cols is m.cols and p.vals is m.vals
 
 
 class TestR1CSSystem:
@@ -358,7 +416,11 @@ class TestPlaneLayout:
                     np.shares_memory(idx, a.cols)
                     and np.shares_memory(vals, a.vals))
             if side.residual is not None:
-                assert side.residual._group_plan()[0] is None   # row-sorted
+                # CSR over the rows that hold a residual entry: its gather
+                # plan is a view of ``indptr``, nothing stored.
+                _rows, residual = side.residual
+                starts, row_ids = residual._group_plan()
+                assert row_ids is None and starts.base is residual.indptr
 
     def test_synthetic_forward_groups_are_views(self):
         """Every forward group of a synthetic instance (L = 3, 3, 1) is a
@@ -381,25 +443,32 @@ class TestPlaneLayout:
         assert stacked.nbytes == stacked._transposed.nbytes > 0
 
     def test_rows_that_are_not_one_run_stay_a_copy(self):
-        """A population with a gap in its rows (or an unsorted member) is
-        gathered into C-contiguous planes that share nothing with the
-        member, and is counted in ``nbytes``."""
+        """A population with a gap in its rows is gathered into
+        C-contiguous planes that share nothing with the member, and is
+        counted in ``nbytes``.  A member given in reverse row order is
+        sorted by its constructor, so its one run of rows is a view."""
         n = 8
         rows = np.repeat([0, 1, 2, 4, 5, 6, 7], 2)         # row 3 is empty
         gapped = SparseMatrix(n, n, rows, (rows + np.tile([0, 1], 7)) % n,
                               np.arange(1, 15))
+        with patched_planes(1, 512, 4):
+            stacked = StackedMatrices([gapped])
+        [(rows_out, _p, idx, vals)] = stacked._forward.groups
+        assert idx.flags["C_CONTIGUOUS"] and vals.flags["C_CONTIGUOUS"]
+        assert not np.shares_memory(idx, gapped.cols)
+        assert not np.shares_memory(vals, gapped.vals)
+        assert stacked._forward.nbytes == idx.nbytes + vals.nbytes \
+            + (rows_out.nbytes if isinstance(rows_out, np.ndarray) else 0)
         rows = np.repeat(np.arange(n), 2)[::-1]             # one run, reversed
         unsorted = SparseMatrix(n, n, rows, (rows + np.tile([0, 1], n)) % n,
                                 np.arange(1, 2 * n + 1))
-        for m in (gapped, unsorted):
-            with patched_planes(1, 512, 4):
-                stacked = StackedMatrices([m])
-            [(rows_out, _p, idx, vals)] = stacked._forward.groups
-            assert idx.flags["C_CONTIGUOUS"] and vals.flags["C_CONTIGUOUS"]
-            assert not np.shares_memory(idx, m.cols)
-            assert not np.shares_memory(vals, m.vals)
-            assert stacked._forward.nbytes == idx.nbytes + vals.nbytes \
-                + (rows_out.nbytes if isinstance(rows_out, np.ndarray) else 0)
+        assert unsorted.rows.tolist() == sorted(rows.tolist())
+        with patched_planes(1, 512, 4):
+            stacked = StackedMatrices([unsorted])
+        [(_rows, _p, idx, vals)] = stacked._forward.groups
+        assert np.shares_memory(idx, unsorted.cols)
+        assert np.shares_memory(vals, unsorted.vals)
+        assert stacked._forward.nbytes == 0
 
     def test_nothing_but_planes_and_residual_is_retained(self):
         """No stacked COO copy and no sort permutation outlive the build."""
@@ -469,8 +538,9 @@ def _traced(run):
 
 
 class TestResidentSetOfAKey:
-    """Memory pins on ``synthetic_r1cs(16)``: one copy of each matrix.
-    The layout build stacks nothing but one member's sort keys, and the
+    """Memory pins on ``synthetic_r1cs(16)``: one copy of each matrix, in
+    CSR — 12 B per non-zero plus 4 B per row.  The layout build
+    materialises nothing but one member's row ids and sort keys, and the
     transposed SpMV writes its scaled inputs into one buffer instead of
     concatenating copies."""
 
@@ -481,9 +551,14 @@ class TestResidentSetOfAKey:
         return synthetic_r1cs(16)[0]
 
     def test_build_peaks_at_owned_bytes_plus_one_sort_key(self, r1cs):
-        """Peak <= owned layout bytes + 8 B per non-zero + 4 MB (the
-        stacked-coordinate build peaked 12 B per non-zero above that),
-        and ``nbytes`` is what the build leaves allocated."""
+        """Each member holds 12 B per non-zero plus 4 B per row; the
+        layout build peaks <= owned layout bytes + 8 B per non-zero of
+        the key + 4 MB (the stacked-coordinate build peaked 12 B per
+        non-zero above that), and ``nbytes`` is what it leaves
+        allocated."""
+        for m in (r1cs.a, r1cs.b, r1cs.c):
+            assert m.cols.nbytes + m.vals.nbytes == 12 * m.nnz
+            assert m.indptr.nbytes == 4 * (m.num_rows + 1)
         stacked, resident, peak = _traced(
             lambda: StackedMatrices([r1cs.a, r1cs.b, r1cs.c]))
         assert stacked._forward.nbytes == 0          # views of the members
@@ -515,6 +590,50 @@ class TestResidentSetOfAKey:
         copies = stacked.count * n * 8
         assert at_spmv[0] <= copies + n * 8, at_spmv[0] / copies
         assert peak <= copies + n * 8 + (4 << 20), peak / copies
+
+
+class TestCompileDigests:
+    """``Circuit.compile`` builds its matrices from arrays, not per-term
+    appends: every registry circuit still compiles to the same
+    instance.  sha256 over ``rows``, ``cols``, ``vals`` of A, B, C (each
+    widened to ``<i8``), then public and witness, recorded when the
+    build appended per term and ``from_arrays`` reduced value by
+    value."""
+
+    DIGESTS = {
+        "aes": "98966beacc50a3bbb4c7fa65ff0f505f1e9c366602780fc28d4cdaefadc6bc49",
+        "auction": "aa19ffb9096842832addb16a64b52d4ce9c56c2976bc22995eeb5ae9fe43c21f",
+        "litmus": "a78ed7cf8aacb08ed83b0ab4cfd1d0f6436038a559e8c87786283ded36b81079",
+        "rsa": "6620b46881cbd77ab5f580fd214c5e2b771c12af2ac413f5232bfee1336dd0c1",
+        "sha": "5e50ec5a254be11a6bf94c4a81c3fe2fc55e8f449eb543245b832ceb4f4fe302",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_registry_circuit_is_unchanged(self, name):
+        import hashlib
+
+        from repro.workloads.registry import build_workload
+
+        r1cs, public, witness = build_workload(name)[1].compile()
+        h = hashlib.sha256()
+        for m in (r1cs.a, r1cs.b, r1cs.c):
+            for arr in (m.rows, m.cols, m.vals):
+                h.update(np.asarray(arr, dtype="<i8").tobytes())
+        h.update(public.tobytes())
+        h.update(witness.tobytes())
+        assert h.hexdigest() == self.DIGESTS[name]
+
+    def test_from_arrays_reduces_any_integer(self):
+        """Negative and past-64-bit values take the exact path; uint64
+        values at or above p are reduced in the vectorized one."""
+        m = SparseMatrix.from_arrays(2, 2, [0, 0, 1, 1], [0, 1, 0, 1],
+                                     [-1, 2**70, MODULUS + 3, 2**64 - 1])
+        assert m.entries() == [(0, 0, MODULUS - 1), (0, 1, 2**70 % MODULUS),
+                               (1, 0, 3), (1, 1, (2**64 - 1) % MODULUS)]
+        arrays = SparseMatrix.from_arrays(
+            2, 2, np.array([1, 0]), np.array([1, 1]),
+            np.array([MODULUS + 5, 7], dtype=np.uint64))
+        assert arrays.entries() == [(0, 1, 7), (1, 1, 5)]
 
 
 class TestBuilderGadgets:

@@ -154,9 +154,12 @@ class TestSumcheckDifferential:
 
         def run(shared=False):
             tr = Transcript()
-            round0 = SatisfiedRound0(az, bz, cz) if shared else None
-            out = prove_constraint_sumcheck(tau, az, bz, cz, tr,
-                                            round0=round0)
+            tables = (az, bz, cz)
+            round0 = None
+            if shared:      # the object owns (and overwrites) its tables
+                tables = tuple(t.copy() for t in tables)
+                round0 = SatisfiedRound0(*tables)
+            out = prove_constraint_sumcheck(tau, *tables, tr, round0=round0)
             return out + (tr._state, tr._counter)
 
         results = [with_tail(t, run) for t in TAILS]
@@ -287,14 +290,19 @@ class TestWholeProofBytes:
     @pytest.mark.parametrize("name", ["litmus", "sha", "synthetic-2p12"])
     def test_proof_bytes_do_not_depend_on_the_round0_object(self, name):
         """``prove`` hands every repetition one ``SatisfiedRound0``; with
-        the keyword dropped each repetition builds round 0 itself."""
+        the keyword dropped each repetition builds round 0 itself, from
+        products recomputed here (the object has written its differences
+        over the top halves of the ones ``prove`` gave it)."""
         r1cs, public, witness = _statement(name)
         pk, _vk = setup(r1cs, PAPER)
+        products = r1cs.products(r1cs.assemble_z(public, witness))
         calls = []
 
-        def generic(*args, round0):
+        def generic(tau, az, bz, cz, *args, round0):
             calls.append(round0)
-            return prove_constraint_sumcheck(*args)
+            assert all(t is held for t, held in zip((az, bz, cz),
+                                                    round0.tables))
+            return prove_constraint_sumcheck(tau, *products, *args)
 
         shared = prove(pk, public, witness, seed=7).to_bytes()
         with mock.patch.object(protocol, "prove_constraint_sumcheck", generic):

@@ -203,7 +203,7 @@ class TestLRUBytesCache:
 
 def _owned_by_walk(r1cs):
     """Bytes of the distinct buffers under ``r1cs``'s SpMV layout that are
-    not the coordinate arrays themselves (a view counts 0)."""
+    not the CSR arrays of A, B, C themselves (a view counts 0)."""
     import numpy as np
 
     def root(arr):
@@ -211,40 +211,50 @@ def _owned_by_walk(r1cs):
             arr = arr.base
         return arr
 
-    coo = {id(root(arr)) for m in (r1cs.a, r1cs.b, r1cs.c)
-           for arr in (m.rows, m.cols, m.vals)}
+    csr = {id(root(arr)) for m in (r1cs.a, r1cs.b, r1cs.c)
+           for arr in (m.indptr, m.cols, m.vals)}
     stacked, arrays = r1cs._stacked(), []
     for side in (stacked._forward, stacked._transposed):
         for rows, _pieces, idx, vals in side.groups:
             arrays += [idx, vals] + ([rows] if isinstance(rows, np.ndarray)
                                      else [])
         if side.residual is not None:
-            res = side.residual
-            arrays += [res.rows, res.cols, res.vals, *res._group_plan()[1:]]
+            rows, res = side.residual
+            arrays += [res.indptr, res.cols, res.vals] + [
+                a for a in (rows, *res._group_plan()) if a is not None]
     roots = {id(root(arr)): root(arr) for arr in arrays}
-    return sum(r.nbytes for key, r in roots.items() if key not in coo)
+    return sum(r.nbytes for key, r in roots.items() if key not in csr)
+
+
+def _csr_bytes(r1cs):
+    """12 B per non-zero (int32 column, uint64 value) plus 4 B per row of
+    each distinct ``indptr`` (plus its closing offset)."""
+    indptrs = {id(m.indptr): m.num_rows + 1 for m in (r1cs.a, r1cs.b, r1cs.c)}
+    return 12 * r1cs.nnz + 4 * sum(indptrs.values())
 
 
 class TestKeyStoresInt32Indices:
-    """A key stores int32 indices: every index array under an ``R1CS``
-    and its SpMV layout (coordinates, plane ``idx``, output rows, the
-    residual's gather plan) is int32, and ``R1CS.nbytes`` counts them at
-    4 B each: 16 B per non-zero of COO plus the walked layout."""
+    """A key stores int32 indices and no row id per non-zero: every index
+    array under an ``R1CS`` and its SpMV layout (row offsets, columns,
+    plane ``idx``, output rows) is int32, and ``R1CS.nbytes`` counts them
+    at 4 B each: 12 B per non-zero plus 4 B per row of CSR, plus the
+    walked layout."""
 
     @staticmethod
     def _index_arrays(r1cs):
         stacked, arrays = r1cs._stacked(), []
         for m in (r1cs.a, r1cs.b, r1cs.c):
-            arrays += [m.rows, m.cols]
+            arrays += [m.indptr, m.cols]
         for side in (stacked._forward, stacked._transposed):
             for rows, _pieces, idx, _vals in side.groups:
                 arrays += [idx] + ([rows] if not isinstance(rows, slice)
                                    else [])
             if side.residual is not None:
-                res = side.residual
-                order, starts, row_ids = res._group_plan()
-                assert order is None                    # row-sorted
-                arrays += [res.rows, res.cols, starts, row_ids]
+                rows, res = side.residual
+                starts, row_ids = res._group_plan()
+                assert row_ids is None       # every residual row has entries
+                arrays += [res.indptr, res.cols, starts] + (
+                    [rows] if rows is not None else [])
         return arrays
 
     @pytest.mark.parametrize("name", ["synthetic", "aes", "sha"])
@@ -258,12 +268,21 @@ class TestKeyStoresInt32Indices:
             else build_workload(name)[1].compile()[0]
         arrays = self._index_arrays(r1cs)
         assert {arr.dtype for arr in arrays} == {np.dtype(np.int32)}
-        assert r1cs.nbytes == 16 * r1cs.nnz + _owned_by_walk(r1cs)
+        assert r1cs.nbytes == _csr_bytes(r1cs) + _owned_by_walk(r1cs)
+        stacked = r1cs._stacked()
+        matrices = [r1cs.a, r1cs.b, r1cs.c] + [
+            side.residual[1] for side in (stacked._forward,
+                                          stacked._transposed)
+            if side.residual is not None]
+        for m in matrices:      # no row array with one entry per non-zero
+            assert not any(isinstance(v, np.ndarray) and len(v) == m.nnz
+                           and v.dtype == np.int32 and v is not m.cols
+                           for v in vars(m).values())
 
 
 class TestKeyCacheSizing:
-    """A KeyCache entry is sized by what the key holds: the coordinate
-    arrays plus the SpMV layout, built at insert."""
+    """A KeyCache entry is sized by what the key holds: the CSR arrays
+    plus the SpMV layout, built at insert."""
 
     def test_sha_entry_is_a_hand_count(self):
         import numpy as np
@@ -275,14 +294,17 @@ class TestKeyCacheSizing:
         r1cs = entry.pk.r1cs
         assert r1cs._stacked_cache is not None        # built at insert
         mats = (r1cs.a, r1cs.b, r1cs.c)
-        # sha is all residual: per direction one row-sorted copy of the
-        # triples (16 B per non-zero: int32 row and column, uint64 value)
-        # plus an 8 B gather plan (int32 start and row id) per non-empty
-        # output row (stacked rows forward, columns transposed).
+        n = r1cs.shape.num_constraints
+        # The key: 12 B per non-zero plus 4 B per row of each of A, B, C.
+        assert _csr_bytes(r1cs) == 12 * r1cs.nnz + 3 * 4 * (n + 1)
+        # sha is all residual: per direction one CSR copy of the entries
+        # over just the output rows that hold one (12 B per non-zero, 8 B
+        # per such row: int32 offset and row id, and a closing offset).
         out_rows = sum(len(np.unique(m.rows)) for m in mats)
         out_cols = len(np.unique(np.concatenate([m.cols for m in mats])))
-        layout = 2 * 16 * r1cs.nnz + 8 * (out_rows + out_cols)
-        assert r1cs.nbytes == 16 * r1cs.nnz + layout
+        assert out_rows < 3 * n and out_cols < n   # so row ids are stored
+        layout = 2 * 12 * r1cs.nnz + 8 * (out_rows + out_cols) + 2 * 4
+        assert r1cs.nbytes == 12 * r1cs.nnz + 3 * 4 * (n + 1) + layout
         assert cache.stats()["bytes"] == r1cs.nbytes + entry.public.nbytes \
             + entry.witness.nbytes
 
@@ -294,7 +316,7 @@ class TestKeyCacheSizing:
         r1cs = entry.pk.r1cs
         layout = r1cs._stacked()
         assert layout.nbytes == _owned_by_walk(r1cs)
-        assert cache.stats()["bytes"] == 16 * r1cs.nnz + layout.nbytes \
+        assert cache.stats()["bytes"] == _csr_bytes(r1cs) + layout.nbytes \
             + entry.public.nbytes + entry.witness.nbytes
 
     def test_synthetic_forward_views_are_not_double_counted(self):
@@ -304,7 +326,11 @@ class TestKeyCacheSizing:
         layout = r1cs._stacked()
         assert layout._forward.nbytes == 0 == _owned_by_walk(r1cs) \
             - layout._transposed.nbytes
-        assert r1cs.nbytes == 16 * r1cs.nnz + layout._transposed.nbytes
+        # A and B are fixed-width rows: they share one indptr.
+        n = r1cs.shape.num_constraints
+        assert r1cs.a.indptr is r1cs.b.indptr
+        assert r1cs.nbytes == 12 * r1cs.nnz + 2 * 4 * (n + 1) \
+            + layout._transposed.nbytes
 
 
 # ---------------------------------------------------------------------------

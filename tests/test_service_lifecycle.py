@@ -3,8 +3,8 @@ and stopping ``repro serve`` by signal.
 
 ``tests/test_service.py`` drives requests through a live daemon; these
 tests cover what happens around them — a client with no daemon to talk
-to, a ``stop()`` with clients still connected, and the SIGINT / SIGTERM
-path of the real ``repro serve`` process.
+to, a ``stop()`` with clients still connected (idle, or not reading),
+and the SIGINT / SIGTERM path of the real ``repro serve`` process.
 """
 
 from __future__ import annotations
@@ -71,6 +71,44 @@ def test_stop_hangs_up_idle_connections(tmp_path):
             idle.ping()
         assert time.monotonic() - t0 < 1.0
     assert not os.path.exists(sock_path)
+
+
+def test_stop_hangs_up_a_peer_that_never_reads(tmp_path):
+    """A peer that pipelines ``result`` requests for a proved job and
+    never reads the replies (~1 MB of them) fills its socket, so its
+    connection thread blocks in a send; ``stop()`` still returns within a
+    few seconds and leaves no thread behind.
+    A client that reads is answered meanwhile."""
+    import socket
+
+    from repro.service import protocol
+
+    sock_path = str(tmp_path / "repro.sock")
+    before = set(threading.enumerate())
+    service = ProvingService(ServiceConfig(unix_socket=sock_path))
+    service.start()
+    deaf = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    stopper = threading.Thread(target=service.stop, daemon=True)
+    try:
+        with ServiceClient(sock_path) as svc:
+            job_id = svc.submit("prove", circuit_id="litmus", seed=1)
+            assert svc.result(job_id, wait_s=60)["state"] == "done"
+        deaf.connect(sock_path)
+        deaf.sendall(protocol.pack_frame({"op": "result",
+                                          "job_id": job_id}) * 150)
+        time.sleep(0.5)                   # the replies back up
+        with ServiceClient(sock_path) as reader:
+            assert reader.result(job_id)["state"] == "done"
+        t0 = time.monotonic()
+        stopper.start()
+        stopper.join(10.0)
+        assert not stopper.is_alive(), "stop() waited on a deaf peer"
+        assert time.monotonic() - t0 < 5.0
+        assert set(threading.enumerate()) <= before
+    finally:
+        deaf.close()
+        if stopper.is_alive():
+            stopper.join(10.0)
 
 
 @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT],
