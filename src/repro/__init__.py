@@ -60,7 +60,6 @@ from .errors import (  # noqa: F401
     TranscriptError,
     VerificationError,
 )
-from .opcount import OpCount  # noqa: F401
 
 # Canonical API surface: the lifecycle verbs, their key/bundle types,
 # and the service client, importable straight off the package.
@@ -81,7 +80,7 @@ from .service import ServiceClient  # noqa: F401
 __all__ = [
     "analysis", "baselines", "code", "errors", "field", "hashing",
     "multilinear", "nocap", "ntt", "obs", "pcs", "r1cs", "snark", "spartan",
-    "workloads", "OpCount", "__version__",
+    "workloads", "__version__",
     "ReproError", "DeserializationError", "VerificationError",
     "TranscriptError", "ConfigError",
     "setup", "prove", "prove_many", "verify",

@@ -12,8 +12,6 @@ import abc
 
 import numpy as np
 
-from ..opcount import OpCount
-
 
 class LinearCode(abc.ABC):
     """Systematic-or-not linear code with a fixed integer blowup factor."""
@@ -44,7 +42,3 @@ class LinearCode(abc.ABC):
 
     def codeword_length(self, message_length: int) -> int:
         return self.blowup * message_length
-
-    @abc.abstractmethod
-    def encoding_cost(self, message_length: int) -> OpCount:
-        """Operation counts for one encode at paper scale (cost-model hook)."""

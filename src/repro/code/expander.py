@@ -13,9 +13,10 @@ Reed-Solomon code so lengths compose exactly.
 
 Why NoCap avoids it (Sec. II): the graphs take gigabytes at paper scale
 and encoding traverses neighbours in data-dependent order, producing
-serialized off-chip accesses.  :meth:`encoding_cost` charges for exactly
-that, which is what makes the RS-vs-expander comparison in Sec. VIII-C
-come out the way it does.
+serialized off-chip accesses.  This encoder is functional only: no
+performance model reads it.  The Sec. VIII-C expander ablation's 1.2x is
+the CPU model's calibrated constant
+:data:`repro.baselines.cpu.REED_SOLOMON_SPEEDUP`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Tuple
 import numpy as np
 
 from ..field import vector as fv
-from ..opcount import OpCount
 from .base import LinearCode
 from .reed_solomon import ReedSolomonCode
 
@@ -87,32 +87,3 @@ class ExpanderCode(LinearCode):
         b_idx, b_val = self._graph(n, 2 * n, level, 1)
         v = self._spmv(b_idx, b_val, w)           # length n
         return np.concatenate([x, w, v])
-
-    # -- cost model ----------------------------------------------------------
-    def graph_bytes(self, message_length: int) -> int:
-        """Storage for all expander matrices touched when encoding length n.
-
-        Each edge stores a 4-byte index and an 8-byte coefficient.
-        """
-        total_edges = 0
-        n = message_length
-        while n > BASE_CASE:
-            total_edges += (n // 2) * self.row_degree  # A
-            total_edges += n * self.row_degree         # B
-            n //= 2
-        return total_edges * 12
-
-    def encoding_cost(self, message_length: int) -> OpCount:
-        cost = OpCount()
-        n = message_length
-        while n > BASE_CASE:
-            edges = (n // 2 + n) * self.row_degree
-            cost.mul += edges
-            cost.add += edges
-            cost.random_accesses += edges          # serialized gathers
-            cost.mem_read_bytes += edges * 12      # graph is streamed once
-            cost.mem_read_bytes += edges * 8       # gathered operands
-            cost.mem_write_bytes += (n // 2 + n) * 8
-            n //= 2
-        cost = cost + self._base.encoding_cost(max(n, 1))
-        return cost

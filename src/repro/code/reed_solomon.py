@@ -19,7 +19,6 @@ import numpy as np
 from ..ntt.polymul import poly_eval_domain
 from ..ntt.radix2 import intt
 from ..obs.metrics import METRICS as _METRICS
-from ..opcount import OpCount
 from .base import LinearCode
 
 #: Shockwave parameters used throughout the paper (Sec. VII-A).
@@ -77,23 +76,3 @@ class ReedSolomonCode(LinearCode):
         if coeffs[..., n:].any():
             raise ValueError("codeword is not a valid RS codeword")
         return coeffs[..., :n]
-
-    def encoding_cost(self, message_length: int) -> OpCount:
-        """One length-4n NTT: (4n/2) * log2(4n) butterflies, each 1 mul + 2 adds.
-
-        Traffic: the four-step implementation streams the vector once per
-        matrix pass (2 passes below the register-file limit, plus one
-        off-chip transpose above it — Sec. V-A).
-        """
-        n = self.blowup * message_length
-        log_n = max(1, n.bit_length() - 1)
-        butterflies = (n // 2) * log_n
-        passes = 2 if n > (1 << 20) else 1  # off-chip transpose above RF size
-        bytes_moved = n * 8 * (passes + 1)
-        return OpCount(
-            mul=butterflies,
-            add=2 * butterflies,
-            ntt_elements=n * log_n,
-            mem_read_bytes=bytes_moved,
-            mem_write_bytes=bytes_moved,
-        )

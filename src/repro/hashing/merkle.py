@@ -115,7 +115,8 @@ class MerkleTree:
         return MerklePath(index=index, siblings=siblings)
 
     def total_hashes(self) -> int:
-        """Pair-hash operations performed building the tree (cost model hook)."""
+        """Pair-hash operations performed building the tree (read by the
+        ``merkle.hashes`` kernel counter)."""
         return sum(len(layer) // DIGEST_BYTES for layer in self.layers[1:])
 
 

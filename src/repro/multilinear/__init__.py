@@ -18,7 +18,6 @@ from .sumcheck import (
     evaluate_terms,
     product_terms,
     prove_sumcheck,
-    sumcheck_cost,
     verify_sumcheck,
     verify_sumcheck_rounds,
     wire_degree,
@@ -42,7 +41,6 @@ __all__ = [
     "evaluate_terms",
     "product_terms",
     "prove_sumcheck",
-    "sumcheck_cost",
     "verify_sumcheck",
     "verify_sumcheck_rounds",
     "wire_degree",

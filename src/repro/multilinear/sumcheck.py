@@ -283,30 +283,3 @@ def verify_sumcheck(claim: int, proof: SumcheckProof, degree: int,
         return SumcheckResult(False, challenges, current,
                               "final check mismatch")
     return SumcheckResult(True, challenges, current)
-
-
-def sumcheck_cost(n: int, degree: int):
-    """Operation counts of one ``degree``-factor sumcheck over n entries
-    (performance-model hook): on purpose the paper's algorithm, sampling
-    every round at t = 0..degree, as NoCap schedules it — the host prover's
-    shortcuts (claim-derived g(0), the leading coefficient) are not the
-    hardware's.  Each table is read once per round, half written back."""
-    from ..opcount import OpCount
-
-    cost = OpCount()
-    m = n
-    while m > 1:
-        half, samples = m // 2, degree + 1
-        # factor evaluations at the sample points (t=0,1 are free reads)
-        cost.mul += (samples - 2) * degree * half
-        cost.add += (samples - 2) * degree * half * 2
-        # cross-factor products and accumulation
-        cost.mul += samples * (degree - 1) * half
-        cost.add += samples * half
-        # folding each factor table
-        cost.mul += degree * half
-        cost.add += degree * half * 2
-        cost.mem_read_bytes += degree * m * 8
-        cost.mem_write_bytes += degree * half * 8
-        m = half
-    return cost

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, replace
 
 from ..errors import ConfigError
+from ..ntt.fourstep import HW_BASE_SIZE
+from .permutations import SHUFFLE_LANES
 
 
 @dataclass(frozen=True)
@@ -30,9 +32,9 @@ class NoCapConfig:
     mul_lanes: int = 2048              # modular multiply FU
     add_lanes: int = 2048              # modular add FU
     hash_lanes: int = 128              # SHA3 FU: 1 KB/cycle = 128 elem/cycle
-    shuffle_lanes: int = 128           # Benes network width
+    shuffle_lanes: int = SHUFFLE_LANES # Benes network width
     ntt_lanes: int = 64                # NTT FU throughput (elements/cycle)
-    ntt_base_size: int = 1 << 12       # max single-pass NTT (two 64-pt pipes)
+    ntt_base_size: int = HW_BASE_SIZE  # max single-pass NTT (two 64-pt pipes)
     register_file_bytes: int = 8 << 20 # 8 MB scratchpad
     hbm_bytes_per_s: float = 1e12      # 1 TB/s (2 x 512 GB/s PHYs)
     recompute_sumcheck: bool = True    # Sec. V-A optimization

@@ -44,8 +44,6 @@ POLYARITH_PRODUCTS_PER_REP = 2
 # ---------------------------------------------------------------------------
 #: Sumcheck repetitions for 128-bit soundness.
 SUMCHECK_REPETITIONS = 3
-#: Multiset-hash instantiations in Spartan's memory checking.
-MULTISET_HASH_INSTANCES = 4
 #: Spark / memory-checking auxiliary sumchecks: (size_factor, degree,
 #: streamed tables).  Total size 18N ("sumchecks ... up to size 18N").
 SPARK_SUMCHECKS = (

@@ -11,8 +11,9 @@ Both decompose into one pass through the 128-wide Benes network plus
 bank-offset writes across PE rows (the paper's example: a rotation by
 520 = 8 + 512 is a lane rotation by 8 combined with writing 4 PEs
 ahead).  This module implements the decomposition functionally (verified
-against ``np.roll``/slicing oracles) and reports its pass/write cost for
-the performance model.
+against ``np.roll``/slicing oracles) and reports its pass/write cost.
+No model reads that cost: the simulator charges shuffle work per element
+routed (``TaskCost.shuffle_elements``) over ``NoCapConfig.shuffle_lanes``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import Tuple
 
 import numpy as np
 
-#: Shuffle FU width (Sec. IV-B).
+#: Shuffle FU width (Sec. IV-B); ``NoCapConfig.shuffle_lanes`` defaults
+#: to it.
 SHUFFLE_LANES = 128
 
 

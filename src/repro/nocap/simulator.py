@@ -10,7 +10,7 @@ power model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from . import constants as C
 from ..obs import FAMILIES  # canonical task-family taxonomy (Fig. 6)
@@ -26,9 +26,7 @@ class TaskRecord:
 
     ``bound`` records which side of the max(compute, memory) latency model
     won — the paper's memory-bound vs compute-bound classification per
-    family (Fig. 6).  Iterating (or indexing) a record yields the legacy
-    ``(name, family, seconds)`` tuple so pre-existing consumers of
-    ``SimulationReport.task_times`` keep working unchanged.
+    family (Fig. 6).
     """
 
     name: str
@@ -37,18 +35,6 @@ class TaskRecord:
     mem_bytes: float = 0.0
     bound: str = "compute"              # "compute" | "memory"
     fu_cycles: Dict[str, float] = field(default_factory=dict)
-
-    def _legacy_tuple(self) -> tuple:
-        return (self.name, self.family, self.seconds)
-
-    def __iter__(self) -> Iterator:
-        return iter(self._legacy_tuple())
-
-    def __getitem__(self, i):
-        return self._legacy_tuple()[i]
-
-    def __len__(self) -> int:
-        return 3
 
 
 @dataclass

@@ -7,15 +7,13 @@ and a transpose.  Applying the split recursively supports arbitrary
 power-of-two lengths; transposes above the register-file capacity
 (2^20 elements) go through main memory.
 
-This module implements that exact decomposition (verified against the
-radix-2 reference) and, when given a :class:`FourStepStats`, records the
-pass structure the performance model charges for: base-kernel invocations,
-twiddle multiplies, and on-chip vs off-chip transposes.
+This module implements that exact decomposition, verified against the
+radix-2 reference.  The NoCap model does not call it: it charges
+``nocap.tasks.ntt_passes`` base-kernel passes per element, a count the
+tests hold equal to the passes this recursion makes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,29 +22,9 @@ from ..field.goldilocks import MODULUS
 from .radix2 import ntt as radix2_ntt
 from .roots import inverse_root, primitive_root
 
-#: Largest NTT the hardware FU performs in a single pass (Sec. IV-B).
+#: Largest NTT the hardware FU performs in a single pass (Sec. IV-B);
+#: ``NoCapConfig.ntt_base_size`` defaults to it.
 HW_BASE_SIZE = 1 << 12
-
-#: Register file capacity in field elements (8 MB / 8 B; Sec. V-A).
-RF_ELEMENTS = 1 << 20
-
-
-@dataclass
-class FourStepStats:
-    """Pass structure of a four-step NTT, consumed by the NoCap cost model."""
-
-    base_ntt_elements: int = 0      # total elements pushed through base kernels
-    twiddle_multiplies: int = 0     # element-wise twiddle-scaling multiplies
-    onchip_transpose_elements: int = 0
-    offchip_transpose_elements: int = 0
-    levels: int = 0                 # recursion depth
-
-    def merge(self, other: "FourStepStats") -> None:
-        self.base_ntt_elements += other.base_ntt_elements
-        self.twiddle_multiplies += other.twiddle_multiplies
-        self.onchip_transpose_elements += other.onchip_transpose_elements
-        self.offchip_transpose_elements += other.offchip_transpose_elements
-        self.levels = max(self.levels, other.levels)
 
 
 def _twiddle_grid(n1: int, n2: int, inverse: bool) -> np.ndarray:
@@ -71,7 +49,6 @@ def four_step_ntt(
     a: np.ndarray,
     inverse: bool = False,
     base_size: int = HW_BASE_SIZE,
-    stats: FourStepStats | None = None,
 ) -> np.ndarray:
     """Length-N NTT via recursive four-step decomposition.
 
@@ -83,70 +60,45 @@ def four_step_ntt(
         raise ValueError("four_step_ntt operates on 1-D vectors")
     if n & (n - 1):
         raise ValueError(f"NTT length must be a power of two, got {n}")
+    if base_size < 2 or base_size & (base_size - 1):
+        raise ValueError(
+            f"base_size must be a power of two >= 2, got {base_size}")
 
-    return _four_step(a, inverse, base_size, stats)
-
-
-def _base_ntt(a: np.ndarray, inverse: bool, stats: FourStepStats | None) -> np.ndarray:
-    if stats is not None:
-        stats.base_ntt_elements += a.size
-    return radix2_ntt(a, inverse=inverse)
+    return _four_step(a, inverse, base_size)
 
 
-def _four_step(
-    a: np.ndarray, inverse: bool, base_size: int, stats: FourStepStats | None
-) -> np.ndarray:
+def _four_step(a: np.ndarray, inverse: bool, base_size: int) -> np.ndarray:
     """Four-step transform.  For the inverse, the 1/N scaling emerges from
     the column pass (1/n1) composed with the row pass (1/n2), so no global
     correction is needed."""
     n = a.shape[-1]
     if n <= base_size:
-        return _base_ntt(a, inverse, stats)
+        return radix2_ntt(a, inverse=inverse)
 
     # Split N = n1 * n2 with n1 <= base_size, recursing on n2 if needed.
     n1 = base_size
     n2 = n // n1
-
-    if stats is not None:
-        stats.levels += 1
 
     # Step 1: view x[n1_idx * n2 + n2_idx] as an (n1, n2) matrix and
     # transform each column (length n1).  We transpose so columns become
     # rows for the vectorized base kernel.
     mat = a.reshape(n1, n2)
     cols = np.ascontiguousarray(mat.T)  # (n2, n1)
-    if stats is not None:
-        if n <= RF_ELEMENTS:
-            stats.onchip_transpose_elements += n
-        else:
-            stats.offchip_transpose_elements += n
-    cols = _base_ntt(cols, inverse, stats)  # length-n1 NTT per row
+    cols = radix2_ntt(cols, inverse=inverse)  # length-n1 NTT per row
 
     # Step 2: twiddle multiply T[k1, n2_idx] = w^(k1 * n2_idx).
     grid = _twiddle_grid(n1, n2, inverse)  # (n1, n2)
     cols = fv.mul(cols, grid.T)  # (n2, n1) layout
-    if stats is not None:
-        stats.twiddle_multiplies += n
 
     # Step 3: transform each row of the (n1, n2) matrix -> recurse on n2.
     rows = np.ascontiguousarray(cols.T)  # (n1, n2)
-    if stats is not None:
-        if n <= RF_ELEMENTS:
-            stats.onchip_transpose_elements += n
-        else:
-            stats.offchip_transpose_elements += n
     if n2 <= base_size:
-        rows = _base_ntt(rows, inverse, stats)
+        rows = radix2_ntt(rows, inverse=inverse)
     else:
         transformed = np.empty_like(rows)
         for i in range(n1):
-            transformed[i] = _four_step(rows[i], inverse, base_size, stats)
+            transformed[i] = _four_step(rows[i], inverse, base_size)
         rows = transformed
 
     # Step 4: output in k = k2 * n1 + k1 order -> transpose and flatten.
-    if stats is not None:
-        if n <= RF_ELEMENTS:
-            stats.onchip_transpose_elements += n
-        else:
-            stats.offchip_transpose_elements += n
     return np.ascontiguousarray(rows.T).reshape(n)

@@ -84,25 +84,18 @@ def report_to_trace_events(report, pid: int = SIMULATED_PID) -> List[dict]:
         events.append(_thread_name(pid, tid, f"family: {fam}"))
     clock = 0.0
     for task in report.task_times:
-        name, family, seconds = tuple(task)
-        args: Dict[str, Any] = {"family": family}
-        bytes_moved = getattr(task, "mem_bytes", None)
-        bound = getattr(task, "bound", None)
-        if bytes_moved is not None:
-            args["mem_bytes"] = bytes_moved
-        if bound is not None:
-            args["bound"] = bound
         events.append({
-            "name": name,
-            "cat": family,
+            "name": task.name,
+            "cat": task.family,
             "ph": "X",
             "ts": round(clock * 1e6, 3),
-            "dur": round(seconds * 1e6, 3),
+            "dur": round(task.seconds * 1e6, 3),
             "pid": pid,
-            "tid": tids.get(family, len(FAMILIES) + 1),
-            "args": args,
+            "tid": tids.get(task.family, len(FAMILIES) + 1),
+            "args": {"family": task.family, "mem_bytes": task.mem_bytes,
+                     "bound": task.bound},
         })
-        clock += seconds
+        clock += task.seconds
     return events
 
 

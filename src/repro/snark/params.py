@@ -26,7 +26,6 @@ class SecurityPreset:
     rs_blowup: int
     column_queries: int
     proximity_vectors: int
-    multiset_hash_instances: int  # Spark memory checking (cost model only)
 
     def make_pcs(self, rng=None) -> OrionPCS:
         code = ReedSolomonCode(blowup=self.rs_blowup,
@@ -47,7 +46,6 @@ PAPER = SecurityPreset(
     rs_blowup=4,
     column_queries=189,
     proximity_vectors=4,
-    multiset_hash_instances=4,
 )
 
 #: Reduced-soundness preset for fast functional tests and examples.
@@ -58,7 +56,6 @@ TEST = SecurityPreset(
     rs_blowup=4,
     column_queries=24,
     proximity_vectors=2,
-    multiset_hash_instances=4,
 )
 
 #: Registry of named presets — the ids a proof envelope may carry.

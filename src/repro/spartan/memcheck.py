@@ -19,9 +19,9 @@ whose collision probability is |S| * deg / p per (gamma, tau) pair — over
 the 64-bit Goldilocks field that is too weak alone, hence the paper's 4
 independent instantiations (Sec. VII-A), mirrored here.
 
-The module provides the native checker (used to validate the protocol
-inventory the NoCap cost model charges for) plus the operation counts
-one instantiation contributes.
+The module provides the native checker only.  Neither the prover, the
+verifier nor the NoCap model calls it: the model charges Spark through
+its own sumcheck inventory (``nocap.constants.SPARK_SUMCHECKS``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..field.goldilocks import MODULUS
 from ..hashing.transcript import Transcript
-from ..opcount import OpCount
 
 #: Paper parameter: independent multiset-hash instantiations.
 DEFAULT_INSTANTIATIONS = 4
@@ -109,14 +108,3 @@ def check_sets(init_set: Sequence[Tuple3], write_set: Sequence[Tuple3],
         if lhs != rhs:
             return False
     return True
-
-
-def memcheck_cost(num_reads: int, table_size: int,
-                  instantiations: int = DEFAULT_INSTANTIATIONS) -> OpCount:
-    """Operation counts of the checking products (cost-model hook):
-    each tuple costs ~3 multiplies per instantiation, over
-    2*(reads + table) tuples total."""
-    tuples = 2 * (num_reads + table_size)
-    return OpCount(mul=3 * tuples * instantiations,
-                   add=2 * tuples * instantiations,
-                   mem_read_bytes=24 * tuples)

@@ -5,7 +5,6 @@ between the functional layer and the performance model."""
 import numpy as np
 import pytest
 
-from repro.opcount import OpCount
 from repro.snark import (
     PAPER,
     TEST,
@@ -73,26 +72,23 @@ class TestCrossLayerConsistency:
 
         assert PAPER.sumcheck_repetitions == C.SUMCHECK_REPETITIONS
         assert PAPER.pcs_rows == C.ORION_ROWS
-        assert PAPER.multiset_hash_instances == C.MULTISET_HASH_INSTANCES
 
     def test_rs_code_cost_matches_ntt_structure(self):
-        """The RS cost model's butterfly count equals the functional
-        radix-2 NTT's actual multiply count."""
+        """The ``ntt.butterflies`` counter of a batched ``encode_rows``
+        books one full radix-2 NTT of the codeword per row:
+        (4n / 2) * log2(4n) butterflies."""
+        from repro import obs
         from repro.code import ReedSolomonCode
 
-        n = 1 << 10
-        cost = ReedSolomonCode().encoding_cost(n)
+        rows, n = 8, 1 << 10
+        message = np.arange(rows * n, dtype=np.uint64).reshape(rows, n)
+        with obs.tracing() as tracer:
+            ReedSolomonCode().encode_rows(message)
+        counters = tracer.metrics_snapshot["counters"]
         codeword = 4 * n
         butterflies = (codeword // 2) * (codeword.bit_length() - 1)
-        assert cost.mul == butterflies
-
-    def test_opcount_arithmetic(self):
-        a = OpCount(mul=3, add=1, mem_read_bytes=10)
-        b = OpCount(mul=2, hash_words=5, mem_write_bytes=4)
-        s = a + b
-        assert s.mul == 5 and s.add == 1 and s.hash_words == 5
-        assert s.mem_bytes == 14
-        assert a.scaled(3).mul == 9
+        assert counters["ntt.butterflies"] == rows * butterflies
+        assert counters["rs.rows_encoded"] == rows
 
     def test_sumcheck_proof_size_vs_model(self):
         """A functional sumcheck's message volume matches the analytic

@@ -9,7 +9,6 @@ from repro.spartan.memcheck import (
     MemoryTrace,
     check_sets,
     check_trace,
-    memcheck_cost,
     multiset_hash,
 )
 
@@ -99,12 +98,3 @@ class TestCheckSets:
 
     def test_instantiation_count(self):
         assert DEFAULT_INSTANTIATIONS == 4  # Sec. VII-A
-
-
-class TestCost:
-    def test_cost_scales_with_reads_and_instantiations(self):
-        base = memcheck_cost(1000, 256)
-        more_reads = memcheck_cost(2000, 256)
-        assert more_reads.mul > base.mul
-        fewer = memcheck_cost(1000, 256, instantiations=1)
-        assert base.mul == 4 * fewer.mul

@@ -21,7 +21,6 @@ from repro.multilinear import (
     mle_eval_head,
     num_vars,
     prove_sumcheck,
-    sumcheck_cost,
     sumcheck_dp,
     tensor_split_eval,
     verify_sumcheck,
@@ -210,12 +209,6 @@ class TestSumcheck:
         proof, _ = prove_sumcheck(tables, Transcript())
         # 4 rounds x 3 evals + 2 finals, 8 bytes each.
         assert proof.size_bytes() == (4 * 3 + 2) * 8
-
-    def test_sumcheck_cost_scales(self):
-        small = sumcheck_cost(1 << 10, 3)
-        large = sumcheck_cost(1 << 14, 3)
-        assert 15 < large.mul / small.mul < 17  # ~linear in n
-        assert large.mem_bytes > small.mem_bytes
 
 
 class TestListing1:

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from repro.field import vector as fv
 from repro.field.goldilocks import MODULUS
+from repro.nocap.tasks import ntt_passes
+from repro.ntt import fourstep
 from repro.ntt import (
-    FourStepStats,
     four_step_ntt,
     intt,
     next_pow2,
@@ -93,21 +94,45 @@ class TestFourStep:
         x = fv.rand_vector(1 << log_n, rng)
         assert (four_step_ntt(x, inverse=True, base_size=base) == intt(x)).all()
 
-    def test_stats_collection(self, rng):
-        x = fv.rand_vector(1 << 12, rng)
-        stats = FourStepStats()
-        four_step_ntt(x, base_size=64, stats=stats)
-        assert stats.levels >= 1
-        assert stats.base_ntt_elements >= x.size
-        assert stats.twiddle_multiplies == x.size  # one twiddle pass per level here
-        assert stats.offchip_transpose_elements == 0  # fits in the RF
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """``passes(n, base)``: base-kernel passes each element of a
+        length-n four-step NTT takes (elements reaching the radix-2
+        kernel, over n).  Only the pass structure is counted, so the
+        kernel and the twiddles are stubbed; ``test_matches_radix2``
+        checks the values."""
+        seen = []
 
-    def test_small_input_single_pass(self, rng):
-        x = fv.rand_vector(64, rng)
-        stats = FourStepStats()
-        four_step_ntt(x, base_size=4096, stats=stats)
-        assert stats.levels == 0
-        assert stats.twiddle_multiplies == 0
+        def kernel(a, inverse=False):
+            seen.append(a.size)
+            return a
+
+        monkeypatch.setattr(fourstep, "radix2_ntt", kernel)
+        monkeypatch.setattr(fourstep, "_twiddle_grid",
+                            lambda n1, n2, inverse: np.ones((n1, n2), np.uint64))
+
+        def count(n, base):
+            seen.clear()
+            four_step_ntt(fv.zeros(n), base_size=base)
+            return sum(seen) / n
+
+        return count
+
+    def test_passes_match_model(self, passes):
+        """The model's ``nocap.tasks.ntt_passes`` is the recursion's pass
+        count, base 2..2^12 and n = 2^0..2^15."""
+        got = {(n, base): passes(n, base)
+               for base in (1 << k for k in range(1, 13))
+               for n in (1 << k for k in range(16))}
+        assert {k: v for k, v in got.items() if v != ntt_passes(*k)} == {}
+
+    def test_small_input_single_pass(self, passes):
+        assert passes(64, 4096) == 1
+
+    @pytest.mark.parametrize("base", [1, 0, -4, 3, 6])
+    def test_rejects_bad_base_size(self, base):
+        with pytest.raises(ValueError, match=f"got {base}"):
+            four_step_ntt(fv.zeros(64), base_size=base)
 
     def test_rejects_2d(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import pytest
 
 from repro import obs
 from repro.hashing.merkle import MerkleTree
-from repro.nocap import NoCapSimulator, TaskRecord
+from repro.nocap import NoCapSimulator
 from repro.obs import FAMILIES, METRICS, Tracer
 from repro.obs.export import (
     chrome_trace,
@@ -257,15 +257,6 @@ class TestExportEdgeCases:
 
 
 class TestTaskRecord:
-    def test_tuple_compat(self):
-        rec = TaskRecord(name="t", family="merkle", seconds=1.5,
-                         mem_bytes=64.0, bound="memory")
-        name, family, seconds = rec
-        assert (name, family, seconds) == ("t", "merkle", 1.5)
-        assert len(rec) == 3
-        assert rec[1] == "merkle"
-        assert tuple(rec) == ("t", "merkle", 1.5)
-
     def test_simulator_emits_bound_classification(self):
         report = NoCapSimulator().simulate(1 << 12)
         assert report.task_times

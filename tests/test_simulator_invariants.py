@@ -56,7 +56,7 @@ class TestConservation:
 
     def test_task_times_sum_to_total(self):
         rep = NoCapSimulator(DEFAULT_CONFIG).simulate(N)
-        assert sum(t for _, _, t in rep.task_times) == pytest.approx(
+        assert sum(t.seconds for t in rep.task_times) == pytest.approx(
             rep.total_seconds)
 
     def test_busy_cycles_bounded_by_makespan(self):

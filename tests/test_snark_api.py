@@ -111,7 +111,6 @@ class TestLifecycle:
         assert PAPER.column_queries == 189
         assert PAPER.rs_blowup == 4
         assert PAPER.proximity_vectors == 4
-        assert PAPER.multiset_hash_instances == 4
         assert TEST.sumcheck_repetitions == 1
 
     def test_preset_factories(self):
