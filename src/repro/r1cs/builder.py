@@ -12,6 +12,7 @@ one R1CS constraint — the cost model the paper's benchmarks are sized in.
 from __future__ import annotations
 
 from itertools import chain
+from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -91,8 +92,8 @@ class Wire:
         return Wire(self.circuit, self.lc.scale(MODULUS - 1))
 
     def __mul__(self, other: "Wire | int") -> "Wire":
-        if isinstance(other, int):
-            return Wire(self.circuit, self.lc.scale(other))
+        if isinstance(other, Integral):     # numpy integers included
+            return Wire(self.circuit, self.lc.scale(int(other)))
         const = other.lc.is_constant()
         if const is not None:
             return Wire(self.circuit, self.lc.scale(const))
@@ -292,24 +293,52 @@ class Circuit:
         m = len(self._constraints)
 
         def build(which: int) -> SparseMatrix:
+            # One stored row per distinct LinearCombination object: a
+            # gadget that feeds one LC into many constraints (lookup's
+            # Horner chain) repeats its row, which is then stored once
+            # behind a row map — when that pays (_keeps_row_map).  The
+            # repeated entries are never put into an array.
+            lcs = [cons[which] for cons in self._constraints]
+            distinct = list({id(lc): lc for lc in lcs}.values())
+            row_map = None
+            if _keeps_row_map(sum(len(lc.terms) for lc in lcs),
+                              sum(len(lc.terms) for lc in distinct), m):
+                slot = {id(lc): i for i, lc in enumerate(distinct)}
+                row_map = np.fromiter((slot[id(lc)] for lc in lcs),
+                                      dtype=np.int32, count=m)
+                lcs = distinct
             # Terms go straight into arrays (coefficients are canonical, so
-            # they fit uint64); a row id is one repeat per constraint.
-            terms = [cons[which].terms for cons in self._constraints]
-            counts = np.fromiter(map(len, terms), dtype=np.int64, count=m)
+            # they fit uint64); a row id is one repeat per stored row.
+            terms = [lc.terms for lc in lcs]
+            counts = np.fromiter(map(len, terms), dtype=np.int64,
+                                 count=len(terms))
             nnz = int(counts.sum())
             cols = np.fromiter(chain.from_iterable(terms), dtype=np.int64,
                                count=nnz)
             vals = np.fromiter(chain.from_iterable(t.values() for t in terms),
                                dtype=np.uint64, count=nnz)
-            return SparseMatrix.from_arrays(
-                m, num_public + num_witness,
-                np.repeat(np.arange(m, dtype=np.int64), counts), cols, vals)
+            stored = SparseMatrix.from_arrays(
+                len(terms), num_public + num_witness,
+                np.repeat(np.arange(len(terms), dtype=np.int64), counts),
+                cols, vals)
+            if row_map is None:
+                return stored
+            return SparseMatrix.from_csr(m, stored.num_cols, stored.indptr,
+                                         stored.cols, stored.vals, row_map)
 
         r1cs = pad_r1cs(build(0), build(1), build(2),
                         num_public, num_witness, min_size=min_size)
         public = np.array(self._values[:num_public], dtype=np.uint64)
         witness = np.array(self._values[num_public:], dtype=np.uint64)
         return r1cs, public, witness
+
+
+def _keeps_row_map(entries: int, stored_entries: int, rows: int) -> bool:
+    """Whether a matrix of ``rows`` rows and ``entries`` non-zeros keeps
+    its distinct-row form, which stores ``stored_entries``: only when the
+    entries it saves outnumber the rows, since a fold and an expand each
+    touch every row."""
+    return entries - stored_entries > rows
 
 
 _lookup_cache: Dict[Tuple[int, ...], Tuple[int, ...]] = {}

@@ -4,7 +4,10 @@ The A, B, C matrices of an R1CS mostly encode permutations — O(1) non-zeros
 per row, concentrated near the diagonal — which is what makes NoCap's
 output-stationary SpMV mapping effective (Sec. V-A).  This module stores
 them in compressed sparse row form (int32 row offsets and columns, uint64
-values) and provides exact modular sparse matrix-vector products.
+values) and provides exact modular sparse matrix-vector products.  A
+matrix whose rows repeat — a lookup's Horner chain feeds one byte into
+255 constraints — may store each distinct row once behind an int32 row
+map (:class:`SparseMatrix`, distinct-row form).
 """
 
 from __future__ import annotations
@@ -26,14 +29,16 @@ from ..field.vector import (_MASK22, _MASK32, _SHIFT22, _SHIFT32, _SHIFT44,
 MATVEC_BLOCK_SEGMENTS = 1 << 17
 
 #: Exclusive bound on a dimension, a non-zero count and every stacked
-#: gather range: each index a key stores (row offsets, columns, plane
-#: ``idx``, output rows) is int32, half the bytes of int64.
+#: gather range: each index a key stores (row offsets, columns, row maps,
+#: plane ``idx``, output rows) is int32, half the bytes of int64.
 INDEX_LIMIT = 1 << 31
 
 #: Entries handled per step while a layout is built or a sort key packed:
 #: bounds the per-entry temporaries (about seven arrays of this many
 #: words) at ~2 MB however many non-zeros a matrix has.
 _BUILD_ELEMENTS = 1 << 15
+
+_MASK16 = np.uint64(0xFFFF)
 
 
 def _segment_sums(prods: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -126,20 +131,56 @@ def _check_shape(num_rows: int, num_cols: int) -> None:
                          f"indices")
 
 
+def _entry_rows(indptr: np.ndarray) -> np.ndarray:
+    """Row id of each entry of the CSR offsets ``indptr`` (int32)."""
+    return np.repeat(np.arange(len(indptr) - 1, dtype=np.int32),
+                     np.diff(indptr))
+
+
+def _fold(row_map: np.ndarray, y: np.ndarray, num_stored: int) -> np.ndarray:
+    """P^T y for the row map ``row_map``: per stored row, the exact mod-p
+    sum of ``y`` over the rows that are it (0 where none is).
+
+    Each word's four 16-bit limbs are summed per stored row by
+    ``np.bincount`` in float64 — exact, as a limb sum stays below 2^16 *
+    :data:`INDEX_LIMIT` = 2^47 < 2^53 — and pairs of limb sums recombine
+    into the 32-bit half-sums :func:`repro.field.vector.combine_halves`
+    takes.  Any uint64 ``y`` is a valid input."""
+    y = np.asarray(y, dtype=np.uint64)
+    if y.shape != row_map.shape:
+        raise ValueError(f"vector length {y.shape[0]} != num_rows "
+                         f"{len(row_map)}")
+    limbs = [np.bincount(row_map, weights=(y >> np.uint64(s)) & _MASK16,
+                         minlength=num_stored).astype(np.uint64)
+             for s in (0, 16, 32, 48)]
+    return fv.combine_halves(limbs[0] + (limbs[1] << np.uint64(16)),
+                             limbs[2] + (limbs[3] << np.uint64(16)))
+
+
 class SparseMatrix:
     """Sparse matrix over GF(p) in compressed sparse row (CSR) form, with
     fast modular SpMV.
 
-    CSR is the one stored form: row r's entries are ``cols[indptr[r]:
-    indptr[r + 1]]`` and ``vals[...]``, so a matrix holds 12 B per
-    non-zero (int32 column, uint64 value) plus 4 B per row (the int32
-    ``indptr``, monotone from 0 to ``nnz`` < :data:`INDEX_LIMIT`), not a
-    row id per non-zero.  The constructor takes coordinates in any order
-    and sorts them by row once (stably: a row keeps its entries' given
-    order, and duplicate coordinates stay separate entries that every
-    product sums); :meth:`from_csr` adopts row offsets as they are.
-    :attr:`rows`, one row id per non-zero, is derived on each read for
-    tests and oracles; no product reads it.
+    CSR is the stored form: stored row s's entries are ``cols[indptr[s]:
+    indptr[s + 1]]`` and ``vals[...]``, so a matrix holds 12 B per stored
+    non-zero (int32 column, uint64 value) plus 4 B per stored row (the
+    int32 ``indptr``, monotone from 0 to :attr:`stored_nnz` <
+    :data:`INDEX_LIMIT`), not a row id per non-zero.  The constructor
+    takes coordinates in any order and sorts them by row once (stably: a
+    row keeps its entries' given order, and duplicate coordinates stay
+    separate entries that every product sums); :meth:`from_csr` adopts
+    row offsets as they are.  :attr:`rows`, one row id per non-zero, is
+    derived on each read for tests and oracles; no product reads it.
+
+    Distinct-row form.  Where rows repeat, each distinct row can be stored
+    once: ``row_map`` (int32, 4 B per row) then names the stored row that
+    each row is, so M = P S with S the stored rows and P the 0/1 matrix
+    selecting ``row_map[r]`` for row r.  :meth:`matvec` expands (S x, then
+    one gather through the map) and :meth:`transpose_matvec` folds (S^T
+    applied to P^T y, :meth:`fold`).  ``row_map`` is None in plain CSR,
+    where the stored rows are the rows.  :attr:`nnz` counts the matrix's
+    non-zeros, repeated rows included; :meth:`expanded` is the same matrix
+    in plain CSR.
 
     Instances are immutable, and that is load-bearing: the cached gather
     plan and transposed view assume the arrays never change, and
@@ -166,42 +207,57 @@ class SparseMatrix:
                     vals)
 
     def _adopt(self, num_rows: int, num_cols: int, indptr: np.ndarray,
-               cols: np.ndarray, vals: np.ndarray) -> None:
+               cols: np.ndarray, vals: np.ndarray,
+               row_map: np.ndarray | None = None) -> None:
         if len(vals) >= INDEX_LIMIT:
             raise ValueError(f"{len(vals)} entries exceed int32 offsets")
         self.num_rows = num_rows
         self.num_cols = num_cols
         self.indptr, self.cols, self.vals = indptr, cols, vals
+        self.row_map = row_map
         self._groups: tuple | None = None      # lazy matvec gather plan
         self._transposed: "SparseMatrix | None" = None
 
     @classmethod
-    def from_csr(cls, num_rows: int, num_cols: int, indptr, cols,
-                 vals) -> "SparseMatrix":
+    def from_csr(cls, num_rows: int, num_cols: int, indptr, cols, vals,
+                 row_map=None) -> "SparseMatrix":
         """Adopt CSR arrays (not copied where they already are int32 /
-        uint64): ``indptr`` has ``num_rows + 1`` entries rising from 0 to
-        ``len(cols)``, and every column is in range."""
+        uint64): ``indptr`` rises from 0 to ``len(cols)`` and every column
+        is in range.  Without ``row_map`` it has ``num_rows + 1`` entries;
+        with one, it has one per stored row plus one, and ``row_map`` has
+        ``num_rows`` entries, each a stored row."""
         _check_shape(num_rows, num_cols)
         indptr = np.asarray(indptr)
         vals = np.asarray(vals, dtype=np.uint64)
-        if not (indptr.dtype.kind in "iu" and indptr.shape == (num_rows + 1,)
+        rows_held = num_rows if row_map is None else len(indptr) - 1
+        if not (indptr.dtype.kind in "iu" and indptr.shape == (rows_held + 1,)
                 and indptr[0] == 0 and indptr[-1] == len(vals)
                 and bool(np.all(indptr[:-1] <= indptr[1:]))):
             raise ValueError(f"indptr must rise from 0 to {len(vals)} in "
-                             f"{num_rows + 1} entries")
+                             f"{rows_held + 1} entries")
         cols = np.asarray(cols)
         if len(cols) != len(vals):
             raise ValueError("cols, vals must have equal length")
         if len(cols) and (cols.dtype.kind not in "iu" or cols.min() < 0
                           or cols.max() >= num_cols):
             raise IndexError(f"columns must be integers in 0..{num_cols - 1}")
+        if row_map is not None:
+            row_map = np.asarray(row_map)
+            if row_map.shape != (num_rows,):
+                raise ValueError(f"row_map must have {num_rows} entries")
+            if num_rows and (row_map.dtype.kind not in "iu"
+                             or row_map.min() < 0
+                             or row_map.max() >= rows_held):
+                raise IndexError(f"row_map entries must be integers in "
+                                 f"0..{rows_held - 1}")
+            row_map = row_map.astype(np.int32, copy=False)
         self = cls.__new__(cls)
         self._adopt(num_rows, num_cols, indptr.astype(np.int32, copy=False),
-                    cols.astype(np.int32, copy=False), vals)
+                    cols.astype(np.int32, copy=False), vals, row_map)
         return self
 
     def __getstate__(self):
-        """Pickle only the CSR arrays.
+        """Pickle only the CSR arrays and the row map.
 
         The matvec gather plan and the transposed view are derived caches
         a receiver can rebuild lazily; dropping them keeps a pickled
@@ -229,11 +285,12 @@ class SparseMatrix:
     def from_arrays(cls, num_rows: int, num_cols: int,
                     row_list, col_list, val_list) -> "SparseMatrix":
         """Build from parallel row/col/value sequences or arrays (the fast
-        path used by :meth:`repro.r1cs.builder.Circuit.compile`):
-        duplicate coordinates sum, zero sums drop, and each row's entries
-        are ordered by column.  Vectorized throughout — coordinates
-        checked and narrowed to int32 first, values reduced in one pass,
-        one lexsort, a grouped reduction — and built as CSR directly."""
+        path :meth:`repro.r1cs.builder.Circuit.compile` builds each
+        matrix's stored rows through): duplicate coordinates sum, zero
+        sums drop, and each row's entries are ordered by column.
+        Vectorized throughout — coordinates checked and narrowed to int32
+        first, values reduced in one pass, one lexsort, a grouped
+        reduction — and built as CSR directly."""
         if len(row_list) == 0:
             return cls(num_rows, num_cols)
         rows, cols = _int32_coords(row_list, col_list, num_rows, num_cols)
@@ -257,21 +314,64 @@ class SparseMatrix:
                             cols[starts][keep], summed[keep])
 
     @property
-    def nnz(self) -> int:
+    def num_stored(self) -> int:
+        """Stored rows: ``num_rows`` in plain CSR."""
+        return len(self.indptr) - 1
+
+    @property
+    def stored_nnz(self) -> int:
+        """Stored non-zeros: what ``cols`` / ``vals`` hold."""
         return len(self.vals)
 
     @property
+    def nnz(self) -> int:
+        """The matrix's non-zeros, each repeated row counted in full."""
+        if self.row_map is None:
+            return len(self.vals)
+        return int(np.diff(self.indptr)[self.row_map].sum(dtype=np.int64))
+
+    @property
     def rows(self) -> np.ndarray:
-        """Row id of each non-zero (int32), derived from ``indptr`` on
+        """Row id of each non-zero (int32) of :meth:`expanded`, derived on
         every read: for tests and oracles."""
-        return np.repeat(np.arange(self.num_rows, dtype=np.int32),
-                         np.diff(self.indptr))
+        return _entry_rows(self.expanded().indptr)
+
+    def stored(self) -> "SparseMatrix":
+        """The stored rows as a plain CSR matrix (``num_stored`` rows,
+        sharing ``indptr`` / ``cols`` / ``vals``); ``self`` in plain CSR."""
+        if self.row_map is None:
+            return self
+        return SparseMatrix.from_csr(self.num_stored, self.num_cols,
+                                     self.indptr, self.cols, self.vals)
+
+    def expanded(self) -> "SparseMatrix":
+        """The same matrix in plain CSR, every row's entries stored (new
+        arrays); ``self`` when it already is."""
+        if self.row_map is None:
+            return self
+        counts = np.diff(self.indptr)[self.row_map]
+        indptr = np.zeros(self.num_rows + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        # Entry k of the expansion, in row r, is stored entry
+        # self.indptr[row_map[r]] + k - indptr[r].
+        take = np.repeat(self.indptr[:-1][self.row_map] - indptr[:-1], counts)
+        take += np.arange(len(take), dtype=take.dtype)
+        return SparseMatrix.from_csr(self.num_rows, self.num_cols, indptr,
+                                     self.cols[take], self.vals[take])
+
+    def fold(self, y: np.ndarray) -> np.ndarray:
+        """P^T y: ``y`` (one word per row) summed onto the stored rows,
+        exact and canonical mod p (:func:`_fold`); ``y`` itself in plain
+        CSR."""
+        if self.row_map is None:
+            return y
+        return _fold(self.row_map, y, self.num_stored)
 
     def _group_plan(self):
         """Lazy gather plan for :meth:`matvec`: ``(starts, row_ids)``, the
-        first entry of each non-empty row (``np.add.reduceat`` segments)
-        and those rows' ids.  When no row is empty it is ``(indptr[:-1],
-        None)``: a view, nothing stored."""
+        first entry of each non-empty stored row (``np.add.reduceat``
+        segments) and those rows' ids.  When no stored row is empty it is
+        ``(indptr[:-1], None)``: a view, nothing stored."""
         if self._groups is None:
             counts = np.diff(self.indptr)
             if counts.all():
@@ -286,17 +386,24 @@ class SparseMatrix:
 
         The scatter-add is a segmented reduction over the row-ordered
         products (:func:`_segment_sums`).  Matrices with more than
-        :data:`MATVEC_BLOCK_SEGMENTS` non-empty rows are walked in blocks
-        of that many row segments — output-stationary, like NoCap's SpMV
-        unit (Sec. V-A): gather, multiply and reduce one block's entries
-        into its output slice before touching the next, so temporaries
-        are block-sized instead of nnz-sized.
+        :data:`MATVEC_BLOCK_SEGMENTS` non-empty stored rows are walked in
+        blocks of that many row segments — output-stationary, like NoCap's
+        SpMV unit (Sec. V-A): gather, multiply and reduce one block's
+        entries into its output slice before touching the next, so
+        temporaries are block-sized instead of nnz-sized.  A row map then
+        expands the stored rows' sums, one gather.
         """
         x = np.asarray(x, dtype=np.uint64)
         if x.shape[0] != self.num_cols:
             raise ValueError(f"vector length {x.shape[0]} != num_cols {self.num_cols}")
-        if self.nnz == 0:
-            return np.zeros(self.num_rows, dtype=np.uint64)
+        out = self._stored_matvec(x)
+        return out if self.row_map is None else np.take(out, self.row_map)
+
+    def _stored_matvec(self, x: np.ndarray) -> np.ndarray:
+        """S x: one sum per stored row."""
+        nnz = self.stored_nnz
+        if nnz == 0:
+            return np.zeros(self.num_stored, dtype=np.uint64)
         starts, row_ids = self._group_plan()
         # Non-canonical representatives are fine: the split-accumulate
         # is exact for any uint64 terms.
@@ -304,56 +411,75 @@ class SparseMatrix:
         for s0 in range(0, len(starts), MATVEC_BLOCK_SEGMENTS):
             s1 = min(len(starts), s0 + MATVEC_BLOCK_SEGMENTS)
             e0 = starts[s0]
-            e1 = starts[s1] if s1 < len(starts) else self.nnz
+            e1 = starts[s1] if s1 < len(starts) else nnz
             prods = fv.mul(self.vals[e0:e1],
                            np.take(x, self.cols[e0:e1], mode="clip"),
                            canonical=False)
             combined[s0:s1] = _segment_sums(prods, starts[s0:s1] - e0)
         if row_ids is None:
-            # Every row has an entry: the segment sums ARE the output.
+            # Every stored row has an entry: the segment sums ARE the output.
             return combined
-        out = np.zeros(self.num_rows, dtype=np.uint64)
+        out = np.zeros(self.num_stored, dtype=np.uint64)
         out[row_ids] = combined
         return out
 
     def transpose_matvec(self, x: np.ndarray) -> np.ndarray:
-        """Exact y = M^T x over GF(p).
+        """Exact y = M^T x over GF(p): S^T (P^T x) with a row map.
 
-        The transposed matrix (and its matvec gather plan) is built once
-        and cached — SparseMatrix instances are treated as immutable.
+        The transposed stored rows (and their matvec gather plan) are
+        built once and cached — SparseMatrix instances are treated as
+        immutable.
         """
         if self._transposed is None:
-            self._transposed = SparseMatrix(self.num_cols, self.num_rows,
-                                            self.cols, self.rows, self.vals)
-        return self._transposed.matvec(x)
+            self._transposed = SparseMatrix(self.num_cols, self.num_stored,
+                                            self.cols,
+                                            _entry_rows(self.indptr),
+                                            self.vals)
+        return self._transposed.matvec(self.fold(x))
 
     def to_dense(self) -> np.ndarray:
         """Dense object-dtype matrix (tests / tiny systems only)."""
         out = np.zeros((self.num_rows, self.num_cols), dtype=object)
-        for r, c, v in zip(self.rows, self.cols, self.vals):
-            out[r, c] = (out[r, c] + int(v)) % MODULUS
+        for r, c, v in self.entries():
+            out[r, c] = (out[r, c] + v) % MODULUS
         return out
 
     def entries(self) -> List[Tuple[int, int, int]]:
+        """``(row, col, value)`` of every non-zero, repeated rows in full."""
+        m = self.expanded()
         return [(int(r), int(c), int(v))
-                for r, c, v in zip(self.rows, self.cols, self.vals)]
+                for r, c, v in zip(m.rows, m.cols, m.vals)]
 
     def pad_to(self, num_rows: int, num_cols: int) -> "SparseMatrix":
         """Embed into a larger zero matrix (R1CS power-of-two padding);
-        shares ``cols`` / ``vals``."""
+        shares ``cols`` / ``vals``.  With a row map, the new rows map to
+        one empty stored row: an existing one, else one more."""
         if num_rows < self.num_rows or num_cols < self.num_cols:
             raise ValueError("pad_to cannot shrink a matrix")
-        indptr = np.concatenate([self.indptr, np.full(
-            num_rows - self.num_rows, self.nnz, dtype=np.int32)])
+        extra = num_rows - self.num_rows
+        indptr, row_map = self.indptr, self.row_map
+        if row_map is None:
+            indptr = np.concatenate([indptr, np.full(
+                extra, self.stored_nnz, dtype=np.int32)])
+        elif extra:
+            empty = np.flatnonzero(np.diff(indptr) == 0)
+            if len(empty):
+                fill = int(empty[0])
+            else:
+                fill = self.num_stored
+                indptr = np.concatenate([indptr, indptr[-1:]])
+            row_map = np.concatenate([row_map, np.full(extra, fill,
+                                                       dtype=np.int32)])
         return SparseMatrix.from_csr(num_rows, num_cols, indptr, self.cols,
-                                     self.vals)
+                                     self.vals, row_map)
 
     def bandwidth(self) -> int:
         """Max |row - col| over non-zeros: the paper's 'limited-bandwidth'
         property that gives SpMV its input-vector reuse."""
         if self.nnz == 0:
             return 0
-        return int(np.max(np.abs(self.rows - self.cols)))
+        m = self.expanded()
+        return int(np.max(np.abs(m.rows - m.cols)))
 
 
 #: Elements per kernel tile of a plane group: the seven ``(L, T)`` tile
@@ -437,14 +563,14 @@ class _Member(NamedTuple):
         return m.rows, m.cols, m.vals, None
 
 
-def _group_rows(blocks, block_rows: int):
+def _group_rows(blocks, sizes):
     """Split the entries of ``blocks`` of :class:`_Member` by row
     population.
 
-    The entries of ``blocks[b]`` land in output rows ``b * block_rows +
-    out_id``.  A row holds its members' entries in member order, each
-    member's in its own stable row order; populations are counted per
-    block.
+    Block b has ``sizes[b]`` output rows, and its entries land in output
+    rows ``sum(sizes[:b]) + out_id``.  A row holds its members' entries in
+    member order, each member's in its own stable row order; populations
+    are counted per block.
 
     Returns ``(groups, residual, owned)``.  ``groups`` holds one ``(rows,
     pieces, idx, vals)`` per block and population L whose entries fill a
@@ -467,9 +593,8 @@ def _group_rows(blocks, block_rows: int):
     array, which each member's entries are scattered into straight from
     its own arrays (:func:`_place`), so nothing is stacked.
     """
-    groups, fills, lefts, size = [], [], [], 0
-    for b, members in enumerate(blocks):
-        lo = b * block_rows
+    groups, fills, lefts, size, lo = [], [], [], 0, 0
+    for members, block_rows in zip(blocks, sizes):
         counts = sum(member.counts(block_rows) for member in members)
         first = None
         if len(members) == 1 and not members[0].transposed \
@@ -498,17 +623,19 @@ def _group_rows(blocks, block_rows: int):
             groups.append((rows, pieces))       # planes attached below
             size += height * pieces * m
         left = np.flatnonzero(~planar[counts] & (counts > 0))
-        fills.append((members, copied, sorted(views), left, counts[left]))
+        fills.append((members, block_rows, copied, sorted(views), left,
+                      counts[left]))
         lefts.append((left + lo).astype(np.int32))
+        lo += block_rows
     del counts, first           # not held while the planes are filled
 
-    sizes = np.concatenate([fill[-1] for fill in fills])
-    indptr = np.zeros(len(sizes) + 1, dtype=np.int32)
-    np.cumsum(sizes, out=indptr[1:])
+    lengths = np.concatenate([fill[-1] for fill in fills])
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int32)
+    np.cumsum(lengths, out=indptr[1:])
     idx_all = np.zeros(size + int(indptr[-1]), dtype=np.int32)
     vals_all = np.zeros(size + int(indptr[-1]), dtype=np.uint64)
     at = size
-    for members, copied, views, left, sizes in fills:
+    for members, block_rows, copied, views, left, lengths in fills:
         base = np.zeros(block_rows, dtype=np.int64)
         stride = np.ones(block_rows, dtype=np.int64)
         heights = None
@@ -523,8 +650,8 @@ def _group_rows(blocks, block_rows: int):
                 if heights is None:
                     heights = np.full(block_rows, np.iinfo(np.int64).max)
                 heights[local] = height
-        base[left] = at + np.cumsum(sizes) - sizes
-        at += int(sizes.sum())
+        base[left] = at + np.cumsum(lengths) - lengths
+        at += int(lengths.sum())
         if copied or len(left):
             before = np.zeros(block_rows, dtype=np.int64)
             for member in members:
@@ -592,10 +719,10 @@ class _PlaneLayout:
     counts the arrays the layout owns; planes that are views of a member's
     arrays count 0."""
 
-    def __init__(self, blocks, block_rows: int, num_in: int):
-        self.num_out, self.num_in = len(blocks) * block_rows, num_in
+    def __init__(self, blocks, sizes, num_in: int):
+        self.num_out, self.num_in = sum(sizes), num_in
         self.groups, (rows, indptr, gather, vals), self.nbytes = \
-            _group_rows(blocks, block_rows)
+            _group_rows(blocks, sizes)
         self.residual = None
         if len(vals):
             self.nbytes += indptr.nbytes
@@ -655,6 +782,12 @@ class StackedMatrices:
     the row's id; 4 B when it holds every row).  Building materialises
     one member's row ids and sort keys at a time (:func:`_group_rows`);
     :attr:`nbytes` is what the layout owns.
+
+    A member with a row map is laid out by its stored rows
+    (:meth:`SparseMatrix.stored`), both directions: its forward product
+    is expanded through the map (``row_maps``), and the transposed
+    combination gathers its entries from a scaled copy of the folded
+    input (:meth:`SparseMatrix.fold`), ``stored_rows`` words long.
     """
 
     def __init__(self, mats: List[SparseMatrix]):
@@ -669,17 +802,21 @@ class StackedMatrices:
                              f"int32 indices")
         self.count = len(mats)
         self.num_rows, self.num_cols = n_rows, n_cols
+        self.row_maps = tuple(m.row_map for m in mats)
+        self.stored_rows = tuple(m.num_stored for m in mats)
+        stored = [m.stored() for m in mats]
+        offsets = np.cumsum((0,) + self.stored_rows[:-1])
         # Transposed: output rows are the original columns and the gather
         # index points into a stack of ``count`` scaled copies of the
-        # input (see scaled_transpose_matvec), so member i gathers at an
-        # offset of i * n_rows.
+        # (folded) input (see scaled_transpose_matvec), so member i
+        # gathers at an offset of sum(stored_rows[:i]).
         self._transposed = _PlaneLayout(
-            [[_Member(m, True, i * n_rows) for i, m in enumerate(mats)]],
-            n_cols, self.count * n_rows)
-        # Forward: one (count*n_rows) x n_cols system whose output slices
-        # are the individual products, one block per member.
-        self._forward = _PlaneLayout([[_Member(m, False, 0)] for m in mats],
-                                     n_rows, n_cols)
+            [[_Member(m, True, int(o)) for m, o in zip(stored, offsets)]],
+            [n_cols], sum(self.stored_rows))
+        # Forward: one sum(stored_rows) x n_cols system whose output
+        # slices are the individual products, one block per member.
+        self._forward = _PlaneLayout([[_Member(m, False, 0)] for m in stored],
+                                     self.stored_rows, n_cols)
 
     @property
     def nbytes(self) -> int:
@@ -689,17 +826,21 @@ class StackedMatrices:
 
     def matvec_all(self, x: np.ndarray) -> List[np.ndarray]:
         """[M_0 x, M_1 x, ...] in ONE fused SpMV pass."""
-        stacked = self._forward.matvec(x)
-        n = self.num_rows
-        return [stacked[i * n:(i + 1) * n] for i in range(self.count)]
+        stacked, out, at = self._forward.matvec(x), [], 0
+        for rows, row_map in zip(self.stored_rows, self.row_maps):
+            part = stacked[at:at + rows]
+            out.append(part if row_map is None else np.take(part, row_map))
+            at += rows
+        return out
 
     def scaled_transpose_matvec(self, coeffs, x: np.ndarray) -> np.ndarray:
         """sum_i coeffs[i] * M_i^T x in ONE fused SpMV pass.
 
         The coefficients are folded into ``count`` scalar-scaled copies of
-        ``x``, written side by side into one buffer; the stacked transpose
-        then gathers each matrix's entries from its own copy, so the
-        combination costs no extra pass over the non-zeros.
+        ``x`` (of P_i^T x where M_i has a row map), written side by side
+        into one buffer; the stacked transpose then gathers each matrix's
+        entries from its own copy, so the combination costs no extra pass
+        over the non-zeros.
         """
         if len(coeffs) != self.count:
             raise ValueError("need one coefficient per stacked matrix")
@@ -709,8 +850,10 @@ class StackedMatrices:
             raise ValueError(f"vector shape {x.shape} != ({n},)")
         # The scaled copies only feed the gather-multiply, which accepts
         # any uint64 representative — skip canonicalization.
-        scaled = np.empty(self.count * n, dtype=np.uint64)
-        for i, c in enumerate(coeffs):
-            fv._scale_tiles(x, int(c), scaled[i * n:(i + 1) * n],
+        scaled, at = np.empty(sum(self.stored_rows), dtype=np.uint64), 0
+        for c, rows, row_map in zip(coeffs, self.stored_rows, self.row_maps):
+            src = x if row_map is None else _fold(row_map, x, rows)
+            fv._scale_tiles(src, int(c), scaled[at:at + rows],
                             canonical=False)
+            at += rows
         return self._transposed.matvec(scaled)

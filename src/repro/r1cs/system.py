@@ -123,13 +123,15 @@ class R1CS:
 
     @property
     def nbytes(self) -> int:
-        """Bytes this system holds: the CSR arrays of A, B, C (each array
-        once; 12 B per non-zero, int32 ``cols`` and uint64 ``vals``, plus
-        4 B per row of int32 ``indptr``) plus, once built, the SpMV layout
+        """Bytes this system holds: the arrays of A, B, C (each array
+        once; 12 B per stored non-zero, int32 ``cols`` and uint64
+        ``vals``, 4 B per stored row of int32 ``indptr`` and 4 B per row
+        of an int32 ``row_map``) plus, once built, the SpMV layout
         (:attr:`StackedMatrices.nbytes`, where views of those arrays count
         0)."""
         csr = {id(arr): arr.nbytes for m in (self.a, self.b, self.c)
-               for arr in (m.indptr, m.cols, m.vals)}
+               for arr in (m.indptr, m.cols, m.vals, m.row_map)
+               if arr is not None}
         layout = self._stacked_cache
         return sum(csr.values()) + (layout.nbytes if layout is not None else 0)
 
@@ -157,10 +159,10 @@ def pad_r1cs(a: SparseMatrix, b: SparseMatrix, c: SparseMatrix,
     half = n // 2
 
     def relocate(m: SparseMatrix) -> SparseMatrix:
+        m = m.pad_to(n, m.num_cols)
         cols = m.cols.copy()
         wit = cols >= num_public
         cols[wit] = cols[wit] - num_public + half
-        return SparseMatrix.from_csr(n, n, m.pad_to(n, m.num_cols).indptr,
-                                     cols, m.vals)
+        return SparseMatrix.from_csr(n, n, m.indptr, cols, m.vals, m.row_map)
 
     return R1CS(relocate(a), relocate(b), relocate(c), num_public, num_witness)

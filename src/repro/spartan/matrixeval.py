@@ -5,9 +5,12 @@ M~(rx, ry) = sum over non-zeros v at (i, j) of v * eq(rx, i) * eq(ry, j).
 Spartan's full scheme (Spark) commits to these sparse MLEs during
 preprocessing and proves the evaluations with memory-checking sumchecks
 (the 4-gamma multiset hashes of Sec. VII-A).  The functional layer here
-lets the verifier evaluate directly in O(nnz) — identical result, not
-succinct; the succinct variant's cost appears in the performance model
-(DESIGN.md, substitutions table).
+lets the verifier evaluate directly, in O(stored entries + rows): a
+matrix in distinct-row form (``SparseMatrix.row_map``) folds the row
+weights onto its stored rows first, so a repeated row is walked once, and
+a plain CSR matrix walks all nnz.  Identical result, not succinct; the
+succinct variant's cost appears in the performance model (DESIGN.md,
+substitutions table).
 """
 
 from __future__ import annotations
@@ -37,15 +40,19 @@ def _check_point(matrix: SparseMatrix, rx: Sequence[int],
 def _weighted_entry_sum(matrix: SparseMatrix, eq_rows: np.ndarray,
                         eq_cols: np.ndarray) -> int:
     """sum over non-zeros v at (i, j) of v * eq_rows[i] * eq_cols[j] mod p,
-    one :data:`ENTRY_BLOCK` of entries at a time.
+    one :data:`ENTRY_BLOCK` of stored entries at a time.
 
     The walk is row by row, like NoCap's output-stationary SpMV (Sec.
-    V-A): a block's entries belong to rows r0..r1-1 of the CSR form, and
-    each row's weight is repeated over its entries in the block — no row
-    id per non-zero is read."""
-    acc, indptr = 0, matrix.indptr
-    for e0 in range(0, matrix.nnz, ENTRY_BLOCK):
-        e1 = min(matrix.nnz, e0 + ENTRY_BLOCK)
+    V-A): a block's entries belong to stored rows r0..r1-1 of the CSR
+    form, and each row's weight is repeated over its entries in the block
+    — no row id per non-zero is read.  A matrix with a row map first
+    folds ``eq_rows`` onto its stored rows (:meth:`SparseMatrix.fold`: a
+    stored row weighs the sum of its rows' weights), so the walk costs
+    O(stored entries + rows), not O(nnz)."""
+    eq_rows = matrix.fold(eq_rows)
+    acc, indptr, nnz = 0, matrix.indptr, matrix.stored_nnz
+    for e0 in range(0, nnz, ENTRY_BLOCK):
+        e1 = min(nnz, e0 + ENTRY_BLOCK)
         # An int32 needle: a Python int would cast all of indptr first.
         r0 = int(indptr.searchsorted(np.int32(e0), side="right")) - 1
         r1 = int(indptr.searchsorted(np.int32(e1), side="left"))

@@ -471,15 +471,22 @@ class TestPlaneLayout:
         assert stacked._forward.nbytes == 0
 
     def test_nothing_but_planes_and_residual_is_retained(self):
-        """No stacked COO copy and no sort permutation outlive the build."""
+        """No stacked COO copy and no sort permutation outlive the build;
+        besides the two directions the layout keeps only each member's
+        row map (the member's own array) and stored-row count."""
         with patched_planes(1, 512, 4):
             a = SparseMatrix(4, 4, [3, 0, 1, 2], [0, 1, 2, 3], [1, 2, 3, 4])
-            stacked = StackedMatrices([a, a, a])
+            mapped = SparseMatrix.from_csr(4, 4, a.indptr[:3], a.cols[:2],
+                                           a.vals[:2], [1, 0, 1, 1])
+            stacked = StackedMatrices([a, mapped, a])
         for side in (stacked._forward, stacked._transposed):
             assert set(vars(side)) == {"num_out", "num_in", "groups",
                                        "residual", "nbytes"}
         assert set(vars(stacked)) == {"count", "num_rows", "num_cols",
+                                      "row_maps", "stored_rows",
                                       "_forward", "_transposed"}
+        assert stacked.row_maps == (None, mapped.row_map, None)
+        assert stacked.stored_rows == (4, 2, 4)
 
     def test_pickle_round_trip_rebuilds_the_layout(self, rng):
         import pickle
@@ -594,11 +601,12 @@ class TestResidentSetOfAKey:
 
 class TestCompileDigests:
     """``Circuit.compile`` builds its matrices from arrays, not per-term
-    appends: every registry circuit still compiles to the same
-    instance.  sha256 over ``rows``, ``cols``, ``vals`` of A, B, C (each
-    widened to ``<i8``), then public and witness, recorded when the
-    build appended per term and ``from_arrays`` reduced value by
-    value."""
+    appends, and stores repeated rows once: every registry circuit still
+    compiles to the same instance.  sha256 over ``rows``, ``cols``,
+    ``vals`` of each of A, B, C in plain CSR (``expanded()``: a row map's
+    repeated rows in full; each widened to ``<i8``), then public and
+    witness, recorded when the build appended per term and
+    ``from_arrays`` reduced value by value."""
 
     DIGESTS = {
         "aes": "98966beacc50a3bbb4c7fa65ff0f505f1e9c366602780fc28d4cdaefadc6bc49",
@@ -616,7 +624,7 @@ class TestCompileDigests:
 
         r1cs, public, witness = build_workload(name)[1].compile()
         h = hashlib.sha256()
-        for m in (r1cs.a, r1cs.b, r1cs.c):
+        for m in (r1cs.a.expanded(), r1cs.b.expanded(), r1cs.c.expanded()):
             for arr in (m.rows, m.cols, m.vals):
                 h.update(np.asarray(arr, dtype="<i8").tobytes())
         h.update(public.tobytes())
@@ -751,3 +759,327 @@ class TestBuilderGadgets:
         c = Circuit()
         got = c.mul(c.witness(a), c.witness(b)).value
         assert got == a * b % MODULUS
+
+    def test_integral_scalars_scale_for_free(self):
+        """Any integral scalar scales a wire, numpy integers included:
+        ``x * np.int64(2)`` used to die reading ``.lc`` off the scalar,
+        while ``x + np.int64(2)`` and ``np.int64(2) * x`` worked."""
+        c = Circuit()
+        x = c.witness(3)
+        before = c.num_constraints
+        for k in (np.int64(2), np.uint8(2), np.int32(2)):
+            assert (x * k).value == 6
+            assert (k * x).value == 6
+            assert (x + k).value == 5
+        assert (x * np.int64(-1)).value == MODULUS - 3
+        assert c.num_constraints == before
+
+
+# ---------------------------------------------------------------------------
+# Distinct-row form: repeated rows stored once behind a row map
+# ---------------------------------------------------------------------------
+
+def _planted(draw, num_rows, num_cols):
+    """A matrix in distinct-row form with planted repeats, and the same
+    matrix built as plain CSR from its entries row by row.  Stored rows
+    may be empty and may repeat columns; the row map either repeats one
+    stored row everywhere or draws each row's stored row."""
+    stored = draw(st.lists(
+        st.lists(st.tuples(st.integers(0, num_cols - 1), felt), max_size=5),
+        min_size=1, max_size=6))
+    pick = st.integers(0, len(stored) - 1)
+    if draw(st.booleans()):
+        row_map = [draw(pick)] * num_rows
+    else:
+        row_map = draw(st.lists(pick, min_size=num_rows, max_size=num_rows))
+    indptr = np.cumsum([0] + [len(row) for row in stored])
+    mapped = SparseMatrix.from_csr(
+        num_rows, num_cols, indptr,
+        np.array([c for row in stored for c, _v in row], dtype=np.int64),
+        np.array([v for row in stored for _c, v in row], dtype=np.uint64),
+        row_map)
+    entries = [(r, c, v) for r in range(num_rows)
+               for c, v in stored[row_map[r]]]
+    rows, cols, vals = (list(t) for t in zip(*entries)) if entries \
+        else ([], [], [])
+    return mapped, SparseMatrix(num_rows, num_cols, rows, cols, vals)
+
+
+@st.composite
+def planted_matrices(draw):
+    return _planted(draw, draw(st.integers(1, 12)), draw(st.integers(1, 10)))
+
+
+@st.composite
+def partly_mapped_systems(draw):
+    """Three n x n members, each either in distinct-row form or plain
+    (:func:`stacked_systems`' mix), with their plain CSR twins."""
+    n = draw(st.sampled_from([4, 8]))
+    mats, twins = [], []
+    for _ in range(3):
+        if draw(st.booleans()):
+            mapped, twin = _planted(draw, n, n)
+        else:
+            rows, cols, vals = [], [], []
+            for r, c, v in draw(st.lists(st.tuples(
+                    st.integers(0, n - 1), st.integers(0, n - 1), felt),
+                    max_size=20)):
+                rows.append(r), cols.append(c), vals.append(v)
+            mapped = twin = SparseMatrix(n, n, rows, cols, vals)
+        mats.append(mapped)
+        twins.append(twin)
+    return mats, twins
+
+
+def _mle_of_dense(dense, rx, ry):
+    """The matrix MLE at (rx, ry) from the dense matrix, by definition."""
+    from repro.multilinear import mle_eval
+
+    return mle_eval(np.array(dense, dtype=np.uint64).reshape(-1), rx + ry)
+
+
+def _pow2(k):
+    return 1 << max(0, k - 1).bit_length()
+
+
+class TestRowMap:
+    """A matrix in distinct-row form (``row_map``) against ``to_dense()``
+    arithmetic and against the plain CSR matrix with the same entries."""
+
+    @given(pair=planted_matrices(), seed=st.integers(0, 2**32 - 1))
+    def test_products_match_dense_and_plain(self, pair, seed):
+        mapped, plain = pair
+        rng = np.random.default_rng(seed)
+        x = fv.rand_vector(mapped.num_cols, rng)
+        # Non-canonical on purpose: the fold takes any uint64.
+        y = rng.integers(0, 1 << 63, size=mapped.num_rows,
+                         dtype=np.uint64) << np.uint64(1)
+        dense = plain.to_dense()
+        assert (mapped.to_dense() == dense).all()
+        assert mapped.nnz == plain.nnz
+        assert mapped.entries() == plain.entries()
+        assert mapped.rows.tolist() == plain.rows.tolist()
+        assert mapped.bandwidth() == plain.bandwidth()
+        assert mapped.matvec(x).tolist() == plain.matvec(x).tolist() \
+            == dense_matvec(dense, x)
+        assert mapped.transpose_matvec(y).tolist() \
+            == plain.transpose_matvec(y).tolist() == dense_matvec(dense.T, y)
+        expanded = mapped.expanded()
+        assert expanded.row_map is None and expanded.nnz == plain.nnz
+        assert (expanded.to_dense() == dense).all()
+
+    @given(pair=planted_matrices(), seed=st.integers(0, 2**32 - 1))
+    def test_padded_mle_eval_matches_dense_and_plain(self, pair, seed):
+        from repro.spartan.matrixeval import matrix_mle_eval
+
+        mapped, plain = pair
+        rows, cols = _pow2(mapped.num_rows), _pow2(mapped.num_cols)
+        padded, plain = mapped.pad_to(rows, cols), plain.pad_to(rows, cols)
+        assert padded.row_map is not None and padded.nnz == plain.nnz
+        assert padded.cols is mapped.cols and padded.vals is mapped.vals
+        assert (padded.to_dense() == plain.to_dense()).all()
+        rng = np.random.default_rng(seed)
+        rx = [int(v) for v in fv.rand_vector(rows.bit_length() - 1, rng)]
+        ry = [int(v) for v in fv.rand_vector(cols.bit_length() - 1, rng)]
+        want = _mle_of_dense(plain.to_dense(), rx, ry)
+        assert matrix_mle_eval(padded, rx, ry) \
+            == matrix_mle_eval(plain, rx, ry) == want
+
+    @given(pair=planted_matrices(), seed=st.integers(0, 2**32 - 1))
+    def test_pickle_round_trip_keeps_the_map(self, pair, seed):
+        import pickle
+
+        mapped, _plain = pair
+        x = fv.rand_vector(mapped.num_cols, np.random.default_rng(seed))
+        want = mapped.matvec(x)
+        clone = pickle.loads(pickle.dumps(mapped))
+        assert clone.row_map.dtype == np.int32
+        assert clone.row_map.tolist() == mapped.row_map.tolist()
+        assert clone.indptr.tolist() == mapped.indptr.tolist()
+        assert clone._groups is None and clone._transposed is None
+        assert clone.matvec(x).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("tile,cap,reduce_rows", [
+        (1, 2, 1), (4, 3, 2), (1 << 15, 512, 1 << 14)])
+    @given(system=partly_mapped_systems(), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_with_some_members_mapped(self, tile, cap, reduce_rows,
+                                              system, seed):
+        from repro.spartan.matrixeval import combined_matrix_eval
+
+        mats, twins = system
+        n = mats[0].num_rows
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 1 << 63, size=n, dtype=np.uint64) << np.uint64(1)
+        coeffs = [int(c) for c in fv.rand_vector(3, rng)]
+        with patched_planes(tile, cap, reduce_rows):
+            stacked = StackedMatrices(mats)
+            plain = StackedMatrices(twins)
+            got, want = stacked.matvec_all(x), plain.matvec_all(x)
+            got_t = stacked.scaled_transpose_matvec(coeffs, x)
+            want_t = plain.scaled_transpose_matvec(coeffs, x)
+        assert stacked.row_maps == tuple(m.row_map for m in mats)
+        dense = [t.to_dense() for t in twins]
+        for d, g, w in zip(dense, got, want):
+            assert g.tolist() == w.tolist() == dense_matvec(d, x)
+        assert got_t.tolist() == want_t.tolist() == [
+            sum(c * w for c, w in zip(coeffs, col)) % MODULUS
+            for col in zip(*(dense_matvec(d.T, x) for d in dense))]
+        rx = [int(v) for v in fv.rand_vector(n.bit_length() - 1, rng)]
+        ry = [int(v) for v in fv.rand_vector(n.bit_length() - 1, rng)]
+        assert combined_matrix_eval(*mats, *coeffs, rx, ry) \
+            == combined_matrix_eval(*twins, *coeffs, rx, ry) \
+            == sum(c * _mle_of_dense(d, rx, ry)
+                   for c, d in zip(coeffs, dense)) % MODULUS
+
+    @given(system=partly_mapped_systems(), seed=st.integers(0, 2**32 - 1))
+    def test_pad_r1cs_carries_the_map(self, system, seed):
+        """pad_r1cs relocates the witness columns of the stored rows and
+        pads the map: the system equals the one padded from the plain
+        twins, product for product."""
+        mats, twins = system
+        num_public = mats[0].num_cols // 2
+        num_witness = mats[0].num_cols - num_public
+        r1cs = pad_r1cs(*mats, num_public, num_witness)
+        plain = pad_r1cs(*twins, num_public, num_witness)
+        for m, t, orig in zip((r1cs.a, r1cs.b, r1cs.c),
+                              (plain.a, plain.b, plain.c), mats):
+            assert (m.row_map is None) is (orig.row_map is None)
+            assert (m.to_dense() == t.to_dense()).all()
+        z = fv.rand_vector(r1cs.shape.num_constraints,
+                           np.random.default_rng(seed))
+        for g, w in zip(r1cs.products(z), plain.products(z)):
+            assert g.tolist() == w.tolist()
+        assert r1cs.combined_transpose_matvec((3, 5, 7), z).tolist() \
+            == plain.combined_transpose_matvec((3, 5, 7), z).tolist()
+
+    def test_fold_is_exact_on_extreme_words(self):
+        """The fold sums 16-bit limbs in float64; 2^17 rows of the largest
+        uint64 (and of p - 1) onto one stored row, beside a stored row no
+        row maps to, equal the Python-int sums."""
+        n = 1 << 17
+        row_map = np.zeros(n, dtype=np.int32)
+        row_map[::2] = 2
+        m = SparseMatrix.from_csr(n, 1, [0, 0, 0, 0], [], [], row_map)
+        for word in (2**64 - 1, MODULUS - 1):
+            y = np.full(n, word, dtype=np.uint64)
+            assert m.fold(y).tolist() == [
+                n // 2 * word % MODULUS, 0, n // 2 * word % MODULUS]
+
+    def test_pad_to_maps_new_rows_to_one_empty_stored_row(self):
+        """An empty stored row takes the padding rows; without one, one
+        more stored row (an offset, no entry) is appended."""
+        full = SparseMatrix.from_csr(3, 4, [0, 1, 3], [0, 1, 2],
+                                     [5, 6, 7], [1, 0, 1])
+        padded = full.pad_to(8, 4)
+        assert padded.indptr.tolist() == [0, 1, 3, 3]
+        assert padded.row_map.tolist() == [1, 0, 1, 2, 2, 2, 2, 2]
+        with_empty = SparseMatrix.from_csr(3, 4, [0, 0, 2], [1, 2], [6, 7],
+                                           [1, 1, 1])
+        padded = with_empty.pad_to(5, 4)
+        assert padded.indptr is with_empty.indptr
+        assert padded.row_map.tolist() == [1, 1, 1, 0, 0]
+        assert full.pad_to(3, 4).row_map is full.row_map
+
+    @pytest.mark.parametrize("row_map,error", [
+        ([0, 1], ValueError),           # one entry per row
+        ([0, 1, 2], IndexError),        # stored rows are 0..1
+        ([0, -1, 1], IndexError),
+        ([0.0, 1.0, 1.0], IndexError),
+    ])
+    def test_from_csr_checks_the_map(self, row_map, error):
+        with pytest.raises(error):
+            SparseMatrix.from_csr(3, 4, [0, 1, 3], [0, 1, 2], [5, 6, 7],
+                                  row_map)
+
+
+def _registry_maps():
+    """(circuit, matrix) of every matrix that compiles with a row map."""
+    from repro.workloads import synthetic_r1cs
+    from repro.workloads.registry import build_workload
+
+    names = ["aes", "auction", "litmus", "rsa", "sha"]
+    systems = [(n, build_workload(n)[1].compile()[0]) for n in names]
+    systems.append(("synthetic_r1cs(12)", synthetic_r1cs(12)[0]))
+    return {(name, label) for name, r1cs in systems
+            for label, m in zip("abc", (r1cs.a, r1cs.b, r1cs.c))
+            if m.row_map is not None}
+
+
+class TestDistinctRowCompile:
+    """``Circuit.compile`` stores one row per distinct LinearCombination
+    object of a slot, behind a row map, only where the entries it saves
+    outnumber the rows."""
+
+    def test_only_aes_b_carries_a_row_map(self):
+        assert _registry_maps() == {("aes", "b")}
+
+    def test_rule_counts_saved_entries_against_rows(self):
+        from repro.r1cs.builder import _keeps_row_map
+
+        assert _keeps_row_map(700458, 6747, 12048)
+        assert not _keeps_row_map(1329, 1173, 465)      # litmus B
+        assert not _keeps_row_map(110, 10, 100)         # saves 100 = rows
+
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_forced_rule_compiles_the_same_instance(self, keep):
+        """With the rule forced on every slot gets a map, forced off none
+        does; either way each matrix expands to the entries of the plain
+        build, canonical and column-ordered (from_arrays' guarantees)."""
+        from repro.r1cs import builder
+
+        c = Circuit()
+        byte = c.from_bits(c.to_bits(c.witness(5), 8))    # 8 terms
+        c.lookup(byte, [(3 * i + 1) % 256 for i in range(256)],
+                 assume_range=True)
+        with mock.patch.object(builder, "_keeps_row_map",
+                               lambda *args: keep):
+            forced, pub, wit = c.compile()
+        plain, _pub, _wit = c.compile()
+        assert plain.b.row_map is not None and plain.a.row_map is None
+        for m, p in zip((forced.a, forced.b, forced.c),
+                        (plain.a, plain.b, plain.c)):
+            assert (m.row_map is not None) is keep
+            e, pe = m.expanded(), p.expanded()
+            assert e.indptr.tolist() == pe.indptr.tolist()
+            assert e.cols.tolist() == pe.cols.tolist()
+            assert e.vals.tolist() == pe.vals.tolist()
+            assert (e.vals != 0).all() and (e.vals < MODULUS).all()
+            for r in range(e.num_rows):
+                row = e.cols[e.indptr[r]:e.indptr[r + 1]]
+                assert (np.diff(row) > 0).all()
+        assert forced.is_satisfied(forced.assemble_z(pub, wit))
+
+
+class TestDistinctRowKey:
+    """Memory pins on aes, whose S-box Horner chains feed one byte's
+    LinearCombination into 255 constraints: B stores its 1,392 distinct
+    rows (6,747 entries) and a row map instead of 700,458 entries, so the
+    key is <= 4 MiB with its layout (25.3 MiB in plain CSR) and compile
+    peaks <= 12 MiB above the built circuit (~71 MiB in plain CSR).  The
+    other workloads keep plain CSR."""
+
+    @pytest.fixture(scope="class")
+    def aes(self):
+        from repro.workloads.registry import build_workload
+
+        return build_workload("aes")[1]
+
+    def test_aes_key_holds_the_stored_rows(self, aes):
+        r1cs = aes.compile()[0]
+        r1cs._stacked()
+        assert r1cs.nnz == 739746
+        assert r1cs.b.stored_nnz <= 7000 and r1cs.b.nnz == 700458
+        assert r1cs.nbytes <= 4 << 20, r1cs.nbytes / 2**20
+
+    def test_aes_compile_peak(self, aes):
+        _out, _resident, peak = _traced(aes.compile)
+        assert peak <= 12 << 20, peak / 2**20
+
+    @pytest.mark.parametrize("name", ["synthetic_r1cs(16)", "sha", "litmus"])
+    def test_plain_csr_elsewhere(self, name):
+        from repro.workloads import synthetic_r1cs
+        from repro.workloads.registry import build_workload
+
+        r1cs = synthetic_r1cs(16)[0] if name.startswith("synthetic") \
+            else build_workload(name)[1].compile()[0]
+        assert all(m.row_map is None for m in (r1cs.a, r1cs.b, r1cs.c))

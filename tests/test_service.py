@@ -227,24 +227,29 @@ def _owned_by_walk(r1cs):
 
 
 def _csr_bytes(r1cs):
-    """12 B per non-zero (int32 column, uint64 value) plus 4 B per row of
-    each distinct ``indptr`` (plus its closing offset)."""
-    indptrs = {id(m.indptr): m.num_rows + 1 for m in (r1cs.a, r1cs.b, r1cs.c)}
-    return 12 * r1cs.nnz + 4 * sum(indptrs.values())
+    """12 B per stored non-zero (int32 column, uint64 value), 4 B per
+    stored row of each distinct ``indptr`` (plus its closing offset) and
+    4 B per row of each row map."""
+    mats = (r1cs.a, r1cs.b, r1cs.c)
+    indptrs = {id(m.indptr): m.num_stored + 1 for m in mats}
+    maps = [m.num_rows for m in mats if m.row_map is not None]
+    return 12 * sum(m.stored_nnz for m in mats) \
+        + 4 * sum(indptrs.values()) + 4 * sum(maps)
 
 
 class TestKeyStoresInt32Indices:
     """A key stores int32 indices and no row id per non-zero: every index
-    array under an ``R1CS`` and its SpMV layout (row offsets, columns,
-    plane ``idx``, output rows) is int32, and ``R1CS.nbytes`` counts them
-    at 4 B each: 12 B per non-zero plus 4 B per row of CSR, plus the
-    walked layout."""
+    array under an ``R1CS`` and its SpMV layout (row offsets, columns, row
+    maps, plane ``idx``, output rows) is int32, and ``R1CS.nbytes`` counts
+    them at 4 B each: 12 B per stored non-zero plus 4 B per stored row of
+    CSR and 4 B per row of a row map, plus the walked layout."""
 
     @staticmethod
     def _index_arrays(r1cs):
         stacked, arrays = r1cs._stacked(), []
         for m in (r1cs.a, r1cs.b, r1cs.c):
-            arrays += [m.indptr, m.cols]
+            arrays += [m.indptr, m.cols] + (
+                [m.row_map] if m.row_map is not None else [])
         for side in (stacked._forward, stacked._transposed):
             for rows, _pieces, idx, _vals in side.groups:
                 arrays += [idx] + ([rows] if not isinstance(rows, slice)
@@ -275,9 +280,12 @@ class TestKeyStoresInt32Indices:
                                           stacked._transposed)
             if side.residual is not None]
         for m in matrices:      # no row array with one entry per non-zero
-            assert not any(isinstance(v, np.ndarray) and len(v) == m.nnz
+            assert not any(isinstance(v, np.ndarray)
+                           and len(v) in (m.nnz, m.stored_nnz)
                            and v.dtype == np.int32 and v is not m.cols
                            for v in vars(m).values())
+        if name == "aes":       # B's row map is one of the arrays checked
+            assert any(arr is r1cs.b.row_map for arr in arrays)
 
 
 class TestKeyCacheSizing:
@@ -318,6 +326,14 @@ class TestKeyCacheSizing:
         assert layout.nbytes == _owned_by_walk(r1cs)
         assert cache.stats()["bytes"] == _csr_bytes(r1cs) + layout.nbytes \
             + entry.public.nbytes + entry.witness.nbytes
+        # B alone has a row map: its stored rows and entries, not its
+        # 700,458 non-zeros, are what the key holds.
+        n = r1cs.shape.num_constraints
+        a, b, c = r1cs.a, r1cs.b, r1cs.c
+        assert a.row_map is None is c.row_map
+        assert (b.nnz, b.stored_nnz, b.num_stored) == (700458, 6747, 1393)
+        assert _csr_bytes(r1cs) == 12 * (a.nnz + 6747 + c.nnz) \
+            + 4 * (2 * (n + 1) + 1393 + 1) + 4 * n
 
     def test_synthetic_forward_views_are_not_double_counted(self):
         from repro.workloads import synthetic_r1cs

@@ -253,6 +253,43 @@ class TestGoldenProofBytes:
         assert self._digest(*synthetic_r1cs(12), "synthetic-2p12") == (
             "90ed7fb533f379d837d6b77e8b089d24be7b3040e2465e9c1f39098980ed6f74")
 
+    def test_registry_aes(self):
+        """The one registry circuit whose key stores repeated rows once
+        (B's row map); recorded when every matrix was plain CSR."""
+        from repro.workloads.registry import build_workload
+
+        circuit_id, circuit = build_workload("aes")
+        assert self._digest(*circuit.compile(), circuit_id) == (
+            "35f9d7c46fbd673e5c41d5e9b4f4532d9cfb79a535b12ec3195911b2bc0d39e8")
+
+
+class TestRowMapProofBytes:
+    """The distinct-row form changes no statement: with
+    ``Circuit.compile``'s rule forced on (every matrix mapped) and forced
+    off (none), the proof bytes are equal and each key verifies the
+    other's proof."""
+
+    @pytest.mark.parametrize("name", ["litmus", "sha", "aes"])
+    def test_rule_forced_on_and_off(self, name, monkeypatch):
+        from repro.r1cs import builder
+        from repro.workloads.registry import build_workload
+
+        circuit_id, circuit = build_workload(name)
+        keys, blobs = [], []
+        for keep in (True, False):
+            monkeypatch.setattr(builder, "_keeps_row_map",
+                                lambda *args: keep)
+            r1cs, public, witness = circuit.compile()
+            assert all((m.row_map is not None) is keep
+                       for m in (r1cs.a, r1cs.b, r1cs.c))
+            pk, vk = setup(r1cs, PAPER)
+            blobs.append(prove(pk, public, witness, seed=7,
+                               circuit_id=circuit_id).to_bytes())
+            keys.append(vk)
+        assert blobs[0] == blobs[1]
+        for vk in keys:
+            assert verify(vk, ProofBundle.from_bytes(blobs[0]))
+
 
 class TestSerialization:
     def test_roundtrip(self, keys, bundle):
