@@ -47,7 +47,7 @@ def test_verify_synthetic(benchmark, log_size):
 
 
 def test_prove_rsa_circuit(benchmark):
-    from repro.workloads import rsa_demo_circuit
+    from repro.workloads.rsa import rsa_demo_circuit
 
     circuit, _ = rsa_demo_circuit(num_messages=1, modulus_bits=64, exponent=17)
     r1cs, pub, wit = circuit.compile()
@@ -57,7 +57,7 @@ def test_prove_rsa_circuit(benchmark):
 
 
 def test_prove_auction_circuit(benchmark):
-    from repro.workloads import auction_demo_circuit
+    from repro.workloads.auction import auction_demo_circuit
 
     circuit, _ = auction_demo_circuit(num_bids=16, bid_bits=16)
     r1cs, pub, wit = circuit.compile()

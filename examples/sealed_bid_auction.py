@@ -11,7 +11,7 @@ Run:  python examples/sealed_bid_auction.py
 import random
 
 from repro.snark import TEST, prove, setup, verify
-from repro.workloads import auction_circuit
+from repro.workloads.auction import auction_circuit
 
 
 def main() -> None:

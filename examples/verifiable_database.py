@@ -14,7 +14,7 @@ from repro.analysis import database_throughput
 from repro.baselines import DEFAULT_CPU
 from repro.nocap.simulator import prover_seconds as nocap_prover_seconds
 from repro.snark import TEST, prove, setup, verify
-from repro.workloads import litmus_circuit, random_transactions
+from repro.workloads.litmus import litmus_circuit, random_transactions
 
 
 def main() -> None:

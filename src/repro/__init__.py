@@ -3,16 +3,17 @@ Hardware-Algorithm Co-Design" (NoCap, MICRO 2024).
 
 Two layers:
 
-* A **functional** hash-based zk-SNARK — the Spartan IOP composed with an
-  Orion-style polynomial commitment over the Goldilocks-64 field — that
-  really proves and verifies R1CS statements (:mod:`repro.snark`,
-  :mod:`repro.spartan`, :mod:`repro.pcs`, plus the field / NTT / hashing /
-  code / R1CS substrates).
+* A **functional** hash-based succinct argument (not zero-knowledge yet)
+  — the Spartan IOP composed with an Orion-style polynomial commitment
+  over the Goldilocks-64 field — that really proves and verifies R1CS
+  statements (:mod:`repro.snark`, :mod:`repro.spartan`, :mod:`repro.pcs`,
+  plus the field / NTT / hashing / code / R1CS substrates).
 * A **performance-model** layer reproducing the paper's evaluation: the
   NoCap accelerator simulator (:mod:`repro.nocap`), CPU / Groth16 /
   PipeZK baselines (:mod:`repro.baselines`), the five benchmark workloads
   (:mod:`repro.workloads`), and the table/figure analyses
-  (:mod:`repro.analysis`).
+  (:mod:`repro.analysis`).  ``import repro`` loads the lifecycle API and
+  the service client only; every other subpackage loads on first use.
 
 Quickstart (the canonical lifecycle surface, re-exported here)::
 
@@ -36,23 +37,9 @@ Batches go through :func:`prove_many`; a long-running deployment runs
 
 __version__ = "1.0.0"
 
+import importlib
+
 from . import errors  # noqa: F401
-from . import (  # noqa: F401
-    analysis,
-    baselines,
-    code,
-    field,
-    hashing,
-    multilinear,
-    nocap,
-    ntt,
-    obs,
-    pcs,
-    r1cs,
-    snark,
-    spartan,
-    workloads,
-)
 from .errors import (  # noqa: F401
     ConfigError,
     DeserializationError,
@@ -75,12 +62,24 @@ from .snark import (  # noqa: F401
     setup,
     verify,
 )
-from .service import ServiceClient  # noqa: F401
+from .service.client import ServiceClient  # noqa: F401
+
+#: Each resolves on first attribute access; the imports above load only
+#: the ones a prove or verify runs (no model, analyses or demo circuits).
+_SUBPACKAGES = (
+    "analysis", "baselines", "code", "field", "hashing", "multilinear",
+    "nocap", "ntt", "obs", "pcs", "r1cs", "snark", "spartan", "workloads",
+)
+
+
+def __getattr__(name: str):
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
-    "analysis", "baselines", "code", "errors", "field", "hashing",
-    "multilinear", "nocap", "ntt", "obs", "pcs", "r1cs", "snark", "spartan",
-    "workloads", "__version__",
+    *_SUBPACKAGES, "errors", "__version__",
     "ReproError", "DeserializationError", "VerificationError",
     "TranscriptError", "ConfigError",
     "setup", "prove", "prove_many", "verify",

@@ -328,7 +328,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the proving service daemon (see docs/SERVICE.md)."""
-    from .service import ServiceConfig, serve_forever
+    from .service.server import ServiceConfig, serve_forever
 
     kwargs = dict(
         host=args.host, port=args.port, unix_socket=args.unix_socket,

@@ -94,7 +94,7 @@ def rand_vector(n: int, rng: np.random.Generator | None = None) -> np.ndarray:
     # bias is ~2^-32 per element, negligible for tests and benchmarks.
     raw = g.integers(0, 1 << 63, size=n, dtype=np.uint64) << _ONE
     raw |= g.integers(0, 2, size=n, dtype=np.uint64)
-    return np.where(raw >= _P, raw - _P, raw)
+    return np.subtract(raw, _P, out=raw, where=raw >= _P)
 
 
 @_wrapping
@@ -301,7 +301,8 @@ def _scale_tiles(x: np.ndarray, s: int, out: np.ndarray,
 
 
 @_wrapping
-def mul(a: np.ndarray, b: np.ndarray, canonical: bool = True) -> np.ndarray:
+def mul(a: np.ndarray, b: np.ndarray, canonical: bool = True,
+        out: np.ndarray | None = None) -> np.ndarray:
     """Element-wise (a * b) mod p using the Goldilocks 128-bit reduction.
 
     A 0-d operand goes to the constant-operand kernel
@@ -314,7 +315,7 @@ def mul(a: np.ndarray, b: np.ndarray, canonical: bool = True) -> np.ndarray:
     subtract of p, returning a representative < 2^64 — valid only when the
     result feeds a consumer that tolerates it (``vsum``, another ``mul``,
     the split-accumulate reductions), never ``add``/``sub``-style kernels
-    that assume operands < p.
+    that assume operands < p.  ``out`` (contiguous, disjoint) takes the result.
     """
     _METRICS.inc("field.mul_batches")
     a = np.asarray(a, dtype=np.uint64)
@@ -325,7 +326,8 @@ def mul(a: np.ndarray, b: np.ndarray, canonical: bool = True) -> np.ndarray:
         vec, s = (a, b) if b.ndim == 0 else (b, a)
         if not vec.flags["C_CONTIGUOUS"]:
             vec = np.ascontiguousarray(vec)
-        out = np.empty(vec.shape, dtype=np.uint64)
+        if out is None:
+            out = np.empty(vec.shape, dtype=np.uint64)
         _scale_tiles(vec.ravel(), s, out.ravel(), canonical)
         return out
     if a.shape == b.shape:
@@ -335,18 +337,20 @@ def mul(a: np.ndarray, b: np.ndarray, canonical: bool = True) -> np.ndarray:
         shape = np.broadcast_shapes(a.shape, b.shape)
         vec = np.ascontiguousarray(np.broadcast_to(a, shape))
         other = np.ascontiguousarray(np.broadcast_to(b, shape))
-    out = np.empty(vec.shape, dtype=np.uint64)
+    if out is None:
+        out = np.empty(vec.shape, dtype=np.uint64)
     _mul_tiles(vec.ravel(), other.ravel(), out.ravel(), canonical)
     return out
 
 
-def mul_scalar(a: np.ndarray, s: int, canonical: bool = True) -> np.ndarray:
+def mul_scalar(a: np.ndarray, s: int, canonical: bool = True,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Multiply a vector by a scalar field element.
 
-    ``canonical=False`` has :func:`mul` semantics: the result is any uint64
-    representative, valid when the consumer tolerates values >= p (one
-    operand of :func:`add`, ``vsum``, another ``mul``)."""
-    return mul(a, np.uint64(s % MODULUS), canonical)
+    ``canonical=False`` and ``out`` have :func:`mul` semantics: the result
+    is any uint64 representative, valid when the consumer tolerates values
+    >= p (one operand of :func:`add`, ``vsum``, another ``mul``)."""
+    return mul(a, np.uint64(s % MODULUS), canonical, out)
 
 
 @_wrapping

@@ -1,4 +1,5 @@
-"""Hashing substrate: SHA3 field hashing, Merkle trees, Fiat-Shamir."""
+"""Hashing substrate: SHA3 field hashing, Merkle trees, Fiat-Shamir (the
+reference Keccak and Poseidon, used by no proof, load from their modules)."""
 
 from .fieldhash import (
     DIGEST_BYTES,
@@ -6,8 +7,6 @@ from .fieldhash import (
     hash_elements,
     hash_pair,
 )
-from .keccak import keccak_f1600
-from .keccak import sha3_256 as sha3_256_from_scratch
 from .merkle import (
     MerkleMultiProof,
     MerklePath,
@@ -18,15 +17,12 @@ from .merkle import (
     verify_path,
 )
 from .transcript import Transcript
-from . import poseidon
 
 __all__ = [
     "DIGEST_BYTES",
     "LEAF_TAG",
     "hash_elements",
     "hash_pair",
-    "keccak_f1600",
-    "sha3_256_from_scratch",
     "MerkleMultiProof",
     "MerklePath",
     "MerkleTree",
@@ -35,5 +31,4 @@ __all__ = [
     "verify_column",
     "verify_path",
     "Transcript",
-    "poseidon",
 ]

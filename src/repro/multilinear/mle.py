@@ -86,10 +86,23 @@ def eq_suffix_tables(point: Sequence[int]):
 def eq_table(point: Sequence[int]) -> np.ndarray:
     """Evaluation table of eq(point, .): out[b] = prod_i eq(point_i, b_i),
     variable 0 the most significant bit of b.  O(2^L) multiplies, which is
-    also what the cost model charges."""
-    for table in eq_suffix_tables(point):
-        pass                    # the last suffix is the whole point
-    return np.asarray(table, dtype=np.uint64)
+    also what the cost model charges.  :func:`eq_suffix_tables`' doubling
+    in one buffer: after the short int levels, each level scales the lower
+    half into the upper half, then subtracts it from the lower in place."""
+    rs = [int(r) % MODULUS for r in reversed(point)]
+    out = np.empty(1 << len(rs), dtype=np.uint64)
+    table, i = [1], 0
+    while i < len(rs) and len(table) <= tb.SCALAR_TAIL:
+        table = tb.eq_extend(table, rs[i])
+        i += 1
+    m = len(table)
+    out[:m] = table
+    for r in rs[i:]:
+        lo = out[:m]
+        hi = fv.mul_scalar(lo, r, out=out[m:2 * m])
+        fv.sub(lo, hi, out=lo)
+        m *= 2
+    return out
 
 
 def eq_eval(a: Sequence[int], b: Sequence[int]) -> int:

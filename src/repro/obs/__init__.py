@@ -43,7 +43,6 @@ from .tracer import (  # noqa: F401
     Tracer,
 )
 from . import events  # noqa: F401
-from . import export  # noqa: F401
 
 #: The active tracer: module state, single-threaded like the prover.
 _active = NULL_TRACER
@@ -86,6 +85,6 @@ def tracing():
 __all__ = [
     "FAMILIES", "FLIGHT", "FlightRecorder", "JobReport", "METRICS",
     "MetricsRegistry", "NullTracer", "NULL_TRACER", "SpanRecord", "Tracer",
-    "events", "export", "get_tracer", "peak_rss_bytes", "set_tracer", "span",
+    "events", "get_tracer", "peak_rss_bytes", "set_tracer", "span",
     "tracing",
 ]

@@ -40,10 +40,7 @@ locks other threads need.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
-                                ProcessPoolExecutor, wait)
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -122,6 +119,10 @@ class ProverPool:
         if self.is_serial or len(seeds) < 2:
             return None
         check_deadline("parallel.prove_batch")
+        # Imported here: a process that never forks a batch never loads them.
+        import multiprocessing
+        from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
+                                        ProcessPoolExecutor, wait)
         # Build the key's gather plans here, once: every worker of this
         # and later batches inherits them instead of rebuilding its own.
         pk.r1cs._stacked()

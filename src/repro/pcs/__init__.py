@@ -1,6 +1,6 @@
-"""Polynomial commitment schemes (Orion over linear codes)."""
+"""Polynomial commitment schemes: Orion over linear codes (the one the
+prover uses) and FRI (:mod:`.fri`, import it from its module)."""
 
-from .fri import FriParams, FriProof, FriProver, FriVerifier, fri_prover_tasks
 from .orion import (
     DEFAULT_PROXIMITY_VECTORS,
     DEFAULT_ROWS,
@@ -11,11 +11,6 @@ from .orion import (
 )
 
 __all__ = [
-    "FriParams",
-    "FriProof",
-    "FriProver",
-    "FriVerifier",
-    "fri_prover_tasks",
     "DEFAULT_PROXIMITY_VECTORS",
     "DEFAULT_ROWS",
     "OrionCommitment",

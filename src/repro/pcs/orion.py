@@ -17,9 +17,10 @@ completes the inner product itself.  Soundness comes from:
   columns (the paper follows Brakedown's observation that tests can reuse
   columns, shrinking the proof).
 
-Zero-knowledge: one committed random mask row is folded into every
-proximity response, so those responses reveal no row of M (the paper's
-protocol-5 masking; the substitution is recorded in DESIGN.md).
+Masking: one committed random mask row is folded into every proximity
+response, so those responses reveal no row of M (protocol-5 masking).
+The opened columns are not masked, so the scheme is not zero-knowledge
+yet: any C opened columns return every row (docs/PROTOCOL.md, §6).
 
 The full Orion scheme additionally compresses this proof with an inner
 SNARK ("proof composition"); prover-side cost is unchanged, so the

@@ -1,14 +1,11 @@
-"""R1CS arithmetization: sparse matrices, constraint systems, circuit DSL."""
+"""R1CS arithmetization: sparse matrices, constraint systems, circuit DSL
+(the gadget libraries load when a circuit imports them)."""
 
-from . import bignum, gadgets, poseidon_gadget
 from .builder import Circuit, LinearCombination, Wire
 from .matrices import SparseMatrix
 from .system import R1CS, R1CSShape, pad_r1cs
 
 __all__ = [
-    "bignum",
-    "gadgets",
-    "poseidon_gadget",
     "Circuit",
     "LinearCombination",
     "Wire",

@@ -35,6 +35,14 @@ class LinearCombination:
         self.terms = {v: c % MODULUS for v, c in (terms or {}).items() if c % MODULUS}
 
     @classmethod
+    def _canonical(cls, terms: Dict[int, int]) -> "LinearCombination":
+        """Adopt ``terms`` as they are: canonical and zero-free, the form
+        the constructor gives and the arithmetic below keeps."""
+        lc = cls.__new__(cls)
+        lc.terms = terms
+        return lc
+
+    @classmethod
     def from_var(cls, index: int, coeff: int = 1) -> "LinearCombination":
         return cls({index: coeff})
 
@@ -43,20 +51,16 @@ class LinearCombination:
         return cls({0: value})
 
     def __add__(self, other: "LinearCombination") -> "LinearCombination":
-        terms = dict(self.terms)
-        for v, c in other.terms.items():
-            terms[v] = (terms.get(v, 0) + c) % MODULUS
-        return LinearCombination(terms)
+        return self._canonical(_accumulate(dict(self.terms), other.terms, 1))
 
     def __sub__(self, other: "LinearCombination") -> "LinearCombination":
-        terms = dict(self.terms)
-        for v, c in other.terms.items():
-            terms[v] = (terms.get(v, 0) - c) % MODULUS
-        return LinearCombination(terms)
+        return self._canonical(_accumulate(dict(self.terms), other.terms, -1))
 
     def scale(self, k: int) -> "LinearCombination":
         k %= MODULUS
-        return LinearCombination({v: c * k % MODULUS for v, c in self.terms.items()})
+        # p is prime: a product of two non-zero residues is non-zero.
+        return self._canonical(
+            {v: c * k % MODULUS for v, c in self.terms.items()} if k else {})
 
     def is_constant(self) -> Optional[int]:
         """Return the constant value if this LC uses only the one-wire."""
@@ -65,6 +69,19 @@ class LinearCombination:
         if set(self.terms) == {0}:
             return self.terms[0]
         return None
+
+
+def _accumulate(terms: Dict[int, int], other: Dict[int, int],
+                k: int) -> Dict[int, int]:
+    """``terms += k * other`` in place, keeping every coefficient
+    canonical and dropping the ones that cancel; returns ``terms``."""
+    for v, c in other.items():
+        c = (terms.get(v, 0) + c * k) % MODULUS
+        if c:
+            terms[v] = c
+        else:
+            terms.pop(v, None)
+    return terms
 
 
 class Wire:
@@ -211,10 +228,11 @@ class Circuit:
         return bits
 
     def from_bits(self, bits: Sequence[Wire]) -> Wire:
-        acc = self.constant(0)
+        """sum_i 2^i * bits[i], built in one pass over one dict."""
+        terms: Dict[int, int] = {}
         for i, bit in enumerate(bits):
-            acc = acc + bit * (1 << i)
-        return acc
+            _accumulate(terms, bit.lc.terms, pow(2, i, MODULUS))
+        return Wire(self, LinearCombination._canonical(terms))
 
     def is_zero(self, x: Wire) -> Wire:
         """Return a boolean wire that is 1 iff x == 0 (two constraints)."""
@@ -261,9 +279,15 @@ class Circuit:
         if not assume_range:
             self.to_bits(x, width)
         coeffs = _lookup_coeffs(tuple(int(v) % MODULUS for v in table))
-        acc = self.constant(coeffs[-1])
+        # Horner, acc <- acc * x + coeff, reading x's value once; every
+        # constraint carries the one object x.lc (compile stores it once).
+        x_val = self.eval_lc(x.lc)
+        acc, acc_val = self.constant(coeffs[-1]), coeffs[-1]
         for coeff in reversed(coeffs[:-1]):
-            acc = self.mul(acc, x) + coeff
+            acc_val = acc_val * x_val % MODULUS
+            w = self.witness(acc_val)
+            self.enforce(acc, x, w)
+            acc, acc_val = w + coeff, (acc_val + coeff) % MODULUS
         return acc
 
     # -- evaluation / compilation -------------------------------------------------

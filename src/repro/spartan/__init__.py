@@ -1,6 +1,6 @@
-"""The Spartan IOP composed with the Orion PCS."""
+"""The Spartan IOP composed with the Orion PCS (the offline memory
+check, :mod:`.memcheck`, is imported from its module)."""
 
-from . import memcheck
 from .matrixeval import combined_matrix_eval, combined_matrix_row, matrix_mle_eval
 from .protocol import (
     DEFAULT_REPETITIONS,
@@ -17,7 +17,6 @@ from .sumcheck1 import (
 )
 
 __all__ = [
-    "memcheck",
     "combined_matrix_eval",
     "combined_matrix_row",
     "matrix_mle_eval",

@@ -1,37 +1,9 @@
-"""Benchmark workloads: the paper's five applications plus synthetic R1CS."""
+"""Benchmark workloads: the paper's five applications plus synthetic R1CS.
 
-from .aes import aes_circuit, aes_demo_circuit
-from .auction import auction_circuit, auction_demo_circuit
-from .litmus import (
-    Access,
-    Transaction,
-    litmus_circuit,
-    litmus_demo_circuit,
-    random_transactions,
-)
-from .rsa import rsa_circuit, rsa_demo_circuit
-from .sha import sha_circuit, sha_demo_circuit
-from .spec import (
-    AES,
-    AUCTION,
-    LITMUS,
-    PAPER_WORKLOADS,
-    REFERENCE_CONSTRAINTS,
-    RSA,
-    SHA,
-    WORKLOADS_BY_NAME,
-    WorkloadSpec,
-)
+The circuits (:mod:`.aes`, :mod:`.sha`, ...), the Table III specs
+(:mod:`.spec`) and the circuit-id registry load from their own modules.
+"""
+
 from .synthetic import synthetic_r1cs
 
-__all__ = [
-    "aes_circuit", "aes_demo_circuit",
-    "auction_circuit", "auction_demo_circuit",
-    "Access", "Transaction", "litmus_circuit", "litmus_demo_circuit",
-    "random_transactions",
-    "rsa_circuit", "rsa_demo_circuit",
-    "sha_circuit", "sha_demo_circuit",
-    "AES", "AUCTION", "LITMUS", "PAPER_WORKLOADS", "REFERENCE_CONSTRAINTS",
-    "RSA", "SHA", "WORKLOADS_BY_NAME", "WorkloadSpec",
-    "synthetic_r1cs",
-]
+__all__ = ["synthetic_r1cs"]

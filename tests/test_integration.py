@@ -15,7 +15,7 @@ from repro.snark import (
     setup,
     verify,
 )
-from repro.workloads import PAPER_WORKLOADS
+from repro.workloads.spec import PAPER_WORKLOADS
 
 
 class TestAllWorkloadsProve:

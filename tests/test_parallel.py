@@ -46,17 +46,18 @@ def _batch_bytes(pk, jobs, **kwargs):
 
 @pytest.fixture
 def fleet_sizes(monkeypatch):
-    """``max_workers`` of every executor a batch starts."""
-    from repro.parallel import pool as pool_mod
+    """``max_workers`` of every executor a batch starts (``prove_batch``
+    imports the executor from :mod:`concurrent.futures` when it forks)."""
+    import concurrent.futures
 
     sizes = []
 
-    class Recording(pool_mod.ProcessPoolExecutor):
+    class Recording(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     return sizes
 
 

@@ -30,15 +30,14 @@ from repro.errors import (
 )
 from repro.obs import METRICS
 from repro.service import (
-    ProvingService,
     QueueFullError,
     ServiceClient,
-    ServiceConfig,
     ServiceError,
     proof_cache_key,
     protocol,
 )
 from repro.service import server
+from repro.service.server import ProvingService, ServiceConfig
 from repro.service.cache import LRUBytesCache
 
 

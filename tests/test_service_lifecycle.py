@@ -22,12 +22,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import EXIT_CONFIG_ERROR, main
-from repro.service import (
-    ProvingService,
-    ServiceClient,
-    ServiceConfig,
-    ServiceError,
-)
+from repro.service import ServiceClient, ServiceError
+from repro.service.server import ProvingService, ServiceConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

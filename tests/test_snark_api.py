@@ -263,6 +263,63 @@ class TestGoldenProofBytes:
             "35f9d7c46fbd673e5c41d5e9b4f4532d9cfb79a535b12ec3195911b2bc0d39e8")
 
 
+class TestWitnessIsNotHidden:
+    """Today's proofs are a succinct argument, not zero-knowledge: the
+    witness commitment masks only the proximity responses, so the opened
+    codeword columns of ONE repetition of a PAPER proof determine the
+    committed witness rows.  Each row is encoded as the degree-< C
+    polynomial whose coefficients are the row, evaluated at w^j on the
+    4C-point NTT domain, and C distinct opened columns pin it down.  This
+    pins the leak as it stands; a change that makes the proofs
+    zero-knowledge must make these tests fail."""
+
+    @staticmethod
+    def _opened(name):
+        """(committed witness matrix, {codeword index: opened column}) of
+        the first repetition of a seeded PAPER proof of registry ``name``."""
+        from repro.workloads.registry import build_workload
+
+        circuit_id, circuit = build_workload(name)
+        r1cs, public, witness = circuit.compile()
+        pk, _ = setup(r1cs, PAPER)
+        proof = prove(pk, public, witness, seed=7,
+                      circuit_id=circuit_id).proof
+        com = proof.witness_commitment
+        rows = r1cs.split_z(r1cs.assemble_z(public, witness))[1].reshape(
+            com.num_rows, com.num_cols)
+        pcs = proof.repetitions[0].pcs_proof
+        return rows, dict(zip(pcs.merkle.indices, pcs.columns))
+
+    def test_litmus_every_column_opened_one_inverse_ntt_per_row(self):
+        from repro.ntt.radix2 import intt
+
+        rows, opened = self._opened("litmus")
+        num_rows, c = rows.shape
+        assert c == 4 and sorted(opened) == list(range(4 * c))
+        codewords = np.stack([opened[j] for j in range(4 * c)], axis=1)
+        coeffs = intt(codewords)
+        assert rows.any()
+        assert np.array_equal(coeffs[:num_rows, :c], rows)
+        assert not coeffs[:, c:].any()
+
+    def test_sha_lagrange_from_c_opened_columns(self):
+        from repro.field.goldilocks import MODULUS
+        from repro.field.poly import interpolate
+        from repro.ntt.roots import primitive_root
+
+        rows, opened = self._opened("sha")
+        c = rows.shape[1]
+        assert c == 64 and len(opened) >= c
+        omega = primitive_root(4 * c)
+        picked = sorted(opened)[:c]
+        xs = [pow(omega, j, MODULUS) for j in picked]
+        for r in (0, 1, 31, 63, 64):      # rows 65.. are padding
+            poly = interpolate(xs, [int(opened[j][r]) for j in picked])
+            coeffs = list(poly.coeffs) + [0] * (c - len(poly.coeffs))
+            assert any(rows[r])
+            assert coeffs == [int(v) for v in rows[r]], r
+
+
 class TestRowMapProofBytes:
     """The distinct-row form changes no statement: with
     ``Circuit.compile``'s rule forced on (every matrix mapped) and forced
@@ -353,3 +410,57 @@ class TestCanonicalSurface:
         assert repro.prove is repro.snark.prove
         assert repro.verify is repro.snark.verify
         assert repro.prove_many is repro.snark.prove_many
+
+    def test_cold_import_loads_only_what_a_proof_runs(self):
+        """``import repro`` and ``python -m repro serve --help`` load none
+        of the modules a prove or verify never calls; afterwards every
+        ``repro.__all__`` name and every subpackage still resolves."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        script = f"""
+import importlib, json, pkgutil, runpy, sys
+forbidden = set({COLD_IMPORT_FORBIDDEN!r})
+import repro
+after_import = sorted(forbidden & set(sys.modules))
+sys.argv = ["repro", "serve", "--help"]
+try:
+    runpy.run_module("repro", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code in (0, None), exc.code
+after_help = sorted(forbidden & set(sys.modules))
+missing = [n for n in repro.__all__ if getattr(repro, n, None) is None]
+subs = [m.name for m in pkgutil.iter_modules(repro.__path__) if m.ispkg]
+for sub in subs:
+    assert importlib.import_module("repro." + sub) is getattr(repro, sub)
+print(json.dumps([after_import, after_help, missing, subs]))
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(repro.__file__))]
+            + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        after_import, after_help, missing, subs = json.loads(
+            out.stdout.splitlines()[-1])
+        assert after_import == [] and after_help == []
+        assert missing == []
+        assert {"analysis", "nocap", "workloads", "service"} <= set(subs)
+
+
+#: Modules no prove or verify calls: a cold ``import repro`` (and the
+#: daemon's argument parsing) must not load them.
+COLD_IMPORT_FORBIDDEN = (
+    "repro.analysis", "repro.baselines", "repro.nocap",
+    "repro.hashing.keccak", "repro.hashing.poseidon", "repro.pcs.fri",
+    "repro.r1cs.bignum", "repro.r1cs.gadgets", "repro.r1cs.poseidon_gadget",
+    "repro.spartan.memcheck",
+    "repro.workloads.aes", "repro.workloads.sha", "repro.workloads.rsa",
+    "repro.workloads.litmus", "repro.workloads.auction",
+    "repro.workloads.spec",
+    "repro.obs.export", "repro.service.server",
+    "multiprocessing", "concurrent.futures",
+)

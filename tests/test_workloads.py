@@ -6,24 +6,19 @@ import random
 import pytest
 
 from repro.field.goldilocks import MODULUS
-from repro.workloads import (
-    PAPER_WORKLOADS,
-    WORKLOADS_BY_NAME,
+from repro.workloads import synthetic_r1cs
+from repro.workloads.aes import aes_circuit, aes_demo_circuit
+from repro.workloads.auction import auction_circuit, auction_demo_circuit
+from repro.workloads.litmus import (
     Access,
     Transaction,
-    aes_circuit,
-    aes_demo_circuit,
-    auction_circuit,
-    auction_demo_circuit,
     litmus_circuit,
     litmus_demo_circuit,
     random_transactions,
-    rsa_circuit,
-    rsa_demo_circuit,
-    sha_circuit,
-    sha_demo_circuit,
-    synthetic_r1cs,
 )
+from repro.workloads.rsa import rsa_circuit, rsa_demo_circuit
+from repro.workloads.sha import sha_circuit, sha_demo_circuit
+from repro.workloads.spec import PAPER_WORKLOADS, WORKLOADS_BY_NAME
 from repro.workloads.aes_reference import aes128_encrypt_block, key_expansion
 from repro.workloads.sha256_reference import IV, compress, sha256
 
