@@ -33,7 +33,7 @@ import numpy as np
 
 from ..errors import DeserializationError
 from ..field.goldilocks import MODULUS
-from ..snark.serialize import proof_from_bytes, proof_to_bytes
+from ..snark.serialize import column_table, proof_from_bytes, proof_to_bytes
 
 #: Byte offset of the version byte / commitment root in the wire format
 #: (see :mod:`repro.snark.serialize`): magic(4) version(1) root(32)
@@ -61,6 +61,15 @@ def _parse(data: bytes):
 
 def _reserialize(name: str, proof) -> List[Mutant]:
     return [Mutant(name, proof_to_bytes(proof))]
+
+
+def _reopen(proof, table: Dict[int, np.ndarray]) -> None:
+    """Point every repetition's columns at ``table`` (index -> column), as
+    the reader does: an edit to a table column reaches every repetition
+    that opens its index, so the proof stays one the wire can carry."""
+    for rp in proof.repetitions:
+        p = rp.pcs_proof
+        p.columns = [table[i] for i in sorted(set(p.query_indices))]
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +156,17 @@ def mutate_field_bump(data: bytes, rng: random.Random) -> List[Mutant]:
     row[i] = np.uint64((int(row[i]) + 1) % MODULUS)
     rp.pcs_proof.eval_row = row
     out.extend(_reserialize("field_bump", proof))
-    # one element of an opened column (breaks the Merkle binding)
+    # one element of a column of the shared table, in every repetition
+    # that opens it (breaks the Merkle binding)
     proof = _parse(data)
-    rp = rng.choice(proof.repetitions)
-    if rp.pcs_proof.columns:
-        k = rng.randrange(len(rp.pcs_proof.columns))
-        col = np.array(rp.pcs_proof.columns[k], dtype=np.uint64)
+    table = dict(zip(*column_table(proof)))
+    if table:
+        k = rng.choice(sorted(table))
+        col = np.array(table[k], dtype=np.uint64)
         j = rng.randrange(col.size)
         col[j] = np.uint64((int(col[j]) + 1) % MODULUS)
-        rp.pcs_proof.columns[k] = col
+        table[k] = col
+        _reopen(proof, table)
         out.extend(_reserialize("field_bump", proof))
     return out
 
@@ -253,21 +264,53 @@ def mutate_merkle_tamper(data: bytes, rng: random.Random) -> List[Mutant]:
 
 def mutate_query_indices(data: bytes, rng: random.Random) -> List[Mutant]:
     """Answer different columns than the transcript demands: shift one
-    query index, and swap two opened columns in place."""
+    query index (a newly named index answers with the column of the old
+    one), and swap two of one repetition's columns in the shared table."""
     out = []
     proof = _parse(data)
+    table = dict(zip(*column_table(proof)))
     rp = rng.choice(proof.repetitions)
     qi = rp.pcs_proof.query_indices
     if qi:
         k = rng.randrange(len(qi))
-        qi[k] = (qi[k] + 1) % max(2, max(qi) + 1)
+        old, qi[k] = qi[k], (qi[k] + 1) % max(2, max(qi) + 1)
+        table.setdefault(qi[k], table[old])
+        _reopen(proof, table)
         out.extend(_reserialize("query_indices", proof))
     proof = _parse(data)
-    cols = rng.choice(proof.repetitions).pcs_proof.columns
-    if len(cols) >= 2:
-        i, j = rng.sample(range(len(cols)), 2)
-        cols[i], cols[j] = cols[j], cols[i]
+    table = dict(zip(*column_table(proof)))
+    opened = rng.choice(proof.repetitions).pcs_proof.merkle.indices
+    if len(opened) >= 2:
+        i, j = rng.sample(opened, 2)
+        table[i], table[j] = table[j], table[i]
+        _reopen(proof, table)
         out.extend(_reserialize("query_indices", proof))
+    return out
+
+
+def mutate_column_table(data: bytes, rng: random.Random) -> List[Mutant]:
+    """Edit the column table at the end of the payload in place: swap two
+    of its columns, and cut one an element short (its length prefix
+    with it)."""
+    _, columns = column_table(_parse(data))
+    if not columns:
+        return []
+    height = len(columns[0])
+    stride = 4 + 8 * height
+    start = len(data) - stride * len(columns)
+    out = []
+    if len(columns) >= 2:
+        i, j = sorted(rng.sample(range(len(columns)), 2))
+        a, b = start + i * stride, start + j * stride
+        buf = bytearray(data)
+        buf[a:a + stride], buf[b:b + stride] = (data[b:b + stride],
+                                                data[a:a + stride])
+        out.append(Mutant("column_table", bytes(buf)))
+    at = start + rng.randrange(len(columns)) * stride
+    buf = bytearray(data)
+    del buf[at + stride - 8:at + stride]
+    buf[at:at + 4] = (height - 1).to_bytes(4, "little")
+    out.append(Mutant("column_table", bytes(buf)))
     return out
 
 
@@ -297,6 +340,7 @@ STRUCTURED_MUTATORS = {
     "wrong_claim": mutate_wrong_claim,
     "merkle_tamper": mutate_merkle_tamper,
     "query_indices": mutate_query_indices,
+    "column_table": mutate_column_table,
     "repetition_surgery": mutate_repetition_surgery,
 }
 

@@ -72,7 +72,11 @@ class ProofBundle:
     report: Optional[JobReport] = None
 
     def size_bytes(self) -> int:
-        return self.proof.size_bytes() + len(self.public) * 8
+        """Length of the envelope :meth:`to_bytes` writes, counted from
+        the objects (no serialization)."""
+        from .envelope import bundle_wire_size
+
+        return bundle_wire_size(self)
 
     def to_bytes(self) -> bytes:
         """Serialize to the versioned self-describing envelope format."""

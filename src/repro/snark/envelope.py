@@ -22,7 +22,13 @@ the payload are an error.  All failures raise
 from __future__ import annotations
 
 from ..errors import DeserializationError
-from .serialize import _Reader, _Writer, proof_from_bytes, proof_to_bytes
+from .serialize import (
+    _Reader,
+    _Writer,
+    proof_from_bytes,
+    proof_to_bytes,
+    proof_wire_size,
+)
 
 MAGIC = b"NCPE"
 #: v2: a Merkle leaf is one tagged SHA3 over the packed column
@@ -31,9 +37,11 @@ MAGIC = b"NCPE"
 #: one transcript absorb per vector
 #: (:meth:`repro.hashing.transcript.Transcript.challenge_vector`), so
 #: every gamma — and every byte derived after it — differs from v2's.
-#: The layout never moved; an older proof cannot verify and is refused
-#: here, at the version byte.
-VERSION = 3
+#: v4: the payload (proof format v3) ships each opened column once, in
+#: one column table shared by the repetitions; the proof it decodes to,
+#: and so every challenge, is v3's.  An older envelope is refused here,
+#: at the version byte: no reader is kept for v3's per-repetition columns.
+VERSION = 4
 
 #: Preset ids are short registry keys; circuit ids are free-form labels.
 MAX_PRESET_ID_BYTES = 64
@@ -67,6 +75,14 @@ def bundle_to_bytes(bundle) -> bytes:
     w.u32(len(payload))
     w.parts.append(payload)
     return w.getvalue()
+
+
+def bundle_wire_size(bundle) -> int:
+    """``len(bundle_to_bytes(bundle))``, counted without serializing."""
+    return (len(MAGIC) + 1 + 1 + len(bundle.preset_name.encode("utf-8"))
+            + 1 + len(bundle.circuit_id.encode("utf-8"))
+            + 4 + 8 * len(bundle.public)
+            + 4 + proof_wire_size(bundle.proof))
 
 
 def bundle_from_bytes(data: bytes):

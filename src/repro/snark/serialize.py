@@ -2,7 +2,21 @@
 
 A compact little-endian format so measured wire sizes are honest: this is
 what travels over the paper's 10 MB/s prover-verifier link.  Layout is
-length-prefixed throughout; see the writer methods for the exact framing.
+length-prefixed throughout (u32 counts, u64 field elements)::
+
+    "NCAP" | version u8
+          | commitment  root(32) table_len u64 num_rows u32 num_cols u32
+          | repetitions u32 count, each:
+          |     sumcheck-1 rounds, va vb vc, sumcheck-2 rounds + finals,
+          |     w_eval, proximity rows, evaluation row, query indices,
+          |     Merkle sibling digests
+          | column table u32 count + one length-prefixed column per index
+
+Every repetition opens columns of the ONE witness commitment, so a column
+two repetitions both query travels once: the table holds the sorted union
+of the repetitions' distinct query indices, and each repetition's columns
+are read back as views of it — the query indices already on the wire say
+which, so the table carries no indices of its own.
 
 The reader side is a *strict* parser: proof bytes come from an untrusted
 prover, so every length prefix is bounds-checked against the remaining
@@ -31,8 +45,10 @@ MAGIC = b"NCAP"
 #: v2: column openings carry one Merkle multiproof instead of per-query paths.
 #: The envelope's v2 (packed leaf hash) and v3 (one absorb per gamma
 #: vector) changed digests and challenges, not this layout, so the payload
-#: version did not move with them.
-VERSION = 2
+#: version did not move with them.  v3: the opened columns of every
+#: repetition travel once, as ONE column table at the end of the payload
+#: (:func:`proof_to_bytes`); the proof objects and the transcript are v2's.
+VERSION = 3
 
 #: Structural caps.  The field has 64-bit indices, so no sumcheck runs more
 #: than 64 rounds; repetitions beyond 64 exceed any soundness target; round
@@ -150,8 +166,9 @@ class _Reader:
     def array_run(self, what: str, n: int, heights) -> List[np.ndarray]:
         """Read ``n`` length-prefixed field arrays that all share ONE
         length, which must be in ``heights`` — the same bytes ``n`` calls
-        of :meth:`array` read, parsed as one block.  Errors carry the
-        offset of the first prefix or element at fault."""
+        of :meth:`array` read, parsed as one block: read-only row views
+        of one ``(n, length)`` array.  Errors carry the offset of the
+        first prefix or element at fault."""
         if n == 0:
             return []
         start = self.pos
@@ -180,6 +197,7 @@ class _Reader:
             raise DeserializationError(
                 f"non-canonical element in {what}",
                 offset=start + i * stride + 4 + 8 * k)
+        values.flags.writeable = False
         return list(values)
 
     def done(self) -> bool:
@@ -194,41 +212,60 @@ def _write_pcs_proof(w: _Writer, p: OrionEvalProof) -> None:
     w.u32(len(p.query_indices))
     for idx in p.query_indices:
         w.u32(idx)
-    w.u32(len(p.columns))
-    for col in p.columns:
-        w.array(col)
-    # The multiproof's sorted index list is derivable from query_indices,
-    # so only the sibling digests go on the wire.
+    # The opened columns go to the proof's column table; the multiproof's
+    # sorted index list is derivable from query_indices, so only the
+    # sibling digests go on the wire.
     w.u32(len(p.merkle.nodes))
     for node in p.merkle.nodes:
         w.digest(node)
 
 
 def _read_pcs_proof(r: _Reader, c: OrionCommitment) -> OrionEvalProof:
-    """Parse one PCS opening, validated against the commitment geometry:
-    combination rows are ``num_cols`` wide, opened columns are ``num_rows``
-    (+1 with the zk mask row) tall, and the multiproof ships at most one
-    sibling per level per query."""
+    """Parse one PCS opening but its columns (the column table fills them
+    in), validated against the commitment geometry: combination rows are
+    ``num_cols`` wide and the multiproof ships at most one sibling per
+    level per query."""
     num_prox = r.count("proximity row", 4 + 8, cap=MAX_REPETITIONS)
     proximity_rows = [r.array("proximity row", expected=c.num_cols)
                       for _ in range(num_prox)]
     eval_row = r.array("evaluation row", expected=c.num_cols)
     num_queries = r.count("query index", 4)
     query_indices = [r.u32() for _ in range(num_queries)]
-    num_cols_opened = r.count("opened column", 4 + 8 * c.num_rows)
-    distinct = sorted(set(query_indices))
-    if num_cols_opened != len(distinct):
-        raise r.fail(f"opened column count {num_cols_opened} does not match "
-                     f"{len(distinct)} distinct query indices")
-    # Equal heights: commitment rows, +1 with the zk mask row.
-    columns = r.array_run("opened column", num_cols_opened,
-                          (c.num_rows, c.num_rows + 1))
     num_nodes = r.count("Merkle node", 32,
                         cap=max(1, num_queries) * MAX_TREE_DEPTH)
     nodes = [r.digest() for _ in range(num_nodes)]
-    merkle = MerkleMultiProof(indices=distinct, nodes=nodes)
-    return OrionEvalProof(proximity_rows, eval_row, query_indices, columns,
+    merkle = MerkleMultiProof(indices=sorted(set(query_indices)),
+                              nodes=nodes)
+    return OrionEvalProof(proximity_rows, eval_row, query_indices, [],
                           merkle)
+
+
+def column_table(proof: SpartanProof):
+    """``(indices, columns)``: the sorted union of the repetitions'
+    distinct query indices and the column opened at each — what the
+    payload's column table carries.
+
+    Raises ``ValueError`` for a proof the table cannot carry: a
+    repetition whose column count is not its distinct query count, or
+    two repetitions that open different columns at one index.  An honest
+    proof is neither (every repetition opens the one committed codeword
+    matrix), and the v2 reader refused the first.
+    """
+    table = {}
+    for k, rp in enumerate(proof.repetitions):
+        p = rp.pcs_proof
+        distinct = sorted(set(p.query_indices))
+        if len(p.columns) != len(distinct):
+            raise ValueError(f"repetition {k} opens {len(p.columns)} columns "
+                             f"for {len(distinct)} distinct query indices")
+        for idx, col in zip(distinct, p.columns):
+            seen = table.setdefault(idx, col)
+            if seen is not col and not np.array_equal(seen, col):
+                raise ValueError(f"repetition {k} opens a column at index "
+                                 f"{idx} that an earlier repetition opened "
+                                 "with other values")
+    indices = sorted(table)
+    return indices, [table[i] for i in indices]
 
 
 def _write_repetition(w: _Writer, rp: RepetitionProof) -> None:
@@ -285,7 +322,31 @@ def proof_to_bytes(proof: SpartanProof) -> bytes:
     w.u32(len(proof.repetitions))
     for rp in proof.repetitions:
         _write_repetition(w, rp)
+    _, columns = column_table(proof)
+    w.u32(len(columns))
+    for col in columns:
+        w.array(col)
     return w.getvalue()
+
+
+def proof_wire_size(proof: SpartanProof) -> int:
+    """``len(proof_to_bytes(proof))`` of any proof the writer accepts,
+    counted from the proof object without writing a byte or comparing a
+    column (each u32 count is 4 bytes, each field element 8 and each
+    digest 32)."""
+    def run(rows) -> int:  # u32 count + one length-prefixed vector each
+        return 4 + sum(4 + 8 * len(v) for v in rows)
+
+    size = 4 + 1 + 32 + 8 + 4 + 4 + 4
+    table = {}
+    for rp in proof.repetitions:
+        p = rp.pcs_proof
+        size += run(rp.sc1_round_evals) + 3 * 8 + run(rp.sc2.round_evals)
+        size += 4 + 8 * len(rp.sc2.final_values) + 8
+        size += run(p.proximity_rows) + 4 + 8 * len(p.eval_row)
+        size += 4 + 4 * len(p.query_indices) + 4 + 32 * len(p.merkle.nodes)
+        table.update(zip(sorted(set(p.query_indices)), p.columns))
+    return size + run(table.values())
 
 
 def proof_from_bytes(data: bytes) -> SpartanProof:
@@ -320,6 +381,19 @@ def proof_from_bytes(data: bytes) -> SpartanProof:
     # Each repetition carries at least the five count/value headers.
     num_reps = r.count("repetition", 4, cap=MAX_REPETITIONS)
     reps = [_read_repetition(r, commitment) for _ in range(num_reps)]
+    indices = sorted(set().union(*(rp.pcs_proof.merkle.indices
+                                   for rp in reps)))
+    num_cols_opened = r.count("opened column", 4 + 8 * num_rows)
+    if num_cols_opened != len(indices):
+        raise r.fail(f"opened column count {num_cols_opened} does not match "
+                     f"{len(indices)} distinct query indices")
+    # Equal heights: commitment rows, +1 with the zk mask row.
+    table = r.array_run("opened column", num_cols_opened,
+                        (num_rows, num_rows + 1))
+    at = {idx: k for k, idx in enumerate(indices)}
+    for rp in reps:
+        rp.pcs_proof.columns = [table[at[i]]
+                                for i in rp.pcs_proof.merkle.indices]
     if not r.done():
         raise DeserializationError(
             f"{len(r.data) - r.pos} trailing bytes after proof",

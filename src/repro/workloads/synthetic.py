@@ -11,13 +11,20 @@ prover at small scale.
 
 from __future__ import annotations
 
+import functools
 from typing import Tuple
 
 import numpy as np
 
 from ..errors import VerificationError
 from ..field import vector as fv
-from ..r1cs.matrices import SparseMatrix
+from ..r1cs.matrices import (
+    PLANE_CAP,
+    PLANE_TILE,
+    REDUCE_ROWS,
+    SparseMatrix,
+    _plane_matvec,
+)
 from ..r1cs.system import R1CS
 
 
@@ -60,18 +67,22 @@ def synthetic_r1cs(log_size: int, band: int = 64, nnz_per_row: int = 3,
     vals_b = fv.rand_vector(cols_b.size, rng)
 
     # CSR directly: fixed-width rows are one arithmetic offset sequence.
-    indptr = np.arange(0, n * nnz_per_row + 1, nnz_per_row, dtype=np.int32)
+    indptr = np.arange(n + 1, dtype=np.int32) * np.int32(nnz_per_row)
     a = SparseMatrix.from_csr(n, n, indptr, cols_a, vals_a)
     b = SparseMatrix.from_csr(n, n, indptr, cols_b, vals_b)
 
     def fixed_width_matvec(cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        # Row i owns entries [i*k, (i+1)*k) by construction, so the row
-        # sums are one reshape: exact 32-bit half sums, one combine.
-        # (SparseMatrix.matvec would cache a gather plan nothing reads.)
-        lo, hi = (half.reshape(n, nnz_per_row).sum(axis=1, dtype=np.uint64)
-                  for half in fv.halves(fv.mul(vals, np.take(z, cols),
-                                               canonical=False)))
-        return fv.combine_halves(lo, hi)
+        # Row i owns entries [i*k, (i+1)*k) by construction, so entry j
+        # of every row is one strided plane: the limb-deferred plane
+        # kernel reduces once per row, at most PLANE_CAP planes a call.
+        tile = np.empty((7, max(PLANE_TILE, PLANE_CAP)), dtype=np.uint64)
+        acc = np.empty((7, REDUCE_ROWS), dtype=np.uint64)
+        idx = cols.reshape(n, nnz_per_row).T
+        coef = vals.reshape(n, nnz_per_row).T
+        sums = [_plane_matvec(idx[j:j + PLANE_CAP], coef[j:j + PLANE_CAP], z,
+                              tile, acc)
+                for j in range(0, nnz_per_row, PLANE_CAP)]
+        return functools.reduce(fv.add, sums) if sums else fv.zeros(n)
 
     target = fv.mul(fixed_width_matvec(cols_a, vals_a),
                     fixed_width_matvec(cols_b, vals_b))

@@ -289,3 +289,19 @@ class TestSyntheticGenerator:
         h.update(witness.tobytes())
         assert h.hexdigest() == self.DIGESTS[log_size]
         assert r1cs.a._groups is None and r1cs.b._groups is None
+
+    @pytest.mark.parametrize("nnz_per_row", [0, 1, 2, 7, 600])
+    def test_any_row_width_is_satisfied(self, nnz_per_row):
+        """The generator's A z and B z run on the plane kernel, at most
+        PLANE_CAP planes a call: every width gives a satisfied instance
+        whose C z is A z o B z, and width 0 gives all-zero products."""
+        from repro.workloads import synthetic_r1cs
+
+        r1cs, public, witness = synthetic_r1cs(6, band=4,
+                                               nnz_per_row=nnz_per_row)
+        z = r1cs.assemble_z(public, witness)
+        assert r1cs.is_satisfied(z)
+        az = r1cs.a.to_dense().dot([int(v) for v in z]) % MODULUS
+        assert [int(v) for v in r1cs.products(z)[0]] == list(az)
+        if nnz_per_row == 0:
+            assert not any(int(v) for v in r1cs.products(z)[2])

@@ -1,12 +1,14 @@
 """Tests for the keygen/prove/verify lifecycle, the proof envelope, and
 the canonical top-level import surface."""
 
+import functools
 import hashlib
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError, DeserializationError
+from repro.field.goldilocks import MODULUS
 from repro.r1cs import Circuit
 from repro.snark import (
     PAPER,
@@ -149,13 +151,13 @@ class TestEnvelope:
             ProofBundle.from_bytes(b"XXXX" + bundle.to_bytes()[4:])
 
     def test_unknown_version(self, bundle):
-        """Versions 1 (word-chain leaves) and 2 (one transcript absorb per
-        gamma coefficient) are as foreign as version 99: their roots or
-        challenges cannot verify here, so they are refused at the version
-        byte instead of failing verification later."""
+        """Versions 1 (word-chain leaves), 2 (one transcript absorb per
+        gamma coefficient) and 3 (opened columns once per repetition) are
+        as foreign as version 99: their roots, challenges or layout do not
+        parse or verify here, so they are refused at the version byte."""
         data = bytearray(bundle.to_bytes())
-        assert data[4] == 3
-        for version in (1, 2, 99):
+        assert data[4] == 4
+        for version in (1, 2, 3, 99):
             data[4] = version
             with pytest.raises(DeserializationError) as ei:
                 ProofBundle.from_bytes(bytes(data))
@@ -224,13 +226,16 @@ class TestGoldenProofBytes:
     """Proof bytes are a fixed point across commits: a change to a kernel,
     a sumcheck prover or the commit path that moves one byte fails here.
 
-    The digests pin the NCPE v3 envelope (a format change regenerates them
+    The digests pin the NCPE v4 envelope (a format change regenerates them
     on purpose; v3 re-pinned them when ``Transcript.challenge_vector``
     became one absorb per vector — with the v2 derivation patched back in,
     the same code reproduced the v2 digests for every value of
-    ``table.SCALAR_TAIL``).  Their only dependency outside this repo is numpy's
-    ``Generator`` stream (``default_rng(seed)`` draws the zk mask and the
-    synthetic instance), which numpy keeps stable across releases.
+    ``table.SCALAR_TAIL``; v4 re-pinned them when the repetitions' opened
+    columns became one table, and the proof objects did not move:
+    :class:`TestProofObjectsDidNotMove`).  Their only dependency outside
+    this repo is numpy's ``Generator`` stream (``default_rng(seed)`` draws
+    the zk mask and the synthetic instance), which numpy keeps stable
+    across releases.
     """
 
     @staticmethod
@@ -245,13 +250,13 @@ class TestGoldenProofBytes:
 
         circuit_id, circuit = build_workload("litmus")
         assert self._digest(*circuit.compile(), circuit_id) == (
-            "954f8e704a80cb5be333adfcb26029d2bfdd96469efdfe81cefc592afd806e65")
+            "da177e2db3fc540712c6a3f6da0d297ea039d99568db7eb532917a689a9cd6a7")
 
     def test_synthetic_2p12(self):
         from repro.workloads import synthetic_r1cs
 
         assert self._digest(*synthetic_r1cs(12), "synthetic-2p12") == (
-            "90ed7fb533f379d837d6b77e8b089d24be7b3040e2465e9c1f39098980ed6f74")
+            "9cbaa598f46f659320bb88e87390d1c395b21980d8eac21f58971b0c2c4b24a6")
 
     def test_registry_aes(self):
         """The one registry circuit whose key stores repeated rows once
@@ -260,7 +265,193 @@ class TestGoldenProofBytes:
 
         circuit_id, circuit = build_workload("aes")
         assert self._digest(*circuit.compile(), circuit_id) == (
-            "35f9d7c46fbd673e5c41d5e9b4f4532d9cfb79a535b12ec3195911b2bc0d39e8")
+            "2f44026a2e0e48c27cc865475e3a869bdf513552f705ff9513b7448c0316f1ab")
+
+
+REGISTRY_NAMES = ("aes", "sha", "rsa", "litmus", "auction")
+
+
+@functools.lru_cache(maxsize=None)
+def _seed7(name, preset_name):
+    """``(vk, bundle)`` of ``prove(..., seed=7)`` of registry ``name`` (or
+    ``synthetic-2p12``) under a preset, built once per test session."""
+    from repro.workloads import synthetic_r1cs
+    from repro.workloads.registry import build_workload
+
+    if name == "synthetic-2p12":
+        circuit_id, compiled = name, synthetic_r1cs(12)
+    else:
+        circuit_id, circuit = build_workload(name)
+        compiled = circuit.compile()
+    r1cs, public, witness = compiled
+    pk, vk = setup(r1cs, preset_by_name(preset_name))
+    return vk, prove(pk, public, witness, seed=7, circuit_id=circuit_id)
+
+
+def _object_digest(proof):
+    """SHA-256 of a walk of the proof OBJECT, independent of any wire
+    layout: the commitment, then per repetition its round evaluations,
+    claims, combination rows, query indices, columns in Merkle order and
+    sibling digests — every value a verifier reads."""
+    h = hashlib.sha256()
+
+    def ints(values):
+        arr = np.asarray([int(v) for v in values], dtype="<u8")
+        h.update(len(arr).to_bytes(4, "little") + arr.tobytes())
+
+    c = proof.witness_commitment
+    h.update(c.root)
+    ints([c.table_len, c.num_rows, c.num_cols, len(proof.repetitions)])
+    for rp in proof.repetitions:
+        for evals in rp.sc1_round_evals:
+            ints(evals)
+        ints([rp.va, rp.vb, rp.vc, rp.w_eval])
+        for evals in rp.sc2.round_evals:
+            ints(evals)
+        ints(rp.sc2.final_values)
+        p = rp.pcs_proof
+        for row in p.proximity_rows:
+            ints(row)
+        ints(p.eval_row)
+        ints(p.query_indices)
+        ints(p.merkle.indices)
+        for col in p.columns:
+            ints(col)
+        h.update(b"".join(p.merkle.nodes))
+    return h.hexdigest()
+
+
+class TestProofObjectsDidNotMove:
+    """The column table is a wire change only: the proof objects of a
+    seeded PAPER prove — so the transcript and every challenge — are the
+    ones recorded before it, and a decoded envelope gives them back."""
+
+    #: Recorded on the v3 envelope's code, before the column table.
+    DIGESTS = {
+        "litmus": "bec9f12d6123f49ef9f8cd83b8b98a72"
+                  "17a5d911150f01df32333605a8817ca8",
+        "aes": "0efd6dafe06407564bf31ac494b9ee07"
+               "318ce683c86fe00215947adb19e3910d",
+        "synthetic-2p12": "8531419e328c30d45612d6696de6f626"
+                          "284f014a996c5e57517b68b128cd7311",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_decoded_envelope_reproduces_the_objects(self, name):
+        vk, bundle = _seed7(name, PAPER.name)
+        assert _object_digest(bundle.proof) == self.DIGESTS[name]
+        decoded = ProofBundle.from_bytes(bundle.to_bytes())
+        assert _object_digest(decoded.proof) == self.DIGESTS[name]
+        assert verify(vk, decoded)
+
+
+class TestWireSize:
+    """What a proof costs on the link: each opened column travels once,
+    and the size a bundle reports is its envelope's length."""
+
+    #: ``len(prove(pk, ..., seed=7).to_bytes())`` under PAPER; with each
+    #: repetition's columns on the wire (NCPE v3) they were 627,311 /
+    #: 606,095 / 406,111 / 52,842 / 52,723 bytes.
+    PAPER_ENVELOPE_BYTES = {"aes": 442_895, "sha": 278_711, "rsa": 140_887,
+                            "litmus": 19_682, "auction": 19_563}
+
+    @pytest.mark.parametrize("name", REGISTRY_NAMES)
+    def test_paper_envelope_length(self, name):
+        _, bundle = _seed7(name, PAPER.name)
+        assert len(bundle.to_bytes()) == self.PAPER_ENVELOPE_BYTES[name]
+
+    @pytest.mark.parametrize("preset", [PAPER.name, TEST.name])
+    @pytest.mark.parametrize("name", REGISTRY_NAMES + ("synthetic-2p12",))
+    def test_size_bytes_is_the_envelope_length(self, name, preset):
+        _, bundle = _seed7(name, preset)
+        assert bundle.size_bytes() == len(bundle.to_bytes())
+        assert bundle.report.proof_size_bytes == bundle.size_bytes()
+
+    def test_each_distinct_column_once(self):
+        """litmus's three repetitions open the same 16 columns: the
+        payload carries 16, and the decoded repetitions read them as
+        read-only views of one table."""
+        _, bundle = _seed7("litmus", PAPER.name)
+        reps = ProofBundle.from_bytes(bundle.to_bytes()).proof.repetitions
+        assert len(reps) == 3
+        for k, col in enumerate(reps[0].pcs_proof.columns):
+            assert not col.flags.writeable
+            for rp in reps[1:]:
+                assert np.shares_memory(col, rp.pcs_proof.columns[k])
+
+
+class TestColumnTable:
+    """The strict reader over the column table, and the writer's refusal
+    of a proof the table cannot carry."""
+
+    @staticmethod
+    def _payload():
+        """PAPER litmus payload, the table's start and its geometry."""
+        _, bundle = _seed7("litmus", PAPER.name)
+        data = proof_to_bytes(bundle.proof)
+        n = len(bundle.proof.repetitions[0].pcs_proof.columns)
+        height = len(bundle.proof.repetitions[0].pcs_proof.columns[0])
+        stride = 4 + 8 * height
+        start = len(data) - n * stride
+        assert int.from_bytes(data[start - 4:start], "little") == n
+        return bundle, data, start, stride, height
+
+    def test_truncated_table(self):
+        _, data, start, _, _ = self._payload()
+        with pytest.raises(DeserializationError, match="truncated") as ei:
+            proof_from_bytes(data[:-8])
+        assert ei.value.offset == start
+
+    def test_column_of_the_other_allowed_height(self):
+        bundle, data, start, stride, height = self._payload()
+        rows = bundle.proof.witness_commitment.num_rows
+        assert height == rows + 1           # the zk mask row is on
+        at = start + 2 * stride
+        buf = bytearray(data)
+        del buf[at + stride - 8:at + stride]
+        buf[at:at + 4] = rows.to_bytes(4, "little")
+        with pytest.raises(DeserializationError, match="differs") as ei:
+            proof_from_bytes(bytes(buf))
+        assert ei.value.offset == at
+
+    def test_non_canonical_element(self):
+        _, data, start, stride, _ = self._payload()
+        at = start + 3 * stride + 4 + 8 * 5
+        buf = bytearray(data)
+        buf[at:at + 8] = MODULUS.to_bytes(8, "little")
+        with pytest.raises(DeserializationError,
+                           match="non-canonical") as ei:
+            proof_from_bytes(bytes(buf))
+        assert ei.value.offset == at
+
+    def test_trailing_bytes(self):
+        _, data, _, _, _ = self._payload()
+        with pytest.raises(DeserializationError, match="trailing") as ei:
+            proof_from_bytes(data + b"\x00")
+        assert ei.value.offset == len(data)
+
+    def test_count_other_than_the_union(self):
+        _, data, start, _, _ = self._payload()
+        buf = bytearray(data)
+        buf[start - 4:start] = (15).to_bytes(4, "little")
+        with pytest.raises(DeserializationError, match="16 distinct") as ei:
+            proof_from_bytes(bytes(buf))
+        assert ei.value.offset == start
+
+    def test_writer_refuses_disagreeing_repetitions(self):
+        import copy
+
+        bundle, _, _, _, _ = self._payload()
+        proof = copy.deepcopy(bundle.proof)
+        col = proof.repetitions[1].pcs_proof.columns[4].copy()
+        col[0] = (int(col[0]) + 1) % MODULUS
+        proof.repetitions[1].pcs_proof.columns[4] = col
+        with pytest.raises(ValueError, match="other values"):
+            proof_to_bytes(proof)
+        proof = copy.deepcopy(bundle.proof)
+        proof.repetitions[2].pcs_proof.columns.pop()
+        with pytest.raises(ValueError, match="distinct query indices"):
+            proof_to_bytes(proof)
 
 
 class TestWitnessIsNotHidden:

@@ -9,6 +9,12 @@ random byte mutations, and asserts the trichotomy on every mutant:
 * rejected by the verifier (``verify -> False``), or
 * NOTHING ELSE: no other exception may escape, and no mutant may verify.
 
+Two passes: the toy circuits under the TEST preset (one repetition), and
+registry ``litmus`` and ``sha`` under PAPER (three repetitions), whose
+repetitions open shared columns of one commitment — ``litmus`` opens all
+16 columns in each, ``sha`` ~250 distinct of 567 — so the column mutators
+there edit a column of the proof's shared column table.
+
 A machine-readable report is written to ``BENCH_soundness.json``.  Exit
 status is nonzero if any mutant was accepted or crashed untyped — CI runs
 this with small parameters on every push.
@@ -41,6 +47,7 @@ from repro.fuzz.mutate import (
 )
 from repro.r1cs import Circuit
 from repro.snark import (
+    PAPER,
     TEST,
     ProofBundle,
     proof_from_bytes,
@@ -49,6 +56,8 @@ from repro.snark import (
     setup,
     verify,
 )
+from repro.snark.serialize import column_table
+from repro.workloads.registry import build_workload
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +101,9 @@ CIRCUITS = {
     "linear": circuit_linear,
     "mulchain": circuit_mulchain,
 }
+
+#: Registry circuits of the PAPER pass (three repetitions).
+PAPER_CIRCUITS = ("litmus", "sha")
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +156,34 @@ def garbage_corpus(rng: random.Random) -> list:
     return out
 
 
+def baselines(compiled: dict, preset, seed: int):
+    """``{name: (vk, public, proof bytes)}`` of one honest proof per
+    compiled circuit, or None (after a FATAL line) when one does not
+    verify."""
+    targets = {}
+    for idx, (name, (r1cs, public, witness)) in enumerate(compiled.items()):
+        # Seed the zk-mask generator from --seed too: the recorded seed
+        # then reproduces the *entire* run — baseline proof bytes
+        # included — not just the mutation choices.
+        pk, vk = setup(r1cs, preset)
+        bundle = prove(pk, public, witness,
+                       rng=np.random.default_rng(
+                           np.random.SeedSequence([seed, idx])))
+        data = proof_to_bytes(bundle.proof)
+        # Baseline sanity: the honest proof must verify, including after a
+        # serialization round trip, or mutant rejections mean nothing.
+        if not verify(vk, bundle):
+            print(f"FATAL: honest proof for {name!r} failed verification")
+            return None
+        if not verify(vk, ProofBundle(proof=proof_from_bytes(data),
+                                      public=bundle.public)):
+            print(f"FATAL: round-tripped proof for {name!r} failed")
+            return None
+        targets[name] = (vk, bundle.public, data)
+        print(f"  {name}: {len(data)} bytes")
+    return targets
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0,
@@ -158,28 +198,10 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
 
     print(f"building {len(CIRCUITS)} circuits and baseline proofs ...")
-    targets = {}
-    for idx, (name, build) in enumerate(CIRCUITS.items()):
-        # Seed the zk-mask generator from --seed too: the recorded seed
-        # then reproduces the *entire* run — baseline proof bytes
-        # included — not just the mutation choices.
-        r1cs, public, witness = build().compile()
-        pk, vk = setup(r1cs, TEST)
-        bundle = prove(pk, public, witness,
-                       rng=np.random.default_rng(
-                           np.random.SeedSequence([args.seed, idx])))
-        data = proof_to_bytes(bundle.proof)
-        # Baseline sanity: the honest proof must verify, including after a
-        # serialization round trip, or mutant rejections mean nothing.
-        if not verify(vk, bundle):
-            print(f"FATAL: honest proof for {name!r} failed verification")
-            return 2
-        if not verify(vk, ProofBundle(proof=proof_from_bytes(data),
-                                      public=bundle.public)):
-            print(f"FATAL: round-tripped proof for {name!r} failed")
-            return 2
-        targets[name] = (vk, bundle.public, data)
-        print(f"  {name}: {len(data)} bytes")
+    compiled = {name: build().compile() for name, build in CIRCUITS.items()}
+    targets = baselines(compiled, TEST, args.seed)
+    if targets is None:
+        return 2
 
     tally: dict = {}
     failures: list = []
@@ -193,6 +215,32 @@ def main(argv=None) -> int:
             classify(vk, public, m, tally, failures)
         total += len(mutants)
         print(f"  {name}: {len(mutants)} mutants")
+
+    # PAPER pass: three repetitions share one column table.
+    print(f"PAPER pass: {', '.join(PAPER_CIRCUITS)} (3 repetitions) ...")
+    compiled = {name: build_workload(name)[1].compile()
+                for name in PAPER_CIRCUITS}
+    paper_targets = baselines(compiled, PAPER, args.seed)
+    if paper_targets is None:
+        return 2
+    paper_tally: dict = {}
+    paper_total = 0
+    for name, (vk, public, data) in paper_targets.items():
+        mutants = structured_mutants(data, rng)
+        mutants += random_mutants(data, rng, args.random_mutants)
+        for m in mutants:
+            classify(vk, public, m, paper_tally, failures)
+        paper_total += len(mutants)
+        print(f"  {name}: {len(mutants)} mutants")
+    (vka, pa, da), (_, _, db) = paper_targets.values()
+    for m in splice_mutants(da, db, rng):
+        classify(vka, pa, m, paper_tally, failures)
+        paper_total += 1
+    for mutator, counts in paper_tally.items():
+        bucket = tally.setdefault(mutator, dict.fromkeys(counts, 0))
+        for k, v in counts.items():
+            bucket[k] += v
+    total += paper_total
 
     # Cross-proof splices between every ordered pair of circuits.
     names = list(targets)
@@ -248,6 +296,21 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "circuits": names,
         "total_mutants": total,
+        "paper_pass": {
+            "preset": PAPER.name,
+            "circuits": list(paper_targets),
+            # Columns the repetitions open, and how many are distinct
+            # (the rows of the payload's column table).
+            "opened_columns": {
+                name: {"opened": sum(len(rp.pcs_proof.columns)
+                                     for rp in proof.repetitions),
+                       "distinct": len(column_table(proof)[0])}
+                for name, proof in ((name, proof_from_bytes(data))
+                                    for name, (_, _, data)
+                                    in paper_targets.items())},
+            "total_mutants": paper_total,
+            "per_mutator": paper_tally,
+        },
         "elapsed_seconds": round(elapsed, 3),
         "accepted": accepted,
         "crashed": crashed,
