@@ -620,6 +620,13 @@ def vecmat(coeffs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Exact canonical coeffs^T @ matrix over GF(p) (row combination
     kernel), for ANY uint64 inputs, contiguous or strided.
 
+    ``coeffs`` is one vector of ``rows`` coefficients (result
+    ``(cols,)``) or a ``(k, rows)`` matrix of k of them (result
+    ``(k, cols)``, row i the combination by ``coeffs[i]``): the k
+    combinations share each tile's split and one reduction call, which
+    is how the PCS verifier checks an opening's proximity and evaluation
+    rows at once.
+
     Limb-deferred, like the grouped-plane SpMV: no cell's product is
     reduced on its own.  Per column tile the matrix is split into 32-bit
     halves and each row's coefficient into three 22-bit limbs (scalars
@@ -633,31 +640,35 @@ def vecmat(coeffs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     if matrix.ndim != 2:
         raise ValueError("vecmat expects a 2-D matrix")
     rows, cols = matrix.shape
-    if coeffs.shape != (rows,):
+    if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != rows:
         raise ValueError("coefficient count must equal row count")
     if rows > LIMB_SUM_CAP:
         return functools.reduce(add, (
-            vecmat(coeffs[r0:r0 + LIMB_SUM_CAP], matrix[r0:r0 + LIMB_SUM_CAP])
+            vecmat(coeffs[..., r0:r0 + LIMB_SUM_CAP],
+                   matrix[r0:r0 + LIMB_SUM_CAP])
             for r0 in range(0, rows, LIMB_SUM_CAP)))
+    shape = coeffs.shape[:-1] + (cols,)     # (cols,) or (k, cols)
     if rows == 0:
-        return zeros(cols)
-    limbs = [(coeffs & _MASK22)[:, None],
-             ((coeffs >> _SHIFT22) & _MASK22)[:, None],
-             (coeffs >> _SHIFT44)[:, None]]
-    width = max(1, _VECMAT_TILE // rows)
+        return np.zeros(shape, dtype=np.uint64)
+    coeffs = coeffs.reshape(-1, rows)
+    limbs = [(coeffs & _MASK22)[..., None],
+             ((coeffs >> _SHIFT22) & _MASK22)[..., None],
+             (coeffs >> _SHIFT44)[..., None]]
+    width = max(1, min(cols, _VECMAT_TILE // rows))
     tile = np.empty((3, rows * width), dtype=np.uint64)
-    acc = np.empty((7, cols), dtype=np.uint64)
+    acc = np.empty((7, len(coeffs), cols), dtype=np.uint64)
     for c0 in range(0, cols, width):
         c1 = min(cols, c0 + width)
         lo, hi, prod = (s[:rows * (c1 - c0)].reshape(rows, c1 - c0)
                         for s in tile)
         np.bitwise_and(matrix[:, c0:c1], _MASK32, out=lo)
         np.right_shift(matrix[:, c0:c1], _SHIFT32, out=hi)
-        for k, (half, limb) in enumerate((h, b) for h in (lo, hi)
+        for j, (half, limb) in enumerate((h, b) for h in (lo, hi)
                                          for b in limbs):
-            np.multiply(half, limb, out=prod)
-            np.add.reduce(prod, axis=0, out=acc[k, c0:c1])
-    return _reduce_rows(acc[:6], acc[6])
+            for i, row_limb in enumerate(limb):
+                np.multiply(half, row_limb, out=prod)
+                np.add.reduce(prod, axis=0, out=acc[j, i, c0:c1])
+    return _reduce_rows(acc[:6], acc[6]).reshape(shape)
 
 
 def to_ints(a: np.ndarray) -> list:

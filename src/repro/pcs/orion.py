@@ -31,6 +31,7 @@ performance model charges for exactly what is implemented here, and the
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -171,21 +172,10 @@ class OrionPCS:
             matrix = table.reshape(rows, cols)
             mask = (fv.rand_vector(cols, self._rng) if self.params.zk_mask
                     else None)
-            cw_len = self.code.codeword_length(cols)
-            total = rows + (mask is not None)
-            codewords = np.empty((total, cw_len), dtype=np.uint64)
-            # Balanced tiles of at most ENCODE_TILE_CELLS cells: 129 rows
-            # in two tiles are 64 + 65, never 128 + 1.  Only the tile that
-            # holds the mask row is stacked.
-            tiles = -(-total // max(1, ENCODE_TILE_CELLS // cw_len))
-            bounds = [total * k // tiles for k in range(tiles + 1)]
-            for lo, hi in zip(bounds, bounds[1:]):
-                tile = matrix[lo:hi] if hi <= rows else np.vstack(
-                    [matrix[lo:], mask[None]])
-                with _span("rs.encode", "rs_encode", rows=hi - lo,
-                           cols=cols):
-                    codewords[lo:hi] = self.code.encode_rows(tile)
-            with _span("merkle.build", "merkle", leaves=cw_len):
+            codewords = self._encode_tiles(
+                [matrix] if mask is None else [matrix, mask[None]], cols)
+            with _span("merkle.build", "merkle",
+                       leaves=codewords.shape[1]):
                 tree = MerkleTree.from_columns(codewords)
         commitment = OrionCommitment(
             root=tree.root, table_len=n, num_rows=rows, num_cols=cols)
@@ -268,95 +258,174 @@ class OrionPCS:
     def verify(self, commitment: OrionCommitment, point: Sequence[int],
                value: int, proof: OrionEvalProof,
                transcript: Transcript) -> bool:
-        """Check an evaluation proof; mutates the transcript identically to
-        :meth:`open` so Fiat-Shamir challenges line up.
+        """Check one evaluation proof: :meth:`verify_openings` of a
+        one-opening batch (it mutates the transcript identically to
+        :meth:`open`)."""
+        return self.verify_openings(commitment,
+                                    [(point, value, proof, transcript)])
 
-        The proof comes from an untrusted prover: structure is validated
-        *before* any transcript absorption or numpy arithmetic, so a
-        malformed proof is answered with ``False`` — never an
-        ``IndexError``, a broadcast error, or a stuck loop.
+    def verify_openings(self, commitment: OrionCommitment,
+                        openings: Sequence[tuple]) -> bool:
+        """Check evaluation proofs of ONE commitment, each opening a
+        ``(point, value, proof, transcript)``; True only if all hold.
+
+        Each opening replays :meth:`open`'s transcript in lockstep on its
+        own transcript, with every structural check before the first
+        absorb.  Then every opening's checks run, with the work they share
+        done once: each distinct opened column is validated and
+        leaf-hashed once and each multiproof checked against those
+        digests, all claimed rows are encoded in one tiled call, and each
+        opening's proximity and evaluation combinations come from one
+        :func:`~repro.field.vector.vecmat`.  Two openings that open one
+        index must open it with equal values: an honest proof always does
+        (one committed codeword matrix), and unequal values cannot both
+        match one Merkle leaf (docs/PROTOCOL.md).
+
+        The proofs come from an untrusted prover: a malformed one is
+        answered with ``False`` — never an ``IndexError``, a broadcast
+        error, or a stuck loop.
         """
         if not self._commitment_well_formed(commitment):
             return False
         rows, cols = commitment.num_rows, commitment.num_cols
         if rows != self.params.rows_for(commitment.table_len):
             return False  # geometry must match the verifier's parameters
+        replayed = []
+        for point, _value, proof, transcript in openings:
+            claims = self._replay(commitment, point, proof, transcript)
+            if claims is None:
+                return False
+            replayed.append(claims)
+        if not replayed:
+            return True
+        # One column height for the batch: the wire carries no other, and
+        # a commitment's leaves are the columns of one matrix.
+        height = replayed[0][2]
+        if any(h != height for _rows, _gammas, h in replayed):
+            return False
+
+        # Each distinct opened column is validated and hashed once.  A
+        # parsed proof hands every repetition the same read-only column
+        # object, so identity settles most repeats.
+        proofs = [proof for _point, _value, proof, _tr in openings]
+        table = {}          # codeword index -> (column as given, validated)
+        for proof in proofs:
+            for idx, col in zip(proof.merkle.indices, proof.columns):
+                seen = table.get(idx)
+                if seen is not None and seen[0] is col:
+                    continue
+                arr = _field_array(col, height)
+                if arr is None or (seen is not None
+                                   and not np.array_equal(seen[1], arr)):
+                    return False
+                if seen is None:
+                    table[idx] = (col, arr)
+        distinct = sorted(table)
+        at = {idx: k for k, idx in enumerate(distinct)}
+        opened = np.stack([table[idx][1] for idx in distinct], axis=1)
+        digests = hash_columns(opened)
+        codeword_len = self.code.codeword_length(cols)
+        for proof in proofs:
+            if not verify_many(commitment.root,
+                               [digests[at[i]] for i in proof.merkle.indices],
+                               proof.merkle, codeword_len):
+                return False
+
+        # Every claimed row of every opening in one tiled encode; opening
+        # j's rows are codes[j * per:(j + 1) * per], its evaluation row
+        # last.
+        per = self.params.num_proximity_vectors + 1
+        codes = self._encode_tiles(
+            [np.stack([u for claimed, _g, _h in replayed for u in claimed])],
+            cols)
+        coeffs = np.zeros((per, height), dtype=np.uint64)
+        coeffs[:-1, rows:] = 1      # the mask row enters each proximity row
+        for j, ((point, value, proof, _tr), (claimed, gammas, _h)) in \
+                enumerate(zip(openings, replayed)):
+            row_point, _col_point = self._split_point(point, rows)
+            coeffs[:, :rows] = gammas + [eq_table(row_point)]
+            cols_at = [at[i] for i in proof.merkle.indices]
+            qidx = np.asarray(proof.merkle.indices, dtype=np.int64)
+            # Proximity and evaluation consistency at every query at once.
+            if (codes[j * per:(j + 1) * per, qidx]
+                    != fv.vecmat(coeffs, opened[:, cols_at])).any():
+                return False
+            # Finally, the claimed value must follow from the evaluation row.
+            if (not isinstance(value, (int, np.integer))
+                    or isinstance(value, bool)):
+                return False
+            if self.evaluate_from_row(claimed[-1], point, rows) != \
+                    int(value) % MODULUS:
+                return False
+        return True
+
+    def _replay(self, commitment: OrionCommitment, point: Sequence[int],
+                proof: OrionEvalProof, transcript: Transcript
+                ) -> Optional[tuple]:
+        """One opening's structural checks and transcript replay, in
+        :meth:`open`'s order: ``(claimed rows, gammas, column height)``
+        (the proximity rows then the evaluation row, validated; the
+        height is rows + 1 with the mask row), or None to reject."""
+        rows, cols = commitment.num_rows, commitment.num_cols
         if (1 << len(point)) != commitment.table_len:
-            return False
+            return None
         if not isinstance(proof, OrionEvalProof):
-            return False
+            return None
         # Count checks first: the proximity loop length and every absorbed
         # array must be attacker-independent before challenges are derived.
         if len(proof.proximity_rows) != self.params.num_proximity_vectors:
-            return False
-        prox_rows = [_field_array(u, cols) for u in proof.proximity_rows]
-        eval_row = _field_array(proof.eval_row, cols)
-        if eval_row is None or any(u is None for u in prox_rows):
-            return False
+            return None
+        claimed = [_field_array(u, cols)
+                   for u in list(proof.proximity_rows) + [proof.eval_row]]
+        if any(u is None for u in claimed):
+            return None
         codeword_len = self.code.codeword_length(cols)
         if not isinstance(proof.query_indices, list) or not all(
                 isinstance(i, int) and 0 <= i < codeword_len
                 for i in proof.query_indices):
-            return False
+            return None
 
         transcript.absorb_digest(b"pcs/root", commitment.root)
         # Re-derive challenges in lockstep.
         gammas = []
-        for k, u in enumerate(prox_rows):
-            gamma = transcript.challenge_vector(b"pcs/gamma%d" % k, rows)
+        for k, u in enumerate(claimed[:-1]):
+            gammas.append(transcript.challenge_vector(b"pcs/gamma%d" % k,
+                                                      rows))
             transcript.absorb_array(b"pcs/prox%d" % k, u)
-            gammas.append(gamma)
-        transcript.absorb_array(b"pcs/eval-row", eval_row)
+        transcript.absorb_array(b"pcs/eval-row", claimed[-1])
         indices = transcript.challenge_indices(
             b"pcs/queries", self.code.num_queries, codeword_len)
         if indices != proof.query_indices:
-            return False
+            return None
         if not isinstance(proof.merkle, MerkleMultiProof):
-            return False
+            return None
         if proof.merkle.indices != sorted(set(indices)):
-            return False
+            return None
         if len(proof.columns) != len(proof.merkle.indices):
-            return False
+            return None
+        return claimed, gammas, rows + self._mask_present(proof, rows)
 
-        expected_col_rows = rows + (1 if self._mask_present(proof, rows)
-                                    else 0)
-        cols_list = [_field_array(c, expected_col_rows)
-                     for c in proof.columns]
-        if any(c is None for c in cols_list):
-            return False
-
-        # One multiproof check covers every opened column.
-        cols_mat = np.stack(cols_list, axis=1)
-        if not verify_many(commitment.root, hash_columns(cols_mat),
-                           proof.merkle, codeword_len):
-            return False
-
-        # Encode all claimed combination rows in one batched call.
-        stacked = np.stack(prox_rows + [eval_row])
-        codes = self.code.encode_rows(stacked)
-        prox_codes, eval_code = codes[:-1], codes[-1]
-
-        row_point, _col_point = self._split_point(point, rows)
-        r = eq_table(row_point)
-
-        qidx = np.asarray(proof.merkle.indices, dtype=np.int64)
-        data = cols_mat[:rows]
-        mask_syms = (cols_mat[rows] if expected_col_rows > rows
-                     else fv.zeros(len(qidx)))
-        # Proximity consistency at every query at once (mask coefficient 1).
-        for gamma, code_row in zip(gammas, prox_codes):
-            rhs = fv.add(fv.vecmat(gamma, data), mask_syms)
-            if (code_row[qidx] != rhs).any():
-                return False
-        # Evaluation consistency (mask coefficient 0).
-        if (eval_code[qidx] != fv.vecmat(r, data)).any():
-            return False
-
-        # Finally, the claimed value must follow from the evaluation row.
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            return False
-        expected = self.evaluate_from_row(eval_row, point, rows)
-        return expected == int(value) % MODULUS
+    def _encode_tiles(self, blocks: Sequence[np.ndarray],
+                      cols: int) -> np.ndarray:
+        """The codewords of the rows of ``blocks`` (2-D, ``cols`` wide,
+        read as one stacked matrix), encoded in balanced row tiles of at
+        most :data:`ENCODE_TILE_CELLS` codeword cells: 129 rows in two
+        tiles are 64 + 65, never 128 + 1.  Only a tile that spans two
+        blocks is stacked.  The commit's rows and the verifier's claimed
+        rows both come through here."""
+        cw_len = self.code.codeword_length(cols)
+        total = sum(len(b) for b in blocks)
+        codewords = np.empty((total, cw_len), dtype=np.uint64)
+        tiles = -(-total // max(1, ENCODE_TILE_CELLS // cw_len))
+        bounds = [total * k // tiles for k in range(tiles + 1)]
+        starts = list(itertools.accumulate(map(len, blocks), initial=0))
+        for lo, hi in zip(bounds, bounds[1:]):
+            parts = [b[max(0, lo - s):hi - s] for b, s in zip(blocks, starts)
+                     if s < hi and s + len(b) > lo]
+            tile = parts[0] if len(parts) == 1 else np.vstack(parts)
+            with _span("rs.encode", "rs_encode", rows=hi - lo, cols=cols):
+                codewords[lo:hi] = self.code.encode_rows(tile)
+        return codewords
 
     # -- helpers ---------------------------------------------------------------
     @staticmethod

@@ -213,6 +213,7 @@ class SpartanVerifier:
         tr.absorb_digest(b"spartan/witness-commitment",
                          proof.witness_commitment.root)
 
+        openings = []
         for rep, rp in enumerate(proof.repetitions):
             label = b"spartan/rep%d" % rep
             va, vb, vc = int(rp.va), int(rp.vb), int(rp.vc)
@@ -263,12 +264,12 @@ class SpartanVerifier:
             if z_val % MODULUS != expected_z:
                 return False
 
-            # PCS opening of w~ at ry[1:].
-            if not self.pcs.verify(proof.witness_commitment, w_point,
-                                   w_eval, rp.pcs_proof,
-                                   tr.fork(label + b"/pcs")):
-                return False
-        return True
+            # The PCS opening of w~ at ry[1:], checked with the others below.
+            openings.append((w_point, w_eval, rp.pcs_proof,
+                             tr.fork(label + b"/pcs")))
+        # Every repetition opens the one witness commitment: one batch
+        # checks what their openings share once.
+        return self.pcs.verify_openings(proof.witness_commitment, openings)
 
     def _proof_well_formed(self, proof: SpartanProof, log_n: int) -> bool:
         """Structural validation of an untrusted proof object.

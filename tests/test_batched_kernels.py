@@ -241,19 +241,57 @@ class TestVecmat:
         assert fv.to_ints(fv.vecmat(coeffs, matrix)) == \
             _vecmat_reference(coeffs, matrix)
 
+    @given(st.sampled_from([1, 5, 129, 512, 513, 1100]), st.integers(0, 9),
+           st.integers(1, 6), st.booleans(), st.integers(0, 2**32))
+    def test_coefficient_matrix_is_k_single_calls(self, rows, cols, k,
+                                                  gathered, seed):
+        """``(k, rows)`` coefficients give row i = the 1-D call on
+        ``coeffs[i]`` = its Python-int sum, on both sides of the
+        ``LIMB_SUM_CAP`` chunk, also on an ``m[:, idx]`` gather (the
+        verifier's opened columns of one repetition)."""
+        rng = np.random.default_rng(seed)
+        coeffs = random_u64(rng, k * rows).reshape(k, rows)
+        if gathered:
+            wide = random_u64(rng, rows * 2 * cols).reshape(rows, 2 * cols)
+            matrix = wide[:, rng.permutation(2 * cols)[:cols]]
+        else:
+            matrix = random_u64(rng, rows * cols).reshape(rows, cols)
+        got = fv.vecmat(coeffs, matrix)
+        assert got.dtype == np.uint64 and got.shape == (k, cols)
+        for i in range(k):
+            assert np.array_equal(got[i], fv.vecmat(coeffs[i], matrix))
+            assert fv.to_ints(got[i]) == _vecmat_reference(coeffs[i], matrix)
+
+    def test_coefficient_matrix_many_column_tiles(self, rng):
+        coeffs = random_u64(rng, 5 * 129).reshape(5, 129)
+        matrix = random_u64(rng, 129 * 700).reshape(129, 700)[:, ::-1]
+        got = fv.vecmat(coeffs, matrix)
+        for i in range(5):
+            assert fv.to_ints(got[i]) == _vecmat_reference(coeffs[i], matrix)
+
     def test_contract_edges(self, rng):
         assert fv.vecmat(fv.zeros(0), np.zeros((0, 5), dtype=np.uint64)
                          ).tolist() == [0] * 5
+        assert fv.vecmat(np.zeros((3, 0), dtype=np.uint64),
+                         np.zeros((0, 5), dtype=np.uint64)
+                         ).tolist() == [[0] * 5] * 3
         with pytest.raises(ValueError, match="2-D"):
             fv.vecmat(fv.zeros(4), fv.zeros(4))
         with pytest.raises(ValueError, match="coefficient count"):
             fv.vecmat(fv.zeros(3), np.zeros((4, 2), dtype=np.uint64))
+        with pytest.raises(ValueError, match="coefficient count"):
+            fv.vecmat(np.zeros((2, 3), dtype=np.uint64),
+                      np.zeros((4, 2), dtype=np.uint64))
+        with pytest.raises(ValueError, match="coefficient count"):
+            fv.vecmat(np.zeros((1, 2, 4), dtype=np.uint64),
+                      np.zeros((4, 2), dtype=np.uint64))
 
     def test_makes_no_field_multiply(self, rng, monkeypatch):
         """No cell is reduced on its own: the kernel never enters ``mul``."""
         monkeypatch.setattr(fv, "mul", None)
-        fv.vecmat(random_field(rng, 600), random_field(rng, 600 * 4)
-                  .reshape(600, 4))
+        matrix = random_field(rng, 600 * 4).reshape(600, 4)
+        fv.vecmat(random_field(rng, 600), matrix)
+        fv.vecmat(random_field(rng, 3 * 600).reshape(3, 600), matrix)
 
 
 # ---------------------------------------------------------------------------

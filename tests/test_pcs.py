@@ -1,6 +1,8 @@
 """Tests for the Orion polynomial commitment scheme."""
 
 import copy
+import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from repro.code import ExpanderCode, ReedSolomonCode
 from repro.field import vector as fv
 from repro.field.goldilocks import MODULUS
 from repro.hashing import Transcript
-from repro.multilinear import mle_eval
+from repro.multilinear import eq_table, mle_eval
 from repro.pcs import OrionPCS, PCSParams
 
 
@@ -46,6 +48,19 @@ class TestCommitOpenVerify:
         proof = pcs.open(state, com, point, Transcript())
         assert pcs.verify(com, point, mle_eval(table, point), proof,
                           Transcript())
+
+    @pytest.mark.parametrize("zk", [True, False])
+    @pytest.mark.parametrize("vectors", [0, 1, 4])
+    def test_proximity_vector_counts(self, vectors, zk):
+        """The verifier's coefficient matrix has one row per proximity
+        vector plus the evaluation row, none to many."""
+        pcs, table, point = _setup(8, 16, zk=zk)
+        pcs.params.num_proximity_vectors = vectors
+        com, state = pcs.commit(table)
+        proof = pcs.open(state, com, point, Transcript())
+        value = mle_eval(table, point)
+        assert pcs.verify(com, point, value, proof, Transcript())
+        assert not pcs.verify(com, point, value + 1, proof, Transcript())
 
     @pytest.mark.parametrize("zk", [True, False])
     @pytest.mark.parametrize("log_n", [4, 7, 10, 14])
@@ -297,3 +312,202 @@ class TestMalformedProofs:
         bad = copy.deepcopy(proof)
         bad.columns[0] = bad.columns[0][:-1]
         assert not pcs.verify(com, point, value, bad, Transcript())
+
+
+# ---------------------------------------------------------------------------
+# One batch of openings == each opening alone
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _paper_openings(name):
+    """``(pcs, commitment, openings)`` of a seed-7 PAPER proof decoded from
+    its bytes: the three ``(point, value, proof, transcript)`` the
+    Spartan verifier hands :meth:`OrionPCS.verify_openings`, each
+    transcript captured before the batch absorbs anything."""
+    from repro import PAPER, ProofBundle, prove, setup
+    from repro.workloads import synthetic_r1cs
+    from repro.workloads.registry import build_workload
+
+    if name == "synthetic-2p12":
+        circuit_id, (r1cs, public, witness) = name, synthetic_r1cs(12)
+    else:
+        circuit_id, circuit = build_workload(name)
+        r1cs, public, witness = circuit.compile()
+    pk, vk = setup(r1cs, PAPER)
+    blob = prove(pk, public, witness, seed=7, circuit_id=circuit_id).to_bytes()
+    bundle = ProofBundle.from_bytes(blob)
+    verifier = vk.verifier()
+    seen = []
+    real = verifier.pcs.verify_openings
+
+    def capture(commitment, openings):
+        seen.append((commitment, [(pt, v, p, copy.copy(tr))
+                                  for pt, v, p, tr in openings]))
+        return real(commitment, openings)
+
+    verifier.pcs.verify_openings = capture
+    assert verifier.verify(bundle.public, bundle.proof)
+    del verifier.pcs.verify_openings
+    (commitment, openings), = seen
+    return verifier.pcs, commitment, tuple(openings)
+
+
+def _fresh(openings):
+    return [(pt, v, p, copy.copy(tr)) for pt, v, p, tr in openings]
+
+
+def _bumped(values, k=0):
+    """A writable copy of a field vector with element ``k`` moved."""
+    out = np.array(values, dtype=np.uint64)
+    out[k] = (int(out[k]) + 1) % MODULUS
+    return out
+
+
+def _column_owners(openings):
+    """codeword index -> the repetitions that open it."""
+    owners = {}
+    for j, (_pt, _v, proof, _tr) in enumerate(openings):
+        for idx in proof.merkle.indices:
+            owners.setdefault(idx, []).append(j)
+    return owners
+
+
+def _requeried(pcs, com, proof, tr):
+    """``proof`` with the query indices its rows draw from ``tr``: what a
+    prover that changed a row and re-ran the transcript sends.  Used where
+    every repetition opens every column, so the multiproof still fits."""
+    tr = copy.copy(tr)
+    tr.absorb_digest(b"pcs/root", com.root)
+    for k, u in enumerate(proof.proximity_rows):
+        tr.challenge_vector(b"pcs/gamma%d" % k, com.num_rows)
+        tr.absorb_array(b"pcs/prox%d" % k, u)
+    tr.absorb_array(b"pcs/eval-row", proof.eval_row)
+    indices = tr.challenge_indices(b"pcs/queries", pcs.code.num_queries,
+                                   pcs.code.codeword_length(com.num_cols))
+    assert sorted(set(indices)) == proof.merkle.indices
+    return dataclasses.replace(proof, query_indices=indices)
+
+
+def _mutate(part, openings, j, pcs, com):
+    """Opening ``j`` with one part changed (the others untouched)."""
+    pt, value, proof, tr = openings[j]
+    cw_len = pcs.code.codeword_length(com.num_cols)
+    if part.startswith("proximity-row"):
+        rows = list(proof.proximity_rows)
+        rows[0] = _bumped(rows[0])
+        proof = dataclasses.replace(proof, proximity_rows=rows)
+    elif part == "eval-row":
+        proof = dataclasses.replace(proof, eval_row=_bumped(proof.eval_row))
+    elif part == "eval-row-requeried":
+        # Moved along a vector orthogonal to eq(q_col), so the claimed value
+        # still follows from it: only the encoded-row check is left.
+        eq_col = eq_table(OrionPCS._split_point(pt, com.num_rows)[1])
+        row = np.array(proof.eval_row, dtype=np.uint64)
+        row[0] = (int(row[0]) + int(eq_col[1])) % MODULUS
+        row[1] = (int(row[1]) - int(eq_col[0])) % MODULUS
+        proof = dataclasses.replace(proof, eval_row=row)
+    elif part == "query-index":
+        indices = list(proof.query_indices)
+        indices[0] = (indices[0] + 1) % cw_len
+        proof = dataclasses.replace(proof, query_indices=indices)
+    elif part == "merkle-node":
+        nodes = list(proof.merkle.nodes)
+        if nodes:
+            nodes[0] = bytes([nodes[0][0] ^ 1]) + nodes[0][1:]
+        else:                   # every column opened: no sibling ships
+            nodes.append(b"\x00" * 32)
+        proof = dataclasses.replace(
+            proof, merkle=dataclasses.replace(proof.merkle, nodes=nodes))
+    elif part in ("shared-column", "unshared-column"):
+        owners = _column_owners(openings)
+        shared = part == "shared-column"
+        k = next(k for k, idx in enumerate(proof.merkle.indices)
+                 if (len(owners[idx]) > 1) == shared)
+        columns = list(proof.columns)
+        columns[k] = _bumped(columns[k])
+        proof = dataclasses.replace(proof, columns=columns)
+    else:
+        assert part == "value"
+        value = (value + 1) % MODULUS
+    if part.endswith("-requeried"):
+        proof = _requeried(pcs, com, proof, tr)
+    return pt, value, proof, tr
+
+
+_PARTS = ("proximity-row", "eval-row", "query-index", "merkle-node",
+          "shared-column", "value")
+
+
+class TestVerifyOpenings:
+    """``verify_openings`` on the three openings of a PAPER proof gives
+    the verdict of checking each opening alone.  ``litmus`` and
+    ``synthetic_r1cs(12)`` open every codeword column (16 and 64) in
+    every repetition, so only ``sha`` (251 distinct of 567) has a column
+    that one repetition opens alone and Merkle siblings to tamper with;
+    on those two a changed row can re-draw its queries and still fit the
+    multiproof, which leaves the encoded-row checks alone to catch it."""
+
+    @pytest.mark.parametrize("name", ["litmus", "sha", "synthetic-2p12"])
+    def test_honest_openings_accepted(self, name):
+        pcs, com, openings = _paper_openings(name)
+        assert len(openings) == 3
+        assert pcs.verify_openings(com, _fresh(openings))
+        for pt, v, proof, tr in _fresh(openings):
+            assert pcs.verify(com, pt, v, proof, tr)
+        # The decoded repetitions share column objects: identity settles
+        # those repeats.
+        first = {id(c) for c in openings[0][2].columns}
+        assert any(id(c) in first for c in openings[1][2].columns)
+
+    @pytest.mark.parametrize("name,part", [
+        (name, part) for name in ("litmus", "sha", "synthetic-2p12")
+        for part in _PARTS] + [("sha", "unshared-column")] + [
+        (name, part) for name in ("litmus", "synthetic-2p12")
+        for part in ("proximity-row-requeried", "eval-row-requeried")])
+    def test_one_mutated_part_rejects_as_alone(self, name, part):
+        pcs, com, openings = _paper_openings(name)
+        j = 1
+        mutated = list(_fresh(openings))
+        mutated[j] = _mutate(part, mutated, j, pcs, com)
+        pt, v, proof, tr = mutated[j]
+        alone = pcs.verify(com, pt, v, proof, copy.copy(tr))
+        batch = pcs.verify_openings(com, mutated)
+        assert batch == alone
+        assert not alone
+
+    def test_diverging_views_of_one_column_reject(self):
+        """Two repetitions' views of one shared column: an equal copy of
+        another type is accepted, a differing one rejected (no raise)."""
+        pcs, com, openings = _paper_openings("sha")
+        owners = _column_owners(openings)
+        proof = openings[1][2]
+        k = next(k for k, idx in enumerate(proof.merkle.indices)
+                 if len(owners[idx]) > 1)
+        for bump, verdict in ((False, True), (True, False)):
+            view = [int(x) for x in proof.columns[k]]
+            if bump:
+                view[-1] = (view[-1] + 1) % MODULUS
+            columns = list(proof.columns)
+            columns[k] = view
+            mutated = _fresh(openings)
+            pt, v, _p, tr = mutated[1]
+            mutated[1] = (pt, v, dataclasses.replace(proof, columns=columns),
+                          tr)
+            assert pcs.verify_openings(com, mutated) is verdict
+
+    @pytest.mark.parametrize("name", ["litmus", "sha"])
+    def test_repetition_without_the_mask_row_rejects(self, name):
+        pcs, com, openings = _paper_openings(name)
+        mutated = _fresh(openings)
+        pt, v, proof, tr = mutated[2]
+        short = dataclasses.replace(
+            proof, columns=[np.array(c[:-1]) for c in proof.columns])
+        mutated[2] = (pt, v, short, tr)
+        assert pcs.verify(com, pt, v, short, copy.copy(tr)) is False
+        assert pcs.verify_openings(com, mutated) is False
+
+    def test_empty_batch_and_bad_commitment(self):
+        pcs, com, openings = _paper_openings("litmus")
+        assert pcs.verify_openings(com, [])
+        bad = dataclasses.replace(com, root=b"\x00" * 31)
+        assert not pcs.verify_openings(bad, _fresh(openings))

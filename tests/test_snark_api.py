@@ -454,6 +454,34 @@ class TestColumnTable:
             proof_to_bytes(proof)
 
 
+class TestVerifierHashesEachColumnOnce:
+    """The verifier checks a proof's three openings as one batch: each
+    distinct opened column is leaf-hashed once, however many repetitions
+    open it (a per-opening check hashed 567 for ``sha``, 48 for
+    ``litmus``)."""
+
+    @pytest.mark.parametrize("name,distinct", [("sha", 251), ("litmus", 16)])
+    def test_leaf_hashes_per_verify(self, name, distinct, monkeypatch):
+        from repro.hashing.fieldhash import LEAF_TAG
+        from repro.snark.serialize import column_table
+
+        vk, bundle = _seed7(name, PAPER.name)
+        decoded = ProofBundle.from_bytes(bundle.to_bytes())
+        assert len(column_table(decoded.proof)[0]) == distinct
+        leaves = []
+        real = hashlib.sha3_256
+
+        def counting(data=b"", **kwargs):
+            leaves.append(bytes(data[:len(LEAF_TAG)]) == LEAF_TAG)
+            return real(data, **kwargs)
+
+        monkeypatch.setattr(hashlib, "sha3_256", counting)
+        for proof_bundle in (bundle, decoded):
+            del leaves[:]
+            assert verify(vk, proof_bundle)
+            assert sum(leaves) == distinct
+
+
 class TestWitnessIsNotHidden:
     """Today's proofs are a succinct argument, not zero-knowledge: the
     witness commitment masks only the proximity responses, so the opened
@@ -509,6 +537,147 @@ class TestWitnessIsNotHidden:
             coeffs = list(poly.coeffs) + [0] * (c - len(poly.coeffs))
             assert any(rows[r])
             assert coeffs == [int(v) for v in rows[r]], r
+
+
+def _hypercube_point(index, log_n):
+    """The Boolean point of row ``index`` (variable 0 the top bit)."""
+    return [(index >> (log_n - 1 - k)) & 1 for k in range(log_n)]
+
+
+def _with_c_entries(r1cs, extra):
+    """``r1cs`` with ``(row, col, value)`` entries added to C."""
+    from repro.r1cs.matrices import SparseMatrix
+    from repro.r1cs.system import R1CS
+
+    n = r1cs.shape.num_constraints
+    rows, cols, vals = zip(*(r1cs.c.entries()
+                             + [(r, c, v % MODULUS) for r, c, v in extra]))
+    c = SparseMatrix.from_arrays(n, n, list(rows), list(cols), list(vals))
+    return R1CS(r1cs.a, r1cs.b, c, r1cs.shape.num_public,
+                r1cs.shape.num_witness)
+
+
+def _solve_mod_p(matrix, rhs):
+    """x with matrix @ x == rhs over GF(p) (Gauss-Jordan, small systems)."""
+    aug = [[int(v) % MODULUS for v in row] + [int(b) % MODULUS]
+           for row, b in zip(matrix, rhs)]
+    n = len(aug)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = pow(aug[col][col], MODULUS - 2, MODULUS)
+        aug[col] = [v * inv % MODULUS for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [(v - f * w) % MODULUS
+                          for v, w in zip(aug[r], aug[col])]
+    return [row[n] for row in aug]
+
+
+class TestInstanceIsNotBound:
+    """Fiat-Shamir absorbs the public inputs and the witness commitment,
+    never A, B, C, so a prover who may pick the R1CS instance after the
+    challenges proves a false statement.  Each forged instance gets a
+    row that reads ``0 = 1`` (A and B rows empty, C row the constant
+    column; ``public[0] == 1`` is part of the statement), so no witness
+    satisfies it, and the verifier accepts anyway.  This pins the gap
+    as it stands (docs/PROTOCOL.md, threat model); binding the instance
+    into the transcript must make the accepting cases fail."""
+
+    @staticmethod
+    def _litmus():
+        """(r1cs, public, witness, all-zero rows) of registry ``litmus``:
+        559 of its 1,024 padded rows constrain nothing."""
+        from repro.workloads.registry import build_workload
+
+        circuit_id, circuit = build_workload("litmus")
+        r1cs, public, witness = circuit.compile()
+        empty = np.ones(r1cs.shape.num_constraints, dtype=bool)
+        for m in (r1cs.a, r1cs.b, r1cs.c):
+            for r, _c, _v in m.entries():
+                empty[r] = False
+        assert int(public[0]) == 1
+        return circuit_id, r1cs, public, witness, np.flatnonzero(empty)
+
+    @pytest.mark.parametrize("preset,accepted", [(TEST, True),
+                                                 (PAPER, False)])
+    def test_instance_chosen_after_tau(self, preset, accepted, monkeypatch):
+        """Read tau of the first repetition, then add delta * (constant
+        column) to an empty row i of C, delta = -eq(tau, u) / eq(tau, i),
+        so the first sumcheck's claim sum_x eq(tau, x) (Az Bz - Cz)(x) = 0
+        holds; every later step is honest proving of the forged instance
+        (its satisfaction check bypassed here).  One repetition (TEST) is
+        forged.  With PAPER's three it does not go through: the second
+        repetition's tau is drawn after the first one's messages, which
+        already depend on delta, so that sum is not 0 there."""
+        from repro.hashing.transcript import Transcript
+        from repro.multilinear.mle import eq_eval
+        from repro.spartan import protocol
+
+        _, r1cs, public, witness, empty = self._litmus()
+        u, i = int(empty[-1]), int(empty[-2])
+        log_n = r1cs.shape.log_size
+        z = r1cs.assemble_z(public, witness)
+        com, _ = preset.make_pcs(rng=np.random.default_rng(5)).commit(
+            r1cs.split_z(z)[1])
+        tr = Transcript()
+        tr.absorb_array(b"spartan/public", np.asarray(public, dtype=np.uint64))
+        tr.absorb_digest(b"spartan/witness-commitment", com.root)
+        tau = tr.challenge_fields(b"spartan/rep0/tau", log_n)
+        delta = (-eq_eval(tau, _hypercube_point(u, log_n))
+                 * pow(eq_eval(tau, _hypercube_point(i, log_n)),
+                       MODULUS - 2, MODULUS))
+        forged = _with_c_entries(r1cs, [(u, 0, 1), (i, 0, delta)])
+        assert not forged.is_satisfied(forged.assemble_z(public, witness))
+
+        monkeypatch.setattr(protocol, "SatisfiedRound0",
+                            lambda az, bz, cz: None)
+        proof = protocol.SpartanProver(
+            forged, preset.make_pcs(rng=np.random.default_rng(5)),
+            preset.make_spartan_params()).prove(public, witness)
+        assert proof.witness_commitment.root == com.root
+        verifier = protocol.SpartanVerifier(forged, preset.make_pcs(),
+                                            preset.make_spartan_params())
+        assert verifier.verify(public, proof) is accepted
+
+    def test_instance_chosen_after_every_challenge(self, monkeypatch):
+        """The forgery that does go through under PAPER: an honest proof
+        of ``litmus``, retargeted.  The verifier reads the instance only
+        in each repetition's final check m = (r_a A~ + r_b B~ + r_c C~)(rx,
+        ry), which is linear in the matrices.  Adding the ``0 = 1`` row at
+        u plus constant-column entries d_j at three other empty rows, with
+        d solving eq(rx_k, u) + sum_j d_j eq(rx_k, i_j) = 0 for the three
+        repetitions k, leaves every m unchanged."""
+        from repro.multilinear.mle import eq_eval
+        from repro.spartan import protocol
+
+        circuit_id, r1cs, public, witness, empty = self._litmus()
+        log_n = r1cs.shape.log_size
+        pk, vk = setup(r1cs, PAPER)
+        bundle = prove(pk, public, witness, seed=7, circuit_id=circuit_id)
+        points = []
+        real = protocol.combined_matrix_eval
+
+        def recording(a, b, c, r_a, r_b, r_c, rx, ry):
+            points.append(list(rx))
+            return real(a, b, c, r_a, r_b, r_c, rx, ry)
+
+        monkeypatch.setattr(protocol, "combined_matrix_eval", recording)
+        assert verify(vk, bundle)
+        monkeypatch.setattr(protocol, "combined_matrix_eval", real)
+        assert len(points) == PAPER.sumcheck_repetitions == 3
+
+        u, others = int(empty[-1]), [int(r) for r in empty[-4:-1]]
+        d = _solve_mod_p(
+            [[eq_eval(rx, _hypercube_point(r, log_n)) for r in others]
+             for rx in points],
+            [-eq_eval(rx, _hypercube_point(u, log_n)) for rx in points])
+        forged = _with_c_entries(
+            r1cs, [(u, 0, 1)] + [(r, 0, dj) for r, dj in zip(others, d)])
+        assert not forged.is_satisfied(forged.assemble_z(public, witness))
+        _, forged_vk = setup(forged, PAPER)
+        assert verify(forged_vk, ProofBundle.from_bytes(bundle.to_bytes()))
 
 
 class TestRowMapProofBytes:
