@@ -9,10 +9,18 @@ measurements; the fits reproduce all five rows to within 0.1 MB / 0.5 ms:
     size_MB(L)  = 8.1   + 0.600*(L-24) + 0.0222*(L-24)^2
     verify_ms(L) = 134.0 + 18.98*(L-24) + 0.7833*(L-24)^2
 
-The *uncomposed* proof produced by the functional layer
-(:class:`repro.spartan.SpartanProof`) is larger — its ``size_bytes()`` is
-measured directly in tests — because we substitute direct Brakedown-style
-verification for Orion's inner-SNARK composition (see DESIGN.md).
+The functional layer's proof is *uncomposed*: we substitute direct
+Brakedown-style verification for Orion's inner-SNARK composition (see
+DESIGN.md).  Through 2^22 it is nevertheless smaller than this composed
+model.  Measured as ``len(bundle.to_bytes())`` (NCPE v4, PAPER preset,
+``synthetic_r1cs(L, seed=1)``, prove seed 1):
+
+    L = 16:    556,084 B envelope vs 4,720,800 B modelled (8.5x)
+    L = 20:  1,180,464 B envelope vs 6,055,200 B modelled (5.1x)
+
+The envelope grows roughly like sqrt(N) (an opened column holds one
+element per committed row) and the composed size like log^2 N, so the
+two cross near 2^24-2^25 (ROADMAP item 14).
 """
 
 from __future__ import annotations

@@ -142,6 +142,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     scales = {resource: getattr(args, resource) for resource in _RESOURCES
               if getattr(args, resource) != 1.0}
     cfg = DEFAULT_CONFIG.scale(**scales) if scales else DEFAULT_CONFIG
+    if args.log_n < 0:
+        raise ConfigError(f"--log-n must be >= 0, got {args.log_n}")
     report = NoCapSimulator(cfg).simulate(1 << args.log_n,
                                           recompute=not args.no_recompute)
     power = power_model(report)

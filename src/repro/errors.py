@@ -67,7 +67,7 @@ class TranscriptError(ReproError, ValueError):
 
 class ConfigError(ReproError, ValueError):
     """An impossible or inconsistent configuration (simulator design
-    points, ISA programs, protocol parameter presets)."""
+    points and statement sizes, protocol parameter presets)."""
 
 
 class ProverTimeoutError(ReproError, TimeoutError):

@@ -1,11 +1,11 @@
 """SHA3-256 from scratch: the Keccak-f[1600] permutation and sponge.
 
 NoCap's Hash FU implements SHA3 in hardware (Sec. IV-B: "The SHA3 hash
-unit hashes at a throughput of 1 KB per cycle ... 48-cycle pipeline" in
-our scheduler model — 24 rounds, two per stage).  The rest of the
-repository uses :mod:`hashlib` for speed; this module is the from-scratch
-reference the tests verify hashlib against, and the place to read what
-the Hash FU actually computes round by round.
+unit hashes at a throughput of 1 KB per cycle"; the task model charges
+it by that throughput).  The rest of the repository uses :mod:`hashlib`
+for speed; this module is the from-scratch reference the tests verify
+hashlib against, and the place to read what the Hash FU actually
+computes round by round.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""The NoCap accelerator model: configuration, ISA, scheduler, task-level
-simulator, area/power models, and design-space exploration."""
+"""The NoCap accelerator model: configuration, the task-level simulator
+(Sec. VII), area/power models, and design-space exploration."""
 
 from .area import AreaBreakdown, area_model
 from .benes import BenesRouting, apply_routing
@@ -14,12 +14,9 @@ from .designspace import (
     pareto_frontier,
     sensitivity_sweep,
 )
-from .isa import Instruction, Opcode, Program
-from .linker import link_prover_program, simulate_linked_prover
 from .multiaccelerator import RackOperatingPoint, rack_scale, scaling_curve
 from .permutations import grouped_interleave, wide_rotate
 from .power import PowerBreakdown, power_model
-from .scheduler import Schedule, schedule_program
 from .simulator import (
     FAMILIES,
     NoCapSimulator,
@@ -37,10 +34,7 @@ __all__ = [
     "DEFAULT_CONFIG", "NoCapConfig",
     "DesignPoint", "SensitivityPoint", "design_space_sweep",
     "gmean_prover_seconds", "pareto_frontier", "sensitivity_sweep",
-    "Instruction", "Opcode", "Program",
-    "link_prover_program", "simulate_linked_prover",
     "PowerBreakdown", "power_model",
-    "Schedule", "schedule_program",
     "FAMILIES", "NoCapSimulator", "SimulationReport", "TaskRecord",
     "prover_seconds",
     "TaskCost", "build_prover_tasks",

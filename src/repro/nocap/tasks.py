@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List
 
+from ..errors import ConfigError
 from . import constants as C
 from .config import NoCapConfig
 
@@ -254,8 +255,10 @@ def build_prover_tasks(n: int, cfg: NoCapConfig,
                        recompute: bool | None = None) -> List[TaskCost]:
     """The full serial task list for one Spartan+Orion proof of a padded
     2^L = n constraint statement."""
-    if n & (n - 1):
-        raise ValueError("n must be the padded (power-of-two) size")
+    if n < 1 or n & (n - 1):
+        raise ConfigError(f"n must be the padded (power-of-two) size, got {n}")
+    if repetitions < 1:
+        raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
     tasks: List[TaskCost] = []
     tasks += spmv_tasks(n, cfg)
     tasks += commit_tasks(n, cfg)

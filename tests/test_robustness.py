@@ -3,7 +3,8 @@ never-accept contract (see docs/ROBUSTNESS.md).
 
 Covers the typed error taxonomy, strict deserialization properties
 (hypothesis), transcript domain separation across circuits, the fuzz
-mutators, NoCap config/ISA validation, and the CLI's error exit codes.
+mutators, NoCap config / statement-size validation, and the CLI's error
+exit codes.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from repro.fuzz.mutate import (
     structured_mutants,
 )
 from repro.nocap.config import NoCapConfig
-from repro.nocap.isa import Instruction, Opcode, Program, vadd, vload, vntt
-from repro.nocap.scheduler import schedule_program
+from repro.nocap.simulator import NoCapSimulator
 from repro.r1cs import Circuit
 from repro.snark import (
     TEST,
@@ -360,28 +360,15 @@ class TestNoCapValidation:
         with pytest.raises(ConfigError, match="unknown resources"):
             NoCapConfig().scale(turbo=2.0)
 
-    def test_instruction_operand_shapes(self):
-        prog = Program()
-        prog.append(Instruction(Opcode.VADD, 128, dst="v0", srcs=("a",)))
-        with pytest.raises(ConfigError, match="source register"):
-            prog.validate(require_defined_sources=False)
+    @pytest.mark.parametrize("n", [0, -8, 1000])
+    def test_impossible_statement_size(self, n):
+        with pytest.raises(ConfigError, match="power-of-two"):
+            NoCapSimulator().simulate(n)
 
-    def test_vntt_over_base_size(self):
-        cfg = NoCapConfig()
-        prog = Program()
-        prog.append(vntt("v0", "v1", cfg.ntt_base_size * 2))
-        with pytest.raises(ConfigError, match="base size"):
-            schedule_program(prog, cfg)
-
-    def test_use_before_def(self):
-        prog = Program()
-        prog.append(vadd("v1", "v0", "v0", 128))
-        with pytest.raises(ConfigError, match="before any instruction"):
-            prog.validate()
-        prog2 = Program()
-        prog2.append(vload("v0", 0, 128))
-        prog2.append(vadd("v1", "v0", "v0", 128))
-        prog2.validate()  # must not raise
+    @pytest.mark.parametrize("repetitions", [0, -1])
+    def test_impossible_repetitions(self, repetitions):
+        with pytest.raises(ConfigError, match="repetitions"):
+            NoCapSimulator().simulate(1 << 10, repetitions=repetitions)
 
 
 class TestCliExitCodes:
@@ -392,6 +379,12 @@ class TestCliExitCodes:
         assert code == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert "ConfigError" in err and "\n" == err[-1]
+
+    def test_negative_log_n_exit_code(self, capsys):
+        from repro.cli import EXIT_CONFIG_ERROR, main
+
+        assert main(["simulate", "--log-n", "-1"]) == EXIT_CONFIG_ERROR
+        assert "ConfigError" in capsys.readouterr().err
 
     def test_strict_reraises(self):
         from repro.cli import main

@@ -774,7 +774,8 @@ class TestCanonicalSurface:
     def test_cold_import_loads_only_what_a_proof_runs(self):
         """``import repro`` and ``python -m repro serve --help`` load none
         of the modules a prove or verify never calls; afterwards every
-        ``repro.__all__`` name and every subpackage still resolves."""
+        ``repro.__all__`` name, every subpackage and every name in a
+        subpackage's ``__all__`` still resolves."""
         import json
         import os
         import subprocess
@@ -796,7 +797,10 @@ after_help = sorted(forbidden & set(sys.modules))
 missing = [n for n in repro.__all__ if getattr(repro, n, None) is None]
 subs = [m.name for m in pkgutil.iter_modules(repro.__path__) if m.ispkg]
 for sub in subs:
-    assert importlib.import_module("repro." + sub) is getattr(repro, sub)
+    mod = importlib.import_module("repro." + sub)
+    assert mod is getattr(repro, sub)
+    missing += [sub + "." + n for n in getattr(mod, "__all__", ())
+                if not hasattr(mod, n)]
 print(json.dumps([after_import, after_help, missing, subs]))
 """
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
