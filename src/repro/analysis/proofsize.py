@@ -12,15 +12,16 @@ measurements; the fits reproduce all five rows to within 0.1 MB / 0.5 ms:
 The functional layer's proof is *uncomposed*: we substitute direct
 Brakedown-style verification for Orion's inner-SNARK composition (see
 DESIGN.md).  Through 2^22 it is nevertheless smaller than this composed
-model.  Measured as ``len(bundle.to_bytes())`` (NCPE v4, PAPER preset,
+model.  Measured as ``len(bundle.to_bytes())`` (NCPE v5, PAPER preset,
 ``synthetic_r1cs(L, seed=1)``, prove seed 1):
 
-    L = 16:    556,084 B envelope vs 4,720,800 B modelled (8.5x)
-    L = 20:  1,180,464 B envelope vs 6,055,200 B modelled (5.1x)
+    L = 16:    554,229 B envelope vs 4,720,800 B modelled (8.5x)
+    L = 20:  1,178,237 B envelope vs 6,055,200 B modelled (5.1x)
 
-The envelope grows roughly like sqrt(N) (an opened column holds one
-element per committed row) and the composed size like log^2 N, so the
-two cross near 2^24-2^25 (ROADMAP item 14).
+At the top of that range the envelope grows roughly like N (PAPER
+commits 128 rows at every size, so each evaluation and proximity row
+holds N/256 elements) and the composed size like log^2 N, so the two
+cross near 2^24-2^25 (ROADMAP item 14).
 """
 
 from __future__ import annotations

@@ -288,29 +288,120 @@ def mutate_query_indices(data: bytes, rng: random.Random) -> List[Mutant]:
     return out
 
 
-def mutate_column_table(data: bytes, rng: random.Random) -> List[Mutant]:
-    """Edit the column table at the end of the payload in place: swap two
-    of its columns, and cut one an element short (its length prefix
-    with it)."""
+def _table_parts(data: bytes):
+    """The column table at the end of a payload: ``(height_at, bitmap_at,
+    values_at, table)`` with ``table`` the ``(count, height)`` array, or
+    None for a table of no columns."""
     _, columns = column_table(_parse(data))
     if not columns:
-        return []
-    height = len(columns[0])
-    stride = 4 + 8 * height
-    start = len(data) - stride * len(columns)
-    out = []
-    if len(columns) >= 2:
-        i, j = sorted(rng.sample(range(len(columns)), 2))
-        a, b = start + i * stride, start + j * stride
-        buf = bytearray(data)
-        buf[a:a + stride], buf[b:b + stride] = (data[b:b + stride],
-                                                data[a:a + stride])
-        out.append(Mutant("column_table", bytes(buf)))
-    at = start + rng.randrange(len(columns)) * stride
+        return None
+    table = np.asarray(columns, dtype=np.uint64)
+    count, height = table.shape
+    values_at = len(data) - 8 * count * int(table.any(axis=0).sum())
+    bitmap_at = values_at - (height + 7) // 8
+    return bitmap_at - 4, bitmap_at, values_at, table
+
+
+def _flip_bit(data: bytes, bitmap_at: int, row: int) -> bytes:
     buf = bytearray(data)
-    del buf[at + stride - 8:at + stride]
-    buf[at:at + 4] = (height - 1).to_bytes(4, "little")
-    out.append(Mutant("column_table", bytes(buf)))
+    buf[bitmap_at + row // 8] ^= 1 << (row % 8)
+    return bytes(buf)
+
+
+def mutate_column_table(data: bytes, rng: random.Random) -> List[Mutant]:
+    """Swap two columns of the column table in place (each column is its
+    live rows' values)."""
+    parts = _table_parts(data)
+    if parts is None or len(parts[3]) < 2:
+        return []
+    _, _, values_at, table = parts
+    stride = (len(data) - values_at) // len(table)
+    i, j = sorted(rng.sample(range(len(table)), 2))
+    a, b = values_at + i * stride, values_at + j * stride
+    buf = bytearray(data)
+    buf[a:a + stride], buf[b:b + stride] = (data[b:b + stride],
+                                            data[a:a + stride])
+    return [Mutant("column_table", bytes(buf))]
+
+
+def mutate_table_live_bit(data: bytes, rng: random.Random) -> List[Mutant]:
+    """Mark a live row zero: in place, so the value block is a row too
+    long, and laid out again without the row — a well-formed table whose
+    columns the Merkle check must refuse."""
+    parts = _table_parts(data)
+    if parts is None:
+        return []
+    _, bitmap_at, _, table = parts
+    zero = ~table.any(axis=0)
+    live = np.flatnonzero(~zero)
+    if not live.size:
+        return []
+    row = int(rng.choice(live))
+    zero[row] = True
+    relaid = (data[:bitmap_at]
+              + np.packbits(zero, bitorder="little").tobytes()
+              + table[:, ~zero].astype("<u8").tobytes())
+    return [Mutant("table_live_bit", _flip_bit(data, bitmap_at, row)),
+            Mutant("table_live_bit", relaid)]
+
+
+def mutate_table_zero_bit(data: bytes, rng: random.Random) -> List[Mutant]:
+    """Clear the bit of a row that is zero in every column: the value
+    block is then a row short."""
+    parts = _table_parts(data)
+    if parts is None:
+        return []
+    _, bitmap_at, _, table = parts
+    zero = np.flatnonzero(~table.any(axis=0))
+    if not zero.size:
+        return []
+    return [Mutant("table_zero_bit",
+                   _flip_bit(data, bitmap_at, int(rng.choice(zero))))]
+
+
+def mutate_table_padding_bit(data: bytes,
+                             rng: random.Random) -> List[Mutant]:
+    """Set one of the bitmap's padding bits (past the last row)."""
+    parts = _table_parts(data)
+    if parts is None:
+        return []
+    _, bitmap_at, _, table = parts
+    height = table.shape[1]
+    if height % 8 == 0:
+        return []
+    row = rng.randrange(height, height + 8 - height % 8)
+    return [Mutant("table_padding_bit", _flip_bit(data, bitmap_at, row))]
+
+
+def mutate_table_values_short(data: bytes,
+                              rng: random.Random) -> List[Mutant]:
+    """Cut the value block one element short."""
+    parts = _table_parts(data)
+    if parts is None or parts[2] == len(data):
+        return []
+    return [Mutant("table_values_short", data[:-8])]
+
+
+def mutate_table_values_long(data: bytes,
+                             rng: random.Random) -> List[Mutant]:
+    """Give the value block one canonical element too many."""
+    if _table_parts(data) is None:
+        return []
+    extra = rng.randrange(1, MODULUS).to_bytes(8, "little")
+    return [Mutant("table_values_long", data + extra)]
+
+
+def mutate_table_height(data: bytes, rng: random.Random) -> List[Mutant]:
+    """Relabel the table's height one row up and one row down."""
+    parts = _table_parts(data)
+    if parts is None:
+        return []
+    height_at, _, _, table = parts
+    out = []
+    for h in (table.shape[1] + 1, table.shape[1] - 1):
+        buf = bytearray(data)
+        buf[height_at:height_at + 4] = h.to_bytes(4, "little")
+        out.append(Mutant("table_height", bytes(buf)))
     return out
 
 
@@ -341,6 +432,12 @@ STRUCTURED_MUTATORS = {
     "merkle_tamper": mutate_merkle_tamper,
     "query_indices": mutate_query_indices,
     "column_table": mutate_column_table,
+    "table_live_bit": mutate_table_live_bit,
+    "table_zero_bit": mutate_table_zero_bit,
+    "table_padding_bit": mutate_table_padding_bit,
+    "table_values_short": mutate_table_values_short,
+    "table_values_long": mutate_table_values_long,
+    "table_height": mutate_table_height,
     "repetition_surgery": mutate_repetition_surgery,
 }
 

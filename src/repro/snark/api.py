@@ -310,14 +310,17 @@ def verify(vk: VerifyingKey, bundle: ProofBundle) -> bool:
     Whatever the verdict, a bundle that reaches the verifier leaves one
     ``op="verify"`` :class:`~repro.obs.events.JobReport` in the flight
     recorder: ``ok`` is the verdict and ``error`` names the typed
-    rejection, if any.
+    rejection, if any (``"PresetMismatch"`` for a bundle proved under
+    another preset than the key's).
     """
     if not isinstance(vk, VerifyingKey) or not isinstance(bundle, ProofBundle):
         return False
-    if bundle.preset_name and bundle.preset_name != vk.preset.name:
-        return False  # proved under different parameters than this key
     with _FLIGHT.job("verify", vk.preset.name, bundle.circuit_id) as report:
         report.ok = False
+        if bundle.preset_name and bundle.preset_name != vk.preset.name:
+            # proved under different parameters than this key
+            report.error = "PresetMismatch"
+            return False
         try:
             public = np.asarray(bundle.public, dtype=np.uint64)
         except (TypeError, ValueError, OverflowError) as exc:

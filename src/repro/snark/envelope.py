@@ -41,7 +41,10 @@ MAGIC = b"NCPE"
 #: one column table shared by the repetitions; the proof it decodes to,
 #: and so every challenge, is v3's.  An older envelope is refused here,
 #: at the version byte: no reader is kept for v3's per-repetition columns.
-VERSION = 4
+#: v5: the payload (proof format v4) leaves out the column table's rows
+#: that are zero in every opened column; the proof it decodes to, and so
+#: every challenge, is v4's.  No v4 reader is kept either.
+VERSION = 5
 
 #: Preset ids are short registry keys; circuit ids are free-form labels.
 MAX_PRESET_ID_BYTES = 64

@@ -10,13 +10,20 @@ length-prefixed throughout (u32 counts, u64 field elements)::
           |     sumcheck-1 rounds, va vb vc, sumcheck-2 rounds + finals,
           |     w_eval, proximity rows, evaluation row, query indices,
           |     Merkle sibling digests
-          | column table u32 count + one length-prefixed column per index
+          | column table u32 count, u32 height, zero-row bitmap,
+          |     count x live u64 values column by column
 
 Every repetition opens columns of the ONE witness commitment, so a column
 two repetitions both query travels once: the table holds the sorted union
 of the repetitions' distinct query indices, and each repetition's columns
 are read back as views of it — the query indices already on the wire say
-which, so the table carries no indices of its own.
+which, so the table carries no indices of its own.  Every column has the
+one height, and a row that is zero in every column (a padding row of the
+committed table encodes to zeros) is a set bit of the ⌈height/8⌉-byte
+bitmap, not ``count`` zero elements: only the ``live`` unset rows travel.
+The bitmap is canonical — its padding bits are clear, and an unset row
+holds a non-zero element — so every proof has one encoding.  A table of
+no columns is its count alone.
 
 The reader side is a *strict* parser: proof bytes come from an untrusted
 prover, so every length prefix is bounds-checked against the remaining
@@ -48,7 +55,9 @@ MAGIC = b"NCAP"
 #: version did not move with them.  v3: the opened columns of every
 #: repetition travel once, as ONE column table at the end of the payload
 #: (:func:`proof_to_bytes`); the proof objects and the transcript are v2's.
-VERSION = 3
+#: v4: the column table leaves out the rows that are zero in every column
+#: (:meth:`_Writer.table`); the proof objects are v3's.
+VERSION = 4
 
 #: Structural caps.  The field has 64-bit indices, so no sumcheck runs more
 #: than 64 rounds; repetitions beyond 64 exceed any soundness target; round
@@ -59,6 +68,12 @@ MAX_REPETITIONS = 64
 MAX_ROUND_EVALS = 8
 #: A Merkle multiproof ships at most one sibling per level per query path.
 MAX_TREE_DEPTH = 64
+#: Cells (count x height) of a decoded column table.  Left-out zero rows
+#: cost one bitmap bit each, so the table can decode to more than its
+#: bytes; an honest PAPER table is at most 567 x 129 cells at every size
+#: (the commitment has 128 rows), and 2^24 leaves room for 64
+#: repetitions over tables of thousands of rows.
+MAX_TABLE_CELLS = 1 << 24
 
 
 class _Writer:
@@ -88,6 +103,25 @@ class _Writer:
         arr = np.asarray(arr, dtype="<u8")
         self.u32(arr.size)
         self.parts.append(arr.tobytes())
+
+    def table(self, columns) -> None:
+        """A column table: u32 count, then (unless empty) u32 height, the
+        bitmap of the rows that are zero in every column (bit i of byte
+        i // 8, least significant first) and the other rows' values,
+        column by column.  Columns of different heights raise
+        ``ValueError``: the table carries one."""
+        self.u32(len(columns))
+        if not columns:
+            return
+        heights = {len(col) for col in columns}
+        if len(heights) != 1:
+            raise ValueError(f"opened columns of heights {sorted(heights)}: "
+                             "the column table carries one")
+        table = np.asarray(columns, dtype="<u8")
+        zero = ~table.any(axis=0)
+        self.u32(table.shape[1])
+        self.parts.append(np.packbits(zero, bitorder="little").tobytes())
+        self.parts.append(table[:, ~zero].tobytes())
 
     def getvalue(self) -> bytes:
         return b"".join(self.parts)
@@ -163,42 +197,49 @@ class _Reader:
                 f"non-canonical element in {what}", offset=self.pos - 8 * n)
         return arr
 
-    def array_run(self, what: str, n: int, heights) -> List[np.ndarray]:
-        """Read ``n`` length-prefixed field arrays that all share ONE
-        length, which must be in ``heights`` — the same bytes ``n`` calls
-        of :meth:`array` read, parsed as one block: read-only row views
-        of one ``(n, length)`` array.  Errors carry the offset of the
-        first prefix or element at fault."""
+    def table(self, what: str, n: int, heights) -> List[np.ndarray]:
+        """Read the body of a :meth:`_Writer.table` of ``n`` columns whose
+        height must be in ``heights``: read-only row views of one
+        ``(n, height)`` array, the left-out rows zero.  Every bound is
+        checked before the array is allocated, and each error carries
+        the offset of the bytes at fault."""
         if n == 0:
             return []
-        start = self.pos
+        at = self.pos
         h = self.u32()
-        self.pos = start
         if h not in heights:
-            raise self.fail(f"{what} length {h} is not one of "
-                            f"{sorted(heights)}")
-        stride = 4 + 8 * h
-        # Length prefixes wholly inside the buffer are checked before the
-        # run's extent, so a short column reads as what it is, not as a
-        # truncated file.
-        inside = min(n, (len(self.data) - start + 8 * h) // stride)
-        prefixes = np.ndarray((inside,), "<u4", self.data, start, (stride,))
-        odd = np.flatnonzero(prefixes != h)
-        if odd.size:
             raise DeserializationError(
-                f"{what} length {prefixes[odd[0]]} differs from the first "
-                f"one's {h}", offset=start + int(odd[0]) * stride)
-        self._take(n * stride)
-        values = np.ndarray((n, h), "<u8", self.data, start + 4,
-                            (stride, 8)).astype(np.uint64)
-        if int(values.max()) >= MODULUS:
-            first = np.argmax(values.ravel() >= np.uint64(MODULUS))
-            i, k = divmod(int(first), h)
+                f"{what} height {h} is not one of {sorted(heights)}",
+                offset=at)
+        if n * h > MAX_TABLE_CELLS:
             raise DeserializationError(
-                f"non-canonical element in {what}",
-                offset=start + i * stride + 4 + 8 * k)
-        values.flags.writeable = False
-        return list(values)
+                f"{what} table of {n} x {h} cells exceeds cap "
+                f"{MAX_TABLE_CELLS}", offset=at)
+        bits_at = self.pos
+        bits = np.unpackbits(np.frombuffer(self._take((h + 7) // 8),
+                                           np.uint8), bitorder="little")
+        if bits[h:].any():
+            pad = h + int(np.argmax(bits[h:]))
+            raise DeserializationError(
+                f"{what} bitmap sets padding bit {pad}", offset=self.pos - 1)
+        live = np.flatnonzero(bits[:h] == 0)
+        start = self.pos
+        values = np.frombuffer(self._take(8 * n * live.size),
+                               "<u8").reshape(n, live.size)
+        if values.size and int(values.max()) >= MODULUS:
+            first = int(np.argmax(values.ravel() >= np.uint64(MODULUS)))
+            raise DeserializationError(f"non-canonical element in {what}",
+                                       offset=start + 8 * first)
+        dead = ~values.any(axis=0)
+        if dead.any():
+            row = int(live[np.argmax(dead)])
+            raise DeserializationError(
+                f"{what} row {row} is zero in every column but its bitmap "
+                "bit is clear", offset=bits_at + row // 8)
+        table = np.zeros((n, h), np.uint64)
+        table[:, live] = values
+        table.flags.writeable = False
+        return list(table)
 
     def done(self) -> bool:
         return self.pos == len(self.data)
@@ -322,18 +363,15 @@ def proof_to_bytes(proof: SpartanProof) -> bytes:
     w.u32(len(proof.repetitions))
     for rp in proof.repetitions:
         _write_repetition(w, rp)
-    _, columns = column_table(proof)
-    w.u32(len(columns))
-    for col in columns:
-        w.array(col)
+    w.table(column_table(proof)[1])
     return w.getvalue()
 
 
 def proof_wire_size(proof: SpartanProof) -> int:
     """``len(proof_to_bytes(proof))`` of any proof the writer accepts,
-    counted from the proof object without writing a byte or comparing a
-    column (each u32 count is 4 bytes, each field element 8 and each
-    digest 32)."""
+    counted from the proof object without writing a byte (each u32 count
+    is 4 bytes, each field element 8 and each digest 32; the column
+    table's live rows are the rows some column is non-zero in)."""
     def run(rows) -> int:  # u32 count + one length-prefixed vector each
         return 4 + sum(4 + 8 * len(v) for v in rows)
 
@@ -346,7 +384,12 @@ def proof_wire_size(proof: SpartanProof) -> int:
         size += run(p.proximity_rows) + 4 + 8 * len(p.eval_row)
         size += 4 + 4 * len(p.query_indices) + 4 + 32 * len(p.merkle.nodes)
         table.update(zip(sorted(set(p.query_indices)), p.columns))
-    return size + run(table.values())
+    size += 4
+    if table:
+        columns = np.asarray(list(table.values()), dtype=np.uint64)
+        live = int(np.count_nonzero(columns.any(axis=0)))
+        size += 4 + (columns.shape[1] + 7) // 8 + 8 * len(table) * live
+    return size
 
 
 def proof_from_bytes(data: bytes) -> SpartanProof:
@@ -383,13 +426,15 @@ def proof_from_bytes(data: bytes) -> SpartanProof:
     reps = [_read_repetition(r, commitment) for _ in range(num_reps)]
     indices = sorted(set().union(*(rp.pcs_proof.merkle.indices
                                    for rp in reps)))
-    num_cols_opened = r.count("opened column", 4 + 8 * num_rows)
+    # The count is bounded by the query indices already read, and the
+    # table's cells by MAX_TABLE_CELLS.
+    num_cols_opened = r.u32()
     if num_cols_opened != len(indices):
         raise r.fail(f"opened column count {num_cols_opened} does not match "
                      f"{len(indices)} distinct query indices")
-    # Equal heights: commitment rows, +1 with the zk mask row.
-    table = r.array_run("opened column", num_cols_opened,
-                        (num_rows, num_rows + 1))
+    # One height: commitment rows, +1 with the zk mask row.
+    table = r.table("opened column", num_cols_opened,
+                    (num_rows, num_rows + 1))
     at = {idx: k for k, idx in enumerate(indices)}
     for rp in reps:
         rp.pcs_proof.columns = [table[at[i]]

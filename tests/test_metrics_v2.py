@@ -22,7 +22,8 @@ from repro.obs.events import (
     format_events,
     read_spool,
 )
-from repro.snark import TEST, ProofBundle, prove, prove_many, setup, verify
+from repro.snark import (PAPER, TEST, ProofBundle, prove, prove_many, setup,
+                         verify)
 from repro.workloads import synthetic_r1cs
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -345,6 +346,7 @@ class TestProveTelemetry:
         ("tampered", False, ""),
         ("garbage", False, ""),
         ("garbage_public", False, "ValueError"),
+        ("preset_mismatch", False, "PresetMismatch"),
     ])
     def test_verify_leaves_one_job_record(self, workload, capsys, tmp_path,
                                           case, ok, error):
@@ -359,6 +361,8 @@ class TestProveTelemetry:
                                  circuit_id="synth8")
         elif case == "garbage_public":
             bundle.public = "not field elements"
+        elif case == "preset_mismatch":
+            bundle.preset_name = PAPER.name
         spool = tmp_path / "flight.jsonl"
         FLIGHT.spool_to(str(spool))
         assert verify(vk, bundle) is ok

@@ -136,77 +136,97 @@ class TestStrictParserProperties:
 
 
 class TestOpenedColumnBlock:
-    """The opened columns of a PCS opening parse as one block; the
-    error still names the first offending byte."""
+    """The column table parses as one block: every bound is checked
+    before the table is allocated, and an error names the first byte at
+    fault."""
 
     @staticmethod
     def _run(columns):
         from repro.snark.serialize import _Writer
 
         w = _Writer()
-        w.u32(0xABCD)                      # something before the run
-        for col in columns:
-            w.array(np.asarray(col, dtype=np.uint64))
+        w.u32(0xABCD)                      # something before the table
+        w.table(columns)
         return w.getvalue()
 
     @staticmethod
-    def _read(data, n, heights=(3, 4)):
+    def _read(data, heights=(3, 4)):
         from repro.snark.serialize import _Reader
 
         r = _Reader(data)
         r.u32()
-        cols = r.array_run("opened column", n, heights)
+        cols = r.table("opened column", r.u32(), heights)
         return r, cols
 
     def test_block_equals_column_at_a_time(self):
-        from repro.snark.serialize import _Reader
-
-        columns = [[1, 2, 3, 4], [5, 6, 7, MODULUS - 1], [0, 0, 0, 0]]
+        columns = [[1, 0, 3, 4], [5, 0, 7, MODULUS - 1], [0, 0, 0, 0]]
         data = self._run(columns)
-        r, cols = self._read(data, 3)
+        # prefix, count, height, one bitmap byte (row 1), 3 x 3 values
+        assert len(data) == 4 + 4 + 4 + 1 + 8 * 3 * 3
+        assert data[12] == 0b0010
+        r, cols = self._read(data)
         assert r.done()
-        one = _Reader(data)
-        one.u32()
-        for got in cols:
-            want = one.array("opened column")
-            assert got.dtype == np.uint64 and got.tolist() == want.tolist()
-        assert self._read(data, 0)[1] == []
+        for got, want in zip(cols, columns, strict=True):
+            assert got.dtype == np.uint64 and got.tolist() == want
+            assert not got.flags.writeable
+        assert self._read(self._run([]))[1] == []
 
-    def test_mixed_heights_refused_at_the_odd_prefix(self):
-        data = self._run([[1, 2, 3, 4], [5, 6, 7, 8], [9, 9, 9]])
-        with pytest.raises(DeserializationError) as ei:
-            self._read(data, 3)
-        assert ei.value.offset == 4 + 2 * (4 + 8 * 4)
+    def test_mixed_heights_refused_by_the_writer(self):
+        """One height field: the writer cannot lay out a column of
+        another height, so no reader ever sees one."""
+        with pytest.raises(ValueError, match="heights"):
+            self._run([[1, 2, 3, 4], [5, 6, 7, 8], [9, 9, 9]])
 
     def test_height_outside_the_geometry_refused(self):
         data = self._run([[1, 2], [3, 4]])
-        with pytest.raises(DeserializationError) as ei:
-            self._read(data, 2)
-        assert ei.value.offset == 4
+        with pytest.raises(DeserializationError, match="height") as ei:
+            self._read(data)
+        assert ei.value.offset == 8
+
+    def test_table_beyond_the_cell_cap_refused_before_allocating(self):
+        """Left-out rows cost one bit, so the cells a table may decode
+        to are capped: 4,097 columns of 4,096 rows are refused at the
+        height, before the bitmap is read."""
+        from repro.snark.serialize import MAX_TABLE_CELLS, _Reader
+
+        assert 4097 * 4096 > MAX_TABLE_CELLS
+        r = _Reader((4096).to_bytes(4, "little"))
+        with pytest.raises(DeserializationError, match="exceeds cap") as ei:
+            r.table("opened column", 4097, (4096,))
+        assert ei.value.offset == 0
+
+    def test_padding_bit_refused(self):
+        data = bytearray(self._run([[1, 2, 3], [4, 5, 6]]))
+        data[12] |= 1 << 5
+        with pytest.raises(DeserializationError, match="padding") as ei:
+            self._read(bytes(data))
+        assert ei.value.offset == 12
 
     def test_non_canonical_element_reports_its_own_offset(self):
         data = self._run([[1, 2, 3], [4, MODULUS, 2**64 - 1], [7, 8, 9]])
         with pytest.raises(DeserializationError) as ei:
-            self._read(data, 3)
-        assert ei.value.offset == 4 + (4 + 8 * 3) + 4 + 8 * 1
+            self._read(data)
+        assert ei.value.offset == 4 + 4 + 4 + 1 + 8 * (3 + 1)
 
     def test_truncated_run(self):
-        data = self._run([[1, 2, 3], [4, 5, 6]])
-        for cut in range(4, len(data)):
+        data = self._run([[1, 0, 3], [4, 0, 6]])
+        for cut in range(8, len(data)):
             with pytest.raises(DeserializationError) as ei:
-                self._read(data[:cut], 2)
+                self._read(data[:cut])
             assert ei.value.offset <= cut
 
-    def test_proof_with_mixed_column_heights_fails_to_parse(self, baseline):
+    def test_proof_with_mixed_column_heights_cannot_be_written(self,
+                                                               baseline):
         """Dropping the mask row from one opened column used to parse and
-        then fail ``OrionPCS.verify``; it is a parse error now."""
+        then fail ``OrionPCS.verify``; the table has one height field,
+        so the writer refuses such a proof."""
         _, bundle, wire = baseline
         proof = proof_from_bytes(wire)
         cols = proof.repetitions[0].pcs_proof.columns
         assert len(cols) > 1
         cols[-1] = cols[-1][:-1]
-        with pytest.raises(DeserializationError, match="differs"):
-            proof_from_bytes(proof_to_bytes(proof))
+        with pytest.raises(ValueError, match="heights"):
+            proof_to_bytes(proof)
 
 
 class TestDomainSeparation:

@@ -190,7 +190,7 @@ class TestLRUBytesCache:
         from repro.service import cache
         from repro.snark import envelope
 
-        assert cache.ENVELOPE_VERSION == envelope.VERSION == 4
+        assert cache.ENVELOPE_VERSION == envelope.VERSION == 5
         pub = np.arange(4, dtype=np.uint64)
         current = proof_cache_key("test-fast", "sha", pub, 1)
         monkeypatch.setattr(cache, "ENVELOPE_VERSION", envelope.VERSION + 1)

@@ -24,6 +24,7 @@ from repro.snark import (
     setup,
     verify,
 )
+from repro.snark.serialize import column_table, proof_wire_size
 
 
 def _circuit(x=3, out=35):
@@ -152,12 +153,13 @@ class TestEnvelope:
 
     def test_unknown_version(self, bundle):
         """Versions 1 (word-chain leaves), 2 (one transcript absorb per
-        gamma coefficient) and 3 (opened columns once per repetition) are
-        as foreign as version 99: their roots, challenges or layout do not
-        parse or verify here, so they are refused at the version byte."""
+        gamma coefficient), 3 (opened columns once per repetition) and 4
+        (every row of the column table on the wire) are as foreign as
+        version 99: their roots, challenges or layout do not parse or
+        verify here, so they are refused at the version byte."""
         data = bytearray(bundle.to_bytes())
-        assert data[4] == 4
-        for version in (1, 2, 3, 99):
+        assert data[4] == 5
+        for version in (1, 2, 3, 4, 99):
             data[4] = version
             with pytest.raises(DeserializationError) as ei:
                 ProofBundle.from_bytes(bytes(data))
@@ -226,12 +228,13 @@ class TestGoldenProofBytes:
     """Proof bytes are a fixed point across commits: a change to a kernel,
     a sumcheck prover or the commit path that moves one byte fails here.
 
-    The digests pin the NCPE v4 envelope (a format change regenerates them
+    The digests pin the NCPE v5 envelope (a format change regenerates them
     on purpose; v3 re-pinned them when ``Transcript.challenge_vector``
     became one absorb per vector — with the v2 derivation patched back in,
     the same code reproduced the v2 digests for every value of
     ``table.SCALAR_TAIL``; v4 re-pinned them when the repetitions' opened
-    columns became one table, and the proof objects did not move:
+    columns became one table, and v5 when the table left out its zero
+    rows; neither moved the proof objects:
     :class:`TestProofObjectsDidNotMove`).  Their only dependency outside
     this repo is numpy's ``Generator`` stream (``default_rng(seed)`` draws
     the zk mask and the synthetic instance), which numpy keeps stable
@@ -250,13 +253,13 @@ class TestGoldenProofBytes:
 
         circuit_id, circuit = build_workload("litmus")
         assert self._digest(*circuit.compile(), circuit_id) == (
-            "da177e2db3fc540712c6a3f6da0d297ea039d99568db7eb532917a689a9cd6a7")
+            "04b8a6a5b152bdf28e8e4bb2d29a4c1abf213ce01b16f08edfe2f7f58319d7d3")
 
     def test_synthetic_2p12(self):
         from repro.workloads import synthetic_r1cs
 
         assert self._digest(*synthetic_r1cs(12), "synthetic-2p12") == (
-            "9cbaa598f46f659320bb88e87390d1c395b21980d8eac21f58971b0c2c4b24a6")
+            "2100224add5acda2fe6362278e400a2c7571e89bc0ffc45ea9e230e96f049ade")
 
     def test_registry_aes(self):
         """The one registry circuit whose key stores repeated rows once
@@ -265,7 +268,7 @@ class TestGoldenProofBytes:
 
         circuit_id, circuit = build_workload("aes")
         assert self._digest(*circuit.compile(), circuit_id) == (
-            "2f44026a2e0e48c27cc865475e3a869bdf513552f705ff9513b7448c0316f1ab")
+            "30b81b922fb26d9815e4da3e77907fc87ca0040ff0ba1402e7caef9e8d48809a")
 
 
 REGISTRY_NAMES = ("aes", "sha", "rsa", "litmus", "auction")
@@ -347,13 +350,16 @@ class TestProofObjectsDidNotMove:
 
 class TestWireSize:
     """What a proof costs on the link: each opened column travels once,
-    and the size a bundle reports is its envelope's length."""
+    its zero rows not at all, and the size a bundle reports is its
+    envelope's length."""
 
     #: ``len(prove(pk, ..., seed=7).to_bytes())`` under PAPER; with each
     #: repetition's columns on the wire (NCPE v3) they were 627,311 /
-    #: 606,095 / 406,111 / 52,842 / 52,723 bytes.
-    PAPER_ENVELOPE_BYTES = {"aes": 442_895, "sha": 278_711, "rsa": 140_887,
-                            "litmus": 19_682, "auction": 19_563}
+    #: 606,095 / 406,111 / 52,842 / 52,723 bytes, and with every row of
+    #: the column table (NCPE v4) 442,895 / 278,711 / 140,887 / 19,682 /
+    #: 19,563.
+    PAPER_ENVELOPE_BYTES = {"aes": 335_552, "sha": 151_224, "rsa": 79_980,
+                            "litmus": 11_319, "auction": 15_296}
 
     @pytest.mark.parametrize("name", REGISTRY_NAMES)
     def test_paper_envelope_length(self, name):
@@ -380,68 +386,140 @@ class TestWireSize:
                 assert np.shares_memory(col, rp.pcs_proof.columns[k])
 
 
+def _table_at(proof, data):
+    """Offsets of the column table's parts at the end of ``data`` (the
+    payload of ``proof``): its count, height, bitmap and value block,
+    and the table itself, ``(count, height)``."""
+    import types
+
+    table = np.asarray(column_table(proof)[1], dtype=np.uint64)
+    n, h = table.shape
+    values = len(data) - 8 * n * int(table.any(axis=0).sum())
+    bitmap = values - (h + 7) // 8
+    at = types.SimpleNamespace(count=bitmap - 8, height=bitmap - 4,
+                               bitmap=bitmap, values=values, table=table)
+    assert int.from_bytes(data[at.count:at.height], "little") == n
+    assert int.from_bytes(data[at.height:bitmap], "little") == h
+    return at
+
+
+def _relaid(data, at, zero, height=None):
+    """``data`` with its column table laid out again over the bitmap
+    ``zero`` (rows marked zero are left out, whatever they hold) and,
+    if given, another height field."""
+    h = at.table.shape[1] if height is None else height
+    return (data[:at.height] + h.to_bytes(4, "little")
+            + np.packbits(zero, bitorder="little").tobytes()
+            + at.table[:, ~zero].astype("<u8").tobytes())
+
+
 class TestColumnTable:
-    """The strict reader over the column table, and the writer's refusal
-    of a proof the table cannot carry."""
+    """The strict reader over the column table — one error, at its
+    offset, per rule the canonical encoding keeps — and the writer's
+    refusal of a proof the table cannot carry."""
 
     @staticmethod
     def _payload():
-        """PAPER litmus payload, the table's start and its geometry."""
+        """PAPER litmus payload (16 columns of 129 rows, 65 of them zero
+        in every column) and its table's offsets."""
         _, bundle = _seed7("litmus", PAPER.name)
         data = proof_to_bytes(bundle.proof)
-        n = len(bundle.proof.repetitions[0].pcs_proof.columns)
-        height = len(bundle.proof.repetitions[0].pcs_proof.columns[0])
-        stride = 4 + 8 * height
-        start = len(data) - n * stride
-        assert int.from_bytes(data[start - 4:start], "little") == n
-        return bundle, data, start, stride, height
+        return bundle, data, _table_at(bundle.proof, data)
 
     def test_truncated_table(self):
-        _, data, start, _, _ = self._payload()
+        """A value block one element short."""
+        _, data, at = self._payload()
         with pytest.raises(DeserializationError, match="truncated") as ei:
             proof_from_bytes(data[:-8])
-        assert ei.value.offset == start
+        assert ei.value.offset == at.values
+
+    def test_trailing_bytes(self):
+        """A value block one element long."""
+        _, data, _ = self._payload()
+        with pytest.raises(DeserializationError, match="trailing") as ei:
+            proof_from_bytes(data + b"\x01" * 8)
+        assert ei.value.offset == len(data)
+
+    def test_height_outside_the_geometry(self):
+        bundle, data, at = self._payload()
+        rows = bundle.proof.witness_commitment.num_rows
+        for h in (0, rows - 1, rows + 2):
+            buf = bytearray(data)
+            buf[at.height:at.bitmap] = h.to_bytes(4, "little")
+            with pytest.raises(DeserializationError, match="height") as ei:
+                proof_from_bytes(bytes(buf))
+            assert ei.value.offset == at.height
 
     def test_column_of_the_other_allowed_height(self):
-        bundle, data, start, stride, height = self._payload()
+        """A table laid out at ``num_rows`` (the mask row cut from every
+        column) parses — the reader allows both heights — and the
+        verifier, whose preset masks, refuses it."""
+        bundle, data, at = self._payload()
         rows = bundle.proof.witness_commitment.num_rows
-        assert height == rows + 1           # the zk mask row is on
-        at = start + 2 * stride
+        assert at.table.shape[1] == rows + 1    # the zk mask row is on
+        at.table = at.table[:, :rows]
+        cut = _relaid(data, at, ~at.table.any(axis=0), height=rows)
+        proof = proof_from_bytes(cut)
+        assert len(proof.repetitions[0].pcs_proof.columns[0]) == rows
+        vk, _ = _seed7("litmus", PAPER.name)
+        assert not verify(vk, ProofBundle(proof=proof, public=bundle.public,
+                                          preset_name=PAPER.name))
+
+    def test_set_padding_bit(self):
+        """129 rows leave 7 padding bits in the bitmap's last byte."""
+        _, data, at = self._payload()
         buf = bytearray(data)
-        del buf[at + stride - 8:at + stride]
-        buf[at:at + 4] = rows.to_bytes(4, "little")
-        with pytest.raises(DeserializationError, match="differs") as ei:
+        buf[at.values - 1] |= 0x80
+        with pytest.raises(DeserializationError, match="padding") as ei:
             proof_from_bytes(bytes(buf))
-        assert ei.value.offset == at
+        assert ei.value.offset == at.values - 1
+
+    def test_unset_zero_row(self):
+        """Row 3 is zero in every column; sent as 16 zeros with its bit
+        clear, it is a second encoding of the same proof."""
+        _, data, at = self._payload()
+        zero = ~at.table.any(axis=0)
+        assert zero[3]
+        zero[3] = False
+        with pytest.raises(DeserializationError,
+                           match="row 3 is zero in every column") as ei:
+            proof_from_bytes(_relaid(data, at, zero))
+        assert ei.value.offset == at.bitmap
+
+    def test_set_live_row(self):
+        """A live row marked zero (and left out) is a well-formed table
+        of other columns: it parses, and the Merkle check refuses it."""
+        bundle, data, at = self._payload()
+        zero = ~at.table.any(axis=0)
+        assert not zero[0]
+        zero[0] = True
+        proof = proof_from_bytes(_relaid(data, at, zero))
+        vk, _ = _seed7("litmus", PAPER.name)
+        assert not verify(vk, ProofBundle(proof=proof, public=bundle.public,
+                                          preset_name=PAPER.name))
 
     def test_non_canonical_element(self):
-        _, data, start, stride, _ = self._payload()
-        at = start + 3 * stride + 4 + 8 * 5
+        _, data, at = self._payload()
+        pos = at.values + 8 * 5
         buf = bytearray(data)
-        buf[at:at + 8] = MODULUS.to_bytes(8, "little")
+        buf[pos:pos + 8] = MODULUS.to_bytes(8, "little")
         with pytest.raises(DeserializationError,
                            match="non-canonical") as ei:
             proof_from_bytes(bytes(buf))
-        assert ei.value.offset == at
-
-    def test_trailing_bytes(self):
-        _, data, _, _, _ = self._payload()
-        with pytest.raises(DeserializationError, match="trailing") as ei:
-            proof_from_bytes(data + b"\x00")
-        assert ei.value.offset == len(data)
+        assert ei.value.offset == pos
 
     def test_count_other_than_the_union(self):
-        _, data, start, _, _ = self._payload()
+        _, data, at = self._payload()
         buf = bytearray(data)
-        buf[start - 4:start] = (15).to_bytes(4, "little")
+        buf[at.count:at.height] = (15).to_bytes(4, "little")
         with pytest.raises(DeserializationError, match="16 distinct") as ei:
             proof_from_bytes(bytes(buf))
-        assert ei.value.offset == start
+        assert ei.value.offset == at.height
 
     def test_writer_refuses_disagreeing_repetitions(self):
         import copy
 
-        bundle, _, _, _, _ = self._payload()
+        bundle, _, _ = self._payload()
         proof = copy.deepcopy(bundle.proof)
         col = proof.repetitions[1].pcs_proof.columns[4].copy()
         col[0] = (int(col[0]) + 1) % MODULUS
@@ -454,6 +532,84 @@ class TestColumnTable:
             proof_to_bytes(proof)
 
 
+def _zero_circuit():
+    """``w * w == out`` at w = 0: the whole witness is zero."""
+    c = Circuit()
+    o = c.public(0)
+    w = c.witness(0)
+    c.assert_equal(c.mul(w, w), o)
+    return c.compile()
+
+
+class TestZeroRows:
+    """Rows zero in every opened column stay off the wire, and every
+    decoded object is the proved one: interior zero rows, a witness of
+    zeros (only the mask row travels, or nothing without one), a table
+    of ``num_rows`` rows, and the TEST preset."""
+
+    @staticmethod
+    def _round_trip(proof, public=None, preset=None):
+        """Encode and decode ``proof``: the objects come back equal and
+        the counted size is the length.  Returns the payload's table."""
+        data = proof_to_bytes(proof)
+        decoded = proof_from_bytes(data)
+        assert _object_digest(decoded) == _object_digest(proof)
+        assert proof_to_bytes(decoded) == data
+        assert proof_wire_size(proof) == len(data)
+        return _table_at(proof, data)
+
+    def test_litmus_interior_zero_rows(self):
+        vk, bundle = _seed7("litmus", PAPER.name)
+        at = self._round_trip(bundle.proof)
+        zero = ~at.table.any(axis=0)
+        assert int(zero.sum()) == 65
+        assert zero[3] and not zero[4]          # a zero row between live ones
+        assert bundle.size_bytes() == len(bundle.to_bytes())
+        assert verify(vk, ProofBundle.from_bytes(bundle.to_bytes()))
+
+    @pytest.mark.parametrize("preset", [PAPER, TEST])
+    def test_zero_witness_sends_the_mask_row_alone(self, preset):
+        r1cs, public, witness = _zero_circuit()
+        assert not witness.any()
+        pk, vk = setup(r1cs, preset)
+        bundle = prove(pk, public, witness, seed=7)
+        at = self._round_trip(bundle.proof)
+        rows = bundle.proof.witness_commitment.num_rows
+        assert np.flatnonzero(at.table.any(axis=0)).tolist() == [rows]
+        assert bundle.size_bytes() == len(bundle.to_bytes())
+        assert verify(vk, ProofBundle.from_bytes(bundle.to_bytes()))
+
+    def test_unmasked_table_of_num_rows(self):
+        """Without the mask row the height is ``num_rows``; a zero
+        witness then leaves every row zero and the value block empty."""
+        from repro.pcs.orion import OrionPCS, PCSParams
+        from repro.spartan.protocol import (SpartanParams, SpartanProver,
+                                            SpartanVerifier)
+        from repro.workloads.registry import build_workload
+
+        def pcs():
+            return OrionPCS(params=PCSParams(zk_mask=False),
+                            rng=np.random.default_rng(1))
+
+        params = SpartanParams(repetitions=1)
+        for r1cs, public, witness in (
+                build_workload("litmus")[1].compile(), _zero_circuit()):
+            proof = SpartanProver(r1cs, pcs(), params).prove(public, witness)
+            at = self._round_trip(proof)
+            rows = proof.witness_commitment.num_rows
+            assert at.table.shape[1] == rows
+            assert SpartanVerifier(r1cs, pcs(), params).verify(
+                public, proof_from_bytes(proof_to_bytes(proof)))
+        assert not at.table.any() and at.values == len(proof_to_bytes(proof))
+
+    @pytest.mark.parametrize("name", ["litmus", "sha"])
+    def test_test_preset(self, name):
+        vk, bundle = _seed7(name, TEST.name)
+        self._round_trip(bundle.proof)
+        assert bundle.size_bytes() == len(bundle.to_bytes())
+        assert verify(vk, ProofBundle.from_bytes(bundle.to_bytes()))
+
+
 class TestVerifierHashesEachColumnOnce:
     """The verifier checks a proof's three openings as one batch: each
     distinct opened column is leaf-hashed once, however many repetitions
@@ -463,7 +619,6 @@ class TestVerifierHashesEachColumnOnce:
     @pytest.mark.parametrize("name,distinct", [("sha", 251), ("litmus", 16)])
     def test_leaf_hashes_per_verify(self, name, distinct, monkeypatch):
         from repro.hashing.fieldhash import LEAF_TAG
-        from repro.snark.serialize import column_table
 
         vk, bundle = _seed7(name, PAPER.name)
         decoded = ProofBundle.from_bytes(bundle.to_bytes())

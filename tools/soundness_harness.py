@@ -15,9 +15,10 @@ repetitions open shared columns of one commitment — ``litmus`` opens all
 16 columns in each, ``sha`` ~250 distinct of 567 — so the column mutators
 there edit a column of the proof's shared column table.
 
-A machine-readable report is written to ``BENCH_soundness.json``.  Exit
-status is nonzero if any mutant was accepted or crashed untyped — CI runs
-this with small parameters on every push.
+A machine-readable report is written to ``--out`` (default
+``BENCH_soundness.json``, the committed 150-mutant run).  Exit status is
+nonzero if any mutant was accepted or crashed untyped — CI runs this with
+small parameters on every push, writing ``soundness_ci.json``.
 
 Usage::
 
