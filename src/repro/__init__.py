@@ -53,7 +53,6 @@ from .errors import (  # noqa: F401
 from .snark import (  # noqa: F401
     PAPER,
     TEST,
-    JobResult,
     ProofBundle,
     ProvingKey,
     VerifyingKey,
@@ -83,6 +82,6 @@ __all__ = [
     "ReproError", "DeserializationError", "VerificationError",
     "TranscriptError", "ConfigError",
     "setup", "prove", "prove_many", "verify",
-    "ProvingKey", "VerifyingKey", "ProofBundle", "JobResult",
+    "ProvingKey", "VerifyingKey", "ProofBundle",
     "TEST", "PAPER", "ServiceClient",
 ]

@@ -291,7 +291,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.metrics:
         print("\nmetrics:")
         for group in ("counters", "gauges"):
-            for key, value in sorted(tracer.metrics_snapshot[group].items()):
+            for key, value in sorted(func[group].items()):
                 print(f"  {key:<28} {value:>14,}")
     print(f"\ntrace written to {args.trace_out} "
           f"(open in https://ui.perfetto.dev)")

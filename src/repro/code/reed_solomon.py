@@ -18,7 +18,7 @@ import numpy as np
 
 from ..ntt.polymul import poly_eval_domain
 from ..ntt.radix2 import intt
-from ..obs.metrics import METRICS as _METRICS
+from ..obs import count as _count, get_tracer as _get_tracer
 from .base import LinearCode
 
 #: Shockwave parameters used throughout the paper (Sec. VII-A).
@@ -40,7 +40,7 @@ class ReedSolomonCode(LinearCode):
         n = message.shape[-1]
         if n & (n - 1):
             raise ValueError(f"message length must be a power of two, got {n}")
-        if _METRICS.enabled:
+        if _get_tracer() is not None:
             # Nominal full-NTT cost: (N/2)*log2(N) butterflies per row
             # (the zero-pad optimization skips the first log2(blowup)
             # stages; the counter tracks the structural count the paper's
@@ -49,10 +49,10 @@ class ReedSolomonCode(LinearCode):
             rows = 1
             for dim in message.shape[:-1]:
                 rows *= dim
-            _METRICS.inc("ntt.butterflies",
-                         rows * (codeword_len // 2)
-                         * max(1, codeword_len.bit_length() - 1))
-            _METRICS.inc("rs.rows_encoded", rows)
+            _count("ntt.butterflies",
+                   rows * (codeword_len // 2)
+                   * max(1, codeword_len.bit_length() - 1))
+            _count("rs.rows_encoded", rows)
         return poly_eval_domain(message, self.blowup * n)
 
     def encode_rows(self, matrix: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import threading
 import numpy as np
 
 from .goldilocks import MODULUS
-from ..obs.metrics import METRICS as _METRICS
+from ..obs import count as _count
 
 
 def _wrapping(fn):
@@ -317,7 +317,7 @@ def mul(a: np.ndarray, b: np.ndarray, canonical: bool = True,
     the split-accumulate reductions), never ``add``/``sub``-style kernels
     that assume operands < p.  ``out`` (contiguous, disjoint) takes the result.
     """
-    _METRICS.inc("field.mul_batches")
+    _count("field.mul_batches")
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     if a.ndim == 0 and b.ndim == 0:
@@ -363,7 +363,7 @@ def scale_add(base: np.ndarray, diff: np.ndarray, s: int) -> np.ndarray:
     back through :func:`add`.  ``base`` may be any uint64 representative;
     the result is canonical.
     """
-    _METRICS.inc("field.scale_add_batches")
+    _count("field.scale_add_batches")
     base = np.asarray(base, dtype=np.uint64)
     diff = np.asarray(diff, dtype=np.uint64)
     if base.shape != diff.shape or base.ndim == 0:

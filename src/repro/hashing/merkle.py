@@ -13,7 +13,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..obs.metrics import METRICS as _METRICS
+from ..obs import count as _count, get_tracer as _get_tracer
 from .fieldhash import DIGEST_BYTES, hash_columns, hash_elements, hash_pair
 
 _EMPTY_LEAF = b"\x00" * DIGEST_BYTES
@@ -73,9 +73,9 @@ class MerkleTree:
                     current[2 * i : 2 * i + 2 * DIGEST_BYTES]).digest()
             current = bytes(nxt)
             self.layers.append(current)
-        if _METRICS.enabled:
-            _METRICS.inc("merkle.trees")
-            _METRICS.inc("merkle.hashes", self.total_hashes())
+        if _get_tracer() is not None:
+            _count("merkle.trees")
+            _count("merkle.hashes", self.total_hashes())
 
     @classmethod
     def from_columns(cls, matrix: np.ndarray) -> "MerkleTree":
@@ -142,7 +142,7 @@ def open_many(tree: "MerkleTree", indices: Sequence[int]) -> MerkleMultiProof:
     for i in idxs:
         if not 0 <= i < tree.num_leaves:
             raise IndexError(f"leaf index {i} out of range")
-    _METRICS.inc("merkle.paths_opened", len(idxs))
+    _count("merkle.paths_opened", len(idxs))
     nodes: List[bytes] = []
     frontier = set(idxs)
     for level in range(len(tree.layers) - 1):

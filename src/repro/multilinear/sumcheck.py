@@ -21,7 +21,7 @@ import numpy as np
 from ..field.goldilocks import MODULUS
 from ..field.poly import interpolate_eval
 from ..hashing.transcript import Transcript
-from ..obs.metrics import METRICS as _METRICS
+from ..obs import count as _count
 from . import table as tb
 from .mle import eq_eval, eq_suffix_tables, eq_table
 
@@ -169,8 +169,8 @@ def prove_sumcheck(tables: Sequence[np.ndarray], transcript: Transcript,
     # significant: the tables eq_table(tau[1:]) passes through anyway.
     suffixes = ([None] * rounds if taus is None
                 else list(eq_suffix_tables(taus[1:]))[::-1])
-    _METRICS.inc("sumcheck.instances")
-    _METRICS.inc("sumcheck.rounds", rounds)
+    _count("sumcheck.instances")
+    _count("sumcheck.rounds", rounds)
     if claim is None:
         claim = _weighted(_combine(terms, tables),
                           None if taus is None else eq_table(taus))

@@ -1,12 +1,12 @@
-"""Telemetry for the functional prover and the simulator: three stores,
+"""Telemetry for the functional prover and the simulator: two stores,
 each fact booked once.
 
-* the **span tree** (:mod:`.tracer`) — one run's profile: nested
-  wall/CPU-time spans labeled with the paper's task families, exported
-  as Chrome trace-event JSON and the ``BENCH_phases.json`` breakdown
-  (:mod:`.export`);
-* the **kernel counters** (:mod:`.metrics`) — operation counts, on
-  exactly while a trace is on;
+* the **trace** (:mod:`.tracer`) — one run's profile, on exactly while
+  :func:`tracing` is open: nested wall/CPU-time spans labeled with the
+  paper's task families, the kernel counters (operation counts, each
+  span holding its inclusive deltas) and the end-of-trace peak RSS,
+  exported as Chrome trace-event JSON and the ``BENCH_phases.json``
+  breakdown (:mod:`.export`);
 * the **flight log** (:mod:`.events`) — one :class:`JobReport` per
   prove / prove_many / verify job plus supervision incidents, always on.
 
@@ -15,14 +15,19 @@ Instrumented code uses the module-level helpers::
     from repro import obs
 
     with obs.span("pcs.commit", "rs_encode", n=len(table)):
-        ...
+        obs.count("rs.rows_encoded", rows)
 
-and stays on a no-op fast path (a shared null span, a disabled metrics
-registry) until a trace is started::
+and stays on a no-op fast path (a shared null span, a count that
+returns at once) until a trace is opened; a site whose count costs
+anything to compute checks ``obs.get_tracer() is not None`` first::
 
     with obs.tracing() as tracer:
         snark.prove()
-    print(tracer.format_tree())
+    print(tracer.format_tree(), tracer.counters)
+
+Traces do not nest: :func:`tracing` opened while another trace is open
+raises ``RuntimeError`` before it touches the open one, which goes on
+recording every span and count of its run.
 
 See ``docs/OBSERVABILITY.md`` for every span, counter and event kind and
 the reader of each.
@@ -33,58 +38,56 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Optional
 
-from .metrics import METRICS, MetricsRegistry, peak_rss_bytes  # noqa: F401
-from .events import FLIGHT, FlightRecorder, JobReport  # noqa: F401
-from .tracer import (  # noqa: F401
-    FAMILIES,
-    NULL_TRACER,
-    NullTracer,
-    SpanRecord,
-    Tracer,
-)
-from . import events  # noqa: F401
+from .events import (  # noqa: F401
+    FLIGHT, FlightRecorder, JobReport, peak_rss_bytes)
+from .tracer import _NULL_SPAN, FAMILIES, SpanRecord, Tracer  # noqa: F401
 
-#: The active tracer: module state, single-threaded like the prover.
-_active = NULL_TRACER
+#: The open trace, or None: module state, single-threaded like the prover.
+_active: Optional[Tracer] = None
 
 
 def span(name: str, family: str = "other", **attrs):
-    """Open a span on the active tracer (no-op when tracing is off)."""
-    return _active.span(name, family, **attrs)
+    """Open a span on the open trace (the shared null span when none is)."""
+    tracer = _active
+    if tracer is None:
+        return _NULL_SPAN
+    return tracer.span(name, family, **attrs)
+
+
+def count(name: str, amount: int = 1) -> None:
+    """Add ``amount`` to counter ``name`` of the open trace (no-op when
+    no trace is open)."""
+    tracer = _active
+    if tracer is not None:
+        counters = tracer.counters
+        counters[name] = counters.get(name, 0) + amount
 
 
 def get_tracer() -> Optional[Tracer]:
-    """The active :class:`Tracer`, or None when tracing is disabled."""
-    return _active if isinstance(_active, Tracer) else None
-
-
-def set_tracer(tracer) -> None:
-    """Install ``tracer`` (or None to disable) as the active tracer."""
-    global _active
-    _active = tracer if tracer is not None else NULL_TRACER
+    """The open :class:`Tracer`, or None when no trace is open."""
+    return _active
 
 
 @contextmanager
 def tracing():
-    """``with obs.tracing() as tracer:`` — reset and enable the kernel
-    counters and install a fresh :class:`Tracer` for the block; on exit
-    snapshot the counters into ``tracer.metrics_snapshot`` and restore
-    the no-op path."""
-    METRICS.reset()
-    METRICS.enabled = True
-    tracer = Tracer(METRICS)
-    set_tracer(tracer)
+    """``with obs.tracing() as tracer:`` — the one way to start a trace:
+    open a fresh :class:`Tracer` for the block, and on exit read its peak
+    RSS (:meth:`Tracer.finish`) and restore the no-op path.  Raises
+    ``RuntimeError`` if a trace is already open."""
+    global _active
+    if _active is not None:
+        raise RuntimeError("a trace is already open; obs.tracing() "
+                           "does not nest")
+    tracer = _active = Tracer()
     try:
         yield tracer
     finally:
         tracer.finish()
-        METRICS.enabled = False
-        set_tracer(None)
+        _active = None
 
 
 __all__ = [
-    "FAMILIES", "FLIGHT", "FlightRecorder", "JobReport", "METRICS",
-    "MetricsRegistry", "NullTracer", "NULL_TRACER", "SpanRecord", "Tracer",
-    "events", "get_tracer", "peak_rss_bytes", "set_tracer", "span",
+    "FAMILIES", "FLIGHT", "FlightRecorder", "JobReport", "SpanRecord",
+    "Tracer", "count", "events", "get_tracer", "peak_rss_bytes", "span",
     "tracing",
 ]

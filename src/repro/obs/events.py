@@ -32,13 +32,30 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import sys
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
-from .metrics import peak_rss_bytes
+
+def peak_rss_bytes() -> int:
+    """Peak resident set size of this process, in bytes (0 if unknown).
+
+    Uses :func:`resource.getrusage`; Linux reports ``ru_maxrss`` in KiB,
+    macOS in bytes.  Read by every job report (its RSS delta) and by a
+    finished trace (:attr:`repro.obs.Tracer.peak_rss_bytes`).
+    """
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX
+        return 0
+    ru = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":  # pragma: no cover - platform-specific
+        return int(ru)
+    return int(ru) * 1024
+
 
 #: Environment variable naming the JSONL spool file (optional).
 FLIGHT_LOG_ENV = "REPRO_FLIGHT_LOG"
@@ -225,5 +242,5 @@ def format_events(events: Iterable[dict]) -> str:
     return "\n".join(lines)
 
 
-#: The process-wide flight recorder (module state, like METRICS).
+#: The process-wide flight recorder (module state).
 FLIGHT = FlightRecorder(spool_path=os.environ.get(FLIGHT_LOG_ENV) or None)

@@ -198,13 +198,13 @@ def phases_payload(tracer: Optional[Tracer] = None,
     }
     if tracer is not None:
         fam_s = _full_family_map(tracer.family_seconds(root_span))
-        snapshot = tracer.metrics_snapshot or tracer.metrics.snapshot()
+        rss = tracer.peak_rss_bytes
         payload["functional"] = {
             "total_s": tracer.total_seconds(root_span),
             "seconds_by_family": fam_s,
             "fractions_by_family": _fractions(fam_s),
-            "counters": snapshot.get("counters", {}),
-            "gauges": snapshot.get("gauges", {}),
+            "counters": dict(tracer.counters),
+            "gauges": {} if rss is None else {"process.peak_rss_bytes": rss},
         }
     if report is not None:
         time_by_family = _full_family_map(report.time_by_family)

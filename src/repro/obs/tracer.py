@@ -1,17 +1,20 @@
 """Nested-span tracer for the functional prover.
 
-A :class:`Tracer` records a tree of named spans — wall time, CPU time,
-and the counter deltas accrued while each span was open — mirroring the
-paper's task-family taxonomy (Fig. 6): every span carries a ``family``
-from :data:`FAMILIES`, the same labels the NoCap simulator reports, so a
+A :class:`Tracer` is one run's profile, and it owns everything the run
+measures: a tree of named spans (wall time, CPU time, and the counter
+deltas accrued while each span was open), the kernel counters booked
+through :func:`repro.obs.count` while it is the open trace, and the
+process's peak RSS when it finishes.  Spans mirror the paper's
+task-family taxonomy (Fig. 6): every span carries a ``family`` from
+:data:`FAMILIES`, the same labels the NoCap simulator reports, so a
 measured functional profile and a simulated profile can be compared
 family by family.
 
-The module-level :func:`span` helper routes through the *active* tracer.
-By default that is a null tracer whose span object is a shared singleton
-with empty ``__enter__``/``__exit__`` — the disabled cost of an
-instrumented ``with span(...)`` site is one function call plus two empty
-method calls, far below the vectorized kernels it wraps.
+The module-level :func:`repro.obs.span` helper routes through the open
+trace.  With none open it returns a shared null span with empty
+``__enter__``/``__exit__`` — the untraced cost of an instrumented
+``with span(...)`` site is one function call plus two empty method
+calls, far below the vectorized kernels it wraps.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from .metrics import METRICS, MetricsRegistry, peak_rss_bytes
+from .events import peak_rss_bytes
 
 #: The paper's task-family taxonomy (Fig. 6).  This is the canonical
 #: definition; :mod:`repro.nocap.simulator` imports it, and every span and
@@ -34,7 +37,7 @@ class SpanRecord:
 
     ``wall_s``/``cpu_s`` are inclusive of children; exclusive ("self")
     attribution is computed on demand by :meth:`Tracer.family_seconds`.
-    ``counters`` holds the deltas of every metric counter that changed
+    ``counters`` holds the deltas of every trace counter that changed
     while the span was open (also inclusive).
     """
 
@@ -61,8 +64,7 @@ class _Span:
     def __enter__(self) -> "_Span":
         tr = self._tracer
         tr._stack.append(self._index)
-        metrics = tr.metrics
-        self._counters0 = dict(metrics._counters) if metrics.enabled else None
+        self._counters0 = dict(tr.counters)
         self._cpu0 = time.process_time()
         self._t0 = time.perf_counter()
         return self
@@ -74,13 +76,10 @@ class _Span:
         rec = tr._records[self._index]
         rec.wall_s = t1 - self._t0
         rec.cpu_s = cpu1 - self._cpu0
-        if self._counters0 is not None:
-            before = self._counters0
-            rec.counters = {
-                k: v - before.get(k, 0)
-                for k, v in tr.metrics._counters.items()
-                if v != before.get(k, 0)
-            }
+        before = self._counters0
+        rec.counters = {k: v - before.get(k, 0)
+                        for k, v in tr.counters.items()
+                        if v != before.get(k, 0)}
         if exc_type is not None:
             rec.attrs["error"] = exc_type.__name__
         # Unwind even if inner spans leaked (shouldn't happen: _Span exits
@@ -93,7 +92,7 @@ class _Span:
 
 
 class _NullSpan:
-    """Shared do-nothing span: the disabled fast path."""
+    """Shared do-nothing span: the untraced fast path."""
 
     __slots__ = ()
 
@@ -107,25 +106,19 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-class NullTracer:
-    """Tracer stand-in whose spans cost two empty method calls."""
-
-    def span(self, name: str, family: str = "other", **attrs) -> _NullSpan:
-        return _NULL_SPAN
-
-
-NULL_TRACER = NullTracer()
-
-
 class Tracer:
-    """Records a tree of spans relative to its own start instant."""
+    """Records a tree of spans relative to its own start instant, plus
+    the trace's kernel counters and its end-of-trace peak RSS."""
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None):
-        self.metrics = metrics if metrics is not None else METRICS
+    def __init__(self):
         self._records: List[SpanRecord] = []
         self._stack: List[int] = []
         self._t0 = time.perf_counter()
-        self.metrics_snapshot: Dict[str, Dict[str, Any]] = {}
+        #: Operation counts (``field.mul_batches``, ``merkle.hashes``,
+        #: ...) in first-booked order; written by :func:`repro.obs.count`.
+        self.counters: Dict[str, int] = {}
+        #: The process's peak RSS, read by :meth:`finish` (None before).
+        self.peak_rss_bytes: Optional[int] = None
 
     def span(self, name: str, family: str = "other", **attrs) -> _Span:
         """Open a nested span; use as ``with tracer.span("pcs.commit"): ...``."""
@@ -142,9 +135,8 @@ class Tracer:
         return _Span(self, len(self._records) - 1)
 
     def finish(self) -> "Tracer":
-        """Close out the trace: snapshot metrics and the peak-RSS gauge."""
-        self.metrics.gauge("process.peak_rss_bytes", peak_rss_bytes())
-        self.metrics_snapshot = self.metrics.snapshot()
+        """Close out the trace: read the process's peak RSS."""
+        self.peak_rss_bytes = peak_rss_bytes()
         return self
 
     # -- aggregation -------------------------------------------------------

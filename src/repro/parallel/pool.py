@@ -181,7 +181,7 @@ class ProverPool:
 
 
 # Forced vestiges: ``bench/`` imports both and may not change yet
-# (ROADMAP item 2a).  Nothing in ``src/`` calls them.
+# (ROADMAP item 3(a)).  Nothing in ``src/`` calls them.
 
 def get_pool(workers: Optional[int] = None) -> Optional[ProverPool]:
     """``ProverPool(workers)``, or ``None`` for fewer than two workers."""

@@ -1,4 +1,4 @@
-"""Forced vestige of the shared-memory transport (ROADMAP item 2a).
+"""Forced vestige of the shared-memory transport (ROADMAP item 3(a)).
 
 Nothing in ``src/`` creates a segment any more — a batch's workers
 inherit their inputs (:mod:`repro.parallel.pool`).  The one function

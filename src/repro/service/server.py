@@ -18,7 +18,7 @@ counters.  Job bodies call the lifecycle API, so deadlines apply and
 each prove or verify books one :class:`~repro.obs.events.JobReport`
 under the id ``submit`` returned (a proof-cache hit books nothing).
 ``stats`` is the in-band scrape, ``wait_s`` / ``run_s`` in a job's
-replies its latency; nothing here touches the kernel counter registry.
+replies its latency; nothing here opens a trace.
 
 Failure contract: a failed job carries a typed error in its replies and
 no connection hangs; a submission past the queue bound is the 429-style
@@ -545,7 +545,7 @@ class ProvingService:
                 "enqueued": self.enqueued,
                 "rejected_full": self.rejected_full,
                 # Vestige: nothing rejects per client any more, but
-                # bench/layers.py sums this key (ROADMAP item 2a).
+                # bench/layers.py sums this key (ROADMAP item 3(a)).
                 "rejected_client": 0,
             },
             "pk_cache": self.key_cache.stats(),

@@ -8,7 +8,6 @@ at the top level (``from repro import setup, prove, verify``).
 """
 
 from .api import (
-    JobResult,
     ProofBundle,
     ProvingKey,
     VerifyingKey,
@@ -21,7 +20,6 @@ from .params import PAPER, PRESETS, TEST, SecurityPreset, preset_by_name
 from .serialize import proof_from_bytes, proof_to_bytes
 
 __all__ = [
-    "JobResult",
     "ProofBundle",
     "ProvingKey",
     "VerifyingKey",

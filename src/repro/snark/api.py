@@ -189,26 +189,11 @@ def prove(pk: ProvingKey, public: np.ndarray, witness: np.ndarray, *,
     return bundle
 
 
-@dataclass
-class JobResult:
-    """Outcome of one :func:`prove_many` job under ``on_error="return"``.
-
-    Exactly one of ``bundle`` (``ok=True``) and ``error`` (``ok=False``)
-    is set; ``error`` is the typed exception the job ended with after
-    every recovery path (second round, serial degradation) was exhausted.
-    """
-
-    ok: bool
-    bundle: Optional[ProofBundle] = None
-    error: Optional[BaseException] = None
-
-
 def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
                *, workers: Optional[int] = None, pool=None,
                base_seed: Optional[int] = None,
                circuit_id: str = "",
-               timeout_s: Optional[float] = None,
-               on_error: str = "raise"):
+               timeout_s: Optional[float] = None):
     """Prove a batch of independent ``(public, witness)`` jobs.
 
     Jobs share nothing, so each runs end to end on one worker process;
@@ -235,11 +220,10 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
     its worker — is re-proved *in this process*, and the bytes are
     bit-identical because the job's seed is unchanged.  ``timeout_s``
     is a per-job cooperative budget
-    (:class:`~repro.errors.ProverTimeoutError`; never retried).
-    ``on_error`` selects the failure contract: ``"raise"`` (default)
-    re-raises the first unrecovered error, all-or-nothing;
-    ``"return"`` yields a :class:`JobResult` per job so one poisoned
-    statement cannot sink a batch.
+    (:class:`~repro.errors.ProverTimeoutError`; never retried).  The
+    batch is all-or-nothing: the first job still without a proof after
+    every recovery path raises its typed error, and no later job is
+    proved.
 
     Telemetry: the batch books one :class:`~repro.obs.events.JobReport`
     (``op="prove_many"``) whose ``events`` are the supervision incidents
@@ -250,9 +234,6 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
     record is booked by the process that ran it (a forked worker
     inherits the spool); a failed job is not booked a second time here.
     """
-    if on_error not in ("raise", "return"):
-        raise ValueError(f"on_error must be 'raise' or 'return', "
-                         f"got {on_error!r}")
     jobs = list(jobs)
     if not jobs:
         return []
@@ -263,7 +244,7 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
             and usable_cpus() >= 2:
         pool = ProverPool(workers)
 
-    results = []
+    bundles = []
     with _FLIGHT.job("prove_many", pk.preset.name, circuit_id,
                      jobs=len(jobs)) as report, \
             _span("snark.prove_many", "other", jobs=len(jobs)):
@@ -273,30 +254,20 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
             report.workers, report.dispatch = pool.workers, "pool"
         for j, seed in enumerate(seeds):
             blob = None if envelopes is None else envelopes[j]
-            try:
-                if isinstance(blob, ProverTimeoutError):
-                    raise blob  # a spent budget is final: no retry
-                if not isinstance(blob, bytes):
-                    if blob is not None:
-                        pool._degraded(blob)  # the worker failed
-                    blob = prove(pk, pubs[j], wits[j],
-                                 rng=np.random.default_rng(seed),
-                                 circuit_id=circuit_id,
-                                 timeout_s=timeout_s).to_bytes()
-                bundle = ProofBundle.from_bytes(blob)
-            except Exception as exc:  # noqa: BLE001 - per-job contract
-                if on_error == "raise":
-                    raise
-                if report.ok:  # the batch names its first failure
-                    report.ok, report.error = False, type(exc).__name__
-                results.append(JobResult(ok=False, error=exc))
-                continue
+            if isinstance(blob, ProverTimeoutError):
+                raise blob  # a spent budget is final: no retry
+            if not isinstance(blob, bytes):
+                if blob is not None:
+                    pool._degraded(blob)  # the worker failed
+                blob = prove(pk, pubs[j], wits[j],
+                             rng=np.random.default_rng(seed),
+                             circuit_id=circuit_id,
+                             timeout_s=timeout_s).to_bytes()
+            bundle = ProofBundle.from_bytes(blob)
             bundle.report = report
             report.proof_size_bytes += bundle.size_bytes()
-            results.append(JobResult(ok=True, bundle=bundle))
-    if on_error == "return":
-        return results
-    return [res.bundle for res in results]
+            bundles.append(bundle)
+    return bundles
 
 
 def verify(vk: VerifyingKey, bundle: ProofBundle) -> bool:

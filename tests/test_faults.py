@@ -24,7 +24,7 @@ from repro.obs.events import FLIGHT
 from repro.parallel import ProverPool, check_deadline, deadline_scope, kernels
 from repro.parallel.deadline import Deadline, active_deadline, remaining
 from repro.parallel.shm import segment_owner_pid
-from repro.snark import TEST, JobResult, prove, prove_many, setup, verify
+from repro.snark import TEST, prove, prove_many, setup, verify
 from repro.workloads import synthetic_r1cs
 
 #: Fast supervision for tests: a short stall watchdog.
@@ -202,14 +202,15 @@ class TestProveTimeout:
         assert ei.value.phase  # names the phase boundary that tripped
         assert active_deadline() is None  # scope unwound
 
-    def test_prove_many_timeout_on_error_return(self, instance, keys):
+    def test_prove_many_timeout_fails_the_whole_batch(self, instance, keys):
+        """Every job of a batch with a spent budget would time out: the
+        batch raises the first job's typed error and returns nothing."""
         _, public, witness = instance
         pk, _ = keys
-        results = prove_many(pk, [(public, witness)] * 2, workers=1,
-                             base_seed=5, timeout_s=1e-6,
-                             on_error="return")
-        assert all(isinstance(r, JobResult) and not r.ok for r in results)
-        assert all(isinstance(r.error, ProverTimeoutError) for r in results)
+        with pytest.raises(ProverTimeoutError) as ei:
+            prove_many(pk, [(public, witness)] * 2, workers=1,
+                       base_seed=5, timeout_s=1e-6)
+        assert ei.value.budget_s == 1e-6
 
     def test_prove_many_timeout_on_error_raise(self, instance, keys):
         _, public, witness = instance
@@ -224,18 +225,11 @@ class TestProveTimeout:
         _, public, witness = instance
         pk, _ = keys
         incidents0 = FLIGHT.incidents()
-        results = prove_many(pk, [(public, witness)] * 2,
-                             pool=ProverPool(workers=2), base_seed=5,
-                             timeout_s=1e-6, on_error="return")
-        assert all(isinstance(r.error, ProverTimeoutError) for r in results)
+        with pytest.raises(ProverTimeoutError):
+            prove_many(pk, [(public, witness)] * 2,
+                       pool=ProverPool(workers=2), base_seed=5,
+                       timeout_s=1e-6)
         assert FLIGHT.fault_deltas(incidents0) == {}
-
-    def test_on_error_validated(self, instance, keys):
-        _, public, witness = instance
-        pk, _ = keys
-        with pytest.raises(ValueError, match="on_error"):
-            prove_many(pk, [(public, witness)], workers=1,
-                       on_error="explode")
 
 
 class TestSupervisedRecovery:
@@ -342,19 +336,6 @@ class TestJanitor:
 
 
 class TestProveManyPartialFailure:
-    def test_success_returns_ok_jobresults(self, instance, keys):
-        _, public, witness = instance
-        pk, vk = keys
-        reference = [b.to_bytes() for b in
-                     prove_many(pk, [(public, witness)] * 2, workers=1,
-                                base_seed=17)]
-        results = prove_many(pk, [(public, witness)] * 2, workers=1,
-                             base_seed=17, on_error="return")
-        assert all(isinstance(r, JobResult) and r.ok and r.error is None
-                   for r in results)
-        assert [r.bundle.to_bytes() for r in results] == reference
-        assert all(verify(vk, r.bundle) for r in results)
-
     def test_workers_zero_short_circuits_global_pool(self, instance, keys,
                                                      monkeypatch):
         """workers=0 or 1 must run inline without building a pool."""

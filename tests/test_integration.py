@@ -84,7 +84,7 @@ class TestCrossLayerConsistency:
         message = np.arange(rows * n, dtype=np.uint64).reshape(rows, n)
         with obs.tracing() as tracer:
             ReedSolomonCode().encode_rows(message)
-        counters = tracer.metrics_snapshot["counters"]
+        counters = tracer.counters
         codeword = 4 * n
         butterflies = (codeword // 2) * (codeword.bit_length() - 1)
         assert counters["ntt.butterflies"] == rows * butterflies

@@ -15,7 +15,7 @@ import pytest
 
 from repro import obs
 from repro.errors import ProverTimeoutError
-from repro.obs import FLIGHT, METRICS
+from repro.obs import FLIGHT
 from repro.obs.events import (
     FlightRecorder,
     JobReport,
@@ -31,16 +31,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
-    """Every test starts and ends on the no-op path with no spool."""
-    obs.set_tracer(None)
-    METRICS.enabled = False
-    METRICS.reset()
+    """Every test starts and ends with no trace open and no spool."""
+    assert obs.get_tracer() is None
     FLIGHT.spool_to(None)
     yield
-    obs.set_tracer(None)
-    METRICS.enabled = False
-    METRICS.reset()
     FLIGHT.spool_to(None)
+    assert obs.get_tracer() is None
 
 
 @pytest.fixture(scope="module")
@@ -290,19 +286,18 @@ class TestProveTelemetry:
         assert b2[0].report.events == {}
 
     def test_failed_batch_job_is_booked_once(self, workload, spooled):
-        """A serial 2-job batch whose budget is spent: each job's failure
-        is booked by its ``prove`` alone, plus one batch record naming
-        the first failure."""
+        """A serial 2-job batch whose budget is spent raises at its first
+        job: that failure is booked by its ``prove`` alone, plus one
+        batch record naming it, and the second job is never proved."""
         pk, _, public, witness = workload
-        results = prove_many(pk, [(public, witness)] * 2, workers=0,
-                             base_seed=5, timeout_s=1e-6, on_error="return")
-        assert [r.ok for r in results] == [False, False]
+        with pytest.raises(ProverTimeoutError):
+            prove_many(pk, [(public, witness)] * 2, workers=0,
+                       base_seed=5, timeout_s=1e-6)
         jobs = [e["data"] for e in spooled() if e["kind"] == "job"]
         assert [(j["op"], j["ok"], j["error"]) for j in jobs] == [
             ("prove", False, "ProverTimeoutError"),
-            ("prove", False, "ProverTimeoutError"),
             ("prove_many", False, "ProverTimeoutError")]
-        assert jobs[-1]["events"] == {"timeout": 2}
+        assert jobs[-1]["events"] == {"timeout": 1}
 
     def test_pooled_batch_books_one_record_per_prove(self, workload,
                                                      tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from repro import obs
 from repro.hashing.merkle import MerkleTree
 from repro.nocap import NoCapSimulator
-from repro.obs import FAMILIES, METRICS, Tracer
+from repro.obs import FAMILIES, Tracer
 from repro.obs.export import (
     chrome_trace,
     phases_payload,
@@ -21,15 +21,11 @@ from repro.obs.export import (
 
 
 @pytest.fixture(autouse=True)
-def _clean_obs_state():
+def _no_open_trace():
     """Every test starts and ends on the no-op path."""
-    obs.set_tracer(None)
-    METRICS.enabled = False
-    METRICS.reset()
+    assert obs.get_tracer() is None
     yield
-    obs.set_tracer(None)
-    METRICS.enabled = False
-    METRICS.reset()
+    assert obs.get_tracer() is None
 
 
 class TestSpans:
@@ -93,59 +89,85 @@ class TestSpans:
                 pass
         assert obs.get_tracer() is None
         assert [r.name for r in tracer.records()] == ["seen"]
-        assert tracer.metrics_snapshot  # finish() ran
+        assert tracer.peak_rss_bytes > 0  # finish() ran
+
+    def test_nested_tracing_is_refused_and_outer_keeps_recording(self):
+        """An inner ``obs.tracing()`` raises before it touches the open
+        trace, which goes on booking every span and count of its run."""
+        from repro.field import vector as fv
+
+        a = np.arange(8, dtype=np.uint64)
+        with obs.tracing() as outer:
+            with obs.span("before", "other"):
+                fv.mul(a, a)
+            with pytest.raises(RuntimeError, match="already open"):
+                with obs.tracing():
+                    fv.mul(a, a)  # never runs
+            assert obs.get_tracer() is outer
+            with obs.span("after", "other"):
+                fv.mul(a, a)
+                fv.mul(a, a)
+        assert [r.name for r in outer.records()] == ["before", "after"]
+        assert outer.counters == {"field.mul_batches": 3}
+        assert [r.counters for r in outer.records()] == [
+            {"field.mul_batches": 1}, {"field.mul_batches": 2}]
 
 
 class TestCounters:
     def test_disabled_registry_records_nothing(self):
-        METRICS.inc("x", 5)
-        METRICS.gauge("g", 1)
-        assert METRICS.counters() == {}
-        assert METRICS.gauges() == {}
+        """With no trace open, counts go nowhere: not into a later trace."""
+        from repro.field import vector as fv
+
+        a = np.arange(8, dtype=np.uint64)
+        obs.count("x", 5)
+        fv.mul(a, a)
+        MerkleTree(np.arange(64, dtype=np.uint64).reshape(16, 4))
+        with obs.tracing() as tracer:
+            pass
+        assert tracer.counters == {}  # nothing leaked into the next trace
+        assert all(not r.counters for r in tracer.records())
 
     def test_merkle_hash_count_pow2_tree(self):
         # A 2^10-leaf binary tree has 2^10 - 1 = 1023 internal hashes.
         leaves = np.arange(4 * 1024, dtype=np.uint64).reshape(1024, 4)
-        METRICS.enabled = True
-        MerkleTree(leaves)
-        counters = METRICS.counters()
-        assert counters["merkle.hashes"] == 1023
-        assert counters["merkle.trees"] == 1
+        with obs.tracing() as tracer:
+            MerkleTree(leaves)
+        assert tracer.counters["merkle.hashes"] == 1023
+        assert tracer.counters["merkle.trees"] == 1
 
     def test_field_mul_batches_counts_calls(self):
         from repro.field import vector as fv
 
-        METRICS.enabled = True
         a = np.arange(8, dtype=np.uint64)
-        for _ in range(7):
-            fv.mul(a, a)
-        assert METRICS.counters()["field.mul_batches"] == 7
-        # dot forms its own partial products and books nothing.
-        fv.dot(a, a)
-        assert METRICS.counters() == {"field.mul_batches": 7}
+        with obs.tracing() as tracer:
+            for _ in range(7):
+                fv.mul(a, a)
+            assert tracer.counters["field.mul_batches"] == 7
+            # dot forms its own partial products and books nothing.
+            fv.dot(a, a)
+        assert tracer.counters == {"field.mul_batches": 7}
 
     def test_ntt_butterfly_count(self):
         from repro.code.reed_solomon import ReedSolomonCode
 
         rs = ReedSolomonCode()
         message = np.arange(64, dtype=np.uint64).reshape(4, 16)
-        METRICS.enabled = True
-        rs.encode(message)
-        counters = METRICS.counters()
+        with obs.tracing() as tracer:
+            rs.encode(message)
         # 4 rows, codeword length 4*16=64: (64/2) * log2(64) = 192 each.
-        assert counters["ntt.butterflies"] == 4 * (64 // 2) * 6
-        assert counters["rs.rows_encoded"] == 4
+        assert tracer.counters["ntt.butterflies"] == 4 * (64 // 2) * 6
+        assert tracer.counters["rs.rows_encoded"] == 4
 
     def test_span_counter_deltas(self):
-        METRICS.enabled = True
-        tracer = Tracer(METRICS)
-        with tracer.span("outer", "other"):
-            METRICS.inc("k", 2)
-            with tracer.span("inner", "other"):
-                METRICS.inc("k", 3)
+        with obs.tracing() as tracer:
+            with obs.span("outer", "other"):
+                obs.count("k", 2)
+                with obs.span("inner", "other"):
+                    obs.count("k", 3)
         outer, inner = tracer.records()
         assert inner.counters == {"k": 3}
         assert outer.counters == {"k": 5}  # inclusive of children
+        assert tracer.counters == {"k": 5}
 
 
 class TestExport:
@@ -231,12 +253,12 @@ class TestExportEdgeCases:
         assert set(obj["functional"]["seconds_by_family"].values()) == {0.0}
 
     def test_export_from_disabled_tracer_path(self):
-        # With no active tracer, module-level spans hit the null path and
-        # there is nothing to export; the registry stays empty too.
-        with obs.span("invisible", "merkle"):
-            pass
+        # With no trace open, module-level spans hit the null path and
+        # counts go nowhere: there is nothing to export.
+        with obs.span("invisible", "merkle") as null_span:
+            obs.count("invisible")
         assert obs.get_tracer() is None
-        assert METRICS.counters() == {}
+        assert null_span is obs.span("another", "other")  # the shared one
         obj = chrome_trace(records=[])
         assert "traceEvents" in obj
 

@@ -361,10 +361,9 @@ class TestStreamingCommit:
         r1cs, public, witness = instance
         rows = 16
         for cells in (1, 1 << 60):
-            with obs.tracing(), _encode_tile(cells):
+            with obs.tracing() as tracer, _encode_tile(cells):
                 self._prover(r1cs, repetitions=3).prove(public, witness)
-                counters = obs.METRICS.counters()
-            assert counters["rs.rows_encoded"] == rows + 1
+            assert tracer.counters["rs.rows_encoded"] == rows + 1
 
     def test_tiled_commit_phase_families(self):
         """Tile encodes are charged to rs_encode and the tree to merkle,

@@ -28,7 +28,7 @@ from repro.errors import (
     DeserializationError,
     ProverTimeoutError,
 )
-from repro.obs import METRICS
+from repro import obs
 from repro.service import (
     QueueFullError,
     ServiceClient,
@@ -353,13 +353,19 @@ class TestKeyCacheSizing:
 # ---------------------------------------------------------------------------
 
 class TestServiceEndToEnd:
-    def test_mixed_jobs_roundtrip(self, sock_path):
+    def test_mixed_jobs_roundtrip(self, sock_path, monkeypatch):
         """Mixed prove/verify jobs through the live daemon; the proved
         envelope verifies both through the service and locally.  The
-        daemon answers from its own attributes (``stats``): the kernel
-        counter registry of its process stays off and empty."""
-        METRICS.enabled = False
-        METRICS.reset()
+        daemon answers from its own attributes (``stats``): it never
+        opens a trace, so its jobs book no span and no kernel count."""
+        opened = []
+
+        class SpyTracer(obs.Tracer):
+            def __init__(self):
+                opened.append(threading.current_thread().name)
+                super().__init__()
+
+        monkeypatch.setattr(obs, "Tracer", SpyTracer)
         with running_service(sock_path) as live:
             with ServiceClient(sock_path) as svc:
                 pong = svc.ping()
@@ -388,8 +394,8 @@ class TestServiceEndToEnd:
                 assert stats["jobs_failed"] == 0
                 assert stats["proof_cache"]["hits"] == 1
             assert live.service._jobs_failed == 0
-            assert not METRICS.enabled
-            assert METRICS.snapshot() == {"counters": {}, "gauges": {}}
+            assert obs.get_tracer() is None
+        assert opened == []
 
     def test_status_lifecycle_and_unknown_job(self, sock_path):
         with running_service(sock_path) as live:

@@ -3,6 +3,7 @@ the canonical top-level import surface."""
 
 import functools
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
@@ -905,7 +906,7 @@ class TestCanonicalSurface:
 
         for name in ("setup", "prove", "prove_many", "verify",
                      "ProvingKey", "VerifyingKey", "ProofBundle",
-                     "JobResult", "TEST", "PAPER", "ServiceClient"):
+                     "TEST", "PAPER", "ServiceClient"):
             assert hasattr(repro, name), name
             assert name in repro.__all__, name
 
@@ -916,6 +917,14 @@ class TestCanonicalSurface:
         for mod in (repro, repro.snark):
             assert not hasattr(mod, "Snark")
             assert not hasattr(mod, "prove_and_verify")
+        # One failure contract: a batch raises its first unrecovered
+        # error, so there is no per-job result type and no option.
+        assert {name for name in repro.snark.__all__
+                if isinstance(getattr(repro.snark, name), type)} == {
+            "ProofBundle", "ProvingKey", "VerifyingKey", "SecurityPreset"}
+        assert list(inspect.signature(repro.prove_many).parameters) == [
+            "pk", "jobs", "workers", "pool", "base_seed", "circuit_id",
+            "timeout_s"]
 
     def test_top_level_matches_snark(self):
         import repro

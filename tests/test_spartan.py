@@ -272,9 +272,9 @@ class TestPerProofWork:
 
         r1cs, pub, wit = synthetic_r1cs(12)
         pk, _vk = setup(r1cs, PAPER)
-        with obs.tracing():
+        with obs.tracing() as tracer:
             prove(pk, pub, wit, seed=7)
-            counters = obs.METRICS.counters()
+        counters = tracer.counters
         assert 0 < counters["field.mul_batches"] <= 70, counters
         assert 0 < counters["field.scale_add_batches"] <= 75, counters
 

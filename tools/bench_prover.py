@@ -61,8 +61,7 @@ import numpy as np
 
 from repro import obs
 from repro.hashing import Transcript
-from repro.obs.events import FlightRecorder
-from repro.obs.metrics import METRICS, peak_rss_bytes
+from repro.obs.events import FlightRecorder, peak_rss_bytes
 from repro.pcs import OrionPCS, PCSParams
 from repro.spartan import SpartanParams, SpartanProver, SpartanVerifier
 from repro.workloads import synthetic_r1cs
@@ -87,11 +86,11 @@ MIN_GUARD_BATCH_S = 1.0
 
 
 def measure_instrumentation_unit_costs(iters: int = 200_000) -> dict:
-    """Per-event cost of untraced instrumentation: a null span, a
-    disabled counter increment, and the flight-recorder job record every
-    proof books (measured on a private recorder, so the process-wide one
-    and its spool stay untouched), by tight-loop amortization."""
-    assert obs.get_tracer() is None and not METRICS.enabled
+    """Per-event cost of untraced instrumentation: a null span, an
+    ``obs.count`` with no trace open, and the flight-recorder job record
+    every proof books (measured on a private recorder, so the process-wide
+    one and its spool stay untouched), by tight-loop amortization."""
+    assert obs.get_tracer() is None
     t0 = time.perf_counter()
     for _ in range(iters):
         with obs.span("bench.noop", "other"):
@@ -99,7 +98,7 @@ def measure_instrumentation_unit_costs(iters: int = 200_000) -> dict:
     span_s = (time.perf_counter() - t0) / iters
     t0 = time.perf_counter()
     for _ in range(iters):
-        METRICS.inc("bench.noop")
+        obs.count("bench.noop")
     inc_s = (time.perf_counter() - t0) / iters
     recorder = FlightRecorder()
     jobs = max(1, iters // 20)
@@ -146,7 +145,7 @@ def bench_size(log_size: int, num_rows: int, repeats: int,
     # feeding the no-op-overhead projection.
     with obs.tracing() as tracer:
         prover.prove(public, witness, Transcript())
-    counters = tracer.metrics_snapshot.get("counters", {})
+    counters = tracer.counters
     num_spans = len(tracer.records())
     # Per-call counters dominate the inc count; everything else (trees,
     # sumcheck instances, encode calls) is O(10) per proof.
