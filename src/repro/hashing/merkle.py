@@ -132,9 +132,6 @@ class MerkleMultiProof:
     indices: List[int]
     nodes: List[bytes]
 
-    def size_bytes(self) -> int:
-        return len(self.nodes) * DIGEST_BYTES + 4 * len(self.indices)
-
 
 def open_many(tree: "MerkleTree", indices: Sequence[int]) -> MerkleMultiProof:
     """Produce one multiproof covering all ``indices`` (deduplicated)."""

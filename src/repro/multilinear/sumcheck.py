@@ -40,9 +40,6 @@ class SumcheckProof:
     round_evals: List[List[int]]
     final_values: List[int]
 
-    def size_bytes(self) -> int:
-        return 8 * (sum(len(r) for r in self.round_evals) + len(self.final_values))
-
 
 @dataclass
 class SumcheckResult:

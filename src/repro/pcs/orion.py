@@ -93,9 +93,6 @@ class OrionCommitment:
     num_rows: int      # excluding the zk mask row
     num_cols: int
 
-    def size_bytes(self) -> int:
-        return 32
-
 
 @dataclass
 class _ProverState:
@@ -137,13 +134,6 @@ class OrionEvalProof:
     query_indices: List[int]
     columns: List[np.ndarray]          # opened codeword columns (incl. mask row)
     merkle: MerkleMultiProof
-
-    def size_bytes(self) -> int:
-        total = sum(r.size for r in self.proximity_rows) * 8
-        total += self.eval_row.size * 8
-        total += sum(c.size for c in self.columns) * 8
-        total += self.merkle.size_bytes()  # includes 4 bytes per query index
-        return total
 
 
 class OrionPCS:

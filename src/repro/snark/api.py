@@ -47,6 +47,8 @@ from ..parallel import ProverPool, usable_cpus
 from ..parallel.deadline import deadline_scope
 from ..r1cs.system import R1CS
 from ..spartan.protocol import SpartanProof, SpartanProver, SpartanVerifier
+from .envelope import (bundle_from_bytes, bundle_to_bytes, bundle_wire_size,
+                       envelope_labels)
 from .params import TEST, SecurityPreset
 
 
@@ -56,8 +58,9 @@ class ProofBundle:
 
     ``preset_name``/``circuit_id`` make the bundle self-describing on the
     wire (see :mod:`repro.snark.envelope`); bundles built by hand for the
-    legacy API may leave them empty, in which case :meth:`to_bytes` is
-    unavailable and preset binding is skipped at verification.
+    legacy API may leave them empty, in which case :meth:`to_bytes` and
+    :meth:`size_bytes` raise ``ValueError`` and preset binding is skipped
+    at verification.
 
     ``report`` is local-only telemetry: the flight-recorder
     :class:`~repro.obs.events.JobReport` of the :func:`prove` or
@@ -74,22 +77,16 @@ class ProofBundle:
     def size_bytes(self) -> int:
         """Length of the envelope :meth:`to_bytes` writes, counted from
         the objects (no serialization)."""
-        from .envelope import bundle_wire_size
-
         return bundle_wire_size(self)
 
     def to_bytes(self) -> bytes:
         """Serialize to the versioned self-describing envelope format."""
-        from .envelope import bundle_to_bytes
-
         return bundle_to_bytes(self)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProofBundle":
         """Strictly parse an envelope; raises
         :class:`~repro.errors.DeserializationError` on malformed input."""
-        from .envelope import bundle_from_bytes
-
         return bundle_from_bytes(data)
 
 
@@ -164,12 +161,17 @@ def prove(pk: ProvingKey, public: np.ndarray, witness: np.ndarray, *,
     :class:`~repro.errors.ProverTimeoutError`.  Deadlines nest — inside
     an enclosing scope the effective budget is the tighter of the two.
 
-    Telemetry: every call books one :class:`~repro.obs.events.JobReport`
-    in the flight recorder, failed or not, and a returned bundle carries
-    it as :attr:`ProofBundle.report` — its ``duration_s`` is the job's
-    latency; under a tracer the ``snark.prove`` span tree holds the
-    per-family breakdown.
+    A ``circuit_id`` the envelope cannot carry raises ``to_bytes``'s
+    ``ValueError`` before anything is proved or booked.
+
+    Telemetry: every other call books one
+    :class:`~repro.obs.events.JobReport` in the flight recorder, failed
+    or not, and a returned bundle carries it as
+    :attr:`ProofBundle.report` — its ``duration_s`` is the job's latency;
+    under a tracer the ``snark.prove`` span tree holds the per-family
+    breakdown.
     """
+    envelope_labels(pk.preset.name, circuit_id)
     if rng is None:
         rng = np.random.default_rng(seed)
     # The job window encloses the deadline scope, so a spent budget's
@@ -220,10 +222,11 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
     its worker — is re-proved *in this process*, and the bytes are
     bit-identical because the job's seed is unchanged.  ``timeout_s``
     is a per-job cooperative budget
-    (:class:`~repro.errors.ProverTimeoutError`; never retried).  The
-    batch is all-or-nothing: the first job still without a proof after
-    every recovery path raises its typed error, and no later job is
-    proved.
+    (:class:`~repro.errors.ProverTimeoutError`; never retried).  A bad
+    ``circuit_id`` raises before any job is proved, as in :func:`prove`.
+    The batch is all-or-nothing: the first job still without a proof
+    after every recovery path raises its typed error, and no later job
+    is proved.
 
     Telemetry: the batch books one :class:`~repro.obs.events.JobReport`
     (``op="prove_many"``) whose ``events`` are the supervision incidents
@@ -234,6 +237,7 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
     record is booked by the process that ran it (a forked worker
     inherits the spool); a failed job is not booked a second time here.
     """
+    envelope_labels(pk.preset.name, circuit_id)
     jobs = list(jobs)
     if not jobs:
         return []
@@ -265,7 +269,7 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
                              timeout_s=timeout_s).to_bytes()
             bundle = ProofBundle.from_bytes(blob)
             bundle.report = report
-            report.proof_size_bytes += bundle.size_bytes()
+            report.proof_size_bytes += len(blob)
             bundles.append(bundle)
     return bundles
 

@@ -51,21 +51,27 @@ MAX_PRESET_ID_BYTES = 64
 MAX_CIRCUIT_ID_BYTES = 255
 
 
-def bundle_to_bytes(bundle) -> bytes:
-    """Serialize a :class:`~repro.snark.api.ProofBundle` to envelope bytes.
-
-    The bundle must be self-describing: ``preset_name`` is required (the
-    lifecycle API always sets it; hand-built legacy bundles may not).
-    """
-    if not bundle.preset_name:
+def envelope_labels(preset_name: str, circuit_id: str):
+    """``(preset id, circuit id)`` as envelope bytes — the one check of the
+    label rules (a non-empty preset id, each id within its cap); raises
+    ``ValueError`` for labels the envelope cannot carry."""
+    if not preset_name:
         raise ValueError("bundle has no preset id; produce bundles via "
                          "prove(pk, ...) to serialize them")
-    preset_id = bundle.preset_name.encode("utf-8")
-    circuit_id = bundle.circuit_id.encode("utf-8")
+    preset_id = preset_name.encode("utf-8")
+    circuit = circuit_id.encode("utf-8")
     if len(preset_id) > MAX_PRESET_ID_BYTES:
         raise ValueError(f"preset id exceeds {MAX_PRESET_ID_BYTES} bytes")
-    if len(circuit_id) > MAX_CIRCUIT_ID_BYTES:
+    if len(circuit) > MAX_CIRCUIT_ID_BYTES:
         raise ValueError(f"circuit id exceeds {MAX_CIRCUIT_ID_BYTES} bytes")
+    return preset_id, circuit
+
+
+def bundle_to_bytes(bundle) -> bytes:
+    """Serialize a :class:`~repro.snark.api.ProofBundle` to envelope
+    bytes; its labels must pass :func:`envelope_labels`."""
+    preset_id, circuit_id = envelope_labels(bundle.preset_name,
+                                            bundle.circuit_id)
     w = _Writer()
     w.parts.append(MAGIC)
     w.u8(VERSION)
@@ -81,9 +87,11 @@ def bundle_to_bytes(bundle) -> bytes:
 
 
 def bundle_wire_size(bundle) -> int:
-    """``len(bundle_to_bytes(bundle))``, counted without serializing."""
-    return (len(MAGIC) + 1 + 1 + len(bundle.preset_name.encode("utf-8"))
-            + 1 + len(bundle.circuit_id.encode("utf-8"))
+    """``len(bundle_to_bytes(bundle))`` (or its label ``ValueError``),
+    counted without serializing."""
+    preset_id, circuit_id = envelope_labels(bundle.preset_name,
+                                            bundle.circuit_id)
+    return (len(MAGIC) + 1 + 1 + len(preset_id) + 1 + len(circuit_id)
             + 4 + 8 * len(bundle.public)
             + 4 + proof_wire_size(bundle.proof))
 

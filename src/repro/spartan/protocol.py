@@ -74,14 +74,6 @@ class RepetitionProof:
     w_eval: int                      # claimed w~(ry[1:])
     pcs_proof: OrionEvalProof
 
-    def size_bytes(self) -> int:
-        total = 8 * sum(len(r) for r in self.sc1_round_evals)
-        total += 3 * 8
-        total += self.sc2.size_bytes()
-        total += 8
-        total += self.pcs_proof.size_bytes()
-        return total
-
 
 @dataclass
 class SpartanProof:
@@ -89,10 +81,6 @@ class SpartanProof:
 
     witness_commitment: OrionCommitment
     repetitions: List[RepetitionProof]
-
-    def size_bytes(self) -> int:
-        return (self.witness_commitment.size_bytes()
-                + sum(r.size_bytes() for r in self.repetitions))
 
 
 class SpartanProver:

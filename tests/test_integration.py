@@ -100,7 +100,8 @@ class TestCrossLayerConsistency:
         rng = np.random.default_rng(3)
         tables = [fv.rand_vector(1 << 8, rng) for _ in range(3)]
         proof, _ = prove_sumcheck(tables, Transcript())
-        assert proof.size_bytes() == 8 * (8 * 4 + 3)
+        assert [len(r) for r in proof.round_evals] == [4] * 8
+        assert len(proof.final_values) == 3
 
 
 class TestAlternativeCodes:

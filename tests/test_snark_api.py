@@ -1,6 +1,7 @@
 """Tests for the keygen/prove/verify lifecycle, the proof envelope, and
 the canonical top-level import surface."""
 
+import dataclasses
 import functools
 import hashlib
 import inspect
@@ -10,6 +11,8 @@ import pytest
 
 from repro.errors import ConfigError, DeserializationError
 from repro.field.goldilocks import MODULUS
+from repro.obs.events import FLIGHT
+from repro.parallel import ProverPool
 from repro.r1cs import Circuit
 from repro.snark import (
     PAPER,
@@ -22,6 +25,7 @@ from repro.snark import (
     proof_from_bytes,
     proof_to_bytes,
     prove,
+    prove_many,
     setup,
     verify,
 )
@@ -147,6 +151,54 @@ class TestEnvelope:
         anon = ProofBundle(proof=bundle.proof, public=bundle.public)
         with pytest.raises(ValueError):
             anon.to_bytes()
+
+    @pytest.mark.parametrize("preset_name,circuit_id,refused", [
+        ("", "cube", True),                  # no preset id
+        (TEST.name, "x" * 300, True),        # past the 255-byte cap
+        (TEST.name, "\u00e9" * 128, True),   # 128 chars, 256 utf-8 bytes
+        (TEST.name, "x" * 255, False),       # at the cap
+        ("p" * 64, "", False),               # at the preset cap
+    ], ids=["no-preset", "circuit-300", "circuit-256-utf8", "circuit-255",
+            "preset-64"])
+    def test_size_bytes_follows_to_bytes(self, bundle, preset_name,
+                                         circuit_id, refused):
+        """``size_bytes() == len(to_bytes())`` for every bundle, or both
+        raise the one label error."""
+        b = dataclasses.replace(bundle, preset_name=preset_name,
+                                circuit_id=circuit_id)
+        if not refused:
+            assert b.size_bytes() == len(b.to_bytes())
+            return
+        with pytest.raises(ValueError) as sent:
+            b.to_bytes()
+        with pytest.raises(ValueError) as counted:
+            b.size_bytes()
+        assert str(counted.value) == str(sent.value)
+
+    def test_prove_refuses_a_circuit_id_the_envelope_cannot_carry(
+            self, compiled, keys, bundle, monkeypatch):
+        """``prove`` and a pooled ``prove_many`` raise ``to_bytes``'s
+        error before proving anything: no worker fails a job, and no job
+        is re-proved here."""
+        _, public, witness = compiled
+        pk, _ = keys
+        long_id = "x" * 300
+        with pytest.raises(ValueError) as sent:
+            dataclasses.replace(bundle, circuit_id=long_id).to_bytes()
+
+        def proved(*args, **kwargs):
+            raise AssertionError("a job was proved")
+
+        monkeypatch.setattr(ProvingKey, "prover", proved)
+        before = FLIGHT.incidents()
+        with pytest.raises(ValueError) as refused:
+            prove(pk, public, witness, seed=1, circuit_id=long_id)
+        assert str(refused.value) == str(sent.value)
+        with pytest.raises(ValueError) as refused:
+            prove_many(pk, [(public, witness)] * 2, pool=ProverPool(2),
+                       base_seed=1, circuit_id=long_id)
+        assert str(refused.value) == str(sent.value)
+        assert FLIGHT.fault_deltas(before) == {}
 
     def test_bad_magic(self, bundle):
         with pytest.raises(DeserializationError):
@@ -889,13 +941,6 @@ class TestSerialization:
                 continue
             assert not verify(
                 vk, ProofBundle(proof=proof, public=bundle.public)), offset
-
-    def test_wire_size_matches_accounting_order(self, bundle):
-        data = proof_to_bytes(bundle.proof)
-        # Wire format carries framing, so it is somewhat larger than the
-        # raw payload accounting but within 2x.
-        assert (bundle.proof.size_bytes() < len(data)
-                < 2 * bundle.proof.size_bytes() + 256)
 
 
 class TestCanonicalSurface:
