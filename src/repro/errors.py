@@ -98,7 +98,7 @@ class ProverTimeoutError(ReproError, TimeoutError):
 class WorkerCrashError(ReproError, RuntimeError):
     """A proof job could not be completed by worker processes.
 
-    What :meth:`repro.parallel.ProverPool.prove_batch` returns for a job
+    What :func:`repro.parallel.pool.prove_batch` returns for a job
     whose worker died or hung in both of its rounds.
     :func:`repro.snark.api.prove_many` answers it by re-proving the job
     in the calling process, which is bit-identical.

@@ -8,7 +8,7 @@ repeatable* points, across process boundaries.
 The mechanism is a single JSON :class:`FaultPlan` carried in the
 ``REPRO_FAULTS`` environment variable.  Two instrumented sites call
 :func:`maybe_fault(site)` — ``prove_job`` (a worker entering
-:func:`repro.parallel.kernels.prove_job`) and ``service_job`` (a
+:func:`repro.parallel.pool.prove_job`) and ``service_job`` (a
 ``repro serve`` job body); the call is a no-op unless a plan is installed, names that site, and the site's
 per-process arrival counter has reached ``hits``.  A cross-process
 *claim file* (``O_CREAT|O_EXCL``) arbitrates so each plan fires exactly

@@ -9,12 +9,9 @@ from .fieldhash import (
 )
 from .merkle import (
     MerkleMultiProof,
-    MerklePath,
     MerkleTree,
     open_many,
-    verify_column,
     verify_many,
-    verify_path,
 )
 from .transcript import Transcript
 
@@ -24,11 +21,8 @@ __all__ = [
     "hash_elements",
     "hash_pair",
     "MerkleMultiProof",
-    "MerklePath",
     "MerkleTree",
     "open_many",
     "verify_many",
-    "verify_column",
-    "verify_path",
     "Transcript",
 ]

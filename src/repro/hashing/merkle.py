@@ -1,8 +1,9 @@
 """Merkle tree commitments over field-element leaves (Sec. V-A).
 
 The prover packs field elements into leaves, hashes the largest layers in
-parallel on the Hash FU, and combines upward; the verifier checks opened
-leaves against the root with logarithmic-size authentication paths.
+parallel on the Hash FU, and combines upward.  Every opening is a
+multiproof (:func:`open_many` / :func:`verify_many`): the leaves a proof
+opens in one tree share one deduplicated list of sibling digests.
 """
 
 from __future__ import annotations
@@ -14,24 +15,9 @@ from typing import List, Sequence
 import numpy as np
 
 from ..obs import count as _count, get_tracer as _get_tracer
-from .fieldhash import DIGEST_BYTES, hash_columns, hash_elements, hash_pair
+from .fieldhash import DIGEST_BYTES, hash_columns, hash_pair
 
 _EMPTY_LEAF = b"\x00" * DIGEST_BYTES
-
-
-@dataclass
-class MerklePath:
-    """Authentication path for one leaf."""
-
-    index: int
-    siblings: List[bytes]
-
-    @property
-    def depth(self) -> int:
-        return len(self.siblings)
-
-    def size_bytes(self) -> int:
-        return len(self.siblings) * DIGEST_BYTES
 
 
 class MerkleTree:
@@ -103,17 +89,6 @@ class MerkleTree:
     def depth(self) -> int:
         return len(self.layers) - 1
 
-    def open(self, index: int) -> MerklePath:
-        """Produce the authentication path for leaf ``index``."""
-        if not 0 <= index < self.num_leaves:
-            raise IndexError(f"leaf index {index} out of range")
-        siblings = []
-        i = index
-        for level in range(len(self.layers) - 1):
-            siblings.append(self.node(level, i ^ 1))
-            i >>= 1
-        return MerklePath(index=index, siblings=siblings)
-
     def total_hashes(self) -> int:
         """Pair-hash operations performed building the tree (read by the
         ``merkle.hashes`` kernel counter)."""
@@ -172,8 +147,8 @@ def verify_many(root: bytes, leaf_digests: Sequence[bytes],
         return False
     if not _well_formed_digests(leaf_digests):
         return False
-    if not all(isinstance(i, int) and 0 <= i < num_leaves
-               for i in proof.indices):
+    if not isinstance(proof.indices, list) or not all(
+            isinstance(i, int) and 0 <= i < num_leaves for i in proof.indices):
         return False
     if len(leaf_digests) != len(proof.indices):
         return False
@@ -204,11 +179,6 @@ def verify_many(root: bytes, leaf_digests: Sequence[bytes],
     return known.get(0) == root
 
 
-#: No deployed tree is deeper than 64 levels (2^64 leaves); longer paths
-#: are adversarial padding.
-MAX_PATH_DEPTH = 64
-
-
 def _well_formed_digests(digests) -> bool:
     """True when ``digests`` is a sequence of 32-byte strings."""
     try:
@@ -216,40 +186,3 @@ def _well_formed_digests(digests) -> bool:
                    and len(d) == DIGEST_BYTES for d in digests)
     except TypeError:
         return False
-
-
-def verify_path(root: bytes, leaf_digest: bytes, path: MerklePath) -> bool:
-    """Check that ``leaf_digest`` sits at ``path.index`` under ``root``.
-
-    Malformed paths (wrong types, negative index, absurd depth) are
-    rejected with ``False``.
-    """
-    if not isinstance(path, MerklePath):
-        return False
-    if not isinstance(path.index, int) or path.index < 0:
-        return False
-    if not isinstance(leaf_digest, (bytes, bytearray)):
-        return False
-    if (len(path.siblings) > MAX_PATH_DEPTH
-            or not _well_formed_digests(path.siblings)):
-        return False
-    if path.index >> len(path.siblings):
-        return False  # index does not fit in a tree of this depth
-    acc = leaf_digest
-    i = path.index
-    for sibling in path.siblings:
-        if i & 1:
-            acc = hash_pair(sibling, acc)
-        else:
-            acc = hash_pair(acc, sibling)
-        i >>= 1
-    return acc == root
-
-
-def verify_column(root: bytes, column: np.ndarray, path: MerklePath) -> bool:
-    """Verify an opened matrix column against a column-committed tree."""
-    try:
-        column = np.asarray(column, dtype=np.uint64)
-    except (TypeError, ValueError, OverflowError):
-        return False
-    return verify_path(root, hash_elements(column), path)

@@ -4,7 +4,7 @@ A proof has no natural preemption points a supervisor could interrupt —
 the kernels are long numpy calls — so cancellation is *cooperative*: the
 caller opens a :func:`deadline_scope`, and instrumented chokepoints
 (phase boundaries in :mod:`repro.spartan.protocol`, every dispatch wait
-in :class:`~repro.parallel.pool.ProverPool`) call :func:`check_deadline`, which raises
+in :func:`~repro.parallel.pool.prove_batch`) call :func:`check_deadline`, which raises
 :class:`~repro.errors.ProverTimeoutError` once the budget is spent.
 
 The active deadline is per context (a :class:`contextvars.ContextVar`):
@@ -15,7 +15,7 @@ per-job budget inside a batch budget never extends the batch.
 The fast path is one ``is None`` check — proving without a deadline pays
 nothing.  A worker gets its job's own budget as an argument; the parent
 enforces dispatch-level budgets by bounding its waits with
-:func:`remaining` (see ``ProverPool.prove_batch``) and killing workers
+:func:`remaining` (see :func:`~repro.parallel.pool.prove_batch`) and killing workers
 that overrun.
 """
 

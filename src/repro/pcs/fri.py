@@ -19,7 +19,9 @@ Protocol sketch (commit phase, then query phase):
   committing every layer, until the degree bound reaches ``stop_degree``;
   the final layer is sent in the clear as coefficients.
 * Queries: for each random index, the verifier walks the layer chain,
-  checking every fold against Merkle-opened values.
+  checking every fold against the opened values.  Each layer's opened
+  positions, over all queries, are one Merkle multiproof — the opening
+  format Orion uses for its columns.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ import numpy as np
 from ..errors import VerificationError
 from ..field import vector as fv
 from ..field.goldilocks import MODULUS, inv
-from ..hashing.merkle import MerklePath, MerkleTree, verify_path
-from ..hashing.fieldhash import hash_elements
+from ..hashing.fieldhash import hash_columns
+from ..hashing.merkle import (MerkleMultiProof, MerkleTree, open_many,
+                              verify_many)
 from ..hashing.transcript import Transcript
 from ..ntt.polymul import next_pow2, poly_eval_domain
 from ..ntt.radix2 import intt
@@ -56,25 +59,19 @@ class FriParams:
 
 @dataclass
 class FriQueryStep:
-    """One layer's opening for one query: the paired values and paths."""
+    """One layer's opening for one query: the paired values."""
 
     value: int          # f(x) at the queried index
     sibling: int        # f(-x) at index + half
-    path_value: MerklePath
-    path_sibling: MerklePath
 
 
 def _query_step_well_formed(step) -> bool:
     """Structural check for one untrusted query-chain step: canonical
-    integer values and Merkle paths of the expected shape."""
+    integer values."""
     if not isinstance(step, FriQueryStep):
         return False
-    for v in (step.value, step.sibling):
-        if (not isinstance(v, (int, np.integer)) or isinstance(v, bool)
-                or not 0 <= v < MODULUS):
-            return False
-    return (isinstance(step.path_value, MerklePath)
-            and isinstance(step.path_sibling, MerklePath))
+    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               and 0 <= v < MODULUS for v in (step.value, step.sibling))
 
 
 @dataclass
@@ -82,16 +79,16 @@ class FriProof:
     layer_roots: List[bytes]
     final_coefficients: List[int]
     queries: List[List[FriQueryStep]]   # [query][layer]
+    #: One multiproof per layer over every position the queries open there.
+    layer_openings: List[MerkleMultiProof]
 
     def size_bytes(self) -> int:
-        total = 32 * len(self.layer_roots)
-        total += 8 * len(self.final_coefficients)
-        for chain in self.queries:
-            for step in chain:
-                total += 16
-                total += step.path_value.size_bytes()
-                total += step.path_sibling.size_bytes()
-        return total
+        """Roots, final coefficients, 16 B per query step and 32 B per
+        multiproof node (the opened positions follow from the transcript)."""
+        return (32 * len(self.layer_roots)
+                + 8 * len(self.final_coefficients)
+                + 16 * sum(len(chain) for chain in self.queries)
+                + 32 * sum(len(mp.nodes) for mp in self.layer_openings))
 
 
 def _fold_layer(values: np.ndarray, beta: int, domain_gen: int) -> np.ndarray:
@@ -137,9 +134,7 @@ class FriProver:
             bound = degree_bound
             while bound > p.stop_degree:
                 with _span("fri.commit_layer", "merkle", leaves=len(current)):
-                    tree = MerkleTree(
-                        [hash_elements(np.array([v], dtype=np.uint64))
-                         for v in current])
+                    tree = MerkleTree.from_columns(current[None, :])
                 layers.append(current)
                 trees.append(tree)
                 roots.append(tree.root)
@@ -162,19 +157,20 @@ class FriProver:
                 b"fri/queries", p.num_queries, domain_size)
             with _span("fri.queries", "merkle", queries=len(indices)):
                 queries = []
+                positions = [set() for _ in layers]
                 for idx in indices:
                     chain = []
                     i = idx
-                    for layer, tree in zip(layers, trees):
+                    for layer, opened in zip(layers, positions):
                         half = len(layer) // 2
                         i %= half
-                        chain.append(FriQueryStep(
-                            value=int(layer[i]),
-                            sibling=int(layer[i + half]),
-                            path_value=tree.open(i),
-                            path_sibling=tree.open(i + half)))
+                        chain.append(FriQueryStep(value=int(layer[i]),
+                                                  sibling=int(layer[i + half])))
+                        opened.update((i, i + half))
                     queries.append(chain)
-        return FriProof(roots, final_coeffs, queries)
+                openings = [open_many(tree, opened)
+                            for tree, opened in zip(trees, positions)]
+        return FriProof(roots, final_coeffs, queries, openings)
 
 
 class FriVerifier:
@@ -199,6 +195,9 @@ class FriVerifier:
                 and 0 <= c < MODULUS for c in proof.final_coefficients):
             return False
         if not isinstance(proof.queries, list):
+            return False
+        if (not isinstance(proof.layer_openings, list)
+                or len(proof.layer_openings) != len(proof.layer_roots)):
             return False
         degree_bound = next_pow2(degree_bound)
         domain_size = p.blowup * degree_bound
@@ -225,7 +224,9 @@ class FriVerifier:
             return False
 
         base_gen = primitive_root(domain_size)
-        final_coeffs = np.asarray(proof.final_coefficients, dtype=np.uint64)
+        # Per layer, the value every query opened at each position; two
+        # queries opening one position must agree on it.
+        opened = [{} for _ in proof.layer_roots]
 
         for idx, chain in zip(indices, proof.queries):
             if not isinstance(chain, list) or len(chain) != expected_layers:
@@ -236,18 +237,12 @@ class FriVerifier:
             size = domain_size
             gen = base_gen
             carried = None  # folded value that must appear in the next layer
-            for step, beta, root in zip(chain, betas, proof.layer_roots):
+            for step, beta, layer in zip(chain, betas, opened):
                 half = size // 2
                 entering = i  # index of the carried value within this layer
                 i %= half
-                # Merkle checks.
-                for value, path, pos in ((step.value, step.path_value, i),
-                                         (step.sibling, step.path_sibling,
-                                          i + half)):
-                    if path.index != pos:
-                        return False
-                    leaf = hash_elements(np.array([value], dtype=np.uint64))
-                    if not verify_path(root, leaf, path):
+                for pos, value in ((i, step.value), (i + half, step.sibling)):
+                    if layer.setdefault(pos, value) != value:
                         return False
                 # Consistency with the previous fold: the carried value
                 # sits at `entering`, which is either the opened value
@@ -278,6 +273,21 @@ class FriVerifier:
                 acc = (acc * point + int(c)) % MODULUS
             if carried != acc:
                 return False
+
+        # Merkle checks: one multiproof per layer, bound to its size.
+        size = domain_size
+        for root, layer, opening in zip(proof.layer_roots, opened,
+                                        proof.layer_openings):
+            positions = sorted(layer)
+            values = np.array([[layer[pos] for pos in positions]],
+                              dtype=np.uint64)
+            # verify_many refuses a malformed opening first, so the
+            # comparison below only ever sees a list of ints.
+            if not (verify_many(root, hash_columns(values), opening,
+                                num_leaves=size)
+                    and list(opening.indices) == positions):
+                return False
+            size //= 2
         return True
 
 

@@ -262,7 +262,7 @@ class SparseMatrix:
         The matvec gather plan and the transposed view are derived caches
         a receiver can rebuild lazily; dropping them keeps a pickled
         proving key to what it stores, which matters where batch workers
-        must be spawned rather than forked (see ProverPool.prove_batch).
+        must be spawned rather than forked (see parallel.pool.prove_batch).
         """
         state = self.__dict__.copy()
         state["_groups"] = None

@@ -47,7 +47,7 @@ from typing import Any, Deque, Dict, Optional, Set
 
 from ..errors import ConfigError
 from ..obs.events import _JOB_ID, FLIGHT as _FLIGHT
-from ..parallel.kernels import _maybe_fault
+from ..parallel.pool import _maybe_fault
 from ..workloads.registry import resolve_workload
 from . import protocol
 from .cache import (

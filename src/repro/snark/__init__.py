@@ -2,9 +2,10 @@
 
 Lifecycle entry points: :func:`setup` -> (:class:`ProvingKey`,
 :class:`VerifyingKey`), :func:`prove` -> :class:`ProofBundle`,
-:func:`verify`; :func:`prove_many` batches independent jobs across a
-:class:`~repro.parallel.ProverPool`.  All of these are also re-exported
-at the top level (``from repro import setup, prove, verify``).
+:func:`verify`; :func:`prove_many` batches independent jobs across
+``workers=`` forked processes (:func:`~repro.parallel.pool.prove_batch`).
+All of these are also re-exported at the top level (``from repro import
+setup, prove, verify``).
 """
 
 from .api import (

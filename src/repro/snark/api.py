@@ -21,8 +21,7 @@ them — it serializes to a versioned envelope
 and the proof payload over the paper's 10 MB/s link.
 
 Throughput comes from :mod:`repro.parallel`: :func:`prove_many` runs
-independent proof jobs on worker processes (``workers=N`` or a
-:class:`~repro.parallel.ProverPool`).  A single
+independent proof jobs on ``workers=N`` worker processes.  A single
 :func:`prove` is one job and runs on the caller.  Proof bytes are
 bit-identical at any worker count.
 
@@ -43,7 +42,7 @@ from ..hashing.transcript import Transcript
 from ..obs import JobReport
 from ..obs import span as _span
 from ..obs.events import FLIGHT as _FLIGHT
-from ..parallel import ProverPool, usable_cpus
+from ..parallel.pool import prove_batch, usable_cpus
 from ..parallel.deadline import deadline_scope
 from ..r1cs.system import R1CS
 from ..spartan.protocol import SpartanProof, SpartanProver, SpartanVerifier
@@ -192,7 +191,7 @@ def prove(pk: ProvingKey, public: np.ndarray, witness: np.ndarray, *,
 
 
 def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
-               *, workers: Optional[int] = None, pool=None,
+               *, workers: Optional[int] = None,
                base_seed: Optional[int] = None,
                circuit_id: str = "",
                timeout_s: Optional[float] = None):
@@ -206,15 +205,16 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
     re-parsed from its envelope bytes, so every batched proof also
     round-trips the wire format.
 
-    Fan-out: a ``pool`` the caller constructed is always used;
-    otherwise ``workers=N`` (default: every usable CPU) means
-    ``ProverPool(N)``, unless fewer than 2 CPUs are usable — CPU-bound
-    jobs would only time-slice the one core — or ``workers`` is 0 or 1.
-    The pool forks its workers for this one batch
-    (:meth:`~repro.parallel.ProverPool.prove_batch`): they inherit
-    ``pk`` and the jobs' inputs, send envelope bytes back and are gone
-    when the call returns; with no pool or one job the same loop proves
-    every job in this process.  Because a batch forks, call this from a
+    Fan-out: ``workers`` is the one knob.  ``workers=N`` with N >= 2
+    forks N workers (at most one per job) on any host; the default,
+    ``None``, means every usable CPU
+    (:func:`~repro.parallel.usable_cpus`), so it stays in this process
+    on a host with fewer than 2 — CPU-bound jobs would only time-slice
+    the one core.  The workers are forked for this one batch
+    (:func:`~repro.parallel.pool.prove_batch`): they inherit ``pk`` and
+    the jobs' inputs, send envelope bytes back and are gone when the
+    call returns; with one worker or one job the same loop proves every
+    job in this process.  Because a batch forks, call this from a
     thread that holds no locks other threads need.
 
     Fault handling: a job whose worker died or hung gets one more round
@@ -244,25 +244,27 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
     seeds = np.random.SeedSequence(base_seed).spawn(len(jobs))
     pubs = [np.asarray(pub, dtype=np.uint64) for pub, _ in jobs]
     wits = [np.asarray(wit, dtype=np.uint64) for _, wit in jobs]
-    if pool is None and (workers is None or workers > 1) \
-            and usable_cpus() >= 2:
-        pool = ProverPool(workers)
+    if workers is None:
+        workers = usable_cpus()
 
     bundles = []
     with _FLIGHT.job("prove_many", pk.preset.name, circuit_id,
                      jobs=len(jobs)) as report, \
             _span("snark.prove_many", "other", jobs=len(jobs)):
-        envelopes = None if pool is None else pool.prove_batch(
-            pk, pubs, wits, seeds, circuit_id, timeout_s)
-        if envelopes is not None:
-            report.workers, report.dispatch = pool.workers, "pool"
+        envelopes = None
+        if workers > 1 and len(jobs) > 1:
+            envelopes = prove_batch(pk, pubs, wits, seeds, workers,
+                                    circuit_id, timeout_s)
+            report.workers, report.dispatch = workers, "pool"
         for j, seed in enumerate(seeds):
             blob = None if envelopes is None else envelopes[j]
             if isinstance(blob, ProverTimeoutError):
                 raise blob  # a spent budget is final: no retry
             if not isinstance(blob, bytes):
                 if blob is not None:
-                    pool._degraded(blob)  # the worker failed
+                    # The worker failed; the rerun here is bit-identical.
+                    _FLIGHT.record("degradation", kernel="prove_job",
+                                   error=type(blob).__name__)
                 blob = prove(pk, pubs[j], wits[j],
                              rng=np.random.default_rng(seed),
                              circuit_id=circuit_id,

@@ -1,7 +1,7 @@
 """Tests for the fault-tolerance layer: deterministic fault injection
 (:mod:`repro.fuzz.faults`), cooperative deadlines
 (:mod:`repro.parallel.deadline`), the one supervision rule of
-:meth:`repro.parallel.ProverPool.prove_batch`, and the per-job failure
+:func:`repro.parallel.pool.prove_batch`, and the per-job failure
 contract of :func:`repro.snark.prove_many`.
 
 The invariant under test throughout: an injected fault either leaves the
@@ -21,7 +21,8 @@ import pytest
 from repro.errors import ProverTimeoutError, ReproError
 from repro.fuzz import faults
 from repro.obs.events import FLIGHT
-from repro.parallel import ProverPool, check_deadline, deadline_scope, kernels
+from repro.parallel import check_deadline, deadline_scope
+from repro.parallel import pool as parallel_pool
 from repro.parallel.deadline import Deadline, active_deadline, remaining
 from repro.parallel.shm import segment_owner_pid
 from repro.snark import TEST, prove, prove_many, setup, verify
@@ -227,8 +228,7 @@ class TestProveTimeout:
         incidents0 = FLIGHT.incidents()
         with pytest.raises(ProverTimeoutError):
             prove_many(pk, [(public, witness)] * 2,
-                       pool=ProverPool(workers=2), base_seed=5,
-                       timeout_s=1e-6)
+                       workers=2, base_seed=5, timeout_s=1e-6)
         assert FLIGHT.fault_deltas(incidents0) == {}
 
 
@@ -236,8 +236,12 @@ class TestSupervisedRecovery:
     """The one supervision rule, driven through real ``prove_many``
     batches: bytes stay identical and nothing outlives the call."""
 
+    @pytest.fixture(autouse=True)
+    def quick_stall(self, monkeypatch):
+        monkeypatch.setattr(parallel_pool, "STALL_TIMEOUT_S", QUICK_STALL_S)
+
     def _batch(self, instance, keys, base_seed, plan=None, jobs=2):
-        """(reference bytes, bytes from a 2-worker pool, incidents) of one
+        """(reference bytes, bytes from 2 workers, incidents) of one
         batch, run under ``plan`` when given."""
         _, public, witness = instance
         pk, vk = keys
@@ -246,10 +250,9 @@ class TestSupervisedRecovery:
                      prove_many(pk, batch, workers=0, base_seed=base_seed)]
         before = _shm_entries()
         incidents0 = FLIGHT.incidents()
-        pool = ProverPool(workers=2, stall_timeout_s=QUICK_STALL_S)
         with (faults.injected(plan) if plan is not None
               else contextlib.nullcontext()):
-            bundles = prove_many(pk, batch, pool=pool, base_seed=base_seed)
+            bundles = prove_many(pk, batch, workers=2, base_seed=base_seed)
             assert plan is None or os.path.exists(plan.claim_path), \
                 "fault never fired"
         assert all(verify(vk, b) for b in bundles)
@@ -287,7 +290,7 @@ class TestSupervisedRecovery:
                 fh.write(f"{site}\n")
             raise RuntimeError("injected: every worker attempt raises")
 
-        monkeypatch.setattr(kernels, "_maybe_fault", always_raise)
+        monkeypatch.setattr(parallel_pool, "_maybe_fault", always_raise)
         reference, got, incidents = self._batch(instance, keys, 44, jobs=3)
         assert got == reference
         assert log.read_text().splitlines() == ["prove_job"] * 3
@@ -298,7 +301,7 @@ class TestSupervisedRecovery:
         """Every worker that takes a job dies, in both rounds: the caller
         proves the lost jobs, one ``degradation`` each."""
         monkeypatch.setattr(
-            kernels, "_maybe_fault",
+            parallel_pool, "_maybe_fault",
             lambda site: os.kill(os.getpid(), signal.SIGKILL))
         reference, got, incidents = self._batch(instance, keys, 48)
         assert got == reference
@@ -315,7 +318,7 @@ class TestSupervisedRecovery:
             with pytest.raises(ProverTimeoutError):
                 with deadline_scope(1.0, label="batch budget"):
                     prove_many(pk, [(public, witness)] * 2,
-                               pool=ProverPool(workers=2), base_seed=49)
+                               workers=2, base_seed=49)
         assert multiprocessing.active_children() == []
 
 
@@ -338,10 +341,10 @@ class TestJanitor:
 class TestProveManyPartialFailure:
     def test_workers_zero_short_circuits_global_pool(self, instance, keys,
                                                      monkeypatch):
-        """workers=0 or 1 must run inline without building a pool."""
+        """workers=0 or 1 must run inline without forking a batch."""
         from repro.snark import api
 
-        monkeypatch.setattr(api, "ProverPool", None)  # calling it raises
+        monkeypatch.setattr(api, "prove_batch", None)  # calling it raises
         _, public, witness = instance
         pk, _ = keys
         for w in (0, 1):

@@ -8,9 +8,9 @@ import pytest
 from repro.field import vector as fv
 from repro.field.goldilocks import MODULUS
 from repro.hashing import Transcript
-from repro.hashing.fieldhash import hash_elements
-from repro.hashing.merkle import MerkleTree
+from repro.hashing.merkle import MerkleTree, open_many
 from repro.ntt.roots import primitive_root
+from repro.pcs import fri
 from repro.pcs.fri import (
     FriParams,
     FriProof,
@@ -75,6 +75,159 @@ class TestRoundtrip:
         _, small = _roundtrip(64, rng, fewer)
         assert small.size_bytes() < proof.size_bytes()
 
+    def test_size_counts_roots_coefficients_steps_and_nodes(self, rng):
+        """32 B per root, 8 B per final coefficient, 16 B per query step
+        and 32 B per multiproof node; the opened positions are not counted
+        (the verifier derives them from the transcript)."""
+        _, proof = _roundtrip(64, rng)
+        steps = sum(len(chain) for chain in proof.queries)
+        nodes = sum(len(mp.nodes) for mp in proof.layer_openings)
+        assert nodes > 0
+        assert proof.size_bytes() == (32 * len(proof.layer_roots)
+                                      + 8 * len(proof.final_coefficients)
+                                      + 16 * steps + 32 * nodes)
+
+
+def _challenges(proof, degree_bound, params=PARAMS):
+    """(betas, query indices) the verifier derives for ``proof``."""
+    transcript = Transcript()
+    betas = []
+    for root in proof.layer_roots:
+        transcript.absorb_digest(b"fri/root", root)
+        betas.append(transcript.challenge_field(b"fri/beta"))
+    transcript.absorb_fields(b"fri/final", proof.final_coefficients)
+    indices = transcript.challenge_indices(
+        b"fri/queries", params.num_queries, params.blowup * degree_bound)
+    return betas, indices
+
+
+class TestMultiproofOpenings:
+    """Each layer's queried positions are one Merkle multiproof, as
+    Orion opens its columns."""
+
+    def test_layer_ships_fewer_nodes_than_its_paths(self, rng):
+        _, proof = _roundtrip(1 << 10, rng, FriParams())
+        size = FriParams().blowup << 10
+        for opening in proof.layer_openings:
+            depth = size.bit_length() - 1
+            assert len(opening.nodes) < len(opening.indices) * depth
+            size //= 2
+
+    @pytest.mark.parametrize("mutation", ["no_opening", "indices_none",
+                                          "indices_shifted", "nodes_none",
+                                          "node_dropped", "node_added"])
+    def test_malformed_layer_opening_rejected(self, rng, mutation):
+        _, proof = _roundtrip(64, rng)
+        bad = copy.deepcopy(proof)
+        opening = bad.layer_openings[0]
+        if mutation == "no_opening":
+            bad.layer_openings[0] = None
+        elif mutation == "indices_none":
+            opening.indices = None
+        elif mutation == "indices_shifted":
+            opening.indices = [i + 1 for i in opening.indices]
+        elif mutation == "nodes_none":
+            opening.nodes = None
+        elif mutation == "node_dropped":
+            opening.nodes.pop()
+        else:
+            opening.nodes.append(b"\x00" * 32)
+        assert not FriVerifier(PARAMS).verify(64, bad, Transcript())
+
+    @pytest.mark.parametrize("other", ["larger", "smaller"])
+    def test_multiproof_bound_to_its_layer_size(self, rng, monkeypatch,
+                                                other):
+        """Checked against the leaf count of the layer before (twice the
+        size) or after (half), every layer's multiproof fails."""
+        _, proof = _roundtrip(64, rng)
+        real = fri.verify_many
+        sizes = []
+
+        def recording(root, digests, opening, num_leaves):
+            sizes.append(num_leaves)
+            return real(root, digests, opening, num_leaves=num_leaves)
+
+        monkeypatch.setattr(fri, "verify_many", recording)
+        assert FriVerifier(PARAMS).verify(64, proof, Transcript())
+        assert sizes == [256, 128, 64, 32]
+        for layer in range(len(sizes)):
+            calls = []
+
+            def misbound(root, digests, opening, num_leaves):
+                if len(calls) == layer:
+                    num_leaves = (num_leaves * 2 if other == "larger"
+                                  else num_leaves // 2)
+                calls.append(num_leaves)
+                return real(root, digests, opening, num_leaves=num_leaves)
+
+            monkeypatch.setattr(fri, "verify_many", misbound)
+            assert not FriVerifier(PARAMS).verify(64, proof, Transcript())
+
+    def test_two_queries_disagreeing_on_a_position_rejected(self, rng):
+        """Two query indices ``half`` apart open the same two positions of
+        every layer.  The second one's chain is replaced by a forged chain
+        that satisfies every fold and the final polynomial; its values
+        differ from the first query's at those positions, where only one
+        of the two can match the Merkle tree."""
+        half = PARAMS.blowup * 64 // 2
+        for seed in range(40):
+            coeffs = [int(x) for x in
+                      fv.rand_vector(64, np.random.default_rng(seed))]
+            proof = FriProver(PARAMS).prove(coeffs, Transcript())
+            betas, indices = _challenges(proof, 64)
+            classes = [i % half for i in indices]
+            if len(set(classes)) < len(classes):
+                break
+        else:
+            pytest.fail("no seed drew two queries half a domain apart")
+        first = next(q for q, c in enumerate(classes)
+                     if classes.count(c) > 1)
+        second = classes.index(classes[first], first + 1)
+        bad = copy.deepcopy(proof)
+        bad.queries[second] = _forged_chain(indices[second], betas,
+                                            proof.final_coefficients,
+                                            PARAMS.blowup * 64)
+        assert bad.queries[second] != proof.queries[first]
+        assert not FriVerifier(PARAMS).verify(64, bad, Transcript())
+
+
+def _forged_chain(idx, betas, final_coefficients, domain_size):
+    """A query chain for ``idx`` that passes every fold check and ends
+    on the final polynomial, with values no honest layer holds: arbitrary
+    at layer 0, the carried fold value plus a free slot after it, and the
+    last layer's free slot solved for the final evaluation."""
+    chain, carried = [], None
+    i, size, gen = idx, domain_size, primitive_root(domain_size)
+    for layer, beta in enumerate(betas):
+        half = size // 2
+        entering = i
+        i %= half
+        x_inv = pow(pow(gen, i, MODULUS), MODULUS - 2, MODULUS)
+        # fold = a * f(x) + b * f(-x), a = (1 + beta/x) / 2, b = (1 - beta/x) / 2
+        a = (1 + beta * x_inv) * fri._INV2 % MODULUS
+        b = (1 - beta * x_inv) * fri._INV2 % MODULUS
+        value, sibling = 12345 + layer, 67890 + layer
+        if carried is not None:
+            if entering < half:
+                value = carried
+            else:
+                sibling = carried
+        if layer == len(betas) - 1:
+            point = pow(gen * gen % MODULUS, i, MODULUS)
+            target = 0
+            for c in reversed(final_coefficients):
+                target = (target * point + c) % MODULUS
+            if carried is None or entering < half:
+                sibling = (target - a * value) * pow(b, MODULUS - 2,
+                                                     MODULUS) % MODULUS
+            else:
+                value = (target - b * sibling) * pow(a, MODULUS - 2,
+                                                     MODULUS) % MODULUS
+        carried = (a * value + b * sibling) % MODULUS
+        chain.append(FriQueryStep(value, sibling))
+        size, gen = half, gen * gen % MODULUS
+    return chain
+
 
 class TestRejections:
     def test_wrong_degree_claim(self, rng):
@@ -126,8 +279,7 @@ class TestRejections:
         current = values
         bound = 64
         while bound > p.stop_degree:
-            tree = MerkleTree([hash_elements(np.array([v], dtype=np.uint64))
-                               for v in current])
+            tree = MerkleTree.from_columns(current[None, :])
             layers.append(current)
             trees.append(tree)
             roots.append(tree.root)
@@ -142,16 +294,18 @@ class TestRejections:
         transcript.absorb_fields(b"fri/final", final)
         indices = transcript.challenge_indices(b"fri/queries",
                                                p.num_queries, domain_size)
-        queries = []
+        queries, positions = [], [set() for _ in layers]
         for idx in indices:
             chain, i = [], idx
-            for layer, tree in zip(layers, trees):
+            for layer, opened in zip(layers, positions):
                 half = len(layer) // 2
                 i %= half
-                chain.append(FriQueryStep(int(layer[i]), int(layer[i + half]),
-                                          tree.open(i), tree.open(i + half)))
+                chain.append(FriQueryStep(int(layer[i]), int(layer[i + half])))
+                opened.update((i, i + half))
             queries.append(chain)
-        forged = FriProof(roots, final, queries)
+        openings = [open_many(tree, opened)
+                    for tree, opened in zip(trees, positions)]
+        forged = FriProof(roots, final, queries, openings)
         assert not FriVerifier(p).verify(64, forged, Transcript())
 
 

@@ -20,8 +20,8 @@ from repro.hashing import (
     Transcript,
     hash_elements,
     hash_pair,
-    verify_column,
-    verify_path,
+    open_many,
+    verify_many,
 )
 
 
@@ -66,42 +66,47 @@ class TestFieldHash:
 
 
 class TestMerkle:
+    """Single-leaf openings: a one-index multiproof is the
+    authentication path."""
+
     def test_single_leaf(self):
         t = MerkleTree([b"\x01" * 32])
         assert t.depth == 0
-        assert verify_path(t.root, b"\x01" * 32, t.open(0))
+        assert verify_many(t.root, [b"\x01" * 32], open_many(t, [0]), 1)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 17])
     def test_open_verify_all_leaves(self, n):
         leaves = [bytes([i]) * 32 for i in range(n)]
         t = MerkleTree(leaves)
         for i, leaf in enumerate(leaves):
-            assert verify_path(t.root, leaf, t.open(i)), i
+            proof = open_many(t, [i])
+            assert len(proof.nodes) == t.depth
+            assert verify_many(t.root, [leaf], proof, n), i
 
     def test_wrong_leaf_rejected(self):
         leaves = [bytes([i]) * 32 for i in range(8)]
         t = MerkleTree(leaves)
-        path = t.open(3)
-        assert not verify_path(t.root, leaves[4], path)
+        proof = open_many(t, [3])
+        assert not verify_many(t.root, [leaves[4]], proof, 8)
 
     def test_wrong_index_rejected(self):
         leaves = [bytes([i]) * 32 for i in range(8)]
         t = MerkleTree(leaves)
-        path = t.open(3)
-        path.index = 5
-        assert not verify_path(t.root, leaves[3], path)
+        proof = open_many(t, [3])
+        proof.indices = [5]
+        assert not verify_many(t.root, [leaves[3]], proof, 8)
 
     def test_tampered_sibling_rejected(self):
         leaves = [bytes([i]) * 32 for i in range(8)]
         t = MerkleTree(leaves)
-        path = t.open(2)
-        path.siblings[1] = b"\xff" * 32
-        assert not verify_path(t.root, leaves[2], path)
+        proof = open_many(t, [2])
+        proof.nodes[1] = b"\xff" * 32
+        assert not verify_many(t.root, [leaves[2]], proof, 8)
 
     def test_out_of_range_open(self):
         t = MerkleTree([b"\x00" * 32] * 4)
         with pytest.raises(IndexError):
-            t.open(4)
+            open_many(t, [4])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -112,11 +117,13 @@ class TestMerkle:
         t = MerkleTree.from_columns(mat)
         assert t.num_leaves == 16
         for j in range(16):
-            assert verify_column(t.root, mat[:, j], t.open(j))
+            assert verify_many(t.root, [hash_elements(mat[:, j])],
+                               open_many(t, [j]), 16)
         # A tampered column fails.
         bad = mat[:, 3].copy()
         bad[0] ^= np.uint64(1)
-        assert not verify_column(t.root, bad, t.open(3))
+        assert not verify_many(t.root, [hash_elements(bad)],
+                               open_many(t, [3]), 16)
 
     def test_total_hashes(self):
         t = MerkleTree([bytes([i]) * 32 for i in range(8)])
@@ -339,7 +346,7 @@ class TestMerkleMultiProof:
         leaves, tree = self._tree(64)
         idxs = list(range(0, 64, 3))
         proof = open_many(tree, idxs)
-        individual = sum(len(tree.open(i).siblings) for i in idxs)
+        individual = len(idxs) * tree.depth  # one path per index
         assert len(proof.nodes) < individual / 2
 
     def test_tampered_leaf_rejected(self):
@@ -371,6 +378,15 @@ class TestMerkleMultiProof:
         _, tree = self._tree(8)
         with pytest.raises(IndexError):
             open_many(tree, [8])
+
+    @pytest.mark.parametrize("indices", [None, 3, (2,), [2.0]])
+    def test_malformed_indices_rejected(self, indices):
+        """Indices that are not a list of ints are a rejection, not a
+        crash."""
+        leaves, tree = self._tree(8)
+        proof = open_many(tree, [2])
+        proof.indices = indices
+        assert not verify_many(tree.root, [leaves[2]], proof, 8)
 
 
 class TestCompressionAccounting:

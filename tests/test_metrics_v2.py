@@ -304,12 +304,11 @@ class TestProveTelemetry:
         """Forked workers inherit the spool: a clean 2-job pooled batch
         leaves one ``prove`` line per worker job and one batch line,
         and every bundle carries that batch record."""
-        from repro.parallel import ProverPool
         pk, vk, public, witness = workload
         spool = tmp_path / "flight.jsonl"
         FLIGHT.spool_to(str(spool))
         bundles = prove_many(pk, [(public, witness)] * 2,
-                             pool=ProverPool(2), base_seed=7)
+                             workers=2, base_seed=7)
         FLIGHT.spool_to(None)
         lines = [e["data"] for e in read_spool(str(spool))]
         workers = [j for j in lines if j["op"] == "prove"]

@@ -16,7 +16,7 @@ import pytest
 
 from repro import obs
 from repro.hashing import fieldhash
-from repro.parallel import ProverPool, get_pool, usable_cpus
+from repro.parallel import get_pool, usable_cpus
 from repro.pcs import orion
 from repro.snark import TEST, ProvingKey, prove, prove_many, setup, verify
 from repro.workloads import synthetic_r1cs
@@ -25,11 +25,6 @@ from repro.workloads import synthetic_r1cs
 @pytest.fixture(scope="module")
 def instance():
     return synthetic_r1cs(log_size=10, seed=9)
-
-
-@pytest.fixture(scope="module")
-def pool():
-    return ProverPool(workers=2)
 
 
 def _shm_entries():
@@ -63,19 +58,32 @@ def fleet_sizes(monkeypatch):
 
 class TestSerialFallback:
     def test_serial_pool_never_spawns(self, instance, fleet_sizes):
+        """One worker, or one job, proves on the caller."""
         r1cs, public, witness = instance
         pk, _ = setup(r1cs, TEST)
-        pool = ProverPool(workers=1)
-        assert pool.is_serial
-        seeds = np.random.SeedSequence(1).spawn(2)
-        assert pool.prove_batch(pk, [public] * 2, [witness] * 2,
-                                seeds) is None
-        assert ProverPool(workers=2).prove_batch(
-            pk, [public], [witness], seeds[:1]) is None
+        for workers, jobs in ((1, 2), (0, 2), (2, 1)):
+            bundles = prove_many(pk, [(public, witness)] * jobs,
+                                 workers=workers, base_seed=1)
+            assert bundles[0].report.dispatch == "serial"
         assert fleet_sizes == []
 
-    def test_workers_default_is_cpu_count(self):
-        assert ProverPool().workers == usable_cpus()
+    def test_workers_default_is_cpu_count(self, instance, monkeypatch):
+        """``workers=None`` fans out to every usable CPU."""
+        from repro.snark import api
+
+        asked = []
+
+        def recording(pk, publics, witnesses, seeds, workers, *args):
+            asked.append(workers)
+            return [None] * len(seeds)  # "prove them yourself"
+
+        monkeypatch.setattr(api, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(api, "prove_batch", recording)
+        r1cs, public, witness = instance
+        pk, _ = setup(r1cs, TEST)
+        bundles = prove_many(pk, [(public, witness)] * 2, base_seed=1)
+        assert asked == [3]
+        assert bundles[0].report.workers == 3
 
     def test_cpu_counting_respects_affinity(self, instance, monkeypatch):
         """Pinned to 1 CPU of many, the default is one prover, not one per
@@ -84,22 +92,36 @@ class TestSerialFallback:
                             raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert usable_cpus() == 1
-        assert ProverPool().workers == 1
         assert get_pool() is None
         r1cs, public, witness = instance
         pk, _ = setup(r1cs, TEST)
-        bundles = prove_many(pk, [(public, witness)] * 2, workers=8,
-                             base_seed=1)
+        bundles = prove_many(pk, [(public, witness)] * 2, base_seed=1)
         assert bundles[0].report.dispatch == "serial"
+
+    def test_explicit_workers_fork_on_one_cpu(self, instance, monkeypatch):
+        """An explicit ``workers=2`` is honoured on a 1-CPU host: the
+        batch forks, and its bytes are the serial batch's."""
+        from repro.snark import api
+
+        monkeypatch.setattr(api, "usable_cpus", lambda: 1)
+        r1cs, public, witness = instance
+        pk, _ = setup(r1cs, TEST)
+        jobs = [(public, witness)] * 2
+        bundles = prove_many(pk, jobs, workers=2, base_seed=6)
+        assert bundles[0].report.dispatch == "pool"
+        assert bundles[0].report.workers == 2
+        assert ([b.to_bytes() for b in bundles]
+                == _batch_bytes(pk, jobs, workers=0, base_seed=6))
+        assert multiprocessing.active_children() == []
 
     def test_batch_forks_no_more_workers_than_jobs(self, instance,
                                                    fleet_sizes):
-        """A 2-job batch on a 16-worker pool starts 2 processes: the
+        """A 2-job batch asking for 16 workers starts 2 processes: the
         fleet is paid for per batch, so it is sized to the batch."""
         r1cs, public, witness = instance
         pk, _ = setup(r1cs, TEST)
         jobs = [(public, witness)] * 2
-        got = prove_many(pk, jobs, pool=ProverPool(workers=16), base_seed=1)
+        got = prove_many(pk, jobs, workers=16, base_seed=1)
         assert fleet_sizes == [2]
         assert got[0].report.dispatch == "pool"
         assert ([b.to_bytes() for b in got]
@@ -111,22 +133,22 @@ class TestProofDeterminism:
         """A single proof is one job: ``prove(workers=2)`` after
         ``get_pool(2)`` (what the repo benchmark calls) still runs on the
         caller — no worker process is started — and gives the serial
-        bytes."""
+        bytes.  ``get_pool`` builds nothing."""
         r1cs, public, witness = instance
         pk, vk = setup(r1cs, TEST)
         serial = prove(pk, public, witness, seed=21)
-        assert get_pool(2).workers == 2
+        assert get_pool(2) is None
         pooled = prove(pk, public, witness, seed=21, workers=2)
         assert fleet_sizes == []
         assert pooled.to_bytes() == serial.to_bytes()
         assert verify(vk, pooled)
 
-    def test_prove_many_worker_count_invariant(self, instance, pool):
+    def test_prove_many_worker_count_invariant(self, instance):
         r1cs, public, witness = instance
         pk, vk = setup(r1cs, TEST)
         jobs = [(public, witness)] * 3
         ser = prove_many(pk, jobs, workers=1, base_seed=33, circuit_id="syn")
-        par = prove_many(pk, jobs, pool=pool, base_seed=33, circuit_id="syn")
+        par = prove_many(pk, jobs, workers=2, base_seed=33, circuit_id="syn")
         assert [b.to_bytes() for b in ser] == [b.to_bytes() for b in par]
         assert all(verify(vk, b) for b in par)
         assert all(b.circuit_id == "syn" for b in par)
@@ -142,7 +164,7 @@ class TestProofDeterminism:
         pk, _ = setup(r1cs, TEST)
         assert prove_many(pk, [], workers=2) == []
 
-    def test_fork_never_pickles_the_key(self, instance, pool, monkeypatch):
+    def test_fork_never_pickles_the_key(self, instance, monkeypatch):
         """Forked workers inherit the batch: with ``ProvingKey`` made
         unpicklable the batch still completes on the pool."""
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -156,12 +178,12 @@ class TestProofDeterminism:
             raise AssertionError("the proving key was pickled")
 
         monkeypatch.setattr(ProvingKey, "__reduce_ex__", refuse)
-        got = prove_many(pk, jobs, pool=pool, base_seed=8)
+        got = prove_many(pk, jobs, workers=2, base_seed=8)
         assert got[0].report.dispatch == "pool"
         assert got[0].report.events == {}
         assert [b.to_bytes() for b in got] == reference
 
-    def test_workers_inherit_the_gather_plans(self, pool, tmp_path,
+    def test_workers_inherit_the_gather_plans(self, tmp_path,
                                               monkeypatch):
         """A key no process has proved with yet: its gather plans are
         built once, by the caller, not by every worker of every batch."""
@@ -179,11 +201,11 @@ class TestProofDeterminism:
         r1cs, public, witness = synthetic_r1cs(log_size=8, seed=3)
         pk, _ = setup(r1cs, TEST)
         for base_seed in (1, 2):
-            prove_many(pk, [(public, witness)] * 2, pool=pool,
+            prove_many(pk, [(public, witness)] * 2, workers=2,
                        base_seed=base_seed)
         assert log.read_text().split() == [str(os.getpid())]
 
-    def test_spawn_gives_fork_and_serial_bytes(self, instance, pool,
+    def test_spawn_gives_fork_and_serial_bytes(self, instance,
                                                monkeypatch):
         """The only path a platform without ``fork`` has: the same
         statement under the spawn context (batch pickled once per
@@ -192,16 +214,16 @@ class TestProofDeterminism:
         pk, _ = setup(r1cs, TEST)
         jobs = [(public, witness)] * 2
         reference = _batch_bytes(pk, jobs, workers=0, base_seed=9)
-        forked = _batch_bytes(pk, jobs, pool=pool, base_seed=9)
+        forked = _batch_bytes(pk, jobs, workers=2, base_seed=9)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
-        spawned = prove_many(pk, jobs, pool=pool, base_seed=9)
+        spawned = prove_many(pk, jobs, workers=2, base_seed=9)
         assert spawned[0].report.dispatch == "pool"
         assert spawned[0].report.events == {}
         assert [b.to_bytes() for b in spawned] == forked == reference
         assert multiprocessing.active_children() == []
 
-    def test_five_keys_interleaved_over_three_rounds(self, pool):
+    def test_five_keys_interleaved_over_three_rounds(self):
         """Five distinct keys in rotation (more than the four the old
         per-worker key cache held): every batch is byte-identical to
         the caller's."""
@@ -212,12 +234,12 @@ class TestProofDeterminism:
         reference = [_batch_bytes(pk, jobs, workers=0, base_seed=3)
                      for pk, jobs in keys]
         for _ in range(3):
-            assert [_batch_bytes(pk, jobs, pool=pool, base_seed=3)
+            assert [_batch_bytes(pk, jobs, workers=2, base_seed=3)
                     for pk, jobs in keys] == reference
 
 
 class TestTracedBatch:
-    def test_traced_pooled_batch_gives_serial_bytes(self, instance, pool):
+    def test_traced_pooled_batch_gives_serial_bytes(self, instance):
         """Tracing never changes proof bytes: a pooled 2-job batch under
         ``obs.tracing()`` returns the untraced serial batch's envelopes,
         and the caller's tracer holds the batch span."""
@@ -226,7 +248,7 @@ class TestTracedBatch:
         jobs = [(public, witness)] * 2
         reference = _batch_bytes(pk, jobs, workers=0, base_seed=2)
         with obs.tracing() as tracer:
-            bundles = prove_many(pk, jobs, pool=pool, base_seed=2)
+            bundles = prove_many(pk, jobs, workers=2, base_seed=2)
         assert bundles[0].report.dispatch == "pool"
         assert [b.to_bytes() for b in bundles] == reference
         assert [rec.name for rec in tracer.records()] == ["snark.prove_many"]
@@ -235,11 +257,11 @@ class TestTracedBatch:
 class TestShmRoundTrip:
     """What is left of the shared-memory suite: a batch leaves nothing."""
 
-    def test_no_leaks_after_pooled_prove(self, instance, pool):
+    def test_no_leaks_after_pooled_prove(self, instance):
         before = _shm_entries()
         r1cs, public, witness = instance
         pk, vk = setup(r1cs, TEST)
-        bundles = prove_many(pk, [(public, witness)] * 2, pool=pool,
+        bundles = prove_many(pk, [(public, witness)] * 2, workers=2,
                              base_seed=4)
         assert all(verify(vk, b) for b in bundles)
         assert _shm_entries() == before
@@ -268,7 +290,7 @@ class TestWorkerCountInvariance:
             assert [b.to_bytes() for b in
                     prove_many(pk, jobs, workers=w, base_seed=13)] == reference
         for w in (2, 4):
-            assert _batch_bytes(pk, jobs, pool=ProverPool(workers=w),
+            assert _batch_bytes(pk, jobs, workers=w,
                                 base_seed=13) == reference
 
 

@@ -12,7 +12,6 @@ import pytest
 from repro.errors import ConfigError, DeserializationError
 from repro.field.goldilocks import MODULUS
 from repro.obs.events import FLIGHT
-from repro.parallel import ProverPool
 from repro.r1cs import Circuit
 from repro.snark import (
     PAPER,
@@ -195,7 +194,7 @@ class TestEnvelope:
             prove(pk, public, witness, seed=1, circuit_id=long_id)
         assert str(refused.value) == str(sent.value)
         with pytest.raises(ValueError) as refused:
-            prove_many(pk, [(public, witness)] * 2, pool=ProverPool(2),
+            prove_many(pk, [(public, witness)] * 2, workers=2,
                        base_seed=1, circuit_id=long_id)
         assert str(refused.value) == str(sent.value)
         assert FLIGHT.fault_deltas(before) == {}
@@ -968,8 +967,7 @@ class TestCanonicalSurface:
                 if isinstance(getattr(repro.snark, name), type)} == {
             "ProofBundle", "ProvingKey", "VerifyingKey", "SecurityPreset"}
         assert list(inspect.signature(repro.prove_many).parameters) == [
-            "pk", "jobs", "workers", "pool", "base_seed", "circuit_id",
-            "timeout_s"]
+            "pk", "jobs", "workers", "base_seed", "circuit_id", "timeout_s"]
 
     def test_top_level_matches_snark(self):
         import repro

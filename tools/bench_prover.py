@@ -188,7 +188,7 @@ def bench_workers(log_size: int, repeats: int, worker_counts,
     that cost is inside the timed region; the dispatch block records how
     many jobs the timed runs shipped.
     """
-    from repro.parallel import ProverPool, usable_cpus
+    from repro.parallel import usable_cpus
     from repro.snark import TEST, prove_many, setup, verify
 
     # Serial baselines divide the other rows, so 1 leads the sweep.
@@ -202,10 +202,9 @@ def bench_workers(log_size: int, repeats: int, worker_counts,
     batch_rows = []
     batch_serial_s = None
     for w in worker_counts:
-        pool = ProverPool(w)
         # One untimed batch: lazy imports, and the caller's NTT root
         # tables at this size, which forked workers inherit.
-        prove_many(pk, jobs[: min(w, num_jobs)], pool=pool, base_seed=0)
+        prove_many(pk, jobs[: min(w, num_jobs)], workers=w, base_seed=0)
         # The speedup a multi-second batch is guarded on must be robust
         # to this-machine noise: pair every pooled shot with a serial
         # shot taken seconds earlier (cancels slow drift — frequency
@@ -222,7 +221,7 @@ def bench_workers(log_size: int, repeats: int, worker_counts,
             prove_many(pk, jobs, workers=1, base_seed=5)
             serial_i = time.perf_counter() - t0
             t0 = time.perf_counter()
-            bundles = prove_many(pk, jobs, pool=pool, base_seed=5)
+            bundles = prove_many(pk, jobs, workers=w, base_seed=5)
             pooled_i = time.perf_counter() - t0
             ratios.append(serial_i / pooled_i)
             pooled_best = min(pooled_best, pooled_i)

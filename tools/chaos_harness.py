@@ -5,7 +5,7 @@ Where ``tools/soundness_harness.py`` attacks proof *bytes*, this harness
 attacks the proving *machinery*: it arms one :class:`repro.fuzz.faults.
 FaultPlan` per scenario — a worker SIGKILLed mid-job, a dispatch that
 hangs, a generic in-task exception, a spent deadline — runs a real
-``prove_many`` batch through a pool inside the armed scope, and asserts
+``prove_many`` batch on forked workers inside the armed scope, and asserts
 the fault contract on every scenario:
 
 * the run **completes with byte-identical proofs** (the lost jobs got
@@ -21,13 +21,15 @@ the fault contract on every scenario:
 Anything else — wrong bytes, an untyped exception, a leaked process or
 segment, or a plan that never fired — fails the scenario and the process
 exits nonzero.  A machine-readable injection matrix (scenario x outcome x
-recovery latency) is written to ``BENCH_faults.json``.
+recovery latency) is written to ``--out`` (default ``BENCH_faults.json``,
+the committed full report).
 
 Usage::
 
-    PYTHONPATH=src python tools/chaos_harness.py --quick   # CI smoke
-    PYTHONPATH=src python tools/chaos_harness.py           # full matrix
-                                                           # + 2^16 overhead
+    PYTHONPATH=src python tools/chaos_harness.py --quick --out chaos_ci.json
+                                                 # CI smoke subset
+    PYTHONPATH=src python tools/chaos_harness.py # full matrix + 2^16
+                                                 # overhead -> BENCH_faults.json
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.errors import ProverTimeoutError, ReproError
 from repro.fuzz import faults
 from repro.obs.events import FLIGHT
-from repro.parallel import ProverPool
+from repro.parallel import pool as parallel_pool
 from repro.snark import TEST, prove, prove_many, setup
 from repro.workloads import synthetic_r1cs
 
@@ -57,8 +59,9 @@ WORKLOAD_SEED = 9
 BATCH_BASE_SEED = 42
 BATCH_JOBS = 3
 
-#: Stall watchdog for chaos pools: short, so the stall scenario converges
-#: in seconds.
+#: Stall watchdog for every chaos batch (set as this process's
+#: ``parallel.pool.STALL_TIMEOUT_S``): short, so the stall scenario
+#: converges in seconds.
 CHAOS_STALL_TIMEOUT_S = 1.5
 
 #: How long an injected stall sleeps — comfortably past the watchdog.
@@ -136,19 +139,18 @@ class Workload:
         self.pk, self.vk = setup(self.r1cs, TEST)
         self.jobs = [(self.public, self.witness)] * jobs
         t0 = time.perf_counter()
-        self.batch_baseline = self.run_op("prove_many", None)
+        self.batch_baseline = self.run_op("prove_many", 0)
         self.batch_baseline_s = time.perf_counter() - t0
 
-    def run_op(self, op: str, pool: Optional[ProverPool]) -> List[bytes]:
-        """The batch through ``pool`` (``None``: in-process, no pool), or
-        for the deadline op one proof with a budget it cannot meet."""
+    def run_op(self, op: str, workers: int) -> List[bytes]:
+        """The batch on ``workers`` forked workers (0 or 1: in-process),
+        or for the deadline op one proof with a budget it cannot meet."""
         if op == "deadline":
             prove(self.pk, self.public, self.witness, seed=BATCH_BASE_SEED,
                   timeout_s=1e-4)
             raise AssertionError("a 0.1 ms deadline cannot be met")
         return [b.to_bytes()
-                for b in prove_many(self.pk, self.jobs, pool=pool,
-                                    workers=0 if pool is None else None,
+                for b in prove_many(self.pk, self.jobs, workers=workers,
                                     base_seed=BATCH_BASE_SEED)]
 
 
@@ -165,10 +167,9 @@ def run_scenario(sc: Scenario, wl: Workload) -> dict:
     t0 = time.perf_counter()
     try:
         # The batch runs INSIDE the armed scope so its forked workers
-        # inherit the plan; a pool handed to prove_many is always used,
-        # even on a single-core CI box.
-        blobs = wl.run_op(sc.op, ProverPool(
-            workers=sc.workers, stall_timeout_s=CHAOS_STALL_TIMEOUT_S))
+        # inherit the plan; an explicit worker count forks even on a
+        # single-core CI box.
+        blobs = wl.run_op(sc.op, sc.workers)
         if blobs != wl.batch_baseline:
             outcome = "completed_WRONG_BYTES"
     except ProverTimeoutError as exc:
@@ -224,8 +225,7 @@ def worker_count_sweep(wl: Workload) -> dict:
     """Determinism contract: identical bytes at workers {0, 1, 2, 4}."""
     byts = {}
     for workers in (0, 1, 2, 4):
-        pool = ProverPool(workers=workers) if workers > 1 else None
-        byts[workers] = tuple(wl.run_op("prove_many", pool))
+        byts[workers] = tuple(wl.run_op("prove_many", workers))
     identical = len(set(byts.values())) == 1
     return {"worker_counts": sorted(byts), "identical": identical,
             "matches_serial_baseline":
@@ -239,17 +239,16 @@ def recovery_overhead(log_size: int = 16, rounds: int = 5) -> dict:
     swings 0.8x-1.7x on scheduler noise: the reported ratio is the
     median of ``rounds`` (no-fault, faulted) pairs."""
     wl = Workload(log_size=log_size, jobs=2)
-    pool = ProverPool(workers=2, stall_timeout_s=CHAOS_STALL_TIMEOUT_S)
     pairs, fired, identical = [], True, True
     for n in range(rounds):
         t0 = time.perf_counter()
-        nofault = wl.run_op("prove_many", pool)
+        nofault = wl.run_op("prove_many", 2)
         nofault_s = time.perf_counter() - t0
         plan = faults.FaultPlan(kind="worker_kill", site="prove_job",
                                 token=f"chaos_overhead_{n}")
         with faults.injected(plan):
             t0 = time.perf_counter()
-            faulted = wl.run_op("prove_many", pool)
+            faulted = wl.run_op("prove_many", 2)
             faulted_s = time.perf_counter() - t0
             fired = fired and os.path.exists(plan.claim_path)
         identical = identical and faulted == nofault == wl.batch_baseline
@@ -277,6 +276,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     scenarios = [s for s in SCENARIOS if s.quick] if args.quick else SCENARIOS
+    parallel_pool.STALL_TIMEOUT_S = CHAOS_STALL_TIMEOUT_S
     t_start = time.perf_counter()
     print("building workload and serial baselines (2^10, TEST preset) ...")
     wl = Workload()
@@ -320,7 +320,7 @@ def main(argv=None) -> int:
         "schema_version": 2,
         "quick": args.quick,
         "workload": f"synthetic_r1cs(log_size=10, seed={WORKLOAD_SEED})",
-        "stall_timeout_s": CHAOS_STALL_TIMEOUT_S,
+        "stall_window_s": CHAOS_STALL_TIMEOUT_S,
         "scenarios": results,
         "worker_count_sweep": sweep,
         "recovery_overhead": overhead,
