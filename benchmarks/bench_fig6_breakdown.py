@@ -13,15 +13,16 @@ from repro.analysis.figures import ascii_bar_chart
 from repro.analysis.tables import format_table
 from repro.baselines.cpu import CPU_TIME_FRACTIONS
 from repro.nocap import NoCapSimulator
-
-PAPER_NOCAP_TIME = {"sumcheck": 0.70, "polyarith": 0.12, "rs_encode": 0.09,
-                    "merkle": 0.05, "spmv": 0.005}
-PAPER_NOCAP_TRAFFIC = {"sumcheck": 0.55, "polyarith": 0.25, "merkle": 0.09,
-                       "rs_encode": 0.09, "spmv": 0.01}
+from repro.nocap.constants import (
+    REFERENCE_COMPUTE_UTILIZATION,
+    REFERENCE_LOG_N,
+    REFERENCE_TIME_FRACTIONS as PAPER_NOCAP_TIME,
+    REFERENCE_TRAFFIC_FRACTIONS as PAPER_NOCAP_TRAFFIC,
+)
 
 
 def _simulate():
-    return NoCapSimulator().simulate(1 << 24)
+    return NoCapSimulator().simulate(1 << REFERENCE_LOG_N)
 
 
 def test_fig6(benchmark):
@@ -50,4 +51,5 @@ def test_fig6(benchmark):
     for fam in families:
         assert abs(tf[fam] - PAPER_NOCAP_TIME[fam]) < 0.05, fam
         assert abs(bf[fam] - PAPER_NOCAP_TRAFFIC[fam]) < 0.05, fam
-    assert abs(report.compute_utilization() - 0.60) < 0.06
+    assert abs(report.compute_utilization()
+               - REFERENCE_COMPUTE_UTILIZATION) < 0.06

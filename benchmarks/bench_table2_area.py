@@ -9,6 +9,7 @@ from conftest import emit
 
 from repro.analysis.tables import format_table
 from repro.nocap import area_model
+from repro.nocap.constants import AREA_TOTAL
 
 PAPER = {
     "NTT FU": 1.80,
@@ -20,7 +21,7 @@ PAPER = {
     "Benes network": 0.11,
     "Memory interface (2 x PHY)": 29.80,
     "Total memory system": 35.92,
-    "Total NoCap": 45.87,
+    "Total NoCap": AREA_TOTAL,
 }
 
 

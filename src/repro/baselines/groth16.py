@@ -25,15 +25,6 @@ PROOF_BYTES = 200
 #: Pairing-based verification, independent of circuit size.
 VERIFY_SECONDS = 0.01
 
-#: Sec. IX-B: generously-scaled GZKP estimate for the Auction benchmark,
-#: derived by the paper from published Goldilocks-NTT GPU throughput.
-GZKP_AUCTION_SECONDS = 513.0
-GZKP_VS_NOCAP_SLOWDOWN = 47.5
-
-#: Fraction of a BLS12-381 Groth16 prover spent in the MSM G2 phase that
-#: PipeZK leaves on the CPU (Sec. III item 3 back-solves this).
-MSM_G2_CPU_FRACTION = 8.02 / 53.99 * (1 - 1.43 / 8.02)
-
 
 @dataclass
 class Groth16Cpu:

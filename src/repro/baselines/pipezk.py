@@ -24,10 +24,6 @@ SECONDS_PER_CONSTRAINT = 8.02 / 16e6
 
 #: Sec. III: the ASIC-accelerated portion at 16M constraints.
 ACCELERATED_SECONDS_AT_16M = 1.43
-#: Speedup of the accelerated portion over the CPU.
-ACCELERATED_PART_SPEEDUP = 32.0
-#: End-to-end speedup cap imposed by the CPU-resident MSM G2 phase.
-END_TO_END_SPEEDUP_CAP = 6.7
 
 
 @dataclass

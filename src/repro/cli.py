@@ -35,7 +35,7 @@ from .errors import (
     TranscriptError,
     VerificationError,
 )
-from .workloads.registry import build_workload, workload_choices
+from .workloads.registry import build_keys, workload_choices
 
 #: Distinct exit codes per error class, so scripted callers can tell a
 #: malformed proof from a bad configuration without parsing stderr.
@@ -174,30 +174,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _keys(workload: str, preset_name: str):
-    """Build, compile and set up ``workload`` under ``preset_name``: the
-    one path from a workload name to keys, shared by ``prove``,
-    ``verify`` and ``trace``.  Returns ``(name, circuit, public,
-    witness, pk, vk)``; an unknown name is a ``ConfigError`` (exit 3)."""
-    from .snark import preset_by_name, setup
-
-    name, circuit = build_workload(workload)
-    r1cs, public, witness = circuit.compile()
-    pk, vk = setup(r1cs, preset_by_name(preset_name))
-    return name, circuit, public, witness, pk, vk
-
-
 def _cmd_prove(args: argparse.Namespace) -> int:
     from .analysis import estimate
     from .snark import prove, verify
 
-    name, circuit, public, witness, pk, vk = _keys(args.workload, args.preset)
-    print(f"{name}: {circuit.num_constraints} constraints")
+    keys = build_keys(args.workload, args.preset)
+    print(f"{keys.circuit_id}: {keys.raw_constraints} constraints")
     t0 = time.perf_counter()
-    bundle = prove(pk, public, witness, circuit_id=name,
-                   timeout_s=args.timeout)
+    bundle = prove(keys.pk, keys.public, keys.witness,
+                   circuit_id=keys.circuit_id, timeout_s=args.timeout)
     t1 = time.perf_counter()
-    ok = verify(vk, bundle)
+    ok = verify(keys.vk, bundle)
     t2 = time.perf_counter()
     print(f"prove: {t1 - t0:.2f} s | verify: {t2 - t1:.2f} s | "
           f"proof: {bundle.size_bytes()} bytes | valid: {ok}")
@@ -207,10 +194,10 @@ def _cmd_prove(args: argparse.Namespace) -> int:
         raw = bundle.to_bytes()
         with open(args.out, "wb") as fh:
             fh.write(raw)
-        print(f"proof bundle ({len(raw)} bytes, preset {pk.preset.name}) "
-              f"written to {args.out}")
+        print(f"proof bundle ({len(raw)} bytes, preset "
+              f"{keys.pk.preset.name}) written to {args.out}")
     print("\nprojection at paper parameters:")
-    print(estimate(circuit).summary())
+    print(estimate(keys.raw_constraints).summary())
     return 0 if ok else 1
 
 
@@ -232,10 +219,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(
             "bundle carries no circuit id; pass --workload to name the "
             "statement it proves")
-    name, _, _, _, _, vk = _keys(workload, bundle.preset_name)
-    print(f"{args.bundle}: preset {bundle.preset_name}, circuit {name}, "
-          f"{len(bundle.public)} public inputs, {len(raw)} bytes")
-    if verify(vk, bundle):
+    keys = build_keys(workload, bundle.preset_name)
+    print(f"{args.bundle}: preset {bundle.preset_name}, circuit "
+          f"{keys.circuit_id}, {len(bundle.public)} public inputs, "
+          f"{len(raw)} bytes")
+    if verify(keys.vk, bundle):
         print("proof valid")
         return 0
     print("proof INVALID", file=sys.stderr)
@@ -251,19 +239,20 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from .obs.export import write_chrome_trace, write_phases
     from .snark import prove, verify
 
-    name, circuit, public, witness, pk, vk = _keys(args.workload, args.preset)
-    print(f"{name}: {circuit.num_constraints} constraints")
+    keys = build_keys(args.workload, args.preset)
+    name = keys.circuit_id
+    print(f"{name}: {keys.raw_constraints} constraints")
     with obs.tracing() as tracer:
-        bundle = prove(pk, public, witness, circuit_id=name,
+        bundle = prove(keys.pk, keys.public, keys.witness, circuit_id=name,
                        timeout_s=args.timeout)
-        ok = verify(vk, bundle)
+        ok = verify(keys.vk, bundle)
     if not ok:
         print("proof failed to verify", file=sys.stderr)
         return 1
     print("\nphase tree:")
     print(tracer.format_tree())
 
-    log_size = pk.r1cs.shape.log_size
+    log_size = keys.pk.r1cs.shape.log_size
     report = NoCapSimulator().simulate(1 << log_size)
 
     write_chrome_trace(args.trace_out, records=tracer.records(),
@@ -335,7 +324,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     kwargs = dict(
         host=args.host, port=args.port, unix_socket=args.unix_socket,
         queue_depth=args.queue_depth, preset=args.preset,
-        key_cache_bytes=args.key_cache_mb * 1024 * 1024,
         proof_cache_bytes=args.proof_cache_mb * 1024 * 1024)
     if args.timeout is not None:
         kwargs["timeout_s"] = args.timeout  # else keep the config default
@@ -512,10 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bounded job-queue depth; submissions past it "
                             "are rejected with the 429-style queue-full "
                             "error (default %(default)s)")
-    serve.add_argument("--key-cache-mb", type=int, default=256,
-                       metavar="MB",
-                       help="proving/verifying-key cache budget "
-                            "(default %(default)s)")
     serve.add_argument("--proof-cache-mb", type=int, default=64,
                        metavar="MB",
                        help="content-addressed proof cache budget "

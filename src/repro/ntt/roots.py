@@ -64,15 +64,3 @@ def twiddle_stages(n: int, inverse: bool) -> Tuple[np.ndarray, ...]:
             acc = acc * w % MODULUS
         stages.append(tw)
     return tuple(stages)
-
-
-@lru_cache(maxsize=None)
-def twiddle_matrix_row(n: int, inverse: bool) -> np.ndarray:
-    """Powers [w^0 .. w^(n-1)] of the primitive n-th root (or inverse)."""
-    w = inverse_root(n) if inverse else primitive_root(n)
-    out = np.empty(n, dtype=np.uint64)
-    acc = 1
-    for i in range(n):
-        out[i] = acc
-        acc = acc * w % MODULUS
-    return out

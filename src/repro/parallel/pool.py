@@ -108,8 +108,7 @@ def prove_job(job: int, seed_seq, circuit_id: str, timeout_s=None) -> bytes:
 
     _maybe_fault("prove_job")
     pk, publics, witnesses = _BATCH
-    bundle = prove(pk, publics[job], witnesses[job],
-                   rng=np.random.default_rng(seed_seq),
+    bundle = prove(pk, publics[job], witnesses[job], seed=seed_seq,
                    circuit_id=circuit_id, timeout_s=timeout_s)
     return bundle.to_bytes()
 

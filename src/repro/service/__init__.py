@@ -7,7 +7,7 @@ talks to it over a unix or TCP socket.  See ``docs/SERVICE.md``.  The
 daemon is imported from :mod:`.server`, so a client never loads it.
 """
 
-from .cache import KeyCache, LRUBytesCache, ProofCache, proof_cache_key
+from .cache import KeyCache, ProofCache, proof_cache_key
 from .client import ServiceClient
 from .protocol import (
     MAX_FRAME_BYTES,
@@ -20,7 +20,6 @@ from .protocol import (
 __all__ = [
     "FrameError",
     "KeyCache",
-    "LRUBytesCache",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "ProofCache",

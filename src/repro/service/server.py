@@ -51,7 +51,6 @@ from ..parallel.pool import _maybe_fault
 from ..workloads.registry import resolve_workload
 from . import protocol
 from .cache import (
-    DEFAULT_KEY_CACHE_BYTES,
     DEFAULT_PROOF_CACHE_BYTES,
     KeyCache,
     ProofCache,
@@ -81,7 +80,6 @@ class ServiceConfig:
     unix_socket: Optional[str] = None
     queue_depth: int = DEFAULT_MAX_DEPTH
     preset: str = "test-fast"        # default preset for prove jobs
-    key_cache_bytes: int = DEFAULT_KEY_CACHE_BYTES
     proof_cache_bytes: int = DEFAULT_PROOF_CACHE_BYTES
     timeout_s: Optional[float] = 120.0   # default per-job deadline
 
@@ -91,10 +89,9 @@ class ServiceConfig:
                 f"queue_depth must be >= 1, got {self.queue_depth}")
         if self.timeout_s is not None and not self.timeout_s >= 0:
             raise ConfigError(f"timeout_s must be >= 0, got {self.timeout_s}")
-        for name in ("key_cache_bytes", "proof_cache_bytes"):
-            if getattr(self, name) < 0:
-                raise ConfigError(
-                    f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.proof_cache_bytes < 0:
+            raise ConfigError(f"proof_cache_bytes must be >= 0, got "
+                              f"{self.proof_cache_bytes}")
 
 
 @dataclass
@@ -151,7 +148,7 @@ class ProvingService:
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
-        self.key_cache = KeyCache(self.config.key_cache_bytes)
+        self.key_cache = KeyCache()
         self.proof_cache = ProofCache(self.config.proof_cache_bytes)
         self.jobs: "Dict[str, Job]" = {}
         # Admitted-but-unstarted jobs; None ends the job thread.

@@ -33,7 +33,7 @@ requests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -136,16 +136,16 @@ def setup(r1cs: R1CS, preset: SecurityPreset = TEST
 
 
 def prove(pk: ProvingKey, public: np.ndarray, witness: np.ndarray, *,
-          rng: Optional[np.random.Generator] = None,
-          seed: Optional[int] = None,
+          seed: Union[int, np.random.SeedSequence, None] = None,
           workers: Optional[int] = None,
           circuit_id: str = "",
           timeout_s: Optional[float] = None) -> ProofBundle:
     """Generate a proof that ``witness`` satisfies ``pk.r1cs`` on ``public``.
 
-    Randomness: the zk-mask draws from ``rng`` (or a generator seeded
-    with ``seed``; fresh OS entropy when both are omitted).  Fixing the
-    seed makes proof bytes fully deterministic.
+    Randomness: the zk-mask draws from ``np.random.default_rng(seed)``,
+    so ``seed`` is an int or a :class:`numpy.random.SeedSequence` (fresh
+    OS entropy when omitted).  Fixing the seed makes proof bytes fully
+    deterministic.
 
     Parallelism: none — a single proof is one job and runs on the
     caller; batches fan out through :func:`prove_many`.  ``workers`` is
@@ -171,8 +171,7 @@ def prove(pk: ProvingKey, public: np.ndarray, witness: np.ndarray, *,
     breakdown.
     """
     envelope_labels(pk.preset.name, circuit_id)
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     # The job window encloses the deadline scope, so a spent budget's
     # ``timeout`` incident is counted in the report.
     with _FLIGHT.job("prove", pk.preset.name, circuit_id) as report:
@@ -265,8 +264,7 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
                     # The worker failed; the rerun here is bit-identical.
                     _FLIGHT.record("degradation", kernel="prove_job",
                                    error=type(blob).__name__)
-                blob = prove(pk, pubs[j], wits[j],
-                             rng=np.random.default_rng(seed),
+                blob = prove(pk, pubs[j], wits[j], seed=seed,
                              circuit_id=circuit_id,
                              timeout_s=timeout_s).to_bytes()
             bundle = ProofBundle.from_bytes(blob)

@@ -1,19 +1,24 @@
 """Named demo-workload circuit registry.
 
-One canonical mapping from a circuit id (the label carried in proof
-envelopes and service requests) to a builder producing the demo circuit
-at CLI-scale parameters.  Both the command line (``repro prove sha``)
-and the proving service (``repro serve``) resolve circuit ids here, so a
-bundle proved by one is verifiable by the other.
+The one table of demo statements: a circuit id (the label carried in
+proof envelopes and service requests, and the lower-cased name of a
+Table III row in :mod:`.spec`) maps to a builder producing the demo
+circuit at CLI-scale parameters.  :func:`build_keys` is the one path
+from an id and a preset to keys: the command line (``repro prove sha``)
+and the proving service (``repro serve``) both take it, so a bundle
+proved by one is verifiable by the other.
 
 Builders are lazy (imported on first use) and the compiled artifacts are
-cheap enough to rebuild; persistent processes cache the *keys* built
-from them (:mod:`repro.service.cache`), not the circuits.
+cheap enough to rebuild; the daemon keeps the *keys* built from them
+(:mod:`repro.service.cache`), not the circuits.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Tuple
+
+import numpy as np
 
 from ..errors import ConfigError
 
@@ -81,3 +86,35 @@ def build_workload(name: str) -> Tuple[str, object]:
     """Build the demo circuit for ``name``; returns (canonical id, circuit)."""
     resolved = resolve_workload(name)
     return resolved, _BUILDERS[resolved]()
+
+
+@dataclass(frozen=True)
+class WorkloadKeys:
+    """One registry statement under one preset: its keys plus the demo
+    assignment.  The circuit itself is not kept."""
+
+    circuit_id: str          # canonical (aliases folded)
+    raw_constraints: int     # before power-of-two padding
+    pk: Any                  # ProvingKey
+    vk: Any                  # VerifyingKey
+    public: np.ndarray       # the workload's canonical public inputs
+    witness: np.ndarray      # the workload's canonical witness
+
+
+def build_keys(name: str, preset_name: str) -> WorkloadKeys:
+    """Build, compile and set up circuit ``name`` under ``preset_name``.
+
+    An unknown circuit id or preset is a
+    :class:`~repro.errors.ConfigError` (exit 3 on the command line, a 400
+    from the daemon), raised before anything is compiled.
+    """
+    from ..snark import preset_by_name, setup
+
+    preset = preset_by_name(preset_name)
+    resolved, circuit = build_workload(name)
+    r1cs, public, witness = circuit.compile()
+    pk, vk = setup(r1cs, preset)
+    return WorkloadKeys(circuit_id=resolved,
+                        raw_constraints=circuit.num_constraints, pk=pk, vk=vk,
+                        public=np.asarray(public, dtype=np.uint64),
+                        witness=np.asarray(witness, dtype=np.uint64))

@@ -15,6 +15,7 @@ from repro.snark import (
     setup,
     verify,
 )
+from repro.workloads.registry import build_workload
 from repro.workloads.spec import PAPER_WORKLOADS
 
 
@@ -24,11 +25,10 @@ class TestAllWorkloadsProve:
     @pytest.mark.parametrize("name", ["AES", "SHA", "RSA", "Litmus", "Auction"])
     def test_prove_verify_serialize(self, name):
         spec = next(w for w in PAPER_WORKLOADS if w.name == name)
-        circuit = spec.build_demo()
+        circuit_id, circuit = build_workload(spec.circuit_id)
         r1cs, public, witness = circuit.compile()
         pk, vk = setup(r1cs, TEST)
-        bundle = prove(pk, public, witness, rng=np.random.default_rng(1),
-                       circuit_id=name.lower())
+        bundle = prove(pk, public, witness, seed=1, circuit_id=circuit_id)
         assert verify(vk, bundle), name
         restored = proof_from_bytes(proof_to_bytes(bundle.proof))
         assert verify(vk, ProofBundle(proof=restored,
@@ -47,7 +47,7 @@ class TestPaperPreset:
         c.assert_equal(c.mul(c.mul(x, x), x) + x + 5, out)
         r1cs, public, witness = c.compile()
         pk, vk = setup(r1cs, PAPER)
-        bundle = prove(pk, public, witness, rng=np.random.default_rng(2))
+        bundle = prove(pk, public, witness, seed=2)
         assert verify(vk, bundle)
         assert len(bundle.proof.repetitions) == 3
 

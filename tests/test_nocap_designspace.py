@@ -11,6 +11,7 @@ from repro.nocap import (
     sensitivity_sweep,
 )
 from repro.nocap.area import area_model
+from repro.nocap.constants import AREA_TOTAL
 from repro.nocap.designspace import DesignPoint
 
 SIZES = [16_000_000, 98_000_000]  # subset for speed; full suite in benches
@@ -120,6 +121,6 @@ class TestDesignSpace:
             p.gmean_seconds for p in one)
 
     def test_performance_property(self):
-        p = DesignPoint(config=DEFAULT_CONFIG, area_mm2=45.87,
+        p = DesignPoint(config=DEFAULT_CONFIG, area_mm2=AREA_TOTAL,
                         gmean_seconds=0.5)
         assert p.performance == pytest.approx(2.0)

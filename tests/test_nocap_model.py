@@ -14,6 +14,12 @@ from repro.nocap import (
     power_model,
     prover_seconds,
 )
+from repro.nocap.constants import (
+    AREA_TOTAL,
+    REFERENCE_COMPUTE_UTILIZATION,
+    REFERENCE_LOG_N,
+    REFERENCE_TRAFFIC_FRACTIONS,
+)
 from repro.nocap.tasks import ntt_passes, sumcheck_tasks
 from repro.workloads.spec import PAPER_WORKLOADS
 
@@ -87,7 +93,7 @@ class TestSimulatorCalibration:
 
     @pytest.fixture(scope="class")
     def ref(self):
-        return NoCapSimulator().simulate(1 << 24)
+        return NoCapSimulator().simulate(1 << REFERENCE_LOG_N)
 
     def test_reference_total(self, ref):
         # Table IV AES row: 151.3 ms (model within 5%).
@@ -102,15 +108,15 @@ class TestSimulatorCalibration:
         assert frac["spmv"] == pytest.approx(0.005, abs=0.005)
 
     def test_fig6b_traffic_fractions(self, ref):
-        frac = ref.traffic_fractions()
-        assert frac["sumcheck"] == pytest.approx(0.55, abs=0.05)
-        assert frac["polyarith"] == pytest.approx(0.25, abs=0.05)
-        assert frac["merkle"] == pytest.approx(0.09, abs=0.03)
-        assert frac["rs_encode"] == pytest.approx(0.09, abs=0.04)
+        frac, paper = ref.traffic_fractions(), REFERENCE_TRAFFIC_FRACTIONS
+        for fam, tol in (("sumcheck", 0.05), ("polyarith", 0.05),
+                         ("merkle", 0.03), ("rs_encode", 0.04)):
+            assert frac[fam] == pytest.approx(paper[fam], abs=tol), fam
 
     def test_fig6_compute_utilization(self, ref):
         # "Overall utilization of compute resources is 60%".
-        assert ref.compute_utilization() == pytest.approx(0.60, abs=0.06)
+        assert ref.compute_utilization() == pytest.approx(
+            REFERENCE_COMPUTE_UTILIZATION, abs=0.06)
 
     def test_table4_proving_times(self):
         for w in PAPER_WORKLOADS:
@@ -178,7 +184,7 @@ class TestArea:
         assert a.benes == pytest.approx(0.11)
         assert a.memory_phy == pytest.approx(29.80)
         assert a.total_memory_system == pytest.approx(35.92)
-        assert a.total == pytest.approx(45.87, abs=0.02)
+        assert a.total == pytest.approx(AREA_TOTAL, abs=0.02)
 
     def test_area_scales_with_lanes(self):
         a = area_model(DEFAULT_CONFIG.scale(arith=2.0))

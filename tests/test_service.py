@@ -38,7 +38,7 @@ from repro.service import (
 )
 from repro.service import server
 from repro.service.server import ProvingService, ServiceConfig
-from repro.service.cache import LRUBytesCache
+from repro.service.cache import ProofCache
 
 
 # ---------------------------------------------------------------------------
@@ -126,34 +126,43 @@ def prove_job(svc, seed, **extra):
 # ---------------------------------------------------------------------------
 
 class TestLRUBytesCache:
+    """The proof cache is an LRU bounded by its envelopes' bytes."""
+
     def test_evicts_lru_by_bytes(self):
-        c = LRUBytesCache(max_bytes=100)
-        c.put("a", "A", 40)
-        c.put("b", "B", 40)
-        assert c.get("a") == "A"       # refresh a
-        c.put("c", "C", 40)            # evicts b (LRU)
+        c = ProofCache(max_bytes=100)
+        c.put("a", b"A" * 40)
+        c.put("b", b"B" * 40)
+        assert c.get("a") == b"A" * 40     # refresh a
+        c.put("c", b"C" * 40)              # evicts b (LRU)
         assert c.get("b") is None
-        assert c.get("a") == "A" and c.get("c") == "C"
-        assert c.evictions == 1
+        assert c.get("a") == b"A" * 40 and c.get("c") == b"C" * 40
+        assert c.evictions == 1 and c.bytes == 80
 
     def test_oversized_value_skipped(self):
-        c = LRUBytesCache(max_bytes=10)
-        c.put("big", "x", 1000)
-        assert c.get("big") is None
+        c = ProofCache(max_bytes=10)
+        c.put("big", b"x" * 1000)
+        assert c.get("big") is None and c.bytes == 0
 
     def test_peek_counts_nothing(self):
-        c = LRUBytesCache(max_bytes=100)
-        c.put("k", "v", 1)
-        hits, misses = c.hits, c.misses
-        assert c.peek("k") == "v" and c.peek("nope") is None
-        assert (c.hits, c.misses) == (hits, misses)
+        """The admission probe is a peek: a miss counts nothing (the job
+        body's ``get`` will), a found envelope counts its one hit, and
+        neither refreshes recency."""
+        c = ProofCache(max_bytes=100)
+        c.put("k", b"v")
+        c.put("new", b"n")
+        assert c.probe("nope") is None
+        assert (c.hits, c.misses) == (0, 0)
+        assert c.probe("k") == b"v"
+        assert (c.hits, c.misses) == (1, 0)
+        assert list(c._entries) == ["k", "new"]
 
     def test_peek_survives_eviction_between_calls(self):
-        """``peek`` runs on the event loop while the job thread's ``put``
-        may evict the same LRU-oldest key at any moment.  The ``_entries``
-        stand-in deletes a key as it returns it — the eviction landing
-        between lookup and reorder — and ``peek`` must still answer; nor
-        may it refresh recency, so the probed key stays next to go."""
+        """``probe`` runs on a connection thread while the job thread's
+        ``put`` may evict the same LRU-oldest key at any moment.  The
+        ``_entries`` stand-in deletes a key as it returns it — the
+        eviction landing between lookup and reorder — and ``probe`` must
+        still answer; nor may it refresh recency, so the probed key stays
+        next to go."""
         from collections import OrderedDict
 
         class EvictedOnRead(OrderedDict):
@@ -162,14 +171,14 @@ class TestLRUBytesCache:
                 self.pop(key, None)
                 return value
 
-        c = LRUBytesCache(max_bytes=100)
-        c.put("old", "O", 40)
-        c.put("new", "N", 40)
+        c = ProofCache(max_bytes=100)
+        c.put("old", b"O" * 40)
+        c.put("new", b"N" * 40)
         entries = c._entries
         c._entries = EvictedOnRead(entries)
-        assert c.peek("old") == "O"
+        assert c.probe("old") == b"O" * 40
         c._entries = entries
-        assert c.peek("old") == "O"
+        assert c.probe("old") == b"O" * 40
         assert list(c._entries) == ["old", "new"]
 
     def test_proof_cache_key_separates_inputs(self):
@@ -346,6 +355,34 @@ class TestKeyCacheSizing:
         assert r1cs.a.indptr is r1cs.b.indptr
         assert r1cs.nbytes == 12 * r1cs.nnz + 2 * 4 * (n + 1) \
             + layout._transposed.nbytes
+
+
+class TestKeySpace:
+    """The daemon keeps every key it builds, with no byte budget, because
+    its key space is the registry's: 5 circuit ids x 2 presets, which
+    hold 8,420,064 B with every layout built.  A registry statement that
+    outgrows the ceiling (a paper-scale entry, say) fails here and
+    reopens the question of a budget rather than growing the cache
+    silently."""
+
+    CEILING_BYTES = 12 * 1024 * 1024
+
+    def test_one_service_holds_all_ten_keys(self):
+        from repro.snark.params import PRESETS
+        from repro.workloads.registry import resolve_workload, workload_choices
+
+        service = ProvingService(ServiceConfig())   # never started
+        ids = sorted({resolve_workload(n) for n in workload_choices()})
+        for preset in sorted(PRESETS):
+            for circuit_id in ids:
+                service.key_cache.get_or_build(circuit_id, preset)
+        for circuit_id in ids:          # a second request builds nothing
+            service.key_cache.get_or_build(circuit_id, "test-fast")
+        stats = service.stats()["pk_cache"]
+        assert len(ids) * len(PRESETS) == 10
+        assert {k: v for k, v in stats.items() if k != "bytes"} == {
+            "entries": 10, "hits": 5, "misses": 10}
+        assert stats["bytes"] <= self.CEILING_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -1044,7 +1081,6 @@ class TestServiceConfig:
             ServiceConfig(queue_depth=0)
 
     @pytest.mark.parametrize("flag, field", [
-        ("--key-cache-mb", "key_cache_bytes"),
         ("--proof-cache-mb", "proof_cache_bytes"),
     ])
     def test_negative_cache_budget_is_a_config_error(self, flag, field):
@@ -1064,23 +1100,25 @@ class TestServiceConfig:
             ServiceConfig(timeout_s=timeout_s)
 
     def test_retired_knobs_are_gone(self, sock_path):
-        """Eight fields: the per-client cap, the retention count, the
-        job-slot count, a worker pool, the client id and job priorities
-        are not accepted anywhere."""
+        """Seven fields: the per-client cap, the retention count, the
+        job-slot count, a worker pool, the key-cache budget, the client
+        id and job priorities are not accepted anywhere."""
         import dataclasses
 
         from repro.cli import main
 
         assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
             "host", "port", "unix_socket", "queue_depth", "preset",
-            "key_cache_bytes", "proof_cache_bytes", "timeout_s"]
+            "proof_cache_bytes", "timeout_s"]
         for retired in ("max_per_client", "max_results", "job_slots",
-                        "workers"):
+                        "workers", "key_cache_bytes"):
             with pytest.raises(TypeError):
                 ServiceConfig(**{retired: 2})
-        with pytest.raises(SystemExit) as exc:
-            main(["serve", "--job-slots", "2"])
-        assert exc.value.code == 2
+        for argv in (["serve", "--job-slots", "2"],
+                     ["serve", "--key-cache-mb", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
         with pytest.raises(TypeError):
             ServiceClient(sock_path, client_id="hog")
         with running_service(sock_path), ServiceClient(sock_path) as svc:

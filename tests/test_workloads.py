@@ -3,6 +3,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from repro.field.goldilocks import MODULUS
@@ -18,6 +19,8 @@ from repro.workloads.litmus import (
 )
 from repro.workloads.rsa import rsa_circuit, rsa_demo_circuit
 from repro.workloads.sha import sha_circuit, sha_demo_circuit
+from repro.workloads.registry import (build_keys, build_workload,
+                                      resolve_workload, workload_choices)
 from repro.workloads.spec import PAPER_WORKLOADS, WORKLOADS_BY_NAME
 from repro.workloads.aes_reference import aes128_encrypt_block, key_expansion
 from repro.workloads.sha256_reference import IV, compress, sha256
@@ -275,8 +278,47 @@ class TestWorkloadSpecs:
 
     def test_demo_builders_produce_satisfiable_circuits(self):
         for w in PAPER_WORKLOADS:
-            circuit = w.build_demo()
+            circuit = build_workload(w.circuit_id)[1]
             assert _satisfied(circuit), w.name
+
+
+def _statement(r1cs, public, witness):
+    """An R1CS and its assignment as comparable bytes: each of A, B, C in
+    plain CSR (a row map's repeated rows in full), then the vectors."""
+    parts = [repr(r1cs.shape).encode()]
+    for m in (r1cs.a.expanded(), r1cs.b.expanded(), r1cs.c.expanded()):
+        parts += [np.asarray(arr, dtype="<i8").tobytes()
+                  for arr in (m.rows, m.cols, m.vals)]
+    return parts + [np.asarray(public, dtype="<u8").tobytes(),
+                    np.asarray(witness, dtype="<u8").tobytes()]
+
+
+class TestSpecRowsAreRegistryStatements:
+    """A Table III row names a registry id and builds nothing itself, so
+    the statement a row's demo proves is the one an envelope labelled
+    with that id carries.  (Table III rows that built their own Litmus
+    and Auction demos compiled to 2,048 rows, the registry's to 1,024.)"""
+
+    #: Padded constraint count of each registry statement.
+    PADDED = {"aes": 1 << 15, "sha": 1 << 14, "rsa": 1 << 13,
+              "litmus": 1 << 10, "auction": 1 << 10}
+
+    def test_rows_name_every_registry_id_once(self):
+        ids = [w.circuit_id for w in PAPER_WORKLOADS]
+        assert [resolve_workload(i) for i in ids] == ids
+        assert sorted(ids) == sorted(
+            {resolve_workload(name) for name in workload_choices()})
+
+    @pytest.mark.parametrize("row", PAPER_WORKLOADS, ids=lambda w: w.name)
+    def test_row_demo_is_the_registry_statement(self, row):
+        circuit_id, circuit = build_workload(row.circuit_id)
+        r1cs, public, witness = circuit.compile()
+        assert r1cs.shape.num_constraints == self.PADDED[circuit_id]
+        keys = build_keys(row.circuit_id, "test-fast")
+        assert keys.circuit_id == circuit_id
+        assert keys.raw_constraints == circuit.num_constraints
+        assert _statement(keys.pk.r1cs, keys.public, keys.witness) == \
+            _statement(r1cs, public, witness)
 
 
 class TestFullAes:

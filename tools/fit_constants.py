@@ -40,8 +40,8 @@ def run_reference(recompute=None):
     importlib.reload(S)
     from repro.nocap.config import DEFAULT_CONFIG
 
-    return S.NoCapSimulator(DEFAULT_CONFIG).simulate(1 << 24,
-                                                     recompute=recompute)
+    return S.NoCapSimulator(DEFAULT_CONFIG).simulate(
+        1 << C.REFERENCE_LOG_N, recompute=recompute)
 
 
 def fit(iterations: int = 30) -> dict:
