@@ -14,7 +14,7 @@ from repro.analysis.tables import format_table
 from repro.hashing import Transcript
 from repro.pcs import OrionPCS, PCSParams
 from repro.snark import TEST, prove, setup, verify
-from repro.snark.serialize import proof_wire_size
+from repro.snark.serialize import proof_to_bytes
 from repro.spartan import SpartanParams, SpartanProver, SpartanVerifier
 from repro.workloads import synthetic_r1cs
 
@@ -77,7 +77,7 @@ def test_functional_proof_sizes(benchmark):
             prover, verifier, pub, wit = _snark_for(log_size)
             proof = prover.prove(pub, wit, Transcript())
             assert verifier.verify(pub, proof, Transcript())
-            rows.append((f"2^{log_size}", proof_wire_size(proof) / 1024))
+            rows.append((f"2^{log_size}", len(proof_to_bytes(proof)) / 1024))
         return rows
 
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)

@@ -37,7 +37,6 @@ class NoCapConfig:
     ntt_base_size: int = HW_BASE_SIZE  # max single-pass NTT (two 64-pt pipes)
     register_file_bytes: int = 8 << 20 # 8 MB scratchpad
     hbm_bytes_per_s: float = 1e12      # 1 TB/s (2 x 512 GB/s PHYs)
-    recompute_sumcheck: bool = True    # Sec. V-A optimization
 
     def __post_init__(self):
         for name in ("mul_lanes", "add_lanes", "hash_lanes", "shuffle_lanes",

@@ -124,7 +124,7 @@ class NoCapSimulator:
 
     def simulate(self, padded_constraints: int,
                  repetitions: int = C.SUMCHECK_REPETITIONS,
-                 recompute: Optional[bool] = None) -> SimulationReport:
+                 recompute: bool = True) -> SimulationReport:
         """Simulate one proof of a padded power-of-two statement."""
         tasks = build_prover_tasks(padded_constraints, self.config,
                                    repetitions, recompute)
@@ -134,7 +134,7 @@ class NoCapSimulator:
 def prover_seconds(raw_constraints: int,
                    config: Optional[NoCapConfig] = None,
                    repetitions: int = C.SUMCHECK_REPETITIONS,
-                   recompute: Optional[bool] = None) -> float:
+                   recompute: bool = True) -> float:
     """Convenience: NoCap proving time for a raw (unpadded) statement."""
     from ..ntt.polymul import next_pow2
 

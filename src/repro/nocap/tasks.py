@@ -16,7 +16,7 @@ scaled by the per-family calibration constants of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List
 
 from ..errors import ConfigError
@@ -94,18 +94,16 @@ def _spill_rounds(table_elements: float, tables: int, cfg: NoCapConfig) -> int:
 
 def sumcheck_tasks(n: int, cfg: NoCapConfig,
                    repetitions: int = C.SUMCHECK_REPETITIONS,
-                   recompute: bool | None = None) -> List[TaskCost]:
+                   recompute: bool = True) -> List[TaskCost]:
     """The sumcheck inventory: Spartan's two core sumchecks plus the
     Spark/memory-checking ones totalling 18N (Sec. V-A, VII-A), all run
     ``repetitions`` times.
 
-    ``recompute`` selects NoCap's DP-recomputation optimization
-    (default: the config's flag): spill rounds stream the 61-bit circuit
+    ``recompute`` selects NoCap's DP-recomputation optimization (on by
+    default, as in the paper): spill rounds stream the 61-bit circuit
     plus witness (2N values) instead of every DP table, at the cost of
     re-deriving table entries with extra multiplies.
     """
-    if recompute is None:
-        recompute = cfg.recompute_sumcheck
     instances = [("sc1", 1, 3, 4, 1.0), ("sc2", 1, 2, 2, 1.0)]
     instances += [("spark%d" % i, s, d, t, C.SPARK_COMPUTE_FACTOR)
                   for i, (s, d, t) in enumerate(C.SPARK_SUMCHECKS)]
@@ -162,13 +160,7 @@ def sumcheck_tasks(n: int, cfg: NoCapConfig,
     out: List[TaskCost] = []
     for rep in range(repetitions):
         for t in tasks:
-            out.append(TaskCost(
-                name=f"{t.name}/rep{rep}", family=t.family,
-                mul_ops=t.mul_ops, add_ops=t.add_ops,
-                hash_elements=t.hash_elements,
-                shuffle_elements=t.shuffle_elements,
-                ntt_element_passes=t.ntt_element_passes,
-                mem_bytes=t.mem_bytes))
+            out.append(replace(t, name=f"{t.name}/rep{rep}"))
     return out
 
 
@@ -252,7 +244,7 @@ def host_tasks(n: int, cfg: NoCapConfig) -> List[TaskCost]:
 
 def build_prover_tasks(n: int, cfg: NoCapConfig,
                        repetitions: int = C.SUMCHECK_REPETITIONS,
-                       recompute: bool | None = None) -> List[TaskCost]:
+                       recompute: bool = True) -> List[TaskCost]:
     """The full serial task list for one Spartan+Orion proof of a padded
     2^L = n constraint statement."""
     if n < 1 or n & (n - 1):

@@ -183,7 +183,7 @@ class SparseMatrix:
     in plain CSR.
 
     Instances are immutable, and that is load-bearing: the cached gather
-    plan and transposed view assume the arrays never change, and
+    plan assumes the arrays never change, and
     :class:`StackedMatrices` keeps forward planes that are views of
     ``cols`` / ``vals`` (no copy), so writing to them after a layout was
     built would silently change every later product.
@@ -216,7 +216,6 @@ class SparseMatrix:
         self.indptr, self.cols, self.vals = indptr, cols, vals
         self.row_map = row_map
         self._groups: tuple | None = None      # lazy matvec gather plan
-        self._transposed: "SparseMatrix | None" = None
 
     @classmethod
     def from_csr(cls, num_rows: int, num_cols: int, indptr, cols, vals,
@@ -259,14 +258,13 @@ class SparseMatrix:
     def __getstate__(self):
         """Pickle only the CSR arrays and the row map.
 
-        The matvec gather plan and the transposed view are derived caches
-        a receiver can rebuild lazily; dropping them keeps a pickled
-        proving key to what it stores, which matters where batch workers
-        must be spawned rather than forked (see parallel.pool.prove_batch).
+        The matvec gather plan is a derived cache a receiver can rebuild
+        lazily; dropping it keeps a pickled proving key to what it
+        stores, which matters where batch workers must be spawned rather
+        than forked (see parallel.pool.prove_batch).
         """
         state = self.__dict__.copy()
         state["_groups"] = None
-        state["_transposed"] = None
         return state
 
     @classmethod
@@ -426,16 +424,20 @@ class SparseMatrix:
     def transpose_matvec(self, x: np.ndarray) -> np.ndarray:
         """Exact y = M^T x over GF(p): S^T (P^T x) with a row map.
 
-        The transposed stored rows (and their matvec gather plan) are
-        built once and cached — SparseMatrix instances are treated as
-        immutable.
+        Each stored entry's product with its row's word is summed onto
+        its column by the exact limb fold :func:`_fold` (the one row maps
+        use), so no transposed copy is built or kept.  Only the reference
+        oracle calls it; the prover's transposed SpMV is
+        :meth:`StackedMatrices.scaled_transpose_matvec`.
         """
-        if self._transposed is None:
-            self._transposed = SparseMatrix(self.num_cols, self.num_stored,
-                                            self.cols,
-                                            _entry_rows(self.indptr),
-                                            self.vals)
-        return self._transposed.matvec(self.fold(x))
+        x = np.asarray(x, dtype=np.uint64)
+        if x.shape != (self.num_rows,):
+            raise ValueError(f"vector length {len(x)} != num_rows "
+                             f"{self.num_rows}")
+        prods = fv.mul(self.vals,
+                       np.take(self.fold(x), _entry_rows(self.indptr)),
+                       canonical=False)
+        return _fold(self.cols, prods, self.num_cols)
 
     def to_dense(self) -> np.ndarray:
         """Dense object-dtype matrix (tests / tiny systems only)."""

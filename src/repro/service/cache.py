@@ -2,14 +2,14 @@
 
 Two caches keep the daemon hot across requests:
 
-* :class:`KeyCache` — one entry per ``(circuit_id, preset)``:
-  :func:`repro.workloads.registry.build_keys`' statement (keys plus the
-  demo assignment), built once and reused by every later job on that
-  statement.  Keygen is the part of a request that cannot be
-  parallelized away, so amortizing it is where a persistent service
-  beats a fresh CLI process.  Its key space is the registry's: 5 ids x
-  2 presets, 8,420,064 B with every entry built, so it keeps them all
-  and evicts nothing.
+* :class:`KeyCache` — one entry per circuit id:
+  :func:`repro.workloads.registry.build_keys`' statement (the compiled
+  R1CS plus the demo assignment), built once and reused by every later
+  job on that statement, under any preset.  Compiling is the part of a
+  request that cannot be parallelized away, so amortizing it is where a
+  persistent service beats a fresh CLI process.  Its key space is the
+  registry's 5 ids, 4,210,032 B with every entry built, so it keeps
+  them all and evicts nothing.
 
 * :class:`ProofCache` — content-addressed envelopes: requests are keyed
   by ``sha256(preset | circuit | public inputs | seed)``
@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from dataclasses import replace
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
@@ -43,8 +44,10 @@ DEFAULT_PROOF_CACHE_BYTES = 64 * 1024 * 1024
 
 
 class KeyCache:
-    """``(circuit_id, preset_name)`` → :class:`WorkloadKeys`, each built
-    once per service and kept for its life.
+    """circuit id → :class:`WorkloadKeys`, each statement compiled once
+    per service and kept for its life.  The compiled R1CS does not
+    depend on the preset, so a hit binds it to the requested one with
+    :func:`~repro.snark.setup` (two frozen key objects, no compile).
 
     ``bytes`` is what the entries hold: :attr:`R1CS.nbytes` (the three
     constraint matrices in CSR, 12 B per non-zero plus 4 B per row, plus
@@ -53,35 +56,38 @@ class KeyCache:
     """
 
     def __init__(self):
-        self._entries: "Dict[Tuple[str, str], WorkloadKeys]" = {}
+        self._entries: "Dict[str, WorkloadKeys]" = {}
         self.bytes = 0
         self.hits = 0
         self.misses = 0
 
-    def peek(self, circuit_id: str,
-             preset_name: str) -> Optional[WorkloadKeys]:
-        """The built entry or None: never builds, counts nothing."""
-        return self._entries.get((circuit_id, preset_name))
+    def peek(self, circuit_id: str) -> Optional[WorkloadKeys]:
+        """The built entry (keys of the preset that built it) or None:
+        never builds, counts nothing."""
+        return self._entries.get(circuit_id)
 
     def get_or_build(self, circuit_id: str,
                      preset_name: str) -> WorkloadKeys:
-        """The built entry, or :func:`build_keys` on a miss.
+        """The statement's keys under ``preset_name``: the entry rebound
+        to it on a hit, :func:`build_keys` on a miss.
 
         Raises :class:`~repro.errors.ConfigError` for unknown circuit
-        ids or presets — the caller maps that to a 400.
+        ids or presets, before anything compiles (the caller's 400).
         """
+        from ..snark import preset_by_name, setup
         from ..workloads.registry import build_keys
 
-        key = (circuit_id, preset_name)
-        entry = self._entries.get(key)
+        preset = preset_by_name(preset_name)
+        entry = self._entries.get(circuit_id)
         if entry is not None:
             self.hits += 1
-            return entry
+            pk, vk = setup(entry.pk.r1cs, preset)
+            return replace(entry, pk=pk, vk=vk)
         self.misses += 1
         entry = build_keys(circuit_id, preset_name)
         r1cs = entry.pk.r1cs
         r1cs._stacked()          # the SpMV layout, so ``bytes`` counts it
-        self._entries[key] = entry
+        self._entries[circuit_id] = entry
         self.bytes += entry.public.nbytes + entry.witness.nbytes + r1cs.nbytes
         return entry
 

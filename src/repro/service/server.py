@@ -391,9 +391,10 @@ class ProvingService:
                                     cached=job.cached)
 
     def _proof_cache_probe(self, job: Job) -> Optional[bytes]:
-        """Cache lookup that never compiles: only when the statement's
-        keys are hot can we form the content address cheaply."""
-        entry = self.key_cache.peek(job.circuit_id, job.preset)
+        """Cache lookup that never compiles: only when the statement is
+        hot can we form the content address cheaply.  Its public inputs
+        do not depend on the preset; the content address does."""
+        entry = self.key_cache.peek(job.circuit_id)
         if entry is None:
             return None
         key = proof_cache_key(job.preset, job.circuit_id, entry.public,

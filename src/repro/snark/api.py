@@ -46,8 +46,7 @@ from ..parallel.pool import prove_batch, usable_cpus
 from ..parallel.deadline import deadline_scope
 from ..r1cs.system import R1CS
 from ..spartan.protocol import SpartanProof, SpartanProver, SpartanVerifier
-from .envelope import (bundle_from_bytes, bundle_to_bytes, bundle_wire_size,
-                       envelope_labels)
+from .envelope import bundle_from_bytes, bundle_to_bytes, envelope_labels
 from .params import TEST, SecurityPreset
 
 
@@ -74,9 +73,10 @@ class ProofBundle:
     report: Optional[JobReport] = None
 
     def size_bytes(self) -> int:
-        """Length of the envelope :meth:`to_bytes` writes, counted from
-        the objects (no serialization)."""
-        return bundle_wire_size(self)
+        """Length of the envelope, ``len(self.to_bytes())``: the writer is
+        the layout's one statement, so this raises exactly when
+        :meth:`to_bytes` does."""
+        return len(self.to_bytes())
 
     def to_bytes(self) -> bytes:
         """Serialize to the versioned self-describing envelope format."""

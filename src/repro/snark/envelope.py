@@ -22,13 +22,7 @@ the payload are an error.  All failures raise
 from __future__ import annotations
 
 from ..errors import DeserializationError
-from .serialize import (
-    _Reader,
-    _Writer,
-    proof_from_bytes,
-    proof_to_bytes,
-    proof_wire_size,
-)
+from .serialize import _Reader, _Writer, proof_from_bytes, proof_to_bytes
 
 MAGIC = b"NCPE"
 #: v2: a Merkle leaf is one tagged SHA3 over the packed column
@@ -84,16 +78,6 @@ def bundle_to_bytes(bundle) -> bytes:
     w.u32(len(payload))
     w.parts.append(payload)
     return w.getvalue()
-
-
-def bundle_wire_size(bundle) -> int:
-    """``len(bundle_to_bytes(bundle))`` (or its label ``ValueError``),
-    counted without serializing."""
-    preset_id, circuit_id = envelope_labels(bundle.preset_name,
-                                            bundle.circuit_id)
-    return (len(MAGIC) + 1 + 1 + len(preset_id) + 1 + len(circuit_id)
-            + 4 + 8 * len(bundle.public)
-            + 4 + proof_wire_size(bundle.proof))
 
 
 def bundle_from_bytes(data: bytes):

@@ -25,6 +25,10 @@ The bitmap is canonical — its padding bits are clear, and an unset row
 holds a non-zero element — so every proof has one encoding.  A table of
 no columns is its count alone.
 
+The writer is the one statement of this layout: a proof's wire size is
+``len(proof_to_bytes(proof))``, counted by no formula beside it.  It
+packs whole arrays (a vector, a repetition's query indices or digests).
+
 The reader side is a *strict* parser: proof bytes come from an untrusted
 prover, so every length prefix is bounds-checked against the remaining
 buffer before a single element is read, every field element must be
@@ -38,6 +42,7 @@ never ``IndexError``, ``struct.error`` or a numpy exception.
 from __future__ import annotations
 
 import struct
+from itertools import compress
 from typing import List
 
 import numpy as np
@@ -89,18 +94,16 @@ class _Writer:
     def u64(self, v: int) -> None:
         self.parts.append(struct.pack("<Q", v))
 
-    def digest(self, d: bytes) -> None:
-        if len(d) != 32:
+    def digests(self, ds) -> None:
+        """32-byte digests, as one joined block."""
+        if any(len(d) != 32 for d in ds):
             raise ValueError("digest must be 32 bytes")
-        self.parts.append(d)
+        self.parts.append(b"".join(ds))
 
-    def fields(self, values) -> None:
-        self.u32(len(values))
-        for v in values:
-            self.u64(int(v))
-
-    def array(self, arr: np.ndarray) -> None:
-        arr = np.asarray(arr, dtype="<u8")
+    def array(self, values, dtype: str = "<u8") -> None:
+        """u32 count, then ``values`` as one block of ``dtype`` words
+        (u64 field elements unless told otherwise)."""
+        arr = np.asarray(values, dtype=dtype)
         self.u32(arr.size)
         self.parts.append(arr.tobytes())
 
@@ -250,15 +253,12 @@ def _write_pcs_proof(w: _Writer, p: OrionEvalProof) -> None:
     for row in p.proximity_rows:
         w.array(row)
     w.array(p.eval_row)
-    w.u32(len(p.query_indices))
-    for idx in p.query_indices:
-        w.u32(idx)
+    w.array(p.query_indices, "<u4")
     # The opened columns go to the proof's column table; the multiproof's
     # sorted index list is derivable from query_indices, so only the
     # sibling digests go on the wire.
     w.u32(len(p.merkle.nodes))
-    for node in p.merkle.nodes:
-        w.digest(node)
+    w.digests(p.merkle.nodes)
 
 
 def _read_pcs_proof(r: _Reader, c: OrionCommitment) -> OrionEvalProof:
@@ -288,38 +288,58 @@ def column_table(proof: SpartanProof):
 
     Raises ``ValueError`` for a proof the table cannot carry: a
     repetition whose column count is not its distinct query count, or
-    two repetitions that open different columns at one index.  An honest
-    proof is neither (every repetition opens the one committed codeword
-    matrix), and the v2 reader refused the first.
+    two repetitions that open different columns at one index (values or
+    length).  An honest proof is neither (every repetition opens the one
+    committed codeword matrix), and the v2 reader refused the first.
     """
-    table = {}
+    indices, columns, reps = [], [], []
     for k, rp in enumerate(proof.repetitions):
         p = rp.pcs_proof
         distinct = sorted(set(p.query_indices))
         if len(p.columns) != len(distinct):
             raise ValueError(f"repetition {k} opens {len(p.columns)} columns "
                              f"for {len(distinct)} distinct query indices")
-        for idx, col in zip(distinct, p.columns):
-            seen = table.setdefault(idx, col)
-            if seen is not col and not np.array_equal(seen, col):
-                raise ValueError(f"repetition {k} opens a column at index "
-                                 f"{idx} that an earlier repetition opened "
-                                 "with other values")
-    indices = sorted(table)
-    return indices, [table[i] for i in indices]
+        indices += distinct
+        columns += p.columns
+        reps += [k] * len(distinct)
+    if not columns:
+        return [], []
+    # Openings grouped by index, earliest repetition first (a stable
+    # sort): each agrees with the first of its index iff it agrees with
+    # the one before it, so the proof's check is one array comparison.
+    order = np.argsort(indices, kind="stable").tolist()
+    ordered = [columns[i] for i in order]
+    heights = np.fromiter(map(len, ordered), np.int64, len(ordered))
+    if (heights == heights[0]).all():
+        opened = np.asarray(ordered, dtype=np.uint64)
+    else:   # padded, so a repeated column of another length compares
+        opened = np.zeros((len(ordered), heights.max()), np.uint64)
+        for row, col in zip(opened, ordered):
+            row[:len(col)] = col
+    idx = np.asarray(indices)[order]
+    repeat = idx[1:] == idx[:-1]
+    other = repeat & ((heights[1:] != heights[:-1])
+                      | (opened[1:] != opened[:-1]).any(axis=1))
+    if other.any():      # name the first in repetition order
+        at = min(order[i + 1] for i in np.flatnonzero(other))
+        raise ValueError(f"repetition {reps[at]} opens a column at index "
+                         f"{indices[at]} that an earlier repetition opened "
+                         "with other values")
+    first = [True] + (~repeat).tolist()
+    return idx[first].tolist(), list(compress(ordered, first))
 
 
 def _write_repetition(w: _Writer, rp: RepetitionProof) -> None:
     w.u32(len(rp.sc1_round_evals))
     for evals in rp.sc1_round_evals:
-        w.fields(evals)
+        w.array(evals)
     w.u64(rp.va)
     w.u64(rp.vb)
     w.u64(rp.vc)
     w.u32(len(rp.sc2.round_evals))
     for evals in rp.sc2.round_evals:
-        w.fields(evals)
-    w.fields(rp.sc2.final_values)
+        w.array(evals)
+    w.array(rp.sc2.final_values)
     w.u64(rp.w_eval)
     _write_pcs_proof(w, rp.pcs_proof)
 
@@ -356,7 +376,7 @@ def proof_to_bytes(proof: SpartanProof) -> bytes:
     w.parts.append(MAGIC)
     w.u8(VERSION)
     c = proof.witness_commitment
-    w.digest(c.root)
+    w.digests([c.root])
     w.u64(c.table_len)
     w.u32(c.num_rows)
     w.u32(c.num_cols)
@@ -365,31 +385,6 @@ def proof_to_bytes(proof: SpartanProof) -> bytes:
         _write_repetition(w, rp)
     w.table(column_table(proof)[1])
     return w.getvalue()
-
-
-def proof_wire_size(proof: SpartanProof) -> int:
-    """``len(proof_to_bytes(proof))`` of any proof the writer accepts,
-    counted from the proof object without writing a byte (each u32 count
-    is 4 bytes, each field element 8 and each digest 32; the column
-    table's live rows are the rows some column is non-zero in)."""
-    def run(rows) -> int:  # u32 count + one length-prefixed vector each
-        return 4 + sum(4 + 8 * len(v) for v in rows)
-
-    size = 4 + 1 + 32 + 8 + 4 + 4 + 4
-    table = {}
-    for rp in proof.repetitions:
-        p = rp.pcs_proof
-        size += run(rp.sc1_round_evals) + 3 * 8 + run(rp.sc2.round_evals)
-        size += 4 + 8 * len(rp.sc2.final_values) + 8
-        size += run(p.proximity_rows) + 4 + 8 * len(p.eval_row)
-        size += 4 + 4 * len(p.query_indices) + 4 + 32 * len(p.merkle.nodes)
-        table.update(zip(sorted(set(p.query_indices)), p.columns))
-    size += 4
-    if table:
-        columns = np.asarray(list(table.values()), dtype=np.uint64)
-        live = int(np.count_nonzero(columns.any(axis=0)))
-        size += 4 + (columns.shape[1] + 7) // 8 + 8 * len(table) * live
-    return size
 
 
 def proof_from_bytes(data: bytes) -> SpartanProof:

@@ -896,7 +896,7 @@ class TestRowMap:
         assert clone.row_map.dtype == np.int32
         assert clone.row_map.tolist() == mapped.row_map.tolist()
         assert clone.indptr.tolist() == mapped.indptr.tolist()
-        assert clone._groups is None and clone._transposed is None
+        assert clone._groups is None
         assert clone.matvec(x).tolist() == want.tolist()
 
     @pytest.mark.parametrize("tile,cap,reduce_rows", [

@@ -358,14 +358,16 @@ class TestKeyCacheSizing:
 
 
 class TestKeySpace:
-    """The daemon keeps every key it builds, with no byte budget, because
-    its key space is the registry's: 5 circuit ids x 2 presets, which
-    hold 8,420,064 B with every layout built.  A registry statement that
-    outgrows the ceiling (a paper-scale entry, say) fails here and
-    reopens the question of a budget rather than growing the cache
-    silently."""
+    """The daemon keeps every statement it compiles, with no byte budget,
+    because its key space is the registry's: 5 circuit ids, which hold
+    4,210,032 B with every layout built.  The compiled R1CS does not
+    depend on the preset, so the second preset of an id compiles
+    nothing: all ten (circuit, preset) requests are 5 entries.  A
+    registry statement that outgrows the ceiling (a paper-scale entry,
+    say) fails here and reopens the question of a budget rather than
+    growing the cache silently."""
 
-    CEILING_BYTES = 12 * 1024 * 1024
+    CEILING_BYTES = 6 * 1024 * 1024
 
     def test_one_service_holds_all_ten_keys(self):
         from repro.snark.params import PRESETS
@@ -375,14 +377,28 @@ class TestKeySpace:
         ids = sorted({resolve_workload(n) for n in workload_choices()})
         for preset in sorted(PRESETS):
             for circuit_id in ids:
-                service.key_cache.get_or_build(circuit_id, preset)
+                entry = service.key_cache.get_or_build(circuit_id, preset)
+                assert entry.pk.preset.name == entry.vk.preset.name == preset
+                assert entry.pk.r1cs is service.key_cache.peek(
+                    circuit_id).pk.r1cs         # one compiled statement
         for circuit_id in ids:          # a second request builds nothing
             service.key_cache.get_or_build(circuit_id, "test-fast")
         stats = service.stats()["pk_cache"]
         assert len(ids) * len(PRESETS) == 10
         assert {k: v for k, v in stats.items() if k != "bytes"} == {
-            "entries": 10, "hits": 5, "misses": 10}
+            "entries": 5, "hits": 10, "misses": 5}
         assert stats["bytes"] <= self.CEILING_BYTES
+
+    def test_unknown_preset_refused_with_the_statement_built(self):
+        """The memo is keyed by circuit id, so a built statement must not
+        answer for a preset that does not exist."""
+        from repro.errors import ConfigError
+
+        cache = ProvingService(ServiceConfig()).key_cache
+        cache.get_or_build("litmus", "test-fast")
+        with pytest.raises(ConfigError, match="unknown security preset"):
+            cache.get_or_build("litmus", "no-such-preset")
+        assert cache.stats()["hits"] == 0 and cache.stats()["misses"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from repro.snark import (
     setup,
     verify,
 )
-from repro.snark.serialize import column_table, proof_wire_size
+from repro.snark.serialize import column_table
 
 
 def _circuit(x=3, out=35):
@@ -569,19 +569,36 @@ class TestColumnTable:
         assert ei.value.offset == at.height
 
     def test_writer_refuses_disagreeing_repetitions(self):
+        """A proof the table cannot carry has no bytes and so no size:
+        the labelled bundle's ``size_bytes()`` raises ``to_bytes``'s
+        ``ValueError``, whatever the repetitions disagree on."""
         import copy
 
         bundle, _, _ = self._payload()
-        proof = copy.deepcopy(bundle.proof)
-        col = proof.repetitions[1].pcs_proof.columns[4].copy()
-        col[0] = (int(col[0]) + 1) % MODULUS
-        proof.repetitions[1].pcs_proof.columns[4] = col
-        with pytest.raises(ValueError, match="other values"):
-            proof_to_bytes(proof)
-        proof = copy.deepcopy(bundle.proof)
-        proof.repetitions[2].pcs_proof.columns.pop()
-        with pytest.raises(ValueError, match="distinct query indices"):
-            proof_to_bytes(proof)
+
+        def refused(edit, match):
+            proof = copy.deepcopy(bundle.proof)
+            edit(proof.repetitions)
+            with pytest.raises(ValueError, match=match) as sent:
+                proof_to_bytes(proof)
+            labelled = dataclasses.replace(bundle, proof=proof, report=None)
+            for write in (labelled.to_bytes, labelled.size_bytes):
+                with pytest.raises(ValueError) as raised:
+                    write()
+                assert str(raised.value) == str(sent.value)
+
+        def bump(reps):
+            col = reps[1].pcs_proof.columns[4].copy()
+            col[0] = (int(col[0]) + 1) % MODULUS
+            reps[1].pcs_proof.columns[4] = col
+
+        def cut(reps):           # a repeated column of another length
+            reps[2].pcs_proof.columns[4] = reps[2].pcs_proof.columns[4][:-1]
+
+        refused(bump, "repetition 1 opens a column at index .* other values")
+        refused(lambda reps: reps[2].pcs_proof.columns.pop(),
+                "distinct query indices")
+        refused(cut, "repetition 2 opens a column at index .* other values")
 
 
 def _zero_circuit():
@@ -601,13 +618,12 @@ class TestZeroRows:
 
     @staticmethod
     def _round_trip(proof, public=None, preset=None):
-        """Encode and decode ``proof``: the objects come back equal and
-        the counted size is the length.  Returns the payload's table."""
+        """Encode and decode ``proof``: the objects come back equal.
+        Returns the payload's table."""
         data = proof_to_bytes(proof)
         decoded = proof_from_bytes(data)
         assert _object_digest(decoded) == _object_digest(proof)
         assert proof_to_bytes(decoded) == data
-        assert proof_wire_size(proof) == len(data)
         return _table_at(proof, data)
 
     def test_litmus_interior_zero_rows(self):

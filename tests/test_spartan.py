@@ -21,7 +21,7 @@ from repro.spartan import (
     matrix_mle_eval,
     prove_constraint_sumcheck,
 )
-from repro.snark.serialize import proof_wire_size
+from repro.snark.serialize import proof_to_bytes
 from repro.workloads import synthetic_r1cs
 
 
@@ -252,7 +252,7 @@ class TestProofSize:
         r1cs, pub, wit = _cubic_circuit()
         p1, _ = _prove(r1cs, pub, wit, reps=1)
         p3, _ = _prove(r1cs, pub, wit, reps=3)
-        assert proof_wire_size(p3) > 2 * proof_wire_size(p1)
+        assert len(proof_to_bytes(p3)) > 2 * len(proof_to_bytes(p1))
 
 
 class TestPerProofWork:

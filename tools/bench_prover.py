@@ -63,7 +63,7 @@ from repro import obs
 from repro.hashing import Transcript
 from repro.obs.events import FlightRecorder, peak_rss_bytes
 from repro.pcs import OrionPCS, PCSParams
-from repro.snark.serialize import proof_wire_size
+from repro.snark.serialize import proof_to_bytes
 from repro.spartan import SpartanParams, SpartanProver, SpartanVerifier
 from repro.workloads import synthetic_r1cs
 
@@ -163,8 +163,7 @@ def bench_size(log_size: int, num_rows: int, repeats: int,
         "num_constraints": 1 << log_size,
         "prove_s": round(prove_s, 6),
         "verify_s": round(verify_s, 6),
-        # The payload length, len(proof_to_bytes(proof)).
-        "proof_size_bytes": proof_wire_size(proof),
+        "proof_size_bytes": len(proof_to_bytes(proof)),
         "verified": True,
         # Cumulative process high-water mark AFTER this size completed;
         # the streaming commit keeps its growth bounded as sizes scale.

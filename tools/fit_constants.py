@@ -32,7 +32,7 @@ BAKED = {key: getattr(C, key) for key in (
     "MERKLE_SCALE", "POLYARITH_SCALE", "SPMV_SCALE", "SPARK_COMPUTE_FACTOR")}
 
 
-def run_reference(recompute=None):
+def run_reference(recompute=True):
     import repro.nocap.simulator as S
     import repro.nocap.tasks as T
 
