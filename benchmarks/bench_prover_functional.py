@@ -83,7 +83,7 @@ def test_functional_proof_sizes(benchmark):
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
     table = format_table(
         ["Padded constraints", "Uncomposed proof (KiB)"], rows,
-        "Functional-layer proof sizes (reps=1, 16-row PCS, 24 queries)")
+        "Functional-layer proof sizes (reps=1, 16-row PCS, 189 queries)")
     emit("functional_proof_sizes", table)
     sizes = [s for _, s in rows]
     assert all(b >= a for a, b in zip(sizes, sizes[1:]))

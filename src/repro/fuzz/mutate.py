@@ -33,7 +33,12 @@ import numpy as np
 
 from ..errors import DeserializationError
 from ..field.goldilocks import MODULUS
-from ..snark.serialize import column_table, proof_from_bytes, proof_to_bytes
+from ..snark.serialize import (
+    column_table,
+    proof_from_bytes,
+    proof_to_bytes,
+    shipped_message,
+)
 
 #: Byte offset of the version byte / commitment root in the wire format
 #: (see :mod:`repro.snark.serialize`): magic(4) version(1) root(32)
@@ -61,6 +66,14 @@ def _parse(data: bytes):
 
 def _reserialize(name: str, proof) -> List[Mutant]:
     return [Mutant(name, proof_to_bytes(proof))]
+
+
+def _table(proof):
+    """``{index: column}`` of the payload's column table, or None when
+    the payload ends in the rows block instead."""
+    if shipped_message(proof) is not None:
+        return None
+    return dict(zip(*column_table(proof)))
 
 
 def _reopen(proof, table: Dict[int, np.ndarray]) -> None:
@@ -159,7 +172,7 @@ def mutate_field_bump(data: bytes, rng: random.Random) -> List[Mutant]:
     # one element of a column of the shared table, in every repetition
     # that opens it (breaks the Merkle binding)
     proof = _parse(data)
-    table = dict(zip(*column_table(proof)))
+    table = _table(proof)
     if table:
         k = rng.choice(sorted(table))
         col = np.array(table[k], dtype=np.uint64)
@@ -268,19 +281,24 @@ def mutate_query_indices(data: bytes, rng: random.Random) -> List[Mutant]:
     one), and swap two of one repetition's columns in the shared table."""
     out = []
     proof = _parse(data)
-    table = dict(zip(*column_table(proof)))
+    table = _table(proof)
     rp = rng.choice(proof.repetitions)
     qi = rp.pcs_proof.query_indices
     if qi:
         k = rng.randrange(len(qi))
         old, qi[k] = qi[k], (qi[k] + 1) % max(2, max(qi) + 1)
-        table.setdefault(qi[k], table[old])
-        _reopen(proof, table)
+        if table is not None:
+            table.setdefault(qi[k], table[old])
+            _reopen(proof, table)
+        elif len(set(qi)) < proof.witness_commitment.num_cols:
+            return []   # would move the payload out of rows mode
+        else:
+            rp.pcs_proof.merkle.indices = sorted(set(qi))
         out.extend(_reserialize("query_indices", proof))
     proof = _parse(data)
-    table = dict(zip(*column_table(proof)))
+    table = _table(proof)
     opened = rng.choice(proof.repetitions).pcs_proof.merkle.indices
-    if len(opened) >= 2:
+    if table is not None and len(opened) >= 2:
         i, j = rng.sample(opened, 2)
         table[i], table[j] = table[j], table[i]
         _reopen(proof, table)
@@ -291,11 +309,12 @@ def mutate_query_indices(data: bytes, rng: random.Random) -> List[Mutant]:
 def _table_parts(data: bytes):
     """The column table at the end of a payload: ``(height_at, bitmap_at,
     values_at, table)`` with ``table`` the ``(count, height)`` array, or
-    None for a table of no columns."""
-    _, columns = column_table(_parse(data))
+    None for a table of no columns or a payload that ends in the rows
+    block."""
+    columns = _table(_parse(data))
     if not columns:
         return None
-    table = np.asarray(columns, dtype=np.uint64)
+    table = np.asarray(list(columns.values()), dtype=np.uint64)
     count, height = table.shape
     values_at = len(data) - 8 * count * int(table.any(axis=0).sum())
     bitmap_at = values_at - (height + 7) // 8
@@ -405,6 +424,134 @@ def mutate_table_height(data: bytes, rng: random.Random) -> List[Mutant]:
     return out
 
 
+def _rows_parts(data: bytes):
+    """The rows block at the end of a payload: ``(height_at, bitmap_at,
+    values_at, message)`` with ``message`` the ``(height, num_cols)``
+    array, or None for a payload that ends in the column table."""
+    message = shipped_message(_parse(data))
+    if message is None:
+        return None
+    message = np.asarray(message, dtype=np.uint64)
+    values_at = len(data) - 8 * message.shape[1] * int(
+        message.any(axis=1).sum())
+    bitmap_at = values_at - (len(message) + 7) // 8
+    return bitmap_at - 4, bitmap_at, values_at, message
+
+
+def _with_message(data: bytes, message: np.ndarray) -> bytes:
+    """``data`` with every repetition carrying ``message``."""
+    proof = _parse(data)
+    for rp in proof.repetitions:
+        rp.pcs_proof.message = message
+    return proof_to_bytes(proof)
+
+
+def mutate_rows_message(data: bytes, rng: random.Random) -> List[Mutant]:
+    """Edit the one message every repetition carries: add 1 to one value,
+    and swap two live rows (breaks the Merkle binding)."""
+    parts = _rows_parts(data)
+    if parts is None:
+        return []
+    message = parts[3].copy()
+    i, j = rng.randrange(len(message)), rng.randrange(message.shape[1])
+    message[i, j] = (int(message[i, j]) + 1) % MODULUS
+    out = [Mutant("rows_message", _with_message(data, message))]
+    live = np.flatnonzero(parts[3].any(axis=1))
+    if len(live) >= 2:
+        message = parts[3].copy()
+        a, b = rng.sample(live.tolist(), 2)
+        message[[a, b]] = message[[b, a]]
+        out.append(Mutant("rows_message", _with_message(data, message)))
+    return out
+
+
+def mutate_rows_other_message(data: bytes,
+                              rng: random.Random) -> List[Mutant]:
+    """One repetition carrying another message object than the rest.  The
+    wire holds one message, so the writer must refuse such a proof: a
+    mutant comes out only if it did not."""
+    proof = _parse(data)
+    if shipped_message(proof) is None or len(proof.repetitions) < 2:
+        return []
+    pcs = rng.choice(proof.repetitions[1:]).pcs_proof
+    message = np.array(pcs.message)
+    message[-1, 0] = (int(message[-1, 0]) + 1) % MODULUS
+    pcs.message = message
+    try:
+        return _reserialize("rows_other_message", proof)
+    except ValueError:
+        return []
+
+
+def mutate_rows_live_bit(data: bytes, rng: random.Random) -> List[Mutant]:
+    """Mark a live message row zero: in place, so the value block is a
+    row too long, and laid out again without the row — a well-formed
+    block whose encoding the Merkle check must refuse."""
+    parts = _rows_parts(data)
+    if parts is None:
+        return []
+    _, bitmap_at, _, message = parts
+    zero = ~message.any(axis=1)
+    live = np.flatnonzero(~zero)
+    if not live.size:
+        return []
+    row = int(rng.choice(live))
+    zero[row] = True
+    relaid = (data[:bitmap_at]
+              + np.packbits(zero, bitorder="little").tobytes()
+              + message[~zero].astype("<u8").tobytes())
+    return [Mutant("rows_live_bit", _flip_bit(data, bitmap_at, row)),
+            Mutant("rows_live_bit", relaid)]
+
+
+def mutate_rows_zero_bit(data: bytes, rng: random.Random) -> List[Mutant]:
+    """Clear a zero message row's bit: in place (the value block is then
+    a row short) and with the row's zeros laid out again (a second
+    encoding the reader must refuse)."""
+    parts = _rows_parts(data)
+    if parts is None:
+        return []
+    _, bitmap_at, _, message = parts
+    zero = ~message.any(axis=1)
+    rows = np.flatnonzero(zero)
+    if not rows.size:
+        return []
+    row = int(rng.choice(rows))
+    zero[row] = False
+    relaid = (data[:bitmap_at]
+              + np.packbits(zero, bitorder="little").tobytes()
+              + message[~zero].astype("<u8").tobytes())
+    return [Mutant("rows_zero_bit", _flip_bit(data, bitmap_at, row)),
+            Mutant("rows_zero_bit", relaid)]
+
+
+def mutate_rows_noncanonical(data: bytes,
+                             rng: random.Random) -> List[Mutant]:
+    """Overwrite one value of the block with one >= the modulus."""
+    parts = _rows_parts(data)
+    if parts is None or parts[2] == len(data):
+        return []
+    values_at = parts[2]
+    pos = values_at + 8 * rng.randrange((len(data) - values_at) // 8)
+    buf = bytearray(data)
+    buf[pos:pos + 8] = (MODULUS + rng.randrange((1 << 32) - 1)).to_bytes(
+        8, "little")
+    return [Mutant("rows_noncanonical", bytes(buf))]
+
+
+def mutate_rows_truncate(data: bytes, rng: random.Random) -> List[Mutant]:
+    """Cut the payload inside the rows block: in its height, its bitmap
+    and its value block."""
+    parts = _rows_parts(data)
+    if parts is None:
+        return []
+    height_at, bitmap_at, values_at, _ = parts
+    cuts = {height_at + 2, rng.randrange(bitmap_at, values_at + 1),
+            rng.randrange(values_at, len(data) + 1)}
+    return [Mutant("rows_truncate", data[:c]) for c in sorted(cuts)
+            if c < len(data)]
+
+
 def mutate_repetition_surgery(data: bytes, rng: random.Random) -> List[Mutant]:
     """Drop or duplicate whole repetitions (the soundness amplifier)."""
     out = []
@@ -438,6 +585,12 @@ STRUCTURED_MUTATORS = {
     "table_values_short": mutate_table_values_short,
     "table_values_long": mutate_table_values_long,
     "table_height": mutate_table_height,
+    "rows_message": mutate_rows_message,
+    "rows_other_message": mutate_rows_other_message,
+    "rows_live_bit": mutate_rows_live_bit,
+    "rows_zero_bit": mutate_rows_zero_bit,
+    "rows_noncanonical": mutate_rows_noncanonical,
+    "rows_truncate": mutate_rows_truncate,
     "repetition_surgery": mutate_repetition_surgery,
 }
 

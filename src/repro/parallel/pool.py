@@ -104,13 +104,12 @@ def prove_job(job: int, seed_seq, circuit_id: str, timeout_s=None) -> bytes:
     depend on the worker count.  ``timeout_s`` is the job's own
     cooperative deadline inside the worker.
     """
-    from ..snark.api import prove
+    from ..snark.api import prove_envelope
 
     _maybe_fault("prove_job")
     pk, publics, witnesses = _BATCH
-    bundle = prove(pk, publics[job], witnesses[job], seed=seed_seq,
-                   circuit_id=circuit_id, timeout_s=timeout_s)
-    return bundle.to_bytes()
+    return prove_envelope(pk, publics[job], witnesses[job], seed=seed_seq,
+                          circuit_id=circuit_id, timeout_s=timeout_s)[1]
 
 
 def _kill_workers(executor) -> None:

@@ -22,6 +22,18 @@ response, so those responses reveal no row of M (protocol-5 masking).
 The opened columns are not masked, so the scheme is not zero-knowledge
 yet: any C opened columns return every row (docs/PROTOCOL.md, §6).
 
+Rows mode: a row is a degree-< C polynomial, so an opening that queries
+at least C distinct columns already determines every committed row.
+Such an opening carries the message matrix M itself (``message``, mask
+row last) instead of its columns, and the verifier encodes M, hashes the
+queried columns of Enc(M) and checks each combination row in message
+space.  It reveals nothing its columns did not: M is what C opened
+columns decode to.  The rule reads only the opening's distinct query
+count (min(queries, blowup * C)), so PAPER's registry circuits (C <= 128
+< 189 queries) open in rows mode and 2^16 and up (C >= 256) in columns
+mode; a hiding variant whose message is wider than its query count
+never enters it.
+
 The full Orion scheme additionally compresses this proof with an inner
 SNARK ("proof composition"); prover-side cost is unchanged, so the
 performance model charges for exactly what is implemented here, and the
@@ -31,6 +43,7 @@ performance model charges for exactly what is implemented here, and the
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -108,13 +121,15 @@ class _ProverState:
     codewords: np.ndarray               # (rows [+1 mask], blowup*cols)
     tree: MerkleTree
 
-    @property
+    @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """The message matrix, mask row last — stacked on each read, for
-        tests and oracles."""
-        if self.mask is None:
-            return self.rows
-        return np.vstack([self.rows, self.mask])
+        """The message matrix, mask row last: a read-only copy stacked on
+        the first read, so every rows-mode opening of this state carries
+        the one object (and none aliases the caller's table)."""
+        stacked = np.vstack([self.rows] + ([] if self.mask is None
+                                           else [self.mask]))
+        stacked.flags.writeable = False
+        return stacked
 
 
 @dataclass
@@ -127,6 +142,11 @@ class OrionEvalProof:
     is ordered by ``merkle.indices`` (sorted, deduplicated); the raw
     transcript query order is kept in ``query_indices`` for the lockstep
     Fiat-Shamir check.
+
+    An opening of at least ``num_cols`` distinct columns is in rows mode:
+    ``message`` is the committed ``(rows [+1 mask], cols)`` message
+    matrix, which fixes every opened column, and ``columns`` is empty.
+    Otherwise ``message`` is None.
     """
 
     proximity_rows: List[np.ndarray]   # u_k = gamma_k^T M (+ mask)
@@ -134,6 +154,7 @@ class OrionEvalProof:
     query_indices: List[int]
     columns: List[np.ndarray]          # opened codeword columns (incl. mask row)
     merkle: MerkleMultiProof
+    message: Optional[np.ndarray] = None   # rows mode: M, mask row last
 
 
 class OrionPCS:
@@ -229,6 +250,10 @@ class OrionPCS:
                 b"pcs/queries", self.code.num_queries, codeword_len)
             with _span("merkle.open", "merkle", queries=len(indices)):
                 multiproof = open_many(state.tree, indices)
+                if len(multiproof.indices) >= cols:
+                    # Rows mode: the opened columns fix every row.
+                    return OrionEvalProof(proximity_rows, eval_row, indices,
+                                          [], multiproof, state.matrix)
                 opened = state.codewords[:, multiproof.indices]
                 columns = [np.ascontiguousarray(opened[:, k])
                            for k in range(opened.shape[1])]
@@ -264,12 +289,23 @@ class OrionPCS:
         absorb.  Then every opening's checks run, with the work they share
         done once: each distinct opened column is validated and
         leaf-hashed once and each multiproof checked against those
-        digests, all claimed rows are encoded in one tiled call, and each
-        opening's proximity and evaluation combinations come from one
-        :func:`~repro.field.vector.vecmat`.  Two openings that open one
-        index must open it with equal values: an honest proof always does
-        (one committed codeword matrix), and unequal values cannot both
-        match one Merkle leaf (docs/PROTOCOL.md).
+        digests.  Two openings that open one index must open it with
+        equal values: an honest proof always does (one committed codeword
+        matrix), and unequal values cannot both match one Merkle leaf
+        (docs/PROTOCOL.md).
+
+        The openings are all in columns mode or all in rows mode.  In
+        columns mode all claimed rows are encoded in one tiled call and
+        each opening's proximity and evaluation combinations of its
+        columns come from one :func:`~repro.field.vector.vecmat`.  In rows
+        mode the one message matrix (openings carrying unequal ones
+        reject) is validated once and its non-zero rows encoded once; the
+        queried columns of that encoding are what the Merkle check
+        hashes, and each opening's combinations are checked in message
+        space, ``u_k == gamma_k^T M``.  That accepts exactly what the
+        columns-mode check accepts for the columns ``Enc(M)[:, indices]``
+        when an opening has at least ``num_cols`` distinct queries
+        (docs/PROTOCOL.md, §6b).
 
         The proofs come from an untrusted prover: a malformed one is
         answered with ``False`` — never an ``IndexError``, a broadcast
@@ -288,31 +324,22 @@ class OrionPCS:
             replayed.append(claims)
         if not replayed:
             return True
-        # One column height for the batch: the wire carries no other, and
-        # a commitment's leaves are the columns of one matrix.
-        height = replayed[0][2]
-        if any(h != height for _rows, _gammas, h in replayed):
-            return False
-
-        # Each distinct opened column is validated and hashed once.  A
-        # parsed proof hands every repetition the same read-only column
-        # object, so identity settles most repeats.
         proofs = [proof for _point, _value, proof, _tr in openings]
-        table = {}          # codeword index -> (column as given, validated)
-        for proof in proofs:
-            for idx, col in zip(proof.merkle.indices, proof.columns):
-                seen = table.get(idx)
-                if seen is not None and seen[0] is col:
-                    continue
-                arr = _field_array(col, height)
-                if arr is None or (seen is not None
-                                   and not np.array_equal(seen[1], arr)):
-                    return False
-                if seen is None:
-                    table[idx] = (col, arr)
-        distinct = sorted(table)
+        message = proofs[0].message
+        if any((p.message is None) != (message is None) for p in proofs):
+            return False    # one representation for the batch
+        distinct = sorted(set().union(*(p.merkle.indices for p in proofs)))
+        if message is None:
+            opened = self._opened_columns(proofs, distinct, rows)
+        else:
+            message = self._shared_message(proofs, rows, cols)
+            opened = None if message is None else \
+                self._encoded_columns(message, distinct, cols)
+        if opened is None:
+            return False
+        height = len(opened)
+
         at = {idx: k for k, idx in enumerate(distinct)}
-        opened = np.stack([table[idx][1] for idx in distinct], axis=1)
         digests = hash_columns(opened)
         codeword_len = self.code.codeword_length(cols)
         for proof in proofs:
@@ -321,24 +348,29 @@ class OrionPCS:
                                proof.merkle, codeword_len):
                 return False
 
-        # Every claimed row of every opening in one tiled encode; opening
-        # j's rows are codes[j * per:(j + 1) * per], its evaluation row
-        # last.
+        # Columns mode: every claimed row of every opening in one tiled
+        # encode; opening j's rows are codes[j * per:(j + 1) * per], its
+        # evaluation row last.
         per = self.params.num_proximity_vectors + 1
-        codes = self._encode_tiles(
-            [np.stack([u for claimed, _g, _h in replayed for u in claimed])],
-            cols)
+        if message is None:
+            codes = self._encode_tiles(
+                [np.stack([u for claimed, _g in replayed for u in claimed])],
+                cols)
         coeffs = np.zeros((per, height), dtype=np.uint64)
         coeffs[:-1, rows:] = 1      # the mask row enters each proximity row
-        for j, ((point, value, proof, _tr), (claimed, gammas, _h)) in \
+        for j, ((point, value, proof, _tr), (claimed, gammas)) in \
                 enumerate(zip(openings, replayed)):
             row_point, _col_point = self._split_point(point, rows)
             coeffs[:, :rows] = gammas + [eq_table(row_point)]
-            cols_at = [at[i] for i in proof.merkle.indices]
-            qidx = np.asarray(proof.merkle.indices, dtype=np.int64)
-            # Proximity and evaluation consistency at every query at once.
-            if (codes[j * per:(j + 1) * per, qidx]
-                    != fv.vecmat(coeffs, opened[:, cols_at])).any():
+            # Proximity and evaluation consistency: at every query at once,
+            # or of the whole row in rows mode.
+            if message is None:
+                qidx = np.asarray(proof.merkle.indices, dtype=np.int64)
+                cols_at = [at[i] for i in proof.merkle.indices]
+                if (codes[j * per:(j + 1) * per, qidx]
+                        != fv.vecmat(coeffs, opened[:, cols_at])).any():
+                    return False
+            elif (np.stack(claimed) != fv.vecmat(coeffs, message)).any():
                 return False
             # Finally, the claimed value must follow from the evaluation row.
             if (not isinstance(value, (int, np.integer))
@@ -349,13 +381,76 @@ class OrionPCS:
                 return False
         return True
 
+    @staticmethod
+    def _opened_columns(proofs, distinct, rows) -> Optional[np.ndarray]:
+        """Columns mode: the ``(height, len(distinct))`` matrix of the
+        batch's opened columns, each validated once, or None to reject.
+        One column height for the batch (rows, + 1 with the mask row,
+        read off the first column): the wire carries no other, and a
+        commitment's leaves are the columns of one matrix.  A parsed
+        proof hands every repetition the same read-only column object,
+        so identity settles most repeats."""
+        first = _field_array(proofs[0].columns[0]) if proofs[0].columns \
+            else None
+        height = rows + (first is not None and first.size == rows + 1)
+        table = {}          # codeword index -> (column as given, validated)
+        for proof in proofs:
+            for idx, col in zip(proof.merkle.indices, proof.columns):
+                seen = table.get(idx)
+                if seen is not None and seen[0] is col:
+                    continue
+                arr = _field_array(col, height)
+                if arr is None or (seen is not None
+                                   and not np.array_equal(seen[1], arr)):
+                    return None
+                if seen is None:
+                    table[idx] = (col, arr)
+        return np.stack([table[idx][1] for idx in distinct], axis=1)
+
+    @staticmethod
+    def _shared_message(proofs, rows, cols) -> Optional[np.ndarray]:
+        """Rows mode: the batch's one message matrix, validated once
+        (``(rows [+1 mask], cols)``, canonical), or None when it is
+        malformed or an opening carries an unequal one."""
+        given = proofs[0].message
+        try:
+            message = np.asarray(given, dtype=np.uint64)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        if (message.ndim != 2 or message.shape[1] != cols
+                or len(message) not in (rows, rows + 1)
+                or (message.size and int(message.max()) >= MODULUS)):
+            return None
+        for proof in proofs[1:]:
+            if proof.message is given:
+                continue
+            try:
+                other = np.asarray(proof.message, dtype=np.uint64)
+            except (TypeError, ValueError, OverflowError):
+                return None
+            if not np.array_equal(other, message):
+                return None
+        return message
+
+    def _encoded_columns(self, message: np.ndarray, distinct,
+                         cols: int) -> np.ndarray:
+        """Rows mode: ``Enc(message)[:, distinct]``, encoding only the
+        non-zero rows (a zero row encodes to zeros)."""
+        live = message.any(axis=1)
+        opened = np.zeros((len(message), len(distinct)), dtype=np.uint64)
+        if live.any():
+            opened[live] = self._encode_tiles([message[live]],
+                                              cols)[:, distinct]
+        return opened
+
     def _replay(self, commitment: OrionCommitment, point: Sequence[int],
                 proof: OrionEvalProof, transcript: Transcript
                 ) -> Optional[tuple]:
         """One opening's structural checks and transcript replay, in
-        :meth:`open`'s order: ``(claimed rows, gammas, column height)``
-        (the proximity rows then the evaluation row, validated; the
-        height is rows + 1 with the mask row), or None to reject."""
+        :meth:`open`'s order: ``(claimed rows, gammas)`` (the proximity
+        rows then the evaluation row, validated), or None to reject.  A
+        rows-mode opening carries no columns; a columns-mode one a column
+        per distinct query."""
         rows, cols = commitment.num_rows, commitment.num_cols
         if (1 << len(point)) != commitment.table_len:
             return None
@@ -391,9 +486,10 @@ class OrionPCS:
             return None
         if proof.merkle.indices != sorted(set(indices)):
             return None
-        if len(proof.columns) != len(proof.merkle.indices):
+        opened = 0 if proof.message is not None else len(proof.merkle.indices)
+        if len(proof.columns) != opened:
             return None
-        return claimed, gammas, rows + self._mask_present(proof, rows)
+        return claimed, gammas
 
     def _encode_tiles(self, blocks: Sequence[np.ndarray],
                       cols: int) -> np.ndarray:
@@ -433,13 +529,6 @@ class OrionPCS:
         if state.mask is None or not mask_coeff:
             return u
         return fv.add(u, state.mask)
-
-    @staticmethod
-    def _mask_present(proof: OrionEvalProof, rows: int) -> bool:
-        if not proof.columns:
-            return False
-        first = _field_array(proof.columns[0])
-        return first is not None and first.size == rows + 1
 
     @staticmethod
     def _commitment_well_formed(c: OrionCommitment) -> bool:

@@ -491,7 +491,7 @@ class ProvingService:
         return None
 
     def _run_prove(self, job: Job) -> None:
-        from ..snark import prove
+        from ..snark.api import prove_envelope
 
         entry = self.key_cache.get_or_build(job.circuit_id, job.preset)
         key = None if job.seed is None else proof_cache_key(
@@ -502,10 +502,9 @@ class ProvingService:
             job.envelope = cached
             job.cached = True
             return
-        bundle = prove(entry.pk, entry.public, entry.witness,
-                       seed=job.seed, circuit_id=job.circuit_id,
-                       timeout_s=job.timeout_s)
-        job.envelope = bundle.to_bytes()
+        bundle, job.envelope = prove_envelope(
+            entry.pk, entry.public, entry.witness, seed=job.seed,
+            circuit_id=job.circuit_id, timeout_s=job.timeout_s)
         job.report = bundle.report.to_dict()
         if key is not None:
             with self._lock:

@@ -170,6 +170,20 @@ def prove(pk: ProvingKey, public: np.ndarray, witness: np.ndarray, *,
     under a tracer the ``snark.prove`` span tree holds the per-family
     breakdown.
     """
+    return prove_envelope(pk, public, witness, seed=seed,
+                          circuit_id=circuit_id, timeout_s=timeout_s)[0]
+
+
+def prove_envelope(pk: ProvingKey, public: np.ndarray, witness: np.ndarray,
+                   *, seed=None, circuit_id: str = "",
+                   timeout_s: Optional[float] = None
+                   ) -> Tuple[ProofBundle, bytes]:
+    """:func:`prove`, returning the bundle with its envelope bytes — the
+    ones written for ``report.proof_size_bytes`` — so a caller that ships
+    the envelope (a pool worker, :func:`prove_many`'s in-process rerun,
+    the daemon) serializes it once.  The bytes are not kept on the
+    bundle: a bundle is mutable, and its ``to_bytes()`` is what it holds
+    now."""
     envelope_labels(pk.preset.name, circuit_id)
     rng = np.random.default_rng(seed)
     # The job window encloses the deadline scope, so a spent budget's
@@ -185,8 +199,9 @@ def prove(pk: ProvingKey, public: np.ndarray, witness: np.ndarray, *,
                              public=np.asarray(public, dtype=np.uint64),
                              preset_name=pk.preset.name,
                              circuit_id=circuit_id, report=report)
-        report.proof_size_bytes = bundle.size_bytes()
-    return bundle
+        blob = bundle.to_bytes()
+        report.proof_size_bytes = len(blob)
+    return bundle, blob
 
 
 def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
@@ -264,9 +279,9 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
                     # The worker failed; the rerun here is bit-identical.
                     _FLIGHT.record("degradation", kernel="prove_job",
                                    error=type(blob).__name__)
-                blob = prove(pk, pubs[j], wits[j], seed=seed,
-                             circuit_id=circuit_id,
-                             timeout_s=timeout_s).to_bytes()
+                blob = prove_envelope(pk, pubs[j], wits[j], seed=seed,
+                                      circuit_id=circuit_id,
+                                      timeout_s=timeout_s)[1]
             bundle = ProofBundle.from_bytes(blob)
             bundle.report = report
             report.proof_size_bytes += len(blob)

@@ -38,7 +38,11 @@ MAGIC = b"NCPE"
 #: v5: the payload (proof format v4) leaves out the column table's rows
 #: that are zero in every opened column; the proof it decodes to, and so
 #: every challenge, is v4's.  No v4 reader is kept either.
-VERSION = 5
+#: v6: the payload (proof format v5) ends in the rows block — the shared
+#: message matrix — instead of the column table when every repetition
+#: opens at least ``num_cols`` distinct columns; the transcript, and so
+#: every challenge, is v5's.  No v5 reader is kept.
+VERSION = 6
 
 #: Preset ids are short registry keys; circuit ids are free-form labels.
 MAX_PRESET_ID_BYTES = 64

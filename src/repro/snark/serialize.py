@@ -10,8 +10,10 @@ length-prefixed throughout (u32 counts, u64 field elements)::
           |     sumcheck-1 rounds, va vb vc, sumcheck-2 rounds + finals,
           |     w_eval, proximity rows, evaluation row, query indices,
           |     Merkle sibling digests
-          | column table u32 count, u32 height, zero-row bitmap,
-          |     count x live u64 values column by column
+          | either the column table: u32 count, u32 height,
+          |     zero-row bitmap, count x live u64 values column by column
+          | or the rows block: u32 height, zero-row bitmap,
+          |     live x num_cols u64 values row by row
 
 Every repetition opens columns of the ONE witness commitment, so a column
 two repetitions both query travels once: the table holds the sorted union
@@ -24,6 +26,14 @@ bitmap, not ``count`` zero elements: only the ``live`` unset rows travel.
 The bitmap is canonical — its padding bits are clear, and an unset row
 holds a non-zero element — so every proof has one encoding.  A table of
 no columns is its count alone.
+
+When every repetition opens at least ``num_cols`` distinct columns, those
+columns fix every committed row (a row is a degree-< ``num_cols``
+polynomial), so the payload ends in the rows block instead: the message
+matrix the openings share (:attr:`OrionEvalProof.message`), its zero
+rows a bitmap under the same rule (a message row is zero exactly when its
+codeword row is).  The mode is no flag: the reader derives it from the
+query indices it has already read, so a proof still has one encoding.
 
 The writer is the one statement of this layout: a proof's wire size is
 ``len(proof_to_bytes(proof))``, counted by no formula beside it.  It
@@ -61,8 +71,10 @@ MAGIC = b"NCAP"
 #: repetition travel once, as ONE column table at the end of the payload
 #: (:func:`proof_to_bytes`); the proof objects and the transcript are v2's.
 #: v4: the column table leaves out the rows that are zero in every column
-#: (:meth:`_Writer.table`); the proof objects are v3's.
-VERSION = 4
+#: (:meth:`_Writer.table`); the proof objects are v3's.  v5: a proof whose
+#: every repetition opens at least ``num_cols`` distinct columns ends in
+#: the rows block (:meth:`_Writer.rows`) instead of the column table.
+VERSION = 5
 
 #: Structural caps.  The field has 64-bit indices, so no sumcheck runs more
 #: than 64 rounds; repetitions beyond 64 exceed any soundness target; round
@@ -73,11 +85,12 @@ MAX_REPETITIONS = 64
 MAX_ROUND_EVALS = 8
 #: A Merkle multiproof ships at most one sibling per level per query path.
 MAX_TREE_DEPTH = 64
-#: Cells (count x height) of a decoded column table.  Left-out zero rows
-#: cost one bitmap bit each, so the table can decode to more than its
-#: bytes; an honest PAPER table is at most 567 x 129 cells at every size
-#: (the commitment has 128 rows), and 2^24 leaves room for 64
-#: repetitions over tables of thousands of rows.
+#: Cells (count x height) of a decoded column table, and of a decoded
+#: rows block (height x num_cols).  Left-out zero rows cost one bitmap bit
+#: each, so either can decode to more than its bytes; an honest PAPER
+#: table is at most 567 x 129 cells at every size and an honest rows
+#: block at most 129 x 189 (the commitment has 128 rows), and 2^24 leaves
+#: room for 64 repetitions over tables of thousands of rows.
 MAX_TABLE_CELLS = 1 << 24
 
 
@@ -121,10 +134,23 @@ class _Writer:
             raise ValueError(f"opened columns of heights {sorted(heights)}: "
                              "the column table carries one")
         table = np.asarray(columns, dtype="<u8")
-        zero = ~table.any(axis=0)
-        self.u32(table.shape[1])
-        self.parts.append(np.packbits(zero, bitorder="little").tobytes())
+        zero = self._bitmap(table.T)
         self.parts.append(table[:, ~zero].tobytes())
+
+    def rows(self, message: np.ndarray) -> None:
+        """The rows block: u32 height, the bitmap of the message's zero
+        rows (as :meth:`table`'s), then the other rows' values, row by
+        row."""
+        message = np.asarray(message, dtype="<u8")
+        self.parts.append(message[~self._bitmap(message)].tobytes())
+
+    def _bitmap(self, matrix: np.ndarray) -> np.ndarray:
+        """u32 height and the zero-row bitmap of ``matrix`` (height x
+        width); returns the zero rows."""
+        zero = ~matrix.any(axis=1)
+        self.u32(len(matrix))
+        self.parts.append(np.packbits(zero, bitorder="little").tobytes())
+        return zero
 
     def getvalue(self) -> bytes:
         return b"".join(self.parts)
@@ -203,20 +229,33 @@ class _Reader:
     def table(self, what: str, n: int, heights) -> List[np.ndarray]:
         """Read the body of a :meth:`_Writer.table` of ``n`` columns whose
         height must be in ``heights``: read-only row views of one
-        ``(n, height)`` array, the left-out rows zero.  Every bound is
-        checked before the array is allocated, and each error carries
-        the offset of the bytes at fault."""
+        ``(n, height)`` array, the left-out rows zero."""
         if n == 0:
             return []
+        return list(self.zero_rows(what, n, heights, by_row=False).T)
+
+    def rows(self, width: int, heights) -> np.ndarray:
+        """Read a :meth:`_Writer.rows` block of ``width``-wide rows: the
+        read-only ``(height, width)`` message matrix."""
+        return self.zero_rows("message", width, heights, by_row=True)
+
+    def zero_rows(self, what: str, width: int, heights,
+                  by_row: bool) -> np.ndarray:
+        """A read-only ``(height, width)`` matrix whose height (one of
+        ``heights``), zero-row bitmap and live rows' values follow, the
+        values row by row if ``by_row``, else column by column (held as
+        the rows of a C-ordered transpose).  Every bound is checked
+        before the matrix is allocated, and each error carries the
+        offset of the bytes at fault."""
         at = self.pos
         h = self.u32()
         if h not in heights:
             raise DeserializationError(
                 f"{what} height {h} is not one of {sorted(heights)}",
                 offset=at)
-        if n * h > MAX_TABLE_CELLS:
+        if width * h > MAX_TABLE_CELLS:
             raise DeserializationError(
-                f"{what} table of {n} x {h} cells exceeds cap "
+                f"{what} block of {width} x {h} cells exceeds cap "
                 f"{MAX_TABLE_CELLS}", offset=at)
         bits_at = self.pos
         bits = np.unpackbits(np.frombuffer(self._take((h + 7) // 8),
@@ -227,22 +266,25 @@ class _Reader:
                 f"{what} bitmap sets padding bit {pad}", offset=self.pos - 1)
         live = np.flatnonzero(bits[:h] == 0)
         start = self.pos
-        values = np.frombuffer(self._take(8 * n * live.size),
-                               "<u8").reshape(n, live.size)
+        shape = (live.size, width) if by_row else (width, live.size)
+        values = np.frombuffer(self._take(8 * width * live.size),
+                               "<u8").reshape(shape)
         if values.size and int(values.max()) >= MODULUS:
             first = int(np.argmax(values.ravel() >= np.uint64(MODULUS)))
             raise DeserializationError(f"non-canonical element in {what}",
                                        offset=start + 8 * first)
-        dead = ~values.any(axis=0)
+        values = values if by_row else values.T     # (live, width)
+        dead = ~values.any(axis=1)
         if dead.any():
             row = int(live[np.argmax(dead)])
             raise DeserializationError(
                 f"{what} row {row} is zero in every column but its bitmap "
                 "bit is clear", offset=bits_at + row // 8)
-        table = np.zeros((n, h), np.uint64)
-        table[:, live] = values
-        table.flags.writeable = False
-        return list(table)
+        matrix = np.zeros((h, width) if by_row else (width, h), np.uint64)
+        matrix = matrix if by_row else matrix.T
+        matrix[live] = values
+        matrix.flags.writeable = False
+        return matrix
 
     def done(self) -> bool:
         return self.pos == len(self.data)
@@ -329,6 +371,50 @@ def column_table(proof: SpartanProof):
     return idx[first].tolist(), list(compress(ordered, first))
 
 
+def rows_mode(num_cols: int, opened_counts) -> bool:
+    """The payload's mode rule: the rows block iff there is a repetition
+    and each opens (``opened_counts``: its distinct query count) at least
+    ``num_cols`` columns — then each opening alone fixes every row."""
+    counts = list(opened_counts)
+    return bool(counts) and min(counts) >= num_cols
+
+
+def shipped_message(proof: SpartanProof):
+    """The message matrix the payload's rows block carries, or None when
+    the payload ends in the column table (:func:`rows_mode` decides).
+
+    Raises ``ValueError`` for a proof whose openings contradict the rule
+    (columns where the rows block goes, or a message where the table
+    does) or carry unequal messages, and for a message that is not
+    ``num_cols`` wide.  An honest proof does neither: every opening of
+    one geometry draws the same number of distinct queries, and shares
+    the one committed matrix.
+    """
+    reps = [rp.pcs_proof for rp in proof.repetitions]
+    num_cols = proof.witness_commitment.num_cols
+    rows = rows_mode(num_cols, (len(set(p.query_indices)) for p in reps))
+    for k, p in enumerate(reps):
+        if rows != (p.message is not None) or (rows and len(p.columns)):
+            carries = "no" if p.message is None else "a"
+            ends = "rows block" if rows else "column table"
+            raise ValueError(f"repetition {k} carries {carries} message and "
+                             f"{len(p.columns)} columns, but the payload "
+                             f"ends in the {ends}")
+    if not rows:
+        return None
+    message = reps[0].message
+    for k, p in enumerate(reps[1:], 1):
+        if p.message is not message and not np.array_equal(
+                np.asarray(p.message, np.uint64),
+                np.asarray(message, np.uint64)):
+            raise ValueError(f"repetition {k} carries another message than "
+                             "repetition 0")
+    if np.ndim(message) != 2 or np.shape(message)[1] != num_cols:
+        raise ValueError(f"message of shape {np.shape(message)} is not "
+                         f"{num_cols} wide")
+    return message
+
+
 def _write_repetition(w: _Writer, rp: RepetitionProof) -> None:
     w.u32(len(rp.sc1_round_evals))
     for evals in rp.sc1_round_evals:
@@ -381,9 +467,13 @@ def proof_to_bytes(proof: SpartanProof) -> bytes:
     w.u32(c.num_rows)
     w.u32(c.num_cols)
     w.u32(len(proof.repetitions))
+    message = shipped_message(proof)
     for rp in proof.repetitions:
         _write_repetition(w, rp)
-    w.table(column_table(proof)[1])
+    if message is None:
+        w.table(column_table(proof)[1])
+    else:
+        w.rows(message)
     return w.getvalue()
 
 
@@ -419,21 +509,28 @@ def proof_from_bytes(data: bytes) -> SpartanProof:
     # Each repetition carries at least the five count/value headers.
     num_reps = r.count("repetition", 4, cap=MAX_REPETITIONS)
     reps = [_read_repetition(r, commitment) for _ in range(num_reps)]
-    indices = sorted(set().union(*(rp.pcs_proof.merkle.indices
-                                   for rp in reps)))
-    # The count is bounded by the query indices already read, and the
-    # table's cells by MAX_TABLE_CELLS.
-    num_cols_opened = r.u32()
-    if num_cols_opened != len(indices):
-        raise r.fail(f"opened column count {num_cols_opened} does not match "
-                     f"{len(indices)} distinct query indices")
     # One height: commitment rows, +1 with the zk mask row.
-    table = r.table("opened column", num_cols_opened,
-                    (num_rows, num_rows + 1))
-    at = {idx: k for k, idx in enumerate(indices)}
-    for rp in reps:
-        rp.pcs_proof.columns = [table[at[i]]
-                                for i in rp.pcs_proof.merkle.indices]
+    heights = (num_rows, num_rows + 1)
+    if rows_mode(num_cols, (len(rp.pcs_proof.merkle.indices)
+                            for rp in reps)):
+        # The block's cells are bounded by MAX_TABLE_CELLS.
+        message = r.rows(num_cols, heights)
+        for rp in reps:
+            rp.pcs_proof.message = message
+    else:
+        indices = sorted(set().union(*(rp.pcs_proof.merkle.indices
+                                       for rp in reps)))
+        # The count is bounded by the query indices already read, and the
+        # table's cells by MAX_TABLE_CELLS.
+        num_cols_opened = r.u32()
+        if num_cols_opened != len(indices):
+            raise r.fail(f"opened column count {num_cols_opened} does not "
+                         f"match {len(indices)} distinct query indices")
+        table = r.table("opened column", num_cols_opened, heights)
+        at = {idx: k for k, idx in enumerate(indices)}
+        for rp in reps:
+            rp.pcs_proof.columns = [table[at[i]]
+                                    for i in rp.pcs_proof.merkle.indices]
     if not r.done():
         raise DeserializationError(
             f"{len(r.data) - r.pos} trailing bytes after proof",

@@ -238,6 +238,52 @@ class TestProofDeterminism:
                     for pk, jobs in keys] == reference
 
 
+def _counting_writer(monkeypatch):
+    """Count the proof payloads written: every envelope writes one."""
+    from repro.snark import envelope
+
+    calls = []
+    real = envelope.proof_to_bytes
+
+    def counting(proof):
+        calls.append(1)
+        return real(proof)
+
+    monkeypatch.setattr(envelope, "proof_to_bytes", counting)
+    return calls
+
+
+class TestEachEnvelopeSerializedOnce:
+    """A job's envelope is written once — by ``prove`` for its report —
+    and those bytes are the ones shipped: a pooled job returns them, and
+    ``prove_many``'s in-process rerun keeps them."""
+
+    def test_pooled_job(self, instance, monkeypatch):
+        from repro.parallel import pool
+
+        r1cs, public, witness = instance
+        pk, _ = setup(r1cs, TEST)
+        calls = _counting_writer(monkeypatch)
+        monkeypatch.setattr(pool, "_BATCH", None)
+        pool.park_batch(pk, [public], [witness])
+        seed = np.random.SeedSequence(5)
+        blob = pool.prove_job(0, seed, "x")
+        assert len(calls) == 1
+        calls.clear()
+        assert blob == prove(pk, public, witness, seed=seed,
+                             circuit_id="x").to_bytes()
+
+    def test_in_process_batch(self, instance, monkeypatch):
+        r1cs, public, witness = instance
+        pk, _ = setup(r1cs, TEST)
+        calls = _counting_writer(monkeypatch)
+        bundles = prove_many(pk, [(public, witness)] * 2, workers=1,
+                             base_seed=3)
+        assert len(calls) == 2
+        assert bundles[0].report.proof_size_bytes == sum(
+            b.size_bytes() for b in bundles)
+
+
 class TestTracedBatch:
     def test_traced_pooled_batch_gives_serial_bytes(self, instance):
         """Tracing never changes proof bytes: a pooled 2-job batch under

@@ -15,6 +15,12 @@ from repro.multilinear import eq_table, mle_eval
 from repro.pcs import OrionPCS, PCSParams
 
 
+#: ``_setup`` rows for a columns-mode opening: 64 columns, more than the
+#: 20 queries (the default 16 rows leave 16 columns, which 20 distinct
+#: queries fix, so those openings ship the message matrix instead).
+COLUMNS_MODE_ROWS = 4
+
+
 def _setup(log_n=8, rows=16, code=None, zk=True, seed=3):
     rng = np.random.default_rng(seed)
     pcs = OrionPCS(code=code or ReedSolomonCode(num_queries=20),
@@ -148,7 +154,7 @@ class TestRejections:
         assert not pcs.verify(com, point, value, bad, Transcript())
 
     def test_tampered_column(self):
-        pcs, table, point = _setup()
+        pcs, table, point = _setup(rows=COLUMNS_MODE_ROWS)
         com, state = pcs.commit(table)
         value = mle_eval(table, point)
         proof = pcs.open(state, com, point, Transcript())
@@ -158,12 +164,64 @@ class TestRejections:
         assert not pcs.verify(com, point, value, bad, Transcript())
 
     def test_swapped_columns(self):
-        pcs, table, point = _setup()
+        pcs, table, point = _setup(rows=COLUMNS_MODE_ROWS)
         com, state = pcs.commit(table)
         value = mle_eval(table, point)
         proof = pcs.open(state, com, point, Transcript())
         bad = copy.deepcopy(proof)
         bad.columns[0], bad.columns[1] = bad.columns[1], bad.columns[0]
+        assert not pcs.verify(com, point, value, bad, Transcript())
+
+    def test_opening_modes(self):
+        """An opening of at least ``num_cols`` distinct columns carries the
+        message matrix (mask row last, read-only, one object per commit)
+        and no columns; one of fewer carries its columns."""
+        for rows, mode in ((16, "rows"), (COLUMNS_MODE_ROWS, "columns")):
+            pcs, table, point = _setup(rows=rows)
+            com, state = pcs.commit(table)
+            proofs = [pcs.open(state, com, point, Transcript())
+                      for _ in range(2)]
+            distinct = len(proofs[0].merkle.indices)
+            assert (distinct >= com.num_cols) == (mode == "rows")
+            for proof in proofs:
+                if mode == "rows":
+                    assert proof.columns == []
+                    assert proof.message is state.matrix
+                    assert proof.message.shape == (com.num_rows + 1,
+                                                   com.num_cols)
+                    assert not proof.message.flags.writeable
+                else:
+                    assert proof.message is None
+                    assert len(proof.columns) == distinct
+                assert pcs.verify(com, point, mle_eval(table, point), proof,
+                                  Transcript())
+
+    @pytest.mark.parametrize("edit", ["bump", "swap-rows", "drop-mask-row",
+                                      "widen", "non-canonical", "columns",
+                                      "not-a-matrix"])
+    def test_tampered_message(self, edit):
+        pcs, table, point = _setup()
+        com, state = pcs.commit(table)
+        value = mle_eval(table, point)
+        proof = pcs.open(state, com, point, Transcript())
+        message = np.array(proof.message)
+        columns = []
+        if edit == "bump":
+            message[1, 2] = (int(message[1, 2]) + 1) % MODULUS
+        elif edit == "swap-rows":
+            message[[0, 1]] = message[[1, 0]]
+        elif edit == "drop-mask-row":
+            message = message[:-1]
+        elif edit == "widen":
+            message = np.hstack([message, message[:, :1]])
+        elif edit == "non-canonical":
+            message[0, 0] = MODULUS
+        elif edit == "columns":    # a rows-mode opening carries none
+            columns = [pcs.code.encode_rows(message)[:, i]
+                       for i in proof.merkle.indices]
+        else:
+            message = message[0]
+        bad = dataclasses.replace(proof, message=message, columns=columns)
         assert not pcs.verify(com, point, value, bad, Transcript())
 
     def test_wrong_root(self):
@@ -267,7 +325,7 @@ class TestMalformedProofs:
         assert not pcs.verify(com, point, value, bad, Transcript())
 
     def test_dropped_column(self):
-        pcs, table, point = _setup()
+        pcs, table, point = _setup(rows=COLUMNS_MODE_ROWS)
         com, state = pcs.commit(table)
         value = mle_eval(table, point)
         proof = pcs.open(state, com, point, Transcript())
@@ -295,7 +353,7 @@ class TestMalformedProofs:
         assert not pcs.verify(com, point, value, bad, Transcript())
 
     def test_truncated_column(self):
-        pcs, table, point = _setup()
+        pcs, table, point = _setup(rows=COLUMNS_MODE_ROWS)
         com, state = pcs.commit(table)
         value = mle_eval(table, point)
         proof = pcs.open(state, com, point, Transcript())
@@ -408,6 +466,10 @@ def _mutate(part, openings, j, pcs, com):
             nodes.append(b"\x00" * 32)
         proof = dataclasses.replace(
             proof, merkle=dataclasses.replace(proof.merkle, nodes=nodes))
+    elif part == "message":
+        message = np.array(proof.message)
+        message[0] = _bumped(message[0])
+        proof = dataclasses.replace(proof, message=message)
     elif part in ("shared-column", "unshared-column"):
         owners = _column_owners(openings)
         shared = part == "shared-column"
@@ -428,14 +490,41 @@ _PARTS = ("proximity-row", "eval-row", "query-index", "merkle-node",
           "shared-column", "value")
 
 
+@functools.lru_cache(maxsize=None)
+def _column_openings(name):
+    """``_paper_openings(name)`` in columns mode: each opening's message
+    replaced by the columns it fixes, ``Enc(M)[:, merkle.indices]`` —
+    one read-only object per codeword index, shared by the openings as a
+    decoded column table shares them.  The verifier accepts exactly what
+    it accepts of the rows-mode openings."""
+    pcs, com, openings = _paper_openings(name)
+    return pcs, com, _as_columns(pcs, openings)
+
+
+def _as_columns(pcs, openings):
+    codewords = pcs.code.encode_rows(np.asarray(openings[0][2].message))
+    codewords.flags.writeable = False
+    shared = {}
+    out = []
+    for pt, v, proof, tr in openings:
+        columns = [shared.setdefault(i, codewords[:, i])
+                   for i in proof.merkle.indices]
+        out.append((pt, v, dataclasses.replace(proof, columns=columns,
+                                               message=None), tr))
+    return tuple(out)
+
+
 class TestVerifyOpenings:
     """``verify_openings`` on the three openings of a PAPER proof gives
-    the verdict of checking each opening alone.  ``litmus`` and
-    ``synthetic_r1cs(12)`` open every codeword column (16 and 64) in
-    every repetition, so only ``sha`` (251 distinct of 567) has a column
-    that one repetition opens alone and Merkle siblings to tamper with;
-    on those two a changed row can re-draw its queries and still fit the
-    multiproof, which leaves the encoded-row checks alone to catch it."""
+    the verdict of checking each opening alone.  The decoded openings are
+    in rows mode (each opens at least C distinct columns); the column
+    parts are mutated on the same openings in columns mode
+    (:func:`_column_openings`).  ``litmus`` and ``synthetic_r1cs(12)``
+    open every codeword column (16 and 64) in every repetition, so only
+    ``sha`` (251 distinct of 567) has a column that one repetition opens
+    alone and Merkle siblings to tamper with; on those two a changed row
+    can re-draw its queries and still fit the multiproof, which leaves
+    the row checks alone to catch it."""
 
     @pytest.mark.parametrize("name", ["litmus", "sha", "synthetic-2p12"])
     def test_honest_openings_accepted(self, name):
@@ -444,18 +533,51 @@ class TestVerifyOpenings:
         assert pcs.verify_openings(com, _fresh(openings))
         for pt, v, proof, tr in _fresh(openings):
             assert pcs.verify(com, pt, v, proof, tr)
-        # The decoded repetitions share column objects: identity settles
-        # those repeats.
-        first = {id(c) for c in openings[0][2].columns}
-        assert any(id(c) in first for c in openings[1][2].columns)
+        # The decoded repetitions share one read-only message object.
+        message = openings[0][2].message
+        assert not message.flags.writeable
+        assert all(p.message is message and p.columns == []
+                   for _pt, _v, p, _tr in openings)
+        # The columns-mode view of the same openings is accepted too, and
+        # identity settles the repeats of a shared column.
+        pcs, com, columns = _column_openings(name)
+        assert pcs.verify_openings(com, _fresh(columns))
+        first = {id(c) for c in columns[0][2].columns}
+        assert any(id(c) in first for c in columns[1][2].columns)
+
+    @pytest.mark.parametrize("name", ["litmus", "sha"])
+    def test_mixed_representations_reject(self, name):
+        """One representation per batch: an honest rows-mode opening next
+        to honest columns-mode ones rejects."""
+        pcs, com, openings = _paper_openings(name)
+        _, _, columns = _column_openings(name)
+        mixed = _fresh(columns[:2] + openings[2:])
+        assert pcs.verify_openings(com, mixed) is False
+
+    def test_diverging_messages_reject(self):
+        """The openings' messages: an equal copy of another type is
+        accepted, an unequal one rejected (no raise)."""
+        pcs, com, openings = _paper_openings("sha")
+        message = openings[1][2].message
+        for bump, verdict in ((False, True), (True, False)):
+            copy_ = [[int(x) for x in row] for row in message]
+            if bump:
+                copy_[0][0] = (copy_[0][0] + 1) % MODULUS
+            mutated = _fresh(openings)
+            pt, v, proof, tr = mutated[1]
+            mutated[1] = (pt, v, dataclasses.replace(proof, message=copy_),
+                          tr)
+            assert pcs.verify_openings(com, mutated) is verdict
 
     @pytest.mark.parametrize("name,part", [
         (name, part) for name in ("litmus", "sha", "synthetic-2p12")
         for part in _PARTS] + [("sha", "unshared-column")] + [
         (name, part) for name in ("litmus", "synthetic-2p12")
-        for part in ("proximity-row-requeried", "eval-row-requeried")])
+        for part in ("proximity-row-requeried", "eval-row-requeried")] + [
+        (name, "message") for name in ("litmus", "sha", "synthetic-2p12")])
     def test_one_mutated_part_rejects_as_alone(self, name, part):
-        pcs, com, openings = _paper_openings(name)
+        pcs, com, openings = (_column_openings if part.endswith("column")
+                              else _paper_openings)(name)
         j = 1
         mutated = list(_fresh(openings))
         mutated[j] = _mutate(part, mutated, j, pcs, com)
@@ -468,7 +590,7 @@ class TestVerifyOpenings:
     def test_diverging_views_of_one_column_reject(self):
         """Two repetitions' views of one shared column: an equal copy of
         another type is accepted, a differing one rejected (no raise)."""
-        pcs, com, openings = _paper_openings("sha")
+        pcs, com, openings = _column_openings("sha")
         owners = _column_owners(openings)
         proof = openings[1][2]
         k = next(k for k, idx in enumerate(proof.merkle.indices)
@@ -487,14 +609,18 @@ class TestVerifyOpenings:
 
     @pytest.mark.parametrize("name", ["litmus", "sha"])
     def test_repetition_without_the_mask_row_rejects(self, name):
-        pcs, com, openings = _paper_openings(name)
-        mutated = _fresh(openings)
-        pt, v, proof, tr = mutated[2]
-        short = dataclasses.replace(
-            proof, columns=[np.array(c[:-1]) for c in proof.columns])
-        mutated[2] = (pt, v, short, tr)
-        assert pcs.verify(com, pt, v, short, copy.copy(tr)) is False
-        assert pcs.verify_openings(com, mutated) is False
+        """Its columns, or its message, cut by the mask row."""
+        for openings_of, cut in (
+                (_column_openings, lambda p: dict(
+                    columns=[np.array(c[:-1]) for c in p.columns])),
+                (_paper_openings, lambda p: dict(message=p.message[:-1]))):
+            pcs, com, openings = openings_of(name)
+            mutated = _fresh(openings)
+            pt, v, proof, tr = mutated[2]
+            short = dataclasses.replace(proof, **cut(proof))
+            mutated[2] = (pt, v, short, tr)
+            assert pcs.verify(com, pt, v, short, copy.copy(tr)) is False
+            assert pcs.verify_openings(com, mutated) is False
 
     def test_empty_batch_and_bad_commitment(self):
         pcs, com, openings = _paper_openings("litmus")

@@ -66,6 +66,18 @@ def _vr(vk, public, proof) -> bool:
     return verify(vk, ProofBundle(proof=proof, public=public))
 
 
+def _columns_mode_proof():
+    """A TEST proof that ships its columns: 2^10 constraints commit 32
+    columns, more than the preset's 24 queries fix."""
+    from repro.workloads import synthetic_r1cs
+
+    r1cs, public, witness = synthetic_r1cs(10)
+    pk, _ = setup(r1cs, TEST)
+    proof = prove(pk, public, witness, seed=1).proof
+    assert proof.repetitions[0].pcs_proof.message is None
+    return proof
+
+
 @pytest.fixture(scope="module")
 def baseline():
     """One honest (vk, bundle, wire bytes) triple, proved once."""
@@ -215,13 +227,11 @@ class TestOpenedColumnBlock:
                 self._read(data[:cut])
             assert ei.value.offset <= cut
 
-    def test_proof_with_mixed_column_heights_cannot_be_written(self,
-                                                               baseline):
+    def test_proof_with_mixed_column_heights_cannot_be_written(self):
         """Dropping the mask row from one opened column used to parse and
         then fail ``OrionPCS.verify``; the table has one height field,
         so the writer refuses such a proof."""
-        _, bundle, wire = baseline
-        proof = proof_from_bytes(wire)
+        proof = proof_from_bytes(proof_to_bytes(_columns_mode_proof()))
         cols = proof.repetitions[0].pcs_proof.columns
         assert len(cols) > 1
         cols[-1] = cols[-1][:-1]
@@ -293,7 +303,8 @@ class TestMutators:
 
 class TestTiledCommitSoundness:
     """The verifier's rejections on a commit encoded in many tiles (the
-    encode tile forced down to one row, so a 2^12 statement takes 17)."""
+    encode tile forced down to one row, so a 2^12 statement takes 17).
+    100 queries of the 128-column commit leave it in columns mode."""
 
     @pytest.fixture(scope="class")
     def tiled(self):
@@ -308,8 +319,11 @@ class TestTiledCommitSoundness:
 
         params = SpartanParams(repetitions=1)
 
+        from repro.code import ReedSolomonCode
+
         def pcs(seed):
-            return OrionPCS(params=PCSParams(num_rows=16),
+            return OrionPCS(code=ReedSolomonCode(num_queries=100),
+                            params=PCSParams(num_rows=16),
                             rng=np.random.default_rng(seed))
 
         proofs = []

@@ -125,6 +125,30 @@ def prove_job(svc, seed, **extra):
 # Cache unit tests
 # ---------------------------------------------------------------------------
 
+class TestEnvelopeSerializedOnce:
+    def test_daemon_prove_writes_one_envelope(self, sock_path, monkeypatch):
+        """The daemon ships the envelope ``prove`` wrote for its report."""
+        from repro.service.server import Job
+        from repro.snark import ProofBundle, envelope
+
+        calls = []
+        real = envelope.proof_to_bytes
+
+        def counting(proof):
+            calls.append(1)
+            return real(proof)
+
+        monkeypatch.setattr(envelope, "proof_to_bytes", counting)
+        service = ProvingService(ServiceConfig(unix_socket=sock_path,
+                                               preset="test-fast"))
+        job = Job(job_id="j", kind="prove", circuit_id="litmus",
+                  preset="test-fast", seed=4)
+        service._run_prove(job)
+        assert len(calls) == 1
+        assert job.report["proof_size_bytes"] == len(job.envelope)
+        assert ProofBundle.from_bytes(job.envelope).circuit_id == "litmus"
+
+
 class TestLRUBytesCache:
     """The proof cache is an LRU bounded by its envelopes' bytes."""
 
@@ -199,7 +223,7 @@ class TestLRUBytesCache:
         from repro.service import cache
         from repro.snark import envelope
 
-        assert cache.ENVELOPE_VERSION == envelope.VERSION == 5
+        assert cache.ENVELOPE_VERSION == envelope.VERSION == 6
         pub = np.arange(4, dtype=np.uint64)
         current = proof_cache_key("test-fast", "sha", pub, 1)
         monkeypatch.setattr(cache, "ENVELOPE_VERSION", envelope.VERSION + 1)

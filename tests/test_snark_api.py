@@ -28,7 +28,7 @@ from repro.snark import (
     setup,
     verify,
 )
-from repro.snark.serialize import column_table
+from repro.snark.serialize import column_table, shipped_message
 
 
 def _circuit(x=3, out=35):
@@ -205,13 +205,14 @@ class TestEnvelope:
 
     def test_unknown_version(self, bundle):
         """Versions 1 (word-chain leaves), 2 (one transcript absorb per
-        gamma coefficient), 3 (opened columns once per repetition) and 4
-        (every row of the column table on the wire) are as foreign as
-        version 99: their roots, challenges or layout do not parse or
-        verify here, so they are refused at the version byte."""
+        gamma coefficient), 3 (opened columns once per repetition), 4
+        (every row of the column table on the wire) and 5 (the column
+        table where the rows block now goes) are as foreign as version
+        99: their roots, challenges or layout do not parse or verify
+        here, so they are refused at the version byte."""
         data = bytearray(bundle.to_bytes())
-        assert data[4] == 5
-        for version in (1, 2, 3, 4, 99):
+        assert data[4] == 6
+        for version in (1, 2, 3, 4, 5, 99):
             data[4] = version
             with pytest.raises(DeserializationError) as ei:
                 ProofBundle.from_bytes(bytes(data))
@@ -280,13 +281,14 @@ class TestGoldenProofBytes:
     """Proof bytes are a fixed point across commits: a change to a kernel,
     a sumcheck prover or the commit path that moves one byte fails here.
 
-    The digests pin the NCPE v5 envelope (a format change regenerates them
+    The digests pin the NCPE v6 envelope (a format change regenerates them
     on purpose; v3 re-pinned them when ``Transcript.challenge_vector``
     became one absorb per vector — with the v2 derivation patched back in,
     the same code reproduced the v2 digests for every value of
     ``table.SCALAR_TAIL``; v4 re-pinned them when the repetitions' opened
-    columns became one table, and v5 when the table left out its zero
-    rows; neither moved the proof objects:
+    columns became one table, v5 when the table left out its zero rows,
+    and v6 when an opening that fixes every row ships the rows; none
+    moved the proof objects:
     :class:`TestProofObjectsDidNotMove`).  Their only dependency outside
     this repo is numpy's ``Generator`` stream (``default_rng(seed)`` draws
     the zk mask and the synthetic instance), which numpy keeps stable
@@ -305,13 +307,13 @@ class TestGoldenProofBytes:
 
         circuit_id, circuit = build_workload("litmus")
         assert self._digest(*circuit.compile(), circuit_id) == (
-            "04b8a6a5b152bdf28e8e4bb2d29a4c1abf213ce01b16f08edfe2f7f58319d7d3")
+            "8ee7f71203b5f1909b6e3f75711efed35faaa0eebf69e0e53a7be94ae1791dfd")
 
     def test_synthetic_2p12(self):
         from repro.workloads import synthetic_r1cs
 
         assert self._digest(*synthetic_r1cs(12), "synthetic-2p12") == (
-            "2100224add5acda2fe6362278e400a2c7571e89bc0ffc45ea9e230e96f049ade")
+            "17499ad10a0881fcfb2731cf8f7be02de319b6309f6cd37d208930118b848153")
 
     def test_registry_aes(self):
         """The one registry circuit whose key stores repeated rows once
@@ -320,7 +322,7 @@ class TestGoldenProofBytes:
 
         circuit_id, circuit = build_workload("aes")
         assert self._digest(*circuit.compile(), circuit_id) == (
-            "30b81b922fb26d9815e4da3e77907fc87ca0040ff0ba1402e7caef9e8d48809a")
+            "45a8e16b5ce1d45a8d12f878a7e8bc554164953d9b392c9fafc3809c601bd758")
 
 
 REGISTRY_NAMES = ("aes", "sha", "rsa", "litmus", "auction")
@@ -329,12 +331,13 @@ REGISTRY_NAMES = ("aes", "sha", "rsa", "litmus", "auction")
 @functools.lru_cache(maxsize=None)
 def _seed7(name, preset_name):
     """``(vk, bundle)`` of ``prove(..., seed=7)`` of registry ``name`` (or
-    ``synthetic-2p12``) under a preset, built once per test session."""
+    ``synthetic-2p12`` / ``synthetic-2p16``) under a preset, built once
+    per test session."""
     from repro.workloads import synthetic_r1cs
     from repro.workloads.registry import build_workload
 
-    if name == "synthetic-2p12":
-        circuit_id, compiled = name, synthetic_r1cs(12)
+    if name.startswith("synthetic-2p"):
+        circuit_id, compiled = name, synthetic_r1cs(int(name[12:]))
     else:
         circuit_id, circuit = build_workload(name)
         compiled = circuit.compile()
@@ -343,11 +346,23 @@ def _seed7(name, preset_name):
     return vk, prove(pk, public, witness, seed=7, circuit_id=circuit_id)
 
 
+def _opened_columns(pcs_proof):
+    """The columns the verifier checks against the Merkle root, in Merkle
+    order: a columns-mode opening's own, a rows-mode opening's
+    ``Enc(message)[:, merkle.indices]``."""
+    if pcs_proof.message is None:
+        return pcs_proof.columns
+    codewords = PAPER.make_pcs().code.encode_rows(
+        np.asarray(pcs_proof.message))
+    return list(codewords[:, pcs_proof.merkle.indices].T)
+
+
 def _object_digest(proof):
     """SHA-256 of a walk of the proof OBJECT, independent of any wire
     layout: the commitment, then per repetition its round evaluations,
-    claims, combination rows, query indices, columns in Merkle order and
-    sibling digests — every value a verifier reads."""
+    claims, combination rows, query indices, columns in Merkle order (the
+    ones the verifier checks: :func:`_opened_columns`) and sibling
+    digests — every value a verifier reads."""
     h = hashlib.sha256()
 
     def ints(values):
@@ -370,16 +385,18 @@ def _object_digest(proof):
         ints(p.eval_row)
         ints(p.query_indices)
         ints(p.merkle.indices)
-        for col in p.columns:
+        for col in _opened_columns(p):
             ints(col)
         h.update(b"".join(p.merkle.nodes))
     return h.hexdigest()
 
 
 class TestProofObjectsDidNotMove:
-    """The column table is a wire change only: the proof objects of a
-    seeded PAPER prove — so the transcript and every challenge — are the
-    ones recorded before it, and a decoded envelope gives them back."""
+    """The column table and the rows block are wire changes only: the
+    proof objects of a seeded PAPER prove — so the transcript and every
+    challenge — are the ones recorded before them, and a decoded envelope
+    gives them back.  All three open in rows mode, so the walk reads the
+    columns their message fixes."""
 
     #: Recorded on the v3 envelope's code, before the column table.
     DIGESTS = {
@@ -402,16 +419,19 @@ class TestProofObjectsDidNotMove:
 
 class TestWireSize:
     """What a proof costs on the link: each opened column travels once,
-    its zero rows not at all, and the size a bundle reports is its
-    envelope's length."""
+    its zero rows not at all; an opening that fixes every row ships the
+    rows instead; and the size a bundle reports is its envelope's
+    length."""
 
-    #: ``len(prove(pk, ..., seed=7).to_bytes())`` under PAPER; with each
-    #: repetition's columns on the wire (NCPE v3) they were 627,311 /
-    #: 606,095 / 406,111 / 52,842 / 52,723 bytes, and with every row of
-    #: the column table (NCPE v4) 442,895 / 278,711 / 140,887 / 19,682 /
-    #: 19,563.
-    PAPER_ENVELOPE_BYTES = {"aes": 335_552, "sha": 151_224, "rsa": 79_980,
-                            "litmus": 11_319, "auction": 15_296}
+    #: ``len(prove(pk, ..., seed=7).to_bytes())`` under PAPER, where every
+    #: registry circuit opens in rows mode; with each repetition's columns
+    #: on the wire (NCPE v3) they were 627,311 / 606,095 / 406,111 /
+    #: 52,842 / 52,723 bytes, with every row of the column table (NCPE
+    #: v4) 442,895 / 278,711 / 140,887 / 19,682 / 19,563, and with the
+    #: column table's live rows (NCPE v5) 335,552 / 151,224 / 79,980 /
+    #: 11,319 / 15,296.
+    PAPER_ENVELOPE_BYTES = {"aes": 137_188, "sha": 52_484, "rsa": 26_216,
+                            "litmus": 5_171, "auction": 6_076}
 
     @pytest.mark.parametrize("name", REGISTRY_NAMES)
     def test_paper_envelope_length(self, name):
@@ -426,16 +446,61 @@ class TestWireSize:
         assert bundle.report.proof_size_bytes == bundle.size_bytes()
 
     def test_each_distinct_column_once(self):
-        """litmus's three repetitions open the same 16 columns: the
-        payload carries 16, and the decoded repetitions read them as
-        read-only views of one table."""
-        _, bundle = _seed7("litmus", PAPER.name)
+        """``synthetic_r1cs(16)`` (256 columns, more than 189 queries fix)
+        opens in columns mode: the payload carries each of the three
+        repetitions' distinct columns once, and a decoded repetition reads
+        a column another one opens as a read-only view of the same table
+        row."""
+        _, bundle = _seed7("synthetic-2p16", PAPER.name)
         reps = ProofBundle.from_bytes(bundle.to_bytes()).proof.repetitions
         assert len(reps) == 3
-        for k, col in enumerate(reps[0].pcs_proof.columns):
-            assert not col.flags.writeable
-            for rp in reps[1:]:
-                assert np.shares_memory(col, rp.pcs_proof.columns[k])
+        views = {}
+        shared = 0
+        for rp in reps:
+            p = rp.pcs_proof
+            assert p.message is None
+            for idx, col in zip(p.merkle.indices, p.columns, strict=True):
+                assert not col.flags.writeable
+                if idx in views:
+                    assert np.shares_memory(col, views[idx])
+                    shared += 1
+                views.setdefault(idx, col)
+        assert shared and len(views) == len(column_table(bundle.proof)[0])
+
+    def test_each_message_once(self):
+        """litmus's three repetitions each open all 16 codeword columns of
+        a 4-column message: the payload carries the message once, and the
+        decoded repetitions share it, read-only, with no columns."""
+        _, bundle = _seed7("litmus", PAPER.name)
+        reps = ProofBundle.from_bytes(bundle.to_bytes()).proof.repetitions
+        message = reps[0].pcs_proof.message
+        assert message.shape == (129, 4) and not message.flags.writeable
+        assert np.array_equal(message,
+                              bundle.proof.repetitions[0].pcs_proof.message)
+        for rp in reps:
+            assert rp.pcs_proof.message is message
+            assert rp.pcs_proof.columns == []
+
+    @pytest.mark.parametrize("name,preset,mode", [
+        ("sha", PAPER.name, "rows"),
+        ("synthetic-2p16", PAPER.name, "columns"),
+        ("synthetic-2p8", TEST.name, "rows"),
+        ("synthetic-2p10", TEST.name, "columns")])
+    def test_mode_follows_the_geometry(self, name, preset, mode):
+        """One preset, both modes: the rows block iff each opening's
+        distinct queries (min(queries, 4C)) reach the message width C —
+        PAPER's 189 queries fix ``sha``'s 64 columns and not 2^16's 256,
+        TEST's 24 fix 2^8's 16 and not 2^10's 32."""
+        vk, bundle = _seed7(name, preset)
+        com = bundle.proof.witness_commitment
+        for rp in bundle.proof.repetitions:
+            p = rp.pcs_proof
+            assert (len(p.merkle.indices) >= com.num_cols) == (mode == "rows")
+            assert (p.message is not None) == (mode == "rows")
+        decoded = ProofBundle.from_bytes(bundle.to_bytes())
+        assert (shipped_message(decoded.proof) is not None) == (mode == "rows")
+        assert _object_digest(decoded.proof) == _object_digest(bundle.proof)
+        assert verify(vk, decoded)
 
 
 def _table_at(proof, data):
@@ -449,10 +514,36 @@ def _table_at(proof, data):
     values = len(data) - 8 * n * int(table.any(axis=0).sum())
     bitmap = values - (h + 7) // 8
     at = types.SimpleNamespace(count=bitmap - 8, height=bitmap - 4,
-                               bitmap=bitmap, values=values, table=table)
+                               bitmap=bitmap, values=values, table=table,
+                               zero=~table.any(axis=0))
     assert int.from_bytes(data[at.count:at.height], "little") == n
     assert int.from_bytes(data[at.height:bitmap], "little") == h
     return at
+
+
+def _rows_at(proof, data):
+    """Offsets of the rows block's parts at the end of ``data`` (the
+    payload of a rows-mode ``proof``): its height, bitmap and value
+    block, and the message itself, ``(height, num_cols)``."""
+    import types
+
+    message = np.asarray(shipped_message(proof), dtype=np.uint64)
+    h, c = message.shape
+    zero = ~message.any(axis=1)
+    values = len(data) - 8 * c * int((~zero).sum())
+    bitmap = values - (h + 7) // 8
+    assert int.from_bytes(data[bitmap - 4:bitmap], "little") == h
+    return types.SimpleNamespace(height=bitmap - 4, bitmap=bitmap,
+                                 values=values, message=message, zero=zero)
+
+
+def _rows_relaid(data, at, zero, height=None):
+    """``data`` with its rows block laid out again over the bitmap
+    ``zero`` and, if given, another height field."""
+    h = len(at.message) if height is None else height
+    return (data[:at.height] + h.to_bytes(4, "little")
+            + np.packbits(zero, bitorder="little").tobytes()
+            + at.message[~zero].astype("<u8").tobytes())
 
 
 def _relaid(data, at, zero, height=None):
@@ -472,9 +563,10 @@ class TestColumnTable:
 
     @staticmethod
     def _payload():
-        """PAPER litmus payload (16 columns of 129 rows, 65 of them zero
-        in every column) and its table's offsets."""
-        _, bundle = _seed7("litmus", PAPER.name)
+        """TEST ``sha`` payload (512 columns, more than 24 queries fix: 24
+        columns of 17 rows, rows 9-15 zero in every column) and its
+        table's offsets."""
+        _, bundle = _seed7("sha", TEST.name)
         data = proof_to_bytes(bundle.proof)
         return bundle, data, _table_at(bundle.proof, data)
 
@@ -513,12 +605,12 @@ class TestColumnTable:
         cut = _relaid(data, at, ~at.table.any(axis=0), height=rows)
         proof = proof_from_bytes(cut)
         assert len(proof.repetitions[0].pcs_proof.columns[0]) == rows
-        vk, _ = _seed7("litmus", PAPER.name)
+        vk, _ = _seed7("sha", TEST.name)
         assert not verify(vk, ProofBundle(proof=proof, public=bundle.public,
-                                          preset_name=PAPER.name))
+                                          preset_name=TEST.name))
 
     def test_set_padding_bit(self):
-        """129 rows leave 7 padding bits in the bitmap's last byte."""
+        """17 rows leave 7 padding bits in the bitmap's last byte."""
         _, data, at = self._payload()
         buf = bytearray(data)
         buf[at.values - 1] |= 0x80
@@ -527,16 +619,16 @@ class TestColumnTable:
         assert ei.value.offset == at.values - 1
 
     def test_unset_zero_row(self):
-        """Row 3 is zero in every column; sent as 16 zeros with its bit
+        """Row 9 is zero in every column; sent as 24 zeros with its bit
         clear, it is a second encoding of the same proof."""
         _, data, at = self._payload()
         zero = ~at.table.any(axis=0)
-        assert zero[3]
-        zero[3] = False
+        assert zero[9]
+        zero[9] = False
         with pytest.raises(DeserializationError,
-                           match="row 3 is zero in every column") as ei:
+                           match="row 9 is zero in every column") as ei:
             proof_from_bytes(_relaid(data, at, zero))
-        assert ei.value.offset == at.bitmap
+        assert ei.value.offset == at.bitmap + 1
 
     def test_set_live_row(self):
         """A live row marked zero (and left out) is a well-formed table
@@ -546,9 +638,9 @@ class TestColumnTable:
         assert not zero[0]
         zero[0] = True
         proof = proof_from_bytes(_relaid(data, at, zero))
-        vk, _ = _seed7("litmus", PAPER.name)
+        vk, _ = _seed7("sha", TEST.name)
         assert not verify(vk, ProofBundle(proof=proof, public=bundle.public,
-                                          preset_name=PAPER.name))
+                                          preset_name=TEST.name))
 
     def test_non_canonical_element(self):
         _, data, at = self._payload()
@@ -563,8 +655,8 @@ class TestColumnTable:
     def test_count_other_than_the_union(self):
         _, data, at = self._payload()
         buf = bytearray(data)
-        buf[at.count:at.height] = (15).to_bytes(4, "little")
-        with pytest.raises(DeserializationError, match="16 distinct") as ei:
+        buf[at.count:at.height] = (23).to_bytes(4, "little")
+        with pytest.raises(DeserializationError, match="24 distinct") as ei:
             proof_from_bytes(bytes(buf))
         assert ei.value.offset == at.height
 
@@ -574,7 +666,7 @@ class TestColumnTable:
         ``ValueError``, whatever the repetitions disagree on."""
         import copy
 
-        bundle, _, _ = self._payload()
+        _, bundle = _seed7("synthetic-2p16", PAPER.name)
 
         def refused(edit, match):
             proof = copy.deepcopy(bundle.proof)
@@ -587,18 +679,237 @@ class TestColumnTable:
                     write()
                 assert str(raised.value) == str(sent.value)
 
+        def repeated(reps, j):
+            """Where repetition j's columns hold one an earlier one opens."""
+            earlier = set().union(*(rp.pcs_proof.merkle.indices
+                                    for rp in reps[:j]))
+            return next(k for k, idx in enumerate(reps[j].pcs_proof.merkle
+                                                  .indices) if idx in earlier)
+
         def bump(reps):
-            col = reps[1].pcs_proof.columns[4].copy()
+            k = repeated(reps, 1)
+            col = reps[1].pcs_proof.columns[k].copy()
             col[0] = (int(col[0]) + 1) % MODULUS
-            reps[1].pcs_proof.columns[4] = col
+            reps[1].pcs_proof.columns[k] = col
 
         def cut(reps):           # a repeated column of another length
-            reps[2].pcs_proof.columns[4] = reps[2].pcs_proof.columns[4][:-1]
+            k = repeated(reps, 2)
+            reps[2].pcs_proof.columns[k] = reps[2].pcs_proof.columns[k][:-1]
 
         refused(bump, "repetition 1 opens a column at index .* other values")
         refused(lambda reps: reps[2].pcs_proof.columns.pop(),
                 "distinct query indices")
         refused(cut, "repetition 2 opens a column at index .* other values")
+
+
+class TestRowsBlock:
+    """The strict reader over the rows block — one error, at its offset,
+    per rule the canonical encoding keeps — and the writer's refusal of a
+    proof whose openings contradict the mode rule or disagree on the
+    message."""
+
+    @staticmethod
+    def _payload():
+        """PAPER litmus payload (a 129 x 4 message, 65 of its rows zero,
+        row 3 among them) and its rows block's offsets."""
+        _, bundle = _seed7("litmus", PAPER.name)
+        data = proof_to_bytes(bundle.proof)
+        return bundle, data, _rows_at(bundle.proof, data)
+
+    def test_round_trip(self):
+        bundle, data, at = self._payload()
+        assert at.message.shape == (129, 4) and int(at.zero.sum()) == 65
+        assert at.values == len(data) - 8 * 4 * 64
+        decoded = proof_from_bytes(data)
+        assert np.array_equal(decoded.repetitions[0].pcs_proof.message,
+                              at.message)
+        assert proof_to_bytes(decoded) == data
+        assert _rows_relaid(data, at, at.zero) == data
+
+    def test_truncated_block(self):
+        _, data, at = self._payload()
+        for cut, offset in ((len(data) - 8, at.values),
+                            (at.values - 1, at.bitmap),
+                            (at.height + 2, at.height)):
+            with pytest.raises(DeserializationError,
+                               match="truncated") as ei:
+                proof_from_bytes(data[:cut])
+            assert ei.value.offset == offset
+
+    def test_trailing_bytes(self):
+        _, data, _ = self._payload()
+        with pytest.raises(DeserializationError, match="trailing") as ei:
+            proof_from_bytes(data + b"\x01" * 8)
+        assert ei.value.offset == len(data)
+
+    def test_height_outside_the_geometry(self):
+        bundle, data, at = self._payload()
+        rows = bundle.proof.witness_commitment.num_rows
+        for h in (0, rows - 1, rows + 2):
+            buf = bytearray(data)
+            buf[at.height:at.bitmap] = h.to_bytes(4, "little")
+            with pytest.raises(DeserializationError,
+                               match="message height") as ei:
+                proof_from_bytes(bytes(buf))
+            assert ei.value.offset == at.height
+
+    def test_message_of_the_other_allowed_height(self):
+        """A block laid out at ``num_rows`` (the mask row cut) parses, and
+        the verifier, whose preset masks, refuses it."""
+        bundle, data, at = self._payload()
+        rows = bundle.proof.witness_commitment.num_rows
+        at.message = at.message[:rows]
+        proof = proof_from_bytes(
+            _rows_relaid(data, at, at.zero[:rows], height=rows))
+        assert proof.repetitions[0].pcs_proof.message.shape == (rows, 4)
+        vk, _ = _seed7("litmus", PAPER.name)
+        assert not verify(vk, ProofBundle(proof=proof, public=bundle.public,
+                                          preset_name=PAPER.name))
+
+    def test_set_padding_bit(self):
+        _, data, at = self._payload()
+        buf = bytearray(data)
+        buf[at.values - 1] |= 0x80
+        with pytest.raises(DeserializationError, match="padding") as ei:
+            proof_from_bytes(bytes(buf))
+        assert ei.value.offset == at.values - 1
+
+    def test_unset_zero_row(self):
+        _, data, at = self._payload()
+        zero = at.zero.copy()
+        assert zero[3]
+        zero[3] = False
+        with pytest.raises(DeserializationError,
+                           match="message row 3 is zero") as ei:
+            proof_from_bytes(_rows_relaid(data, at, zero))
+        assert ei.value.offset == at.bitmap
+
+    def test_set_live_row(self):
+        """A live row marked zero (and left out) is a well-formed block of
+        another message: it parses, and the Merkle check refuses it."""
+        bundle, data, at = self._payload()
+        zero = at.zero.copy()
+        assert not zero[0]
+        zero[0] = True
+        proof = proof_from_bytes(_rows_relaid(data, at, zero))
+        vk, _ = _seed7("litmus", PAPER.name)
+        assert not verify(vk, ProofBundle(proof=proof, public=bundle.public,
+                                          preset_name=PAPER.name))
+
+    def test_non_canonical_element(self):
+        _, data, at = self._payload()
+        pos = at.values + 8 * 5
+        buf = bytearray(data)
+        buf[pos:pos + 8] = MODULUS.to_bytes(8, "little")
+        with pytest.raises(DeserializationError,
+                           match="non-canonical element in message") as ei:
+            proof_from_bytes(bytes(buf))
+        assert ei.value.offset == pos
+
+    def test_block_beyond_the_cell_cap_refused_before_allocating(self):
+        from repro.snark.serialize import MAX_TABLE_CELLS, _Reader
+
+        assert 4097 * 4096 > MAX_TABLE_CELLS
+        r = _Reader((4096).to_bytes(4, "little"))
+        with pytest.raises(DeserializationError, match="exceeds cap") as ei:
+            r.rows(4097, (4096,))
+        assert ei.value.offset == 0
+
+    def test_writer_refuses_a_contradicting_proof(self):
+        """A proof the payload cannot carry has no bytes and so no size:
+        a repetition carrying another message, columns beside the
+        message, no message where the rows block goes, a message where
+        the column table goes, a message of the wrong width."""
+        import copy
+
+        _, rows_bundle = _seed7("litmus", PAPER.name)
+        _, cols_bundle = _seed7("synthetic-2p16", PAPER.name)
+
+        def refused(bundle, edit, match):
+            proof = copy.deepcopy(bundle.proof)
+            edit([rp.pcs_proof for rp in proof.repetitions])
+            with pytest.raises(ValueError, match=match) as sent:
+                proof_to_bytes(proof)
+            labelled = dataclasses.replace(bundle, proof=proof, report=None)
+            with pytest.raises(ValueError) as raised:
+                labelled.size_bytes()
+            assert str(raised.value) == str(sent.value)
+
+        def other(pcs):
+            message = np.array(pcs[0].message)
+            message[0, 0] = (int(message[0, 0]) + 1) % MODULUS
+            pcs[2].message = message
+
+        def columns(pcs):
+            pcs[1].columns = list(_opened_columns(pcs[1]))
+
+        def drop(pcs):
+            pcs[0].message = None
+
+        def stray(pcs):
+            pcs[1].message = np.zeros((129, 256), np.uint64)
+
+        def widen(pcs):
+            wide = np.hstack([pcs[0].message, pcs[0].message])
+            for p in pcs:
+                p.message = wide
+
+        refused(rows_bundle, other,
+                "repetition 2 carries another message")
+        refused(rows_bundle, columns,
+                "repetition 1 carries a message and 16 columns, but the "
+                "payload ends in the rows block")
+        refused(rows_bundle, drop,
+                "repetition 0 carries no message .* rows block")
+        refused(cols_bundle, stray,
+                "repetition 1 carries a message .* column table")
+        refused(rows_bundle, widen, "is not 4 wide")
+
+
+class TestRowsModeDifferential:
+    """A rows-mode proof is accepted exactly when the same proof in
+    columns mode — each opening's message replaced by the columns it
+    fixes, ``Enc(M)[:, merkle.indices]`` — is: single-value edits of the
+    message get one verdict either way (docs/PROTOCOL.md, §6b)."""
+
+    @staticmethod
+    def _verdicts(vk, bundle, row, col, delta):
+        import copy
+
+        proof = copy.deepcopy(bundle.proof)
+        message = np.array(proof.repetitions[0].pcs_proof.message)
+        message[row % len(message), col % message.shape[1]] = (
+            int(message[row % len(message), col % message.shape[1]])
+            + delta) % MODULUS
+        for rp in proof.repetitions:
+            rp.pcs_proof.message = message
+        as_rows = verify(vk, dataclasses.replace(bundle, proof=proof,
+                                                 report=None))
+        for rp in proof.repetitions:
+            p = rp.pcs_proof
+            p.columns, p.message = list(_opened_columns(p)), None
+        as_columns = verify(vk, dataclasses.replace(bundle, proof=proof,
+                                                    report=None))
+        return as_rows, as_columns
+
+    @pytest.mark.parametrize("name,preset", [
+        ("synthetic-2p8", TEST.name), ("litmus", PAPER.name),
+        ("sha", PAPER.name)])
+    def test_message_edits_match_the_columns_verdict(self, name, preset):
+        from hypothesis import given, settings, strategies as st
+
+        vk, bundle = _seed7(name, preset)
+        assert bundle.proof.repetitions[0].pcs_proof.message is not None
+        assert self._verdicts(vk, bundle, 0, 0, 0) == (True, True)
+
+        @settings(max_examples=12, deadline=None)
+        @given(st.integers(0, 1 << 16), st.integers(0, 1 << 16),
+               st.integers(1, MODULUS - 1))
+        def edit(row, col, delta):
+            assert self._verdicts(vk, bundle, row, col, delta) == (False,
+                                                                   False)
+
+        edit()
 
 
 def _zero_circuit():
@@ -611,25 +922,29 @@ def _zero_circuit():
 
 
 class TestZeroRows:
-    """Rows zero in every opened column stay off the wire, and every
-    decoded object is the proved one: interior zero rows, a witness of
-    zeros (only the mask row travels, or nothing without one), a table
-    of ``num_rows`` rows, and the TEST preset."""
+    """Rows zero in every opened column (or message row, in rows mode)
+    stay off the wire, and every decoded object is the proved one:
+    interior zero rows, a witness of zeros (only the mask row travels,
+    or nothing without one), a block of ``num_rows`` rows, and the TEST
+    preset."""
 
     @staticmethod
     def _round_trip(proof, public=None, preset=None):
         """Encode and decode ``proof``: the objects come back equal.
-        Returns the payload's table."""
+        Returns the payload's column table or rows block (``zero`` marks
+        the rows left out)."""
         data = proof_to_bytes(proof)
         decoded = proof_from_bytes(data)
         assert _object_digest(decoded) == _object_digest(proof)
         assert proof_to_bytes(decoded) == data
-        return _table_at(proof, data)
+        if shipped_message(proof) is None:
+            return _table_at(proof, data)
+        return _rows_at(proof, data)
 
     def test_litmus_interior_zero_rows(self):
         vk, bundle = _seed7("litmus", PAPER.name)
         at = self._round_trip(bundle.proof)
-        zero = ~at.table.any(axis=0)
+        zero = at.zero
         assert int(zero.sum()) == 65
         assert zero[3] and not zero[4]          # a zero row between live ones
         assert bundle.size_bytes() == len(bundle.to_bytes())
@@ -643,7 +958,7 @@ class TestZeroRows:
         bundle = prove(pk, public, witness, seed=7)
         at = self._round_trip(bundle.proof)
         rows = bundle.proof.witness_commitment.num_rows
-        assert np.flatnonzero(at.table.any(axis=0)).tolist() == [rows]
+        assert np.flatnonzero(~at.zero).tolist() == [rows]
         assert bundle.size_bytes() == len(bundle.to_bytes())
         assert verify(vk, ProofBundle.from_bytes(bundle.to_bytes()))
 
@@ -665,10 +980,10 @@ class TestZeroRows:
             proof = SpartanProver(r1cs, pcs(), params).prove(public, witness)
             at = self._round_trip(proof)
             rows = proof.witness_commitment.num_rows
-            assert at.table.shape[1] == rows
+            assert len(at.zero) == rows
             assert SpartanVerifier(r1cs, pcs(), params).verify(
                 public, proof_from_bytes(proof_to_bytes(proof)))
-        assert not at.table.any() and at.values == len(proof_to_bytes(proof))
+        assert at.zero.all() and at.values == len(proof_to_bytes(proof))
 
     @pytest.mark.parametrize("name", ["litmus", "sha"])
     def test_test_preset(self, name):
@@ -690,7 +1005,8 @@ class TestVerifierHashesEachColumnOnce:
 
         vk, bundle = _seed7(name, PAPER.name)
         decoded = ProofBundle.from_bytes(bundle.to_bytes())
-        assert len(column_table(decoded.proof)[0]) == distinct
+        assert len(set().union(*(rp.pcs_proof.merkle.indices for rp
+                                 in decoded.proof.repetitions))) == distinct
         leaves = []
         real = hashlib.sha3_256
 
@@ -711,14 +1027,17 @@ class TestWitnessIsNotHidden:
     codeword columns of ONE repetition of a PAPER proof determine the
     committed witness rows.  Each row is encoded as the degree-< C
     polynomial whose coefficients are the row, evaluated at w^j on the
-    4C-point NTT domain, and C distinct opened columns pin it down.  This
-    pins the leak as it stands; a change that makes the proofs
-    zero-knowledge must make these tests fail."""
+    4C-point NTT domain, and C distinct opened columns pin it down.  An
+    opening of at least C distinct columns therefore ships the message
+    matrix itself (rows mode), which is no more than its columns reveal:
+    the committed rows in the clear.  This pins the leak as it stands; a
+    change that makes the proofs zero-knowledge must make these tests
+    fail."""
 
     @staticmethod
-    def _opened(name):
-        """(committed witness matrix, {codeword index: opened column}) of
-        the first repetition of a seeded PAPER proof of registry ``name``."""
+    def _proof(name):
+        """(committed witness matrix, first repetition's opening) of a
+        seeded PAPER proof of registry ``name``."""
         from repro.workloads.registry import build_workload
 
         circuit_id, circuit = build_workload(name)
@@ -729,8 +1048,20 @@ class TestWitnessIsNotHidden:
         com = proof.witness_commitment
         rows = r1cs.split_z(r1cs.assemble_z(public, witness))[1].reshape(
             com.num_rows, com.num_cols)
-        pcs = proof.repetitions[0].pcs_proof
-        return rows, dict(zip(pcs.merkle.indices, pcs.columns))
+        return rows, proof.repetitions[0].pcs_proof
+
+    @classmethod
+    def _opened(cls, name):
+        """(committed witness matrix, {codeword index: opened column}),
+        the columns the first repetition fixes."""
+        rows, pcs = cls._proof(name)
+        return rows, dict(zip(pcs.merkle.indices, _opened_columns(pcs)))
+
+    @pytest.mark.parametrize("name", ["litmus", "sha"])
+    def test_rows_mode_ships_the_witness_rows(self, name):
+        rows, pcs = self._proof(name)
+        assert pcs.message is not None and rows.any()
+        assert np.array_equal(pcs.message[:len(rows)], rows)
 
     def test_litmus_every_column_opened_one_inverse_ntt_per_row(self):
         from repro.ntt.radix2 import intt

@@ -9,10 +9,14 @@ random byte mutations, and asserts the trichotomy on every mutant:
 * rejected by the verifier (``verify -> False``), or
 * NOTHING ELSE: no other exception may escape, and no mutant may verify.
 
-Two passes: the toy circuits under the TEST preset (one repetition), and
-registry ``litmus`` and ``sha`` under PAPER (three repetitions), whose
-repetitions open shared columns of one commitment — ``litmus`` opens all
-16 columns in each, ``sha`` ~250 distinct of 567 — so the column mutators
+Two passes: the toy circuits and registry ``litmus`` under the TEST
+preset (one repetition), and registry ``litmus`` and ``sha`` and
+``synthetic_r1cs(16)`` under PAPER (three repetitions).  The toy circuits
+and the two PAPER registry circuits open at least as many distinct
+columns as their message is wide, so their payloads end in the rows
+block (the ``rows_*`` mutators edit it); TEST ``litmus`` (32 columns, 24
+queries) and PAPER 2^16 (256 columns, 189 queries) ship their columns,
+and 2^16's three repetitions share some of them, so the column mutators
 there edit a column of the proof's shared column table.
 
 A machine-readable report is written to ``--out`` (default
@@ -57,7 +61,8 @@ from repro.snark import (
     setup,
     verify,
 )
-from repro.snark.serialize import column_table
+from repro.snark.serialize import shipped_message
+from repro.workloads import synthetic_r1cs
 from repro.workloads.registry import build_workload
 
 
@@ -101,10 +106,16 @@ CIRCUITS = {
     "cubic": circuit_cubic,
     "linear": circuit_linear,
     "mulchain": circuit_mulchain,
+    "litmus": lambda: build_workload("litmus")[1],
 }
 
-#: Registry circuits of the PAPER pass (three repetitions).
-PAPER_CIRCUITS = ("litmus", "sha")
+#: Statements of the PAPER pass (three repetitions): two registry
+#: circuits in rows mode, and 2^16 in columns mode.
+PAPER_CIRCUITS = {
+    "litmus": lambda: build_workload("litmus")[1].compile(),
+    "sha": lambda: build_workload("sha")[1].compile(),
+    "synthetic-2p16": lambda: synthetic_r1cs(16),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +195,15 @@ def baselines(compiled: dict, preset, seed: int):
     return targets
 
 
+def _opened(proof) -> dict:
+    reps = [rp.pcs_proof for rp in proof.repetitions]
+    distinct = set().union(*(p.merkle.indices for p in reps))
+    return {"opened": sum(len(p.merkle.indices) for p in reps),
+            "distinct": len(distinct),
+            "ships": ("column table" if shipped_message(proof) is None
+                      else "rows block")}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0,
@@ -216,10 +236,9 @@ def main(argv=None) -> int:
         total += len(mutants)
         print(f"  {name}: {len(mutants)} mutants")
 
-    # PAPER pass: three repetitions share one column table.
+    # PAPER pass: three repetitions share one message or column table.
     print(f"PAPER pass: {', '.join(PAPER_CIRCUITS)} (3 repetitions) ...")
-    compiled = {name: build_workload(name)[1].compile()
-                for name in PAPER_CIRCUITS}
+    compiled = {name: build() for name, build in PAPER_CIRCUITS.items()}
     paper_targets = baselines(compiled, PAPER, args.seed)
     if paper_targets is None:
         return 2
@@ -232,10 +251,12 @@ def main(argv=None) -> int:
             classify(vk, public, m, paper_tally, failures)
         paper_total += len(mutants)
         print(f"  {name}: {len(mutants)} mutants")
-    (vka, pa, da), (_, _, db) = paper_targets.values()
-    for m in splice_mutants(da, db, rng):
-        classify(vka, pa, m, paper_tally, failures)
-        paper_total += 1
+    # Splices: rows mode into rows mode, and columns mode into rows mode.
+    paper = list(paper_targets.values())
+    for (vka, pa, da), (_, _, db) in zip(paper, paper[1:]):
+        for m in splice_mutants(da, db, rng):
+            classify(vka, pa, m, paper_tally, failures)
+            paper_total += 1
     for mutator, counts in paper_tally.items():
         bucket = tally.setdefault(mutator, dict.fromkeys(counts, 0))
         for k, v in counts.items():
@@ -299,15 +320,12 @@ def main(argv=None) -> int:
         "paper_pass": {
             "preset": PAPER.name,
             "circuits": list(paper_targets),
-            # Columns the repetitions open, and how many are distinct
-            # (the rows of the payload's column table).
+            # Columns the repetitions open, how many are distinct, and
+            # what the payload ships: those columns once (the column
+            # table) or the message they fix (the rows block).
             "opened_columns": {
-                name: {"opened": sum(len(rp.pcs_proof.columns)
-                                     for rp in proof.repetitions),
-                       "distinct": len(column_table(proof)[0])}
-                for name, proof in ((name, proof_from_bytes(data))
-                                    for name, (_, _, data)
-                                    in paper_targets.items())},
+                name: _opened(proof_from_bytes(data))
+                for name, (_, _, data) in paper_targets.items()},
             "total_mutants": paper_total,
             "per_mutator": paper_tally,
         },
