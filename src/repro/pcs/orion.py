@@ -22,17 +22,21 @@ response, so those responses reveal no row of M (protocol-5 masking).
 The opened columns are not masked, so the scheme is not zero-knowledge
 yet: any C opened columns return every row (docs/PROTOCOL.md, §6).
 
-Rows mode: a row is a degree-< C polynomial, so an opening that queries
-at least C distinct columns already determines every committed row.
-Such an opening carries the message matrix M itself (``message``, mask
-row last) instead of its columns, and the verifier encodes M, hashes the
-queried columns of Enc(M) and checks each combination row in message
-space.  It reveals nothing its columns did not: M is what C opened
-columns decode to.  The rule reads only the opening's distinct query
-count (min(queries, blowup * C)), so PAPER's registry circuits (C <= 128
-< 189 queries) open in rows mode and 2^16 and up (C >= 256) in columns
-mode; a hiding variant whose message is wider than its query count
-never enters it.
+Rows mode (an opening by disclosure): when the message is no wider
+than the column query count (:func:`rows_mode`, read off the geometry
+before any challenge), a sampled column check would ask about columns the
+verifier can compute in full.  Such an opening is the committed message
+matrix M itself (``message``, mask row last) and nothing else: no
+proximity rows, evaluation row, query indices or multiproof, and no
+transcript absorb.  The verifier encodes M, rebuilds the Merkle root from
+every column of Enc(M) and refuses unless it is the commitment's, then
+evaluates eq(q_row)^T M itself.  Binding rests on the hash's collision
+resistance alone, with no column-sampling error.  It reveals nothing the
+earlier rows mode did not: that opening shipped M too, and C opened
+columns decode to it.  PAPER's registry circuits (C <= 128 <= 189
+queries) open in rows mode and 2^16 and up (C >= 256) in columns mode; a
+hiding variant whose message is wider than its query count never enters
+it.
 
 The full Orion scheme additionally compresses this proof with an inner
 SNARK ("proof composition"); prover-side cost is unchanged, so the
@@ -45,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -132,29 +136,45 @@ class _ProverState:
         return stacked
 
 
+def rows_mode(num_cols: int, queries: int) -> bool:
+    """The one mode rule, read by the prover, the verifier and the wire
+    format: an opening of a ``num_cols``-wide message under ``queries``
+    column queries is the message itself iff ``num_cols <= queries``.
+    It reads the geometry only, so both sides know the mode before any
+    challenge and a proof has one representation."""
+    return num_cols <= queries
+
+
 @dataclass
 class OrionEvalProof:
     """Everything the verifier needs beyond the commitment and the claim.
 
-    All opened columns share ONE Merkle multiproof: sibling digests common
-    to several query paths ship once, which both shrinks the proof and
-    removes the per-query path-building loop from ``open``.  ``columns``
-    is ordered by ``merkle.indices`` (sorted, deduplicated); the raw
-    transcript query order is kept in ``query_indices`` for the lockstep
-    Fiat-Shamir check.
+    Columns mode: all opened columns share ONE Merkle multiproof: sibling
+    digests common to several query paths ship once, which both shrinks
+    the proof and removes the per-query path-building loop from ``open``.
+    ``columns`` is ordered by ``merkle.indices`` (sorted, deduplicated);
+    the raw transcript query order is kept in ``query_indices`` for the
+    lockstep Fiat-Shamir check.
 
-    An opening of at least ``num_cols`` distinct columns is in rows mode:
-    ``message`` is the committed ``(rows [+1 mask], cols)`` message
-    matrix, which fixes every opened column, and ``columns`` is empty.
-    Otherwise ``message`` is None.
+    Rows mode (:func:`rows_mode`): ``message`` is the committed
+    ``(rows [+1 mask], cols)`` message matrix and every other field is
+    empty.  In columns mode ``message`` is None.
     """
 
-    proximity_rows: List[np.ndarray]   # u_k = gamma_k^T M (+ mask)
-    eval_row: np.ndarray               # u = eq(q_row)^T M
-    query_indices: List[int]
-    columns: List[np.ndarray]          # opened codeword columns (incl. mask row)
-    merkle: MerkleMultiProof
-    message: Optional[np.ndarray] = None   # rows mode: M, mask row last
+    proximity_rows: List[np.ndarray] = field(default_factory=list)
+    eval_row: Optional[np.ndarray] = None      # u = eq(q_row)^T M
+    query_indices: List[int] = field(default_factory=list)
+    columns: List[np.ndarray] = field(default_factory=list)  # incl. mask row
+    merkle: Optional[MerkleMultiProof] = None
+    message: Optional[np.ndarray] = None       # rows mode: M, mask row last
+
+    def disclosed(self) -> bool:
+        """True for a rows-mode opening: a message and nothing else."""
+        return (self.message is not None and self.eval_row is None
+                and self.merkle is None
+                and all(isinstance(part, list) and not part for part in
+                        (self.proximity_rows, self.query_indices,
+                         self.columns)))
 
 
 class OrionPCS:
@@ -209,7 +229,9 @@ class OrionPCS:
     def open(self, state: _ProverState, commitment: OrionCommitment,
              point: Sequence[int], transcript: Transcript, *,
              eval_row: Optional[np.ndarray] = None) -> OrionEvalProof:
-        """Produce an evaluation proof for P~(point); mutates the transcript.
+        """Produce an evaluation proof for P~(point); in columns mode it
+        mutates the transcript, in rows mode (:func:`rows_mode`) it is the
+        committed message and the transcript is untouched.
 
         ``eval_row`` (optional) is :meth:`eval_row`'s result for this
         state and point, computed by the caller beforehand; it must be a
@@ -225,6 +247,9 @@ class OrionPCS:
                 and eval_row.dtype == np.uint64 and eval_row.shape == (cols,)):
             raise ValueError(f"eval_row must be a uint64 array of shape "
                              f"({cols},)")
+        if rows_mode(cols, self.code.num_queries):
+            # The opening is the message: the transcript is left alone.
+            return OrionEvalProof(message=state.matrix)
         transcript.absorb_digest(b"pcs/root", commitment.root)
 
         with _span("pcs.open", "other", rows=rows, cols=cols):
@@ -250,10 +275,6 @@ class OrionPCS:
                 b"pcs/queries", self.code.num_queries, codeword_len)
             with _span("merkle.open", "merkle", queries=len(indices)):
                 multiproof = open_many(state.tree, indices)
-                if len(multiproof.indices) >= cols:
-                    # Rows mode: the opened columns fix every row.
-                    return OrionEvalProof(proximity_rows, eval_row, indices,
-                                          [], multiproof, state.matrix)
                 opened = state.codewords[:, multiproof.indices]
                 columns = [np.ascontiguousarray(opened[:, k])
                            for k in range(opened.shape[1])]
@@ -284,28 +305,18 @@ class OrionPCS:
         """Check evaluation proofs of ONE commitment, each opening a
         ``(point, value, proof, transcript)``; True only if all hold.
 
-        Each opening replays :meth:`open`'s transcript in lockstep on its
-        own transcript, with every structural check before the first
-        absorb.  Then every opening's checks run, with the work they share
-        done once: each distinct opened column is validated and
+        Rows mode (:func:`rows_mode`) is :meth:`_verify_disclosed`.  In
+        columns mode each opening replays :meth:`open`'s transcript in
+        lockstep on its own transcript, with every structural check before
+        the first absorb.  Then every opening's checks run, with the work
+        they share done once: each distinct opened column is validated and
         leaf-hashed once and each multiproof checked against those
-        digests.  Two openings that open one index must open it with
-        equal values: an honest proof always does (one committed codeword
-        matrix), and unequal values cannot both match one Merkle leaf
-        (docs/PROTOCOL.md).
-
-        The openings are all in columns mode or all in rows mode.  In
-        columns mode all claimed rows are encoded in one tiled call and
-        each opening's proximity and evaluation combinations of its
-        columns come from one :func:`~repro.field.vector.vecmat`.  In rows
-        mode the one message matrix (openings carrying unequal ones
-        reject) is validated once and its non-zero rows encoded once; the
-        queried columns of that encoding are what the Merkle check
-        hashes, and each opening's combinations are checked in message
-        space, ``u_k == gamma_k^T M``.  That accepts exactly what the
-        columns-mode check accepts for the columns ``Enc(M)[:, indices]``
-        when an opening has at least ``num_cols`` distinct queries
-        (docs/PROTOCOL.md, §6b).
+        digests; all claimed rows are encoded in one tiled call, and each
+        opening's proximity and evaluation combinations of its columns
+        come from one :func:`~repro.field.vector.vecmat`.  Two openings
+        that open one index must open it with equal values: an honest
+        proof always does (one committed codeword matrix), and unequal
+        values cannot both match one Merkle leaf (docs/PROTOCOL.md).
 
         The proofs come from an untrusted prover: a malformed one is
         answered with ``False`` — never an ``IndexError``, a broadcast
@@ -316,6 +327,8 @@ class OrionPCS:
         rows, cols = commitment.num_rows, commitment.num_cols
         if rows != self.params.rows_for(commitment.table_len):
             return False  # geometry must match the verifier's parameters
+        if rows_mode(cols, self.code.num_queries):
+            return self._verify_disclosed(commitment, openings)
         replayed = []
         for point, _value, proof, transcript in openings:
             claims = self._replay(commitment, point, proof, transcript)
@@ -325,16 +338,8 @@ class OrionPCS:
         if not replayed:
             return True
         proofs = [proof for _point, _value, proof, _tr in openings]
-        message = proofs[0].message
-        if any((p.message is None) != (message is None) for p in proofs):
-            return False    # one representation for the batch
         distinct = sorted(set().union(*(p.merkle.indices for p in proofs)))
-        if message is None:
-            opened = self._opened_columns(proofs, distinct, rows)
-        else:
-            message = self._shared_message(proofs, rows, cols)
-            opened = None if message is None else \
-                self._encoded_columns(message, distinct, cols)
+        opened = self._opened_columns(proofs, distinct, rows)
         if opened is None:
             return False
         height = len(opened)
@@ -348,42 +353,83 @@ class OrionPCS:
                                proof.merkle, codeword_len):
                 return False
 
-        # Columns mode: every claimed row of every opening in one tiled
-        # encode; opening j's rows are codes[j * per:(j + 1) * per], its
-        # evaluation row last.
+        # Every claimed row of every opening in one tiled encode; opening
+        # j's rows are codes[j * per:(j + 1) * per], its evaluation row last.
         per = self.params.num_proximity_vectors + 1
-        if message is None:
-            codes = self._encode_tiles(
-                [np.stack([u for claimed, _g in replayed for u in claimed])],
-                cols)
+        codes = self._encode_tiles(
+            [np.stack([u for claimed, _g in replayed for u in claimed])],
+            cols)
         coeffs = np.zeros((per, height), dtype=np.uint64)
         coeffs[:-1, rows:] = 1      # the mask row enters each proximity row
         for j, ((point, value, proof, _tr), (claimed, gammas)) in \
                 enumerate(zip(openings, replayed)):
             row_point, _col_point = self._split_point(point, rows)
             coeffs[:, :rows] = gammas + [eq_table(row_point)]
-            # Proximity and evaluation consistency: at every query at once,
-            # or of the whole row in rows mode.
-            if message is None:
-                qidx = np.asarray(proof.merkle.indices, dtype=np.int64)
-                cols_at = [at[i] for i in proof.merkle.indices]
-                if (codes[j * per:(j + 1) * per, qidx]
-                        != fv.vecmat(coeffs, opened[:, cols_at])).any():
-                    return False
-            elif (np.stack(claimed) != fv.vecmat(coeffs, message)).any():
+            # Proximity and evaluation consistency at every query at once.
+            qidx = np.asarray(proof.merkle.indices, dtype=np.int64)
+            cols_at = [at[i] for i in proof.merkle.indices]
+            if (codes[j * per:(j + 1) * per, qidx]
+                    != fv.vecmat(coeffs, opened[:, cols_at])).any():
                 return False
             # Finally, the claimed value must follow from the evaluation row.
-            if (not isinstance(value, (int, np.integer))
-                    or isinstance(value, bool)):
-                return False
-            if self.evaluate_from_row(claimed[-1], point, rows) != \
-                    int(value) % MODULUS:
+            if not self._claim_holds(claimed[-1], point, value, rows):
                 return False
         return True
 
+    def _verify_disclosed(self, commitment: OrionCommitment,
+                          openings: Sequence[tuple]) -> bool:
+        """Rows mode: every opening is the one message matrix M (openings
+        carrying unequal ones reject).  M is validated once and its
+        non-zero rows encoded once; the Merkle tree over every column of
+        that encoding must have the commitment's root, so a message other
+        than the committed one is a hash collision.  Each claimed value is
+        then ``eq(q_row)^T M`` completed by :meth:`evaluate_from_row`, for
+        all openings in one :func:`~repro.field.vector.vecmat`.  Nothing
+        is sampled and the transcripts are not read (docs/PROTOCOL.md,
+        §6b)."""
+        rows, cols = commitment.num_rows, commitment.num_cols
+        proofs = []
+        for point, _value, proof, _tr in openings:
+            if (1 << len(point)) != commitment.table_len:
+                return False
+            if not (isinstance(proof, OrionEvalProof) and proof.disclosed()):
+                return False
+            proofs.append(proof)
+        if not proofs:
+            return True
+        message = self._shared_message(proofs, rows, cols)
+        if message is None:
+            return False
+        live = message.any(axis=1)
+        codewords = np.zeros((len(message), self.code.codeword_length(cols)),
+                             dtype=np.uint64)
+        if live.any():
+            codewords[live] = self._encode_tiles([message[live]], cols)
+        with _span("merkle.build", "merkle", leaves=codewords.shape[1]):
+            if MerkleTree.from_columns(codewords).root != commitment.root:
+                return False
+        coeffs = np.array([eq_table(self._split_point(point, rows)[0])
+                           for point, _v, _p, _tr in openings],
+                          dtype=np.uint64)
+        for (point, value, _p, _tr), row in zip(
+                openings, fv.vecmat(coeffs, message[:rows])):
+            if not self._claim_holds(row, point, value, rows):
+                return False
+        return True
+
+    def _claim_holds(self, eval_row: np.ndarray, point: Sequence[int],
+                     value, rows: int) -> bool:
+        """The claimed value is a plain integer and follows from the
+        evaluation row."""
+        if not isinstance(value, (int, np.integer)) or isinstance(value,
+                                                                  bool):
+            return False
+        return (self.evaluate_from_row(eval_row, point, rows)
+                == int(value) % MODULUS)
+
     @staticmethod
     def _opened_columns(proofs, distinct, rows) -> Optional[np.ndarray]:
-        """Columns mode: the ``(height, len(distinct))`` matrix of the
+        """The ``(height, len(distinct))`` matrix of the
         batch's opened columns, each validated once, or None to reject.
         One column height for the batch (rows, + 1 with the mask row,
         read off the first column): the wire carries no other, and a
@@ -409,7 +455,7 @@ class OrionPCS:
 
     @staticmethod
     def _shared_message(proofs, rows, cols) -> Optional[np.ndarray]:
-        """Rows mode: the batch's one message matrix, validated once
+        """The batch's one message matrix, validated once
         (``(rows [+1 mask], cols)``, canonical), or None when it is
         malformed or an opening carries an unequal one."""
         given = proofs[0].message
@@ -432,29 +478,18 @@ class OrionPCS:
                 return None
         return message
 
-    def _encoded_columns(self, message: np.ndarray, distinct,
-                         cols: int) -> np.ndarray:
-        """Rows mode: ``Enc(message)[:, distinct]``, encoding only the
-        non-zero rows (a zero row encodes to zeros)."""
-        live = message.any(axis=1)
-        opened = np.zeros((len(message), len(distinct)), dtype=np.uint64)
-        if live.any():
-            opened[live] = self._encode_tiles([message[live]],
-                                              cols)[:, distinct]
-        return opened
-
     def _replay(self, commitment: OrionCommitment, point: Sequence[int],
                 proof: OrionEvalProof, transcript: Transcript
                 ) -> Optional[tuple]:
-        """One opening's structural checks and transcript replay, in
-        :meth:`open`'s order: ``(claimed rows, gammas)`` (the proximity
-        rows then the evaluation row, validated), or None to reject.  A
-        rows-mode opening carries no columns; a columns-mode one a column
-        per distinct query."""
+        """One columns-mode opening's structural checks and transcript
+        replay, in :meth:`open`'s order: ``(claimed rows, gammas)`` (the
+        proximity rows then the evaluation row, validated), or None to
+        reject.  The opening carries no message and a column per distinct
+        query."""
         rows, cols = commitment.num_rows, commitment.num_cols
         if (1 << len(point)) != commitment.table_len:
             return None
-        if not isinstance(proof, OrionEvalProof):
+        if not isinstance(proof, OrionEvalProof) or proof.message is not None:
             return None
         # Count checks first: the proximity loop length and every absorbed
         # array must be attacker-independent before challenges are derived.
@@ -486,8 +521,7 @@ class OrionPCS:
             return None
         if proof.merkle.indices != sorted(set(indices)):
             return None
-        opened = 0 if proof.message is not None else len(proof.merkle.indices)
-        if len(proof.columns) != opened:
+        if len(proof.columns) != len(proof.merkle.indices):
             return None
         return claimed, gammas
 

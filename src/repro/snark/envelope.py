@@ -10,7 +10,8 @@ own::
           | preset-id   u8 length + utf-8 bytes   (must name a known preset)
           | circuit-id  u8 length + utf-8 bytes   (may be empty)
           | public      u32 count + canonical u64 field elements
-          | payload     u32 length + proof bytes (serialize.proof_to_bytes)
+          | payload     u32 length + proof bytes (serialize.proof_to_bytes,
+          |             in the mode the preset's column query count gives)
 
 Parsing is strict, mirroring the proof parser: every length is
 bounds-checked before allocation, unknown versions and unknown preset ids
@@ -42,7 +43,13 @@ MAGIC = b"NCPE"
 #: message matrix — instead of the column table when every repetition
 #: opens at least ``num_cols`` distinct columns; the transcript, and so
 #: every challenge, is v5's.  No v5 reader is kept.
-VERSION = 6
+#: v7: the payload (proof format v6) is in rows mode exactly when the
+#: message is no wider than the preset's column query count, and then
+#: each opening is the message alone: no PCS part travels and the PCS
+#: transcript is not used.  The Spartan transcript, and so every sumcheck
+#: message, is v6's, and a columns-mode payload is v6's but its version
+#: byte.  No v6 reader is kept.
+VERSION = 7
 
 #: Preset ids are short registry keys; circuit ids are free-form labels.
 MAX_PRESET_ID_BYTES = 64
@@ -78,7 +85,9 @@ def bundle_to_bytes(bundle) -> bytes:
     w.u8(len(circuit_id))
     w.parts.append(circuit_id)
     w.array(bundle.public)
-    payload = proof_to_bytes(bundle.proof)
+    payload = proof_to_bytes(bundle.proof,
+                             column_queries=_column_queries(
+                                 bundle.preset_name))
     w.u32(len(payload))
     w.parts.append(payload)
     return w.getvalue()
@@ -112,13 +121,23 @@ def bundle_from_bytes(data: bytes):
     public = r.array("public inputs")
     payload_len = r.count("proof payload", 1)
     payload = r._take(payload_len)
-    proof = proof_from_bytes(payload)
+    proof = proof_from_bytes(
+        payload, column_queries=PRESETS[preset_name].column_queries)
     if not r.done():
         raise DeserializationError(
             f"{len(r.data) - r.pos} trailing bytes after envelope",
             offset=r.pos)
     return ProofBundle(proof=proof, public=public,
                        preset_name=preset_name, circuit_id=circuit_id)
+
+
+def _column_queries(preset_name: str) -> int:
+    """The column query count of the preset a bundle names: the payload's
+    mode follows from it (``ConfigError``, a ``ValueError``, for a name
+    no preset has)."""
+    from .params import preset_by_name
+
+    return preset_by_name(preset_name).column_queries
 
 
 def _read_label(r: _Reader, what: str, cap: int) -> str:

@@ -8,36 +8,42 @@ length-prefixed throughout (u32 counts, u64 field elements)::
           | commitment  root(32) table_len u64 num_rows u32 num_cols u32
           | repetitions u32 count, each:
           |     sumcheck-1 rounds, va vb vc, sumcheck-2 rounds + finals,
-          |     w_eval, proximity rows, evaluation row, query indices,
-          |     Merkle sibling digests
-          | either the column table: u32 count, u32 height,
+          |     w_eval, and in columns mode the PCS part: proximity rows,
+          |     evaluation row, query indices, Merkle sibling digests
+          | columns mode: the column table: u32 count, u32 height,
           |     zero-row bitmap, count x live u64 values column by column
-          | or the rows block: u32 height, zero-row bitmap,
+          | rows mode: the rows block: u32 height, zero-row bitmap,
           |     live x num_cols u64 values row by row
 
-Every repetition opens columns of the ONE witness commitment, so a column
-two repetitions both query travels once: the table holds the sorted union
-of the repetitions' distinct query indices, and each repetition's columns
-are read back as views of it — the query indices already on the wire say
-which, so the table carries no indices of its own.  Every column has the
-one height, and a row that is zero in every column (a padding row of the
-committed table encodes to zeros) is a set bit of the ⌈height/8⌉-byte
-bitmap, not ``count`` zero elements: only the ``live`` unset rows travel.
-The bitmap is canonical — its padding bits are clear, and an unset row
-holds a non-zero element — so every proof has one encoding.  A table of
-no columns is its count alone.
+A sumcheck's rounds are a u32 round count, then per round a u32
+evaluation count and the evaluations; every round of one sumcheck has the
+same count, so the rounds move as one block of packed records.
 
-When every repetition opens at least ``num_cols`` distinct columns, those
-columns fix every committed row (a row is a degree-< ``num_cols``
-polynomial), so the payload ends in the rows block instead: the message
-matrix the openings share (:attr:`OrionEvalProof.message`), its zero
-rows a bitmap under the same rule (a message row is zero exactly when its
-codeword row is).  The mode is no flag: the reader derives it from the
-query indices it has already read, so a proof still has one encoding.
+The mode is :func:`~repro.pcs.orion.rows_mode` of the commitment's width
+and the preset's column query count (``column_queries``; the envelope
+names the preset), so it is no flag and a proof has one encoding.
+
+Columns mode: every repetition opens columns of the ONE witness
+commitment, so a column two repetitions both query travels once: the
+table holds the sorted union of the repetitions' distinct query indices,
+and each repetition's columns are read back as views of it — the query
+indices already on the wire say which, so the table carries no indices
+of its own.  Every column has the one height, and a row that is zero in
+every column (a padding row of the committed table encodes to zeros) is
+a set bit of the ⌈height/8⌉-byte bitmap, not ``count`` zero elements:
+only the ``live`` unset rows travel.  The bitmap is canonical — its
+padding bits are clear, and an unset row holds a non-zero element — so
+every proof has one encoding.  A table of no columns is its count alone.
+
+Rows mode: each opening is the committed message matrix
+(:attr:`OrionEvalProof.message`), so a repetition carries no PCS part and
+the payload ends in the rows block, the one message the repetitions
+share, its zero rows a bitmap under the same rule.
 
 The writer is the one statement of this layout: a proof's wire size is
 ``len(proof_to_bytes(proof))``, counted by no formula beside it.  It
-packs whole arrays (a vector, a repetition's query indices or digests).
+packs whole arrays (a vector, a sumcheck's rounds, a repetition's query
+indices or digests).
 
 The reader side is a *strict* parser: proof bytes come from an untrusted
 prover, so every length prefix is bounds-checked against the remaining
@@ -57,10 +63,11 @@ from typing import List
 
 import numpy as np
 
+from ..code.reed_solomon import DEFAULT_QUERIES
 from ..errors import DeserializationError
 from ..field.goldilocks import MODULUS
 from ..hashing.merkle import MerkleMultiProof
-from ..pcs.orion import OrionCommitment, OrionEvalProof
+from ..pcs.orion import OrionCommitment, OrionEvalProof, rows_mode
 from ..spartan.protocol import RepetitionProof, SpartanProof
 
 MAGIC = b"NCAP"
@@ -74,7 +81,9 @@ MAGIC = b"NCAP"
 #: (:meth:`_Writer.table`); the proof objects are v3's.  v5: a proof whose
 #: every repetition opens at least ``num_cols`` distinct columns ends in
 #: the rows block (:meth:`_Writer.rows`) instead of the column table.
-VERSION = 5
+#: v6: the mode follows from the geometry (:func:`rows_mode`), and a
+#: rows-mode repetition carries no PCS part — its opening is the message.
+VERSION = 6
 
 #: Structural caps.  The field has 64-bit indices, so no sumcheck runs more
 #: than 64 rounds; repetitions beyond 64 exceed any soundness target; round
@@ -92,6 +101,12 @@ MAX_TREE_DEPTH = 64
 #: block at most 129 x 189 (the commitment has 128 rows), and 2^24 leaves
 #: room for 64 repetitions over tables of thousands of rows.
 MAX_TABLE_CELLS = 1 << 24
+
+
+def _round_records(evaluations: int) -> np.dtype:
+    """One sumcheck round on the wire, as a packed record: u32 count,
+    then that many u64 evaluations."""
+    return np.dtype([("count", "<u4"), ("evals", "<u8", (evaluations,))])
 
 
 class _Writer:
@@ -119,6 +134,22 @@ class _Writer:
         arr = np.asarray(values, dtype=dtype)
         self.u32(arr.size)
         self.parts.append(arr.tobytes())
+
+    def rounds(self, rounds) -> None:
+        """A sumcheck's rounds: u32 round count, then one block of
+        :func:`_round_records`.  Rounds of unequal lengths raise
+        ``ValueError``: every round of one sumcheck sends one degree."""
+        self.u32(len(rounds))
+        if not rounds:
+            return
+        lengths = {len(evals) for evals in rounds}
+        if len(lengths) != 1:
+            raise ValueError(f"sumcheck rounds of {sorted(lengths)} "
+                             "evaluations: the wire carries one length")
+        records = np.empty(len(rounds), _round_records(lengths.pop()))
+        records["count"] = records["evals"].shape[1]
+        records["evals"] = rounds
+        self.parts.append(records.tobytes())
 
     def table(self, columns) -> None:
         """A column table: u32 count, then (unless empty) u32 height, the
@@ -214,6 +245,35 @@ class _Reader:
         if expected is not None and n != expected:
             raise self.fail(f"{what}: expected {expected} elements, got {n}")
         return [self.field(what) for _ in range(n)]
+
+    def rounds(self, what: str) -> List[List[int]]:
+        """Read a :meth:`_Writer.rounds` block: at most
+        :data:`MAX_SUMCHECK_ROUNDS` rounds of one length, at most
+        :data:`MAX_ROUND_EVALS` canonical evaluations each."""
+        n = self.count(what, 4, cap=MAX_SUMCHECK_ROUNDS)
+        if not n:
+            return []
+        at = self.pos
+        k = struct.unpack_from("<I", self.data, at)[0]
+        if k > MAX_ROUND_EVALS:
+            raise DeserializationError(f"{what} has {k} evaluations",
+                                       offset=at)
+        records = _round_records(k)
+        block = np.frombuffer(self._take(n * records.itemsize), records)
+        other = block["count"] != k
+        if other.any():
+            i = int(np.argmax(other))
+            raise DeserializationError(
+                f"{what} {i} has {block['count'][i]} evaluations, round 0 "
+                f"has {k}", offset=at + i * records.itemsize)
+        evals = block["evals"]
+        if evals.size and int(evals.max()) >= MODULUS:
+            i, j = divmod(int(np.argmax(evals.ravel() >= np.uint64(MODULUS))),
+                          k)
+            raise DeserializationError(
+                f"non-canonical {what} evaluation",
+                offset=at + i * records.itemsize + 4 + 8 * j)
+        return evals.tolist()
 
     def array(self, what: str = "field array",
               expected: int | None = None) -> np.ndarray:
@@ -371,37 +431,36 @@ def column_table(proof: SpartanProof):
     return idx[first].tolist(), list(compress(ordered, first))
 
 
-def rows_mode(num_cols: int, opened_counts) -> bool:
-    """The payload's mode rule: the rows block iff there is a repetition
-    and each opens (``opened_counts``: its distinct query count) at least
-    ``num_cols`` columns — then each opening alone fixes every row."""
-    counts = list(opened_counts)
-    return bool(counts) and min(counts) >= num_cols
-
-
-def shipped_message(proof: SpartanProof):
+def shipped_message(proof: SpartanProof, column_queries: int):
     """The message matrix the payload's rows block carries, or None when
-    the payload ends in the column table (:func:`rows_mode` decides).
+    the payload ends in the column table: :func:`rows_mode` of the
+    commitment's width and ``column_queries`` decides.
 
     Raises ``ValueError`` for a proof whose openings contradict the rule
-    (columns where the rows block goes, or a message where the table
-    does) or carry unequal messages, and for a message that is not
-    ``num_cols`` wide.  An honest proof does neither: every opening of
-    one geometry draws the same number of distinct queries, and shares
-    the one committed matrix.
+    (a PCS part or no message where the rule says rows mode, a message
+    where it says columns mode) or carry unequal messages, for a message
+    that is not ``num_cols`` wide, and for a rows-mode proof of no
+    repetitions.  An honest proof does neither:
+    the prover reads the same rule, and its openings share the one
+    committed matrix.
     """
     reps = [rp.pcs_proof for rp in proof.repetitions]
     num_cols = proof.witness_commitment.num_cols
-    rows = rows_mode(num_cols, (len(set(p.query_indices)) for p in reps))
+    rows = rows_mode(num_cols, column_queries)
     for k, p in enumerate(reps):
-        if rows != (p.message is not None) or (rows and len(p.columns)):
-            carries = "no" if p.message is None else "a"
+        if rows != (p.message is not None) or (rows and not p.disclosed()):
+            carries = ("no message" if p.message is None else
+                       "a message and a PCS part" if rows else "a message")
             ends = "rows block" if rows else "column table"
-            raise ValueError(f"repetition {k} carries {carries} message and "
-                             f"{len(p.columns)} columns, but the payload "
-                             f"ends in the {ends}")
+            raise ValueError(f"repetition {k} carries {carries}, but a "
+                             f"{num_cols}-column message under "
+                             f"{column_queries} column queries ends the "
+                             f"payload in the {ends}")
     if not rows:
         return None
+    if not reps:
+        raise ValueError("a proof of no repetitions has no message for the "
+                         "rows block")
     message = reps[0].message
     for k, p in enumerate(reps[1:], 1):
         if p.message is not message and not np.array_equal(
@@ -415,49 +474,43 @@ def shipped_message(proof: SpartanProof):
     return message
 
 
-def _write_repetition(w: _Writer, rp: RepetitionProof) -> None:
-    w.u32(len(rp.sc1_round_evals))
-    for evals in rp.sc1_round_evals:
-        w.array(evals)
+def _write_repetition(w: _Writer, rp: RepetitionProof, pcs: bool) -> None:
+    w.rounds(rp.sc1_round_evals)
     w.u64(rp.va)
     w.u64(rp.vb)
     w.u64(rp.vc)
-    w.u32(len(rp.sc2.round_evals))
-    for evals in rp.sc2.round_evals:
-        w.array(evals)
+    w.rounds(rp.sc2.round_evals)
     w.array(rp.sc2.final_values)
     w.u64(rp.w_eval)
-    _write_pcs_proof(w, rp.pcs_proof)
+    if pcs:
+        _write_pcs_proof(w, rp.pcs_proof)
 
 
-def _read_repetition(r: _Reader, c: OrionCommitment) -> RepetitionProof:
+def _read_repetition(r: _Reader, c: OrionCommitment,
+                     pcs: bool) -> RepetitionProof:
+    """One repetition; its PCS part only in columns mode (``pcs``), else
+    an empty opening the rows block fills in."""
     from ..multilinear.sumcheck import SumcheckProof
 
-    sc1 = []
-    for _ in range(r.count("sumcheck-1 round", 4, cap=MAX_SUMCHECK_ROUNDS)):
-        evals = r.fields("sumcheck-1 round")
-        if len(evals) > MAX_ROUND_EVALS:
-            raise r.fail(f"sumcheck-1 round has {len(evals)} evaluations")
-        sc1.append(evals)
+    sc1 = r.rounds("sumcheck-1 round")
     va = r.field("va")
     vb = r.field("vb")
     vc = r.field("vc")
-    sc2_rounds = []
-    for _ in range(r.count("sumcheck-2 round", 4, cap=MAX_SUMCHECK_ROUNDS)):
-        evals = r.fields("sumcheck-2 round")
-        if len(evals) > MAX_ROUND_EVALS:
-            raise r.fail(f"sumcheck-2 round has {len(evals)} evaluations")
-        sc2_rounds.append(evals)
+    sc2_rounds = r.rounds("sumcheck-2 round")
     sc2_finals = r.fields("sumcheck-2 final values")
     w_eval = r.field("witness evaluation")
-    pcs_proof = _read_pcs_proof(r, c)
+    pcs_proof = _read_pcs_proof(r, c) if pcs else OrionEvalProof()
     return RepetitionProof(sc1, va, vb, vc,
                            SumcheckProof(sc2_rounds, sc2_finals),
                            w_eval, pcs_proof)
 
 
-def proof_to_bytes(proof: SpartanProof) -> bytes:
-    """Serialize a proof to its wire format."""
+def proof_to_bytes(proof: SpartanProof, *,
+                   column_queries: int = DEFAULT_QUERIES) -> bytes:
+    """Serialize a proof to its wire format.  ``column_queries`` is the
+    query count of the preset that made it (the default code's, 189, is
+    PAPER's); the payload's mode follows from it
+    (:func:`shipped_message`)."""
     w = _Writer()
     w.parts.append(MAGIC)
     w.u8(VERSION)
@@ -467,9 +520,9 @@ def proof_to_bytes(proof: SpartanProof) -> bytes:
     w.u32(c.num_rows)
     w.u32(c.num_cols)
     w.u32(len(proof.repetitions))
-    message = shipped_message(proof)
+    message = shipped_message(proof, column_queries)
     for rp in proof.repetitions:
-        _write_repetition(w, rp)
+        _write_repetition(w, rp, pcs=message is None)
     if message is None:
         w.table(column_table(proof)[1])
     else:
@@ -477,8 +530,10 @@ def proof_to_bytes(proof: SpartanProof) -> bytes:
     return w.getvalue()
 
 
-def proof_from_bytes(data: bytes) -> SpartanProof:
-    """Strictly parse a proof from its wire format.
+def proof_from_bytes(data: bytes, *,
+                     column_queries: int = DEFAULT_QUERIES) -> SpartanProof:
+    """Strictly parse a proof from its wire format; ``column_queries``
+    as for :func:`proof_to_bytes`.
 
     Raises :class:`~repro.errors.DeserializationError` (a ``ValueError``
     subclass) on any malformed input; a successful return guarantees
@@ -506,13 +561,14 @@ def proof_from_bytes(data: bytes) -> SpartanProof:
                      f"cover table length {table_len}")
     commitment = OrionCommitment(root=root, table_len=table_len,
                                  num_rows=num_rows, num_cols=num_cols)
+    disclosed = rows_mode(num_cols, column_queries)
     # Each repetition carries at least the five count/value headers.
     num_reps = r.count("repetition", 4, cap=MAX_REPETITIONS)
-    reps = [_read_repetition(r, commitment) for _ in range(num_reps)]
+    reps = [_read_repetition(r, commitment, pcs=not disclosed)
+            for _ in range(num_reps)]
     # One height: commitment rows, +1 with the zk mask row.
     heights = (num_rows, num_rows + 1)
-    if rows_mode(num_cols, (len(rp.pcs_proof.merkle.indices)
-                            for rp in reps)):
+    if disclosed:
         # The block's cells are bounded by MAX_TABLE_CELLS.
         message = r.rows(num_cols, heights)
         for rp in reps:

@@ -186,7 +186,7 @@ class TestCommands:
         code = main(["verify", str(tampered)])
         assert code in (EXIT_DESERIALIZATION_ERROR, EXIT_VERIFICATION_ERROR)
 
-        for retired in (1, 2, 3, 4, 5):  # a valid envelope relabelled as an old format
+        for retired in (1, 2, 3, 4, 5, 6):  # a valid envelope relabelled as an old format
             raw = bytearray(bundle.read_bytes())
             raw[4] = retired
             old = tmp_path / f"v{retired}.proof"

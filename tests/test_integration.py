@@ -30,7 +30,10 @@ class TestAllWorkloadsProve:
         pk, vk = setup(r1cs, TEST)
         bundle = prove(pk, public, witness, seed=1, circuit_id=circuit_id)
         assert verify(vk, bundle), name
-        restored = proof_from_bytes(proof_to_bytes(bundle.proof))
+        queries = TEST.column_queries
+        restored = proof_from_bytes(
+            proof_to_bytes(bundle.proof, column_queries=queries),
+            column_queries=queries)
         assert verify(vk, ProofBundle(proof=restored,
                                       public=bundle.public)), name
 

@@ -245,9 +245,9 @@ def _counting_writer(monkeypatch):
     calls = []
     real = envelope.proof_to_bytes
 
-    def counting(proof):
+    def counting(proof, **kwargs):
         calls.append(1)
-        return real(proof)
+        return real(proof, **kwargs)
 
     monkeypatch.setattr(envelope, "proof_to_bytes", counting)
     return calls

@@ -16,8 +16,8 @@ from repro.pcs import OrionPCS, PCSParams
 
 
 #: ``_setup`` rows for a columns-mode opening: 64 columns, more than the
-#: 20 queries (the default 16 rows leave 16 columns, which 20 distinct
-#: queries fix, so those openings ship the message matrix instead).
+#: 20 queries (the default 16 rows leave 16 columns, no more than 20
+#: queries, so those openings are the message matrix instead).
 COLUMNS_MODE_ROWS = 4
 
 
@@ -134,7 +134,7 @@ class TestRejections:
         assert not pcs.verify(com, other, value, proof, Transcript())
 
     def test_tampered_eval_row(self):
-        pcs, table, point = _setup()
+        pcs, table, point = _setup(rows=COLUMNS_MODE_ROWS)
         com, state = pcs.commit(table)
         value = mle_eval(table, point)
         proof = pcs.open(state, com, point, Transcript())
@@ -144,7 +144,7 @@ class TestRejections:
         assert not pcs.verify(com, point, value, bad, Transcript())
 
     def test_tampered_proximity_row(self):
-        pcs, table, point = _setup()
+        pcs, table, point = _setup(rows=COLUMNS_MODE_ROWS)
         com, state = pcs.commit(table)
         value = mle_eval(table, point)
         proof = pcs.open(state, com, point, Transcript())
@@ -173,55 +173,83 @@ class TestRejections:
         assert not pcs.verify(com, point, value, bad, Transcript())
 
     def test_opening_modes(self):
-        """An opening of at least ``num_cols`` distinct columns carries the
-        message matrix (mask row last, read-only, one object per commit)
-        and no columns; one of fewer carries its columns."""
+        """A message no wider than the query count opens by disclosure:
+        the opening is the message matrix alone (mask row last, read-only,
+        one object per commit) and leaves the transcript untouched.  A
+        wider one carries its PCS part and columns."""
+        from repro.pcs.orion import rows_mode
+
         for rows, mode in ((16, "rows"), (COLUMNS_MODE_ROWS, "columns")):
             pcs, table, point = _setup(rows=rows)
             com, state = pcs.commit(table)
-            proofs = [pcs.open(state, com, point, Transcript())
-                      for _ in range(2)]
-            distinct = len(proofs[0].merkle.indices)
-            assert (distinct >= com.num_cols) == (mode == "rows")
-            for proof in proofs:
+            assert rows_mode(com.num_cols, pcs.code.num_queries) == (
+                mode == "rows")
+            transcripts = [Transcript() for _ in range(2)]
+            proofs = [pcs.open(state, com, point, tr) for tr in transcripts]
+            for proof, tr in zip(proofs, transcripts):
                 if mode == "rows":
-                    assert proof.columns == []
+                    assert proof.disclosed()
                     assert proof.message is state.matrix
                     assert proof.message.shape == (com.num_rows + 1,
                                                    com.num_cols)
                     assert not proof.message.flags.writeable
+                    assert tr.challenge_field(b"x") == \
+                        Transcript().challenge_field(b"x")
                 else:
-                    assert proof.message is None
-                    assert len(proof.columns) == distinct
+                    assert proof.message is None and not proof.disclosed()
+                    assert len(proof.columns) == len(proof.merkle.indices)
                 assert pcs.verify(com, point, mle_eval(table, point), proof,
                                   Transcript())
 
-    @pytest.mark.parametrize("edit", ["bump", "swap-rows", "drop-mask-row",
+    @pytest.mark.parametrize("edit", ["bump", "bump-mask-row", "swap-rows",
+                                      "drop-mask-row", "zero-row-live",
                                       "widen", "non-canonical", "columns",
-                                      "not-a-matrix"])
+                                      "proximity-rows", "eval-row",
+                                      "query-indices", "multiproof",
+                                      "not-a-matrix", "none"])
     def test_tampered_message(self, edit):
+        """A rows-mode opening is its message: any one-element edit of it
+        (the mask row's too) moves the rebuilt root, a message of another
+        height or width is refused, and so is a PCS part beside it."""
+        from repro.hashing.merkle import MerkleMultiProof
+
         pcs, table, point = _setup()
         com, state = pcs.commit(table)
         value = mle_eval(table, point)
         proof = pcs.open(state, com, point, Transcript())
+        assert pcs.verify(com, point, value, proof, Transcript())
         message = np.array(proof.message)
-        columns = []
+        codewords = pcs.code.encode_rows(message)
+        extra = {}
         if edit == "bump":
             message[1, 2] = (int(message[1, 2]) + 1) % MODULUS
+        elif edit == "bump-mask-row":
+            message[-1, 0] = (int(message[-1, 0]) + 1) % MODULUS
         elif edit == "swap-rows":
             message[[0, 1]] = message[[1, 0]]
         elif edit == "drop-mask-row":
             message = message[:-1]
+        elif edit == "zero-row-live":
+            message = np.vstack([message, message[:1]])
         elif edit == "widen":
             message = np.hstack([message, message[:, :1]])
         elif edit == "non-canonical":
             message[0, 0] = MODULUS
-        elif edit == "columns":    # a rows-mode opening carries none
-            columns = [pcs.code.encode_rows(message)[:, i]
-                       for i in proof.merkle.indices]
-        else:
+        elif edit == "columns":
+            extra = dict(columns=[codewords[:, 0]])
+        elif edit == "proximity-rows":
+            extra = dict(proximity_rows=[message[0]])
+        elif edit == "eval-row":
+            extra = dict(eval_row=pcs.eval_row(state, com, point))
+        elif edit == "query-indices":
+            extra = dict(query_indices=[0])
+        elif edit == "multiproof":
+            extra = dict(merkle=MerkleMultiProof([0], []))
+        elif edit == "not-a-matrix":
             message = message[0]
-        bad = dataclasses.replace(proof, message=message, columns=columns)
+        else:
+            message = None
+        bad = dataclasses.replace(proof, message=message, **extra)
         assert not pcs.verify(com, point, value, bad, Transcript())
 
     def test_wrong_root(self):
@@ -258,7 +286,7 @@ class TestZeroKnowledgeMask:
     def test_proximity_rows_are_masked(self):
         """With the zk mask, the proximity responses differ from the raw
         gamma-combination of the data rows."""
-        pcs, table, point = _setup(8, 16, zk=True)
+        pcs, table, point = _setup(8, COLUMNS_MODE_ROWS, zk=True)
         com, state = pcs.commit(table)
         proof = pcs.open(state, com, point, Transcript())
         # Recompute the unmasked combination with the same transcript.
@@ -307,7 +335,7 @@ class TestSizes:
 
 class TestMalformedProofs:
     def test_missing_proximity_row(self):
-        pcs, table, point = _setup()
+        pcs, table, point = _setup(rows=COLUMNS_MODE_ROWS)
         com, state = pcs.commit(table)
         value = mle_eval(table, point)
         proof = pcs.open(state, com, point, Transcript())
@@ -316,7 +344,7 @@ class TestMalformedProofs:
         assert not pcs.verify(com, point, value, bad, Transcript())
 
     def test_extra_proximity_row(self):
-        pcs, table, point = _setup()
+        pcs, table, point = _setup(rows=COLUMNS_MODE_ROWS)
         com, state = pcs.commit(table)
         value = mle_eval(table, point)
         proof = pcs.open(state, com, point, Transcript())
@@ -334,7 +362,7 @@ class TestMalformedProofs:
         assert not pcs.verify(com, point, value, bad, Transcript())
 
     def test_tampered_multiproof_node(self):
-        pcs, table, point = _setup()
+        pcs, table, point = _setup(rows=COLUMNS_MODE_ROWS)
         com, state = pcs.commit(table)
         value = mle_eval(table, point)
         proof = pcs.open(state, com, point, Transcript())
@@ -344,7 +372,7 @@ class TestMalformedProofs:
         assert not pcs.verify(com, point, value, bad, Transcript())
 
     def test_truncated_multiproof_nodes(self):
-        pcs, table, point = _setup()
+        pcs, table, point = _setup(rows=COLUMNS_MODE_ROWS)
         com, state = pcs.commit(table)
         value = mle_eval(table, point)
         proof = pcs.open(state, com, point, Transcript())
@@ -371,7 +399,9 @@ def _paper_openings(name):
     """``(pcs, commitment, openings)`` of a seed-7 PAPER proof decoded from
     its bytes: the three ``(point, value, proof, transcript)`` the
     Spartan verifier hands :meth:`OrionPCS.verify_openings`, each
-    transcript captured before the batch absorbs anything."""
+    transcript captured before the batch reads it.  Every registry
+    message is no wider than PAPER's 189 queries, so each opening is the
+    message (rows mode)."""
     from repro import PAPER, ProofBundle, prove, setup
     from repro.workloads import synthetic_r1cs
     from repro.workloads.registry import build_workload
@@ -420,10 +450,13 @@ def _column_owners(openings):
     return owners
 
 
-def _requeried(pcs, com, proof, tr):
-    """``proof`` with the query indices its rows draw from ``tr``: what a
-    prover that changed a row and re-ran the transcript sends.  Used where
-    every repetition opens every column, so the multiproof still fits."""
+def _requeried(pcs, com, proof, tr, state):
+    """``proof`` with the query indices its rows draw from ``tr``, and the
+    committed columns and multiproof at them: what a prover that changed
+    a row and re-ran the transcript sends.  Only the row checks are left
+    to catch it."""
+    from repro.hashing.merkle import open_many
+
     tr = copy.copy(tr)
     tr.absorb_digest(b"pcs/root", com.root)
     for k, u in enumerate(proof.proximity_rows):
@@ -432,11 +465,13 @@ def _requeried(pcs, com, proof, tr):
     tr.absorb_array(b"pcs/eval-row", proof.eval_row)
     indices = tr.challenge_indices(b"pcs/queries", pcs.code.num_queries,
                                    pcs.code.codeword_length(com.num_cols))
-    assert sorted(set(indices)) == proof.merkle.indices
-    return dataclasses.replace(proof, query_indices=indices)
+    merkle = open_many(state.tree, indices)
+    return dataclasses.replace(
+        proof, query_indices=indices, merkle=merkle,
+        columns=list(state.codewords[:, merkle.indices].T))
 
 
-def _mutate(part, openings, j, pcs, com):
+def _mutate(part, openings, j, pcs, com, state=None):
     """Opening ``j`` with one part changed (the others untouched)."""
     pt, value, proof, tr = openings[j]
     cw_len = pcs.code.codeword_length(com.num_cols)
@@ -482,7 +517,7 @@ def _mutate(part, openings, j, pcs, com):
         assert part == "value"
         value = (value + 1) % MODULUS
     if part.endswith("-requeried"):
-        proof = _requeried(pcs, com, proof, tr)
+        proof = _requeried(pcs, com, proof, tr, state)
     return pt, value, proof, tr
 
 
@@ -491,40 +526,56 @@ _PARTS = ("proximity-row", "eval-row", "query-index", "merkle-node",
 
 
 @functools.lru_cache(maxsize=None)
-def _column_openings(name):
-    """``_paper_openings(name)`` in columns mode: each opening's message
-    replaced by the columns it fixes, ``Enc(M)[:, merkle.indices]`` —
-    one read-only object per codeword index, shared by the openings as a
-    decoded column table shares them.  The verifier accepts exactly what
-    it accepts of the rows-mode openings."""
-    pcs, com, openings = _paper_openings(name)
-    return pcs, com, _as_columns(pcs, openings)
+def _columns_state(name):
+    """``(pcs, state)``: a PCS of PAPER's rows and proximity vectors but
+    ``C - 1`` column queries, fewer than the message is wide, so it opens
+    in columns mode, and the prover state of the commitment
+    ``_paper_openings(name)`` checks — its message is the committed
+    matrix, so the rebuilt tree has the commitment's root."""
+    from repro.hashing.merkle import MerkleTree
+    from repro.pcs.orion import _ProverState
 
-
-def _as_columns(pcs, openings):
-    codewords = pcs.code.encode_rows(np.asarray(openings[0][2].message))
+    paper, com, openings = _paper_openings(name)
+    pcs = OrionPCS(code=ReedSolomonCode(num_queries=com.num_cols - 1),
+                   params=dataclasses.replace(paper.params))
+    message = openings[0][2].message
+    codewords = pcs.code.encode_rows(np.asarray(message))
     codewords.flags.writeable = False
+    state = _ProverState(message[:com.num_rows], message[com.num_rows],
+                         codewords, MerkleTree.from_columns(codewords))
+    assert state.tree.root == com.root
+    return pcs, state
+
+
+@functools.lru_cache(maxsize=None)
+def _column_openings(name):
+    """``(pcs, commitment, openings)``: ``_paper_openings(name)``'s
+    commitment opened in columns mode (:func:`_columns_state`) at the same
+    points on the same transcripts — one read-only column object per
+    codeword index, shared by the openings as a decoded column table
+    shares them."""
+    pcs, state = _columns_state(name)
+    _, com, openings = _paper_openings(name)
     shared = {}
     out = []
-    for pt, v, proof, tr in openings:
-        columns = [shared.setdefault(i, codewords[:, i])
-                   for i in proof.merkle.indices]
-        out.append((pt, v, dataclasses.replace(proof, columns=columns,
-                                               message=None), tr))
-    return tuple(out)
+    for pt, v, _p, tr in openings:
+        proof = pcs.open(state, com, pt, copy.copy(tr))
+        proof.columns = [shared.setdefault(i, state.codewords[:, i])
+                         for i in proof.merkle.indices]
+        out.append((pt, v, proof, tr))
+    return pcs, com, tuple(out)
 
 
 class TestVerifyOpenings:
     """``verify_openings`` on the three openings of a PAPER proof gives
     the verdict of checking each opening alone.  The decoded openings are
-    in rows mode (each opens at least C distinct columns); the column
-    parts are mutated on the same openings in columns mode
-    (:func:`_column_openings`).  ``litmus`` and ``synthetic_r1cs(12)``
-    open every codeword column (16 and 64) in every repetition, so only
-    ``sha`` (251 distinct of 567) has a column that one repetition opens
-    alone and Merkle siblings to tamper with; on those two a changed row
-    can re-draw its queries and still fit the multiproof, which leaves
-    the row checks alone to catch it."""
+    in rows mode (each is the message); the PCS parts and columns are
+    mutated on openings of the same commitment in columns mode
+    (:func:`_column_openings`, ``C - 1`` queries).  ``sha`` (63 queries
+    of 256 codeword columns) has columns one repetition opens alone and
+    columns several open; a changed row can re-draw its queries and
+    re-open the committed columns at them, which leaves the row checks
+    alone to catch it."""
 
     @pytest.mark.parametrize("name", ["litmus", "sha", "synthetic-2p12"])
     def test_honest_openings_accepted(self, name):
@@ -536,23 +587,28 @@ class TestVerifyOpenings:
         # The decoded repetitions share one read-only message object.
         message = openings[0][2].message
         assert not message.flags.writeable
-        assert all(p.message is message and p.columns == []
+        assert all(p.message is message and p.disclosed()
                    for _pt, _v, p, _tr in openings)
-        # The columns-mode view of the same openings is accepted too, and
-        # identity settles the repeats of a shared column.
+        # The columns-mode openings of the same commitment are accepted
+        # too, and identity settles the repeats of a shared column.
         pcs, com, columns = _column_openings(name)
         assert pcs.verify_openings(com, _fresh(columns))
-        first = {id(c) for c in columns[0][2].columns}
-        assert any(id(c) in first for c in columns[1][2].columns)
+        for pt, v, proof, tr in _fresh(columns):
+            assert pcs.verify(com, pt, v, proof, tr)
+        second = {id(c) for c in columns[1][2].columns}
+        assert any(id(c) in second for c in columns[2][2].columns)
 
     @pytest.mark.parametrize("name", ["litmus", "sha"])
     def test_mixed_representations_reject(self, name):
-        """One representation per batch: an honest rows-mode opening next
-        to honest columns-mode ones rejects."""
+        """The mode rule fixes one representation: an honest rows-mode
+        opening next to honest columns-mode ones rejects under the PCS
+        whose rule says rows mode and under the one whose rule says
+        columns mode."""
         pcs, com, openings = _paper_openings(name)
-        _, _, columns = _column_openings(name)
-        mixed = _fresh(columns[:2] + openings[2:])
-        assert pcs.verify_openings(com, mixed) is False
+        columns_pcs, _, columns = _column_openings(name)
+        for verifier in (pcs, columns_pcs):
+            mixed = _fresh(columns[:2] + openings[2:])
+            assert verifier.verify_openings(com, mixed) is False
 
     def test_diverging_messages_reject(self):
         """The openings' messages: an equal copy of another type is
@@ -576,11 +632,13 @@ class TestVerifyOpenings:
         for part in ("proximity-row-requeried", "eval-row-requeried")] + [
         (name, "message") for name in ("litmus", "sha", "synthetic-2p12")])
     def test_one_mutated_part_rejects_as_alone(self, name, part):
-        pcs, com, openings = (_column_openings if part.endswith("column")
-                              else _paper_openings)(name)
+        rows_mode = part in ("message", "value")
+        pcs, com, openings = (_paper_openings if rows_mode
+                              else _column_openings)(name)
         j = 1
         mutated = list(_fresh(openings))
-        mutated[j] = _mutate(part, mutated, j, pcs, com)
+        mutated[j] = _mutate(part, mutated, j, pcs, com,
+                             None if rows_mode else _columns_state(name)[1])
         pt, v, proof, tr = mutated[j]
         alone = pcs.verify(com, pt, v, proof, copy.copy(tr))
         batch = pcs.verify_openings(com, mutated)

@@ -66,6 +66,16 @@ def _vr(vk, public, proof) -> bool:
     return verify(vk, ProofBundle(proof=proof, public=public))
 
 
+def _verifies(vk, mutant) -> bool:
+    """A mutant envelope parses and verifies (a typed parse error is a
+    rejection)."""
+    try:
+        bundle = ProofBundle.from_bytes(mutant.data)
+    except ReproError:
+        return False
+    return verify(vk, bundle)
+
+
 def _columns_mode_proof():
     """A TEST proof that ships its columns: 2^10 constraints commit 32
     columns, more than the preset's 24 queries fix."""
@@ -231,12 +241,96 @@ class TestOpenedColumnBlock:
         """Dropping the mask row from one opened column used to parse and
         then fail ``OrionPCS.verify``; the table has one height field,
         so the writer refuses such a proof."""
-        proof = proof_from_bytes(proof_to_bytes(_columns_mode_proof()))
+        queries = TEST.column_queries
+        proof = proof_from_bytes(
+            proof_to_bytes(_columns_mode_proof(), column_queries=queries),
+            column_queries=queries)
         cols = proof.repetitions[0].pcs_proof.columns
         assert len(cols) > 1
         cols[-1] = cols[-1][:-1]
         with pytest.raises(ValueError, match="heights"):
-            proof_to_bytes(proof)
+            proof_to_bytes(proof, column_queries=queries)
+
+
+class TestSumcheckRoundsBlock:
+    """A sumcheck's rounds move as one block of packed ``<u4`` + ``<u8``
+    records, byte for byte the per-round arrays they replace; the reader
+    refuses, at the offset at fault, a round of another length, too many
+    evaluations and a non-canonical evaluation."""
+
+    ROUNDS = [[1, 2, 3], [4, 5, MODULUS - 1], [0, 0, 7]]
+
+    @staticmethod
+    def _read(data):
+        from repro.snark.serialize import _Reader
+
+        r = _Reader(data)
+        return r, r.rounds("sumcheck-1 round")
+
+    def test_block_equals_round_at_a_time(self):
+        from repro.snark.serialize import _Writer
+
+        block, arrays = _Writer(), _Writer()
+        block.rounds(self.ROUNDS)
+        arrays.u32(len(self.ROUNDS))
+        for evals in self.ROUNDS:
+            arrays.array(evals)
+        data = block.getvalue()
+        assert data == arrays.getvalue()
+        r, rounds = self._read(data)
+        assert r.done() and rounds == self.ROUNDS
+        empty = _Writer()
+        empty.rounds([])
+        assert self._read(empty.getvalue())[1] == []
+
+    def test_rounds_of_unequal_lengths_refused_by_the_writer(self):
+        from repro.snark.serialize import _Writer
+
+        with pytest.raises(ValueError, match="one length"):
+            _Writer().rounds([[1, 2, 3], [4, 5]])
+
+    def test_round_of_another_length_refused(self):
+        from repro.snark.serialize import _Writer
+
+        w = _Writer()
+        w.rounds(self.ROUNDS)
+        data = bytearray(w.getvalue())
+        at = 4 + 2 * (4 + 8 * 3)           # round 2's count
+        data[at:at + 4] = (2).to_bytes(4, "little")
+        with pytest.raises(DeserializationError,
+                           match="round 2 has 2 evaluations") as ei:
+            self._read(bytes(data))
+        assert ei.value.offset == at
+
+    def test_too_many_evaluations_refused_at_the_count(self):
+        from repro.snark.serialize import MAX_ROUND_EVALS, _Writer
+
+        w = _Writer()
+        w.rounds([[1] * (MAX_ROUND_EVALS + 1)])
+        with pytest.raises(DeserializationError, match="evaluations") as ei:
+            self._read(w.getvalue())
+        assert ei.value.offset == 4
+
+    def test_non_canonical_evaluation_reports_its_own_offset(self):
+        from repro.snark.serialize import _Writer
+
+        w = _Writer()
+        w.rounds([[1, 2, 3], [4, MODULUS, 2**64 - 1]])
+        with pytest.raises(DeserializationError,
+                           match="non-canonical") as ei:
+            self._read(w.getvalue())
+        assert ei.value.offset == 4 + (4 + 8 * 3) + 4 + 8
+
+    def test_truncated_block(self):
+        from repro.snark.serialize import _Writer
+
+        w = _Writer()
+        w.rounds(self.ROUNDS)
+        data = w.getvalue()
+        for cut in range(4, len(data)):
+            with pytest.raises(DeserializationError) as ei:
+                self._read(data[:cut])
+            assert ei.value.offset <= cut
 
 
 class TestDomainSeparation:
@@ -254,20 +348,16 @@ class TestDomainSeparation:
         """Grafting commitment/sumcheck/opening sections between proofs
         of different statements must never verify: the Fiat-Shamir
         transcript binds every section to the statement."""
-        vk_a, bundle_a, wire_a = baseline
+        vk_a, bundle_a, _ = baseline
         r1cs_b, pub_b, wit_b = _square().compile()
         pk_b, _ = setup(r1cs_b, TEST)
         bundle_b = prove(pk_b, pub_b, wit_b)
-        wire_b = proof_to_bytes(bundle_b.proof)
         rng = random.Random(7)
-        mutants = splice_mutants(wire_a, wire_b, rng)
+        mutants = splice_mutants(bundle_a.to_bytes(), bundle_b.to_bytes(),
+                                 rng)
         assert mutants
         for m in mutants:
-            try:
-                proof = proof_from_bytes(m.data)
-            except ReproError:
-                continue
-            assert not _vr(vk_a, bundle_a.public, proof), m.mutator
+            assert not _verifies(vk_a, m), m.mutator
 
     def test_wrong_public_inputs_rejected(self, baseline):
         vk, bundle, _ = baseline
@@ -277,28 +367,39 @@ class TestDomainSeparation:
 
 
 class TestMutators:
+    """The mutators work on envelopes: the preset id they carry decides
+    the payload's mode."""
+
     def test_structured_mutants_all_rejected(self, baseline):
-        vk, bundle, wire = baseline
+        vk, bundle, _ = baseline
+        envelope = bundle.to_bytes()
         rng = random.Random(11)
-        mutants = structured_mutants(wire, rng)
+        mutants = structured_mutants(envelope, rng)
         assert len(mutants) >= 15  # every mutator class fired
         for m in mutants:
-            assert m.data != wire, f"{m.mutator} emitted a no-op mutant"
-            try:
-                proof = proof_from_bytes(m.data)
-            except ReproError:
-                continue
-            assert not _vr(vk, bundle.public, proof), m.mutator
+            assert m.data != envelope, f"{m.mutator} emitted a no-op mutant"
+            assert not _verifies(vk, m), m.mutator
 
     def test_random_mutants_never_crash(self, baseline):
-        vk, bundle, wire = baseline
+        vk, bundle, _ = baseline
         rng = random.Random(13)
-        for m in random_mutants(wire, rng, 40):
-            try:
-                proof = proof_from_bytes(m.data)
-            except ReproError:
-                continue
-            assert not _vr(vk, bundle.public, proof)
+        for m in random_mutants(bundle.to_bytes(), rng, 40):
+            assert not _verifies(vk, m)
+
+    def test_noncanonical_field_at_the_top_of_its_draw(self, baseline):
+        """The injected word is at least the modulus and below 2^64 for
+        every draw, the largest included: it is written, and the parser
+        refuses it."""
+        from repro.fuzz.mutate import mutate_noncanonical_field
+
+        class Top(random.Random):
+            def randrange(self, start, stop=None, step=1):
+                return (start if stop is None else stop) - 1
+
+        _, bundle, _ = baseline
+        mutant, = mutate_noncanonical_field(bundle.to_bytes(), Top())
+        with pytest.raises(DeserializationError, match="non-canonical"):
+            ProofBundle.from_bytes(mutant.data)
 
 
 class TestTiledCommitSoundness:

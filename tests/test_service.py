@@ -134,9 +134,9 @@ class TestEnvelopeSerializedOnce:
         calls = []
         real = envelope.proof_to_bytes
 
-        def counting(proof):
+        def counting(proof, **kwargs):
             calls.append(1)
-            return real(proof)
+            return real(proof, **kwargs)
 
         monkeypatch.setattr(envelope, "proof_to_bytes", counting)
         service = ProvingService(ServiceConfig(unix_socket=sock_path,
@@ -223,7 +223,7 @@ class TestLRUBytesCache:
         from repro.service import cache
         from repro.snark import envelope
 
-        assert cache.ENVELOPE_VERSION == envelope.VERSION == 6
+        assert cache.ENVELOPE_VERSION == envelope.VERSION == 7
         pub = np.arange(4, dtype=np.uint64)
         current = proof_cache_key("test-fast", "sha", pub, 1)
         monkeypatch.setattr(cache, "ENVELOPE_VERSION", envelope.VERSION + 1)

@@ -1,6 +1,7 @@
 """Tests for the keygen/prove/verify lifecycle, the proof envelope, and
 the canonical top-level import surface."""
 
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -156,13 +157,14 @@ class TestEnvelope:
         (TEST.name, "x" * 300, True),        # past the 255-byte cap
         (TEST.name, "\u00e9" * 128, True),   # 128 chars, 256 utf-8 bytes
         (TEST.name, "x" * 255, False),       # at the cap
-        ("p" * 64, "", False),               # at the preset cap
+        ("p" * 64, "", True),                # at the cap, but no preset
     ], ids=["no-preset", "circuit-300", "circuit-256-utf8", "circuit-255",
             "preset-64"])
     def test_size_bytes_follows_to_bytes(self, bundle, preset_name,
                                          circuit_id, refused):
         """``size_bytes() == len(to_bytes())`` for every bundle, or both
-        raise the one label error."""
+        raise the one label error (a preset id no preset has is one: the
+        payload's mode follows from the preset's query count)."""
         b = dataclasses.replace(bundle, preset_name=preset_name,
                                 circuit_id=circuit_id)
         if not refused:
@@ -206,13 +208,14 @@ class TestEnvelope:
     def test_unknown_version(self, bundle):
         """Versions 1 (word-chain leaves), 2 (one transcript absorb per
         gamma coefficient), 3 (opened columns once per repetition), 4
-        (every row of the column table on the wire) and 5 (the column
-        table where the rows block now goes) are as foreign as version
-        99: their roots, challenges or layout do not parse or verify
-        here, so they are refused at the version byte."""
+        (every row of the column table on the wire), 5 (the column table
+        where the rows block now goes) and 6 (a PCS part beside the rows
+        block) are as foreign as version 99: their roots, challenges or
+        layout do not parse or verify here, so they are refused at the
+        version byte."""
         data = bytearray(bundle.to_bytes())
-        assert data[4] == 6
-        for version in (1, 2, 3, 4, 5, 99):
+        assert data[4] == 7
+        for version in (1, 2, 3, 4, 5, 6, 99):
             data[4] = version
             with pytest.raises(DeserializationError) as ei:
                 ProofBundle.from_bytes(bytes(data))
@@ -222,9 +225,12 @@ class TestEnvelope:
         r1cs, public, witness = compiled
         pk, _ = keys
         b = prove(pk, public, witness, seed=3)
-        b.preset_name = "test-fast"[::-1]  # right length, wrong name
-        with pytest.raises(DeserializationError):
-            ProofBundle.from_bytes(b.to_bytes())
+        data = b.to_bytes()
+        assert data[5:6 + len(TEST.name)] == bytes([9]) + b"test-fast"
+        # right length, wrong name
+        data = data[:6] + b"test-fast"[::-1] + data[6 + len(TEST.name):]
+        with pytest.raises(DeserializationError, match="unknown preset"):
+            ProofBundle.from_bytes(data)
 
     def test_truncated(self, bundle):
         data = bundle.to_bytes()
@@ -281,15 +287,15 @@ class TestGoldenProofBytes:
     """Proof bytes are a fixed point across commits: a change to a kernel,
     a sumcheck prover or the commit path that moves one byte fails here.
 
-    The digests pin the NCPE v6 envelope (a format change regenerates them
+    The digests pin the NCPE v7 envelope (a format change regenerates them
     on purpose; v3 re-pinned them when ``Transcript.challenge_vector``
     became one absorb per vector — with the v2 derivation patched back in,
     the same code reproduced the v2 digests for every value of
     ``table.SCALAR_TAIL``; v4 re-pinned them when the repetitions' opened
     columns became one table, v5 when the table left out its zero rows,
-    and v6 when an opening that fixes every row ships the rows; none
-    moved the proof objects:
-    :class:`TestProofObjectsDidNotMove`).  Their only dependency outside
+    v6 when an opening that fixes every row ships the rows, and v7 when
+    such an opening became its message alone; none moved the Spartan
+    part: :class:`TestProofObjectsDidNotMove`).  Their only dependency outside
     this repo is numpy's ``Generator`` stream (``default_rng(seed)`` draws
     the zk mask and the synthetic instance), which numpy keeps stable
     across releases.
@@ -307,13 +313,13 @@ class TestGoldenProofBytes:
 
         circuit_id, circuit = build_workload("litmus")
         assert self._digest(*circuit.compile(), circuit_id) == (
-            "8ee7f71203b5f1909b6e3f75711efed35faaa0eebf69e0e53a7be94ae1791dfd")
+            "1e212d41b5f31b3bcd11713aa621330783e4f0a8cd89bdff54e4e483d934650a")
 
     def test_synthetic_2p12(self):
         from repro.workloads import synthetic_r1cs
 
         assert self._digest(*synthetic_r1cs(12), "synthetic-2p12") == (
-            "17499ad10a0881fcfb2731cf8f7be02de319b6309f6cd37d208930118b848153")
+            "db3a23c5430d113d512c92946d70b5d6861d52902db2bd5c1bca921ba8988771")
 
     def test_registry_aes(self):
         """The one registry circuit whose key stores repeated rows once
@@ -322,7 +328,7 @@ class TestGoldenProofBytes:
 
         circuit_id, circuit = build_workload("aes")
         assert self._digest(*circuit.compile(), circuit_id) == (
-            "45a8e16b5ce1d45a8d12f878a7e8bc554164953d9b392c9fafc3809c601bd758")
+            "893ad80a44888278973ddbae7bd37de8a15721defd3b15a2dd31b303c42e576f")
 
 
 REGISTRY_NAMES = ("aes", "sha", "rsa", "litmus", "auction")
@@ -346,97 +352,170 @@ def _seed7(name, preset_name):
     return vk, prove(pk, public, witness, seed=7, circuit_id=circuit_id)
 
 
-def _opened_columns(pcs_proof):
-    """The columns the verifier checks against the Merkle root, in Merkle
-    order: a columns-mode opening's own, a rows-mode opening's
-    ``Enc(message)[:, merkle.indices]``."""
-    if pcs_proof.message is None:
-        return pcs_proof.columns
-    codewords = PAPER.make_pcs().code.encode_rows(
-        np.asarray(pcs_proof.message))
-    return list(codewords[:, pcs_proof.merkle.indices].T)
+def _ints(h, values):
+    arr = np.asarray([int(v) for v in values], dtype="<u8")
+    h.update(len(arr).to_bytes(4, "little") + arr.tobytes())
 
 
-def _object_digest(proof):
-    """SHA-256 of a walk of the proof OBJECT, independent of any wire
-    layout: the commitment, then per repetition its round evaluations,
-    claims, combination rows, query indices, columns in Merkle order (the
-    ones the verifier checks: :func:`_opened_columns`) and sibling
-    digests — every value a verifier reads."""
+def _spartan_digest(proof):
+    """SHA-256 of the Spartan part of a proof OBJECT and the committed
+    message: the commitment, then per repetition its round evaluations
+    and claims (``va``, ``vb``, ``vc``, ``w_eval``), then the message
+    matrix (mask row last) — what NCPE v6 and v7 proofs of one seeded
+    statement share."""
     h = hashlib.sha256()
-
-    def ints(values):
-        arr = np.asarray([int(v) for v in values], dtype="<u8")
-        h.update(len(arr).to_bytes(4, "little") + arr.tobytes())
-
     c = proof.witness_commitment
     h.update(c.root)
-    ints([c.table_len, c.num_rows, c.num_cols, len(proof.repetitions)])
+    _ints(h, [c.table_len, c.num_rows, c.num_cols, len(proof.repetitions)])
     for rp in proof.repetitions:
         for evals in rp.sc1_round_evals:
-            ints(evals)
-        ints([rp.va, rp.vb, rp.vc, rp.w_eval])
+            _ints(h, evals)
+        _ints(h, [rp.va, rp.vb, rp.vc, rp.w_eval])
         for evals in rp.sc2.round_evals:
-            ints(evals)
-        ints(rp.sc2.final_values)
-        p = rp.pcs_proof
-        for row in p.proximity_rows:
-            ints(row)
-        ints(p.eval_row)
-        ints(p.query_indices)
-        ints(p.merkle.indices)
-        for col in _opened_columns(p):
-            ints(col)
-        h.update(b"".join(p.merkle.nodes))
+            _ints(h, evals)
+        _ints(h, rp.sc2.final_values)
+    message = np.asarray(proof.repetitions[0].pcs_proof.message, "<u8")
+    _ints(h, message.shape)
+    h.update(message.tobytes())
     return h.hexdigest()
 
 
-class TestProofObjectsDidNotMove:
-    """The column table and the rows block are wire changes only: the
-    proof objects of a seeded PAPER prove — so the transcript and every
-    challenge — are the ones recorded before them, and a decoded envelope
-    gives them back.  All three open in rows mode, so the walk reads the
-    columns their message fixes."""
+def _object_digest(proof):
+    """SHA-256 of a walk of the whole proof OBJECT, independent of any
+    wire layout: :func:`_spartan_digest`'s part, then per opening its
+    combination rows, query indices, columns in Merkle order, sibling
+    digests and message — every value a verifier reads."""
+    h = hashlib.sha256()
+    c = proof.witness_commitment
+    h.update(c.root)
+    _ints(h, [c.table_len, c.num_rows, c.num_cols, len(proof.repetitions)])
+    for rp in proof.repetitions:
+        for evals in rp.sc1_round_evals + rp.sc2.round_evals:
+            _ints(h, evals)
+        _ints(h, [rp.va, rp.vb, rp.vc, rp.w_eval])
+        _ints(h, rp.sc2.final_values)
+        p = rp.pcs_proof
+        for row in p.proximity_rows + ([] if p.eval_row is None
+                                       else [p.eval_row]):
+            _ints(h, row)
+        _ints(h, p.query_indices)
+        for col in p.columns:
+            _ints(h, col)
+        if p.merkle is not None:
+            _ints(h, p.merkle.indices)
+            h.update(b"".join(p.merkle.nodes))
+        if p.message is not None:
+            h.update(np.asarray(p.message, "<u8").tobytes())
+    return h.hexdigest()
 
-    #: Recorded on the v3 envelope's code, before the column table.
+
+def _unversioned(envelope):
+    """``envelope`` with the envelope's and the payload's version bytes
+    zeroed: the bytes a format bump that leaves a payload alone keeps."""
+    data = bytearray(envelope)
+    data[4] = 0
+    public = ProofBundle.from_bytes(envelope).public
+    pos = 7 + data[5] + data[6 + data[5]]   # past the two labels
+    pos += 4 + 8 * len(public) + 4          # the public inputs, the length
+    assert data[pos:pos + 4] == b"NCAP"
+    data[pos + 4] = 0
+    return bytes(data)
+
+
+class TestProofObjectsDidNotMove:
+    """The rows-mode opening by disclosure is a PCS change only: the PCS
+    runs on a fork of the Spartan transcript, so every sumcheck message,
+    ``va``/``vb``/``vc``, ``w_eval`` and the commitment of a seeded PAPER
+    prove — and the message each rows-mode opening is — are the ones the
+    NCPE v6 code made, and a decoded envelope gives them back."""
+
+    #: :func:`_spartan_digest`, recorded on the NCPE v6 code.
     DIGESTS = {
-        "litmus": "bec9f12d6123f49ef9f8cd83b8b98a72"
-                  "17a5d911150f01df32333605a8817ca8",
-        "aes": "0efd6dafe06407564bf31ac494b9ee07"
-               "318ce683c86fe00215947adb19e3910d",
-        "synthetic-2p12": "8531419e328c30d45612d6696de6f626"
-                          "284f014a996c5e57517b68b128cd7311",
+        "litmus": "a535e3f1a4ac9dfecf774c5026038f39"
+                  "4209927265e1c7141ac3d8b3f79359b8",
+        "auction": "981d17026bad144e55125fbcbbc2b8a4"
+                   "f8ddb521febb6a948699b12b52239bbf",
+        "rsa": "64fcadfb724df0ad9a5acf613f262424"
+               "33b2435e40e7e2ae0dca2bc64948b78f",
+        "sha": "a1cdf92bd0560795e5b98b219ce52708"
+               "a0a53e105829ef13c19d5da9ff25cf23",
+        "aes": "998cd28716c01e1501d2de53bce5f844"
+               "1744b2c9fc9e7640bd39d7cdcac65be6",
+        "synthetic-2p12": "380b0fa279117601a1acc989d8e7bf8f"
+                          "f054447dec65de86e38d7f57ecfb3a66",
     }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
     def test_decoded_envelope_reproduces_the_objects(self, name):
         vk, bundle = _seed7(name, PAPER.name)
-        assert _object_digest(bundle.proof) == self.DIGESTS[name]
+        assert _spartan_digest(bundle.proof) == self.DIGESTS[name]
         decoded = ProofBundle.from_bytes(bundle.to_bytes())
-        assert _object_digest(decoded.proof) == self.DIGESTS[name]
+        assert _spartan_digest(decoded.proof) == self.DIGESTS[name]
+        assert _object_digest(decoded.proof) == _object_digest(bundle.proof)
         assert verify(vk, decoded)
+
+
+class TestColumnsModeBytesDidNotMove:
+    """A columns-mode payload is the NCPE v6 one: the envelope's bytes but
+    its two version bytes, recorded on the v6 code, for PAPER
+    ``synthetic_r1cs(16)`` (256 columns, 189 queries) and TEST
+    ``synthetic_r1cs(10)`` (32 columns, 24 queries)."""
+
+    DIGESTS = {
+        ("synthetic-2p16", PAPER.name): (
+            566_555, "9919489e3ccb13c792634e6856c89ec1"
+                     "523e89b5bcb6f14fe92ce3dbf7a8985f"),
+        ("synthetic-2p10", TEST.name): (
+            6_542, "9f05488f0656b7a25afe447107ce3f10"
+                   "48934b13920b7ff9270f3bd8f831a0ce"),
+    }
+
+    @pytest.mark.parametrize("name,preset", sorted(DIGESTS))
+    def test_envelope_but_its_version_bytes(self, name, preset):
+        vk, bundle = _seed7(name, preset)
+        data = bundle.to_bytes()
+        assert shipped_message(
+            bundle.proof, preset_by_name(preset).column_queries) is None
+        length, digest = self.DIGESTS[(name, preset)]
+        assert len(data) == length
+        assert hashlib.sha256(_unversioned(data)).hexdigest() == digest
+        assert verify(vk, ProofBundle.from_bytes(data))
 
 
 class TestWireSize:
     """What a proof costs on the link: each opened column travels once,
-    its zero rows not at all; an opening that fixes every row ships the
-    rows instead; and the size a bundle reports is its envelope's
-    length."""
+    its zero rows not at all; an opening whose message is no wider than
+    the query count is the message alone; and the size a bundle reports
+    is its envelope's length."""
 
     #: ``len(prove(pk, ..., seed=7).to_bytes())`` under PAPER, where every
     #: registry circuit opens in rows mode; with each repetition's columns
     #: on the wire (NCPE v3) they were 627,311 / 606,095 / 406,111 /
     #: 52,842 / 52,723 bytes, with every row of the column table (NCPE
-    #: v4) 442,895 / 278,711 / 140,887 / 19,682 / 19,563, and with the
-    #: column table's live rows (NCPE v5) 335,552 / 151,224 / 79,980 /
-    #: 11,319 / 15,296.
-    PAPER_ENVELOPE_BYTES = {"aes": 137_188, "sha": 52_484, "rsa": 26_216,
-                            "litmus": 5_171, "auction": 6_076}
+    #: v4) 442,895 / 278,711 / 140,887 / 19,682 / 19,563, with the column
+    #: table's live rows (NCPE v5) 335,552 / 151,224 / 79,980 / 11,319 /
+    #: 15,296, and with a PCS part beside the rows block (NCPE v6)
+    #: 137,188 / 52,484 / 26,216 / 5,171 / 6,076.
+    PAPER_ENVELOPE_BYTES = {"aes": 100_712, "sha": 36_840, "rsa": 20_744,
+                            "litmus": 4_403, "auction": 5_308}
 
     @pytest.mark.parametrize("name", REGISTRY_NAMES)
     def test_paper_envelope_length(self, name):
         _, bundle = _seed7(name, PAPER.name)
         assert len(bundle.to_bytes()) == self.PAPER_ENVELOPE_BYTES[name]
+
+    def test_rows_mode_length_does_not_depend_on_the_seed(self):
+        """A rows-mode payload carries no query indices or siblings, whose
+        count moved with the seed: ``sha`` is 36,840 bytes at any seed."""
+        from repro.workloads.registry import build_workload
+
+        circuit_id, circuit = build_workload("sha")
+        r1cs, public, witness = circuit.compile()
+        pk, _ = setup(r1cs, PAPER)
+        for seed in (1, 2, 1_000_004):
+            bundle = prove(pk, public, witness, seed=seed,
+                           circuit_id=circuit_id)
+            assert len(bundle.to_bytes()) == 36_840
 
     @pytest.mark.parametrize("preset", [PAPER.name, TEST.name])
     @pytest.mark.parametrize("name", REGISTRY_NAMES + ("synthetic-2p12",))
@@ -446,7 +525,7 @@ class TestWireSize:
         assert bundle.report.proof_size_bytes == bundle.size_bytes()
 
     def test_each_distinct_column_once(self):
-        """``synthetic_r1cs(16)`` (256 columns, more than 189 queries fix)
+        """``synthetic_r1cs(16)`` (256 columns, more than 189 queries)
         opens in columns mode: the payload carries each of the three
         repetitions' distinct columns once, and a decoded repetition reads
         a column another one opens as a read-only view of the same table
@@ -468,9 +547,9 @@ class TestWireSize:
         assert shared and len(views) == len(column_table(bundle.proof)[0])
 
     def test_each_message_once(self):
-        """litmus's three repetitions each open all 16 codeword columns of
-        a 4-column message: the payload carries the message once, and the
-        decoded repetitions share it, read-only, with no columns."""
+        """litmus's three openings are each its 4-column message: the
+        payload carries the message once, and the decoded repetitions
+        share it, read-only, with nothing else."""
         _, bundle = _seed7("litmus", PAPER.name)
         reps = ProofBundle.from_bytes(bundle.to_bytes()).proof.repetitions
         message = reps[0].pcs_proof.message
@@ -479,7 +558,7 @@ class TestWireSize:
                               bundle.proof.repetitions[0].pcs_proof.message)
         for rp in reps:
             assert rp.pcs_proof.message is message
-            assert rp.pcs_proof.columns == []
+            assert rp.pcs_proof.disclosed()
 
     @pytest.mark.parametrize("name,preset,mode", [
         ("sha", PAPER.name, "rows"),
@@ -487,18 +566,21 @@ class TestWireSize:
         ("synthetic-2p8", TEST.name, "rows"),
         ("synthetic-2p10", TEST.name, "columns")])
     def test_mode_follows_the_geometry(self, name, preset, mode):
-        """One preset, both modes: the rows block iff each opening's
-        distinct queries (min(queries, 4C)) reach the message width C —
-        PAPER's 189 queries fix ``sha``'s 64 columns and not 2^16's 256,
-        TEST's 24 fix 2^8's 16 and not 2^10's 32."""
+        """One preset, both modes: rows mode iff the message width C is no
+        more than the preset's query count — PAPER's 189 cover ``sha``'s
+        64 columns and not 2^16's 256, TEST's 24 cover 2^8's 16 and not
+        2^10's 32."""
+        from repro.pcs.orion import rows_mode
+
         vk, bundle = _seed7(name, preset)
+        queries = preset_by_name(preset).column_queries
         com = bundle.proof.witness_commitment
+        assert rows_mode(com.num_cols, queries) == (mode == "rows")
         for rp in bundle.proof.repetitions:
-            p = rp.pcs_proof
-            assert (len(p.merkle.indices) >= com.num_cols) == (mode == "rows")
-            assert (p.message is not None) == (mode == "rows")
+            assert rp.pcs_proof.disclosed() == (mode == "rows")
         decoded = ProofBundle.from_bytes(bundle.to_bytes())
-        assert (shipped_message(decoded.proof) is not None) == (mode == "rows")
+        assert (shipped_message(decoded.proof, queries) is not None) == (
+            mode == "rows")
         assert _object_digest(decoded.proof) == _object_digest(bundle.proof)
         assert verify(vk, decoded)
 
@@ -521,13 +603,14 @@ def _table_at(proof, data):
     return at
 
 
-def _rows_at(proof, data):
+def _rows_at(proof, data, queries=PAPER.column_queries):
     """Offsets of the rows block's parts at the end of ``data`` (the
-    payload of a rows-mode ``proof``): its height, bitmap and value
-    block, and the message itself, ``(height, num_cols)``."""
+    payload of a rows-mode ``proof`` under ``queries`` column queries):
+    its height, bitmap and value block, and the message itself,
+    ``(height, num_cols)``."""
     import types
 
-    message = np.asarray(shipped_message(proof), dtype=np.uint64)
+    message = np.asarray(shipped_message(proof, queries), dtype=np.uint64)
     h, c = message.shape
     zero = ~message.any(axis=1)
     values = len(data) - 8 * c * int((~zero).sum())
@@ -563,11 +646,11 @@ class TestColumnTable:
 
     @staticmethod
     def _payload():
-        """TEST ``sha`` payload (512 columns, more than 24 queries fix: 24
+        """TEST ``sha`` payload (512 columns, more than 24 queries: 24
         columns of 17 rows, rows 9-15 zero in every column) and its
         table's offsets."""
         _, bundle = _seed7("sha", TEST.name)
-        data = proof_to_bytes(bundle.proof)
+        data = proof_to_bytes(bundle.proof, column_queries=TEST.column_queries)
         return bundle, data, _table_at(bundle.proof, data)
 
     def test_truncated_table(self):
@@ -817,9 +900,10 @@ class TestRowsBlock:
 
     def test_writer_refuses_a_contradicting_proof(self):
         """A proof the payload cannot carry has no bytes and so no size:
-        a repetition carrying another message, columns beside the
+        a repetition carrying another message, a PCS part beside the
         message, no message where the rows block goes, a message where
-        the column table goes, a message of the wrong width."""
+        the column table goes, a message of the wrong width, and a
+        rows-mode proof of no repetitions."""
         import copy
 
         _, rows_bundle = _seed7("litmus", PAPER.name)
@@ -841,7 +925,10 @@ class TestRowsBlock:
             pcs[2].message = message
 
         def columns(pcs):
-            pcs[1].columns = list(_opened_columns(pcs[1]))
+            pcs[1].columns = [np.zeros(129, np.uint64)]
+
+        def eval_row(pcs):
+            pcs[1].eval_row = np.asarray(pcs[1].message[0])
 
         def drop(pcs):
             pcs[0].message = None
@@ -854,42 +941,123 @@ class TestRowsBlock:
             for p in pcs:
                 p.message = wide
 
+        def none(pcs):
+            pcs.clear()
+
         refused(rows_bundle, other,
                 "repetition 2 carries another message")
-        refused(rows_bundle, columns,
-                "repetition 1 carries a message and 16 columns, but the "
-                "payload ends in the rows block")
+        for part in (columns, eval_row):
+            refused(rows_bundle, part,
+                    "repetition 1 carries a message and a PCS part, but a "
+                    "4-column message under 189 column queries ends the "
+                    "payload in the rows block")
         refused(rows_bundle, drop,
-                "repetition 0 carries no message .* rows block")
+                "repetition 0 carries no message, .* rows block")
         refused(cols_bundle, stray,
-                "repetition 1 carries a message .* column table")
+                "repetition 1 carries a message, .* column table")
         refused(rows_bundle, widen, "is not 4 wide")
+        with pytest.raises(ValueError, match="no repetitions"):
+            proof = copy.deepcopy(rows_bundle.proof)
+            proof.repetitions = []
+            proof_to_bytes(proof)
+
+
+class TestModeFollowsThePreset:
+    """The mode is no flag: the reader reads it off the preset the
+    envelope names.  A payload laid out in the other mode — a PCS part
+    in every repetition where the rule says rows mode, none where it
+    says columns mode — is refused where the layouts part, and a
+    payload relabelled with the other preset fails to parse (its mode
+    flips) or is refused as a preset mismatch."""
+
+    @pytest.mark.parametrize("name,preset", [
+        ("litmus", PAPER.name), ("synthetic-2p10", TEST.name)])
+    def test_payload_in_the_other_mode_refused(self, name, preset):
+        from repro.fuzz.mutate import mutate_mode_mismatch
+
+        _, bundle = _seed7(name, preset)
+        mutant, = mutate_mode_mismatch(bundle.to_bytes(), None)
+        with pytest.raises(DeserializationError) as ei:
+            ProofBundle.from_bytes(mutant.data)
+        # the layouts part after a repetition's sumcheck part, past the
+        # payload's 57-byte header
+        assert ei.value.offset > 57
+
+    @pytest.mark.parametrize("name,parses", [("sha", False),
+                                             ("litmus", True)])
+    def test_relabelled_preset(self, name, parses):
+        """PAPER ``sha`` (64 columns) is in columns mode under TEST's 24
+        queries, so it does not parse; ``litmus`` (4 columns) is in rows
+        mode under both, so it parses and the TEST key refuses it."""
+        from repro.fuzz.mutate import mutate_preset_relabel
+
+        _, bundle = _seed7(name, PAPER.name)
+        mutant, = mutate_preset_relabel(bundle.to_bytes(), None)
+        if not parses:
+            with pytest.raises(DeserializationError):
+                ProofBundle.from_bytes(mutant.data)
+            return
+        relabelled = ProofBundle.from_bytes(mutant.data)
+        assert relabelled.preset_name == TEST.name
+        vk, _ = _seed7(name, TEST.name)
+        assert not verify(vk, relabelled)
 
 
 class TestRowsModeDifferential:
-    """A rows-mode proof is accepted exactly when the same proof in
-    columns mode — each opening's message replaced by the columns it
-    fixes, ``Enc(M)[:, merkle.indices]`` — is: single-value edits of the
-    message get one verdict either way (docs/PROTOCOL.md, §6b)."""
+    """A rows-mode opening is accepted only if its message is the
+    committed one (the rebuilt root binds it), so its acceptance set is
+    within the columns mode's: a single-value edit of the message (the
+    mask row's included) gets the verdict a columns-mode verifier gives
+    the columns-mode openings of the edited message at the same points
+    and transcripts — both refuse, as the rebuilt root moves — and the
+    unedited message is accepted either way (docs/PROTOCOL.md, §6b)."""
 
     @staticmethod
-    def _verdicts(vk, bundle, row, col, delta):
-        import copy
+    @functools.lru_cache(maxsize=None)
+    def _captured(name, preset):
+        """``(vk, bundle, commitment, [(point, value, transcript)])`` of
+        the seed-7 proof: the openings the Spartan verifier checks."""
+        vk, bundle = _seed7(name, preset)
+        verifier = vk.verifier()
+        seen = []
+        real = verifier.pcs.verify_openings
 
+        def capture(commitment, openings):
+            seen.append((commitment, [(pt, v, copy.copy(tr))
+                                      for pt, v, _p, tr in openings]))
+            return real(commitment, openings)
+
+        verifier.pcs.verify_openings = capture
+        assert verifier.verify(bundle.public, bundle.proof)
+        (commitment, openings), = seen
+        return vk, bundle, commitment, openings
+
+    @classmethod
+    def _verdicts(cls, name, preset, row, col, delta):
+        from repro.code import ReedSolomonCode
+        from repro.hashing.merkle import MerkleTree
+        from repro.pcs.orion import OrionPCS, _ProverState
+
+        vk, bundle, com, openings = cls._captured(name, preset)
         proof = copy.deepcopy(bundle.proof)
         message = np.array(proof.repetitions[0].pcs_proof.message)
-        message[row % len(message), col % message.shape[1]] = (
-            int(message[row % len(message), col % message.shape[1]])
-            + delta) % MODULUS
+        r, c = row % len(message), col % message.shape[1]
+        message[r, c] = (int(message[r, c]) + delta) % MODULUS
         for rp in proof.repetitions:
             rp.pcs_proof.message = message
         as_rows = verify(vk, dataclasses.replace(bundle, proof=proof,
                                                  report=None))
-        for rp in proof.repetitions:
-            p = rp.pcs_proof
-            p.columns, p.message = list(_opened_columns(p)), None
-        as_columns = verify(vk, dataclasses.replace(bundle, proof=proof,
-                                                    report=None))
+        # The same openings in columns mode: C - 1 queries, the edited
+        # message committed, opened at the captured points.
+        params = vk.preset.make_pcs().params
+        pcs = OrionPCS(code=ReedSolomonCode(num_queries=com.num_cols - 1),
+                       params=params)
+        codewords = pcs.code.encode_rows(message)
+        state = _ProverState(message[:com.num_rows], message[com.num_rows],
+                             codewords, MerkleTree.from_columns(codewords))
+        as_columns = pcs.verify_openings(com, [
+            (pt, v, pcs.open(state, com, pt, copy.copy(tr)), copy.copy(tr))
+            for pt, v, tr in openings])
         return as_rows, as_columns
 
     @pytest.mark.parametrize("name,preset", [
@@ -899,15 +1067,17 @@ class TestRowsModeDifferential:
         from hypothesis import given, settings, strategies as st
 
         vk, bundle = _seed7(name, preset)
-        assert bundle.proof.repetitions[0].pcs_proof.message is not None
-        assert self._verdicts(vk, bundle, 0, 0, 0) == (True, True)
+        assert bundle.proof.repetitions[0].pcs_proof.disclosed()
+        assert self._verdicts(name, preset, 0, 0, 0) == (True, True)
+        # the mask row is the message's last
+        assert self._verdicts(name, preset, -1, 0, 1) == (False, False)
 
         @settings(max_examples=12, deadline=None)
         @given(st.integers(0, 1 << 16), st.integers(0, 1 << 16),
                st.integers(1, MODULUS - 1))
         def edit(row, col, delta):
-            assert self._verdicts(vk, bundle, row, col, delta) == (False,
-                                                                   False)
+            assert self._verdicts(name, preset, row, col, delta) == (
+                False, False)
 
         edit()
 
@@ -929,17 +1099,18 @@ class TestZeroRows:
     preset."""
 
     @staticmethod
-    def _round_trip(proof, public=None, preset=None):
-        """Encode and decode ``proof``: the objects come back equal.
-        Returns the payload's column table or rows block (``zero`` marks
-        the rows left out)."""
-        data = proof_to_bytes(proof)
-        decoded = proof_from_bytes(data)
+    def _round_trip(proof, preset=PAPER):
+        """Encode and decode ``proof`` (made under ``preset``): the
+        objects come back equal.  Returns the payload's column table or
+        rows block (``zero`` marks the rows left out)."""
+        queries = preset.column_queries
+        data = proof_to_bytes(proof, column_queries=queries)
+        decoded = proof_from_bytes(data, column_queries=queries)
         assert _object_digest(decoded) == _object_digest(proof)
-        assert proof_to_bytes(decoded) == data
-        if shipped_message(proof) is None:
+        assert proof_to_bytes(decoded, column_queries=queries) == data
+        if shipped_message(proof, queries) is None:
             return _table_at(proof, data)
-        return _rows_at(proof, data)
+        return _rows_at(proof, data, queries)
 
     def test_litmus_interior_zero_rows(self):
         vk, bundle = _seed7("litmus", PAPER.name)
@@ -956,7 +1127,7 @@ class TestZeroRows:
         assert not witness.any()
         pk, vk = setup(r1cs, preset)
         bundle = prove(pk, public, witness, seed=7)
-        at = self._round_trip(bundle.proof)
+        at = self._round_trip(bundle.proof, preset)
         rows = bundle.proof.witness_commitment.num_rows
         assert np.flatnonzero(~at.zero).tolist() == [rows]
         assert bundle.size_bytes() == len(bundle.to_bytes())
@@ -988,25 +1159,26 @@ class TestZeroRows:
     @pytest.mark.parametrize("name", ["litmus", "sha"])
     def test_test_preset(self, name):
         vk, bundle = _seed7(name, TEST.name)
-        self._round_trip(bundle.proof)
+        self._round_trip(bundle.proof, TEST)
         assert bundle.size_bytes() == len(bundle.to_bytes())
         assert verify(vk, ProofBundle.from_bytes(bundle.to_bytes()))
 
 
 class TestVerifierHashesEachColumnOnce:
-    """The verifier checks a proof's three openings as one batch: each
-    distinct opened column is leaf-hashed once, however many repetitions
-    open it (a per-opening check hashed 567 for ``sha``, 48 for
-    ``litmus``)."""
+    """The verifier checks a proof's three openings as one batch.  A
+    rows-mode batch is one message, so it leaf-hashes each column of
+    Enc(M) once to rebuild the root: all 256 of ``sha``'s codeword
+    columns, all 16 of ``litmus``'s.  (With the opened columns checked
+    against multiproofs it hashed the union of the repetitions' distinct
+    queries, 251 for ``sha``, and per opening 567.)"""
 
-    @pytest.mark.parametrize("name,distinct", [("sha", 251), ("litmus", 16)])
+    @pytest.mark.parametrize("name,distinct", [("sha", 256), ("litmus", 16)])
     def test_leaf_hashes_per_verify(self, name, distinct, monkeypatch):
         from repro.hashing.fieldhash import LEAF_TAG
 
         vk, bundle = _seed7(name, PAPER.name)
         decoded = ProofBundle.from_bytes(bundle.to_bytes())
-        assert len(set().union(*(rp.pcs_proof.merkle.indices for rp
-                                 in decoded.proof.repetitions))) == distinct
+        assert 4 * decoded.proof.witness_commitment.num_cols == distinct
         leaves = []
         real = hashlib.sha3_256
 
@@ -1027,12 +1199,12 @@ class TestWitnessIsNotHidden:
     codeword columns of ONE repetition of a PAPER proof determine the
     committed witness rows.  Each row is encoded as the degree-< C
     polynomial whose coefficients are the row, evaluated at w^j on the
-    4C-point NTT domain, and C distinct opened columns pin it down.  An
-    opening of at least C distinct columns therefore ships the message
-    matrix itself (rows mode), which is no more than its columns reveal:
-    the committed rows in the clear.  This pins the leak as it stands; a
-    change that makes the proofs zero-knowledge must make these tests
-    fail."""
+    4C-point NTT domain, and C distinct opened columns pin it down.  When
+    the query count reaches C the opening is the message matrix itself
+    (rows mode), which is no more than C opened columns reveal: the
+    committed rows in the clear, from which the verifier computes every
+    column.  This pins the leak as it stands; a change that makes the
+    proofs zero-knowledge must make these tests fail."""
 
     @staticmethod
     def _proof(name):
@@ -1052,10 +1224,12 @@ class TestWitnessIsNotHidden:
 
     @classmethod
     def _opened(cls, name):
-        """(committed witness matrix, {codeword index: opened column}),
-        the columns the first repetition fixes."""
+        """(committed witness matrix, {codeword index: column}): the
+        columns the first repetition's opening gives the verifier, every
+        column of Enc(M)."""
         rows, pcs = cls._proof(name)
-        return rows, dict(zip(pcs.merkle.indices, _opened_columns(pcs)))
+        codewords = PAPER.make_pcs().code.encode_rows(np.asarray(pcs.message))
+        return rows, dict(enumerate(codewords.T))
 
     @pytest.mark.parametrize("name", ["litmus", "sha"])
     def test_rows_mode_ships_the_witness_rows(self, name):

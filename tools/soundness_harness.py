@@ -9,15 +9,19 @@ random byte mutations, and asserts the trichotomy on every mutant:
 * rejected by the verifier (``verify -> False``), or
 * NOTHING ELSE: no other exception may escape, and no mutant may verify.
 
-Two passes: the toy circuits and registry ``litmus`` under the TEST
-preset (one repetition), and registry ``litmus`` and ``sha`` and
-``synthetic_r1cs(16)`` under PAPER (three repetitions).  The toy circuits
-and the two PAPER registry circuits open at least as many distinct
-columns as their message is wide, so their payloads end in the rows
-block (the ``rows_*`` mutators edit it); TEST ``litmus`` (32 columns, 24
-queries) and PAPER 2^16 (256 columns, 189 queries) ship their columns,
-and 2^16's three repetitions share some of them, so the column mutators
-there edit a column of the proof's shared column table.
+Every mutant is an envelope (the preset id names the query count that
+decides the payload's mode).  Two passes: the toy circuits and registry
+``litmus`` under the TEST preset (one repetition), and registry
+``litmus`` and ``sha`` and ``synthetic_r1cs(16)`` under PAPER (three
+repetitions).  The toy circuits and the two PAPER registry circuits have
+messages no wider than their preset's query count, so each opening is
+the message and the payload ends in the rows block (the ``rows_*``
+mutators edit it); TEST ``litmus`` (32 columns, 24 queries) and PAPER
+2^16 (256 columns, 189 queries) are in columns mode: each repetition
+carries its PCS part (the proximity-row, evaluation-row, query-index and
+multiproof mutators edit it), and 2^16's three repetitions share some
+columns, so the column mutators there edit a column of the proof's
+shared column table.
 
 A machine-readable report is written to ``--out`` (default
 ``BENCH_soundness.json``, the committed 150-mutant run).  Exit status is
@@ -51,16 +55,7 @@ from repro.fuzz.mutate import (
     structured_mutants,
 )
 from repro.r1cs import Circuit
-from repro.snark import (
-    PAPER,
-    TEST,
-    ProofBundle,
-    proof_from_bytes,
-    proof_to_bytes,
-    prove,
-    setup,
-    verify,
-)
+from repro.snark import PAPER, TEST, ProofBundle, prove, setup, verify
 from repro.snark.serialize import shipped_message
 from repro.workloads import synthetic_r1cs
 from repro.workloads.registry import build_workload
@@ -122,14 +117,14 @@ PAPER_CIRCUITS = {
 # Classification
 # ---------------------------------------------------------------------------
 
-def classify(vk, public, mutant: Mutant, tally: dict,
-             failures: list) -> None:
-    """Run one mutant through parse + verify, enforcing the trichotomy."""
+def classify(vk, mutant: Mutant, tally: dict, failures: list) -> None:
+    """Run one mutant envelope through parse + verify, enforcing the
+    trichotomy."""
     bucket = tally.setdefault(mutant.mutator, {
         "parse_rejected": 0, "verify_rejected": 0,
         "accepted": 0, "crashed": 0})
     try:
-        proof = proof_from_bytes(mutant.data)
+        bundle = ProofBundle.from_bytes(mutant.data)
     except ReproError:
         bucket["parse_rejected"] += 1
         return
@@ -139,7 +134,7 @@ def classify(vk, public, mutant: Mutant, tally: dict,
                          "exception": type(exc).__name__, "message": str(exc)})
         return
     try:
-        ok = verify(vk, ProofBundle(proof=proof, public=public))
+        ok = verify(vk, bundle)
     except Exception as exc:  # noqa: BLE001
         bucket["crashed"] += 1
         failures.append({"mutator": mutant.mutator, "stage": "verify",
@@ -169,9 +164,8 @@ def garbage_corpus(rng: random.Random) -> list:
 
 
 def baselines(compiled: dict, preset, seed: int):
-    """``{name: (vk, public, proof bytes)}`` of one honest proof per
-    compiled circuit, or None (after a FATAL line) when one does not
-    verify."""
+    """``{name: (vk, envelope bytes)}`` of one honest proof per compiled
+    circuit, or None (after a FATAL line) when one does not verify."""
     targets = {}
     for idx, (name, (r1cs, public, witness)) in enumerate(compiled.items()):
         # Seed the zk-mask generator from --seed too: the recorded seed
@@ -180,28 +174,30 @@ def baselines(compiled: dict, preset, seed: int):
         pk, vk = setup(r1cs, preset)
         bundle = prove(pk, public, witness,
                        seed=np.random.SeedSequence([seed, idx]))
-        data = proof_to_bytes(bundle.proof)
+        data = bundle.to_bytes()
         # Baseline sanity: the honest proof must verify, including after a
         # serialization round trip, or mutant rejections mean nothing.
         if not verify(vk, bundle):
             print(f"FATAL: honest proof for {name!r} failed verification")
             return None
-        if not verify(vk, ProofBundle(proof=proof_from_bytes(data),
-                                      public=bundle.public)):
+        if not verify(vk, ProofBundle.from_bytes(data)):
             print(f"FATAL: round-tripped proof for {name!r} failed")
             return None
-        targets[name] = (vk, bundle.public, data)
+        targets[name] = (vk, data)
         print(f"  {name}: {len(data)} bytes")
     return targets
 
 
-def _opened(proof) -> dict:
+def _opened(bundle) -> dict:
+    """What a PAPER payload ships: the message (rows block), or the
+    columns its repetitions open, once each (column table)."""
+    proof = bundle.proof
+    if shipped_message(proof, PAPER.column_queries) is not None:
+        return {"opened": 0, "distinct": 0, "ships": "rows block"}
     reps = [rp.pcs_proof for rp in proof.repetitions]
     distinct = set().union(*(p.merkle.indices for p in reps))
     return {"opened": sum(len(p.merkle.indices) for p in reps),
-            "distinct": len(distinct),
-            "ships": ("column table" if shipped_message(proof) is None
-                      else "rows block")}
+            "distinct": len(distinct), "ships": "column table"}
 
 
 def main(argv=None) -> int:
@@ -227,12 +223,12 @@ def main(argv=None) -> int:
     failures: list = []
     total = 0
 
-    for name, (vk, public, data) in targets.items():
+    for name, (vk, data) in targets.items():
         mutants = structured_mutants(data, rng)
         mutants += random_mutants(data, rng, args.random_mutants)
         mutants += garbage_corpus(rng)
         for m in mutants:
-            classify(vk, public, m, tally, failures)
+            classify(vk, m, tally, failures)
         total += len(mutants)
         print(f"  {name}: {len(mutants)} mutants")
 
@@ -244,18 +240,18 @@ def main(argv=None) -> int:
         return 2
     paper_tally: dict = {}
     paper_total = 0
-    for name, (vk, public, data) in paper_targets.items():
+    for name, (vk, data) in paper_targets.items():
         mutants = structured_mutants(data, rng)
         mutants += random_mutants(data, rng, args.random_mutants)
         for m in mutants:
-            classify(vk, public, m, paper_tally, failures)
+            classify(vk, m, paper_tally, failures)
         paper_total += len(mutants)
         print(f"  {name}: {len(mutants)} mutants")
     # Splices: rows mode into rows mode, and columns mode into rows mode.
     paper = list(paper_targets.values())
-    for (vka, pa, da), (_, _, db) in zip(paper, paper[1:]):
+    for (vka, da), (_, db) in zip(paper, paper[1:]):
         for m in splice_mutants(da, db, rng):
-            classify(vka, pa, m, paper_tally, failures)
+            classify(vka, m, paper_tally, failures)
             paper_total += 1
     for mutator, counts in paper_tally.items():
         bucket = tally.setdefault(mutator, dict.fromkeys(counts, 0))
@@ -267,10 +263,10 @@ def main(argv=None) -> int:
     names = list(targets)
     for i, na in enumerate(names):
         for nb in names[i + 1:]:
-            vka, pa, da = targets[na]
-            _, _, db = targets[nb]
+            vka, da = targets[na]
+            _, db = targets[nb]
             for m in splice_mutants(da, db, rng):
-                classify(vka, pa, m, tally, failures)
+                classify(vka, m, tally, failures)
                 total += 1
 
     # Cross-circuit verification: an honest proof of statement A must not
@@ -282,9 +278,9 @@ def main(argv=None) -> int:
         for nb in names:
             if na == nb:
                 continue
-            vkb, pb, _ = targets[nb]
-            _, _, da = targets[na]
-            classify(vkb, pb, Mutant("cross_verify", da), tally, failures)
+            vkb, _ = targets[nb]
+            _, da = targets[na]
+            classify(vkb, Mutant("cross_verify", da), tally, failures)
             total += 1
     del cross  # populated via classify
 
@@ -292,7 +288,7 @@ def main(argv=None) -> int:
     api = tally.setdefault("api_type_confusion", {
         "parse_rejected": 0, "verify_rejected": 0,
         "accepted": 0, "crashed": 0})
-    vk0, public0, _ = targets["cubic"]
+    vk0, _ = targets["cubic"]
     for bogus in (None, 42, b"bytes", "proof", [1, 2], object()):
         try:
             if verify(vk0, bogus):
@@ -324,8 +320,8 @@ def main(argv=None) -> int:
             # what the payload ships: those columns once (the column
             # table) or the message they fix (the rows block).
             "opened_columns": {
-                name: _opened(proof_from_bytes(data))
-                for name, (_, _, data) in paper_targets.items()},
+                name: _opened(ProofBundle.from_bytes(data))
+                for name, (_, data) in paper_targets.items()},
             "total_mutants": paper_total,
             "per_mutator": paper_tally,
         },
