@@ -38,13 +38,24 @@ class DeserializationError(ReproError, ValueError):
     """Malformed or malicious wire bytes.
 
     Carries the byte offset at which parsing failed (when known) so a
-    transport-corruption report can point at the damage.
+    transport-corruption report can point at the damage, and the span
+    being read (its path, ``span``, and kind, ``span_kind``; see
+    :func:`repro.snark.serialize.proof_layout`) when the reader failed.
     """
 
-    def __init__(self, message: str, *, offset: Optional[int] = None):
+    def __init__(self, message: str, *, offset: Optional[int] = None,
+                 span: Optional[str] = None,
+                 span_kind: Optional[str] = None):
         self.offset = offset
+        self.span = span
+        self.span_kind = span_kind
+        detail = []
         if offset is not None:
-            message = f"{message} (at byte offset {offset})"
+            detail.append(f"at byte offset {offset}")
+        if span:
+            detail.append(f"in {span}")
+        if detail:
+            message = f"{message} ({', '.join(detail)})"
         super().__init__(message)
 
 

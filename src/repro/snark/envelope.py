@@ -22,8 +22,9 @@ the payload are an error.  All failures raise
 
 from __future__ import annotations
 
-from ..errors import DeserializationError
-from .serialize import _Reader, _Writer, proof_from_bytes, proof_to_bytes
+from typing import List
+
+from .serialize import Span, _Reader, _read_proof, _Writer, proof_to_bytes
 
 MAGIC = b"NCPE"
 #: v2: a Merkle leaf is one tagged SHA3 over the packed column
@@ -100,33 +101,45 @@ def bundle_from_bytes(data: bytes):
     resolving in the preset registry, canonical public inputs, a
     structurally valid proof payload, and no trailing bytes.  The preset
     id is *not* checked against any verifying key here — that binding
-    happens in :func:`repro.snark.api.verify`.
+    happens in :func:`repro.snark.api.verify`.  An error's offset counts
+    from the start of the envelope, in the payload too.
     """
+    return _read_bundle(_Reader(data))
+
+
+def layout(data: bytes) -> List[Span]:
+    """The :class:`~repro.snark.serialize.Span` of every field of an
+    envelope, in wire order: its own (paths ``envelope.*``; the payload's
+    length is ``envelope.payload.count``) and its payload's
+    (:func:`~repro.snark.serialize.proof_layout`), at offsets in the
+    envelope.  Raises as :func:`bundle_from_bytes` does."""
+    r = _Reader(data)
+    _read_bundle(r)
+    return r.layout()
+
+
+def _read_bundle(r: _Reader):
     from .api import ProofBundle
     from .params import PRESETS
 
-    r = _Reader(data)
-    if r._take(4) != MAGIC:
-        raise DeserializationError("bad envelope magic", offset=0)
-    version = r.u8()
+    if r.take(4, "envelope.magic", "magic") != MAGIC:
+        raise r.fail("bad envelope magic", offset=0)
+    version = r.uint("envelope.version", "version", 1)
     if version != VERSION:
-        raise DeserializationError(
-            f"unsupported envelope version {version}", offset=4)
-    preset_name = _read_label(r, "preset id", MAX_PRESET_ID_BYTES)
+        raise r.fail(f"unsupported envelope version {version}", offset=4)
+    preset_name = _read_label(r, "envelope.preset", MAX_PRESET_ID_BYTES)
     if not preset_name:
         raise r.fail("empty preset id")
     if preset_name not in PRESETS:
         raise r.fail(f"unknown preset id {preset_name!r}")
-    circuit_id = _read_label(r, "circuit id", MAX_CIRCUIT_ID_BYTES)
-    public = r.array("public inputs")
-    payload_len = r.count("proof payload", 1)
-    payload = r._take(payload_len)
-    proof = proof_from_bytes(
-        payload, column_queries=PRESETS[preset_name].column_queries)
+    circuit_id = _read_label(r, "envelope.circuit", MAX_CIRCUIT_ID_BYTES)
+    public = r.array("envelope.public")
+    payload_len = r.count("envelope.payload", 1)
+    r.end = r.pos + payload_len
+    proof = _read_proof(r, PRESETS[preset_name].column_queries)
+    r.end = len(r.data)
     if not r.done():
-        raise DeserializationError(
-            f"{len(r.data) - r.pos} trailing bytes after envelope",
-            offset=r.pos)
+        raise r.trailing("envelope")
     return ProofBundle(proof=proof, public=public,
                        preset_name=preset_name, circuit_id=circuit_id)
 
@@ -140,13 +153,13 @@ def _column_queries(preset_name: str) -> int:
     return preset_by_name(preset_name).column_queries
 
 
-def _read_label(r: _Reader, what: str, cap: int) -> str:
+def _read_label(r: _Reader, path: str, cap: int) -> str:
     """Read a u8-length-prefixed utf-8 label."""
-    n = r.u8()
+    n = r.uint(f"{path}.count", size=1)
     if n > cap:
-        raise r.fail(f"{what} length {n} exceeds cap {cap}")
-    raw = r._take(n)
+        raise r.fail(f"{path} length {n} exceeds cap {cap}")
+    raw = r.take(n, path, "label", n)
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError:
-        raise r.fail(f"{what} is not valid utf-8") from None
+        raise r.fail(f"{path} is not valid utf-8") from None

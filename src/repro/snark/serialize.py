@@ -1,19 +1,14 @@
 """Binary serialization of Spartan+Orion proofs.
 
 A compact little-endian format so measured wire sizes are honest: this is
-what travels over the paper's 10 MB/s prover-verifier link.  Layout is
-length-prefixed throughout (u32 counts, u64 field elements)::
-
-    "NCAP" | version u8
-          | commitment  root(32) table_len u64 num_rows u32 num_cols u32
-          | repetitions u32 count, each:
-          |     sumcheck-1 rounds, va vb vc, sumcheck-2 rounds + finals,
-          |     w_eval, and in columns mode the PCS part: proximity rows,
-          |     evaluation row, query indices, Merkle sibling digests
-          | columns mode: the column table: u32 count, u32 height,
-          |     zero-row bitmap, count x live u64 values column by column
-          | rows mode: the rows block: u32 height, zero-row bitmap,
-          |     live x num_cols u64 values row by row
+what travels over the paper's 10 MB/s prover-verifier link.  It is
+length-prefixed throughout (u32 counts, u64 field elements): the magic
+and version, the commitment (root and geometry), the repetitions (each
+its sumcheck messages and claims, and in columns mode its PCS part), then
+the column table or the rows block.  The strict reader records every
+field it meets as a :class:`Span`, so :func:`proof_layout` is the one map
+of the layout (docs/PROTOCOL.md §6b tabulates it, and a test holds the
+table to a real proof).
 
 A sumcheck's rounds are a u32 round count, then per round a u32
 evaluation count and the evaluations; every round of one sumcheck has the
@@ -43,7 +38,9 @@ share, its zero rows a bitmap under the same rule.
 The writer is the one statement of this layout: a proof's wire size is
 ``len(proof_to_bytes(proof))``, counted by no formula beside it.  It
 packs whole arrays (a vector, a sumcheck's rounds, a repetition's query
-indices or digests).
+indices or digests), and the reader reads each as one block, one span.
+The writer keeps no map of its own: its bytes round-trip through the
+reader, whose spans are the map.
 
 The reader side is a *strict* parser: proof bytes come from an untrusted
 prover, so every length prefix is bounds-checked against the remaining
@@ -51,15 +48,16 @@ buffer before a single element is read, every field element must be
 canonical (< Goldilocks p), structural counts are capped at
 protocol-plausible values, opened Merkle columns must match the
 commitment geometry, and trailing bytes are rejected.  All failures raise
-:class:`repro.errors.DeserializationError` with byte-offset context —
-never ``IndexError``, ``struct.error`` or a numpy exception.
+:class:`repro.errors.DeserializationError` with the byte offset and the
+span being read — never ``IndexError``, ``struct.error`` or a numpy
+exception.
 """
 
 from __future__ import annotations
 
 import struct
 from itertools import compress
-from typing import List
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -187,8 +185,45 @@ class _Writer:
         return b"".join(self.parts)
 
 
+class Span(NamedTuple):
+    """One field of the wire, as the reader met it: ``path`` names it
+    (``rep[1].sc1.rounds``, ``table.bitmap``), ``kind`` says what it
+    holds (:data:`SPAN_KINDS`), and it covers ``length`` bytes from
+    ``offset`` as ``count`` items of one stride (elements, rounds,
+    digests, table columns or message rows; a label's bytes; a bitmap's
+    rows, of which its bytes hold ``count`` bits)."""
+
+    path: str
+    kind: str
+    offset: int
+    length: int
+    count: int
+
+    @property
+    def end(self) -> int:
+        return self.offset + self.length
+
+
+#: What a span holds: the magic, the version byte, a u32/u64 of the
+#: commitment geometry, a length prefix, one field element, a block of
+#: them, a sumcheck's rounds, u32 query indices, 32-byte digests, a
+#: block's row count, its zero-row bitmap, its live values, a label.
+SPAN_KINDS = ("magic", "version", "geometry", "count", "field", "fields",
+              "rounds", "indices", "digests", "height", "bitmap", "values",
+              "label")
+
+
+def _first_noncanonical(values: np.ndarray):
+    """Flat index of the first element >= p, or None."""
+    if values.size and int(values.max()) >= MODULUS:
+        return int(np.argmax(values.ravel() >= np.uint64(MODULUS)))
+    return None
+
+
 class _Reader:
-    """Bounds-checked little-endian reader over untrusted bytes."""
+    """Bounds-checked little-endian reader over untrusted bytes.  It
+    records the :class:`Span` of every field it reads (:meth:`layout`),
+    and an error names the span it was reading."""
 
     def __init__(self, data: bytes):
         if not isinstance(data, (bytes, bytearray, memoryview)):
@@ -196,110 +231,120 @@ class _Reader:
                 f"proof data must be bytes, got {type(data).__name__}")
         self.data = bytes(data)
         self.pos = 0
+        #: Where the field being parsed ends (the envelope's payload, or
+        #: the whole buffer).
+        self.end = len(self.data)
+        self.spans: List[tuple] = []     # Span fields, as plain tuples
+        self.at = (None, None)          # (path, kind) being read
 
-    def fail(self, message: str) -> "DeserializationError":
-        return DeserializationError(message, offset=self.pos)
+    def fail(self, message: str, offset: int | None = None,
+             at=None) -> "DeserializationError":
+        path, kind = at or self.at
+        return DeserializationError(
+            message, offset=self.pos if offset is None else offset,
+            span=path, span_kind=kind)
 
-    def _take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+    def take(self, n: int, path: str, kind: str, count: int = 1) -> bytes:
+        start = self.pos
+        self.at = (path, kind)
+        if start + n > self.end:
             raise self.fail(f"truncated proof data: need {n} more bytes, "
-                            f"have {len(self.data) - self.pos}")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
+                            f"have {self.end - start}")
+        self.spans.append((path, kind, start, n, count))
+        self.pos = start + n
+        return self.data[start:self.pos]
 
-    def u8(self) -> int:
-        return struct.unpack("<B", self._take(1))[0]
+    def layout(self) -> List[Span]:
+        """The spans read so far, in wire order."""
+        return [Span(*span) for span in self.spans]
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
+    def uint(self, path: str, kind: str = "count", size: int = 4) -> int:
+        return int.from_bytes(self.take(size, path, kind), "little")
 
-    def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
-
-    def count(self, what: str, item_bytes: int, cap: int = 1 << 32) -> int:
-        """Read a u32 length prefix, proving the claimed run of
-        ``item_bytes``-sized items can fit in the remaining buffer BEFORE
-        anything is allocated or looped over."""
-        n = self.u32()
+    def count(self, path: str, item_bytes: int, cap: int = 1 << 32) -> int:
+        """Read the u32 length prefix ``<path>.count``, proving the claimed
+        run of ``item_bytes``-sized items can fit in the remaining buffer
+        BEFORE anything is allocated or looped over."""
+        n = self.uint(f"{path}.count")
         if n > cap:
-            raise self.fail(f"{what} count {n} exceeds cap {cap}")
-        if item_bytes * n > len(self.data) - self.pos:
-            raise self.fail(f"{what} count {n} overruns the remaining "
-                            f"{len(self.data) - self.pos} bytes")
+            raise self.fail(f"{path} count {n} exceeds cap {cap}")
+        if item_bytes * n > self.end - self.pos:
+            raise self.fail(f"{path} count {n} overruns the remaining "
+                            f"{self.end - self.pos} bytes")
         return n
 
-    def digest(self) -> bytes:
-        return self._take(32)
-
-    def field(self, what: str = "field element") -> int:
-        v = self.u64()
+    def field(self, path: str) -> int:
+        v = self.uint(path, "field", 8)
         if v >= MODULUS:
-            raise DeserializationError(
-                f"non-canonical {what} {v} >= modulus", offset=self.pos - 8)
+            raise self.fail(f"non-canonical {path} {v} >= modulus",
+                            offset=self.pos - 8)
         return v
 
-    def fields(self, what: str = "field vector",
-               expected: int | None = None) -> List[int]:
-        n = self.count(what, 8)
+    def array(self, path: str, expected: int | None = None,
+              kind: str = "fields") -> np.ndarray:
+        """A :meth:`_Writer.array`: canonical u64 field elements, or with
+        ``kind="indices"`` u32 words."""
+        dtype = np.dtype("<u4" if kind == "indices" else "<u8")
+        n = self.count(path, dtype.itemsize)
         if expected is not None and n != expected:
-            raise self.fail(f"{what}: expected {expected} elements, got {n}")
-        return [self.field(what) for _ in range(n)]
+            raise self.fail(f"{path}: expected {expected} elements, got {n}")
+        at = self.pos
+        arr = np.frombuffer(self.take(dtype.itemsize * n, path, kind, n),
+                            dtype)
+        bad = None if kind == "indices" else _first_noncanonical(arr)
+        if bad is not None:
+            raise self.fail(f"non-canonical element in {path}",
+                            offset=at + 8 * bad)
+        return arr.astype(np.uint32 if kind == "indices" else np.uint64)
 
-    def rounds(self, what: str) -> List[List[int]]:
+    def digests(self, path: str, cap: int) -> List[bytes]:
+        n = self.count(path, 32, cap)
+        block = self.take(32 * n, path, "digests", n)
+        return [block[i:i + 32] for i in range(0, 32 * n, 32)]
+
+    def rounds(self, path: str) -> List[List[int]]:
         """Read a :meth:`_Writer.rounds` block: at most
         :data:`MAX_SUMCHECK_ROUNDS` rounds of one length, at most
         :data:`MAX_ROUND_EVALS` canonical evaluations each."""
-        n = self.count(what, 4, cap=MAX_SUMCHECK_ROUNDS)
+        n = self.count(path, 4, cap=MAX_SUMCHECK_ROUNDS)
         if not n:
             return []
         at = self.pos
+        self.at = (path, "rounds")
         k = struct.unpack_from("<I", self.data, at)[0]
         if k > MAX_ROUND_EVALS:
-            raise DeserializationError(f"{what} has {k} evaluations",
-                                       offset=at)
+            raise self.fail(f"{path} round 0 has {k} evaluations", offset=at)
         records = _round_records(k)
-        block = np.frombuffer(self._take(n * records.itemsize), records)
+        block = np.frombuffer(self.take(n * records.itemsize, path,
+                                        "rounds", n), records)
         other = block["count"] != k
         if other.any():
             i = int(np.argmax(other))
-            raise DeserializationError(
-                f"{what} {i} has {block['count'][i]} evaluations, round 0 "
-                f"has {k}", offset=at + i * records.itemsize)
+            raise self.fail(f"{path} round {i} has {block['count'][i]} "
+                            f"evaluations, round 0 has {k}",
+                            offset=at + i * records.itemsize)
         evals = block["evals"]
-        if evals.size and int(evals.max()) >= MODULUS:
-            i, j = divmod(int(np.argmax(evals.ravel() >= np.uint64(MODULUS))),
-                          k)
-            raise DeserializationError(
-                f"non-canonical {what} evaluation",
-                offset=at + i * records.itemsize + 4 + 8 * j)
+        bad = _first_noncanonical(evals)
+        if bad is not None:
+            i, j = divmod(bad, k)
+            raise self.fail(f"non-canonical {path} evaluation",
+                            offset=at + i * records.itemsize + 4 + 8 * j)
         return evals.tolist()
 
-    def array(self, what: str = "field array",
-              expected: int | None = None) -> np.ndarray:
-        n = self.count(what, 8)
-        if expected is not None and n != expected:
-            raise self.fail(f"{what}: expected {expected} elements, got {n}")
-        arr = np.frombuffer(self._take(8 * n), dtype="<u8").astype(np.uint64)
-        if n and int(arr.max()) >= MODULUS:
-            raise DeserializationError(
-                f"non-canonical element in {what}", offset=self.pos - 8 * n)
-        return arr
-
-    def table(self, what: str, n: int, heights) -> List[np.ndarray]:
+    def table(self, n: int, heights) -> List[np.ndarray]:
         """Read the body of a :meth:`_Writer.table` of ``n`` columns whose
         height must be in ``heights``: read-only row views of one
         ``(n, height)`` array, the left-out rows zero."""
         if n == 0:
             return []
-        return list(self.zero_rows(what, n, heights, by_row=False).T)
+        return list(self.zero_rows("table", n, heights, by_row=False).T)
 
     def rows(self, width: int, heights) -> np.ndarray:
         """Read a :meth:`_Writer.rows` block of ``width``-wide rows: the
         read-only ``(height, width)`` message matrix."""
-        return self.zero_rows("message", width, heights, by_row=True)
+        return self.zero_rows("rows", width, heights, by_row=True)
 
-    def zero_rows(self, what: str, width: int, heights,
+    def zero_rows(self, path: str, width: int, heights,
                   by_row: bool) -> np.ndarray:
         """A read-only ``(height, width)`` matrix whose height (one of
         ``heights``), zero-row bitmap and live rows' values follow, the
@@ -307,39 +352,41 @@ class _Reader:
         the rows of a C-ordered transpose).  Every bound is checked
         before the matrix is allocated, and each error carries the
         offset of the bytes at fault."""
+        what = "message" if by_row else "opened column"
         at = self.pos
-        h = self.u32()
+        h = self.uint(f"{path}.height", "height")
         if h not in heights:
-            raise DeserializationError(
-                f"{what} height {h} is not one of {sorted(heights)}",
-                offset=at)
+            raise self.fail(f"{what} height {h} is not one of "
+                            f"{sorted(heights)}", offset=at)
         if width * h > MAX_TABLE_CELLS:
-            raise DeserializationError(
-                f"{what} block of {width} x {h} cells exceeds cap "
-                f"{MAX_TABLE_CELLS}", offset=at)
+            raise self.fail(f"{what} block of {width} x {h} cells exceeds "
+                            f"cap {MAX_TABLE_CELLS}", offset=at)
         bits_at = self.pos
-        bits = np.unpackbits(np.frombuffer(self._take((h + 7) // 8),
-                                           np.uint8), bitorder="little")
+        bitmap = (f"{path}.bitmap", "bitmap")
+        bits = np.unpackbits(np.frombuffer(
+            self.take((h + 7) // 8, *bitmap, h), np.uint8),
+            bitorder="little")
         if bits[h:].any():
             pad = h + int(np.argmax(bits[h:]))
-            raise DeserializationError(
-                f"{what} bitmap sets padding bit {pad}", offset=self.pos - 1)
+            raise self.fail(f"{what} bitmap sets padding bit {pad}",
+                            offset=self.pos - 1)
         live = np.flatnonzero(bits[:h] == 0)
         start = self.pos
         shape = (live.size, width) if by_row else (width, live.size)
-        values = np.frombuffer(self._take(8 * width * live.size),
-                               "<u8").reshape(shape)
-        if values.size and int(values.max()) >= MODULUS:
-            first = int(np.argmax(values.ravel() >= np.uint64(MODULUS)))
-            raise DeserializationError(f"non-canonical element in {what}",
-                                       offset=start + 8 * first)
+        values = np.frombuffer(
+            self.take(8 * width * live.size, f"{path}.values", "values",
+                      shape[0]), "<u8").reshape(shape)
+        bad = _first_noncanonical(values)
+        if bad is not None:
+            raise self.fail(f"non-canonical element in {what}",
+                            offset=start + 8 * bad)
         values = values if by_row else values.T     # (live, width)
         dead = ~values.any(axis=1)
         if dead.any():
             row = int(live[np.argmax(dead)])
-            raise DeserializationError(
-                f"{what} row {row} is zero in every column but its bitmap "
-                "bit is clear", offset=bits_at + row // 8)
+            raise self.fail(f"{what} row {row} is zero in every column but "
+                            "its bitmap bit is clear",
+                            offset=bits_at + row // 8, at=bitmap)
         matrix = np.zeros((h, width) if by_row else (width, h), np.uint64)
         matrix = matrix if by_row else matrix.T
         matrix[live] = values
@@ -347,7 +394,13 @@ class _Reader:
         return matrix
 
     def done(self) -> bool:
-        return self.pos == len(self.data)
+        return self.pos == self.end
+
+    def trailing(self, what: str) -> "DeserializationError":
+        """The error for bytes left before :attr:`end` after a ``what``
+        (they are no span)."""
+        return self.fail(f"{self.end - self.pos} trailing bytes after "
+                         f"{what}", at=(None, None))
 
 
 def _write_pcs_proof(w: _Writer, p: OrionEvalProof) -> None:
@@ -363,20 +416,19 @@ def _write_pcs_proof(w: _Writer, p: OrionEvalProof) -> None:
     w.digests(p.merkle.nodes)
 
 
-def _read_pcs_proof(r: _Reader, c: OrionCommitment) -> OrionEvalProof:
+def _read_pcs_proof(r: _Reader, at: str,
+                    c: OrionCommitment) -> OrionEvalProof:
     """Parse one PCS opening but its columns (the column table fills them
     in), validated against the commitment geometry: combination rows are
     ``num_cols`` wide and the multiproof ships at most one sibling per
     level per query."""
-    num_prox = r.count("proximity row", 4 + 8, cap=MAX_REPETITIONS)
-    proximity_rows = [r.array("proximity row", expected=c.num_cols)
-                      for _ in range(num_prox)]
-    eval_row = r.array("evaluation row", expected=c.num_cols)
-    num_queries = r.count("query index", 4)
-    query_indices = [r.u32() for _ in range(num_queries)]
-    num_nodes = r.count("Merkle node", 32,
-                        cap=max(1, num_queries) * MAX_TREE_DEPTH)
-    nodes = [r.digest() for _ in range(num_nodes)]
+    num_prox = r.count(f"{at}.prox", 4 + 8, cap=MAX_REPETITIONS)
+    proximity_rows = [r.array(f"{at}.prox[{k}]", expected=c.num_cols)
+                      for k in range(num_prox)]
+    eval_row = r.array(f"{at}.eval_row", expected=c.num_cols)
+    query_indices = r.array(f"{at}.queries", kind="indices").tolist()
+    nodes = r.digests(f"{at}.nodes",
+                      cap=max(1, len(query_indices)) * MAX_TREE_DEPTH)
     merkle = MerkleMultiProof(indices=sorted(set(query_indices)),
                               nodes=nodes)
     return OrionEvalProof(proximity_rows, eval_row, query_indices, [],
@@ -486,20 +538,20 @@ def _write_repetition(w: _Writer, rp: RepetitionProof, pcs: bool) -> None:
         _write_pcs_proof(w, rp.pcs_proof)
 
 
-def _read_repetition(r: _Reader, c: OrionCommitment,
+def _read_repetition(r: _Reader, at: str, c: OrionCommitment,
                      pcs: bool) -> RepetitionProof:
-    """One repetition; its PCS part only in columns mode (``pcs``), else
-    an empty opening the rows block fills in."""
+    """One repetition, its spans under the path ``at``; its PCS part only
+    in columns mode (``pcs``), else an empty opening the rows block fills
+    in."""
     from ..multilinear.sumcheck import SumcheckProof
 
-    sc1 = r.rounds("sumcheck-1 round")
-    va = r.field("va")
-    vb = r.field("vb")
-    vc = r.field("vc")
-    sc2_rounds = r.rounds("sumcheck-2 round")
-    sc2_finals = r.fields("sumcheck-2 final values")
-    w_eval = r.field("witness evaluation")
-    pcs_proof = _read_pcs_proof(r, c) if pcs else OrionEvalProof()
+    sc1 = r.rounds(f"{at}.sc1.rounds")
+    va, vb, vc = (r.field(f"{at}.{name}") for name in ("va", "vb", "vc"))
+    sc2_rounds = r.rounds(f"{at}.sc2.rounds")
+    sc2_finals = r.array(f"{at}.sc2.finals").tolist()
+    w_eval = r.field(f"{at}.w_eval")
+    pcs_proof = _read_pcs_proof(r, f"{at}.pcs", c) if pcs else \
+        OrionEvalProof()
     return RepetitionProof(sc1, va, vb, vc,
                            SumcheckProof(sc2_rounds, sc2_finals),
                            w_eval, pcs_proof)
@@ -540,17 +592,32 @@ def proof_from_bytes(data: bytes, *,
     canonical field elements and a commitment-consistent structure, so
     the verifier can evaluate the proof without type or shape surprises.
     """
+    return _read_proof(_Reader(data), column_queries)
+
+
+def proof_layout(data: bytes, *,
+                 column_queries: int = DEFAULT_QUERIES) -> List[Span]:
+    """The :class:`Span` of every field of a proof's wire bytes, in wire
+    order: what the strict reader met parsing them (so it raises as
+    :func:`proof_from_bytes` does), ``column_queries`` as there."""
     r = _Reader(data)
-    if r._take(4) != MAGIC:
-        raise DeserializationError("bad magic", offset=0)
-    version = r.u8()
+    _read_proof(r, column_queries)
+    return r.layout()
+
+
+def _read_proof(r: _Reader, column_queries: int) -> SpartanProof:
+    """Parse a proof from ``r``'s position to its :attr:`_Reader.end`."""
+    start = r.pos
+    if r.take(4, "magic", "magic") != MAGIC:
+        raise r.fail("bad magic", offset=start)
+    version = r.uint("version", "version", 1)
     if version != VERSION:
-        raise DeserializationError(
-            f"unsupported proof version {version}", offset=4)
-    root = r.digest()
-    table_len = r.u64()
-    num_rows = r.u32()
-    num_cols = r.u32()
+        raise r.fail(f"unsupported proof version {version}",
+                     offset=start + 4)
+    root = r.take(32, "commitment.root", "digests")
+    table_len = r.uint("commitment.table_len", "geometry", 8)
+    num_rows = r.uint("commitment.num_rows", "geometry")
+    num_cols = r.uint("commitment.num_cols", "geometry")
     if table_len == 0 or table_len & (table_len - 1):
         raise r.fail(f"commitment table length {table_len} is not a "
                      "power of two")
@@ -563,9 +630,9 @@ def proof_from_bytes(data: bytes, *,
                                  num_rows=num_rows, num_cols=num_cols)
     disclosed = rows_mode(num_cols, column_queries)
     # Each repetition carries at least the five count/value headers.
-    num_reps = r.count("repetition", 4, cap=MAX_REPETITIONS)
-    reps = [_read_repetition(r, commitment, pcs=not disclosed)
-            for _ in range(num_reps)]
+    num_reps = r.count("reps", 4, cap=MAX_REPETITIONS)
+    reps = [_read_repetition(r, f"rep[{k}]", commitment, pcs=not disclosed)
+            for k in range(num_reps)]
     # One height: commitment rows, +1 with the zk mask row.
     heights = (num_rows, num_rows + 1)
     if disclosed:
@@ -578,17 +645,15 @@ def proof_from_bytes(data: bytes, *,
                                        for rp in reps)))
         # The count is bounded by the query indices already read, and the
         # table's cells by MAX_TABLE_CELLS.
-        num_cols_opened = r.u32()
+        num_cols_opened = r.uint("table.count")
         if num_cols_opened != len(indices):
             raise r.fail(f"opened column count {num_cols_opened} does not "
                          f"match {len(indices)} distinct query indices")
-        table = r.table("opened column", num_cols_opened, heights)
+        table = r.table(num_cols_opened, heights)
         at = {idx: k for k, idx in enumerate(indices)}
         for rp in reps:
             rp.pcs_proof.columns = [table[at[i]]
                                     for i in rp.pcs_proof.merkle.indices]
     if not r.done():
-        raise DeserializationError(
-            f"{len(r.data) - r.pos} trailing bytes after proof",
-            offset=r.pos)
+        raise r.trailing("proof")
     return SpartanProof(commitment, reps)

@@ -176,8 +176,8 @@ class TestOpenedColumnBlock:
         from repro.snark.serialize import _Reader
 
         r = _Reader(data)
-        r.u32()
-        cols = r.table("opened column", r.u32(), heights)
+        r.uint("prefix")
+        cols = r.table(r.uint("table.count"), heights)
         return r, cols
 
     def test_block_equals_column_at_a_time(self):
@@ -214,7 +214,7 @@ class TestOpenedColumnBlock:
         assert 4097 * 4096 > MAX_TABLE_CELLS
         r = _Reader((4096).to_bytes(4, "little"))
         with pytest.raises(DeserializationError, match="exceeds cap") as ei:
-            r.table("opened column", 4097, (4096,))
+            r.table(4097, (4096,))
         assert ei.value.offset == 0
 
     def test_padding_bit_refused(self):
@@ -333,6 +333,52 @@ class TestSumcheckRoundsBlock:
             assert ei.value.offset <= cut
 
 
+class TestArrayBlock:
+    """A field array is read as one block, one span: a non-canonical
+    element is refused at its own offset, and the error names the span
+    the reader was reading."""
+
+    def test_non_canonical_element_reports_its_own_offset(self):
+        from repro.snark.serialize import _Reader, _Writer
+
+        w = _Writer()
+        w.array([1, 2, MODULUS, 4])
+        r = _Reader(w.getvalue())
+        with pytest.raises(DeserializationError,
+                           match="non-canonical element in rep") as ei:
+            r.array("rep[0].sc2.finals")
+        assert ei.value.offset == 4 + 8 * 2
+        assert (ei.value.span, ei.value.span_kind) == (
+            "rep[0].sc2.finals", "fields")
+
+    def test_spans_of_a_block(self):
+        from repro.snark.serialize import Span, _Reader, _Writer
+
+        w = _Writer()
+        w.array([7, 8, 9])
+        w.array([5, 6], "<u4")
+        r = _Reader(w.getvalue())
+        assert r.array("a").tolist() == [7, 8, 9]
+        assert r.array("q", kind="indices").tolist() == [5, 6]
+        assert r.done() and r.layout() == [
+            Span("a.count", "count", 0, 4, 1), Span("a", "fields", 4, 24, 3),
+            Span("q.count", "count", 28, 4, 1),
+            Span("q", "indices", 32, 8, 2)]
+
+    def test_envelope_errors_name_the_span_at_its_envelope_offset(
+            self, baseline):
+        from repro.snark.envelope import layout
+
+        _, bundle, _ = baseline
+        data = bundle.to_bytes()
+        va = next(s for s in layout(data) if s.path == "rep[0].va")
+        bad = data[:va.offset] + (2**64 - 1).to_bytes(8, "little") + \
+            data[va.end:]
+        with pytest.raises(DeserializationError, match="in rep.0..va") as ei:
+            ProofBundle.from_bytes(bad)
+        assert (ei.value.offset, ei.value.span_kind) == (va.offset, "field")
+
+
 class TestDomainSeparation:
     def test_cross_circuit_proof_rejected(self, baseline):
         """An honest proof of x^2==25 must not verify as x^3+x+5==35."""
@@ -352,9 +398,7 @@ class TestDomainSeparation:
         r1cs_b, pub_b, wit_b = _square().compile()
         pk_b, _ = setup(r1cs_b, TEST)
         bundle_b = prove(pk_b, pub_b, wit_b)
-        rng = random.Random(7)
-        mutants = splice_mutants(bundle_a.to_bytes(), bundle_b.to_bytes(),
-                                 rng)
+        mutants = splice_mutants(bundle_a.to_bytes(), bundle_b.to_bytes())
         assert mutants
         for m in mutants:
             assert not _verifies(vk_a, m), m.mutator
@@ -388,18 +432,26 @@ class TestMutators:
 
     def test_noncanonical_field_at_the_top_of_its_draw(self, baseline):
         """The injected word is at least the modulus and below 2^64 for
-        every draw, the largest included: it is written, and the parser
-        refuses it."""
-        from repro.fuzz.mutate import mutate_noncanonical_field
+        every draw, the largest included: the generated field edit
+        writes it, and the parser refuses it."""
+        from repro.fuzz.mutate import element
+        from repro.snark.envelope import layout
 
         class Top(random.Random):
             def randrange(self, start, stop=None, step=1):
                 return (start if stop is None else stop) - 1
 
         _, bundle, _ = baseline
-        mutant, = mutate_noncanonical_field(bundle.to_bytes(), Top())
-        with pytest.raises(DeserializationError, match="non-canonical"):
-            ProofBundle.from_bytes(mutant.data)
+        data = bundle.to_bytes()
+        spans = layout(data)
+        for span in (s for s in spans if s.kind == "field"):
+            noncanonical, _ = element(data, span, spans, Top())
+            assert noncanonical[span.offset:span.end] == b"\xff" * 8
+            with pytest.raises(DeserializationError,
+                               match="non-canonical") as ei:
+                ProofBundle.from_bytes(noncanonical)
+            assert ei.value.offset == span.offset
+            assert ei.value.span == span.path
 
 
 class TestTiledCommitSoundness:

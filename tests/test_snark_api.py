@@ -962,6 +962,115 @@ class TestRowsBlock:
             proof_to_bytes(proof)
 
 
+def _normalized_paths(spans):
+    """The (path, kind) list of ``spans`` with repetition and proximity
+    row numbers generalised (``rep[k]``, ``prox[i]``), each once, in
+    wire order: the rows of PROTOCOL.md's span table."""
+    import re
+
+    out = []
+    for s in spans:
+        path = re.sub(r"rep\[\d+\]", "rep[k]", s.path)
+        row = (re.sub(r"prox\[\d+\]", "prox[i]", path), s.kind)
+        if row not in out:
+            out.append(row)
+    return out
+
+
+class TestLayout:
+    """The reader is the layout map: the spans it records tile every
+    envelope exactly, survive a decode and re-encode, match the span
+    table in docs/PROTOCOL.md §6b, and every span kind of each
+    repetition gets a generated mutant."""
+
+    CASES = ([(name, preset) for preset in (TEST.name, PAPER.name)
+              for name in REGISTRY_NAMES]
+             + [("synthetic-2p10", TEST.name),
+                ("synthetic-2p16", PAPER.name)])
+
+    @pytest.mark.parametrize("name,preset", CASES)
+    def test_spans_tile_the_envelope(self, name, preset):
+        from repro.snark.envelope import (bundle_from_bytes, bundle_to_bytes,
+                                          layout)
+        from repro.snark.serialize import SPAN_KINDS, proof_layout
+
+        _, bundle = _seed7(name, preset)
+        data = bundle.to_bytes()
+        spans = layout(data)
+        assert [s.offset for s in spans] == \
+            [0] + [s.end for s in spans[:-1]]
+        assert spans[-1].end == len(data)
+        assert {s.kind for s in spans} <= set(SPAN_KINDS)
+        assert layout(bundle_to_bytes(bundle_from_bytes(data))) == spans
+        # The payload's spans are proof_layout's, moved by its offset.
+        start = next(s.end for s in spans
+                     if s.path == "envelope.payload.count")
+        payload = [s._replace(offset=s.offset - start) for s in spans
+                   if s.offset >= start]
+        assert proof_layout(data[start:], column_queries=preset_by_name(
+            preset).column_queries) == payload
+
+    def test_protocol_doc_span_table(self):
+        """PROTOCOL.md §6b's table lists the path list of a real payload
+        in each mode: PAPER ``litmus`` (rows) and TEST 2^10 (columns)."""
+        import pathlib
+        import re
+
+        from repro.snark.serialize import proof_layout
+
+        doc = (pathlib.Path(__file__).resolve().parent.parent / "docs"
+               / "PROTOCOL.md").read_text()
+        section = doc[doc.index("## 6b."):doc.index("## 7.")]
+        table = re.findall(r"^\| `([^`]+)` \| (\w+) \| (\w+) \|", section,
+                           re.MULTILINE)
+        for name, preset, mode in (("litmus", PAPER, "rows"),
+                                   ("synthetic-2p10", TEST, "columns")):
+            _, bundle = _seed7(name, preset.name)
+            spans = proof_layout(proof_to_bytes(
+                bundle.proof, column_queries=preset.column_queries),
+                column_queries=preset.column_queries)
+            assert _normalized_paths(spans) == [
+                (path, kind) for path, kind, rows in table
+                if rows in ("both", mode)]
+
+    @pytest.mark.parametrize("name,preset", [
+        ("litmus", PAPER.name), ("synthetic-2p16", PAPER.name)])
+    def test_every_span_kind_of_every_repetition_is_mutated(self, name,
+                                                            preset):
+        """Rows mode and columns mode, three repetitions each: a generated
+        edit lands in every (span kind, repetition) the layout holds, an
+        in-place edit changes no byte outside its span, and the verifier
+        refuses every mutant."""
+        import random
+
+        from repro.errors import ReproError
+        from repro.fuzz.mutate import structured_mutants
+        from repro.snark.envelope import layout
+
+        vk, bundle = _seed7(name, preset)
+        data = bundle.to_bytes()
+        spans = {s.path: s for s in layout(data)}
+
+        def where(path):
+            return spans[path].kind, path.split(".")[0] if \
+                path.startswith("rep[") else None
+
+        mutants = structured_mutants(data, random.Random(5))
+        edited = [m for m in mutants if m.span is not None]
+        assert {where(p) for p in spans} <= {where(m.span) for m in edited}
+        for m in edited:
+            if len(m.data) == len(data):
+                s = spans[m.span]
+                assert m.data[:s.offset] == data[:s.offset], m.mutator
+                assert m.data[s.end:] == data[s.end:], m.mutator
+        for m in mutants:
+            try:
+                parsed = ProofBundle.from_bytes(m.data)
+            except ReproError:
+                continue
+            assert not verify(vk, parsed), (m.mutator, m.span)
+
+
 class TestModeFollowsThePreset:
     """The mode is no flag: the reader reads it off the preset the
     envelope names.  A payload laid out in the other mode — a PCS part

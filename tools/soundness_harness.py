@@ -15,13 +15,13 @@ decides the payload's mode).  Two passes: the toy circuits and registry
 ``litmus`` and ``sha`` and ``synthetic_r1cs(16)`` under PAPER (three
 repetitions).  The toy circuits and the two PAPER registry circuits have
 messages no wider than their preset's query count, so each opening is
-the message and the payload ends in the rows block (the ``rows_*``
-mutators edit it); TEST ``litmus`` (32 columns, 24 queries) and PAPER
-2^16 (256 columns, 189 queries) are in columns mode: each repetition
-carries its PCS part (the proximity-row, evaluation-row, query-index and
-multiproof mutators edit it), and 2^16's three repetitions share some
-columns, so the column mutators there edit a column of the proof's
-shared column table.
+the message and the payload ends in the rows block; TEST ``litmus`` (32
+columns, 24 queries) and PAPER 2^16 (256 columns, 189 queries) are in
+columns mode: each repetition carries its PCS part, and the payload ends
+in the column table 2^16's three repetitions share.  The span edits run
+on every span kind of each layout, in each repetition, so both modes get
+them.  Parse rejections are also tallied by the kind of the span the
+reader was reading (``per_span_kind``).
 
 A machine-readable report is written to ``--out`` (default
 ``BENCH_soundness.json``, the committed 150-mutant run).  Exit status is
@@ -41,6 +41,7 @@ import json
 import random
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -117,16 +118,19 @@ PAPER_CIRCUITS = {
 # Classification
 # ---------------------------------------------------------------------------
 
-def classify(vk, mutant: Mutant, tally: dict, failures: list) -> None:
+def classify(vk, mutant: Mutant, tally: dict, failures: list,
+             span_kinds: Counter) -> None:
     """Run one mutant envelope through parse + verify, enforcing the
-    trichotomy."""
+    trichotomy; a parse rejection also counts under the kind of the span
+    the reader was reading (``none`` past the last span)."""
     bucket = tally.setdefault(mutant.mutator, {
         "parse_rejected": 0, "verify_rejected": 0,
         "accepted": 0, "crashed": 0})
     try:
         bundle = ProofBundle.from_bytes(mutant.data)
-    except ReproError:
+    except ReproError as exc:
         bucket["parse_rejected"] += 1
+        span_kinds[getattr(exc, "span_kind", None) or "none"] += 1
         return
     except Exception as exc:  # noqa: BLE001 -- the harness's whole point
         bucket["crashed"] += 1
@@ -221,6 +225,7 @@ def main(argv=None) -> int:
 
     tally: dict = {}
     failures: list = []
+    span_kinds: Counter = Counter()
     total = 0
 
     for name, (vk, data) in targets.items():
@@ -228,7 +233,7 @@ def main(argv=None) -> int:
         mutants += random_mutants(data, rng, args.random_mutants)
         mutants += garbage_corpus(rng)
         for m in mutants:
-            classify(vk, m, tally, failures)
+            classify(vk, m, tally, failures, span_kinds)
         total += len(mutants)
         print(f"  {name}: {len(mutants)} mutants")
 
@@ -244,14 +249,14 @@ def main(argv=None) -> int:
         mutants = structured_mutants(data, rng)
         mutants += random_mutants(data, rng, args.random_mutants)
         for m in mutants:
-            classify(vk, m, paper_tally, failures)
+            classify(vk, m, paper_tally, failures, span_kinds)
         paper_total += len(mutants)
         print(f"  {name}: {len(mutants)} mutants")
     # Splices: rows mode into rows mode, and columns mode into rows mode.
     paper = list(paper_targets.values())
     for (vka, da), (_, db) in zip(paper, paper[1:]):
-        for m in splice_mutants(da, db, rng):
-            classify(vka, m, paper_tally, failures)
+        for m in splice_mutants(da, db):
+            classify(vka, m, paper_tally, failures, span_kinds)
             paper_total += 1
     for mutator, counts in paper_tally.items():
         bucket = tally.setdefault(mutator, dict.fromkeys(counts, 0))
@@ -265,8 +270,8 @@ def main(argv=None) -> int:
         for nb in names[i + 1:]:
             vka, da = targets[na]
             _, db = targets[nb]
-            for m in splice_mutants(da, db, rng):
-                classify(vka, m, tally, failures)
+            for m in splice_mutants(da, db):
+                classify(vka, m, tally, failures, span_kinds)
                 total += 1
 
     # Cross-circuit verification: an honest proof of statement A must not
@@ -280,7 +285,8 @@ def main(argv=None) -> int:
                 continue
             vkb, _ = targets[nb]
             _, da = targets[na]
-            classify(vkb, Mutant("cross_verify", da), tally, failures)
+            classify(vkb, Mutant("cross_verify", da), tally, failures,
+                     span_kinds)
             total += 1
     del cross  # populated via classify
 
@@ -329,6 +335,8 @@ def main(argv=None) -> int:
         "accepted": accepted,
         "crashed": crashed,
         "per_mutator": tally,
+        # Parse rejections by the kind of span the reader was reading.
+        "per_span_kind": dict(sorted(span_kinds.items())),
         "failures": failures,
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
