@@ -19,11 +19,11 @@ import numpy as np
 
 from ..field.goldilocks import MODULUS
 from ..hashing.merkle import MerkleMultiProof
-from ..pcs.orion import OrionEvalProof
+from ..pcs.orion import (OrionEvalProof, opened_columns, rows_mode,
+                         shared_message)
 from ..snark.envelope import bundle_from_bytes as _parse, layout
 from ..snark.params import PRESETS
-from ..snark.serialize import (Span, _Writer, _write_repetition,
-                               column_table, shipped_message)
+from ..snark.serialize import Span, _Writer, _write_repetition
 
 
 @dataclass
@@ -195,8 +195,17 @@ def splice_mutants(data_a: bytes, data_b: bytes) -> List[Mutant]:
 
 def _message(bundle):
     """The message the rows block carries; None in columns mode."""
-    return shipped_message(bundle.proof,
-                           PRESETS[bundle.preset_name].column_queries)
+    c = bundle.proof.witness_commitment
+    if not rows_mode(c.num_cols, PRESETS[bundle.preset_name].column_queries):
+        return None
+    return shared_message([rp.pcs_proof for rp in bundle.proof.repetitions],
+                          c.num_rows, c.num_cols)
+
+
+def _columns(bundle):
+    """``(indices, stacked)``: what the column table carries."""
+    return opened_columns([rp.pcs_proof for rp in bundle.proof.repetitions],
+                          bundle.proof.witness_commitment.num_rows)
 
 
 def _reopen(proof, table: Dict[int, np.ndarray]) -> None:
@@ -244,7 +253,7 @@ def mutate_mode_mismatch(data: bytes, rng: random.Random) -> List[Mutant]:
                 [], MerkleMultiProof(opened, []))
         _write_repetition(w, rp, pcs=message is not None)
     if message is None:
-        w.table(column_table(bundle.proof)[1])
+        w.table(_columns(bundle)[1])
     else:
         w.rows(message)
     return [Mutant("mode_mismatch", _resized(
@@ -286,7 +295,7 @@ def mutate_query_indices(data: bytes, rng: random.Random) -> List[Mutant]:
     bundle = _parse(data)
     if _message(bundle) is not None:
         return []
-    table = dict(zip(*column_table(bundle.proof)))
+    table = dict(zip(*_columns(bundle)))
     qi = rng.choice(bundle.proof.repetitions).pcs_proof.query_indices
     k = rng.randrange(len(qi))
     old, qi[k] = qi[k], (qi[k] + 1) % max(2, max(qi) + 1)
@@ -301,9 +310,11 @@ def mutate_opened_rows(data: bytes, rng: random.Random) -> List[Mutant]:
     row), make a zero row live, and zero a live row."""
     bundle = _parse(data)
     message = _message(bundle)
-    indices, columns = column_table(bundle.proof)   # none in rows mode
-    matrix = (np.array(columns, np.uint64).T if message is None
-              else np.array(message, np.uint64))      # rows x columns
+    if message is None:
+        indices, stacked = _columns(bundle)
+        matrix = stacked.T.copy()                       # rows x columns
+    else:
+        matrix = np.array(message, np.uint64)
     if not matrix.size:
         return []
     zero = ~matrix.any(axis=1)

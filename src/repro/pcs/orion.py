@@ -177,6 +177,87 @@ class OrionEvalProof:
                          self.columns)))
 
 
+def opened_columns(openings: Sequence[OrionEvalProof], rows: int
+                   ) -> tuple[list, np.ndarray]:
+    """``(indices, stacked)``: the sorted union of a columns-mode batch's
+    distinct query indices, and the ``(len(indices), height)`` matrix of
+    the column opened at each, one row per column.  It is what the
+    proof's column table carries and what :meth:`OrionPCS.verify_openings`
+    hashes: the one statement of what the openings share.
+
+    Every opening carries no message and one column per distinct query
+    index; every column is canonical, and all have one height, ``rows``
+    or ``rows + 1`` with the mask row; two openings that open one index
+    open equal columns there.  A parsed proof hands every opening the
+    same read-only column object, so identity settles most repeats.
+    Raises ``ValueError`` naming the first opening at fault; an honest
+    batch never does, since its openings read one committed codeword
+    matrix."""
+    heights = (rows, rows + 1)
+    table = {}          # codeword index -> (column as given, validated)
+    for k, p in enumerate(openings):
+        if p.message is not None:
+            raise ValueError(f"opening {k} carries a message, but a "
+                             "columns-mode opening is its columns")
+        distinct = sorted(set(p.query_indices))
+        if len(p.columns) != len(distinct):
+            raise ValueError(f"opening {k} opens {len(p.columns)} columns "
+                             f"for {len(distinct)} distinct query indices")
+        for idx, col in zip(distinct, p.columns):
+            seen = table.get(idx)
+            if seen is not None and seen[0] is col:
+                continue
+            arr = _field_array(col)
+            if arr is None or arr.size not in heights:
+                raise ValueError(
+                    f"opening {k} opens no column of "
+                    f"{' or '.join(map(str, heights))} canonical elements "
+                    f"at index {idx}")
+            if seen is not None and not np.array_equal(arr, seen[1]):
+                raise ValueError(f"opening {k} opens a column at index {idx} "
+                                 "that an earlier opening opened with other "
+                                 "values")
+            heights = (arr.size,)
+            table.setdefault(idx, (col, arr))
+    indices = sorted(table)
+    stacked = np.array([table[i][1] for i in indices], np.uint64)
+    return indices, stacked.reshape(len(indices), heights[0])
+
+
+def shared_message(openings: Sequence[OrionEvalProof], rows: int,
+                   cols: int) -> np.ndarray:
+    """The one message of a rows-mode batch: what the proof's rows block
+    carries and what :meth:`OrionPCS.verify_openings` encodes.  Every
+    opening is the message alone (:meth:`OrionEvalProof.disclosed`), the
+    first a canonical ``(rows [+1 mask], cols)`` matrix and every other
+    one equal to it.  Raises ``ValueError`` naming the first opening at
+    fault; an honest batch never does, since its openings share the
+    committed matrix, one object."""
+    if not openings:
+        raise ValueError("a rows-mode batch of no openings has no message")
+    message = None
+    for k, p in enumerate(openings):
+        if not (isinstance(p, OrionEvalProof) and p.disclosed()):
+            carries = ("no message" if getattr(p, "message", None) is None
+                       else "a message and a PCS part")
+            raise ValueError(f"opening {k} carries {carries}, but a "
+                             "rows-mode opening is the message alone")
+        if k and p.message is openings[0].message:
+            continue
+        given = _field_array(p.message, ndim=2)
+        if message is None:
+            if (given is None or given.shape[1] != cols
+                    or len(given) not in (rows, rows + 1)):
+                raise ValueError(f"opening 0 carries no ({rows} or "
+                                 f"{rows + 1}) x {cols} message of canonical "
+                                 "elements")
+            message = given
+        elif given is None or not np.array_equal(given, message):
+            raise ValueError(f"opening {k} carries another message than "
+                             "opening 0")
+    return message
+
+
 class OrionPCS:
     """Commit/open/verify for multilinear polynomials given as MLE tables."""
 
@@ -309,14 +390,14 @@ class OrionPCS:
         columns mode each opening replays :meth:`open`'s transcript in
         lockstep on its own transcript, with every structural check before
         the first absorb.  Then every opening's checks run, with the work
-        they share done once: each distinct opened column is validated and
-        leaf-hashed once and each multiproof checked against those
-        digests; all claimed rows are encoded in one tiled call, and each
-        opening's proximity and evaluation combinations of its columns
-        come from one :func:`~repro.field.vector.vecmat`.  Two openings
-        that open one index must open it with equal values: an honest
-        proof always does (one committed codeword matrix), and unequal
-        values cannot both match one Merkle leaf (docs/PROTOCOL.md).
+        they share done once: :func:`opened_columns` validates each
+        distinct opened column once (two openings that open one index must
+        open it with equal values: unequal ones cannot both match one
+        Merkle leaf, docs/PROTOCOL.md), each is leaf-hashed once and each
+        multiproof checked against those digests; all claimed rows are
+        encoded in one tiled call, and each opening's proximity and
+        evaluation combinations of its columns come from one
+        :func:`~repro.field.vector.vecmat`.
 
         The proofs come from an untrusted prover: a malformed one is
         answered with ``False`` — never an ``IndexError``, a broadcast
@@ -338,10 +419,13 @@ class OrionPCS:
         if not replayed:
             return True
         proofs = [proof for _point, _value, proof, _tr in openings]
-        distinct = sorted(set().union(*(p.merkle.indices for p in proofs)))
-        opened = self._opened_columns(proofs, distinct, rows)
-        if opened is None:
+        try:
+            distinct, stacked = opened_columns(proofs, rows)
+        except ValueError:
             return False
+        # C-ordered (height, count): every opening's vecmat gathers its
+        # columns from it, and an F-ordered view of ``stacked`` reads slower.
+        opened = np.ascontiguousarray(stacked.T)
         height = len(opened)
 
         at = {idx: k for k, idx in enumerate(distinct)}
@@ -378,8 +462,8 @@ class OrionPCS:
 
     def _verify_disclosed(self, commitment: OrionCommitment,
                           openings: Sequence[tuple]) -> bool:
-        """Rows mode: every opening is the one message matrix M (openings
-        carrying unequal ones reject).  M is validated once and its
+        """Rows mode: every opening is the one message matrix M
+        (:func:`shared_message`, which validates it once).  Its
         non-zero rows encoded once; the Merkle tree over every column of
         that encoding must have the commitment's root, so a message other
         than the committed one is a hash collision.  Each claimed value is
@@ -388,17 +472,15 @@ class OrionPCS:
         is sampled and the transcripts are not read (docs/PROTOCOL.md,
         §6b)."""
         rows, cols = commitment.num_rows, commitment.num_cols
-        proofs = []
-        for point, _value, proof, _tr in openings:
-            if (1 << len(point)) != commitment.table_len:
-                return False
-            if not (isinstance(proof, OrionEvalProof) and proof.disclosed()):
-                return False
-            proofs.append(proof)
-        if not proofs:
+        if any((1 << len(point)) != commitment.table_len
+               for point, _v, _p, _tr in openings):
+            return False
+        if not openings:
             return True
-        message = self._shared_message(proofs, rows, cols)
-        if message is None:
+        try:
+            message = shared_message([p for _pt, _v, p, _tr in openings],
+                                     rows, cols)
+        except ValueError:
             return False
         live = message.any(axis=1)
         codewords = np.zeros((len(message), self.code.codeword_length(cols)),
@@ -427,69 +509,17 @@ class OrionPCS:
         return (self.evaluate_from_row(eval_row, point, rows)
                 == int(value) % MODULUS)
 
-    @staticmethod
-    def _opened_columns(proofs, distinct, rows) -> Optional[np.ndarray]:
-        """The ``(height, len(distinct))`` matrix of the
-        batch's opened columns, each validated once, or None to reject.
-        One column height for the batch (rows, + 1 with the mask row,
-        read off the first column): the wire carries no other, and a
-        commitment's leaves are the columns of one matrix.  A parsed
-        proof hands every repetition the same read-only column object,
-        so identity settles most repeats."""
-        first = _field_array(proofs[0].columns[0]) if proofs[0].columns \
-            else None
-        height = rows + (first is not None and first.size == rows + 1)
-        table = {}          # codeword index -> (column as given, validated)
-        for proof in proofs:
-            for idx, col in zip(proof.merkle.indices, proof.columns):
-                seen = table.get(idx)
-                if seen is not None and seen[0] is col:
-                    continue
-                arr = _field_array(col, height)
-                if arr is None or (seen is not None
-                                   and not np.array_equal(seen[1], arr)):
-                    return None
-                if seen is None:
-                    table[idx] = (col, arr)
-        return np.stack([table[idx][1] for idx in distinct], axis=1)
-
-    @staticmethod
-    def _shared_message(proofs, rows, cols) -> Optional[np.ndarray]:
-        """The batch's one message matrix, validated once
-        (``(rows [+1 mask], cols)``, canonical), or None when it is
-        malformed or an opening carries an unequal one."""
-        given = proofs[0].message
-        try:
-            message = np.asarray(given, dtype=np.uint64)
-        except (TypeError, ValueError, OverflowError):
-            return None
-        if (message.ndim != 2 or message.shape[1] != cols
-                or len(message) not in (rows, rows + 1)
-                or (message.size and int(message.max()) >= MODULUS)):
-            return None
-        for proof in proofs[1:]:
-            if proof.message is given:
-                continue
-            try:
-                other = np.asarray(proof.message, dtype=np.uint64)
-            except (TypeError, ValueError, OverflowError):
-                return None
-            if not np.array_equal(other, message):
-                return None
-        return message
-
     def _replay(self, commitment: OrionCommitment, point: Sequence[int],
                 proof: OrionEvalProof, transcript: Transcript
                 ) -> Optional[tuple]:
         """One columns-mode opening's structural checks and transcript
         replay, in :meth:`open`'s order: ``(claimed rows, gammas)`` (the
         proximity rows then the evaluation row, validated), or None to
-        reject.  The opening carries no message and a column per distinct
-        query."""
+        reject.  Its columns are :func:`opened_columns`' to check."""
         rows, cols = commitment.num_rows, commitment.num_cols
         if (1 << len(point)) != commitment.table_len:
             return None
-        if not isinstance(proof, OrionEvalProof) or proof.message is not None:
+        if not isinstance(proof, OrionEvalProof):
             return None
         # Count checks first: the proximity loop length and every absorbed
         # array must be attacker-independent before challenges are derived.
@@ -520,8 +550,6 @@ class OrionPCS:
         if not isinstance(proof.merkle, MerkleMultiProof):
             return None
         if proof.merkle.indices != sorted(set(indices)):
-            return None
-        if len(proof.columns) != len(proof.merkle.indices):
             return None
         return claimed, gammas
 
@@ -580,8 +608,10 @@ class OrionPCS:
         return c.num_rows * c.num_cols == c.table_len
 
 
-def _field_array(x, length: Optional[int] = None) -> Optional[np.ndarray]:
-    """Coerce untrusted input to a 1-D canonical uint64 vector, or None.
+def _field_array(x, length: Optional[int] = None,
+                 ndim: int = 1) -> Optional[np.ndarray]:
+    """Coerce untrusted input to a canonical uint64 array of ``ndim``
+    dimensions (a vector unless told otherwise), or None.
 
     Rejects anything numpy cannot losslessly view as uint64 (negative or
     huge ints, nested/ragged data, wrong dimensionality or length) and
@@ -592,7 +622,7 @@ def _field_array(x, length: Optional[int] = None) -> Optional[np.ndarray]:
         arr = np.asarray(x, dtype=np.uint64)
     except (TypeError, ValueError, OverflowError):
         return None
-    if arr.ndim != 1:
+    if arr.ndim != ndim:
         return None
     if length is not None and arr.shape != (length,):
         return None

@@ -20,8 +20,10 @@ names the preset), so it is no flag and a proof has one encoding.
 
 Columns mode: every repetition opens columns of the ONE witness
 commitment, so a column two repetitions both query travels once: the
-table holds the sorted union of the repetitions' distinct query indices,
-and each repetition's columns are read back as views of it — the query
+table holds the sorted union of the repetitions' distinct query indices
+(:func:`~repro.pcs.orion.opened_columns`, which states for the writer and
+the verifier alike what the openings share), and each repetition's
+columns are read back as views of it — the query
 indices already on the wire say which, so the table carries no indices
 of its own.  Every column has the one height, and a row that is zero in
 every column (a padding row of the committed table encodes to zeros) is
@@ -33,7 +35,8 @@ every proof has one encoding.  A table of no columns is its count alone.
 Rows mode: each opening is the committed message matrix
 (:attr:`OrionEvalProof.message`), so a repetition carries no PCS part and
 the payload ends in the rows block, the one message the repetitions
-share, its zero rows a bitmap under the same rule.
+share (:func:`~repro.pcs.orion.shared_message`), its zero rows a bitmap
+under the same rule.
 
 The writer is the one statement of this layout: a proof's wire size is
 ``len(proof_to_bytes(proof))``, counted by no formula beside it.  It
@@ -56,7 +59,6 @@ exception.
 from __future__ import annotations
 
 import struct
-from itertools import compress
 from typing import List, NamedTuple
 
 import numpy as np
@@ -65,7 +67,8 @@ from ..code.reed_solomon import DEFAULT_QUERIES
 from ..errors import DeserializationError
 from ..field.goldilocks import MODULUS
 from ..hashing.merkle import MerkleMultiProof
-from ..pcs.orion import OrionCommitment, OrionEvalProof, rows_mode
+from ..pcs.orion import (OrionCommitment, OrionEvalProof, opened_columns,
+                         rows_mode, shared_message)
 from ..spartan.protocol import RepetitionProof, SpartanProof
 
 MAGIC = b"NCAP"
@@ -149,20 +152,17 @@ class _Writer:
         records["evals"] = rounds
         self.parts.append(records.tobytes())
 
-    def table(self, columns) -> None:
-        """A column table: u32 count, then (unless empty) u32 height, the
-        bitmap of the rows that are zero in every column (bit i of byte
-        i // 8, least significant first) and the other rows' values,
-        column by column.  Columns of different heights raise
-        ``ValueError``: the table carries one."""
-        self.u32(len(columns))
-        if not columns:
+    def table(self, stacked) -> None:
+        """A column table of the ``(count, height)`` matrix ``stacked``
+        (one row per column, :func:`~repro.pcs.orion.opened_columns`):
+        u32 count, then (unless empty) u32 height, the bitmap of the rows
+        that are zero in every column (bit i of byte i // 8, least
+        significant first) and the other rows' values, column by
+        column."""
+        table = np.asarray(stacked, dtype="<u8")
+        self.u32(len(table))
+        if not len(table):
             return
-        heights = {len(col) for col in columns}
-        if len(heights) != 1:
-            raise ValueError(f"opened columns of heights {sorted(heights)}: "
-                             "the column table carries one")
-        table = np.asarray(columns, dtype="<u8")
         zero = self._bitmap(table.T)
         self.parts.append(table[:, ~zero].tobytes())
 
@@ -435,97 +435,6 @@ def _read_pcs_proof(r: _Reader, at: str,
                           merkle)
 
 
-def column_table(proof: SpartanProof):
-    """``(indices, columns)``: the sorted union of the repetitions'
-    distinct query indices and the column opened at each — what the
-    payload's column table carries.
-
-    Raises ``ValueError`` for a proof the table cannot carry: a
-    repetition whose column count is not its distinct query count, or
-    two repetitions that open different columns at one index (values or
-    length).  An honest proof is neither (every repetition opens the one
-    committed codeword matrix), and the v2 reader refused the first.
-    """
-    indices, columns, reps = [], [], []
-    for k, rp in enumerate(proof.repetitions):
-        p = rp.pcs_proof
-        distinct = sorted(set(p.query_indices))
-        if len(p.columns) != len(distinct):
-            raise ValueError(f"repetition {k} opens {len(p.columns)} columns "
-                             f"for {len(distinct)} distinct query indices")
-        indices += distinct
-        columns += p.columns
-        reps += [k] * len(distinct)
-    if not columns:
-        return [], []
-    # Openings grouped by index, earliest repetition first (a stable
-    # sort): each agrees with the first of its index iff it agrees with
-    # the one before it, so the proof's check is one array comparison.
-    order = np.argsort(indices, kind="stable").tolist()
-    ordered = [columns[i] for i in order]
-    heights = np.fromiter(map(len, ordered), np.int64, len(ordered))
-    if (heights == heights[0]).all():
-        opened = np.asarray(ordered, dtype=np.uint64)
-    else:   # padded, so a repeated column of another length compares
-        opened = np.zeros((len(ordered), heights.max()), np.uint64)
-        for row, col in zip(opened, ordered):
-            row[:len(col)] = col
-    idx = np.asarray(indices)[order]
-    repeat = idx[1:] == idx[:-1]
-    other = repeat & ((heights[1:] != heights[:-1])
-                      | (opened[1:] != opened[:-1]).any(axis=1))
-    if other.any():      # name the first in repetition order
-        at = min(order[i + 1] for i in np.flatnonzero(other))
-        raise ValueError(f"repetition {reps[at]} opens a column at index "
-                         f"{indices[at]} that an earlier repetition opened "
-                         "with other values")
-    first = [True] + (~repeat).tolist()
-    return idx[first].tolist(), list(compress(ordered, first))
-
-
-def shipped_message(proof: SpartanProof, column_queries: int):
-    """The message matrix the payload's rows block carries, or None when
-    the payload ends in the column table: :func:`rows_mode` of the
-    commitment's width and ``column_queries`` decides.
-
-    Raises ``ValueError`` for a proof whose openings contradict the rule
-    (a PCS part or no message where the rule says rows mode, a message
-    where it says columns mode) or carry unequal messages, for a message
-    that is not ``num_cols`` wide, and for a rows-mode proof of no
-    repetitions.  An honest proof does neither:
-    the prover reads the same rule, and its openings share the one
-    committed matrix.
-    """
-    reps = [rp.pcs_proof for rp in proof.repetitions]
-    num_cols = proof.witness_commitment.num_cols
-    rows = rows_mode(num_cols, column_queries)
-    for k, p in enumerate(reps):
-        if rows != (p.message is not None) or (rows and not p.disclosed()):
-            carries = ("no message" if p.message is None else
-                       "a message and a PCS part" if rows else "a message")
-            ends = "rows block" if rows else "column table"
-            raise ValueError(f"repetition {k} carries {carries}, but a "
-                             f"{num_cols}-column message under "
-                             f"{column_queries} column queries ends the "
-                             f"payload in the {ends}")
-    if not rows:
-        return None
-    if not reps:
-        raise ValueError("a proof of no repetitions has no message for the "
-                         "rows block")
-    message = reps[0].message
-    for k, p in enumerate(reps[1:], 1):
-        if p.message is not message and not np.array_equal(
-                np.asarray(p.message, np.uint64),
-                np.asarray(message, np.uint64)):
-            raise ValueError(f"repetition {k} carries another message than "
-                             "repetition 0")
-    if np.ndim(message) != 2 or np.shape(message)[1] != num_cols:
-        raise ValueError(f"message of shape {np.shape(message)} is not "
-                         f"{num_cols} wide")
-    return message
-
-
 def _write_repetition(w: _Writer, rp: RepetitionProof, pcs: bool) -> None:
     w.rounds(rp.sc1_round_evals)
     w.u64(rp.va)
@@ -561,24 +470,31 @@ def proof_to_bytes(proof: SpartanProof, *,
                    column_queries: int = DEFAULT_QUERIES) -> bytes:
     """Serialize a proof to its wire format.  ``column_queries`` is the
     query count of the preset that made it (the default code's, 189, is
-    PAPER's); the payload's mode follows from it
-    (:func:`shipped_message`)."""
+    PAPER's); the payload's mode follows from it (:func:`rows_mode`).
+
+    Raises ``ValueError`` for openings the payload cannot carry, as
+    :func:`~repro.pcs.orion.shared_message` (rows mode) or
+    :func:`~repro.pcs.orion.opened_columns` (columns mode) finds them —
+    the openings the verifier rejects."""
+    c = proof.witness_commitment
+    openings = [rp.pcs_proof for rp in proof.repetitions]
+    disclosed = rows_mode(c.num_cols, column_queries)
+    shared = (shared_message(openings, c.num_rows, c.num_cols) if disclosed
+              else opened_columns(openings, c.num_rows)[1])
     w = _Writer()
     w.parts.append(MAGIC)
     w.u8(VERSION)
-    c = proof.witness_commitment
     w.digests([c.root])
     w.u64(c.table_len)
     w.u32(c.num_rows)
     w.u32(c.num_cols)
     w.u32(len(proof.repetitions))
-    message = shipped_message(proof, column_queries)
     for rp in proof.repetitions:
-        _write_repetition(w, rp, pcs=message is None)
-    if message is None:
-        w.table(column_table(proof)[1])
+        _write_repetition(w, rp, pcs=not disclosed)
+    if disclosed:
+        w.rows(shared)
     else:
-        w.rows(message)
+        w.table(shared)
     return w.getvalue()
 
 

@@ -194,9 +194,10 @@ class TestOpenedColumnBlock:
         assert self._read(self._run([]))[1] == []
 
     def test_mixed_heights_refused_by_the_writer(self):
-        """One height field: the writer cannot lay out a column of
-        another height, so no reader ever sees one."""
-        with pytest.raises(ValueError, match="heights"):
+        """One height field: the writer lays out one ``(count, height)``
+        array, so a column of another height cannot reach it and no
+        reader ever sees one."""
+        with pytest.raises(ValueError, match="inhomogeneous"):
             self._run([[1, 2, 3, 4], [5, 6, 7, 8], [9, 9, 9]])
 
     def test_height_outside_the_geometry_refused(self):
@@ -248,7 +249,8 @@ class TestOpenedColumnBlock:
         cols = proof.repetitions[0].pcs_proof.columns
         assert len(cols) > 1
         cols[-1] = cols[-1][:-1]
-        with pytest.raises(ValueError, match="heights"):
+        with pytest.raises(ValueError, match=r"opening 0 opens no column of "
+                                             r"\d+ canonical elements"):
             proof_to_bytes(proof, column_queries=queries)
 
 

@@ -429,6 +429,56 @@ class TestKeySpace:
 # End-to-end over the unix socket
 # ---------------------------------------------------------------------------
 
+def _relabelled(envelope, circuit_id):
+    """``envelope`` with its circuit-id label replaced, bytes only."""
+    from repro.snark.envelope import layout
+
+    spans = {s.path: s for s in layout(envelope)}
+    label = circuit_id.encode("utf-8")
+    return (envelope[:spans["envelope.circuit.count"].offset]
+            + bytes([len(label)]) + label
+            + envelope[spans["envelope.circuit"].end:])
+
+
+class TestCircuitIdIsALabel:
+    """The envelope's circuit id names the statement and binds nothing:
+    neither the proof nor ``verify(vk, bundle)`` reads it
+    (docs/PROTOCOL.md §1, docs/SERVICE.md).  These pin that behaviour as
+    it stands; binding the label (ROADMAP 15(b)'s v8 bump) must flip
+    (a)."""
+
+    def test_a_relabelled_envelope_parses_and_verifies(self):
+        from repro.snark import TEST, ProofBundle, prove, setup, verify
+        from repro.workloads.registry import build_workload
+
+        circuit_id, circuit = build_workload("litmus")
+        r1cs, public, witness = circuit.compile()
+        pk, vk = setup(r1cs, TEST)
+        envelope = prove(pk, public, witness, seed=5,
+                         circuit_id=circuit_id).to_bytes()
+        relabelled = _relabelled(envelope, "sha")
+        assert relabelled != envelope
+        bundle = ProofBundle.from_bytes(relabelled)
+        assert bundle.circuit_id == "sha"
+        assert bundle.to_bytes() == relabelled
+        assert verify(vk, bundle)
+
+    def test_b_daemon_checks_an_unnamed_request_against_the_label(
+            self, sock_path):
+        """A verify request that names no circuit is checked against the
+        label's circuit, and the reply names it; a request that names
+        ``circuit_id`` is checked against the named one."""
+        with running_service(sock_path), ServiceClient(sock_path) as svc:
+            relabelled = _relabelled(svc.prove("litmus", seed=5), "sha")
+            reply = svc.result(svc.submit("verify", envelope=relabelled),
+                               wait_s=60)
+            assert reply["state"] == "done"
+            assert (reply["circuit_id"], reply["valid"]) == ("sha", False)
+            named = svc.result(svc.submit("verify", envelope=relabelled,
+                                          circuit_id="litmus"), wait_s=60)
+            assert (named["circuit_id"], named["valid"]) == ("litmus", True)
+
+
 class TestServiceEndToEnd:
     def test_mixed_jobs_roundtrip(self, sock_path, monkeypatch):
         """Mixed prove/verify jobs through the live daemon; the proved

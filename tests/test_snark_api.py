@@ -29,7 +29,7 @@ from repro.snark import (
     setup,
     verify,
 )
-from repro.snark.serialize import column_table, shipped_message
+from repro.pcs.orion import opened_columns, rows_mode, shared_message
 
 
 def _circuit(x=3, out=35):
@@ -474,8 +474,8 @@ class TestColumnsModeBytesDidNotMove:
     def test_envelope_but_its_version_bytes(self, name, preset):
         vk, bundle = _seed7(name, preset)
         data = bundle.to_bytes()
-        assert shipped_message(
-            bundle.proof, preset_by_name(preset).column_queries) is None
+        assert not rows_mode(bundle.proof.witness_commitment.num_cols,
+                             preset_by_name(preset).column_queries)
         length, digest = self.DIGESTS[(name, preset)]
         assert len(data) == length
         assert hashlib.sha256(_unversioned(data)).hexdigest() == digest
@@ -544,7 +544,7 @@ class TestWireSize:
                     assert np.shares_memory(col, views[idx])
                     shared += 1
                 views.setdefault(idx, col)
-        assert shared and len(views) == len(column_table(bundle.proof)[0])
+        assert shared and len(views) == len(_opened(bundle.proof)[0])
 
     def test_each_message_once(self):
         """litmus's three openings are each its 4-column message: the
@@ -570,8 +570,6 @@ class TestWireSize:
         more than the preset's query count — PAPER's 189 cover ``sha``'s
         64 columns and not 2^16's 256, TEST's 24 cover 2^8's 16 and not
         2^10's 32."""
-        from repro.pcs.orion import rows_mode
-
         vk, bundle = _seed7(name, preset)
         queries = preset_by_name(preset).column_queries
         com = bundle.proof.witness_commitment
@@ -579,10 +577,23 @@ class TestWireSize:
         for rp in bundle.proof.repetitions:
             assert rp.pcs_proof.disclosed() == (mode == "rows")
         decoded = ProofBundle.from_bytes(bundle.to_bytes())
-        assert (shipped_message(decoded.proof, queries) is not None) == (
-            mode == "rows")
+        for rp in decoded.proof.repetitions:
+            assert rp.pcs_proof.disclosed() == (mode == "rows")
         assert _object_digest(decoded.proof) == _object_digest(bundle.proof)
         assert verify(vk, decoded)
+
+
+def _opened(proof):
+    """``opened_columns`` of a columns-mode proof's openings."""
+    return opened_columns([rp.pcs_proof for rp in proof.repetitions],
+                          proof.witness_commitment.num_rows)
+
+
+def _message(proof):
+    """``shared_message`` of a rows-mode proof's openings."""
+    c = proof.witness_commitment
+    return shared_message([rp.pcs_proof for rp in proof.repetitions],
+                          c.num_rows, c.num_cols)
 
 
 def _table_at(proof, data):
@@ -591,7 +602,7 @@ def _table_at(proof, data):
     and the table itself, ``(count, height)``."""
     import types
 
-    table = np.asarray(column_table(proof)[1], dtype=np.uint64)
+    table = _opened(proof)[1]
     n, h = table.shape
     values = len(data) - 8 * n * int(table.any(axis=0).sum())
     bitmap = values - (h + 7) // 8
@@ -603,14 +614,13 @@ def _table_at(proof, data):
     return at
 
 
-def _rows_at(proof, data, queries=PAPER.column_queries):
+def _rows_at(proof, data):
     """Offsets of the rows block's parts at the end of ``data`` (the
-    payload of a rows-mode ``proof`` under ``queries`` column queries):
-    its height, bitmap and value block, and the message itself,
-    ``(height, num_cols)``."""
+    payload of a rows-mode ``proof``): its height, bitmap and value
+    block, and the message itself, ``(height, num_cols)``."""
     import types
 
-    message = np.asarray(shipped_message(proof, queries), dtype=np.uint64)
+    message = _message(proof)
     h, c = message.shape
     zero = ~message.any(axis=1)
     values = len(data) - 8 * c * int((~zero).sum())
@@ -779,10 +789,11 @@ class TestColumnTable:
             k = repeated(reps, 2)
             reps[2].pcs_proof.columns[k] = reps[2].pcs_proof.columns[k][:-1]
 
-        refused(bump, "repetition 1 opens a column at index .* other values")
+        refused(bump, "opening 1 opens a column at index .* other values")
         refused(lambda reps: reps[2].pcs_proof.columns.pop(),
-                "distinct query indices")
-        refused(cut, "repetition 2 opens a column at index .* other values")
+                r"opening 2 opens \d+ columns for \d+ distinct query indices")
+        refused(cut, "opening 2 opens no column of 129 canonical elements "
+                     "at index")
 
 
 class TestRowsBlock:
@@ -945,21 +956,158 @@ class TestRowsBlock:
             pcs.clear()
 
         refused(rows_bundle, other,
-                "repetition 2 carries another message")
+                "opening 2 carries another message than opening 0")
         for part in (columns, eval_row):
             refused(rows_bundle, part,
-                    "repetition 1 carries a message and a PCS part, but a "
-                    "4-column message under 189 column queries ends the "
-                    "payload in the rows block")
+                    "opening 1 carries a message and a PCS part, but a "
+                    "rows-mode opening is the message alone")
         refused(rows_bundle, drop,
-                "repetition 0 carries no message, .* rows block")
+                "opening 0 carries no message, but a rows-mode opening")
         refused(cols_bundle, stray,
-                "repetition 1 carries a message, .* column table")
-        refused(rows_bundle, widen, "is not 4 wide")
-        with pytest.raises(ValueError, match="no repetitions"):
+                "opening 1 carries a message, but a columns-mode opening")
+        refused(rows_bundle, widen,
+                r"opening 0 carries no \(128 or 129\) x 4 message")
+        with pytest.raises(ValueError, match="no openings"):
             proof = copy.deepcopy(rows_bundle.proof)
             proof.repetitions = []
             proof_to_bytes(proof)
+
+
+@functools.lru_cache(maxsize=None)
+def _captured(name, preset):
+    """``(vk, bundle, commitment, [(point, value, transcript)])`` of the
+    seed-7 proof: the openings the Spartan verifier checks."""
+    vk, bundle = _seed7(name, preset)
+    verifier = vk.verifier()
+    seen = []
+    real = verifier.pcs.verify_openings
+
+    def capture(commitment, openings):
+        seen.append((commitment, [(pt, v, copy.copy(tr))
+                                  for pt, v, _p, tr in openings]))
+        return real(commitment, openings)
+
+    verifier.pcs.verify_openings = capture
+    assert verifier.verify(bundle.public, bundle.proof)
+    (commitment, openings), = seen
+    return vk, bundle, commitment, openings
+
+
+def _retabled(pcs, edit):
+    """Every opening's columns re-pointed at one table (index -> column)
+    that ``edit`` changed, so openings of one index share the object."""
+    table = {}
+    for p in pcs:
+        table.update(zip(p.merkle.indices, p.columns))
+    edit(table)
+    for p in pcs:
+        p.columns = [table[i] for i in p.merkle.indices]
+
+
+def _shared_column(pcs, j):
+    """Where opening j's columns hold an index an earlier one opens."""
+    earlier = set().union(*(p.merkle.indices for p in pcs[:j]))
+    return next(k for k, idx in enumerate(pcs[j].merkle.indices)
+                if idx in earlier)
+
+
+def _bump_shared_column(pcs):
+    k = _shared_column(pcs, 1)
+    col = np.array(pcs[1].columns[k])
+    col[0] = (int(col[0]) + 1) % MODULUS
+    pcs[1].columns[k] = col
+
+
+def _listed_shared_column(pcs):
+    k = _shared_column(pcs, 1)
+    pcs[1].columns[k] = pcs[1].columns[k].tolist()
+
+
+def _cut_shared_column(pcs):
+    k = _shared_column(pcs, 2)
+    pcs[2].columns[k] = pcs[2].columns[k][:-1]
+
+
+def _noncanonical_column(table):
+    idx = min(table)
+    table[idx] = np.array(table[idx])
+    table[idx][0] = MODULUS
+
+
+def _third_height(table):
+    for idx, col in table.items():
+        table[idx] = np.append(col, np.uint64(0))
+
+
+def _bumped_message(message):
+    other = np.array(message)
+    other[0, 0] = (int(other[0, 0]) + 1) % MODULUS
+    return other
+
+
+def _set(j, **fields):
+    """An edit that sets opening j's ``fields`` (values or functions of
+    the opening)."""
+    def edit(pcs):
+        for key, value in fields.items():
+            setattr(pcs[j], key, value(pcs[j]) if callable(value) else value)
+    return edit
+
+
+class TestWriterAgreesWithTheVerifier:
+    """What the openings share has one owner (``opened_columns`` and
+    ``shared_message``): the writer refuses exactly the object-level
+    openings ``verify_openings`` rejects, naming the first opening at
+    fault, and writes the honest bytes for exactly those it accepts.
+    Each case edits the seed-7 PAPER openings of ``synthetic-2p16``
+    (columns mode) or ``litmus`` (rows mode)."""
+
+    #: case -> (circuit, edit of the openings, the opening at fault or
+    #: None where both accept).
+    CASES = {
+        "honest columns": ("synthetic-2p16", lambda pcs: None, None),
+        "equal copy of a shared column": (
+            "synthetic-2p16", _listed_shared_column, None),
+        "unequal column at a shared index": (
+            "synthetic-2p16", _bump_shared_column, 1),
+        "dropped column": (
+            "synthetic-2p16", lambda pcs: pcs[2].columns.pop(), 2),
+        "repeated column of another length": (
+            "synthetic-2p16", _cut_shared_column, 2),
+        "non-canonical opened value": (
+            "synthetic-2p16",
+            lambda pcs: _retabled(pcs, _noncanonical_column), 0),
+        "column of a third height": (
+            "synthetic-2p16", lambda pcs: _retabled(pcs, _third_height), 0),
+        "honest message": ("litmus", lambda pcs: None, None),
+        "equal copy of the message": (
+            "litmus", _set(2, message=lambda p: p.message.tolist()), None),
+        "unequal messages": (
+            "litmus", _set(2, message=lambda p: _bumped_message(p.message)),
+            2),
+        "message plus a PCS part": (
+            "litmus", _set(1, eval_row=lambda p: np.array(p.message[0])), 1),
+        "no message where the rule says rows mode": (
+            "litmus", _set(0, message=None), 0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_writer_refuses_what_the_verifier_rejects(self, case):
+        name, edit, at_fault = self.CASES[case]
+        vk, bundle, com, captured = _captured(name, PAPER.name)
+        proof = copy.deepcopy(bundle.proof)
+        pcs = [rp.pcs_proof for rp in proof.repetitions]
+        edit(pcs)
+        accepted = vk.verifier().pcs.verify_openings(com, [
+            (pt, v, p, copy.copy(tr))
+            for (pt, v, tr), p in zip(captured, pcs, strict=True)])
+        assert accepted is (at_fault is None)
+        labelled = dataclasses.replace(bundle, proof=proof, report=None)
+        if accepted:
+            assert labelled.to_bytes() == bundle.to_bytes()
+        else:
+            with pytest.raises(ValueError, match=f"^opening {at_fault} "):
+                labelled.to_bytes()
 
 
 def _normalized_paths(spans):
@@ -1121,33 +1269,13 @@ class TestRowsModeDifferential:
     and transcripts — both refuse, as the rebuilt root moves — and the
     unedited message is accepted either way (docs/PROTOCOL.md, §6b)."""
 
-    @staticmethod
-    @functools.lru_cache(maxsize=None)
-    def _captured(name, preset):
-        """``(vk, bundle, commitment, [(point, value, transcript)])`` of
-        the seed-7 proof: the openings the Spartan verifier checks."""
-        vk, bundle = _seed7(name, preset)
-        verifier = vk.verifier()
-        seen = []
-        real = verifier.pcs.verify_openings
-
-        def capture(commitment, openings):
-            seen.append((commitment, [(pt, v, copy.copy(tr))
-                                      for pt, v, _p, tr in openings]))
-            return real(commitment, openings)
-
-        verifier.pcs.verify_openings = capture
-        assert verifier.verify(bundle.public, bundle.proof)
-        (commitment, openings), = seen
-        return vk, bundle, commitment, openings
-
     @classmethod
     def _verdicts(cls, name, preset, row, col, delta):
         from repro.code import ReedSolomonCode
         from repro.hashing.merkle import MerkleTree
         from repro.pcs.orion import OrionPCS, _ProverState
 
-        vk, bundle, com, openings = cls._captured(name, preset)
+        vk, bundle, com, openings = _captured(name, preset)
         proof = copy.deepcopy(bundle.proof)
         message = np.array(proof.repetitions[0].pcs_proof.message)
         r, c = row % len(message), col % message.shape[1]
@@ -1217,9 +1345,9 @@ class TestZeroRows:
         decoded = proof_from_bytes(data, column_queries=queries)
         assert _object_digest(decoded) == _object_digest(proof)
         assert proof_to_bytes(decoded, column_queries=queries) == data
-        if shipped_message(proof, queries) is None:
+        if not rows_mode(proof.witness_commitment.num_cols, queries):
             return _table_at(proof, data)
-        return _rows_at(proof, data, queries)
+        return _rows_at(proof, data)
 
     def test_litmus_interior_zero_rows(self):
         vk, bundle = _seed7("litmus", PAPER.name)

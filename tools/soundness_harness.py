@@ -57,7 +57,7 @@ from repro.fuzz.mutate import (
 )
 from repro.r1cs import Circuit
 from repro.snark import PAPER, TEST, ProofBundle, prove, setup, verify
-from repro.snark.serialize import shipped_message
+from repro.pcs.orion import opened_columns, rows_mode
 from repro.workloads import synthetic_r1cs
 from repro.workloads.registry import build_workload
 
@@ -195,13 +195,13 @@ def baselines(compiled: dict, preset, seed: int):
 def _opened(bundle) -> dict:
     """What a PAPER payload ships: the message (rows block), or the
     columns its repetitions open, once each (column table)."""
-    proof = bundle.proof
-    if shipped_message(proof, PAPER.column_queries) is not None:
+    c = bundle.proof.witness_commitment
+    if rows_mode(c.num_cols, PAPER.column_queries):
         return {"opened": 0, "distinct": 0, "ships": "rows block"}
-    reps = [rp.pcs_proof for rp in proof.repetitions]
-    distinct = set().union(*(p.merkle.indices for p in reps))
+    reps = [rp.pcs_proof for rp in bundle.proof.repetitions]
     return {"opened": sum(len(p.merkle.indices) for p in reps),
-            "distinct": len(distinct), "ships": "column table"}
+            "distinct": len(opened_columns(reps, c.num_rows)[0]),
+            "ships": "column table"}
 
 
 def main(argv=None) -> int:
