@@ -315,7 +315,9 @@ def mul(a: np.ndarray, b: np.ndarray, canonical: bool = True,
     subtract of p, returning a representative < 2^64 — valid only when the
     result feeds a consumer that tolerates it (``vsum``, another ``mul``,
     the split-accumulate reductions), never ``add``/``sub``-style kernels
-    that assume operands < p.  ``out`` (contiguous, disjoint) takes the result.
+    that assume operands < p.  ``out`` (contiguous) takes the result; it
+    may be an operand itself, as each tile reads its operands before it
+    writes.
     """
     _count("field.mul_batches")
     a = np.asarray(a, dtype=np.uint64)
@@ -354,25 +356,35 @@ def mul_scalar(a: np.ndarray, s: int, canonical: bool = True,
 
 
 @_wrapping
-def scale_add(base: np.ndarray, diff: np.ndarray, s: int) -> np.ndarray:
+def scale_add(base: np.ndarray, diff: np.ndarray, s: int,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Fused (base + s * diff) mod p — the sumcheck fold's multiply-accumulate.
 
     One tiled pass of the constant-operand kernel (:func:`_scale_tiles`):
     the scalar product is formed and the addend folded in while the tile
     is still in cache, instead of writing the product out and streaming it
     back through :func:`add`.  ``base`` may be any uint64 representative;
-    the result is canonical.
+    the result is canonical.  ``out`` (contiguous uint64, ``base``'s
+    shape) receives it when given and may be ``base`` or ``diff`` itself:
+    each tile reads its operands before it writes.
     """
     _count("field.scale_add_batches")
     base = np.asarray(base, dtype=np.uint64)
     diff = np.asarray(diff, dtype=np.uint64)
     if base.shape != diff.shape or base.ndim == 0:
+        if out is not None:
+            raise ValueError("out= needs operands of one non-scalar shape")
         return add(base, mul(diff, np.uint64(int(s) % MODULUS)))
     if not base.flags["C_CONTIGUOUS"]:
         base = np.ascontiguousarray(base)
     if not diff.flags["C_CONTIGUOUS"]:
         diff = np.ascontiguousarray(diff)
-    out = np.empty(base.shape, dtype=np.uint64)
+    if out is None:
+        out = np.empty(base.shape, dtype=np.uint64)
+    elif out.shape != base.shape or out.dtype != np.uint64 \
+            or not out.flags["C_CONTIGUOUS"]:
+        raise ValueError("out must be contiguous uint64 of the operands' "
+                         "shape")
     _scale_tiles(diff.ravel(), s, out.ravel(), addend=base.ravel())
     return out
 

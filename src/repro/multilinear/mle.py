@@ -83,14 +83,20 @@ def eq_suffix_tables(point: Sequence[int]):
         yield table
 
 
-def eq_table(point: Sequence[int]) -> np.ndarray:
+def eq_table(point: Sequence[int], out: np.ndarray | None = None
+             ) -> np.ndarray:
     """Evaluation table of eq(point, .): out[b] = prod_i eq(point_i, b_i),
     variable 0 the most significant bit of b.  O(2^L) multiplies, which is
     also what the cost model charges.  :func:`eq_suffix_tables`' doubling
     in one buffer: after the short int levels, each level scales the lower
-    half into the upper half, then subtracts it from the lower in place."""
+    half into the upper half, then subtracts it from the lower in place.
+    ``out``, when given, is that buffer (contiguous uint64, 2^L words)."""
     rs = [int(r) % MODULUS for r in reversed(point)]
-    out = np.empty(1 << len(rs), dtype=np.uint64)
+    if out is None:
+        out = np.empty(1 << len(rs), dtype=np.uint64)
+    elif out.shape != (1 << len(rs),) or out.dtype != np.uint64 \
+            or not out.flags["C_CONTIGUOUS"]:
+        raise ValueError(f"out must be {1 << len(rs)} contiguous uint64 words")
     table, i = [1], 0
     while i < len(rs) and len(table) <= tb.SCALAR_TAIL:
         table = tb.eq_extend(table, rs[i])

@@ -78,13 +78,6 @@ def as_tables(tables) -> List[np.ndarray]:
     return tables
 
 
-def split_round(tables):
-    """(bottoms, tops, diffs): a round's reads — the halves with the
-    leading variable at 0 and 1, and top - bottom (``table.fit`` form)."""
-    bottoms, tops = zip(*(tb.halves(t) for t in tables))
-    return bottoms, tops, [tb.sub(tp, bt) for tp, bt in zip(tops, bottoms)]
-
-
 def _pointwise(vectors):
     """Element-wise product, any representative: every consumer reduces."""
     out = vectors[0]
@@ -128,11 +121,18 @@ def prove_sumcheck(tables: Sequence[np.ndarray], transcript: Transcript,
     ``tables`` (default: their product).  Returns the proof (``final_values``
     = the folded tables, in order) and the challenges; tables are not
     modified.  A round takes each top - bottom difference ONCE and uses it
-    for the inner sum at 2 <= t < d (d = the widest term), for its leading
-    coefficient (the top-degree terms over the differences, standing in
-    for t = d: a degree-d polynomial's d-th finite difference is d! times
-    it) and for the fold.  inner(1) is one evaluation; inner(0) follows
+    for the inner sum at 2 <= t < d (d = the widest term; the tables at t
+    are bottom + t * difference), for its leading coefficient (the
+    top-degree terms over the differences, standing in for t = d: a
+    degree-d polynomial's d-th finite difference is d! times it) and for
+    the fold.  inner(1) is one evaluation, over the tops; inner(0) follows
     from the running claim g(0) + g(1) (``claim`` saves a pass).
+
+    Memory: round 0 writes its differences into new arrays (n/2 words a
+    table) and folds over them, so from round 1 on every table is the
+    engine's own; each round then writes its differences over the tops,
+    once inner(1) has read them, and folds over those, allocating no
+    table.  The caller's tables are never written.
 
     ``eq=tau`` is never built or folded: in round ``rnd`` eq(tau, (r, t,
     x)) = [prod_{j<rnd} eq(tau_j, r_j)] * eq(tau_rnd, t) * eq(tau_{rnd+1:},
@@ -141,13 +141,13 @@ def prove_sumcheck(tables: Sequence[np.ndarray], transcript: Transcript,
     that scalar, or an evaluation when it is 0 (a boolean tau coordinate);
     g has degree d + 1, one more extrapolated point.
 
-    ``round0 = (bottoms, diffs, lead, inner1)`` supplies round 0's reads
-    shared between calls: the bottoms and differences of
-    :func:`split_round`, the top-degree terms over ``diffs`` as ``(c, fs)``
-    (c * prod_j fs[j]), and inner(1).  It needs a degree-2 term list
-    (d = 2) and ``claim``: then round 0 reads no top half and no whole
-    table, so a caller may have overwritten the tops (as
+    ``round0 = (bottoms, diffs, inner1)`` supplies round 0's reads shared
+    between calls: the tables' bottom halves, their differences top -
+    bottom, and inner(1).  It needs a degree-2 term list (d = 2) and
+    ``claim``: then round 0 reads no top half and no whole table, so a
+    caller may have overwritten the tops (as
     :class:`repro.spartan.SatisfiedRound0` does with the differences).
+    Round 0 then folds into new arrays: the shared reads are not written.
     """
     tables = as_tables(tables)
     rounds = len(tables[0]).bit_length() - 1
@@ -175,10 +175,14 @@ def prove_sumcheck(tables: Sequence[np.ndarray], transcript: Transcript,
     round_evals, challenges = [], []
     for rnd, weight in enumerate(suffixes):
         if rnd == 0 and round0 is not None:
-            (bottoms, diffs, lead, inner1), tops = round0, None   # d = 2
+            (bottoms, diffs, inner1), ours = round0, False      # d = 2
         else:
-            (bottoms, tops, diffs), lead = split_round(tables), None
-            inner1 = _weighted(_combine(terms, tops), weight)
+            bottoms, tops = zip(*(tb.halves(t) for t in tables))
+            inner1, ours = _weighted(_combine(terms, tops), weight), True
+            # The tops are read: past round 0 each difference goes over
+            # its own (the engine's table), in round 0 into a new array.
+            diffs = [(tb.sub_into if rnd else tb.sub)(tp, bt)
+                     for tp, bt in zip(tops, bottoms)]
         # g(t) = scale[t] * inner(t): eq's prefix and degree-1 factor.
         scale = [1 if taus is None else prefix * eq_eval([taus[rnd]], [t])
                  % MODULUS for t in range(degree + 1)]
@@ -186,15 +190,15 @@ def prove_sumcheck(tables: Sequence[np.ndarray], transcript: Transcript,
         g0 = (current - g1) % MODULUS
         inner = [g0 * pow(scale[0], -1, MODULUS) % MODULUS if scale[0]
                  else _weighted(_combine(terms, bottoms), weight), inner1]
-        samples = tops
-        for _t in range(2, d):
-            samples = [tb.add(s, df) for s, df in zip(samples, diffs)]
-            inner.append(_weighted(_combine(terms, samples), weight))
+        for t in range(2, d):
+            inner.append(_weighted(_combine(terms, [
+                tb.scale_add(bt, df, t) for bt, df in zip(bottoms, diffs)]),
+                weight))
         # inner's m-th finite difference, sum_k (-1)^(m-k) C(m,k) inner(k),
         # is d! * lead at m = d and 0 at m = d + 1: solve for inner(m).
         for m in range(len(inner), degree + 1):
             top = 0 if m > d else factorial(d) * _weighted(
-                lead or _combine(top_terms, diffs), weight)
+                _combine(top_terms, diffs), weight)
             inner.append((top - sum((-1) ** (m - k) * comb(m, k) * v
                                     for k, v in enumerate(inner))) % MODULUS)
         evals = [g0, g1] + [scale[t] * inner[t] % MODULUS
@@ -204,7 +208,9 @@ def prove_sumcheck(tables: Sequence[np.ndarray], transcript: Transcript,
         challenges.append(r)
         round_evals.append(evals)
         current = interpolate_eval(range(degree + 1), evals, r)
-        tables = [tb.scale_add(bt, df, r) for bt, df in zip(bottoms, diffs)]
+        # The fold goes over the engine's own differences.
+        tables = [tb.scale_add(bt, df, r, out=df if ours else None)
+                  for bt, df in zip(bottoms, diffs)]
         if taus is not None:
             prefix = prefix * eq_eval([taus[rnd]], [r]) % MODULUS
 

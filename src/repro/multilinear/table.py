@@ -82,11 +82,13 @@ def vsum(a) -> int:
     return fv.vsum(a)
 
 
-def scale_add(base, diff, s: int):
-    """base + s * diff, canonical: the fold's multiply-accumulate."""
+def scale_add(base, diff, s: int, out=None):
+    """base + s * diff, canonical: the fold's multiply-accumulate, written
+    over ``out`` (``base`` or ``diff`` allowed) when it is an array (a
+    list is not shared: the result is a new one)."""
     if isinstance(base, list):
         return [(x + s * d) % MODULUS for x, d in zip(base, diff)]
-    return fv.scale_add(base, diff, s)
+    return fv.scale_add(base, diff, s, out=out)
 
 
 def fold(table, r: int):

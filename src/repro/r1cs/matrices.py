@@ -20,6 +20,7 @@ from ..field import vector as fv
 from ..field.goldilocks import MODULUS
 from ..field.vector import (_MASK22, _MASK32, _SHIFT22, _SHIFT32, _SHIFT44,
                             _reduce_rows)
+from ..multilinear.mle import eq_table
 
 #: Row segments per :meth:`SparseMatrix.matvec` block.  A block's gather,
 #: product and half-sum temporaries (~40 B per non-zero) stay ~10 MB at
@@ -565,6 +566,23 @@ class _Member(NamedTuple):
         return m.rows, m.cols, m.vals, None
 
 
+def _member_ranks(members, num_out: int):
+    """``(counts, ranks)`` of one block: entries per output row over all
+    ``members`` and, per member, each row's rank — its first entry's
+    place in the row (the entries of earlier members) minus its index in
+    the member's stable row order, so entry k sits at place ``k +
+    rank[r]`` of row r.  Each member is counted once; both are int32."""
+    counts, ranks = np.zeros(num_out, dtype=np.int32), []
+    for member in members:
+        c = member.counts(num_out)
+        first = np.cumsum(c)
+        first -= c                          # the member's first entry in r
+        np.subtract(counts, first, out=first)
+        ranks.append(first.astype(np.int32))
+        counts += c.astype(np.int32)
+    return counts, ranks
+
+
 def _group_rows(blocks, sizes):
     """Split the entries of ``blocks`` of :class:`_Member` by row
     population.
@@ -593,11 +611,13 @@ def _group_rows(blocks, sizes):
     entries: its planes are strided views of its ``cols`` / ``vals`` and
     cost nothing.  Every other plane and the residual share one buffer per
     array, which each member's entries are scattered into straight from
-    its own arrays (:func:`_place`), so nothing is stacked.
+    its own arrays (:func:`_place`), so nothing is stacked.  The per-row
+    bookkeeping of the scatter (ranks, slot bases and strides) is int32,
+    as every position in the buffers is (:data:`INDEX_LIMIT`).
     """
     groups, fills, lefts, size, lo = [], [], [], 0, 0
     for members, block_rows in zip(blocks, sizes):
-        counts = sum(member.counts(block_rows) for member in members)
+        counts, ranks = _member_ranks(members, block_rows)
         first = None
         if len(members) == 1 and not members[0].transposed \
                 and not members[0].offset:
@@ -606,14 +626,14 @@ def _group_rows(blocks, sizes):
         planar = np.arange(len(hist)) * hist >= PLANE_TILE
         copied, views = [], []
         for length in np.flatnonzero(planar):
-            local = np.flatnonzero(counts == length)
+            local = np.flatnonzero(counts == length).astype(np.int32)
             m = len(local)
             pieces = -(-length // PLANE_CAP)
-            rows = (local + lo).astype(np.int32)
+            rows = local + np.int32(lo) if lo else local    # never written
             if rows[-1] - rows[0] == m - 1:     # a run: write, don't scatter
                 rows = slice(rows[0], rows[-1] + 1)
             if first is not None and pieces == 1 and isinstance(rows, slice):
-                e0 = first[local[0]]
+                e0 = int(first[local[0]])
                 e1 = e0 + m * length
                 mat = members[0].matrix
                 groups.append((rows, 1, mat.cols[e0:e1].reshape(m, length).T,
@@ -624,22 +644,28 @@ def _group_rows(blocks, sizes):
             copied.append((len(groups), local, size, height, pieces))
             groups.append((rows, pieces))       # planes attached below
             size += height * pieces * m
-        left = np.flatnonzero(~planar[counts] & (counts > 0))
-        fills.append((members, block_rows, copied, sorted(views), left,
+        left = np.flatnonzero(~planar[counts] & (counts > 0)).astype(np.int32)
+        if not (copied or len(left)):           # every entry is in a view
+            ranks = []
+        fills.append((members, ranks, block_rows, copied, sorted(views), left,
                       counts[left]))
-        lefts.append((left + lo).astype(np.int32))
+        lefts.append(left + np.int32(lo))
         lo += block_rows
     del counts, first           # not held while the planes are filled
 
     lengths = np.concatenate([fill[-1] for fill in fills])
+    total = size + int(lengths.sum(dtype=np.int64))
+    if total >= INDEX_LIMIT:
+        raise ValueError(f"a layout of {total} entries exceeds int32 "
+                         f"positions")
     indptr = np.zeros(len(lengths) + 1, dtype=np.int32)
     np.cumsum(lengths, out=indptr[1:])
-    idx_all = np.zeros(size + int(indptr[-1]), dtype=np.int32)
-    vals_all = np.zeros(size + int(indptr[-1]), dtype=np.uint64)
+    idx_all = np.zeros(total, dtype=np.int32)
+    vals_all = np.zeros(total, dtype=np.uint64)
     at = size
-    for members, block_rows, copied, views, left, lengths in fills:
-        base = np.zeros(block_rows, dtype=np.int64)
-        stride = np.ones(block_rows, dtype=np.int64)
+    for members, ranks, block_rows, copied, views, left, lengths in fills:
+        base = np.zeros(block_rows, dtype=np.int32)
+        stride = np.ones(block_rows, dtype=np.int32)
         heights = None
         for g, local, start, height, pieces in copied:
             width = pieces * len(local)
@@ -650,42 +676,32 @@ def _group_rows(blocks, sizes):
             stride[local] = width
             if pieces > 1:
                 if heights is None:
-                    heights = np.full(block_rows, np.iinfo(np.int64).max)
+                    heights = np.full(block_rows, INDEX_LIMIT - 1,
+                                      dtype=np.int32)
                 heights[local] = height
         base[left] = at + np.cumsum(lengths) - lengths
         at += int(lengths.sum())
-        if copied or len(left):
-            before = np.zeros(block_rows, dtype=np.int64)
-            for member in members:
-                _place(member, before, base, stride, heights, views,
-                       idx_all, vals_all)
+        for member, rank in zip(members, ranks):
+            _place(member, rank, base, stride, heights, views, idx_all,
+                   vals_all)
     owned = idx_all.nbytes + vals_all.nbytes + sum(
         g[0].nbytes for g in groups if isinstance(g[0], np.ndarray))
     return groups, (np.concatenate(lefts), indptr, idx_all[size:],
                     vals_all[size:]), owned
 
 
-def _place(member, before, base, stride, heights, views, idx_out, vals_out):
+def _place(member, rank, base, stride, heights, views, idx_out, vals_out):
     """Scatter one member's entries into the plane/residual buffers.
 
-    Row r's j-th entry goes to ``base[r] + j * stride[r]``; where rows
-    are cut into pieces (``heights`` not None), to ``base[r] + (j %
-    heights[r]) * stride[r] + j // heights[r]``.  The member is walked in
-    its stable row order, :data:`_BUILD_ELEMENTS` entries at a time: its
-    k-th entry is entry ``before[r] + k - first[r]`` of row r, where
-    ``first[r]`` is the member's first entry in r and ``before`` counts
-    earlier members' entries (updated here).  Entry ranges in ``views``
-    are planes already and are skipped.
+    The member is walked in its stable row order, :data:`_BUILD_ELEMENTS`
+    entries at a time; its k-th entry is entry j = ``k + rank[r]`` of its
+    row r (:func:`_member_ranks`) and goes to ``base[r] + j * stride[r]``;
+    where rows are cut into pieces (``heights`` not None), to ``base[r] +
+    (j % heights[r]) * stride[r] + j // heights[r]``.  Entry ranges in
+    ``views`` are planes already and are skipped.
     """
-    counts = member.counts(len(base))
     out_ids, gather, vals, order = member.entries()
     offset = member.offset
-    before += counts
-    rank = np.cumsum(counts, out=counts)    # first[r] + counts[r]
-    np.subtract(before, rank, out=rank)     # entry in r of the member's k = 0
-    if heights is None:                     # ... and its slot
-        rank *= stride
-        rank += base
     done = 0
     for e0, e1 in views + [(len(out_ids), len(out_ids))]:
         for k0 in range(done, e0, _BUILD_ELEMENTS):
@@ -696,16 +712,14 @@ def _place(member, before, base, stride, heights, views, idx_out, vals_out):
                 row, idx, val = (np.take(a, order[k0:k1])
                                  for a in (out_ids, gather, vals))
             dest = np.arange(k0, k1)
-            if heights is None:
-                dest *= np.take(stride, row)
-                dest += np.take(rank, row)
-            else:
-                dest += np.take(rank, row)
+            dest += np.take(rank, row)
+            if heights is not None:
                 height = np.take(heights, row)
                 piece = dest // height
                 dest -= piece * height
-                dest *= np.take(stride, row)
-                dest += np.take(base, row)
+            dest *= np.take(stride, row)
+            dest += np.take(base, row)
+            if heights is not None:
                 dest += piece
             idx_out[dest] = idx + offset if offset else idx
             vals_out[dest] = val
@@ -756,6 +770,7 @@ class _PlaneLayout:
                     sums = _segment_sums(sums,
                                          np.arange(0, len(sums), pieces))
                 out[rows] = sums
+                del sums            # not held while the next group runs
         return out
 
 
@@ -836,26 +851,52 @@ class StackedMatrices:
         return out
 
     def scaled_transpose_matvec(self, coeffs, x: np.ndarray) -> np.ndarray:
-        """sum_i coeffs[i] * M_i^T x in ONE fused SpMV pass.
-
-        The coefficients are folded into ``count`` scalar-scaled copies of
-        ``x`` (of P_i^T x where M_i has a row map), written side by side
-        into one buffer; the stacked transpose then gathers each matrix's
-        entries from its own copy, so the combination costs no extra pass
-        over the non-zeros.
+        """sum_i coeffs[i] * M_i^T x in ONE fused SpMV pass, for any table
+        ``x`` (:meth:`scaled_transpose_eq` is the prover's point-taking
+        form; both fill the scaled copies through :meth:`_scaled_input`).
         """
-        if len(coeffs) != self.count:
-            raise ValueError("need one coefficient per stacked matrix")
         x = np.ascontiguousarray(x, dtype=np.uint64)
         n = self.num_rows
         if x.shape != (n,):
             raise ValueError(f"vector shape {x.shape} != ({n},)")
-        # The scaled copies only feed the gather-multiply, which accepts
-        # any uint64 representative — skip canonicalization.
-        scaled, at = np.empty(sum(self.stored_rows), dtype=np.uint64), 0
-        for c, rows, row_map in zip(coeffs, self.stored_rows, self.row_maps):
+        return self._transposed.matvec(self._scaled_input(coeffs,
+                                                          lambda _slot: x))
+
+    def scaled_transpose_eq(self, coeffs, point) -> np.ndarray:
+        """sum_i coeffs[i] * M_i^T eq(point, .) in ONE fused SpMV pass:
+        :meth:`scaled_transpose_matvec` of ``eq_table(point)``, with the
+        table expanded straight into the buffer of scaled copies, so no
+        n-word eq table is held beside them."""
+        n = self.num_rows
+        if 1 << len(point) != n:
+            raise ValueError(f"a {len(point)}-variable point does not index "
+                             f"{n} rows")
+        return self._transposed.matvec(self._scaled_input(
+            coeffs, lambda slot: eq_table(point, out=slot)))
+
+    def _scaled_input(self, coeffs, fill) -> np.ndarray:
+        """The transposed pass's input: ``count`` scalar-scaled copies of x
+        (of P_i^T x where M_i has a row map), side by side in one buffer,
+        so the stacked transpose gathers each matrix's entries from its
+        own copy and the combination costs no extra pass over the
+        non-zeros.
+
+        ``fill(slot)`` returns x: a vector it holds, or x written into
+        ``slot``, the copy of the first member without a row map (n
+        words), which is then scaled last, in place.  ``slot`` is None
+        when every member has a row map.  The copies only feed the
+        gather-multiply, which accepts any uint64 representative, so they
+        are not canonicalized.
+        """
+        if len(coeffs) != self.count:
+            raise ValueError("need one coefficient per stacked matrix")
+        scaled = np.empty(sum(self.stored_rows), dtype=np.uint64)
+        slots = np.split(scaled, np.cumsum(self.stored_rows)[:-1])
+        plain = [i for i, m in enumerate(self.row_maps) if m is None]
+        host = plain[0] if plain else None
+        x = fill(None if host is None else slots[host])
+        for i in sorted(range(self.count), key=lambda i: i == host):
+            rows, row_map = self.stored_rows[i], self.row_maps[i]
             src = x if row_map is None else _fold(row_map, x, rows)
-            fv._scale_tiles(src, int(c), scaled[at:at + rows],
-                            canonical=False)
-            at += rows
-        return self._transposed.matvec(scaled)
+            fv._scale_tiles(src, int(coeffs[i]), slots[i], canonical=False)
+        return scaled

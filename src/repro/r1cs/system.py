@@ -112,9 +112,16 @@ class R1CS:
         az, bz, cz = self._stacked().matvec_all(z)
         return az, bz, cz
 
+    def combined_row(self, coeffs, rx) -> np.ndarray:
+        """(coeffs[0]*A + coeffs[1]*B + coeffs[2]*C)^T eq(rx, .) in one
+        fused pass — the first factor of Spartan's second sumcheck, with
+        eq(rx) expanded straight into the pass's scaled input."""
+        return self._stacked().scaled_transpose_eq(coeffs, rx)
+
     def combined_transpose_matvec(self, coeffs, x: np.ndarray) -> np.ndarray:
-        """(coeffs[0]*A + coeffs[1]*B + coeffs[2]*C)^T x in one fused pass —
-        the first factor of Spartan's second sumcheck."""
+        """(coeffs[0]*A + coeffs[1]*B + coeffs[2]*C)^T x for any table
+        ``x``, through the same fill as :meth:`combined_row` (which the
+        prover calls; ``bench/`` times this form)."""
         return self._stacked().scaled_transpose_matvec(coeffs, x)
 
     @property

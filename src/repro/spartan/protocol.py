@@ -27,7 +27,7 @@ import numpy as np
 
 from ..field.goldilocks import MODULUS
 from ..hashing.transcript import Transcript
-from ..multilinear.mle import eq_eval, eq_table, mle_eval_head
+from ..multilinear.mle import eq_eval, mle_eval_head
 from ..multilinear.sumcheck import (
     SumcheckProof,
     product_terms,
@@ -120,50 +120,58 @@ class SpartanProver:
         check_deadline("pcs.commit")
         commitment, state = self.pcs.commit(wit_half)
         tr.absorb_digest(b"spartan/witness-commitment", commitment.root)
-        reps: List[RepetitionProof] = []
-        for rep in range(self.params.repetitions):
-            label = b"spartan/rep%d" % rep
-            check_deadline("spartan.rep%d" % rep)
-            with _span("spartan.rep%d" % rep, "other", rep=rep):
-                tau = tr.challenge_fields(label + b"/tau", log_n)
-                # The eq(tau, .) factor is handled inside the sumcheck via
-                # its tensor split (scalar prefix x static suffix tables) —
-                # the full 2^L eq table is never materialized.
-                with _span("spartan.sumcheck1", "sumcheck", rounds=log_n):
-                    sc1_rounds, (va, vb, vc), rx = prove_constraint_sumcheck(
-                        tau, az, bz, cz, tr, label + b"/sc1", round0=round0)
-
-                r_a = tr.challenge_field(label + b"/ra")
-                r_b = tr.challenge_field(label + b"/rb")
-                r_c = tr.challenge_field(label + b"/rc")
-                claim2 = (r_a * va + r_b * vb + r_c * vc) % MODULUS
-
-                # Fused (r_a*A + r_b*B + r_c*C)^T eq(rx): one stacked SpMV
-                # instead of three (equals combined_matrix_row on (A, B, C)).
-                check_deadline("spartan.matrix_combine")
-                with _span("spartan.matrix_combine", "spmv"):
-                    m_row = r1cs.combined_transpose_matvec((r_a, r_b, r_c),
-                                                           eq_table(rx))
-                with _span("spartan.sumcheck2", "sumcheck", rounds=log_n):
-                    sc2, ry = prove_sumcheck([m_row, z], tr, label + b"/sc2",
-                                             claim=claim2,
-                                             terms=SUMCHECK2_TERMS)
-
-                # Open w~ at ry[1:] (ry[0] selects the witness half).  One
-                # row combination gives both the claimed value and the
-                # opening's evaluation row.
-                check_deadline("pcs.open")
-                w_point = ry[1:]
-                row = self.pcs.eval_row(state, commitment, w_point)
-                w_eval = self.pcs.evaluate_from_row(row, w_point,
-                                                    commitment.num_rows)
-                tr.absorb_field(label + b"/w-eval", w_eval)
-                pcs_proof = self.pcs.open(state, commitment, w_point,
-                                          tr.fork(label + b"/pcs"),
-                                          eval_row=row)
-                reps.append(RepetitionProof(sc1_rounds, va, vb, vc, sc2,
-                                            w_eval, pcs_proof))
+        reps = [self._prove_repetition(rep, tr, z, (az, bz, cz), round0,
+                                       state, commitment)
+                for rep in range(self.params.repetitions)]
         return SpartanProof(commitment, reps)
+
+    def _prove_repetition(self, rep: int, tr: Transcript, z: np.ndarray,
+                          products, round0: SatisfiedRound0, state,
+                          commitment: OrionCommitment) -> RepetitionProof:
+        """One run of the sumcheck chain.  Every array it makes is dropped
+        as soon as its one reader is done with it: eq(rx) exists only as
+        the transposed product's scaled input, and the combined row
+        M~(rx, .) only until sumcheck #2 has folded it; nothing of one
+        repetition is held while the next runs."""
+        r1cs, pcs = self.r1cs, self.pcs
+        log_n = r1cs.shape.log_size
+        label = b"spartan/rep%d" % rep
+        check_deadline("spartan.rep%d" % rep)
+        with _span("spartan.rep%d" % rep, "other", rep=rep):
+            tau = tr.challenge_fields(label + b"/tau", log_n)
+            # The eq(tau, .) factor is handled inside the sumcheck via its
+            # tensor split (scalar prefix x static suffix tables) — the
+            # full 2^L eq table is never materialized.
+            with _span("spartan.sumcheck1", "sumcheck", rounds=log_n):
+                sc1_rounds, (va, vb, vc), rx = prove_constraint_sumcheck(
+                    tau, *products, tr, label + b"/sc1", round0=round0)
+
+            r_a = tr.challenge_field(label + b"/ra")
+            r_b = tr.challenge_field(label + b"/rb")
+            r_c = tr.challenge_field(label + b"/rc")
+            claim2 = (r_a * va + r_b * vb + r_c * vc) % MODULUS
+
+            # Fused (r_a*A + r_b*B + r_c*C)^T eq(rx): one stacked SpMV
+            # instead of three (equals combined_matrix_row on (A, B, C)).
+            check_deadline("spartan.matrix_combine")
+            with _span("spartan.matrix_combine", "spmv"):
+                m_row = r1cs.combined_row((r_a, r_b, r_c), rx)
+            with _span("spartan.sumcheck2", "sumcheck", rounds=log_n):
+                sc2, ry = prove_sumcheck([m_row, z], tr, label + b"/sc2",
+                                         claim=claim2, terms=SUMCHECK2_TERMS)
+            del m_row
+
+            # Open w~ at ry[1:] (ry[0] selects the witness half).  One row
+            # combination gives both the claimed value and the opening's
+            # evaluation row.
+            check_deadline("pcs.open")
+            w_point = ry[1:]
+            row = pcs.eval_row(state, commitment, w_point)
+            w_eval = pcs.evaluate_from_row(row, w_point, commitment.num_rows)
+            tr.absorb_field(label + b"/w-eval", w_eval)
+            pcs_proof = pcs.open(state, commitment, w_point,
+                                 tr.fork(label + b"/pcs"), eval_row=row)
+        return RepetitionProof(sc1_rounds, va, vb, vc, sc2, w_eval, pcs_proof)
 
 
 class SpartanVerifier:

@@ -32,10 +32,11 @@ class SatisfiedRound0:
     The instance owns the three products from then on: each difference
     top - bottom is written over its table's top half, which round 0 of a
     degree-2 term list never reads again (it reads the bottoms, the
-    differences and the fold's inputs only).  So the one new array is
-    dA o dB, n/2 words; the caller must not read ``az`` / ``bz`` / ``cz``
-    afterwards except through :func:`prove_constraint_sumcheck` with this
-    object.
+    differences and the fold's inputs only).  So it holds no new array:
+    round 0's leading term dA o dB is formed in each call (one n/2-word
+    multiply), not kept beside the products for the whole proof.  The
+    caller must not read ``az`` / ``bz`` / ``cz`` afterwards except
+    through :func:`prove_constraint_sumcheck` with this object.
     """
 
     def __init__(self, az: np.ndarray, bz: np.ndarray, cz: np.ndarray):
@@ -45,9 +46,8 @@ class SatisfiedRound0:
             raise ValueError("witness does not satisfy the constraint system")
         bottoms, tops = zip(*(tb.halves(t) for t in self.tables))
         diffs = [tb.sub_into(tp, bt) for tp, bt in zip(tops, bottoms)]
-        # The engine's round 0: the reads, the one top-degree term's
-        # differences dA o dB, and inner(1) = 0.
-        self.terms = (bottoms, diffs, (1, [tb.mul(diffs[0], diffs[1])]), 0)
+        # The engine's round 0: the reads and inner(1) = 0.
+        self.terms = (bottoms, diffs, 0)
 
 
 def prove_constraint_sumcheck(

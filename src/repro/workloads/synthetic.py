@@ -84,21 +84,29 @@ def synthetic_r1cs(log_size: int, band: int = 64, nnz_per_row: int = 3,
                 for j in range(0, nnz_per_row, PLANE_CAP)]
         return functools.reduce(fv.add, sums) if sums else fv.zeros(n)
 
-    target = fv.mul(fixed_width_matvec(cols_a, vals_a),
-                    fixed_width_matvec(cols_b, vals_b))
-
     # C: one entry per row at a witness column with a non-zero z value;
     # use column half + (i mod half), whose z entry is never zero.
-    # Each witness value serves two rows: invert the half once.
-    wit_at = np.arange(n, dtype=np.int32) % half
-    cols_c = half + wit_at
-    vals_c = fv.mul(target, np.take(fv.inv_vector(wit), wit_at))
+    # Each witness value serves two rows: invert the half once, and write
+    # row i's value over the product (A z o B z)_i it is solved from.
+    cols_c = np.arange(half, half + n, dtype=np.int32)
+    cols_c[half:] -= np.int32(half)
+    vals_c = fv.mul(fixed_width_matvec(cols_a, vals_a),
+                    fixed_width_matvec(cols_b, vals_b))
+    inv = fv.inv_vector(wit)
+    for rows in (vals_c[:half], vals_c[half:]):
+        fv.mul(rows, inv, out=rows)
+    del inv
     c = SparseMatrix.from_csr(n, n, np.arange(n + 1, dtype=np.int32), cols_c,
                               vals_c)
 
-    r1cs = R1CS(a, b, c, num_public=num_public, num_witness=half)
+    # The check runs through the key's layout, built first, while the
+    # generator holds nothing but the key and the witness (z is
+    # assembled again from the public half for the check).
     public = z[:num_public].copy()
-    if not r1cs.is_satisfied(z):
+    del z
+    r1cs = R1CS(a, b, c, num_public=num_public, num_witness=half)
+    r1cs._stacked()
+    if not r1cs.is_satisfied(r1cs.assemble_z(public, wit)):
         # Explicit check: a bare assert would vanish under python -O.
         raise VerificationError("synthetic R1CS generator produced an "
                                 "unsatisfied instance")

@@ -461,6 +461,35 @@ class TestBenchDiff:
         calibrated = bd.compare_prover(base, cur, calibrate=True)
         assert not [f for f in calibrated if f["regression"]]
 
+    def test_calibration_per_size_band(self):
+        """A host slow only at the large sizes is calibrated band by band
+        (one factor over every size flagged them), the report names each
+        band's factor, and a size off its band's shape still trips."""
+        bd = _load_bench_diff()
+
+        def sweep(ratio):
+            return {"results": [
+                {"log_size": s, "prove_s": ratio(s) * s, "verify_s": 0.5,
+                 "proof_size_bytes": 10} for s in range(10, 21)]}
+
+        base = sweep(lambda s: 1.0)
+        slow_large = sweep(lambda s: 1.5 if s >= 16 else 1.0)
+        median_of_all = sorted(1.5 if s >= 16 else 1.0
+                               for s in range(10, 21))[11 // 2]
+        assert 1.5 / median_of_all > 1.25      # what one factor flagged
+        findings = bd.compare_prover(base, slow_large, calibrate=True)
+        assert not [f for f in findings if f["regression"]]
+        assert [(f["band"], f["factor"]) for f in findings
+                if f["metric"] == "calibration"] == [([10, 14], 1.0),
+                                                     ([15, 20], 1.5)]
+        off_shape = sweep(lambda s: 2.0 if s == 18 else
+                          1.5 if s >= 16 else 1.0)
+        bad = [f for f in bd.compare_prover(base, off_shape, calibrate=True)
+               if f["regression"]]
+        assert [(f["metric"], f["log_size"]) for f in bad] \
+            == [("prove_s", 18)]
+        assert bd.band_of(8) == (10, 14) and bd.band_of(24) == (15, 20)
+
     def test_faults_scenario_and_recovery_regressions(self):
         bd = _load_bench_diff()
         base = {"scenarios": [{"scenario": "worker_kill", "ok": True}],

@@ -1,5 +1,6 @@
 """Tests for sparse matrices, R1CS systems, and the circuit builder."""
 
+import functools
 from unittest import mock
 
 import numpy as np
@@ -990,6 +991,75 @@ class TestRowMap:
         with pytest.raises(error):
             SparseMatrix.from_csr(3, 4, [0, 1, 3], [0, 1, 2], [5, 6, 7],
                                   row_map)
+
+
+@functools.lru_cache(maxsize=None)
+def _keyed(name):
+    """A key with its layout built, at the shipped constants: ``aes`` (B
+    in distinct-row form, all residual) or ``synthetic_r1cs(16)`` (plane
+    groups in both directions beside a transposed residual)."""
+    from repro.workloads import synthetic_r1cs
+    from repro.workloads.registry import build_workload
+
+    if name == "aes":
+        r1cs = build_workload("aes")[1].compile()[0]
+    else:
+        r1cs = synthetic_r1cs(16)[0]
+    r1cs._stacked()
+    return r1cs
+
+
+class TestCombinedRow:
+    """The prover's transposed product takes the point rx and expands
+    eq(rx) straight into its buffer of scaled copies: it equals the
+    table-taking ``combined_transpose_matvec(coeffs, eq_table(rx))`` on
+    plane groups, residuals and row maps alike (when every member has a
+    row map, eq(rx) is a separate table)."""
+
+    @pytest.mark.parametrize("tile,cap,reduce_rows", [
+        (1, 2, 1), (4, 3, 2), (8, 512, 3), (1 << 15, 512, 1 << 14)])
+    @given(mats=st.one_of(stacked_systems(),
+                          partly_mapped_systems().map(lambda s: s[0])),
+           seed=st.integers(0, 2**32 - 1))
+    def test_point_equals_the_eq_table(self, tile, cap, reduce_rows, mats,
+                                       seed):
+        from repro.multilinear import eq_table
+
+        rng = np.random.default_rng(seed)
+        n = mats[0].num_rows
+        rx = [int(v) for v in fv.rand_vector(n.bit_length() - 1, rng)]
+        coeffs = [int(c) for c in fv.rand_vector(3, rng)]
+        with patched_planes(tile, cap, reduce_rows):
+            stacked = StackedMatrices(mats)
+            got = stacked.scaled_transpose_eq(coeffs, rx)
+            want = stacked.scaled_transpose_matvec(coeffs, eq_table(rx))
+        assert got.dtype == np.uint64
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("name", ["aes", "synthetic_r1cs(16)"])
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_registry_keys(self, name, seed):
+        from repro.multilinear import eq_table
+
+        r1cs = _keyed(name)
+        rng = np.random.default_rng(seed)
+        rx = [int(v) for v in fv.rand_vector(r1cs.shape.log_size, rng)]
+        coeffs = [int(c) for c in fv.rand_vector(3, rng)]
+        assert r1cs.combined_row(coeffs, rx).tolist() \
+            == r1cs.combined_transpose_matvec(coeffs, eq_table(rx)).tolist()
+
+    def test_the_keys_cover_maps_planes_and_residuals(self):
+        aes, synthetic = (_keyed(n)._stacked()
+                          for n in ("aes", "synthetic_r1cs(16)"))
+        assert [m is not None for m in aes.row_maps] == [False, True, False]
+        assert aes._transposed.residual is not None
+        assert synthetic._transposed.groups and synthetic._forward.groups
+        assert synthetic._transposed.residual is not None
+
+    def test_point_must_index_the_rows(self):
+        r1cs = _keyed("synthetic_r1cs(16)")
+        with pytest.raises(ValueError, match="does not index"):
+            r1cs.combined_row((1, 2, 3), [5] * 15)
 
 
 def _registry_maps():

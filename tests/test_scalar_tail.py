@@ -197,6 +197,29 @@ class TestSumcheckDifferential:
         assert res.ok and res.challenges == challenges, res.reason
 
 
+    @pytest.mark.parametrize("tail", (0, table.SCALAR_TAIL))
+    @given(term_lists, st.integers(1, 8), st.integers(0, 2**32),
+           st.booleans(), tau_shapes)
+    def test_caller_tables_stay_bit_identical(self, tail, terms, log_n, seed,
+                                              with_eq, tau_shape):
+        """The engine differences and folds in place only on tables it
+        owns (from round 1 on): the caller's tables, representatives >= p
+        in the tops included, and their dtype come back untouched, as do
+        those of the generic constraint sumcheck (``bench/staged.py``
+        reuses one set of products across repetitions)."""
+        rng = np.random.default_rng(seed)
+        tables = [edgy(rng, 1 << log_n, noncanonical_tops=True)
+                  for _ in range(3)]
+        before = [t.copy() for t in tables]
+        tau = draw_tau(rng, tau_shape, log_n) if with_eq else None
+        with_tail(tail, lambda: prove_sumcheck(tables, Transcript(), b"sc",
+                                               terms=terms, eq=tau))
+        with_tail(tail, lambda: prove_constraint_sumcheck(
+            draw_tau(rng, tau_shape, log_n), *tables, Transcript()))
+        for t, b in zip(tables, before):
+            assert t.dtype == np.uint64 and t.tobytes() == b.tobytes()
+
+
 class TestTensorSplitOracle:
     """The engine's eq factor (scalar prefix x degree-1 scalar x static
     suffix tables) against ``eq_table(tau)`` carried as one more table in

@@ -296,24 +296,25 @@ class TestProveHighWater:
     prove used to hold 1.5 n words of differences and an n/2-word
     stacked copy beside them."""
 
-    def test_round0_adds_at_most_half_n_words(self, rng):
-        """dA o dB is the one new array (n/2 words); the three differences
-        live in the top halves of the tables the object now owns."""
+    def test_round0_adds_no_array(self, rng):
+        """The three differences live in the top halves of the tables the
+        object now owns, and round 0's leading term dA o dB is formed in
+        each call rather than held for the whole proof: the object
+        allocates nothing that outlives its construction."""
         n = 1 << 16
         az, bz = fv.rand_vector(n, rng), fv.rand_vector(n, rng)
         cz = fv.mul(az, bz)
         tops = [t[n // 2:].copy() for t in (az, bz, cz)]
         bottoms = [t[:n // 2].copy() for t in (az, bz, cz)]
         round0, resident, _peak = _traced(lambda: SatisfiedRound0(az, bz, cz))
-        assert resident <= n // 2 * 8 + (64 << 10), resident / (n * 8)
-        bots, diffs, (_c, [lead]), inner1 = round0.terms
+        assert resident <= 64 << 10, resident / (n * 8)
+        bots, diffs, inner1 = round0.terms
         for t, bot, top, b, d in zip((az, bz, cz), bottoms, tops, bots,
                                      diffs):
             assert np.shares_memory(d, t[n // 2:])
+            assert np.shares_memory(b, t[:n // 2])
             assert np.array_equal(b, bot)
             assert np.array_equal(d, fv.sub(top, bot))
-        assert np.array_equal(fv.mul(lead, fv.ones(n // 2)),
-                              fv.mul(diffs[0], diffs[1]))
         assert inner1 == 0
 
     def test_prove_high_water_above_the_key(self):
@@ -331,3 +332,36 @@ class TestProveHighWater:
         _bundle, _resident, peak = _traced(
             lambda: prove(pk, pub, wit, seed=7))
         assert peak <= 21 * n * 8, peak / (n * 8)
+
+
+class TestProveWorkingSet:
+    """The high-water mark of a synthetic prove is its working set
+    (docs/PERFORMANCE.md, "hold only what the next step reads").  Above
+    the key, a prove's peak is in the transposed product and holds z, the
+    three products, the codewords, the scaled copies of eq(rx) and the
+    combined row: 1 + 3 + 2 + 3 + 1 = 10 n words, beside the transposed
+    pass's kernel scratch and reduction temporaries (< 4 MiB at this
+    size).  Before, the previous repetition's combined row, a separate
+    eq(rx) table and the held dA o dB rode along (19.9 n at 2^16).  The
+    generator peaks in the layout build, holding the key, its int32
+    scatter bookkeeping and one member's sort order: at most 1.5x what it
+    returns at 2^17 (1.58x when it also held its own temporaries and
+    int64 bookkeeping)."""
+
+    def test_prove_peak_is_the_live_set(self):
+        from repro import PAPER, prove, setup
+
+        r1cs, pub, wit = synthetic_r1cs(16)
+        n = r1cs.shape.num_constraints
+        pk, _vk = setup(r1cs, PAPER)
+        prove(pk, pub, wit, seed=7)          # layout and kernel scratch
+        _bundle, _resident, peak = _traced(
+            lambda: prove(pk, pub, wit, seed=7))
+        assert peak <= 10 * n * 8 + (4 << 20), peak / (n * 8)
+
+    def test_generator_peak_is_a_fixed_multiple_of_what_it_returns(self):
+        synthetic_r1cs(12)                   # kernel scratch
+        (r1cs, pub, wit), _resident, peak = _traced(
+            lambda: synthetic_r1cs(17))
+        returned = r1cs.nbytes + pub.nbytes + wit.nbytes
+        assert peak <= 1.5 * returned, peak / returned

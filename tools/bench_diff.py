@@ -14,10 +14,16 @@ Two comparison modes:
 * **absolute** (default): raw values compared row by row.  Right when
   the candidate ran on the same machine as the baseline (a developer
   re-running the bench before committing).
-* **--calibrate**: wall-clock metrics are first normalized by the
-  median ``current/baseline`` prove_s ratio across all shared rows, so
-  a uniformly faster or slower machine cancels out and only *shape*
-  anomalies (one size regressing while the rest track) trip the gate.
+* **--calibrate**: wall-clock metrics are first normalized by a
+  machine-speed factor per size band (:data:`CALIBRATION_BANDS`), the
+  median ``current/baseline`` prove_s ratio over the band's shared rows,
+  so a machine that is faster or slower across a band cancels out and
+  only *shape* anomalies (one size regressing while the rest of its band
+  tracks) trip the gate.  One factor over every size did not calibrate a
+  host that is slow only at the large, memory-bound sizes: a full sweep
+  read the small rows within ~10 % and 2^16..2^19 +20..+60 % on unchanged
+  code, and the median of all of them flagged 7 regressions.  The report
+  names each band's factor.
   Machine-independent metrics — ``proof_size_bytes`` (exact), the
   ``noop_overhead_frac`` ceiling and the ``growth_per_doubling`` ceiling
   across 2^16..2^20 — are enforced unscaled in both modes.
@@ -69,6 +75,17 @@ MAX_NOOP_OVERHEAD_FRAC = 0.02
 MAX_GROWTH_PER_DOUBLING = 2.4
 GROWTH_GATED_LOG_SIZES = range(17, 21)
 
+#: ``--calibrate``'s size bands, ``(lowest, highest)`` log size: the
+#: fixed-overhead sizes, then the ones whose operands outgrow the caches.
+#: A size below the first band counts in it, one above the last in that.
+CALIBRATION_BANDS = ((10, 14), (15, 20))
+
+
+def band_of(size: int) -> tuple:
+    """The calibration band ``size`` is normalized in."""
+    return next((band for band in CALIBRATION_BANDS if size <= band[1]),
+                CALIBRATION_BANDS[-1])
+
 
 def load(path: Path) -> dict:
     try:
@@ -100,24 +117,32 @@ def compare_prover(baseline: dict, current: dict, calibrate: bool) -> list:
                       "and current run"})
         return findings
 
-    # Calibration factor: how fast this machine is relative to the one
-    # that produced the baseline, estimated by the median per-size
-    # prove_s ratio.  Dividing current wall times by it leaves only
-    # per-size shape anomalies.
-    scale = 1.0
+    # Calibration factors: how fast this machine is relative to the one
+    # that produced the baseline, per size band, estimated by the median
+    # per-size prove_s ratio in the band.  Dividing current wall times by
+    # their band's factor leaves only per-size shape anomalies.
+    scales = {}
     if calibrate:
-        scale = median([cur_rows[s]["prove_s"] / base_rows[s]["prove_s"]
-                        for s in shared
-                        if base_rows[s].get("prove_s")])
-        scale = max(scale, 1e-9)
-        findings.append({
-            "metric": "calibration", "regression": False,
-            "detail": f"machine speed factor {scale:.3f}x baseline "
-                      f"(median prove_s ratio over {len(shared)} sizes)"})
+        for band in CALIBRATION_BANDS:
+            sizes = [s for s in shared if band_of(s) == band
+                     and base_rows[s].get("prove_s")]
+            if not sizes:
+                continue
+            scale = max(median([cur_rows[s]["prove_s"]
+                                / base_rows[s]["prove_s"] for s in sizes]),
+                        1e-9)
+            scales[band] = scale
+            findings.append({
+                "metric": "calibration", "band": list(band),
+                "factor": round(scale, 6), "regression": False,
+                "detail": f"2^{band[0]}..2^{band[1]}: machine speed factor "
+                          f"{scale:.3f}x baseline (median prove_s ratio "
+                          f"over {len(sizes)} sizes)"})
 
     wall_metrics = ("prove_s", "verify_s")
     for size in shared:
         base, cur = base_rows[size], cur_rows[size]
+        scale = scales.get(band_of(size), 1.0)
         for metric, tol in TOLERANCES.items():
             if metric not in base or metric not in cur:
                 continue
@@ -207,8 +232,9 @@ def main(argv=None) -> int:
                     help="committed faults baseline (default: %(default)s)")
     ap.add_argument("--calibrate", action="store_true",
                     help="normalize wall-clock metrics by the median "
-                         "current/baseline prove_s ratio (for CI runners "
-                         "that differ from the baseline machine)")
+                         "current/baseline prove_s ratio of their size "
+                         "band (for CI runners that differ from the "
+                         "baseline machine)")
     ap.add_argument("--report", metavar="PATH",
                     help="write the full finding list as JSON")
     args = ap.parse_args(argv)
@@ -240,6 +266,7 @@ def main(argv=None) -> int:
             "baseline": str(args.baseline) if args.current else None,
             "current": str(args.current) if args.current else None,
             "calibrate": args.calibrate,
+            "calibration_bands": [list(b) for b in CALIBRATION_BANDS],
             "tolerances": TOLERANCES,
             "max_noop_overhead_frac": MAX_NOOP_OVERHEAD_FRAC,
             "max_growth_per_doubling": MAX_GROWTH_PER_DOUBLING,
