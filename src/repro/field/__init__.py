@@ -10,8 +10,6 @@ from .goldilocks import (
     inv,
     mul,
     neg,
-    pow_mod,
-    rand_element,
     root_of_unity,
     sub,
 )
@@ -28,8 +26,6 @@ __all__ = [
     "inv",
     "mul",
     "neg",
-    "pow_mod",
-    "rand_element",
     "root_of_unity",
     "sub",
     "Polynomial",

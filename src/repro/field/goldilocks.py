@@ -10,7 +10,6 @@ identical reduction and are property-tested against this module.
 
 from __future__ import annotations
 
-import random
 from typing import Iterable, List
 
 #: The Goldilocks prime, 2^64 - 2^32 + 1.
@@ -71,11 +70,6 @@ def mul(a: int, b: int) -> int:
     return t
 
 
-def pow_mod(a: int, e: int) -> int:
-    """Return a^e mod p (e >= 0)."""
-    return pow(a, e, MODULUS)
-
-
 def inv(a: int) -> int:
     """Return the multiplicative inverse of a (a != 0)."""
     if a % MODULUS == 0:
@@ -109,12 +103,6 @@ def root_of_unity(order: int) -> int:
     if log_order > TWO_ADICITY:
         raise ValueError(f"order 2^{log_order} exceeds field 2-adicity {TWO_ADICITY}")
     return pow(GENERATOR, (MODULUS - 1) >> log_order, MODULUS)
-
-
-def rand_element(rng: random.Random | None = None) -> int:
-    """Sample a uniform field element."""
-    r = rng or random
-    return r.randrange(MODULUS)
 
 
 class Fp:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 
 from ..errors import ConfigError
 from ..ntt.fourstep import HW_BASE_SIZE
-from .permutations import SHUFFLE_LANES
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,7 @@ class NoCapConfig:
     mul_lanes: int = 2048              # modular multiply FU
     add_lanes: int = 2048              # modular add FU
     hash_lanes: int = 128              # SHA3 FU: 1 KB/cycle = 128 elem/cycle
-    shuffle_lanes: int = SHUFFLE_LANES # Benes network width
+    shuffle_lanes: int = 128           # Shuffle FU: one 128-wide Benes network
     ntt_lanes: int = 64                # NTT FU throughput (elements/cycle)
     ntt_base_size: int = HW_BASE_SIZE  # max single-pass NTT (two 64-pt pipes)
     register_file_bytes: int = 8 << 20 # 8 MB scratchpad

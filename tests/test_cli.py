@@ -221,3 +221,25 @@ class TestCommands:
         assert validate_phases(payload) == []
         assert payload["workload"] == "sha"  # alias resolved
         assert "functional" in payload and "simulated" in payload
+
+
+class TestModelOutputPin:
+    """The NoCap model's printed output, held byte for byte.
+
+    A change that is meant to leave the model alone (a deletion, a
+    refactor) must leave these digests alone; a change that moves the
+    model re-pins them and names the move in CHANGES.md.
+    """
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["tables"],
+         "fd1bddfc018ec117abb22919c179b4a530b69c8e94dbc3c18439724e02328aec"),
+        (["simulate", "--json", "--log-n", "24"],
+         "bf108ae70481ea746f8d795f618cbc9c2beef82c9160b8905dc1fa862bb62380"),
+    ], ids=["tables", "simulate_json_2p24"])
+    def test_stdout_digest(self, argv, digest, capsys):
+        import hashlib
+
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
