@@ -493,7 +493,7 @@ class SparseMatrix:
 #: amortize its ~70 numpy calls and goes to :meth:`SparseMatrix.matvec`.
 PLANE_TILE = 1 << 15
 #: Most planes a group may have, i.e. products summed into one set of limb
-#: accumulators; a longer row is cut into pieces (:func:`_group_rows`).
+#: accumulators; a longer row goes to the residual (:func:`_group_rows`).
 #: It is :func:`repro.field.vector._reduce_rows`' overflow bound.
 PLANE_CAP = fv.LIMB_SUM_CAP
 #: Rows per Goldilocks reduction: per-call overhead is ~60 numpy calls, so
@@ -556,32 +556,6 @@ class _Member(NamedTuple):
             return np.bincount(self.matrix.cols, minlength=num_out)
         return np.diff(self.matrix.indptr).astype(np.int64)
 
-    def entries(self):
-        """``(out_ids, gather, vals, order)``, ``order`` the stable sort of
-        ``out_ids`` (None: CSR order already is).  The row ids are
-        materialised here, for one member at a time."""
-        m = self.matrix
-        if self.transposed:
-            return m.cols, m.rows, m.vals, _sort_order(m.cols)
-        return m.rows, m.cols, m.vals, None
-
-
-def _member_ranks(members, num_out: int):
-    """``(counts, ranks)`` of one block: entries per output row over all
-    ``members`` and, per member, each row's rank — its first entry's
-    place in the row (the entries of earlier members) minus its index in
-    the member's stable row order, so entry k sits at place ``k +
-    rank[r]`` of row r.  Each member is counted once; both are int32."""
-    counts, ranks = np.zeros(num_out, dtype=np.int32), []
-    for member in members:
-        c = member.counts(num_out)
-        first = np.cumsum(c)
-        first -= c                          # the member's first entry in r
-        np.subtract(counts, first, out=first)
-        ranks.append(first.astype(np.int32))
-        counts += c.astype(np.int32)
-    return counts, ranks
-
 
 def _group_rows(blocks, sizes):
     """Split the entries of ``blocks`` of :class:`_Member` by row
@@ -589,65 +563,61 @@ def _group_rows(blocks, sizes):
 
     Block b has ``sizes[b]`` output rows, and its entries land in output
     rows ``sum(sizes[:b]) + out_id``.  A row holds its members' entries in
-    member order, each member's in its own stable row order; populations
-    are counted per block.
+    member order, each member's in its own CSR order; populations are
+    counted per block.
 
     Returns ``(groups, residual, owned)``.  ``groups`` holds one ``(rows,
-    pieces, idx, vals)`` per block and population L whose entries fill a
-    kernel tile: ``rows`` the m output ids (ascending, so a banded gather
-    stays local; a slice when they are consecutive) and ``idx`` / ``vals``
-    ``(L, m)`` planes — plane j is the j-th entry of every row, in final
-    order.  A row longer than :data:`PLANE_CAP` is cut into ``pieces``
-    equal runs laid side by side (piece k of row r is column ``r * pieces
-    + k``; the last piece is padded with zero values), so no group is
-    higher than the cap and a long thin population still fills its tiles.
-    ``residual`` is ``(rows, indptr, gather, vals)``: every other entry in
-    CSR form over just the output rows that hold one (``rows``, int32).
+    idx, vals)`` per block and population L (at most :data:`PLANE_CAP`)
+    whose entries fill a kernel tile: ``rows`` the m output ids
+    (ascending, so a banded gather stays local; a slice when they are
+    consecutive) and ``idx`` / ``vals`` ``(L, m)`` planes — plane j is the
+    j-th entry of every row.  ``residual`` is ``(rows, indptr, gather,
+    vals)``: every other entry, rows longer than the cap included, in CSR
+    form over just the output rows that hold one (``rows``, int32).
     Every stored index is int32, so ``owned``, the bytes of the arrays
     allocated here, is what stays resident.
 
-    Where a block is one forward member with no offset, a one-piece
-    population whose rows are one run IS one run of that member's CSR
-    entries: its planes are strided views of its ``cols`` / ``vals`` and
-    cost nothing.  Every other plane and the residual share one buffer per
-    array, which each member's entries are scattered into straight from
-    its own arrays (:func:`_place`), so nothing is stacked.  The per-row
-    bookkeeping of the scatter (ranks, slot bases and strides) is int32,
-    as every position in the buffers is (:data:`INDEX_LIMIT`).
+    Where a block is one forward member with no offset, a population whose
+    rows are one run IS one run of that member's CSR entries: its planes
+    are strided views of its ``cols`` / ``vals`` and cost nothing.  Every
+    other plane and the residual share one buffer per array, which each
+    member's entries are scattered into straight from its own arrays
+    (:func:`_place`), so nothing is stacked.  The per-row bookkeeping of
+    the scatter (running counts, slot bases and strides) is int32, as
+    every position in the buffers is (:data:`INDEX_LIMIT`).
     """
     groups, fills, lefts, size, lo = [], [], [], 0, 0
     for members, block_rows in zip(blocks, sizes):
-        counts, ranks = _member_ranks(members, block_rows)
+        counts = np.zeros(block_rows, dtype=np.int32)
+        for member in members:
+            counts += member.counts(block_rows)
         first = None
         if len(members) == 1 and not members[0].transposed \
                 and not members[0].offset:
             first = members[0].matrix.indptr
         hist = np.bincount(counts)
         planar = np.arange(len(hist)) * hist >= PLANE_TILE
+        planar[PLANE_CAP + 1:] = False          # the residual is exact
         copied, views = [], []
         for length in np.flatnonzero(planar):
             local = np.flatnonzero(counts == length).astype(np.int32)
             m = len(local)
-            pieces = -(-length // PLANE_CAP)
             rows = local + np.int32(lo) if lo else local    # never written
             if rows[-1] - rows[0] == m - 1:     # a run: write, don't scatter
                 rows = slice(rows[0], rows[-1] + 1)
-            if first is not None and pieces == 1 and isinstance(rows, slice):
+            if first is not None and isinstance(rows, slice):
                 e0 = int(first[local[0]])
                 e1 = e0 + m * length
                 mat = members[0].matrix
-                groups.append((rows, 1, mat.cols[e0:e1].reshape(m, length).T,
+                groups.append((rows, mat.cols[e0:e1].reshape(m, length).T,
                                mat.vals[e0:e1].reshape(m, length).T))
                 views.append((e0, e1))
                 continue
-            height = -(-length // pieces)
-            copied.append((len(groups), local, size, height, pieces))
-            groups.append((rows, pieces))       # planes attached below
-            size += height * pieces * m
+            copied.append((len(groups), local, size, length))
+            groups.append(rows)                 # planes attached below
+            size += length * m
         left = np.flatnonzero(~planar[counts] & (counts > 0)).astype(np.int32)
-        if not (copied or len(left)):           # every entry is in a view
-            ranks = []
-        fills.append((members, ranks, block_rows, copied, sorted(views), left,
+        fills.append((members, block_rows, copied, sorted(views), left,
                       counts[left]))
         lefts.append(left + np.int32(lo))
         lo += block_rows
@@ -663,64 +633,66 @@ def _group_rows(blocks, sizes):
     idx_all = np.zeros(total, dtype=np.int32)
     vals_all = np.zeros(total, dtype=np.uint64)
     at = size
-    for members, ranks, block_rows, copied, views, left, lengths in fills:
+    for members, block_rows, copied, views, left, lengths in fills:
         base = np.zeros(block_rows, dtype=np.int32)
         stride = np.ones(block_rows, dtype=np.int32)
-        heights = None
-        for g, local, start, height, pieces in copied:
-            width = pieces * len(local)
-            span = slice(start, start + height * width)
-            groups[g] += (idx_all[span].reshape(height, width),
-                          vals_all[span].reshape(height, width))
-            base[local] = np.arange(start, start + width, pieces)
-            stride[local] = width
-            if pieces > 1:
-                if heights is None:
-                    heights = np.full(block_rows, INDEX_LIMIT - 1,
-                                      dtype=np.int32)
-                heights[local] = height
+        for g, local, start, length in copied:
+            span = slice(start, start + length * len(local))
+            groups[g] = (groups[g],
+                         idx_all[span].reshape(length, len(local)),
+                         vals_all[span].reshape(length, len(local)))
+            base[local] = np.arange(start, start + len(local))
+            stride[local] = len(local)
         base[left] = at + np.cumsum(lengths) - lengths
         at += int(lengths.sum())
-        for member, rank in zip(members, ranks):
-            _place(member, rank, base, stride, heights, views, idx_all,
-                   vals_all)
+        placed = np.zeros(block_rows, dtype=np.int32)
+        for member in members:
+            _place(member, placed, base, stride, views, idx_all, vals_all)
     owned = idx_all.nbytes + vals_all.nbytes + sum(
         g[0].nbytes for g in groups if isinstance(g[0], np.ndarray))
     return groups, (np.concatenate(lefts), indptr, idx_all[size:],
                     vals_all[size:]), owned
 
 
-def _place(member, rank, base, stride, heights, views, idx_out, vals_out):
+def _place(member, placed, base, stride, views, idx_out, vals_out):
     """Scatter one member's entries into the plane/residual buffers.
 
-    The member is walked in its stable row order, :data:`_BUILD_ELEMENTS`
-    entries at a time; its k-th entry is entry j = ``k + rank[r]`` of its
-    row r (:func:`_member_ranks`) and goes to ``base[r] + j * stride[r]``;
-    where rows are cut into pieces (``heights`` not None), to ``base[r] +
-    (j % heights[r]) * stride[r] + j // heights[r]``.  Entry ranges in
-    ``views`` are planes already and are skipped.
+    The member is read in its CSR order, :data:`_BUILD_ELEMENTS` entries
+    at a time; entry ranges in ``views`` are planes already and are
+    skipped.  An entry of output row r is entry j = ``placed[r]`` (the
+    entries of r placed before its chunk, by this member or an earlier
+    one of the block) plus its rank among the chunk's entries of r, and
+    goes to ``base[r] + j * stride[r]``.  ``placed`` is advanced by each
+    chunk's counts.
     """
-    out_ids, gather, vals, order = member.entries()
-    offset = member.offset
+    mat, offset = member.matrix, member.offset
     done = 0
-    for e0, e1 in views + [(len(out_ids), len(out_ids))]:
+    for e0, e1 in views + [(mat.stored_nnz, mat.stored_nnz)]:
         for k0 in range(done, e0, _BUILD_ELEMENTS):
             k1 = min(e0, k0 + _BUILD_ELEMENTS)
-            if order is None:
-                row, idx, val = (a[k0:k1] for a in (out_ids, gather, vals))
-            else:
-                row, idx, val = (np.take(a, order[k0:k1])
-                                 for a in (out_ids, gather, vals))
-            dest = np.arange(k0, k1)
-            dest += np.take(rank, row)
-            if heights is not None:
-                height = np.take(heights, row)
-                piece = dest // height
-                dest -= piece * height
-            dest *= np.take(stride, row)
-            dest += np.take(base, row)
-            if heights is not None:
-                dest += piece
+            # Rows r0..r1 hold the chunk (an int32 key: a Python int
+            # would cast all of ``indptr`` on each call).
+            r0, r1 = mat.indptr.searchsorted(
+                np.array([k0, k1 - 1], dtype=np.int32), side="right") - 1
+            rows = _entry_rows(np.clip(mat.indptr[r0:r1 + 2], k0, k1))
+            rows += np.int32(r0)
+            out, idx = (mat.cols[k0:k1], rows) if member.transposed \
+                else (rows, mat.cols[k0:k1])
+            val = mat.vals[k0:k1]
+            order = _sort_order(out)
+            if order is not None:
+                out, idx, val = (np.take(a, order) for a in (out, idx, val))
+            # ``out`` is non-decreasing: a run of one row's entries starts
+            # at ``heads``, and its i-th entry has rank i.
+            heads = np.flatnonzero(np.concatenate(([True],
+                                                   out[1:] != out[:-1])))
+            run = np.diff(heads, append=len(out))
+            keys = out[heads]
+            dest = np.repeat(np.take(placed, keys) - heads, run)
+            dest += np.arange(len(out))
+            placed[keys] += run
+            dest *= np.take(stride, out)
+            dest += np.take(base, out)
             idx_out[dest] = idx + offset if offset else idx
             vals_out[dest] = val
         done = e1
@@ -764,13 +736,8 @@ class _PlaneLayout:
             # Per call, not per object: two threads may share a key.
             tile = np.empty((7, max(PLANE_TILE, PLANE_CAP)), dtype=np.uint64)
             acc = np.empty((7, REDUCE_ROWS), dtype=np.uint64)
-            for rows, pieces, idx, vals in self.groups:
-                sums = _plane_matvec(idx, vals, x, tile, acc)
-                if pieces > 1:      # a long row's pieces sit side by side
-                    sums = _segment_sums(sums,
-                                         np.arange(0, len(sums), pieces))
-                out[rows] = sums
-                del sums            # not held while the next group runs
+            for rows, idx, vals in self.groups:
+                out[rows] = _plane_matvec(idx, vals, x, tile, acc)
         return out
 
 
@@ -796,8 +763,8 @@ class StackedMatrices:
     copied group costs 12 B per non-zero (4 B ``idx`` + 8 B ``vals``) plus
     4 B per output row where its rows are not one run; the residual costs
     12 B per non-zero plus 8 B per output row it holds (a CSR offset and
-    the row's id; 4 B when it holds every row).  Building materialises
-    one member's row ids and sort keys at a time (:func:`_group_rows`);
+    the row's id; 4 B when it holds every row).  Building reads each
+    member a chunk at a time and keeps per-row counts (:func:`_place`);
     :attr:`nbytes` is what the layout owns.
 
     A member with a row map is laid out by its stored rows

@@ -11,20 +11,13 @@ prover at small scale.
 
 from __future__ import annotations
 
-import functools
 from typing import Tuple
 
 import numpy as np
 
 from ..errors import VerificationError
 from ..field import vector as fv
-from ..r1cs.matrices import (
-    PLANE_CAP,
-    PLANE_TILE,
-    REDUCE_ROWS,
-    SparseMatrix,
-    _plane_matvec,
-)
+from ..r1cs.matrices import SparseMatrix
 from ..r1cs.system import R1CS
 
 
@@ -71,18 +64,10 @@ def synthetic_r1cs(log_size: int, band: int = 64, nnz_per_row: int = 3,
     a = SparseMatrix.from_csr(n, n, indptr, cols_a, vals_a)
     b = SparseMatrix.from_csr(n, n, indptr, cols_b, vals_b)
 
-    def fixed_width_matvec(cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        # Row i owns entries [i*k, (i+1)*k) by construction, so entry j
-        # of every row is one strided plane: the limb-deferred plane
-        # kernel reduces once per row, at most PLANE_CAP planes a call.
-        tile = np.empty((7, max(PLANE_TILE, PLANE_CAP)), dtype=np.uint64)
-        acc = np.empty((7, REDUCE_ROWS), dtype=np.uint64)
-        idx = cols.reshape(n, nnz_per_row).T
-        coef = vals.reshape(n, nnz_per_row).T
-        sums = [_plane_matvec(idx[j:j + PLANE_CAP], coef[j:j + PLANE_CAP], z,
-                              tile, acc)
-                for j in range(0, nnz_per_row, PLANE_CAP)]
-        return functools.reduce(fv.add, sums) if sums else fv.zeros(n)
+    def product(cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        # On a matrix of its own over the same arrays: the key's A and B
+        # cache no gather plan.
+        return SparseMatrix.from_csr(n, n, indptr, cols, vals).matvec(z)
 
     # C: one entry per row at a witness column with a non-zero z value;
     # use column half + (i mod half), whose z entry is never zero.
@@ -90,8 +75,7 @@ def synthetic_r1cs(log_size: int, band: int = 64, nnz_per_row: int = 3,
     # row i's value over the product (A z o B z)_i it is solved from.
     cols_c = np.arange(half, half + n, dtype=np.int32)
     cols_c[half:] -= np.int32(half)
-    vals_c = fv.mul(fixed_width_matvec(cols_a, vals_a),
-                    fixed_width_matvec(cols_b, vals_b))
+    vals_c = fv.mul(product(cols_a, vals_a), product(cols_b, vals_b))
     inv = fv.inv_vector(wit)
     for rows in (vals_c[:half], vals_c[half:]):
         fv.mul(rows, inv, out=rows)

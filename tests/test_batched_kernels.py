@@ -337,7 +337,7 @@ class TestPlaneLayoutSaturation:
     """The limb accumulators' overflow bound, at the shipped constants:
     2^9 products of a 32-bit half and a 22-bit limb must sum below 2^63
     with every operand bit set, and a row one entry past the plane cap
-    must be cut in two pieces whose sums fold exactly."""
+    must go to the residual, whose sums are exact at any length."""
 
     @pytest.mark.parametrize("value", [2**64 - 1, P_MINUS_1])
     @pytest.mark.parametrize("extra", [0, 1])
@@ -353,12 +353,13 @@ class TestPlaneLayoutSaturation:
                            np.full(n * length, value, dtype=np.uint64))
         stacked = StackedMatrices([mat])
         for side in (stacked._forward, stacked._transposed):
-            assert side.residual is None
-            # At the cap: one piece of 512 planes.  One past it: two
-            # pieces of 257 side by side, the second padded by one zero.
-            want_shape = (1, (length, n)) if not extra \
-                else (2, ((length + 1) // 2, 2 * n))
-            assert [(g[1], g[2].shape) for g in side.groups] == [want_shape]
+            if extra:       # one past the cap: every row is residual
+                assert side.groups == []
+                rows, residual = side.residual
+                assert rows is None and residual.stored_nnz == n * length
+            else:           # at the cap: one group of 512 planes
+                assert side.residual is None
+                assert [g[1].shape for g in side.groups] == [(length, n)]
         x = np.full(n, value, dtype=np.uint64)
         want = length * value * value % MODULUS
         assert fv.to_ints(stacked.matvec_all(x)[0]) == [want] * n

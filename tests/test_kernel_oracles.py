@@ -292,9 +292,9 @@ class TestSyntheticGenerator:
 
     @pytest.mark.parametrize("nnz_per_row", [0, 1, 2, 7, 600])
     def test_any_row_width_is_satisfied(self, nnz_per_row):
-        """The generator's A z and B z run on the plane kernel, at most
-        PLANE_CAP planes a call: every width gives a satisfied instance
-        whose C z is A z o B z, and width 0 gives all-zero products."""
+        """Every width gives a satisfied instance whose C z is A z o B z,
+        rows past PLANE_CAP included, and width 0 gives all-zero
+        products."""
         from repro.workloads import synthetic_r1cs
 
         r1cs, public, witness = synthetic_r1cs(6, band=4,

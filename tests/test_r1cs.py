@@ -410,7 +410,7 @@ class TestPlaneLayout:
         for side in (stacked._forward, stacked._transposed):
             assert bool(side.groups) is expect_planes
             assert (side.residual is None) is expect_planes
-            for _rows, _pieces, idx, vals in side.groups:
+            for _rows, idx, vals in side.groups:
                 assert idx.dtype == np.int32 and idx.shape == vals.shape
                 assert (idx.flags["C_CONTIGUOUS"]
                         and vals.flags["C_CONTIGUOUS"]) or (
@@ -433,10 +433,10 @@ class TestPlaneLayout:
             r1cs, _public, _witness = synthetic_r1cs(8, band=4, seed=11)
             stacked = r1cs._stacked()
         members = (r1cs.a, r1cs.b, r1cs.c)
-        assert [idx.shape[0] for _r, _p, idx, _v in stacked._forward.groups] \
+        assert [idx.shape[0] for _r, idx, _v in stacked._forward.groups] \
             == [3, 3, 1]
         assert stacked._forward.residual is None
-        for (_rows, _p, idx, vals), m in zip(stacked._forward.groups,
+        for (_rows, idx, vals), m in zip(stacked._forward.groups,
                                               members):
             assert np.shares_memory(idx, m.cols)
             assert np.shares_memory(vals, m.vals)
@@ -454,7 +454,7 @@ class TestPlaneLayout:
                               np.arange(1, 15))
         with patched_planes(1, 512, 4):
             stacked = StackedMatrices([gapped])
-        [(rows_out, _p, idx, vals)] = stacked._forward.groups
+        [(rows_out, idx, vals)] = stacked._forward.groups
         assert idx.flags["C_CONTIGUOUS"] and vals.flags["C_CONTIGUOUS"]
         assert not np.shares_memory(idx, gapped.cols)
         assert not np.shares_memory(vals, gapped.vals)
@@ -466,7 +466,7 @@ class TestPlaneLayout:
         assert unsorted.rows.tolist() == sorted(rows.tolist())
         with patched_planes(1, 512, 4):
             stacked = StackedMatrices([unsorted])
-        [(_rows, _p, idx, vals)] = stacked._forward.groups
+        [(_rows, idx, vals)] = stacked._forward.groups
         assert np.shares_memory(idx, unsorted.cols)
         assert np.shares_memory(vals, unsorted.vals)
         assert stacked._forward.nbytes == 0
@@ -547,10 +547,9 @@ def _traced(run):
 
 class TestResidentSetOfAKey:
     """Memory pins on ``synthetic_r1cs(16)``: one copy of each matrix, in
-    CSR — 12 B per non-zero plus 4 B per row.  The layout build
-    materialises nothing but one member's row ids and sort keys, and the
-    transposed SpMV writes its scaled inputs into one buffer instead of
-    concatenating copies."""
+    CSR — 12 B per non-zero plus 4 B per row.  The layout build walks
+    each member a chunk at a time, and the transposed SpMV writes its
+    scaled inputs into one buffer instead of concatenating copies."""
 
     @pytest.fixture(scope="class")
     def r1cs(self):
@@ -573,6 +572,21 @@ class TestResidentSetOfAKey:
         assert abs(resident - stacked.nbytes) < 64 << 10
         assert peak <= stacked.nbytes + 8 * r1cs.nnz + (4 << 20), \
             (peak - stacked.nbytes) / r1cs.nnz
+
+    def test_build_working_set_does_not_grow_with_row_length(self):
+        """The build reads each member ``_BUILD_ELEMENTS`` entries at a
+        time, so its traced peak above what the layout keeps is the same
+        at 3 and 12 non-zeros per row (a member-wide sort order and row
+        ids made it 4.9 and 11.6 MiB)."""
+        from repro.workloads import synthetic_r1cs
+
+        above = []
+        for nnz_per_row in (3, 12):
+            r1cs = synthetic_r1cs(16, nnz_per_row=nnz_per_row)[0]
+            stacked, _resident, peak = _traced(
+                lambda: StackedMatrices([r1cs.a, r1cs.b, r1cs.c]))
+            above.append(peak - stacked.nbytes)
+        assert abs(above[1] - above[0]) <= 1 << 20, above
 
     def test_scaled_transpose_makes_one_buffer_of_copies(self, r1cs, rng):
         """The scaled copies are one ``count * n`` buffer when the SpMV

@@ -247,7 +247,7 @@ def _owned_by_walk(r1cs):
            for arr in (m.indptr, m.cols, m.vals)}
     stacked, arrays = r1cs._stacked(), []
     for side in (stacked._forward, stacked._transposed):
-        for rows, _pieces, idx, vals in side.groups:
+        for rows, idx, vals in side.groups:
             arrays += [idx, vals] + ([rows] if isinstance(rows, np.ndarray)
                                      else [])
         if side.residual is not None:
@@ -283,7 +283,7 @@ class TestKeyStoresInt32Indices:
             arrays += [m.indptr, m.cols] + (
                 [m.row_map] if m.row_map is not None else [])
         for side in (stacked._forward, stacked._transposed):
-            for rows, _pieces, idx, _vals in side.groups:
+            for rows, idx, _vals in side.groups:
                 arrays += [idx] + ([rows] if not isinstance(rows, slice)
                                    else [])
             if side.residual is not None:
