@@ -136,8 +136,9 @@ def prove_batch(pk, publics: Sequence[np.ndarray],
     import multiprocessing
     from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
                                     ProcessPoolExecutor, wait)
-    # Build the key's gather plans here, once: every worker of this and
-    # later batches inherits them instead of rebuilding its own.
+    # Build the key's transposed SpMV layout here, once: every worker of
+    # this and later batches inherits it instead of building its own.
+    # The forward products' gather plans are built lazily, where used.
     pk.r1cs._stacked()
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")

@@ -12,7 +12,7 @@ map (:class:`SparseMatrix`, distinct-row form).
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -183,11 +183,16 @@ class SparseMatrix:
     non-zeros, repeated rows included; :meth:`expanded` is the same matrix
     in plain CSR.
 
+    SpMV.  :meth:`matvec` is the one forward product, and the matrix
+    picks its kernel: when every stored row holds the same L entries
+    (1 <= L <= :data:`PLANE_CAP`) and they fill a kernel tile (L * stored
+    rows >= :data:`PLANE_TILE`), ``cols`` / ``vals`` viewed as ``(L,
+    rows)`` planes run :func:`_plane_matvec`, one Goldilocks reduction per
+    row; any other matrix runs the segmented sum.  The transposed
+    combination the prover needs is :class:`StackedMatrices`'.
+
     Instances are immutable, and that is load-bearing: the cached gather
-    plan assumes the arrays never change, and
-    :class:`StackedMatrices` keeps forward planes that are views of
-    ``cols`` / ``vals`` (no copy), so writing to them after a layout was
-    built would silently change every later product.
+    plan assumes the arrays never change.
     """
 
     def __init__(self, num_rows: int, num_cols: int,
@@ -367,30 +372,43 @@ class SparseMatrix:
         return _fold(self.row_map, y, self.num_stored)
 
     def _group_plan(self):
-        """Lazy gather plan for :meth:`matvec`: ``(starts, row_ids)``, the
+        """Gather plan of the segmented sum: ``(starts, row_ids)``, the
         first entry of each non-empty stored row (``np.add.reduceat``
-        segments) and those rows' ids.  When no stored row is empty it is
-        ``(indptr[:-1], None)``: a view, nothing stored."""
-        if self._groups is None:
-            counts = np.diff(self.indptr)
-            if counts.all():
-                self._groups = (self.indptr[:-1], None)
-            else:
-                row_ids = np.flatnonzero(counts).astype(np.int32)
-                self._groups = (np.take(self.indptr, row_ids), row_ids)
+        segments) and those rows' ids, cached.  When no stored row is
+        empty it is ``(indptr[:-1], None)``: a view, nothing cached."""
+        if self._groups is not None:
+            return self._groups
+        counts = np.diff(self.indptr)
+        if counts.all():
+            return self.indptr[:-1], None
+        row_ids = np.flatnonzero(counts).astype(np.int32)
+        self._groups = (np.take(self.indptr, row_ids), row_ids)
         return self._groups
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Exact y = M x over GF(p).
+    def _plane_width(self) -> int:
+        """L when every stored row holds the same L entries, 1 <= L <=
+        :data:`PLANE_CAP`, and L * stored rows fills a :data:`PLANE_TILE`;
+        0 otherwise."""
+        rows, nnz = self.num_stored, self.stored_nnz
+        width = nnz // rows if rows else 0
+        if not 1 <= width <= PLANE_CAP or nnz < PLANE_TILE \
+                or width * rows != nnz:
+            return 0
+        return width if bool((np.diff(self.indptr) == width).all()) else 0
 
-        The scatter-add is a segmented reduction over the row-ordered
-        products (:func:`_segment_sums`).  Matrices with more than
-        :data:`MATVEC_BLOCK_SEGMENTS` non-empty stored rows are walked in
-        blocks of that many row segments — output-stationary, like NoCap's
-        SpMV unit (Sec. V-A): gather, multiply and reduce one block's
-        entries into its output slice before touching the next, so
-        temporaries are block-sized instead of nnz-sized.  A row map then
-        expands the stored rows' sums, one gather.
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Exact y = M x over GF(p), for any uint64 ``x``.
+
+        Output-stationary, like NoCap's SpMV unit (Sec. V-A).  A matrix
+        whose stored rows all hold L entries (:meth:`_plane_width`) is
+        ``(L, rows)`` planes, strided views of ``cols`` / ``vals``, summed
+        by :func:`_plane_matvec`.  Any other is a segmented reduction over
+        the row-ordered products (:func:`_segment_sums`), walked in blocks
+        of :data:`MATVEC_BLOCK_SEGMENTS` non-empty stored rows: gather,
+        multiply and reduce one block's entries into its output slice
+        before touching the next, so temporaries are block-sized instead
+        of nnz-sized.  A row map then expands the stored rows' sums, one
+        gather.
         """
         x = np.asarray(x, dtype=np.uint64)
         if x.shape[0] != self.num_cols:
@@ -403,6 +421,11 @@ class SparseMatrix:
         nnz = self.stored_nnz
         if nnz == 0:
             return np.zeros(self.num_stored, dtype=np.uint64)
+        width = self._plane_width()
+        if width:
+            idx, vals = (a.reshape(self.num_stored, width).T
+                         for a in (self.cols, self.vals))
+            return _plane_matvec(idx, vals, x, *_plane_scratch())
         starts, row_ids = self._group_plan()
         # Non-canonical representatives are fine: the split-accumulate
         # is exact for any uint64 terms.
@@ -490,11 +513,12 @@ class SparseMatrix:
 #: are 8 B * 2^15 each, ~1.8 MB together — cache-sized, like
 #: :data:`repro.field.vector._TILE`.  It is also the residual rule: a row
 #: population with fewer entries than one tile (L * m < PLANE_TILE) cannot
-#: amortize its ~70 numpy calls and goes to :meth:`SparseMatrix.matvec`.
+#: amortize its ~70 numpy calls and takes the segmented sum instead.
 PLANE_TILE = 1 << 15
 #: Most planes a group may have, i.e. products summed into one set of limb
-#: accumulators; a longer row goes to the residual (:func:`_group_rows`).
-#: It is :func:`repro.field.vector._reduce_rows`' overflow bound.
+#: accumulators; a longer row takes the segmented sum (:func:`_group_rows`,
+#: :meth:`SparseMatrix._plane_width`).  It is
+#: :func:`repro.field.vector._reduce_rows`' overflow bound.
 PLANE_CAP = fv.LIMB_SUM_CAP
 #: Rows per Goldilocks reduction: per-call overhead is ~60 numpy calls, so
 #: it is paid once per 2^14 rows, not once per tile.
@@ -512,7 +536,7 @@ def _plane_matvec(idx: np.ndarray, vals: np.ndarray, x: np.ndarray,
     with a contiguous add (no ``reduceat``, no per-product reduction), and
     :func:`_reduce_rows` runs once per :data:`REDUCE_ROWS` rows.  ``tile``
     (7 rows of a tile's elements) and ``acc`` (7 rows of
-    :data:`REDUCE_ROWS`) are the caller's scratch.
+    :data:`REDUCE_ROWS`) are the caller's scratch (:func:`_plane_scratch`).
     """
     height, m = idx.shape
     if height == 1:
@@ -541,89 +565,53 @@ def _plane_matvec(idx: np.ndarray, vals: np.ndarray, x: np.ndarray,
     return out
 
 
-class _Member(NamedTuple):
-    """One matrix's entries as a layout member.  Forward, an entry's
-    output row is its row and it gathers its column; transposed, the
-    reverse.  Gathers add ``offset``."""
-
-    matrix: SparseMatrix
-    transposed: bool
-    offset: int
-
-    def counts(self, num_out: int) -> np.ndarray:
-        """Entries per output row (int64)."""
-        if self.transposed:
-            return np.bincount(self.matrix.cols, minlength=num_out)
-        return np.diff(self.matrix.indptr).astype(np.int64)
+def _plane_scratch():
+    """``(tile, acc)`` scratch of :func:`_plane_matvec`, allocated per
+    call rather than per object: two threads may share a key."""
+    return (np.empty((7, max(PLANE_TILE, PLANE_CAP)), dtype=np.uint64),
+            np.empty((7, REDUCE_ROWS), dtype=np.uint64))
 
 
-def _group_rows(blocks, sizes):
-    """Split the entries of ``blocks`` of :class:`_Member` by row
-    population.
+def _group_rows(members, num_out: int):
+    """Split the entries of the transposed ``members``, ``(matrix,
+    offset)`` pairs, by output row population.
 
-    Block b has ``sizes[b]`` output rows, and its entries land in output
-    rows ``sum(sizes[:b]) + out_id``.  A row holds its members' entries in
-    member order, each member's in its own CSR order; populations are
-    counted per block.
+    An entry's output row is its column, and it gathers its row plus its
+    member's ``offset``.  An output row holds its members' entries in
+    member order, each member's in its own CSR order.
 
     Returns ``(groups, residual, owned)``.  ``groups`` holds one ``(rows,
-    idx, vals)`` per block and population L (at most :data:`PLANE_CAP`)
-    whose entries fill a kernel tile: ``rows`` the m output ids
-    (ascending, so a banded gather stays local; a slice when they are
-    consecutive) and ``idx`` / ``vals`` ``(L, m)`` planes — plane j is the
-    j-th entry of every row.  ``residual`` is ``(rows, indptr, gather,
-    vals)``: every other entry, rows longer than the cap included, in CSR
-    form over just the output rows that hold one (``rows``, int32).
-    Every stored index is int32, so ``owned``, the bytes of the arrays
-    allocated here, is what stays resident.
+    idx, vals)`` per population L (at most :data:`PLANE_CAP`) whose
+    entries fill a kernel tile: ``rows`` the m output ids (ascending, so a
+    banded gather stays local; a slice when they are consecutive) and
+    ``idx`` / ``vals`` ``(L, m)`` planes — plane j is the j-th entry of
+    every row.  ``residual`` is ``(rows, indptr, gather, vals)``: every
+    other entry, rows longer than the cap included, in CSR form over just
+    the output rows that hold one (``rows``, int32).  Every stored index
+    is int32, so ``owned``, the bytes of the arrays allocated here, is
+    what stays resident.
 
-    Where a block is one forward member with no offset, a population whose
-    rows are one run IS one run of that member's CSR entries: its planes
-    are strided views of its ``cols`` / ``vals`` and cost nothing.  Every
-    other plane and the residual share one buffer per array, which each
+    The planes and the residual share one buffer per array, which each
     member's entries are scattered into straight from its own arrays
     (:func:`_place`), so nothing is stacked.  The per-row bookkeeping of
     the scatter (running counts, slot bases and strides) is int32, as
     every position in the buffers is (:data:`INDEX_LIMIT`).
     """
-    groups, fills, lefts, size, lo = [], [], [], 0, 0
-    for members, block_rows in zip(blocks, sizes):
-        counts = np.zeros(block_rows, dtype=np.int32)
-        for member in members:
-            counts += member.counts(block_rows)
-        first = None
-        if len(members) == 1 and not members[0].transposed \
-                and not members[0].offset:
-            first = members[0].matrix.indptr
-        hist = np.bincount(counts)
-        planar = np.arange(len(hist)) * hist >= PLANE_TILE
-        planar[PLANE_CAP + 1:] = False          # the residual is exact
-        copied, views = [], []
-        for length in np.flatnonzero(planar):
-            local = np.flatnonzero(counts == length).astype(np.int32)
-            m = len(local)
-            rows = local + np.int32(lo) if lo else local    # never written
-            if rows[-1] - rows[0] == m - 1:     # a run: write, don't scatter
-                rows = slice(rows[0], rows[-1] + 1)
-            if first is not None and isinstance(rows, slice):
-                e0 = int(first[local[0]])
-                e1 = e0 + m * length
-                mat = members[0].matrix
-                groups.append((rows, mat.cols[e0:e1].reshape(m, length).T,
-                               mat.vals[e0:e1].reshape(m, length).T))
-                views.append((e0, e1))
-                continue
-            copied.append((len(groups), local, size, length))
-            groups.append(rows)                 # planes attached below
-            size += length * m
-        left = np.flatnonzero(~planar[counts] & (counts > 0)).astype(np.int32)
-        fills.append((members, block_rows, copied, sorted(views), left,
-                      counts[left]))
-        lefts.append(left + np.int32(lo))
-        lo += block_rows
-    del counts, first           # not held while the planes are filled
+    counts = np.zeros(num_out, dtype=np.int32)
+    for mat, _offset in members:
+        counts += np.bincount(mat.cols, minlength=num_out)
+    hist = np.bincount(counts)
+    planar = np.arange(len(hist)) * hist >= PLANE_TILE
+    planar[PLANE_CAP + 1:] = False          # the residual is exact
+    planes, size = [], 0
+    for length in np.flatnonzero(planar):
+        rows = np.flatnonzero(counts == length).astype(np.int32)
+        planes.append((rows, size, length))
+        size += length * len(rows)
+    left = np.flatnonzero(~planar[counts] & (counts > 0)).astype(np.int32)
+    lengths = counts[left]
+    del counts                  # not held while the planes are filled
 
-    lengths = np.concatenate([fill[-1] for fill in fills])
     total = size + int(lengths.sum(dtype=np.int64))
     if total >= INDEX_LIMIT:
         raise ValueError(f"a layout of {total} entries exceeds int32 "
@@ -632,85 +620,77 @@ def _group_rows(blocks, sizes):
     np.cumsum(lengths, out=indptr[1:])
     idx_all = np.zeros(total, dtype=np.int32)
     vals_all = np.zeros(total, dtype=np.uint64)
-    at = size
-    for members, block_rows, copied, views, left, lengths in fills:
-        base = np.zeros(block_rows, dtype=np.int32)
-        stride = np.ones(block_rows, dtype=np.int32)
-        for g, local, start, length in copied:
-            span = slice(start, start + length * len(local))
-            groups[g] = (groups[g],
-                         idx_all[span].reshape(length, len(local)),
-                         vals_all[span].reshape(length, len(local)))
-            base[local] = np.arange(start, start + len(local))
-            stride[local] = len(local)
-        base[left] = at + np.cumsum(lengths) - lengths
-        at += int(lengths.sum())
-        placed = np.zeros(block_rows, dtype=np.int32)
-        for member in members:
-            _place(member, placed, base, stride, views, idx_all, vals_all)
+    base = np.zeros(num_out, dtype=np.int32)
+    stride = np.ones(num_out, dtype=np.int32)
+    groups = []
+    for rows, start, length in planes:
+        m = len(rows)
+        span = slice(start, start + length * m)
+        base[rows] = np.arange(start, start + m)
+        stride[rows] = m
+        if rows[-1] - rows[0] == m - 1:     # a run: write, don't scatter
+            rows = slice(rows[0], rows[-1] + 1)
+        groups.append((rows, idx_all[span].reshape(length, m),
+                       vals_all[span].reshape(length, m)))
+    base[left] = size + indptr[:-1]
+    placed = np.zeros(num_out, dtype=np.int32)
+    for mat, offset in members:
+        _place(mat, offset, placed, base, stride, idx_all, vals_all)
     owned = idx_all.nbytes + vals_all.nbytes + sum(
         g[0].nbytes for g in groups if isinstance(g[0], np.ndarray))
-    return groups, (np.concatenate(lefts), indptr, idx_all[size:],
-                    vals_all[size:]), owned
+    return groups, (left, indptr, idx_all[size:], vals_all[size:]), owned
 
 
-def _place(member, placed, base, stride, views, idx_out, vals_out):
-    """Scatter one member's entries into the plane/residual buffers.
+def _place(mat, offset, placed, base, stride, idx_out, vals_out):
+    """Scatter one transposed member's entries into the plane/residual
+    buffers.
 
     The member is read in its CSR order, :data:`_BUILD_ELEMENTS` entries
-    at a time; entry ranges in ``views`` are planes already and are
-    skipped.  An entry of output row r is entry j = ``placed[r]`` (the
-    entries of r placed before its chunk, by this member or an earlier
-    one of the block) plus its rank among the chunk's entries of r, and
-    goes to ``base[r] + j * stride[r]``.  ``placed`` is advanced by each
-    chunk's counts.
+    at a time.  An entry of output row c (its column) is entry j =
+    ``placed[c]`` (the entries of c placed before its chunk, by this
+    member or an earlier one) plus its rank among the chunk's entries of
+    c, and goes to ``base[c] + j * stride[c]``, gathering its row plus
+    ``offset``.  ``placed`` is advanced by each chunk's counts.
     """
-    mat, offset = member.matrix, member.offset
-    done = 0
-    for e0, e1 in views + [(mat.stored_nnz, mat.stored_nnz)]:
-        for k0 in range(done, e0, _BUILD_ELEMENTS):
-            k1 = min(e0, k0 + _BUILD_ELEMENTS)
-            # Rows r0..r1 hold the chunk (an int32 key: a Python int
-            # would cast all of ``indptr`` on each call).
-            r0, r1 = mat.indptr.searchsorted(
-                np.array([k0, k1 - 1], dtype=np.int32), side="right") - 1
-            rows = _entry_rows(np.clip(mat.indptr[r0:r1 + 2], k0, k1))
-            rows += np.int32(r0)
-            out, idx = (mat.cols[k0:k1], rows) if member.transposed \
-                else (rows, mat.cols[k0:k1])
-            val = mat.vals[k0:k1]
-            order = _sort_order(out)
-            if order is not None:
-                out, idx, val = (np.take(a, order) for a in (out, idx, val))
-            # ``out`` is non-decreasing: a run of one row's entries starts
-            # at ``heads``, and its i-th entry has rank i.
-            heads = np.flatnonzero(np.concatenate(([True],
-                                                   out[1:] != out[:-1])))
-            run = np.diff(heads, append=len(out))
-            keys = out[heads]
-            dest = np.repeat(np.take(placed, keys) - heads, run)
-            dest += np.arange(len(out))
-            placed[keys] += run
-            dest *= np.take(stride, out)
-            dest += np.take(base, out)
-            idx_out[dest] = idx + offset if offset else idx
-            vals_out[dest] = val
-        done = e1
+    for k0 in range(0, mat.stored_nnz, _BUILD_ELEMENTS):
+        k1 = min(mat.stored_nnz, k0 + _BUILD_ELEMENTS)
+        # Rows r0..r1 hold the chunk (an int32 key: a Python int would
+        # cast all of ``indptr`` on each call).
+        r0, r1 = mat.indptr.searchsorted(
+            np.array([k0, k1 - 1], dtype=np.int32), side="right") - 1
+        idx = _entry_rows(np.clip(mat.indptr[r0:r1 + 2], k0, k1))
+        idx += np.int32(r0 + offset)
+        out, val = mat.cols[k0:k1], mat.vals[k0:k1]
+        order = _sort_order(out)
+        if order is not None:
+            out, idx, val = (np.take(a, order) for a in (out, idx, val))
+        # ``out`` is non-decreasing: a run of one row's entries starts
+        # at ``heads``, and its i-th entry has rank i.
+        heads = np.flatnonzero(np.concatenate(([True],
+                                               out[1:] != out[:-1])))
+        run = np.diff(heads, append=len(out))
+        keys = out[heads]
+        dest = np.repeat(np.take(placed, keys) - heads, run)
+        dest += np.arange(len(out))
+        placed[keys] += run
+        dest *= np.take(stride, out)
+        dest += np.take(base, out)
+        idx_out[dest] = idx
+        vals_out[dest] = val
 
 
 class _PlaneLayout:
-    """One direction of :class:`StackedMatrices`: plane groups plus ONE
-    residual ``(rows, SparseMatrix)`` (None when nothing is left over): a
-    CSR matrix over just the output rows that hold a residual entry, and
-    those rows' ids (None when they are every output row).  Built by
-    :func:`_group_rows` from ``blocks`` of :class:`_Member`.  ``nbytes``
-    counts the arrays the layout owns; planes that are views of a member's
-    arrays count 0."""
+    """The transposed pass of :class:`StackedMatrices`: plane groups plus
+    ONE residual ``(rows, SparseMatrix)`` (None when nothing is left
+    over): a CSR matrix over just the output rows that hold a residual
+    entry, and those rows' ids (None when they are every output row).
+    Built by :func:`_group_rows` from ``(matrix, offset)`` members.
+    ``nbytes`` counts the arrays the layout owns."""
 
-    def __init__(self, blocks, sizes, num_in: int):
-        self.num_out, self.num_in = sum(sizes), num_in
+    def __init__(self, members, num_out: int, num_in: int):
+        self.num_out, self.num_in = num_out, num_in
         self.groups, (rows, indptr, gather, vals), self.nbytes = \
-            _group_rows(blocks, sizes)
+            _group_rows(members, num_out)
         self.residual = None
         if len(vals):
             self.nbytes += indptr.nbytes
@@ -733,45 +713,42 @@ class _PlaneLayout:
             out = np.zeros(self.num_out, dtype=np.uint64)
             out[self.residual[0]] = self.residual[1].matvec(x)
         if self.groups:
-            # Per call, not per object: two threads may share a key.
-            tile = np.empty((7, max(PLANE_TILE, PLANE_CAP)), dtype=np.uint64)
-            acc = np.empty((7, REDUCE_ROWS), dtype=np.uint64)
+            tile, acc = _plane_scratch()
             for rows, idx, vals in self.groups:
                 out[rows] = _plane_matvec(idx, vals, x, tile, acc)
         return out
 
 
 class StackedMatrices:
-    """The A, B, C matrices of an R1CS laid out for fused SpMV passes.
+    """The transposed combination sum_i c_i M_i^T x of the A, B, C
+    matrices of an R1CS, laid out for ONE fused SpMV pass.
 
-    Spartan's prover needs all three products A z, B z, C z (sumcheck #1)
-    and the random combination (r_a A + r_b B + r_c C)^T eq (sumcheck #2).
-    R1CS rows carry O(1) non-zeros (Sec. V-A), so per direction the rows
-    are grouped by population: rows with L non-zeros become ``(L, m)``
-    index/value planes whose row sum is a contiguous add with ONE modular
-    reduction per row (:func:`_plane_matvec`) — output-stationary like
-    NoCap's SpMV unit, with the row length as the tile height.  Groups too
-    small to fill a kernel tile (:data:`PLANE_TILE`) share one residual
-    :class:`SparseMatrix` per direction, so a small circuit still runs one
-    fused segmented-sum pass.
+    Spartan's prover needs (r_a A + r_b B + r_c C)^T eq (sumcheck #2);
+    each forward product (sumcheck #1) is :meth:`SparseMatrix.matvec` of
+    its own matrix.  Transposed, an output row is a column, and the
+    columns are grouped by population: columns with L non-zeros become
+    ``(L, m)`` index/value planes whose sum is a contiguous add with ONE
+    modular reduction per output (:func:`_plane_matvec`) —
+    output-stationary like NoCap's SpMV unit, with the population as the
+    tile height.  Groups too small to fill a kernel tile
+    (:data:`PLANE_TILE`) share one residual :class:`SparseMatrix`, so a
+    small circuit still runs one fused segmented-sum pass.  The gather
+    index points into a buffer of ``count`` scaled copies of the input
+    (:meth:`_scaled_input`), so the combination costs no extra pass.
 
-    One copy of each matrix.  A forward group of a member (CSR, so
-    row-sorted) whose rows are one run is a strided view of that member's
-    ``cols`` / ``vals`` and costs nothing — every forward group of
-    ``synthetic_r1cs`` is one — which is why the members must never be
-    written to.  Every stored index is int32 (:data:`INDEX_LIMIT`): a
-    copied group costs 12 B per non-zero (4 B ``idx`` + 8 B ``vals``) plus
-    4 B per output row where its rows are not one run; the residual costs
-    12 B per non-zero plus 8 B per output row it holds (a CSR offset and
-    the row's id; 4 B when it holds every row).  Building reads each
-    member a chunk at a time and keeps per-row counts (:func:`_place`);
-    :attr:`nbytes` is what the layout owns.
+    The layout is the key's one transposed copy of its entries: every
+    stored index is int32 (:data:`INDEX_LIMIT`), so a group costs 12 B
+    per non-zero (4 B ``idx`` + 8 B ``vals``) plus 4 B per output row
+    where its rows are not one run; the residual costs 12 B per non-zero
+    plus 8 B per output row it holds (a CSR offset and the row's id; 4 B
+    when it holds every row).  Building reads each member a chunk at a
+    time and keeps per-row counts (:func:`_place`); :attr:`nbytes` is what
+    the layout owns.
 
     A member with a row map is laid out by its stored rows
-    (:meth:`SparseMatrix.stored`), both directions: its forward product
-    is expanded through the map (``row_maps``), and the transposed
-    combination gathers its entries from a scaled copy of the folded
-    input (:meth:`SparseMatrix.fold`), ``stored_rows`` words long.
+    (:meth:`SparseMatrix.stored`): it gathers its entries from a scaled
+    copy of the folded input (:meth:`SparseMatrix.fold`), ``stored_rows``
+    words long.
     """
 
     def __init__(self, mats: List[SparseMatrix]):
@@ -788,34 +765,17 @@ class StackedMatrices:
         self.num_rows, self.num_cols = n_rows, n_cols
         self.row_maps = tuple(m.row_map for m in mats)
         self.stored_rows = tuple(m.num_stored for m in mats)
-        stored = [m.stored() for m in mats]
+        # Member i gathers from its own scaled copy of the (folded)
+        # input, at an offset of sum(stored_rows[:i]).
         offsets = np.cumsum((0,) + self.stored_rows[:-1])
-        # Transposed: output rows are the original columns and the gather
-        # index points into a stack of ``count`` scaled copies of the
-        # (folded) input (see scaled_transpose_matvec), so member i
-        # gathers at an offset of sum(stored_rows[:i]).
         self._transposed = _PlaneLayout(
-            [[_Member(m, True, int(o)) for m, o in zip(stored, offsets)]],
-            [n_cols], sum(self.stored_rows))
-        # Forward: one sum(stored_rows) x n_cols system whose output
-        # slices are the individual products, one block per member.
-        self._forward = _PlaneLayout([[_Member(m, False, 0)] for m in stored],
-                                     self.stored_rows, n_cols)
+            [(m.stored(), int(o)) for m, o in zip(mats, offsets)], n_cols,
+            sum(self.stored_rows))
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the arrays this layout owns, both directions; planes
-        that are views of the members' arrays count 0."""
-        return self._forward.nbytes + self._transposed.nbytes
-
-    def matvec_all(self, x: np.ndarray) -> List[np.ndarray]:
-        """[M_0 x, M_1 x, ...] in ONE fused SpMV pass."""
-        stacked, out, at = self._forward.matvec(x), [], 0
-        for rows, row_map in zip(self.stored_rows, self.row_maps):
-            part = stacked[at:at + rows]
-            out.append(part if row_map is None else np.take(part, row_map))
-            at += rows
-        return out
+        """Bytes of the arrays this layout owns."""
+        return self._transposed.nbytes
 
     def scaled_transpose_matvec(self, coeffs, x: np.ndarray) -> np.ndarray:
         """sum_i coeffs[i] * M_i^T x in ONE fused SpMV pass, for any table

@@ -42,7 +42,12 @@ class R1CSShape:
 
 
 class R1CS:
-    """A padded rank-1 constraint system over Goldilocks."""
+    """A padded rank-1 constraint system over Goldilocks.
+
+    It owns the A, B, C matrices (:class:`SparseMatrix`, whose
+    :meth:`~SparseMatrix.matvec` is each forward product) and, built
+    lazily, one :class:`StackedMatrices`: the transposed layout behind
+    :meth:`combined_row`."""
 
     def __init__(self, a: SparseMatrix, b: SparseMatrix, c: SparseMatrix,
                  num_public: int, num_witness: int):
@@ -63,7 +68,7 @@ class R1CS:
         self._stacked_cache: StackedMatrices | None = None
 
     def __getstate__(self):
-        """Drop the fused-SpMV cache from pickles (rebuilt lazily by the
+        """Drop the transposed layout from pickles (rebuilt lazily by the
         receiver); with SparseMatrix's own cache trimming this keeps a
         pickled proving key to the CSR arrays."""
         state = self.__dict__.copy()
@@ -71,7 +76,7 @@ class R1CS:
         return state
 
     def _stacked(self) -> StackedMatrices:
-        """Lazily-built fused view of (A, B, C) for single-pass SpMVs."""
+        """Lazily-built transposed layout of (A, B, C)."""
         if self._stacked_cache is None:
             self._stacked_cache = StackedMatrices([self.a, self.b, self.c])
         return self._stacked_cache
@@ -100,17 +105,17 @@ class R1CS:
 
     # -- satisfaction ---------------------------------------------------------
     def is_satisfied(self, z: np.ndarray) -> bool:
-        """Check (A z) o (B z) == (C z)."""
-        az, bz, cz = self.products(z)
-        return bool((fv.mul(az, bz) == cz).all())
+        """Check (A z) o (B z) == (C z), holding at most two n-word
+        products at once: A z o B z is written over A z, and B z is
+        dropped before C z is formed."""
+        az = self.a.matvec(z)
+        fv.mul(az, self.b.matvec(z), out=az)
+        return bool((az == self.c.matvec(z)).all())
 
     def products(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (A z, B z, C z) — the inputs to Spartan's first sumcheck.
-
-        All three SpMVs run as one fused pass over the stacked layout
-        (:class:`StackedMatrices`)."""
-        az, bz, cz = self._stacked().matvec_all(z)
-        return az, bz, cz
+        """Return (A z, B z, C z) — the inputs to Spartan's first
+        sumcheck, one :meth:`SparseMatrix.matvec` each."""
+        return self.a.matvec(z), self.b.matvec(z), self.c.matvec(z)
 
     def combined_row(self, coeffs, rx) -> np.ndarray:
         """(coeffs[0]*A + coeffs[1]*B + coeffs[2]*C)^T eq(rx, .) in one
@@ -133,9 +138,8 @@ class R1CS:
         """Bytes this system holds: the arrays of A, B, C (each array
         once; 12 B per stored non-zero, int32 ``cols`` and uint64
         ``vals``, 4 B per stored row of int32 ``indptr`` and 4 B per row
-        of an int32 ``row_map``) plus, once built, the SpMV layout
-        (:attr:`StackedMatrices.nbytes`, where views of those arrays count
-        0)."""
+        of an int32 ``row_map``) plus, once built, the transposed layout
+        (:attr:`StackedMatrices.nbytes`)."""
         csr = {id(arr): arr.nbytes for m in (self.a, self.b, self.c)
                for arr in (m.indptr, m.cols, m.vals, m.row_map)
                if arr is not None}

@@ -8,7 +8,7 @@ Two caches keep the daemon hot across requests:
   job on that statement, under any preset.  Compiling is the part of a
   request that cannot be parallelized away, so amortizing it is where a
   persistent service beats a fresh CLI process.  Its key space is the
-  registry's 5 ids, 4,210,032 B with every entry built, so it keeps
+  registry's 5 ids, 2,923,092 B with every entry built, so it keeps
   them all and evicts nothing.
 
 * :class:`ProofCache` — content-addressed envelopes: requests are keyed
@@ -86,7 +86,7 @@ class KeyCache:
         self.misses += 1
         entry = build_keys(circuit_id, preset_name)
         r1cs = entry.pk.r1cs
-        r1cs._stacked()          # the SpMV layout, so ``bytes`` counts it
+        r1cs._stacked()          # the transposed layout: ``bytes`` counts it
         self._entries[circuit_id] = entry
         self.bytes += entry.public.nbytes + entry.witness.nbytes + r1cs.nbytes
         return entry

@@ -105,8 +105,8 @@ class SpartanProver:
         check_deadline("spartan.witness")
         with _span("spartan.witness", "other", n=1 << log_n):
             z = r1cs.assemble_z(public, witness)
-        # One SpMV pass serves both the satisfaction check and sumcheck #1
-        # (is_satisfied would recompute all three products).
+        # One set of products serves both the satisfaction check and
+        # sumcheck #1 (is_satisfied would recompute all three).
         check_deadline("spartan.spmv")
         with _span("spartan.spmv", "spmv", n=1 << log_n):
             az, bz, cz = r1cs.products(z)

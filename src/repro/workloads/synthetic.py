@@ -64,18 +64,14 @@ def synthetic_r1cs(log_size: int, band: int = 64, nnz_per_row: int = 3,
     a = SparseMatrix.from_csr(n, n, indptr, cols_a, vals_a)
     b = SparseMatrix.from_csr(n, n, indptr, cols_b, vals_b)
 
-    def product(cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        # On a matrix of its own over the same arrays: the key's A and B
-        # cache no gather plan.
-        return SparseMatrix.from_csr(n, n, indptr, cols, vals).matvec(z)
-
     # C: one entry per row at a witness column with a non-zero z value;
     # use column half + (i mod half), whose z entry is never zero.
     # Each witness value serves two rows: invert the half once, and write
     # row i's value over the product (A z o B z)_i it is solved from.
     cols_c = np.arange(half, half + n, dtype=np.int32)
     cols_c[half:] -= np.int32(half)
-    vals_c = fv.mul(product(cols_a, vals_a), product(cols_b, vals_b))
+    vals_c = a.matvec(z)
+    fv.mul(vals_c, b.matvec(z), out=vals_c)
     inv = fv.inv_vector(wit)
     for rows in (vals_c[:half], vals_c[half:]):
         fv.mul(rows, inv, out=rows)
@@ -83,9 +79,9 @@ def synthetic_r1cs(log_size: int, band: int = 64, nnz_per_row: int = 3,
     c = SparseMatrix.from_csr(n, n, np.arange(n + 1, dtype=np.int32), cols_c,
                               vals_c)
 
-    # The check runs through the key's layout, built first, while the
-    # generator holds nothing but the key and the witness (z is
-    # assembled again from the public half for the check).
+    # The key's transposed layout is built first, while the generator
+    # holds nothing but the key and the witness (z is assembled again
+    # from the public half for the check).
     public = z[:num_public].copy()
     del z
     r1cs = R1CS(a, b, c, num_public=num_public, num_witness=half)

@@ -304,11 +304,21 @@ class TestStackedMatrices:
         z = r1cs.assemble_z(public, witness)
         return r1cs, z
 
-    def test_matvec_all_matches_individual_matvecs(self):
+    def test_products_take_the_planes_and_match_the_segmented_sum(
+            self, monkeypatch):
+        """With the tile patched small every product runs the plane
+        kernel (L = 3, 3, 1); at the shipped constants the same products
+        are segmented sums."""
+        from repro.r1cs import matrices
+
         r1cs, z = self._system()
-        stacked = StackedMatrices([r1cs.a, r1cs.b, r1cs.c])
-        for got, mat in zip(stacked.matvec_all(z), (r1cs.a, r1cs.b, r1cs.c)):
-            assert np.array_equal(got, mat.matvec(z))
+        mats = (r1cs.a, r1cs.b, r1cs.c)
+        want = [m.matvec(z) for m in mats]
+        assert [m._plane_width() for m in mats] == [0, 0, 0]
+        monkeypatch.setattr(matrices, "PLANE_TILE", 64)
+        assert [m._plane_width() for m in mats] == [3, 3, 1]
+        for got, w in zip(r1cs.products(z), want):
+            assert np.array_equal(got, w)
 
     def test_scaled_transpose_matches_combined_matrix_row(self, rng):
         r1cs, z = self._system()
@@ -352,17 +362,19 @@ class TestPlaneLayoutSaturation:
         mat = SparseMatrix(n, n, rows, cols,
                            np.full(n * length, value, dtype=np.uint64))
         stacked = StackedMatrices([mat])
-        for side in (stacked._forward, stacked._transposed):
-            if extra:       # one past the cap: every row is residual
-                assert side.groups == []
-                rows, residual = side.residual
-                assert rows is None and residual.stored_nnz == n * length
-            else:           # at the cap: one group of 512 planes
-                assert side.residual is None
-                assert [g[1].shape for g in side.groups] == [(length, n)]
+        side = stacked._transposed
+        if extra:       # one past the cap: every row is residual
+            assert side.groups == []
+            rows, residual = side.residual
+            assert rows is None and residual.stored_nnz == n * length
+            assert mat._plane_width() == 0
+        else:           # at the cap: one group of 512 planes
+            assert side.residual is None
+            assert [g[1].shape for g in side.groups] == [(length, n)]
+            assert mat._plane_width() == length
         x = np.full(n, value, dtype=np.uint64)
         want = length * value * value % MODULUS
-        assert fv.to_ints(stacked.matvec_all(x)[0]) == [want] * n
+        assert fv.to_ints(mat.matvec(x)) == [want] * n
         # scaled_transpose_matvec would canonicalize nothing but still
         # multiply by a coefficient; feed the transposed planes directly.
         assert fv.to_ints(stacked._transposed.matvec(x)) == [want] * n
@@ -376,7 +388,7 @@ class TestPlaneLayoutSaturation:
         mat = SparseMatrix(n, n, rows, cols,
                            np.full(n * length, 2**64 - 1, dtype=np.uint64))
         x = random_u64(rng, n)
-        got = StackedMatrices([mat]).matvec_all(x)[0]
+        got = mat.matvec(x)
         hits = np.zeros((n, n), dtype=object)
         np.add.at(hits, (rows, cols), 1)
         want = [(2**64 - 1) * sum(int(h) * int(v) for h, v in zip(row, x))

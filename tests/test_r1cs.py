@@ -273,13 +273,16 @@ class TestR1CSSystem:
 
     def test_empty_c_matrix(self, rng):
         """Constraints of the form a * b = 0 leave C with no entries; the
-        stacked plans (built eagerly) must take an empty member."""
+        product and the transposed layout (built eagerly) must take an
+        empty member."""
         a = SparseMatrix.from_entries(4, 4, [(0, 0, 1), (1, 2, 5)])
         b = SparseMatrix.from_entries(4, 4, [(0, 3, 2), (1, 1, 7)])
         c = SparseMatrix(4, 4)
         stacked = StackedMatrices([a, b, c])
         z = np.array([1, 0, 9, 0], dtype=np.uint64)
-        assert stacked.matvec_all(z)[2].tolist() == [0, 0, 0, 0]
+        assert c.matvec(z).tolist() == [0, 0, 0, 0]
+        assert stacked.scaled_transpose_matvec((0, 0, 1), z).tolist() \
+            == [0, 0, 0, 0]
         r1cs = R1CS(a, b, c, 1, 1)
         az, bz, cz = r1cs.products(z)
         assert az.tolist() == [1, 45, 0, 0] and bz.tolist() == [0, 0, 0, 0]
@@ -307,7 +310,8 @@ def stacked_systems(draw):
     included), a few long rows (longer than a patched plane cap), stray
     entries (residual), duplicate coordinates, empty rows and columns —
     and fixed-width row-sorted members over a run of rows, the synthetic
-    shape whose forward groups are views of the member's arrays."""
+    shape (over every row, it takes the plane kernel of
+    ``SparseMatrix.matvec``)."""
     n = draw(st.sampled_from([4, 8, 16]))
     mats = []
     for _ in range(3):
@@ -343,6 +347,21 @@ def stacked_systems(draw):
     return mats
 
 
+def _planes_of(run, x):
+    """``(idx, vals)`` of every ``_plane_matvec`` call made by
+    ``run(x)``."""
+    seen = []
+    kernel = matrices._plane_matvec
+
+    def spy(idx, vals, *args):
+        seen.append((idx, vals))
+        return kernel(idx, vals, *args)
+
+    with mock.patch.object(matrices, "_plane_matvec", spy):
+        run(x)
+    return seen
+
+
 def patched_planes(tile, cap, reduce_rows):
     """Kernel constants small enough that multi-tile groups, chunk
     folding and multi-chunk reductions occur on test-sized matrices."""
@@ -367,7 +386,8 @@ class TestSortOrder:
 
 
 class TestPlaneLayout:
-    """The row-length-grouped layout under ``R1CS.products`` and
+    """The plane kernel under ``SparseMatrix.matvec`` (fixed-width
+    matrices) and the population-grouped transposed layout under
     ``combined_transpose_matvec`` against ``to_dense()`` arithmetic."""
 
     @pytest.mark.parametrize("tile,cap,reduce_rows", [
@@ -387,7 +407,7 @@ class TestPlaneLayout:
         dense = [m.to_dense() for m in mats]
         with patched_planes(tile, cap, reduce_rows):
             stacked = StackedMatrices(mats)
-            got = stacked.matvec_all(x)
+            got = [m.matvec(x) for m in mats]
             got_t = stacked.scaled_transpose_matvec(coeffs, x)
         for d, g in zip(dense, got):
             assert g.tolist() == dense_matvec(d, x)
@@ -399,77 +419,114 @@ class TestPlaneLayout:
                                                     (1 << 15, False)])
     def test_split_depends_only_on_the_matrix(self, tile, expect_planes):
         """A population that fills a tile becomes planes; one that does
-        not stays in the one residual SparseMatrix.  A plane is a
-        C-contiguous copy, or a view of the member's own arrays."""
+        not stays in the one residual SparseMatrix.  A transposed plane
+        is a C-contiguous copy; forward, the fixed-width matrix itself
+        takes the plane kernel or the segmented sum."""
         n = 8
         rows = np.repeat(np.arange(n), 2)
         a = SparseMatrix(n, n, rows, (rows * 3 + np.tile([0, 1], n)) % n,
                          np.arange(1, 2 * n + 1))
         with patched_planes(tile, 512, 4):
             stacked = StackedMatrices([a, a, SparseMatrix(n, n)])
-        for side in (stacked._forward, stacked._transposed):
-            assert bool(side.groups) is expect_planes
-            assert (side.residual is None) is expect_planes
-            for _rows, idx, vals in side.groups:
-                assert idx.dtype == np.int32 and idx.shape == vals.shape
-                assert (idx.flags["C_CONTIGUOUS"]
-                        and vals.flags["C_CONTIGUOUS"]) or (
-                    np.shares_memory(idx, a.cols)
-                    and np.shares_memory(vals, a.vals))
-            if side.residual is not None:
-                # CSR over the rows that hold a residual entry: its gather
-                # plan is a view of ``indptr``, nothing stored.
-                _rows, residual = side.residual
-                starts, row_ids = residual._group_plan()
-                assert row_ids is None and starts.base is residual.indptr
+            assert a._plane_width() == (2 if expect_planes else 0)
+        side = stacked._transposed
+        assert bool(side.groups) is expect_planes
+        assert (side.residual is None) is expect_planes
+        for _rows, idx, vals in side.groups:
+            assert idx.dtype == np.int32 and idx.shape == vals.shape
+            assert idx.flags["C_CONTIGUOUS"] and vals.flags["C_CONTIGUOUS"]
+        if side.residual is not None:
+            # CSR over the rows that hold a residual entry: its gather
+            # plan is a view of ``indptr``, nothing stored.
+            _rows, residual = side.residual
+            starts, row_ids = residual._group_plan()
+            assert row_ids is None and starts.base is residual.indptr
 
-    def test_synthetic_forward_groups_are_views(self):
-        """Every forward group of a synthetic instance (L = 3, 3, 1) is a
-        strided view of its member's ``cols`` / ``vals``: the layout owns
-        only the transposed side."""
+    @pytest.mark.parametrize("cap", [3, 512])
+    @pytest.mark.parametrize("below", [0, 1])
+    @given(data=st.data())
+    def test_fixed_width_matvec_matches_dense(self, cap, below, data):
+        """``SparseMatrix.matvec`` takes the plane kernel exactly when
+        every stored row holds L entries, 1 <= L <= PLANE_CAP, and L *
+        rows reaches PLANE_TILE (patched one above L * rows when
+        ``below``), and equals ``to_dense()`` arithmetic on a
+        non-canonical x either way: L = 0, 1, 2, the cap and one past
+        it, with and without a row map over the stored rows."""
+        stored = data.draw(st.integers(1, 12))
+        width = data.draw(st.sampled_from([0, 1, 2, cap, cap + 1]))
+        num_cols = data.draw(st.integers(1, 8))
+        count = stored * width
+        cols = data.draw(st.lists(st.integers(0, num_cols - 1),
+                                  min_size=count, max_size=count))
+        vals = data.draw(st.lists(felt, min_size=count, max_size=count))
+        row_map = None
+        if data.draw(st.booleans()):
+            row_map = data.draw(st.lists(st.integers(0, stored - 1),
+                                         min_size=1, max_size=16))
+        m = SparseMatrix.from_csr(
+            stored if row_map is None else len(row_map), num_cols,
+            np.arange(stored + 1) * width, np.array(cols, dtype=np.int32),
+            np.array(vals, dtype=np.uint64), row_map)
+        x = np.array(data.draw(st.lists(st.integers(0, 2**64 - 1),
+                                        min_size=num_cols,
+                                        max_size=num_cols)),
+                     dtype=np.uint64)
+        with patched_planes(max(1, count + below), cap, 4):
+            planes = _planes_of(m.matvec, x)
+            got = m.matvec(x)
+        takes_planes = 1 <= width <= cap and not below
+        assert [idx.shape for idx, _vals in planes] \
+            == ([(width, stored)] if takes_planes else [])
+        assert got.tolist() == dense_matvec(m.to_dense(), x)
+        assert m._groups is None
+
+    def test_synthetic_layout_holds_no_forward_copy(self):
+        """Each synthetic product (L = 3, 3, 1) runs the plane kernel on
+        strided views of its matrix's ``cols`` / ``vals`` and caches no
+        gather plan: the layout owns only the transposed side."""
         from repro.workloads import synthetic_r1cs
 
         with patched_planes(64, 512, 16):
-            r1cs, _public, _witness = synthetic_r1cs(8, band=4, seed=11)
+            r1cs, public, witness = synthetic_r1cs(8, band=4, seed=11)
             stacked = r1cs._stacked()
+            planes = _planes_of(r1cs.products, r1cs.assemble_z(public,
+                                                               witness))
         members = (r1cs.a, r1cs.b, r1cs.c)
-        assert [idx.shape[0] for _r, idx, _v in stacked._forward.groups] \
-            == [3, 3, 1]
-        assert stacked._forward.residual is None
-        for (_rows, idx, vals), m in zip(stacked._forward.groups,
-                                              members):
+        assert [idx.shape for idx, _vals in planes] \
+            == [(3, 256), (3, 256), (1, 256)]
+        for (idx, vals), m in zip(planes, members):
             assert np.shares_memory(idx, m.cols)
             assert np.shares_memory(vals, m.vals)
-        assert stacked._forward.nbytes == 0
+            assert m._groups is None
+        assert "_forward" not in vars(stacked)
         assert stacked.nbytes == stacked._transposed.nbytes > 0
 
-    def test_rows_that_are_not_one_run_stay_a_copy(self):
-        """A population with a gap in its rows is gathered into
-        C-contiguous planes that share nothing with the member, and is
-        counted in ``nbytes``.  A member given in reverse row order is
-        sorted by its constructor, so its one run of rows is a view."""
+    def test_rows_that_are_not_one_run_take_the_segmented_sum(self):
+        """A matrix with an empty stored row is not fixed-width: its
+        product is the segmented sum, whose plan caches the non-empty
+        rows.  A member given in reverse row order is sorted by its
+        constructor, so its fixed-width rows are plane views."""
         n = 8
         rows = np.repeat([0, 1, 2, 4, 5, 6, 7], 2)         # row 3 is empty
         gapped = SparseMatrix(n, n, rows, (rows + np.tile([0, 1], 7)) % n,
                               np.arange(1, 15))
+        x = np.arange(n, dtype=np.uint64)
         with patched_planes(1, 512, 4):
-            stacked = StackedMatrices([gapped])
-        [(rows_out, idx, vals)] = stacked._forward.groups
-        assert idx.flags["C_CONTIGUOUS"] and vals.flags["C_CONTIGUOUS"]
-        assert not np.shares_memory(idx, gapped.cols)
-        assert not np.shares_memory(vals, gapped.vals)
-        assert stacked._forward.nbytes == idx.nbytes + vals.nbytes \
-            + (rows_out.nbytes if isinstance(rows_out, np.ndarray) else 0)
+            assert _planes_of(gapped.matvec, x) == []
+            got = gapped.matvec(x)
+        assert got.tolist() == dense_matvec(gapped.to_dense(), x)
+        assert gapped._groups[1].tolist() == [0, 1, 2, 4, 5, 6, 7]
         rows = np.repeat(np.arange(n), 2)[::-1]             # one run, reversed
         unsorted = SparseMatrix(n, n, rows, (rows + np.tile([0, 1], n)) % n,
                                 np.arange(1, 2 * n + 1))
         assert unsorted.rows.tolist() == sorted(rows.tolist())
         with patched_planes(1, 512, 4):
-            stacked = StackedMatrices([unsorted])
-        [(_rows, idx, vals)] = stacked._forward.groups
+            [(idx, vals)] = _planes_of(unsorted.matvec, x)
+            got = unsorted.matvec(x)
         assert np.shares_memory(idx, unsorted.cols)
         assert np.shares_memory(vals, unsorted.vals)
-        assert stacked._forward.nbytes == 0
+        assert got.tolist() == dense_matvec(unsorted.to_dense(), x)
+        assert unsorted._groups is None
 
     def test_nothing_but_planes_and_residual_is_retained(self):
         """No stacked COO copy and no sort permutation outlive the build;
@@ -480,12 +537,11 @@ class TestPlaneLayout:
             mapped = SparseMatrix.from_csr(4, 4, a.indptr[:3], a.cols[:2],
                                            a.vals[:2], [1, 0, 1, 1])
             stacked = StackedMatrices([a, mapped, a])
-        for side in (stacked._forward, stacked._transposed):
-            assert set(vars(side)) == {"num_out", "num_in", "groups",
-                                       "residual", "nbytes"}
+        assert set(vars(stacked._transposed)) == {
+            "num_out", "num_in", "groups", "residual", "nbytes"}
         assert set(vars(stacked)) == {"count", "num_rows", "num_cols",
                                       "row_maps", "stored_rows",
-                                      "_forward", "_transposed"}
+                                      "_transposed"}
         assert stacked.row_maps == (None, mapped.row_map, None)
         assert stacked.stored_rows == (4, 2, 4)
 
@@ -499,12 +555,13 @@ class TestPlaneLayout:
             x = fv.rand_vector(len(z), rng)
             want = r1cs.products(z), r1cs.combined_transpose_matvec((3, 5, 7),
                                                                     x)
-            assert r1cs._stacked()._forward.groups      # planes in play
+            assert r1cs._stacked()._transposed.groups   # planes in play
+            assert r1cs.a._plane_width() == 3
             clone = pickle.loads(pickle.dumps(r1cs))
             assert clone._stacked_cache is None
             got = clone.products(z), clone.combined_transpose_matvec((3, 5, 7),
                                                                      x)
-            assert clone._stacked()._forward.groups
+            assert clone._stacked()._transposed.groups
         for w, g in zip(want[0], got[0]):
             assert np.array_equal(w, g)
         assert np.array_equal(want[1], got[1])
@@ -525,7 +582,7 @@ class TestPlaneLayout:
         a = SparseMatrix(4, 4, [0], [0], [1])
         stacked = StackedMatrices([a, a, a])
         with pytest.raises(ValueError):
-            stacked.matvec_all(np.ones(5, dtype=np.uint64))
+            R1CS(a, a, a, 1, 1).products(np.ones(5, dtype=np.uint64))
         with pytest.raises(ValueError):
             stacked.scaled_transpose_matvec((1, 2, 3),
                                             np.ones(3, dtype=np.uint64))
@@ -568,7 +625,7 @@ class TestResidentSetOfAKey:
             assert m.indptr.nbytes == 4 * (m.num_rows + 1)
         stacked, resident, peak = _traced(
             lambda: StackedMatrices([r1cs.a, r1cs.b, r1cs.c]))
-        assert stacked._forward.nbytes == 0          # views of the members
+        assert stacked.nbytes == stacked._transposed.nbytes
         assert abs(resident - stacked.nbytes) < 64 << 10
         assert peak <= stacked.nbytes + 8 * r1cs.nnz + (4 << 20), \
             (peak - stacked.nbytes) / r1cs.nnz
@@ -929,7 +986,8 @@ class TestRowMap:
         with patched_planes(tile, cap, reduce_rows):
             stacked = StackedMatrices(mats)
             plain = StackedMatrices(twins)
-            got, want = stacked.matvec_all(x), plain.matvec_all(x)
+            got = [m.matvec(x) for m in mats]
+            want = [t.matvec(x) for t in twins]
             got_t = stacked.scaled_transpose_matvec(coeffs, x)
             want_t = plain.scaled_transpose_matvec(coeffs, x)
         assert stacked.row_maps == tuple(m.row_map for m in mats)
@@ -1011,7 +1069,8 @@ class TestRowMap:
 def _keyed(name):
     """A key with its layout built, at the shipped constants: ``aes`` (B
     in distinct-row form, all residual) or ``synthetic_r1cs(16)`` (plane
-    groups in both directions beside a transposed residual)."""
+    groups beside a transposed residual, and fixed-width members that
+    take the plane kernel forward)."""
     from repro.workloads import synthetic_r1cs
     from repro.workloads.registry import build_workload
 
@@ -1067,7 +1126,8 @@ class TestCombinedRow:
                           for n in ("aes", "synthetic_r1cs(16)"))
         assert [m is not None for m in aes.row_maps] == [False, True, False]
         assert aes._transposed.residual is not None
-        assert synthetic._transposed.groups and synthetic._forward.groups
+        assert synthetic._transposed.groups
+        assert _keyed("synthetic_r1cs(16)").a._plane_width() == 3
         assert synthetic._transposed.residual is not None
 
     def test_point_must_index_the_rows(self):

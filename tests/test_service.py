@@ -245,15 +245,14 @@ def _owned_by_walk(r1cs):
 
     csr = {id(root(arr)) for m in (r1cs.a, r1cs.b, r1cs.c)
            for arr in (m.indptr, m.cols, m.vals)}
-    stacked, arrays = r1cs._stacked(), []
-    for side in (stacked._forward, stacked._transposed):
-        for rows, idx, vals in side.groups:
-            arrays += [idx, vals] + ([rows] if isinstance(rows, np.ndarray)
-                                     else [])
-        if side.residual is not None:
-            rows, res = side.residual
-            arrays += [res.indptr, res.cols, res.vals] + [
-                a for a in (rows, *res._group_plan()) if a is not None]
+    side, arrays = r1cs._stacked()._transposed, []
+    for rows, idx, vals in side.groups:
+        arrays += [idx, vals] + ([rows] if isinstance(rows, np.ndarray)
+                                 else [])
+    if side.residual is not None:
+        rows, res = side.residual
+        arrays += [res.indptr, res.cols, res.vals] + [
+            a for a in (rows, *res._group_plan()) if a is not None]
     roots = {id(root(arr)): root(arr) for arr in arrays}
     return sum(r.nbytes for key, r in roots.items() if key not in csr)
 
@@ -278,20 +277,19 @@ class TestKeyStoresInt32Indices:
 
     @staticmethod
     def _index_arrays(r1cs):
-        stacked, arrays = r1cs._stacked(), []
+        side, arrays = r1cs._stacked()._transposed, []
         for m in (r1cs.a, r1cs.b, r1cs.c):
             arrays += [m.indptr, m.cols] + (
                 [m.row_map] if m.row_map is not None else [])
-        for side in (stacked._forward, stacked._transposed):
-            for rows, idx, _vals in side.groups:
-                arrays += [idx] + ([rows] if not isinstance(rows, slice)
-                                   else [])
-            if side.residual is not None:
-                rows, res = side.residual
-                starts, row_ids = res._group_plan()
-                assert row_ids is None       # every residual row has entries
-                arrays += [res.indptr, res.cols, starts] + (
-                    [rows] if rows is not None else [])
+        for rows, idx, _vals in side.groups:
+            arrays += [idx] + ([rows] if not isinstance(rows, slice)
+                               else [])
+        if side.residual is not None:
+            rows, res = side.residual
+            starts, row_ids = res._group_plan()
+            assert row_ids is None       # every residual row has entries
+            arrays += [res.indptr, res.cols, starts] + (
+                [rows] if rows is not None else [])
         return arrays
 
     @pytest.mark.parametrize("name", ["synthetic", "aes", "sha"])
@@ -306,11 +304,9 @@ class TestKeyStoresInt32Indices:
         arrays = self._index_arrays(r1cs)
         assert {arr.dtype for arr in arrays} == {np.dtype(np.int32)}
         assert r1cs.nbytes == _csr_bytes(r1cs) + _owned_by_walk(r1cs)
-        stacked = r1cs._stacked()
-        matrices = [r1cs.a, r1cs.b, r1cs.c] + [
-            side.residual[1] for side in (stacked._forward,
-                                          stacked._transposed)
-            if side.residual is not None]
+        residual = r1cs._stacked()._transposed.residual
+        matrices = [r1cs.a, r1cs.b, r1cs.c] + (
+            [residual[1]] if residual is not None else [])
         for m in matrices:      # no row array with one entry per non-zero
             assert not any(isinstance(v, np.ndarray)
                            and len(v) in (m.nnz, m.stored_nnz)
@@ -337,13 +333,12 @@ class TestKeyCacheSizing:
         n = r1cs.shape.num_constraints
         # The key: 12 B per non-zero plus 4 B per row of each of A, B, C.
         assert _csr_bytes(r1cs) == 12 * r1cs.nnz + 3 * 4 * (n + 1)
-        # sha is all residual: per direction one CSR copy of the entries
-        # over just the output rows that hold one (12 B per non-zero, 8 B
-        # per such row: int32 offset and row id, and a closing offset).
-        out_rows = sum(len(np.unique(m.rows)) for m in mats)
+        # sha is all residual: one transposed CSR copy of the entries
+        # over just the columns that hold one (12 B per non-zero, 8 B
+        # per such column: int32 offset and id, and a closing offset).
         out_cols = len(np.unique(np.concatenate([m.cols for m in mats])))
-        assert out_rows < 3 * n and out_cols < n   # so row ids are stored
-        layout = 2 * 12 * r1cs.nnz + 8 * (out_rows + out_cols) + 2 * 4
+        assert out_cols < n                 # so column ids are stored
+        layout = 12 * r1cs.nnz + 8 * out_cols + 4
         assert r1cs.nbytes == 12 * r1cs.nnz + 3 * 4 * (n + 1) + layout
         assert cache.stats()["bytes"] == r1cs.nbytes + entry.public.nbytes \
             + entry.witness.nbytes
@@ -367,24 +362,45 @@ class TestKeyCacheSizing:
         assert _csr_bytes(r1cs) == 12 * (a.nnz + 6747 + c.nnz) \
             + 4 * (2 * (n + 1) + 1393 + 1) + 4 * n
 
-    def test_synthetic_forward_views_are_not_double_counted(self):
+    def test_synthetic_layout_holds_no_forward_copy(self):
         from repro.workloads import synthetic_r1cs
 
         r1cs = synthetic_r1cs(15)[0]      # C's L = 1 group fills a tile
         layout = r1cs._stacked()
-        assert layout._forward.nbytes == 0 == _owned_by_walk(r1cs) \
-            - layout._transposed.nbytes
+        assert layout.nbytes == _owned_by_walk(r1cs) \
+            == layout._transposed.nbytes
         # A and B are fixed-width rows: they share one indptr.
         n = r1cs.shape.num_constraints
         assert r1cs.a.indptr is r1cs.b.indptr
         assert r1cs.nbytes == 12 * r1cs.nnz + 2 * 4 * (n + 1) \
-            + layout._transposed.nbytes
+            + layout.nbytes
+
+    @pytest.mark.parametrize("name", ["aes", "auction", "litmus", "rsa",
+                                      "sha"])
+    def test_registry_layout_holds_no_forward_copy(self, name):
+        """A registry key's layout owns one copy of its stored entries,
+        the transposed one: its forward products read the CSR."""
+        import numpy as np
+
+        from repro.workloads.registry import build_workload
+
+        r1cs = build_workload(name)[1].compile()[0]
+        layout = r1cs._stacked()
+        mats = (r1cs.a, r1cs.b, r1cs.c)
+        stored = sum(m.stored_nnz for m in mats)
+        rows, residual = layout._transposed.residual
+        assert layout._transposed.groups == []      # all residual
+        assert residual.stored_nnz == stored
+        out_cols = len(np.unique(np.concatenate([m.cols for m in mats])))
+        assert len(rows) == out_cols
+        assert layout.nbytes == layout._transposed.nbytes \
+            == 12 * stored + 8 * out_cols + 4
 
 
 class TestKeySpace:
     """The daemon keeps every statement it compiles, with no byte budget,
     because its key space is the registry's: 5 circuit ids, which hold
-    4,210,032 B with every layout built.  The compiled R1CS does not
+    2,923,092 B with every layout built.  The compiled R1CS does not
     depend on the preset, so the second preset of an id compiles
     nothing: all ten (circuit, preset) requests are 5 entries.  A
     registry statement that outgrows the ceiling (a paper-scale entry,
